@@ -16,8 +16,8 @@
 // elastic (challenge ➍: attesting an autoscaling wave, CAS vs IAS).
 //
 // Absolute numbers come from the calibrated virtual-time cost model and
-// are not expected to match the paper's testbed; EXPERIMENTS.md records
-// the paper-vs-measured comparison and shape checks.
+// are not expected to match the paper's testbed; the shape checks in
+// internal/experiments assert orderings, overhead bands and crossovers.
 package main
 
 import (

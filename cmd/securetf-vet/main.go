@@ -1,6 +1,6 @@
 // Command securetf-vet runs the secureTF static-invariant suite
 // (internal/analysis): nowallclock, detrand, shieldedfs,
-// blockingsyscall, wirealloc and deprecatedapi.
+// blockingsyscall and wirealloc.
 //
 // It drives the analyzers two ways:
 //
@@ -8,8 +8,7 @@
 //	go vet -vettool=$(which securetf-vet) ./...   as a vet tool (CI)
 //
 // In vettool mode it speaks the `go vet` unitchecker protocol
-// (-V=full, -flags, one *.cfg compilation unit per invocation), which
-// also extends coverage to _test.go compilation units.
+// (-V=full, -flags, one *.cfg compilation unit per invocation).
 //
 // Analyzers are selected like vet checks: with no selection flags all
 // run; -nowallclock (etc.) runs only the named ones; -nowallclock=false

@@ -95,8 +95,8 @@ func TestRun(t *testing.T) {
 			args: []string{"-list"},
 			exit: 0,
 			wantOut: []string{
-				"blockingsyscall", "deprecatedapi", "detrand",
-				"nowallclock", "shieldedfs", "wirealloc",
+				"blockingsyscall", "detrand", "nowallclock",
+				"shieldedfs", "wirealloc",
 			},
 		},
 		{

@@ -74,21 +74,17 @@
 // surface: ServeModels/DialModelServer take a single config struct
 // (ModelServerConfig, ModelClientConfig) and a request with an empty
 // model name resolves to DefaultModelName, so single-model deployments
-// need no separate API. The historical single-model pair
-// (ServeInference/DialInference with their InferenceService/
-// InferenceClient types) remains only as deprecated thin wrappers over
-// this surface — migrate by registering the model explicitly:
+// need no separate API:
 //
 //	gw, _ := securetf.ServeModels(c, securetf.ModelServerConfig{Addr: addr})
 //	_ = gw.Register(securetf.DefaultModelName, 1, model)
 //	cl, _ := securetf.DialModelServer(c, securetf.ModelClientConfig{Addr: gw.Addr()})
 //	classes, _ := cl.Classify("", input)
 //
-// A ModelClient can opt into overload
-// retries with SetRetry: capped exponential backoff whose jitter is a
-// hash of the request identity rather than a random draw, so the retry
-// schedule is deterministic and the backoff is charged to the virtual
-// clock.
+// A ModelClient can opt into overload retries with SetRetry: capped
+// exponential backoff whose jitter is a hash of the request identity
+// rather than a random draw, so the retry schedule is deterministic and
+// the backoff is charged to the virtual clock.
 //
 // On top of that data plane the gateway runs a three-layer control
 // plane. Configuration resolves through a chain — gateway defaults from
@@ -347,14 +343,23 @@
 // package are deterministic and fast while preserving the performance
 // shape the paper reports; read latencies with Container.Clock.
 //
+// Every server in the module — CAS, IAS simulator, parameter server,
+// federated coordinator, gateway, router — runs on internal/wire, which
+// holds the one frame codec and is the only place a listener is
+// accepted on.
+// wire.Serve keeps accepting through Accept errors (a peer that fails a
+// shielded listener's TLS handshake costs a 1 ms back-off, not the
+// server), and its Close stops accepting, closes every live connection
+// and waits for the handlers, so an idle peer cannot hang a shutdown.
+//
 // # Static invariants
 //
-// The properties this documentation promises are compiled into
+// The properties this documentation promises are compiled into five
 // machine-checked analyzers (internal/analysis), run in CI as a
 // `go vet -vettool` pass and standalone via cmd/securetf-vet:
 //
 //   - nowallclock: vtime-accounted packages (tf, dist, federated,
-//     serving, core, this facade) never read the ambient wall clock —
+//     serving, core, wire, this facade) never read the ambient wall clock —
 //     time.Now/Sleep/After and friends are flagged; files named
 //     *_wall.go are exempt wholesale.
 //   - detrand: deterministic-trajectory packages never draw from the
@@ -369,10 +374,6 @@
 //     Runtime.BlockingSyscall via the container wrappers.
 //   - wirealloc: an integer decoded from wire bytes is bounds-checked
 //     before it sizes a make() or bounds an append loop.
-//   - deprecatedapi: symbols carrying a "Deprecated:" notice (and the
-//     retired serving facade aliases) are not used in new code or
-//     tests; serve.go and doc.go stay exempt as the compatibility and
-//     migration surface.
 //
 // A reviewed exception is annotated on the offending line, or the line
 // above it, with a mandatory reason:

@@ -32,10 +32,6 @@ func TestWireAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata/wirealloc", "fixture/dist/codec", analysis.WireAlloc)
 }
 
-func TestDeprecatedAPI(t *testing.T) {
-	analysistest.Run(t, "testdata/deprecatedapi", "fixture/root", analysis.DeprecatedAPI)
-}
-
 // TestAllowDirectives runs an analyzer over the malformed-directive
 // fixture: bad directives surface as "allow" diagnostics and fail to
 // suppress the findings next to them.

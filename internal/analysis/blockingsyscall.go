@@ -28,13 +28,13 @@ var rawNetConstructors = map[string]map[string]bool{
 // Runtime.BlockingSyscall instead of holding a slot in the bounded
 // syscall ring. Creating raw conns, or calling Read/Accept on a value
 // statically typed as a raw net conn/listener, sidesteps that
-// guarantee. Accept loops over injected (already-wrapped) listeners
-// are annotated at the site.
+// guarantee. The one accept loop (internal/wire), which runs over
+// injected, already-wrapped listeners, is annotated at the site.
 var BlockingSyscall = &Analyzer{
 	Name: "blockingsyscall",
 	Doc: `no raw blocking socket calls outside the SCONE ring wrappers
 
-SCONE-hosted packages (tf, dist, federated, serving, core) must obtain
+SCONE-hosted packages (tf, dist, federated, serving, core, wire) must obtain
 conns and listeners from Container.Listen/Dial — the runtime wrappers
 route blocking waits through Runtime.BlockingSyscall. Direct
 net.Listen/net.Dial/tls.Dial calls, and Read/Accept on values typed as
@@ -46,7 +46,7 @@ shield) and the host-side CAS are out of scope.`,
 }
 
 func runBlockingSyscall(pass *Pass) error {
-	if !inScope(pass.Pkg.Path(), "tf", "dist", "federated", "serving", "core") {
+	if !inScope(pass.Pkg.Path(), "tf", "dist", "federated", "serving", "core", "wire") {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -33,8 +33,8 @@ var NoWallClock = &Analyzer{
 	Name: "nowallclock",
 	Doc: `no ambient wall clock in vtime-accounted packages
 
-Packages on the virtual clock (tf, dist, federated, serving, core and
-the root facade) must not call time.Now, time.Sleep, time.After and
+Packages on the virtual clock (tf, dist, federated, serving, core, wire
+and the root facade) must not call time.Now, time.Sleep, time.After and
 friends: vtime trajectories are bit-reproducible and every latency in
 the figures is virtual. Genuinely-wall deadline sites are annotated
 with "//securetf:allow nowallclock <reason>"; files named *_wall.go
@@ -43,7 +43,7 @@ are exempt.`,
 }
 
 func runNoWallClock(pass *Pass) error {
-	if !inScope(pass.Pkg.Path(), "tf", "dist", "federated", "serving", "core") &&
+	if !inScope(pass.Pkg.Path(), "tf", "dist", "federated", "serving", "core", "wire") &&
 		!(pass.Module != "" && pass.Pkg.Path() == pass.Module) {
 		return nil
 	}

@@ -9,7 +9,7 @@ import (
 
 // WireAlloc reports allocations sized by attacker-controlled wire
 // bytes. In the decoder packages (dist codec/protocol/checkpoint,
-// federated mask/codec, serving wire, core frames, cas protocol) an
+// federated mask/codec, serving wire, wire frames, cas protocol) an
 // integer decoded from a frame — a binary.LittleEndian.Uint32, a
 // readUint helper result, a byte plucked out of the payload — is an
 // allocation hint the peer chose. Passing it to make(), or letting it
@@ -35,7 +35,7 @@ error, not an allocation hint to honour.`,
 var readHelperName = regexp.MustCompile(`(?i)^read`)
 
 func runWireAlloc(pass *Pass) error {
-	if !inScope(pass.Pkg.Path(), "dist", "federated", "serving", "core", "cas") {
+	if !inScope(pass.Pkg.Path(), "dist", "federated", "serving", "core", "cas", "wire") {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -2,6 +2,7 @@ package cas
 
 import (
 	"crypto/ecdsa"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -366,5 +367,32 @@ func TestServerEnclaveAccessor(t *testing.T) {
 	}
 	if e.Measurement() != tc.server.Measurement() {
 		t.Fatal("measurement mismatch")
+	}
+}
+
+// TestCloseWithIdlePeer pins the shutdown contract of the shared
+// connection substrate at the CAS: a TCP peer that connects and never
+// speaks — its handler parked in the TLS handshake read — must not
+// hang Close.
+func TestCloseWithIdlePeer(t *testing.T) {
+	tc := newTestCluster(t)
+	peer, err := net.Dial("tcp", tc.server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	// Connections are accepted in order, so once a later client has
+	// been answered the idle peer's handler is running.
+	tc.newClient(t)
+
+	done := make(chan error, 1)
+	go func() { done <- tc.server.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung while an idle peer held its connection open")
 	}
 }

@@ -22,6 +22,7 @@ import (
 
 	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // ServerConfig configures the simulated IAS + key server.
@@ -45,8 +46,7 @@ type Server struct {
 	mu        sync.Mutex
 	platforms map[string]*ecdsa.PublicKey
 
-	wg     sync.WaitGroup
-	closed chan struct{}
+	srv *wire.Server
 }
 
 type iasRequest struct {
@@ -78,53 +78,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		ln:        ln,
 		platforms: make(map[string]*ecdsa.PublicKey, len(cfg.TrustedPlatforms)+1),
-		closed:    make(chan struct{}),
 	}
 	for name, key := range cfg.TrustedPlatforms {
 		s.platforms[name] = key
 	}
 	s.platforms[cfg.Platform.Name()] = cfg.Platform.AttestationKey()
-	s.wg.Add(1)
-	go s.serve()
+	s.srv = wire.Serve(ln, s.handle)
 	return s, nil
 }
 
 // Addr returns the listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server.
-func (s *Server) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
-	}
-	close(s.closed)
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) serve() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				continue
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.handle(conn)
-		}()
-	}
-}
+// Close stops the server, closing live connections.
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) handle(conn net.Conn) {
 	dec := json.NewDecoder(conn)

@@ -2,6 +2,7 @@ package ias
 
 import (
 	"crypto/ecdsa"
+	"net"
 	"testing"
 	"time"
 
@@ -84,5 +85,32 @@ func TestIASRejectsUnknownPlatform(t *testing.T) {
 	}
 	if err := server.verify(q); err == nil {
 		t.Fatal("IAS accepted quote from unknown platform")
+	}
+}
+
+// TestCloseWithIdlePeer: a TCP peer that connects and never sends its
+// quote — its handler parked in the request read — must not hang Close.
+func TestCloseWithIdlePeer(t *testing.T) {
+	server, enclave := newIAS(t)
+	peer, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	// Connections are accepted in order, so once a later client has
+	// been answered the idle peer's handler is running.
+	if _, _, err := (&Client{Enclave: enclave, Addr: server.Addr()}).Attest(); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- server.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung while an idle peer held its connection open")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // ImageName is the canonical CAS enclave image name; clients pin the
@@ -58,8 +59,7 @@ type Server struct {
 	mu        sync.Mutex
 	platforms map[string]*ecdsa.PublicKey
 
-	wg     sync.WaitGroup
-	closed chan struct{}
+	srv *wire.Server
 }
 
 // NewServer creates the CAS enclave, opens the store and starts serving.
@@ -119,15 +119,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ln:        ln,
 		leaf:      serverCert.Certificate[0],
 		platforms: make(map[string]*ecdsa.PublicKey, len(cfg.TrustedPlatforms)+1),
-		closed:    make(chan struct{}),
 	}
 	for name, key := range cfg.TrustedPlatforms {
 		s.platforms[name] = key
 	}
 	s.platforms[cfg.Platform.Name()] = cfg.Platform.AttestationKey()
 
-	s.wg.Add(1)
-	go s.serve()
+	s.srv = wire.Serve(ln, s.handleConn)
 	return s, nil
 }
 
@@ -147,39 +145,12 @@ func (s *Server) TrustPlatform(name string, key *ecdsa.PublicKey) {
 	s.platforms[name] = key
 }
 
-// Close stops the server and waits for in-flight connections.
+// Close stops the server: live connections are closed, their handlers
+// waited for, and the CAS enclave destroyed.
 func (s *Server) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
-	}
-	close(s.closed)
-	err := s.ln.Close()
-	s.wg.Wait()
+	err := s.srv.Close()
 	s.enclave.Destroy()
 	return err
-}
-
-func (s *Server) serve() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				continue
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.handleConn(conn)
-		}()
-	}
 }
 
 func (s *Server) handleConn(conn net.Conn) {

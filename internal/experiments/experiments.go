@@ -5,9 +5,9 @@
 // binary and the repository-root benchmarks drive these harnesses.
 //
 // Absolute numbers come from the calibrated virtual-time cost model and
-// are not expected to match the paper's testbed; EXPERIMENTS.md records
-// paper-vs-measured values and the shape checks in experiments_test.go
-// assert that orderings, overhead bands and crossovers hold.
+// are not expected to match the paper's testbed; the shape checks in
+// experiments_test.go assert that orderings, overhead bands and
+// crossovers hold.
 package experiments
 
 import (

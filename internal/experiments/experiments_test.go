@@ -9,8 +9,8 @@ import (
 
 // These tests assert the SHAPE of every figure against the paper: which
 // system wins, rough factors, and where crossovers fall. Absolute
-// latencies come from the calibrated virtual-time model and are recorded
-// in EXPERIMENTS.md rather than asserted here.
+// latencies come from the calibrated virtual-time model and are not
+// asserted here.
 
 func findFig4(t *testing.T, rows []Fig4Row, system string) Fig4Row {
 	t.Helper()

@@ -433,11 +433,11 @@ func (c *Client) localSteps() error {
 		if hi > n {
 			hi = n
 		}
-		bx, err := sliceRows(c.cfg.XS, lo, hi)
+		bx, err := tf.SliceRows(c.cfg.XS, lo, hi)
 		if err != nil {
 			return err
 		}
-		by, err := sliceRows(c.cfg.YS, lo, hi)
+		by, err := tf.SliceRows(c.cfg.YS, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -486,23 +486,4 @@ func (c *Client) reveal(req *dist.Message) error {
 	}
 	c.stats.Reveals += len(req.Clients)
 	return nil
-}
-
-// sliceRows returns rows [lo, hi) of a tensor's leading dimension as a
-// fresh tensor.
-func sliceRows(t *tf.Tensor, lo, hi int) (*tf.Tensor, error) {
-	shape := t.Shape()
-	if len(shape) == 0 {
-		return nil, errors.New("federated: cannot slice a scalar")
-	}
-	rows := shape[0]
-	if lo < 0 || hi > rows || lo >= hi {
-		return nil, fmt.Errorf("federated: row slice [%d, %d) of %d rows", lo, hi, rows)
-	}
-	rowSize := 1
-	for _, d := range shape[1:] {
-		rowSize *= d
-	}
-	outShape := append(tf.Shape{hi - lo}, shape[1:]...)
-	return tf.FromFloats(outShape, t.Floats()[lo*rowSize:hi*rowSize])
 }

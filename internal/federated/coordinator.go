@@ -13,6 +13,7 @@ import (
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tf/dist"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // CoordinatorConfig configures a federated Coordinator.
@@ -88,10 +89,10 @@ type Coordinator struct {
 	shapes  map[string]tf.Shape
 	sampled int
 
-	mu    sync.Mutex
-	vars  map[string][]float32 // working globals, mutated only in finalize
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
+	srv *wire.Server
+
+	mu   sync.Mutex
+	vars map[string][]float32 // working globals, mutated only in finalize
 
 	// Per-round state, rebuilt by openRound. snapshot, cohort and dead
 	// are immutable once published (replies reference them outside mu).
@@ -108,7 +109,6 @@ type Coordinator struct {
 	revealed    map[uint32]bool
 
 	stats  Stats
-	closed bool
 	done   bool
 	doneCh chan struct{}
 }
@@ -161,7 +161,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		shapes:  make(map[string]tf.Shape, len(cfg.Vars)),
 		sampled: sampled,
 		vars:    make(map[string][]float32, len(cfg.Vars)),
-		conns:   make(map[net.Conn]struct{}),
 		doneCh:  make(chan struct{}),
 	}
 	for name, t := range cfg.Vars {
@@ -174,8 +173,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	sort.Strings(c.names)
 	c.openRoundLocked()
-	c.wg.Add(1)
-	go c.accept()
+	c.srv = wire.Serve(cfg.Listener, c.serve)
 	return c, nil
 }
 
@@ -252,51 +250,9 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
 // Close stops the coordinator: the listener and all client connections
 // are closed.
-func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.mu.Unlock()
-	err := c.cfg.Listener.Close()
-	c.wg.Wait()
-	return err
-}
-
-func (c *Coordinator) accept() {
-	defer c.wg.Done()
-	for {
-		//securetf:allow blockingsyscall cfg.Listener is minted by Container.Listen; its wrapper parks Accept in Runtime.BlockingSyscall
-		conn, err := c.cfg.Listener.Accept()
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return
-		}
-		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
-		c.wg.Add(1)
-		go c.serve(conn)
-	}
-}
+func (c *Coordinator) Close() error { return c.srv.Close() }
 
 func (c *Coordinator) serve(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		conn.Close()
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-	}()
 	for {
 		msg, err := dist.Receive(conn, c.cfg.Clock, c.cfg.Params)
 		if err != nil {

@@ -262,11 +262,11 @@ func TestFederatedNoneMatchesLocalTraining(t *testing.T) {
 	xs, ys := tinyShard(30, 100)
 	for s := 0; s < 3; s++ {
 		lo := (s * 10) % 30
-		bx, err := sliceRows(xs, lo, lo+10)
+		bx, err := tf.SliceRows(xs, lo, lo+10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		by, err := sliceRows(ys, lo, lo+10)
+		by, err := tf.SliceRows(ys, lo, lo+10)
 		if err != nil {
 			t.Fatal(err)
 		}

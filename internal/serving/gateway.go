@@ -40,6 +40,7 @@ import (
 
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // Config tunes a gateway. Its knob fields are the gateway-default layer
@@ -102,10 +103,9 @@ type Gateway struct {
 	scaler    *autoscaler // nil when autoscaling is off
 	clock     *vtime.Clock
 	ln        net.Listener
+	srv       *wire.Server // accept loop + conn handlers
 	reg       registry
-	conns     core.ConnTracker
 
-	connWG     sync.WaitGroup // accept loop + conn handlers
 	dispatchWG sync.WaitGroup // per-model dispatchers
 	inflight   sync.WaitGroup // running batches
 	closeOnce  sync.Once
@@ -150,44 +150,12 @@ func NewGateway(c *core.Container, addr string, cfg Config) (*Gateway, error) {
 	if cfg.Autoscale != nil {
 		g.scaler = newAutoscaler(*cfg.Autoscale, g.clock.Now())
 	}
-	g.connWG.Add(1)
-	go g.accept()
+	g.srv = wire.Serve(ln, g.handle)
 	return g, nil
 }
 
 // Addr returns the gateway's listen address.
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
-
-// accept is the listener loop.
-func (g *Gateway) accept() {
-	defer g.connWG.Done()
-	for {
-		//securetf:allow blockingsyscall g.ln comes from Container.Listen, whose runtime wrapper routes Accept through Runtime.BlockingSyscall
-		conn, err := g.ln.Accept()
-		if err != nil {
-			select {
-			case <-g.closed:
-				return
-			default:
-				// Back off briefly so a persistent accept error (e.g.
-				// fd exhaustion) cannot busy-spin the loop.
-				//securetf:allow nowallclock accept-error backoff paces a real goroutine, not accounted work
-				time.Sleep(time.Millisecond)
-				continue
-			}
-		}
-		if !g.conns.Track(conn) {
-			conn.Close()
-			return
-		}
-		g.connWG.Add(1)
-		go func() {
-			defer g.connWG.Done()
-			defer g.conns.Untrack(conn)
-			g.handle(conn)
-		}()
-	}
-}
 
 // handle serves one connection: a sequence of request/response rounds.
 func (g *Gateway) handle(conn net.Conn) {
@@ -255,16 +223,14 @@ func (g *Gateway) submit(wr WireRequest) WireResponse {
 }
 
 // Close drains the gateway: it stops accepting, closes every live
-// connection (so handlers parked in blocking reads wake up — the hang the
-// single-model service had), waits for handlers, lets dispatchers finish
+// connection (so handlers parked in blocking reads wake up), waits for
+// handlers, lets dispatchers finish
 // or refuse what is queued, waits out running batches and releases every
 // interpreter pool.
 func (g *Gateway) Close() error {
 	g.closeOnce.Do(func() {
 		close(g.closed)
-		g.closeErr = g.ln.Close()
-		g.conns.CloseAll()
-		g.connWG.Wait()
+		g.closeErr = g.srv.Close()
 		// Stop dispatcher spawns before waiting on them: a Register
 		// that slipped past the closed channel either landed its
 		// dispatcher before this (and is waited on) or observes

@@ -29,8 +29,8 @@ import (
 	"io"
 	"sort"
 
-	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/seccrypto"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 const (
@@ -220,12 +220,12 @@ func writeHello(w io.Writer, h hello) error {
 	b := []byte{helloMagic, handshakeVersion}
 	b = appendStrings(b, h.Models)
 	b = appendStrings(b, h.Graphs)
-	return core.WriteFrame(w, b)
+	return wire.WriteFrame(w, b)
 }
 
 // readHello parses the client hello.
 func readHello(r io.Reader) (hello, error) {
-	b, err := core.ReadFrame(r)
+	b, err := wire.ReadFrame(r)
 	if err != nil {
 		return hello{}, err
 	}
@@ -249,7 +249,7 @@ func writeManifestReply(w io.Writer, key *seccrypto.SigningKey, m Manifest, refu
 	if refusal != "" {
 		b = append(b, 0)
 		b = append(b, refusal...)
-		return core.WriteFrame(w, b)
+		return wire.WriteFrame(w, b)
 	}
 	raw := m.encode()
 	sig, err := key.Sign(raw)
@@ -260,13 +260,13 @@ func writeManifestReply(w io.Writer, key *seccrypto.SigningKey, m Manifest, refu
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(sig)))
 	b = append(b, sig...)
 	b = append(b, raw...)
-	return core.WriteFrame(w, b)
+	return wire.WriteFrame(w, b)
 }
 
 // readManifestReply parses the router's handshake answer, returning the
 // manifest, its canonical bytes and the signature over them.
 func readManifestReply(r io.Reader) (Manifest, []byte, []byte, error) {
-	b, err := core.ReadFrame(r)
+	b, err := wire.ReadFrame(r)
 	if err != nil {
 		return Manifest{}, nil, nil, err
 	}

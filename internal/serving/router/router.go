@@ -31,6 +31,7 @@ import (
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/serving"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // ErrManifestMismatch marks placement-manifest failures: a node that
@@ -118,8 +119,7 @@ type Router struct {
 	graphs    map[string]*compiledGraph
 
 	ln        net.Listener
-	conns     core.ConnTracker
-	connWG    sync.WaitGroup
+	srv       *wire.Server
 	closeOnce sync.Once
 	closed    chan struct{}
 	closeErr  error
@@ -238,8 +238,7 @@ func New(c *core.Container, addr string, cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r.ln = ln
-	r.connWG.Add(1)
-	go r.accept()
+	r.srv = wire.Serve(ln, r.handle)
 	return r, nil
 }
 
@@ -267,35 +266,6 @@ func (r *Router) Manifest() Manifest { return r.manifest }
 // ManifestKey returns the signing key of the placement manifest; its
 // public half is what clients pin.
 func (r *Router) ManifestKey() *seccrypto.SigningKey { return r.key }
-
-// accept is the listener loop.
-func (r *Router) accept() {
-	defer r.connWG.Done()
-	for {
-		//securetf:allow blockingsyscall r.ln comes from Container.Listen, whose runtime wrapper routes Accept through Runtime.BlockingSyscall
-		conn, err := r.ln.Accept()
-		if err != nil {
-			select {
-			case <-r.closed:
-				return
-			default:
-				//securetf:allow nowallclock accept-error backoff paces a real goroutine, not accounted work
-				time.Sleep(time.Millisecond)
-				continue
-			}
-		}
-		if !r.conns.Track(conn) {
-			conn.Close()
-			return
-		}
-		r.connWG.Add(1)
-		go func() {
-			defer r.connWG.Done()
-			defer r.conns.Untrack(conn)
-			r.handle(conn)
-		}()
-	}
-}
 
 // handle serves one client connection: the manifest handshake, then a
 // sequence of serving-protocol rounds.
@@ -585,9 +555,7 @@ func (r *Router) closePools() {
 func (r *Router) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.closed)
-		r.closeErr = r.ln.Close()
-		r.conns.CloseAll()
-		r.connWG.Wait()
+		r.closeErr = r.srv.Close()
 		r.closePools()
 	})
 	return r.closeErr

@@ -20,8 +20,8 @@ import (
 	"io"
 	"time"
 
-	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // Status is the response status code on the wire.
@@ -128,12 +128,12 @@ func WriteRequest(w io.Writer, req WireRequest) error {
 	payload = append(payload, req.Model...)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(req.Version))
 	payload = append(payload, enc...)
-	return core.WriteFrame(w, payload)
+	return wire.WriteFrame(w, payload)
 }
 
 // ReadRequest reads and decodes a request frame.
 func ReadRequest(r io.Reader) (WireRequest, error) {
-	payload, err := core.ReadFrame(r)
+	payload, err := wire.ReadFrame(r)
 	if err != nil {
 		return WireRequest{}, err
 	}
@@ -189,12 +189,12 @@ func WriteResponse(w io.Writer, resp WireResponse) error {
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(resp.Version))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(resp.ServiceVtime))
 	payload = append(payload, body...)
-	return core.WriteFrame(w, payload)
+	return wire.WriteFrame(w, payload)
 }
 
 // ReadResponse reads and decodes a response frame.
 func ReadResponse(r io.Reader) (WireResponse, error) {
-	payload, err := core.ReadFrame(r)
+	payload, err := wire.ReadFrame(r)
 	if err != nil {
 		return WireResponse{}, err
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // Message kinds of the parameter-exchange protocol.
@@ -31,10 +32,6 @@ const (
 	msgFedPush   // client → coordinator: masked model update for a round
 	msgFedSeeds  // client → coordinator: pair-seed reveal for dead clients
 )
-
-// maxFrame bounds protocol frames on the wire (the MNIST CNN's
-// variables are ~2 MB; 1 GiB leaves room for any model the zoo builds).
-const maxFrame = 1 << 30
 
 // message is the decoded form of one protocol frame.
 //
@@ -453,22 +450,14 @@ func policyFromWire(kind uint8, staleness int64) ConsistencyPolicy {
 // codec saves independently of the bandwidth cost model.
 func send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *message) (int, error) {
 	payload := m.encode()
-	if len(payload) > maxFrame {
-		return 0, fmt.Errorf("dist: frame of %d bytes exceeds limit", len(payload))
-	}
 	clock.Advance(sgx.TimeAtThroughput(float64(len(payload)+4), params.WireBandwidth))
 	// Stamp after charging serialization; the stamp sits at a fixed
 	// offset right after the kind byte.
 	binary.LittleEndian.PutUint64(payload[1:9], uint64(clock.Now()))
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(hdr[:]); err != nil {
+	if err := wire.WriteFrame(conn, payload); err != nil {
 		return 0, err
 	}
-	if _, err := conn.Write(payload); err != nil {
-		return 0, err
-	}
-	return len(hdr) + len(payload), nil
+	return 4 + len(payload), nil
 }
 
 // Exported wire API. internal/federated speaks the same framed
@@ -503,16 +492,8 @@ func Receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*Message, er
 // receive reads one frame from conn and advances clock to the causally
 // consistent time (sender stamp plus half a LAN round trip).
 func receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
+	payload, err := wire.ReadFrame(conn)
+	if err != nil {
 		return nil, err
 	}
 	m, err := decode(payload)

@@ -11,6 +11,7 @@ import (
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // PSConfig configures a ParameterServer.
@@ -120,7 +121,6 @@ type ParameterServer struct {
 	vars   map[string]*tf.Tensor
 	rounds int
 	closed bool
-	conns  map[net.Conn]struct{}
 
 	// Per-round barrier state, reset on commit or abort (sync mode
 	// only). Contributions are staged per pusher and summed at commit
@@ -157,7 +157,7 @@ type ParameterServer struct {
 	pushedBy map[uint32]bool
 	stats    PSStats
 
-	wg sync.WaitGroup
+	srv *wire.Server
 }
 
 // contribution is one worker's staged gradient partition of the
@@ -245,7 +245,6 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 	ps := &ParameterServer{
 		cfg:      cfg,
 		vars:     make(map[string]*tf.Tensor, len(cfg.Vars)),
-		conns:    make(map[net.Conn]struct{}),
 		steps:    make(map[uint32]uint64),
 		expected: cfg.Workers,
 		members:  make(map[uint32]bool),
@@ -265,8 +264,7 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 			return nil, err
 		}
 	}
-	ps.wg.Add(1)
-	go ps.accept()
+	ps.srv = wire.Serve(cfg.Listener, ps.serve)
 	return ps, nil
 }
 
@@ -377,44 +375,11 @@ func (ps *ParameterServer) Close() error {
 	}
 	ps.closed = true
 	ps.abortLocked(errors.New("dist: parameter server closed"))
-	for conn := range ps.conns {
-		conn.Close()
-	}
 	ps.mu.Unlock()
-	err := ps.cfg.Listener.Close()
-	ps.wg.Wait()
-	return err
-}
-
-func (ps *ParameterServer) accept() {
-	defer ps.wg.Done()
-	for {
-		//securetf:allow blockingsyscall cfg.Listener is minted by Container.Listen; its wrapper parks Accept in Runtime.BlockingSyscall
-		conn, err := ps.cfg.Listener.Accept()
-		if err != nil {
-			return
-		}
-		ps.mu.Lock()
-		if ps.closed {
-			ps.mu.Unlock()
-			conn.Close()
-			return
-		}
-		ps.conns[conn] = struct{}{}
-		ps.mu.Unlock()
-		ps.wg.Add(1)
-		go ps.serve(conn)
-	}
+	return ps.srv.Close()
 }
 
 func (ps *ParameterServer) serve(conn net.Conn) {
-	defer ps.wg.Done()
-	defer func() {
-		conn.Close()
-		ps.mu.Lock()
-		delete(ps.conns, conn)
-		ps.mu.Unlock()
-	}()
 	for {
 		msg, err := receive(conn, ps.cfg.Clock, ps.cfg.Params)
 		if err != nil {

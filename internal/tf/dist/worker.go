@@ -684,11 +684,11 @@ func (w *Worker) compute() (float64, map[string]*tf.Tensor, error) {
 	if hi > n {
 		hi = n
 	}
-	bx, err := sliceRows(w.cfg.XS, lo, hi)
+	bx, err := tf.SliceRows(w.cfg.XS, lo, hi)
 	if err != nil {
 		return 0, nil, err
 	}
-	by, err := sliceRows(w.cfg.YS, lo, hi)
+	by, err := tf.SliceRows(w.cfg.YS, lo, hi)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -833,27 +833,4 @@ func (w *Worker) pushExchange(s int, clock *vtime.Clock, vars map[string]*tf.Ten
 		copy(w.residuals[name], res)
 	}
 	return pushApplied, nil
-}
-
-// sliceRows returns rows [lo, hi) of a tensor's leading dimension as a
-// fresh tensor.
-func sliceRows(t *tf.Tensor, lo, hi int) (*tf.Tensor, error) {
-	shape := t.Shape()
-	if len(shape) == 0 {
-		return nil, errors.New("dist: cannot slice a scalar")
-	}
-	if lo < 0 || hi > shape[0] || lo >= hi {
-		return nil, fmt.Errorf("dist: slice [%d, %d) out of range for leading dimension %d", lo, hi, shape[0])
-	}
-	rowElems := 1
-	for _, d := range shape[1:] {
-		rowElems *= d
-	}
-	newShape := append(tf.Shape{hi - lo}, shape[1:]...)
-	switch t.DType() {
-	case tf.Int32:
-		return tf.FromInts(newShape, t.Ints()[lo*rowElems:hi*rowElems])
-	default:
-		return tf.FromFloats(newShape, t.Floats()[lo*rowElems:hi*rowElems])
-	}
 }

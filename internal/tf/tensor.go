@@ -9,6 +9,7 @@
 package tf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -166,6 +167,31 @@ func (t *Tensor) Clone() *Tensor {
 	copy(out.f32, t.f32)
 	copy(out.i32, t.i32)
 	return out
+}
+
+// SliceRows returns rows [lo, hi) of a tensor's leading dimension as a
+// new tensor (minibatching helper).
+func SliceRows(t *Tensor, lo, hi int) (*Tensor, error) {
+	shape := t.Shape()
+	if len(shape) == 0 {
+		return nil, errors.New("tf: cannot slice a scalar")
+	}
+	if lo < 0 || hi > shape[0] || lo >= hi {
+		return nil, fmt.Errorf("tf: slice [%d, %d) out of range for leading dimension %d", lo, hi, shape[0])
+	}
+	rowElems := 1
+	for _, d := range shape[1:] {
+		rowElems *= d
+	}
+	newShape := append(Shape{hi - lo}, shape[1:]...)
+	switch t.DType() {
+	case Float32:
+		return FromFloats(newShape, t.Floats()[lo*rowElems:hi*rowElems])
+	case Int32:
+		return FromInts(newShape, t.Ints()[lo*rowElems:hi*rowElems])
+	default:
+		return nil, fmt.Errorf("tf: slice of unsupported dtype %v", t.DType())
+	}
 }
 
 // Reshape returns a view with a new shape of equal element count. A -1

@@ -146,3 +146,47 @@ func TestDecodeTensorRejectsGarbage(t *testing.T) {
 		t.Fatal("bad dtype accepted")
 	}
 }
+
+func TestSliceRows(t *testing.T) {
+	floats, _ := FromFloats(Shape{4, 2}, []float32{0, 1, 2, 3, 4, 5, 6, 7})
+	ints, _ := FromInts(Shape{3}, []int32{7, 8, 9})
+	cases := []struct {
+		name   string
+		in     *Tensor
+		lo, hi int
+		shape  Shape // nil: an error is expected
+	}{
+		{"float32 middle rows", floats, 1, 3, Shape{2, 2}},
+		{"int32 labels", ints, 2, 3, Shape{1}},
+		{"unsupported dtype", NewTensor(DType(9), Shape{2, 2}), 0, 1, nil},
+		{"scalar", Scalar(1), 0, 1, nil},
+		{"negative lo", floats, -1, 2, nil},
+		{"hi past the end", floats, 0, 5, nil},
+		{"empty range", floats, 2, 2, nil},
+		{"reversed range", floats, 3, 1, nil},
+	}
+	for _, c := range cases {
+		got, err := SliceRows(c.in, c.lo, c.hi)
+		if c.shape == nil {
+			if err == nil {
+				t.Errorf("%s: slice [%d, %d) accepted", c.name, c.lo, c.hi)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got.DType() != c.in.DType() || !got.Shape().Equal(c.shape) {
+			t.Errorf("%s: got %v%v, want %v%v", c.name, got.DType(), got.Shape(), c.in.DType(), c.shape)
+		}
+	}
+	mid, _ := SliceRows(floats, 1, 3)
+	if got := mid.Floats(); got[0] != 2 || got[3] != 5 {
+		t.Errorf("float rows [1,3) = %v", got)
+	}
+	last, _ := SliceRows(ints, 2, 3)
+	if last.Ints()[0] != 9 {
+		t.Errorf("int row [2,3) = %v", last.Ints())
+	}
+}

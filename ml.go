@@ -58,32 +58,10 @@ var (
 	EncodeTensor = tf.EncodeTensor
 	// DecodeTensor parses a tensor from its wire format.
 	DecodeTensor = tf.DecodeTensor
+	// SliceRows returns rows [lo, hi) of a tensor's leading dimension
+	// as a new tensor (minibatching helper).
+	SliceRows = tf.SliceRows
 )
-
-// SliceRows returns rows [lo, hi) of a tensor's leading dimension as a
-// new tensor (minibatching helper).
-func SliceRows(t *Tensor, lo, hi int) (*Tensor, error) {
-	shape := t.Shape()
-	if len(shape) == 0 {
-		return nil, errors.New("securetf: cannot slice a scalar")
-	}
-	if lo < 0 || hi > shape[0] || lo >= hi {
-		return nil, fmt.Errorf("securetf: slice [%d, %d) out of range for leading dimension %d", lo, hi, shape[0])
-	}
-	rowElems := 1
-	for _, d := range shape[1:] {
-		rowElems *= d
-	}
-	newShape := append(Shape{hi - lo}, shape[1:]...)
-	switch t.DType() {
-	case tf.Float32:
-		return tf.FromFloats(newShape, t.Floats()[lo*rowElems:hi*rowElems])
-	case tf.Int32:
-		return tf.FromInts(newShape, t.Ints()[lo*rowElems:hi*rowElems])
-	default:
-		return nil, fmt.Errorf("securetf: slice of unsupported dtype %v", t.DType())
-	}
-}
 
 // FilterClasses keeps the rows of a labelled dataset whose one-hot
 // label is among the given classes — the non-IID sharding helper of the
