@@ -352,6 +352,21 @@
 // server), and its Close stops accepting, closes every live connection
 // and waits for the handlers, so an idle peer cannot hang a shutdown.
 //
+// Both engines compute on one kernel library, internal/tf/kernels:
+// matmul, convolution, max and average pooling, bias-add, ReLU, row
+// softmax and row argmax over plain float32 slices. The kernels are
+// pure — no tensors, no device, no clock, no allocation — and every
+// charge to the cost model stays with the engine that called them
+// (the tf session's execCtx.charge, the Lite interpreter's charge), so
+// a kernel change moves wall time and never virtual time. Their
+// summation order is fixed and independent of the thread count (threads
+// only partition output rows), which is what keeps the golden-pinned
+// training trajectories and interpreter outputs bit-identical; a faster
+// kernel has to keep that order or re-pin them on purpose. The geometry
+// constructors reject a window that does not fit its input, and the
+// interpreter checks dtype, rank and bias length before it calls a
+// kernel, so a hostile model file or request is an error, not a panic.
+//
 // # Static invariants
 //
 // The properties this documentation promises are compiled into five

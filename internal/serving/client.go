@@ -13,6 +13,7 @@ import (
 
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/kernels"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -262,18 +263,10 @@ func ArgmaxRows(out *tf.Tensor) ([]int, error) {
 	if len(shape) < 2 {
 		return nil, fmt.Errorf("serving: output shape %v is not [rows, classes]", shape)
 	}
-	cols := shape[len(shape)-1]
-	rows := out.NumElements() / cols
-	probs := out.Floats()
+	rows, cols := kernels.RowsCols(shape)
 	classes := make([]int, rows)
-	for r := 0; r < rows; r++ {
-		best, bestV := 0, probs[r*cols]
-		for c := 1; c < cols; c++ {
-			if v := probs[r*cols+c]; v > bestV {
-				best, bestV = c, v
-			}
-		}
-		classes[r] = best
+	if err := kernels.ArgMaxRows(classes, out.Floats(), cols); err != nil {
+		return nil, fmt.Errorf("serving: output shape %v: %w", shape, err)
 	}
 	return classes, nil
 }

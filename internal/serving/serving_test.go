@@ -1566,3 +1566,42 @@ func TestMetricsDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestInt32RequestIsAnErrorNotACrash sends a well-formed request whose
+// tensor is Int32 to a Float32 model. It used to panic on the batcher
+// goroutine ("tf: Floats on non-float tensor") and take the gateway
+// process down; it must come back as a non-OK response and leave the
+// gateway serving.
+func TestInt32RequestIsAnErrorNotACrash(t *testing.T) {
+	c := launchContainer(t)
+	g, err := NewGateway(c, "127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	model := buildModel(t, 1)
+	if err := g.Register("mnist", 1, model); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(c, g.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	resp, err := cl.Do(WireRequest{Model: "mnist", Input: tf.NewTensor(tf.Int32, tf.Shape{1, 28, 28, 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status == StatusOK {
+		t.Fatal("Int32 request answered OK")
+	}
+	in := input(1, 3)
+	out, _, err := cl.Infer("mnist", 0, in)
+	if err != nil {
+		t.Fatalf("Float32 request after the Int32 one: %v", err)
+	}
+	if !sameTensor(out, runLocal(t, model, in)) {
+		t.Fatal("gateway output differs from the local interpreter's")
+	}
+}

@@ -2,6 +2,8 @@ package tf
 
 import (
 	"fmt"
+
+	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
 // Operation type names. They are part of the serialized graph format.
@@ -190,10 +192,7 @@ func convOut(in, k, stride int, padding string) int {
 	if in < 0 {
 		return -1
 	}
-	if padding == PaddingSame {
-		return (in + stride - 1) / stride
-	}
-	return (in-k)/stride + 1
+	return kernels.OutSize(in, k, stride, padding == PaddingSame)
 }
 
 // Conv2D convolves x [N,H,W,C] with filter [KH,KW,C,F] (NHWC layout).

@@ -3,7 +3,8 @@ package tf
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
 // execCtx is the per-Run evaluation context: computed values, forward
@@ -32,9 +33,9 @@ func (ctx *execCtx) charge(n *Node, flops, bytes int64, streaming bool) {
 // kernelFunc computes a node's output from its input tensors.
 type kernelFunc func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 
-// kernels maps op names to implementations. Populated once at package
+// opKernels maps op names to implementations. Populated once at package
 // initialization and read-only afterwards.
-var kernels = map[string]kernelFunc{
+var opKernels = map[string]kernelFunc{
 	OpAdd:           kernelBinary(func(a, b float32) float32 { return a + b }),
 	OpSub:           kernelBinary(func(a, b float32) float32 { return a - b }),
 	OpMul:           kernelBinary(func(a, b float32) float32 { return a * b }),
@@ -44,14 +45,14 @@ var kernels = map[string]kernelFunc{
 	OpSqrt:          kernelUnary(func(x float32) float32 { return float32(math.Sqrt(float64(x))) }),
 	OpExp:           kernelUnary(func(x float32) float32 { return float32(math.Exp(float64(x))) }),
 	OpLog:           kernelUnary(func(x float32) float32 { return float32(math.Log(float64(x))) }),
-	OpRelu:          kernelUnary(func(x float32) float32 { return max32(x, 0) }),
+	OpRelu:          kernelRelu,
 	OpSigmoid:       kernelUnary(sigmoid32),
 	OpTanh:          kernelUnary(func(x float32) float32 { return float32(math.Tanh(float64(x))) }),
 	OpMatMul:        kernelMatMul,
 	OpBiasAdd:       kernelBiasAdd,
 	OpConv2D:        kernelConv2D,
-	OpMaxPool:       kernelMaxPool,
-	OpAvgPool:       kernelAvgPool,
+	OpMaxPool:       kernelPool(true),
+	OpAvgPool:       kernelPool(false),
 	OpSoftmax:       kernelSoftmax,
 	OpSoftmaxXent:   kernelSoftmaxXent,
 	OpReshape:       kernelReshape,
@@ -79,13 +80,6 @@ var kernels = map[string]kernelFunc{
 	OpApplyAdam:     kernelApplyAdam,
 }
 
-func max32(a, b float32) float32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func sigmoid32(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
@@ -101,6 +95,14 @@ func kernelUnary(f func(float32) float32) kernelFunc {
 		ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 		return out, nil
 	}
+}
+
+func kernelRelu(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
+	x := in[0]
+	out := NewTensor(Float32, x.Shape())
+	kernels.Relu(out.f32, x.f32)
+	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
+	return out, nil
 }
 
 // kernelBinary lifts an elementwise function with scalar broadcasting on
@@ -167,7 +169,7 @@ func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	}
 	m, k, nn := a.Shape()[0], a.Shape()[1], b.Shape()[1]
 	out := NewTensor(Float32, Shape{m, nn})
-	matmulInto(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
+	kernels.MatMulInto(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
 	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), a.Bytes()+b.Bytes()+out.Bytes(), false)
 	return out, nil
 }
@@ -184,258 +186,68 @@ func transpose2D(t *Tensor) *Tensor {
 	return out
 }
 
-// matmulInto computes C = A×B with row-parallelism across threads.
-func matmulInto(c, a, b []float32, m, k, n, threads int) {
-	rowsPer := m
-	if threads > 1 && m >= 2*threads {
-		rowsPer = (m + threads - 1) / threads
-	}
-	var wg sync.WaitGroup
-	for start := 0; start < m; start += rowsPer {
-		end := start + rowsPer
-		if end > m {
-			end = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				crow := c[i*n : (i+1)*n]
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := b[kk*n : (kk+1)*n]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-		}(start, end)
-	}
-	wg.Wait()
-}
-
 func kernelBiasAdd(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x, bias := in[0], in[1]
 	c := bias.NumElements()
-	if x.NumElements()%c != 0 {
+	if c == 0 || x.NumElements()%c != 0 {
 		return nil, fmt.Errorf("tf: BiasAdd: %d elements not divisible by %d channels", x.NumElements(), c)
 	}
 	out := NewTensor(Float32, x.Shape())
-	for i, v := range x.f32 {
-		out.f32[i] = v + bias.f32[i%c]
-	}
+	kernels.BiasAdd(out.f32, x.f32, bias.f32)
 	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 	return out, nil
 }
 
-// convGeometry resolves convolution/pool geometry at run time.
-type convGeom struct {
-	n, h, w, c      int
-	kh, kw, f       int
-	stride          int
-	oh, ow          int
-	padTop, padLeft int
-}
-
-func conv2DGeom(x, filter *Tensor, stride int, padding string) (convGeom, error) {
-	xs, fs := x.Shape(), filter.Shape()
-	if len(xs) != 4 || len(fs) != 4 || xs[3] != fs[2] {
-		return convGeom{}, fmt.Errorf("tf: Conv2D: runtime shapes %v, %v", xs, fs)
-	}
-	geo := convGeom{
-		n: xs[0], h: xs[1], w: xs[2], c: xs[3],
-		kh: fs[0], kw: fs[1], f: fs[3],
-		stride: stride,
-		oh:     convOut(xs[1], fs[0], stride, padding),
-		ow:     convOut(xs[2], fs[1], stride, padding),
-	}
-	if padding == PaddingSame {
-		padH := max(0, (geo.oh-1)*stride+geo.kh-geo.h)
-		padW := max(0, (geo.ow-1)*stride+geo.kw-geo.w)
-		geo.padTop = padH / 2
-		geo.padLeft = padW / 2
-	}
-	return geo, nil
+func conv2DGeom(x, filter *Tensor, n *Node) (kernels.Geom, error) {
+	return kernels.ConvGeom(x.Shape(), filter.Shape(), int(n.attrInt("stride", 1)),
+		n.attrString("padding", PaddingValid) == PaddingSame)
 }
 
 func kernelConv2D(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x, filter := in[0], in[1]
-	geo, err := conv2DGeom(x, filter, int(n.attrInt("stride", 1)), n.attrString("padding", PaddingValid))
+	geo, err := conv2DGeom(x, filter, n)
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, Shape{geo.n, geo.oh, geo.ow, geo.f})
-	xd, fd, od := x.f32, filter.f32, out.f32
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				outBase := ((b*geo.oh+oy)*geo.ow + ox) * geo.f
-				for ky := 0; ky < geo.kh; ky++ {
-					iy := oy*geo.stride + ky - geo.padTop
-					if iy < 0 || iy >= geo.h {
-						continue
-					}
-					for kx := 0; kx < geo.kw; kx++ {
-						ix := ox*geo.stride + kx - geo.padLeft
-						if ix < 0 || ix >= geo.w {
-							continue
-						}
-						inBase := ((b*geo.h+iy)*geo.w + ix) * geo.c
-						fBase := (ky*geo.kw + kx) * geo.c * geo.f
-						for cc := 0; cc < geo.c; cc++ {
-							xv := xd[inBase+cc]
-							if xv == 0 {
-								continue
-							}
-							fRow := fd[fBase+cc*geo.f : fBase+(cc+1)*geo.f]
-							oRow := od[outBase : outBase+geo.f]
-							for ff, fv := range fRow {
-								oRow[ff] += xv * fv
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	flops := 2 * int64(geo.n) * int64(geo.oh) * int64(geo.ow) * int64(geo.f) * int64(geo.kh) * int64(geo.kw) * int64(geo.c)
-	ctx.charge(n, flops, x.Bytes()+filter.Bytes()+out.Bytes(), false)
+	out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.F})
+	kernels.Conv2DInto(out.f32, x.f32, filter.f32, geo)
+	ctx.charge(n, geo.ConvFLOPs(), x.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
-func poolGeom(x *Tensor, k, stride int) (convGeom, error) {
-	xs := x.Shape()
-	if len(xs) != 4 {
-		return convGeom{}, fmt.Errorf("tf: pool: runtime shape %v", xs)
-	}
-	return convGeom{
-		n: xs[0], h: xs[1], w: xs[2], c: xs[3],
-		kh: k, kw: k, stride: stride,
-		oh: convOut(xs[1], k, stride, PaddingValid),
-		ow: convOut(xs[2], k, stride, PaddingValid),
-	}, nil
+func poolGeom(x *Tensor, n *Node) (kernels.Geom, error) {
+	return kernels.PoolGeom(x.Shape(), int(n.attrInt("k", 2)), int(n.attrInt("stride", 2)))
 }
 
-func kernelMaxPool(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	x := in[0]
-	geo, err := poolGeom(x, int(n.attrInt("k", 2)), int(n.attrInt("stride", 2)))
-	if err != nil {
-		return nil, err
-	}
-	out := NewTensor(Float32, Shape{geo.n, geo.oh, geo.ow, geo.c})
-	argmax := make([]int32, out.NumElements())
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				for cc := 0; cc < geo.c; cc++ {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for ky := 0; ky < geo.kh; ky++ {
-						iy := oy*geo.stride + ky
-						if iy >= geo.h {
-							continue
-						}
-						for kx := 0; kx < geo.kw; kx++ {
-							ix := ox*geo.stride + kx
-							if ix >= geo.w {
-								continue
-							}
-							idx := ((b*geo.h+iy)*geo.w+ix)*geo.c + cc
-							if x.f32[idx] > best {
-								best = x.f32[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					oIdx := ((b*geo.oh+oy)*geo.ow+ox)*geo.c + cc
-					out.f32[oIdx] = best
-					argmax[oIdx] = int32(bestIdx)
-				}
-			}
+// kernelPool max- or average-pools; the max pool caches its argmax for
+// MaxPoolGrad.
+func kernelPool(maxPool bool) kernelFunc {
+	return func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
+		x := in[0]
+		geo, err := poolGeom(x, n)
+		if err != nil {
+			return nil, err
 		}
-	}
-	ctx.extras[n.name] = argmax
-	ctx.charge(n, int64(out.NumElements())*int64(geo.kh*geo.kw), x.Bytes()+out.Bytes(), false)
-	return out, nil
-}
-
-func kernelAvgPool(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	x := in[0]
-	geo, err := poolGeom(x, int(n.attrInt("k", 2)), int(n.attrInt("stride", 2)))
-	if err != nil {
-		return nil, err
-	}
-	out := NewTensor(Float32, Shape{geo.n, geo.oh, geo.ow, geo.c})
-	for b := 0; b < geo.n; b++ {
-		for oy := 0; oy < geo.oh; oy++ {
-			for ox := 0; ox < geo.ow; ox++ {
-				for cc := 0; cc < geo.c; cc++ {
-					var sum float32
-					count := 0
-					for ky := 0; ky < geo.kh; ky++ {
-						iy := oy*geo.stride + ky
-						if iy >= geo.h {
-							continue
-						}
-						for kx := 0; kx < geo.kw; kx++ {
-							ix := ox*geo.stride + kx
-							if ix >= geo.w {
-								continue
-							}
-							sum += x.f32[((b*geo.h+iy)*geo.w+ix)*geo.c+cc]
-							count++
-						}
-					}
-					if count > 0 {
-						out.f32[((b*geo.oh+oy)*geo.ow+ox)*geo.c+cc] = sum / float32(count)
-					}
-				}
-			}
+		out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.C})
+		if maxPool {
+			argmax := make([]int32, out.NumElements())
+			kernels.MaxPool(out.f32, x.f32, geo, argmax)
+			ctx.extras[n.name] = argmax
+		} else {
+			kernels.AvgPool(out.f32, x.f32, geo)
 		}
+		ctx.charge(n, int64(out.NumElements())*int64(geo.KH*geo.KW), x.Bytes()+out.Bytes(), false)
+		return out, nil
 	}
-	ctx.charge(n, int64(out.NumElements())*int64(geo.kh*geo.kw), x.Bytes()+out.Bytes(), false)
-	return out, nil
-}
-
-// softmaxRows computes row-wise softmax of a [rows, cols] buffer.
-func softmaxRows(dst, src []float32, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		row := src[r*cols : (r+1)*cols]
-		out := dst[r*cols : (r+1)*cols]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for i, v := range row {
-			e := math.Exp(float64(v - maxv))
-			out[i] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for i := range out {
-			out[i] *= inv
-		}
-	}
-}
-
-func rowsCols(t *Tensor) (int, int) {
-	s := t.Shape()
-	cols := s[len(s)-1]
-	rows := t.NumElements() / cols
-	return rows, cols
 }
 
 func kernelSoftmax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
-	rows, cols := rowsCols(x)
+	_, cols := kernels.RowsCols(x.Shape())
 	out := NewTensor(Float32, x.Shape())
-	softmaxRows(out.f32, x.f32, rows, cols)
+	if err := kernels.SoftmaxRows(out.f32, x.f32, cols); err != nil {
+		return nil, err
+	}
 	ctx.charge(n, 4*int64(x.NumElements()), 2*x.Bytes(), false)
 	return out, nil
 }
@@ -445,9 +257,11 @@ func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if !logits.Shape().Equal(labels.Shape()) {
 		return nil, fmt.Errorf("tf: SoftmaxCrossEntropy: %v vs %v", logits.Shape(), labels.Shape())
 	}
-	rows, cols := rowsCols(logits)
+	rows, cols := kernels.RowsCols(logits.Shape())
 	probs := make([]float32, rows*cols)
-	softmaxRows(probs, logits.f32, rows, cols)
+	if err := kernels.SoftmaxRows(probs, logits.f32, cols); err != nil {
+		return nil, err
+	}
 	out := NewTensor(Float32, Shape{rows})
 	for r := 0; r < rows; r++ {
 		var loss float64
@@ -518,16 +332,10 @@ func kernelReduce(mean bool) kernelFunc {
 
 func kernelArgMax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
-	rows, cols := rowsCols(x)
+	rows, cols := kernels.RowsCols(x.Shape())
 	out := NewTensor(Int32, Shape{rows})
-	for r := 0; r < rows; r++ {
-		best, bestIdx := x.f32[r*cols], 0
-		for c := 1; c < cols; c++ {
-			if v := x.f32[r*cols+c]; v > best {
-				best, bestIdx = v, c
-			}
-		}
-		out.i32[r] = int32(bestIdx)
+	if err := kernels.ArgMaxRows(out.i32, x.f32, cols); err != nil {
+		return nil, err
 	}
 	ctx.charge(n, int64(x.NumElements()), x.Bytes(), true)
 	return out, nil

@@ -1,0 +1,308 @@
+// Package kernels is the one forward kernel library under both engines:
+// the tf session (internal/tf) and the Lite interpreter (internal/tflite)
+// run these loops and no others.
+//
+// The kernels are pure: they read and write caller-owned float32 slices
+// in row-major (NHWC) layout, allocate nothing, and know nothing of
+// tensors, devices or clocks. Charging the cost model for the work stays
+// with the engine that called (execCtx.charge, Interpreter.charge), so a
+// kernel change cannot move virtual time.
+//
+// The summation order of every kernel is fixed — MatMulInto accumulates
+// over k in ascending order for each output row, Conv2DInto over
+// (ky, kx, c) — and does not depend on the thread count, because threads
+// only partition output rows. The golden-pinned training trajectories and
+// interpreter outputs hold as long as a faster kernel keeps that order.
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+)
+
+// MatMulInto accumulates A×B into c, where a is [m,k], b is [k,n] and c
+// is a zeroed [m,n]. Rows are split across up to threads goroutines once
+// there are two rows per thread; below that the one chunk runs on the
+// caller's goroutine. The goroutines share one closure and claim their
+// chunk from a counter, so a call allocates the same few words whatever
+// the thread count.
+func MatMulInto(c, a, b []float32, m, k, n, threads int) {
+	if threads < 2 || m < 2*threads {
+		matMulRows(c, a, b, 0, m, k, n)
+		return
+	}
+	rowsPer := (m + threads - 1) / threads
+	chunks := (m + rowsPer - 1) / rowsPer
+	var wg sync.WaitGroup
+	var next atomic.Int32
+	work := func() {
+		defer wg.Done()
+		lo := int(next.Add(1)-1) * rowsPer
+		matMulRows(c, a, b, lo, min(lo+rowsPer, m), k, n)
+	}
+	wg.Add(chunks)
+	for range chunks {
+		go work()
+	}
+	wg.Wait()
+}
+
+func matMulRows(c, a, b []float32, lo, hi, k, n int) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
+		for kk, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b[kk*n : (kk+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
+// BiasAdd writes src plus a per-channel bias into dst, where channels
+// are the innermost dimension and len(src) is a multiple of a non-empty
+// bias. dst may alias src.
+func BiasAdd(dst, src, bias []float32) {
+	c := len(bias)
+	for base := 0; base < len(src); base += c {
+		drow, srow := dst[base:base+c], src[base:base+c]
+		for j, bv := range bias {
+			drow[j] = srow[j] + bv
+		}
+	}
+}
+
+// Relu writes max(src, 0) into dst; NaN and -0 map to +0. dst may alias
+// src.
+func Relu(dst, src []float32) {
+	for i, v := range src {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// Geom is the resolved geometry of one NHWC convolution or pooling
+// window: input [N,H,W,C], window KH×KW, output [N,OH,OW,F]. ConvGeom
+// and PoolGeom only return one whose output is non-empty and whose
+// unpadded windows lie wholly inside the input, which is what lets the
+// pool kernels index without edge tests.
+type Geom struct {
+	N, H, W, C      int
+	KH, KW, F       int
+	Stride          int
+	OH, OW          int
+	PadTop, PadLeft int
+}
+
+// ConvFLOPs is the arithmetic a convolution over g, or either of its
+// gradients, is charged for: two operations per multiply-add.
+func (g Geom) ConvFLOPs() int64 {
+	return 2 * int64(g.N) * int64(g.OH) * int64(g.OW) * int64(g.F) * int64(g.KH) * int64(g.KW) * int64(g.C)
+}
+
+// OutSize is the output extent of a window of size k moved by stride
+// over in elements, with SAME or VALID padding.
+func OutSize(in, k, stride int, same bool) int {
+	if same {
+		return (in + stride - 1) / stride
+	}
+	return (in-k)/stride + 1
+}
+
+// ConvGeom resolves the geometry of convolving x [N,H,W,C] with filter
+// [KH,KW,C,F].
+func ConvGeom(x, filter []int, stride int, same bool) (Geom, error) {
+	if len(x) != 4 || len(filter) != 4 || x[3] != filter[2] {
+		return Geom{}, fmt.Errorf("kernels: conv2d: shapes %v, %v", x, filter)
+	}
+	return newGeom(x, filter[0], filter[1], filter[3], stride, same)
+}
+
+// PoolGeom resolves the geometry of pooling x [N,H,W,C] with a k×k
+// VALID window.
+func PoolGeom(x []int, k, stride int) (Geom, error) {
+	if len(x) != 4 {
+		return Geom{}, fmt.Errorf("kernels: pool: shape %v is not NHWC", x)
+	}
+	return newGeom(x, k, k, x[3], stride, false)
+}
+
+func newGeom(x []int, kh, kw, f, stride int, same bool) (Geom, error) {
+	if kh < 1 || kw < 1 || stride < 1 {
+		return Geom{}, fmt.Errorf("kernels: window %dx%d stride %d", kh, kw, stride)
+	}
+	g := Geom{
+		N: x[0], H: x[1], W: x[2], C: x[3],
+		KH: kh, KW: kw, F: f,
+		Stride: stride,
+		OH:     OutSize(x[1], kh, stride, same),
+		OW:     OutSize(x[2], kw, stride, same),
+	}
+	// A VALID window larger than its input would have no whole position;
+	// the explicit test matters because Go's truncating division can
+	// still yield an output extent of 1 for it.
+	if (!same && (kh > g.H || kw > g.W)) || g.OH < 1 || g.OW < 1 {
+		return Geom{}, fmt.Errorf("kernels: window %dx%d stride %d does not fit input %v", kh, kw, stride, x)
+	}
+	if same {
+		g.PadTop = max(0, (g.OH-1)*stride+kh-g.H) / 2
+		g.PadLeft = max(0, (g.OW-1)*stride+kw-g.W) / 2
+	}
+	return g, nil
+}
+
+// Conv2DInto accumulates the convolution of x with filter into the
+// zeroed dst [N,OH,OW,F].
+func Conv2DInto(dst, x, filter []float32, g Geom) {
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				outBase := ((b*g.OH+oy)*g.OW + ox) * g.F
+				oRow := dst[outBase : outBase+g.F]
+				for ky := 0; ky < g.KH; ky++ {
+					iy := oy*g.Stride + ky - g.PadTop
+					if iy < 0 || iy >= g.H {
+						continue
+					}
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ox*g.Stride + kx - g.PadLeft
+						if ix < 0 || ix >= g.W {
+							continue
+						}
+						inBase := ((b*g.H+iy)*g.W + ix) * g.C
+						fBase := (ky*g.KW + kx) * g.C * g.F
+						for cc := 0; cc < g.C; cc++ {
+							xv := x[inBase+cc]
+							if xv == 0 {
+								continue
+							}
+							fRow := filter[fBase+cc*g.F : fBase+(cc+1)*g.F]
+							for ff, fv := range fRow {
+								oRow[ff] += xv * fv
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// MaxPool writes the window maxima of x into dst [N,OH,OW,C]. A non-nil
+// argmax, of dst's length, receives the flat index into x each maximum
+// came from (-1 if the window held no value greater than -Inf): the
+// cache the gradient kernel routes through. Inference passes nil.
+func MaxPool(dst, x []float32, g Geom, argmax []int32) {
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				for cc := 0; cc < g.C; cc++ {
+					best := float32(math.Inf(-1))
+					bestIdx := -1
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							idx := ((b*g.H+oy*g.Stride+ky)*g.W+ox*g.Stride+kx)*g.C + cc
+							if x[idx] > best {
+								best, bestIdx = x[idx], idx
+							}
+						}
+					}
+					oIdx := ((b*g.OH+oy)*g.OW+ox)*g.C + cc
+					dst[oIdx] = best
+					if argmax != nil {
+						argmax[oIdx] = int32(bestIdx)
+					}
+				}
+			}
+		}
+	}
+}
+
+// AvgPool writes the window means of x into dst [N,OH,OW,C].
+func AvgPool(dst, x []float32, g Geom) {
+	area := float32(g.KH * g.KW)
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				for cc := 0; cc < g.C; cc++ {
+					var sum float32
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							sum += x[((b*g.H+oy*g.Stride+ky)*g.W+ox*g.Stride+kx)*g.C+cc]
+						}
+					}
+					dst[((b*g.OH+oy)*g.OW+ox)*g.C+cc] = sum / area
+				}
+			}
+		}
+	}
+}
+
+// RowsCols views a tensor of the given shape as [rows, cols], cols being
+// its last dimension. A rank-0 shape or an empty last dimension has no
+// such view and yields cols 0, which the row kernels reject.
+func RowsCols(shape []int) (rows, cols int) {
+	if len(shape) == 0 || shape[len(shape)-1] < 1 {
+		return 0, 0
+	}
+	rows = 1
+	for _, d := range shape[:len(shape)-1] {
+		rows *= d
+	}
+	return rows, shape[len(shape)-1]
+}
+
+// SoftmaxRows writes the softmax of each cols-wide row of src into dst.
+func SoftmaxRows(dst, src []float32, cols int) error {
+	if cols < 1 {
+		return fmt.Errorf("kernels: softmax over %d columns", cols)
+	}
+	for base := 0; base < len(src); base += cols {
+		row, out := src[base:base+cols], dst[base:base+cols]
+		maxv := row[0]
+		for _, v := range row[1:] {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sum float64
+		for i, v := range row {
+			e := math.Exp(float64(v - maxv))
+			out[i] = float32(e)
+			sum += e
+		}
+		inv := float32(1 / sum)
+		for i := range out {
+			out[i] *= inv
+		}
+	}
+	return nil
+}
+
+// ArgMaxRows writes the index of the first maximum of each cols-wide row
+// of src into dst, one entry per row.
+func ArgMaxRows[I int | int32](dst []I, src []float32, cols int) error {
+	if cols < 1 {
+		return fmt.Errorf("kernels: argmax over %d columns", cols)
+	}
+	for r := range dst {
+		row := src[r*cols : (r+1)*cols]
+		best := 0
+		for c, v := range row {
+			if v > row[best] {
+				best = c
+			}
+		}
+		dst[r] = I(best)
+	}
+	return nil
+}

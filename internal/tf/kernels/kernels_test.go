@@ -1,0 +1,398 @@
+package kernels
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The naive references below index every tensor element by its
+// coordinates, share no code with the kernels, and keep the kernels'
+// summation order, so "equal" means bit-equal. They are the independent
+// implementation the two engines used to be for each other.
+
+func randFloats(rng *rand.Rand, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		// A fifth exact zeros, so the skip-zero branches run.
+		if rng.Intn(5) > 0 {
+			out[i] = float32(rng.NormFloat64())
+		}
+	}
+	return out
+}
+
+func bitEqual(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func refMatMul(a, b []float32, m, k, n int) []float32 {
+	c := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var sum float32
+			for kk := 0; kk < k; kk++ {
+				if a[i*k+kk] != 0 {
+					sum += a[i*k+kk] * b[kk*n+j]
+				}
+			}
+			c[i*n+j] = sum
+		}
+	}
+	return c
+}
+
+func TestMatMulInto(t *testing.T) {
+	const threads = 4
+	cases := []struct{ m, k, n int }{
+		{1, 7, 5},   // serving's unbatched row
+		{3, 4, 6},   // m < 2*threads: one chunk
+		{7, 5, 3},   // still one chunk
+		{8, 6, 4},   // m == 2*threads: first split
+		{10, 3, 9},  // m not divisible by threads
+		{33, 16, 2}, // ragged last chunk
+		{0, 4, 4},
+		{4, 0, 4},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		a, b := randFloats(rng, tc.m*tc.k), randFloats(rng, tc.k*tc.n)
+		want := refMatMul(a, b, tc.m, tc.k, tc.n)
+		for _, th := range []int{1, threads} {
+			got := make([]float32, tc.m*tc.n)
+			MatMulInto(got, a, b, tc.m, tc.k, tc.n, th)
+			bitEqual(t, fmt.Sprintf("matmul %dx%dx%d threads=%d", tc.m, tc.k, tc.n, th), got, want)
+		}
+	}
+}
+
+// at reads x[b,y,x,c] of an NHWC tensor.
+func at(x []float32, g Geom, b, iy, ix, c int) float32 {
+	return x[((b*g.H+iy)*g.W+ix)*g.C+c]
+}
+
+func refConv2D(x, filter []float32, g Geom) []float32 {
+	out := make([]float32, g.N*g.OH*g.OW*g.F)
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				for f := 0; f < g.F; f++ {
+					var sum float32
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							iy, ix := oy*g.Stride+ky-g.PadTop, ox*g.Stride+kx-g.PadLeft
+							if iy < 0 || iy >= g.H || ix < 0 || ix >= g.W {
+								continue
+							}
+							for c := 0; c < g.C; c++ {
+								if xv := at(x, g, b, iy, ix, c); xv != 0 {
+									sum += xv * filter[((ky*g.KW+kx)*g.C+c)*g.F+f]
+								}
+							}
+						}
+					}
+					out[((b*g.OH+oy)*g.OW+ox)*g.F+f] = sum
+				}
+			}
+		}
+	}
+	return out
+}
+
+func TestConv2DInto(t *testing.T) {
+	cases := []struct {
+		x, filter []int
+		stride    int
+		same      bool
+		oh, ow    int
+	}{
+		{[]int{2, 8, 8, 3}, []int{3, 3, 3, 4}, 1, true, 8, 8},
+		{[]int{2, 8, 8, 3}, []int{3, 3, 3, 4}, 1, false, 6, 6},
+		{[]int{1, 9, 7, 2}, []int{5, 3, 2, 3}, 2, true, 5, 4},
+		{[]int{1, 9, 7, 2}, []int{5, 3, 2, 3}, 2, false, 3, 3},
+		{[]int{1, 4, 4, 1}, []int{4, 4, 1, 2}, 1, false, 1, 1},
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, tc := range cases {
+		g, err := ConvGeom(tc.x, tc.filter, tc.stride, tc.same)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.OH != tc.oh || g.OW != tc.ow {
+			t.Fatalf("conv %v*%v stride %d same=%v: output %dx%d, want %dx%d", tc.x, tc.filter, tc.stride, tc.same, g.OH, g.OW, tc.oh, tc.ow)
+		}
+		x := randFloats(rng, g.N*g.H*g.W*g.C)
+		filter := randFloats(rng, g.KH*g.KW*g.C*g.F)
+		got := make([]float32, g.N*g.OH*g.OW*g.F)
+		Conv2DInto(got, x, filter, g)
+		bitEqual(t, fmt.Sprintf("conv %v*%v stride %d same=%v", tc.x, tc.filter, tc.stride, tc.same), got, refConv2D(x, filter, g))
+	}
+}
+
+// refPool returns the max pool, its argmax and the average pool of x,
+// scanning each window in (ky, kx) order.
+func refPool(x []float32, g Geom) (maxv []float32, argmax []int32, avg []float32) {
+	n := g.N * g.OH * g.OW * g.C
+	maxv, argmax, avg = make([]float32, n), make([]int32, n), make([]float32, n)
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				for c := 0; c < g.C; c++ {
+					best, bestIdx := float32(math.Inf(-1)), int32(-1)
+					var sum float32
+					var count int
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							iy, ix := oy*g.Stride+ky, ox*g.Stride+kx
+							v := at(x, g, b, iy, ix, c)
+							if v > best {
+								best, bestIdx = v, int32(((b*g.H+iy)*g.W+ix)*g.C+c)
+							}
+							sum += v
+							count++
+						}
+					}
+					o := ((b*g.OH+oy)*g.OW+ox)*g.C + c
+					maxv[o], argmax[o], avg[o] = best, bestIdx, sum/float32(count)
+				}
+			}
+		}
+	}
+	return maxv, argmax, avg
+}
+
+func TestPool(t *testing.T) {
+	cases := []struct {
+		x         []int
+		k, stride int
+		oh, ow    int
+	}{
+		{[]int{2, 8, 8, 3}, 2, 2, 4, 4},
+		{[]int{1, 7, 5, 2}, 3, 1, 5, 3},
+		{[]int{1, 9, 9, 1}, 3, 2, 4, 4},
+		{[]int{1, 8, 6, 2}, 3, 3, 2, 2}, // the last rows and columns are in no window
+		{[]int{1, 3, 3, 2}, 3, 2, 1, 1}, // the window is the whole input
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range cases {
+		g, err := PoolGeom(tc.x, tc.k, tc.stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.OH != tc.oh || g.OW != tc.ow {
+			t.Fatalf("pool %v k=%d stride=%d: output %dx%d, want %dx%d", tc.x, tc.k, tc.stride, g.OH, g.OW, tc.oh, tc.ow)
+		}
+		x := randFloats(rng, g.N*g.H*g.W*g.C)
+		wantMax, wantArg, wantAvg := refPool(x, g)
+		name := fmt.Sprintf("pool %v k=%d stride=%d", tc.x, tc.k, tc.stride)
+
+		got := make([]float32, len(wantMax))
+		MaxPool(got, x, g, nil)
+		bitEqual(t, name+" max", got, wantMax)
+
+		got = make([]float32, len(wantMax))
+		argmax := make([]int32, len(wantMax))
+		MaxPool(got, x, g, argmax)
+		bitEqual(t, name+" max+argmax", got, wantMax)
+		for i := range argmax {
+			if argmax[i] != wantArg[i] {
+				t.Fatalf("%s: argmax[%d] = %d, want %d", name, i, argmax[i], wantArg[i])
+			}
+		}
+
+		got = make([]float32, len(wantAvg))
+		AvgPool(got, x, g)
+		bitEqual(t, name+" avg", got, wantAvg)
+	}
+}
+
+func TestGeomRejects(t *testing.T) {
+	if _, err := ConvGeom([]int{1, 2, 2, 1}, []int{5, 5, 1, 2}, 1, false); err == nil {
+		t.Error("VALID conv with a 5x5 window over 2x2 accepted")
+	}
+	if _, err := ConvGeom([]int{1, 4, 4, 3}, []int{3, 3, 2, 2}, 1, true); err == nil {
+		t.Error("conv with mismatched channels accepted")
+	}
+	if _, err := ConvGeom([]int{1, 4, 4, 1}, []int{3, 3, 1, 2}, 0, true); err == nil {
+		t.Error("conv with stride 0 accepted")
+	}
+	if _, err := PoolGeom([]int{1, 2, 2, 2}, 8, 2); err == nil {
+		t.Error("pool with an 8x8 window over 2x2 accepted")
+	}
+	// (3-4)/2+1 is 1 under Go's truncating division, and 1<<31 windows
+	// of that kind would spin a pool loop for minutes.
+	if _, err := PoolGeom([]int{1, 3, 3, 2}, 4, 2); err == nil {
+		t.Error("pool with a 4x4 window over 3x3 accepted")
+	}
+	if _, err := PoolGeom([]int{4, 4}, 2, 2); err == nil {
+		t.Error("pool over a rank-2 shape accepted")
+	}
+}
+
+func TestBiasAddRelu(t *testing.T) {
+	src := []float32{-1, 2, -3, 4, 5, -6}
+	bias := []float32{0.5, -0.5, 1}
+	dst := make([]float32, len(src))
+	BiasAdd(dst, src, bias)
+	bitEqual(t, "biasadd", dst, []float32{-0.5, 1.5, -2, 4.5, 4.5, -5})
+	BiasAdd(src, src, bias) // in place
+	bitEqual(t, "biasadd in place", src, dst)
+
+	negZero := float32(math.Copysign(0, -1))
+	Relu(dst, []float32{-0.5, 1.5, negZero, float32(math.NaN()), 0, float32(math.Inf(1))})
+	bitEqual(t, "relu", dst, []float32{0, 1.5, 0, 0, 0, float32(math.Inf(1))})
+}
+
+func refSoftmax(row []float32) []float32 {
+	maxv := float32(math.Inf(-1))
+	for _, v := range row {
+		maxv = float32(math.Max(float64(maxv), float64(v)))
+	}
+	exps := make([]float64, len(row))
+	var sum float64
+	for i, v := range row {
+		exps[i] = math.Exp(float64(v - maxv))
+		sum += exps[i]
+	}
+	out := make([]float32, len(row))
+	for i, e := range exps {
+		out[i] = float32(e) * float32(1/sum)
+	}
+	return out
+}
+
+func TestSoftmaxAndArgMaxRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const rows, cols = 5, 7
+	src := randFloats(rng, rows*cols)
+	src[2*cols+1], src[2*cols+4] = 9, 9 // a tie: the first maximum wins
+
+	got := make([]float32, len(src))
+	if err := SoftmaxRows(got, src, cols); err != nil {
+		t.Fatal(err)
+	}
+	classes := make([]int32, rows)
+	if err := ArgMaxRows(classes, src, cols); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rows; r++ {
+		row := src[r*cols : (r+1)*cols]
+		bitEqual(t, fmt.Sprintf("softmax row %d", r), got[r*cols:(r+1)*cols], refSoftmax(row))
+		want := 0
+		for c := range row {
+			if row[c] > row[want] {
+				want = c
+			}
+		}
+		if int(classes[r]) != want {
+			t.Fatalf("argmax row %d = %d, want %d", r, classes[r], want)
+		}
+	}
+	if classes[2] != 1 {
+		t.Fatalf("argmax of a tie = %d, want the first maximum 1", classes[2])
+	}
+
+	if err := SoftmaxRows(got, src, 0); err == nil {
+		t.Error("softmax over 0 columns accepted")
+	}
+	if err := ArgMaxRows(make([]int, 1), src, 0); err == nil {
+		t.Error("argmax over 0 columns accepted")
+	}
+}
+
+func TestRowsCols(t *testing.T) {
+	cases := []struct {
+		shape      []int
+		rows, cols int
+	}{
+		{[]int{4, 10}, 4, 10},
+		{[]int{2, 3, 5}, 6, 5},
+		{[]int{7}, 1, 7},
+		{[]int{}, 0, 0},
+		{[]int{3, 0}, 0, 0},
+	}
+	for _, tc := range cases {
+		if rows, cols := RowsCols(tc.shape); rows != tc.rows || cols != tc.cols {
+			t.Errorf("RowsCols(%v) = %d, %d, want %d, %d", tc.shape, rows, cols, tc.rows, tc.cols)
+		}
+	}
+}
+
+// BenchmarkKernels times the kernels at the shapes the benchmark's
+// workloads run them at. These rows are the reference the next kernel
+// change has to beat.
+func BenchmarkKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	matmul := func(m, k, n, threads int) func(*testing.B) {
+		return func(b *testing.B) {
+			a, w := randFloats(rng, m*k), randFloats(rng, k*n)
+			c := make([]float32, m*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(c)
+				MatMulInto(c, a, w, m, k, n, threads)
+			}
+		}
+	}
+	// serve-steady: the densenet stand-in's 2048x2048 layers, unbatched.
+	b.Run("matmul/serve-steady/m1_k2048_n2048", matmul(1, 2048, 2048, 1))
+	// serve-fleet: the MNIST MLP's first layer over a document, at the 8
+	// rows BENCHMARK.json describes and the 16 the suite sends.
+	b.Run("matmul/serve-fleet/m8_k784_n128", matmul(8, 784, 128, 1))
+	b.Run("matmul/serve-fleet/m16_k784_n128", matmul(16, 784, 128, 1))
+	// train-sync: the CNN's fc1 over a 50-image batch, on one thread and
+	// split four ways.
+	b.Run("matmul/train-sync/m50_k784_n512", matmul(50, 784, 512, 1))
+	b.Run("matmul/train-sync/m50_k784_n512_t4", matmul(50, 784, 512, 4))
+
+	// train-sync: the CNN's second convolution and the pool after it.
+	b.Run("conv2d/train-sync/50x14x14x8_k5_f16_same", func(b *testing.B) {
+		g, err := ConvGeom([]int{50, 14, 14, 8}, []int{5, 5, 8, 16}, 1, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, f := randFloats(rng, g.N*g.H*g.W*g.C), randFloats(rng, g.KH*g.KW*g.C*g.F)
+		out := make([]float32, g.N*g.OH*g.OW*g.F)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(out)
+			Conv2DInto(out, x, f, g)
+		}
+	})
+	b.Run("maxpool/train-sync/50x14x14x16_k2", func(b *testing.B) {
+		g, err := PoolGeom([]int{50, 14, 14, 16}, 2, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := randFloats(rng, g.N*g.H*g.W*g.C)
+		out := make([]float32, g.N*g.OH*g.OW*g.C)
+		argmax := make([]int32, len(out))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MaxPool(out, x, g, argmax)
+		}
+	})
+	b.Run("softmax/serve-steady/1x1000", func(b *testing.B) {
+		x := randFloats(rng, 1000)
+		out := make([]float32, len(x))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := SoftmaxRows(out, x, 1000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

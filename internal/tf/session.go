@@ -157,7 +157,7 @@ func (s *Session) evalNode(ctx *execCtx, n *Node) (*Tensor, error) {
 		}
 		return v, nil
 	}
-	kernel, ok := kernels[n.op]
+	kernel, ok := opKernels[n.op]
 	if !ok {
 		return nil, fmt.Errorf("no kernel for op %s", n.op)
 	}

@@ -50,7 +50,7 @@ func TestConvertStandaloneAdd(t *testing.T) {
 	sum := g.Add(x, g.Const("offset", bias))
 	input := tf.RandNormal(tf.Shape{1, 4}, 1, 7)
 	ref, got := convertAndRun(t, g, x, sum, input)
-	if !tf.AllClose(ref, got, 1e-6) {
+	if !sameBits(ref, got) {
 		t.Fatalf("lite Add disagrees with engine:\n%v\nvs\n%v", ref.Floats(), got.Floats())
 	}
 }
@@ -61,7 +61,7 @@ func TestConvertStandaloneRelu(t *testing.T) {
 	y := g.Relu(x)
 	input := tf.RandNormal(tf.Shape{2, 8}, 1, 9)
 	ref, got := convertAndRun(t, g, x, y, input)
-	if !tf.AllClose(ref, got, 1e-6) {
+	if !sameBits(ref, got) {
 		t.Fatal("lite Relu disagrees with engine")
 	}
 	for _, v := range got.Floats() {

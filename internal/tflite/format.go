@@ -73,6 +73,21 @@ func (o OpCode) String() string {
 	}
 }
 
+// arity is the range of input counts the opcode's kernel reads (the
+// upper end counts an optional bias); every op writes one output.
+func (o OpCode) arity() (minIn, maxIn int, ok bool) {
+	switch o {
+	case OpFullyConnected, OpConv2D:
+		return 2, 3, true
+	case OpAdd:
+		return 2, 2, true
+	case OpMaxPool, OpAvgPool, OpSoftmax, OpReshape, OpRelu, OpArgMax:
+		return 1, 1, true
+	default:
+		return 0, 0, false
+	}
+}
+
 // Activation is a fused activation function.
 type Activation uint8
 
@@ -131,6 +146,15 @@ func (m *Model) WeightBytes() int64 {
 
 var modelMagic = []byte("SLTF1")
 
+// The fewest bytes one record of each table can occupy on the wire
+// (empty name, empty slices): a table's declared count is checked
+// against the bytes left before it sizes an allocation.
+const (
+	minTensorRecord = 4 + 1 + 4 + 4 + 8
+	minBufferRecord = 4
+	minOpRecord     = 3 + 4 + 4 + 3*4 + 8
+)
+
 // Marshal serializes the model.
 func (m *Model) Marshal() []byte {
 	var out []byte
@@ -170,7 +194,7 @@ func Unmarshal(data []byte) (*Model, error) {
 	}
 	r := &byteReader{data: data, off: len(modelMagic)}
 	m := &Model{}
-	nt, err := r.u32()
+	nt, err := r.count(minTensorRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +226,7 @@ func Unmarshal(data []byte) (*Model, error) {
 		}
 		t.Scale = math.Float64frombits(bits)
 	}
-	nb, err := r.u32()
+	nb, err := r.count(minBufferRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +240,7 @@ func Unmarshal(data []byte) (*Model, error) {
 			return nil, err
 		}
 	}
-	no, err := r.u32()
+	no, err := r.count(minOpRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -267,6 +291,9 @@ func Unmarshal(data []byte) (*Model, error) {
 	if m.Outputs, err = r.intSlice(); err != nil {
 		return nil, err
 	}
+	if r.off != len(data) {
+		return nil, fmt.Errorf("tflite: %d trailing bytes after model", len(data)-r.off)
+	}
 	return m, m.validate()
 }
 
@@ -286,7 +313,14 @@ func (m *Model) validate() error {
 		}
 		return nil
 	}
-	for _, op := range m.Ops {
+	for i, op := range m.Ops {
+		minIn, maxIn, ok := op.Code.arity()
+		if !ok {
+			return fmt.Errorf("tflite: op %d has unknown opcode %d", i, op.Code)
+		}
+		if len(op.Inputs) < minIn || len(op.Inputs) > maxIn || len(op.Outputs) != 1 {
+			return fmt.Errorf("tflite: op %d (%s) has %d inputs and %d outputs", i, op.Code, len(op.Inputs), len(op.Outputs))
+		}
 		if err := checkIdx("op input", op.Inputs); err != nil {
 			return err
 		}
@@ -367,13 +401,23 @@ func (r *byteReader) str() (string, error) {
 	return string(b), err
 }
 
-func (r *byteReader) intSlice() ([]int, error) {
+// count reads a record count and bounds it by the bytes left over the
+// smallest record, so a short file cannot ask for a large allocation.
+func (r *byteReader) count(minRecord int) (int, error) {
 	n, err := r.u32()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if int(n) > (len(r.data)-r.off)/8 {
-		return nil, io.ErrUnexpectedEOF
+	if int(n) > (len(r.data)-r.off)/minRecord {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return int(n), nil
+}
+
+func (r *byteReader) intSlice() ([]int, error) {
+	n, err := r.count(8)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int, n)
 	for i := range out {

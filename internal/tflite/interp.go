@@ -7,6 +7,7 @@ import (
 
 	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
 // Interpreter executes a flat model forward-only, with a preallocated
@@ -47,6 +48,9 @@ func NewInterpreter(m *Model, opts ...Option) (*Interpreter, error) {
 	if m == nil {
 		return nil, fmt.Errorf("tflite: nil model")
 	}
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
 	ip := &Interpreter{
 		model:   m,
 		weights: make([]*tf.Tensor, len(m.Tensors)),
@@ -80,25 +84,24 @@ func (ip *Interpreter) AllocateTensors() error {
 			if len(raw)%4 != 0 {
 				return fmt.Errorf("tflite: buffer for %q not float32-aligned", spec.Name)
 			}
-			vals := make([]float32, len(raw)/4)
+			t, err := newWeight(spec, len(raw)/4)
+			if err != nil {
+				return err
+			}
+			vals := t.Floats()
 			for j := range vals {
 				vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[j*4:]))
 			}
-			t, err := tf.FromFloats(tf.Shape(spec.Shape), vals)
-			if err != nil {
-				return fmt.Errorf("tflite: weight %q: %w", spec.Name, err)
-			}
 			ip.weights[i] = t
-			residentBytes += int64(len(raw))
 		case TypeInt8:
 			// Quantized weights stay resident in int8 form; they are
 			// dequantized per use into transient scratch.
 			ip.rawInt8[i] = raw
 			ip.scales[i] = spec.Scale
-			residentBytes += int64(len(raw))
 		default:
 			return fmt.Errorf("tflite: weight %q has bad type", spec.Name)
 		}
+		residentBytes += int64(len(raw))
 	}
 	ip.dev.AllocReadOnly(ip.id+"/weights", residentBytes)
 	ip.allocated = true
@@ -121,18 +124,34 @@ func (ip *Interpreter) weight(i int) (*tf.Tensor, error) {
 	if raw == nil {
 		return nil, fmt.Errorf("tflite: tensor %d is not a weight", i)
 	}
-	spec := ip.model.Tensors[i]
-	vals := make([]float32, len(raw))
-	scale := float32(ip.scales[i])
+	t, err := newWeight(ip.model.Tensors[i], len(raw))
+	if err != nil {
+		return nil, err
+	}
+	vals, scale := t.Floats(), float32(ip.scales[i])
 	for j, b := range raw {
 		vals[j] = float32(int8(b)) * scale
 	}
 	ip.dev.Compute(int64(len(raw)))
-	t, err := tf.FromFloats(tf.Shape(spec.Shape), vals)
-	if err != nil {
-		return nil, fmt.Errorf("tflite: weight %q: %w", spec.Name, err)
-	}
 	return t, nil
+}
+
+// newWeight allocates the Float32 tensor a weight buffer of n elements
+// decodes into, once the file's declared shape is known to hold exactly
+// n: a negative dimension or an overflowing product matches no buffer.
+func newWeight(spec TensorSpec, n int) (*tf.Tensor, error) {
+	elems := 1
+	for _, d := range spec.Shape {
+		if d < 0 || (d > 0 && elems > math.MaxInt/d) {
+			elems = -1
+			break
+		}
+		elems *= d
+	}
+	if elems != n {
+		return nil, fmt.Errorf("tflite: weight %q: shape %v does not hold %d elements", spec.Name, spec.Shape, n)
+	}
+	return tf.NewTensor(tf.Float32, tf.Shape(spec.Shape)), nil
 }
 
 // SetInput feeds model input slot i.
@@ -210,176 +229,87 @@ func (ip *Interpreter) charge(op *OpSpec, flops int64, activationBytes, weightBy
 	}
 }
 
+// run executes one op on its first input x. Every kernel but Reshape
+// reads Float32 data, and a request tensor's dtype is the caller's
+// choice, not the model's, so it is checked here.
 func (ip *Interpreter) run(op *OpSpec) (*tf.Tensor, error) {
+	x, err := ip.value(op.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	if op.Code == OpReshape {
+		return x.Reshape(tf.Shape(op.NewShape))
+	}
+	if x.DType() != tf.Float32 {
+		return nil, fmt.Errorf("input is %v, want float32", x.DType())
+	}
 	switch op.Code {
-	case OpFullyConnected:
-		return ip.runFullyConnected(op)
-	case OpConv2D:
-		return ip.runConv2D(op)
+	case OpFullyConnected, OpConv2D:
+		return ip.runLinear(op, x)
 	case OpMaxPool, OpAvgPool:
-		return ip.runPool(op)
+		return ip.runPool(op, x)
 	case OpSoftmax:
-		return ip.runSoftmax(op)
-	case OpReshape:
-		return ip.runReshape(op)
+		return ip.runSoftmax(op, x)
 	case OpRelu:
-		return ip.runRelu(op)
+		return ip.runRelu(op, x)
 	case OpAdd:
-		return ip.runAdd(op)
+		return ip.runAdd(op, x)
 	case OpArgMax:
-		return ip.runArgMax(op)
+		return ip.runArgMax(op, x)
 	default:
 		return nil, fmt.Errorf("unknown opcode %d", op.Code)
 	}
 }
 
-func applyActivation(act Activation, vals []float32) {
-	if act == ActRelu {
-		for i, v := range vals {
-			if v < 0 {
-				vals[i] = 0
-			}
-		}
-	}
-}
-
-func (ip *Interpreter) runFullyConnected(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
+// runLinear executes a FullyConnected or Conv2D with its optional bias
+// (input 2) and fused activation.
+func (ip *Interpreter) runLinear(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	w, err := ip.weight(op.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
-	xs, ws := x.Shape(), w.Shape()
-	if len(xs) != 2 || len(ws) != 2 || xs[1] != ws[0] {
-		return nil, fmt.Errorf("shapes %v x %v", xs, ws)
-	}
-	m, k, n := xs[0], xs[1], ws[1]
-	out := tf.NewTensor(tf.Float32, tf.Shape{m, n})
-	xd, wd, od := x.Floats(), w.Floats(), out.Floats()
-	for i := 0; i < m; i++ {
-		for kk := 0; kk < k; kk++ {
-			xv := xd[i*k+kk]
-			if xv == 0 {
-				continue
-			}
-			wrow := wd[kk*n : (kk+1)*n]
-			orow := od[i*n : (i+1)*n]
-			for j, wv := range wrow {
-				orow[j] += xv * wv
-			}
-		}
-	}
+	var bias *tf.Tensor
 	if len(op.Inputs) > 2 {
-		b, err := ip.weight(op.Inputs[2])
-		if err != nil {
+		if bias, err = ip.weight(op.Inputs[2]); err != nil {
 			return nil, err
 		}
-		bd := b.Floats()
-		for i := 0; i < m; i++ {
-			orow := od[i*n : (i+1)*n]
-			for j := range orow {
-				orow[j] += bd[j]
-			}
+	}
+	var out *tf.Tensor
+	var channels int
+	var flops int64
+	if op.Code == OpFullyConnected {
+		xs, ws := x.Shape(), w.Shape()
+		if len(xs) != 2 || len(ws) != 2 || xs[1] != ws[0] {
+			return nil, fmt.Errorf("shapes %v x %v", xs, ws)
 		}
-	}
-	applyActivation(op.Activation, od)
-	ip.charge(op, 2*int64(m)*int64(k)*int64(n), x.Bytes()+out.Bytes(), w.Bytes())
-	return out, nil
-}
-
-func (ip *Interpreter) runConv2D(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	f, err := ip.weight(op.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	xs, fs := x.Shape(), f.Shape()
-	if len(xs) != 4 || len(fs) != 4 || xs[3] != fs[2] {
-		return nil, fmt.Errorf("shapes %v, %v", xs, fs)
-	}
-	batch, h, w, cin := xs[0], xs[1], xs[2], xs[3]
-	kh, kw, cout := fs[0], fs[1], fs[3]
-	stride := op.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	var oh, ow, padTop, padLeft int
-	if op.Padding == PadSame {
-		oh = (h + stride - 1) / stride
-		ow = (w + stride - 1) / stride
-		padH := maxInt(0, (oh-1)*stride+kh-h)
-		padW := maxInt(0, (ow-1)*stride+kw-w)
-		padTop, padLeft = padH/2, padW/2
+		m, k, n := xs[0], xs[1], ws[1]
+		out, channels, flops = tf.NewTensor(tf.Float32, tf.Shape{m, n}), n, 2*int64(m)*int64(k)*int64(n)
+		// One thread, as the interpreter has always run: splitting the
+		// serving fleet's small batches over dev.Threads() goroutines
+		// measured slower on wall, so it waits for the blocked kernels.
+		kernels.MatMulInto(out.Floats(), x.Floats(), w.Floats(), m, k, n, 1)
 	} else {
-		oh = (h-kh)/stride + 1
-		ow = (w-kw)/stride + 1
-	}
-	out := tf.NewTensor(tf.Float32, tf.Shape{batch, oh, ow, cout})
-	xd, fd, od := x.Floats(), f.Floats(), out.Floats()
-	for b := 0; b < batch; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				outBase := ((b*oh+oy)*ow + ox) * cout
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - padTop
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - padLeft
-						if ix < 0 || ix >= w {
-							continue
-						}
-						inBase := ((b*h+iy)*w + ix) * cin
-						fBase := (ky*kw + kx) * cin * cout
-						for cc := 0; cc < cin; cc++ {
-							xv := xd[inBase+cc]
-							if xv == 0 {
-								continue
-							}
-							frow := fd[fBase+cc*cout : fBase+(cc+1)*cout]
-							orow := od[outBase : outBase+cout]
-							for j, fv := range frow {
-								orow[j] += xv * fv
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if len(op.Inputs) > 2 {
-		bt, err := ip.weight(op.Inputs[2])
+		geo, err := kernels.ConvGeom(x.Shape(), w.Shape(), max(op.Stride, 1), op.Padding == PadSame)
 		if err != nil {
 			return nil, err
 		}
-		bd := bt.Floats()
-		for i := range od {
-			od[i] += bd[i%cout]
-		}
+		out, channels, flops = tf.NewTensor(tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.F}), geo.F, geo.ConvFLOPs()
+		kernels.Conv2DInto(out.Floats(), x.Floats(), w.Floats(), geo)
 	}
-	applyActivation(op.Activation, od)
-	flops := 2 * int64(batch) * int64(oh) * int64(ow) * int64(cout) * int64(kh) * int64(kw) * int64(cin)
-	ip.charge(op, flops, x.Bytes()+out.Bytes(), f.Bytes())
+	if bias != nil {
+		if bias.NumElements() != channels {
+			return nil, fmt.Errorf("bias has %d elements for %d output channels", bias.NumElements(), channels)
+		}
+		kernels.BiasAdd(out.Floats(), out.Floats(), bias.Floats())
+	}
+	if op.Activation == ActRelu {
+		kernels.Relu(out.Floats(), out.Floats())
+	}
+	ip.charge(op, flops, x.Bytes()+out.Bytes(), w.Bytes())
 	return out, nil
 }
 
-func (ip *Interpreter) runPool(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	xs := x.Shape()
-	if len(xs) != 4 {
-		return nil, fmt.Errorf("pool needs NHWC, got %v", xs)
-	}
-	batch, h, w, c := xs[0], xs[1], xs[2], xs[3]
+func (ip *Interpreter) runPool(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	k, stride := op.K, op.Stride
 	if k < 1 {
 		k = 2
@@ -387,116 +317,44 @@ func (ip *Interpreter) runPool(op *OpSpec) (*tf.Tensor, error) {
 	if stride < 1 {
 		stride = k
 	}
-	oh := (h-k)/stride + 1
-	ow := (w-k)/stride + 1
-	out := tf.NewTensor(tf.Float32, tf.Shape{batch, oh, ow, c})
-	xd, od := x.Floats(), out.Floats()
-	for b := 0; b < batch; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				for cc := 0; cc < c; cc++ {
-					var acc float32
-					if op.Code == OpMaxPool {
-						acc = float32(math.Inf(-1))
-					}
-					count := 0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= w {
-								continue
-							}
-							v := xd[((b*h+iy)*w+ix)*c+cc]
-							if op.Code == OpMaxPool {
-								if v > acc {
-									acc = v
-								}
-							} else {
-								acc += v
-							}
-							count++
-						}
-					}
-					if op.Code == OpAvgPool && count > 0 {
-						acc /= float32(count)
-					}
-					od[((b*oh+oy)*ow+ox)*c+cc] = acc
-				}
-			}
-		}
+	geo, err := kernels.PoolGeom(x.Shape(), k, stride)
+	if err != nil {
+		return nil, err
+	}
+	out := tf.NewTensor(tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.C})
+	if op.Code == OpMaxPool {
+		kernels.MaxPool(out.Floats(), x.Floats(), geo, nil)
+	} else {
+		kernels.AvgPool(out.Floats(), x.Floats(), geo)
 	}
 	ip.charge(op, int64(out.NumElements())*int64(k*k), x.Bytes()+out.Bytes(), 0)
 	return out, nil
 }
 
-func (ip *Interpreter) runSoftmax(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
+func (ip *Interpreter) runSoftmax(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+	_, cols := kernels.RowsCols(x.Shape())
+	out := tf.NewTensor(tf.Float32, x.Shape())
+	if err := kernels.SoftmaxRows(out.Floats(), x.Floats(), cols); err != nil {
 		return nil, err
-	}
-	s := x.Shape()
-	cols := s[len(s)-1]
-	rows := x.NumElements() / cols
-	out := tf.NewTensor(tf.Float32, s)
-	xd, od := x.Floats(), out.Floats()
-	for r := 0; r < rows; r++ {
-		row := xd[r*cols : (r+1)*cols]
-		orow := od[r*cols : (r+1)*cols]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for i, v := range row {
-			e := math.Exp(float64(v - maxv))
-			orow[i] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for i := range orow {
-			orow[i] *= inv
-		}
 	}
 	ip.charge(op, 4*int64(x.NumElements()), 2*x.Bytes(), 0)
 	return out, nil
 }
 
-func (ip *Interpreter) runReshape(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	return x.Reshape(tf.Shape(op.NewShape))
-}
-
-func (ip *Interpreter) runRelu(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	out := x.Clone()
-	applyActivation(ActRelu, out.Floats())
+func (ip *Interpreter) runRelu(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+	out := tf.NewTensor(tf.Float32, x.Shape())
+	kernels.Relu(out.Floats(), x.Floats())
 	ip.charge(op, int64(x.NumElements()), 2*x.Bytes(), 0)
 	return out, nil
 }
 
-func (ip *Interpreter) runAdd(op *OpSpec) (*tf.Tensor, error) {
-	a, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
+func (ip *Interpreter) runAdd(op *OpSpec, a *tf.Tensor) (*tf.Tensor, error) {
 	b, err := ip.value(op.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
-	if a.NumElements() != b.NumElements() {
-		return nil, fmt.Errorf("Add: %d vs %d elements", a.NumElements(), b.NumElements())
+	if b.DType() != tf.Float32 || a.NumElements() != b.NumElements() {
+		return nil, fmt.Errorf("Add: %d float32 elements vs %d %v", a.NumElements(), b.NumElements(), b.DType())
 	}
 	out := tf.NewTensor(tf.Float32, a.Shape())
 	ad, bd, od := a.Floats(), b.Floats(), out.Floats()
@@ -507,32 +365,12 @@ func (ip *Interpreter) runAdd(op *OpSpec) (*tf.Tensor, error) {
 	return out, nil
 }
 
-func (ip *Interpreter) runArgMax(op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	s := x.Shape()
-	cols := s[len(s)-1]
-	rows := x.NumElements() / cols
+func (ip *Interpreter) runArgMax(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+	rows, cols := kernels.RowsCols(x.Shape())
 	out := tf.NewTensor(tf.Int32, tf.Shape{rows})
-	xd := x.Floats()
-	for r := 0; r < rows; r++ {
-		best, bestIdx := xd[r*cols], 0
-		for c := 1; c < cols; c++ {
-			if v := xd[r*cols+c]; v > best {
-				best, bestIdx = v, c
-			}
-		}
-		out.Ints()[r] = int32(bestIdx)
+	if err := kernels.ArgMaxRows(out.Ints(), x.Floats(), cols); err != nil {
+		return nil, err
 	}
 	ip.charge(op, int64(x.NumElements()), x.Bytes(), 0)
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,9 @@
 package tflite
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/securetf/securetf/internal/device"
@@ -45,6 +47,21 @@ func tfReference(t *testing.T, g *tf.Graph, x, out *tf.Node, in *tf.Tensor) *tf.
 	return res[0]
 }
 
+// sameBits reports whether two tensors agree in dtype, shape and every
+// element bit. Both engines run internal/tf/kernels, so a converted
+// model has no tolerance to hide behind.
+func sameBits(a, b *tf.Tensor) bool {
+	if a.DType() != b.DType() || !a.Shape().Equal(b.Shape()) {
+		return false
+	}
+	if a.DType() == tf.Int32 {
+		return slices.Equal(a.Ints(), b.Ints())
+	}
+	return slices.EqualFunc(a.Floats(), b.Floats(), func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y)
+	})
+}
+
 func TestConvertAndInvokeMatchesTF(t *testing.T) {
 	g, x, probs := buildFrozenMLP(t)
 	model, err := Convert(g, []*tf.Node{x}, []*tf.Node{probs}, ConvertOptions{})
@@ -77,7 +94,7 @@ func TestConvertAndInvokeMatchesTF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tf.AllClose(want, got, 1e-5) {
+	if !sameBits(want, got) {
 		t.Fatal("tflite output differs from TensorFlow reference")
 	}
 }
@@ -90,36 +107,45 @@ func opCodes(m *Model) []OpCode {
 	return out
 }
 
+// TestConvertCNN lowers a graph that reaches every Lite kernel — SAME
+// and strided VALID convolution, max and average pooling, a dense layer,
+// Add, Softmax and ArgMax — and requires both outputs bit-equal to the
+// tf session's.
 func TestConvertCNN(t *testing.T) {
 	g := tf.NewGraph()
-	x := g.Placeholder("x", tf.Float32, tf.Shape{-1, 8, 8, 1})
+	x := g.Placeholder("x", tf.Float32, tf.Shape{-1, 12, 12, 1})
 	f1 := g.Variable("f1", tf.RandNormal(tf.Shape{3, 3, 1, 4}, 0.4, 301))
 	b1 := g.Variable("b1", tf.RandNormal(tf.Shape{4}, 0.1, 302))
-	conv := g.Relu(g.BiasAdd(g.Conv2D(x, f1, 1, tf.PaddingSame), b1))
-	pool := g.MaxPool(conv, 2, 2)
-	flat := g.Flatten(pool)
-	w := g.Variable("w", tf.RandNormal(tf.Shape{64, 3}, 0.3, 303))
-	logits := g.MatMul(flat, w)
+	conv1 := g.Relu(g.BiasAdd(g.Conv2D(x, f1, 1, tf.PaddingSame), b1))
+	pool1 := g.MaxPool(conv1, 2, 2) // 6x6x4
+	f2 := g.Variable("f2", tf.RandNormal(tf.Shape{2, 2, 4, 3}, 0.4, 305))
+	conv2 := g.Conv2D(pool1, f2, 2, tf.PaddingValid) // 3x3x3
+	pool2 := g.AvgPool(conv2, 2, 1)                  // 2x2x3
+	flat := g.Flatten(pool2)
+	w := g.Variable("w", tf.RandNormal(tf.Shape{12, 3}, 0.3, 303))
+	offset := g.Const("offset", tf.RandNormal(tf.Shape{2, 3}, 0.2, 306))
+	probs := g.Softmax(g.Add(g.MatMul(flat, w), offset))
+	pred := g.ArgMax(probs)
 
 	sess := tf.NewSession(g)
 	defer sess.Close()
-	frozen, err := tf.Freeze(sess, []*tf.Node{logits})
+	frozen, err := tf.Freeze(sess, []*tf.Node{probs, pred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx, fl := frozen.Node(x.Name()), frozen.Node(logits.Name())
+	fx := frozen.Node(x.Name())
+	outs := []*tf.Node{frozen.Node(probs.Name()), frozen.Node(pred.Name())}
 
-	model, err := Convert(frozen, []*tf.Node{fx}, []*tf.Node{fl}, ConvertOptions{})
+	model, err := Convert(frozen, []*tf.Node{fx}, outs, ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := opCodes(model); len(got) != 4 {
-		t.Fatalf("ops = %v, want fused CONV, MAXPOOL, RESHAPE, FC", got)
+	want := []OpCode{OpConv2D, OpMaxPool, OpConv2D, OpAvgPool, OpReshape, OpFullyConnected, OpAdd, OpSoftmax, OpArgMax}
+	if got := opCodes(model); !slices.Equal(got, want) {
+		t.Fatalf("ops = %v, want %v", got, want)
 	}
 
-	in := tf.RandNormal(tf.Shape{2, 8, 8, 1}, 1, 304)
-	want := tfReference(t, frozen, fx, fl, in)
-
+	in := tf.RandNormal(tf.Shape{2, 12, 12, 1}, 1, 304)
 	ip, err := NewInterpreter(model)
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +157,14 @@ func TestConvertCNN(t *testing.T) {
 	if err := ip.Invoke(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ip.Output(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tf.AllClose(want, got, 1e-4) {
-		t.Fatal("CNN output differs from TensorFlow reference")
+	for i, out := range outs {
+		got, err := ip.Output(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(tfReference(t, frozen, fx, out, in), got) {
+			t.Fatalf("output %d (%s) differs from TensorFlow reference", i, out.Name())
+		}
 	}
 }
 
@@ -336,5 +364,124 @@ func TestCostScalePropagates(t *testing.T) {
 	scaled := measure(build(100))
 	if scaled < 50*base {
 		t.Fatalf("cost scale not applied: %d vs %d flops", base, scaled)
+	}
+}
+
+// floatBuffer encodes vals as a Float32 weight buffer.
+func floatBuffer(vals ...float32) []byte {
+	raw := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
+	}
+	return raw
+}
+
+// TestMalformedModelsAndInputsError feeds the interpreter what a hostile
+// model file or request can carry. Each case used to panic inside a
+// kernel loop or in NewTensor — taking the serving process with it — and
+// must now come back as an error from loading or from Invoke.
+func TestMalformedModelsAndInputsError(t *testing.T) {
+	act := func(name string, shape ...int) TensorSpec {
+		return TensorSpec{Name: name, Type: TypeFloat32, Shape: shape, Buffer: -1}
+	}
+	weight := func(name string, buffer int, shape ...int) TensorSpec {
+		return TensorSpec{Name: name, Type: TypeFloat32, Shape: shape, Buffer: buffer}
+	}
+	// oneOp is a model of tensors 0 (input) and 1 (output) plus weights,
+	// running a single op.
+	oneOp := func(op OpSpec, buffers [][]byte, weights ...TensorSpec) *Model {
+		return &Model{
+			Tensors: append([]TensorSpec{act("in"), act("out")}, weights...),
+			Buffers: buffers,
+			Ops:     []OpSpec{op},
+			Inputs:  []int{0},
+			Outputs: []int{1},
+		}
+	}
+	ones := func(n int) []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = 1
+		}
+		return out
+	}
+	floatIn := func(shape ...int) *tf.Tensor { return tf.Fill(tf.Shape(shape), 1) }
+
+	cases := []struct {
+		name  string
+		model *Model
+		in    *tf.Tensor
+	}{
+		{
+			"op with no inputs",
+			oneOp(OpSpec{Code: OpRelu, Outputs: []int{1}}, nil),
+			floatIn(1, 2),
+		},
+		{
+			"op with no outputs",
+			oneOp(OpSpec{Code: OpRelu, Inputs: []int{0}}, nil),
+			floatIn(1, 2),
+		},
+		{
+			"fully-connected bias shorter than its output",
+			oneOp(OpSpec{Code: OpFullyConnected, Inputs: []int{0, 2, 3}, Outputs: []int{1}},
+				[][]byte{floatBuffer(ones(6)...), floatBuffer(1)},
+				weight("w", 0, 2, 3), weight("b", 1, 1)),
+			floatIn(1, 2),
+		},
+		{
+			"conv bias shorter than its output channels",
+			oneOp(OpSpec{Code: OpConv2D, Inputs: []int{0, 2, 3}, Outputs: []int{1}, Stride: 1, Padding: PadSame},
+				[][]byte{floatBuffer(ones(4)...), floatBuffer(1)},
+				weight("f", 0, 1, 1, 1, 4), weight("b", 1, 1)),
+			floatIn(1, 3, 3, 1),
+		},
+		{
+			"pool window larger than its input",
+			oneOp(OpSpec{Code: OpMaxPool, Inputs: []int{0}, Outputs: []int{1}, K: 8, Stride: 2}, nil),
+			floatIn(1, 2, 2, 2),
+		},
+		{
+			"VALID conv window larger than its input",
+			oneOp(OpSpec{Code: OpConv2D, Inputs: []int{0, 2}, Outputs: []int{1}, Stride: 1, Padding: PadValid},
+				[][]byte{floatBuffer(ones(25)...)},
+				weight("f", 0, 5, 5, 1, 1)),
+			floatIn(1, 2, 2, 1),
+		},
+		{
+			"softmax of a rank-0 tensor",
+			oneOp(OpSpec{Code: OpSoftmax, Inputs: []int{0}, Outputs: []int{1}}, nil),
+			tf.Scalar(1),
+		},
+		{
+			"argmax of a rank-0 tensor",
+			oneOp(OpSpec{Code: OpArgMax, Inputs: []int{0}, Outputs: []int{1}}, nil),
+			tf.Scalar(1),
+		},
+		{
+			"Int32 request into a float op",
+			oneOp(OpSpec{Code: OpFullyConnected, Inputs: []int{0, 2}, Outputs: []int{1}},
+				[][]byte{floatBuffer(ones(6)...)},
+				weight("w", 0, 2, 3)),
+			tf.NewTensor(tf.Int32, tf.Shape{1, 2}),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Unmarshal(tc.model.Marshal()); err != nil {
+				return // failed loading, as a corrupted file should
+			}
+			ip, err := NewInterpreter(tc.model)
+			if err != nil {
+				t.Fatalf("Unmarshal accepted what NewInterpreter rejects: %v", err)
+			}
+			defer ip.Close()
+			if err := ip.SetInput(0, tc.in); err != nil {
+				t.Fatal(err)
+			}
+			if err := ip.Invoke(); err == nil {
+				t.Fatal("Invoke succeeded")
+			}
+		})
 	}
 }

@@ -1,0 +1,159 @@
+package tflite_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/securetf/securetf/internal/models"
+	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tflite"
+)
+
+// zooLite freezes a zoo classifier with a softmax head and lowers it to
+// the Lite format.
+func zooLite(t testing.TB, h models.Handles, quantize bool) *tflite.Model {
+	t.Helper()
+	probs := h.Graph.Softmax(h.Logits)
+	sess := tf.NewSession(h.Graph)
+	defer sess.Close()
+	frozen, err := tf.Freeze(sess, []*tf.Node{probs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tflite.Convert(frozen, []*tf.Node{frozen.Node(h.X.Name())}, []*tf.Node{frozen.Node(probs.Name())},
+		tflite.ConvertOptions{Quantize: quantize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func invoke(t testing.TB, m *tflite.Model, in *tf.Tensor) *tf.Tensor {
+	t.Helper()
+	ip, err := tflite.NewInterpreter(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ip.Close()
+	if err := ip.SetInput(0, in); err != nil {
+		t.Fatal(err)
+	}
+	if err := ip.Invoke(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ip.Output(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func floatsSHA(vals []float32) string {
+	raw := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestZooOutputGoldens pins the interpreter's output bits for the MLP
+// and CNN zoo models. The hashes were recorded at commit d79d514, before
+// the interpreter's own loop nests were replaced by internal/tf/kernels:
+// they are the proof that the move changed no output bit. A kernel change
+// that keeps the summation order keeps them; one that does not must
+// re-pin them deliberately.
+func TestZooOutputGoldens(t *testing.T) {
+	golden := map[string]string{
+		"mlp/float/b1": "9f3d12a721ae1bc6d2e6672facf742f6542a80082e7ea7137821cf1de5c68353",
+		"mlp/float/b8": "b3f90fd919fb0f179b4daf153f8970b6ce89020de9e19f210beea78a3dde4d55",
+		"mlp/int8/b1":  "babce19ac67a4b99bf54b00a3eef949b91857cc31099a0e246ba36d57e28cb5d",
+		"mlp/int8/b8":  "a6cf5ca514d934c43f73401e1bb600d385c85782935ef92e5df76e496d91d600",
+		"cnn/float/b1": "4c2a8a48edc4f81dabf1f40b12bcda587917c96957100fd7850f263b13a3d0f7",
+		"cnn/float/b8": "c1afe5fe905abae80e602ca7a68e0b5e122501cb7c937b8dec663b52e899a6b6",
+		"cnn/int8/b1":  "796ef6e9049616660285afad9d64ed75fe821491ea093328f8e2d644bf2b5f98",
+		"cnn/int8/b8":  "3d7e4049bf8b8a3572cd588aba097d895cccbce9164cbae252ae0cbc9b38694c",
+	}
+	zoo := []struct {
+		name  string
+		build func(int64) models.Handles
+	}{{"mlp", models.MNISTMLP}, {"cnn", models.MNISTCNN}}
+	for _, z := range zoo {
+		for _, quant := range []bool{false, true} {
+			m := zooLite(t, z.build(41), quant)
+			for _, batch := range []int{1, 8} {
+				kind := "float"
+				if quant {
+					kind = "int8"
+				}
+				key := fmt.Sprintf("%s/%s/b%d", z.name, kind, batch)
+				out := invoke(t, m, tf.RandNormal(tf.Shape{batch, 28, 28, 1}, 1, int64(100+batch)))
+				if got := floatsSHA(out.Floats()); got != golden[key] {
+					t.Errorf("%s: output sha256 %s, want %s", key, got, golden[key])
+				}
+			}
+		}
+	}
+}
+
+// FuzzLiteModel drives a model file the way a serving replica does —
+// Unmarshal, AllocateTensors, one Invoke on a small input — over
+// arbitrary bytes. Nothing may panic or size an allocation from an
+// unchecked count, and a file that loads is in canonical form: it
+// re-marshals to the same bytes.
+func FuzzLiteModel(f *testing.F) {
+	for _, build := range []func(int64) models.Handles{models.MNISTMLP, models.MNISTCNN} {
+		for _, quant := range []bool{false, true} {
+			f.Add(zooLite(f, build(41), quant).Marshal())
+		}
+	}
+	tiny := models.InferenceSpec{Name: "tiny", FileBytes: 4 << 10, GFLOPs: 1e-6, InputDim: 8, Classes: 4}
+	f.Add(models.BuildInferenceModel(tiny).Marshal())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := tflite.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(m.Marshal(), data) {
+			t.Fatal("loaded model does not re-marshal to the bytes it was read from")
+		}
+		ip, err := tflite.NewInterpreter(m)
+		if err != nil {
+			t.Fatalf("Unmarshal accepted what NewInterpreter rejects: %v", err)
+		}
+		defer ip.Close()
+		if err := ip.AllocateTensors(); err != nil {
+			return
+		}
+		for i, idx := range m.Inputs {
+			// The declared input shape with a batch of one, if it is small.
+			shape, elems := tf.Shape{}, 1
+			for _, d := range m.Tensors[idx].Shape {
+				if d == -1 {
+					d = 1
+				}
+				if d < 0 || d > 1<<12 || elems*d > 1<<12 {
+					return
+				}
+				shape, elems = append(shape, d), elems*d
+			}
+			if err := ip.SetInput(i, tf.RandNormal(shape, 1, 7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ip.Invoke(); err != nil {
+			return
+		}
+		for i := range m.Outputs {
+			if _, err := ip.Output(i); err != nil {
+				t.Fatalf("output %d after a clean Invoke: %v", i, err)
+			}
+		}
+	})
+}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/kernels"
 	"github.com/securetf/securetf/internal/tflite"
 )
 
@@ -464,17 +465,9 @@ func (cl *Classifier) Classify(batch *Tensor) ([]int, error) {
 	if len(shape) != 2 {
 		return nil, fmt.Errorf("securetf: classifier output shape %v is not [batch, classes]", shape)
 	}
-	rows, cols := shape[0], shape[1]
-	classes := make([]int, rows)
-	probs := out.Floats()
-	for r := 0; r < rows; r++ {
-		best, bestV := 0, probs[r*cols]
-		for c := 1; c < cols; c++ {
-			if v := probs[r*cols+c]; v > bestV {
-				best, bestV = c, v
-			}
-		}
-		classes[r] = best
+	classes := make([]int, shape[0])
+	if err := kernels.ArgMaxRows(classes, out.Floats(), shape[1]); err != nil {
+		return nil, fmt.Errorf("securetf: classifier output shape %v: %w", shape, err)
 	}
 	return classes, nil
 }
