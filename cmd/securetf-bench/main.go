@@ -8,12 +8,8 @@
 //	securetf-bench -fig 7 -images 800        # the paper's full batch
 //	securetf-bench -fig 8 -steps 12 -batch 100
 //
-// Figures: 4 (attestation latency), 5 (classification latency across
-// runtimes), 6 (file-system shield effect), 7 (scale-up/scale-out),
-// 8 (distributed training), 8-async (bounded-staleness consistency
-// sweep with a straggler), 8-compress (gradient codecs on the push
-// path, TLS × {none, int8, top-k}), tf-vs-tflite (§5.3 #4 comparison),
-// elastic (challenge ➍: attesting an autoscaling wave, CAS vs IAS).
+// securetf-bench -h lists the figures; the list is the figure table
+// below, which is also what -fig accepts.
 //
 // Absolute numbers come from the calibrated virtual-time cost model and
 // are not expected to match the paper's testbed; the shape checks in
@@ -25,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"github.com/securetf/securetf/internal/experiments"
 )
@@ -36,10 +33,58 @@ func main() {
 	}
 }
 
+// figure is one row of the figure table: a -fig value, what it
+// regenerates, and the experiment with its printer.
+type figure struct {
+	name, what string
+	run        func(cfg experiments.Config, w io.Writer) error
+}
+
+var figures = []figure{
+	{"4", "attestation latency", table(experiments.Figure4, experiments.PrintFigure4)},
+	{"5", "classification latency across runtimes", table(experiments.Figure5, experiments.PrintFigure5)},
+	{"6", "file-system shield effect", table(experiments.Figure6, experiments.PrintFigure6)},
+	{"7", "scale-up/scale-out", table(experiments.Figure7, experiments.PrintFigure7)},
+	{"8", "distributed training", table(experiments.Figure8, experiments.PrintFigure8)},
+	{"8-shards", "sharded parameter server sweep", table(experiments.Figure8Shards, experiments.PrintFigure8Shards)},
+	{"8-async", "bounded-staleness consistency sweep with a straggler", table(experiments.Figure8Async, experiments.PrintFigure8Async)},
+	{"8-compress", "gradient codecs on the push path, TLS × {none, int8, top-k}", table(experiments.Figure8Compress, experiments.PrintFigure8Compress)},
+	{"9-elastic", "§3.2 worker elasticity: round throughput across a mid-job kill", table(experiments.Figure9Elastic, experiments.PrintFigure9Elastic)},
+	{"tf-vs-tflite", "§5.3 #4 comparison", table(experiments.TFvsTFLite, experiments.PrintTFvsTFLite)},
+	{"elastic", "challenge ➍: attesting an autoscaling wave, CAS vs IAS", func(_ experiments.Config, w io.Writer) error {
+		const wave = 4
+		casTotal, iasTotal, err := experiments.ElasticScaling(wave)
+		if err != nil {
+			return err
+		}
+		experiments.PrintElasticScaling(w, wave, casTotal, iasTotal)
+		return nil
+	}},
+}
+
+// table pairs an experiment with the printer of its rows.
+func table[R any](rows func(experiments.Config) ([]R, error), print func(io.Writer, []R)) func(experiments.Config, io.Writer) error {
+	return func(cfg experiments.Config, w io.Writer) error {
+		r, err := rows(cfg)
+		if err != nil {
+			return err
+		}
+		print(w, r)
+		return nil
+	}
+}
+
 func run(args []string, w io.Writer) error {
+	names := make([]string, len(figures))
+	figHelp := "figure to regenerate:"
+	for i, f := range figures {
+		names[i] = f.name
+		figHelp += fmt.Sprintf("\n  %-13s %s", f.name, f.what)
+	}
+	figHelp += "\n  all"
 	fs := flag.NewFlagSet("securetf-bench", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 4, 5, 6, 7, 8, 8-async, 8-compress, tf-vs-tflite, all")
+		fig     = fs.String("fig", "all", figHelp)
 		runs    = fs.Int("runs", 0, "classification runs averaged per point (paper: 1000)")
 		images  = fs.Int("images", 0, "figure 7 batch size (paper: 800)")
 		steps   = fs.Int("steps", 0, "figure 8 training steps")
@@ -54,86 +99,6 @@ func run(args []string, w io.Writer) error {
 		cfg.Log = os.Stderr
 	}
 
-	type figure struct {
-		name string
-		run  func() error
-	}
-	figures := []figure{
-		{"4", func() error {
-			rows, err := experiments.Figure4(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure4(w, rows)
-			return nil
-		}},
-		{"5", func() error {
-			rows, err := experiments.Figure5(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure5(w, rows)
-			return nil
-		}},
-		{"6", func() error {
-			rows, err := experiments.Figure6(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure6(w, rows)
-			return nil
-		}},
-		{"7", func() error {
-			rows, err := experiments.Figure7(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure7(w, rows)
-			return nil
-		}},
-		{"8", func() error {
-			rows, err := experiments.Figure8(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure8(w, rows)
-			return nil
-		}},
-		{"8-async", func() error {
-			rows, err := experiments.Figure8Async(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure8Async(w, rows)
-			return nil
-		}},
-		{"8-compress", func() error {
-			rows, err := experiments.Figure8Compress(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFigure8Compress(w, rows)
-			return nil
-		}},
-		{"tf-vs-tflite", func() error {
-			rows, err := experiments.TFvsTFLite(cfg)
-			if err != nil {
-				return err
-			}
-			experiments.PrintTFvsTFLite(w, rows)
-			return nil
-		}},
-		{"elastic", func() error {
-			const wave = 4
-			casTotal, iasTotal, err := experiments.ElasticScaling(wave)
-			if err != nil {
-				return err
-			}
-			experiments.PrintElasticScaling(w, wave, casTotal, iasTotal)
-			return nil
-		}},
-	}
-
 	matched := false
 	for i, f := range figures {
 		if *fig != "all" && *fig != f.name {
@@ -143,12 +108,12 @@ func run(args []string, w io.Writer) error {
 		if i > 0 && *fig == "all" {
 			fmt.Fprintln(w)
 		}
-		if err := f.run(); err != nil {
+		if err := f.run(cfg, w); err != nil {
 			return fmt.Errorf("figure %s: %w", f.name, err)
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, 8, 8-async, 8-compress, tf-vs-tflite, elastic or all)", *fig)
+		return fmt.Errorf("unknown figure %q (want %s or all)", *fig, strings.Join(names, ", "))
 	}
 	return nil
 }

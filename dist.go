@@ -327,7 +327,8 @@ type TrainingBreakdown = dist.Breakdown
 
 // DistTrainConfig configures TrainDistributed, the one-call form of the
 // paper's §5.4 distributed training job: one enclave node per parameter
-// server shard and per worker, synchronous data-parallel SGD.
+// server shard and per worker, data-parallel SGD — synchronous rounds by
+// default, apply-on-push on the shards Consistency makes asynchronous.
 type DistTrainConfig struct {
 	// Kind selects the runtime every node runs under. Defaults to
 	// SconeHW, the secureTF production mode.
@@ -342,8 +343,8 @@ type DistTrainConfig struct {
 	// single parameter server; the trained model is identical at any
 	// shard count, only the wire fan-out changes.
 	PSShards int
-	// Rounds is the number of synchronous rounds each worker runs.
-	// Required, ≥ 1.
+	// Rounds is the number of rounds (steps, on async shards) each
+	// worker runs. Required, ≥ 1.
 	Rounds int
 	// BatchSize is the per-worker, per-round minibatch size. Required.
 	BatchSize int
@@ -475,13 +476,15 @@ type DistTrainResult struct {
 	FinalVars map[string]*Tensor
 }
 
-// TrainDistributed runs a complete synchronous data-parallel training
-// job: it launches one container per parameter-server shard and per
-// worker (each on its own platform, as in the paper's cluster), wires
-// the workers to every shard, trains for the configured rounds and
-// reports losses, the end-to-end virtual latency and the per-phase
-// breakdown. With PSShards: 1 it is exactly the classic single
-// parameter-server deployment.
+// TrainDistributed runs a complete data-parallel training job,
+// synchronous unless cfg.Consistency says otherwise: it launches one
+// container per parameter-server shard and per worker (each on its own
+// platform, as in the paper's cluster), wires the workers to every
+// shard, trains for the configured rounds and reports losses, the
+// end-to-end virtual latency and the per-phase breakdown. With
+// PSShards: 1 it is exactly the classic single parameter-server
+// deployment. The paper's Figures 8 and 9 (internal/experiments) are
+// calls to this function.
 func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("securetf: DistTrainConfig.Workers must be ≥ 1, got %d", cfg.Workers)

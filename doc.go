@@ -186,7 +186,11 @@
 // their per-phase virtual time (pull / compute / push) in
 // TrainingWorker.LastBreakdown; the push stamp is taken only after the
 // last parameter-server ack has been read, so the breakdown carries the
-// full wire + barrier cost.
+// full wire + barrier cost. The paper's own §5.4 numbers come off this
+// API: internal/experiments regenerates Figures 8 and 9 (and the
+// shard, codec and consistency sweeps) as TrainDistributed jobs and
+// StartParameterServer/StartTrainingWorker nodes, so the CI ratio gates
+// measure the cluster an application gets.
 //
 // The parameter server shards across nodes. The placement rule is a
 // name hash: each variable's 32-bit FNV-1a hash selects a shard by

@@ -4,6 +4,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,5 +75,40 @@ func TestAllowDirectiveCount(t *testing.T) {
 	}
 	if len(sites) > maxAllowDirectives {
 		t.Fatalf("%d //securetf:allow directives, ceiling is %d:\n%s", len(sites), maxAllowDirectives, strings.Join(sites, "\n"))
+	}
+}
+
+// TestFacadeOwnsTheTrainingCluster holds the import direction that lets
+// the paper's figures train on the cluster every other client gets: the
+// root package does not depend on internal/experiments, and outside
+// internal/tf/dist only the facade's dist.go builds a training node.
+func TestFacadeOwnsTheTrainingCluster(t *testing.T) {
+	goList := func(args ...string) string {
+		cmd := exec.Command("go", append([]string{"list"}, args...)...)
+		cmd.Dir = "../.."
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return string(out)
+	}
+	if strings.Contains(goList("-deps", "github.com/securetf/securetf"), "internal/experiments") {
+		t.Error("the root package depends on internal/experiments, so the figures cannot call the facade")
+	}
+	files := goList("-f", `{{range .GoFiles}}{{$.ImportPath}}/{{.}} {{$.Dir}}/{{.}}{{"\n"}}{{end}}`, "./...")
+	for _, line := range strings.Split(strings.TrimSpace(files), "\n") {
+		name, path, _ := strings.Cut(line, " ")
+		if name == "github.com/securetf/securetf/dist.go" || strings.Contains(name, "/internal/tf/dist/") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ctor := range []string{"dist.NewParameterServer(", "dist.NewWorker("} {
+			if strings.Contains(string(src), ctor) {
+				t.Errorf("%s calls %s…): build training nodes with StartParameterServer / StartTrainingWorker", name, ctor)
+			}
+		}
 	}
 }

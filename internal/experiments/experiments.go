@@ -4,6 +4,13 @@
 // Print helpers render them as text tables. The cmd/securetf-bench
 // binary and the repository-root benchmarks drive these harnesses.
 //
+// The distributed-training figures (8, 8-shards, 8-compress, 8-async,
+// 9) are clients of the public securetf package: every parameter-server
+// shard and worker is put on its container by securetf.TrainDistributed
+// or StartParameterServer/StartTrainingWorker, the same code the
+// examples, securetf-worker and bench/ run, so a cost-model change in
+// the facade moves the figures and their CI gates with it.
+//
 // Absolute numbers come from the calibrated virtual-time cost model and
 // are not expected to match the paper's testbed; the shape checks in
 // experiments_test.go assert that orderings, overhead bands and
@@ -18,7 +25,6 @@ import (
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/sgx"
-	"github.com/securetf/securetf/internal/tflite"
 )
 
 // Config tunes experiment sizes so tests, benches and the CLI can trade
@@ -64,25 +70,6 @@ func (c Config) logf(format string, args ...any) {
 	if c.Log != nil {
 		fmt.Fprintf(c.Log, format+"\n", args...)
 	}
-}
-
-// TFLiteImage is the TensorFlow Lite application image: the paper
-// measures its binary at 1.9 MB.
-func TFLiteImage() sgx.Image {
-	return sgx.SyntheticImage("tensorflow-lite", tflite.BinarySize, 4<<20)
-}
-
-// TFFullBinaryBytes is the full TensorFlow binary size the paper reports
-// (87.4 MB).
-const TFFullBinaryBytes int64 = 87*1024*1024 + 400*1024
-
-// TFFullHeapBytes models the full TensorFlow runtime's writable heap:
-// allocator arenas, graph structures and protobuf state.
-const TFFullHeapBytes int64 = 32 << 20
-
-// TFFullImage is the full TensorFlow application image.
-func TFFullImage() sgx.Image {
-	return sgx.SyntheticImage("tensorflow-full", TFFullBinaryBytes, TFFullHeapBytes)
 }
 
 // newPlatform builds a fresh platform with default calibration.

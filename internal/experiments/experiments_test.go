@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/models"
 )
 
@@ -235,6 +237,32 @@ func TestFigure8Shape(t *testing.T) {
 	// Training must actually learn.
 	if hwTLS.FinalLoss >= 2.4 {
 		t.Errorf("final loss %.3f did not move below initial ~2.3+", hwTLS.FinalLoss)
+	}
+}
+
+// TestFigure8PointPinned holds the native, 1-worker, 1-shard Figure 8
+// point to what the private fig8Run harness produced at 8c109a3, before
+// the figures moved onto securetf.TrainDistributed. One worker is
+// deterministic to the nanosecond, so any cost charged differently shows.
+func TestFigure8PointPinned(t *testing.T) {
+	cfg := Config{Steps: 6, BatchSize: 50}
+	for _, want := range []struct {
+		comp      securetf.GradCompression
+		latency   time.Duration
+		pushBytes int64
+		lossBits  uint64
+	}{
+		{securetf.NoGradCompression(), 205855366, 9854046, 0x4002712380000000},
+		{securetf.Int8GradCompression(), 146740966, 2464746, 0x40027123a0000000},
+	} {
+		res, err := fig8Train(cfg, fig8System{"Native", securetf.NativeGlibc, false}, 1, 1, want.comp)
+		if err != nil {
+			t.Fatalf("%v: %v", want.comp, err)
+		}
+		if got := math.Float64bits(res.FinalLoss); res.Latency != want.latency || res.PushBytes != want.pushBytes || got != want.lossBits {
+			t.Errorf("%v: latency %d ns, push %d B, loss %#x; pinned %d ns, %d B, %#x", want.comp,
+				res.Latency, res.PushBytes, got, want.latency, want.pushBytes, want.lossBits)
+		}
 	}
 }
 

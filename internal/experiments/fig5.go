@@ -61,7 +61,7 @@ func classifyLatency(kind core.RuntimeKind, model *tflite.Model, input *tf.Tenso
 	c, err := core.Launch(core.Config{
 		Kind:     kind,
 		Platform: platform,
-		Image:    TFLiteImage(),
+		Image:    models.TFLiteImage(),
 		HostFS:   fsapi.NewMem(),
 		Threads:  threads,
 	})

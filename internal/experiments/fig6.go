@@ -92,7 +92,7 @@ func fspfLatency(kind core.RuntimeKind, fspf bool, modelRaw []byte, input *tf.Te
 	ccfg := core.Config{
 		Kind:     kind,
 		Platform: platform,
-		Image:    TFLiteImage(),
+		Image:    models.TFLiteImage(),
 		HostFS:   host,
 		Threads:  1,
 	}

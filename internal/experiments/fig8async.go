@@ -3,16 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"time"
 
-	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/fsapi"
-	"github.com/securetf/securetf/internal/models"
-	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf"
 	"github.com/securetf/securetf/internal/tf"
-	"github.com/securetf/securetf/internal/tf/dist"
 )
 
 // Fig8AsyncRow is one point of the bounded-staleness sweep: the same
@@ -80,9 +75,9 @@ func Figure8Async(cfg Config) ([]Fig8AsyncRow, error) {
 	}
 	var rows []Fig8AsyncRow
 	for _, point := range points {
-		policy := dist.Async(point.k)
+		policy := securetf.AsyncConsistency(point.k)
 		if point.sync {
-			policy = dist.Sync()
+			policy = securetf.SyncConsistency()
 		}
 		stats, err := fig8AsyncRun(cfg, workers, shards, budget, policy)
 		if err != nil {
@@ -122,16 +117,32 @@ type fig8AsyncStats struct {
 // fig8AsyncNode is one worker enclave of the consistency sweep, with
 // the handles the virtual-time scheduler needs.
 type fig8AsyncNode struct {
-	worker    *dist.Worker
-	platform  *sgx.Platform
-	container *core.Container
-	staged    bool
-	steps     int
+	worker *securetf.TrainingWorker
+	clock  *securetf.Clock
+	staged bool
+}
+
+// fig8AsyncLaunch starts one HW-mode enclave node on its own platform.
+func fig8AsyncLaunch(name string) (*securetf.Container, error) {
+	platform, err := securetf.NewPlatform(name)
+	if err != nil {
+		return nil, err
+	}
+	return securetf.Launch(securetf.ContainerConfig{
+		Kind:     securetf.SconeHW,
+		Platform: platform,
+		Image:    securetf.TensorFlowImage(),
+		HostFS:   securetf.NewMemFS(),
+	})
 }
 
 // fig8AsyncRun trains a fixed global step budget on a 4-worker,
 // 2-shard HW-mode cluster under one consistency policy, with worker 0
-// charged stragglerPenalty of extra virtual compute per step.
+// charged stragglerPenalty of extra virtual compute per step. Every
+// node is put on its container by the public facade (Launch,
+// StartParameterServer, StartTrainingWorker); only the step schedule is
+// this experiment's own, because TrainDistributed has no hook between a
+// step's compute and its push.
 //
 // The synchronous baseline runs the classic concurrent loop — the
 // barrier itself serializes virtual time, so every round costs the
@@ -143,73 +154,58 @@ type fig8AsyncNode struct {
 // exchanges are rare events between many fast ones — and it makes the
 // run fully deterministic, including which pushes exceed the staleness
 // bound and retry.
-func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.ConsistencyPolicy) (fig8AsyncStats, error) {
-	ref := models.MNISTCNN(1)
-	initialVars := dist.InitialVars(ref.Graph)
+func fig8AsyncRun(cfg Config, workers, shards, budget int, policy securetf.ConsistencyPolicy) (fig8AsyncStats, error) {
+	initialVars := securetf.InitialVariables(fig8Model())
 
 	// Parameter-server shard nodes.
-	psPlatforms := make([]*sgx.Platform, shards)
-	pss := make([]*dist.ParameterServer, shards)
+	clocks := make([]*securetf.Clock, 0, shards+workers)
+	pss := make([]*securetf.ParameterServer, shards)
 	addrs := make([]string, shards)
-	for s := 0; s < shards; s++ {
-		psPlatform, err := newPlatform(fmt.Sprintf("async-ps-%d", s))
+	for s := range pss {
+		c, err := fig8AsyncLaunch(fmt.Sprintf("async-ps-%d", s))
 		if err != nil {
 			return fig8AsyncStats{}, err
 		}
-		psPlatforms[s] = psPlatform
-		psContainer, err := core.Launch(core.Config{
-			Kind:     core.RuntimeSconeHW,
-			Platform: psPlatform,
-			Image:    TFFullImage(),
-			HostFS:   fsapi.NewMem(),
-		})
-		if err != nil {
-			return fig8AsyncStats{}, err
-		}
-		defer psContainer.Close()
-		psListener, err := psContainer.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fig8AsyncStats{}, err
-		}
-		psDev := psContainer.Device(1)
-		ps, err := dist.NewParameterServer(dist.PSConfig{
-			Listener:    psListener,
-			Vars:        initialVars,
-			Workers:     workers,
-			LR:          0.0005,
-			Clock:       psPlatform.Clock(),
-			Params:      psPlatform.Params(),
-			Shard:       s,
-			Shards:      shards,
-			Consistency: policy,
-			ApplyMeter: func(flops, bytes int64) {
-				psDev.Compute(flops)
-				psDev.Access(bytes, false)
-			},
-		})
+		defer c.Close()
+		ps, addr, err := securetf.StartParameterServer(c, "127.0.0.1:0", initialVars, workers, fig8LR,
+			securetf.WithShard(s, shards), securetf.WithConsistency(policy))
 		if err != nil {
 			return fig8AsyncStats{}, err
 		}
 		defer ps.Close()
-		pss[s] = ps
-		addrs[s] = psListener.Addr().String()
+		pss[s], addrs[s] = ps, addr.String()
+		clocks = append(clocks, c.Clock())
 	}
 
 	// Worker nodes. Every worker gets a shard big enough for the whole
 	// budget, because under async the fast workers absorb the steps the
 	// straggler never takes.
 	nodes := make([]*fig8AsyncNode, workers)
-	for id := 0; id < workers; id++ {
-		node, err := fig8AsyncWorker(cfg, addrs, id, budget, policy)
+	for id := range nodes {
+		c, err := fig8AsyncLaunch(fmt.Sprintf("async-worker-%d", id))
 		if err != nil {
 			return fig8AsyncStats{}, err
 		}
-		defer node.container.Close()
-		defer node.worker.Close()
-		nodes[id] = node
+		defer c.Close()
+		xs, ys := syntheticMNISTShard(cfg.BatchSize*budget, int64(100+id))
+		worker, err := securetf.StartTrainingWorker(c, securetf.WorkerSpec{
+			ID:          id,
+			Addrs:       addrs,
+			Model:       fig8Model(),
+			XS:          xs,
+			YS:          ys,
+			BatchSize:   cfg.BatchSize,
+			Consistency: policy,
+		})
+		if err != nil {
+			return fig8AsyncStats{}, err
+		}
+		defer worker.Close()
+		nodes[id] = &fig8AsyncNode{worker: worker, clock: c.Clock()}
+		clocks = append(clocks, c.Clock())
 	}
 
-	if policy.Kind == dist.ConsistencySync {
+	if policy == securetf.SyncConsistency() {
 		// Concurrent lockstep rounds, budget/workers each; the barrier
 		// paces every round at the straggler's speed, because the round
 		// only commits once the straggler's delayed push lands. A worker
@@ -242,12 +238,11 @@ func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.Consisten
 						return
 					}
 					if id == 0 {
-						node.platform.Clock().Advance(stragglerPenalty)
+						node.clock.Advance(stragglerPenalty)
 					}
 					if errs[id] = node.worker.FinishStep(); errs[id] != nil {
 						return
 					}
-					node.steps++
 				}
 			}(id, node)
 		}
@@ -267,7 +262,7 @@ func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.Consisten
 		for done := 0; done < budget; {
 			next := -1
 			for id, node := range nodes {
-				if next < 0 || node.platform.Clock().Now() < nodes[next].platform.Clock().Now() {
+				if next < 0 || node.clock.Now() < nodes[next].clock.Now() {
 					next = id
 				}
 			}
@@ -277,7 +272,7 @@ func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.Consisten
 					return fig8AsyncStats{}, fmt.Errorf("async worker %d begin: %w", next, err)
 				}
 				if next == 0 {
-					node.platform.Clock().Advance(stragglerPenalty)
+					node.clock.Advance(stragglerPenalty)
 				}
 				node.staged = true
 			} else {
@@ -285,7 +280,6 @@ func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.Consisten
 					return fig8AsyncStats{}, fmt.Errorf("async worker %d finish: %w", next, err)
 				}
 				node.staged = false
-				node.steps++
 				done++
 			}
 		}
@@ -294,12 +288,9 @@ func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.Consisten
 	var stats fig8AsyncStats
 	for _, node := range nodes {
 		stats.retries += node.worker.StalenessRetries()
-		if t := node.platform.Clock().Now(); t > stats.latency {
-			stats.latency = t
-		}
 	}
-	for _, p := range psPlatforms {
-		if t := p.Clock().Now(); t > stats.latency {
+	for _, clock := range clocks {
+		if t := clock.Now(); t > stats.latency {
 			stats.latency = t
 		}
 	}
@@ -311,51 +302,12 @@ func fig8AsyncRun(cfg Config, workers, shards, budget int, policy dist.Consisten
 	return stats, nil
 }
 
-// fig8AsyncWorker launches one worker enclave connected to every shard
-// under the given policy expectation.
-func fig8AsyncWorker(cfg Config, addrs []string, id, budget int, policy dist.ConsistencyPolicy) (*fig8AsyncNode, error) {
-	platform, err := newPlatform(fmt.Sprintf("async-worker-%d", id))
-	if err != nil {
-		return nil, err
-	}
-	container, err := core.Launch(core.Config{
-		Kind:     core.RuntimeSconeHW,
-		Platform: platform,
-		Image:    TFFullImage(),
-		HostFS:   fsapi.NewMem(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	xs, ys := syntheticMNISTShard(cfg.BatchSize*budget, int64(100+id))
-	h := models.MNISTCNN(1)
-	worker, err := dist.NewWorker(dist.WorkerConfig{
-		ID:    id,
-		Addrs: addrs,
-		Dial:  func(network, a string) (net.Conn, error) { return container.Dial(network, a, "") },
-		Model: dist.Model{
-			Graph: h.Graph, X: h.X, Y: h.Y, Loss: h.Loss, Logits: h.Logits,
-		},
-		XS: xs, YS: ys,
-		BatchSize:   cfg.BatchSize,
-		Device:      container.Device(0),
-		Clock:       platform.Clock(),
-		Params:      platform.Params(),
-		Consistency: policy,
-	})
-	if err != nil {
-		container.Close()
-		return nil, err
-	}
-	return &fig8AsyncNode{worker: worker, platform: platform, container: container}, nil
-}
-
 // fig8AsyncEvalLoss scores the final parameter-server state — the
 // shards' variables merged back into one replica — on a held-out
 // deterministic batch, so sync and async rows are compared on the same
 // footing regardless of which worker took which step.
-func fig8AsyncEvalLoss(pss []*dist.ParameterServer) (float64, error) {
-	h := models.MNISTCNN(1)
+func fig8AsyncEvalLoss(pss []*securetf.ParameterServer) (float64, error) {
+	h := fig8Model()
 	sess := tf.NewSession(h.Graph, tf.WithSeed(1))
 	defer sess.Close()
 	for _, ps := range pss {

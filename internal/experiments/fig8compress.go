@@ -5,8 +5,7 @@ import (
 	"io"
 	"time"
 
-	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/tf/dist"
+	"github.com/securetf/securetf"
 )
 
 // Fig8CompressRow is one point of the gradient-compression sweep: the
@@ -52,27 +51,27 @@ func Figure8Compress(cfg Config) ([]Fig8CompressRow, error) {
 	const workers, shards = 4, 2
 	codecs := []struct {
 		label string
-		comp  dist.Compression
+		comp  securetf.GradCompression
 	}{
-		{"none", dist.NoCompression()},
-		{"int8", dist.Int8Compression()},
-		{"topk f=0.05", dist.TopKCompression(0.05)},
+		{"none", securetf.NoGradCompression()},
+		{"int8", securetf.Int8GradCompression()},
+		{"topk f=0.05", securetf.TopKGradCompression(0.05)},
 	}
 	systems := []fig8System{
-		{"secureTF HW w/o TLS", core.RuntimeSconeHW, false},
-		{"secureTF HW", core.RuntimeSconeHW, true},
+		{"secureTF HW w/o TLS", securetf.SconeHW, false},
+		{"secureTF HW", securetf.SconeHW, true},
 	}
 	var rows []Fig8CompressRow
 	for _, sys := range systems {
 		for _, codec := range codecs {
-			stats, err := fig8Run(cfg, sys, workers, shards, codec.comp)
+			res, err := fig8Train(cfg, sys, workers, shards, codec.comp)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig8 compress %s tls=%v: %w", codec.label, sys.tls, err)
 			}
 			row := Fig8CompressRow{
 				Codec: codec.label, TLS: sys.tls, Workers: workers, Shards: shards, Steps: cfg.Steps,
-				Latency: stats.Latency, PushWirePerShard: stats.PushWirePerShard,
-				PushBytesPerRound: stats.PushBytesPerRound, FinalLoss: stats.FinalLoss,
+				Latency: res.Latency, PushWirePerShard: res.PushWirePerShard,
+				PushBytesPerRound: res.PushBytes / int64(workers*res.Rounds), FinalLoss: res.FinalLoss,
 			}
 			cfg.logf("fig8-compress: %-12s tls=%-5v %9.2f s  push %7d B/round (wire/shard %v, loss %.4f)",
 				row.Codec, row.TLS, row.Latency.Seconds(), row.PushBytesPerRound, row.PushWirePerShard, row.FinalLoss)

@@ -48,7 +48,7 @@ func TFvsTFLite(cfg Config) ([]TFvsTFLiteRow, error) {
 	c, err := core.Launch(core.Config{
 		Kind:     core.RuntimeSconeHW,
 		Platform: platform,
-		Image:    TFFullImage(),
+		Image:    models.TFFullImage(),
 		HostFS:   fsapi.NewMem(),
 		Threads:  1,
 	})
@@ -77,7 +77,7 @@ func TFvsTFLite(cfg Config) ([]TFvsTFLiteRow, error) {
 	tfLatency := span.Stop()
 
 	rows := []TFvsTFLiteRow{
-		{Engine: "TensorFlow", BinaryBytes: TFFullBinaryBytes, ModelBytes: spec.FileBytes, Latency: tfLatency},
+		{Engine: "TensorFlow", BinaryBytes: models.TFFullBinaryBytes, ModelBytes: spec.FileBytes, Latency: tfLatency},
 		{Engine: "TensorFlow Lite", BinaryBytes: tflite.BinarySize, ModelBytes: spec.FileBytes, Latency: liteLatency},
 	}
 	cfg.logf("tf-vs-tflite: TF %.2f s vs TFLite %.2f s (%.0fx)",

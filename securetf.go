@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/experiments"
 	"github.com/securetf/securetf/internal/fsapi"
+	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/shield/fsshield"
@@ -72,12 +72,12 @@ func SyntheticImage(name string, size, heapSize int64) Image {
 
 // TensorFlowImage is the full TensorFlow application image; the paper
 // measures its binary at 87.4 MB — close to the whole EPC.
-func TensorFlowImage() Image { return experiments.TFFullImage() }
+func TensorFlowImage() Image { return models.TFFullImage() }
 
 // TFLiteImage is the TensorFlow Lite application image; the paper
 // measures its binary at 1.9 MB, the property that makes in-enclave
 // inference fast.
-func TFLiteImage() Image { return experiments.TFLiteImage() }
+func TFLiteImage() Image { return models.TFLiteImage() }
 
 // FS is the writable file-system interface the runtimes and shields
 // implement and wrap.
