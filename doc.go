@@ -324,7 +324,14 @@
 // so the masks cancel exactly in the aggregate and the coordinator
 // learns only the quorum sum. Cancellation is exact because updates
 // are carried in integer rings, not floats: 64-bit fixed point for the
-// dense and top-k codecs, a 16-bit ring for int8 — so masked
+// dense and top-k codecs, a 16-bit ring for int8. An update exists in
+// one form only, the packed little-endian ring words of its wire
+// payload: the client quantizes into the upload blob, folds each pair's
+// AES-CTR key stream into it through a 4 KiB chunk (four 16-bit lanes
+// per 64-bit add for int8; internal/federated/ring), and the
+// coordinator validates the whole upload and then adds the received
+// bytes into a packed accumulator — no mask vector is materialised and
+// nothing is widened to a word per coordinate. Masked
 // aggregation composes with uplink compression (FedCompression;
 // Int8FedCompression quantizes to public-clip int8 steps at ~4× fewer
 // uplink bytes, TopKFedCompression(f) uploads only a shared

@@ -103,8 +103,8 @@ type Client struct {
 	conn         net.Conn
 	sess         *tf.Session
 	lossAndGrads []*tf.Node
-	gradNames    []string // sorted: the wire walk order of every mask stream
-	residuals    map[string][]float32
+	gradNames    []string   // sorted: the wire walk order of every mask stream
+	vars         []roundVar // per-variable round buffers, parallel to gradNames
 	stats        ClientStats
 
 	// droppedRound marks the round this client trained but dropped out
@@ -112,6 +112,22 @@ type Client struct {
 	// membership stays exactly the surviving uploaders.
 	droppedRound uint64
 	hasDropped   bool
+}
+
+// roundVar is one variable's buffers, sized once and reused every round
+// the client is sampled into.
+type roundVar struct {
+	// delta holds the round's assigned global value and then, in place,
+	// the local training delta against it.
+	delta []float32
+	// residual is the committed error-feedback residual; pending is the
+	// residual this round's upload leaves behind. The two are swapped
+	// only when the upload is acked as accepted, so a refused or dropped
+	// round leaves residual exactly as it was.
+	residual, pending []float32
+	// blob is the upload: header, then the packed ring words the delta
+	// is quantized into and masked in.
+	blob []byte
 }
 
 // NewClient validates cfg, dials the coordinator and completes the
@@ -190,7 +206,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		sess:         tf.NewSession(cfg.Model.Graph, tf.WithSeed(int64(cfg.ID)+1)),
 		lossAndGrads: plan,
 		gradNames:    names,
-		residuals:    make(map[string][]float32, len(names)),
+		vars:         make([]roundVar, len(names)),
+	}
+	for i, name := range names {
+		v, err := c.sess.Variable(name)
+		if err != nil {
+			return nil, err
+		}
+		n := len(v.Floats())
+		c.vars[i] = roundVar{delta: make([]float32, n), residual: make([]float32, n), pending: make([]float32, n)}
 	}
 	if err := c.connect(); err != nil {
 		return nil, err
@@ -329,18 +353,22 @@ func (c *Client) Run() error {
 // straggler's delayed push sort after its peers' punctual ones.
 func (c *Client) runRound(asg *dist.Message, release func()) error {
 	round := asg.Round
-	base := make(map[string][]float32, len(c.gradNames))
-	for _, name := range c.gradNames {
+	for i, name := range c.gradNames {
 		t, ok := asg.Vars[name]
 		if !ok {
 			release()
 			return fmt.Errorf("federated: round %d assignment is missing variable %q", round, name)
 		}
-		base[name] = append([]float32(nil), t.Floats()...)
 		if err := c.sess.SetVariable(name, t); err != nil {
 			release()
 			return err
 		}
+		if len(t.Floats()) != len(c.vars[i].delta) {
+			release()
+			return fmt.Errorf("federated: round %d assignment carries %d float values for %q, the model has %d",
+				round, len(t.Floats()), name, len(c.vars[i].delta))
+		}
+		copy(c.vars[i].delta, t.Floats())
 	}
 	if err := c.localSteps(); err != nil {
 		release()
@@ -351,29 +379,30 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		c.cfg.Clock.Advance(c.cfg.Delay(round))
 	}
 
-	// Quantize the round delta (with carried residual) into ring words
-	// at the round's shared coordinate pattern.
-	updates := make(map[string][]uint64, len(c.gradNames))
-	pending := make(map[string][]float32, len(c.gradNames))
-	for _, name := range c.gradNames {
+	// Quantize the round delta (with carried residual) straight into each
+	// upload blob's payload, at the round's shared coordinate pattern.
+	codec := c.cfg.Codec
+	payloads := make([][]byte, len(c.gradNames))
+	for i, name := range c.gradNames {
 		t, err := c.sess.Variable(name)
 		if err != nil {
 			release()
 			return err
 		}
-		now := t.Floats()
-		delta := make([]float32, len(now))
-		for i := range delta {
-			delta[i] = now[i] - base[name][i]
+		v := &c.vars[i]
+		for j, now := range t.Floats() {
+			v.delta[j] = now - v.delta[j]
 		}
-		coords := c.cfg.Codec.coords(asg.Seed, name, len(delta))
-		words, newRes := c.cfg.Codec.encodeVar(delta, c.residuals[name], coords)
-		updates[name] = words
-		pending[name] = newRes
+		coords := codec.coords(asg.Seed, name, len(v.delta))
+		if size := codec.blobSize(wordCount(coords, len(v.delta))); len(v.blob) != size {
+			v.blob = make([]byte, size)
+		}
+		codec.marshalUpdate(v.blob)
+		payloads[i] = v.blob[updateHeader:]
+		codec.encodeVar(payloads[i], v.delta, v.residual, v.pending, coords)
 	}
 	if !c.cfg.Unmasked {
-		applyPairMasks(updates, c.gradNames, c.cfg.Codec.width(),
-			c.cfg.Secret, uint32(c.cfg.ID), asg.Clients, round)
+		applyPairMasks(payloads, codec.width(), c.cfg.Secret, uint32(c.cfg.ID), asg.Clients, round)
 	}
 
 	if c.cfg.DropBeforePush != nil && !(c.hasDropped && c.droppedRound == round) && c.cfg.DropBeforePush(round) {
@@ -393,11 +422,10 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	pushRelease := c.cfg.Turnstile.turn(c.cfg.ID)
 	defer pushRelease()
 	req := &dist.Message{Kind: dist.MsgFedPush, Worker: uint32(c.cfg.ID), Round: round,
-		Grads: make(map[string][]byte, len(updates))}
-	for name, words := range updates {
-		blob := c.cfg.Codec.marshalUpdate(words)
-		req.Grads[name] = blob
-		c.stats.UplinkBytes += int64(len(blob))
+		Grads: make(map[string][]byte, len(c.gradNames))}
+	for i, name := range c.gradNames {
+		req.Grads[name] = c.vars[i].blob
+		c.stats.UplinkBytes += int64(len(c.vars[i].blob))
 	}
 	ack, err := c.roundTrip(c.conn, req)
 	if err != nil {
@@ -409,8 +437,9 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	switch {
 	case ack.OK:
 		// Applied: commit the error-feedback residuals.
-		for name, res := range pending {
-			c.residuals[name] = res
+		for i := range c.vars {
+			v := &c.vars[i]
+			v.residual, v.pending = v.pending, v.residual
 		}
 		c.stats.Applied++
 	case ack.Closed:

@@ -177,97 +177,80 @@ func wordCount(coords []int, n int) int {
 	return len(coords)
 }
 
+// updateHeader is the size of a masked-update blob's self-describing
+// header: [kind u8][width u8][count u32 LE]. The payload that follows is
+// count ring words, little-endian, at the codec's width — the packed
+// form internal/federated/ring computes on, so an update is quantized,
+// masked, sent, validated and accumulated without ever being unpacked.
+const updateHeader = 6
+
+// blobSize is the wire size of a variable's update of the given word
+// count.
+func (c Codec) blobSize(words int) int { return updateHeader + words*c.width() }
+
 // encodeVar quantizes one variable's delta (plus carried residual) into
-// ring words at the given coordinates (nil = all), and returns the new
-// residual. Unsent coordinates carry their whole effective value into
-// the residual; sent coordinates carry only the quantization error.
-func (c Codec) encodeVar(delta, residual []float32, coords []int) ([]uint64, []float32) {
-	n := len(delta)
-	eff := make([]float64, n)
-	for i := 0; i < n; i++ {
-		eff[i] = float64(delta[i])
-		if residual != nil {
-			eff[i] += float64(residual[i])
+// the packed ring words of payload, at the given coordinates (nil =
+// all), and writes the residual an accepted upload leaves behind into
+// next. Unsent coordinates carry their whole effective value into next;
+// sent coordinates carry only the quantization error. residual itself
+// is not touched, so a refused upload loses nothing.
+func (c Codec) encodeVar(payload []byte, delta, residual, next []float32, coords []int) {
+	scale := c.Clip / 127
+	w := 0 // next ring word; under a pattern, coords[w] is its coordinate
+	for i := range delta {
+		v := float64(delta[i]) + float64(residual[i])
+		if coords != nil && (w == len(coords) || coords[w] != i) {
+			next[i] = float32(v)
+			continue
 		}
-	}
-	newRes := make([]float32, n)
-	words := make([]uint64, wordCount(coords, n))
-	quantize := func(w, i int) {
-		v := eff[i]
 		var delivered float64
 		if c.Kind == CodecInt8 {
-			scale := c.Clip / 127
 			q := math.Round(v / scale)
 			if q > 127 {
 				q = 127
 			} else if q < -127 {
 				q = -127
 			}
-			words[w] = uint64(int64(q))
+			binary.LittleEndian.PutUint16(payload[2*w:], uint16(int64(q)))
 			delivered = q * scale
 		} else {
 			q := math.Round(v * fpScale)
-			words[w] = uint64(int64(q))
+			binary.LittleEndian.PutUint64(payload[8*w:], uint64(int64(q)))
 			delivered = q / fpScale
 		}
-		newRes[i] = float32(v - delivered)
+		next[i] = float32(v - delivered)
+		w++
 	}
-	if coords == nil {
-		for i := 0; i < n; i++ {
-			quantize(i, i)
-		}
-	} else {
-		sent := make(map[int]bool, len(coords))
-		for w, i := range coords {
-			quantize(w, i)
-			sent[i] = true
-		}
-		for i := 0; i < n; i++ {
-			if !sent[i] {
-				newRes[i] = float32(eff[i])
-			}
-		}
-	}
-	return words, newRes
 }
 
-// decodeSum converts one summed ring word back to a float contribution.
-// The word is the ring sum of up to quorum individual words; for the
-// fixed-point codecs sign extension of the 64-bit ring is exact, and
-// for int8 the quorum bound guarantees the int16 never wrapped.
-func (c Codec) decodeSum(word uint64) float64 {
+// decodeSum converts ring word w of a packed sum back to a float
+// contribution. The word is the ring sum of up to quorum individual
+// words; for the fixed-point codecs sign extension of the 64-bit ring
+// is exact, and for int8 the quorum bound guarantees the int16 never
+// wrapped.
+func (c Codec) decodeSum(sum []byte, w int) float64 {
 	if c.Kind == CodecInt8 {
-		return float64(int16(word)) * c.Clip / 127
+		return float64(int16(binary.LittleEndian.Uint16(sum[2*w:]))) * c.Clip / 127
 	}
-	return float64(int64(word)) / fpScale
+	return float64(int64(binary.LittleEndian.Uint64(sum[8*w:]))) / fpScale
 }
 
-// marshalUpdate serializes ring words as a self-describing blob:
-// [kind u8][width u8][count u32][count x width bytes LE]. Words are
-// truncated to the ring width, which is exactly the ring arithmetic.
-func (c Codec) marshalUpdate(words []uint64) []byte {
+// marshalUpdate writes the header of a self-describing update blob
+// around the payload already encoded (and masked) in place behind it.
+func (c Codec) marshalUpdate(blob []byte) {
 	width := c.width()
-	out := make([]byte, 6+len(words)*width)
-	out[0] = byte(c.Kind)
-	out[1] = byte(width)
-	binary.LittleEndian.PutUint32(out[2:], uint32(len(words)))
-	for i, w := range words {
-		if width == 2 {
-			binary.LittleEndian.PutUint16(out[6+2*i:], uint16(w))
-		} else {
-			binary.LittleEndian.PutUint64(out[6+8*i:], w)
-		}
-	}
-	return out
+	blob[0] = byte(c.Kind)
+	blob[1] = byte(width)
+	binary.LittleEndian.PutUint32(blob[2:], uint32((len(blob)-updateHeader)/width))
 }
 
-// parseUpdate validates and decodes a masked-update blob for one
-// variable. Every structural field is checked against what the
-// coordinator already knows (codec, expected word count), so a
-// malformed or adversarial blob produces an error — never a panic or
-// an attacker-sized allocation.
-func (c Codec) parseUpdate(blob []byte, wantWords int) ([]uint64, error) {
-	if len(blob) < 6 {
+// parseUpdate validates a masked-update blob for one variable and
+// returns its payload, aliasing blob. Every structural field is checked
+// against what the coordinator already knows (codec, expected word
+// count), so a malformed or adversarial blob produces an error — never
+// a panic, and nothing is allocated at all.
+func (c Codec) parseUpdate(blob []byte, wantWords int) ([]byte, error) {
+	if len(blob) < updateHeader {
 		return nil, fmt.Errorf("federated: update blob of %d bytes is shorter than its header", len(blob))
 	}
 	if CodecKind(blob[0]) != c.Kind {
@@ -281,26 +264,9 @@ func (c Codec) parseUpdate(blob []byte, wantWords int) ([]uint64, error) {
 	if count != wantWords {
 		return nil, fmt.Errorf("federated: update carries %d words, variable needs %d", count, wantWords)
 	}
-	if len(blob) != 6+count*width {
+	if len(blob) != c.blobSize(count) {
 		return nil, fmt.Errorf("federated: update blob is %d bytes, %d words of %d need %d",
-			len(blob), count, width, 6+count*width)
+			len(blob), count, width, c.blobSize(count))
 	}
-	words := make([]uint64, count)
-	for i := range words {
-		if width == 2 {
-			words[i] = uint64(binary.LittleEndian.Uint16(blob[6+2*i:]))
-		} else {
-			words[i] = binary.LittleEndian.Uint64(blob[6+8*i:])
-		}
-	}
-	return words, nil
-}
-
-// ringMask reduces a word to the codec's ring so accumulated sums stay
-// canonical regardless of uint64 carries above the ring width.
-func (c Codec) ringMask(word uint64) uint64 {
-	if c.width() == 2 {
-		return word & 0xffff
-	}
-	return word
+	return blob[updateHeader:], nil
 }

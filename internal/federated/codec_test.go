@@ -1,9 +1,41 @@
 package federated
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
+
+// packWords lays ring words out as a packed payload of the given width,
+// truncating each to the ring.
+func packWords(width int, words []uint64) []byte {
+	payload := make([]byte, len(words)*width)
+	for i, w := range words {
+		if width == 2 {
+			binary.LittleEndian.PutUint16(payload[2*i:], uint16(w))
+		} else {
+			binary.LittleEndian.PutUint64(payload[8*i:], w)
+		}
+	}
+	return payload
+}
+
+// wordAt reads ring word i of a packed payload.
+func wordAt(payload []byte, width, i int) uint64 {
+	if width == 2 {
+		return uint64(binary.LittleEndian.Uint16(payload[2*i:]))
+	}
+	return binary.LittleEndian.Uint64(payload[8*i:])
+}
+
+// testBlob marshals ring words into a complete update blob.
+func testBlob(c Codec, words []uint64) []byte {
+	blob := make([]byte, c.blobSize(len(words)))
+	copy(blob[updateHeader:], packWords(c.width(), words))
+	c.marshalUpdate(blob)
+	return blob
+}
 
 func TestCodecValidate(t *testing.T) {
 	cases := []struct {
@@ -107,7 +139,7 @@ func TestEncodeConservation(t *testing.T) {
 		}
 		const n = 40
 		var total, delivered [n]float64
-		var residual []float32
+		residual, next := make([]float32, n), make([]float32, n)
 		for round := 0; round < 5; round++ {
 			delta := make([]float32, n)
 			for i := range delta {
@@ -115,14 +147,15 @@ func TestEncodeConservation(t *testing.T) {
 				total[i] += float64(delta[i])
 			}
 			coords := c.coords(uint64(round+1), "w", n)
-			words, newRes := c.encodeVar(delta, residual, coords)
-			residual = newRes
-			for w, word := range words {
+			payload := make([]byte, wordCount(coords, n)*c.width())
+			c.encodeVar(payload, delta, residual, next, coords)
+			residual, next = next, residual
+			for w := 0; w < wordCount(coords, n); w++ {
 				i := w
 				if coords != nil {
 					i = coords[w]
 				}
-				delivered[i] += c.decodeSum(word)
+				delivered[i] += c.decodeSum(payload, w)
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -140,9 +173,10 @@ func TestInt8Clipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := []float32{10, -10, 0}
-	words, res := c.encodeVar(delta, nil, nil)
-	if int16(words[0]) != 127 || int16(words[1]) != -127 {
-		t.Fatalf("out-of-clip values quantized to %d and %d, want ±127", int16(words[0]), int16(words[1]))
+	payload, res := make([]byte, 3*c.width()), make([]float32, 3)
+	c.encodeVar(payload, delta, make([]float32, 3), res, nil)
+	if q0, q1 := int16(wordAt(payload, 2, 0)), int16(wordAt(payload, 2, 1)); q0 != 127 || q1 != -127 {
+		t.Fatalf("out-of-clip values quantized to %d and %d, want ±127", q0, q1)
 	}
 	// The clipped-away mass must land in the residual.
 	if math.Abs(float64(res[0])-(10-c.Clip)) > 1e-6 {
@@ -157,22 +191,25 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 		}
 		neg := int64(-42)
 		words := []uint64{0, 1, ^uint64(0), uint64(neg), 0x1234}
-		blob := c.marshalUpdate(words)
+		blob := testBlob(c, words)
 		back, err := c.parseUpdate(blob, len(words))
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
 		for i := range words {
-			if c.ringMask(back[i]) != c.ringMask(words[i]) {
-				t.Fatalf("%v: word %d round-tripped to %#x from %#x", c, i, back[i], words[i])
+			if wordAt(back, c.width(), i) != ringFor(c.width(), words[i]) {
+				t.Fatalf("%v: word %d round-tripped to %#x from %#x", c, i, wordAt(back, c.width(), i), words[i])
 			}
+		}
+		if !bytes.Equal(back, blob[updateHeader:]) {
+			t.Fatalf("%v: parsed payload is not the blob's own bytes", c)
 		}
 	}
 }
 
 func TestParseUpdateRejectsMalformed(t *testing.T) {
 	c := NoCompression()
-	good := c.marshalUpdate([]uint64{1, 2, 3})
+	good := testBlob(c, []uint64{1, 2, 3})
 	cases := []struct {
 		name string
 		blob []byte

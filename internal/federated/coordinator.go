@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"github.com/securetf/securetf/internal/federated/ring"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/tf"
@@ -101,8 +102,8 @@ type Coordinator struct {
 	cohort      []uint32
 	cohortSet   map[uint32]bool
 	snapshot    map[string]*tf.Tensor
-	coords      map[string][]int
-	acc         map[string][]uint64
+	coords      [][]int  // per variable, parallel to names; nil = dense
+	acc         [][]byte // per variable: the packed ring sum of the accepted payloads
 	received    map[uint32]bool
 	closing     bool
 	dead        []uint32
@@ -205,17 +206,16 @@ func (c *Coordinator) openRoundLocked() {
 	}
 	c.patternSeed = roundPatternSeed(c.cfg.Seed, c.round)
 	c.snapshot = make(map[string]*tf.Tensor, len(c.names))
-	c.coords = make(map[string][]int, len(c.names))
-	c.acc = make(map[string][]uint64, len(c.names))
-	for _, name := range c.names {
+	c.coords = make([][]int, len(c.names))
+	c.acc = make([][]byte, len(c.names))
+	for i, name := range c.names {
 		t, err := tf.FromFloats(c.shapes[name], c.vars[name])
 		if err != nil {
 			panic(fmt.Sprintf("federated: snapshot %q: %v", name, err))
 		}
 		c.snapshot[name] = t
-		coords := c.cfg.Codec.coords(c.patternSeed, name, len(c.vars[name]))
-		c.coords[name] = coords
-		c.acc[name] = make([]uint64, wordCount(coords, len(c.vars[name])))
+		c.coords[i] = c.cfg.Codec.coords(c.patternSeed, name, len(c.vars[name]))
+		c.acc[i] = make([]byte, wordCount(c.coords[i], len(c.vars[name]))*c.cfg.Codec.width())
 	}
 	c.received = make(map[uint32]bool, c.cfg.Quorum)
 	c.closing = false
@@ -388,20 +388,22 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 			Err: fmt.Sprintf("federated: client %d already uploaded in round %d", id, c.round)}
 	}
 	// Validate every variable before touching the accumulator, so a
-	// malformed upload is rejected atomically.
-	parsed := make(map[string][]uint64, len(c.names))
+	// malformed upload is rejected atomically. The payloads alias the
+	// received frame; nothing is unpacked or copied.
+	width := c.cfg.Codec.width()
+	payloads := make([][]byte, len(c.names))
 	var bytes int64
-	for _, name := range c.names {
+	for i, name := range c.names {
 		blob, ok := msg.Grads[name]
 		if !ok {
 			return &dist.Message{Kind: dist.MsgAck,
 				Err: fmt.Sprintf("federated: client %d upload is missing variable %q", id, name)}
 		}
-		words, err := c.cfg.Codec.parseUpdate(blob, len(c.acc[name]))
+		payload, err := c.cfg.Codec.parseUpdate(blob, len(c.acc[i])/width)
 		if err != nil {
 			return &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf("client %d %q: %v", id, name, err)}
 		}
-		parsed[name] = words
+		payloads[i] = payload
 		bytes += int64(len(blob))
 	}
 	if len(msg.Grads) != len(c.names) {
@@ -414,11 +416,8 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 			c.cfg.Tap(c.round, id, name, msg.Grads[name])
 		}
 	}
-	for name, words := range parsed {
-		acc := c.acc[name]
-		for i, w := range words {
-			acc[i] += w
-		}
+	for i, payload := range payloads {
+		ring.Add(c.acc[i], payload, width)
 	}
 	c.received[id] = true
 	c.stats.Accepted++
@@ -484,7 +483,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 		seedOf[deadID] = key
 	}
 	for _, deadID := range c.dead {
-		subtractDeadMasks(c.acc, c.names, c.cfg.Codec.width(), seedOf[deadID], id, deadID, c.round)
+		subtractDeadMasks(c.acc, c.cfg.Codec.width(), seedOf[deadID], id, deadID, c.round)
 	}
 	c.revealed[id] = true
 	c.stats.Reveals++
@@ -500,15 +499,16 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 // completes).
 func (c *Coordinator) finalizeLocked() {
 	q := float64(len(c.received))
-	for _, name := range c.names {
+	width := c.cfg.Codec.width()
+	for n, name := range c.names {
 		v := c.vars[name]
-		coords := c.coords[name]
-		for w, word := range c.acc[name] {
+		coords := c.coords[n]
+		for w := 0; w < len(c.acc[n])/width; w++ {
 			i := w
 			if coords != nil {
 				i = coords[w]
 			}
-			v[i] += float32(c.cfg.ServerLR * c.cfg.Codec.decodeSum(word) / q)
+			v[i] += float32(c.cfg.ServerLR * c.cfg.Codec.decodeSum(c.acc[n], w) / q)
 		}
 	}
 	c.stats.Rounds++

@@ -34,11 +34,25 @@
 // surviving uploader reveals its pair seeds for exactly the dead
 // clients, the coordinator re-expands those masks and subtracts them,
 // and the quorum sum is well-defined again. The coordinator learns only
-// masks of updates it never received. All mask arithmetic happens
-// post-quantization in the integer domain (uint64 wraparound, truncated
-// to the codec's ring width on the wire), so cancellation is bit-exact
-// — the masked aggregate is identical to the unmasked one, which the
-// sum-only property test pins.
+// masks of updates it never received.
+//
+// All mask arithmetic happens post-quantization in the codec's integer
+// ring — ℤ/2⁶⁴, or ℤ/2¹⁶ for int8 — so cancellation is bit-exact: the
+// masked aggregate is identical to the unmasked one, which the sum-only
+// property test pins. An update has one representation from quantizer to
+// accumulator: the packed little-endian ring words of its wire payload.
+// The client quantizes each variable straight into its upload blob and
+// masks it there; a pair's mask is never a vector, only the pair's
+// AES-CTR key stream — consecutive over the variables in sorted manifest
+// order, fresh per round — pulled through a 4 KiB chunk and added or
+// subtracted in place by internal/federated/ring, four 16-bit lanes per
+// 64-bit operation for int8. Because ring addition commutes, an upload
+// with enough key stream to pay for it deals its peers to a few
+// goroutines that sum into private partials (same bytes for any split).
+// The coordinator validates every variable's header against the
+// manifest first, then adds the received payload bytes into a packed
+// accumulator, and subtracts the dead clients' masks from it with the
+// same kernel; only the committed sum is ever decoded back to floats.
 //
 // # Codec interaction
 //

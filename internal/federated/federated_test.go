@@ -1,6 +1,7 @@
 package federated
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -49,6 +50,7 @@ type jobSpec struct {
 	unmasked   bool
 	seed       int64
 	turnstile  bool
+	wide       bool // wideModel/wideShard instead of the tiny ones
 	maxIdle    int
 	delay      func(id int, round uint64) time.Duration
 	drop       func(id int, round uint64) bool
@@ -61,13 +63,17 @@ var testSecret = []byte("consortium masking secret")
 // final globals, the coordinator stats and the per-client stats.
 func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientStats) {
 	t.Helper()
+	model, shard := tinyModel, tinyShard
+	if spec.wide {
+		model, shard = wideModel, wideShard
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Listener:       ln,
-		Vars:           dist.InitialVars(tinyModel(7).Graph),
+		Vars:           dist.InitialVars(model(7).Graph),
 		Clients:        spec.population,
 		SampleFraction: spec.sampleFrac,
 		Quorum:         spec.quorum,
@@ -90,12 +96,12 @@ func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 	clients := make([]*Client, spec.population)
 	clocks := make([]*vtime.Clock, spec.population)
 	for id := 0; id < spec.population; id++ {
-		xs, ys := tinyShard(30, int64(100+id))
+		xs, ys := shard(30, int64(100+id))
 		clocks[id] = &vtime.Clock{}
 		cfg := ClientConfig{
 			ID:           id,
 			Addr:         ln.Addr().String(),
-			Model:        tinyModel(7),
+			Model:        model(7),
 			XS:           xs,
 			YS:           ys,
 			BatchSize:    10,
@@ -558,4 +564,97 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		t.Fatalf("matching handshake failed: %v", err)
 	}
 	c.Close()
+}
+
+// TestMalformedUploadLeavesAccumulatorUntouched is the hostile peer at
+// the push handler: the coordinator adds payloads into its packed
+// accumulator straight from the received frame, so validation of the
+// whole upload has to come first. An upload whose first variable is
+// well-formed and whose last is malformed — in each of the ways the
+// header can lie — must be refused with every accumulator byte and every
+// counter as it was, and must not burn the client's slot in the round.
+func TestMalformedUploadLeavesAccumulatorUntouched(t *testing.T) {
+	for _, codec := range []Codec{NoCompression(), Int8Compression(), TopKCompression(0.5)} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := NewCoordinator(CoordinatorConfig{
+			Listener: ln, Vars: dist.InitialVars(tinyModel(7).Graph),
+			Clients: 3, Quorum: 3, Rounds: 1, Codec: codec, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		codec = coord.cfg.Codec // normalized
+		width := codec.width()
+		// A well-formed upload of distinct non-zero words for "b" and "w".
+		upload := func() map[string][]byte {
+			grads := make(map[string][]byte)
+			for i, name := range coord.names {
+				words := make([]uint64, len(coord.acc[i])/width)
+				for w := range words {
+					words[w] = uint64(100*i + w + 1)
+				}
+				grads[name] = testBlob(codec, words)
+			}
+			return grads
+		}
+		push := func(client uint32, grads map[string][]byte) *dist.Message {
+			return coord.push(&dist.Message{Kind: dist.MsgFedPush, Worker: client, Round: 0, Grads: grads})
+		}
+		if ack := push(0, upload()); !ack.OK {
+			t.Fatalf("%v: well-formed upload refused: %s", codec, ack.Err)
+		}
+		before := make([][]byte, len(coord.acc))
+		for i, acc := range coord.acc {
+			before[i] = append([]byte(nil), acc...)
+		}
+		statsBefore := coord.Stats()
+
+		last := coord.names[len(coord.names)-1]
+		otherKind, otherWidth := byte(CodecInt8), byte(2)
+		if codec.Kind == CodecInt8 {
+			otherKind, otherWidth = byte(CodecNone), 8
+		}
+		cases := []struct {
+			name   string
+			mangle func(blob []byte) []byte
+		}{
+			{"wrong kind", func(b []byte) []byte { b[0] = otherKind; return b }},
+			{"wrong width", func(b []byte) []byte { b[1] = otherWidth; return b }},
+			{"count one short", func(b []byte) []byte { b[2]--; return b }},
+			{"count huge", func(b []byte) []byte { b[5] = 0x7f; return b }},
+			{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
+			{"one word long", func(b []byte) []byte { return append(b, make([]byte, width)...) }},
+			{"header only", func(b []byte) []byte { return b[:updateHeader] }},
+			{"empty", func(b []byte) []byte { return nil }},
+		}
+		for _, tc := range cases {
+			grads := upload()
+			grads[last] = tc.mangle(grads[last])
+			ack := push(1, grads)
+			if ack.OK || ack.Closed || ack.Err == "" {
+				t.Errorf("%v, %s: ack %+v, want a hard refusal", codec, tc.name, ack)
+			}
+			for i := range before {
+				if !bytes.Equal(coord.acc[i], before[i]) {
+					t.Fatalf("%v, %s: refused upload changed the accumulator of %q", codec, tc.name, coord.names[i])
+				}
+			}
+			if coord.Stats() != statsBefore {
+				t.Errorf("%v, %s: refused upload moved the counters: %+v", codec, tc.name, coord.Stats())
+			}
+		}
+		// The refusals did not consume client 1's slot.
+		if ack := push(1, upload()); !ack.OK {
+			t.Fatalf("%v: well-formed upload after the refusals: %s", codec, ack.Err)
+		}
+		for i := range before {
+			if bytes.Equal(coord.acc[i], before[i]) {
+				t.Fatalf("%v: accepted upload left the accumulator of %q unchanged", codec, coord.names[i])
+			}
+		}
+	}
 }

@@ -8,8 +8,8 @@ import (
 // runs on attacker-reachable input: truncated, bit-flipped and
 // fabricated payloads must produce an error — never a panic, and never
 // an allocation driven by an attacker-controlled count (the word count
-// is validated against the expected manifest size before any slice is
-// sized from it).
+// is validated against the expected manifest size, and the parser
+// returns the blob's own bytes without sizing anything from it).
 func FuzzMaskedUpdate(f *testing.F) {
 	codecs := []Codec{NoCompression(), Int8Compression(), TopKCompression(0.5)}
 	for i := range codecs {
@@ -19,7 +19,7 @@ func FuzzMaskedUpdate(f *testing.F) {
 	}
 	for _, c := range codecs {
 		neg := int64(-3)
-		blob := c.marshalUpdate([]uint64{0, 1, uint64(neg), 0x7fff, ^uint64(0)})
+		blob := testBlob(c, []uint64{0, 1, uint64(neg), 0x7fff, ^uint64(0)})
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 		flipped := append([]byte(nil), blob...)
@@ -34,12 +34,14 @@ func FuzzMaskedUpdate(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				if len(words) != want {
-					t.Fatalf("%v: parse returned %d words, caller expected %d", c, len(words), want)
+				if len(words) != want*c.width() {
+					t.Fatalf("%v: parse returned %d bytes of words, caller expected %d words", c, len(words), want)
 				}
 				// A payload that parses must re-marshal to the same bytes —
 				// the parser accepted exactly the canonical encoding.
-				back := c.marshalUpdate(words)
+				back := make([]byte, c.blobSize(want))
+				copy(back[updateHeader:], words)
+				c.marshalUpdate(back)
 				if string(back) != string(payload) {
 					t.Fatalf("%v: accepted a non-canonical %d-byte encoding", c, len(payload))
 				}

@@ -2,7 +2,10 @@ package federated
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
+	"github.com/securetf/securetf/internal/federated/ring"
 	"github.com/securetf/securetf/internal/seccrypto"
 )
 
@@ -27,78 +30,119 @@ func maskPRG(seed seccrypto.Key, round uint64) *seccrypto.PRG {
 	return seccrypto.NewPRG(seccrypto.HKDF(seed[:], saltMask, fmt.Sprintf("round %d", round)))
 }
 
-// maskWords draws the next n mask words of the given ring width from
-// the pair's stream. The stream is consumed variable-by-variable in
-// sorted manifest order, so both ends of the pair — and the coordinator
-// during dropout recovery — walk identical words.
-func maskWords(g *seccrypto.PRG, n, width int) []uint64 {
-	words := make([]uint64, n)
-	if width == 2 {
-		buf := make([]byte, 2*n)
-		g.Read(buf)
-		for i := range words {
-			words[i] = uint64(buf[2*i]) | uint64(buf[2*i+1])<<8
-		}
-		return words
-	}
-	for i := range words {
-		words[i] = g.Uint64()
-	}
-	return words
-}
-
-// applyPairMasks blinds one client's encoded words in place with the
-// pairwise masks against every other cohort member for the round.
-// Client self adds the pair mask when it is the lower id and subtracts
-// it when it is the higher id, so summed over any pair the masks
-// cancel in uint64 wraparound arithmetic — and therefore in any
-// power-of-two ring the words are later truncated to.
-//
-// updates maps variable name -> encoded words; names must be walked in
-// the given (sorted manifest) order so every party consumes each pair
-// stream identically.
-func applyPairMasks(updates map[string][]uint64, names []string, width int,
-	secret []byte, self uint32, cohort []uint32, round uint64) {
-	for _, peer := range cohort {
-		if peer == self {
-			continue
-		}
-		g := maskPRG(pairSeed(secret, self, peer), round)
-		for _, name := range names {
-			words := updates[name]
-			mask := maskWords(g, len(words), width)
-			if self < peer {
-				for i := range words {
-					words[i] += mask[i]
-				}
-			} else {
-				for i := range words {
-					words[i] -= mask[i]
-				}
-			}
-		}
-	}
-}
-
-// subtractDeadMasks removes the uncancelled masks a dead client j left
-// in survivor i's accepted upload, given the pair seed survivor i
-// revealed. The survivor added +mask(i,j) if i < j and -mask(i,j)
-// otherwise; the coordinator applies the inverse to the accumulated
-// sum.
-func subtractDeadMasks(acc map[string][]uint64, names []string, width int,
-	seed seccrypto.Key, survivor, dead uint32, round uint64) {
+// maskPair adds (or subtracts) a pair's round mask to payloads — the
+// packed ring words of every variable in sorted manifest order, which is
+// the order both ends of the pair, and the coordinator during dropout
+// recovery, consume the pair's key stream in: consecutive CTR key
+// stream, variable after variable.
+func maskPair(payloads [][]byte, width int, seed seccrypto.Key, round uint64, add bool) {
 	g := maskPRG(seed, round)
-	for _, name := range names {
-		words := acc[name]
-		mask := maskWords(g, len(words), width)
-		if survivor < dead {
-			for i := range words {
-				words[i] -= mask[i]
-			}
+	for _, p := range payloads {
+		if add {
+			ring.AddStream(p, width, g)
 		} else {
-			for i := range words {
-				words[i] += mask[i]
+			ring.SubStream(p, width, g)
+		}
+	}
+}
+
+// When one upload's pair streams are worth fanning out, from the size of
+// the work alone. fanOutFloor is the key-stream volume (peers × update
+// bytes) below which they are folded in serially: starting and joining
+// goroutines costs microseconds, which 256 KiB of AES-CTR-and-add
+// (≈100 µs) amortises and less does not. peersPerWorker is the fewest
+// pair streams a goroutine is started for: its partial sum has to be
+// cleared first and added in afterwards, about the cost of one more
+// stream, so with only a stream or two of its own it would not pay.
+const (
+	fanOutFloor    = 256 << 10
+	peersPerWorker = 8
+)
+
+// partials recycles the fan-out's private partial sums: each is one
+// model's ring bytes, lives for the milliseconds an upload is masked,
+// and only as many exist at once as clients mask concurrently.
+var partials sync.Pool
+
+// applyPairMasks blinds one client's encoded update in place with the
+// pairwise masks against every other cohort member for the round.
+// payloads are the variables' packed ring words in sorted manifest
+// order. Client self adds the pair mask when it is the lower id and
+// subtracts it when it is the higher, so summed over any pair the masks
+// cancel in the ring. Ring addition commutes, so when there is enough key stream to
+// pay for it the peers are dealt to several goroutines, each summing its
+// pairs' masks into a private partial that is then added in — the
+// result is the same bytes for any split.
+func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, cohort []uint32, round uint64) {
+	workers, peers := 1, len(cohort)-1
+	if peers*updateSize(payloads) >= fanOutFloor {
+		workers = max(1, min(runtime.GOMAXPROCS(0), peers/peersPerWorker))
+	}
+	applyPairMasksSplit(payloads, workers, width, secret, self, cohort, round)
+}
+
+// updateSize is the ring bytes of one whole update.
+func updateSize(payloads [][]byte) int {
+	size := 0
+	for _, p := range payloads {
+		size += len(p)
+	}
+	return size
+}
+
+// applyPairMasksSplit is applyPairMasks at a given worker count ≥ 1.
+func applyPairMasksSplit(payloads [][]byte, workers, width int,
+	secret []byte, self uint32, cohort []uint32, round uint64) {
+	// Worker w takes every workers-th cohort member starting at w and
+	// masks into dst.
+	deal := func(w int, dst [][]byte) {
+		for i := w; i < len(cohort); i += workers {
+			if peer := cohort[i]; peer != self {
+				maskPair(dst, width, pairSeed(secret, self, peer), round, self < peer)
 			}
 		}
 	}
+	if workers == 1 {
+		deal(0, payloads)
+		return
+	}
+	// A partial is the whole update as one vector: the pair stream runs
+	// on across variable boundaries, so it needs no per-variable split.
+	size := updateSize(payloads)
+	sums := make([]*[]byte, workers-1)
+	var wg sync.WaitGroup
+	for w := range sums {
+		sum, _ := partials.Get().(*[]byte)
+		if sum == nil || cap(*sum) < size {
+			fresh := make([]byte, size)
+			sum = &fresh
+		} else {
+			*sum = (*sum)[:size]
+			clear(*sum)
+		}
+		sums[w] = sum
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deal(w+1, [][]byte{*sum})
+		}()
+	}
+	deal(0, payloads)
+	wg.Wait()
+	for _, sum := range sums {
+		off := 0
+		for _, p := range payloads {
+			ring.Add(p, (*sum)[off:off+len(p)], width)
+			off += len(p)
+		}
+		partials.Put(sum)
+	}
+}
+
+// subtractDeadMasks removes from the packed accumulator the uncancelled
+// mask a dead client left in survivor's accepted upload, given the pair
+// seed the survivor revealed. The survivor added the mask if it is the
+// lower id and subtracted it otherwise; this applies the inverse.
+func subtractDeadMasks(acc [][]byte, width int, seed seccrypto.Key, survivor, dead uint32, round uint64) {
+	maskPair(acc, width, seed, round, survivor > dead)
 }

@@ -1,7 +1,11 @@
 package federated
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
+
+	"github.com/securetf/securetf/internal/federated/ring"
 )
 
 func TestPairSeedSymmetric(t *testing.T) {
@@ -19,15 +23,10 @@ func TestPairSeedSymmetric(t *testing.T) {
 
 func TestMaskRoundSeparation(t *testing.T) {
 	seed := pairSeed([]byte("secret"), 0, 1)
-	a := maskWords(maskPRG(seed, 4), 8, 8)
-	b := maskWords(maskPRG(seed, 5), 8, 8)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-	}
-	if same {
+	a, b := make([]byte, 64), make([]byte, 64)
+	maskPRG(seed, 4).Read(a)
+	maskPRG(seed, 5).Read(b)
+	if bytes.Equal(a, b) {
 		t.Fatal("distinct rounds produced identical mask streams")
 	}
 }
@@ -41,40 +40,37 @@ func TestMaskCancellation(t *testing.T) {
 	names := []string{"b", "w"}
 	sizes := map[string]int{"b": 3, "w": 17}
 	for _, width := range []int{2, 8} {
-		raw := make(map[uint32]map[string][]uint64)
-		masked := make(map[uint32]map[string][]uint64)
+		// Packed payloads per client, in names order.
+		raw := make(map[uint32][][]byte)
+		masked := make(map[uint32][][]byte)
 		for ci, id := range cohort {
-			raw[id] = make(map[string][]uint64)
-			masked[id] = make(map[string][]uint64)
 			for _, name := range names {
 				words := make([]uint64, sizes[name])
 				for i := range words {
 					words[i] = uint64(int64((ci+1)*(i+3)) * 7)
 				}
-				raw[id][name] = words
-				masked[id][name] = append([]uint64(nil), words...)
+				raw[id] = append(raw[id], packWords(width, words))
+				masked[id] = append(masked[id], packWords(width, words))
 			}
-			applyPairMasks(masked[id], names, width, secret, id, cohort, 9)
+			applyPairMasks(masked[id], width, secret, id, cohort, 9)
 		}
 		for _, id := range cohort {
 			blinded := false
-			for _, name := range names {
-				for i := range raw[id][name] {
-					if ringFor(width, masked[id][name][i]) != ringFor(width, raw[id][name][i]) {
-						blinded = true
-					}
+			for n := range names {
+				if !bytes.Equal(masked[id][n], raw[id][n]) {
+					blinded = true
 				}
 			}
 			if !blinded {
 				t.Fatalf("width %d: client %d's masked words equal its raw words", width, id)
 			}
 		}
-		for _, name := range names {
+		for n, name := range names {
 			for i := 0; i < sizes[name]; i++ {
 				var rawSum, maskedSum uint64
 				for _, id := range cohort {
-					rawSum += raw[id][name][i]
-					maskedSum += masked[id][name][i]
+					rawSum += wordAt(raw[id][n], width, i)
+					maskedSum += wordAt(masked[id][n], width, i)
 				}
 				if ringFor(width, rawSum) != ringFor(width, maskedSum) {
 					t.Fatalf("width %d: masks did not cancel at %s[%d]: %#x vs %#x",
@@ -92,26 +88,25 @@ func TestDropoutRecovery(t *testing.T) {
 	secret := []byte("cohort secret")
 	cohort := []uint32{1, 4, 6, 9}
 	dead := []uint32{4, 9}
-	names := []string{"w"}
 	const n = 12
 	const round = 3
 	for _, width := range []int{2, 8} {
-		acc := map[string][]uint64{"w": make([]uint64, n)}
+		acc := [][]byte{make([]byte, n*width)}
 		want := make([]uint64, n)
 		for ci, id := range cohort {
 			words := make([]uint64, n)
 			for i := range words {
 				words[i] = uint64(int64(ci*100 + i))
 			}
-			masked := map[string][]uint64{"w": append([]uint64(nil), words...)}
-			applyPairMasks(masked, names, width, secret, id, cohort, round)
+			masked := [][]byte{packWords(width, words)}
+			applyPairMasks(masked, width, secret, id, cohort, round)
 			if id == dead[0] || id == dead[1] {
 				continue // dropped before upload
 			}
 			for i := range want {
 				want[i] += words[i]
-				acc["w"][i] += masked["w"][i]
 			}
+			ring.Add(acc[0], masked[0], width)
 		}
 		// Each survivor reveals its pair seed with each dead client.
 		for _, id := range cohort {
@@ -119,12 +114,12 @@ func TestDropoutRecovery(t *testing.T) {
 				continue
 			}
 			for _, d := range dead {
-				subtractDeadMasks(acc, names, width, pairSeed(secret, id, d), id, d, round)
+				subtractDeadMasks(acc, width, pairSeed(secret, id, d), id, d, round)
 			}
 		}
 		for i := range want {
-			if ringFor(width, acc["w"][i]) != ringFor(width, want[i]) {
-				t.Fatalf("width %d: recovered sum at [%d] is %#x, want %#x", width, i, acc["w"][i], want[i])
+			if wordAt(acc[0], width, i) != ringFor(width, want[i]) {
+				t.Fatalf("width %d: recovered sum at [%d] is %#x, want %#x", width, i, wordAt(acc[0], width, i), want[i])
 			}
 		}
 	}
@@ -135,4 +130,43 @@ func ringFor(width int, w uint64) uint64 {
 		return w & 0xffff
 	}
 	return w
+}
+
+// TestMaskFanOutInvariant: an upload masked by 1, 2 or 7 goroutines — and
+// by whatever applyPairMasks picks on this machine — is the same bytes,
+// at a size (the MNIST MLP against a 20-member cohort) where the
+// production path does fan out, with self in the middle of the cohort so
+// both mask signs occur, and under both ring widths.
+func TestMaskFanOutInvariant(t *testing.T) {
+	cohort := cohortOf(20)
+	const self, round = 11, 4
+	for _, width := range []int{2, 8} {
+		fresh := func() [][]byte {
+			payloads := mlpUpdate(width)
+			for n, p := range payloads {
+				for i := range p {
+					p[i] = byte(i*7 + n)
+				}
+			}
+			return payloads
+		}
+		want := fresh()
+		applyPairMasksSplit(want, 1, width, testSecret, self, cohort, round)
+		check := func(label string, got [][]byte) {
+			t.Helper()
+			for n := range want {
+				if !bytes.Equal(got[n], want[n]) {
+					t.Fatalf("width %d, %s: variable %d differs from the serial masking", width, label, n)
+				}
+			}
+		}
+		for _, workers := range []int{2, 7} {
+			got := fresh()
+			applyPairMasksSplit(got, workers, width, testSecret, self, cohort, round)
+			check(fmt.Sprintf("%d workers", workers), got)
+		}
+		got := fresh()
+		applyPairMasks(got, width, testSecret, self, cohort, round)
+		check("applyPairMasks", got)
+	}
 }

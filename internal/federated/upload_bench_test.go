@@ -1,0 +1,91 @@
+package federated
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// mlpUpdate returns zeroed packed payloads shaped like one client's
+// update of the MNIST MLP (b1, b2, w1, w2 in sorted manifest order:
+// 101 770 coordinates).
+func mlpUpdate(width int) [][]byte {
+	var payloads [][]byte
+	for _, coords := range []int{128, 10, 784 * 128, 128 * 10} {
+		payloads = append(payloads, make([]byte, coords*width))
+	}
+	return payloads
+}
+
+func cohortOf(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
+// BenchmarkMaskUpload is the fed-round workload's inner loop in
+// isolation: one client of a 64-member cohort blinding its MNIST-MLP
+// update with 63 pair streams. MB/s is key-stream throughput, so int8
+// and none are comparable and AES-CTR alone (BenchmarkRing/KeyStreamOnly)
+// is the ceiling. This is the reference a sparser pairing graph is
+// measured against.
+func BenchmarkMaskUpload(b *testing.B) {
+	cohort := cohortOf(64)
+	for _, codec := range []Codec{Int8Compression(), NoCompression()} {
+		b.Run(codec.String(), func(b *testing.B) {
+			payloads := mlpUpdate(codec.width())
+			b.SetBytes(int64((len(cohort) - 1) * updateSize(payloads)))
+			b.ReportAllocs()
+			for b.Loop() {
+				applyPairMasks(payloads, codec.width(), testSecret, 17, cohort, 1)
+			}
+		})
+	}
+}
+
+// TestMaskUploadAllocation holds the allocator to what the packed data
+// path promises: masking an upload materialises no vectors. All it
+// allocates is each pair's key schedule (two HKDFs, an AES key
+// expansion, a CTR stream: ≈3.3 KB a peer), so the bytes allocated do not
+// depend on the size of the model at all, and a 64-member cohort costs
+// about 0.2 MB — where 63 widened mask vectors and their byte buffers
+// used to cost 64 MB.
+func TestMaskUploadAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	// The fan-out's partial sums come from a sync.Pool, which a garbage
+	// collection empties; hold the collector off so that what is counted
+	// is what masking allocates, not when the pool was last drained.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perUpload := func(members, width int) float64 {
+		payloads := mlpUpdate(width)
+		cohort := cohortOf(members)
+		mask := func() { applyPairMasks(payloads, width, testSecret, 3, cohort, 1) }
+		mask() // the fan-out's partial sums are pooled: warm the pool
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			mask()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	few, many, manyWide := perUpload(8, 2), perUpload(64, 2), perUpload(64, 8)
+	wideRing := updateSize(mlpUpdate(8))
+	t.Logf("bytes allocated per masked upload: %.0f with 7 peers, %.0f with 63, %.0f with 63 in the 64-bit ring (one such model: %d)",
+		few, many, manyWide, wideRing)
+	if perPeer := (many - few) / 56; perPeer > 4<<10 {
+		t.Errorf("each extra peer costs %.0f allocated bytes: more than a key schedule", perPeer)
+	}
+	if diff := manyWide - many; diff > 16<<10 || diff < -16<<10 {
+		t.Errorf("a model four times the ring bytes moved the allocation from %.0f to %.0f bytes: something model-sized is allocated",
+			many, manyWide)
+	}
+	if manyWide >= float64(wideRing) {
+		t.Errorf("masking against 63 peers allocates %.0f bytes, one model's ring bytes are %d", manyWide, wideRing)
+	}
+}

@@ -55,3 +55,32 @@ func TestWireBytesGolden(t *testing.T) {
 		t.Fatalf("dist wire bytes changed: sha256 %s, want %s", got, golden)
 	}
 }
+
+// TestEncodeSizesItsBufferOnce: encode computes the frame size before it
+// writes, so a message without tensors costs exactly one allocation — the
+// frame — however large its blobs are. Every optional field and both
+// trailing extensions are populated, and the frame is padded to one byte
+// past a whole number of 8 KiB pages, where the allocator rounds a
+// too-small request up to nothing: an undercount of even one byte shows
+// up as a second, regrown buffer.
+func TestEncodeSizesItsBufferOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	m := &message{
+		Kind: msgFedPush, Worker: 3, Round: 9, Err: "an error string",
+		Names:   []string{"fc1/w", "fc1/b"},
+		Grads:   map[string][]byte{"fc1/w": nil, "fc1/b": make([]byte, 300)},
+		Closed:  true,
+		Seed:    7,
+		Clients: []uint32{1, 2, 3, 4, 5},
+		Evicted: true,
+	}
+	m.Grads["fc1/w"] = make([]byte, 8*8192+1-len(m.encode()))
+	if n := len(m.encode()); n != 8*8192+1 {
+		t.Fatalf("padded frame is %d bytes, want %d", n, 8*8192+1)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.encode() }); allocs != 1 {
+		t.Fatalf("encode made %v allocations, want 1 (the frame buffer)", allocs)
+	}
+}
