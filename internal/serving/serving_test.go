@@ -973,6 +973,17 @@ func runGatewayChurn(t *testing.T, cfg Config) *Gateway {
 	if total.ok == 0 {
 		t.Fatal("no request succeeded under churn")
 	}
+	// The clients may have finished before the last version went live;
+	// one request after the churn makes sure it has served something.
+	cl, err := Dial(c, g.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, _, err := cl.Infer("m", 0, probe); err != nil {
+		t.Fatalf("request after the churn: %v", err)
+	}
+	total.ok++
 	// Served() sums the counters of the *registered* versions, and the
 	// churn removed all but the last — so it can only undercount, never
 	// exceed what clients observed.

@@ -135,13 +135,7 @@ type message struct {
 func (m *message) encode() []byte {
 	// Size the buffer once: a 1.6 MB gradient push or a 400 KB federated
 	// snapshot otherwise grows it by doubling, copying everything written
-	// so far a dozen times. Tensors are encoded up front because their
-	// encoded size is the encoder's to know.
-	type encodedVar struct {
-		name string
-		enc  []byte
-	}
-	vars := make([]encodedVar, 0, len(m.Vars))
+	// so far a dozen times.
 	// fixed: every fixed-width field, flag and count below, both trailing
 	// extensions included.
 	const fixed = 1 + 8 + 4 + 8 + 8 + 4 + 4 + 1 + 8 + 1 + 1 + 4 + 4 + 4 + 1 + 8 + 4 + (1 + 8 + 4) + 1
@@ -152,9 +146,7 @@ func (m *message) encode() []byte {
 	// Deterministic iteration is not required on the wire; the decoder
 	// rebuilds the map.
 	for name, t := range m.Vars {
-		enc := tf.EncodeTensor(t)
-		vars = append(vars, encodedVar{name, enc})
-		size += 4 + len(name) + 4 + len(enc)
+		size += 4 + len(name) + 4 + tf.EncodedTensorLen(t)
 	}
 	for name, blob := range m.Grads {
 		size += 4 + len(name) + 4 + len(blob)
@@ -196,11 +188,12 @@ func (m *message) encode() []byte {
 	}
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(m.Vars)))
 	buf.Write(scratch[:4])
-	for _, v := range vars {
-		writeString(&buf, v.name)
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v.enc)))
+	for name, t := range m.Vars {
+		writeString(&buf, name)
+		binary.LittleEndian.PutUint32(scratch[:4], uint32(tf.EncodedTensorLen(t)))
 		buf.Write(scratch[:4])
-		buf.Write(v.enc)
+		// The tensor is encoded in place, in the frame's spare capacity.
+		buf.Write(tf.AppendTensor(buf.AvailableBuffer(), t))
 	}
 	buf.WriteByte(m.Codec)
 	binary.LittleEndian.PutUint64(scratch[:], m.TopK)

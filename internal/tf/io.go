@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -32,28 +33,17 @@ const (
 	attrKindTensor = 6
 )
 
+// writer appends to buf.
 type writer struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
-func (w *writer) u8(v uint8) { w.buf.WriteByte(v) }
-func (w *writer) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w *writer) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
+func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
+func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
-}
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf.Write(b)
+	w.buf = append(w.buf, s...)
 }
 
 type reader struct {
@@ -105,23 +95,35 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// encodeTensorInto writes a tensor without magic (inner encoding).
+// tensorLen is the size of a tensor's inner encoding: dtype, rank,
+// dimensions, element count and four bytes an element.
+func tensorLen(t *Tensor) int {
+	return 1 + 4 + 8*len(t.shape) + 4 + 4*t.NumElements()
+}
+
+// encodeTensorInto writes a tensor without magic (inner encoding). The
+// elements are converted in one pass over a slice sized from the shape,
+// not appended word by word.
 func encodeTensorInto(w *writer, t *Tensor) {
+	w.buf = slices.Grow(w.buf, tensorLen(t))
 	w.u8(uint8(t.dtype))
 	w.u32(uint32(len(t.shape)))
 	for _, d := range t.shape {
 		w.u64(uint64(int64(d)))
 	}
+	n := t.NumElements()
+	w.u32(uint32(n))
+	off := len(w.buf)
+	w.buf = w.buf[:off+4*n]
+	words := w.buf[off:]
 	switch t.dtype {
 	case Int32:
-		w.u32(uint32(len(t.i32)))
-		for _, v := range t.i32 {
-			w.u32(uint32(v))
+		for i, v := range t.i32 {
+			binary.LittleEndian.PutUint32(words[4*i:], uint32(v))
 		}
 	default:
-		w.u32(uint32(len(t.f32)))
-		for _, v := range t.f32 {
-			w.u32(math.Float32bits(v))
+		for i, v := range t.f32 {
+			binary.LittleEndian.PutUint32(words[4*i:], math.Float32bits(v))
 		}
 	}
 }
@@ -162,35 +164,37 @@ func decodeTensorFrom(r *reader) (*Tensor, error) {
 	if int64(n)*4 > int64(r.remaining()) {
 		return nil, fmt.Errorf("tf: tensor of %d elements exceeds remaining payload", n)
 	}
+	words := r.data[r.off : r.off+4*int(n)]
+	r.off += len(words)
 	t := NewTensor(dtype, shape)
 	switch dtype {
 	case Int32:
 		for i := range t.i32 {
-			v, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			t.i32[i] = int32(v)
+			t.i32[i] = int32(binary.LittleEndian.Uint32(words[4*i:]))
 		}
 	default:
 		for i := range t.f32 {
-			v, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			t.f32[i] = math.Float32frombits(v)
+			t.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(words[4*i:]))
 		}
 	}
 	return t, nil
 }
 
+// EncodedTensorLen is the length of EncodeTensor's result.
+func EncodedTensorLen(t *Tensor) int { return len(tensorMagic) + tensorLen(t) }
+
+// AppendTensor appends a tensor's EncodeTensor serialization to dst, for
+// a caller that has sized dst for its whole frame.
+func AppendTensor(dst []byte, t *Tensor) []byte {
+	w := writer{buf: append(dst, tensorMagic...)}
+	encodeTensorInto(&w, t)
+	return w.buf
+}
+
 // EncodeTensor serializes a single tensor (used by the distributed
 // protocol and checkpoints).
 func EncodeTensor(t *Tensor) []byte {
-	var w writer
-	w.buf.Write(tensorMagic)
-	encodeTensorInto(&w, t)
-	return w.buf.Bytes()
+	return AppendTensor(make([]byte, 0, EncodedTensorLen(t)), t)
 }
 
 // DecodeTensor reverses EncodeTensor.
@@ -206,7 +210,7 @@ func DecodeTensor(data []byte) (*Tensor, error) {
 // variable initials — a frozen graph is therefore self-contained.
 func MarshalGraph(g *Graph) ([]byte, error) {
 	var w writer
-	w.buf.Write(graphMagic)
+	w.buf = append(w.buf, graphMagic...)
 	w.u32(uint32(len(g.nodes)))
 	for _, n := range g.nodes {
 		w.str(n.name)
@@ -259,7 +263,7 @@ func MarshalGraph(g *Graph) ([]byte, error) {
 			}
 		}
 	}
-	return w.buf.Bytes(), nil
+	return w.buf, nil
 }
 
 // UnmarshalGraph reverses MarshalGraph.
@@ -390,15 +394,7 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 
 // SaveCheckpoint serializes the session's variable values.
 func SaveCheckpoint(s *Session) []byte {
-	var w writer
-	w.buf.Write(checkpointMagic)
-	names := s.VariableNames()
-	w.u32(uint32(len(names)))
-	for _, name := range names {
-		w.str(name)
-		encodeTensorInto(&w, s.vars[name])
-	}
-	return w.buf.Bytes()
+	return encodeCheckpoint(s.VariableNames(), s.vars)
 }
 
 // EncodeVarCheckpoint serializes a variable map in the SaveCheckpoint
@@ -411,14 +407,24 @@ func EncodeVarCheckpoint(vars map[string]*Tensor) []byte {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var w writer
-	w.buf.Write(checkpointMagic)
+	return encodeCheckpoint(names, vars)
+}
+
+// encodeCheckpoint writes the named variables, in the order given, into
+// a buffer sized once.
+func encodeCheckpoint(names []string, vars map[string]*Tensor) []byte {
+	size := len(checkpointMagic) + 4
+	for _, name := range names {
+		size += 4 + len(name) + tensorLen(vars[name])
+	}
+	w := writer{buf: make([]byte, 0, size)}
+	w.buf = append(w.buf, checkpointMagic...)
 	w.u32(uint32(len(names)))
 	for _, name := range names {
 		w.str(name)
 		encodeTensorInto(&w, vars[name])
 	}
-	return w.buf.Bytes()
+	return w.buf
 }
 
 // DecodeVarCheckpoint parses a SaveCheckpoint/EncodeVarCheckpoint blob

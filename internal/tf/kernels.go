@@ -178,11 +178,7 @@ func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 func transpose2D(t *Tensor) *Tensor {
 	m, n := t.Shape()[0], t.Shape()[1]
 	out := NewTensor(Float32, Shape{n, m})
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.f32[j*m+i] = t.f32[i*n+j]
-		}
-	}
+	kernels.Transpose(out.f32, t.f32, m, n)
 	return out
 }
 

@@ -1,18 +1,49 @@
-// Package kernels is the one forward kernel library under both engines:
-// the tf session (internal/tf) and the Lite interpreter (internal/tflite)
-// run these loops and no others.
+// Package kernels is the one kernel library under both engines: the tf
+// session (internal/tf) runs its forward loops and its convolution
+// gradients, the Lite interpreter (internal/tflite) its forward loops,
+// and neither has others.
 //
-// The kernels are pure: they read and write caller-owned float32 slices
-// in row-major (NHWC) layout, allocate nothing, and know nothing of
-// tensors, devices or clocks. Charging the cost model for the work stays
-// with the engine that called (execCtx.charge, Interpreter.charge), so a
-// kernel change cannot move virtual time.
+// The kernels read and write caller-owned float32 slices in row-major
+// (NHWC) layout and know nothing of tensors, devices or clocks. Charging
+// the cost model for the work stays with the engine that called
+// (execCtx.charge, Interpreter.charge), so a kernel change cannot move
+// virtual time. The convolutions draw their working memory — an im2col
+// tile of fixed size and, for the gradients, the transposed filter —
+// from a process-wide sync.Pool, so once it is warm no call allocates
+// anything, and nothing a call does allocate is sized by the batch;
+// every other kernel allocates nothing at all (MatMulInto a few words
+// when it splits).
 //
-// The summation order of every kernel is fixed — MatMulInto accumulates
-// over k in ascending order for each output row, Conv2DInto over
-// (ky, kx, c) — and does not depend on the thread count, because threads
-// only partition output rows. The golden-pinned training trajectories and
-// interpreter outputs hold as long as a faster kernel keeps that order.
+// The summation order of every output element is fixed and does not
+// depend on the thread count, tile size or pool state, because threads
+// and tiles only partition output rows. The golden-pinned training
+// trajectories and interpreter outputs hold as long as a faster kernel
+// keeps these orders:
+//
+//   - MatMulInto: c[i,j] accumulates a[i,kk]·b[kk,j] over kk ascending;
+//     a zero a[i,kk] is skipped.
+//   - Conv2DInto: dst[r,f] accumulates col[r,kk]·filter[kk,f] over
+//     kk = (ky, kx, c) ascending; a zero col[r,kk], padding or
+//     activation, is skipped.
+//   - Conv2DGradFilterInto: dFilter[kk,f] sums gradOut[r,f]·col[r,kk] over
+//     output rows r = (b, oy, ox) ascending from +0; a zero gradOut[r,f]
+//     is skipped. That is the operand worth skipping: behind MaxPoolGrad
+//     and ReluGrad four fifths of it is zero, against a tenth of the
+//     hidden activations.
+//   - Conv2DGradInputInto: dcol[r,kk] sums gradOut[r,f]·filter[kk,f] over
+//     f ascending from +0, a zero gradOut[r,f] skipped, and dx[i] sums
+//     the dcol[r,kk] gathered from it over r ascending from +0; a row r
+//     whose gradOut is all zero is skipped whole.
+//   - MaxPool, AvgPool: each window in (ky, kx) order; SoftmaxRows and
+//     ArgMaxRows left to right, the first maximum winning.
+//
+// Which operand's zeros are skipped is free to change between versions,
+// on finite operands: an accumulator that starts at +0 can never become
+// -0 (x + -x and +0 + -0 are both +0 under round-to-nearest), so adding
+// a product that is ±0 and skipping it leave the same bits. The two
+// differ only where the other factor is infinite or NaN — 0·Inf is NaN —
+// so a model with non-finite weights or activations is outside the
+// bit-identity contract, though not outside the kernels' domain.
 package kernels
 
 import (
@@ -158,43 +189,6 @@ func newGeom(x []int, kh, kw, f, stride int, same bool) (Geom, error) {
 		g.PadLeft = max(0, (g.OW-1)*stride+kw-g.W) / 2
 	}
 	return g, nil
-}
-
-// Conv2DInto accumulates the convolution of x with filter into the
-// zeroed dst [N,OH,OW,F].
-func Conv2DInto(dst, x, filter []float32, g Geom) {
-	for b := 0; b < g.N; b++ {
-		for oy := 0; oy < g.OH; oy++ {
-			for ox := 0; ox < g.OW; ox++ {
-				outBase := ((b*g.OH+oy)*g.OW + ox) * g.F
-				oRow := dst[outBase : outBase+g.F]
-				for ky := 0; ky < g.KH; ky++ {
-					iy := oy*g.Stride + ky - g.PadTop
-					if iy < 0 || iy >= g.H {
-						continue
-					}
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.Stride + kx - g.PadLeft
-						if ix < 0 || ix >= g.W {
-							continue
-						}
-						inBase := ((b*g.H+iy)*g.W + ix) * g.C
-						fBase := (ky*g.KW + kx) * g.C * g.F
-						for cc := 0; cc < g.C; cc++ {
-							xv := x[inBase+cc]
-							if xv == 0 {
-								continue
-							}
-							fRow := filter[fBase+cc*g.F : fBase+(cc+1)*g.F]
-							for ff, fv := range fRow {
-								oRow[ff] += xv * fv
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // MaxPool writes the window maxima of x into dst [N,OH,OW,C]. A non-nil

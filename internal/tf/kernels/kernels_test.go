@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -108,34 +109,234 @@ func refConv2D(x, filter []float32, g Geom) []float32 {
 	return out
 }
 
-func TestConv2DInto(t *testing.T) {
-	cases := []struct {
-		x, filter []int
-		stride    int
-		same      bool
-		oh, ow    int
-	}{
-		{[]int{2, 8, 8, 3}, []int{3, 3, 3, 4}, 1, true, 8, 8},
-		{[]int{2, 8, 8, 3}, []int{3, 3, 3, 4}, 1, false, 6, 6},
-		{[]int{1, 9, 7, 2}, []int{5, 3, 2, 3}, 2, true, 5, 4},
-		{[]int{1, 9, 7, 2}, []int{5, 3, 2, 3}, 2, false, 3, 3},
-		{[]int{1, 4, 4, 1}, []int{4, 4, 1, 2}, 1, false, 1, 1},
+// refConv2DGradInput and refConv2DGradFilter are the loop nests the tf
+// session ran before the gradients were lowered to GEMM, kept verbatim:
+// the trajectories pinned across the repo were recorded on them.
+func refConv2DGradInput(gradOut, filter []float32, g Geom) []float32 {
+	out := make([]float32, g.N*g.H*g.W*g.C)
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				gBase := ((b*g.OH+oy)*g.OW + ox) * g.F
+				for ky := 0; ky < g.KH; ky++ {
+					iy := oy*g.Stride + ky - g.PadTop
+					if iy < 0 || iy >= g.H {
+						continue
+					}
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ox*g.Stride + kx - g.PadLeft
+						if ix < 0 || ix >= g.W {
+							continue
+						}
+						inBase := ((b*g.H+iy)*g.W + ix) * g.C
+						fBase := (ky*g.KW + kx) * g.C * g.F
+						for cc := 0; cc < g.C; cc++ {
+							fRow := filter[fBase+cc*g.F : fBase+(cc+1)*g.F]
+							var sum float32
+							for ff, fv := range fRow {
+								sum += gradOut[gBase+ff] * fv
+							}
+							out[inBase+cc] += sum
+						}
+					}
+				}
+			}
+		}
 	}
-	rng := rand.New(rand.NewSource(2))
-	for _, tc := range cases {
+	return out
+}
+
+func refConv2DGradFilter(gradOut, x []float32, g Geom) []float32 {
+	out := make([]float32, g.KH*g.KW*g.C*g.F)
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				gBase := ((b*g.OH+oy)*g.OW + ox) * g.F
+				for ky := 0; ky < g.KH; ky++ {
+					iy := oy*g.Stride + ky - g.PadTop
+					if iy < 0 || iy >= g.H {
+						continue
+					}
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ox*g.Stride + kx - g.PadLeft
+						if ix < 0 || ix >= g.W {
+							continue
+						}
+						inBase := ((b*g.H+iy)*g.W + ix) * g.C
+						fBase := (ky*g.KW + kx) * g.C * g.F
+						for cc := 0; cc < g.C; cc++ {
+							xv := x[inBase+cc]
+							if xv == 0 {
+								continue
+							}
+							oRow := out[fBase+cc*g.F : fBase+(cc+1)*g.F]
+							for ff := range oRow {
+								oRow[ff] += xv * gradOut[gBase+ff]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// convCases cover SAME and VALID, strides 1 and 2, non-square inputs and
+// windows, one channel, a row count (392) that is not a multiple of the
+// 81-row tile its K=200 gets, and a K (17500) and an F (20000) larger than
+// the whole tile.
+var convCases = []struct {
+	x, filter []int
+	stride    int
+	same      bool
+	oh, ow    int
+}{
+	{[]int{2, 8, 8, 3}, []int{3, 3, 3, 4}, 1, true, 8, 8},
+	{[]int{2, 8, 8, 3}, []int{3, 3, 3, 4}, 1, false, 6, 6},
+	{[]int{1, 9, 7, 2}, []int{5, 3, 2, 3}, 2, true, 5, 4},
+	{[]int{1, 9, 7, 2}, []int{5, 3, 2, 3}, 2, false, 3, 3},
+	{[]int{1, 4, 4, 1}, []int{4, 4, 1, 2}, 1, false, 1, 1},
+	{[]int{3, 12, 10, 1}, []int{5, 5, 1, 8}, 1, true, 12, 10},
+	{[]int{2, 14, 14, 8}, []int{5, 5, 8, 16}, 1, true, 14, 14},
+	{[]int{1, 6, 5, 700}, []int{5, 5, 700, 2}, 1, true, 6, 5},
+	{[]int{1, 7, 7, 700}, []int{5, 5, 700, 2}, 2, false, 2, 2},
+	{[]int{1, 3, 2, 1}, []int{1, 1, 1, 20000}, 1, true, 3, 2},
+}
+
+// sparseFloats returns n normal values of which the given share are
+// zeros, every other zero a negative one.
+func sparseFloats(rng *rand.Rand, n int, zeroShare float64) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		switch {
+		case rng.Float64() >= zeroShare:
+			out[i] = float32(rng.NormFloat64())
+		case i%2 == 1:
+			out[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	return out
+}
+
+// forEachConvCase runs f on every convCases geometry, once with dense x
+// and filter and once with a fifth of each zeros of either sign.
+func forEachConvCase(t *testing.T, seed int64, f func(name string, g Geom, x, filter []float32, rng *rand.Rand)) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, tc := range convCases {
 		g, err := ConvGeom(tc.x, tc.filter, tc.stride, tc.same)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := fmt.Sprintf("conv %v*%v stride %d same=%v", tc.x, tc.filter, tc.stride, tc.same)
 		if g.OH != tc.oh || g.OW != tc.ow {
-			t.Fatalf("conv %v*%v stride %d same=%v: output %dx%d, want %dx%d", tc.x, tc.filter, tc.stride, tc.same, g.OH, g.OW, tc.oh, tc.ow)
+			t.Fatalf("%s: output %dx%d, want %dx%d", name, g.OH, g.OW, tc.oh, tc.ow)
 		}
-		x := randFloats(rng, g.N*g.H*g.W*g.C)
-		filter := randFloats(rng, g.KH*g.KW*g.C*g.F)
+		for _, zeros := range []float64{0, 0.2} {
+			x := sparseFloats(rng, g.N*g.H*g.W*g.C, zeros)
+			filter := sparseFloats(rng, g.KH*g.KW*g.C*g.F, zeros)
+			f(fmt.Sprintf("%s, %.0f%% zero x", name, 100*zeros), g, x, filter, rng)
+		}
+	}
+}
+
+func TestConv2DInto(t *testing.T) {
+	forEachConvCase(t, 2, func(name string, g Geom, x, filter []float32, rng *rand.Rand) {
 		got := make([]float32, g.N*g.OH*g.OW*g.F)
 		Conv2DInto(got, x, filter, g)
-		bitEqual(t, fmt.Sprintf("conv %v*%v stride %d same=%v", tc.x, tc.filter, tc.stride, tc.same), got, refConv2D(x, filter, g))
+		bitEqual(t, name, got, refConv2D(x, filter, g))
+	})
+}
+
+// TestConv2DGradientsMatchTheNests: the two GEMM-lowered gradients are
+// bit-equal to the loop nests they replaced — on dense gradients, on
+// gradients as sparse as the ones MaxPoolGrad and ReluGrad hand back, on
+// gradients with whole rows of zeros, and with zeros of either sign in
+// every operand.
+func TestConv2DGradientsMatchTheNests(t *testing.T) {
+	forEachConvCase(t, 8, func(name string, g Geom, x, filter []float32, rng *rand.Rand) {
+		rows := g.N * g.OH * g.OW
+		for _, zeros := range []float64{0, 0.8, 1} {
+			grad := sparseFloats(rng, rows*g.F, zeros)
+			if zeros == 1 {
+				// Every other row all zero, the rest dense.
+				for r := 0; r < rows; r += 2 {
+					copy(grad[r*g.F:(r+1)*g.F], sparseFloats(rng, g.F, 0))
+				}
+			}
+			what := fmt.Sprintf("%s, %.0f%% zero gradient", name, 100*zeros)
+
+			dFilter := sparseFloats(rng, len(filter), 0) // overwritten, not accumulated into
+			Conv2DGradFilterInto(dFilter, grad, x, g)
+			bitEqual(t, what+": filter gradient", dFilter, refConv2DGradFilter(grad, x, g))
+
+			dx := make([]float32, len(x))
+			Conv2DGradInputInto(dx, grad, filter, g)
+			bitEqual(t, what+": input gradient", dx, refConv2DGradInput(grad, filter, g))
+		}
+	})
+}
+
+// convWorkload is the CNN's second convolution at a small batch, with a
+// gradient as sparse as training's.
+func convWorkload(rng *rand.Rand, batch int) (g Geom, x, filter, grad []float32) {
+	g, err := ConvGeom([]int{batch, 14, 14, 8}, []int{5, 5, 8, 16}, 1, true)
+	if err != nil {
+		panic(err)
 	}
+	x = sparseFloats(rng, g.N*g.H*g.W*g.C, 0.1)
+	filter = sparseFloats(rng, g.KH*g.KW*g.C*g.F, 0)
+	grad = sparseFloats(rng, g.N*g.OH*g.OW*g.F, 0.8)
+	return g, x, filter, grad
+}
+
+// TestConvKernelsDoNotAllocate: tile, transposed filter and transposed
+// gradient all come from the pool, so once it is warm a call allocates
+// nothing, whatever the batch.
+func TestConvKernelsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	g, x, filter, grad := convWorkload(rand.New(rand.NewSource(6)), 4)
+	out, dx, dFilter := make([]float32, len(grad)), make([]float32, len(x)), make([]float32, len(filter))
+	run := func() {
+		Conv2DInto(out, x, filter, g)
+		Conv2DGradFilterInto(dFilter, grad, x, g)
+		Conv2DGradInputInto(dx, grad, filter, g)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("a warmed-up forward, filter-gradient and input-gradient call made %v allocations, want 0", allocs)
+	}
+}
+
+// TestConvKernelsConcurrently: both training workers and every Lite
+// replica of a process draw scratch from the one pool. Run under -race.
+func TestConvKernelsConcurrently(t *testing.T) {
+	g, x, filter, grad := convWorkload(rand.New(rand.NewSource(7)), 2)
+	wantOut, wantDF, wantDX := refConv2D(x, filter, g), refConv2DGradFilter(grad, x, g), refConv2DGradInput(grad, filter, g)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				out, dx, dFilter := make([]float32, len(grad)), make([]float32, len(x)), make([]float32, len(filter))
+				Conv2DInto(out, x, filter, g)
+				Conv2DGradFilterInto(dFilter, grad, x, g)
+				Conv2DGradInputInto(dx, grad, filter, g)
+				for _, c := range []struct{ got, want []float32 }{{out, wantOut}, {dFilter, wantDF}, {dx, wantDX}} {
+					for j := range c.want {
+						if math.Float32bits(c.got[j]) != math.Float32bits(c.want[j]) {
+							t.Errorf("worker %d: element %d = %v, want %v", w, j, c.got[j], c.want[j])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // refPool returns the max pool, its argmax and the average pool of x,
@@ -355,21 +556,37 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("matmul/train-sync/m50_k784_n512", matmul(50, 784, 512, 1))
 	b.Run("matmul/train-sync/m50_k784_n512_t4", matmul(50, 784, 512, 4))
 
-	// train-sync: the CNN's second convolution and the pool after it.
-	b.Run("conv2d/train-sync/50x14x14x8_k5_f16_same", func(b *testing.B) {
-		g, err := ConvGeom([]int{50, 14, 14, 8}, []int{5, 5, 8, 16}, 1, true)
+	// train-sync: the CNN's two convolutions and both gradients of each.
+	// The first reads digit images, three quarters background zeros; the
+	// second reads activations a tenth zero; the output gradient is four
+	// fifths zero, which is what MaxPoolGrad and ReluGrad hand back.
+	for _, l := range []struct {
+		name      string
+		x, filter []int
+		xZeros    float64
+	}{
+		{"50x28x28x1_k5_f8_same", []int{50, 28, 28, 1}, []int{5, 5, 1, 8}, 0.75},
+		{"50x14x14x8_k5_f16_same", []int{50, 14, 14, 8}, []int{5, 5, 8, 16}, 0.1},
+	} {
+		g, err := ConvGeom(l.x, l.filter, 1, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		x, f := randFloats(rng, g.N*g.H*g.W*g.C), randFloats(rng, g.KH*g.KW*g.C*g.F)
-		out := make([]float32, g.N*g.OH*g.OW*g.F)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			clear(out)
-			Conv2DInto(out, x, f, g)
+		x, f := sparseFloats(rng, g.N*g.H*g.W*g.C, l.xZeros), sparseFloats(rng, g.KH*g.KW*g.C*g.F, 0)
+		grad := sparseFloats(rng, g.N*g.OH*g.OW*g.F, 0.8)
+		out, dx, df := make([]float32, len(grad)), make([]float32, len(x)), make([]float32, len(f))
+		conv := func(run func()) func(*testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			}
 		}
-	})
+		b.Run("conv2d/train-sync/"+l.name, conv(func() { clear(out); Conv2DInto(out, x, f, g) }))
+		b.Run("conv2d_grad_filter/train-sync/"+l.name, conv(func() { Conv2DGradFilterInto(df, grad, x, g) }))
+		b.Run("conv2d_grad_input/train-sync/"+l.name, conv(func() { clear(dx); Conv2DGradInputInto(dx, grad, f, g) }))
+	}
 	b.Run("maxpool/train-sync/50x14x14x16_k2", func(b *testing.B) {
 		g, err := PoolGeom([]int{50, 14, 14, 16}, 2, 2)
 		if err != nil {

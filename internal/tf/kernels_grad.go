@@ -47,8 +47,10 @@ func kernelBiasAddGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	s := gradOut.Shape()
 	c := s[len(s)-1]
 	out := NewTensor(Float32, Shape{c})
-	for i, v := range gradOut.f32 {
-		out.f32[i%c] += v
+	for base := 0; base < len(gradOut.f32); base += c {
+		for j, v := range gradOut.f32[base : base+c] {
+			out.f32[j] += v
+		}
 	}
 	ctx.charge(n, int64(len(gradOut.f32)), gradOut.Bytes(), true)
 	return out, nil
@@ -99,86 +101,36 @@ func kernelAvgPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	return out, nil
 }
 
+// conv2DGradGeom is conv2DGeom for the gradient kernels, which also index
+// the gradient of the convolution's output.
+func conv2DGradGeom(gradOut, x, filter *Tensor, n *Node) (kernels.Geom, error) {
+	geo, err := conv2DGeom(x, filter, n)
+	if err == nil && gradOut.NumElements() != geo.N*geo.OH*geo.OW*geo.F {
+		err = fmt.Errorf("tf: %s: output gradient %v of a %dx%dx%dx%d convolution", n.op, gradOut.Shape(), geo.N, geo.OH, geo.OW, geo.F)
+	}
+	return geo, err
+}
+
 func kernelConv2DGradInput(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x, filter := in[0], in[1], in[2]
-	geo, err := conv2DGeom(x, filter, n)
+	geo, err := conv2DGradGeom(gradOut, x, filter, n)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTensor(Float32, x.Shape())
-	gd, fd, od := gradOut.f32, filter.f32, out.f32
-	for b := 0; b < geo.N; b++ {
-		for oy := 0; oy < geo.OH; oy++ {
-			for ox := 0; ox < geo.OW; ox++ {
-				gBase := ((b*geo.OH+oy)*geo.OW + ox) * geo.F
-				for ky := 0; ky < geo.KH; ky++ {
-					iy := oy*geo.Stride + ky - geo.PadTop
-					if iy < 0 || iy >= geo.H {
-						continue
-					}
-					for kx := 0; kx < geo.KW; kx++ {
-						ix := ox*geo.Stride + kx - geo.PadLeft
-						if ix < 0 || ix >= geo.W {
-							continue
-						}
-						inBase := ((b*geo.H+iy)*geo.W + ix) * geo.C
-						fBase := (ky*geo.KW + kx) * geo.C * geo.F
-						for cc := 0; cc < geo.C; cc++ {
-							fRow := fd[fBase+cc*geo.F : fBase+(cc+1)*geo.F]
-							var sum float32
-							for ff, fv := range fRow {
-								sum += gd[gBase+ff] * fv
-							}
-							od[inBase+cc] += sum
-						}
-					}
-				}
-			}
-		}
-	}
+	kernels.Conv2DGradInputInto(out.f32, gradOut.f32, filter.f32, geo)
 	ctx.charge(n, geo.ConvFLOPs(), gradOut.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
 func kernelConv2DGradFilter(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x, filter := in[0], in[1], in[2]
-	geo, err := conv2DGeom(x, filter, n)
+	geo, err := conv2DGradGeom(gradOut, x, filter, n)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTensor(Float32, filter.Shape())
-	gd, xd, od := gradOut.f32, x.f32, out.f32
-	for b := 0; b < geo.N; b++ {
-		for oy := 0; oy < geo.OH; oy++ {
-			for ox := 0; ox < geo.OW; ox++ {
-				gBase := ((b*geo.OH+oy)*geo.OW + ox) * geo.F
-				for ky := 0; ky < geo.KH; ky++ {
-					iy := oy*geo.Stride + ky - geo.PadTop
-					if iy < 0 || iy >= geo.H {
-						continue
-					}
-					for kx := 0; kx < geo.KW; kx++ {
-						ix := ox*geo.Stride + kx - geo.PadLeft
-						if ix < 0 || ix >= geo.W {
-							continue
-						}
-						inBase := ((b*geo.H+iy)*geo.W + ix) * geo.C
-						fBase := (ky*geo.KW + kx) * geo.C * geo.F
-						for cc := 0; cc < geo.C; cc++ {
-							xv := xd[inBase+cc]
-							if xv == 0 {
-								continue
-							}
-							oRow := od[fBase+cc*geo.F : fBase+(cc+1)*geo.F]
-							for ff := range oRow {
-								oRow[ff] += xv * gd[gBase+ff]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	kernels.Conv2DGradFilterInto(out.f32, gradOut.f32, x.f32, geo)
 	ctx.charge(n, geo.ConvFLOPs(), gradOut.Bytes()+x.Bytes()+out.Bytes(), false)
 	return out, nil
 }

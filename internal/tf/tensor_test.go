@@ -1,6 +1,7 @@
 package tf
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,58 @@ func TestDecodeTensorRejectsGarbage(t *testing.T) {
 	if _, err := DecodeTensor(raw); err == nil {
 		t.Fatal("bad dtype accepted")
 	}
+}
+
+// FuzzTensorDecode: arbitrary bytes either fail to decode or decode to a
+// tensor whose encoding is, byte for byte, the prefix of the input it was
+// read from — and no shorter prefix decodes, since the decoder slices
+// the element words out of the payload instead of reading them one by
+// one.
+func FuzzTensorDecode(f *testing.F) {
+	ints, _ := FromInts(Shape{2, 3}, []int32{1, -2, 3, -4, 5, -6})
+	for _, t := range []*Tensor{Scalar(1), RandNormal(Shape{3, 5}, 1, 7), ints, NewTensor(Float32, Shape{0, 4})} {
+		enc := EncodeTensor(t)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc, 0xff))
+	}
+	f.Add([]byte("STFT1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeTensor(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeTensor(got)
+		if len(enc) != EncodedTensorLen(got) || len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("decoded %v %v re-encodes to %d bytes that are not the input's first %d", got.DType(), got.Shape(), len(enc), len(enc))
+		}
+		if _, err := DecodeTensor(data[:len(enc)-1]); err == nil {
+			t.Fatalf("a %d-byte tensor decoded from its first %d bytes", len(enc), len(enc)-1)
+		}
+	})
+}
+
+// BenchmarkTensorCodec times the tensor codec at train-sync's largest
+// variable, fc1/w: 784x512 floats, 1.6 MB on the wire.
+func BenchmarkTensorCodec(b *testing.B) {
+	w := RandNormal(Shape{784, 512}, 1, 8)
+	enc := EncodeTensor(w)
+	b.Run("encode/784x512", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc = EncodeTensor(w)
+		}
+	})
+	b.Run("decode/784x512", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeTensor(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestSliceRows(t *testing.T) {
