@@ -357,7 +357,12 @@
 // Every server in the module — CAS, IAS simulator, parameter server,
 // federated coordinator, gateway, router — runs on internal/wire, which
 // holds the one frame codec and is the only place a listener is
-// accepted on.
+// accepted on. Inside a frame, and inside a model, graph or checkpoint
+// file, every format is read and written through the same package's
+// record Reader and Writer; the conventions (little-endian, u32 length
+// prefixes, counts held against the remaining payload before they size
+// anything, byte slices that alias the frame) are in its package
+// comment.
 // wire.Serve keeps accepting through Accept errors (a peer that fails a
 // shielded listener's TLS handshake costs a 1 ms back-off, not the
 // server), and its Close stops accepting, closes every live connection

@@ -6,6 +6,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // DecodeNaive honours the frame's length hint without checking it: a
@@ -49,4 +51,15 @@ func DecodeHeader(frame []byte) []byte {
 	n := int(frame[0]) + 2
 	//securetf:allow wirealloc n is one header byte plus framing, bounded by 257
 	return make([]byte, n)
+}
+
+// DecodeRecords reads two tables through the record reader: a U32 is
+// still the peer's number, a Count has been held against the remaining
+// payload.
+func DecodeRecords(frame []byte) ([]uint64, []uint64) {
+	r := wire.NewReader(frame)
+	n := r.U32()
+	hinted := make([]uint64, n) // want "make sized by \"n\""
+	count := r.Count(8)
+	return hinted, make([]uint64, count)
 }

@@ -9,18 +9,21 @@ import (
 
 // WireAlloc reports allocations sized by attacker-controlled wire
 // bytes. In the decoder packages (dist codec/protocol/checkpoint,
-// federated mask/codec, serving wire, wire frames, cas protocol) an
+// federated mask/codec, serving wire, wire frames and records, cas
+// protocol, the tf graph/tensor/checkpoint and tflite model loaders) an
 // integer decoded from a frame — a binary.LittleEndian.Uint32, a
-// readUint helper result, a byte plucked out of the payload — is an
+// wire.Reader.U32, a byte plucked out of the payload — is an
 // allocation hint the peer chose. Passing it to make(), or letting it
 // bound an append loop, without first comparing it against a limit
 // lets a 4-byte header demand gigabytes.
 //
 // The check is a per-function taint pass: values produced by binary
-// reads and read* helpers are tainted; arithmetic over tainted values
-// stays tainted; appearing in an if-statement comparison sanitizes a
-// variable (the decoders' `if n > uint64(r.Len())`-style guards).
-// Tainted make() sizes and tainted for-append bounds are flagged.
+// reads, the record reader's fixed-width reads and read* helpers are
+// tainted; arithmetic over tainted values stays tainted; appearing in
+// an if-statement comparison sanitizes a variable (the
+// `if n > uint64(r.Len())`-style guards). wire.Reader.Count has made
+// that comparison already, so its result is clean. Tainted make()
+// sizes and tainted for-append bounds are flagged.
 var WireAlloc = &Analyzer{
 	Name: "wirealloc",
 	Doc: `no attacker-sized allocations in wire decoders
@@ -35,7 +38,7 @@ error, not an allocation hint to honour.`,
 var readHelperName = regexp.MustCompile(`(?i)^read`)
 
 func runWireAlloc(pass *Pass) error {
-	if !inScope(pass.Pkg.Path(), "dist", "federated", "serving", "core", "cas", "wire") {
+	if !inScope(pass.Pkg.Path(), "dist", "federated", "serving", "core", "cas", "wire", "tf", "tflite") {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -370,20 +373,43 @@ func (w *wireAllocWalker) isWireRead(call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	if !readHelperName.MatchString(fn.Name()) {
-		return false
-	}
-	// A read helper taints only integer results (readString does not).
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false
 	}
+	if isWireReader(sig.Recv()) {
+		// The fixed-width reads hand back what the peer wrote; Count and
+		// Ints have already held it against the remaining payload.
+		switch fn.Name() {
+		case "U8", "U16", "U32", "U64":
+			return true
+		}
+		return false
+	}
+	if !readHelperName.MatchString(fn.Name()) {
+		return false
+	}
+	// A read helper taints only integer results (readString does not).
 	for i := 0; i < sig.Results().Len(); i++ {
 		if isInteger(sig.Results().At(i).Type()) {
 			return true
 		}
 	}
 	return false
+}
+
+// isWireReader reports whether recv is the receiver of a method of
+// internal/wire's record Reader.
+func isWireReader(recv *types.Var) bool {
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Reader" && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "wire"
 }
 
 func (w *wireAllocWalker) objOf(id *ast.Ident) *types.Var {

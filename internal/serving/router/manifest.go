@@ -23,8 +23,6 @@
 package router
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -99,83 +97,71 @@ func (m Manifest) HasGraph(graph string) bool {
 	return false
 }
 
-// appendString appends a u16-length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
+// Handshake frames carry u16-prefixed strings (wire.Str16) in
+// u16-counted lists; a name is at least its two-byte prefix.
+
+func encodeNames(w *wire.Writer, names []string) {
+	w.U16(uint16(len(names)))
+	for _, s := range names {
+		w.Str16(s)
+	}
 }
 
-// readString consumes a u16-length-prefixed string.
-func readString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("router: truncated string header")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, fmt.Errorf("router: truncated string body")
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-// appendStrings appends a u16 count followed by the strings.
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
-
-// readStrings consumes a u16-counted string list.
-func readStrings(b []byte) ([]string, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, fmt.Errorf("router: truncated list header")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
+// decodeNames reads a list of at most maxHandshakeNames names.
+func decodeNames(r *wire.Reader) ([]string, error) {
+	n := r.Count16(2)
 	if n > maxHandshakeNames {
-		return nil, nil, fmt.Errorf("router: list of %d names exceeds the %d bound", n, maxHandshakeNames)
+		return nil, fmt.Errorf("router: list of %d names exceeds the %d bound", n, maxHandshakeNames)
 	}
-	var (
-		ss  []string
-		s   string
-		err error
-	)
+	var names []string
 	for i := 0; i < n; i++ {
-		if s, b, err = readString(b); err != nil {
-			return nil, nil, err
-		}
-		ss = append(ss, s)
+		names = append(names, r.Str16())
 	}
-	return ss, b, nil
+	return names, nil
+}
+
+// handshakeHeader starts a handshake frame.
+func handshakeHeader() wire.Writer {
+	return wire.Writer{Buf: []byte{helloMagic, handshakeVersion}}
+}
+
+// openHandshake starts reading a handshake frame, reporting
+// whether it opens with the magic and version.
+func openHandshake(b []byte) (*wire.Reader, bool) {
+	r := wire.NewReader(b)
+	return r, r.U8() == helloMagic && r.U8() == handshakeVersion
 }
 
 // encode serializes the manifest canonically: nodes in placement order,
 // each node's models sorted, graph names sorted — the byte string the
 // signature covers, identical for identical placements.
 func (m Manifest) encode() []byte {
-	b := []byte{helloMagic, handshakeVersion}
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Nodes)))
+	w := handshakeHeader()
+	w.U16(uint16(len(m.Nodes)))
 	for _, n := range m.Nodes {
-		b = appendString(b, n.Name)
-		b = appendString(b, n.Addr)
-		models := append([]string(nil), n.Models...)
-		sort.Strings(models)
-		b = appendStrings(b, models)
+		w.Str16(n.Name)
+		w.Str16(n.Addr)
+		encodeNames(&w, sortedCopy(n.Models))
 	}
-	graphs := append([]string(nil), m.Graphs...)
-	sort.Strings(graphs)
-	return appendStrings(b, graphs)
+	encodeNames(&w, sortedCopy(m.Graphs))
+	return w.Buf
 }
 
-// decodeManifest parses a canonically encoded manifest.
+func sortedCopy(names []string) []string {
+	names = append([]string(nil), names...)
+	sort.Strings(names)
+	return names
+}
+
+// decodeManifest parses a canonically encoded manifest; one whose name
+// lists are not sorted is not canonical and is refused.
 func decodeManifest(b []byte) (Manifest, error) {
-	if len(b) < 4 || b[0] != helloMagic || b[1] != handshakeVersion {
+	r, ok := openHandshake(b)
+	if !ok {
 		return Manifest{}, fmt.Errorf("router: bad manifest header")
 	}
-	nNodes := int(binary.LittleEndian.Uint16(b[2:]))
-	b = b[4:]
+	// A node is at least its two names' prefixes and its list's count.
+	nNodes := r.Count16(6)
 	if nNodes > maxHandshakeNames {
 		return Manifest{}, fmt.Errorf("router: manifest with %d nodes exceeds the %d bound", nNodes, maxHandshakeNames)
 	}
@@ -184,23 +170,23 @@ func decodeManifest(b []byte) (Manifest, error) {
 		err error
 	)
 	for i := 0; i < nNodes; i++ {
-		var n NodeInfo
-		if n.Name, b, err = readString(b); err != nil {
+		n := NodeInfo{Name: r.Str16(), Addr: r.Str16()}
+		if n.Models, err = decodeNames(r); err != nil {
 			return Manifest{}, err
 		}
-		if n.Addr, b, err = readString(b); err != nil {
-			return Manifest{}, err
-		}
-		if n.Models, b, err = readStrings(b); err != nil {
-			return Manifest{}, err
+		if !sort.StringsAreSorted(n.Models) {
+			return Manifest{}, fmt.Errorf("router: manifest node %q lists its models unsorted", n.Name)
 		}
 		m.Nodes = append(m.Nodes, n)
 	}
-	if m.Graphs, b, err = readStrings(b); err != nil {
+	if m.Graphs, err = decodeNames(r); err != nil {
 		return Manifest{}, err
 	}
-	if len(b) != 0 {
-		return Manifest{}, fmt.Errorf("router: %d trailing manifest bytes", len(b))
+	if err := r.Done(); err != nil {
+		return Manifest{}, fmt.Errorf("router: manifest: %w", err)
+	}
+	if !sort.StringsAreSorted(m.Graphs) {
+		return Manifest{}, fmt.Errorf("router: manifest lists its graphs unsorted")
 	}
 	return m, nil
 }
@@ -217,10 +203,10 @@ func writeHello(w io.Writer, h hello) error {
 		return fmt.Errorf("router: hello names %d models and %d graphs; bound is %d",
 			len(h.Models), len(h.Graphs), maxHandshakeNames)
 	}
-	b := []byte{helloMagic, handshakeVersion}
-	b = appendStrings(b, h.Models)
-	b = appendStrings(b, h.Graphs)
-	return wire.WriteFrame(w, b)
+	b := handshakeHeader()
+	encodeNames(&b, h.Models)
+	encodeNames(&b, h.Graphs)
+	return wire.WriteFrame(w, b.Buf)
 }
 
 // readHello parses the client hello.
@@ -229,15 +215,19 @@ func readHello(r io.Reader) (hello, error) {
 	if err != nil {
 		return hello{}, err
 	}
-	if len(b) < 2 || b[0] != helloMagic || b[1] != handshakeVersion {
+	p, ok := openHandshake(b)
+	if !ok {
 		return hello{}, fmt.Errorf("router: bad hello header")
 	}
 	var h hello
-	if h.Models, b, err = readStrings(b[2:]); err != nil {
+	if h.Models, err = decodeNames(p); err != nil {
 		return hello{}, err
 	}
-	if h.Graphs, _, err = readStrings(b); err != nil {
+	if h.Graphs, err = decodeNames(p); err != nil {
 		return hello{}, err
+	}
+	if err := p.Done(); err != nil {
+		return hello{}, fmt.Errorf("router: hello: %w", err)
 	}
 	return h, nil
 }
@@ -245,22 +235,21 @@ func readHello(r io.Reader) (hello, error) {
 // writeManifestReply answers a hello: on acceptance the signed manifest,
 // on rejection the refusal reason.
 func writeManifestReply(w io.Writer, key *seccrypto.SigningKey, m Manifest, refusal string) error {
-	b := []byte{helloMagic, handshakeVersion}
+	b := handshakeHeader()
 	if refusal != "" {
-		b = append(b, 0)
-		b = append(b, refusal...)
-		return wire.WriteFrame(w, b)
+		b.U8(0)
+		b.Buf = append(b.Buf, refusal...)
+		return wire.WriteFrame(w, b.Buf)
 	}
 	raw := m.encode()
 	sig, err := key.Sign(raw)
 	if err != nil {
 		return fmt.Errorf("router: sign manifest: %w", err)
 	}
-	b = append(b, 1)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(sig)))
-	b = append(b, sig...)
-	b = append(b, raw...)
-	return wire.WriteFrame(w, b)
+	b.U8(1)
+	b.U16(uint16(len(sig)))
+	b.Buf = append(append(b.Buf, sig...), raw...)
+	return wire.WriteFrame(w, b.Buf)
 }
 
 // readManifestReply parses the router's handshake answer, returning the
@@ -270,25 +259,22 @@ func readManifestReply(r io.Reader) (Manifest, []byte, []byte, error) {
 	if err != nil {
 		return Manifest{}, nil, nil, err
 	}
-	if len(b) < 3 || b[0] != helloMagic || b[1] != handshakeVersion {
+	p, ok := openHandshake(b)
+	accepted := p.U8()
+	if !ok || p.Err() != nil || accepted > 1 {
 		return Manifest{}, nil, nil, fmt.Errorf("router: bad manifest reply header")
 	}
-	if b[2] == 0 {
-		return Manifest{}, nil, nil, fmt.Errorf("%w: %s", ErrManifestMismatch, string(b[3:]))
+	if accepted == 0 {
+		return Manifest{}, nil, nil, fmt.Errorf("%w: %s", ErrManifestMismatch, p.Next(p.Remaining()))
 	}
-	b = b[3:]
-	if len(b) < 2 {
+	sig := p.Next(int(p.U16()))
+	raw := p.Next(p.Remaining())
+	if p.Err() != nil {
 		return Manifest{}, nil, nil, fmt.Errorf("router: truncated manifest signature")
 	}
-	sigLen := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < sigLen {
-		return Manifest{}, nil, nil, fmt.Errorf("router: truncated manifest signature body")
-	}
-	sig, raw := b[:sigLen], b[sigLen:]
 	m, err := decodeManifest(raw)
 	if err != nil {
 		return Manifest{}, nil, nil, err
 	}
-	return m, bytes.Clone(raw), bytes.Clone(sig), nil
+	return m, raw, sig, nil
 }

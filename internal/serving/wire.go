@@ -15,7 +15,6 @@
 package serving
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -113,52 +112,54 @@ func WriteRequest(w io.Writer, req WireRequest) error {
 		return fmt.Errorf("serving: negative model version %d", req.Version)
 	}
 	var flags byte
+	size := 1 + 1 + 2 + len(req.Model) + 4
 	if req.Argmax {
 		flags |= flagArgmax
 	}
-	var enc []byte
 	if req.ListModels {
 		flags |= flagModels
 	} else {
-		enc = tf.EncodeTensor(req.Input)
+		size += tf.EncodedTensorLen(req.Input)
 	}
-	payload := make([]byte, 0, 1+1+2+len(req.Model)+4+len(enc))
-	payload = append(payload, protoVersion, flags)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(req.Model)))
-	payload = append(payload, req.Model...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(req.Version))
-	payload = append(payload, enc...)
-	return wire.WriteFrame(w, payload)
+	p := wire.Writer{Buf: make([]byte, 0, size)}
+	p.U8(protoVersion)
+	p.U8(flags)
+	p.Str16(req.Model)
+	p.U32(uint32(req.Version))
+	if !req.ListModels {
+		p.Buf = tf.AppendTensor(p.Buf, req.Input)
+	}
+	return wire.WriteFrame(w, p.Buf)
 }
 
-// ReadRequest reads and decodes a request frame.
+// ReadRequest reads and decodes a request frame. A request that decodes
+// is in the form WriteRequest sends: no unknown flag, and nothing after
+// a ListModels header.
 func ReadRequest(r io.Reader) (WireRequest, error) {
 	payload, err := wire.ReadFrame(r)
 	if err != nil {
 		return WireRequest{}, err
 	}
-	if len(payload) < 1+1+2 || payload[0] != protoVersion {
+	p := wire.NewReader(payload)
+	version, flags := p.U8(), p.U8()
+	req := WireRequest{
+		Model:      p.Str16(),
+		Version:    int(p.U32()),
+		Argmax:     flags&flagArgmax != 0,
+		ListModels: flags&flagModels != 0,
+	}
+	if p.Err() != nil || version != protoVersion || flags&^(flagArgmax|flagModels) != 0 ||
+		(req.Model == "" && !req.ListModels) || len(req.Model) > maxModelName {
 		return WireRequest{}, fmt.Errorf("serving: bad request header")
 	}
-	flags := payload[1]
-	list := flags&flagModels != 0
-	nameLen := int(binary.LittleEndian.Uint16(payload[2:]))
-	rest := payload[4:]
-	if (nameLen == 0 && !list) || nameLen > maxModelName || len(rest) < nameLen+4 {
-		return WireRequest{}, fmt.Errorf("serving: bad request model header")
-	}
-	req := WireRequest{
-		Model:      string(rest[:nameLen]),
-		Version:    int(binary.LittleEndian.Uint32(rest[nameLen:])),
-		Argmax:     flags&flagArgmax != 0,
-		ListModels: list,
-	}
-	if !list {
-		input, err := tf.DecodeTensor(rest[nameLen+4:])
-		if err != nil {
-			return WireRequest{}, fmt.Errorf("serving: decode request tensor: %w", err)
+	if req.ListModels {
+		if err := p.Done(); err != nil {
+			return WireRequest{}, fmt.Errorf("serving: list request: %w", err)
 		}
-		req.Input = input
+		return req, nil
+	}
+	if req.Input, err = tf.DecodeTensor(p.Next(p.Remaining())); err != nil {
+		return WireRequest{}, fmt.Errorf("serving: decode request tensor: %w", err)
 	}
 	return req, nil
 }
@@ -178,18 +179,21 @@ type WireResponse struct {
 
 // WriteResponse encodes and sends a response frame.
 func WriteResponse(w io.Writer, resp WireResponse) error {
-	var body []byte
+	body := len(resp.Message)
 	if resp.Status == StatusOK {
-		body = tf.EncodeTensor(resp.Output)
-	} else {
-		body = []byte(resp.Message)
+		body = tf.EncodedTensorLen(resp.Output)
 	}
-	payload := make([]byte, 0, 1+1+4+8+len(body))
-	payload = append(payload, protoVersion, byte(resp.Status))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(resp.Version))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(resp.ServiceVtime))
-	payload = append(payload, body...)
-	return wire.WriteFrame(w, payload)
+	p := wire.Writer{Buf: make([]byte, 0, 1+1+4+8+body)}
+	p.U8(protoVersion)
+	p.U8(uint8(resp.Status))
+	p.U32(uint32(resp.Version))
+	p.U64(uint64(resp.ServiceVtime))
+	if resp.Status == StatusOK {
+		p.Buf = tf.AppendTensor(p.Buf, resp.Output)
+	} else {
+		p.Buf = append(p.Buf, resp.Message...)
+	}
+	return wire.WriteFrame(w, p.Buf)
 }
 
 // ReadResponse reads and decodes a response frame.
@@ -198,23 +202,23 @@ func ReadResponse(r io.Reader) (WireResponse, error) {
 	if err != nil {
 		return WireResponse{}, err
 	}
-	if len(payload) < 1+1+4+8 || payload[0] != protoVersion {
+	p := wire.NewReader(payload)
+	version := p.U8()
+	resp := WireResponse{
+		Status:       Status(p.U8()),
+		Version:      int(p.U32()),
+		ServiceVtime: time.Duration(p.U64()),
+	}
+	if p.Err() != nil || version != protoVersion {
 		return WireResponse{}, fmt.Errorf("serving: bad response header")
 	}
-	resp := WireResponse{
-		Status:       Status(payload[1]),
-		Version:      int(binary.LittleEndian.Uint32(payload[2:])),
-		ServiceVtime: time.Duration(binary.LittleEndian.Uint64(payload[6:])),
-	}
-	body := payload[14:]
-	if resp.Status == StatusOK {
-		out, err := tf.DecodeTensor(body)
-		if err != nil {
-			return WireResponse{}, fmt.Errorf("serving: decode response tensor: %w", err)
-		}
-		resp.Output = out
-	} else {
+	body := p.Next(p.Remaining())
+	if resp.Status != StatusOK {
 		resp.Message = string(body)
+		return resp, nil
+	}
+	if resp.Output, err = tf.DecodeTensor(body); err != nil {
+		return WireResponse{}, fmt.Errorf("serving: decode response tensor: %w", err)
 	}
 	return resp, nil
 }

@@ -1,13 +1,11 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // ckptMagic prefixes a shard checkpoint: a dist header (shard placement,
@@ -42,21 +40,13 @@ type Checkpoint struct {
 // snapshots and session checkpoints share one tensor encoding.
 func EncodeCheckpoint(c *Checkpoint) []byte {
 	inner := tf.EncodeVarCheckpoint(c.Vars)
-	var buf bytes.Buffer
-	buf.WriteString(ckptMagic)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(c.Shard))
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(c.Shards))
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint64(scratch[:], uint64(c.Rounds))
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint64(scratch[:], c.Gen)
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(inner)))
-	buf.Write(scratch[:4])
-	buf.Write(inner)
-	return buf.Bytes()
+	w := wire.Writer{Buf: []byte(ckptMagic)}
+	w.U32(uint32(c.Shard))
+	w.U32(uint32(c.Shards))
+	w.U64(uint64(c.Rounds))
+	w.U64(c.Gen)
+	w.Bytes(inner)
+	return w.Buf
 }
 
 // DecodeCheckpoint reverses EncodeCheckpoint. The input is untrusted —
@@ -65,43 +55,19 @@ func EncodeCheckpoint(c *Checkpoint) []byte {
 // payload, so a truncated or bit-flipped file errors instead of
 // panicking or over-allocating.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != ckptMagic {
+	r := wire.NewReader(data)
+	if string(r.Next(len(ckptMagic))) != ckptMagic {
 		return nil, errors.New("dist: bad checkpoint magic")
 	}
-	shard, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
-	}
-	shards, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
+	shard, shards, rounds, gen, inner := r.U32(), r.U32(), r.U64(), r.U64(), r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dist: checkpoint: %w", err)
 	}
 	if shards < 1 || shards > maxCkptShards || shard >= shards {
 		return nil, fmt.Errorf("dist: checkpoint places shard %d in a cluster of %d", shard, shards)
 	}
-	rounds, err := readUint(r, 8)
-	if err != nil {
-		return nil, err
-	}
 	if rounds > 1<<31 {
 		return nil, fmt.Errorf("dist: checkpoint claims %d committed rounds", rounds)
-	}
-	gen, err := readUint(r, 8)
-	if err != nil {
-		return nil, err
-	}
-	innerLen, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
-	}
-	if innerLen != uint64(r.Len()) {
-		return nil, fmt.Errorf("dist: checkpoint variable payload of %d bytes, %d remain", innerLen, r.Len())
-	}
-	inner := make([]byte, innerLen)
-	if _, err := io.ReadFull(r, inner); err != nil {
-		return nil, err
 	}
 	vars, err := tf.DecodeVarCheckpoint(inner)
 	if err != nil {

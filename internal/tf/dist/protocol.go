@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -151,60 +149,35 @@ func (m *message) encode() []byte {
 	for name, blob := range m.Grads {
 		size += 4 + len(name) + 4 + len(blob)
 	}
-	var buf bytes.Buffer
-	buf.Grow(size)
-	buf.WriteByte(m.Kind)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(m.Stamp))
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint32(scratch[:4], m.Worker)
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint64(scratch[:], m.Round)
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint64(scratch[:], m.Step)
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint32(scratch[:4], m.Shard)
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint32(scratch[:4], m.Shards)
-	buf.Write(scratch[:4])
-	buf.WriteByte(m.Policy)
-	binary.LittleEndian.PutUint64(scratch[:], uint64(m.Staleness))
-	buf.Write(scratch[:])
-	if m.OK {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	if m.Stale {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	writeString(&buf, m.Err)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(m.Names)))
-	buf.Write(scratch[:4])
+	w := wire.Writer{Buf: make([]byte, 0, size)}
+	w.U8(m.Kind)
+	w.U64(uint64(m.Stamp))
+	w.U32(m.Worker)
+	w.U64(m.Round)
+	w.U64(m.Step)
+	w.U32(m.Shard)
+	w.U32(m.Shards)
+	w.U8(m.Policy)
+	w.U64(uint64(m.Staleness))
+	w.Bool(m.OK)
+	w.Bool(m.Stale)
+	w.Str(m.Err)
+	w.U32(uint32(len(m.Names)))
 	for _, name := range m.Names {
-		writeString(&buf, name)
+		w.Str(name)
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(m.Vars)))
-	buf.Write(scratch[:4])
+	w.U32(uint32(len(m.Vars)))
 	for name, t := range m.Vars {
-		writeString(&buf, name)
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(tf.EncodedTensorLen(t)))
-		buf.Write(scratch[:4])
-		// The tensor is encoded in place, in the frame's spare capacity.
-		buf.Write(tf.AppendTensor(buf.AvailableBuffer(), t))
+		w.Str(name)
+		w.U32(uint32(tf.EncodedTensorLen(t)))
+		w.Buf = tf.AppendTensor(w.Buf, t)
 	}
-	buf.WriteByte(m.Codec)
-	binary.LittleEndian.PutUint64(scratch[:], m.TopK)
-	buf.Write(scratch[:])
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(m.Grads)))
-	buf.Write(scratch[:4])
+	w.U8(m.Codec)
+	w.U64(m.TopK)
+	w.U32(uint32(len(m.Grads)))
 	for name, blob := range m.Grads {
-		writeString(&buf, name)
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(blob)))
-		buf.Write(scratch[:4])
-		buf.Write(blob)
+		w.Str(name)
+		w.Bytes(blob)
 	}
 	// The federated fields are a trailing extension, written only when
 	// one of them is set: frames of the worker/PS protocol stay
@@ -215,236 +188,81 @@ func (m *message) encode() []byte {
 	// in order), and when both are clear neither is written, so
 	// pre-elastic frames stay byte-identical as well.
 	if m.Closed || m.Seed != 0 || len(m.Clients) > 0 || m.Evicted {
-		if m.Closed {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-		binary.LittleEndian.PutUint64(scratch[:], m.Seed)
-		buf.Write(scratch[:])
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(m.Clients)))
-		buf.Write(scratch[:4])
+		w.Bool(m.Closed)
+		w.U64(m.Seed)
+		w.U32(uint32(len(m.Clients)))
 		for _, id := range m.Clients {
-			binary.LittleEndian.PutUint32(scratch[:4], id)
-			buf.Write(scratch[:4])
+			w.U32(id)
 		}
 	}
 	if m.Evicted {
-		buf.WriteByte(1)
+		w.U8(1)
 	}
-	return buf.Bytes()
+	return w.Buf
 }
 
-func writeString(buf *bytes.Buffer, s string) {
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], uint32(len(s)))
-	buf.Write(scratch[:])
-	buf.WriteString(s)
-}
-
-// decode parses a payload produced by encode.
+// decode parses a payload produced by encode. Compressed gradient blobs
+// alias the payload; tensors are decoded out of it without a copy in
+// between.
 func decode(payload []byte) (*message, error) {
-	r := bytes.NewReader(payload)
-	var m message
-	var err error
-	if m.Kind, err = r.ReadByte(); err != nil {
-		return nil, fmt.Errorf("dist: truncated message kind: %w", err)
+	r := wire.NewReader(payload)
+	m := &message{
+		Kind:      r.U8(),
+		Stamp:     int64(r.U64()),
+		Worker:    r.U32(),
+		Round:     r.U64(),
+		Step:      r.U64(),
+		Shard:     r.U32(),
+		Shards:    r.U32(),
+		Policy:    r.U8(),
+		Staleness: int64(r.U64()),
+		OK:        r.Bool(),
+		Stale:     r.Bool(),
+		Err:       r.Str(),
 	}
-	var u64 uint64
-	if u64, err = readUint(r, 8); err != nil {
-		return nil, err
+	// A manifest entry is at least its length prefix; a variable or a
+	// compressed gradient at least its two.
+	for i, n := 0, r.Count(4); i < n; i++ {
+		m.Names = append(m.Names, r.Str())
 	}
-	m.Stamp = int64(u64)
-	if u64, err = readUint(r, 4); err != nil {
-		return nil, err
-	}
-	m.Worker = uint32(u64)
-	if m.Round, err = readUint(r, 8); err != nil {
-		return nil, err
-	}
-	if m.Step, err = readUint(r, 8); err != nil {
-		return nil, err
-	}
-	if u64, err = readUint(r, 4); err != nil {
-		return nil, err
-	}
-	m.Shard = uint32(u64)
-	if u64, err = readUint(r, 4); err != nil {
-		return nil, err
-	}
-	m.Shards = uint32(u64)
-	if m.Policy, err = r.ReadByte(); err != nil {
-		return nil, fmt.Errorf("dist: truncated policy byte: %w", err)
-	}
-	if u64, err = readUint(r, 8); err != nil {
-		return nil, err
-	}
-	m.Staleness = int64(u64)
-	okByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dist: truncated ok flag: %w", err)
-	}
-	m.OK = okByte != 0
-	staleByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dist: truncated stale flag: %w", err)
-	}
-	m.Stale = staleByte != 0
-	if m.Err, err = readString(r); err != nil {
-		return nil, err
-	}
-	nameCount, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
-	}
-	// Each manifest entry takes at least its length prefix; a count
-	// beyond that is a corrupt frame, not an allocation hint to honour.
-	if nameCount > uint64(r.Len())/4 {
-		return nil, fmt.Errorf("dist: manifest count %d exceeds remaining payload", nameCount)
-	}
-	for i := uint64(0); i < nameCount; i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, err
+	if n := r.Count(8); n > 0 {
+		m.Vars = make(map[string]*tf.Tensor, n)
+		for i := 0; i < n; i++ {
+			name, raw := r.Str(), r.Bytes()
+			if r.Err() != nil {
+				break
+			}
+			t, err := tf.DecodeTensor(raw)
+			if err != nil {
+				return nil, fmt.Errorf("dist: tensor %q: %w", name, err)
+			}
+			m.Vars[name] = t
 		}
-		m.Names = append(m.Names, name)
 	}
-	count, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
-	}
-	// Every entry takes at least its two length prefixes; a count beyond
-	// that is a corrupt frame, not an allocation hint to honour.
-	if count > uint64(r.Len())/8 {
-		return nil, fmt.Errorf("dist: variable count %d exceeds remaining payload", count)
-	}
-	if count > 0 {
-		m.Vars = make(map[string]*tf.Tensor, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, err
+	m.Codec, m.TopK = r.U8(), r.U64()
+	if n := r.Count(8); n > 0 {
+		m.Grads = make(map[string][]byte, n)
+		for i := 0; i < n; i++ {
+			name := r.Str()
+			m.Grads[name] = r.Bytes()
 		}
-		n, err := readUint(r, 4)
-		if err != nil {
-			return nil, err
+	}
+	// The trailing extensions (see encode) are absent on frames of the
+	// worker/PS protocol and on pre-elastic frames, which read
+	// end-of-payload as all-zero.
+	if r.Remaining() > 0 {
+		m.Closed, m.Seed = r.Bool(), r.U64()
+		for i, n := 0, r.Count(4); i < n; i++ {
+			m.Clients = append(m.Clients, r.U32())
 		}
-		if n > uint64(r.Len()) {
-			return nil, fmt.Errorf("dist: tensor %q of %d bytes exceeds remaining payload", name, n)
-		}
-		raw := make([]byte, n)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, err
-		}
-		t, err := tf.DecodeTensor(raw)
-		if err != nil {
-			return nil, fmt.Errorf("dist: tensor %q: %w", name, err)
-		}
-		m.Vars[name] = t
 	}
-	if m.Codec, err = r.ReadByte(); err != nil {
-		return nil, fmt.Errorf("dist: truncated codec byte: %w", err)
+	if r.Remaining() > 0 {
+		m.Evicted = r.Bool()
 	}
-	if m.TopK, err = readUint(r, 8); err != nil {
-		return nil, err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dist: message: %w", err)
 	}
-	gradCount, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
-	}
-	// Each compressed entry takes at least its two length prefixes; a
-	// count beyond that is a corrupt frame, not an allocation hint.
-	if gradCount > uint64(r.Len())/8 {
-		return nil, fmt.Errorf("dist: compressed gradient count %d exceeds remaining payload", gradCount)
-	}
-	if gradCount > 0 {
-		m.Grads = make(map[string][]byte, gradCount)
-	}
-	for i := uint64(0); i < gradCount; i++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		n, err := readUint(r, 4)
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Len()) {
-			return nil, fmt.Errorf("dist: compressed gradient %q of %d bytes exceeds remaining payload", name, n)
-		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, err
-		}
-		m.Grads[name] = blob
-	}
-	// Trailing federated extension: absent on frames of the worker/PS
-	// protocol (see encode), in which case the fields stay zero.
-	if r.Len() == 0 {
-		return &m, nil
-	}
-	closedByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dist: truncated closed flag: %w", err)
-	}
-	m.Closed = closedByte != 0
-	if m.Seed, err = readUint(r, 8); err != nil {
-		return nil, err
-	}
-	clientCount, err := readUint(r, 4)
-	if err != nil {
-		return nil, err
-	}
-	// Each client id is exactly four bytes; a larger count is a corrupt
-	// frame, not an allocation hint to honour.
-	if clientCount > uint64(r.Len())/4 {
-		return nil, fmt.Errorf("dist: client count %d exceeds remaining payload", clientCount)
-	}
-	for i := uint64(0); i < clientCount; i++ {
-		id, err := readUint(r, 4)
-		if err != nil {
-			return nil, err
-		}
-		m.Clients = append(m.Clients, uint32(id))
-	}
-	// Trailing elasticity extension (see encode): absent on pre-elastic
-	// frames, which read end-of-payload as false.
-	if r.Len() == 0 {
-		return &m, nil
-	}
-	evictedByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dist: truncated evicted flag: %w", err)
-	}
-	m.Evicted = evictedByte != 0
-	return &m, nil
-}
-
-func readUint(r *bytes.Reader, width int) (uint64, error) {
-	var scratch [8]byte
-	if _, err := io.ReadFull(r, scratch[:width]); err != nil {
-		return 0, fmt.Errorf("dist: truncated message: %w", err)
-	}
-	if width == 4 {
-		return uint64(binary.LittleEndian.Uint32(scratch[:4])), nil
-	}
-	return binary.LittleEndian.Uint64(scratch[:]), nil
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := readUint(r, 4)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("dist: string of %d bytes exceeds remaining payload", n)
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	return m, nil
 }
 
 // wirePolicy flattens a policy into its two wire fields.

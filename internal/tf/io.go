@@ -1,13 +1,13 @@
 package tf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
+
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // Binary serialization of graphs, tensors and checkpoints. The formats
@@ -17,10 +17,10 @@ import (
 // that the byte sizes land on disk where the shields and EPC see them.
 
 // Format magics.
-var (
-	graphMagic      = []byte("STFG1")
-	checkpointMagic = []byte("STFC1")
-	tensorMagic     = []byte("STFT1")
+const (
+	graphMagic      = "STFG1"
+	checkpointMagic = "STFC1"
+	tensorMagic     = "STFT1"
 )
 
 // Attribute kind tags.
@@ -33,67 +33,18 @@ const (
 	attrKindTensor = 6
 )
 
-// writer appends to buf.
-type writer struct {
-	buf []byte
-}
+// The fewest bytes one record can occupy, which is what bounds a count
+// read from the input (wire.Reader.Count): a node is two empty strings,
+// a dtype and three zero counts; an attribute an empty key, a kind and a
+// bool; a checkpoint entry an empty name and a rank-0 tensor header.
+const (
+	minNodeRecord = 4 + 4 + 1 + 4 + 4 + 4
+	minAttrRecord = 4 + 1 + 1
+	minVarRecord  = 4 + 1 + 4 + 4
+)
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) need(n int) error {
-	if r.off+n > len(r.data) {
-		return io.ErrUnexpectedEOF
-	}
-	return nil
-}
-func (r *reader) u8() (uint8, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
-	}
-	v := r.data[r.off]
-	r.off++
-	return v, nil
-}
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-func (r *reader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-func (r *reader) remaining() int { return len(r.data) - r.off }
-func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
+// maxRank bounds the rank of a decoded shape.
+const maxRank = 16
 
 // tensorLen is the size of a tensor's inner encoding: dtype, rank,
 // dimensions, element count and four bytes an element.
@@ -104,18 +55,15 @@ func tensorLen(t *Tensor) int {
 // encodeTensorInto writes a tensor without magic (inner encoding). The
 // elements are converted in one pass over a slice sized from the shape,
 // not appended word by word.
-func encodeTensorInto(w *writer, t *Tensor) {
-	w.buf = slices.Grow(w.buf, tensorLen(t))
-	w.u8(uint8(t.dtype))
-	w.u32(uint32(len(t.shape)))
-	for _, d := range t.shape {
-		w.u64(uint64(int64(d)))
-	}
+func encodeTensorInto(w *wire.Writer, t *Tensor) {
+	w.Buf = slices.Grow(w.Buf, tensorLen(t))
+	w.U8(uint8(t.dtype))
+	w.Ints(t.shape)
 	n := t.NumElements()
-	w.u32(uint32(n))
-	off := len(w.buf)
-	w.buf = w.buf[:off+4*n]
-	words := w.buf[off:]
+	w.U32(uint32(n))
+	off := len(w.Buf)
+	w.Buf = w.Buf[:off+4*n]
+	words := w.Buf[off:]
 	switch t.dtype {
 	case Int32:
 		for i, v := range t.i32 {
@@ -128,44 +76,30 @@ func encodeTensorInto(w *writer, t *Tensor) {
 	}
 }
 
-func decodeTensorFrom(r *reader) (*Tensor, error) {
-	dt, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	dtype := DType(dt)
-	if dtype != Float32 && dtype != Int32 {
-		return nil, fmt.Errorf("tf: bad dtype %d", dt)
-	}
-	rank, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if rank > 16 {
-		return nil, fmt.Errorf("tf: rank %d too large", rank)
-	}
-	shape := make(Shape, rank)
-	for i := range shape {
-		d, err := r.u64()
-		if err != nil {
-			return nil, err
+func decodeTensorFrom(r *wire.Reader) (*Tensor, error) {
+	dtype, shape := DType(r.U8()), Shape(r.Ints())
+	elems := 1
+	for _, d := range shape {
+		// Shape.NumElements would wrap: [1<<33, 1<<31] multiplies to 0.
+		if d < 0 || (d > 0 && elems > math.MaxInt/d) {
+			return nil, fmt.Errorf("tf: tensor shape %v is negative or overflows", shape)
 		}
-		shape[i] = int(int64(d))
+		elems *= d
 	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
+	n := r.Count(4)
+	words := r.Next(4 * n)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("tf: tensor: %w", err)
 	}
-	if shape.NumElements() != int(n) {
+	if dtype != Float32 && dtype != Int32 {
+		return nil, fmt.Errorf("tf: bad dtype %d", dtype)
+	}
+	if len(shape) > maxRank {
+		return nil, fmt.Errorf("tf: rank %d too large", len(shape))
+	}
+	if elems != n {
 		return nil, fmt.Errorf("tf: tensor shape %v vs %d elements", shape, n)
 	}
-	// Every element is four bytes on the wire; a count beyond the
-	// remaining payload is corruption, not an allocation size to honour.
-	if int64(n)*4 > int64(r.remaining()) {
-		return nil, fmt.Errorf("tf: tensor of %d elements exceeds remaining payload", n)
-	}
-	words := r.data[r.off : r.off+4*int(n)]
-	r.off += len(words)
 	t := NewTensor(dtype, shape)
 	switch dtype {
 	case Int32:
@@ -186,9 +120,9 @@ func EncodedTensorLen(t *Tensor) int { return len(tensorMagic) + tensorLen(t) }
 // AppendTensor appends a tensor's EncodeTensor serialization to dst, for
 // a caller that has sized dst for its whole frame.
 func AppendTensor(dst []byte, t *Tensor) []byte {
-	w := writer{buf: append(dst, tensorMagic...)}
+	w := wire.Writer{Buf: append(dst, tensorMagic...)}
 	encodeTensorInto(&w, t)
-	return w.buf
+	return w.Buf
 }
 
 // EncodeTensor serializes a single tensor (used by the distributed
@@ -197,181 +131,114 @@ func EncodeTensor(t *Tensor) []byte {
 	return AppendTensor(make([]byte, 0, EncodedTensorLen(t)), t)
 }
 
-// DecodeTensor reverses EncodeTensor.
+// DecodeTensor reverses EncodeTensor. Bytes after the tensor are
+// ignored.
 func DecodeTensor(data []byte) (*Tensor, error) {
-	if len(data) < len(tensorMagic) || !bytes.Equal(data[:len(tensorMagic)], tensorMagic) {
+	r := wire.NewReader(data)
+	if string(r.Next(len(tensorMagic))) != tensorMagic {
 		return nil, fmt.Errorf("tf: bad tensor magic")
 	}
-	r := &reader{data: data, off: len(tensorMagic)}
 	return decodeTensorFrom(r)
 }
 
 // MarshalGraph serializes the graph, including constant values and
 // variable initials — a frozen graph is therefore self-contained.
 func MarshalGraph(g *Graph) ([]byte, error) {
-	var w writer
-	w.buf = append(w.buf, graphMagic...)
-	w.u32(uint32(len(g.nodes)))
+	w := wire.Writer{Buf: []byte(graphMagic)}
+	w.U32(uint32(len(g.nodes)))
 	for _, n := range g.nodes {
-		w.str(n.name)
-		w.str(n.op)
-		w.u8(uint8(n.dtype))
-		w.u32(uint32(len(n.shape)))
-		for _, d := range n.shape {
-			w.u64(uint64(int64(d)))
-		}
-		w.u32(uint32(len(n.inputs)))
+		w.Str(n.name)
+		w.Str(n.op)
+		w.U8(uint8(n.dtype))
+		w.Ints(n.shape)
+		w.U32(uint32(len(n.inputs)))
 		for _, in := range n.inputs {
-			w.str(in.name)
+			w.Str(in.name)
 		}
 		keys := make([]string, 0, len(n.attrs))
 		for k := range n.attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		w.u32(uint32(len(keys)))
+		w.U32(uint32(len(keys)))
 		for _, k := range keys {
-			w.str(k)
+			w.Str(k)
 			switch v := n.attrs[k].(type) {
 			case int64:
-				w.u8(attrKindInt)
-				w.u64(uint64(v))
+				w.U8(attrKindInt)
+				w.U64(uint64(v))
 			case float64:
-				w.u8(attrKindFloat)
-				w.u64(math.Float64bits(v))
+				w.U8(attrKindFloat)
+				w.U64(math.Float64bits(v))
 			case string:
-				w.u8(attrKindString)
-				w.str(v)
+				w.U8(attrKindString)
+				w.Str(v)
 			case bool:
-				w.u8(attrKindBool)
-				if v {
-					w.u8(1)
-				} else {
-					w.u8(0)
-				}
+				w.U8(attrKindBool)
+				w.Bool(v)
 			case []int64:
-				w.u8(attrKindInts)
-				w.u32(uint32(len(v)))
+				w.U8(attrKindInts)
+				w.U32(uint32(len(v)))
 				for _, x := range v {
-					w.u64(uint64(x))
+					w.U64(uint64(x))
 				}
 			case *Tensor:
-				w.u8(attrKindTensor)
+				w.U8(attrKindTensor)
 				encodeTensorInto(&w, v)
 			default:
 				return nil, fmt.Errorf("tf: unserializable attr %q (%T) on %q", k, v, n.name)
 			}
 		}
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
-// UnmarshalGraph reverses MarshalGraph.
+// UnmarshalGraph reverses MarshalGraph. The input is untrusted, and a
+// graph that loads is in the form MarshalGraph writes — attribute keys
+// ascending, booleans 0 or 1, nothing after the last node — so it
+// re-marshals to the bytes it was read from.
 func UnmarshalGraph(data []byte) (*Graph, error) {
-	if len(data) < len(graphMagic) || !bytes.Equal(data[:len(graphMagic)], graphMagic) {
+	r := wire.NewReader(data)
+	if string(r.Next(len(graphMagic))) != graphMagic {
 		return nil, fmt.Errorf("tf: bad graph magic")
 	}
-	r := &reader{data: data, off: len(graphMagic)}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
 	g := NewGraph()
-	for i := uint32(0); i < count; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		op, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		dt, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		rank, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if rank > 16 {
-			return nil, fmt.Errorf("tf: node %q rank %d too large", name, rank)
-		}
-		shape := make(Shape, rank)
-		for j := range shape {
-			d, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			shape[j] = int(int64(d))
-		}
-		nin, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		inputs := make([]*Node, nin)
+	for i, count := 0, r.Count(minNodeRecord); i < count; i++ {
+		name, op, dtype, shape := r.Str(), r.Str(), DType(r.U8()), Shape(r.Ints())
+		inputs := make([]*Node, r.Count(4))
 		for j := range inputs {
-			inName, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			in := g.Node(inName)
-			if in == nil {
+			inName := r.Str()
+			if inputs[j] = g.Node(inName); inputs[j] == nil && r.Err() == nil {
 				return nil, fmt.Errorf("tf: node %q references undefined input %q", name, inName)
 			}
-			inputs[j] = in
 		}
-		nattrs, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		attrs := Attrs{}
-		for j := uint32(0); j < nattrs; j++ {
-			key, err := r.str()
-			if err != nil {
-				return nil, err
+		attrs, prev := Attrs{}, ""
+		for j, nattrs := 0, r.Count(minAttrRecord); j < nattrs; j++ {
+			key, kind := r.Str(), r.U8()
+			if r.Err() != nil {
+				break
 			}
-			kind, err := r.u8()
-			if err != nil {
-				return nil, err
+			if j > 0 && key <= prev {
+				return nil, fmt.Errorf("tf: node %q attr %q follows %q", name, key, prev)
 			}
+			prev = key
 			switch kind {
 			case attrKindInt:
-				v, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				attrs[key] = int64(v)
+				attrs[key] = int64(r.U64())
 			case attrKindFloat:
-				v, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				attrs[key] = math.Float64frombits(v)
+				attrs[key] = math.Float64frombits(r.U64())
 			case attrKindString:
-				v, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				attrs[key] = v
+				attrs[key] = r.Str()
 			case attrKindBool:
-				v, err := r.u8()
-				if err != nil {
-					return nil, err
+				b := r.U8()
+				if b > 1 {
+					return nil, fmt.Errorf("tf: node %q attr %q is the boolean %d", name, key, b)
 				}
-				attrs[key] = v != 0
+				attrs[key] = b == 1
 			case attrKindInts:
-				count, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				vals := make([]int64, count)
+				vals := make([]int64, r.Count(8))
 				for k := range vals {
-					v, err := r.u64()
-					if err != nil {
-						return nil, err
-					}
-					vals[k] = int64(v)
+					vals[k] = int64(r.U64())
 				}
 				attrs[key] = vals
 			case attrKindTensor:
@@ -384,10 +251,19 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 				return nil, fmt.Errorf("tf: node %q attr %q has unknown kind %d", name, key, kind)
 			}
 		}
-		if existing := g.Node(name); existing != nil {
-			return nil, fmt.Errorf("tf: duplicate node %q", name)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("tf: graph: %w", err)
 		}
-		g.addNode(name, op, inputs, attrs, shape, DType(dt))
+		if len(shape) > maxRank {
+			return nil, fmt.Errorf("tf: node %q rank %d too large", name, len(shape))
+		}
+		if name == "" || g.Node(name) != nil {
+			return nil, fmt.Errorf("tf: empty or duplicate node name %q", name)
+		}
+		g.addNode(name, op, inputs, attrs, shape, dtype)
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tf: graph: %w", err)
 	}
 	return g, nil
 }
@@ -417,53 +293,38 @@ func encodeCheckpoint(names []string, vars map[string]*Tensor) []byte {
 	for _, name := range names {
 		size += 4 + len(name) + tensorLen(vars[name])
 	}
-	w := writer{buf: make([]byte, 0, size)}
-	w.buf = append(w.buf, checkpointMagic...)
-	w.u32(uint32(len(names)))
+	w := wire.Writer{Buf: append(make([]byte, 0, size), checkpointMagic...)}
+	w.U32(uint32(len(names)))
 	for _, name := range names {
-		w.str(name)
+		w.Str(name)
 		encodeTensorInto(&w, vars[name])
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeVarCheckpoint parses a SaveCheckpoint/EncodeVarCheckpoint blob
-// into a variable map. The input is untrusted: counts and element
-// totals are validated against the remaining payload before any
-// allocation, so a truncated or bit-flipped snapshot errors instead of
-// panicking or over-allocating.
+// into a variable map. The input is untrusted: a truncated or
+// bit-flipped snapshot errors instead of panicking or over-allocating.
 func DecodeVarCheckpoint(data []byte) (map[string]*Tensor, error) {
-	if len(data) < len(checkpointMagic) || !bytes.Equal(data[:len(checkpointMagic)], checkpointMagic) {
+	r := wire.NewReader(data)
+	if string(r.Next(len(checkpointMagic))) != checkpointMagic {
 		return nil, fmt.Errorf("tf: bad checkpoint magic")
 	}
-	r := &reader{data: data, off: len(checkpointMagic)}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry takes at least a name length prefix plus the minimal
-	// tensor header (dtype, rank, element count); a larger count is
-	// corruption, not an allocation hint to honour.
-	if int64(count) > int64(r.remaining())/13 {
-		return nil, fmt.Errorf("tf: checkpoint variable count %d exceeds remaining payload", count)
-	}
+	count := r.Count(minVarRecord)
 	vars := make(map[string]*Tensor, count)
-	for i := uint32(0); i < count; i++ {
-		name, err := r.str()
+	for i := 0; i < count; i++ {
+		name := r.Str()
+		t, err := decodeTensorFrom(r)
 		if err != nil {
 			return nil, err
 		}
 		if _, ok := vars[name]; ok {
 			return nil, fmt.Errorf("tf: duplicate checkpoint variable %q", name)
 		}
-		t, err := decodeTensorFrom(r)
-		if err != nil {
-			return nil, err
-		}
 		vars[name] = t
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("tf: %d trailing bytes after checkpoint", r.remaining())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tf: checkpoint: %w", err)
 	}
 	return vars, nil
 }
@@ -472,23 +333,11 @@ func DecodeVarCheckpoint(data []byte) (map[string]*Tensor, error) {
 // the session. Every checkpointed variable must exist with a matching
 // shape.
 func RestoreCheckpoint(s *Session, data []byte) error {
-	if len(data) < len(checkpointMagic) || !bytes.Equal(data[:len(checkpointMagic)], checkpointMagic) {
-		return fmt.Errorf("tf: bad checkpoint magic")
-	}
-	r := &reader{data: data, off: len(checkpointMagic)}
-	count, err := r.u32()
+	vars, err := DecodeVarCheckpoint(data)
 	if err != nil {
 		return err
 	}
-	for i := uint32(0); i < count; i++ {
-		name, err := r.str()
-		if err != nil {
-			return err
-		}
-		t, err := decodeTensorFrom(r)
-		if err != nil {
-			return err
-		}
+	for name, t := range vars {
 		if err := s.SetVariable(name, t); err != nil {
 			return fmt.Errorf("tf: restoring checkpoint: %w", err)
 		}

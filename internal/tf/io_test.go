@@ -1,7 +1,11 @@
 package tf
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
+
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // buildTestModel creates a small dense model used by serialization tests.
@@ -219,4 +223,112 @@ func TestFreezeTrainedModelKeepsAccuracy(t *testing.T) {
 	if liveAcc[0].Floats()[0] != frozenAcc[0].Floats()[0] {
 		t.Fatalf("accuracy changed by freezing: %v vs %v", liveAcc[0].Floats()[0], frozenAcc[0].Floats()[0])
 	}
+}
+
+// TestUnmarshalGraphBoundsCounts: a graph of at most 40 bytes that
+// claims 1<<24 inputs, or 1<<24 values in an integer-list attribute,
+// is refused without the decoder sizing anything from the claim.
+func TestUnmarshalGraphBoundsCounts(t *testing.T) {
+	node := func() *wire.Writer {
+		w := &wire.Writer{Buf: []byte(graphMagic)}
+		w.U32(1) // nodes
+		w.Str("a")
+		w.Str("")
+		w.U8(uint8(Float32))
+		w.U32(0) // rank
+		return w
+	}
+	inputs := node()
+	inputs.U32(1 << 24)
+	inputs.Buf = append(inputs.Buf, make([]byte, 13)...)
+	ints := node()
+	ints.U32(0) // inputs
+	ints.U32(1) // attrs
+	ints.Str("")
+	ints.U8(attrKindInts)
+	ints.U32(1 << 24)
+	for name, raw := range map[string][]byte{"inputs": inputs.Buf, "attribute values": ints.Buf} {
+		if len(raw) > 40 {
+			t.Fatalf("%s: the graph is %d bytes", name, len(raw))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalGraph(raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte graph claiming 1<<24 of them was accepted", name, len(raw))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: refusing a %d-byte graph allocated %d bytes", name, len(raw), alloc)
+		}
+	}
+}
+
+// TestRestoreCheckpointIsDecodeVarCheckpoint: the session loader
+// refuses what the one STFC1 decoder refuses — a duplicate name, bytes
+// after the last variable — and leaves the session as it was.
+func TestRestoreCheckpointIsDecodeVarCheckpoint(t *testing.T) {
+	g := NewGraph()
+	g.Variable("v", Fill(Shape{2}, 1))
+	s := NewSession(g)
+	defer s.Close()
+	one := EncodeVarCheckpoint(map[string]*Tensor{"v": Fill(Shape{2}, 5)})
+	twice := wire.Writer{Buf: []byte(checkpointMagic)}
+	twice.U32(2)
+	for i := 0; i < 2; i++ {
+		twice.Str("v")
+		encodeTensorInto(&twice, Fill(Shape{2}, 5))
+	}
+	for name, blob := range map[string][]byte{"duplicate variable": twice.Buf, "trailing byte": append(bytes.Clone(one), 0)} {
+		if err := RestoreCheckpoint(s, blob); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if v, _ := s.Variable("v"); v.Floats()[0] != 1 {
+			t.Errorf("%s: the refused checkpoint changed the variable to %v", name, v.Floats())
+		}
+	}
+	if err := RestoreCheckpoint(s, one); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzGraphDecode: arbitrary bytes either fail to load or load as a
+// graph in the form MarshalGraph writes, which re-marshals to the
+// bytes it was read from.
+func FuzzGraphDecode(f *testing.F) {
+	dense := NewGraph()
+	buildTestModel(dense)
+	// A training graph over a convolution carries every attribute kind:
+	// integers and strings (Conv2D), integer lists (Flatten), floats
+	// (Dropout, the optimizer), booleans (the MatMul gradients) and
+	// tensors (the variables).
+	conv := NewGraph()
+	x := conv.Placeholder("x", Float32, Shape{-1, 6, 6, 1})
+	y := conv.Placeholder("y", Float32, Shape{-1, 3})
+	h := conv.Flatten(conv.MaxPool(conv.Conv2D(x, conv.Variable("k", RandNormal(Shape{3, 3, 1, 2}, 0.5, 1)), 1, PaddingSame), 2, 2))
+	logits := conv.MatMul(conv.Dropout(h, 0.5), conv.Variable("w", RandNormal(Shape{18, 3}, 0.5, 2)))
+	if _, err := Minimize(conv, SGD{LR: 0.1}, conv.ReduceMean(conv.SoftmaxCrossEntropy(logits, y))); err != nil {
+		f.Fatal(err)
+	}
+	for _, g := range []*Graph{NewGraph(), dense, conv} {
+		raw, err := MarshalGraph(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := UnmarshalGraph(data)
+		if err != nil {
+			return
+		}
+		raw, err := MarshalGraph(g)
+		if err != nil {
+			t.Fatalf("a loaded graph does not marshal: %v", err)
+		}
+		if !bytes.Equal(raw, data) {
+			t.Fatal("a loaded graph does not re-marshal to the bytes it was read from")
+		}
+	})
 }

@@ -2,8 +2,11 @@ package tf
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 	"testing/quick"
+
+	"github.com/securetf/securetf/internal/wire"
 )
 
 func TestShapeNumElements(t *testing.T) {
@@ -142,10 +145,26 @@ func TestDecodeTensorRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	raw := EncodeTensor(Scalar(1))
-	raw[6] = 99 // dtype byte
+	raw[5] = 99 // dtype byte
 	if _, err := DecodeTensor(raw); err == nil {
 		t.Fatal("bad dtype accepted")
 	}
+	for _, shape := range [][]int{{1 << 33, 1 << 31}, {-1, 0}, {0, -1}} {
+		if _, err := DecodeTensor(emptyTensorOfShape(shape)); err == nil {
+			t.Fatalf("shape %v accepted as a tensor of no elements", shape)
+		}
+	}
+}
+
+// emptyTensorOfShape encodes a tensor that declares shape and carries no
+// elements: honest for a shape with a zero in it, a lie for one whose
+// product merely wraps to zero.
+func emptyTensorOfShape(shape []int) []byte {
+	w := wire.Writer{Buf: []byte(tensorMagic)}
+	w.U8(uint8(Float32))
+	w.Ints(shape)
+	w.U32(0)
+	return w.Buf
 }
 
 // FuzzTensorDecode: arbitrary bytes either fail to decode or decode to a
@@ -162,10 +181,21 @@ func FuzzTensorDecode(f *testing.F) {
 		f.Add(append(enc, 0xff))
 	}
 	f.Add([]byte("STFT1"))
+	f.Add(emptyTensorOfShape([]int{1 << 33, 1 << 31}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeTensor(data)
 		if err != nil {
 			return
+		}
+		elems := big.NewInt(1)
+		for _, d := range got.Shape() {
+			if d < 0 {
+				t.Fatalf("decoded the negative dimension %d", d)
+			}
+			elems.Mul(elems, big.NewInt(int64(d)))
+		}
+		if elems.Cmp(big.NewInt(int64(got.NumElements()))) != 0 {
+			t.Fatalf("decoded %d elements for shape %v, whose product is %v", got.NumElements(), got.Shape(), elems)
 		}
 		enc := EncodeTensor(got)
 		if len(enc) != EncodedTensorLen(got) || len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {

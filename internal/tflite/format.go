@@ -12,10 +12,11 @@
 package tflite
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"io"
 	"math"
+
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // BinarySize is the simulated in-enclave footprint of the TensorFlow
@@ -144,11 +145,11 @@ func (m *Model) WeightBytes() int64 {
 	return total
 }
 
-var modelMagic = []byte("SLTF1")
+const modelMagic = "SLTF1"
 
 // The fewest bytes one record of each table can occupy on the wire
-// (empty name, empty slices): a table's declared count is checked
-// against the bytes left before it sizes an allocation.
+// (empty name, empty slices), which is what bounds the table's declared
+// count (wire.Reader.Count).
 const (
 	minTensorRecord = 4 + 1 + 4 + 4 + 8
 	minBufferRecord = 4
@@ -157,142 +158,74 @@ const (
 
 // Marshal serializes the model.
 func (m *Model) Marshal() []byte {
-	var out []byte
-	out = append(out, modelMagic...)
-	out = appendU32(out, uint32(len(m.Tensors)))
+	w := wire.Writer{Buf: []byte(modelMagic)}
+	w.U32(uint32(len(m.Tensors)))
 	for _, t := range m.Tensors {
-		out = appendStr(out, t.Name)
-		out = append(out, byte(t.Type))
-		out = appendIntSlice(out, t.Shape)
-		out = appendU32(out, uint32(int32(t.Buffer)))
-		out = appendU64(out, math.Float64bits(t.Scale))
+		w.Str(t.Name)
+		w.U8(uint8(t.Type))
+		w.Ints(t.Shape)
+		w.U32(uint32(int32(t.Buffer)))
+		w.U64(math.Float64bits(t.Scale))
 	}
-	out = appendU32(out, uint32(len(m.Buffers)))
+	w.U32(uint32(len(m.Buffers)))
 	for _, b := range m.Buffers {
-		out = appendU32(out, uint32(len(b)))
-		out = append(out, b...)
+		w.Bytes(b)
 	}
-	out = appendU32(out, uint32(len(m.Ops)))
+	w.U32(uint32(len(m.Ops)))
 	for _, op := range m.Ops {
-		out = append(out, byte(op.Code), byte(op.Activation), op.Padding)
-		out = appendU32(out, uint32(op.Stride))
-		out = appendU32(out, uint32(op.K))
-		out = appendIntSlice(out, op.Inputs)
-		out = appendIntSlice(out, op.Outputs)
-		out = appendIntSlice(out, op.NewShape)
-		out = appendU64(out, math.Float64bits(op.CostScale))
+		w.U8(uint8(op.Code))
+		w.U8(uint8(op.Activation))
+		w.U8(op.Padding)
+		w.U32(uint32(op.Stride))
+		w.U32(uint32(op.K))
+		w.Ints(op.Inputs)
+		w.Ints(op.Outputs)
+		w.Ints(op.NewShape)
+		w.U64(math.Float64bits(op.CostScale))
 	}
-	out = appendIntSlice(out, m.Inputs)
-	out = appendIntSlice(out, m.Outputs)
-	return out
+	w.Ints(m.Inputs)
+	w.Ints(m.Outputs)
+	return w.Buf
 }
 
-// Unmarshal parses a serialized model.
+// Unmarshal parses a serialized model. The weight buffers are copied
+// out of data.
 func Unmarshal(data []byte) (*Model, error) {
-	if len(data) < len(modelMagic) || string(data[:len(modelMagic)]) != string(modelMagic) {
+	r := wire.NewReader(data)
+	if string(r.Next(len(modelMagic))) != modelMagic {
 		return nil, fmt.Errorf("tflite: bad model magic")
 	}
-	r := &byteReader{data: data, off: len(modelMagic)}
 	m := &Model{}
-	nt, err := r.count(minTensorRecord)
-	if err != nil {
-		return nil, err
-	}
-	m.Tensors = make([]TensorSpec, nt)
+	m.Tensors = make([]TensorSpec, r.Count(minTensorRecord))
 	for i := range m.Tensors {
 		t := &m.Tensors[i]
-		if t.Name, err = r.str(); err != nil {
-			return nil, err
-		}
-		tb, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		t.Type = TensorType(tb)
-		if t.Type != TypeFloat32 && t.Type != TypeInt8 {
-			return nil, fmt.Errorf("tflite: tensor %d bad type %d", i, tb)
-		}
-		if t.Shape, err = r.intSlice(); err != nil {
-			return nil, err
-		}
-		buf, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		t.Buffer = int(int32(buf))
-		bits, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		t.Scale = math.Float64frombits(bits)
+		t.Name = r.Str()
+		t.Type = TensorType(r.U8())
+		t.Shape = r.Ints()
+		t.Buffer = int(int32(r.U32()))
+		t.Scale = math.Float64frombits(r.U64())
 	}
-	nb, err := r.count(minBufferRecord)
-	if err != nil {
-		return nil, err
-	}
-	m.Buffers = make([][]byte, nb)
+	m.Buffers = make([][]byte, r.Count(minBufferRecord))
 	for i := range m.Buffers {
-		size, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if m.Buffers[i], err = r.bytes(int(size)); err != nil {
-			return nil, err
-		}
+		m.Buffers[i] = bytes.Clone(r.Bytes())
 	}
-	no, err := r.count(minOpRecord)
-	if err != nil {
-		return nil, err
-	}
-	m.Ops = make([]OpSpec, no)
+	m.Ops = make([]OpSpec, r.Count(minOpRecord))
 	for i := range m.Ops {
 		op := &m.Ops[i]
-		code, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		op.Code = OpCode(code)
-		act, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		op.Activation = Activation(act)
-		if op.Padding, err = r.u8(); err != nil {
-			return nil, err
-		}
-		stride, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		op.Stride = int(stride)
-		k, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		op.K = int(k)
-		if op.Inputs, err = r.intSlice(); err != nil {
-			return nil, err
-		}
-		if op.Outputs, err = r.intSlice(); err != nil {
-			return nil, err
-		}
-		if op.NewShape, err = r.intSlice(); err != nil {
-			return nil, err
-		}
-		bits, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		op.CostScale = math.Float64frombits(bits)
+		op.Code = OpCode(r.U8())
+		op.Activation = Activation(r.U8())
+		op.Padding = r.U8()
+		op.Stride = int(r.U32())
+		op.K = int(r.U32())
+		op.Inputs = r.Ints()
+		op.Outputs = r.Ints()
+		op.NewShape = r.Ints()
+		op.CostScale = math.Float64frombits(r.U64())
 	}
-	if m.Inputs, err = r.intSlice(); err != nil {
-		return nil, err
-	}
-	if m.Outputs, err = r.intSlice(); err != nil {
-		return nil, err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("tflite: %d trailing bytes after model", len(data)-r.off)
+	m.Inputs = r.Ints()
+	m.Outputs = r.Ints()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tflite: model: %w", err)
 	}
 	return m, m.validate()
 }
@@ -301,6 +234,9 @@ func Unmarshal(data []byte) (*Model, error) {
 // loading rather than execution.
 func (m *Model) validate() error {
 	for i, t := range m.Tensors {
+		if t.Type != TypeFloat32 && t.Type != TypeInt8 {
+			return fmt.Errorf("tflite: tensor %d bad type %d", i, t.Type)
+		}
 		if t.Buffer >= len(m.Buffers) {
 			return fmt.Errorf("tflite: tensor %d references buffer %d of %d", i, t.Buffer, len(m.Buffers))
 		}
@@ -332,100 +268,4 @@ func (m *Model) validate() error {
 		return err
 	}
 	return checkIdx("model output", m.Outputs)
-}
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendIntSlice(b []byte, vals []int) []byte {
-	b = appendU32(b, uint32(len(vals)))
-	for _, v := range vals {
-		b = appendU64(b, uint64(int64(v)))
-	}
-	return b
-}
-
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) u8() (uint8, error) {
-	if r.off+1 > len(r.data) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := r.data[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *byteReader) u32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *byteReader) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *byteReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	out := make([]byte, n)
-	copy(out, r.data[r.off:])
-	r.off += n
-	return out, nil
-}
-
-func (r *byteReader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(int(n))
-	return string(b), err
-}
-
-// count reads a record count and bounds it by the bytes left over the
-// smallest record, so a short file cannot ask for a large allocation.
-func (r *byteReader) count(minRecord int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int(n) > (len(r.data)-r.off)/minRecord {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return int(n), nil
-}
-
-func (r *byteReader) intSlice() ([]int, error) {
-	n, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, n)
-	for i := range out {
-		v, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(int64(v))
-	}
-	return out, nil
 }

@@ -1,8 +1,42 @@
 // Package wire is the connection substrate every secureTF server sits
-// on: the one accept loop with its connection lifecycle (Serve) and the
-// one length-prefixed frame codec (WriteFrame/ReadFrame). It imports
-// only the standard library, so every layer — CAS, parameter server,
-// federated coordinator, serving gateway, router — can use it.
+// on: the one accept loop with its connection lifecycle (Serve), the
+// one length-prefixed frame codec (WriteFrame/ReadFrame) and the one
+// record codec for what is inside a frame or a file (Writer/Reader). It
+// imports only the standard library, so every layer — CAS, parameter
+// server, federated coordinator, serving gateway, router, the tf and
+// tflite loaders — can use it.
+//
+// # Records
+//
+// Every byte that crosses the enclave boundary is hostile, so every
+// variable-length format in the module — dist and federated messages,
+// serving requests and responses, the router handshake, tensors, graphs,
+// checkpoints, Lite models — is built from the same few records, and
+// one Reader is the only code that turns their bytes into lengths:
+//
+//   - Integers are fixed-width and little-endian (U8, U16, U32, U64); a
+//     bool is one byte.
+//   - A string or byte blob is a u32 length and then the bytes (Str,
+//     Bytes). The router handshake alone uses u16 lengths and counts
+//     (Str16, Count16).
+//   - A table is a u32 count and then the records. The count is read
+//     with Count(minRecord), never U32: it is returned only if the rest
+//     of the payload can hold that many records of the smallest possible
+//     encoding, so what a decoder allocates or loops over is bounded by
+//     the bytes it was actually given. securetf-vet's wirealloc analyzer
+//     treats U32 and friends as tainted and Count as clean.
+//   - A list of ints (a shape, an index list) is a table of 64-bit
+//     two's-complement words (Ints).
+//   - Byte slices the Reader returns are views of the payload, not
+//     copies: a decoder that keeps one keeps the frame alive, and one
+//     that must outlive a reused buffer clones it.
+//   - The Reader's error is sticky and exhausts it, so a decoder reads a
+//     run of fields and checks Err (or Done, when nothing may follow)
+//     once.
+//
+// Fixed-offset layouts with no variable-length part (fsshield block
+// metadata, CAS store records, the federated 6-byte update header, the
+// dist gradient blobs) index their bytes directly.
 package wire
 
 import (
