@@ -401,8 +401,8 @@
 //     shield. internal/fsapi, cmd/ and examples/ are exempt.
 //   - blockingsyscall: SCONE-hosted packages never mint raw net/tls
 //     conns or call Read/Accept on values typed as raw net
-//     conns/listeners; blocking waits must route through
-//     Runtime.BlockingSyscall via the container wrappers.
+//     conns/listeners; blocking waits must go through internal/sysio's
+//     conn and listener, which the container's Listen/Dial return.
 //   - wirealloc: an integer decoded from wire bytes is bounds-checked
 //     before it sizes a make() or bounds an append loop.
 //

@@ -24,9 +24,9 @@ var rawNetConstructors = map[string]map[string]bool{
 
 // BlockingSyscall reports raw network use in SCONE-hosted packages.
 // Conns and listeners there are minted by Container.Listen/Dial, which
-// wrap them so Read and Accept park on the network poller via
-// Runtime.BlockingSyscall instead of holding a slot in the bounded
-// syscall ring. Creating raw conns, or calling Read/Accept on a value
+// wrap them in internal/sysio's conn and listener, whose Read and
+// Accept park inline instead of holding a slot in the bounded syscall
+// ring. Creating raw conns, or calling Read/Accept on a value
 // statically typed as a raw net conn/listener, sidesteps that
 // guarantee. The one accept loop (internal/wire), which runs over
 // injected, already-wrapped listeners, is annotated at the site.
@@ -35,13 +35,13 @@ var BlockingSyscall = &Analyzer{
 	Doc: `no raw blocking socket calls outside the SCONE ring wrappers
 
 SCONE-hosted packages (tf, dist, federated, serving, core, wire) must obtain
-conns and listeners from Container.Listen/Dial — the runtime wrappers
-route blocking waits through Runtime.BlockingSyscall. Direct
+conns and listeners from Container.Listen/Dial — the runtimes wrap them
+in internal/sysio, which keeps blocking waits out of the ring. Direct
 net.Listen/net.Dial/tls.Dial calls, and Read/Accept on values typed as
 net.Conn/net.Listener, are flagged; sites operating on listeners the
 container already wrapped carry //securetf:allow blockingsyscall
-annotations. The wrapper homes (internal/scone, graphene, nativert,
-shield) and the host-side CAS are out of scope.`,
+annotations. The wrapper homes (internal/sysio, nativert, shield) and
+the host-side CAS are out of scope.`,
 	Run: runBlockingSyscall,
 }
 
@@ -66,7 +66,7 @@ func runBlockingSyscall(pass *Pass) error {
 			// Raw constructors: package-level net/tls functions.
 			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
 				if set, ok := rawNetConstructors[fn.Pkg().Path()]; ok && set[fn.Name()] && isPkgFunc(obj, fn.Pkg().Path(), fn.Name()) {
-					pass.Reportf(call.Pos(), "%s.%s mints a raw conn/listener that bypasses the SCONE syscall ring; use Container.Listen/Dial (or the Runtime equivalents) so blocking waits go through Runtime.BlockingSyscall", pathTail(fn.Pkg().Path()), fn.Name())
+					pass.Reportf(call.Pos(), "%s.%s mints a raw conn/listener that bypasses the SCONE syscall ring; use Container.Listen/Dial (or the Runtime equivalents) so blocking waits go through the sysio wrappers", pathTail(fn.Pkg().Path()), fn.Name())
 					return true
 				}
 			}
@@ -79,7 +79,7 @@ func runBlockingSyscall(pass *Pass) error {
 			if !ok || !isRawNetType(tv.Type) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "%s on a raw %s parks a blocking syscall outside Runtime.BlockingSyscall (the PR 1 deadlock class); go through the runtime wrappers, or annotate a container-wrapped value with //securetf:allow blockingsyscall <reason>", obj.Name(), types.TypeString(tv.Type, nil))
+			pass.Reportf(call.Pos(), "%s on a raw %s parks a blocking syscall outside the sysio wrappers (the PR 1 deadlock class); go through the runtime wrappers, or annotate a container-wrapped value with //securetf:allow blockingsyscall <reason>", obj.Name(), types.TypeString(tv.Type, nil))
 			return true
 		})
 	}

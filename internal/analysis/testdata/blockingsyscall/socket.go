@@ -8,7 +8,7 @@ import (
 )
 
 // Serve accepts on a raw listener: the mint, the accept and the read
-// all block outside Runtime.BlockingSyscall.
+// all block outside the sysio wrappers.
 func Serve() error {
 	ln, err := net.Listen("tcp", ":0") // want "net.Listen mints a raw conn/listener"
 	if err != nil {
@@ -31,6 +31,6 @@ func DialUpstream(addr string, cfg *tls.Config) (*tls.Conn, error) {
 // AcceptWrapped's listener was wrapped by Container.Listen upstream,
 // so its Accept is already routed through the runtime.
 func AcceptWrapped(ln net.Listener) (net.Conn, error) {
-	//securetf:allow blockingsyscall ln comes from Container.Listen, whose wrapper routes Accept through Runtime.BlockingSyscall
+	//securetf:allow blockingsyscall ln comes from Container.Listen, whose sysio wrapper runs Accept outside the ring
 	return ln.Accept()
 }

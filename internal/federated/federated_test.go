@@ -366,16 +366,47 @@ func TestFederatedQuorumStragglers(t *testing.T) {
 // masking, before upload) and rejoin for the next round; the quorum
 // equals the survivor count, so the accepted membership is forced
 // regardless of upload order.
+//
+// Free-threaded, nothing orders a round's survivors after its droppers:
+// the six can upload and close the round before a client due to drop in
+// it has fetched its assignment, and then it never drops. So there the
+// schedule holds each survivor at the drop point until both of the
+// round's droppers have reached theirs. The turnstile needs no gate (the
+// virtual clocks put every poll before any upload) and could not take
+// one: the drop point is inside a turn.
 func churnSpec(turnstile bool) jobSpec {
 	const population = 8
-	return jobSpec{
+	due := func(id int, round uint64) bool {
+		return id == int(round%population) || id == int((round+4)%population)
+	}
+	spec := jobSpec{
 		population: population, sampleFrac: 1, quorum: population - 2, rounds: 3,
 		codec: TopKCompression(0.5), seed: 17, turnstile: turnstile,
 		maxIdle: 1_000_000,
-		drop: func(id int, round uint64) bool {
-			return id == int(round%population) || id == int((round+4)%population)
-		},
+		drop:    due,
 	}
+	if turnstile {
+		return spec
+	}
+	var mu sync.Mutex
+	gates := make(map[uint64]*sync.WaitGroup)
+	spec.drop = func(id int, round uint64) bool {
+		mu.Lock()
+		g := gates[round]
+		if g == nil {
+			g = new(sync.WaitGroup)
+			g.Add(2)
+			gates[round] = g
+		}
+		mu.Unlock()
+		if due(id, round) {
+			g.Done()
+			return true
+		}
+		g.Wait()
+		return false
+	}
+	return spec
 }
 
 // TestFederatedChurnDeterministic runs the churn schedule three times —

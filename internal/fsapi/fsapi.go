@@ -4,8 +4,9 @@
 // The standard library's io/fs is read-only; the file-system shield needs
 // writes, truncation and random access, so we define a minimal writable
 // interface here. Implementations: OS (passthrough, rooted at a
-// directory), Mem (in-memory, for tests), the SCONE/Graphene runtimes'
-// syscall-interposed views, and the file-system shield.
+// directory), Mem (in-memory, for tests), the syscall-charging view of
+// internal/sysio that every runtime's FS returns, and the file-system
+// shield.
 package fsapi
 
 import (

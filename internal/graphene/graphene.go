@@ -21,6 +21,7 @@ import (
 	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/sysio"
 )
 
 // DefaultLibOSSize is the in-enclave footprint of the Graphene library OS
@@ -88,59 +89,42 @@ func (r *Runtime) Device(threads int) device.Device {
 }
 
 // Syscall executes fn synchronously: the thread exits the enclave, the
-// host performs the call, and the thread re-enters — one full transition
-// round trip, plus a touch of library-OS state on the way through.
+// host performs the call, and the thread re-enters.
 func (r *Runtime) Syscall(fn func()) {
+	r.Submit()
+	fn()
+}
+
+// Submit charges one synchronous call: one full transition round trip,
+// plus a touch of library-OS state on the way through.
+func (r *Runtime) Submit() {
 	r.enclave.Transition()
 	// The libOS syscall emulation layer touches its own in-enclave state
 	// (file descriptor tables, handle maps) on every call.
 	r.enclave.Access(libOSStateTouch, sgx.AccessRandom)
-	fn()
 }
 
 // libOSStateTouch is the library-OS bookkeeping traffic per syscall.
 const libOSStateTouch = 4 << 10
 
 // FS returns the syscall-interposed host file system view.
-func (r *Runtime) FS() fsapi.FS {
-	return &sysFS{rt: r, host: r.cfg.HostFS}
-}
+func (r *Runtime) FS() fsapi.FS { return sysio.NewFS(r, r.cfg.HostFS) }
 
 // Dial opens a TCP connection through the synchronous syscall path.
 func (r *Runtime) Dial(network, addr string) (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	r.Syscall(func() { conn, err = net.Dial(network, addr) })
-	if err != nil {
-		return nil, fmt.Errorf("graphene: dial %s: %w", addr, err)
-	}
-	return &sysConn{rt: r, Conn: conn}, nil
+	return sysio.Dial(r, network, addr)
 }
 
 // Listen opens a TCP listener through the synchronous syscall path.
 func (r *Runtime) Listen(network, addr string) (net.Listener, error) {
-	var ln net.Listener
-	var err error
-	r.Syscall(func() { ln, err = net.Listen(network, addr) })
-	if err != nil {
-		return nil, fmt.Errorf("graphene: listen %s: %w", addr, err)
-	}
-	return &sysListener{rt: r, Listener: ln}, nil
+	return sysio.Listen(r, network, addr)
 }
 
 // CopyIn charges the enclave-boundary copy for incoming data.
-func (r *Runtime) CopyIn(n int) {
-	if n > 0 {
-		r.enclave.Access(int64(n), sgx.AccessStreaming)
-	}
-}
+func (r *Runtime) CopyIn(n int) { r.enclave.Access(int64(n), sgx.AccessStreaming) }
 
 // CopyOut charges the enclave-boundary copy for outgoing data.
-func (r *Runtime) CopyOut(n int) {
-	if n > 0 {
-		r.enclave.Access(int64(n), sgx.AccessStreaming)
-	}
-}
+func (r *Runtime) CopyOut(n int) { r.enclave.Access(int64(n), sgx.AccessStreaming) }
 
 // Close destroys the enclave.
 func (r *Runtime) Close() error {

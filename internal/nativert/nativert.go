@@ -10,6 +10,7 @@ import (
 	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/sysio"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -95,14 +96,21 @@ func (r *Runtime) Device(threads int) device.Device {
 
 // Syscall charges an ordinary kernel crossing and runs fn.
 func (r *Runtime) Syscall(fn func()) {
-	r.cfg.Clock.Advance(r.cfg.Params.NativeSyscallCost)
+	r.Submit()
 	fn()
 }
 
+// Submit charges an ordinary kernel crossing.
+func (r *Runtime) Submit() { r.cfg.Clock.Advance(r.cfg.Params.NativeSyscallCost) }
+
+// CopyIn charges nothing: there is no enclave boundary to copy across.
+func (r *Runtime) CopyIn(int) {}
+
+// CopyOut charges nothing, as CopyIn.
+func (r *Runtime) CopyOut(int) {}
+
 // FS returns the host file system with native syscall costs.
-func (r *Runtime) FS() fsapi.FS {
-	return &sysFS{rt: r, host: r.cfg.HostFS}
-}
+func (r *Runtime) FS() fsapi.FS { return sysio.NewFS(r, r.cfg.HostFS) }
 
 // Dial opens a TCP connection.
 func (r *Runtime) Dial(network, addr string) (net.Conn, error) {
@@ -128,126 +136,3 @@ func (r *Runtime) Listen(network, addr string) (net.Listener, error) {
 
 // Close releases nothing; native runtimes hold no resources.
 func (r *Runtime) Close() error { return nil }
-
-// sysFS charges a native syscall per operation; contents pass through.
-type sysFS struct {
-	rt   *Runtime
-	host fsapi.FS
-}
-
-var _ fsapi.FS = (*sysFS)(nil)
-
-func (s *sysFS) Open(name string) (fsapi.File, error) {
-	var f fsapi.File
-	var err error
-	s.rt.Syscall(func() { f, err = s.host.Open(name) })
-	if err != nil {
-		return nil, err
-	}
-	return &sysFile{rt: s.rt, inner: f}, nil
-}
-
-func (s *sysFS) Create(name string) (fsapi.File, error) {
-	var f fsapi.File
-	var err error
-	s.rt.Syscall(func() { f, err = s.host.Create(name) })
-	if err != nil {
-		return nil, err
-	}
-	return &sysFile{rt: s.rt, inner: f}, nil
-}
-
-func (s *sysFS) Remove(name string) error {
-	var err error
-	s.rt.Syscall(func() { err = s.host.Remove(name) })
-	return err
-}
-
-func (s *sysFS) Rename(oldName, newName string) error {
-	var err error
-	s.rt.Syscall(func() { err = s.host.Rename(oldName, newName) })
-	return err
-}
-
-func (s *sysFS) Stat(name string) (fsapi.FileInfo, error) {
-	var fi fsapi.FileInfo
-	var err error
-	s.rt.Syscall(func() { fi, err = s.host.Stat(name) })
-	return fi, err
-}
-
-func (s *sysFS) List(dir string) ([]string, error) {
-	var names []string
-	var err error
-	s.rt.Syscall(func() { names, err = s.host.List(dir) })
-	return names, err
-}
-
-func (s *sysFS) MkdirAll(dir string) error {
-	var err error
-	s.rt.Syscall(func() { err = s.host.MkdirAll(dir) })
-	return err
-}
-
-type sysFile struct {
-	rt    *Runtime
-	inner fsapi.File
-}
-
-var _ fsapi.File = (*sysFile)(nil)
-
-func (f *sysFile) Read(p []byte) (int, error) {
-	var n int
-	var err error
-	f.rt.Syscall(func() { n, err = f.inner.Read(p) })
-	return n, err
-}
-
-func (f *sysFile) ReadAt(p []byte, off int64) (int, error) {
-	var n int
-	var err error
-	f.rt.Syscall(func() { n, err = f.inner.ReadAt(p, off) })
-	return n, err
-}
-
-func (f *sysFile) Write(p []byte) (int, error) {
-	var n int
-	var err error
-	f.rt.Syscall(func() { n, err = f.inner.Write(p) })
-	return n, err
-}
-
-func (f *sysFile) WriteAt(p []byte, off int64) (int, error) {
-	var n int
-	var err error
-	f.rt.Syscall(func() { n, err = f.inner.WriteAt(p, off) })
-	return n, err
-}
-
-func (f *sysFile) Seek(off int64, whence int) (int64, error) {
-	var pos int64
-	var err error
-	f.rt.Syscall(func() { pos, err = f.inner.Seek(off, whence) })
-	return pos, err
-}
-
-func (f *sysFile) Truncate(size int64) error {
-	var err error
-	f.rt.Syscall(func() { err = f.inner.Truncate(size) })
-	return err
-}
-
-func (f *sysFile) Size() (int64, error) {
-	var n int64
-	var err error
-	f.rt.Syscall(func() { n, err = f.inner.Size() })
-	return n, err
-}
-
-func (f *sysFile) Close() error {
-	var err error
-	f.rt.Syscall(func() { err = f.inner.Close() })
-	return err
-}
-
-func (f *sysFile) Name() string { return f.inner.Name() }

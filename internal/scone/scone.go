@@ -17,6 +17,7 @@ import (
 	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/sysio"
 )
 
 // Config configures a SCONE runtime instance.
@@ -116,17 +117,9 @@ func (r *Runtime) Syscall(fn func()) {
 	r.queue.Do(fn)
 }
 
-// BlockingSyscall submits a request that may park indefinitely — a
-// socket read with no data, a listener accept with no client. SCONE
-// parks those on the network poller, not in the bounded request ring:
-// a ring slot held for an unbounded wait would starve every other
-// thread's syscalls (and deadlock outright when a server and its
-// client share one runtime). The submission cost is charged exactly
-// like Syscall; only the wait happens outside the ring.
-func (r *Runtime) BlockingSyscall(fn func()) {
-	r.enclave.AsyncSyscall()
-	fn()
-}
+// Submit charges the submission of a request whose wait happens outside
+// the ring (sysio parks socket reads and accepts on the network poller).
+func (r *Runtime) Submit() { r.enclave.AsyncSyscall() }
 
 // CopyIn charges the cost of moving n bytes across the enclave boundary
 // into protected memory (syscall results are copied and sanity-checked).
@@ -157,34 +150,16 @@ func (r *Runtime) copyBoundary(n int) {
 // FS returns the runtime's syscall-interposed view of the host file
 // system. Data crossing the boundary is charged; contents are NOT
 // protected — layer a file-system shield on top for that.
-func (r *Runtime) FS() fsapi.FS {
-	return &sysFS{rt: r, host: r.cfg.HostFS}
-}
+func (r *Runtime) FS() fsapi.FS { return sysio.NewFS(r, r.cfg.HostFS) }
 
 // Dial opens a TCP connection through the syscall interface.
 func (r *Runtime) Dial(network, addr string) (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	r.Syscall(func() {
-		conn, err = net.Dial(network, addr)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scone: dial %s: %w", addr, err)
-	}
-	return &sysConn{rt: r, Conn: conn}, nil
+	return sysio.Dial(r, network, addr)
 }
 
 // Listen opens a TCP listener through the syscall interface.
 func (r *Runtime) Listen(network, addr string) (net.Listener, error) {
-	var ln net.Listener
-	var err error
-	r.Syscall(func() {
-		ln, err = net.Listen(network, addr)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scone: listen %s: %w", addr, err)
-	}
-	return &sysListener{rt: r, Listener: ln}, nil
+	return sysio.Listen(r, network, addr)
 }
 
 // Close shuts down the runtime and destroys the enclave. Application

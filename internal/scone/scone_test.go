@@ -1,6 +1,7 @@
 package scone
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,16 +13,21 @@ import (
 
 func launchTestRuntime(t *testing.T, mode sgx.Mode) *Runtime {
 	t.Helper()
+	return launchTestConfig(t, Config{Mode: mode})
+}
+
+// launchTestConfig launches cfg on a fresh platform with a synthetic
+// image and an in-memory host.
+func launchTestConfig(t *testing.T, cfg Config) *Runtime {
+	t.Helper()
 	p, err := sgx.NewPlatform("node", sgx.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Launch(Config{
-		Platform: p,
-		Mode:     mode,
-		Image:    sgx.SyntheticImage("app", 2<<20, 1<<20),
-		HostFS:   fsapi.NewMem(),
-	})
+	cfg.Platform = p
+	cfg.Image = sgx.SyntheticImage("app", 2<<20, 1<<20)
+	cfg.HostFS = fsapi.NewMem()
+	rt, err := Launch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +173,32 @@ func TestSchedulerYield(t *testing.T) {
 	s.Wait()
 }
 
+// TestDialListenThroughRuntime echoes through a runtime whose ring has
+// one slot while four reads of the same runtime sit parked on idle
+// connections: a parked wait that held a ring slot would leave none
+// for the echo's writes (the PR 1 deadlock).
 func TestDialListenThroughRuntime(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeHW)
+	rt := launchTestConfig(t, Config{Mode: sgx.ModeHW, SyscallWorkers: 1})
 	ln, err := rt.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 
+	const idle = 4
 	msg := []byte("gradients")
 	errc := make(chan error, 1)
 	go func() {
+		// The idle connections are accepted and held open unread; the
+		// one after them is echoed.
+		for i := 0; i < idle; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer conn.Close()
+		}
 		conn, err := ln.Accept()
 		if err != nil {
 			errc <- err
@@ -192,6 +213,39 @@ func TestDialListenThroughRuntime(t *testing.T) {
 		_, err = conn.Write(buf)
 		errc <- err
 	}()
+
+	// Each idle read starts before the next dial. Whether the kernel has
+	// parked it yet is not visible from here (sysio's
+	// TestParkedReadChargesOnCompletion checks that with a scripted
+	// conn); what this needs is weaker: were reads ring calls, the first
+	// one to reach the ring before the echo's last call would hold its
+	// one slot for good, and parked.Wait plus four more dials give all
+	// four every chance to.
+	var parked, released sync.WaitGroup
+	var idleConns []net.Conn
+	defer func() {
+		// Closing the dialing side ends the reads whatever state the
+		// accepting goroutine is in.
+		for _, conn := range idleConns {
+			conn.Close()
+		}
+		released.Wait()
+	}()
+	for i := 0; i < idle; i++ {
+		conn, err := rt.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		idleConns = append(idleConns, conn)
+		parked.Add(1)
+		released.Add(1)
+		go func() {
+			defer released.Done()
+			parked.Done()
+			conn.Read(make([]byte, 1)) // parks until the Close above
+		}()
+	}
+	parked.Wait()
 
 	conn, err := rt.Dial("tcp", ln.Addr().String())
 	if err != nil {
