@@ -1,30 +1,51 @@
-// Command securetf-worker runs a secure inference container that
-// attests to a CAS, receives its volume key and TLS identity, and serves
-// classification requests — one node of the paper's Fig. 2 architecture.
+// Command securetf-worker runs one job of a secureTF deployment, named
+// by the command word that must come first:
 //
-// Usage (after starting securetf-cas with -trustdir /run/securetf/trust):
+//	securetf-worker serve|train|federated|router [flags]
 //
-//	securetf-worker -cas 127.0.0.1:7300 -cas-info /run/securetf/trust/cas.pem \
-//	                -trustdir /run/securetf/trust -spec densenet -listen 127.0.0.1:7400
+// Each command declares only its own flags (`securetf-worker train -h`
+// lists train's fourteen), so another command's flag, or no command word
+// at all, is rejected by construction. Within a command, flags that
+// contradict each other — -staleness under sync, -topk without the topk
+// codec, a fraction outside (0, 1], a -quorum larger than the sampled
+// cohort — are usage errors, not silently ignored.
+//
+// serve runs a secure inference container that attests to a CAS,
+// receives its volume key and TLS identity, and serves classification
+// requests — one node of the paper's Fig. 2 architecture. After starting
+// securetf-cas with -trustdir /run/securetf/trust:
+//
+//	securetf-worker serve -cas 127.0.0.1:7300 -cas-info /run/securetf/trust/cas.pem \
+//	                      -trustdir /run/securetf/trust -spec densenet -listen 127.0.0.1:7400
 //
 // The worker drops its own platform key into -trustdir (the CAS picks it
 // up), registers a session covering its enclave measurement, attests,
 // and serves. With -selftest it additionally spins up an attested client
 // container in-process and runs one classification over the shielded
-// TLS channel to prove the path end to end.
+// TLS channel to prove the path end to end. The gateway's control plane
+// is exposed too: -autoscale lets the gateway move replica counts with
+// queue depth (up to -autoscale-max, idle models scaling to zero), and
+// -canary N stages version 2 of every served model and routes N% of
+// unpinned traffic to it, letting the gateway's rejection-rate and p99
+// comparison promote or roll it back.
 //
-// With -train the worker instead stands up the paper's §5.4 distributed
-// training cluster in-process: -ps-shards parameter-server nodes (one
-// enclave and one listener per shard, the model variables partitioned
-// across them by name hash) and -train-workers worker enclaves running
-// data-parallel SGD on MNIST. -train-consistency selects the commit
-// policy: "sync" (barrier rounds, the default) or "async"
-// (apply-on-push with the -train-staleness bound K; -1 is unbounded).
-// -train-compress selects the push-path gradient codec: "none" (raw
-// float32, the default), "int8" (per-tensor symmetric quantization,
-// ~4× fewer wire bytes) or "topk" (the top -train-topk fraction of
-// entries by magnitude, sent sparse); both lossy codecs keep a
-// worker-side error-feedback residual, so convergence is preserved.
+// train stands up the paper's §5.4 distributed training cluster
+// in-process: -shards parameter-server nodes (one enclave and one
+// listener per shard, the model variables partitioned across them by
+// name hash) and -workers worker enclaves running data-parallel SGD on
+// MNIST:
+//
+//	securetf-worker train -workers 3 -shards 2 -rounds 4
+//	securetf-worker train -workers 4 -consistency async -staleness 8
+//	securetf-worker train -workers 4 -compress topk -topk 0.05
+//
+// -consistency selects the commit policy: "sync" (barrier rounds, the
+// default) or "async" (apply-on-push with the -staleness bound K; -1 is
+// unbounded). -compress selects the push-path gradient codec: "none"
+// (raw float32, the default), "int8" (per-tensor symmetric quantization,
+// ~4× fewer wire bytes) or "topk" (the top -topk fraction of entries by
+// magnitude, sent sparse); both lossy codecs keep a worker-side
+// error-feedback residual, so convergence is preserved.
 // Training survives failures: -checkpoint-every N snapshots every
 // parameter-server shard each N committed rounds through the
 // file-system shield (encrypted and authenticated on the host volume);
@@ -37,33 +58,24 @@
 // semicolon-separated); kill and stall faults switch the cluster
 // elastic, so the round barrier shrinks to the survivors instead of
 // aborting.
-// Serve mode exposes the gateway's control plane: -autoscale lets the
-// gateway move replica counts with queue depth (up to -autoscale-max,
-// idle models scaling to zero), and -canary N stages version 2 of every
-// served model and routes N% of unpinned traffic to it, letting the
-// gateway's rejection-rate and p99 comparison promote or roll it back.
 //
-// With -federated the worker instead runs the paper's §6.2
-// federated-learning deployment in-process: an aggregator enclave
-// running FedAvg quorum rounds over -clients simulated participants
-// with pairwise-masked secure aggregation (the aggregator only ever
-// sees blinded updates whose masks cancel in the sum). -sample-frac
-// picks the per-round cohort, -quorum is the number of accepted
-// uploads that closes a round (stragglers past it are refused and
-// retry), and -fed-compress selects the masked uplink codec: "none",
-// "int8" (16-bit ring) or "topk" (the shared pseudo-random -fed-topk
+// federated runs the paper's §6.2 federated-learning deployment
+// in-process: an aggregator enclave running FedAvg quorum rounds over
+// -clients simulated participants with pairwise-masked secure
+// aggregation (the aggregator only ever sees blinded updates whose masks
+// cancel in the sum):
+//
+//	securetf-worker federated -clients 16 -sample-frac 0.5 -quorum 6 -compress topk
+//
+// -sample-frac picks the per-round cohort, -quorum is the number of
+// accepted uploads that closes a round (stragglers past it are refused
+// and retry), and -compress selects the masked uplink codec: "none",
+// "int8" (16-bit ring) or "topk" (the shared pseudo-random -topk
 // fraction of coordinates, no index bytes on the wire).
 //
-// Flag combinations that contradict each other — -train-staleness under
-// sync, -train-topk without the topk codec, a fraction outside (0, 1],
-// a -quorum larger than the sampled cohort, serve-mode flags like
-// -canary or -autoscale under -train, federated flags without
-// -federated — are usage errors, not silently ignored:
-//
-//	securetf-worker -train -train-workers 3 -ps-shards 2 -train-rounds 4
-//	securetf-worker -train -train-workers 4 -train-consistency async -train-staleness 8
-//	securetf-worker -train -train-workers 4 -train-compress topk -train-topk 0.05
-//	securetf-worker -federated -clients 16 -sample-frac 0.5 -quorum 6 -fed-compress topk
+// router runs the §6.1 serving fleet in-process: -nodes gateways behind
+// a router that verifies and signs the model→node placement, with -graph
+// a pipeline inference graph compiled across them.
 package main
 
 import (
@@ -75,6 +87,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -85,275 +98,218 @@ import (
 	securetf "github.com/securetf/securetf"
 )
 
-// randomToken draws a random session owner token.
-func randomToken() string {
-	b := make([]byte, 16)
-	if _, err := rand.Read(b); err != nil {
-		return "securetf-worker-token"
-	}
-	return hex.EncodeToString(b)
+// command is one of the worker's jobs. setup declares the command's own
+// flags on fs — only those, which is what makes every other command's
+// flag an error — and returns the job to run once fs has parsed them.
+type command struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) (run func(w io.Writer) error)
 }
 
-// randRead fills b with random bytes.
-func randRead(b []byte) (int, error) { return rand.Read(b) }
+// commands is the one table the dispatcher, the usage text and the
+// foreign-flag test read.
+var commands = []command{
+	{"serve", "attest to a CAS, receive keys and serve inference over shielded TLS (Fig. 2)", serveCommand},
+	{"train", "run a distributed training cluster in-process (§5.4)", trainCommand},
+	{"federated", "run a federated-learning job with pairwise-masked secure aggregation in-process (§6.2)", federatedCommand},
+	{"router", "run a multi-node serving fleet behind a router in-process (§6.1)", routerCommand},
+}
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "securetf-worker:", err)
 		os.Exit(1)
 	}
 }
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("securetf-worker", flag.ContinueOnError)
-	var (
-		train        = fs.Bool("train", false, "run a distributed training cluster instead of serving inference")
-		trainWorkers = fs.Int("train-workers", 2, "training workers (with -train)")
-		psShards     = fs.Int("ps-shards", 1, "parameter-server shards; one node and one listener per shard (with -train)")
-		trainRounds  = fs.Int("train-rounds", 4, "synchronous training rounds per worker (with -train)")
-		trainBatch   = fs.Int("train-batch", 50, "per-worker minibatch size (with -train)")
-		trainLR      = fs.Float64("train-lr", 0.01, "learning rate (with -train)")
-		trainTLS     = fs.Bool("train-tls", true, "route parameter traffic through the network shield's TLS (with -train)")
-		trainCons    = fs.String("train-consistency", "sync", "parameter-server commit policy: sync (barrier rounds) or async (apply-on-push, with -train-staleness)")
-		trainStale   = fs.Int("train-staleness", 8, "async staleness bound K in variable versions; -1 for unbounded (with -train-consistency async)")
-		trainComp    = fs.String("train-compress", "none", "gradient codec on the push path: none, int8 (per-tensor symmetric quantization) or topk (with -train-topk)")
-		trainTopK    = fs.Float64("train-topk", 0.05, "top-k fraction of gradient entries pushed, in (0, 1] (with -train-compress topk)")
-		chaosPlan    = fs.String("chaos-plan", "", "deterministic fault schedule, e.g. 'kill:w1@r2+rejoin1;restart:ps0@r2' (with -train)")
-		ckptEvery    = fs.Int("checkpoint-every", 0, "snapshot every parameter-server shard each N committed rounds (with -train)")
-		ckptDir      = fs.String("checkpoint-dir", "", "host directory the encrypted snapshots and volume key persist to (with -checkpoint-every)")
-		resumeFrom   = fs.String("resume-from", "", "host directory of a previous run's -checkpoint-dir to resume training from (with -train)")
+	if len(args) == 0 {
+		return usageError("missing command")
+	}
+	for _, c := range commands {
+		if c.name != args[0] {
+			continue
+		}
+		fs := flag.NewFlagSet("securetf-worker "+c.name, flag.ContinueOnError)
+		fs.Usage = func() {
+			fmt.Fprintf(fs.Output(), "usage: securetf-worker %s [flags]\n%s\n", c.name, c.summary)
+			fs.PrintDefaults()
+		}
+		// main reports a parse error once; the flag package's copy and
+		// the usage dump it appends would only bury it.
+		fs.SetOutput(io.Discard)
+		job := c.setup(fs)
+		if err := fs.Parse(args[1:]); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				fs.SetOutput(w)
+				fs.Usage()
+			}
+			return err
+		}
+		if fs.NArg() > 0 {
+			return fmt.Errorf("%s: unexpected argument %q", c.name, fs.Arg(0))
+		}
+		return job(w)
+	}
+	return usageError(fmt.Sprintf("unknown command %q", args[0]))
+}
 
-		federated  = fs.Bool("federated", false, "run a federated-learning job with pairwise-masked secure aggregation instead of serving inference")
-		fedClients = fs.Int("clients", 8, "client population size (with -federated)")
-		fedQuorum  = fs.Int("quorum", 0, "accepted uploads that close a round; 0 means every sampled client (with -federated)")
-		fedFrac    = fs.Float64("sample-frac", 1, "fraction of the population sampled into each round's cohort, in (0, 1] (with -federated)")
-		fedRounds  = fs.Int("fed-rounds", 3, "FedAvg rounds (with -federated)")
-		fedComp    = fs.String("fed-compress", "none", "masked uplink codec: none, int8 (16-bit ring) or topk (with -fed-topk)")
-		fedTopK    = fs.Float64("fed-topk", 0.1, "shared pseudo-random coordinate fraction uploaded per variable, in (0, 1] (with -fed-compress topk)")
+// usageError reports a missing or unrecognised command word.
+func usageError(problem string) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\nusage: securetf-worker <command> [flags]\n", problem)
+	for _, c := range commands {
+		fmt.Fprintf(&b, "  %-10s %s\n", c.name, c.summary)
+	}
+	b.WriteString("'securetf-worker <command> -h' lists a command's flags")
+	return errors.New(b.String())
+}
 
-		routerMode  = fs.Bool("router", false, "run an in-process multi-node serving fleet behind a router instead of a single gateway")
-		routerNodes = fs.Int("nodes", 2, "gateway nodes in the fleet (with -router)")
-		routerGraph = fs.Bool("graph", false, "compile a pipeline inference graph across the fleet and run a request through it (with -router)")
+// isSet reports whether the command line gave the named flag: a flag
+// that only means something under another flag's setting is a usage
+// error when given against it, whatever its value.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
 
-		casAddr   = fs.String("cas", "", "CAS address (required)")
-		casInfo   = fs.String("cas-info", "", "path to the CAS platform key PEM; its .measurement sibling must exist (required)")
-		trustdir  = fs.String("trustdir", "", "directory where the CAS scans for platform keys (required)")
-		name      = fs.String("name", "worker-platform", "this worker's platform name (must be unique per CAS)")
-		session   = fs.String("session", "inference", "CAS session name to register and attest to")
-		token     = fs.String("token", "", "session owner token (defaults to a random one)")
-		spec      = fs.String("spec", "densenet", "synthetic model spec: densenet, inception_v3, inception_v4")
-		model     = fs.String("model", "", "path to a Lite model file (overrides -spec)")
-		modelSet  = fs.String("models", "", "comma-separated specs to serve together (overrides -spec/-model)")
-		listen    = fs.String("listen", "127.0.0.1:0", "inference service address")
-		threads   = fs.Int("threads", 1, "interpreter threads per replica")
-		replicas  = fs.Int("replicas", 1, "interpreter replicas per model version")
-		maxBatch  = fs.Int("max-batch", 1, "max rows coalesced into one batched invocation (1 disables)")
-		window    = fs.Duration("batch-window", 0, "micro-batching window (defaults to 2ms when -max-batch > 1)")
-		autoscale = fs.Bool("autoscale", false, "let the gateway autoscale replica counts from queue depth; idle models scale to zero")
-		autoMax   = fs.Int("autoscale-max", 8, "replica ceiling per model under -autoscale")
-		canaryPct = fs.Int("canary", 0, "register each model's version 2 and canary it on this percent of unpinned traffic (1-99)")
-		selftest  = fs.Bool("selftest", false, "run one attested classification against the service, then keep serving")
-		once      = fs.Bool("once", false, "exit after startup (and -selftest if set) instead of serving forever")
-		timeout   = fs.Duration("timeout", 15*time.Second, "how long to retry attestation while the CAS learns our key")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// codecFlag resolves a command's -compress / -topk pair into its codec
+// type C (the training push path's or the federated uplink's).
+func codecFlag[C any](fs *flag.FlagSet, compress string, topk float64, none, int8 func() C, topK func(float64) C) (C, error) {
+	var zero C
+	switch compress {
+	case "none", "int8":
+		if isSet(fs, "topk") {
+			return zero, errors.New("-topk only applies with -compress topk")
+		}
+		if compress == "int8" {
+			return int8(), nil
+		}
+		return none(), nil
+	case "topk":
+		if !(topk > 0 && topk <= 1) {
+			return zero, fmt.Errorf("-topk must be in (0, 1], got %g", topk)
+		}
+		return topK(topk), nil
 	}
-	// Flags that only mean something under another flag's setting are
-	// rejected when that setting contradicts them — running with a
-	// config the user didn't ask for is worse than a usage error.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	modes := 0
-	for _, m := range []bool{*train, *federated, *routerMode} {
-		if m {
-			modes++
-		}
+	return zero, fmt.Errorf("-compress must be none, int8 or topk, got %q", compress)
+}
+
+// mnistShard generates a private n-example MNIST shard from seed.
+func mnistShard(n int, seed int64) (*securetf.Tensor, *securetf.Tensor, error) {
+	fs := securetf.NewMemFS()
+	if err := securetf.GenerateMNIST(fs, "shard", n, 0, seed); err != nil {
+		return nil, nil, err
 	}
-	if modes > 1 {
-		return errors.New("-train, -federated and -router are mutually exclusive; run one job per invocation")
+	return securetf.LoadMNIST(fs, "shard/train-images-idx3-ubyte", "shard/train-labels-idx1-ubyte")
+}
+
+// randomBytes draws n bytes from crypto/rand, whose Read fills the whole
+// slice and never returns an error.
+func randomBytes(n int) []byte {
+	b := make([]byte, n)
+	rand.Read(b)
+	return b
+}
+
+// serviceNames lists the TLS names the session's certificate must cover
+// for a gateway listening on listen: the fixed service names plus the
+// listen host, when it names one (an IP literal becomes an IP SAN).
+func serviceNames(listen string) ([]string, error) {
+	host, _, err := net.SplitHostPort(listen)
+	if err != nil {
+		return nil, fmt.Errorf("-listen: %w", err)
 	}
-	if !*routerMode {
-		for _, f := range []string{"nodes", "graph"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies with -router", f)
-			}
-		}
+	names := []string{"classifier", "localhost"}
+	if host != "" {
+		names = append(names, host)
 	}
-	if !*train {
-		for _, f := range []string{"chaos-plan", "checkpoint-every", "checkpoint-dir", "resume-from"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies with -train", f)
-			}
+	return names, nil
+}
+
+// serveOptions is the serve command's parsed flag set; the gateway's
+// share of it parses straight into the facade's config.
+type serveOptions struct {
+	gateway                    securetf.ModelServerConfig
+	services                   []string // TLS names of the session certificate, from -listen
+	casAddr, casInfo, trustdir string
+	name, session, token       string
+	spec, model, models        string
+	autoscale                  bool
+	autoscaleMax, canary       int
+	selftest, once             bool
+	timeout                    time.Duration
+}
+
+func serveCommand(fs *flag.FlagSet) func(io.Writer) error {
+	var o serveOptions
+	fs.StringVar(&o.casAddr, "cas", "", "CAS address (required)")
+	fs.StringVar(&o.casInfo, "cas-info", "", "path to the CAS platform key PEM; its .measurement sibling must exist (required)")
+	fs.StringVar(&o.trustdir, "trustdir", "", "directory where the CAS scans for platform keys (required)")
+	fs.StringVar(&o.name, "name", "worker-platform", "this worker's platform name (must be unique per CAS)")
+	fs.StringVar(&o.session, "session", "inference", "CAS session name to register and attest to")
+	fs.StringVar(&o.token, "token", "", "session owner token (defaults to a random one)")
+	fs.StringVar(&o.spec, "spec", "densenet", "synthetic model spec: densenet, inception_v3, inception_v4")
+	fs.StringVar(&o.model, "model", "", "path to a Lite model file (overrides -spec)")
+	fs.StringVar(&o.models, "models", "", "comma-separated specs to serve together (overrides -spec/-model)")
+	fs.StringVar(&o.gateway.Addr, "listen", "127.0.0.1:0", "inference service address")
+	fs.IntVar(&o.gateway.Threads, "threads", 1, "interpreter threads per replica")
+	fs.IntVar(&o.gateway.Replicas, "replicas", 1, "interpreter replicas per model version")
+	fs.IntVar(&o.gateway.MaxBatch, "max-batch", 1, "max rows coalesced into one batched invocation (1 disables)")
+	fs.DurationVar(&o.gateway.BatchWindow, "batch-window", 0, "micro-batching window (defaults to 2ms when -max-batch > 1)")
+	fs.BoolVar(&o.autoscale, "autoscale", false, "let the gateway autoscale replica counts from queue depth; idle models scale to zero")
+	fs.IntVar(&o.autoscaleMax, "autoscale-max", 8, "replica ceiling per model under -autoscale")
+	fs.IntVar(&o.canary, "canary", 0, "register each model's version 2 and canary it on this percent of unpinned traffic (1-99)")
+	fs.BoolVar(&o.selftest, "selftest", false, "run one attested classification against the service, then keep serving")
+	fs.BoolVar(&o.once, "once", false, "exit after startup (and -selftest if set) instead of serving forever")
+	fs.DurationVar(&o.timeout, "timeout", 15*time.Second, "how long to retry attestation while the CAS learns our key")
+	return func(w io.Writer) error {
+		if o.gateway.Replicas < 1 {
+			return fmt.Errorf("-replicas must be >= 1, got %d", o.gateway.Replicas)
 		}
-	}
-	if *routerMode {
-		for _, f := range []string{"autoscale", "autoscale-max", "canary", "models", "replicas", "max-batch", "batch-window", "cas", "cas-info", "trustdir", "listen", "spec", "model", "session", "token"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies in serve mode, not with -router", f)
-			}
+		if o.gateway.MaxBatch < 1 {
+			return fmt.Errorf("-max-batch must be >= 1, got %d", o.gateway.MaxBatch)
 		}
-		if *routerNodes < 1 {
-			return fmt.Errorf("-nodes must be >= 1, got %d", *routerNodes)
-		}
-		return runRouter(w, *routerNodes, *routerGraph)
-	}
-	if !*federated {
-		for _, f := range []string{"clients", "quorum", "sample-frac", "fed-rounds", "fed-compress", "fed-topk"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies with -federated", f)
-			}
-		}
-	}
-	if *federated {
-		for _, f := range []string{"autoscale", "autoscale-max", "canary", "models", "replicas", "max-batch", "batch-window"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies in serve mode, not with -federated", f)
-			}
-		}
-		for _, f := range []string{"train-workers", "ps-shards", "train-rounds", "train-batch", "train-lr", "train-tls", "train-consistency", "train-staleness", "train-compress", "train-topk"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies with -train", f)
-			}
-		}
-		if *fedClients < 1 {
-			return fmt.Errorf("-clients must be >= 1, got %d", *fedClients)
-		}
-		if !(*fedFrac > 0 && *fedFrac <= 1) {
-			return fmt.Errorf("-sample-frac must be in (0, 1], got %g", *fedFrac)
-		}
-		if *fedRounds < 1 {
-			return fmt.Errorf("-fed-rounds must be >= 1, got %d", *fedRounds)
-		}
-		sampled := int(math.Ceil(*fedFrac * float64(*fedClients)))
-		if *fedQuorum == 0 {
-			*fedQuorum = sampled
-		}
-		if *fedQuorum < 1 || *fedQuorum > sampled {
-			return fmt.Errorf("-quorum %d exceeds the %d clients sampled per round (-clients %d at -sample-frac %g)",
-				*fedQuorum, sampled, *fedClients, *fedFrac)
-		}
-		var comp securetf.FedCompression
-		switch *fedComp {
-		case "none":
-			if set["fed-topk"] {
-				return errors.New("-fed-topk only applies with -fed-compress topk")
-			}
-			comp = securetf.NoFedCompression()
-		case "int8":
-			if set["fed-topk"] {
-				return errors.New("-fed-topk only applies with -fed-compress topk")
-			}
-			comp = securetf.Int8FedCompression()
-		case "topk":
-			if !(*fedTopK > 0 && *fedTopK <= 1) {
-				return fmt.Errorf("-fed-topk must be in (0, 1], got %g", *fedTopK)
-			}
-			comp = securetf.TopKFedCompression(*fedTopK)
-		default:
-			return fmt.Errorf("-fed-compress must be none, int8 or topk, got %q", *fedComp)
-		}
-		return runFederated(w, *fedClients, *fedQuorum, *fedRounds, *fedFrac, comp)
-	}
-	if *train {
-		for _, f := range []string{"autoscale", "autoscale-max", "canary", "models", "replicas", "max-batch", "batch-window"} {
-			if set[f] {
-				return fmt.Errorf("-%s only applies in serve mode, not with -train", f)
-			}
-		}
-		var policy securetf.ConsistencyPolicy
-		switch *trainCons {
-		case "sync":
-			if set["train-staleness"] {
-				return errors.New("-train-staleness only applies with -train-consistency async; sync rounds have no staleness bound")
-			}
-			policy = securetf.SyncConsistency()
-		case "async":
-			policy = securetf.AsyncConsistency(*trainStale)
-		default:
-			return fmt.Errorf("-train-consistency must be sync or async, got %q", *trainCons)
-		}
-		var comp securetf.GradCompression
-		switch *trainComp {
-		case "none":
-			if set["train-topk"] {
-				return errors.New("-train-topk only applies with -train-compress topk")
-			}
-			comp = securetf.NoGradCompression()
-		case "int8":
-			if set["train-topk"] {
-				return errors.New("-train-topk only applies with -train-compress topk")
-			}
-			comp = securetf.Int8GradCompression()
-		case "topk":
-			if !(*trainTopK > 0 && *trainTopK <= 1) {
-				return fmt.Errorf("-train-topk must be in (0, 1], got %g", *trainTopK)
-			}
-			comp = securetf.TopKGradCompression(*trainTopK)
-		default:
-			return fmt.Errorf("-train-compress must be none, int8 or topk, got %q", *trainComp)
-		}
-		if set["checkpoint-every"] && *ckptEvery < 1 {
-			return fmt.Errorf("-checkpoint-every must be >= 1, got %d", *ckptEvery)
-		}
-		if set["checkpoint-dir"] && *ckptEvery < 1 {
-			return errors.New("-checkpoint-dir only applies with -checkpoint-every")
-		}
-		if set["resume-from"] && *resumeFrom == "" {
-			return errors.New("-resume-from names no directory")
-		}
-		var plan *securetf.FaultPlan
-		if *chaosPlan != "" {
-			var err error
-			if plan, err = securetf.ParseFaultPlan(*chaosPlan); err != nil {
-				return fmt.Errorf("-chaos-plan: %w", err)
-			}
-		}
-		return runTraining(w, *trainWorkers, *psShards, *trainRounds, *trainBatch, *trainLR, *trainTLS, policy, comp,
-			faultTolerance{plan: plan, every: *ckptEvery, dir: *ckptDir, resumeFrom: *resumeFrom})
-	}
-	// Serve-mode flag validation: contradictions are usage errors, not
-	// silently-corrected settings.
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
-	}
-	if *maxBatch < 1 {
-		return fmt.Errorf("-max-batch must be >= 1, got %d", *maxBatch)
-	}
-	if set["models"] {
-		blank := true
-		for _, name := range strings.Split(*modelSet, ",") {
-			if strings.TrimSpace(name) != "" {
-				blank = false
-				break
-			}
-		}
-		if blank {
+		if isSet(fs, "models") && strings.Trim(o.models, ", \t") == "" {
 			return errors.New("-models lists no models")
 		}
+		if isSet(fs, "autoscale-max") && !o.autoscale {
+			return errors.New("-autoscale-max only applies with -autoscale")
+		}
+		if o.autoscale {
+			if o.autoscaleMax < 1 {
+				return fmt.Errorf("-autoscale-max must be >= 1, got %d", o.autoscaleMax)
+			}
+			o.gateway.Autoscale = &securetf.ServingAutoscale{MaxReplicas: o.autoscaleMax}
+		}
+		if isSet(fs, "canary") && (o.canary < 1 || o.canary > 99) {
+			return fmt.Errorf("-canary must be a traffic percent in [1, 99], got %d", o.canary)
+		}
+		var err error
+		if o.services, err = serviceNames(o.gateway.Addr); err != nil {
+			return err
+		}
+		if o.casAddr == "" || o.casInfo == "" || o.trustdir == "" {
+			return errors.New("-cas, -cas-info and -trustdir are required")
+		}
+		if o.token == "" {
+			o.token = hex.EncodeToString(randomBytes(16))
+		}
+		return o.serve(w)
 	}
-	if set["autoscale-max"] && !*autoscale {
-		return errors.New("-autoscale-max only applies with -autoscale")
-	}
-	if *autoscale && *autoMax < 1 {
-		return fmt.Errorf("-autoscale-max must be >= 1, got %d", *autoMax)
-	}
-	if set["canary"] && (*canaryPct < 1 || *canaryPct > 99) {
-		return fmt.Errorf("-canary must be a traffic percent in [1, 99], got %d", *canaryPct)
-	}
-	if *casAddr == "" || *casInfo == "" || *trustdir == "" {
-		return errors.New("-cas, -cas-info and -trustdir are required")
-	}
-	if *token == "" {
-		*token = randomToken()
-	}
+}
 
-	casKeyPEM, casMeasurement, err := readCASInfo(*casInfo)
+// serve runs the serve command: publish the platform key, register the
+// session, attest, load the models through the shielded volume and serve
+// them until interrupted (or, with -once, until startup is proven).
+func (o *serveOptions) serve(w io.Writer) error {
+	casKeyPEM, casMeasurement, err := readCASInfo(o.casInfo)
 	if err != nil {
 		return err
 	}
 
-	platform, err := securetf.NewPlatform(*name)
+	platform, err := securetf.NewPlatform(o.name)
 	if err != nil {
 		return err
 	}
@@ -362,7 +318,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(*trustdir, *name+".pem"), keyPEM, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(o.trustdir, o.name+".pem"), keyPEM, 0o644); err != nil {
 		return err
 	}
 
@@ -371,7 +327,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	toServe, err := loadModels(*modelSet, *spec, *model)
+	toServe, err := loadModels(o.models, o.spec, o.model)
 	if err != nil {
 		return err
 	}
@@ -388,36 +344,31 @@ func run(args []string, w io.Writer) error {
 	}
 	defer container.Close()
 
-	client, err := securetf.NewCASClientAt(container, *casAddr, casMeasurement, trust)
+	client, err := securetf.NewCASClientAt(container, o.casAddr, casMeasurement, trust)
 	if err != nil {
 		return err
 	}
-	volKey := make([]byte, 32)
-	if _, err := randRead(volKey); err != nil {
-		return err
-	}
-	host, _, _ := strings.Cut(*listen, ":")
 	if err := client.Register(&securetf.Session{
-		Name:         *session,
-		OwnerToken:   *token,
+		Name:         o.session,
+		OwnerToken:   o.token,
 		Measurements: []string{container.Enclave().Measurement().Hex()},
-		Volumes:      map[string][]byte{"models": volKey},
-		Services:     []string{"classifier", "localhost", host},
+		Volumes:      map[string][]byte{"models": randomBytes(32)},
+		Services:     o.services,
 	}); err != nil {
 		return fmt.Errorf("register session: %w", err)
 	}
 
 	// The CAS learns our platform key asynchronously from the trust
 	// directory; retry attestation until it does.
-	deadline := time.Now().Add(*timeout)
+	deadline := time.Now().Add(o.timeout)
 	var timing securetf.AttestTiming
 	for {
-		_, timing, err = container.Provision(client, *session, "models")
+		_, timing, err = container.Provision(client, o.session, "models")
 		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("attestation did not succeed within %v: %w", *timeout, err)
+			return fmt.Errorf("attestation did not succeed within %v: %w", o.timeout, err)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
@@ -427,51 +378,39 @@ func run(args []string, w io.Writer) error {
 	// Store every model under the provisioned encrypted volume and load
 	// it back into the serving gateway through the shield, so the bytes
 	// the interpreters see went through the attested provisioning path.
-	servingCfg := securetf.ServingConfig{
-		Replicas:    *replicas,
-		Threads:     *threads,
-		MaxBatch:    *maxBatch,
-		BatchWindow: *window,
-	}
-	if *autoscale {
-		servingCfg.Autoscale = &securetf.ServingAutoscale{MaxReplicas: *autoMax}
-	}
-	gateway, err := securetf.ServeModels(container, securetf.ModelServerConfig{
-		Addr: *listen, ServingConfig: servingCfg,
-	})
+	gateway, err := securetf.ServeModels(container, o.gateway)
 	if err != nil {
 		return err
 	}
 	defer gateway.Close()
-	for _, entry := range toServe {
-		path := "volumes/models/" + entry.name + ".stfl"
+	stage := func(entry namedModel, version int) error {
+		path := fmt.Sprintf("volumes/models/%s.v%d.stfl", entry.name, version)
 		if err := securetf.WriteFile(container.FS(), path, entry.model.Marshal()); err != nil {
 			return err
 		}
-		if err := gateway.LoadModel(entry.name, 1, path); err != nil {
+		return gateway.LoadModel(entry.name, version, path)
+	}
+	for _, entry := range toServe {
+		if err := stage(entry, 1); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(w, "serving TLS inference on %s\n", gateway.Addr())
-	if *autoscale {
-		fmt.Fprintf(w, "autoscale: up to %d replicas per model, idle models scale to zero\n", *autoMax)
+	if o.autoscale {
+		fmt.Fprintf(w, "autoscale: up to %d replicas per model, idle models scale to zero\n", o.autoscaleMax)
 	}
 	for _, entry := range toServe {
 		fmt.Fprintf(w, "  model %s@1 (%d weight bytes)\n", entry.name, entry.model.WeightBytes())
 	}
-	if *canaryPct > 0 {
+	if o.canary > 0 {
 		// Stage each model's next version through the same shielded
 		// volume and canary it on the requested share of unpinned
 		// traffic; the gateway promotes or rolls back on its own.
 		for _, entry := range toServe {
-			path := "volumes/models/" + entry.name + ".v2.stfl"
-			if err := securetf.WriteFile(container.FS(), path, entry.model.Marshal()); err != nil {
+			if err := stage(entry, 2); err != nil {
 				return err
 			}
-			if err := gateway.LoadModel(entry.name, 2, path); err != nil {
-				return err
-			}
-			if err := gateway.StartCanary(entry.name, 2, securetf.CanaryConfig{Percent: *canaryPct}); err != nil {
+			if err := gateway.StartCanary(entry.name, 2, securetf.CanaryConfig{Percent: o.canary}); err != nil {
 				return err
 			}
 			st := gateway.Canary(entry.name)
@@ -480,28 +419,18 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	if *selftest {
-		if err := probe(w, platform, *casAddr, casMeasurement, trust, *session, gateway.Addr(), toServe); err != nil {
+	if o.selftest {
+		if err := probe(w, platform, o.casAddr, casMeasurement, trust, o.session, gateway.Addr(), toServe); err != nil {
 			return fmt.Errorf("selftest: %w", err)
 		}
 	}
-	if *once {
+	if o.once {
 		return nil
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	return nil
-}
-
-// faultTolerance carries the training mode's failure-handling flags: a
-// parsed chaos plan, the checkpoint cadence and the host directories
-// the encrypted snapshots persist to and resume from.
-type faultTolerance struct {
-	plan       *securetf.FaultPlan
-	every      int
-	dir        string
-	resumeFrom string
 }
 
 // volumeKeyAt loads the snapshot volume key persisted at dir, drawing
@@ -524,61 +453,104 @@ func volumeKeyAt(dir string, mustExist bool) (*securetf.VolumeKey, error) {
 	return key, os.WriteFile(path, key[:], 0o600)
 }
 
-// runTraining stands up an in-process distributed training cluster —
+// trainCommand stands up an in-process distributed training cluster —
 // one enclave node per parameter-server shard and per worker — trains
 // for the requested rounds under the chosen consistency policy and
 // reports the per-round losses, the per-phase virtual-time breakdown
 // and the per-shard push wire time the sharding exists to shrink.
-func runTraining(w io.Writer, workers, shards, rounds, batch int, lr float64, withTLS bool, policy securetf.ConsistencyPolicy, comp securetf.GradCompression, ft faultTolerance) error {
-	fmt.Fprintf(w, "training cluster: %d workers, %d parameter-server shards (TLS %v, %v, compress %v)\n", workers, shards, withTLS, policy, comp)
+func trainCommand(fs *flag.FlagSet) func(io.Writer) error {
 	cfg := securetf.DistTrainConfig{
-		TLS:         withTLS,
-		Workers:     workers,
-		PSShards:    shards,
-		Rounds:      rounds,
-		BatchSize:   batch,
-		LR:          lr,
-		Consistency: policy,
-		Compression: comp,
-		NewModel:    func() securetf.Model { return securetf.NewMNISTCNN(1) },
-		ShardData: func(worker int) (*securetf.Tensor, *securetf.Tensor, error) {
-			fs := securetf.NewMemFS()
-			if err := securetf.GenerateMNIST(fs, "shard", rounds*batch, 0, int64(31+worker)); err != nil {
-				return nil, nil, err
-			}
-			return securetf.LoadMNIST(fs, "shard/train-images-idx3-ubyte", "shard/train-labels-idx1-ubyte")
-		},
+		NewModel:     func() securetf.Model { return securetf.NewMNISTCNN(1) },
 		RoundTimeout: 60 * time.Second,
-		Chaos:        ft.plan,
 	}
-	if ft.plan != nil && (ft.plan.HasKind(securetf.FaultKillWorker) || ft.plan.HasKind(securetf.FaultStallWorker)) {
-		// Dead and stalled workers are detected by the round timeout, so
-		// the wall-clock wait per shrunk round is exactly this budget.
-		cfg.RoundTimeout = 2 * time.Second
+	cfg.ShardData = func(worker int) (*securetf.Tensor, *securetf.Tensor, error) {
+		return mnistShard(cfg.Rounds*cfg.BatchSize, int64(31+worker))
 	}
-	cfg.Checkpoint.Every = ft.every
-	if dir := ft.dir; dir != "" || ft.resumeFrom != "" {
-		if ft.resumeFrom != "" {
-			dir = ft.resumeFrom
+	fs.IntVar(&cfg.Workers, "workers", 2, "training workers")
+	fs.IntVar(&cfg.PSShards, "shards", 1, "parameter-server shards; one node and one listener per shard")
+	fs.IntVar(&cfg.Rounds, "rounds", 4, "synchronous training rounds per worker")
+	fs.IntVar(&cfg.BatchSize, "batch", 50, "per-worker minibatch size")
+	fs.Float64Var(&cfg.LR, "lr", 0.01, "learning rate")
+	fs.BoolVar(&cfg.TLS, "tls", true, "route parameter traffic through the network shield's TLS")
+	fs.IntVar(&cfg.Checkpoint.Every, "checkpoint-every", 0, "snapshot every parameter-server shard each N committed rounds")
+	var (
+		consistency = fs.String("consistency", "sync", "parameter-server commit policy: sync (barrier rounds) or async (apply-on-push, with -staleness)")
+		staleness   = fs.Int("staleness", 8, "async staleness bound K in variable versions; -1 for unbounded (with -consistency async)")
+		compress    = fs.String("compress", "none", "gradient codec on the push path: none, int8 (per-tensor symmetric quantization) or topk (with -topk)")
+		topk        = fs.Float64("topk", 0.05, "top-k fraction of gradient entries pushed, in (0, 1] (with -compress topk)")
+		chaosPlan   = fs.String("chaos-plan", "", "deterministic fault schedule, e.g. 'kill:w1@r2+rejoin1;restart:ps0@r2'")
+		ckptDir     = fs.String("checkpoint-dir", "", "host directory the encrypted snapshots and volume key persist to (with -checkpoint-every)")
+		resumeFrom  = fs.String("resume-from", "", "host directory of a previous run's -checkpoint-dir to resume training from")
+	)
+	return func(w io.Writer) error {
+		if cfg.BatchSize < 1 {
+			return fmt.Errorf("-batch must be >= 1, got %d", cfg.BatchSize)
 		}
-		// Snapshots persist to a host directory: the shard containers
-		// write through the file-system shield, so the directory only
-		// ever holds encrypted, authenticated bytes plus the volume key.
-		key, err := volumeKeyAt(dir, ft.resumeFrom != "")
+		if !(cfg.LR > 0) {
+			return fmt.Errorf("-lr must be > 0, got %g", cfg.LR)
+		}
+		switch *consistency {
+		case "sync":
+			if isSet(fs, "staleness") {
+				return errors.New("-staleness only applies with -consistency async; sync rounds have no staleness bound")
+			}
+			cfg.Consistency = securetf.SyncConsistency()
+		case "async":
+			cfg.Consistency = securetf.AsyncConsistency(*staleness)
+		default:
+			return fmt.Errorf("-consistency must be sync or async, got %q", *consistency)
+		}
+		var err error
+		if cfg.Compression, err = codecFlag(fs, *compress, *topk,
+			securetf.NoGradCompression, securetf.Int8GradCompression, securetf.TopKGradCompression); err != nil {
+			return err
+		}
+		if isSet(fs, "checkpoint-every") && cfg.Checkpoint.Every < 1 {
+			return fmt.Errorf("-checkpoint-every must be >= 1, got %d", cfg.Checkpoint.Every)
+		}
+		if isSet(fs, "checkpoint-dir") && cfg.Checkpoint.Every < 1 {
+			return errors.New("-checkpoint-dir only applies with -checkpoint-every")
+		}
+		if isSet(fs, "resume-from") && *resumeFrom == "" {
+			return errors.New("-resume-from names no directory")
+		}
+		if *chaosPlan != "" {
+			if cfg.Chaos, err = securetf.ParseFaultPlan(*chaosPlan); err != nil {
+				return fmt.Errorf("-chaos-plan: %w", err)
+			}
+			if cfg.Chaos.HasKind(securetf.FaultKillWorker) || cfg.Chaos.HasKind(securetf.FaultStallWorker) {
+				// Dead and stalled workers are detected by the round timeout, so
+				// the wall-clock wait per shrunk round is exactly this budget.
+				cfg.RoundTimeout = 2 * time.Second
+			}
+		}
+		fmt.Fprintf(w, "training cluster: %d workers, %d parameter-server shards (TLS %v, %v, compress %v)\n",
+			cfg.Workers, cfg.PSShards, cfg.TLS, cfg.Consistency, cfg.Compression)
+		if dir := *ckptDir; dir != "" || *resumeFrom != "" {
+			if *resumeFrom != "" {
+				dir = *resumeFrom
+				cfg.ResumeFrom = "checkpoints"
+			}
+			// Snapshots persist to a host directory: the shard containers
+			// write through the file-system shield, so the directory only
+			// ever holds encrypted, authenticated bytes plus the volume key.
+			if cfg.Checkpoint.Key, err = volumeKeyAt(dir, *resumeFrom != ""); err != nil {
+				return err
+			}
+			cfg.Checkpoint.FS = securetf.NewDirFS(dir)
+			fmt.Fprintf(w, "checkpoint volume: %s\n", dir)
+		}
+		res, err := securetf.TrainDistributed(cfg)
 		if err != nil {
 			return err
 		}
-		cfg.Checkpoint.FS = securetf.NewDirFS(dir)
-		cfg.Checkpoint.Key = key
-		fmt.Fprintf(w, "checkpoint volume: %s\n", dir)
+		reportTraining(w, res, cfg.Chaos != nil)
+		return nil
 	}
-	if ft.resumeFrom != "" {
-		cfg.ResumeFrom = "checkpoints"
-	}
-	res, err := securetf.TrainDistributed(cfg)
-	if err != nil {
-		return err
-	}
+}
+
+// reportTraining prints a finished training job's trajectory and costs.
+func reportTraining(w io.Writer, res *securetf.DistTrainResult, chaos bool) {
 	// Under churn the workers' loss slices cover different round subsets,
 	// so a per-round mean only lines up when every worker ran every
 	// round; otherwise report per-worker trajectories.
@@ -607,7 +579,7 @@ func runTraining(w io.Writer, workers, shards, rounds, batch int, lr float64, wi
 			fmt.Fprintf(w, "worker %d: %d rounds, final loss %.4f\n", worker, len(ls), ls[len(ls)-1])
 		}
 	}
-	if ft.plan != nil {
+	if chaos {
 		fmt.Fprintf(w, "chaos: %d evictions, %d rejoins, %d shrunk rounds, %d dropped pushes — all %d rounds committed\n",
 			res.Evictions, res.Rejoins, res.ShrunkRounds, res.DroppedPushes, res.Rounds)
 	}
@@ -619,45 +591,76 @@ func runTraining(w io.Writer, workers, shards, rounds, batch int, lr float64, wi
 		fmt.Fprintf(w, "staleness-bound retries: %d\n", res.StalenessRetries)
 	}
 	fmt.Fprintf(w, "end-to-end training latency (virtual): %v\n", res.Latency)
-	return nil
 }
 
-// runFederated stands up an in-process federated job — an aggregator
+// federatedCommand stands up an in-process federated job — an aggregator
 // enclave plus the simulated client population on virtual clocks — and
 // reports the round accounting and the masked uplink volume the codec
 // exists to shrink. The aggregator never sees an unmasked update; it
 // only learns the quorum sum.
-func runFederated(w io.Writer, clients, quorum, rounds int, frac float64, comp securetf.FedCompression) error {
-	const localSteps, batch = 2, 20
-	fmt.Fprintf(w, "federated job: %d clients, sample fraction %g, quorum %d, %d rounds (compress %v)\n",
-		clients, frac, quorum, rounds, comp)
-	res, err := securetf.TrainFederated(securetf.FederatedConfig{
-		Clients:        clients,
-		SampleFraction: frac,
-		Quorum:         quorum,
-		Rounds:         rounds,
-		LocalSteps:     localSteps,
-		BatchSize:      batch,
-		LocalLR:        0.05,
-		Compression:    comp,
-		Seed:           42,
-		NewModel:       func() securetf.Model { return securetf.NewMNISTMLP(3) },
-		ShardData: func(client int) (*securetf.Tensor, *securetf.Tensor, error) {
-			fs := securetf.NewMemFS()
-			if err := securetf.GenerateMNIST(fs, "shard", localSteps*batch, 0, int64(131+client)); err != nil {
-				return nil, nil, err
-			}
-			return securetf.LoadMNIST(fs, "shard/train-images-idx3-ubyte", "shard/train-labels-idx1-ubyte")
-		},
-	})
-	if err != nil {
-		return err
+func federatedCommand(fs *flag.FlagSet) func(io.Writer) error {
+	cfg := securetf.FederatedConfig{
+		LocalSteps: 2,
+		BatchSize:  20,
+		LocalLR:    0.05,
+		Seed:       42,
+		NewModel:   func() securetf.Model { return securetf.NewMNISTMLP(3) },
 	}
-	fmt.Fprintf(w, "rounds committed: %d (accepted %d masked uploads, refused %d late, %d dropout seed reveals)\n",
-		res.Rounds, res.Accepted, res.Refusals, res.Reveals)
-	fmt.Fprintf(w, "masked uplink bytes (total): %d\n", res.UplinkBytes)
-	fmt.Fprintf(w, "end-to-end federated latency (virtual): %v\n", res.Latency)
-	return nil
+	cfg.ShardData = func(client int) (*securetf.Tensor, *securetf.Tensor, error) {
+		return mnistShard(cfg.LocalSteps*cfg.BatchSize, int64(131+client))
+	}
+	fs.IntVar(&cfg.Clients, "clients", 8, "client population size")
+	fs.IntVar(&cfg.Quorum, "quorum", 0, "accepted uploads that close a round; 0 means every sampled client")
+	fs.Float64Var(&cfg.SampleFraction, "sample-frac", 1, "fraction of the population sampled into each round's cohort, in (0, 1]")
+	fs.IntVar(&cfg.Rounds, "rounds", 3, "FedAvg rounds")
+	compress := fs.String("compress", "none", "masked uplink codec: none, int8 (16-bit ring) or topk (with -topk)")
+	topk := fs.Float64("topk", 0.1, "shared pseudo-random coordinate fraction uploaded per variable, in (0, 1] (with -compress topk)")
+	return func(w io.Writer) error {
+		if cfg.Clients < 1 {
+			return fmt.Errorf("-clients must be >= 1, got %d", cfg.Clients)
+		}
+		if !(cfg.SampleFraction > 0 && cfg.SampleFraction <= 1) {
+			return fmt.Errorf("-sample-frac must be in (0, 1], got %g", cfg.SampleFraction)
+		}
+		if cfg.Rounds < 1 {
+			return fmt.Errorf("-rounds must be >= 1, got %d", cfg.Rounds)
+		}
+		sampled := int(math.Ceil(cfg.SampleFraction * float64(cfg.Clients)))
+		if cfg.Quorum == 0 {
+			cfg.Quorum = sampled
+		}
+		if cfg.Quorum < 1 || cfg.Quorum > sampled {
+			return fmt.Errorf("-quorum %d exceeds the %d clients sampled per round (-clients %d at -sample-frac %g)",
+				cfg.Quorum, sampled, cfg.Clients, cfg.SampleFraction)
+		}
+		var err error
+		if cfg.Compression, err = codecFlag(fs, *compress, *topk,
+			securetf.NoFedCompression, securetf.Int8FedCompression, securetf.TopKFedCompression); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "federated job: %d clients, sample fraction %g, quorum %d, %d rounds (compress %v)\n",
+			cfg.Clients, cfg.SampleFraction, cfg.Quorum, cfg.Rounds, cfg.Compression)
+		res, err := securetf.TrainFederated(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "rounds committed: %d (accepted %d masked uploads, refused %d late, %d dropout seed reveals)\n",
+			res.Rounds, res.Accepted, res.Refusals, res.Reveals)
+		fmt.Fprintf(w, "masked uplink bytes (total): %d\n", res.UplinkBytes)
+		fmt.Fprintf(w, "end-to-end federated latency (virtual): %v\n", res.Latency)
+		return nil
+	}
+}
+
+func routerCommand(fs *flag.FlagSet) func(io.Writer) error {
+	nodes := fs.Int("nodes", 2, "gateway nodes in the fleet")
+	graph := fs.Bool("graph", false, "compile a pipeline inference graph across the fleet and run a request through it")
+	return func(w io.Writer) error {
+		if *nodes < 1 {
+			return fmt.Errorf("-nodes must be >= 1, got %d", *nodes)
+		}
+		return runRouter(w, *nodes, *graph)
+	}
 }
 
 // runRouter stands up an in-process serving fleet — nodeCount gateway
@@ -681,27 +684,29 @@ func runRouter(w io.Writer, nodeCount int, withGraph bool) error {
 			HostFS:   securetf.NewMemFS(),
 		})
 	}
-	// stage builds a fixed-weight scaled-identity model over 10 classes;
-	// scaled identities compose, so pipeline steps verifiably multiply.
-	stage := func(scale float32) (*securetf.LiteModel, error) {
+	// host registers a fixed-weight scaled-identity model over 10 classes
+	// on gw; scaled identities compose, so pipeline steps verifiably
+	// multiply (pre 2 × digits 1 × post 4).
+	scales := map[string]float32{"digits": 1, "pre": 2, "post": 4}
+	host := func(gw *securetf.ModelServer, name string) error {
 		const k = 10
 		vals := make([]float32, k*k)
 		for i := 0; i < k; i++ {
-			vals[i*k+i] = scale
+			vals[i*k+i] = scales[name]
 		}
 		wt, err := securetf.TensorFromFloats(securetf.Shape{k, k}, vals)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g := securetf.NewGraph()
 		x := g.Placeholder("in", securetf.Float32, securetf.Shape{-1, k})
 		y := g.MatMul(x, g.Const("w", wt))
 		frozen := &securetf.FrozenModel{Graph: g, Input: x, Output: y}
-		return frozen.ConvertToLite(securetf.ConvertOptions{})
-	}
-	digits, err := stage(1)
-	if err != nil {
-		return err
+		m, err := frozen.ConvertToLite(securetf.ConvertOptions{})
+		if err != nil {
+			return err
+		}
+		return gw.Register(name, 1, m)
 	}
 
 	nodes := make([]securetf.RouterNode, nodeCount)
@@ -716,29 +721,19 @@ func runRouter(w io.Writer, nodeCount int, withGraph bool) error {
 			return err
 		}
 		defer gw.Close()
-		if err := gw.Register("digits", 1, digits); err != nil {
-			return err
-		}
+		// Every node serves digits; a graph's first and last stages live
+		// on the fleet's first and last nodes.
 		models := []string{"digits"}
 		if withGraph && i == 0 {
-			pre, err := stage(2)
-			if err != nil {
-				return err
-			}
-			if err := gw.Register("pre", 1, pre); err != nil {
-				return err
-			}
 			models = append(models, "pre")
 		}
 		if withGraph && i == nodeCount-1 {
-			post, err := stage(4)
-			if err != nil {
-				return err
-			}
-			if err := gw.Register("post", 1, post); err != nil {
-				return err
-			}
 			models = append(models, "post")
+		}
+		for _, name := range models {
+			if err := host(gw, name); err != nil {
+				return err
+			}
 		}
 		nodes[i] = securetf.RouterNode{Name: fmt.Sprintf("node-%d", i), Addr: gw.Addr(), Models: models}
 	}

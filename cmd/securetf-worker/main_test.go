@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,11 +66,11 @@ func TestWorkerServesMultipleModels(t *testing.T) {
 func TestWorkerTrainsSharded(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
-		"-train",
-		"-train-workers", "2",
-		"-ps-shards", "2",
-		"-train-rounds", "2",
-		"-train-batch", "10",
+		"train",
+		"-workers", "2",
+		"-shards", "2",
+		"-rounds", "2",
+		"-batch", "10",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("train mode: %v\n%s", err, buf.String())
@@ -90,10 +93,10 @@ func TestWorkerTrainsSharded(t *testing.T) {
 func TestWorkerTrainsUnderChaos(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
-		"-train",
-		"-train-workers", "3",
-		"-train-rounds", "3",
-		"-train-batch", "10",
+		"train",
+		"-workers", "3",
+		"-rounds", "3",
+		"-batch", "10",
 		"-chaos-plan", "kill:w2@r1+rejoin1",
 	}, &buf)
 	if err != nil {
@@ -117,10 +120,10 @@ func TestWorkerCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	err := run([]string{
-		"-train",
-		"-train-workers", "2",
-		"-train-rounds", "2",
-		"-train-batch", "10",
+		"train",
+		"-workers", "2",
+		"-rounds", "2",
+		"-batch", "10",
 		"-checkpoint-every", "2",
 		"-checkpoint-dir", dir,
 	}, &buf)
@@ -145,10 +148,10 @@ func TestWorkerCheckpointResume(t *testing.T) {
 
 	buf.Reset()
 	err = run([]string{
-		"-train",
-		"-train-workers", "2",
-		"-train-rounds", "4",
-		"-train-batch", "10",
+		"train",
+		"-workers", "2",
+		"-rounds", "4",
+		"-batch", "10",
 		"-resume-from", dir,
 	}, &buf)
 	if err != nil {
@@ -231,6 +234,7 @@ func runWorker(t *testing.T, platformName string, extraArgs ...string) string {
 
 	var buf bytes.Buffer
 	args := []string{
+		"serve",
 		"-cas", server.Addr(),
 		"-cas-info", casInfo,
 		"-trustdir", trustdir,
@@ -247,8 +251,129 @@ func runWorker(t *testing.T, platformName string, extraArgs ...string) string {
 
 func TestWorkerRequiresFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(nil, &buf); err == nil {
+	if err := run([]string{"serve"}, &buf); err == nil {
 		t.Fatal("missing flags accepted")
+	}
+}
+
+// usageCase is one invocation that must be refused, with a fragment of
+// the refusal.
+type usageCase struct {
+	name string
+	args []string
+	want string
+}
+
+// rejects runs every case and requires its usage error — a job that ran
+// instead ran with a config the user didn't ask for. An error about the
+// command word must list the table's commands.
+func rejects(t *testing.T, cases []usageCase) {
+	t.Helper()
+	for _, tc := range cases {
+		err := run(tc.args, io.Discard)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+		for _, c := range commands {
+			if strings.Contains(tc.want, "command") && !strings.Contains(err.Error(), "\n  "+c.name+" ") {
+				t.Errorf("%s: usage error does not list command %q: %v", tc.name, c.name, err)
+			}
+		}
+	}
+}
+
+// TestWorkerCommandWord pins the dispatcher: the first argument must be
+// one of the table's commands. There is no bare-flag form and no mode
+// flag, so the invocations that used to mix modes, or that ran one mode
+// while dropping another's flags, have nothing to be parsed by.
+func TestWorkerCommandWord(t *testing.T) {
+	cases := []usageCase{
+		{"no arguments", nil, "missing command"},
+		{"bare serve flags", []string{"-cas", "127.0.0.1:7300"}, `unknown command "-cas"`},
+		{"help without a command", []string{"-h"}, `unknown command "-h"`},
+		{"mode flag", []string{"-train", "-federated"}, `unknown command "-train"`},
+		{"misspelt command", []string{"trian"}, `unknown command "trian"`},
+		{"two commands", []string{"router", "train"}, `unexpected argument "train"`},
+		{
+			"a fleet that dropped training, federated and serving flags",
+			[]string{"-router", "-train-workers", "3", "-fed-rounds", "2", "-threads", "4", "-selftest"},
+			`unknown command "-router"`,
+		},
+		{
+			"the same, translated",
+			[]string{"router", "-workers", "3", "-rounds", "2", "-threads", "4", "-selftest"},
+			"flag provided but not defined: -workers",
+		},
+		{
+			"training that dropped serving flags",
+			[]string{"train", "-spec", "nonsense", "-selftest", "-listen", "foo", "-cas", "nowhere"},
+			"flag provided but not defined: -spec",
+		},
+		{
+			"serving that dropped a training flag",
+			[]string{"serve", "-lr", "0.5"},
+			"flag provided but not defined: -lr",
+		},
+	}
+	rejects(t, cases)
+}
+
+// TestWorkerRejectsForeignFlags is generated from the command table:
+// every flag of every command must be rejected, by the flag package, by
+// each command that does not declare it. No row is hand-written, so a
+// flag added to one command is covered the moment it is declared.
+func TestWorkerRejectsForeignFlags(t *testing.T) {
+	declared := make(map[string]*flag.FlagSet)
+	for _, c := range commands {
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		c.setup(fs)
+		declared[c.name] = fs
+	}
+	pairs := 0
+	for _, owner := range commands {
+		declared[owner.name].VisitAll(func(f *flag.Flag) {
+			for _, other := range commands {
+				if declared[other.name].Lookup(f.Name) != nil {
+					continue
+				}
+				pairs++
+				err := run([]string{other.name, "-" + f.Name + "=" + f.DefValue}, io.Discard)
+				if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+f.Name) {
+					t.Errorf("%s accepted %s's -%s: %v", other.name, owner.name, f.Name, err)
+				}
+			}
+		})
+	}
+	if pairs < 100 {
+		t.Fatalf("only %d (flag, command) pairs checked; the walk over the command table is broken", pairs)
+	}
+}
+
+// TestServiceNames: the session certificate must cover the listen host
+// as an IP SAN when it is an IP literal (brackets stripped), and must
+// not carry an empty or bracket name.
+func TestServiceNames(t *testing.T) {
+	cases := []struct {
+		listen string
+		want   []string // nil: rejected
+	}{
+		{"127.0.0.1:7400", []string{"classifier", "localhost", "127.0.0.1"}},
+		{"[::1]:7400", []string{"classifier", "localhost", "::1"}},
+		{":7400", []string{"classifier", "localhost"}},
+		{"gateway.internal:0", []string{"classifier", "localhost", "gateway.internal"}},
+		{"foo", nil},
+		{"::1:7400", nil},
+		{"", nil},
+	}
+	for _, tc := range cases {
+		got, err := serviceNames(tc.listen)
+		if (err != nil) != (tc.want == nil) || !slices.Equal(got, tc.want) {
+			t.Errorf("serviceNames(%q) = %q, %v; want %q", tc.listen, got, err, tc.want)
+		}
 	}
 }
 
@@ -258,11 +383,11 @@ func TestWorkerRequiresFlags(t *testing.T) {
 func TestWorkerTrainsCompressed(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
-		"-train",
-		"-train-workers", "2",
-		"-train-rounds", "2",
-		"-train-batch", "10",
-		"-train-compress", "int8",
+		"train",
+		"-workers", "2",
+		"-rounds", "2",
+		"-batch", "10",
+		"-compress", "int8",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("compressed train mode: %v\n%s", err, buf.String())
@@ -280,126 +405,108 @@ func TestWorkerTrainsCompressed(t *testing.T) {
 
 // TestWorkerTrainFlagValidation pins the usage-error contract: a flag
 // that only applies under another flag's setting must be rejected when
-// the settings contradict, not silently ignored.
+// the settings contradict, not silently ignored, and an out-of-range
+// value is rejected before any enclave is launched.
 func TestWorkerTrainFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
+	cases := []usageCase{
 		{
 			"staleness under sync",
-			[]string{"-train", "-train-staleness", "4"},
-			"-train-staleness only applies",
+			[]string{"train", "-staleness", "4"},
+			"-staleness only applies",
 		},
 		{
 			"staleness under explicit sync",
-			[]string{"-train", "-train-consistency", "sync", "-train-staleness", "4"},
-			"-train-staleness only applies",
+			[]string{"train", "-consistency", "sync", "-staleness", "4"},
+			"-staleness only applies",
 		},
 		{
 			"topk fraction without the topk codec",
-			[]string{"-train", "-train-topk", "0.1"},
-			"-train-topk only applies",
+			[]string{"train", "-topk", "0.1"},
+			"-topk only applies",
 		},
 		{
 			"topk fraction under int8",
-			[]string{"-train", "-train-compress", "int8", "-train-topk", "0.1"},
-			"-train-topk only applies",
+			[]string{"train", "-compress", "int8", "-topk", "0.1"},
+			"-topk only applies",
 		},
 		{
 			"negative topk fraction",
-			[]string{"-train", "-train-compress", "topk", "-train-topk", "-0.1"},
+			[]string{"train", "-compress", "topk", "-topk", "-0.1"},
 			"must be in (0, 1]",
 		},
 		{
 			"topk fraction above 1",
-			[]string{"-train", "-train-compress", "topk", "-train-topk", "1.5"},
+			[]string{"train", "-compress", "topk", "-topk", "1.5"},
 			"must be in (0, 1]",
 		},
 		{
 			"unknown codec",
-			[]string{"-train", "-train-compress", "zstd"},
-			"-train-compress must be",
+			[]string{"train", "-compress", "zstd"},
+			"-compress must be",
 		},
 		{
 			"unknown consistency",
-			[]string{"-train", "-train-consistency", "eventual"},
-			"-train-consistency must be",
+			[]string{"train", "-consistency", "eventual"},
+			"-consistency must be",
 		},
 		{
-			"chaos plan without train",
-			[]string{"-chaos-plan", "kill:w0@r1"},
-			"-chaos-plan only applies with -train",
+			"negative batch (was a makeslice panic in the data generator)",
+			[]string{"train", "-batch", "-5"},
+			"-batch must be >= 1",
 		},
 		{
-			"chaos plan under federated",
-			[]string{"-federated", "-chaos-plan", "kill:w0@r1"},
-			"-chaos-plan only applies with -train",
+			"zero batch",
+			[]string{"train", "-batch", "0"},
+			"-batch must be >= 1",
 		},
 		{
-			"checkpoint cadence without train",
-			[]string{"-checkpoint-every", "2"},
-			"-checkpoint-every only applies with -train",
+			"zero learning rate",
+			[]string{"train", "-lr", "0"},
+			"-lr must be > 0",
 		},
 		{
-			"resume without train",
-			[]string{"-resume-from", "/tmp/ckpts"},
-			"-resume-from only applies with -train",
-		},
-		{
-			"resume under router",
-			[]string{"-router", "-resume-from", "/tmp/ckpts"},
-			"-resume-from only applies with -train",
+			"negative learning rate",
+			[]string{"train", "-lr", "-0.01"},
+			"-lr must be > 0",
 		},
 		{
 			"malformed chaos plan",
-			[]string{"-train", "-chaos-plan", "explode:w0@r1"},
+			[]string{"train", "-chaos-plan", "explode:w0@r1"},
 			"-chaos-plan",
 		},
 		{
 			"empty chaos plan",
-			[]string{"-train", "-chaos-plan", ";"},
+			[]string{"train", "-chaos-plan", ";"},
 			"schedules nothing",
 		},
 		{
 			"zero checkpoint cadence",
-			[]string{"-train", "-checkpoint-every", "0"},
+			[]string{"train", "-checkpoint-every", "0"},
 			"-checkpoint-every must be >= 1",
 		},
 		{
 			"checkpoint dir without cadence",
-			[]string{"-train", "-checkpoint-dir", "/tmp/ckpts"},
+			[]string{"train", "-checkpoint-dir", "/tmp/ckpts"},
 			"-checkpoint-dir only applies with -checkpoint-every",
 		},
 		{
 			"chaos kill targeting a worker outside the cluster",
-			[]string{"-train", "-train-workers", "2", "-chaos-plan", "kill:w5@r1"},
+			[]string{"train", "-workers", "2", "-chaos-plan", "kill:w5@r1"},
 			"targets worker 5",
 		},
 		{
 			"chaos restart without checkpointing",
-			[]string{"-train", "-chaos-plan", "restart:ps0@r2"},
+			[]string{"train", "-chaos-plan", "restart:ps0@r2"},
 			"needs checkpointing",
 		},
 	}
-	for _, tc := range cases {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		if err == nil {
-			t.Errorf("%s: accepted (training ran with a config the user didn't ask for)", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
-		}
-	}
+	rejects(t, cases)
 	// An async run may set the staleness bound; a topk run its fraction.
 	var buf bytes.Buffer
 	if err := run([]string{
-		"-train", "-train-rounds", "1", "-train-batch", "5", "-train-workers", "1",
-		"-train-consistency", "async", "-train-staleness", "2",
-		"-train-compress", "topk", "-train-topk", "0.2",
+		"train", "-rounds", "1", "-batch", "5", "-workers", "1",
+		"-consistency", "async", "-staleness", "2",
+		"-compress", "topk", "-topk", "0.2",
 	}, &buf); err != nil {
 		t.Fatalf("valid async+topk flag combination rejected: %v\n%s", err, buf.String())
 	}
@@ -411,12 +518,12 @@ func TestWorkerTrainFlagValidation(t *testing.T) {
 func TestWorkerFederated(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
-		"-federated",
+		"federated",
 		"-clients", "4",
 		"-quorum", "3",
-		"-fed-rounds", "2",
-		"-fed-compress", "topk",
-		"-fed-topk", "0.25",
+		"-rounds", "2",
+		"-compress", "topk",
+		"-topk", "0.25",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("federated mode: %v\n%s", err, buf.String())
@@ -435,112 +542,73 @@ func TestWorkerFederated(t *testing.T) {
 }
 
 // TestWorkerFederatedFlagValidation pins the usage-error contract for
-// federated mode: a quorum the sampled cohort can never reach, fractions
-// outside (0, 1], federated knobs without -federated, and flags from the
-// other modes are all rejected up front.
+// the federated command: a quorum the sampled cohort can never reach,
+// fractions outside (0, 1] and codec knobs without their codec are all
+// rejected up front.
 func TestWorkerFederatedFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
+	cases := []usageCase{
 		{
 			"quorum above the population",
-			[]string{"-federated", "-clients", "4", "-quorum", "5"},
+			[]string{"federated", "-clients", "4", "-quorum", "5"},
 			"-quorum 5 exceeds the 4 clients sampled",
 		},
 		{
 			"quorum above the sampled cohort",
-			[]string{"-federated", "-clients", "10", "-sample-frac", "0.4", "-quorum", "5"},
+			[]string{"federated", "-clients", "10", "-sample-frac", "0.4", "-quorum", "5"},
 			"-quorum 5 exceeds the 4 clients sampled",
 		},
 		{
 			"negative quorum",
-			[]string{"-federated", "-clients", "4", "-quorum", "-1"},
+			[]string{"federated", "-clients", "4", "-quorum", "-1"},
 			"exceeds",
 		},
 		{
 			"sample fraction zero",
-			[]string{"-federated", "-sample-frac", "0"},
+			[]string{"federated", "-sample-frac", "0"},
 			"-sample-frac must be in (0, 1]",
 		},
 		{
 			"sample fraction above one",
-			[]string{"-federated", "-sample-frac", "1.5"},
+			[]string{"federated", "-sample-frac", "1.5"},
 			"-sample-frac must be in (0, 1]",
 		},
 		{
 			"no clients",
-			[]string{"-federated", "-clients", "0"},
+			[]string{"federated", "-clients", "0"},
 			"-clients must be >= 1",
 		},
 		{
 			"zero rounds",
-			[]string{"-federated", "-fed-rounds", "0"},
-			"-fed-rounds must be >= 1",
+			[]string{"federated", "-rounds", "0"},
+			"-rounds must be >= 1",
 		},
 		{
 			"unknown codec",
-			[]string{"-federated", "-fed-compress", "zstd"},
-			"-fed-compress must be",
+			[]string{"federated", "-compress", "zstd"},
+			"-compress must be",
 		},
 		{
 			"topk fraction without the topk codec",
-			[]string{"-federated", "-fed-topk", "0.1"},
-			"-fed-topk only applies",
+			[]string{"federated", "-topk", "0.1"},
+			"-topk only applies",
 		},
 		{
 			"topk fraction under int8",
-			[]string{"-federated", "-fed-compress", "int8", "-fed-topk", "0.1"},
-			"-fed-topk only applies",
+			[]string{"federated", "-compress", "int8", "-topk", "0.1"},
+			"-topk only applies",
 		},
 		{
 			"topk fraction above one",
-			[]string{"-federated", "-fed-compress", "topk", "-fed-topk", "1.5"},
-			"-fed-topk must be in (0, 1]",
-		},
-		{
-			"federated flags without federated mode",
-			[]string{"-clients", "4"},
-			"-clients only applies with -federated",
-		},
-		{
-			"federated flags under train mode",
-			[]string{"-train", "-quorum", "3"},
-			"-quorum only applies with -federated",
-		},
-		{
-			"train and federated together",
-			[]string{"-train", "-federated"},
-			"mutually exclusive",
-		},
-		{
-			"train flags under federated mode",
-			[]string{"-federated", "-train-rounds", "2"},
-			"-train-rounds only applies with -train",
-		},
-		{
-			"serve flags under federated mode",
-			[]string{"-federated", "-canary", "10"},
-			"only applies in serve mode",
+			[]string{"federated", "-compress", "topk", "-topk", "1.5"},
+			"-topk must be in (0, 1]",
 		},
 	}
-	for _, tc := range cases {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		if err == nil {
-			t.Errorf("%s: accepted (a federated job ran with a config the user didn't ask for)", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
-		}
-	}
+	rejects(t, cases)
 }
 
 func TestWorkerRouterFleet(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-router", "-nodes", "2", "-graph"}, &buf)
+	err := run([]string{"router", "-nodes", "2", "-graph"}, &buf)
 	if err != nil {
 		t.Fatalf("router mode: %v\n%s", err, buf.String())
 	}
@@ -559,62 +627,17 @@ func TestWorkerRouterFleet(t *testing.T) {
 	}
 }
 
-// TestWorkerRouterFlagValidation pins the usage-error contract for
-// router mode: fleet knobs without -router, mode mixing, and flags from
-// the other modes are rejected up front.
+// TestWorkerRouterFlagValidation pins the usage-error contract for the
+// router command.
 func TestWorkerRouterFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{
-			"nodes without router mode",
-			[]string{"-nodes", "3"},
-			"-nodes only applies with -router",
-		},
-		{
-			"graph without router mode",
-			[]string{"-graph"},
-			"-graph only applies with -router",
-		},
-		{
-			"router and train together",
-			[]string{"-router", "-train"},
-			"mutually exclusive",
-		},
-		{
-			"router and federated together",
-			[]string{"-router", "-federated"},
-			"mutually exclusive",
-		},
+	cases := []usageCase{
 		{
 			"zero nodes",
-			[]string{"-router", "-nodes", "0"},
+			[]string{"router", "-nodes", "0"},
 			"-nodes must be >= 1",
 		},
-		{
-			"serve flags under router mode",
-			[]string{"-router", "-canary", "10"},
-			"only applies in serve mode",
-		},
-		{
-			"cas flags under router mode",
-			[]string{"-router", "-cas", "127.0.0.1:1"},
-			"only applies in serve mode",
-		},
 	}
-	for _, tc := range cases {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		if err == nil {
-			t.Errorf("%s: accepted (a fleet ran with a config the user didn't ask for)", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
-		}
-	}
+	rejects(t, cases)
 }
 
 func TestLoadModelSpecs(t *testing.T) {
@@ -633,87 +656,68 @@ func TestLoadModelSpecs(t *testing.T) {
 }
 
 // TestWorkerServeFlagValidation pins the same usage-error contract for
-// serve mode: out-of-range serving knobs and control-plane flags that
-// contradict the selected mode are rejected up front, before any
-// container or CAS work happens.
+// the serve command: out-of-range serving knobs and control-plane flags
+// that contradict each other are rejected up front, before any container
+// or CAS work happens.
 func TestWorkerServeFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
+	cases := []usageCase{
 		{
 			"zero replicas",
-			[]string{"-replicas", "0"},
+			[]string{"serve", "-replicas", "0"},
 			"-replicas must be >= 1",
 		},
 		{
 			"negative replicas",
-			[]string{"-replicas", "-2"},
+			[]string{"serve", "-replicas", "-2"},
 			"-replicas must be >= 1",
 		},
 		{
 			"zero max-batch",
-			[]string{"-max-batch", "0"},
+			[]string{"serve", "-max-batch", "0"},
 			"-max-batch must be >= 1",
 		},
 		{
 			"empty models list",
-			[]string{"-models", ""},
+			[]string{"serve", "-models", ""},
 			"-models lists no models",
 		},
 		{
 			"blank models list",
-			[]string{"-models", " , "},
+			[]string{"serve", "-models", " , "},
 			"-models lists no models",
 		},
 		{
 			"autoscale ceiling without autoscale",
-			[]string{"-autoscale-max", "4"},
+			[]string{"serve", "-autoscale-max", "4"},
 			"-autoscale-max only applies",
 		},
 		{
 			"autoscale ceiling below one",
-			[]string{"-autoscale", "-autoscale-max", "0"},
+			[]string{"serve", "-autoscale", "-autoscale-max", "0"},
 			"-autoscale-max must be >= 1",
 		},
 		{
 			"canary percent zero",
-			[]string{"-canary", "0"},
+			[]string{"serve", "-canary", "0"},
 			"-canary must be a traffic percent",
 		},
 		{
 			"canary percent above 99",
-			[]string{"-canary", "100"},
+			[]string{"serve", "-canary", "100"},
 			"-canary must be a traffic percent",
 		},
 		{
-			"canary under train mode",
-			[]string{"-train", "-canary", "10"},
-			"only applies in serve mode",
+			"listen address without a port",
+			[]string{"serve", "-listen", "foo"},
+			"-listen:",
 		},
 		{
-			"autoscale under train mode",
-			[]string{"-train", "-autoscale"},
-			"only applies in serve mode",
-		},
-		{
-			"replicas under train mode",
-			[]string{"-train", "-replicas", "2"},
-			"only applies in serve mode",
+			"required flags missing",
+			[]string{"serve"},
+			"-cas, -cas-info and -trustdir are required",
 		},
 	}
-	for _, tc := range cases {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
-		}
-	}
+	rejects(t, cases)
 }
 
 // TestWorkerCanaryAutoscale starts the worker with the control plane on:

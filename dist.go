@@ -486,6 +486,61 @@ type DistTrainResult struct {
 // deployment. The paper's Figures 8 and 9 (internal/experiments) are
 // calls to this function.
 func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
+	j, err := newDistJob(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer j.close()
+	if err := j.startShards(); err != nil {
+		return nil, err
+	}
+	for w := range j.workerNodes {
+		if j.workerNodes[w], err = j.launchNode(fmt.Sprintf("train-worker-%d", w), false, false); err != nil {
+			return nil, err
+		}
+	}
+	if j.cfg.Chaos != nil {
+		err = j.runWaves()
+	} else {
+		err = j.runFree()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return j.result()
+}
+
+// distJob is one TrainDistributed run: the validated config and the
+// cluster stood up for it. The free-running rounds and the fault plan's
+// lockstep waves (dist_chaos.go) are two loops over the same job.
+type distJob struct {
+	cfg     DistTrainConfig
+	allSync bool
+	ca      *seccrypto.CA
+	vars    map[string]*Tensor
+	// A fault plan's restarts replace a shard and its node in place;
+	// statsBase accumulates the elasticity counters of the replaced
+	// instances, so a restart does not erase its shard's history.
+	shardNodes  []*Container
+	shards      []*ParameterServer
+	addrs       []string
+	statsBase   []PSStats
+	startRounds int
+	workerNodes []*Container
+	workers     []*TrainingWorker
+	xs, ys      []*Tensor
+	losses      [][]float64
+	// retired collects killed worker instances so their wire and drop
+	// counters still fold into the result.
+	retired   []*TrainingWorker
+	abortOnce sync.Once
+}
+
+// newDistJob validates cfg, fills its defaults and sizes the job; no
+// node is launched yet.
+func newDistJob(in DistTrainConfig) (*distJob, error) {
+	j := &distJob{cfg: in, allSync: true}
+	cfg := &j.cfg
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("securetf: DistTrainConfig.Workers must be ≥ 1, got %d", cfg.Workers)
 	}
@@ -509,19 +564,12 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 			return nil, fmt.Errorf("securetf: DistTrainConfig.ShardConsistency names shard %d of a %d-shard cluster", s, cfg.PSShards)
 		}
 	}
-	policyFor := func(s int) ConsistencyPolicy {
-		if p, ok := cfg.ShardConsistency[s]; ok {
-			return p
-		}
-		return cfg.Consistency
-	}
-	allSync := true
 	for s := 0; s < cfg.PSShards; s++ {
-		if policyFor(s).Kind != dist.ConsistencySync {
-			allSync = false
+		if j.policyFor(s).Kind != dist.ConsistencySync {
+			j.allSync = false
 		}
 	}
-	if cfg.Elastic && !allSync {
+	if cfg.Elastic && !j.allSync {
 		return nil, errors.New("securetf: DistTrainConfig.Elastic requires a fully synchronous cluster")
 	}
 	if cfg.Elastic && cfg.RoundTimeout <= 0 {
@@ -541,7 +589,7 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 			return nil, fmt.Errorf("securetf: DistTrainConfig.Chaos: %w", err)
 		}
 		if cfg.Chaos.HasKind(FaultKillWorker) || cfg.Chaos.HasKind(FaultStallWorker) {
-			if !allSync {
+			if !j.allSync {
 				return nil, errors.New("securetf: chaos kill/stall faults require a fully synchronous cluster")
 			}
 			if cfg.RoundTimeout <= 0 {
@@ -550,8 +598,7 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 			cfg.Elastic = true
 		}
 	}
-	checkpointing := cfg.Checkpoint.Every > 0 || cfg.ResumeFrom != ""
-	if checkpointing {
+	if j.checkpointing() {
 		if cfg.Checkpoint.Dir == "" {
 			cfg.Checkpoint.Dir = "checkpoints"
 		}
@@ -559,259 +606,259 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 			cfg.Checkpoint.FS = NewMemFS()
 		}
 		if cfg.Checkpoint.Key == nil {
-			key, err := NewVolumeKey()
-			if err != nil {
+			var err error
+			if cfg.Checkpoint.Key, err = NewVolumeKey(); err != nil {
 				return nil, err
 			}
-			cfg.Checkpoint.Key = key
 		}
 	}
-
-	var ca *seccrypto.CA
 	if cfg.TLS {
 		var err error
-		if ca, err = seccrypto.NewCA("train-distributed-ca"); err != nil {
+		if j.ca, err = seccrypto.NewCA("train-distributed-ca"); err != nil {
 			return nil, err
 		}
 	}
-	launchNode := func(name string, server, shielded bool) (*Container, error) {
-		platform, err := NewPlatform(name)
+	j.vars = InitialVariables(cfg.NewModel())
+	j.shardNodes = make([]*Container, cfg.PSShards)
+	j.shards = make([]*ParameterServer, cfg.PSShards)
+	j.addrs = make([]string, cfg.PSShards)
+	j.statsBase = make([]PSStats, cfg.PSShards)
+	j.workerNodes = make([]*Container, cfg.Workers)
+	j.workers = make([]*TrainingWorker, cfg.Workers)
+	j.xs, j.ys = make([]*Tensor, cfg.Workers), make([]*Tensor, cfg.Workers)
+	j.losses = make([][]float64, cfg.Workers)
+	return j, nil
+}
+
+func (j *distJob) policyFor(s int) ConsistencyPolicy {
+	if p, ok := j.cfg.ShardConsistency[s]; ok {
+		return p
+	}
+	return j.cfg.Consistency
+}
+
+func (j *distJob) checkpointing() bool {
+	return j.cfg.Checkpoint.Every > 0 || j.cfg.ResumeFrom != ""
+}
+
+// launchNode launches one cluster node on its own platform, with a TLS
+// identity when the job runs shielded traffic. A shielded node mounts
+// the snapshot volume.
+func (j *distJob) launchNode(name string, server, shielded bool) (*Container, error) {
+	cfg := j.cfg
+	platform, err := NewPlatform(name)
+	if err != nil {
+		return nil, err
+	}
+	ccfg := ContainerConfig{
+		Kind:     cfg.Kind,
+		Platform: platform,
+		Image:    TensorFlowImage(),
+		HostFS:   NewMemFS(),
+	}
+	if shielded {
+		// Checkpointing shards share the snapshot volume through the
+		// file-system shield: the snapshots land encrypted and
+		// authenticated, and a restarted shard (same key, same
+		// volume) reads them back transparently.
+		ccfg.HostFS = cfg.Checkpoint.FS
+		ccfg.FSShieldRules = []Rule{EncryptPrefix(cfg.Checkpoint.Dir + "/")}
+		if cfg.ResumeFrom != "" && cfg.ResumeFrom != cfg.Checkpoint.Dir {
+			ccfg.FSShieldRules = append(ccfg.FSShieldRules, EncryptPrefix(cfg.ResumeFrom+"/"))
+		}
+		ccfg.VolumeKey = cfg.Checkpoint.Key
+	}
+	c, err := Launch(ccfg)
+	if err != nil {
+		return nil, err
+	}
+	if j.ca != nil {
+		cert, err := j.ca.Issue(name, "parameter-server", "localhost", "127.0.0.1")
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
-		ccfg := ContainerConfig{
-			Kind:     cfg.Kind,
-			Platform: platform,
-			Image:    TensorFlowImage(),
-			HostFS:   NewMemFS(),
-		}
-		if shielded {
-			// Checkpointing shards share the snapshot volume through the
-			// file-system shield: the snapshots land encrypted and
-			// authenticated, and a restarted shard (same key, same
-			// volume) reads them back transparently.
-			ccfg.HostFS = cfg.Checkpoint.FS
-			ccfg.FSShieldRules = []Rule{EncryptPrefix(cfg.Checkpoint.Dir + "/")}
-			if cfg.ResumeFrom != "" && cfg.ResumeFrom != cfg.Checkpoint.Dir {
-				ccfg.FSShieldRules = append(ccfg.FSShieldRules, EncryptPrefix(cfg.ResumeFrom+"/"))
-			}
-			ccfg.VolumeKey = cfg.Checkpoint.Key
-		}
-		c, err := Launch(ccfg)
-		if err != nil {
+		if err := c.UseIdentity(cert, j.ca, server); err != nil {
+			c.Close()
 			return nil, err
 		}
-		if ca != nil {
-			cert, err := ca.Issue(name, "parameter-server", "localhost", "127.0.0.1")
+	}
+	return c, nil
+}
+
+func ckptPath(dir string, s int) string { return fmt.Sprintf("%s/shard-%d.ckpt", dir, s) }
+
+// psOpts is shard s's option set on container c — also what a fault
+// plan's restart passes, so a resumed shard runs exactly the options the
+// original did.
+func (j *distJob) psOpts(c *Container, s int) []PSOption {
+	cfg := j.cfg
+	opts := []PSOption{
+		WithShard(s, cfg.PSShards), WithRoundTimeout(cfg.RoundTimeout),
+		WithConsistency(j.policyFor(s)), WithCompression(cfg.Compression),
+	}
+	if cfg.Elastic {
+		opts = append(opts, WithElastic(cfg.MinWorkers))
+	}
+	if cfg.Checkpoint.Every > 0 {
+		fsys, p := c.FS(), ckptPath(cfg.Checkpoint.Dir, s)
+		opts = append(opts, WithCheckpoint(cfg.Checkpoint.Every, func(data []byte) error {
+			return WriteFile(fsys, p, data)
+		}))
+	}
+	return opts
+}
+
+func (j *distJob) loadCheckpoint(c *Container, dir string, s int) (*DistCheckpoint, error) {
+	data, err := ReadFile(c.FS(), ckptPath(dir, s))
+	if err != nil {
+		return nil, fmt.Errorf("securetf: shard %d checkpoint: %w", s, err)
+	}
+	ck, err := DecodeDistCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("securetf: shard %d checkpoint: %w", s, err)
+	}
+	if ck.Shards != j.cfg.PSShards {
+		return nil, fmt.Errorf("securetf: shard %d checkpoint is from a %d-shard cluster, this job runs %d", s, ck.Shards, j.cfg.PSShards)
+	}
+	return ck, nil
+}
+
+// startShards launches the parameter-server shards, one node each,
+// resuming every one from its snapshot when the job resumes.
+func (j *distJob) startShards() error {
+	cfg := j.cfg
+	for s := range j.shards {
+		c, err := j.launchNode(fmt.Sprintf("ps-shard-%d", s), true, j.checkpointing())
+		if err != nil {
+			return err
+		}
+		j.shardNodes[s] = c
+		opts := j.psOpts(c, s)
+		if cfg.ResumeFrom != "" {
+			ck, err := j.loadCheckpoint(c, cfg.ResumeFrom, s)
 			if err != nil {
-				c.Close()
-				return nil, err
+				return err
 			}
-			if err := c.UseIdentity(cert, ca, server); err != nil {
-				c.Close()
-				return nil, err
+			if s == 0 {
+				j.startRounds = ck.Rounds
+			} else if ck.Rounds != j.startRounds {
+				return fmt.Errorf("securetf: shard %d checkpoint is at round %d, shard 0 at %d (torn snapshot set)", s, ck.Rounds, j.startRounds)
 			}
+			opts = append(opts, WithResume(ck))
 		}
-		return c, nil
-	}
-
-	// Parameter-server shards, one node each. psOpts is shared with the
-	// chaos path's shard restarts, so a resumed shard runs exactly the
-	// options the original did.
-	ckptPath := func(dir string, s int) string { return fmt.Sprintf("%s/shard-%d.ckpt", dir, s) }
-	psOpts := func(c *Container, s int) []PSOption {
-		opts := []PSOption{
-			WithShard(s, cfg.PSShards), WithRoundTimeout(cfg.RoundTimeout),
-			WithConsistency(policyFor(s)), WithCompression(cfg.Compression),
-		}
-		if cfg.Elastic {
-			opts = append(opts, WithElastic(cfg.MinWorkers))
-		}
-		if cfg.Checkpoint.Every > 0 {
-			fsys, p := c.FS(), ckptPath(cfg.Checkpoint.Dir, s)
-			opts = append(opts, WithCheckpoint(cfg.Checkpoint.Every, func(data []byte) error {
-				return WriteFile(fsys, p, data)
-			}))
-		}
-		return opts
-	}
-	loadCheckpoint := func(c *Container, dir string, s int) (*DistCheckpoint, error) {
-		data, err := ReadFile(c.FS(), ckptPath(dir, s))
+		ps, addr, err := StartParameterServer(c, "127.0.0.1:0", j.vars, cfg.Workers, cfg.LR, opts...)
 		if err != nil {
-			return nil, fmt.Errorf("securetf: shard %d checkpoint: %w", s, err)
+			return err
 		}
-		ck, err := DecodeDistCheckpoint(data)
-		if err != nil {
-			return nil, fmt.Errorf("securetf: shard %d checkpoint: %w", s, err)
-		}
-		if ck.Shards != cfg.PSShards {
-			return nil, fmt.Errorf("securetf: shard %d checkpoint is from a %d-shard cluster, this job runs %d", s, ck.Shards, cfg.PSShards)
-		}
-		return ck, nil
+		j.shards[s] = ps
+		j.addrs[s] = addr.String()
 	}
+	if j.startRounds >= cfg.Rounds {
+		return fmt.Errorf("securetf: resume checkpoint is already at round %d of a %d-round job", j.startRounds, cfg.Rounds)
+	}
+	return nil
+}
 
-	vars := InitialVariables(cfg.NewModel())
-	shardNodes := make([]*Container, cfg.PSShards)
-	shards := make([]*ParameterServer, cfg.PSShards)
-	addrs := make([]string, cfg.PSShards)
-	defer func() {
-		// Loops over the slices, not captured values: the chaos path
-		// replaces restarted shards in place.
-		for _, ps := range shards {
+// startWorker launches (or, under a fault plan, relaunches) worker w's
+// training client on its node. startStep aligns the minibatch schedule:
+// a resumed job, or a rejoining replacement, walks the same data windows
+// the original worker would have.
+func (j *distJob) startWorker(w, startStep int) (*TrainingWorker, error) {
+	spec := WorkerSpec{
+		ID:         w,
+		Addrs:      j.addrs,
+		ServerName: "parameter-server",
+		Model:      j.cfg.NewModel(),
+		XS:         j.xs[w], YS: j.ys[w],
+		BatchSize:        j.cfg.BatchSize,
+		Consistency:      j.cfg.Consistency,
+		ShardConsistency: j.cfg.ShardConsistency,
+		Compression:      j.cfg.Compression,
+		StartStep:        startStep,
+	}
+	if j.cfg.Chaos != nil && j.cfg.Chaos.HasKind(FaultRestartShard) {
+		spec.Reconnect = chaosReconnect
+	}
+	return StartTrainingWorker(j.workerNodes[w], spec)
+}
+
+// abort closes the shards. A worker that fails before pushing leaves the
+// others blocked on a barrier that can never fill; closing the shards
+// aborts their rounds so the job returns the error instead of
+// deadlocking (Close is idempotent — close stays correct).
+func (j *distJob) abort() {
+	j.abortOnce.Do(func() {
+		for _, ps := range j.shards {
 			if ps != nil {
 				ps.Close()
 			}
 		}
-		for _, c := range shardNodes {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	startRounds := 0
-	for s := range shards {
-		c, err := launchNode(fmt.Sprintf("ps-shard-%d", s), true, checkpointing)
-		if err != nil {
-			return nil, err
-		}
-		shardNodes[s] = c
-		opts := psOpts(c, s)
-		if cfg.ResumeFrom != "" {
-			ck, err := loadCheckpoint(c, cfg.ResumeFrom, s)
-			if err != nil {
-				return nil, err
-			}
-			if s == 0 {
-				startRounds = ck.Rounds
-			} else if ck.Rounds != startRounds {
-				return nil, fmt.Errorf("securetf: shard %d checkpoint is at round %d, shard 0 at %d (torn snapshot set)", s, ck.Rounds, startRounds)
-			}
-			opts = append(opts, WithResume(ck))
-		}
-		ps, addr, err := StartParameterServer(c, "127.0.0.1:0", vars, cfg.Workers, cfg.LR, opts...)
-		if err != nil {
-			return nil, err
-		}
-		shards[s] = ps
-		addrs[s] = addr.String()
-	}
-	if startRounds >= cfg.Rounds {
-		return nil, fmt.Errorf("securetf: resume checkpoint is already at round %d of a %d-round job", startRounds, cfg.Rounds)
-	}
+	})
+}
 
-	// Worker nodes, trained concurrently.
-	workerNodes := make([]*Container, cfg.Workers)
-	defer func() {
-		for _, c := range workerNodes {
-			if c != nil {
-				c.Close()
-			}
+func (j *distJob) close() {
+	for _, c := range j.workerNodes {
+		if c != nil {
+			c.Close()
 		}
-	}()
-	for w := range workerNodes {
-		c, err := launchNode(fmt.Sprintf("train-worker-%d", w), false, false)
-		if err != nil {
-			return nil, err
-		}
-		workerNodes[w] = c
 	}
+	for _, ps := range j.shards {
+		if ps != nil {
+			ps.Close()
+		}
+	}
+	for _, c := range j.shardNodes {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
 
-	res := &DistTrainResult{Losses: make([][]float64, cfg.Workers)}
-	workers := make([]*TrainingWorker, cfg.Workers)
-	var retired []*TrainingWorker
-	statsBase := make([]PSStats, cfg.PSShards)
-	// A worker that fails before pushing leaves the others blocked on a
-	// barrier that can never fill; closing the shards aborts their
-	// rounds so the job returns the error instead of deadlocking (Close
-	// is idempotent — the deferred Closes above remain correct).
-	var abortOnce sync.Once
-	abort := func() {
-		abortOnce.Do(func() {
-			for _, ps := range shards {
-				if ps != nil {
-					ps.Close()
-				}
+// runFree trains every worker concurrently, each stepping through its
+// rounds as fast as the shards' barriers let it.
+func (j *distJob) runFree() error {
+	errs := make([]error, j.cfg.Workers)
+	var wg sync.WaitGroup
+	for w := range j.workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if errs[w] = j.runWorker(w); errs[w] != nil {
+				j.abort()
 			}
-		})
+		}(w)
 	}
-	if cfg.Chaos != nil {
-		// The chaos path runs the rounds in lockstep waves so the fault
-		// schedule — kills, stalls, delays, shard restarts — lands at
-		// deterministic points and the trajectory is reproducible.
-		job := &chaosJob{
-			cfg: cfg, res: res,
-			launchNode: launchNode, psOpts: psOpts, loadCheckpoint: loadCheckpoint,
-			vars: vars, shardNodes: shardNodes, shards: shards, addrs: addrs,
-			workerNodes: workerNodes, workers: workers,
-			statsBase: statsBase, startRounds: startRounds, abort: abort,
-			xs: make([]*Tensor, cfg.Workers), ys: make([]*Tensor, cfg.Workers),
-		}
-		if err := job.run(); err != nil {
-			abort()
-			return nil, err
-		}
-		retired = job.retired
-		for _, worker := range workers {
-			if worker != nil {
-				worker.Close()
-			}
-		}
-	} else {
-		errs := make([]error, cfg.Workers)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer func() {
-					if errs[w] != nil {
-						abort()
-					}
-				}()
-				xs, ys, err := cfg.ShardData(w)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				worker, err := StartTrainingWorker(workerNodes[w], WorkerSpec{
-					ID:         w,
-					Addrs:      addrs,
-					ServerName: "parameter-server",
-					Model:      cfg.NewModel(),
-					XS:         xs, YS: ys,
-					BatchSize:        cfg.BatchSize,
-					Consistency:      cfg.Consistency,
-					ShardConsistency: cfg.ShardConsistency,
-					Compression:      cfg.Compression,
-					StartStep:        startRounds,
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				defer worker.Close()
-				workers[w] = worker
-				for r := startRounds; r < cfg.Rounds; r++ {
-					if err := worker.Step(); err != nil {
-						errs[w] = err
-						return
-					}
-					res.Losses[w] = append(res.Losses[w], worker.LastLoss)
-				}
-			}(w)
-		}
-		wg.Wait()
-		// Join all worker errors: when one failure aborts the cluster, the
-		// root cause surfaces alongside the survivors' abort errors.
-		if err := errors.Join(errs...); err != nil {
-			return nil, err
-		}
-	}
+	wg.Wait()
+	// Join all worker errors: when one failure aborts the cluster, the
+	// root cause surfaces alongside the survivors' abort errors.
+	return errors.Join(errs...)
+}
 
-	roundsRun := cfg.Rounds - startRounds
-	var pushWire time.Duration
+func (j *distJob) runWorker(w int) (err error) {
+	if j.xs[w], j.ys[w], err = j.cfg.ShardData(w); err != nil {
+		return err
+	}
+	worker, err := j.startWorker(w, j.startRounds)
+	if err != nil {
+		return err
+	}
+	defer worker.Close()
+	j.workers[w] = worker
+	for r := j.startRounds; r < j.cfg.Rounds; r++ {
+		if err := worker.Step(); err != nil {
+			return err
+		}
+		j.losses[w] = append(j.losses[w], worker.LastLoss)
+	}
+	return nil
+}
+
+// result folds the finished cluster's state into the job's report.
+func (j *distJob) result() (*DistTrainResult, error) {
+	res := &DistTrainResult{Losses: j.losses, FinalVars: make(map[string]*Tensor, len(j.vars))}
 	live := 0
-	for w, worker := range workers {
+	for w, worker := range j.workers {
 		if worker == nil || len(res.Losses[w]) == 0 {
 			// A worker killed by the fault plan and never replaced has
 			// no final state to fold in.
@@ -820,22 +867,17 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 		live++
 		res.FinalLoss += res.Losses[w][len(res.Losses[w])-1]
 		b := worker.LastBreakdown
-		if b.Pull > res.Breakdown.Pull {
-			res.Breakdown.Pull = b.Pull
-		}
-		if b.Compute > res.Breakdown.Compute {
-			res.Breakdown.Compute = b.Compute
-		}
-		if b.Push > res.Breakdown.Push {
-			res.Breakdown.Push = b.Push
-		}
+		res.Breakdown.Pull = max(res.Breakdown.Pull, b.Pull)
+		res.Breakdown.Compute = max(res.Breakdown.Compute, b.Compute)
+		res.Breakdown.Push = max(res.Breakdown.Push, b.Push)
 	}
 	if live > 0 {
 		res.FinalLoss /= float64(live)
 	}
 	// Wire accounting sums over every worker instance, including the
 	// ones the fault plan killed mid-job.
-	for _, worker := range append(append([]*TrainingWorker{}, workers...), retired...) {
+	var pushWire time.Duration
+	for _, worker := range append(append([]*TrainingWorker{}, j.workers...), j.retired...) {
 		if worker == nil {
 			continue
 		}
@@ -848,50 +890,30 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 		res.StalenessRetries += worker.StalenessRetries()
 		res.DroppedPushes += worker.DroppedPushes()
 	}
-	res.PushWirePerShard = pushWire / time.Duration(cfg.PSShards*roundsRun)
-	for s, ps := range shards {
-		st := ps.Stats()
-		st.Evictions += statsBase[s].Evictions
-		st.Rejoins += statsBase[s].Rejoins
-		st.ShrunkRounds += statsBase[s].ShrunkRounds
-		if st.Evictions > res.Evictions {
-			res.Evictions = st.Evictions
-		}
-		if st.Rejoins > res.Rejoins {
-			res.Rejoins = st.Rejoins
-		}
-		if st.ShrunkRounds > res.ShrunkRounds {
-			res.ShrunkRounds = st.ShrunkRounds
-		}
-	}
-	res.FinalVars = make(map[string]*Tensor, len(vars))
-	for _, ps := range shards {
+	res.PushWirePerShard = pushWire / time.Duration(j.cfg.PSShards*(j.cfg.Rounds-j.startRounds))
+	for s, ps := range j.shards {
+		st, base := ps.Stats(), j.statsBase[s]
+		res.Evictions = max(res.Evictions, st.Evictions+base.Evictions)
+		res.Rejoins = max(res.Rejoins, st.Rejoins+base.Rejoins)
+		res.ShrunkRounds = max(res.ShrunkRounds, st.ShrunkRounds+base.ShrunkRounds)
 		for name, t := range ps.Vars() {
 			res.FinalVars[name] = t
 		}
 	}
-	if allSync {
-		res.Rounds = shards[0].Rounds()
-		for s, ps := range shards {
+	// Async shards commit per push (and sync shards per barrier), so
+	// cross-shard commit counts are not comparable; the job-level round
+	// count is then the per-worker step count.
+	res.Rounds = j.cfg.Rounds
+	if j.allSync {
+		res.Rounds = j.shards[0].Rounds()
+		for s, ps := range j.shards {
 			if got := ps.Rounds(); got != res.Rounds {
 				return nil, fmt.Errorf("securetf: shard %d committed %d rounds, shard 0 committed %d", s, got, res.Rounds)
 			}
 		}
-	} else {
-		// Async shards commit per push (and sync shards per barrier), so
-		// cross-shard commit counts are not comparable; the job-level
-		// round count is the per-worker step count.
-		res.Rounds = cfg.Rounds
 	}
-	for _, c := range shardNodes {
-		if t := c.Clock().Now(); t > res.Latency {
-			res.Latency = t
-		}
-	}
-	for _, c := range workerNodes {
-		if t := c.Clock().Now(); t > res.Latency {
-			res.Latency = t
-		}
+	for _, c := range append(append([]*Container{}, j.shardNodes...), j.workerNodes...) {
+		res.Latency = max(res.Latency, c.Clock().Now())
 	}
 	return res, nil
 }

@@ -18,63 +18,10 @@ const chaosWaveTimeout = 60 * time.Second
 // restarts parameter-server shards mid-job.
 const chaosReconnect = 5 * time.Second
 
-// chaosJob drives a TrainDistributed run under a fault plan: the rounds
-// run in lockstep waves, and kills, rejoins and shard restarts land
-// between waves — on a quiescent cluster — so the same plan against the
-// same seed always produces the same trajectory.
-type chaosJob struct {
-	cfg            DistTrainConfig
-	res            *DistTrainResult
-	launchNode     func(name string, server, shielded bool) (*Container, error)
-	psOpts         func(c *Container, s int) []PSOption
-	loadCheckpoint func(c *Container, dir string, s int) (*DistCheckpoint, error)
-	vars           map[string]*Tensor
-	shardNodes     []*Container
-	shards         []*ParameterServer
-	addrs          []string
-	workerNodes    []*Container
-	workers        []*TrainingWorker
-	// retired collects killed worker instances so their wire and drop
-	// counters still fold into the result.
-	retired []*TrainingWorker
-	// statsBase accumulates the elasticity counters of shards that were
-	// restarted, so a restart does not erase its shard's history.
-	statsBase   []PSStats
-	xs, ys      []*Tensor
-	startRounds int
-	abort       func()
-}
-
-func (j *chaosJob) reconnect() time.Duration {
-	if j.cfg.Chaos.HasKind(FaultRestartShard) {
-		return chaosReconnect
-	}
-	return 0
-}
-
-// startWorker launches (or relaunches) worker w's training client on
-// its container. startStep aligns the minibatch schedule: a rejoining
-// replacement walks the same data windows the dead worker would have.
-func (j *chaosJob) startWorker(w, startStep int) (*TrainingWorker, error) {
-	return StartTrainingWorker(j.workerNodes[w], WorkerSpec{
-		ID:         w,
-		Addrs:      j.addrs,
-		ServerName: "parameter-server",
-		Model:      j.cfg.NewModel(),
-		XS:         j.xs[w], YS: j.ys[w],
-		BatchSize:        j.cfg.BatchSize,
-		Consistency:      j.cfg.Consistency,
-		ShardConsistency: j.cfg.ShardConsistency,
-		Compression:      j.cfg.Compression,
-		StartStep:        startStep,
-		Reconnect:        j.reconnect(),
-	})
-}
-
 // retire kills worker w: its connections close (the elastic barrier
 // evicts it on the next round timeout) and the instance moves to the
 // retired list for final accounting.
-func (j *chaosJob) retire(w int) {
+func (j *distJob) retire(w int) {
 	if j.workers[w] == nil {
 		return
 	}
@@ -89,7 +36,7 @@ func (j *chaosJob) retire(w int) {
 // rounds, which must be exactly what the checkpoint recorded — restarts
 // land only on checkpoint boundaries, so the resumed trajectory is
 // bit-identical. Workers redial lazily through their Reconnect window.
-func (j *chaosJob) restartShard(s, round int) error {
+func (j *distJob) restartShard(s, round int) error {
 	j.shards[s].Close()
 	base := j.shards[s].Stats()
 	j.statsBase[s].Evictions += base.Evictions
@@ -120,7 +67,7 @@ func (j *chaosJob) restartShard(s, round int) error {
 // waitCommitted polls until every shard has committed n rounds, with
 // the wall-clock hang guard — the "zero hangs" assertion every chaos
 // wait runs under.
-func (j *chaosJob) waitCommitted(n int) error {
+func (j *distJob) waitCommitted(n int) error {
 	//securetf:allow nowallclock the chaos hang guard is wall by definition: a hang is a real bug, nothing virtual advances
 	deadline := time.Now().Add(chaosWaveTimeout)
 	for {
@@ -143,20 +90,28 @@ func (j *chaosJob) waitCommitted(n int) error {
 	}
 }
 
-func (j *chaosJob) run() error {
+// runWaves trains under the job's fault plan: the rounds run in lockstep
+// waves, and kills, rejoins and shard restarts land between waves — on a
+// quiescent cluster — so the same plan against the same seed always
+// produces the same trajectory.
+func (j *distJob) runWaves() error {
 	cfg, plan := j.cfg, j.cfg.Chaos
+	defer func() {
+		for _, worker := range j.workers {
+			if worker != nil {
+				worker.Close()
+			}
+		}
+	}()
 	alive := make([]bool, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		xs, ys, err := cfg.ShardData(w)
-		if err != nil {
+	for w := range j.workers {
+		var err error
+		if j.xs[w], j.ys[w], err = cfg.ShardData(w); err != nil {
 			return err
 		}
-		j.xs[w], j.ys[w] = xs, ys
-		worker, err := j.startWorker(w, j.startRounds)
-		if err != nil {
+		if j.workers[w], err = j.startWorker(w, j.startRounds); err != nil {
 			return err
 		}
-		j.workers[w] = worker
 		alive[w] = true
 	}
 
@@ -213,41 +168,19 @@ func (j *chaosJob) run() error {
 		// The wave: every live worker takes one step concurrently.
 		errs := make([]error, cfg.Workers)
 		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
+		for w := range j.workers {
 			if !alive[w] {
 				continue
 			}
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				worker := j.workers[w]
-				if d := delay[w]; d > 0 {
-					// A slow worker: the extra virtual time stretches the
-					// round for everyone blocked on the barrier.
-					j.workerNodes[w].Clock().Advance(d)
+				// A slow worker: the extra virtual time stretches the
+				// round for everyone blocked on the barrier.
+				j.workerNodes[w].Clock().Advance(delay[w])
+				if errs[w] = j.waveStep(j.workers[w], round, stall[w]); errs[w] == nil {
+					j.losses[w] = append(j.losses[w], j.workers[w].LastLoss)
 				}
-				if stall[w] {
-					// The classic straggler: compute, then hold the push
-					// until the shards have committed the round without
-					// us. The late push bounces off the moved-on barrier
-					// (eviction) and the worker rejoins in place.
-					if err := worker.BeginStep(); err != nil {
-						errs[w] = err
-						return
-					}
-					if err := j.waitCommitted(round + 1); err != nil {
-						errs[w] = err
-						return
-					}
-					if err := worker.FinishStep(); err != nil {
-						errs[w] = err
-						return
-					}
-				} else if err := worker.Step(); err != nil {
-					errs[w] = err
-					return
-				}
-				j.res.Losses[w] = append(j.res.Losses[w], worker.LastLoss)
 			}(w)
 		}
 		done := make(chan struct{})
@@ -269,4 +202,21 @@ func (j *chaosJob) run() error {
 		}
 	}
 	return nil
+}
+
+// waveStep is one worker's share of a wave. A stalled worker is the
+// classic straggler: it computes, then holds the push until the shards
+// have committed the round without it. The late push bounces off the
+// moved-on barrier (eviction) and the worker rejoins in place.
+func (j *distJob) waveStep(worker *TrainingWorker, round int, stall bool) error {
+	if !stall {
+		return worker.Step()
+	}
+	if err := worker.BeginStep(); err != nil {
+		return err
+	}
+	if err := j.waitCommitted(round + 1); err != nil {
+		return err
+	}
+	return worker.FinishStep()
 }

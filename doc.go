@@ -293,10 +293,10 @@
 // fault-injection harness: a FaultPlan (ParseFaultPlan's
 // "kill:w2@r1+rejoin2;restart:ps0@r2" grammar, or RandomFaultPlan's
 // seeded churn schedules) handed to DistTrainConfig.Chaos — or
-// securetf-worker -chaos-plan — kills, stalls, delays and restarts at
-// the scheduled rounds, and the Figure9Elastic experiment gates the
-// payoff in CI: killing 1 of 4 workers mid-job costs less than that
-// worker's share of round throughput (BenchmarkDistElastic's
+// securetf-worker train -chaos-plan — kills, stalls, delays and
+// restarts at the scheduled rounds, and the Figure9Elastic experiment
+// gates the payoff in CI: killing 1 of 4 workers mid-job costs less than
+// that worker's share of round throughput (BenchmarkDistElastic's
 // survivor-throughput floor).
 //
 // Federated learning (§6.2) promotes the paper's second production use

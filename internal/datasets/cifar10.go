@@ -60,6 +60,9 @@ func clampByte(v float64) byte {
 // GenerateCIFAR10 writes batches data_batch_1.bin … data_batch_N.bin plus
 // test_batch.bin under dir, each holding perBatch records.
 func GenerateCIFAR10(fsys fsapi.FS, dir string, perBatch, batches int, seed int64) error {
+	if perBatch < 0 || batches < 0 {
+		return fmt.Errorf("datasets: negative CIFAR-10 count (%d examples in each of %d batches)", perBatch, batches)
+	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return err
 	}

@@ -63,6 +63,20 @@ func TestMNISTDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsNegativeCounts: the counts arrive from command-line
+// flags, so a negative one is an error, not a makeslice panic.
+func TestGenerateRejectsNegativeCounts(t *testing.T) {
+	fsys := fsapi.NewMem()
+	for _, n := range [][2]int{{-5, 0}, {0, -5}} {
+		if err := GenerateMNIST(fsys, "m", n[0], n[1], 1); err == nil {
+			t.Errorf("GenerateMNIST(train %d, test %d) accepted", n[0], n[1])
+		}
+		if err := GenerateCIFAR10(fsys, "c", n[0], n[1], 1); err == nil {
+			t.Errorf("GenerateCIFAR10(perBatch %d, batches %d) accepted", n[0], n[1])
+		}
+	}
+}
+
 func TestLoadMNISTRejectsCorruption(t *testing.T) {
 	fsys := fsapi.NewMem()
 	if err := GenerateMNIST(fsys, "m", 5, 2, 1); err != nil {

@@ -79,6 +79,9 @@ func renderDigit(img []byte, digit int, rng *rand.Rand) {
 // train-images-idx3-ubyte, train-labels-idx1-ubyte, t10k-images-idx3-ubyte
 // and t10k-labels-idx1-ubyte.
 func GenerateMNIST(fsys fsapi.FS, dir string, trainN, testN int, seed int64) error {
+	if trainN < 0 || testN < 0 {
+		return fmt.Errorf("datasets: negative MNIST example count (train %d, test %d)", trainN, testN)
+	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return err
 	}

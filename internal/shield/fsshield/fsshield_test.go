@@ -14,7 +14,7 @@ import (
 	"github.com/securetf/securetf/internal/seccrypto"
 )
 
-func newTestShield(t *testing.T, inner fsapi.FS, opts ...func(*Config)) *Shield {
+func newTestShield(t testing.TB, inner fsapi.FS, opts ...func(*Config)) *Shield {
 	t.Helper()
 	key, err := seccrypto.NewRandomKey()
 	if err != nil {
