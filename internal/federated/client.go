@@ -482,7 +482,7 @@ func (c *Client) localSteps() error {
 			vals := append([]float32(nil), v.Floats()...)
 			g := out[i+1].Floats()
 			for j := range vals {
-				vals[j] -= float32(c.cfg.LocalLR) * g[j]
+				vals[j] -= float32(float32(c.cfg.LocalLR) * g[j])
 			}
 			t, err := tf.FromFloats(v.Shape(), vals)
 			if err != nil {

@@ -178,7 +178,7 @@ func (c Compression) compress(g *tf.Tensor, residual []float32) (blob []byte, ne
 				q = int8(r)
 			}
 			buf = append(buf, byte(q))
-			newResidual[i] = v - float32(q)*scale
+			newResidual[i] = v - float32(float32(q)*scale)
 		}
 	case CompressTopK:
 		k := int(math.Round(c.Fraction * float64(len(val))))

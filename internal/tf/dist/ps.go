@@ -620,7 +620,7 @@ func (ps *ParameterServer) pushAsyncLocked(msg *message) error {
 		v := ps.vars[name].Floats()
 		src := g.Floats()
 		for i := range v {
-			v[i] -= scale * src[i]
+			v[i] -= float32(scale * src[i])
 		}
 		elems += int64(len(src))
 	}
@@ -670,7 +670,7 @@ func (ps *ParameterServer) commitLocked() {
 		v := ps.vars[name].Floats()
 		g := acc.Floats()
 		for i := range v {
-			v[i] -= lr * inv * g[i]
+			v[i] -= float32(lr * inv * g[i])
 		}
 		elems += int64(len(g))
 	}

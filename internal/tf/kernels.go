@@ -265,7 +265,7 @@ func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 			l := labels.f32[r*cols+c]
 			if l != 0 {
 				p := math.Max(float64(probs[r*cols+c]), 1e-12)
-				loss -= float64(l) * math.Log(p)
+				loss -= float64(float64(l) * math.Log(p))
 			}
 		}
 		out.f32[r] = float32(loss)

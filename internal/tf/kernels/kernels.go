@@ -14,11 +14,23 @@
 // every other kernel allocates nothing at all (MatMulInto a few words
 // when it splits).
 //
-// The summation order of every output element is fixed and does not
-// depend on the thread count, tile size or pool state, because threads
-// and tiles only partition output rows. The golden-pinned training
-// trajectories and interpreter outputs hold as long as a faster kernel
-// keeps these orders:
+// The arithmetic of every output element is fixed: which products are
+// added to it, in what order, each product rounded to float32 and then
+// each sum rounded to float32. It does not depend on the thread count,
+// tile size, pool state or CPU, because threads and tiles only partition
+// output rows and a vector lane is one output column: MatMulInto's loop
+// (matMulRows, under every convolution too) runs eight columns j to an
+// AVX register where the CPU has AVX and as the scalar matMulRowsGo
+// elsewhere (other architectures, amd64 without AVX), and nothing but
+// the CPU chooses. Within a lane the operations are the scalar loop's,
+// in its order; no value crosses lanes. A fused multiply-add is
+// forbidden in both: it rounds once where the contract rounds twice, so
+// the assembly uses VMULPS then VADDPS, never VFMADD, and Go code that
+// feeds a pinned value writes float32(a*b) + c, the explicit conversion
+// being what stops the compiler fusing on arm64, ppc64 and s390x (CI
+// greps an arm64 build for fused instructions). The golden-pinned
+// training trajectories and interpreter outputs hold as long as a
+// faster kernel keeps these orders:
 //
 //   - MatMulInto: c[i,j] accumulates a[i,kk]·b[kk,j] over kk ascending;
 //     a zero a[i,kk] is skipped.
@@ -59,7 +71,17 @@ import (
 // caller's goroutine. The goroutines share one closure and claim their
 // chunk from a counter, so a call allocates the same few words whatever
 // the thread count.
+//
+// The shape is checked against the slices once, here: one too short for
+// it panics, as indexing past its end would, before any element of c is
+// written.
 func MatMulInto(c, a, b []float32, m, k, n, threads int) {
+	if m < 0 || k < 0 || n < 0 || len(c) < m*n || len(a) < m*k || len(b) < k*n {
+		panic(fmt.Sprintf("kernels: matmul [%d,%d]x[%d,%d] into [%d,%d] on slices of %d, %d and %d elements", m, k, k, n, m, n, len(a), len(b), len(c)))
+	}
+	if m == 0 || k == 0 || n == 0 {
+		return
+	}
 	if threads < 2 || m < 2*threads {
 		matMulRows(c, a, b, 0, m, k, n)
 		return
@@ -80,7 +102,7 @@ func MatMulInto(c, a, b []float32, m, k, n, threads int) {
 	wg.Wait()
 }
 
-func matMulRows(c, a, b []float32, lo, hi, k, n int) {
+func matMulRowsGo(c, a, b []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
@@ -90,7 +112,7 @@ func matMulRows(c, a, b []float32, lo, hi, k, n int) {
 			}
 			brow := b[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -533,28 +533,28 @@ func TestRowsCols(t *testing.T) {
 // change has to beat.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	matmul := func(m, k, n, threads int) func(*testing.B) {
-		return func(b *testing.B) {
-			a, w := randFloats(rng, m*k), randFloats(rng, k*n)
-			c := make([]float32, m*n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clear(c)
-				MatMulInto(c, a, w, m, k, n, threads)
+	// The GEMMs of gemmShapes (matmul_test.go), each followed by its twin
+	// on the scalar loop: the ratio of a pair is the same-run speed-up of
+	// whichever loop matMulRows chose on this CPU, and CI gates it.
+	for _, s := range gemmShapes {
+		a, w := sparseFloats(rng, s.m*s.k, s.zeros), sparseFloats(rng, s.k*s.n, 0)
+		c := make([]float32, s.m*s.n)
+		matmul := func(run func()) func(*testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					clear(c)
+					run()
+				}
 			}
 		}
+		b.Run("matmul/"+s.name, matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 1) }))
+		b.Run("matmul/"+s.name+"_scalar", matmul(func() { matMulRowsGo(c, a, w, 0, s.m, s.k, s.n) }))
+		if s.m == 50 && s.n == 512 {
+			// fc1 again, split four ways.
+			b.Run("matmul/"+s.name+"_t4", matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 4) }))
+		}
 	}
-	// serve-steady: the densenet stand-in's 2048x2048 layers, unbatched.
-	b.Run("matmul/serve-steady/m1_k2048_n2048", matmul(1, 2048, 2048, 1))
-	// serve-fleet: the MNIST MLP's first layer over a document, at the 8
-	// rows BENCHMARK.json describes and the 16 the suite sends.
-	b.Run("matmul/serve-fleet/m8_k784_n128", matmul(8, 784, 128, 1))
-	b.Run("matmul/serve-fleet/m16_k784_n128", matmul(16, 784, 128, 1))
-	// train-sync: the CNN's fc1 over a 50-image batch, on one thread and
-	// split four ways.
-	b.Run("matmul/train-sync/m50_k784_n512", matmul(50, 784, 512, 1))
-	b.Run("matmul/train-sync/m50_k784_n512_t4", matmul(50, 784, 512, 4))
 
 	// train-sync: the CNN's two convolutions and both gradients of each.
 	// The first reads digit images, three quarters background zeros; the

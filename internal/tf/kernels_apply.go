@@ -32,7 +32,7 @@ func kernelApplySGD(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	}
 	lr := float32(n.attrFloat("lr", 0.01))
 	for i, g := range grad.f32 {
-		v.f32[i] -= lr * g
+		v.f32[i] -= float32(lr * g)
 	}
 	ctx.charge(n, 2*int64(len(v.f32)), 3*v.Bytes(), false)
 	return v, nil
@@ -48,8 +48,8 @@ func kernelApplyMomentum(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	mom := float32(n.attrFloat("momentum", 0.9))
 	velocity := ctx.sess.slot(name+"/momentum", v)
 	for i, g := range grad.f32 {
-		velocity.f32[i] = mom*velocity.f32[i] + g
-		v.f32[i] -= lr * velocity.f32[i]
+		velocity.f32[i] = float32(mom*velocity.f32[i]) + g
+		v.f32[i] -= float32(lr * velocity.f32[i])
 	}
 	ctx.charge(n, 4*int64(len(v.f32)), 4*v.Bytes(), false)
 	return v, nil
@@ -74,8 +74,8 @@ func kernelApplyAdam(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 	for i, g := range grad.f32 {
 		gd := float64(g)
-		md := float64(m.f32[i])*beta1 + gd*(1-beta1)
-		vd := float64(vv.f32[i])*beta2 + gd*gd*(1-beta2)
+		md := float64(float64(m.f32[i])*beta1) + float64(gd*(1-beta1))
+		vd := float64(float64(vv.f32[i])*beta2) + float64(gd*gd*(1-beta2))
 		m.f32[i] = float32(md)
 		vv.f32[i] = float32(vd)
 		v.f32[i] -= float32(correction * md / (math.Sqrt(vd) + eps))

@@ -36,7 +36,7 @@ func kernelTanhGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, y := in[0], in[1]
 	out := NewTensor(Float32, y.Shape())
 	for i, v := range y.f32 {
-		out.f32[i] = gradOut.f32[i] * (1 - v*v)
+		out.f32[i] = gradOut.f32[i] * (1 - float32(v*v))
 	}
 	ctx.charge(n, 3*int64(len(y.f32)), 3*y.Bytes(), false)
 	return out, nil

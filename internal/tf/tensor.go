@@ -251,7 +251,8 @@ func GlorotUniform(shape Shape, fanIn, fanOut int, seed int64) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	rng := rand.New(rand.NewSource(seed))
 	for i := range t.f32 {
-		t.f32[i] = float32((rng.Float64()*2 - 1) * limit)
+		u := float64(rng.Float64()) // Float64 inlines to a product, which must not fuse either
+		t.f32[i] = float32((float64(u*2) - 1) * limit)
 	}
 	return t
 }
