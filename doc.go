@@ -192,6 +192,21 @@
 // StartParameterServer/StartTrainingWorker nodes, so the CI ratio gates
 // measure the cluster an application gets.
 //
+// A training step reuses its memory, and one ownership rule says whose
+// each byte is. A Run's results are the caller's to keep: no later Run
+// or SetVariable writes to them. Everything else a Run computes —
+// activations, the caches the gradient kernels read, the transposed
+// copies — is the session's until the next Run, which computes into the
+// same storage, and the session keeps no more than its last Run used.
+// A frame read from a worker↔shard connection is valid until the next
+// read on that connection: each end owns one read and one write buffer
+// that live and die with it, a pulled variable is decoded straight into
+// the session's storage and a pushed gradient into the connection's own
+// tensors, so the rule is visible only to code that keeps a compressed
+// gradient blob, which aliases the frame. What the enclave is charged
+// for the step's intermediates is the cost model's arena (the sum of
+// every node's output, at its peak), which this reuse does not enter.
+//
 // The parameter server shards across nodes. The placement rule is a
 // name hash: each variable's 32-bit FNV-1a hash selects a shard by
 // range partition (shard = hash·shards >> 32), computed independently —

@@ -29,20 +29,23 @@ var CIFARLabels = []string{
 func renderCIFAR(rec []byte, class int, rng *rand.Rand) {
 	rec[0] = byte(class)
 	freq := 1 + float64(class%5)
-	phase := float64(class) * 0.7
+	phase := float64(float64(class) * 0.7) // rounded here: see the loop
 	baseR := 64 + 18*class
 	baseG := 220 - 16*class
 	baseB := 40 + 21*((class*3)%10)
 	for y := 0; y < CIFARSize; y++ {
 		for x := 0; x < CIFARSize; x++ {
 			idx := y*CIFARSize + x
-			wave := math.Sin(freq*2*math.Pi*float64(x)/CIFARSize+phase) *
+			// Every product that is added to is rounded first (float64(a*b)),
+			// phase above included, so that arm64, which would fuse the
+			// two, writes the bytes amd64 does: the files' hashes are pinned.
+			wave := math.Sin(float64(freq*2*math.Pi*float64(x)/CIFARSize)+phase) *
 				math.Cos(freq*2*math.Pi*float64(y)/CIFARSize)
-			mod := 0.5 + 0.5*wave
+			mod := 0.5 + float64(0.5*wave)
 			noise := rng.Intn(48)
-			rec[1+idx] = clampByte(float64(baseR)*mod + float64(noise))
-			rec[1+1024+idx] = clampByte(float64(baseG)*mod + float64(noise))
-			rec[1+2048+idx] = clampByte(float64(baseB)*mod + float64(noise))
+			rec[1+idx] = clampByte(float64(float64(baseR)*mod) + float64(noise))
+			rec[1+1024+idx] = clampByte(float64(float64(baseG)*mod) + float64(noise))
+			rec[1+2048+idx] = clampByte(float64(float64(baseB)*mod) + float64(noise))
 		}
 	}
 }

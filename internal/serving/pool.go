@@ -196,7 +196,7 @@ func (p *pool) replicaSeconds() float64 {
 func (p *pool) accountLocked() {
 	now := p.container.Clock().Now()
 	if now > p.lastAt {
-		p.replicaVT += float64(p.total) * (now - p.lastAt).Seconds()
+		p.replicaVT += float64(float64(p.total) * (now - p.lastAt).Seconds()) // rounded before the sum on every GOARCH
 	}
 	p.lastAt = now
 }

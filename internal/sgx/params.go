@@ -222,7 +222,9 @@ func (p Params) ComputeTime(flops float64, contexts int) time.Duration {
 	}
 	eff := float64(contexts)
 	if contexts > p.PhysicalCores {
-		eff = float64(p.PhysicalCores) + float64(contexts-p.PhysicalCores)*p.HyperThreadEff
+		// The product is rounded before the sum, as amd64 rounds it: arm64
+		// would fuse the two, and every compute charge hangs off eff.
+		eff = float64(p.PhysicalCores) + float64(float64(contexts-p.PhysicalCores)*p.HyperThreadEff)
 	}
 	sec := flops / (p.CoreFLOPS * eff)
 	return time.Duration(sec * float64(time.Second))

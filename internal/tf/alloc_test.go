@@ -1,0 +1,65 @@
+package tf_test
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"github.com/securetf/securetf/internal/models"
+	"github.com/securetf/securetf/internal/tf"
+)
+
+// TestWarmRunAllocatesWhatItGivesAway is the memory plan's ceiling: a
+// training worker's Run — the MNIST CNN's loss and every gradient at
+// batch 50 — on a session that has run it before allocates the storage
+// of the results the caller keeps and, beside that, only book-keeping:
+// tensor headers, the evaluation maps, the matmul's goroutines.
+func TestWarmRunAllocatesWhatItGivesAway(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	m := models.MNISTCNN(1)
+	_, grads, err := tf.GradientNodes(m.Graph, m.Loss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := append([]*tf.Node{m.Loss}, grads...)
+	labels := make([]int, 50)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	feeds := tf.Feeds{m.X: tf.RandNormal(tf.Shape{50, 28, 28, 1}, 1, 2), m.Y: tf.OneHot(labels, 10)}
+	s := tf.NewSession(m.Graph)
+	defer s.Close()
+
+	var fetched int64
+	run := func() {
+		out, err := s.Run(feeds, fetches, tf.Training())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetched = 0
+		for _, r := range out {
+			fetched += r.Bytes()
+		}
+	}
+	run()
+	run()
+	// The median of single runs, not their mean: the convolutions' scratch
+	// is the kernels' sync.Pool, which a collection may empty, and the
+	// run after that allocates its 100-odd KiB again.
+	perRun := make([]int64, 5)
+	for i := range perRun {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		perRun[i] = int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	slices.Sort(perRun)
+	median := perRun[len(perRun)/2]
+	if limit := fetched + 64<<10; median > limit {
+		t.Fatalf("a warm Run allocated %d bytes, want at most the %d it returned + 64 KiB", median, fetched)
+	}
+	t.Logf("a warm Run allocated %d bytes, %d of them its results", median, fetched)
+}

@@ -280,7 +280,7 @@ func TestLateStragglerRejected(t *testing.T) {
 // count is rejected during decode instead of driving a huge allocation.
 func TestCorruptFrameRejected(t *testing.T) {
 	m := &message{Kind: msgPush, Vars: map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{2}, 1)}}
-	payload := m.encode()
+	payload := m.encode(nil)
 	// The Vars count sits right after kind(1) + stamp(8) + worker(4) +
 	// round(8) + step(8) + shard(4) + shards(4) + policy(1) +
 	// staleness(8) + ok(1) + stale(1) + err string(4+0) +
@@ -304,10 +304,10 @@ func TestPushValidation(t *testing.T) {
 	}
 	defer conn.Close()
 	bogus := map[string]*tf.Tensor{"no-such-var": tf.Fill(tf.Shape{2}, 1)}
-	if _, err := send(conn, clock, params, &message{Kind: msgPush, Vars: bogus}); err != nil {
+	if _, err := Send(conn, clock, params, &message{Kind: msgPush, Vars: bogus}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := receive(conn, clock, params)
+	resp, err := Receive(conn, clock, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestWireBytesGolden(t *testing.T) {
 			continue
 		}
 		var conn recordConn
-		n, err := send(&conn, &vtime.Clock{}, sgx.DefaultParams(), m)
+		n, err := Send(&conn, &vtime.Clock{}, sgx.DefaultParams(), m)
 		if err != nil {
 			t.Fatalf("seed frame %d: %v", i, err)
 		}
@@ -76,11 +76,11 @@ func TestEncodeSizesItsBufferOnce(t *testing.T) {
 		Clients: []uint32{1, 2, 3, 4, 5},
 		Evicted: true,
 	}
-	m.Grads["fc1/w"] = make([]byte, 8*8192+1-len(m.encode()))
-	if n := len(m.encode()); n != 8*8192+1 {
+	m.Grads["fc1/w"] = make([]byte, 8*8192+1-len(m.encode(nil)))
+	if n := len(m.encode(nil)); n != 8*8192+1 {
 		t.Fatalf("padded frame is %d bytes, want %d", n, 8*8192+1)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { m.encode() }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(10, func() { m.encode(nil) }); allocs != 1 {
 		t.Fatalf("encode made %v allocations, want 1 (the frame buffer)", allocs)
 	}
 }

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/securetf/securetf/internal/sgx"
@@ -128,9 +130,10 @@ type message struct {
 	Evicted bool
 }
 
-// encode serializes the message payload (everything after the length
-// prefix).
-func (m *message) encode() []byte {
+// encode appends the message payload (everything after the length
+// prefix) to dst, which a connection passes as its emptied write buffer
+// and a one-off sender as nil.
+func (m *message) encode(dst []byte) []byte {
 	// Size the buffer once: a 1.6 MB gradient push or a 400 KB federated
 	// snapshot otherwise grows it by doubling, copying everything written
 	// so far a dozen times.
@@ -149,7 +152,7 @@ func (m *message) encode() []byte {
 	for name, blob := range m.Grads {
 		size += 4 + len(name) + 4 + len(blob)
 	}
-	w := wire.Writer{Buf: make([]byte, 0, size)}
+	w := wire.Writer{Buf: slices.Grow(dst, size)}
 	w.U8(m.Kind)
 	w.U64(uint64(m.Stamp))
 	w.U32(m.Worker)
@@ -201,10 +204,28 @@ func (m *message) encode() []byte {
 	return w.Buf
 }
 
-// decode parses a payload produced by encode. Compressed gradient blobs
-// alias the payload; tensors are decoded out of it without a copy in
-// between.
-func decode(payload []byte) (*message, error) {
+// errVars marks a frame that is well formed but whose tensors do not
+// belong where its receiver keeps them: a name the receiver does not
+// hold, or a dtype or shape that is not the held tensor's. The stream is
+// still in step, so a server may answer it instead of hanging up.
+var errVars = errors.New("dist: frame does not fit the receiver's variables")
+
+// decode parses a payload produced by encode into tensors of its own.
+func decode(payload []byte) (*message, error) { return decodeInto(payload, nil) }
+
+// decodeInto parses a payload produced by encode. Compressed gradient
+// blobs alias the payload; tensors are decoded out of it without a copy
+// in between, and where they land is vars' to say: it returns the tensor
+// the receiver keeps under a name, nil for a name it does not hold, and
+// the frame's elements overwrite that tensor's, so a receiver that has
+// the storage — a worker its session's variables, a shard the pushing
+// worker's gradient buffers — allocates none. m.Vars then holds the
+// receiver's own tensors, those the frame named. The whole frame is
+// checked first — framing, every name, every dtype, shape and length —
+// and only then is the first element written: a frame that fails leaves
+// every tensor behind vars as it was. A nil vars decodes each tensor
+// into a new one.
+func decodeInto(payload []byte, vars func(name string) *tf.Tensor) (*message, error) {
 	r := wire.NewReader(payload)
 	m := &message{
 		Kind:      r.U8(),
@@ -225,6 +246,13 @@ func decode(payload []byte) (*message, error) {
 	for i, n := 0, r.Count(4); i < n; i++ {
 		m.Names = append(m.Names, r.Str())
 	}
+	// The tensors wait, undecoded, until the rest of the frame has been
+	// read and found whole.
+	type pending struct {
+		dst *tf.Tensor
+		raw []byte
+	}
+	var fill []pending
 	if n := r.Count(8); n > 0 {
 		m.Vars = make(map[string]*tf.Tensor, n)
 		for i := 0; i < n; i++ {
@@ -232,11 +260,26 @@ func decode(payload []byte) (*message, error) {
 			if r.Err() != nil {
 				break
 			}
-			t, err := tf.DecodeTensor(raw)
-			if err != nil {
-				return nil, fmt.Errorf("dist: tensor %q: %w", name, err)
+			if vars == nil {
+				t, err := tf.DecodeTensor(raw)
+				if err != nil {
+					return nil, fmt.Errorf("dist: tensor %q: %w", name, err)
+				}
+				m.Vars[name] = t
+				continue
 			}
-			m.Vars[name] = t
+			dst := vars(name)
+			if dst == nil {
+				return nil, fmt.Errorf("%w: unknown variable %q", errVars, name)
+			}
+			if err := tf.CheckEncodedTensor(dst, raw); err != nil {
+				return nil, fmt.Errorf("%w: tensor %q: %w", errVars, name, err)
+			}
+			if fill == nil {
+				fill = make([]pending, 0, n)
+			}
+			m.Vars[name] = dst
+			fill = append(fill, pending{dst, raw})
 		}
 	}
 	m.Codec, m.TopK = r.U8(), r.U64()
@@ -262,6 +305,11 @@ func decode(payload []byte) (*message, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("dist: message: %w", err)
 	}
+	for _, p := range fill {
+		if err := tf.DecodeTensorInto(p.dst, p.raw); err != nil {
+			return nil, err // unreachable: CheckEncodedTensor passed
+		}
+	}
 	return m, nil
 }
 
@@ -276,23 +324,62 @@ func policyFromWire(kind uint8, staleness int64) ConsistencyPolicy {
 	return ConsistencyPolicy{Kind: ConsistencyKind(kind), Staleness: int(staleness)}.normalize()
 }
 
-// send serializes m onto conn as a length-prefixed frame, charging wire
-// serialization to clock and stamping the message with the resulting
-// virtual time. The propagation half-RTT is accounted on the receiving
-// side (AdvanceTo(stamp + LANRTT/2)), matching the CAS convention so
-// latency is never double-counted. It reports the total frame size in
-// bytes (header + payload), so callers can account the wire volume a
-// codec saves independently of the bandwidth cost model.
-func send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *message) (int, error) {
-	payload := m.encode()
+// link is one end of a worker↔shard connection together with the memory
+// that lives and dies with it: the frame being sent, the frame last
+// received, and where the tensors of a received frame belong. Nothing
+// else refers to the buffers, so closing the connection and dropping the
+// link frees them. The zero buffers of a link made for one call are the
+// allocating case: Send and Receive.
+type link struct {
+	conn net.Conn
+	// wbuf holds the frame being sent. rbuf holds the frame last
+	// received, and a message's compressed gradient blobs alias it: they
+	// are valid until the next receive on this link.
+	wbuf, rbuf []byte
+	// vars is decodeInto's: nil on a link whose frames carry no tensors
+	// worth keeping storage for.
+	vars func(name string) *tf.Tensor
+}
+
+// send serializes m onto the connection as a length-prefixed frame,
+// charging wire serialization to clock and stamping the message with the
+// resulting virtual time. The propagation half-RTT is accounted on the
+// receiving side (AdvanceTo(stamp + LANRTT/2)), matching the CAS
+// convention so latency is never double-counted. It reports the total
+// frame size in bytes (header + payload), so callers can account the
+// wire volume a codec saves independently of the bandwidth cost model.
+func (l *link) send(clock *vtime.Clock, params sgx.Params, m *message) (int, error) {
+	l.wbuf = m.encode(l.wbuf[:0])
+	return l.flush(clock, params)
+}
+
+// flush is send for a message already encoded into wbuf.
+func (l *link) flush(clock *vtime.Clock, params sgx.Params) (int, error) {
+	payload := l.wbuf
 	clock.Advance(sgx.TimeAtThroughput(float64(len(payload)+4), params.WireBandwidth))
 	// Stamp after charging serialization; the stamp sits at a fixed
 	// offset right after the kind byte.
 	binary.LittleEndian.PutUint64(payload[1:9], uint64(clock.Now()))
-	if err := wire.WriteFrame(conn, payload); err != nil {
+	if err := wire.WriteFrame(l.conn, payload); err != nil {
 		return 0, err
 	}
 	return 4 + len(payload), nil
+}
+
+// receive reads one frame from the connection and advances clock to the
+// causally consistent time (sender stamp plus half a LAN round trip).
+func (l *link) receive(clock *vtime.Clock, params sgx.Params) (*message, error) {
+	payload, err := wire.ReadFrameInto(l.conn, l.rbuf)
+	if err != nil {
+		return nil, err
+	}
+	l.rbuf = payload
+	m, err := decodeInto(payload, l.vars)
+	if err != nil {
+		return nil, err
+	}
+	clock.AdvanceTo(time.Duration(m.Stamp) + params.LANRTT/2)
+	return m, nil
 }
 
 // Exported wire API. internal/federated speaks the same framed
@@ -314,27 +401,14 @@ const (
 	MsgFedSeeds  = msgFedSeeds
 )
 
-// Send frames and sends m on conn (see send).
+// Send frames and sends m on conn (see link.send) from a buffer of its
+// own.
 func Send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {
-	return send(conn, clock, params, m)
+	return (&link{conn: conn}).send(clock, params, m)
 }
 
-// Receive reads one frame from conn (see receive).
+// Receive reads one frame from conn (see link.receive) into a buffer of
+// its own, which the message's Grads alias and the caller may keep.
 func Receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*Message, error) {
-	return receive(conn, clock, params)
-}
-
-// receive reads one frame from conn and advances clock to the causally
-// consistent time (sender stamp plus half a LAN round trip).
-func receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*message, error) {
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decode(payload)
-	if err != nil {
-		return nil, err
-	}
-	clock.AdvanceTo(time.Duration(m.Stamp) + params.LANRTT/2)
-	return m, nil
+	return (&link{conn: conn}).receive(clock, params)
 }

@@ -58,7 +58,29 @@ func fuzzSeedFrames() [][]byte {
 	}
 	out := make([][]byte, len(frames))
 	for i, m := range frames {
-		out[i] = m.encode()
+		out[i] = m.encode(nil)
+	}
+	return out
+}
+
+// fuzzMisfitFrames are well-formed frames whose tensors do not belong in
+// the destinations FuzzFrameCodec decodes into ("w" a Float32 [4,3], "b"
+// a Float32 [3]): a name the receiver does not hold, another dtype,
+// another shape. (The short payload is every seed's truncation.) Each
+// rides behind a tensor that does fit, which must not be written either.
+func fuzzMisfitFrames() [][]byte {
+	ints, err := tf.FromInts(tf.Shape{4, 3}, make([]int32, 12))
+	if err != nil {
+		panic(err)
+	}
+	fits := tf.Fill(tf.Shape{3}, 7)
+	var out [][]byte
+	for _, vars := range []map[string]*tf.Tensor{
+		{"b": fits, "nobody's": tf.Fill(tf.Shape{4, 3}, 7)},
+		{"b": fits, "w": ints},
+		{"b": fits, "w": tf.Fill(tf.Shape{3, 4}, 7)},
+	} {
+		out = append(out, (&message{Kind: msgVars, OK: true, Vars: vars}).encode(nil))
 	}
 	return out
 }
@@ -67,9 +89,12 @@ func fuzzSeedFrames() [][]byte {
 // oversized and bit-flipped payloads must produce an error, never a
 // panic or an allocation driven by an attacker-controlled count. A
 // payload that does decode must survive an encode/decode round trip —
-// the decoder and encoder agree on the format.
+// the decoder and encoder agree on the format. The same payload is
+// also decoded into place, into tensors the receiver already holds:
+// that succeeds only where decoding succeeds, then yields those tensors
+// holding the decoded values, and otherwise leaves them untouched.
 func FuzzFrameCodec(f *testing.F) {
-	for _, frame := range fuzzSeedFrames() {
+	for _, frame := range append(fuzzSeedFrames(), fuzzMisfitFrames()...) {
 		f.Add(frame)
 		// Truncations and bit flips of real frames steer the fuzzer at
 		// the interesting boundaries from the start.
@@ -82,8 +107,27 @@ func FuzzFrameCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decode(payload)
+		held := map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, -3), "b": tf.Fill(tf.Shape{3}, -3)}
+		placed, perr := decodeInto(payload, func(name string) *tf.Tensor { return held[name] })
+		if perr != nil {
+			for name, dst := range held {
+				if !tf.AllClose(dst, tf.Fill(dst.Shape(), -3), 0) {
+					t.Fatalf("decoding into place failed (%v) and still wrote to %q", perr, name)
+				}
+			}
+		}
 		if err != nil {
+			if perr == nil {
+				t.Fatalf("a payload that does not decode (%v) decoded into place", err)
+			}
 			return
+		}
+		if perr == nil {
+			for name, dst := range placed.Vars {
+				if dst != held[name] || !tf.AllClose(dst, m.Vars[name], 0) {
+					t.Fatalf("decoding into place left %q in another tensor or with other values than decoding", name)
+				}
+			}
 		}
 		// The count guards must have kept every decoded collection within
 		// the physical payload: each manifest name costs ≥ 4 bytes, each
@@ -93,7 +137,7 @@ func FuzzFrameCodec(f *testing.F) {
 			t.Fatalf("decoded %d names, %d vars, %d grads and %d clients out of a %d-byte payload",
 				len(m.Names), len(m.Vars), len(m.Grads), len(m.Clients), len(payload))
 		}
-		reenc := m.encode()
+		reenc := m.encode(nil)
 		back, err := decode(reenc)
 		if err != nil {
 			t.Fatalf("re-decoding an encoded message failed: %v", err)

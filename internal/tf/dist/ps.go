@@ -379,23 +379,34 @@ func (ps *ParameterServer) Close() error {
 	return ps.srv.Close()
 }
 
+// serve runs one worker's connection. Its link's buffers, and the
+// gradient tensors this worker's pushes are decoded into round after
+// round, belong to the connection and go with it.
 func (ps *ParameterServer) serve(conn net.Conn) {
-	for {
-		msg, err := receive(conn, ps.cfg.Clock, ps.cfg.Params)
-		if err != nil {
-			return
+	grads := make(map[string]*tf.Tensor)
+	l := &link{conn: conn, vars: func(name string) *tf.Tensor {
+		// ps.vars is structurally immutable after construction, so the
+		// shape lookup needs no lock.
+		if v, ok := ps.vars[name]; ok && grads[name] == nil {
+			grads[name] = tf.NewTensor(tf.Float32, v.Shape())
 		}
+		return grads[name]
+	}}
+	for {
+		msg, err := l.receive(ps.cfg.Clock, ps.cfg.Params)
 		var resp *message
-		switch msg.Kind {
-		case msgHello:
+		switch {
+		case errors.Is(err, errVars):
+			// A push of an unknown variable or of a wrong shape is
+			// answered, not hung up on; none of it reached grads.
+			resp = &message{Kind: msgAck, Err: err.Error()}
+		case err != nil:
+			return
+		case msg.Kind == msgHello:
 			resp = ps.handshake(msg)
-		case msgPull:
-			ps.mu.Lock()
-			snapshot := ps.snapshotLocked()
-			gen := ps.gen
-			ps.mu.Unlock()
-			resp = &message{Kind: msgVars, OK: true, Vars: snapshot, Round: gen}
-		case msgPush:
+		case msg.Kind == msgPull:
+			resp = &message{Kind: msgVars, OK: true}
+		case msg.Kind == msgPush:
 			resp = &message{Kind: msgAck, OK: true}
 			if err := ps.push(msg); err != nil {
 				resp.OK = false
@@ -406,7 +417,17 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		default:
 			resp = &message{Kind: msgAck, Err: fmt.Sprintf("dist: unknown message kind %d", msg.Kind)}
 		}
-		if _, err := send(conn, ps.cfg.Clock, ps.cfg.Params, resp); err != nil {
+		if resp.Kind == msgVars {
+			// A pull is answered from the variables themselves, encoded
+			// under the lock: the one model-sized copy the reply needs.
+			ps.mu.Lock()
+			resp.Vars, resp.Round = ps.vars, ps.gen
+			l.wbuf = resp.encode(l.wbuf[:0])
+			ps.mu.Unlock()
+		} else {
+			l.wbuf = resp.encode(l.wbuf[:0])
+		}
+		if _, err := l.flush(ps.cfg.Clock, ps.cfg.Params); err != nil {
 			return
 		}
 	}
@@ -514,7 +535,11 @@ func (ps *ParameterServer) decodePush(msg *message) error {
 
 // push routes one worker's gradient push to the shard's consistency
 // policy: the synchronous barrier (block until the round commits or
-// aborts) or the asynchronous immediate apply.
+// aborts) or the asynchronous immediate apply. The gradients need no
+// check here, so one malformed push cannot poison the round for
+// everyone: a raw push was decoded into tensors shaped like the shard's
+// variables or refused (serve, decodeInto), a compressed one is decoded
+// against the variables' shapes by decodePush.
 func (ps *ParameterServer) push(msg *message) error {
 	if err := ps.decodePush(msg); err != nil {
 		return err
@@ -550,12 +575,6 @@ func (ps *ParameterServer) push(msg *message) error {
 		ps.mu.Unlock()
 		return fmt.Errorf("dist: worker %d pushed for round generation %d, current is %d (round committed or aborted)", msg.Worker, msg.Round, ps.gen)
 	}
-	// Validate before accumulating so one malformed push cannot poison
-	// the round for everyone.
-	if err := ps.validatePushLocked(msg); err != nil {
-		ps.mu.Unlock()
-		return err
-	}
 	ps.steps[msg.Worker] = msg.Step
 	if ps.cfg.Elastic {
 		if ps.pushedBy == nil {
@@ -579,22 +598,6 @@ func (ps *ParameterServer) push(msg *message) error {
 	return <-ch
 }
 
-// validatePushLocked checks every pushed gradient against the shard's
-// variable set, so a malformed push is an explicit error instead of
-// corrupted state.
-func (ps *ParameterServer) validatePushLocked(msg *message) error {
-	for name, g := range msg.Vars {
-		v, ok := ps.vars[name]
-		if !ok {
-			return fmt.Errorf("dist: worker %d pushed gradient for unknown variable %q", msg.Worker, name)
-		}
-		if g.DType() != tf.Float32 || !g.Shape().Equal(v.Shape()) {
-			return fmt.Errorf("dist: worker %d gradient for %q has shape %v, want %v", msg.Worker, name, g.Shape(), v.Shape())
-		}
-	}
-	return nil
-}
-
 // pushAsyncLocked is the bounded-staleness commit path: the push is
 // applied the moment it arrives — no barrier, nothing blocks — unless
 // the variables have moved more than Staleness versions past the ones
@@ -604,9 +607,6 @@ func (ps *ParameterServer) validatePushLocked(msg *message) error {
 // per-contribution magnitude as a synchronous averaged round, so async
 // is a relaxation of the same optimizer rather than a different one.
 func (ps *ParameterServer) pushAsyncLocked(msg *message) error {
-	if err := ps.validatePushLocked(msg); err != nil {
-		return err
-	}
 	if msg.Round > ps.gen {
 		return fmt.Errorf("dist: worker %d pushed against variable version %d, but the shard is only at %d", msg.Worker, msg.Round, ps.gen)
 	}
@@ -651,12 +651,15 @@ func (ps *ParameterServer) commitLocked() {
 	// addition is not associative, so a schedule-dependent order would
 	// make trajectories irreproducible.
 	sort.SliceStable(ps.contribs, func(i, j int) bool { return ps.contribs[i].worker < ps.contribs[j].worker })
+	// The first contribution to carry a variable is the accumulator:
+	// the round consumes its contributions, and the workers' next pushes
+	// overwrite them.
 	sum := make(map[string]*tf.Tensor, len(ps.vars))
 	for _, c := range ps.contribs {
 		for name, g := range c.vars {
 			acc, ok := sum[name]
 			if !ok {
-				sum[name] = g.Clone()
+				sum[name] = g
 				continue
 			}
 			dst, src := acc.Floats(), g.Floats()
@@ -702,7 +705,7 @@ func (ps *ParameterServer) maybeCheckpointLocked(gen uint64) error {
 		Shards: ps.cfg.Shards,
 		Rounds: ps.rounds,
 		Gen:    gen,
-		Vars:   ps.snapshotLocked(),
+		Vars:   ps.vars, // encoded here, under ps.mu
 	})
 	if err := ps.cfg.CheckpointWrite(data); err != nil {
 		return fmt.Errorf("dist: shard %d checkpoint at round %d: %w", ps.cfg.Shard, ps.rounds, err)

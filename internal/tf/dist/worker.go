@@ -95,13 +95,14 @@ type WorkerConfig struct {
 // worker waits for its slowest parameter server.
 type Worker struct {
 	cfg    WorkerConfig
-	addrs  []string   // shard endpoints, indexed by shard id (for redial)
-	conns  []net.Conn // one per shard, indexed by shard id
+	addrs  []string // shard endpoints, indexed by shard id (for redial)
+	links  []*link  // one per shard, indexed by shard id; nil while down
 	router *Router
 	sess   *tf.Session
-	// sessMu guards the shared session during concurrent per-shard
-	// variable installs.
-	sessMu sync.Mutex
+	// pulled[s] is the session's own storage of the variables shard s
+	// owns, by name: a pull reply is decoded straight into it. The shards'
+	// sets are disjoint, so the concurrent per-shard pulls need no lock.
+	pulled []map[string]*tf.Tensor
 	// policies[s] is the normalized commit policy expected of (and
 	// verified against) shard s.
 	policies []ConsistencyPolicy
@@ -242,7 +243,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		cfg:          cfg,
 		addrs:        addrs,
-		conns:        make([]net.Conn, len(addrs)),
+		links:        make([]*link, len(addrs)),
+		pulled:       make([]map[string]*tf.Tensor, len(addrs)),
 		router:       router,
 		sess:         tf.NewSession(cfg.Model.Graph, tf.WithDevice(cfg.Device), tf.WithSeed(int64(cfg.ID)+1)),
 		policies:     policies,
@@ -256,18 +258,31 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		rejoined:     make([]int, len(addrs)),
 	}
 	for s, addr := range addrs {
+		w.pulled[s] = make(map[string]*tf.Tensor)
+		for _, name := range router.Names(s) {
+			if w.pulled[s][name], err = w.sess.VariableStorage(name); err != nil {
+				w.Close()
+				return nil, err
+			}
+		}
 		conn, err := cfg.Dial("tcp", addr)
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("dist: worker %d dial shard %d at %s: %w", cfg.ID, s, addr, err)
 		}
-		w.conns[s] = conn
+		w.links[s] = w.newLink(s, conn)
 		if err := w.handshake(s, cfg.Clock); err != nil {
 			w.Close()
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// newLink wraps a fresh connection to shard s: its frames' tensors are
+// shard s's variables, decoded into the session's storage.
+func (w *Worker) newLink(s int, conn net.Conn) *link {
+	return &link{conn: conn, vars: func(name string) *tf.Tensor { return w.pulled[s][name] }}
 }
 
 // handshake verifies that the endpoint dialed for shard s identifies as
@@ -283,17 +298,17 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 		Kind:      msgHello,
 		Worker:    uint32(w.cfg.ID),
 		Shard:     uint32(s),
-		Shards:    uint32(len(w.conns)),
+		Shards:    uint32(len(w.links)),
 		Policy:    policy,
 		Staleness: staleness,
 		Codec:     codec,
 		TopK:      topk,
 	}
-	if _, err := send(w.conns[s], clock, w.cfg.Params, req); err != nil {
+	if _, err := w.links[s].send(clock, w.cfg.Params, req); err != nil {
 		return fmt.Errorf("dist: worker %d handshake with shard %d: %w", w.cfg.ID, s, err)
 	}
 	clock.Advance(w.cfg.Params.LANRTT / 2)
-	resp, err := receive(w.conns[s], clock, w.cfg.Params)
+	resp, err := w.links[s].receive(clock, w.cfg.Params)
 	if err != nil {
 		return fmt.Errorf("dist: worker %d handshake with shard %d: %w", w.cfg.ID, s, err)
 	}
@@ -303,9 +318,9 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 	if !resp.OK {
 		return errors.New(resp.Err)
 	}
-	if int(resp.Shard) != s || int(resp.Shards) != len(w.conns) {
+	if int(resp.Shard) != s || int(resp.Shards) != len(w.links) {
 		return fmt.Errorf("dist: worker %d dialed shard %d of %d but the endpoint is shard %d of %d (mis-sharded cluster)",
-			w.cfg.ID, s, len(w.conns), resp.Shard, resp.Shards)
+			w.cfg.ID, s, len(w.links), resp.Shard, resp.Shards)
 	}
 	if got := policyFromWire(resp.Policy, resp.Staleness); got != w.policies[s] {
 		return fmt.Errorf("dist: worker %d expects shard %d to run %v, but it runs %v (mixed-policy cluster)",
@@ -327,13 +342,14 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 func (w *Worker) Close() error {
 	w.sess.Close()
 	var err error
-	for _, conn := range w.conns {
-		if conn == nil {
+	for s, l := range w.links {
+		if l == nil {
 			continue
 		}
-		if cerr := conn.Close(); err == nil {
+		if cerr := l.conn.Close(); err == nil {
 			err = cerr
 		}
+		w.links[s] = nil // its buffers go with the connection
 	}
 	return err
 }
@@ -554,10 +570,10 @@ func (w *Worker) retryStale(stale []int, rb *Breakdown) (float64, []int, error) 
 // single-PS deployment is exactly the 1-shard case.
 func (w *Worker) fanOut(fn func(s int, clock *vtime.Clock) error) error {
 	base := w.cfg.Clock.Now()
-	errs := make([]error, len(w.conns))
-	branches := make([]*vtime.Clock, len(w.conns))
+	errs := make([]error, len(w.links))
+	branches := make([]*vtime.Clock, len(w.links))
 	var wg sync.WaitGroup
-	for s := range w.conns {
+	for s := range w.links {
 		branch := &vtime.Clock{}
 		branch.AdvanceTo(base)
 		branches[s] = branch
@@ -593,9 +609,9 @@ func (w *Worker) withReconnect(s int, clock *vtime.Clock, fn func() error) error
 // redial reopens the connection to shard s and re-runs the handshake,
 // retrying until the Reconnect wall-clock window closes.
 func (w *Worker) redial(s int, clock *vtime.Clock) error {
-	if w.conns[s] != nil {
-		w.conns[s].Close()
-		w.conns[s] = nil
+	if w.links[s] != nil {
+		w.links[s].conn.Close()
+		w.links[s] = nil
 	}
 	//securetf:allow nowallclock the reconnect budget bounds real redial attempts against a possibly-dead peer
 	deadline := time.Now().Add(w.cfg.Reconnect)
@@ -603,12 +619,12 @@ func (w *Worker) redial(s int, clock *vtime.Clock) error {
 	for {
 		conn, err := w.cfg.Dial("tcp", w.addrs[s])
 		if err == nil {
-			w.conns[s] = conn
+			w.links[s] = w.newLink(s, conn)
 			if err = w.handshake(s, clock); err == nil {
 				return nil
 			}
 			conn.Close()
-			w.conns[s] = nil
+			w.links[s] = nil
 		}
 		last = err
 		//securetf:allow nowallclock wall deadline check for the real redial loop above
@@ -646,32 +662,33 @@ func (w *Worker) pull() error {
 	return nil
 }
 
-// pullExchange fetches shard s's variables on the given clock, installs
-// them in the local session, records the shard's round generation /
-// variable version and returns the installed byte count.
+// pullExchange fetches shard s's variables on the given clock — the
+// reply is decoded into the local session's storage as it is received,
+// all of it or, if any of it is not one of shard s's variables, none —
+// records the shard's round generation / variable version and returns
+// the installed byte count.
 func (w *Worker) pullExchange(s int, clock *vtime.Clock) (int64, error) {
+	l := w.links[s]
+	if l == nil {
+		return 0, fmt.Errorf("shard %d: not connected", s)
+	}
 	req := &message{Kind: msgPull, Worker: uint32(w.cfg.ID)}
-	if _, err := send(w.conns[s], clock, w.cfg.Params, req); err != nil {
+	if _, err := l.send(clock, w.cfg.Params, req); err != nil {
 		return 0, err
 	}
 	// The request is in flight; time passes on this node while it
 	// travels (the response stamp covers the rest of the round trip).
 	clock.Advance(w.cfg.Params.LANRTT / 2)
-	resp, err := receive(w.conns[s], clock, w.cfg.Params)
+	resp, err := l.receive(clock, w.cfg.Params)
 	if err != nil {
 		return 0, err
 	}
 	if resp.Kind != msgVars {
 		return 0, fmt.Errorf("shard %d: unexpected response kind %d", s, resp.Kind)
 	}
-	w.sessMu.Lock()
-	defer w.sessMu.Unlock()
 	w.rounds[s] = resp.Round
 	var bytes int64
-	for name, t := range resp.Vars {
-		if err := w.sess.SetVariable(name, t); err != nil {
-			return 0, err
-		}
+	for _, t := range resp.Vars {
 		bytes += t.Bytes()
 	}
 	return bytes, nil
@@ -726,7 +743,7 @@ func (w *Worker) pushGrads(grads map[string]*tf.Tensor) ([]int, error) {
 			}
 		}
 	}
-	outcomes := make([]pushOutcome, len(w.conns))
+	outcomes := make([]pushOutcome, len(w.links))
 	err = w.fanOut(func(s int, clock *vtime.Clock) error {
 		err := w.withReconnect(s, clock, func() error {
 			o, err := w.pushExchange(s, clock, parts[s])
@@ -774,6 +791,10 @@ const (
 // so its unsent mass must not be double-counted when a later push
 // re-encodes a fresh gradient.
 func (w *Worker) pushExchange(s int, clock *vtime.Clock, vars map[string]*tf.Tensor) (pushOutcome, error) {
+	l := w.links[s]
+	if l == nil {
+		return pushApplied, fmt.Errorf("shard %d: not connected", s)
+	}
 	req := &message{
 		Kind:   msgPush,
 		Worker: uint32(w.cfg.ID),
@@ -796,14 +817,14 @@ func (w *Worker) pushExchange(s int, clock *vtime.Clock, vars map[string]*tf.Ten
 		}
 	}
 	wireStart := clock.Now()
-	n, err := send(w.conns[s], clock, w.cfg.Params, req)
+	n, err := l.send(clock, w.cfg.Params, req)
 	if err != nil {
 		return pushApplied, err
 	}
 	w.pushWire[s] += clock.Now() - wireStart
 	w.pushBytes[s] += int64(n)
 	clock.Advance(w.cfg.Params.LANRTT / 2)
-	resp, err := receive(w.conns[s], clock, w.cfg.Params)
+	resp, err := l.receive(clock, w.cfg.Params)
 	if err != nil {
 		return pushApplied, err
 	}

@@ -44,6 +44,7 @@ func checkGradients(t *testing.T, g *Graph, s *Session, feeds Feeds, loss *Node,
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWarmRuns(t, s, feeds, append(grads, loss))
 	rng := rand.New(rand.NewSource(99))
 	for vi, v := range vars {
 		if grads[vi] == nil {

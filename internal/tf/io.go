@@ -76,41 +76,53 @@ func encodeTensorInto(w *wire.Writer, t *Tensor) {
 	}
 }
 
-func decodeTensorFrom(r *wire.Reader) (*Tensor, error) {
-	dtype, shape := DType(r.U8()), Shape(r.Ints())
+// tensorHeader reads a tensor's inner encoding up to its elements and
+// returns them undecoded: four bytes each, as many as the shape says.
+func tensorHeader(r *wire.Reader) (dtype DType, shape Shape, words []byte, err error) {
+	dtype, shape = DType(r.U8()), Shape(r.Ints())
 	elems := 1
 	for _, d := range shape {
 		// Shape.NumElements would wrap: [1<<33, 1<<31] multiplies to 0.
 		if d < 0 || (d > 0 && elems > math.MaxInt/d) {
-			return nil, fmt.Errorf("tf: tensor shape %v is negative or overflows", shape)
+			return 0, nil, nil, fmt.Errorf("tf: tensor shape %v is negative or overflows", shape)
 		}
 		elems *= d
 	}
 	n := r.Count(4)
-	words := r.Next(4 * n)
+	words = r.Next(4 * n)
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("tf: tensor: %w", err)
+		return 0, nil, nil, fmt.Errorf("tf: tensor: %w", err)
 	}
 	if dtype != Float32 && dtype != Int32 {
-		return nil, fmt.Errorf("tf: bad dtype %d", dtype)
+		return 0, nil, nil, fmt.Errorf("tf: bad dtype %d", dtype)
 	}
 	if len(shape) > maxRank {
-		return nil, fmt.Errorf("tf: rank %d too large", len(shape))
+		return 0, nil, nil, fmt.Errorf("tf: rank %d too large", len(shape))
 	}
 	if elems != n {
-		return nil, fmt.Errorf("tf: tensor shape %v vs %d elements", shape, n)
+		return 0, nil, nil, fmt.Errorf("tf: tensor shape %v vs %d elements", shape, n)
+	}
+	return dtype, shape, words, nil
+}
+
+// setWords decodes a tensor's elements from their encoding, four bytes
+// each, len(words) being four times the element count.
+func (t *Tensor) setWords(words []byte) {
+	for i := range t.i32 {
+		t.i32[i] = int32(binary.LittleEndian.Uint32(words[4*i:]))
+	}
+	for i := range t.f32 {
+		t.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(words[4*i:]))
+	}
+}
+
+func decodeTensorFrom(r *wire.Reader) (*Tensor, error) {
+	dtype, shape, words, err := tensorHeader(r)
+	if err != nil {
+		return nil, err
 	}
 	t := NewTensor(dtype, shape)
-	switch dtype {
-	case Int32:
-		for i := range t.i32 {
-			t.i32[i] = int32(binary.LittleEndian.Uint32(words[4*i:]))
-		}
-	default:
-		for i := range t.f32 {
-			t.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(words[4*i:]))
-		}
-	}
+	t.setWords(words)
 	return t, nil
 }
 
@@ -139,6 +151,45 @@ func DecodeTensor(data []byte) (*Tensor, error) {
 		return nil, fmt.Errorf("tf: bad tensor magic")
 	}
 	return decodeTensorFrom(r)
+}
+
+// encodedElements checks that data is the EncodeTensor serialization of
+// a tensor of like's dtype and shape, and returns its undecoded
+// elements.
+func encodedElements(like *Tensor, data []byte) ([]byte, error) {
+	r := wire.NewReader(data)
+	if string(r.Next(len(tensorMagic))) != tensorMagic {
+		return nil, fmt.Errorf("tf: bad tensor magic")
+	}
+	dtype, shape, words, err := tensorHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if dtype != like.dtype || !shape.Equal(like.shape) {
+		return nil, fmt.Errorf("tf: encoded tensor is %v %v, want %v %v", dtype, shape, like.dtype, like.shape)
+	}
+	return words, nil
+}
+
+// CheckEncodedTensor reports whether DecodeTensorInto(dst, data) would
+// succeed, without writing anything: a decoder that fills several
+// tensors from one frame checks them all before it fills the first.
+func CheckEncodedTensor(dst *Tensor, data []byte) error {
+	_, err := encodedElements(dst, data)
+	return err
+}
+
+// DecodeTensorInto is DecodeTensor into storage that already exists:
+// data must encode a tensor of dst's dtype and shape, and its elements
+// overwrite dst's. The encoding is checked in full before the first
+// element is written, so an error leaves dst as it was.
+func DecodeTensorInto(dst *Tensor, data []byte) error {
+	words, err := encodedElements(dst, data)
+	if err != nil {
+		return err
+	}
+	dst.setWords(words)
+	return nil
 }
 
 // MarshalGraph serializes the graph, including constant values and

@@ -30,7 +30,29 @@ func (ctx *execCtx) charge(n *Node, flops, bytes int64, streaming bool) {
 	}
 }
 
-// kernelFunc computes a node's output from its input tensors.
+// out draws a Float32 tensor for a kernel that writes every element of
+// its output: the storage comes from the session's free list and holds
+// whatever the last Run left in it.
+func (ctx *execCtx) out(shape Shape) *Tensor { return ctx.tensor(shape, false) }
+
+// zeroed is out for a kernel that accumulates into its output, or
+// writes only some of it.
+func (ctx *execCtx) zeroed(shape Shape) *Tensor { return ctx.tensor(shape, true) }
+
+func (ctx *execCtx) tensor(shape Shape, zero bool) *Tensor {
+	return &Tensor{dtype: Float32, shape: shape.Clone(), f32: ctx.sess.f32.get(shape.NumElements(), zero)}
+}
+
+// scalar is Scalar from the free list.
+func (ctx *execCtx) scalar(v float32) *Tensor {
+	t := ctx.out(Shape{})
+	t.f32[0] = v
+	return t
+}
+
+// kernelFunc computes a node's output from its input tensors. The
+// output and every forward cache come from ctx, never from NewTensor or
+// make: the session takes them back when the Run ends.
 type kernelFunc func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 
 // opKernels maps op names to implementations. Populated once at package
@@ -88,7 +110,7 @@ func sigmoid32(x float32) float32 {
 func kernelUnary(f func(float32) float32) kernelFunc {
 	return func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		x := in[0]
-		out := NewTensor(Float32, x.Shape())
+		out := ctx.out(x.Shape())
 		for i, v := range x.f32 {
 			out.f32[i] = f(v)
 		}
@@ -99,7 +121,7 @@ func kernelUnary(f func(float32) float32) kernelFunc {
 
 func kernelRelu(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.out(x.Shape())
 	kernels.Relu(out.f32, x.f32)
 	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 	return out, nil
@@ -119,12 +141,12 @@ func kernelBinary(f func(a, b float32) float32) kernelFunc {
 			if len(b.Shape()) > len(shape) {
 				shape = b.Shape()
 			}
-			out := NewTensor(Float32, shape)
+			out := ctx.out(shape)
 			out.f32[0] = f(a.f32[0], b.f32[0])
 			ctx.charge(n, 1, 12, false)
 			return out, nil
 		case a.NumElements() == 1 && b.NumElements() > 1:
-			out := NewTensor(Float32, b.Shape())
+			out := ctx.out(b.Shape())
 			av := a.f32[0]
 			for i, bv := range b.f32 {
 				out.f32[i] = f(av, bv)
@@ -132,7 +154,7 @@ func kernelBinary(f func(a, b float32) float32) kernelFunc {
 			ctx.charge(n, int64(len(b.f32)), 2*b.Bytes(), false)
 			return out, nil
 		case b.NumElements() == 1 && a.NumElements() > 1:
-			out := NewTensor(Float32, a.Shape())
+			out := ctx.out(a.Shape())
 			bv := b.f32[0]
 			for i, av := range a.f32 {
 				out.f32[i] = f(av, bv)
@@ -143,7 +165,7 @@ func kernelBinary(f func(a, b float32) float32) kernelFunc {
 			if !a.Shape().Equal(b.Shape()) {
 				return nil, fmt.Errorf("tf: %s: runtime shape mismatch %v vs %v", n.op, a.Shape(), b.Shape())
 			}
-			out := NewTensor(Float32, a.Shape())
+			out := ctx.out(a.Shape())
 			for i := range a.f32 {
 				out.f32[i] = f(a.f32[i], b.f32[i])
 			}
@@ -159,25 +181,25 @@ func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		return nil, fmt.Errorf("tf: MatMul: runtime shapes %v x %v", a.Shape(), b.Shape())
 	}
 	if n.attrBool("transpose_a", false) {
-		a = transpose2D(a)
+		a = ctx.transpose2D(a)
 	}
 	if n.attrBool("transpose_b", false) {
-		b = transpose2D(b)
+		b = ctx.transpose2D(b)
 	}
 	if a.Shape()[1] != b.Shape()[0] {
 		return nil, fmt.Errorf("tf: MatMul: inner dims %v x %v", a.Shape(), b.Shape())
 	}
 	m, k, nn := a.Shape()[0], a.Shape()[1], b.Shape()[1]
-	out := NewTensor(Float32, Shape{m, nn})
+	out := ctx.zeroed(Shape{m, nn})
 	kernels.MatMulInto(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
 	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), a.Bytes()+b.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
 // transpose2D materializes the transpose of a [m,n] tensor.
-func transpose2D(t *Tensor) *Tensor {
+func (ctx *execCtx) transpose2D(t *Tensor) *Tensor {
 	m, n := t.Shape()[0], t.Shape()[1]
-	out := NewTensor(Float32, Shape{n, m})
+	out := ctx.out(Shape{n, m})
 	kernels.Transpose(out.f32, t.f32, m, n)
 	return out
 }
@@ -188,7 +210,7 @@ func kernelBiasAdd(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if c == 0 || x.NumElements()%c != 0 {
 		return nil, fmt.Errorf("tf: BiasAdd: %d elements not divisible by %d channels", x.NumElements(), c)
 	}
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.out(x.Shape())
 	kernels.BiasAdd(out.f32, x.f32, bias.f32)
 	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 	return out, nil
@@ -205,7 +227,7 @@ func kernelConv2D(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.F})
+	out := ctx.zeroed(Shape{geo.N, geo.OH, geo.OW, geo.F})
 	kernels.Conv2DInto(out.f32, x.f32, filter.f32, geo)
 	ctx.charge(n, geo.ConvFLOPs(), x.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
@@ -224,9 +246,9 @@ func kernelPool(maxPool bool) kernelFunc {
 		if err != nil {
 			return nil, err
 		}
-		out := NewTensor(Float32, Shape{geo.N, geo.OH, geo.OW, geo.C})
+		out := ctx.out(Shape{geo.N, geo.OH, geo.OW, geo.C})
 		if maxPool {
-			argmax := make([]int32, out.NumElements())
+			argmax := ctx.sess.i32.get(out.NumElements(), false)
 			kernels.MaxPool(out.f32, x.f32, geo, argmax)
 			ctx.extras[n.name] = argmax
 		} else {
@@ -240,7 +262,7 @@ func kernelPool(maxPool bool) kernelFunc {
 func kernelSoftmax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
 	_, cols := kernels.RowsCols(x.Shape())
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.out(x.Shape())
 	if err := kernels.SoftmaxRows(out.f32, x.f32, cols); err != nil {
 		return nil, err
 	}
@@ -254,11 +276,11 @@ func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		return nil, fmt.Errorf("tf: SoftmaxCrossEntropy: %v vs %v", logits.Shape(), labels.Shape())
 	}
 	rows, cols := kernels.RowsCols(logits.Shape())
-	probs := make([]float32, rows*cols)
+	probs := ctx.sess.f32.get(rows*cols, false)
 	if err := kernels.SoftmaxRows(probs, logits.f32, cols); err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, Shape{rows})
+	out := ctx.out(Shape{rows})
 	for r := 0; r < rows; r++ {
 		var loss float64
 		for c := 0; c < cols; c++ {
@@ -298,8 +320,8 @@ func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	rate := n.attrFloat("rate", 0.5)
 	keep := 1 - rate
 	scale := float32(1 / keep)
-	out := NewTensor(Float32, x.Shape())
-	mask := make([]float32, x.NumElements())
+	out := ctx.zeroed(x.Shape())
+	mask := ctx.sess.f32.get(x.NumElements(), true)
 	for i, v := range x.f32 {
 		if ctx.sess.rng.Float64() < keep {
 			mask[i] = scale
@@ -322,14 +344,14 @@ func kernelReduce(mean bool) kernelFunc {
 			sum /= float64(x.NumElements())
 		}
 		ctx.charge(n, int64(x.NumElements()), x.Bytes(), true)
-		return Scalar(float32(sum)), nil
+		return ctx.scalar(float32(sum)), nil
 	}
 }
 
 func kernelArgMax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
 	rows, cols := kernels.RowsCols(x.Shape())
-	out := NewTensor(Int32, Shape{rows})
+	out := &Tensor{dtype: Int32, shape: Shape{rows}, i32: ctx.sess.i32.get(rows, false)}
 	if err := kernels.ArgMaxRows(out.i32, x.f32, cols); err != nil {
 		return nil, err
 	}
@@ -342,7 +364,7 @@ func kernelEqual(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if a.NumElements() != b.NumElements() {
 		return nil, fmt.Errorf("tf: Equal: %d vs %d elements", a.NumElements(), b.NumElements())
 	}
-	out := NewTensor(Float32, a.Shape())
+	out := ctx.zeroed(a.Shape())
 	for i := 0; i < a.NumElements(); i++ {
 		var eq bool
 		if a.DType() == Int32 && b.DType() == Int32 {
@@ -370,11 +392,14 @@ func kernelBroadcastLike(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		// Gradient of ReduceMean: each element receives grad/N.
 		v /= float32(like.NumElements())
 	}
-	out := Fill(like.Shape(), v)
+	out := ctx.out(like.Shape())
+	for i := range out.f32 {
+		out.f32[i] = v
+	}
 	ctx.charge(n, 0, out.Bytes(), true)
 	return out, nil
 }
 
 func kernelGroup(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	return Scalar(0), nil
+	return ctx.scalar(0), nil
 }

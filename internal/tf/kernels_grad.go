@@ -12,7 +12,7 @@ import (
 
 func kernelReluGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x := in[0], in[1]
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.zeroed(x.Shape())
 	for i, v := range x.f32 {
 		if v > 0 {
 			out.f32[i] = gradOut.f32[i]
@@ -24,7 +24,7 @@ func kernelReluGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelSigmoidGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, y := in[0], in[1]
-	out := NewTensor(Float32, y.Shape())
+	out := ctx.out(y.Shape())
 	for i, v := range y.f32 {
 		out.f32[i] = gradOut.f32[i] * v * (1 - v)
 	}
@@ -34,7 +34,7 @@ func kernelSigmoidGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelTanhGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, y := in[0], in[1]
-	out := NewTensor(Float32, y.Shape())
+	out := ctx.out(y.Shape())
 	for i, v := range y.f32 {
 		out.f32[i] = gradOut.f32[i] * (1 - float32(v*v))
 	}
@@ -46,7 +46,7 @@ func kernelBiasAddGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut := in[0]
 	s := gradOut.Shape()
 	c := s[len(s)-1]
-	out := NewTensor(Float32, Shape{c})
+	out := ctx.zeroed(Shape{c})
 	for base := 0; base < len(gradOut.f32); base += c {
 		for j, v := range gradOut.f32[base : base+c] {
 			out.f32[j] += v
@@ -65,7 +65,7 @@ func kernelMaxPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if len(argmax) != gradOut.NumElements() {
 		return nil, fmt.Errorf("tf: MaxPoolGrad: cache size %d vs grad %d", len(argmax), gradOut.NumElements())
 	}
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.zeroed(x.Shape())
 	for i, idx := range argmax {
 		if idx >= 0 {
 			out.f32[idx] += gradOut.f32[i]
@@ -81,7 +81,7 @@ func kernelAvgPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.zeroed(x.Shape())
 	area := float32(geo.KH * geo.KW)
 	for b := 0; b < geo.N; b++ {
 		for oy := 0; oy < geo.OH; oy++ {
@@ -117,7 +117,7 @@ func kernelConv2DGradInput(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, x.Shape())
+	out := ctx.zeroed(x.Shape())
 	kernels.Conv2DGradInputInto(out.f32, gradOut.f32, filter.f32, geo)
 	ctx.charge(n, geo.ConvFLOPs(), gradOut.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
@@ -129,7 +129,7 @@ func kernelConv2DGradFilter(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error
 	if err != nil {
 		return nil, err
 	}
-	out := NewTensor(Float32, filter.Shape())
+	out := ctx.out(filter.Shape())
 	kernels.Conv2DGradFilterInto(out.f32, gradOut.f32, x.f32, geo)
 	ctx.charge(n, geo.ConvFLOPs(), gradOut.Bytes()+x.Bytes()+out.Bytes(), false)
 	return out, nil
@@ -142,12 +142,12 @@ func kernelSoftmaxXentGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 	if !ok {
 		// Recompute: the forward node may not have been cached (e.g. a
 		// restored gradient graph).
-		probs = make([]float32, rows*cols)
+		probs = ctx.sess.f32.get(rows*cols, false)
 		if err := kernels.SoftmaxRows(probs, logits.f32, cols); err != nil {
 			return nil, err
 		}
 	}
-	out := NewTensor(Float32, logits.Shape())
+	out := ctx.out(logits.Shape())
 	for r := 0; r < rows; r++ {
 		g := gradOut.f32[r]
 		for c := 0; c < cols; c++ {
@@ -166,7 +166,7 @@ func kernelDropoutGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		// Inference (or forward not run in training mode): identity.
 		return gradOut, nil
 	}
-	out := NewTensor(Float32, gradOut.Shape())
+	out := ctx.out(gradOut.Shape())
 	for i, v := range gradOut.f32 {
 		out.f32[i] = v * mask[i]
 	}

@@ -21,7 +21,73 @@ type Session struct {
 	steps  map[string]int64
 	rng    *rand.Rand
 
+	// f32 and i32 hold the storage of a Run's intermediates between
+	// Runs (see freeList). What is charged for it is arenaPeak, the
+	// cost model's arena, which does not know the lists exist.
+	f32       freeList[float32]
+	i32       freeList[int32]
 	arenaPeak int64
+}
+
+// freeList is the session's memory plan: every kernel output and forward
+// cache of a Run is drawn from it, and when the Run ends it takes back
+// everything the Run drew except the storage behind a fetched result,
+// which is the caller's from then on. Ownership goes by backing array,
+// not by *Tensor: a Reshape is a view of its input and Dropout can hand
+// its input through, so a fetched tensor may share storage with an
+// intermediate that was not fetched.
+//
+// Buffers are matched by exact element count, so a step that repeats the
+// last one's shapes allocates only what it gives away. What a Run did
+// not draw it drops: the list never holds more than the last Run used,
+// and an evaluation at batch 10 000 is not pinned under a batch-50
+// trainer. The scan is linear in the buffers of one Run, a few dozen.
+type freeList[T any] struct {
+	free  [][]T // drawn by the last Run and not given away
+	drawn [][]T // drawn by the current Run so far
+}
+
+// get draws a buffer of n elements. A reused buffer holds whatever the
+// last Run left in it unless zero is set.
+func (l *freeList[T]) get(n int, zero bool) []T {
+	if n == 0 {
+		return []T{}
+	}
+	var buf []T
+	for i, b := range l.free {
+		if len(b) == n {
+			last := len(l.free) - 1
+			l.free[i], l.free[last] = l.free[last], nil
+			l.free, buf = l.free[:last], b
+			break
+		}
+	}
+	if buf == nil {
+		buf = make([]T, n)
+	} else if zero {
+		clear(buf)
+	}
+	l.drawn = append(l.drawn, buf)
+	return buf
+}
+
+// release gives the backing array of buf, if this Run drew it, away.
+func (l *freeList[T]) release(buf []T) {
+	for i, b := range l.drawn {
+		if sameArray(b, buf) {
+			last := len(l.drawn) - 1
+			l.drawn[i], l.drawn[last] = l.drawn[last], nil
+			l.drawn = l.drawn[:last]
+			return
+		}
+	}
+}
+
+// recycle ends a Run: what it drew and did not release is the next
+// Run's free list, and what it left undrawn is dropped.
+func (l *freeList[T]) recycle() {
+	clear(l.free)
+	l.free, l.drawn = l.drawn, l.free[:0]
 }
 
 // SessionOption configures a Session.
@@ -72,10 +138,12 @@ func (s *Session) Graph() *Graph { return s.graph }
 // Device returns the session's device.
 func (s *Session) Device() device.Device { return s.device }
 
-// Close releases the session's device registrations.
+// Close releases the session's device registrations and the storage it
+// kept for the next Run.
 func (s *Session) Close() {
 	s.device.Free("tf/variables")
 	s.device.Free("tf/arena")
+	s.f32, s.i32 = freeList[float32]{}, freeList[int32]{}
 }
 
 // Feeds maps placeholder nodes to their input tensors for one Run.
@@ -95,7 +163,10 @@ func Training() RunOption {
 
 // Run evaluates fetches under the given feeds and returns their values in
 // order. Side-effecting nodes (optimizer applies, groups) are included as
-// ordinary fetches.
+// ordinary fetches. The results are the caller's to keep: no later Run
+// or SetVariable writes to them (a fetched variable is a copy).
+// Everything else a Run computes is the session's, and the next Run
+// computes into the same storage.
 func (s *Session) Run(feeds Feeds, fetches []*Node, opts ...RunOption) ([]*Tensor, error) {
 	var cfg runConfig
 	for _, o := range opts {
@@ -117,6 +188,10 @@ func (s *Session) Run(feeds Feeds, fetches []*Node, opts ...RunOption) ([]*Tenso
 		}
 		ctx.values[node] = t
 	}
+	defer func() {
+		s.f32.recycle()
+		s.i32.recycle()
+	}()
 
 	var arena int64
 	for _, n := range order {
@@ -139,9 +214,30 @@ func (s *Session) Run(feeds Feeds, fetches []*Node, opts ...RunOption) ([]*Tenso
 
 	results := make([]*Tensor, len(fetches))
 	for i, f := range fetches {
-		results[i] = ctx.values[f]
+		t := ctx.values[f]
+		if s.isVariable(t) {
+			t = t.Clone()
+		}
+		s.f32.release(t.f32)
+		s.i32.release(t.i32)
+		results[i] = t
 	}
 	return results, nil
+}
+
+// isVariable reports whether t is, or is a view of, a variable's
+// storage, which optimizer applies and SetVariable write in place.
+func (s *Session) isVariable(t *Tensor) bool {
+	for _, v := range s.vars {
+		if sameArray(t.f32, v.f32) || sameArray(t.i32, v.i32) {
+			return true
+		}
+	}
+	return false
+}
+
+func sameArray[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 func (s *Session) evalNode(ctx *execCtx, n *Node) (*Tensor, error) {
@@ -181,18 +277,32 @@ func (s *Session) Variable(name string) (*Tensor, error) {
 	return v.Clone(), nil
 }
 
-// SetVariable overwrites a variable's value (used by the distributed
-// workers when pulling parameters from the parameter server).
+// SetVariable overwrites a variable's value with a copy of t, which must
+// have the variable's dtype and shape.
 func (s *Session) SetVariable(name string, t *Tensor) error {
 	cur, ok := s.vars[name]
 	if !ok {
 		return fmt.Errorf("tf: unknown variable %q", name)
 	}
-	if !cur.Shape().Equal(t.Shape()) {
-		return fmt.Errorf("tf: variable %q shape %v, got %v", name, cur.Shape(), t.Shape())
+	if cur.DType() != t.DType() || !cur.Shape().Equal(t.Shape()) {
+		return fmt.Errorf("tf: variable %q is %v %v, got %v %v", name, cur.DType(), cur.Shape(), t.DType(), t.Shape())
 	}
-	s.vars[name] = t.Clone()
+	copy(cur.f32, t.f32)
+	copy(cur.i32, t.i32)
 	return nil
+}
+
+// VariableStorage returns the named variable's own tensor, not a copy:
+// a write through it is a write to the session's state, and it stays
+// the variable's tensor for the session's life. It is what
+// DecodeTensorInto is handed when the distributed worker's pull decodes
+// the parameter server's reply straight into place.
+func (s *Session) VariableStorage(name string) (*Tensor, error) {
+	v, ok := s.vars[name]
+	if !ok {
+		return nil, fmt.Errorf("tf: unknown variable %q", name)
+	}
+	return v, nil
 }
 
 // VariableNames lists the session's variables in graph order.

@@ -11,6 +11,9 @@ func run1(t *testing.T, s *Session, feeds Feeds, fetch *Node, opts ...RunOption)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(opts) == 0 {
+		checkWarmRuns(t, s, feeds, []*Node{fetch})
+	}
 	return out[0]
 }
 

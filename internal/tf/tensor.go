@@ -6,6 +6,17 @@
 // The engine performs real numerics — training genuinely converges — and
 // reports its work (FLOPs, bytes) to a device.Device so the enclave cost
 // model sees the same workload shape the paper's TensorFlow did.
+//
+// Whose memory is whose: the tensors Session.Run returns are the
+// caller's, and nothing the session does later writes to them.
+// Everything else a Run computes is the session's until the next Run,
+// which computes into the same storage (freeList), so a training step
+// allocates what it hands back and little else. A variable's tensor is
+// the session's for the session's life; SetVariable, RestoreCheckpoint
+// and DecodeTensorInto through VariableStorage write into it, Variable
+// and a fetch copy out of it. What the device is charged for a Run's
+// intermediates ("tf/arena") is the cost model's figure and knows
+// nothing of the reuse.
 package tf
 
 import (

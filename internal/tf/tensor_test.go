@@ -182,8 +182,30 @@ func FuzzTensorDecode(f *testing.F) {
 	}
 	f.Add([]byte("STFT1"))
 	f.Add(emptyTensorOfShape([]int{1 << 33, 1 << 31}))
+	// For DecodeTensorInto below, whose destination is a Float32 [3,5]:
+	// the same shape in the other dtype, and the same elements in another
+	// shape.
+	f.Add(EncodeTensor(NewTensor(Int32, Shape{3, 5})))
+	f.Add(EncodeTensor(RandNormal(Shape{5, 3}, 1, 7)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeTensor(data)
+		// Decoding into place succeeds exactly where the input decodes
+		// to the destination's dtype and shape, and then yields the same
+		// elements; where it fails the destination is untouched.
+		dst := Fill(Shape{3, 5}, -3)
+		fits := err == nil && got.DType() == Float32 && got.Shape().Equal(dst.Shape())
+		if cerr := CheckEncodedTensor(dst, data); (cerr == nil) != fits {
+			t.Fatalf("CheckEncodedTensor = %v for an input that decodes to %v", cerr, err)
+		}
+		if ierr := DecodeTensorInto(dst, data); (ierr == nil) != fits {
+			t.Fatalf("DecodeTensorInto = %v for an input that decodes to %v", ierr, err)
+		}
+		if fits && !bitEqual(dst, got) {
+			t.Fatal("DecodeTensorInto and DecodeTensor disagree")
+		}
+		if !fits && !bitEqual(dst, Fill(Shape{3, 5}, -3)) {
+			t.Fatal("a refused DecodeTensorInto wrote to its destination")
+		}
 		if err != nil {
 			return
 		}

@@ -28,20 +28,36 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed payload, enforcing MaxFrame
-// before allocating.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-prefixed payload into a buffer of its own,
+// enforcing MaxFrame before allocating.
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto reads one length-prefixed payload of n bytes and returns
+// it as a slice of exactly n: of buf's array when that holds n bytes
+// (whatever buf's length), of a new one otherwise. MaxFrame is enforced
+// before anything is allocated. A reader that hands each result back as
+// the next call's buf reads a connection's frames into one buffer, which
+// grows to the largest frame and goes when the connection does; each
+// frame is then valid until the next read, which overwrites it.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	// The header passes through the buffer as well: an array of this
+	// function's would escape through r and be the call's one allocation.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return buf, nil
 }
