@@ -1,6 +1,7 @@
 package securetf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -281,13 +282,7 @@ func StartTrainingWorker(c *Container, spec WorkerSpec) (*TrainingWorker, error)
 	if c == nil {
 		return nil, errors.New("securetf: StartTrainingWorker requires a container")
 	}
-	if spec.Model.Graph == nil || spec.XS == nil || spec.YS == nil {
-		return nil, errors.New("securetf: WorkerSpec.Model, XS and YS are required")
-	}
-	serverName := spec.ServerName
-	if serverName == "" {
-		serverName = "parameter-server"
-	}
+	serverName := cmp.Or(spec.ServerName, "parameter-server")
 	worker, err := dist.NewWorker(dist.WorkerConfig{
 		ID:    spec.ID,
 		Addr:  spec.Addr,
@@ -295,13 +290,7 @@ func StartTrainingWorker(c *Container, spec WorkerSpec) (*TrainingWorker, error)
 		Dial: func(network, addr string) (net.Conn, error) {
 			return c.Dial(network, addr, serverName)
 		},
-		Model: dist.Model{
-			Graph:  spec.Model.Graph,
-			X:      spec.Model.X,
-			Y:      spec.Model.Y,
-			Loss:   spec.Model.Loss,
-			Logits: spec.Model.Logits,
-		},
+		Model:            spec.Model,
 		XS:               spec.XS,
 		YS:               spec.YS,
 		BatchSize:        spec.BatchSize,

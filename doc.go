@@ -193,19 +193,16 @@
 // measure the cluster an application gets.
 //
 // A training step reuses its memory, and one ownership rule says whose
-// each byte is. A Run's results are the caller's to keep: no later Run
-// or SetVariable writes to them. Everything else a Run computes —
-// activations, the caches the gradient kernels read, the transposed
-// copies — is the session's until the next Run, which computes into the
-// same storage, and the session keeps no more than its last Run used.
-// A frame read from a worker↔shard connection is valid until the next
-// read on that connection: each end owns one read and one write buffer
-// that live and die with it, a pulled variable is decoded straight into
-// the session's storage and a pushed gradient into the connection's own
-// tensors, so the rule is visible only to code that keeps a compressed
-// gradient blob, which aliases the frame. What the enclave is charged
-// for the step's intermediates is the cost model's arena (the sum of
-// every node's output, at its peak), which this reuse does not enter.
+// each byte is; internal/tf/dist's package comment ("Who owns what")
+// states it, for training and federated alike. In short: a Run's
+// results are the caller's to keep, and everything else a Run computes
+// is the session's until the next Run, which computes into the same
+// storage; each end of a connection owns one read and one write buffer
+// that live and die with it, a frame read from it is valid until the
+// next read, and a received variable is decoded straight into the
+// storage it belongs in. What the enclave is charged for the step's
+// intermediates is the cost model's arena (the sum of every node's
+// output, at its peak), which this reuse does not enter.
 //
 // The parameter server shards across nodes. The placement rule is a
 // name hash: each variable's 32-bit FNV-1a hash selects a shard by
@@ -329,7 +326,12 @@
 // StartFederatedClient are the manual forms for deployments that stand
 // up their own CAS topology (the federated_learning example attests
 // the aggregator and provisions the masking secret through CAS session
-// secrets).
+// secrets). A federated client is the training worker's local step
+// under another aggregation rule — the same replica, SGD update and
+// per-connection link — so the §5.4 ownership rule holds here too: an
+// upload's blobs are valid at the coordinator until its next read (a
+// PayloadTap that keeps them copies them). A connection speaks for the
+// one client id its hello carried.
 //
 // Uploads are protected by pairwise-masked secure aggregation
 // (Bonawitz-style): every client blinds its update with one mask per

@@ -1,6 +1,7 @@
 package securetf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -9,7 +10,6 @@ import (
 
 	"github.com/securetf/securetf/internal/federated"
 	"github.com/securetf/securetf/internal/seccrypto"
-	"github.com/securetf/securetf/internal/tf/dist"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -108,6 +108,7 @@ type FederatedConfig struct {
 	StragglerDelay time.Duration
 	// PayloadTap observes every accepted upload payload (round, client,
 	// variable, raw bytes) — the hook the sum-only property tests use.
+	// The bytes are the connection's read buffer: copy what is kept.
 	PayloadTap func(round uint64, client uint32, name string, payload []byte)
 }
 
@@ -217,26 +218,21 @@ func StartFederatedClient(c *Container, spec FederatedPeerSpec) (*FederatedClien
 	if c == nil {
 		return nil, errors.New("securetf: StartFederatedClient requires a container")
 	}
-	if spec.Model.Graph == nil || spec.XS == nil || spec.YS == nil {
-		return nil, errors.New("securetf: FederatedPeerSpec.Model, XS and YS are required")
-	}
-	serverName := spec.ServerName
-	if serverName == "" {
-		serverName = "aggregator"
-	}
+	serverName := cmp.Or(spec.ServerName, "aggregator")
+	dial := func(network, addr string) (net.Conn, error) { return c.Dial(network, addr, serverName) }
+	return newFederatedClient(spec, dial, c.Clock(), c.Params(), nil)
+}
+
+// newFederatedClient is the one mapping from a peer spec to a client,
+// for a container's (its dial, clock and cost model) and for one of
+// TrainFederated's simulated population, stragglers delayed.
+func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) (net.Conn, error),
+	clock *vtime.Clock, params Params, delay func(round uint64) time.Duration) (*FederatedClient, error) {
 	cl, err := federated.NewClient(federated.ClientConfig{
-		ID:   spec.ID,
-		Addr: spec.Addr,
-		Dial: func(network, addr string) (net.Conn, error) {
-			return c.Dial(network, addr, serverName)
-		},
-		Model: dist.Model{
-			Graph:  spec.Model.Graph,
-			X:      spec.Model.X,
-			Y:      spec.Model.Y,
-			Loss:   spec.Model.Loss,
-			Logits: spec.Model.Logits,
-		},
+		ID:         spec.ID,
+		Addr:       spec.Addr,
+		Dial:       dial,
+		Model:      spec.Model,
 		XS:         spec.XS,
 		YS:         spec.YS,
 		BatchSize:  spec.BatchSize,
@@ -246,9 +242,10 @@ func StartFederatedClient(c *Container, spec FederatedPeerSpec) (*FederatedClien
 		Population: spec.Population,
 		Secret:     spec.Secret,
 		Unmasked:   spec.Unmasked,
-		Clock:      c.Clock(),
-		Params:     c.Params(),
+		Clock:      clock,
+		Params:     params,
 		StepCost:   spec.StepCost,
+		Delay:      delay,
 		Turnstile:  spec.Turnstile,
 	})
 	if err != nil {
@@ -297,33 +294,13 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 		return nil, err
 	}
 	defer agg.Close()
-	ln, err := agg.Listen("tcp", "127.0.0.1:0")
+	coord, addr, err := StartFederatedAggregator(agg, "127.0.0.1:0", cfg)
 	if err != nil {
-		return nil, fmt.Errorf("securetf: aggregator listen: %w", err)
-	}
-	coord, err := federated.NewCoordinator(federated.CoordinatorConfig{
-		Listener:       ln,
-		Vars:           InitialVariables(cfg.NewModel()),
-		Clients:        cfg.Clients,
-		SampleFraction: cfg.SampleFraction,
-		Quorum:         cfg.Quorum,
-		Rounds:         cfg.Rounds,
-		ServerLR:       cfg.ServerLR,
-		Codec:          cfg.Compression,
-		Unmasked:       cfg.Unmasked,
-		Seed:           cfg.Seed,
-		Clock:          agg.Clock(),
-		Params:         agg.Params(),
-		Tap:            cfg.PayloadTap,
-	})
-	if err != nil {
-		ln.Close()
 		return nil, err
 	}
 	defer coord.Close()
 
 	stragglers := int(float64(cfg.Clients) * cfg.StragglerFraction)
-	isStraggler := func(id int) bool { return id >= cfg.Clients-stragglers }
 	ts := federated.NewTurnstile()
 	clients := make([]*federated.Client, cfg.Clients)
 	clocks := make([]*vtime.Clock, cfg.Clients)
@@ -332,33 +309,29 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("securetf: client %d shard: %w", id, err)
 		}
-		m := cfg.NewModel()
 		clocks[id] = &vtime.Clock{}
-		ccfg := federated.ClientConfig{
-			ID:         id,
-			Addr:       ln.Addr().String(),
-			Dial:       net.Dial,
-			Model:      dist.Model{Graph: m.Graph, X: m.X, Y: m.Y, Loss: m.Loss, Logits: m.Logits},
-			XS:         xs,
-			YS:         ys,
-			BatchSize:  cfg.BatchSize,
-			LocalSteps: cfg.LocalSteps,
-			LocalLR:    cfg.LocalLR,
-			Codec:      cfg.Compression,
-			Population: cfg.Clients,
-			Secret:     secret,
-			Unmasked:   cfg.Unmasked,
-			Clock:      clocks[id],
-			Params:     agg.Params(),
-			StepCost:   cfg.StepCost,
-			Turnstile:  ts,
+		var delay func(round uint64) time.Duration
+		if id >= cfg.Clients-stragglers {
+			delay = func(uint64) time.Duration { return cfg.StragglerDelay }
 		}
-		if isStraggler(id) {
-			ccfg.Delay = func(round uint64) time.Duration { return cfg.StragglerDelay }
-		}
-		c, err := federated.NewClient(ccfg)
+		c, err := newFederatedClient(FederatedPeerSpec{
+			ID:          id,
+			Addr:        addr,
+			Model:       cfg.NewModel(),
+			XS:          xs,
+			YS:          ys,
+			BatchSize:   cfg.BatchSize,
+			LocalSteps:  cfg.LocalSteps,
+			LocalLR:     cfg.LocalLR,
+			Compression: cfg.Compression,
+			Population:  cfg.Clients,
+			Secret:      secret,
+			Unmasked:    cfg.Unmasked,
+			StepCost:    cfg.StepCost,
+			Turnstile:   ts,
+		}, net.Dial, clocks[id], agg.Params(), delay)
 		if err != nil {
-			return nil, fmt.Errorf("securetf: federated client %d: %w", id, err)
+			return nil, err
 		}
 		defer c.Close()
 		clients[id] = c

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -79,9 +80,14 @@ func TestAllowDirectiveCount(t *testing.T) {
 }
 
 // TestFacadeOwnsTheTrainingCluster holds the import direction that lets
-// the paper's figures train on the cluster every other client gets: the
-// root package does not depend on internal/experiments, and outside
-// internal/tf/dist only the facade's dist.go builds a training node.
+// the paper's figures train on the cluster every other client gets, and
+// the places where a decision shared by training and federated lives:
+// the root package does not depend on internal/experiments; outside
+// internal/tf/dist only the facade's dist.go builds a training node;
+// the facade's federated.go builds a coordinator in one function and a
+// client in one; nothing outside internal/tf/dist frames a message with
+// the buffer-per-call Send and Receive; and the gradient-descent update
+// is written in one file, the kernel library's.
 func TestFacadeOwnsTheTrainingCluster(t *testing.T) {
 	goList := func(args ...string) string {
 		cmd := exec.Command("go", append([]string{"list"}, args...)...)
@@ -95,20 +101,43 @@ func TestFacadeOwnsTheTrainingCluster(t *testing.T) {
 	if strings.Contains(goList("-deps", "github.com/securetf/securetf"), "internal/experiments") {
 		t.Error("the root package depends on internal/experiments, so the figures cannot call the facade")
 	}
+	// v -= float32(a*g), the ways it has been written: scalars, the first
+	// perhaps a conversion, times a gradient element. Not Momentum's
+	// velocity.f32[i] nor Adam's quotient.
+	sgdUpdate := regexp.MustCompile(`-= float32\((float32\([\w.]+\)|\w+)( ?\* ?\w+)* ?\* ?\w+(\[\w+\])?\)`)
+	var sgdFiles []string
 	files := goList("-f", `{{range .GoFiles}}{{$.ImportPath}}/{{.}} {{$.Dir}}/{{.}}{{"\n"}}{{end}}`, "./...")
 	for _, line := range strings.Split(strings.TrimSpace(files), "\n") {
 		name, path, _ := strings.Cut(line, " ")
-		if name == "github.com/securetf/securetf/dist.go" || strings.Contains(name, "/internal/tf/dist/") {
-			continue
-		}
-		src, err := os.ReadFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ctor := range []string{"dist.NewParameterServer(", "dist.NewWorker("} {
-			if strings.Contains(string(src), ctor) {
-				t.Errorf("%s calls %s…): build training nodes with StartParameterServer / StartTrainingWorker", name, ctor)
+		src := string(data)
+		if sgdUpdate.MatchString(src) {
+			sgdFiles = append(sgdFiles, name)
+		}
+		if name == "github.com/securetf/securetf/federated.go" {
+			for _, ctor := range []string{"federated.NewCoordinator(", "federated.NewClient("} {
+				if n := strings.Count(src, ctor); n != 1 {
+					t.Errorf("%s calls %s…) %d times: one function maps a config to it, and the others call that one", name, ctor, n)
+				}
 			}
 		}
+		if strings.Contains(name, "/internal/tf/dist/") {
+			continue
+		}
+		banned := []string{"dist.Send(", "dist.Receive("}
+		if name != "github.com/securetf/securetf/dist.go" {
+			banned = append(banned, "dist.NewParameterServer(", "dist.NewWorker(")
+		}
+		for _, call := range banned {
+			if strings.Contains(src, call) {
+				t.Errorf("%s calls %s…): build training nodes with StartParameterServer / StartTrainingWorker, and talk through a dist.Link", name, call)
+			}
+		}
+	}
+	if want := "github.com/securetf/securetf/internal/tf/kernels/kernels.go"; len(sgdFiles) != 1 || sgdFiles[0] != want {
+		t.Errorf("the SGD update v -= float32(a*g) is written in %v, want only %s (kernels.ApplySGD)", sgdFiles, want)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -99,13 +99,15 @@ type ClientStats struct {
 // shard, masks and uploads its quantized update, and reveals pair
 // seeds when the coordinator reports dead cohort members.
 type Client struct {
-	cfg          ClientConfig
-	conn         net.Conn
-	sess         *tf.Session
-	lossAndGrads []*tf.Node
-	gradNames    []string   // sorted: the wire walk order of every mask stream
-	vars         []roundVar // per-variable round buffers, parallel to gradNames
-	stats        ClientStats
+	cfg ClientConfig
+	// link is the coordinator connection and its frame buffers, nil
+	// between a drop and the rejoin: a round assignment is decoded
+	// straight into the replica's variables.
+	link      *dist.Link
+	replica   *dist.Replica
+	gradNames []string   // sorted: the wire walk order of every mask stream
+	vars      []roundVar // per-variable round buffers, parallel to gradNames
+	stats     ClientStats
 
 	// droppedRound marks the round this client trained but dropped out
 	// of; a re-assignment of the same round is sat out so the quorum
@@ -117,6 +119,9 @@ type Client struct {
 // roundVar is one variable's buffers, sized once and reused every round
 // the client is sampled into.
 type roundVar struct {
+	// value is the replica's own tensor of the variable: the assignment
+	// lands in it and the local steps update it in place.
+	value *tf.Tensor
 	// delta holds the round's assigned global value and then, in place,
 	// the local training delta against it.
 	delta []float32
@@ -133,17 +138,8 @@ type roundVar struct {
 // NewClient validates cfg, dials the coordinator and completes the
 // manifest handshake.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Model.Graph == nil || cfg.Model.X == nil || cfg.Model.Y == nil || cfg.Model.Loss == nil {
-		return nil, errors.New("federated: ClientConfig.Model requires Graph, X, Y and Loss")
-	}
-	if cfg.XS == nil || cfg.YS == nil {
-		return nil, errors.New("federated: ClientConfig.XS and YS are required")
-	}
 	if cfg.Addr == "" {
 		return nil, errors.New("federated: ClientConfig.Addr is required")
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("federated: ClientConfig.BatchSize must be ≥ 1, got %d", cfg.BatchSize)
 	}
 	if cfg.LocalSteps < 1 {
 		return nil, fmt.Errorf("federated: ClientConfig.LocalSteps must be ≥ 1, got %d", cfg.LocalSteps)
@@ -179,44 +175,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.MaxIdlePolls = 10000
 	}
 
-	vars, grads, err := tf.GradientNodes(cfg.Model.Graph, cfg.Model.Loss)
+	replica, err := dist.NewReplica(cfg.Model, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithSeed(int64(cfg.ID)+1))
 	if err != nil {
-		return nil, fmt.Errorf("federated: client %d gradient subgraph: %w", cfg.ID, err)
+		return nil, fmt.Errorf("federated: client %d: %w", cfg.ID, err)
 	}
-	if len(grads) == 0 {
-		return nil, errors.New("federated: model loss depends on no variables")
-	}
-	names := make([]string, len(vars))
-	for i, v := range vars {
-		names[i] = v.Name()
-	}
-	sort.Strings(names)
-	// Re-align the gradient fetch plan with the sorted names.
-	byName := make(map[string]*tf.Node, len(vars))
-	for i, v := range vars {
-		byName[v.Name()] = grads[i]
-	}
-	plan := []*tf.Node{cfg.Model.Loss}
-	for _, name := range names {
-		plan = append(plan, byName[name])
-	}
-
-	c := &Client{
-		cfg:          cfg,
-		sess:         tf.NewSession(cfg.Model.Graph, tf.WithSeed(int64(cfg.ID)+1)),
-		lossAndGrads: plan,
-		gradNames:    names,
-		vars:         make([]roundVar, len(names)),
-	}
-	for i, name := range names {
-		v, err := c.sess.Variable(name)
-		if err != nil {
-			return nil, err
-		}
+	c := &Client{cfg: cfg, replica: replica, gradNames: slices.Sorted(slices.Values(replica.Names()))}
+	for _, name := range c.gradNames {
+		v := replica.Variable(name)
 		n := len(v.Floats())
-		c.vars[i] = roundVar{delta: make([]float32, n), residual: make([]float32, n), pending: make([]float32, n)}
+		c.vars = append(c.vars, roundVar{value: v, delta: make([]float32, n), residual: make([]float32, n), pending: make([]float32, n)})
 	}
 	if err := c.connect(); err != nil {
+		replica.Close()
 		return nil, err
 	}
 	return c, nil
@@ -225,13 +195,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // Stats returns the client's event counters.
 func (c *Client) Stats() ClientStats { return c.stats }
 
-// Close drops the coordinator connection.
+// Close drops the coordinator connection, and with it the link's frame
+// buffers.
 func (c *Client) Close() error {
-	if c.conn == nil {
+	if c.link == nil {
 		return nil
 	}
-	err := c.conn.Close()
-	c.conn = nil
+	err := c.link.Close()
+	c.link = nil
 	return err
 }
 
@@ -243,51 +214,31 @@ func (c *Client) connect() error {
 	if err != nil {
 		return fmt.Errorf("federated: client %d dial %s: %w", c.cfg.ID, c.cfg.Addr, err)
 	}
-	req := &dist.Message{
+	l := dist.NewLink(conn, c.replica.Variable)
+	resp, _, err := l.RoundTrip(c.cfg.Clock, c.cfg.Params, &dist.Message{
 		Kind:   dist.MsgHello,
 		Worker: uint32(c.cfg.ID),
 		Shards: uint32(c.cfg.Population),
 		Policy: maskedPolicy(c.cfg.Unmasked),
 		Codec:  uint8(c.cfg.Codec.Kind),
 		TopK:   c.cfg.Codec.param(),
+	})
+	switch {
+	case err != nil:
+		err = fmt.Errorf("federated: client %d handshake: %w", c.cfg.ID, err)
+	case resp.Kind != dist.MsgManifest:
+		err = fmt.Errorf("federated: client %d handshake got message kind %d", c.cfg.ID, resp.Kind)
+	case !resp.OK:
+		err = errors.New(resp.Err)
+	case !slices.Equal(resp.Names, c.gradNames):
+		err = fmt.Errorf("federated: coordinator serves variables %v, the client model has %v", resp.Names, c.gradNames)
 	}
-	resp, err := c.roundTrip(conn, req)
 	if err != nil {
-		conn.Close()
-		return fmt.Errorf("federated: client %d handshake: %w", c.cfg.ID, err)
+		l.Close()
+		return err
 	}
-	if resp.Kind != dist.MsgManifest {
-		conn.Close()
-		return fmt.Errorf("federated: client %d handshake got message kind %d", c.cfg.ID, resp.Kind)
-	}
-	if !resp.OK {
-		conn.Close()
-		return errors.New(resp.Err)
-	}
-	if len(resp.Names) != len(c.gradNames) {
-		conn.Close()
-		return fmt.Errorf("federated: coordinator serves %d variables, client model has %d",
-			len(resp.Names), len(c.gradNames))
-	}
-	for i, name := range resp.Names {
-		if name != c.gradNames[i] {
-			conn.Close()
-			return fmt.Errorf("federated: coordinator manifest has %q where the client model has %q",
-				name, c.gradNames[i])
-		}
-	}
-	c.conn = conn
+	c.link = l
 	return nil
-}
-
-// roundTrip sends one request and reads the reply, charging the wire
-// and half a LAN round trip on the client's clock.
-func (c *Client) roundTrip(conn net.Conn, req *dist.Message) (*dist.Message, error) {
-	if _, err := dist.Send(conn, c.cfg.Clock, c.cfg.Params, req); err != nil {
-		return nil, err
-	}
-	c.cfg.Clock.Advance(c.cfg.Params.LANRTT / 2)
-	return dist.Receive(conn, c.cfg.Clock, c.cfg.Params)
 }
 
 // Run participates until the coordinator reports training complete.
@@ -302,7 +253,7 @@ func (c *Client) Run() error {
 	idle := 0
 	for {
 		release := c.cfg.Turnstile.turn(c.cfg.ID)
-		resp, err := c.roundTrip(c.conn, &dist.Message{Kind: dist.MsgFedPoll, Worker: uint32(c.cfg.ID)})
+		resp, _, err := c.link.RoundTrip(c.cfg.Clock, c.cfg.Params, &dist.Message{Kind: dist.MsgFedPoll, Worker: uint32(c.cfg.ID)})
 		if err != nil {
 			release()
 			return fmt.Errorf("federated: client %d poll: %w", c.cfg.ID, err)
@@ -353,26 +304,22 @@ func (c *Client) Run() error {
 // straggler's delayed push sort after its peers' punctual ones.
 func (c *Client) runRound(asg *dist.Message, release func()) error {
 	round := asg.Round
+	// The link decoded the assignment into the replica's variables, those
+	// it named; a variable of another shape it refused with the frame.
 	for i, name := range c.gradNames {
-		t, ok := asg.Vars[name]
-		if !ok {
+		if asg.Vars[name] == nil {
 			release()
 			return fmt.Errorf("federated: round %d assignment is missing variable %q", round, name)
 		}
-		if err := c.sess.SetVariable(name, t); err != nil {
+		copy(c.vars[i].delta, c.vars[i].value.Floats())
+	}
+	for s := 0; s < c.cfg.LocalSteps; s++ {
+		_, grads, err := c.replica.Step(s)
+		if err != nil {
 			release()
 			return err
 		}
-		if len(t.Floats()) != len(c.vars[i].delta) {
-			release()
-			return fmt.Errorf("federated: round %d assignment carries %d float values for %q, the model has %d",
-				round, len(t.Floats()), name, len(c.vars[i].delta))
-		}
-		copy(c.vars[i].delta, t.Floats())
-	}
-	if err := c.localSteps(); err != nil {
-		release()
-		return err
+		c.replica.ApplySGD(float32(c.cfg.LocalLR), grads)
 	}
 	c.cfg.Clock.Advance(time.Duration(c.cfg.LocalSteps) * c.cfg.StepCost)
 	if c.cfg.Delay != nil {
@@ -384,13 +331,8 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	codec := c.cfg.Codec
 	payloads := make([][]byte, len(c.gradNames))
 	for i, name := range c.gradNames {
-		t, err := c.sess.Variable(name)
-		if err != nil {
-			release()
-			return err
-		}
 		v := &c.vars[i]
-		for j, now := range t.Floats() {
+		for j, now := range v.value.Floats() {
 			v.delta[j] = now - v.delta[j]
 		}
 		coords := codec.coords(asg.Seed, name, len(v.delta))
@@ -427,7 +369,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		req.Grads[name] = c.vars[i].blob
 		c.stats.UplinkBytes += int64(len(c.vars[i].blob))
 	}
-	ack, err := c.roundTrip(c.conn, req)
+	ack, _, err := c.link.RoundTrip(c.cfg.Clock, c.cfg.Params, req)
 	if err != nil {
 		return fmt.Errorf("federated: client %d push: %w", c.cfg.ID, err)
 	}
@@ -453,49 +395,6 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	return nil
 }
 
-// localSteps runs the round's local SGD on the private shard.
-func (c *Client) localSteps() error {
-	n := c.cfg.XS.Shape()[0]
-	for s := 0; s < c.cfg.LocalSteps; s++ {
-		lo := (s * c.cfg.BatchSize) % n
-		hi := lo + c.cfg.BatchSize
-		if hi > n {
-			hi = n
-		}
-		bx, err := tf.SliceRows(c.cfg.XS, lo, hi)
-		if err != nil {
-			return err
-		}
-		by, err := tf.SliceRows(c.cfg.YS, lo, hi)
-		if err != nil {
-			return err
-		}
-		out, err := c.sess.Run(tf.Feeds{c.cfg.Model.X: bx, c.cfg.Model.Y: by}, c.lossAndGrads, tf.Training())
-		if err != nil {
-			return err
-		}
-		for i, name := range c.gradNames {
-			v, err := c.sess.Variable(name)
-			if err != nil {
-				return err
-			}
-			vals := append([]float32(nil), v.Floats()...)
-			g := out[i+1].Floats()
-			for j := range vals {
-				vals[j] -= float32(float32(c.cfg.LocalLR) * g[j])
-			}
-			t, err := tf.FromFloats(v.Shape(), vals)
-			if err != nil {
-				return err
-			}
-			if err := c.sess.SetVariable(name, t); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // reveal answers an unmask request: upload the pair seeds this client
 // shares with every dead cohort member, so the coordinator can cancel
 // the masks the dead left behind.
@@ -506,7 +405,7 @@ func (c *Client) reveal(req *dist.Message) error {
 		seed := pairSeed(c.cfg.Secret, uint32(c.cfg.ID), deadID)
 		msg.Grads[strconv.FormatUint(uint64(deadID), 10)] = append([]byte(nil), seed[:]...)
 	}
-	ack, err := c.roundTrip(c.conn, msg)
+	ack, _, err := c.link.RoundTrip(c.cfg.Clock, c.cfg.Params, msg)
 	if err != nil {
 		return fmt.Errorf("federated: client %d reveal: %w", c.cfg.ID, err)
 	}

@@ -56,7 +56,8 @@ type CoordinatorConfig struct {
 	Params sgx.Params
 	// Tap, when set, observes every accepted upload payload before it
 	// is accumulated: one call per (client, variable) with the raw wire
-	// blob. The sum-only property test uses it to pin that individual
+	// blob, which is the connection's read buffer and valid only for
+	// the call. The sum-only property test uses it to pin that individual
 	// payloads are mask-blinded; the coordinator itself never inspects
 	// payloads beyond accumulation either way.
 	Tap func(round uint64, client uint32, name string, payload []byte)
@@ -87,13 +88,12 @@ type Stats struct {
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	names   []string
-	shapes  map[string]tf.Shape
 	sampled int
 
 	srv *wire.Server
 
 	mu   sync.Mutex
-	vars map[string][]float32 // working globals, mutated only in finalize
+	vars map[string]*tf.Tensor // working globals, mutated only in finalize
 
 	// Per-round state, rebuilt by openRound. snapshot, cohort and dead
 	// are immutable once published (replies reference them outside mu).
@@ -159,9 +159,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 	c := &Coordinator{
 		cfg:     cfg,
-		shapes:  make(map[string]tf.Shape, len(cfg.Vars)),
 		sampled: sampled,
-		vars:    make(map[string][]float32, len(cfg.Vars)),
+		vars:    make(map[string]*tf.Tensor, len(cfg.Vars)),
 		doneCh:  make(chan struct{}),
 	}
 	for name, t := range cfg.Vars {
@@ -169,8 +168,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, fmt.Errorf("federated: variable %q must be a Float32 tensor", name)
 		}
 		c.names = append(c.names, name)
-		c.shapes[name] = t.Shape()
-		c.vars[name] = append([]float32(nil), t.Floats()...)
+		c.vars[name] = t.Clone()
 	}
 	sort.Strings(c.names)
 	c.openRoundLocked()
@@ -205,17 +203,13 @@ func (c *Coordinator) openRoundLocked() {
 		c.cohortSet[id] = true
 	}
 	c.patternSeed = roundPatternSeed(c.cfg.Seed, c.round)
-	c.snapshot = make(map[string]*tf.Tensor, len(c.names))
+	c.snapshot = c.cloneVarsLocked()
 	c.coords = make([][]int, len(c.names))
 	c.acc = make([][]byte, len(c.names))
 	for i, name := range c.names {
-		t, err := tf.FromFloats(c.shapes[name], c.vars[name])
-		if err != nil {
-			panic(fmt.Sprintf("federated: snapshot %q: %v", name, err))
-		}
-		c.snapshot[name] = t
-		c.coords[i] = c.cfg.Codec.coords(c.patternSeed, name, len(c.vars[name]))
-		c.acc[i] = make([]byte, wordCount(c.coords[i], len(c.vars[name]))*c.cfg.Codec.width())
+		n := len(c.vars[name].Floats())
+		c.coords[i] = c.cfg.Codec.coords(c.patternSeed, name, n)
+		c.acc[i] = make([]byte, wordCount(c.coords[i], n)*c.cfg.Codec.width())
 	}
 	c.received = make(map[uint32]bool, c.cfg.Quorum)
 	c.closing = false
@@ -227,13 +221,13 @@ func (c *Coordinator) openRoundLocked() {
 func (c *Coordinator) Vars() map[string]*tf.Tensor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]*tf.Tensor, len(c.names))
-	for _, name := range c.names {
-		t, err := tf.FromFloats(c.shapes[name], c.vars[name])
-		if err != nil {
-			panic(fmt.Sprintf("federated: snapshot %q: %v", name, err))
-		}
-		out[name] = t
+	return c.cloneVarsLocked()
+}
+
+func (c *Coordinator) cloneVarsLocked() map[string]*tf.Tensor {
+	out := make(map[string]*tf.Tensor, len(c.vars))
+	for name, t := range c.vars {
+		out[name] = t.Clone()
 	}
 	return out
 }
@@ -252,26 +246,40 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 // are closed.
 func (c *Coordinator) Close() error { return c.srv.Close() }
 
+// serve runs one client's connection through a link, whose two frame
+// buffers go with it. The connection speaks for the one client id its
+// hello carried: a poll, push or reveal before a successful hello, or in
+// another client's name, is refused and changes nothing.
 func (c *Coordinator) serve(conn net.Conn) {
+	l := dist.NewLink(conn, nil)
+	var id uint32
+	greeted := false
 	for {
-		msg, err := dist.Receive(conn, c.cfg.Clock, c.cfg.Params)
+		msg, err := l.Receive(c.cfg.Clock, c.cfg.Params)
 		if err != nil {
 			return
 		}
 		var resp *dist.Message
-		switch msg.Kind {
-		case dist.MsgHello:
+		switch kind := msg.Kind; {
+		case kind == dist.MsgHello && greeted && msg.Worker != id:
+			resp = &dist.Message{Kind: dist.MsgManifest,
+				Err: fmt.Sprintf("federated: this connection speaks for client %d, not %d", id, msg.Worker)}
+		case kind == dist.MsgHello:
 			resp = c.handshake(msg)
-		case dist.MsgFedPoll:
+			id, greeted = msg.Worker, resp.OK
+		case kind != dist.MsgFedPoll && kind != dist.MsgFedPush && kind != dist.MsgFedSeeds:
+			resp = &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf("federated: unknown message kind %d", kind)}
+		case !greeted || msg.Worker != id:
+			resp = &dist.Message{Kind: dist.MsgAck,
+				Err: fmt.Sprintf("federated: message kind %d for client %d on a connection that has not said hello as it", kind, msg.Worker)}
+		case kind == dist.MsgFedPoll:
 			resp = c.poll(msg)
-		case dist.MsgFedPush:
+		case kind == dist.MsgFedPush:
 			resp = c.push(msg)
-		case dist.MsgFedSeeds:
-			resp = c.seeds(msg)
 		default:
-			resp = &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf("federated: unknown message kind %d", msg.Kind)}
+			resp = c.seeds(msg)
 		}
-		if _, err := dist.Send(conn, c.cfg.Clock, c.cfg.Params, resp); err != nil {
+		if _, err := l.Send(c.cfg.Clock, c.cfg.Params, resp); err != nil {
 			return
 		}
 	}
@@ -501,7 +509,7 @@ func (c *Coordinator) finalizeLocked() {
 	q := float64(len(c.received))
 	width := c.cfg.Codec.width()
 	for n, name := range c.names {
-		v := c.vars[name]
+		v := c.vars[name].Floats()
 		coords := c.coords[n]
 		for w := 0; w < len(c.acc[n])/width; w++ {
 			i := w

@@ -67,6 +67,15 @@
 // bytes on the wire. Quantization and sparsification mass is carried in
 // per-client error-feedback residuals, committed only when an upload is
 // acked as accepted; a refused round leaves them untouched.
+//
+// # Shared with the training worker
+//
+// A client's local training is a dist.Replica — the worker's session,
+// minibatch schedule and loss-and-gradients run, restarted at step 0
+// every round — updated in place by Replica.ApplySGD, and both ends of
+// every connection are a dist.Link. Who owns which buffer, and until
+// when, is internal/tf/dist's rule ("Who owns what" in its package
+// comment) and is not restated here.
 package federated
 
 import (

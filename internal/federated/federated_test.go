@@ -597,6 +597,90 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	c.Close()
 }
 
+// TestConnectionSpeaksForTheClientItGreetedAs is the hostile peer at
+// the serve loop: a connection is one client, the one its hello named.
+// Protocol frames before a hello, or carrying another client's id, are
+// refused on a connection that stays open, and nothing is accumulated.
+func TestConnectionSpeaksForTheClientItGreetedAs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Listener: ln, Vars: dist.InitialVars(tinyModel(7).Graph),
+		Clients: 3, Quorum: 3, Rounds: 1, Unmasked: true, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	clock, params := &vtime.Clock{}, sgx.DefaultParams()
+	exchange := func(m *dist.Message) *dist.Message {
+		t.Helper()
+		if _, err := dist.Send(conn, clock, params, m); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dist.Receive(conn, clock, params)
+		if err != nil {
+			t.Fatalf("the coordinator hung up on message kind %d: %v", m.Kind, err)
+		}
+		return resp
+	}
+	hello := func(id uint32) *dist.Message {
+		return exchange(&dist.Message{Kind: dist.MsgHello, Worker: id, Shards: 3, Policy: maskedPolicy(true)})
+	}
+	codec := coord.cfg.Codec
+	upload := make(map[string][]byte)
+	for i, name := range coord.names {
+		upload[name] = testBlob(codec, make([]uint64, len(coord.acc[i])/codec.width()))
+	}
+	frames := func(id uint32) []*dist.Message {
+		return []*dist.Message{
+			{Kind: dist.MsgFedPoll, Worker: id},
+			{Kind: dist.MsgFedPush, Worker: id, Grads: upload},
+			{Kind: dist.MsgFedSeeds, Worker: id},
+		}
+	}
+	refused := func(when string, id uint32) {
+		t.Helper()
+		for _, m := range frames(id) {
+			if resp := exchange(m); resp.Kind != dist.MsgAck || resp.OK || resp.Closed || resp.Err == "" {
+				t.Errorf("%s, kind %d as client %d: answered %+v, want an error ack", when, m.Kind, id, resp)
+			}
+		}
+		if got := coord.Stats(); got.Accepted != 0 || got.Refusals != 0 || got.Reveals != 0 {
+			t.Fatalf("%s: refused frames moved the counters: %+v", when, got)
+		}
+	}
+	refused("before any hello", 0)
+	if resp := hello(7); resp.OK {
+		t.Fatal("a hello from outside the population was accepted")
+	}
+	refused("after a refused hello", 0)
+	if resp := hello(0); resp.Kind != dist.MsgManifest || !resp.OK {
+		t.Fatalf("hello as client 0: %+v", resp)
+	}
+	refused("in another client's name", 1)
+	if resp := hello(1); resp.OK {
+		t.Fatal("a connection that greeted as client 0 was let greet again as client 1")
+	}
+	refused("after the second hello was refused", 1)
+	if resp := exchange(frames(0)[0]); resp.Kind != dist.MsgFedRound || len(resp.Vars) != len(coord.names) {
+		t.Fatalf("client 0's own poll: %+v", resp)
+	}
+	if resp := exchange(frames(0)[1]); !resp.OK {
+		t.Fatalf("client 0's own upload: %+v", resp)
+	}
+	if got := coord.Stats().Accepted; got != 1 {
+		t.Fatalf("Accepted = %d after client 0's upload, want 1", got)
+	}
+}
+
 // TestMalformedUploadLeavesAccumulatorUntouched is the hostile peer at
 // the push handler: the coordinator adds payloads into its packed
 // accumulator straight from the received frame, so validation of the

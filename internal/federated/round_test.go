@@ -1,0 +1,133 @@
+package federated
+
+import (
+	"maps"
+	"net"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/securetf/securetf/internal/models"
+	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/dist"
+	"github.com/securetf/securetf/internal/vtime"
+)
+
+// scriptedRounds runs client 0 of a four-member cohort of the MNIST MLP
+// (2 local steps at batch 10, int8 uplink, masked against its three
+// peers) through rounds rounds against a coordinator that is a script
+// on a link of its own: the handshake, then for every poll the same
+// assignment of the initial variables and an accepted upload, then
+// "training complete". onPoll runs when the r-th poll arrives, while
+// the client waits for its answer: between two polls lies one client
+// round, both ends of the connection, and nothing else in the process.
+func scriptedRounds(tb testing.TB, rounds int, onPoll func(r int)) {
+	tb.Helper()
+	m := models.MNISTMLP(1)
+	snapshot := dist.InitialVars(m.Graph)
+	names := slices.Sorted(maps.Keys(snapshot))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+	var served sync.WaitGroup
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		l := dist.NewLink(conn, nil)
+		defer l.Close()
+		clock, params := &vtime.Clock{}, sgx.DefaultParams()
+		for polls := 0; ; {
+			msg, err := l.Receive(clock, params)
+			if err != nil {
+				return
+			}
+			resp := &dist.Message{Kind: dist.MsgAck, OK: true}
+			switch {
+			case msg.Kind == dist.MsgHello:
+				resp = &dist.Message{Kind: dist.MsgManifest, OK: true, Names: names}
+			case msg.Kind == dist.MsgFedPoll && polls == rounds:
+				resp = &dist.Message{Kind: dist.MsgAck, Err: trainingCompleteErr}
+			case msg.Kind == dist.MsgFedPoll:
+				onPoll(polls)
+				resp = &dist.Message{Kind: dist.MsgFedRound, OK: true, Round: uint64(polls), Seed: 1,
+					Clients: cohortOf(4), Vars: snapshot}
+				polls++
+			}
+			if _, err := l.Send(clock, params, resp); err != nil {
+				return
+			}
+		}
+	}()
+	labels := make([]int, 40)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	c, err := NewClient(ClientConfig{
+		Addr: ln.Addr().String(), Model: m, Population: 4, Secret: testSecret,
+		XS: tf.RandNormal(tf.Shape{40, 28, 28, 1}, 1, 2), YS: tf.OneHot(labels, 10),
+		BatchSize: 10, LocalSteps: 2, LocalLR: 0.05, Codec: Int8Compression(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	served.Wait()
+	if got := c.Stats().Applied; got != rounds {
+		tb.Fatalf("the client had %d uploads accepted in %d rounds", got, rounds)
+	}
+}
+
+// TestWarmClientRoundAllocation is the federated round's ceiling, the
+// twin of dist's TestWarmStepAllocation: a sampled client's round —
+// assignment, local steps, masked upload — allocates the gradients its
+// two steps fetch and nothing else the size of the model. (Each local
+// step used to copy every variable three times, the assignment and the
+// delta once more each, and both ends a frame buffer per message.)
+func TestWarmClientRoundAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	const warm, measured = 3, 5
+	marks := make([]uint64, 0, measured+1)
+	scriptedRounds(t, warm+measured+1, func(r int) {
+		if r >= warm {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			marks = append(marks, ms.TotalAlloc)
+		}
+	})
+	perRound := make([]uint64, measured)
+	for i := range perRound {
+		perRound[i] = marks[i+1] - marks[i]
+	}
+	slices.Sort(perRound)
+	const model = (784*128 + 128 + 128*10 + 10) * 4
+	median, limit := perRound[measured/2], uint64(2*model+model/2)
+	if median > limit {
+		t.Fatalf("a warm client round allocated %d bytes, want at most %d: two steps' gradients of a %d-byte model and half a model of everything else",
+			median, limit, model)
+	}
+	t.Logf("a warm client round allocated %d bytes (the model is %d)", median, model)
+}
+
+// BenchmarkClientRound is one sampled client's round of the fed-round
+// workload's model in isolation: the reference a change to the local
+// step or the link is measured against.
+func BenchmarkClientRound(b *testing.B) {
+	b.ReportAllocs()
+	scriptedRounds(b, b.N, func(r int) {
+		if r == 0 {
+			b.ResetTimer() // the client is built and greeted; it waits for this answer
+		}
+	})
+}

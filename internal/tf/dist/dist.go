@@ -18,6 +18,35 @@
 // Because the parameter server only commits a round after receiving all
 // workers' pushes, its clock is causally behind no worker and therefore
 // carries the end-to-end training latency.
+//
+// # Who owns what
+//
+// A step allocates what it gives away and nothing else, because every
+// buffer has one owner. internal/federated trains through the same
+// Replica and talks through the same Link, and keeps the same rule:
+//
+//   - A Replica's variables are its session's tensors for the session's
+//     life. Its holder writes through them in two ways, never during a
+//     Step: the Link they arrive on (a worker's pull reply, a federated
+//     client's round assignment) decodes a received frame straight into
+//     them — all of the frame or, if any tensor in it does not fit,
+//     none — and Replica.ApplySGD updates them in place. What Step
+//     returns is the caller's: no later Step or decode writes to it.
+//   - A Link owns two buffers, the frame being sent and the frame last
+//     received; nothing else refers to them, so closing the connection
+//     and dropping the Link frees them. A received message's blobs
+//     (Grads) alias the read buffer and are valid until the next
+//     Receive on that Link; its tensors (Vars) are the receiver's own,
+//     the ones the Link was told to decode into. Send copies a message
+//     into the write buffer, so what it points at (a shard's variables
+//     under its lock, a coordinator's round snapshot, a client's upload
+//     blobs) need only hold still for that call.
+//   - A shard keeps, per connection, the gradient tensors its worker's
+//     pushes are decoded into; the round's commit consumes them before
+//     that worker can push again.
+//   - Send and Receive, the functions, are a Link made for one call:
+//     both buffers are allocated every time and the caller may keep
+//     what it gets. Nothing on a hot path wants that.
 package dist
 
 import (
@@ -26,21 +55,6 @@ import (
 
 	"github.com/securetf/securetf/internal/tf"
 )
-
-// Model is a worker's local replica: the graph plus the node handles the
-// training loop needs. Build every replica from the same seed so its
-// initial variables match the state the parameter server was seeded
-// with.
-type Model struct {
-	Graph *tf.Graph
-	// X and Y are the input and one-hot label placeholders.
-	X, Y *tf.Node
-	// Loss is the scalar training loss.
-	Loss *tf.Node
-	// Logits is the pre-softmax output (optional; not used by the
-	// training loop itself but part of the standard replica handle set).
-	Logits *tf.Node
-}
 
 // InitialVars extracts the declared initial values of every variable in
 // g — the state a parameter server is seeded with. The result is a

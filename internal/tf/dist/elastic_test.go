@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/vtime"
 )
 
 // elasticTimeout is the round timeout used by the elasticity tests:
@@ -270,5 +273,75 @@ func TestElasticMinWorkersFloorsBarrier(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("under-quorum round hung instead of aborting")
+	}
+}
+
+// TestElasticSeatsAWorkerItNeverHeardFrom: a shard restarted from its
+// checkpoint knows how many seats its barrier has, not who sat in them.
+// A worker that was dead through the restart loses its seat to the next
+// timeout without ever having said hello, and when it returns its hello
+// must add the seat back: seated without one, it and the survivors race
+// for a barrier one short, and the loser's push opens a round of its own
+// that only the next timeout closes (TestDistChurnElastic, one run in
+// twenty).
+func TestElasticSeatsAWorkerItNeverHeardFrom(t *testing.T) {
+	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
+		cfg.Elastic, cfg.RoundTimeout = true, 300*time.Millisecond
+	})
+	clock, params := &vtime.Clock{}, sgx.DefaultParams()
+	grads := map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1), "b": tf.Fill(tf.Shape{3}, 1)}
+	dial := func(id uint32) *Link {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		l := NewLink(conn, nil)
+		if resp, _, err := l.RoundTrip(clock, params, &message{Kind: msgHello, Worker: id, Shards: 1}); err != nil || !resp.OK {
+			t.Fatalf("worker %d hello: %+v, %v", id, resp, err)
+		}
+		return l
+	}
+	push := func(l *Link, id uint32, round uint64) *message {
+		t.Helper()
+		resp, _, err := l.RoundTrip(clock, params, &message{Kind: msgPush, Worker: id, Round: round, Vars: grads})
+		if err != nil {
+			t.Fatalf("worker %d push: %v", id, err)
+		}
+		return resp
+	}
+	// Round 0: worker 0 alone; the timeout evicts the seat nobody claimed.
+	first := dial(0)
+	if ack := push(first, 0, 0); !ack.OK {
+		t.Fatalf("the shrunk round refused its one push: %+v", ack)
+	}
+	if st := ps.Stats(); st.Evictions != 1 || st.ShrunkRounds != 1 {
+		t.Fatalf("after the lone round: %+v", st)
+	}
+	// Worker 1 turns up. The barrier is two again: worker 0's push does
+	// not commit round 1 by itself, both do.
+	second := dial(1)
+	if st := ps.Stats(); st.Rejoins != 1 {
+		t.Fatalf("Rejoins = %d after the unknown worker's hello, want 1", st.Rejoins)
+	}
+	acked := make(chan *message, 1)
+	go func() {
+		resp, _, _ := first.RoundTrip(&vtime.Clock{}, params, &message{Kind: msgPush, Worker: 0, Round: 1, Vars: grads})
+		acked <- resp
+	}()
+	select {
+	case ack := <-acked:
+		t.Fatalf("worker 0's push was answered before worker 1's arrived: %+v (rounds %d)", ack, ps.Rounds())
+	case <-time.After(20 * time.Millisecond):
+	}
+	if ack := push(second, 1, 1); !ack.OK {
+		t.Fatalf("worker 1's push: %+v", ack)
+	}
+	if ack := <-acked; ack == nil || !ack.OK {
+		t.Fatalf("worker 0's push: %+v", ack)
+	}
+	if st := ps.Stats(); ps.Rounds() != 2 || st.ShrunkRounds != 1 {
+		t.Fatalf("rounds %d, stats %+v: want the second round committed by a full barrier of two", ps.Rounds(), st)
 	}
 }

@@ -67,11 +67,11 @@ func TestPullOfAnotherDTypeIsAnError(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			addr := fakeShard(t, &message{Kind: msgVars, OK: true, Vars: vars})
 			w, _ := newTestWorker(t, 0, addr)
-			before := tf.SaveCheckpoint(w.sess)
+			before := tf.SaveCheckpoint(w.replica.sess)
 			if err := w.Step(); err == nil {
 				t.Fatal("the step succeeded")
 			}
-			if !bytes.Equal(tf.SaveCheckpoint(w.sess), before) {
+			if !bytes.Equal(tf.SaveCheckpoint(w.replica.sess), before) {
 				t.Fatal("a pull reply that was refused changed the session's variables")
 			}
 		})
@@ -149,8 +149,8 @@ func TestLinkReadsIntoOneBuffer(t *testing.T) {
 			}
 		}
 	}()
-	l := &link{conn: server}
-	first, err := l.receive(clock, params)
+	l := NewLink(server, nil)
+	first, err := l.Receive(clock, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLinkReadsIntoOneBuffer(t *testing.T) {
 	if blob[0] != 1 {
 		t.Fatalf("first frame's blob starts with %d", blob[0])
 	}
-	if _, err := l.receive(clock, params); err != nil {
+	if _, err := l.Receive(clock, params); err != nil {
 		t.Fatal(err)
 	}
 	if blob[0] != 2 {
@@ -224,68 +224,43 @@ func TestCompressedPushDecodedBeforeNextRead(t *testing.T) {
 	}
 }
 
-// spyListener hands out connections that remember, weakly, every buffer
-// the server reads into or writes from.
-type spyListener struct {
-	net.Listener
+// FrameSpy remembers, weakly, every frame buffer the connections it
+// wraps read into or write from. It is exported to this directory's
+// external tests, where a Link's other users (internal/federated, which
+// this package cannot import) are held to the same rule.
+type FrameSpy struct {
 	mu   sync.Mutex
 	bufs []weak.Pointer[byte]
 }
 
-func (l *spyListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
+// Listen wraps ln: the connections it accepts are spied on.
+func (s *FrameSpy) Listen(ln net.Listener) net.Listener { return spyListener{ln, s} }
+
+// Dial is a net.Dial whose connection is spied on.
+func (s *FrameSpy) Dial(network, addr string) (net.Conn, error) {
+	conn, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	return &spyConn{Conn: conn, l: l}, nil
+	return spyConn{conn, s}, nil
 }
 
-type spyConn struct {
-	net.Conn
-	l *spyListener
-}
-
-func (c *spyConn) note(p []byte) {
-	if len(p) > 64 { // a frame buffer, not the 4-byte header on the stack
-		c.l.mu.Lock()
-		c.l.bufs = append(c.l.bufs, weak.Make(&p[0]))
-		c.l.mu.Unlock()
+// Released fails t unless the spied connections moved a frame and,
+// within five seconds of collections, nothing — no global, no pool,
+// neither end — still refers to a buffer they used.
+func (s *FrameSpy) Released(t *testing.T) {
+	t.Helper()
+	s.mu.Lock()
+	bufs := s.bufs
+	s.mu.Unlock()
+	if len(bufs) == 0 {
+		t.Fatal("the spied connections read and wrote no frame")
 	}
-}
-
-func (c *spyConn) Read(p []byte) (int, error)  { c.note(p); return c.Conn.Read(p) }
-func (c *spyConn) Write(p []byte) (int, error) { c.note(p); return c.Conn.Write(p) }
-
-// TestFrameBuffersGoWithTheConnection: once a worker has closed its
-// connections, nothing — no global, no pool, not the shard, which is
-// still serving, and not the worker — refers to the frame buffers of
-// either end.
-func TestFrameBuffersGoWithTheConnection(t *testing.T) {
-	spy := &spyListener{}
-	_, addr, _ := newTestPS(t, 1, func(cfg *PSConfig) {
-		spy.Listener = cfg.Listener
-		cfg.Listener = spy
-	})
-	w, _ := newTestWorker(t, 0, addr)
-	if err := w.RunSteps(2); err != nil {
-		t.Fatal(err)
-	}
-	l := w.links[0]
-	ends := []weak.Pointer[byte]{weak.Make(&l.rbuf[0]), weak.Make(&l.wbuf[0])}
-	l = nil
-	w.Close()
-
-	spy.mu.Lock()
-	if len(spy.bufs) == 0 {
-		t.Fatal("the shard read and wrote no frame")
-	}
-	ends = append(ends, spy.bufs...)
-	spy.mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		live := 0
-		for _, p := range ends {
+		for _, p := range bufs {
 			if p.Value() != nil {
 				live++
 			}
@@ -294,10 +269,58 @@ func TestFrameBuffersGoWithTheConnection(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d frame buffers are still reachable after their connection closed", live, len(ends))
+			t.Fatalf("%d of %d frame buffers are still reachable after their connection closed", live, len(bufs))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+type spyListener struct {
+	net.Listener
+	spy *FrameSpy
+}
+
+func (l spyListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return spyConn{conn, l.spy}, nil
+}
+
+type spyConn struct {
+	net.Conn
+	spy *FrameSpy
+}
+
+func (c spyConn) note(p []byte) {
+	if len(p) > 64 { // a frame buffer, not the 4-byte header on the stack
+		c.spy.mu.Lock()
+		c.spy.bufs = append(c.spy.bufs, weak.Make(&p[0]))
+		c.spy.mu.Unlock()
+	}
+}
+
+func (c spyConn) Read(p []byte) (int, error)  { c.note(p); return c.Conn.Read(p) }
+func (c spyConn) Write(p []byte) (int, error) { c.note(p); return c.Conn.Write(p) }
+
+// TestFrameBuffersGoWithTheConnection: once a worker has closed its
+// connections, nothing — no global, no pool, not the shard, which is
+// still serving, and not the worker — refers to the frame buffers of
+// either end.
+func TestFrameBuffersGoWithTheConnection(t *testing.T) {
+	var spy FrameSpy
+	_, addr, _ := newTestPS(t, 1, func(cfg *PSConfig) { cfg.Listener = spy.Listen(cfg.Listener) })
+	xs, ys := tinyShard(30, 100)
+	w, err := NewWorker(WorkerConfig{Addr: addr, Dial: spy.Dial, Model: tinyModel(7), XS: xs, YS: ys, BatchSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunSteps(2); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	spy.Released(t)
 }
 
 // TestPushThatDoesNotFitIsAnswered: a raw push naming a variable of

@@ -215,16 +215,12 @@ func decode(payload []byte) (*message, error) { return decodeInto(payload, nil) 
 
 // decodeInto parses a payload produced by encode. Compressed gradient
 // blobs alias the payload; tensors are decoded out of it without a copy
-// in between, and where they land is vars' to say: it returns the tensor
-// the receiver keeps under a name, nil for a name it does not hold, and
-// the frame's elements overwrite that tensor's, so a receiver that has
-// the storage — a worker its session's variables, a shard the pushing
-// worker's gradient buffers — allocates none. m.Vars then holds the
-// receiver's own tensors, those the frame named. The whole frame is
-// checked first — framing, every name, every dtype, shape and length —
-// and only then is the first element written: a frame that fails leaves
-// every tensor behind vars as it was. A nil vars decodes each tensor
-// into a new one.
+// in between, and where they land is vars' to say (see NewLink): the
+// frame's elements overwrite the receiver's tensor of that name, and
+// m.Vars then holds the receiver's own tensors, those the frame named.
+// The whole frame is checked first — framing, every name, every dtype,
+// shape and length — and only then is the first element written: a
+// frame that fails leaves every tensor behind vars as it was.
 func decodeInto(payload []byte, vars func(name string) *tf.Tensor) (*message, error) {
 	r := wire.NewReader(payload)
 	m := &message{
@@ -324,39 +320,47 @@ func policyFromWire(kind uint8, staleness int64) ConsistencyPolicy {
 	return ConsistencyPolicy{Kind: ConsistencyKind(kind), Staleness: int(staleness)}.normalize()
 }
 
-// link is one end of a worker↔shard connection together with the memory
+// Link is one end of a connection of the framed protocol — worker and
+// shard, federated client and coordinator — together with the memory
 // that lives and dies with it: the frame being sent, the frame last
-// received, and where the tensors of a received frame belong. Nothing
-// else refers to the buffers, so closing the connection and dropping the
-// link frees them. The zero buffers of a link made for one call are the
-// allocating case: Send and Receive.
-type link struct {
+// received, and where the tensors of a received frame belong (the
+// package comment has the ownership rule).
+type Link struct {
 	conn net.Conn
-	// wbuf holds the frame being sent. rbuf holds the frame last
-	// received, and a message's compressed gradient blobs alias it: they
-	// are valid until the next receive on this link.
+	// wbuf holds the frame being sent, rbuf the frame last received.
 	wbuf, rbuf []byte
 	// vars is decodeInto's: nil on a link whose frames carry no tensors
 	// worth keeping storage for.
 	vars func(name string) *tf.Tensor
 }
 
-// send serializes m onto the connection as a length-prefixed frame,
+// NewLink wraps a fresh connection. vars names the tensor a received
+// frame's tensor of that name is decoded into, nil for a name the
+// receiver does not hold; a nil vars decodes every tensor into a new
+// one.
+func NewLink(conn net.Conn, vars func(name string) *tf.Tensor) *Link {
+	return &Link{conn: conn, vars: vars}
+}
+
+// Close closes the connection; the buffers go with the link.
+func (l *Link) Close() error { return l.conn.Close() }
+
+// Send serializes m onto the connection as a length-prefixed frame,
 // charging wire serialization to clock and stamping the message with the
 // resulting virtual time. The propagation half-RTT is accounted on the
 // receiving side (AdvanceTo(stamp + LANRTT/2)), matching the CAS
 // convention so latency is never double-counted. It reports the total
 // frame size in bytes (header + payload), so callers can account the
 // wire volume a codec saves independently of the bandwidth cost model.
-func (l *link) send(clock *vtime.Clock, params sgx.Params, m *message) (int, error) {
+func (l *Link) Send(clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {
 	l.wbuf = m.encode(l.wbuf[:0])
 	return l.flush(clock, params)
 }
 
-// flush is send for a message already encoded into wbuf.
-func (l *link) flush(clock *vtime.Clock, params sgx.Params) (int, error) {
+// flush is Send for a message already encoded into wbuf.
+func (l *Link) flush(clock *vtime.Clock, params sgx.Params) (int, error) {
 	payload := l.wbuf
-	clock.Advance(sgx.TimeAtThroughput(float64(len(payload)+4), params.WireBandwidth))
+	clock.Advance(wireTime(len(payload)+4, params))
 	// Stamp after charging serialization; the stamp sits at a fixed
 	// offset right after the kind byte.
 	binary.LittleEndian.PutUint64(payload[1:9], uint64(clock.Now()))
@@ -366,9 +370,14 @@ func (l *link) flush(clock *vtime.Clock, params sgx.Params) (int, error) {
 	return 4 + len(payload), nil
 }
 
-// receive reads one frame from the connection and advances clock to the
+// wireTime is what putting a frame of n bytes on the wire costs.
+func wireTime(n int, params sgx.Params) time.Duration {
+	return sgx.TimeAtThroughput(float64(n), params.WireBandwidth)
+}
+
+// Receive reads one frame from the connection and advances clock to the
 // causally consistent time (sender stamp plus half a LAN round trip).
-func (l *link) receive(clock *vtime.Clock, params sgx.Params) (*message, error) {
+func (l *Link) Receive(clock *vtime.Clock, params sgx.Params) (*Message, error) {
 	payload, err := wire.ReadFrameInto(l.conn, l.rbuf)
 	if err != nil {
 		return nil, err
@@ -380,6 +389,20 @@ func (l *link) receive(clock *vtime.Clock, params sgx.Params) (*message, error) 
 	}
 	clock.AdvanceTo(time.Duration(m.Stamp) + params.LANRTT/2)
 	return m, nil
+}
+
+// RoundTrip is the requesting side's exchange: send req, let half a LAN
+// round trip pass on this node while it travels (the reply's stamp
+// covers the rest), read the reply. It also reports the request's frame
+// size, which stays non-zero when only the reply failed.
+func (l *Link) RoundTrip(clock *vtime.Clock, params sgx.Params, req *Message) (*Message, int, error) {
+	n, err := l.Send(clock, params, req)
+	if err != nil {
+		return nil, 0, err
+	}
+	clock.Advance(params.LANRTT / 2)
+	resp, err := l.Receive(clock, params)
+	return resp, n, err
 }
 
 // Exported wire API. internal/federated speaks the same framed
@@ -401,14 +424,14 @@ const (
 	MsgFedSeeds  = msgFedSeeds
 )
 
-// Send frames and sends m on conn (see link.send) from a buffer of its
+// Send frames and sends m on conn (see Link.Send) from a buffer of its
 // own.
 func Send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {
-	return (&link{conn: conn}).send(clock, params, m)
+	return NewLink(conn, nil).Send(clock, params, m)
 }
 
-// Receive reads one frame from conn (see link.receive) into a buffer of
+// Receive reads one frame from conn (see Link.Receive) into a buffer of
 // its own, which the message's Grads alias and the caller may keep.
 func Receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*Message, error) {
-	return (&link{conn: conn}).receive(clock, params)
+	return NewLink(conn, nil).Receive(clock, params)
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/kernels"
 	"github.com/securetf/securetf/internal/vtime"
 	"github.com/securetf/securetf/internal/wire"
 )
@@ -384,16 +385,16 @@ func (ps *ParameterServer) Close() error {
 // round, belong to the connection and go with it.
 func (ps *ParameterServer) serve(conn net.Conn) {
 	grads := make(map[string]*tf.Tensor)
-	l := &link{conn: conn, vars: func(name string) *tf.Tensor {
+	l := NewLink(conn, func(name string) *tf.Tensor {
 		// ps.vars is structurally immutable after construction, so the
 		// shape lookup needs no lock.
 		if v, ok := ps.vars[name]; ok && grads[name] == nil {
 			grads[name] = tf.NewTensor(tf.Float32, v.Shape())
 		}
 		return grads[name]
-	}}
+	})
 	for {
-		msg, err := l.receive(ps.cfg.Clock, ps.cfg.Params)
+		msg, err := l.Receive(ps.cfg.Clock, ps.cfg.Params)
 		var resp *message
 		switch {
 		case errors.Is(err, errVars):
@@ -472,8 +473,13 @@ func (ps *ParameterServer) handshake(msg *message) *message {
 	}
 	if resp.OK && ps.cfg.Elastic {
 		ps.mu.Lock()
-		if ps.evicted[msg.Worker] {
+		seated := ps.members[msg.Worker] || ps.pending[msg.Worker]
+		if ps.evicted[msg.Worker] || !seated && len(ps.members) >= ps.expected {
 			// An evicted worker re-ran the handshake: this is the rejoin.
+			// So is the hello of a worker unknown to a shard whose seats
+			// are all taken: its own went in a timeout before it said
+			// hello (a shard restarted from checkpoint forgets who sat
+			// where), and it must not race the others for one of theirs.
 			// A quiescent barrier (no pushes in flight) folds it back
 			// immediately; mid-round it waits for the boundary, so the
 			// round in progress keeps the size its timeout math assumed.
@@ -486,7 +492,7 @@ func (ps *ParameterServer) handshake(msg *message) *message {
 				ps.pending[msg.Worker] = true
 			}
 			resp.Evicted = true // acknowledge the rejoin explicitly
-		} else if !ps.members[msg.Worker] && !ps.pending[msg.Worker] {
+		} else if !seated {
 			ps.members[msg.Worker] = true
 		}
 		ps.mu.Unlock()
@@ -617,12 +623,8 @@ func (ps *ParameterServer) pushAsyncLocked(msg *message) error {
 	scale := float32(ps.cfg.LR) / float32(ps.cfg.Workers)
 	var elems int64
 	for name, g := range msg.Vars {
-		v := ps.vars[name].Floats()
-		src := g.Floats()
-		for i := range v {
-			v[i] -= float32(scale * src[i])
-		}
-		elems += int64(len(src))
+		kernels.ApplySGD(ps.vars[name].Floats(), g.Floats(), scale)
+		elems += int64(len(g.Floats()))
 	}
 	if ps.cfg.ApplyMeter != nil {
 		// Scale and subtract one contribution: 2 FLOPs per element.
@@ -645,8 +647,9 @@ func (ps *ParameterServer) commitLocked() {
 	if ps.cfg.Elastic {
 		contributors = ps.pushes
 	}
-	inv := float32(1) / float32(contributors)
-	lr := float32(ps.cfg.LR)
+	// lr/contributors as the pinned trajectories have it: the reciprocal
+	// rounded to float32, then its product with the rate.
+	scale := float32(ps.cfg.LR) * (float32(1) / float32(contributors))
 	// Sum in ascending worker-id order, not arrival order: float
 	// addition is not associative, so a schedule-dependent order would
 	// make trajectories irreproducible.
@@ -670,12 +673,8 @@ func (ps *ParameterServer) commitLocked() {
 	}
 	var elems int64
 	for name, acc := range sum {
-		v := ps.vars[name].Floats()
-		g := acc.Floats()
-		for i := range v {
-			v[i] -= float32(lr * inv * g[i])
-		}
-		elems += int64(len(g))
+		kernels.ApplySGD(ps.vars[name].Floats(), acc.Floats(), scale)
+		elems += int64(len(acc.Floats()))
 	}
 	if ps.cfg.ApplyMeter != nil {
 		// Sum of the contributions (done incrementally on push), scale

@@ -1,0 +1,118 @@
+package dist
+
+import (
+	"errors"
+	"fmt"
+
+	"github.com/securetf/securetf/internal/models"
+	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/kernels"
+)
+
+// Model is a trainer's graph and the node handles the training loop
+// needs (Graph, X, Y and Loss). Build every replica from the same seed,
+// so its initial variables are the parameter server's or coordinator's.
+type Model = models.Handles
+
+// Replica is the local half of a training step, the same under every
+// aggregation rule: the next minibatch of a private data shard is fed
+// to one session, which returns the loss and what the step fetches with
+// it. A Worker pushes the gradients it fetches to its parameter-server
+// shards, a federated client applies them in place (ApplySGD) and
+// uploads the difference, and the facade's single-node TrainMore fetches
+// an optimizer's train op instead (StepsOn).
+type Replica struct {
+	sess *tf.Session
+	x, y *tf.Node
+	// xs and ys are the private data shard, batch the minibatch size.
+	xs, ys *tf.Tensor
+	batch  int
+	// fetch is one step's Run: the loss, then the gradient of every
+	// variable the loss depends on, in graph order, or the train op.
+	fetch []*tf.Node
+	// names and vars are those variables and the session's own tensors
+	// of them (see the package comment on who may write through these).
+	names []string
+	vars  []*tf.Tensor
+}
+
+// NewReplica checks the model and the shard, builds the gradient
+// subgraph of the loss and opens a session on it, which Close releases.
+func NewReplica(m Model, xs, ys *tf.Tensor, batch int, opts ...tf.SessionOption) (*Replica, error) {
+	if m.Graph == nil || m.X == nil || m.Y == nil || m.Loss == nil {
+		return nil, errors.New("dist: a model requires Graph, X, Y and Loss")
+	}
+	if _, _, err := tf.Minibatch(xs, ys, batch, 0); err != nil {
+		return nil, err
+	}
+	vars, grads, err := tf.GradientNodes(m.Graph, m.Loss)
+	if err != nil {
+		return nil, fmt.Errorf("dist: gradient subgraph: %w", err)
+	}
+	if len(grads) == 0 {
+		return nil, errors.New("dist: model loss depends on no variables")
+	}
+	r := &Replica{
+		sess: tf.NewSession(m.Graph, opts...), x: m.X, y: m.Y, xs: xs, ys: ys, batch: batch,
+		fetch: append([]*tf.Node{m.Loss}, grads...),
+	}
+	for _, v := range vars {
+		t, err := r.sess.VariableStorage(v.Name())
+		if err != nil {
+			r.Close()
+			return nil, err
+		}
+		r.names, r.vars = append(r.names, v.Name()), append(r.vars, t)
+	}
+	return r, nil
+}
+
+// StepsOn is the replica of a session its caller opened over m's graph
+// and keeps, and whose graph updates its own variables: each step
+// fetches update, an optimizer's train op, after the loss.
+func StepsOn(sess *tf.Session, m Model, update *tf.Node, xs, ys *tf.Tensor, batch int) (*Replica, error) {
+	if _, _, err := tf.Minibatch(xs, ys, batch, 0); err != nil {
+		return nil, err
+	}
+	return &Replica{sess: sess, x: m.X, y: m.Y, xs: xs, ys: ys, batch: batch, fetch: []*tf.Node{m.Loss, update}}, nil
+}
+
+// Names lists the variables the loss depends on, in graph order.
+func (r *Replica) Names() []string { return r.names }
+
+// Variable returns the session's own tensor of a variable in Names, nil
+// for any other name: what a link decodes a received value into.
+func (r *Replica) Variable(name string) *tf.Tensor {
+	for i, n := range r.names {
+		if n == name {
+			return r.vars[i]
+		}
+	}
+	return nil
+}
+
+// Step runs the forward and backward pass over step's minibatch and
+// returns the loss and the rest of the fetch plan — of a NewReplica the
+// gradients, aligned with Names, the caller's to keep.
+func (r *Replica) Step(step int) (float64, []*tf.Tensor, error) {
+	bx, by, err := tf.Minibatch(r.xs, r.ys, r.batch, step)
+	if err != nil {
+		return 0, nil, err
+	}
+	out, err := r.sess.Run(tf.Feeds{r.x: bx, r.y: by}, r.fetch, tf.Training())
+	if err != nil {
+		return 0, nil, err
+	}
+	return float64(out[0].Floats()[0]), out[1:], nil
+}
+
+// ApplySGD takes one local gradient-descent step in place, on the
+// session's variables: grads are a Step's, lr the learning rate.
+func (r *Replica) ApplySGD(lr float32, grads []*tf.Tensor) {
+	for i, v := range r.vars {
+		kernels.ApplySGD(v.Floats(), grads[i].Floats(), lr)
+	}
+}
+
+// Close releases the session NewReplica opened.
+func (r *Replica) Close() { r.sess.Close() }

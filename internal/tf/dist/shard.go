@@ -121,17 +121,3 @@ func ShardVars(vars map[string]*tf.Tensor, s, shards int) map[string]*tf.Tensor 
 	}
 	return out
 }
-
-// manifestEqual reports whether two sorted manifests list the same
-// variable names.
-func manifestEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -96,21 +97,13 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	addrs  []string // shard endpoints, indexed by shard id (for redial)
-	links  []*link  // one per shard, indexed by shard id; nil while down
+	links  []*Link  // one per shard, indexed by shard id; nil while down
 	router *Router
-	sess   *tf.Session
-	// pulled[s] is the session's own storage of the variables shard s
-	// owns, by name: a pull reply is decoded straight into it. The shards'
-	// sets are disjoint, so the concurrent per-shard pulls need no lock.
-	pulled []map[string]*tf.Tensor
+	// replica is the local half of a step: session, data shard, gradients.
+	replica *Replica
 	// policies[s] is the normalized commit policy expected of (and
 	// verified against) shard s.
 	policies []ConsistencyPolicy
-
-	// gradient fetch plan: lossAndGrads[0] is the loss node, the rest
-	// are gradient nodes aligned with gradNames.
-	lossAndGrads []*tf.Node
-	gradNames    []string
 
 	step int
 	// rounds[s] is shard s's barrier generation (sync) or variable
@@ -168,18 +161,6 @@ const maxStaleRetries = 16
 // connects to every parameter-server shard and verifies the shard
 // manifests against the locally computed name-hash placement.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.Model.Graph == nil || cfg.Model.X == nil || cfg.Model.Y == nil || cfg.Model.Loss == nil {
-		return nil, errors.New("dist: WorkerConfig.Model requires Graph, X, Y and Loss")
-	}
-	if cfg.XS == nil || cfg.YS == nil {
-		return nil, errors.New("dist: WorkerConfig.XS and YS are required")
-	}
-	if cfg.XS.Shape()[0] != cfg.YS.Shape()[0] {
-		return nil, fmt.Errorf("dist: shard has %d inputs but %d labels", cfg.XS.Shape()[0], cfg.YS.Shape()[0])
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("dist: WorkerConfig.BatchSize must be ≥ 1, got %d", cfg.BatchSize)
-	}
 	addrs := cfg.Addrs
 	switch {
 	case cfg.Addr == "" && len(addrs) == 0:
@@ -202,21 +183,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Params = sgx.DefaultParams()
 	}
 
-	vars, grads, err := tf.GradientNodes(cfg.Model.Graph, cfg.Model.Loss)
-	if err != nil {
-		return nil, fmt.Errorf("dist: worker %d gradient subgraph: %w", cfg.ID, err)
-	}
-	if len(grads) == 0 {
-		return nil, errors.New("dist: model loss depends on no variables")
-	}
-	names := make([]string, len(vars))
-	for i, v := range vars {
-		names[i] = v.Name()
-	}
-	router, err := NewRouter(names, len(addrs))
-	if err != nil {
-		return nil, fmt.Errorf("dist: worker %d shard placement: %w", cfg.ID, err)
-	}
 	policies := make([]ConsistencyPolicy, len(addrs))
 	for s := range policies {
 		policies[s] = cfg.Consistency.normalize()
@@ -240,31 +206,30 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.StartStep < 0 {
 		return nil, fmt.Errorf("dist: WorkerConfig.StartStep must be ≥ 0, got %d", cfg.StartStep)
 	}
+	replica, err := NewReplica(cfg.Model, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithDevice(cfg.Device), tf.WithSeed(int64(cfg.ID)+1))
+	if err != nil {
+		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
+	}
+	router, err := NewRouter(replica.Names(), len(addrs))
+	if err != nil {
+		replica.Close()
+		return nil, fmt.Errorf("dist: worker %d shard placement: %w", cfg.ID, err)
+	}
 	w := &Worker{
-		cfg:          cfg,
-		addrs:        addrs,
-		links:        make([]*link, len(addrs)),
-		pulled:       make([]map[string]*tf.Tensor, len(addrs)),
-		router:       router,
-		sess:         tf.NewSession(cfg.Model.Graph, tf.WithDevice(cfg.Device), tf.WithSeed(int64(cfg.ID)+1)),
-		policies:     policies,
-		lossAndGrads: append([]*tf.Node{cfg.Model.Loss}, grads...),
-		gradNames:    names,
-		step:         cfg.StartStep,
-		rounds:       make([]uint64, len(addrs)),
-		pushWire:     make([]time.Duration, len(addrs)),
-		pushBytes:    make([]int64, len(addrs)),
-		dropped:      make([]int, len(addrs)),
-		rejoined:     make([]int, len(addrs)),
+		cfg:       cfg,
+		addrs:     addrs,
+		links:     make([]*Link, len(addrs)),
+		router:    router,
+		replica:   replica,
+		policies:  policies,
+		step:      cfg.StartStep,
+		rounds:    make([]uint64, len(addrs)),
+		pushWire:  make([]time.Duration, len(addrs)),
+		pushBytes: make([]int64, len(addrs)),
+		dropped:   make([]int, len(addrs)),
+		rejoined:  make([]int, len(addrs)),
 	}
 	for s, addr := range addrs {
-		w.pulled[s] = make(map[string]*tf.Tensor)
-		for _, name := range router.Names(s) {
-			if w.pulled[s][name], err = w.sess.VariableStorage(name); err != nil {
-				w.Close()
-				return nil, err
-			}
-		}
 		conn, err := cfg.Dial("tcp", addr)
 		if err != nil {
 			w.Close()
@@ -280,9 +245,16 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // newLink wraps a fresh connection to shard s: its frames' tensors are
-// shard s's variables, decoded into the session's storage.
-func (w *Worker) newLink(s int, conn net.Conn) *link {
-	return &link{conn: conn, vars: func(name string) *tf.Tensor { return w.pulled[s][name] }}
+// shard s's variables, decoded into the replica's storage of them. The
+// shards' sets are disjoint, so the concurrent per-shard pulls need no
+// lock.
+func (w *Worker) newLink(s int, conn net.Conn) *Link {
+	return NewLink(conn, func(name string) *tf.Tensor {
+		if w.router.Owner(name) != s {
+			return nil
+		}
+		return w.replica.Variable(name)
+	})
 }
 
 // handshake verifies that the endpoint dialed for shard s identifies as
@@ -304,11 +276,7 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 		Codec:     codec,
 		TopK:      topk,
 	}
-	if _, err := w.links[s].send(clock, w.cfg.Params, req); err != nil {
-		return fmt.Errorf("dist: worker %d handshake with shard %d: %w", w.cfg.ID, s, err)
-	}
-	clock.Advance(w.cfg.Params.LANRTT / 2)
-	resp, err := w.links[s].receive(clock, w.cfg.Params)
+	resp, _, err := w.links[s].RoundTrip(clock, w.cfg.Params, req)
 	if err != nil {
 		return fmt.Errorf("dist: worker %d handshake with shard %d: %w", w.cfg.ID, s, err)
 	}
@@ -330,7 +298,7 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 		return fmt.Errorf("dist: worker %d pushes with codec %v, but shard %d decodes %v (mixed-codec cluster)",
 			w.cfg.ID, w.cfg.Compression, s, got)
 	}
-	if want := w.router.Names(s); !manifestEqual(resp.Names, want) {
+	if want := w.router.Names(s); !slices.Equal(resp.Names, want) {
 		return fmt.Errorf("dist: worker %d shard %d manifest %v does not match the local placement %v (model or placement mismatch)",
 			w.cfg.ID, s, resp.Names, want)
 	}
@@ -340,13 +308,13 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 // Close disconnects from every parameter-server shard and releases the
 // local session.
 func (w *Worker) Close() error {
-	w.sess.Close()
+	w.replica.Close()
 	var err error
 	for s, l := range w.links {
 		if l == nil {
 			continue
 		}
-		if cerr := l.conn.Close(); err == nil {
+		if cerr := l.Close(); err == nil {
 			err = cerr
 		}
 		w.links[s] = nil // its buffers go with the connection
@@ -359,22 +327,14 @@ func (w *Worker) Close() error {
 // the bytes-on-the-wire component of the push phase from barrier wait,
 // so experiments can show per-shard wire time shrinking as the variable
 // set fans out across more shards.
-func (w *Worker) PushWire() []time.Duration {
-	out := make([]time.Duration, len(w.pushWire))
-	copy(out, w.pushWire)
-	return out
-}
+func (w *Worker) PushWire() []time.Duration { return slices.Clone(w.pushWire) }
 
 // PushBytes returns the cumulative raw frame bytes of the gradient
 // pushes sent to each shard, indexed by shard id — the quantity the
 // gradient codec shrinks. Unlike PushWire it is independent of the
 // bandwidth cost model, so compression experiments can pin exact
 // reduction ratios.
-func (w *Worker) PushBytes() []int64 {
-	out := make([]int64, len(w.pushBytes))
-	copy(out, w.pushBytes)
-	return out
-}
+func (w *Worker) PushBytes() []int64 { return slices.Clone(w.pushBytes) }
 
 // RunSteps runs n training steps.
 func (w *Worker) RunSteps(n int) error {
@@ -610,7 +570,7 @@ func (w *Worker) withReconnect(s int, clock *vtime.Clock, fn func() error) error
 // retrying until the Reconnect wall-clock window closes.
 func (w *Worker) redial(s int, clock *vtime.Clock) error {
 	if w.links[s] != nil {
-		w.links[s].conn.Close()
+		w.links[s].Close()
 		w.links[s] = nil
 	}
 	//securetf:allow nowallclock the reconnect budget bounds real redial attempts against a possibly-dead peer
@@ -662,24 +622,16 @@ func (w *Worker) pull() error {
 	return nil
 }
 
-// pullExchange fetches shard s's variables on the given clock — the
-// reply is decoded into the local session's storage as it is received,
-// all of it or, if any of it is not one of shard s's variables, none —
-// records the shard's round generation / variable version and returns
-// the installed byte count.
+// pullExchange fetches shard s's variables on the given clock (the link
+// decodes the reply into the replica's storage), records the shard's
+// round generation / variable version and returns the installed byte
+// count.
 func (w *Worker) pullExchange(s int, clock *vtime.Clock) (int64, error) {
 	l := w.links[s]
 	if l == nil {
 		return 0, fmt.Errorf("shard %d: not connected", s)
 	}
-	req := &message{Kind: msgPull, Worker: uint32(w.cfg.ID)}
-	if _, err := l.send(clock, w.cfg.Params, req); err != nil {
-		return 0, err
-	}
-	// The request is in flight; time passes on this node while it
-	// travels (the response stamp covers the rest of the round trip).
-	clock.Advance(w.cfg.Params.LANRTT / 2)
-	resp, err := l.receive(clock, w.cfg.Params)
+	resp, _, err := l.RoundTrip(clock, w.cfg.Params, &message{Kind: msgPull, Worker: uint32(w.cfg.ID)})
 	if err != nil {
 		return 0, err
 	}
@@ -694,30 +646,18 @@ func (w *Worker) pullExchange(s int, clock *vtime.Clock) (int64, error) {
 	return bytes, nil
 }
 
+// compute runs the replica's step at the worker's step counter and keys
+// the gradients by variable name, which is how they are partitioned.
 func (w *Worker) compute() (float64, map[string]*tf.Tensor, error) {
-	n := w.cfg.XS.Shape()[0]
-	lo := (w.step * w.cfg.BatchSize) % n
-	hi := lo + w.cfg.BatchSize
-	if hi > n {
-		hi = n
-	}
-	bx, err := tf.SliceRows(w.cfg.XS, lo, hi)
+	loss, out, err := w.replica.Step(w.step)
 	if err != nil {
 		return 0, nil, err
 	}
-	by, err := tf.SliceRows(w.cfg.YS, lo, hi)
-	if err != nil {
-		return 0, nil, err
+	grads := make(map[string]*tf.Tensor, len(out))
+	for i, name := range w.replica.Names() {
+		grads[name] = out[i]
 	}
-	out, err := w.sess.Run(tf.Feeds{w.cfg.Model.X: bx, w.cfg.Model.Y: by}, w.lossAndGrads, tf.Training())
-	if err != nil {
-		return 0, nil, err
-	}
-	grads := make(map[string]*tf.Tensor, len(w.gradNames))
-	for i, name := range w.gradNames {
-		grads[name] = out[i+1]
-	}
-	return float64(out[0].Floats()[0]), grads, nil
+	return loss, grads, nil
 }
 
 // pushGrads partitions the gradients across shards by the name-hash
@@ -816,15 +756,12 @@ func (w *Worker) pushExchange(s int, clock *vtime.Clock, vars map[string]*tf.Ten
 			pending[name] = newRes
 		}
 	}
-	wireStart := clock.Now()
-	n, err := l.send(clock, w.cfg.Params, req)
-	if err != nil {
-		return pushApplied, err
+	resp, n, err := l.RoundTrip(clock, w.cfg.Params, req)
+	if n > 0 {
+		// Sent, whatever became of the answer.
+		w.pushWire[s] += wireTime(n, w.cfg.Params)
+		w.pushBytes[s] += int64(n)
 	}
-	w.pushWire[s] += clock.Now() - wireStart
-	w.pushBytes[s] += int64(n)
-	clock.Advance(w.cfg.Params.LANRTT / 2)
-	resp, err := l.receive(clock, w.cfg.Params)
 	if err != nil {
 		return pushApplied, err
 	}

@@ -48,6 +48,8 @@
 //     whose gradOut is all zero is skipped whole.
 //   - MaxPool, AvgPool: each window in (ky, kx) order; SoftmaxRows and
 //     ArgMaxRows left to right, the first maximum winning.
+//   - ApplySGD: v[i] loses a·g[i], the product rounded before it is
+//     subtracted.
 //
 // Which operand's zeros are skipped is free to change between versions,
 // on finite operands: an accumulator that starts at +0 can never become
@@ -140,6 +142,18 @@ func Relu(dst, src []float32) {
 		} else {
 			dst[i] = 0
 		}
+	}
+}
+
+// ApplySGD is the gradient-descent update, v[i] -= a·g[i], the product
+// rounded to float32 before the subtraction, under the session's
+// ApplySGD kernel, the parameter server's sync and async commits and the
+// federated local step alike: they differ in a — a learning rate, or
+// one already divided by the contributors. g is at least as long as v.
+func ApplySGD(v, g []float32, a float32) {
+	g = g[:len(v)]
+	for i := range v {
+		v[i] -= float32(a * g[i])
 	}
 }
 

@@ -453,6 +453,68 @@ func TestBiasAddRelu(t *testing.T) {
 	bitEqual(t, "relu", dst, []float32{0, 1.5, 0, 0, 0, float32(math.Inf(1))})
 }
 
+// TestApplySGDMatchesWhatItReplaced keeps the four update loops ApplySGD
+// took the place of, as they were written, and requires its bits of
+// each: the session's ApplySGD kernel, the parameter server's async
+// apply and averaged commit (whose lr·inv ApplySGD's caller now
+// multiplies once, outside the loop) and the federated local step.
+func TestApplySGDMatchesWhatItReplaced(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	negZero := float32(math.Copysign(0, -1))
+	denormal := math.Float32frombits(1)
+	inputs := map[string]func(i int) float32{
+		"random":   func(int) float32 { return float32(rng.NormFloat64()) },
+		"denormal": func(i int) float32 { return denormal * float32(1+i%7) },
+		"zeros":    func(i int) float32 { return []float32{0, negZero}[i%2] },
+		"large":    func(i int) float32 { return float32(rng.NormFloat64()) * math.MaxFloat32 / 2 },
+	}
+	const lr64, workers = 0.0005, 3
+	oracles := []struct {
+		name string
+		a    float32
+		loop func(v, g []float32)
+	}{
+		{"session kernel", float32(lr64), func(v, g []float32) {
+			lr := float32(lr64)
+			for i, g := range g {
+				v[i] -= float32(lr * g)
+			}
+		}},
+		{"async apply", float32(lr64) / float32(workers), func(v, src []float32) {
+			scale := float32(lr64) / float32(workers)
+			for i := range v {
+				v[i] -= float32(scale * src[i])
+			}
+		}},
+		{"averaged commit", float32(lr64) * (float32(1) / float32(workers)), func(v, g []float32) {
+			inv := float32(1) / float32(workers)
+			lr := float32(lr64)
+			for i := range v {
+				v[i] -= float32(lr * inv * g[i])
+			}
+		}},
+		{"federated local step", float32(lr64), func(vals, g []float32) {
+			for j := range vals {
+				vals[j] -= float32(float32(lr64) * g[j])
+			}
+		}},
+	}
+	for vname, vgen := range inputs {
+		for gname, ggen := range inputs {
+			v, g := make([]float32, 257), make([]float32, 257)
+			for i := range v {
+				v[i], g[i] = vgen(i), ggen(i)
+			}
+			for _, o := range oracles {
+				want, got := append([]float32(nil), v...), append([]float32(nil), v...)
+				o.loop(want, g)
+				ApplySGD(got, g, o.a)
+				bitEqual(t, fmt.Sprintf("%s, %s variables, %s gradients", o.name, vname, gname), got, want)
+			}
+		}
+	}
+}
+
 func refSoftmax(row []float32) []float32 {
 	maxv := float32(math.Inf(-1))
 	for _, v := range row {

@@ -3,6 +3,8 @@ package tf
 import (
 	"fmt"
 	"math"
+
+	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
 // Optimizer apply kernels mutate session variable state in place and
@@ -30,10 +32,7 @@ func kernelApplySGD(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if len(grad.f32) != len(v.f32) {
 		return nil, fmt.Errorf("tf: ApplyGradientDescent: grad size %d vs var %d", len(grad.f32), len(v.f32))
 	}
-	lr := float32(n.attrFloat("lr", 0.01))
-	for i, g := range grad.f32 {
-		v.f32[i] -= float32(lr * g)
-	}
+	kernels.ApplySGD(v.f32, grad.f32, float32(n.attrFloat("lr", 0.01)))
 	ctx.charge(n, 2*int64(len(v.f32)), 3*v.Bytes(), false)
 	return v, nil
 }

@@ -205,6 +205,37 @@ func SliceRows(t *Tensor, lo, hi int) (*Tensor, error) {
 	}
 }
 
+// Minibatch returns step's minibatch of a data shard, by the schedule
+// every trainer walks: the rows from step·batch mod n on, batch of them
+// or as many as are left before the shard's end. A round that restarts
+// the schedule (federated) counts steps within the round, a job that
+// resumes one (StartStep) within the job. What it indexes it checks, so
+// a trainer that calls it once when it is built has validated its
+// shard: inputs and labels with a leading dimension each, of the same
+// size n ≥ 1, and a batch of at least one row.
+func Minibatch(xs, ys *Tensor, batch, step int) (bx, by *Tensor, err error) {
+	switch {
+	case xs == nil || ys == nil:
+		return nil, nil, errors.New("tf: a data shard needs inputs and labels")
+	case len(xs.Shape()) == 0 || len(ys.Shape()) == 0:
+		return nil, nil, fmt.Errorf("tf: a data shard needs a leading dimension, got shapes %v and %v", xs.Shape(), ys.Shape())
+	case xs.Shape()[0] != ys.Shape()[0] || xs.Shape()[0] < 1:
+		return nil, nil, fmt.Errorf("tf: a data shard has %d inputs and %d labels, want as many of one as of the other and at least one", xs.Shape()[0], ys.Shape()[0])
+	case batch < 1 || step < 0:
+		return nil, nil, fmt.Errorf("tf: step %d at batch size %d, want step ≥ 0 and batch ≥ 1", step, batch)
+	}
+	n := xs.Shape()[0]
+	lo := (step * batch) % n
+	hi := min(lo+batch, n)
+	if bx, err = SliceRows(xs, lo, hi); err != nil {
+		return nil, nil, err
+	}
+	if by, err = SliceRows(ys, lo, hi); err != nil {
+		return nil, nil, err
+	}
+	return bx, by, nil
+}
+
 // Reshape returns a view with a new shape of equal element count. A -1
 // dimension is inferred.
 func (t *Tensor) Reshape(shape Shape) (*Tensor, error) {

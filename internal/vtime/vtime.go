@@ -5,8 +5,8 @@
 // trips, crypto throughput) are charged to a virtual clock rather than
 // slept on the wall clock. This keeps experiments deterministic and fast
 // while preserving the performance shape reported by the paper. Wall-clock
-// time of real computation can be mixed in by callers that want measured
-// mode (see Clock.ChargeWall).
+// time of real computation is measured beside it, never mixed in (see
+// Stopwatch).
 package vtime
 
 import (

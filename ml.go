@@ -7,6 +7,7 @@ import (
 
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/dist"
 	"github.com/securetf/securetf/internal/tf/kernels"
 	"github.com/securetf/securetf/internal/tflite"
 )
@@ -261,33 +262,19 @@ func Train(cfg TrainConfig) (*TrainedModel, error) {
 // continuing from the current variable state (federated rounds, warm
 // restarts).
 func (m *TrainedModel) TrainMore(xs, ys *Tensor, batchSize, steps int) error {
-	if xs == nil || ys == nil {
-		return errors.New("securetf: TrainMore requires inputs and labels")
+	if steps <= 0 {
+		return errors.New("securetf: TrainMore steps must be positive")
 	}
-	if batchSize <= 0 || steps <= 0 {
-		return errors.New("securetf: TrainMore batch size and steps must be positive")
+	replica, err := dist.StepsOn(m.sess, m.model, m.trainOp, xs, ys, batchSize)
+	if err != nil {
+		return fmt.Errorf("securetf: TrainMore: %w", err)
 	}
-	n := xs.Shape()[0]
 	for step := 0; step < steps; step++ {
-		lo := (step * batchSize) % n
-		hi := lo + batchSize
-		if hi > n {
-			hi = n
-		}
-		bx, err := SliceRows(xs, lo, hi)
-		if err != nil {
-			return fmt.Errorf("securetf: slice inputs: %w", err)
-		}
-		by, err := SliceRows(ys, lo, hi)
-		if err != nil {
-			return fmt.Errorf("securetf: slice labels: %w", err)
-		}
-		out, err := m.sess.Run(tf.Feeds{m.model.X: bx, m.model.Y: by},
-			[]*tf.Node{m.model.Loss, m.trainOp}, tf.Training())
+		loss, _, err := replica.Step(step)
 		if err != nil {
 			return fmt.Errorf("securetf: training step %d: %w", step, err)
 		}
-		m.loss = float64(out[0].Floats()[0])
+		m.loss = loss
 		if m.log != nil {
 			fmt.Fprintf(m.log, "step %4d loss %.4f\n", step, m.loss)
 		}

@@ -2,6 +2,7 @@ package securetf_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	securetf "github.com/securetf/securetf"
@@ -219,6 +220,68 @@ func TestOpenModelValidation(t *testing.T) {
 	}
 	if err := m.TrainMore(nil, ys, 1, 1); err == nil {
 		t.Fatal("nil inputs accepted")
+	}
+}
+
+// TestDataShardValidation: the three ways a data shard reaches a
+// trainer — a training worker, a federated client, TrainMore — refuse
+// the same malformed shards with an error, before anything is dialed.
+// (A scalar used to panic in all three; only the worker compared rows.)
+func TestDataShardValidation(t *testing.T) {
+	xs, ys := learnableDigits(8, 1)
+	empty := func(shape securetf.Shape) *securetf.Tensor {
+		e, err := securetf.TensorFromFloats(shape, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	shorter, err := securetf.SliceRows(ys, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := []struct {
+		name   string
+		xs, ys *securetf.Tensor
+		batch  int
+	}{
+		{"scalar inputs", securetf.Scalar(1), ys, 4},
+		{"scalar labels", xs, securetf.Scalar(1), 4},
+		{"fewer labels than inputs", xs, shorter, 4},
+		{"no examples", empty(securetf.Shape{0, 28, 28, 1}), empty(securetf.Shape{0, 10}), 4},
+		{"no inputs", nil, ys, 4},
+		{"zero batch", xs, ys, 0},
+	}
+	c := launch(t, securetf.SconeSIM, securetf.TensorFlowImage())
+	trained, err := securetf.OpenModel(nil, securetf.NewMNISTMLP(1), nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trained.Close()
+	const nobody = "127.0.0.1:1"
+	entries := map[string]func(xs, ys *securetf.Tensor, batch int) error{
+		"StartTrainingWorker": func(xs, ys *securetf.Tensor, batch int) error {
+			_, err := securetf.StartTrainingWorker(c, securetf.WorkerSpec{
+				Addr: nobody, Model: securetf.NewMNISTMLP(1), XS: xs, YS: ys, BatchSize: batch})
+			return err
+		},
+		"StartFederatedClient": func(xs, ys *securetf.Tensor, batch int) error {
+			_, err := securetf.StartFederatedClient(c, securetf.FederatedPeerSpec{
+				Addr: nobody, Model: securetf.NewMNISTMLP(1), XS: xs, YS: ys, BatchSize: batch,
+				LocalSteps: 1, LocalLR: 0.1, Population: 1, Unmasked: true})
+			return err
+		},
+		"TrainMore": func(xs, ys *securetf.Tensor, batch int) error {
+			return trained.TrainMore(xs, ys, batch, 1)
+		},
+	}
+	for entry, start := range entries {
+		for _, sh := range shards {
+			err := start(sh.xs, sh.ys, sh.batch)
+			if err == nil || strings.Contains(err.Error(), "dial") {
+				t.Errorf("%s, %s: got %v, want the shard refused", entry, sh.name, err)
+			}
+		}
 	}
 }
 
