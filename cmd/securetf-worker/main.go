@@ -175,25 +175,25 @@ func isSet(fs *flag.FlagSet, name string) (set bool) {
 }
 
 // codecFlag resolves a command's -compress / -topk pair into its codec
-// type C (the training push path's or the federated uplink's).
-func codecFlag[C any](fs *flag.FlagSet, compress string, topk float64, none, int8 func() C, topK func(float64) C) (C, error) {
-	var zero C
+// (the training push path's or the federated uplink's: one policy type).
+func codecFlag(fs *flag.FlagSet, compress string, topk float64) (securetf.GradCompression, error) {
+	none := securetf.NoGradCompression()
 	switch compress {
 	case "none", "int8":
 		if isSet(fs, "topk") {
-			return zero, errors.New("-topk only applies with -compress topk")
+			return none, errors.New("-topk only applies with -compress topk")
 		}
 		if compress == "int8" {
-			return int8(), nil
+			return securetf.Int8GradCompression(), nil
 		}
-		return none(), nil
+		return none, nil
 	case "topk":
 		if !(topk > 0 && topk <= 1) {
-			return zero, fmt.Errorf("-topk must be in (0, 1], got %g", topk)
+			return none, fmt.Errorf("-topk must be in (0, 1], got %g", topk)
 		}
-		return topK(topk), nil
+		return securetf.TopKGradCompression(topk), nil
 	}
-	return zero, fmt.Errorf("-compress must be none, int8 or topk, got %q", compress)
+	return none, fmt.Errorf("-compress must be none, int8 or topk, got %q", compress)
 }
 
 // mnistShard generates a private n-example MNIST shard from seed.
@@ -501,8 +501,7 @@ func trainCommand(fs *flag.FlagSet) func(io.Writer) error {
 			return fmt.Errorf("-consistency must be sync or async, got %q", *consistency)
 		}
 		var err error
-		if cfg.Compression, err = codecFlag(fs, *compress, *topk,
-			securetf.NoGradCompression, securetf.Int8GradCompression, securetf.TopKGradCompression); err != nil {
+		if cfg.Compression, err = codecFlag(fs, *compress, *topk); err != nil {
 			return err
 		}
 		if isSet(fs, "checkpoint-every") && cfg.Checkpoint.Every < 1 {
@@ -634,8 +633,7 @@ func federatedCommand(fs *flag.FlagSet) func(io.Writer) error {
 				cfg.Quorum, sampled, cfg.Clients, cfg.SampleFraction)
 		}
 		var err error
-		if cfg.Compression, err = codecFlag(fs, *compress, *topk,
-			securetf.NoFedCompression, securetf.Int8FedCompression, securetf.TopKFedCompression); err != nil {
+		if cfg.Compression, err = codecFlag(fs, *compress, *topk); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "federated job: %d clients, sample fraction %g, quorum %d, %d rounds (compress %v)\n",

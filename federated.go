@@ -21,36 +21,27 @@ type FederatedCoordinator = federated.Coordinator
 // FederatedClient is one simulated federated participant.
 type FederatedClient = federated.Client
 
-// FedCompression selects the federated uplink quantizer. Unlike the
-// parameter-server gradient codecs it operates over integer rings, so
-// the pairwise masks of secure aggregation cancel bit-exactly in the
-// coordinator's sum.
-type FedCompression = federated.Codec
+// FedCompression selects the federated uplink quantizer: the same
+// policy type as the parameter-server gradient codecs, applied over
+// integer rings, so the pairwise masks of secure aggregation cancel
+// bit-exactly in the coordinator's sum.
+type FedCompression = GradCompression
 
 // NoFedCompression uploads exact 64-bit fixed-point words (the
 // default).
-func NoFedCompression() FedCompression { return federated.NoCompression() }
+func NoFedCompression() FedCompression { return NoGradCompression() }
 
 // Int8FedCompression quantizes updates to signed 8-bit steps of a
 // public clip bound, carried in a 16-bit ring (~4× fewer uplink
 // bytes).
-func Int8FedCompression() FedCompression { return federated.Int8Compression() }
+func Int8FedCompression() FedCompression { return Int8GradCompression() }
 
 // TopKFedCompression uploads only the round's shared pseudo-random
 // fraction f ∈ (0, 1] of coordinates per variable; the pattern is
 // derived from the round seed on both sides, so no index bytes travel
 // (~1/f fewer uplink bytes). Unsent mass carries over in client-side
 // error-feedback residuals.
-func TopKFedCompression(f float64) FedCompression { return federated.TopKCompression(f) }
-
-// FederatedTurnstile serializes simulated federated clients into
-// deterministic virtual-time order, making a whole job bit-reproducible
-// at a fixed seed. Join every client (with its container's clock)
-// before any of them runs; a nil turnstile leaves clients free-threaded.
-type FederatedTurnstile = federated.Turnstile
-
-// NewFederatedTurnstile returns an empty scheduler.
-func NewFederatedTurnstile() *FederatedTurnstile { return federated.NewTurnstile() }
+func TopKFedCompression(f float64) FedCompression { return TopKGradCompression(f) }
 
 // FederatedConfig configures TrainFederated, the one-call form of the
 // paper's §6.2 federated-learning deployment: an aggregator node
@@ -76,9 +67,6 @@ type FederatedConfig struct {
 	BatchSize int
 	// LocalLR is the client-side SGD learning rate. Required, > 0.
 	LocalLR float64
-	// ServerLR scales the averaged update applied per round. Zero means
-	// 1 (plain FedAvg).
-	ServerLR float64
 	// Compression is the uplink codec (default NoFedCompression).
 	Compression FedCompression
 	// Seed drives client sampling and the top-k coordinate patterns.
@@ -96,9 +84,6 @@ type FederatedConfig struct {
 	NewModel func() Model
 	// ShardData returns client id's private training shard.
 	ShardData func(client int) (xs, ys *Tensor, err error)
-	// StepCost is the virtual compute time charged per local step
-	// (default 2ms).
-	StepCost time.Duration
 	// StragglerFraction marks the trailing fraction of client ids as
 	// stragglers: each round they finish StragglerDelay late, miss the
 	// quorum and are refused. Zero disables straggling.
@@ -136,8 +121,8 @@ type FederatedResult struct {
 // already-attested container, listening on addr (the manual form of
 // TrainFederated's aggregator, for deployments that stand up their own
 // CAS topology). Only the aggregator-side fields of cfg apply —
-// Clients, SampleFraction, Quorum, Rounds, ServerLR, Compression,
-// Unmasked, Seed, PayloadTap, and NewModel for the initial variables.
+// Clients, SampleFraction, Quorum, Rounds, Compression, Unmasked, Seed,
+// PayloadTap, and NewModel for the initial variables.
 // It returns the coordinator and the bound address clients dial.
 func StartFederatedAggregator(c *Container, addr string, cfg FederatedConfig) (*FederatedCoordinator, string, error) {
 	if c == nil {
@@ -157,7 +142,6 @@ func StartFederatedAggregator(c *Container, addr string, cfg FederatedConfig) (*
 		SampleFraction: cfg.SampleFraction,
 		Quorum:         cfg.Quorum,
 		Rounds:         cfg.Rounds,
-		ServerLR:       cfg.ServerLR,
 		Codec:          cfg.Compression,
 		Unmasked:       cfg.Unmasked,
 		Seed:           cfg.Seed,
@@ -201,11 +185,6 @@ type FederatedPeerSpec struct {
 	Secret []byte
 	// Unmasked must match the aggregator's setting.
 	Unmasked bool
-	// StepCost is the virtual compute time per local step (default 2ms).
-	StepCost time.Duration
-	// Turnstile optionally serializes this client with its peers for
-	// bit-reproducible runs.
-	Turnstile *FederatedTurnstile
 }
 
 // StartFederatedClient connects a federated participant inside a
@@ -220,14 +199,15 @@ func StartFederatedClient(c *Container, spec FederatedPeerSpec) (*FederatedClien
 	}
 	serverName := cmp.Or(spec.ServerName, "aggregator")
 	dial := func(network, addr string) (net.Conn, error) { return c.Dial(network, addr, serverName) }
-	return newFederatedClient(spec, dial, c.Clock(), c.Params(), nil)
+	return newFederatedClient(spec, dial, c.Clock(), c.Params(), nil, nil)
 }
 
 // newFederatedClient is the one mapping from a peer spec to a client,
-// for a container's (its dial, clock and cost model) and for one of
-// TrainFederated's simulated population, stragglers delayed.
+// for a container's (its dial, clock and cost model, free-threaded) and
+// for one of TrainFederated's simulated population, stragglers delayed
+// and every client taking its turns at ts.
 func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) (net.Conn, error),
-	clock *vtime.Clock, params Params, delay func(round uint64) time.Duration) (*FederatedClient, error) {
+	clock *vtime.Clock, params Params, delay func(round uint64) time.Duration, ts *federated.Turnstile) (*FederatedClient, error) {
 	cl, err := federated.NewClient(federated.ClientConfig{
 		ID:         spec.ID,
 		Addr:       spec.Addr,
@@ -244,9 +224,8 @@ func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) 
 		Unmasked:   spec.Unmasked,
 		Clock:      clock,
 		Params:     params,
-		StepCost:   spec.StepCost,
 		Delay:      delay,
-		Turnstile:  spec.Turnstile,
+		Turnstile:  ts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("securetf: start federated client %d: %w", spec.ID, err)
@@ -327,9 +306,7 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 			Population:  cfg.Clients,
 			Secret:      secret,
 			Unmasked:    cfg.Unmasked,
-			StepCost:    cfg.StepCost,
-			Turnstile:   ts,
-		}, net.Dial, clocks[id], agg.Params(), delay)
+		}, net.Dial, clocks[id], agg.Params(), delay, ts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,10 @@
 package cas
 
 import (
+	"bytes"
 	"crypto/ecdsa"
+	"crypto/tls"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -394,5 +397,39 @@ func TestCloseWithIdlePeer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung while an idle peer held its connection open")
+	}
+}
+
+// TestOversizedRequestIsCutOff pins the decoder's per-connection cap: a
+// peer streaming an endless JSON string — before any quote could be
+// checked — is disconnected at MaxConnBytes (a server that buffered
+// without limit would take it all and wait for the closing quote, so
+// the read would end in the deadline), and the accept loop serves the
+// next attested client.
+func TestOversizedRequestIsCutOff(t *testing.T) {
+	tc := newTestCluster(t)
+	peer, err := tls.Dial("tcp", tc.server.Addr(), &tls.Config{InsecureSkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.SetDeadline(time.Now().Add(10 * time.Second))
+	flood := append([]byte(`{"type":"`), bytes.Repeat([]byte{'a'}, 2*MaxConnBytes)...)
+	peer.Write(flood) // fails or not with when the server hangs up
+	n, err := peer.Read(make([]byte, 1))
+	var timeout net.Error
+	switch {
+	case err == nil:
+		t.Fatalf("the server answered an unterminated request with %d bytes", n)
+	case errors.As(err, &timeout) && timeout.Timeout():
+		t.Fatalf("the server was still reading after %d bytes", len(flood))
+	}
+
+	c := tc.newClient(t)
+	if err := c.Register(tc.defaultSession()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Attest("training"); err != nil {
+		t.Fatal(err)
 	}
 }

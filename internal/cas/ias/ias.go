@@ -94,7 +94,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) handle(conn net.Conn) {
-	dec := json.NewDecoder(conn)
+	dec := cas.BoundedDecoder(conn)
 	enc := json.NewEncoder(conn)
 	var req iasRequest
 	if err := dec.Decode(&req); err != nil {
@@ -177,7 +177,7 @@ func (c *Client) Attest() (map[string][]byte, cas.AttestTiming, error) {
 		return nil, timing, err
 	}
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
+	dec := cas.BoundedDecoder(conn)
 	if err := enc.Encode(&iasRequest{Quote: quote, SenderVTime: int64(clock.Now())}); err != nil {
 		return nil, timing, err
 	}

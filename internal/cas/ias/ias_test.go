@@ -1,11 +1,14 @@
 package ias
 
 import (
+	"bytes"
 	"crypto/ecdsa"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/sgx"
 )
 
@@ -112,5 +115,34 @@ func TestCloseWithIdlePeer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung while an idle peer held its connection open")
+	}
+}
+
+// TestOversizedRequestIsCutOff pins the decoder's per-connection cap at
+// the key server: a peer streaming an endless JSON string is
+// disconnected at cas.MaxConnBytes — a server that buffered without
+// limit would take it all and wait for the closing quote — and the
+// accept loop serves the next attested client.
+func TestOversizedRequestIsCutOff(t *testing.T) {
+	server, enclave := newIAS(t)
+	peer, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.SetDeadline(time.Now().Add(10 * time.Second))
+	flood := append([]byte(`{"sender_vtime":0,"junk":"`), bytes.Repeat([]byte{'a'}, 2*cas.MaxConnBytes)...)
+	peer.Write(flood) // fails or not with when the server hangs up
+	n, err := peer.Read(make([]byte, 1))
+	var timeout net.Error
+	switch {
+	case err == nil:
+		t.Fatalf("the server answered an unterminated request with %d bytes", n)
+	case errors.As(err, &timeout) && timeout.Timeout():
+		t.Fatalf("the server was still reading after %d bytes", len(flood))
+	}
+
+	if _, _, err := (&Client{Enclave: enclave, Addr: server.Addr()}).Attest(); err != nil {
+		t.Fatal(err)
 	}
 }

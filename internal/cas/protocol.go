@@ -3,6 +3,7 @@ package cas
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 
 	"github.com/securetf/securetf/internal/sgx"
@@ -57,6 +58,20 @@ type response struct {
 	Found bool   `json:"found,omitempty"`
 }
 
+// MaxConnBytes caps what one attestation connection may make its peer
+// read: a session definition with its volume keys, or an attest reply
+// with its certificates, is a few KiB. A JSON decoder buffers a value
+// until it ends, so without the cap one peer could make the CAS enclave
+// buffer without limit before any quote is checked.
+const MaxConnBytes = 1 << 20
+
+// BoundedDecoder decodes the JSON messages of one connection and fails
+// once the peer has sent MaxConnBytes. The bytes on the wire are the
+// plain encoder's.
+func BoundedDecoder(conn io.Reader) *json.Decoder {
+	return json.NewDecoder(io.LimitReader(conn, MaxConnBytes))
+}
+
 // codec frames JSON messages over a connection.
 type codec struct {
 	enc *json.Encoder
@@ -64,7 +79,7 @@ type codec struct {
 }
 
 func newCodec(conn net.Conn) *codec {
-	return &codec{enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
+	return &codec{enc: json.NewEncoder(conn), dec: BoundedDecoder(conn)}
 }
 
 func (c *codec) writeRequest(r *request) error {

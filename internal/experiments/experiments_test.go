@@ -266,6 +266,11 @@ func TestFigure8PointPinned(t *testing.T) {
 	}
 }
 
+// speedup2WorkersFloor is the least two workers may speed one worker's
+// job up by: 1.84 today (1.64–1.86 over forty runs: the two pushes'
+// arrival order moves it), and 1.5 is above that less 20 %.
+const speedup2WorkersFloor = 1.5
+
 func TestFigure8ShardSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs distributed training across 5 cluster configurations")
@@ -284,8 +289,10 @@ func TestFigure8ShardSweepShape(t *testing.T) {
 		return Fig8ShardRow{}
 	}
 	// The classic worker-scaling speedup survives the sharded refactor.
-	if s := get(2, 1).Speedup1W; s < 1.5 {
-		t.Errorf("2-worker speedup = %.2f, paper ≈1.96", s)
+	s := get(2, 1).Speedup1W
+	t.Logf("speedup-2workers-x %.3f", s)
+	if s < speedup2WorkersFloor {
+		t.Errorf("2-worker speedup = %.2f, floor %.2f, paper ≈1.96", s, speedup2WorkersFloor)
 	}
 	// The sharding headline: per-shard push wire time drops monotonically
 	// as the same 4-worker job fans its gradients over 1 → 2 → 4 shards.
@@ -303,6 +310,14 @@ func TestFigure8ShardSweepShape(t *testing.T) {
 		}
 	}
 }
+
+// The least the push frames of a round may shrink by under each codec:
+// they count bytes, so today's 3.997× (int8) and 9.979× (top-k at
+// f = 0.05) repeat exactly, and each floor is that less 20 %.
+const (
+	int8WireFloor = 3.20
+	topkWireFloor = 7.99
+)
 
 func TestFigure8CompressShape(t *testing.T) {
 	if testing.Short() {
@@ -326,13 +341,15 @@ func TestFigure8CompressShape(t *testing.T) {
 	}
 	for _, tls := range []bool{false, true} {
 		none, int8r, topk := get("none", tls), get("int8", tls), get("topk f=0.05", tls)
-		// The wire headline: ≥3× fewer push bytes for int8, and top-k at
-		// f=0.05 beats int8.
-		if r := float64(none.PushBytesPerRound) / float64(int8r.PushBytesPerRound); r < 3 {
-			t.Errorf("tls=%v: int8 push-byte reduction %.2fx, want ≥3x", tls, r)
+		// The wire headline: the push-frame bytes each codec saves.
+		int8x := float64(none.PushBytesPerRound) / float64(int8r.PushBytesPerRound)
+		topkx := float64(none.PushBytesPerRound) / float64(topk.PushBytesPerRound)
+		t.Logf("tls=%v: int8-wire-reduction-x %.3f, topk-wire-reduction-x %.3f", tls, int8x, topkx)
+		if int8x < int8WireFloor {
+			t.Errorf("tls=%v: int8 push-byte reduction %.2fx, floor %.2fx", tls, int8x, int8WireFloor)
 		}
-		if topk.PushBytesPerRound >= int8r.PushBytesPerRound {
-			t.Errorf("tls=%v: top-k pushed %d B/round, not below int8's %d", tls, topk.PushBytesPerRound, int8r.PushBytesPerRound)
+		if topkx < topkWireFloor {
+			t.Errorf("tls=%v: top-k push-byte reduction %.2fx, floor %.2fx", tls, topkx, topkWireFloor)
 		}
 		// Smaller frames must show up as less per-shard push wire vtime
 		// by at least the same ≥3× factor: send() charges serialization

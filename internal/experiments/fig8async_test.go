@@ -9,6 +9,11 @@ import "testing"
 // synchronous final loss. The async rows run on a deterministic
 // discrete-event schedule, so the whole sweep is reproducible
 // bit-for-bit — re-running a row must change nothing.
+// asyncSpeedupFloor is the least unbounded async may beat the
+// synchronous barrier's virtual-time throughput by with one straggler
+// among four workers: 3.01 today at this size, less 20 %.
+const asyncSpeedupFloor = 2.41
+
 func TestFigure8AsyncShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reduced paper workload; skipped under -short")
@@ -36,6 +41,16 @@ func TestFigure8AsyncShape(t *testing.T) {
 		if r.K >= 0 && r.K <= 8 && r.FinalLoss > sync.FinalLoss*1.1 {
 			t.Errorf("%s final loss %.4f exceeds sync %.4f + 10%%", r.Policy, r.FinalLoss, sync.FinalLoss)
 		}
+	}
+
+	kinf := rows[len(rows)-1]
+	if kinf.Policy != "async K=inf" {
+		t.Fatalf("last row is %q, want the unbounded one", kinf.Policy)
+	}
+	speedup := kinf.Throughput / sync.Throughput
+	t.Logf("async-speedup-kinf-x %.3f", speedup)
+	if speedup < asyncSpeedupFloor {
+		t.Errorf("unbounded async is %.2fx sync, floor %.2fx", speedup, asyncSpeedupFloor)
 	}
 
 	// Determinism: the discrete-event schedule makes the async rows

@@ -10,6 +10,13 @@ import (
 // killed run still commits every round, books exactly one eviction and
 // one shrunk round, and the survivors' round throughput stays within
 // the detection timeout of the uninterrupted run's.
+// survivorRatioFloor is the least of the uninterrupted job's
+// committed-round throughput the job that loses one of four workers
+// must keep: 0.77 today at this size (up to 0.89, with the order the
+// survivors reach the shrunk barrier), less 10 %. At the benchmark's
+// size BenchmarkDistElastic holds (W-1)/W outright.
+const survivorRatioFloor = 0.70
+
 func TestFigure9ElasticShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the eviction detection window is wall-clock; race-mode compute skew trips it")
@@ -38,8 +45,9 @@ func TestFigure9ElasticShape(t *testing.T) {
 	if ratio <= 0 || ratio >= 1 {
 		t.Fatalf("survivor throughput ratio %.3f outside (0, 1)", ratio)
 	}
-	if ratio < 0.5 {
-		t.Fatalf("survivor throughput ratio %.3f — the eviction cost more than the whole job", ratio)
+	t.Logf("survivor-throughput-ratio-x %.3f", ratio)
+	if ratio < survivorRatioFloor {
+		t.Fatalf("survivor throughput ratio %.3f, floor %.2f — the eviction cost more than the detection timeout", ratio, survivorRatioFloor)
 	}
 
 	var buf bytes.Buffer

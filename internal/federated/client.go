@@ -39,7 +39,7 @@ type ClientConfig struct {
 	// LocalLR is the local SGD learning rate. Required, > 0.
 	LocalLR float64
 	// Codec is the uplink quantizer; must match the coordinator's.
-	Codec Codec
+	Codec dist.Compression
 	// Population is the expected client population N; the handshake
 	// verifies it.
 	Population int
@@ -53,12 +53,6 @@ type ClientConfig struct {
 	// Params supplies cost-model constants. The zero value falls back
 	// to sgx.DefaultParams.
 	Params sgx.Params
-	// StepCost is the virtual compute time charged per local SGD step.
-	// Zero means defaultStepCost.
-	StepCost time.Duration
-	// PollInterval is the virtual wait between polls when the client
-	// has no work. Zero means defaultPollInterval.
-	PollInterval time.Duration
 	// MaxIdlePolls bounds consecutive no-work polls, turning a stuck
 	// job (e.g. a quorum that can never fill) into an error instead of
 	// a hang. Zero means 10000.
@@ -150,7 +144,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.ID < 0 || cfg.ID >= cfg.Population {
 		return nil, fmt.Errorf("federated: client id %d outside the population of %d", cfg.ID, cfg.Population)
 	}
-	if err := cfg.Codec.validate(); err != nil {
+	var err error
+	if cfg.Codec, err = cfg.Codec.Canonical(); err != nil {
 		return nil, err
 	}
 	if !cfg.Unmasked && len(cfg.Secret) == 0 {
@@ -164,12 +159,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Params.WireBandwidth == 0 {
 		cfg.Params = sgx.DefaultParams()
-	}
-	if cfg.StepCost == 0 {
-		cfg.StepCost = defaultStepCost
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = defaultPollInterval
 	}
 	if cfg.MaxIdlePolls == 0 {
 		cfg.MaxIdlePolls = 10000
@@ -215,13 +204,14 @@ func (c *Client) connect() error {
 		return fmt.Errorf("federated: client %d dial %s: %w", c.cfg.ID, c.cfg.Addr, err)
 	}
 	l := dist.NewLink(conn, c.replica.Variable)
+	kind, fraction := c.cfg.Codec.Wire()
 	resp, _, err := l.RoundTrip(c.cfg.Clock, c.cfg.Params, &dist.Message{
 		Kind:   dist.MsgHello,
 		Worker: uint32(c.cfg.ID),
 		Shards: uint32(c.cfg.Population),
 		Policy: maskedPolicy(c.cfg.Unmasked),
-		Codec:  uint8(c.cfg.Codec.Kind),
-		TopK:   c.cfg.Codec.param(),
+		Codec:  kind,
+		TopK:   fraction,
 	})
 	switch {
 	case err != nil:
@@ -277,7 +267,7 @@ func (c *Client) Run() error {
 			// No work: the round is closing, we are not sampled, or we
 			// dropped out of this round and must sit out its re-assignment
 			// so the quorum membership stays the surviving uploaders.
-			c.cfg.Clock.Advance(c.cfg.PollInterval)
+			c.cfg.Clock.Advance(pollInterval)
 			release()
 			idle++
 			if idle > c.cfg.MaxIdlePolls {
@@ -321,14 +311,14 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		}
 		c.replica.ApplySGD(float32(c.cfg.LocalLR), grads)
 	}
-	c.cfg.Clock.Advance(time.Duration(c.cfg.LocalSteps) * c.cfg.StepCost)
+	c.cfg.Clock.Advance(time.Duration(c.cfg.LocalSteps) * stepCost)
 	if c.cfg.Delay != nil {
 		c.cfg.Clock.Advance(c.cfg.Delay(round))
 	}
 
 	// Quantize the round delta (with carried residual) straight into each
 	// upload blob's payload, at the round's shared coordinate pattern.
-	codec := c.cfg.Codec
+	codec := ringCodec{c.cfg.Codec}
 	payloads := make([][]byte, len(c.gradNames))
 	for i, name := range c.gradNames {
 		v := &c.vars[i]

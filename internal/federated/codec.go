@@ -7,27 +7,24 @@ import (
 	"sort"
 
 	"github.com/securetf/securetf/internal/seccrypto"
+	"github.com/securetf/securetf/internal/tf/dist"
 )
 
-// CodecKind selects the uplink quantizer a federated job runs with. The
-// kinds mirror the dist gradient codecs (PR 5) but operate over integer
-// rings so pairwise masks cancel bit-exactly in the coordinator's sum.
-type CodecKind uint8
+// ringCodec is a job's uplink quantizer: the dist.Compression policy
+// the job was configured with, applied over integer rings so pairwise
+// masks cancel bit-exactly in the coordinator's sum.
+//
+//   - dist.CompressNone uploads every coordinate as a 64-bit fixed-point
+//     word.
+//   - dist.CompressInt8 quantizes coordinates to signed 8-bit steps of
+//     the public clip bound DefaultClip, uploaded as 16-bit ring words so
+//     a quorum of sums cannot overflow.
+//   - dist.CompressTopK uploads fixed-point words for only the round's
+//     shared pseudo-random coordinate pattern (rand-k); the rest of the
+//     delta accumulates in the client's error-feedback residual.
+type ringCodec struct{ dist.Compression }
 
-const (
-	// CodecNone uploads every coordinate as a 64-bit fixed-point word.
-	CodecNone CodecKind = iota
-	// CodecInt8 quantizes coordinates to signed 8-bit steps of a public
-	// clip bound, uploaded as 16-bit ring words so a quorum of sums
-	// cannot overflow.
-	CodecInt8
-	// CodecTopK uploads fixed-point words for only the round's shared
-	// pseudo-random coordinate pattern (rand-k); the rest of the delta
-	// accumulates in the client's error-feedback residual.
-	CodecTopK
-)
-
-// Fixed-point scale for CodecNone and CodecTopK words: values are
+// Fixed-point scale for CompressNone and CompressTopK words: values are
 // encoded as round(x * 2^fpShift) in two's complement. 32 fractional
 // bits leave 31 integer bits — far beyond any model-delta magnitude —
 // while keeping quantization error below 2^-32 per coordinate.
@@ -37,109 +34,23 @@ const fpScale = float64(uint64(1) << fpShift)
 
 // DefaultClip is the public int8 clip bound. It must be identical on
 // every client and the coordinator (the quantization grid is part of
-// the protocol), so it lives in configuration, not in data-dependent
-// per-round statistics.
+// the protocol), so it is a constant of the codec, not a data-dependent
+// per-round statistic.
 const DefaultClip = 0.25
 
-// maxInt8Quorum bounds the accepted uploads per round under CodecInt8:
+// maxInt8Quorum bounds the accepted uploads per round under CompressInt8:
 // each word is a signed 8-bit step in [-127, 127] carried in a 16-bit
 // ring, and 258*127 = 32766 still fits int16, so a sum of up to 258
 // updates cannot wrap.
 const maxInt8Quorum = 258
 
-// Codec is a fully-specified uplink quantizer. The zero value is
-// CodecNone.
-type Codec struct {
-	Kind CodecKind
-	// Fraction is the CodecTopK coordinate fraction in (0, 1].
-	Fraction float64
-	// Clip is the CodecInt8 clip bound; 0 means DefaultClip.
-	Clip float64
-}
-
-// NoCompression returns the exact fixed-point codec.
-func NoCompression() Codec { return Codec{Kind: CodecNone} }
-
-// Int8Compression returns the int8 codec with the default clip.
-func Int8Compression() Codec { return Codec{Kind: CodecInt8, Clip: DefaultClip} }
-
-// TopKCompression returns the rand-k codec keeping the given fraction
-// of coordinates per variable.
-func TopKCompression(fraction float64) Codec {
-	return Codec{Kind: CodecTopK, Fraction: fraction}
-}
-
-// validate normalizes defaults and rejects inconsistent parameters.
-func (c *Codec) validate() error {
-	switch c.Kind {
-	case CodecNone:
-		c.Fraction, c.Clip = 0, 0
-	case CodecInt8:
-		if c.Clip == 0 {
-			c.Clip = DefaultClip
-		}
-		if c.Clip < 0 || math.IsNaN(c.Clip) || math.IsInf(c.Clip, 0) {
-			return fmt.Errorf("federated: int8 clip %v is not a positive bound", c.Clip)
-		}
-		c.Fraction = 0
-	case CodecTopK:
-		if c.Fraction <= 0 || c.Fraction > 1 || math.IsNaN(c.Fraction) {
-			return fmt.Errorf("federated: top-k fraction %v outside (0, 1]", c.Fraction)
-		}
-		c.Clip = 0
-	default:
-		return fmt.Errorf("federated: unknown codec kind %d", c.Kind)
-	}
-	return nil
-}
-
-// String names the codec for logs and error messages.
-func (c Codec) String() string {
-	switch c.Kind {
-	case CodecInt8:
-		return fmt.Sprintf("int8(clip=%g)", c.Clip)
-	case CodecTopK:
-		return fmt.Sprintf("topk(f=%g)", c.Fraction)
-	default:
-		return "none"
-	}
-}
-
 // width is the ring word size in bytes: the int8 codec sums in a
 // 16-bit ring, everything else in the full 64-bit ring.
-func (c Codec) width() int {
-	if c.Kind == CodecInt8 {
+func (c ringCodec) width() int {
+	if c.Kind == dist.CompressInt8 {
 		return 2
 	}
 	return 8
-}
-
-// param carries the codec's scalar parameter across the handshake in
-// the TopK wire field: the fraction bits for top-k, the clip bits for
-// int8, zero otherwise.
-func (c Codec) param() uint64 {
-	switch c.Kind {
-	case CodecInt8:
-		return math.Float64bits(c.Clip)
-	case CodecTopK:
-		return math.Float64bits(c.Fraction)
-	}
-	return 0
-}
-
-// codecFromWire reverses (Kind, param) from the handshake.
-func codecFromWire(kind uint8, param uint64) (Codec, error) {
-	c := Codec{Kind: CodecKind(kind)}
-	switch c.Kind {
-	case CodecInt8:
-		c.Clip = math.Float64frombits(param)
-	case CodecTopK:
-		c.Fraction = math.Float64frombits(param)
-	}
-	if err := c.validate(); err != nil {
-		return Codec{}, err
-	}
-	return c, nil
 }
 
 // coords returns the round's coordinate pattern for an n-element
@@ -148,8 +59,8 @@ func codecFromWire(kind uint8, param uint64) (Codec, error) {
 // name. Every cohort member and the coordinator derive the identical
 // pattern, which is what lets pairwise masks cancel per coordinate and
 // keeps index bytes off the wire.
-func (c Codec) coords(patternSeed uint64, name string, n int) []int {
-	if c.Kind != CodecTopK {
+func (c ringCodec) coords(patternSeed uint64, name string, n int) []int {
+	if c.Kind != dist.CompressTopK {
 		return nil
 	}
 	k := int(math.Ceil(c.Fraction * float64(n)))
@@ -186,7 +97,7 @@ const updateHeader = 6
 
 // blobSize is the wire size of a variable's update of the given word
 // count.
-func (c Codec) blobSize(words int) int { return updateHeader + words*c.width() }
+func (c ringCodec) blobSize(words int) int { return updateHeader + words*c.width() }
 
 // encodeVar quantizes one variable's delta (plus carried residual) into
 // the packed ring words of payload, at the given coordinates (nil =
@@ -194,8 +105,8 @@ func (c Codec) blobSize(words int) int { return updateHeader + words*c.width() }
 // next. Unsent coordinates carry their whole effective value into next;
 // sent coordinates carry only the quantization error. residual itself
 // is not touched, so a refused upload loses nothing.
-func (c Codec) encodeVar(payload []byte, delta, residual, next []float32, coords []int) {
-	scale := c.Clip / 127
+func (c ringCodec) encodeVar(payload []byte, delta, residual, next []float32, coords []int) {
+	const scale = DefaultClip / 127
 	w := 0 // next ring word; under a pattern, coords[w] is its coordinate
 	for i := range delta {
 		v := float64(delta[i]) + float64(residual[i])
@@ -204,7 +115,7 @@ func (c Codec) encodeVar(payload []byte, delta, residual, next []float32, coords
 			continue
 		}
 		var delivered float64
-		if c.Kind == CodecInt8 {
+		if c.Kind == dist.CompressInt8 {
 			q := math.Round(v / scale)
 			if q > 127 {
 				q = 127
@@ -228,16 +139,16 @@ func (c Codec) encodeVar(payload []byte, delta, residual, next []float32, coords
 // words; for the fixed-point codecs sign extension of the 64-bit ring
 // is exact, and for int8 the quorum bound guarantees the int16 never
 // wrapped.
-func (c Codec) decodeSum(sum []byte, w int) float64 {
-	if c.Kind == CodecInt8 {
-		return float64(int16(binary.LittleEndian.Uint16(sum[2*w:]))) * c.Clip / 127
+func (c ringCodec) decodeSum(sum []byte, w int) float64 {
+	if c.Kind == dist.CompressInt8 {
+		return float64(int16(binary.LittleEndian.Uint16(sum[2*w:]))) * DefaultClip / 127
 	}
 	return float64(int64(binary.LittleEndian.Uint64(sum[8*w:]))) / fpScale
 }
 
 // marshalUpdate writes the header of a self-describing update blob
 // around the payload already encoded (and masked) in place behind it.
-func (c Codec) marshalUpdate(blob []byte) {
+func (c ringCodec) marshalUpdate(blob []byte) {
 	width := c.width()
 	blob[0] = byte(c.Kind)
 	blob[1] = byte(width)
@@ -249,11 +160,11 @@ func (c Codec) marshalUpdate(blob []byte) {
 // against what the coordinator already knows (codec, expected word
 // count), so a malformed or adversarial blob produces an error — never
 // a panic, and nothing is allocated at all.
-func (c Codec) parseUpdate(blob []byte, wantWords int) ([]byte, error) {
+func (c ringCodec) parseUpdate(blob []byte, wantWords int) ([]byte, error) {
 	if len(blob) < updateHeader {
 		return nil, fmt.Errorf("federated: update blob of %d bytes is shorter than its header", len(blob))
 	}
-	if CodecKind(blob[0]) != c.Kind {
+	if dist.CompressionKind(blob[0]) != c.Kind {
 		return nil, fmt.Errorf("federated: update codec kind %d, round runs %s", blob[0], c)
 	}
 	width := int(blob[1])

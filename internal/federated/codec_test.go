@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"github.com/securetf/securetf/internal/tf/dist"
 )
 
 // packWords lays ring words out as a packed payload of the given width,
@@ -30,31 +32,32 @@ func wordAt(payload []byte, width, i int) uint64 {
 }
 
 // testBlob marshals ring words into a complete update blob.
-func testBlob(c Codec, words []uint64) []byte {
+func testBlob(c ringCodec, words []uint64) []byte {
 	blob := make([]byte, c.blobSize(len(words)))
 	copy(blob[updateHeader:], packWords(c.width(), words))
 	c.marshalUpdate(blob)
 	return blob
 }
 
+// TestCodecValidate pins which dist.Compression policies a federated
+// job accepts as its uplink codec, through the check NewClient and
+// NewCoordinator run.
 func TestCodecValidate(t *testing.T) {
 	cases := []struct {
 		name  string
-		codec Codec
+		codec dist.Compression
 		ok    bool
 	}{
-		{"none", NoCompression(), true},
-		{"int8 default clip", Codec{Kind: CodecInt8}, true},
-		{"int8 explicit clip", Int8Compression(), true},
-		{"int8 negative clip", Codec{Kind: CodecInt8, Clip: -1}, false},
-		{"topk", TopKCompression(0.1), true},
-		{"topk full", TopKCompression(1), true},
-		{"topk zero", TopKCompression(0), false},
-		{"topk above one", TopKCompression(1.5), false},
-		{"unknown kind", Codec{Kind: 9}, false},
+		{"none", dist.NoCompression(), true},
+		{"int8", dist.Int8Compression(), true},
+		{"topk", dist.TopKCompression(0.1), true},
+		{"topk full", dist.TopKCompression(1), true},
+		{"topk zero", dist.TopKCompression(0), false},
+		{"topk above one", dist.TopKCompression(1.5), false},
+		{"unknown kind", dist.Compression{Kind: 9}, false},
 	}
 	for _, tc := range cases {
-		err := tc.codec.validate()
+		_, err := tc.codec.Canonical()
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
@@ -62,32 +65,24 @@ func TestCodecValidate(t *testing.T) {
 			t.Errorf("%s: validation passed, want error", tc.name)
 		}
 	}
-	c := Codec{Kind: CodecInt8}
-	if err := c.validate(); err != nil || c.Clip != DefaultClip {
-		t.Fatalf("int8 zero clip normalized to %v (err %v), want %v", c.Clip, err, DefaultClip)
-	}
 }
 
+// TestCodecWireRoundTrip pins that the handshake's two codec fields
+// carry each uplink codec exactly, and that a kind no job runs comes
+// back as a policy no job accepts.
 func TestCodecWireRoundTrip(t *testing.T) {
-	for _, c := range []Codec{NoCompression(), Int8Compression(), TopKCompression(0.05)} {
-		if err := c.validate(); err != nil {
-			t.Fatal(err)
-		}
-		back, err := codecFromWire(uint8(c.Kind), c.param())
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		if back != c {
+	for _, c := range []dist.Compression{dist.NoCompression(), dist.Int8Compression(), dist.TopKCompression(0.05)} {
+		if back := dist.CompressionFromWire(c.Wire()); back != c {
 			t.Fatalf("wire round trip changed the codec: %v vs %v", back, c)
 		}
 	}
-	if _, err := codecFromWire(7, 0); err == nil {
+	if _, err := dist.CompressionFromWire(7, 0).Canonical(); err == nil {
 		t.Fatal("unknown wire codec kind accepted")
 	}
 }
 
 func TestCoordsPattern(t *testing.T) {
-	c := TopKCompression(0.25)
+	c := ringCodec{dist.TopKCompression(0.25)}
 	coords := c.coords(42, "w", 100)
 	if len(coords) != 25 {
 		t.Fatalf("fraction 0.25 of 100 coordinates kept %d, want 25", len(coords))
@@ -123,7 +118,7 @@ func TestCoordsPattern(t *testing.T) {
 	if n := len(c.coords(42, "w", 3)); n != 1 {
 		t.Fatalf("fraction 0.25 of 3 coordinates kept %d, want at least 1", n)
 	}
-	if NoCompression().coords(42, "w", 100) != nil {
+	if (ringCodec{dist.NoCompression()}).coords(42, "w", 100) != nil {
 		t.Fatal("dense codec produced a sparse pattern")
 	}
 }
@@ -133,10 +128,7 @@ func TestCoordsPattern(t *testing.T) {
 // the residual still held equals the total raw delta mass — nothing is
 // silently lost to quantization or sparsification.
 func TestEncodeConservation(t *testing.T) {
-	for _, c := range []Codec{NoCompression(), Int8Compression(), TopKCompression(0.3)} {
-		if err := c.validate(); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []ringCodec{{dist.NoCompression()}, {dist.Int8Compression()}, {dist.TopKCompression(0.3)}} {
 		const n = 40
 		var total, delivered [n]float64
 		residual, next := make([]float32, n), make([]float32, n)
@@ -168,10 +160,7 @@ func TestEncodeConservation(t *testing.T) {
 }
 
 func TestInt8Clipping(t *testing.T) {
-	c := Int8Compression()
-	if err := c.validate(); err != nil {
-		t.Fatal(err)
-	}
+	c := ringCodec{dist.Int8Compression()}
 	delta := []float32{10, -10, 0}
 	payload, res := make([]byte, 3*c.width()), make([]float32, 3)
 	c.encodeVar(payload, delta, make([]float32, 3), res, nil)
@@ -179,16 +168,13 @@ func TestInt8Clipping(t *testing.T) {
 		t.Fatalf("out-of-clip values quantized to %d and %d, want ±127", q0, q1)
 	}
 	// The clipped-away mass must land in the residual.
-	if math.Abs(float64(res[0])-(10-c.Clip)) > 1e-6 {
-		t.Fatalf("clipped residual %v, want %v", res[0], 10-c.Clip)
+	if math.Abs(float64(res[0])-(10-DefaultClip)) > 1e-6 {
+		t.Fatalf("clipped residual %v, want %v", res[0], 10-DefaultClip)
 	}
 }
 
 func TestMarshalParseRoundTrip(t *testing.T) {
-	for _, c := range []Codec{NoCompression(), Int8Compression(), TopKCompression(0.5)} {
-		if err := c.validate(); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []ringCodec{{dist.NoCompression()}, {dist.Int8Compression()}, {dist.TopKCompression(0.5)}} {
 		neg := int64(-42)
 		words := []uint64{0, 1, ^uint64(0), uint64(neg), 0x1234}
 		blob := testBlob(c, words)
@@ -208,7 +194,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 }
 
 func TestParseUpdateRejectsMalformed(t *testing.T) {
-	c := NoCompression()
+	c := ringCodec{dist.NoCompression()}
 	good := testBlob(c, []uint64{1, 2, 3})
 	cases := []struct {
 		name string
@@ -217,7 +203,7 @@ func TestParseUpdateRejectsMalformed(t *testing.T) {
 	}{
 		{"empty", nil, 3},
 		{"short header", good[:4], 3},
-		{"wrong kind", append([]byte{byte(CodecInt8)}, good[1:]...), 3},
+		{"wrong kind", append([]byte{byte(dist.CompressInt8)}, good[1:]...), 3},
 		{"wrong width", append([]byte{good[0], 2}, good[2:]...), 3},
 		{"wrong count", good, 4},
 		{"truncated body", good[:len(good)-3], 3},

@@ -32,16 +32,13 @@ type CoordinatorConfig struct {
 	// each round's cohort, in (0, 1]. Zero means 1 (sample everyone).
 	SampleFraction float64
 	// Quorum is the number of accepted uploads that completes a round,
-	// in [1, cohort size]. Required. Under CodecInt8 it is additionally
+	// in [1, cohort size]. Required. Under int8 it is additionally
 	// bounded so the 16-bit ring sum cannot overflow.
 	Quorum int
 	// Rounds is the number of FedAvg rounds to run. Required, ≥ 1.
 	Rounds int
-	// ServerLR scales the averaged update applied to the globals per
-	// round. Zero means 1 (plain FedAvg).
-	ServerLR float64
 	// Codec is the uplink quantizer every client must run.
-	Codec Codec
+	Codec dist.Compression
 	// Unmasked disables secure aggregation: clients upload bare
 	// quantized updates and dropout needs no seed reveals. The ablation
 	// arm of the sum-only property test, not a deployment mode.
@@ -87,6 +84,7 @@ type Stats struct {
 // answers, so its serve loop never blocks on a peer.
 type Coordinator struct {
 	cfg     CoordinatorConfig
+	codec   ringCodec // cfg.Codec over the integer ring
 	names   []string
 	sampled int
 
@@ -138,17 +136,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("federated: quorum %d outside [1, %d] (cohort of %d sampled from %d clients)",
 			cfg.Quorum, sampled, sampled, cfg.Clients)
 	}
-	if err := cfg.Codec.validate(); err != nil {
+	var err error
+	if cfg.Codec, err = cfg.Codec.Canonical(); err != nil {
 		return nil, err
 	}
-	if cfg.Codec.Kind == CodecInt8 && cfg.Quorum > maxInt8Quorum {
+	if cfg.Codec.Kind == dist.CompressInt8 && cfg.Quorum > maxInt8Quorum {
 		return nil, fmt.Errorf("federated: quorum %d overflows the int8 ring sum (max %d)", cfg.Quorum, maxInt8Quorum)
 	}
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("federated: CoordinatorConfig.Rounds must be ≥ 1, got %d", cfg.Rounds)
-	}
-	if cfg.ServerLR == 0 {
-		cfg.ServerLR = 1
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = &vtime.Clock{}
@@ -159,6 +155,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 	c := &Coordinator{
 		cfg:     cfg,
+		codec:   ringCodec{cfg.Codec},
 		sampled: sampled,
 		vars:    make(map[string]*tf.Tensor, len(cfg.Vars)),
 		doneCh:  make(chan struct{}),
@@ -208,8 +205,8 @@ func (c *Coordinator) openRoundLocked() {
 	c.acc = make([][]byte, len(c.names))
 	for i, name := range c.names {
 		n := len(c.vars[name].Floats())
-		c.coords[i] = c.cfg.Codec.coords(c.patternSeed, name, n)
-		c.acc[i] = make([]byte, wordCount(c.coords[i], n)*c.cfg.Codec.width())
+		c.coords[i] = c.codec.coords(c.patternSeed, name, n)
+		c.acc[i] = make([]byte, wordCount(c.coords[i], n)*c.codec.width())
 	}
 	c.received = make(map[uint32]bool, c.cfg.Quorum)
 	c.closing = false
@@ -302,16 +299,17 @@ func maskedPolicy(unmasked bool) uint8 {
 // misconfigured client fails at construction instead of poisoning a
 // round (or uploading unmasked).
 func (c *Coordinator) handshake(msg *dist.Message) *dist.Message {
+	kind, fraction := c.cfg.Codec.Wire()
 	resp := &dist.Message{
 		Kind:   dist.MsgManifest,
 		Shards: uint32(c.cfg.Clients),
 		Policy: maskedPolicy(c.cfg.Unmasked),
-		Codec:  uint8(c.cfg.Codec.Kind),
-		TopK:   c.cfg.Codec.param(),
+		Codec:  kind,
+		TopK:   fraction,
 		Names:  c.names,
 		OK:     true,
 	}
-	clientCodec, codecErr := codecFromWire(msg.Codec, msg.TopK)
+	clientCodec := dist.CompressionFromWire(msg.Codec, msg.TopK)
 	switch {
 	case int(msg.Worker) >= c.cfg.Clients:
 		resp.OK = false
@@ -320,9 +318,6 @@ func (c *Coordinator) handshake(msg *dist.Message) *dist.Message {
 		resp.OK = false
 		resp.Err = fmt.Sprintf("federated: client %d expects a population of %d, this job has %d",
 			msg.Worker, msg.Shards, c.cfg.Clients)
-	case codecErr != nil:
-		resp.OK = false
-		resp.Err = fmt.Sprintf("federated: client %d: %v", msg.Worker, codecErr)
 	case clientCodec != c.cfg.Codec:
 		resp.OK = false
 		resp.Err = fmt.Sprintf("federated: client %d uploads with codec %v, this job runs %v",
@@ -398,7 +393,7 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 	// Validate every variable before touching the accumulator, so a
 	// malformed upload is rejected atomically. The payloads alias the
 	// received frame; nothing is unpacked or copied.
-	width := c.cfg.Codec.width()
+	width := c.codec.width()
 	payloads := make([][]byte, len(c.names))
 	var bytes int64
 	for i, name := range c.names {
@@ -407,7 +402,7 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 			return &dist.Message{Kind: dist.MsgAck,
 				Err: fmt.Sprintf("federated: client %d upload is missing variable %q", id, name)}
 		}
-		payload, err := c.cfg.Codec.parseUpdate(blob, len(c.acc[i])/width)
+		payload, err := c.codec.parseUpdate(blob, len(c.acc[i])/width)
 		if err != nil {
 			return &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf("client %d %q: %v", id, name, err)}
 		}
@@ -491,7 +486,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 		seedOf[deadID] = key
 	}
 	for _, deadID := range c.dead {
-		subtractDeadMasks(c.acc, c.cfg.Codec.width(), seedOf[deadID], id, deadID, c.round)
+		subtractDeadMasks(c.acc, c.codec.width(), seedOf[deadID], id, deadID, c.round)
 	}
 	c.revealed[id] = true
 	c.stats.Reveals++
@@ -507,7 +502,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 // completes).
 func (c *Coordinator) finalizeLocked() {
 	q := float64(len(c.received))
-	width := c.cfg.Codec.width()
+	width := c.codec.width()
 	for n, name := range c.names {
 		v := c.vars[name].Floats()
 		coords := c.coords[n]
@@ -516,7 +511,7 @@ func (c *Coordinator) finalizeLocked() {
 			if coords != nil {
 				i = coords[w]
 			}
-			v[i] += float32(c.cfg.ServerLR * c.cfg.Codec.decodeSum(c.acc[n], w) / q)
+			v[i] += float32(c.codec.decodeSum(c.acc[n], w) / q)
 		}
 	}
 	c.stats.Rounds++

@@ -56,11 +56,12 @@
 //
 // # Codec interaction
 //
-// The uplink codec quantizes each client's model delta into ring words:
-// fixed-point int64 words (CodecNone), int8 steps of a public clip
-// bound shared by configuration (CodecInt8, 2-byte ring — the quorum
-// is bounded so the int16 sum cannot overflow), or fixed-point words at
-// a per-round pseudo-random coordinate pattern (CodecTopK). The top-k
+// The uplink codec — a dist.Compression policy, the training push
+// path's own type — quantizes each client's model delta into ring words:
+// fixed-point int64 words (CompressNone), int8 steps of the public clip
+// bound DefaultClip (CompressInt8, 2-byte ring — the quorum is bounded
+// so the int16 sum cannot overflow), or fixed-point words at a
+// per-round pseudo-random coordinate pattern (CompressTopK). The top-k
 // pattern is derived from the round's pattern seed by every cohort
 // member and the coordinator alike, because pairwise masks only cancel
 // if every pair masks the same coordinates — and it costs no index
@@ -101,13 +102,12 @@ const (
 // cleanly: the configured number of rounds has been committed.
 const trainingCompleteErr = "federated: training complete"
 
-// defaultPollInterval is the virtual time a client waits between polls
-// when it has no work (not sampled, or the round is closing).
-const defaultPollInterval = 10 * time.Millisecond
+// pollInterval is the virtual time a client waits between polls when it
+// has no work (not sampled, or the round is closing).
+const pollInterval = 10 * time.Millisecond
 
-// defaultStepCost is the virtual compute time charged per local SGD
-// step when the client config does not override it.
-const defaultStepCost = 2 * time.Millisecond
+// stepCost is the virtual compute time charged per local SGD step.
+const stepCost = 2 * time.Millisecond
 
 // jobKey derives a PRG key from the job seed for one purpose (salt) and
 // round, so sampling and pattern streams are domain-separated and

@@ -46,7 +46,7 @@ type jobSpec struct {
 	sampleFrac float64
 	quorum     int
 	rounds     int
-	codec      Codec
+	codec      dist.Compression
 	unmasked   bool
 	seed       int64
 	turnstile  bool
@@ -200,8 +200,16 @@ func payloadKey(round uint64, client uint32, name string) string {
 // uploads), yet the committed aggregate is bit-identical — the
 // coordinator learns the sum and nothing else, at zero accuracy cost.
 func TestFederatedSumOnlyProperty(t *testing.T) {
-	for _, codec := range []Codec{NoCompression(), Int8Compression(), TopKCompression(0.5)} {
-		t.Run(codec.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec dist.Compression
+	}{
+		{"none", dist.NoCompression()},
+		{"int8(clip=0.25)", dist.Int8Compression()}, // the ring codec's DefaultClip
+		{"topk(f=0.5)", dist.TopKCompression(0.5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			codec := tc.codec
 			spec := jobSpec{
 				population: 5, sampleFrac: 1, quorum: 5, rounds: 2,
 				codec: codec, seed: 21, turnstile: true,
@@ -252,7 +260,7 @@ func TestFederatedSumOnlyProperty(t *testing.T) {
 func TestFederatedNoneMatchesLocalTraining(t *testing.T) {
 	vars, stats, _ := runJob(t, jobSpec{
 		population: 1, sampleFrac: 1, quorum: 1, rounds: 1,
-		codec: NoCompression(), seed: 3, turnstile: true,
+		codec: dist.NoCompression(), seed: 3, turnstile: true,
 	})
 	if stats.Rounds != 1 {
 		t.Fatalf("committed %d rounds, want 1", stats.Rounds)
@@ -325,7 +333,7 @@ func TestFederatedQuorumStragglers(t *testing.T) {
 	straggler := func(id int) bool { return id >= 4 }
 	vars, stats, clientStats := runJob(t, jobSpec{
 		population: population, sampleFrac: 1, quorum: quorum, rounds: rounds,
-		codec: NoCompression(), seed: 9, turnstile: true,
+		codec: dist.NoCompression(), seed: 9, turnstile: true,
 		delay: func(id int, round uint64) time.Duration {
 			if straggler(id) {
 				return 10 * time.Second
@@ -381,7 +389,7 @@ func churnSpec(turnstile bool) jobSpec {
 	}
 	spec := jobSpec{
 		population: population, sampleFrac: 1, quorum: population - 2, rounds: 3,
-		codec: TopKCompression(0.5), seed: 17, turnstile: turnstile,
+		codec: dist.TopKCompression(0.5), seed: 17, turnstile: turnstile,
 		maxIdle: 1_000_000,
 		drop:    due,
 	}
@@ -448,7 +456,7 @@ func TestFederatedSampling(t *testing.T) {
 	var mu sync.Mutex
 	_, stats, clientStats := runJob(t, jobSpec{
 		population: population, sampleFrac: 0.4, quorum: 4, rounds: rounds,
-		codec: NoCompression(), seed: 5, turnstile: true,
+		codec: dist.NoCompression(), seed: 5, turnstile: true,
 		tap: func(round uint64, client uint32, name string, payload []byte) {
 			mu.Lock()
 			accepted[client] = true
@@ -504,13 +512,13 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		{"zero quorum", func(c *CoordinatorConfig) { c.Quorum = 0 }},
 		{"quorum above cohort", func(c *CoordinatorConfig) { c.Quorum = 51 }},
 		{"int8 ring overflow", func(c *CoordinatorConfig) {
-			c.Codec = Int8Compression()
+			c.Codec = dist.Int8Compression()
 			c.SampleFraction = 1
 			c.Quorum = maxInt8Quorum + 1
 			c.Clients = 1000
 		}},
 		{"zero rounds", func(c *CoordinatorConfig) { c.Rounds = 0 }},
-		{"bad codec", func(c *CoordinatorConfig) { c.Codec = TopKCompression(2) }},
+		{"bad codec", func(c *CoordinatorConfig) { c.Codec = dist.TopKCompression(2) }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -540,7 +548,7 @@ func TestClientConfigValidation(t *testing.T) {
 		{"id out of population", func(c *ClientConfig) { c.ID = 4 }},
 		{"negative id", func(c *ClientConfig) { c.ID = -1 }},
 		{"masked without secret", func(c *ClientConfig) { c.Secret = nil }},
-		{"bad codec", func(c *ClientConfig) { c.Codec = TopKCompression(-1) }},
+		{"bad codec", func(c *ClientConfig) { c.Codec = dist.TopKCompression(-1) }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -561,7 +569,7 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Listener: ln, Vars: dist.InitialVars(tinyModel(7).Graph),
-		Clients: 4, Quorum: 4, Rounds: 1, Codec: Int8Compression(), Seed: 1,
+		Clients: 4, Quorum: 4, Rounds: 1, Codec: dist.Int8Compression(), Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -571,15 +579,14 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	base := ClientConfig{
 		ID: 0, Addr: ln.Addr().String(), Model: tinyModel(7), XS: xs, YS: ys,
 		BatchSize: 5, LocalSteps: 1, LocalLR: 0.1, Population: 4,
-		Secret: testSecret, Codec: Int8Compression(),
+		Secret: testSecret, Codec: dist.Int8Compression(),
 	}
 	cases := []struct {
 		name string
 		mod  func(*ClientConfig)
 	}{
 		{"population mismatch", func(c *ClientConfig) { c.Population = 8; c.ID = 5 }},
-		{"codec mismatch", func(c *ClientConfig) { c.Codec = NoCompression() }},
-		{"clip mismatch", func(c *ClientConfig) { c.Codec = Codec{Kind: CodecInt8, Clip: 0.5} }},
+		{"codec mismatch", func(c *ClientConfig) { c.Codec = dist.NoCompression() }},
 		{"masking mismatch", func(c *ClientConfig) { c.Unmasked = true; c.Secret = nil }},
 	}
 	for _, tc := range cases {
@@ -634,7 +641,7 @@ func TestConnectionSpeaksForTheClientItGreetedAs(t *testing.T) {
 	hello := func(id uint32) *dist.Message {
 		return exchange(&dist.Message{Kind: dist.MsgHello, Worker: id, Shards: 3, Policy: maskedPolicy(true)})
 	}
-	codec := coord.cfg.Codec
+	codec := coord.codec
 	upload := make(map[string][]byte)
 	for i, name := range coord.names {
 		upload[name] = testBlob(codec, make([]uint64, len(coord.acc[i])/codec.width()))
@@ -689,20 +696,20 @@ func TestConnectionSpeaksForTheClientItGreetedAs(t *testing.T) {
 // header can lie — must be refused with every accumulator byte and every
 // counter as it was, and must not burn the client's slot in the round.
 func TestMalformedUploadLeavesAccumulatorUntouched(t *testing.T) {
-	for _, codec := range []Codec{NoCompression(), Int8Compression(), TopKCompression(0.5)} {
+	for _, policy := range []dist.Compression{dist.NoCompression(), dist.Int8Compression(), dist.TopKCompression(0.5)} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		coord, err := NewCoordinator(CoordinatorConfig{
 			Listener: ln, Vars: dist.InitialVars(tinyModel(7).Graph),
-			Clients: 3, Quorum: 3, Rounds: 1, Codec: codec, Seed: 1,
+			Clients: 3, Quorum: 3, Rounds: 1, Codec: policy, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer coord.Close()
-		codec = coord.cfg.Codec // normalized
+		codec := coord.codec
 		width := codec.width()
 		// A well-formed upload of distinct non-zero words for "b" and "w".
 		upload := func() map[string][]byte {
@@ -729,9 +736,9 @@ func TestMalformedUploadLeavesAccumulatorUntouched(t *testing.T) {
 		statsBefore := coord.Stats()
 
 		last := coord.names[len(coord.names)-1]
-		otherKind, otherWidth := byte(CodecInt8), byte(2)
-		if codec.Kind == CodecInt8 {
-			otherKind, otherWidth = byte(CodecNone), 8
+		otherKind, otherWidth := byte(dist.CompressInt8), byte(2)
+		if codec.Kind == dist.CompressInt8 {
+			otherKind, otherWidth = byte(dist.CompressNone), 8
 		}
 		cases := []struct {
 			name   string

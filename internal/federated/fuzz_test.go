@@ -2,6 +2,8 @@ package federated
 
 import (
 	"testing"
+
+	"github.com/securetf/securetf/internal/tf/dist"
 )
 
 // FuzzMaskedUpdate fuzzes the masked-update blob parser the coordinator
@@ -11,12 +13,7 @@ import (
 // is validated against the expected manifest size, and the parser
 // returns the blob's own bytes without sizing anything from it).
 func FuzzMaskedUpdate(f *testing.F) {
-	codecs := []Codec{NoCompression(), Int8Compression(), TopKCompression(0.5)}
-	for i := range codecs {
-		if err := codecs[i].validate(); err != nil {
-			f.Fatal(err)
-		}
-	}
+	codecs := []ringCodec{{dist.NoCompression()}, {dist.Int8Compression()}, {dist.TopKCompression(0.5)}}
 	for _, c := range codecs {
 		neg := int64(-3)
 		blob := testBlob(c, []uint64{0, 1, uint64(neg), 0x7fff, ^uint64(0)})

@@ -54,21 +54,22 @@ func wideShard(n int, seed int64) (*tf.Tensor, *tf.Tensor) {
 // reproduce them exactly.
 func TestFederatedWireGoldens(t *testing.T) {
 	cases := []struct {
-		codec         Codec
+		name          string
+		codec         dist.Compression
 		uploads, vars string
 	}{
-		{NoCompression(),
+		{"none", dist.NoCompression(),
 			"f55958d2d676215bf2068dc8fac00778aa4b32b3f3d04722446483d1d71129ee",
 			"46a70c16ac123fb0b6e975ce8f7c3372169d04b6a9ab38d953244e9efd6e15c3"},
-		{Int8Compression(),
+		{"int8(clip=0.25)", dist.Int8Compression(), // the ring codec's DefaultClip
 			"1eea53ba67a97e5eb149ce8230c83e9a0b41b45343528e172e990d861905ece0",
 			"8324969e00bb90c82d49dfb526010f8d514169523c29f608516c61385ddbefb7"},
-		{TopKCompression(0.5),
+		{"topk(f=0.5)", dist.TopKCompression(0.5),
 			"a7edc5a01ee2b3f592d3c3b365ec242294ddc8e8ef08a4132f540aef7a5b087c",
 			"6bbb4b95eae7e753dcb484b2e0808f59bf693e3257d5adcf87c1e57c255f957a"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.codec.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			const population, rounds = 5, 3
 			blobs := make(map[string][]byte)
 			finals, stats, _ := runJob(t, jobSpec{

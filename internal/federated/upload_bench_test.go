@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"github.com/securetf/securetf/internal/tf/dist"
 )
 
 // mlpUpdate returns zeroed packed payloads shaped like one client's
@@ -33,7 +35,7 @@ func cohortOf(n int) []uint32 {
 // measured against.
 func BenchmarkMaskUpload(b *testing.B) {
 	cohort := cohortOf(64)
-	for _, codec := range []Codec{Int8Compression(), NoCompression()} {
+	for _, codec := range []ringCodec{{dist.Int8Compression()}, {dist.NoCompression()}} {
 		b.Run(codec.String(), func(b *testing.B) {
 			payloads := mlpUpdate(codec.width())
 			b.SetBytes(int64((len(cohort) - 1) * updateSize(payloads)))

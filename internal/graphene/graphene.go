@@ -36,8 +36,6 @@ type Config struct {
 	Image sgx.Image
 	// HostFS is the untrusted host file system. Required.
 	HostFS fsapi.FS
-	// LibOSSize overrides DefaultLibOSSize when nonzero.
-	LibOSSize int64
 	// Threads is the number of in-enclave threads. Defaults to the
 	// platform's physical core count.
 	Threads int
@@ -59,9 +57,6 @@ func Launch(cfg Config) (*Runtime, error) {
 	if cfg.HostFS == nil {
 		return nil, fmt.Errorf("graphene: Config.HostFS is required")
 	}
-	if cfg.LibOSSize <= 0 {
-		cfg.LibOSSize = DefaultLibOSSize
-	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = cfg.Platform.Params().PhysicalCores
 	}
@@ -69,7 +64,7 @@ func Launch(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graphene: creating enclave: %w", err)
 	}
-	enclave.Alloc("graphene-libos", cfg.LibOSSize)
+	enclave.Alloc("graphene-libos", DefaultLibOSSize)
 	return &Runtime{cfg: cfg, enclave: enclave, threads: cfg.Threads}, nil
 }
 

@@ -18,6 +18,11 @@ import (
 	"time"
 )
 
+// ScaleUpFrac is the queue-depth fraction of the resolved QueueCap that
+// counts as pressure. Any admission rejection in a tick counts as
+// pressure regardless of depth.
+const ScaleUpFrac = 0.5
+
 // AutoscaleConfig tunes the gateway's replica autoscaler.
 type AutoscaleConfig struct {
 	// Tick is the virtual-time cadence between evaluation passes
@@ -29,10 +34,6 @@ type AutoscaleConfig struct {
 	MinReplicas int
 	// MaxReplicas caps scale-up (default 8).
 	MaxReplicas int
-	// ScaleUpFrac is the queue-depth fraction of the resolved QueueCap
-	// that counts as pressure (default 0.5). Any admission rejection in
-	// a tick counts as pressure regardless of depth.
-	ScaleUpFrac float64
 	// SustainTicks is how many consecutive pressure (or drained) ticks
 	// must accumulate before scaling up (or down) — sustained signal,
 	// not a single spike (default 2).
@@ -56,9 +57,6 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.MaxReplicas < 1 {
 		c.MaxReplicas = 8
 	}
-	if c.ScaleUpFrac <= 0 {
-		c.ScaleUpFrac = 0.5
-	}
 	if c.SustainTicks < 1 {
 		c.SustainTicks = 2
 	}
@@ -76,9 +74,6 @@ func (c AutoscaleConfig) validate() error {
 	}
 	if d.MinReplicas > d.MaxReplicas {
 		return fmt.Errorf("serving: autoscale MinReplicas %d exceeds MaxReplicas %d", d.MinReplicas, d.MaxReplicas)
-	}
-	if d.ScaleUpFrac > 1 {
-		return fmt.Errorf("serving: autoscale ScaleUpFrac %g outside (0, 1]", d.ScaleUpFrac)
 	}
 	return nil
 }
@@ -191,7 +186,7 @@ func (g *Gateway) evaluateModel(m *servedModel) {
 		if cfg.IdleTicks > 0 && st.idle >= cfg.IdleTicks && st.replicas > 0 {
 			g.setReplicasLocked(m, 0)
 		}
-	case dRej > 0 || float64(depth) >= cfg.ScaleUpFrac*float64(queueCap):
+	case dRej > 0 || float64(depth) >= ScaleUpFrac*float64(queueCap):
 		st.idle, st.drained = 0, 0
 		st.pressure++
 		if st.pressure >= cfg.SustainTicks && st.replicas < cfg.MaxReplicas {

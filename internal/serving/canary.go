@@ -18,6 +18,12 @@ import (
 	"time"
 )
 
+// MaxRejectDelta is the absolute delta that rolls a canary back: when
+// the model's admission-rejection fraction during the canary exceeds
+// its pre-canary baseline by more than it, or the candidate's error
+// fraction exceeds the incumbent's by more than it.
+const MaxRejectDelta = 0.05
+
 // CanaryConfig tunes one canary rollout.
 type CanaryConfig struct {
 	// Percent of unpinned traffic routed to the candidate, 1..99.
@@ -35,11 +41,6 @@ type CanaryConfig struct {
 	// MaxP99Ratio rolls back when the candidate's p99 virtual latency
 	// exceeds this multiple of the incumbent's (default 1.5).
 	MaxP99Ratio float64
-	// MaxRejectDelta rolls back when the model's admission-rejection
-	// fraction during the canary exceeds its pre-canary baseline by more
-	// than this absolute delta, or the candidate's error fraction
-	// exceeds the incumbent's by more than it (default 0.05).
-	MaxRejectDelta float64
 }
 
 // withDefaults fills unset canary knobs.
@@ -49,9 +50,6 @@ func (c CanaryConfig) withDefaults() CanaryConfig {
 	}
 	if c.MaxP99Ratio <= 0 {
 		c.MaxP99Ratio = 1.5
-	}
-	if c.MaxRejectDelta <= 0 {
-		c.MaxRejectDelta = 0.05
 	}
 	return c
 }
@@ -247,11 +245,11 @@ func (g *Gateway) decideCanary(m *servedModel, c *canaryRun) {
 			incP99 = incV.lat.p99()
 		}
 		switch {
-		case rejFrac > c.baseRejFrac+c.cfg.MaxRejectDelta:
+		case rejFrac > c.baseRejFrac+MaxRejectDelta:
 			phase = CanaryRolledBack
 			reason = fmt.Sprintf("rejection rate %.1f%% exceeds baseline %.1f%% by more than %.1f%%",
-				100*rejFrac, 100*c.baseRejFrac, 100*c.cfg.MaxRejectDelta)
-		case candErrFrac > incErrFrac+c.cfg.MaxRejectDelta:
+				100*rejFrac, 100*c.baseRejFrac, 100*MaxRejectDelta)
+		case candErrFrac > incErrFrac+MaxRejectDelta:
 			phase = CanaryRolledBack
 			reason = fmt.Sprintf("candidate error rate %.1f%% exceeds incumbent %.1f%%",
 				100*candErrFrac, 100*incErrFrac)

@@ -60,11 +60,12 @@ type RetryPolicy struct {
 	// (default 3).
 	MaxAttempts int
 	// BaseBackoff is the backoff before the first retry (default 1ms);
-	// it doubles per retry up to MaxBackoff (default 16ms).
+	// it doubles per retry up to maxBackoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry backoff.
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the per-retry backoff.
+const maxBackoff = 16 * time.Millisecond
 
 // withDefaults fills unset retry knobs.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -73,9 +74,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 16 * time.Millisecond
 	}
 	return p
 }
@@ -231,9 +229,7 @@ func (cl *Client) Do(req WireRequest) (WireResponse, error) {
 // identity, not a global RNG, keeping replays bit-identical.
 func (cl *Client) backoff(p RetryPolicy, model string, attempt int) {
 	d := p.BaseBackoff << (attempt - 1)
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
+	d = min(d, maxBackoff)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d/%d", model, attempt, cl.retries.Load())
 	jitter := time.Duration(h.Sum64() % uint64(d/2+1))

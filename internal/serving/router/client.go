@@ -28,9 +28,6 @@ type ClientConfig struct {
 	// surfaces at dial time instead of mid-traffic.
 	ExpectModels []string
 	ExpectGraphs []string
-	// Retry, when set, enables overload retries on the underlying
-	// serving client.
-	Retry *serving.RetryPolicy
 }
 
 // Client is a connection to a router, post-handshake.
@@ -76,11 +73,7 @@ func DialClient(c *core.Container, addr, serverName string, cfg ClientConfig) (*
 			return nil, fmt.Errorf("%w: manifest has no graph %q", ErrManifestMismatch, graph)
 		}
 	}
-	cl := serving.NewClientConn(conn, c.Clock())
-	if cfg.Retry != nil {
-		cl.SetRetry(*cfg.Retry)
-	}
-	return &Client{cl: cl, manifest: m}, nil
+	return &Client{cl: serving.NewClientConn(conn, c.Clock()), manifest: m}, nil
 }
 
 // Manifest returns the verified placement manifest from the handshake.

@@ -65,24 +65,16 @@ type Config struct {
 	// Key signs the placement manifest; a fresh key is generated when
 	// nil. Clients pin the public key via their VerifyKey.
 	Key *seccrypto.SigningKey
-	// TickEvery is the virtual-time period of the health ticks that
-	// refresh spread weights and probe dead nodes (default 20ms).
-	TickEvery time.Duration
-	// PoolSize caps the cached backend connections per node (default 4);
-	// bursts beyond it dial extra connections that are closed on return.
-	PoolSize int
 }
 
-// withDefaults fills unset knobs.
-func (cfg Config) withDefaults() Config {
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 20 * time.Millisecond
-	}
-	if cfg.PoolSize < 1 {
-		cfg.PoolSize = 4
-	}
-	return cfg
-}
+const (
+	// tickEvery is the virtual-time period of the health ticks that
+	// refresh spread weights and probe dead nodes.
+	tickEvery = 20 * time.Millisecond
+	// poolSize caps the cached backend connections per node; bursts
+	// beyond it dial extra connections that are closed on return.
+	poolSize = 4
+)
 
 // node is the router's live state for one gateway node.
 type node struct {
@@ -109,7 +101,6 @@ type node struct {
 // Router fronts a fleet of gateway nodes.
 type Router struct {
 	container *core.Container
-	cfg       Config
 	clock     *vtime.Clock
 	key       *seccrypto.SigningKey
 	manifest  Manifest
@@ -144,14 +135,12 @@ func New(c *core.Container, addr string, cfg Config) (*Router, error) {
 	if c == nil {
 		return nil, fmt.Errorf("router: nil container")
 	}
-	cfg = cfg.withDefaults()
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("router: no nodes configured")
 	}
 
 	r := &Router{
 		container: c,
-		cfg:       cfg,
 		clock:     c.Clock(),
 		key:       cfg.Key,
 		placement: make(map[string][]*node),
@@ -453,7 +442,7 @@ func (r *Router) conn(n *node) (*serving.Client, error) {
 // pool is at capacity.
 func (r *Router) putConn(n *node, cl *serving.Client) {
 	n.mu.Lock()
-	if len(n.free) < r.cfg.PoolSize {
+	if len(n.free) < poolSize {
 		n.free = append(n.free, cl)
 		n.mu.Unlock()
 		return
@@ -462,7 +451,7 @@ func (r *Router) putConn(n *node, cl *serving.Client) {
 	cl.Close()
 }
 
-// maybeTick runs a health tick when TickEvery of virtual time has
+// maybeTick runs a health tick when tickEvery of virtual time has
 // passed since the last one: weights follow each node's rejection and
 // error rates over the window, and dead nodes are probed for recovery.
 // Lazy ticks keep the router deterministic — health evolves with the
@@ -471,7 +460,7 @@ func (r *Router) maybeTick() {
 	now := r.clock.Now()
 	r.tickMu.Lock()
 	defer r.tickMu.Unlock()
-	if now-r.lastTick < r.cfg.TickEvery {
+	if now-r.lastTick < tickEvery {
 		return
 	}
 	r.lastTick = now
@@ -533,7 +522,7 @@ func (r *Router) probe(n *node) {
 // deterministic hook for tests and operators (probe dead nodes now).
 func (r *Router) TickHealth() {
 	r.tickMu.Lock()
-	r.lastTick = r.clock.Now() - r.cfg.TickEvery
+	r.lastTick = r.clock.Now() - tickEvery
 	r.tickMu.Unlock()
 	r.maybeTick()
 }

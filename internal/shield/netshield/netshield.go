@@ -19,7 +19,6 @@ import (
 	"crypto/x509"
 	"fmt"
 	"net"
-	"time"
 
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/vtime"
@@ -41,10 +40,6 @@ type Config struct {
 	// certificate (mutual TLS). Default true — in secureTF both sides
 	// are attested services.
 	RequireClientCert bool
-	// RTT is the network round-trip time to peers, charged during the
-	// handshake (TCP connect + TLS 1.3 = 2 RTT). Defaults to
-	// Params.LANRTT.
-	RTT time.Duration
 }
 
 // Shield wraps connections in TLS and charges shield costs.
@@ -66,15 +61,10 @@ func New(cfg Config) (*Shield, error) {
 	return &Shield{cfg: cfg}, nil
 }
 
-func (s *Shield) rtt() time.Duration {
-	if s.cfg.RTT > 0 {
-		return s.cfg.RTT
-	}
-	return s.cfg.Params.LANRTT
-}
-
+// chargeHandshake charges the handshake's CPU cost and its two network
+// round trips to peers (TCP connect + TLS 1.3).
 func (s *Shield) chargeHandshake() {
-	s.cfg.Clock.Advance(s.cfg.Params.TLSHandshakeCost + 2*s.rtt())
+	s.cfg.Clock.Advance(s.cfg.Params.TLSHandshakeCost + 2*s.cfg.Params.LANRTT)
 }
 
 // Client performs a TLS client handshake over conn, verifying the server

@@ -1,12 +1,13 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // CompressionKind selects the gradient codec a training cluster runs on
@@ -55,13 +56,14 @@ func TopKCompression(f float64) Compression {
 	return Compression{Kind: CompressTopK, Fraction: f}
 }
 
-// normalize canonicalizes the policy so equality comparisons (the
-// handshake, tests) are well defined: only top-k carries a fraction.
-func (c Compression) normalize() Compression {
+// Canonical validates the policy and returns it in the form equality
+// comparisons (the handshake, tests) are defined on: only top-k carries
+// a fraction.
+func (c Compression) Canonical() (Compression, error) {
 	if c.Kind != CompressTopK {
 		c.Fraction = 0
 	}
-	return c
+	return c, c.validate()
 }
 
 // validate rejects codecs no shard could run.
@@ -93,16 +95,21 @@ func (c Compression) String() string {
 	}
 }
 
-// wireCompression flattens the codec into its two wire fields (kind and
-// the fraction's IEEE-754 bits, so the handshake comparison is exact).
-func wireCompression(c Compression) (uint8, uint64) {
-	c = c.normalize()
+// Wire flattens a canonical codec into its two handshake fields (kind
+// and the fraction's IEEE-754 bits, so the comparison is exact).
+func (c Compression) Wire() (kind uint8, fraction uint64) {
 	return uint8(c.Kind), math.Float64bits(c.Fraction)
 }
 
-// compressionFromWire rebuilds a normalized codec from the wire fields.
-func compressionFromWire(kind uint8, fraction uint64) Compression {
-	return Compression{Kind: CompressionKind(kind), Fraction: math.Float64frombits(fraction)}.normalize()
+// CompressionFromWire rebuilds a codec from the handshake fields, in
+// canonical form but not validated: a peer's codec is only ever
+// compared with the local, validated one.
+func CompressionFromWire(kind uint8, fraction uint64) Compression {
+	c := Compression{Kind: CompressionKind(kind)}
+	if c.Kind == CompressTopK {
+		c.Fraction = math.Float64frombits(fraction)
+	}
+	return c
 }
 
 // Encoded gradient blob layout (little endian), self-describing so a
@@ -110,7 +117,7 @@ func compressionFromWire(kind uint8, fraction uint64) Compression {
 // shape before any allocation is sized from attacker-controlled bytes:
 //
 //	kind  uint8            CompressInt8 | CompressTopK
-//	dims  uint8            ≤ maxGradDims
+//	dims  uint8            ≤ maxGradDims, and the variable's own rank
 //	dim   uint32 × dims
 //	int8:  scale float32bits, elems × int8
 //	topk:  k uint32, k × uint32 strictly increasing indices, k × float32bits
@@ -147,12 +154,11 @@ func (c Compression) compress(g *tf.Tensor, residual []float32) (blob []byte, ne
 	if len(shape) > maxGradDims {
 		return nil, nil, fmt.Errorf("dist: gradient rank %d exceeds the codec limit %d", len(shape), maxGradDims)
 	}
-	var buf []byte
-	buf = append(buf, uint8(c.Kind), uint8(len(shape)))
-	var scratch [4]byte
+	var w wire.Writer
+	w.U8(uint8(c.Kind))
+	w.U8(uint8(len(shape)))
 	for _, d := range shape {
-		binary.LittleEndian.PutUint32(scratch[:], uint32(d))
-		buf = append(buf, scratch[:]...)
+		w.U32(uint32(d))
 	}
 	newResidual = make([]float32, len(val))
 	switch c.Kind {
@@ -164,8 +170,8 @@ func (c Compression) compress(g *tf.Tensor, residual []float32) (blob []byte, ne
 			}
 		}
 		scale := maxAbs / 127
-		binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(scale))
-		buf = append(buf, scratch[:]...)
+		w.Buf = slices.Grow(w.Buf, 4+len(val))
+		w.U32(math.Float32bits(scale))
 		for i, v := range val {
 			var q int8
 			if scale > 0 {
@@ -177,7 +183,7 @@ func (c Compression) compress(g *tf.Tensor, residual []float32) (blob []byte, ne
 				}
 				q = int8(r)
 			}
-			buf = append(buf, byte(q))
+			w.U8(byte(q))
 			newResidual[i] = v - float32(float32(q)*scale)
 		}
 	case CompressTopK:
@@ -200,20 +206,18 @@ func (c Compression) compress(g *tf.Tensor, residual []float32) (blob []byte, ne
 		selectTopK(order, val, k)
 		kept := order[:k]
 		sort.Ints(kept)
-		binary.LittleEndian.PutUint32(scratch[:], uint32(k))
-		buf = append(buf, scratch[:]...)
+		w.Buf = slices.Grow(w.Buf, 4+8*k)
+		w.U32(uint32(k))
 		for _, idx := range kept {
-			binary.LittleEndian.PutUint32(scratch[:], uint32(idx))
-			buf = append(buf, scratch[:]...)
+			w.U32(uint32(idx))
 		}
 		copy(newResidual, val)
 		for _, idx := range kept {
-			binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(val[idx]))
-			buf = append(buf, scratch[:]...)
+			w.U32(math.Float32bits(val[idx]))
 			newResidual[idx] = 0 // sent exactly; nothing left behind
 		}
 	}
-	return buf, newResidual, nil
+	return w.Buf, newResidual, nil
 }
 
 // gradBefore is the top-k ranking: magnitude descending, index
@@ -268,75 +272,56 @@ func selectTopK(order []int, val []float32, k int) {
 // match it, so no allocation is ever sized from attacker-controlled
 // bytes, and a corrupt or truncated blob is an error, never a panic.
 func decompressGrad(blob []byte, want tf.Shape) (*tf.Tensor, error) {
-	if len(blob) < 2 {
-		return nil, fmt.Errorf("dist: gradient blob of %d bytes is truncated", len(blob))
-	}
-	kind := CompressionKind(blob[0])
-	dims := int(blob[1])
-	if dims > maxGradDims {
-		return nil, fmt.Errorf("dist: gradient blob rank %d exceeds the codec limit %d", dims, maxGradDims)
-	}
-	off := 2
-	if len(blob) < off+4*dims {
-		return nil, fmt.Errorf("dist: gradient blob truncated in the shape header")
-	}
-	if dims != len(want) {
+	r := wire.NewReader(blob)
+	kind, dims := CompressionKind(r.U8()), int(r.U8())
+	if r.Err() == nil && dims != len(want) {
 		return nil, fmt.Errorf("dist: gradient blob rank %d, variable has rank %d", dims, len(want))
 	}
-	shape := make(tf.Shape, dims)
-	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(blob[off:]))
-		off += 4
-		if shape[i] != want[i] {
-			return nil, fmt.Errorf("dist: gradient blob shape %v does not match variable shape %v", shape, want)
-		}
-	}
+	shape := make(tf.Shape, len(want))
 	elems := 1
-	for _, d := range shape {
-		elems *= d
+	for i := range shape {
+		shape[i] = int(r.U32())
+		elems *= want[i]
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dist: gradient blob truncated in the shape header: %w", err)
+	}
+	if !shape.Equal(want) {
+		return nil, fmt.Errorf("dist: gradient blob shape %v does not match variable shape %v", shape, want)
 	}
 	out := make([]float32, elems)
 	switch kind {
 	case CompressInt8:
-		if len(blob) < off+4 {
-			return nil, fmt.Errorf("dist: int8 gradient blob truncated before the scale")
+		scale := math.Float32frombits(r.U32())
+		vals := r.Next(elems)
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("dist: int8 gradient blob of %d elements: %w", elems, err)
 		}
-		scale := math.Float32frombits(binary.LittleEndian.Uint32(blob[off:]))
-		off += 4
 		if math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) || scale < 0 {
 			return nil, fmt.Errorf("dist: int8 gradient blob has invalid scale %v", scale)
 		}
-		if len(blob) != off+elems {
-			return nil, fmt.Errorf("dist: int8 gradient blob has %d value bytes, want %d", len(blob)-off, elems)
-		}
-		for i := 0; i < elems; i++ {
-			out[i] = float32(int8(blob[off+i])) * scale
+		for i, b := range vals {
+			out[i] = float32(int8(b)) * scale
 		}
 	case CompressTopK:
-		if len(blob) < off+4 {
-			return nil, fmt.Errorf("dist: top-k gradient blob truncated before the count")
-		}
-		k := int(binary.LittleEndian.Uint32(blob[off:]))
-		off += 4
-		if k < 1 || k > elems {
+		k := r.Count(8) // an index and a value each
+		if r.Err() == nil && (k < 1 || k > elems) {
 			return nil, fmt.Errorf("dist: top-k gradient blob keeps %d of %d entries", k, elems)
-		}
-		if len(blob) != off+8*k {
-			return nil, fmt.Errorf("dist: top-k gradient blob has %d entry bytes, want %d", len(blob)-off, 8*k)
 		}
 		idx := make([]int, k)
 		prev := -1
-		for i := 0; i < k; i++ {
-			v := int(binary.LittleEndian.Uint32(blob[off:]))
-			off += 4
+		for i := range idx {
+			v := int(r.U32())
 			if v <= prev || v >= elems {
 				return nil, fmt.Errorf("dist: top-k gradient blob index %d out of order or range (elems %d)", v, elems)
 			}
 			idx[i], prev = v, v
 		}
-		for i := 0; i < k; i++ {
-			out[idx[i]] = math.Float32frombits(binary.LittleEndian.Uint32(blob[off:]))
-			off += 4
+		for _, i := range idx {
+			out[i] = math.Float32frombits(r.U32())
+		}
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("dist: top-k gradient blob of %d entries: %w", k, err)
 		}
 	default:
 		return nil, fmt.Errorf("dist: gradient blob has unknown codec kind %d", kind)

@@ -13,8 +13,8 @@ import (
 // top-k carries a fraction, invalid fractions and kinds are rejected,
 // and the wire round trip is exact.
 func TestCompressionNormalizeAndValidate(t *testing.T) {
-	if got := (Compression{Kind: CompressInt8, Fraction: 0.5}).normalize(); got != Int8Compression() {
-		t.Fatalf("int8 normalize kept a fraction: %+v", got)
+	if got, err := (Compression{Kind: CompressInt8, Fraction: 0.5}).Canonical(); err != nil || got != Int8Compression() {
+		t.Fatalf("canonical int8 kept a fraction: %+v (err %v)", got, err)
 	}
 	if err := TopKCompression(0).validate(); err == nil {
 		t.Fatal("top-k fraction 0 accepted")
@@ -26,8 +26,8 @@ func TestCompressionNormalizeAndValidate(t *testing.T) {
 		t.Fatal("unknown codec kind accepted")
 	}
 	for _, c := range []Compression{NoCompression(), Int8Compression(), TopKCompression(0.05)} {
-		kind, frac := wireCompression(c)
-		if got := compressionFromWire(kind, frac); got != c.normalize() {
+		kind, frac := c.Wire()
+		if got := CompressionFromWire(kind, frac); got != c {
 			t.Fatalf("wire round trip changed %v into %v", c, got)
 		}
 	}

@@ -19,8 +19,8 @@ func fuzzSeedFrames() [][]byte {
 	if err != nil {
 		panic(err)
 	}
-	int8Codec, int8Frac := wireCompression(Int8Compression())
-	topkCodec, topkFrac := wireCompression(TopKCompression(0.05))
+	int8Codec, int8Frac := Int8Compression().Wire()
+	topkCodec, topkFrac := TopKCompression(0.05).Wire()
 	frames := []*message{
 		{Kind: msgHello, Worker: 3, Shard: 1, Shards: 2, Policy: 1, Staleness: 8},
 		{Kind: msgHello, Worker: 4, Shards: 1, Codec: topkCodec, TopK: topkFrac},

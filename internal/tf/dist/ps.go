@@ -224,8 +224,8 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 	if cfg.Consistency.Kind > ConsistencyAsync {
 		return nil, fmt.Errorf("dist: unknown consistency kind %d", cfg.Consistency.Kind)
 	}
-	cfg.Compression = cfg.Compression.normalize()
-	if err := cfg.Compression.validate(); err != nil {
+	var err error
+	if cfg.Compression, err = cfg.Compression.Canonical(); err != nil {
 		return nil, err
 	}
 	if cfg.MinWorkers == 0 {
@@ -442,7 +442,7 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 // fails fast instead of hanging on a barrier that can never fill.
 func (ps *ParameterServer) handshake(msg *message) *message {
 	policy, staleness := wirePolicy(ps.cfg.Consistency)
-	codec, topk := wireCompression(ps.cfg.Compression)
+	codec, topk := ps.cfg.Compression.Wire()
 	resp := &message{
 		Kind:      msgManifest,
 		Shard:     uint32(ps.cfg.Shard),
@@ -466,7 +466,7 @@ func (ps *ParameterServer) handshake(msg *message) *message {
 		resp.OK = false
 		resp.Err = fmt.Sprintf("dist: worker %d expects shard %d to run %v, but it runs %v (mixed-policy cluster)",
 			msg.Worker, ps.cfg.Shard, want, ps.cfg.Consistency)
-	} else if want := compressionFromWire(msg.Codec, msg.TopK); want != ps.cfg.Compression {
+	} else if want := CompressionFromWire(msg.Codec, msg.TopK); want != ps.cfg.Compression {
 		resp.OK = false
 		resp.Err = fmt.Sprintf("dist: worker %d pushes with codec %v, but shard %d decodes %v (mixed-codec cluster)",
 			msg.Worker, want, ps.cfg.Shard, ps.cfg.Compression)

@@ -198,8 +198,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			return nil, fmt.Errorf("dist: unknown consistency kind %d expected of shard %d", p.Kind, s)
 		}
 	}
-	cfg.Compression = cfg.Compression.normalize()
-	if err := cfg.Compression.validate(); err != nil {
+	var err error
+	if cfg.Compression, err = cfg.Compression.Canonical(); err != nil {
 		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
 	}
 
@@ -265,7 +265,7 @@ func (w *Worker) newLink(s int, conn net.Conn) *Link {
 // worker clock directly.
 func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 	policy, staleness := wirePolicy(w.policies[s])
-	codec, topk := wireCompression(w.cfg.Compression)
+	codec, topk := w.cfg.Compression.Wire()
 	req := &message{
 		Kind:      msgHello,
 		Worker:    uint32(w.cfg.ID),
@@ -294,7 +294,7 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 		return fmt.Errorf("dist: worker %d expects shard %d to run %v, but it runs %v (mixed-policy cluster)",
 			w.cfg.ID, s, w.policies[s], got)
 	}
-	if got := compressionFromWire(resp.Codec, resp.TopK); got != w.cfg.Compression {
+	if got := CompressionFromWire(resp.Codec, resp.TopK); got != w.cfg.Compression {
 		return fmt.Errorf("dist: worker %d pushes with codec %v, but shard %d decodes %v (mixed-codec cluster)",
 			w.cfg.ID, w.cfg.Compression, s, got)
 	}

@@ -10,9 +10,10 @@
 //
 // Every byte that crosses the enclave boundary is hostile, so every
 // variable-length format in the module — dist and federated messages,
-// serving requests and responses, the router handshake, tensors, graphs,
-// checkpoints, Lite models — is built from the same few records, and
-// one Reader is the only code that turns their bytes into lengths:
+// dist gradient blobs, serving requests and responses, the router
+// handshake, tensors, graphs, checkpoints, Lite models — is built from
+// the same few records, and one Reader is the only code that turns
+// their bytes into lengths:
 //
 //   - Integers are fixed-width and little-endian (U8, U16, U32, U64); a
 //     bool is one byte.
@@ -35,8 +36,8 @@
 //     once.
 //
 // Fixed-offset layouts with no variable-length part (fsshield block
-// metadata, CAS store records, the federated 6-byte update header, the
-// dist gradient blobs) index their bytes directly.
+// metadata, CAS store records, the federated 6-byte update header)
+// index their bytes directly.
 package wire
 
 import (

@@ -2,7 +2,6 @@ package securetf
 
 import (
 	"crypto/ecdsa"
-	"time"
 
 	"github.com/securetf/securetf/internal/serving"
 	"github.com/securetf/securetf/internal/serving/router"
@@ -58,7 +57,7 @@ const (
 
 // RetryPolicy makes a ModelClient retry overload rejections with capped
 // exponential backoff and deterministic jitter; enable it with
-// ModelClient.SetRetry or the Retry field of the client configs.
+// ModelClient.SetRetry (RouterClient.SetRetry on a router connection).
 type RetryPolicy = serving.RetryPolicy
 
 // ServingMetrics is one model version's serving counters: requests
@@ -113,21 +112,12 @@ type ModelClientConfig struct {
 	// ServerName is the service identity the gateway must present when
 	// the network shield is provisioned (empty for plain TCP).
 	ServerName string
-	// Retry, when set, enables overload retries.
-	Retry *RetryPolicy
 }
 
 // DialModelServer connects a container to a serving gateway, using the
 // container's shielded dial when the network shield is provisioned.
 func DialModelServer(c *Container, cfg ModelClientConfig) (*ModelClient, error) {
-	cl, err := serving.Dial(c, cfg.Addr, cfg.ServerName)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Retry != nil {
-		cl.SetRetry(*cfg.Retry)
-	}
-	return cl, nil
+	return serving.Dial(c, cfg.Addr, cfg.ServerName)
 }
 
 // Router is the front-end tier of a multi-node serving fleet: it
@@ -192,11 +182,6 @@ type RouterConfig struct {
 	Nodes []RouterNode
 	// Graphs are the inference graphs to compile and serve.
 	Graphs []GraphSpec
-	// TickEvery is the virtual-time period of the health ticks driving
-	// spread weights and dead-node probes (default 20ms).
-	TickEvery time.Duration
-	// PoolSize caps the cached backend connections per node (default 4).
-	PoolSize int
 }
 
 // ServeRouter starts a router tier over a fleet of gateway nodes. It
@@ -204,12 +189,7 @@ type RouterConfig struct {
 // models the placement declares for it, or if a graph references an
 // unplaced model.
 func ServeRouter(c *Container, cfg RouterConfig) (*Router, error) {
-	return router.New(c, cfg.Addr, router.Config{
-		Nodes:     cfg.Nodes,
-		Graphs:    cfg.Graphs,
-		TickEvery: cfg.TickEvery,
-		PoolSize:  cfg.PoolSize,
-	})
+	return router.New(c, cfg.Addr, router.Config{Nodes: cfg.Nodes, Graphs: cfg.Graphs})
 }
 
 // RouterClient talks to a Router after the manifest handshake; its
@@ -229,8 +209,6 @@ type RouterClientConfig struct {
 	// ErrManifestMismatch unless the fleet places all of them.
 	ExpectModels []string
 	ExpectGraphs []string
-	// Retry, when set, enables overload retries.
-	Retry *RetryPolicy
 }
 
 // DialRouter connects a container to a router: it declares the client's
@@ -241,6 +219,5 @@ func DialRouter(c *Container, cfg RouterClientConfig) (*RouterClient, error) {
 		VerifyKey:    cfg.VerifyKey,
 		ExpectModels: cfg.ExpectModels,
 		ExpectGraphs: cfg.ExpectGraphs,
-		Retry:        cfg.Retry,
 	})
 }
