@@ -1,6 +1,6 @@
 // Command securetf-vet runs the secureTF static-invariant suite
-// (internal/analysis): nowallclock, detrand, shieldedfs,
-// blockingsyscall and wirealloc.
+// (internal/analysis): nowallclock, detrand, shieldedfs, rawnet and
+// wirealloc.
 //
 // It drives the analyzers two ways:
 //

@@ -416,10 +416,10 @@
 //   - shieldedfs: enclave code never does direct package os file I/O;
 //     persistent state goes through fsapi.FS so it passes the FS
 //     shield. internal/fsapi, cmd/ and examples/ are exempt.
-//   - blockingsyscall: SCONE-hosted packages never mint raw net/tls
-//     conns or call Read/Accept on values typed as raw net
-//     conns/listeners; blocking waits must go through internal/sysio's
-//     conn and listener, which the container's Listen/Dial return.
+//   - rawnet: SCONE-hosted packages never mint raw net/tls conns or
+//     listeners; they come from the container's Listen/Dial, because a
+//     raw conn skips the runtime's syscall charges and the network
+//     shield.
 //   - wirealloc: an integer decoded from wire bytes is bounds-checked
 //     before it sizes a make() or bounds an append loop.
 //

@@ -6,11 +6,11 @@
 //
 // Five analyzers enforce the properties doc.go promises:
 //
-//   - nowallclock:     no ambient wall clock in vtime-accounted packages
-//   - detrand:         no global math/rand in deterministic-trajectory code
-//   - shieldedfs:      no direct os file I/O outside the FS shield
-//   - blockingsyscall: no raw net conns/listeners outside the SCONE ring
-//   - wirealloc:       no attacker-sized allocations in wire decoders
+//   - nowallclock: no ambient wall clock in vtime-accounted packages
+//   - detrand:     no global math/rand in deterministic-trajectory code
+//   - shieldedfs:  no direct os file I/O outside the FS shield
+//   - rawnet:      no raw net/tls conns or listeners in enclave code
+//   - wirealloc:   no attacker-sized allocations in wire decoders
 //
 // A finding is suppressed by an annotated directive on the offending
 // line (or the line above it):
@@ -84,7 +84,7 @@ func All() []*Analyzer {
 		NoWallClock,
 		DetRand,
 		ShieldedFS,
-		BlockingSyscall,
+		RawNet,
 		WireAlloc,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })

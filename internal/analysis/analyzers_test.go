@@ -24,8 +24,8 @@ func TestShieldedFS(t *testing.T) {
 	analysistest.Run(t, "testdata/shieldedfs", "fixture/serving/checkpoint", analysis.ShieldedFS)
 }
 
-func TestBlockingSyscall(t *testing.T) {
-	analysistest.Run(t, "testdata/blockingsyscall", "fixture/serving", analysis.BlockingSyscall)
+func TestRawNet(t *testing.T) {
+	analysistest.Run(t, "testdata/rawnet", "fixture/serving", analysis.RawNet)
 }
 
 func TestWireAlloc(t *testing.T) {

@@ -83,16 +83,11 @@ func (r *Runtime) Device(threads int) device.Device {
 	return device.NewEnclave(r.Name(), r.enclave, threads, device.LibcGlibcFactor)
 }
 
-// Syscall executes fn synchronously: the thread exits the enclave, the
-// host performs the call, and the thread re-enters.
-func (r *Runtime) Syscall(fn func()) {
-	r.Submit()
-	fn()
-}
-
-// Submit charges one synchronous call: one full transition round trip,
-// plus a touch of library-OS state on the way through.
-func (r *Runtime) Submit() {
+// Syscall charges one synchronous call: the thread exits the enclave,
+// the host performs the call and the thread re-enters — one full
+// transition round trip, plus a touch of library-OS state on the way
+// through.
+func (r *Runtime) Syscall() {
 	r.enclave.Transition()
 	// The libOS syscall emulation layer touches its own in-enclave state
 	// (file descriptor tables, handle maps) on every call.

@@ -43,7 +43,7 @@ func TestLibOSInflatesFootprint(t *testing.T) {
 func TestSyscallChargesTransition(t *testing.T) {
 	rt := launchTest(t)
 	base := rt.Enclave().Stats()
-	rt.Syscall(func() {})
+	rt.Syscall()
 	after := rt.Enclave().Stats()
 	if got := after.Transitions - base.Transitions; got != 1 {
 		t.Fatalf("transitions per syscall = %d, want 1 (synchronous design)", got)
@@ -77,7 +77,7 @@ func TestSyscallsCostMoreThanScone(t *testing.T) {
 	rt := launchTest(t)
 	start := rt.Enclave().Clock().Now()
 	for i := 0; i < 1000; i++ {
-		rt.Syscall(func() {})
+		rt.Syscall()
 	}
 	grapheneCost := rt.Enclave().Clock().Now() - start
 

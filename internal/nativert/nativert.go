@@ -94,14 +94,8 @@ func (r *Runtime) Device(threads int) device.Device {
 	return device.NewCPU(r.Name(), r.cfg.Params, r.cfg.Clock, threads, r.cfg.Libc.factor())
 }
 
-// Syscall charges an ordinary kernel crossing and runs fn.
-func (r *Runtime) Syscall(fn func()) {
-	r.Submit()
-	fn()
-}
-
-// Submit charges an ordinary kernel crossing.
-func (r *Runtime) Submit() { r.cfg.Clock.Advance(r.cfg.Params.NativeSyscallCost) }
+// Syscall charges an ordinary kernel crossing.
+func (r *Runtime) Syscall() { r.cfg.Clock.Advance(r.cfg.Params.NativeSyscallCost) }
 
 // CopyIn charges nothing: there is no enclave boundary to copy across.
 func (r *Runtime) CopyIn(int) {}
@@ -114,9 +108,8 @@ func (r *Runtime) FS() fsapi.FS { return sysio.NewFS(r, r.cfg.HostFS) }
 
 // Dial opens a TCP connection.
 func (r *Runtime) Dial(network, addr string) (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	r.Syscall(func() { conn, err = net.Dial(network, addr) })
+	r.Syscall()
+	conn, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("nativert: dial %s: %w", addr, err)
 	}
@@ -125,9 +118,8 @@ func (r *Runtime) Dial(network, addr string) (net.Conn, error) {
 
 // Listen opens a TCP listener.
 func (r *Runtime) Listen(network, addr string) (net.Listener, error) {
-	var ln net.Listener
-	var err error
-	r.Syscall(func() { ln, err = net.Listen(network, addr) })
+	r.Syscall()
+	ln, err := net.Listen(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("nativert: listen %s: %w", addr, err)
 	}

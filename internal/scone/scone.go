@@ -1,9 +1,19 @@
-// Package scone reimplements, as a functional simulation, the SCONE
-// shielded-execution runtime that secureTF builds on (Arnautov et al.,
-// OSDI 2016): a small musl-derived libc inside the enclave, an exit-less
-// asynchronous system-call queue serviced by threads outside the enclave,
-// and a user-level M:N scheduler that keeps execution contexts busy while
-// syscalls are in flight.
+// Package scone simulates the SCONE shielded-execution runtime that
+// secureTF builds on (Arnautov et al., OSDI 2016): a small musl-derived
+// libc inside the enclave, an exit-less asynchronous system-call ring
+// serviced by threads outside the enclave, and a user-level M:N
+// scheduler that multiplexes application threads onto a few enclave
+// execution contexts.
+//
+// The ring and the scheduler are modelled as charges, not run:
+//
+//   - every system call costs AsyncSyscallCost on the virtual clock and
+//     no enclave transition, and the host call then runs on the calling
+//     goroutine;
+//   - launching enters the enclave once per execution context, one
+//     transition each of EnclaveThreads;
+//   - EnclaveThreads is the thread count of the runtime's compute
+//     device, so the scheduler's parallelism is the device's.
 //
 // The runtime is where the secureTF "controller" (paper Fig. 3) lives:
 // it owns the enclave, interposes on file and network I/O, and hosts the
@@ -31,34 +41,26 @@ type Config struct {
 	// HostFS is the untrusted host file system the runtime proxies
 	// syscalls to. Required.
 	HostFS fsapi.FS
-	// SyscallWorkers is the number of outside service threads draining
-	// the asynchronous syscall queue. Defaults to 2.
-	SyscallWorkers int
 	// EnclaveThreads is the number of enclave execution contexts
 	// (thread control structures). Defaults to the platform's physical
 	// core count.
 	EnclaveThreads int
 }
 
-// Runtime is a running SCONE container: an enclave plus its syscall
-// queue, scheduler and interposed I/O.
+// Runtime is a running SCONE container: an enclave plus its interposed
+// I/O.
 type Runtime struct {
 	cfg     Config
 	enclave *sgx.Enclave
-	queue   *SyscallQueue
-	sched   *Scheduler
 }
 
-// Launch creates the enclave and starts the runtime services.
+// Launch creates the enclave and enters it.
 func Launch(cfg Config) (*Runtime, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("scone: Config.Platform is required")
 	}
 	if cfg.HostFS == nil {
 		return nil, fmt.Errorf("scone: Config.HostFS is required")
-	}
-	if cfg.SyscallWorkers <= 0 {
-		cfg.SyscallWorkers = 2
 	}
 	if cfg.EnclaveThreads <= 0 {
 		cfg.EnclaveThreads = cfg.Platform.Params().PhysicalCores
@@ -67,18 +69,12 @@ func Launch(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scone: creating enclave: %w", err)
 	}
-	rt := &Runtime{
-		cfg:     cfg,
-		enclave: enclave,
-		queue:   NewSyscallQueue(cfg.SyscallWorkers),
-		sched:   NewScheduler(cfg.EnclaveThreads),
-	}
 	// Entering the enclave for the first time costs one transition per
 	// execution context.
 	for i := 0; i < cfg.EnclaveThreads; i++ {
 		enclave.Transition()
 	}
-	return rt, nil
+	return &Runtime{cfg: cfg, enclave: enclave}, nil
 }
 
 // Name identifies the runtime variant, e.g. "scone-hw".
@@ -92,34 +88,20 @@ func (r *Runtime) Name() string {
 // Enclave returns the runtime's enclave.
 func (r *Runtime) Enclave() *sgx.Enclave { return r.enclave }
 
-// Scheduler returns the user-level scheduler, on which application
-// threads should be spawned.
-func (r *Runtime) Scheduler() *Scheduler { return r.sched }
-
 // Device returns a compute device bound to the enclave with the given
 // thread count (0 means all enclave threads). SCONE's libc is
 // musl-derived, so the musl factor applies.
 func (r *Runtime) Device(threads int) device.Device {
 	if threads <= 0 {
-		threads = r.sched.Contexts()
+		threads = r.cfg.EnclaveThreads
 	}
 	return device.NewEnclave(r.Name(), r.enclave, threads, device.LibcMuslFactor)
 }
 
-// Syscall routes fn through the asynchronous syscall interface: the
-// calling thread charges the enqueue cost and an outside worker runs fn.
-// No enclave transition is charged — that is the point of the design.
-// Application threads spawned on the Scheduler should wrap long blocking
-// regions in Scheduler.Blocking to hand their execution context to
-// another thread while they wait.
-func (r *Runtime) Syscall(fn func()) {
-	r.enclave.AsyncSyscall()
-	r.queue.Do(fn)
-}
-
-// Submit charges the submission of a request whose wait happens outside
-// the ring (sysio parks socket reads and accepts on the network poller).
-func (r *Runtime) Submit() { r.enclave.AsyncSyscall() }
+// Syscall charges one call on the asynchronous syscall interface: the
+// enqueue cost and no enclave transition — that is the point of the
+// design.
+func (r *Runtime) Syscall() { r.enclave.AsyncSyscall() }
 
 // CopyIn charges the cost of moving n bytes across the enclave boundary
 // into protected memory (syscall results are copied and sanity-checked).
@@ -162,11 +144,8 @@ func (r *Runtime) Listen(network, addr string) (net.Listener, error) {
 	return sysio.Listen(r, network, addr)
 }
 
-// Close shuts down the runtime and destroys the enclave. Application
-// threads spawned on the scheduler are waited for first.
+// Close destroys the enclave.
 func (r *Runtime) Close() error {
-	r.sched.Wait()
-	r.queue.Close()
 	r.enclave.Destroy()
 	return nil
 }

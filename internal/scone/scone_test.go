@@ -1,10 +1,12 @@
 package scone
 
 import (
+	"fmt"
+	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/fsapi/fstest"
@@ -54,14 +56,10 @@ func TestRuntimeNames(t *testing.T) {
 	}
 }
 
-func TestSyscallUsesAsyncQueueNotTransitions(t *testing.T) {
+func TestSyscallChargesAsyncNotTransition(t *testing.T) {
 	rt := launchTestRuntime(t, sgx.ModeHW)
 	base := rt.Enclave().Stats()
-	ran := false
-	rt.Syscall(func() { ran = true })
-	if !ran {
-		t.Fatal("syscall body did not run")
-	}
+	rt.Syscall()
 	after := rt.Enclave().Stats()
 	if got := after.AsyncSyscalls - base.AsyncSyscalls; got != 1 {
 		t.Fatalf("async syscalls = %d, want 1", got)
@@ -71,7 +69,7 @@ func TestSyscallUsesAsyncQueueNotTransitions(t *testing.T) {
 	}
 }
 
-func TestFSRoundTripThroughQueue(t *testing.T) {
+func TestFSRoundTripChargesSyscalls(t *testing.T) {
 	rt := launchTestRuntime(t, sgx.ModeHW)
 	fsys := rt.FS()
 	if err := fsapi.WriteFile(fsys, "data/input.bin", []byte("payload")); err != nil {
@@ -85,119 +83,53 @@ func TestFSRoundTripThroughQueue(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	if rt.Enclave().Stats().AsyncSyscalls == 0 {
-		t.Fatal("file I/O bypassed the syscall queue")
+		t.Fatal("file I/O charged no syscalls")
 	}
 }
 
-func TestSyscallQueueConcurrent(t *testing.T) {
-	q := NewSyscallQueue(4)
-	defer q.Close()
-	var counter atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			q.Do(func() { counter.Add(1) })
-		}()
-	}
-	wg.Wait()
-	if counter.Load() != 100 {
-		t.Fatalf("counter = %d, want 100", counter.Load())
-	}
-}
-
-func TestSyscallQueueCloseIdempotentAndInlineAfterClose(t *testing.T) {
-	q := NewSyscallQueue(1)
-	q.Close()
-	q.Close() // must not panic
-	ran := false
-	q.Do(func() { ran = true })
-	if !ran {
-		t.Fatal("Do after Close did not run inline")
-	}
-}
-
-func TestSchedulerLimitsConcurrency(t *testing.T) {
-	const contexts = 3
-	s := NewScheduler(contexts)
-	var wg sync.WaitGroup
-	release := make(chan struct{})
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		s.Go(func() {
-			defer wg.Done()
-			<-release
-		})
-	}
-	close(release)
-	wg.Wait()
-	s.Wait()
-	if got := s.MaxRunning(); got > contexts {
-		t.Fatalf("MaxRunning = %d, want <= %d", got, contexts)
-	}
-}
-
-func TestSchedulerBlockingReleasesContext(t *testing.T) {
-	s := NewScheduler(1)
-	entered := make(chan struct{})
-	proceed := make(chan struct{})
-	other := make(chan struct{})
-
-	s.Go(func() {
-		s.Blocking(func() {
-			close(entered)
-			<-proceed
-		})
-	})
-	<-entered
-	// With the only context released by Blocking, another thread must be
-	// able to run to completion.
-	s.Go(func() { close(other) })
-	<-other
-	close(proceed)
-	s.Wait()
-	if s.Switches() == 0 {
-		t.Fatal("no context switches recorded")
-	}
-}
-
-func TestSchedulerYield(t *testing.T) {
-	s := NewScheduler(2)
-	done := make(chan struct{})
-	s.Go(func() {
-		s.Yield()
-		close(done)
-	})
-	<-done
-	s.Wait()
-}
-
-// TestDialListenThroughRuntime echoes through a runtime whose ring has
-// one slot while four reads of the same runtime sit parked on idle
-// connections: a parked wait that held a ring slot would leave none
-// for the echo's writes (the PR 1 deadlock).
+// TestDialListenThroughRuntime echoes through a runtime, and writes a
+// file through it, while six of its calls sit parked: four reads on
+// idle connections and two 256 MiB writes to peers that stopped
+// reading. A runtime call runs on its caller's goroutine, so a parked
+// one holds that goroutine and nothing else; a call that waited for a
+// shared service thread would let two hostile peers stop every other
+// call of the container.
 func TestDialListenThroughRuntime(t *testing.T) {
-	rt := launchTestConfig(t, Config{Mode: sgx.ModeHW, SyscallWorkers: 1})
+	rt := launchTestRuntime(t, sgx.ModeHW)
 	ln, err := rt.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	served := make(chan struct{})
+	defer func() { <-served }()
 	defer ln.Close()
 
-	const idle = 4
+	const idle, stalled = 4, 2
 	msg := []byte("gradients")
+	// Far more than the loopback socket buffers hold, so a Write of it
+	// parks for good once its peer stops reading. Both writers share it.
+	flood := make([]byte, 256<<20)
 	errc := make(chan error, 1)
 	go func() {
-		// The idle connections are accepted and held open unread; the
-		// one after them is echoed.
-		for i := 0; i < idle; i++ {
+		defer close(served)
+		var writers sync.WaitGroup
+		defer writers.Wait() // after the Closes below end the writes
+		// The idle connections are accepted and held open unread, the
+		// stalled ones are flooded, and the one after them is echoed.
+		for i := 0; i < idle+stalled; i++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				errc <- err
 				return
 			}
 			defer conn.Close()
+			if i >= idle {
+				writers.Add(1)
+				go func() {
+					defer writers.Done()
+					conn.Write(flood) // parks until a Close
+				}()
+			}
 		}
 		conn, err := ln.Accept()
 		if err != nil {
@@ -206,7 +138,7 @@ func TestDialListenThroughRuntime(t *testing.T) {
 		}
 		defer conn.Close()
 		buf := make([]byte, len(msg))
-		if _, err := conn.Read(buf); err != nil {
+		if _, err := io.ReadFull(conn, buf); err != nil {
 			errc <- err
 			return
 		}
@@ -217,16 +149,14 @@ func TestDialListenThroughRuntime(t *testing.T) {
 	// Each idle read starts before the next dial. Whether the kernel has
 	// parked it yet is not visible from here (sysio's
 	// TestParkedReadChargesOnCompletion checks that with a scripted
-	// conn); what this needs is weaker: were reads ring calls, the first
-	// one to reach the ring before the echo's last call would hold its
-	// one slot for good, and parked.Wait plus four more dials give all
-	// four every chance to.
+	// conn); parked.Wait and the dials after it give all four every
+	// chance to.
 	var parked, released sync.WaitGroup
-	var idleConns []net.Conn
+	var peers []net.Conn
 	defer func() {
-		// Closing the dialing side ends the reads whatever state the
-		// accepting goroutine is in.
-		for _, conn := range idleConns {
+		// Closing the dialing side ends the reads and the writes
+		// whatever state the accepting goroutine is in.
+		for _, conn := range peers {
 			conn.Close()
 		}
 		released.Wait()
@@ -236,7 +166,7 @@ func TestDialListenThroughRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idleConns = append(idleConns, conn)
+		peers = append(peers, conn)
 		parked.Add(1)
 		released.Add(1)
 		go func() {
@@ -246,25 +176,59 @@ func TestDialListenThroughRuntime(t *testing.T) {
 		}()
 	}
 	parked.Wait()
+	// The stalled peers are raw host sockets. Each reads one byte, which
+	// shows its flood has reached the kernel, and nothing more.
+	for i := 0; i < stalled; i++ {
+		peer, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, peer)
+		if _, err := io.ReadFull(peer, make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	conn, err := rt.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(msg))
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != string(msg) {
-		t.Fatalf("echo mismatch: %q", buf)
+	echoed, wrote := make(chan error, 1), make(chan error, 1)
+	go func() { echoed <- echo(rt, ln.Addr().String(), msg) }()
+	go func() { wrote <- fsapi.WriteFile(rt.FS(), "data/after-stall.bin", msg) }()
+	deadline := time.After(3 * time.Second)
+	for _, call := range []struct {
+		name string
+		done chan error
+	}{{"echo", echoed}, {"file write", wrote}} {
+		select {
+		case err := <-call.done:
+			if err != nil {
+				t.Fatalf("%s: %v", call.name, err)
+			}
+		case <-deadline:
+			t.Fatalf("%s still blocked after 3 s behind %d writes to peers that stopped reading", call.name, stalled)
+		}
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// echo dials addr through rt and checks that msg comes back.
+func echo(rt *Runtime, addr string, msg []byte) error {
+	conn, err := rt.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if _, err := conn.Write(msg); err != nil {
+		return err
+	}
+	buf := make([]byte, len(msg))
+	if _, err := io.ReadFull(conn, buf); err != nil {
+		return err
+	}
+	if string(buf) != string(msg) {
+		return fmt.Errorf("echo mismatch: %q", buf)
+	}
+	return nil
 }
 
 func TestDeviceAppliesMuslFactor(t *testing.T) {
@@ -280,18 +244,14 @@ func TestDeviceAppliesMuslFactor(t *testing.T) {
 	}
 }
 
+func TestDeviceDefaultsToEnclaveThreads(t *testing.T) {
+	rt := launchTestConfig(t, Config{Mode: sgx.ModeHW, EnclaveThreads: 3})
+	if got := rt.Device(0).Threads(); got != 3 {
+		t.Fatalf("default threads = %d, want the 3 enclave threads", got)
+	}
+}
+
 func TestFSConformance(t *testing.T) {
 	rt := launchTestRuntime(t, sgx.ModeHW)
 	fstest.Conformance(t, rt.FS())
-}
-
-func TestSchedulerAccessors(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeHW)
-	sched := rt.Scheduler()
-	if sched == nil {
-		t.Fatal("no scheduler")
-	}
-	if sched.Contexts() <= 0 {
-		t.Fatalf("contexts = %d", sched.Contexts())
-	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,30 +180,10 @@ func New(c *core.Container, addr string, cfg Config) (*Router, error) {
 	// Verify every node serves its declared placement before any client
 	// traffic can resolve to it.
 	for _, n := range r.nodes {
-		cl, err := serving.Dial(c, n.spec.Addr, n.spec.ServerName)
+		cl, err := r.verify(n)
 		if err != nil {
 			r.closePools()
-			return nil, fmt.Errorf("%w: node %q unreachable at %s: %v",
-				ErrManifestMismatch, n.spec.Name, n.spec.Addr, err)
-		}
-		served, err := cl.Models()
-		if err != nil {
-			cl.Close()
-			r.closePools()
-			return nil, fmt.Errorf("%w: node %q did not answer the model listing: %v",
-				ErrManifestMismatch, n.spec.Name, err)
-		}
-		have := make(map[string]bool, len(served))
-		for _, m := range served {
-			have[m] = true
-		}
-		for _, want := range n.spec.Models {
-			if !have[want] {
-				cl.Close()
-				r.closePools()
-				return nil, fmt.Errorf("%w: node %q does not serve model %q (serves: %s)",
-					ErrManifestMismatch, n.spec.Name, want, strings.Join(served, ", "))
-			}
+			return nil, err
 		}
 		n.free = append(n.free, cl)
 	}
@@ -490,28 +471,37 @@ func (r *Router) maybeTick() {
 	}
 }
 
-// probe re-dials a dead node and, if it answers the model listing with
-// its declared placement intact, revives it at minimum weight — the
-// manifest check applies to rejoin exactly as it did to startup.
-func (r *Router) probe(n *node) {
+// verify dials n and checks that it serves every model its spec places,
+// returning the open connection; a failure wraps ErrManifestMismatch.
+// Startup and rejoin both pass through it.
+func (r *Router) verify(n *node) (*serving.Client, error) {
 	cl, err := serving.Dial(r.container, n.spec.Addr, n.spec.ServerName)
 	if err != nil {
-		return
+		return nil, fmt.Errorf("%w: node %q unreachable at %s: %v",
+			ErrManifestMismatch, n.spec.Name, n.spec.Addr, err)
 	}
 	served, err := cl.Models()
 	if err != nil {
 		cl.Close()
-		return
-	}
-	have := make(map[string]bool, len(served))
-	for _, m := range served {
-		have[m] = true
+		return nil, fmt.Errorf("%w: node %q did not answer the model listing: %v",
+			ErrManifestMismatch, n.spec.Name, err)
 	}
 	for _, want := range n.spec.Models {
-		if !have[want] {
+		if !slices.Contains(served, want) {
 			cl.Close()
-			return
+			return nil, fmt.Errorf("%w: node %q does not serve model %q (serves: %s)",
+				ErrManifestMismatch, n.spec.Name, want, strings.Join(served, ", "))
 		}
+	}
+	return cl, nil
+}
+
+// probe re-verifies a dead node and, if its declared placement is
+// intact, revives it at minimum weight.
+func (r *Router) probe(n *node) {
+	cl, err := r.verify(n)
+	if err != nil {
+		return
 	}
 	r.putConn(n, cl)
 	n.weight.Store(1)

@@ -703,6 +703,48 @@ func TestFailoverChurnNoDrops(t *testing.T) {
 	}
 }
 
+// TestProbeKeepsMisplacedNodeDead: a dead node that comes back without
+// one of its declared models fails the placement check it passed at
+// startup and stays out of the spread; once the model is back, the next
+// tick revives it.
+func TestProbeKeepsMisplacedNodeDead(t *testing.T) {
+	platform := newPlatform(t)
+	model := func() *tflite.Model { return fcModel(4, 4, scaled(1)) }
+	g := startNode(t, platform, map[string]*tflite.Model{"a": model(), "b": model()})
+	rc := launchOn(t, platform)
+	r, err := New(rc, "127.0.0.1:0", Config{Nodes: []NodeSpec{
+		{Name: "n0", Addr: g.Addr(), Models: []string{"a", "b"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n0 := r.nodes[0]
+	addr := g.Addr()
+	g.Close()
+	r.markDead(n0)
+
+	g2, err := serving.NewGateway(launchOn(t, platform), addr, serving.Config{})
+	if err != nil {
+		t.Skipf("could not rebind %s for the rejoin: %v", addr, err)
+	}
+	defer g2.Close()
+	if err := g2.Register("a", 1, model()); err != nil {
+		t.Fatal(err)
+	}
+	r.TickHealth()
+	if !n0.dead.Load() {
+		t.Fatal("a node that came back without its declared model b was revived")
+	}
+	if err := g2.Register("b", 1, model()); err != nil {
+		t.Fatal(err)
+	}
+	r.TickHealth()
+	if n0.dead.Load() {
+		t.Fatal("the node stayed dead after it served its whole placement again")
+	}
+}
+
 func TestSpreadAndHealthWeights(t *testing.T) {
 	platform := newPlatform(t)
 	model := func() *tflite.Model { return fcModel(4, 4, scaled(1)) }

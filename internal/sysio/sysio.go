@@ -1,9 +1,13 @@
 // Package sysio is the one syscall boundary under the three runtimes.
 // SCONE, Graphene and the native baseline differ in what one system
-// call costs — a slot on an exit-less ring, an enclave exit and
+// call costs — a request on an exit-less ring, an enclave exit and
 // re-entry, a kernel crossing — not in which calls a file or a socket
 // makes. A runtime states its prices as a Boundary; the file-system and
 // socket wrappers that spend them are written once, here.
+//
+// Every call is inline: a wrapper charges, then makes the host call on
+// the calling goroutine. What a call costs is a virtual-clock charge;
+// no goroutine stands in for the host thread that would serve it.
 //
 // # File system
 //
@@ -17,26 +21,22 @@
 // the host kernel segmented them or how the Go scheduler interleaved the
 // goroutines around it. Each clause has a reason:
 //
-//   - Read and Accept run inline, never inside Syscall. They park for as
-//     long as the peer likes, and SCONE's Syscall occupies a slot of a
-//     bounded ring: one parked wait per slot starves every other
-//     thread's calls, and deadlocks outright when a server and its
-//     client share a runtime.
-//   - They charge on completion — nothing while parked, nothing for a
-//     zero-byte or failed return. A charge made at call time lands
-//     while the previous connection's handler is still advancing the
-//     same clock, and Advance(d) then AdvanceTo(s) is max(t+d, s) where
-//     the other order is max(t, s)+d: the total would depend on which
-//     goroutine ran first.
+//   - Read and Accept charge on completion — nothing while parked,
+//     nothing for a zero-byte or failed return. They park for as long
+//     as the peer likes, and a charge made at call time lands while the
+//     previous connection's handler is still advancing the same clock:
+//     Advance(d) then AdvanceTo(s) is max(t+d, s) where the other order
+//     is max(t, s)+d, so the total would depend on which goroutine ran
+//     first.
 //   - A Read that delivers n bytes after got charges
-//     ceil((got+n)/readQuantum) - ceil(got/readQuantum) submissions and
-//     then CopyIn(n). How many Read returns a frame takes is the
-//     kernel's choice; how many quanta it spans is not. Short reads
-//     inside a quantum are retries on the slot already submitted.
+//     ceil((got+n)/readQuantum) - ceil(got/readQuantum) calls and then
+//     CopyIn(n). How many Read returns a frame takes is the kernel's
+//     choice; how many quanta it spans is not. Short reads inside a
+//     quantum are retries on the call already charged.
 //   - A connection pays for its close when it is opened: Dial and Accept
-//     charge two submissions, Close none. Close runs when a handler
-//     notices its peer left, which no protocol sequences; the open is
-//     ordered by the connection's own first frame.
+//     charge two calls, Close none. Close runs when a handler notices
+//     its peer left, which no protocol sequences; the open is ordered by
+//     the connection's own first frame.
 //   - Write copies out and makes one call per Write: the application
 //     chose that slicing, so it is already a function of the bytes.
 package sysio
@@ -48,14 +48,11 @@ import (
 	"github.com/securetf/securetf/internal/fsapi"
 )
 
-// Boundary is what crossing from a runtime to its host costs.
+// Boundary is what crossing from a runtime to its host costs. A wrapper
+// charges through it and then makes the host call itself.
 type Boundary interface {
-	// Syscall charges one system call and runs fn as the host's half
-	// of it. fn must not wait on a peer.
-	Syscall(fn func())
-	// Submit charges one system call whose host half ran, or will run,
-	// outside Syscall.
-	Submit()
+	// Syscall charges one system call.
+	Syscall()
 	// CopyIn charges moving n bytes of a call's result into the runtime.
 	CopyIn(n int)
 	// CopyOut charges moving n bytes of a call's argument out of it.
@@ -74,9 +71,8 @@ type sysFS struct {
 }
 
 func (s *sysFS) Open(name string) (fsapi.File, error) {
-	var f fsapi.File
-	var err error
-	s.b.Syscall(func() { f, err = s.host.Open(name) })
+	s.b.Syscall()
+	f, err := s.host.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -84,9 +80,8 @@ func (s *sysFS) Open(name string) (fsapi.File, error) {
 }
 
 func (s *sysFS) Create(name string) (fsapi.File, error) {
-	var f fsapi.File
-	var err error
-	s.b.Syscall(func() { f, err = s.host.Create(name) })
+	s.b.Syscall()
+	f, err := s.host.Create(name)
 	if err != nil {
 		return nil, err
 	}
@@ -94,35 +89,28 @@ func (s *sysFS) Create(name string) (fsapi.File, error) {
 }
 
 func (s *sysFS) Remove(name string) error {
-	var err error
-	s.b.Syscall(func() { err = s.host.Remove(name) })
-	return err
+	s.b.Syscall()
+	return s.host.Remove(name)
 }
 
 func (s *sysFS) Rename(oldName, newName string) error {
-	var err error
-	s.b.Syscall(func() { err = s.host.Rename(oldName, newName) })
-	return err
+	s.b.Syscall()
+	return s.host.Rename(oldName, newName)
 }
 
 func (s *sysFS) Stat(name string) (fsapi.FileInfo, error) {
-	var fi fsapi.FileInfo
-	var err error
-	s.b.Syscall(func() { fi, err = s.host.Stat(name) })
-	return fi, err
+	s.b.Syscall()
+	return s.host.Stat(name)
 }
 
 func (s *sysFS) List(dir string) ([]string, error) {
-	var names []string
-	var err error
-	s.b.Syscall(func() { names, err = s.host.List(dir) })
-	return names, err
+	s.b.Syscall()
+	return s.host.List(dir)
 }
 
 func (s *sysFS) MkdirAll(dir string) error {
-	var err error
-	s.b.Syscall(func() { err = s.host.MkdirAll(dir) })
-	return err
+	s.b.Syscall()
+	return s.host.MkdirAll(dir)
 }
 
 type sysFile struct {
@@ -131,90 +119,76 @@ type sysFile struct {
 }
 
 func (f *sysFile) Read(p []byte) (int, error) {
-	var n int
-	var err error
-	f.b.Syscall(func() { n, err = f.inner.Read(p) })
+	f.b.Syscall()
+	n, err := f.inner.Read(p)
 	f.b.CopyIn(n)
 	return n, err
 }
 
 func (f *sysFile) ReadAt(p []byte, off int64) (int, error) {
-	var n int
-	var err error
-	f.b.Syscall(func() { n, err = f.inner.ReadAt(p, off) })
+	f.b.Syscall()
+	n, err := f.inner.ReadAt(p, off)
 	f.b.CopyIn(n)
 	return n, err
 }
 
 func (f *sysFile) Write(p []byte) (int, error) {
-	var n int
-	var err error
 	f.b.CopyOut(len(p))
-	f.b.Syscall(func() { n, err = f.inner.Write(p) })
-	return n, err
+	f.b.Syscall()
+	return f.inner.Write(p)
 }
 
 func (f *sysFile) WriteAt(p []byte, off int64) (int, error) {
-	var n int
-	var err error
 	f.b.CopyOut(len(p))
-	f.b.Syscall(func() { n, err = f.inner.WriteAt(p, off) })
-	return n, err
+	f.b.Syscall()
+	return f.inner.WriteAt(p, off)
 }
 
 func (f *sysFile) Seek(off int64, whence int) (int64, error) {
-	var pos int64
-	var err error
-	f.b.Syscall(func() { pos, err = f.inner.Seek(off, whence) })
-	return pos, err
+	f.b.Syscall()
+	return f.inner.Seek(off, whence)
 }
 
 func (f *sysFile) Truncate(size int64) error {
-	var err error
-	f.b.Syscall(func() { err = f.inner.Truncate(size) })
-	return err
+	f.b.Syscall()
+	return f.inner.Truncate(size)
 }
 
 func (f *sysFile) Size() (int64, error) {
-	var n int64
-	var err error
-	f.b.Syscall(func() { n, err = f.inner.Size() })
-	return n, err
+	f.b.Syscall()
+	return f.inner.Size()
 }
 
 func (f *sysFile) Close() error {
-	var err error
-	f.b.Syscall(func() { err = f.inner.Close() })
-	return err
+	f.b.Syscall()
+	return f.inner.Close()
 }
 
 func (f *sysFile) Name() string { return f.inner.Name() }
 
 // Dial opens a connection across b.
 func Dial(b Boundary, network, addr string) (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	b.Syscall(func() { conn, err = net.Dial(network, addr) })
+	b.Syscall()
+	conn, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	b.Submit() // the close, paid now
+	b.Syscall() // the close, paid now
 	return &sysConn{b: b, Conn: conn}, nil
 }
 
 // Listen opens a listener across b.
 func Listen(b Boundary, network, addr string) (net.Listener, error) {
-	var ln net.Listener
-	var err error
-	b.Syscall(func() { ln, err = net.Listen(network, addr) })
+	b.Syscall()
+	ln, err := net.Listen(network, addr)
 	if err != nil {
 		return nil, err
 	}
 	return &sysListener{b: b, Listener: ln}, nil
 }
 
-// readQuantum is the stream length one read submission covers: one TLS
-// record, so one submission per full record under the network shield.
+// readQuantum is the stream length one read call covers: one TLS
+// record, so one call per full record under the network shield.
 const readQuantum = 16 << 10
 
 // sysConn charges a connection by the package comment's socket rule.
@@ -230,7 +204,7 @@ func (c *sysConn) Read(p []byte) (int, error) {
 	if n > 0 {
 		end := c.got.Add(int64(n))
 		for i := quanta(end) - quanta(end-int64(n)); i > 0; i-- {
-			c.b.Submit()
+			c.b.Syscall()
 		}
 		c.b.CopyIn(n)
 	}
@@ -241,11 +215,9 @@ func (c *sysConn) Read(p []byte) (int, error) {
 func quanta(n int64) int64 { return (n + readQuantum - 1) / readQuantum }
 
 func (c *sysConn) Write(p []byte) (int, error) {
-	var n int
-	var err error
 	c.b.CopyOut(len(p))
-	c.b.Syscall(func() { n, err = c.Conn.Write(p) })
-	return n, err
+	c.b.Syscall()
+	return c.Conn.Write(p)
 }
 
 type sysListener struct {
@@ -258,7 +230,7 @@ func (l *sysListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.b.Submit() // the accept
-	l.b.Submit() // the close, paid now
+	l.b.Syscall() // the accept
+	l.b.Syscall() // the close, paid now
 	return &sysConn{b: l.b, Conn: conn}, nil
 }

@@ -16,8 +16,8 @@ import (
 // charges is what a fakeBoundary was asked for: each call in order, and
 // the totals a slicing-independent rule must keep fixed.
 type charges struct {
-	log                        []string
-	syscalls, submits, in, out int
+	log               []string
+	syscalls, in, out int
 }
 
 type fakeBoundary struct {
@@ -25,19 +25,11 @@ type fakeBoundary struct {
 	charges
 }
 
-func (b *fakeBoundary) Syscall(fn func()) {
-	b.mu.Lock()
-	b.log = append(b.log, "syscall")
-	b.syscalls++
-	b.mu.Unlock()
-	fn()
-}
-
-func (b *fakeBoundary) Submit() {
+func (b *fakeBoundary) Syscall() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.log = append(b.log, "submit")
-	b.submits++
+	b.log = append(b.log, "syscall")
+	b.syscalls++
 }
 
 func (b *fakeBoundary) CopyIn(n int) {
@@ -150,9 +142,9 @@ func TestReadChargeIgnoresSlicing(t *testing.T) {
 			}
 		}
 		got := b.take()
-		if total != size || got.submits != 7 || got.in != size || got.syscalls != 0 || got.out != 0 {
-			t.Errorf("slice %d: read %d bytes for %d submissions, %d bytes in, %d syscalls, %d bytes out; want %d, 7, %d, 0, 0 for every slicing",
-				slice, total, got.submits, got.in, got.syscalls, got.out, size, size)
+		if total != size || got.syscalls != 7 || got.in != size || got.out != 0 {
+			t.Errorf("slice %d: read %d bytes for %d syscalls, %d bytes in, %d bytes out; want %d, 7, %d, 0 for every slicing",
+				slice, total, got.syscalls, got.in, got.out, size, size)
 		}
 	}
 }
@@ -213,7 +205,7 @@ func TestParkedReadChargesOnCompletion(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got, want := b.take().log, []string{"submit", "in:1"}; !reflect.DeepEqual(got, want) {
+	if got, want := b.take().log, []string{"syscall", "in:1"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the completed Read charged %v, want %v", got, want)
 	}
 }
@@ -224,7 +216,7 @@ func TestParkedAcceptChargesOnCompletion(t *testing.T) {
 		conn net.Conn
 		want []string
 	}{
-		{"client arrives", &slicedConn{}, []string{"submit", "submit"}},
+		{"client arrives", &slicedConn{}, []string{"syscall", "syscall"}},
 		{"listener closed", nil, nil},
 	} {
 		b := &fakeBoundary{}
@@ -278,7 +270,7 @@ func TestSocketLifetimeCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cli.take().log, []string{"syscall", "submit"}; !reflect.DeepEqual(got, want) {
+	if got, want := cli.take().log, []string{"syscall", "syscall"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Dial charged %v, want %v", got, want)
 	}
 	if _, err := conn.Write([]byte("ping")); err != nil {
@@ -290,7 +282,7 @@ func TestSocketLifetimeCharges(t *testing.T) {
 	if _, err := io.ReadFull(conn, make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if got := cli.take(); got.syscalls != 0 || got.submits != 1 || got.in != 4 || got.out != 0 {
+	if got := cli.take(); got.syscalls != 1 || got.in != 4 || got.out != 0 {
 		t.Fatalf("reading 4 bytes charged %v", got.log)
 	}
 	if err := conn.Close(); err != nil {
@@ -303,7 +295,7 @@ func TestSocketLifetimeCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// accept + prepaid close, one read quantum, one echoing write.
-	if got := srv.take(); got.syscalls != 1 || got.submits != 3 || got.in != 4 || got.out != 4 {
+	if got := srv.take(); got.syscalls != 4 || got.in != 4 || got.out != 4 {
 		t.Fatalf("server charged %v", got.log)
 	}
 

@@ -94,7 +94,6 @@ func (s *Server) Close() error {
 func (s *Server) accept() {
 	defer s.wg.Done()
 	for {
-		//securetf:allow blockingsyscall every enclave-side listener passed to Serve comes from Container.Listen, whose sysio wrapper runs Accept inline, outside the SCONE ring
 		conn, err := s.ln.Accept()
 		if err != nil {
 			s.mu.Lock()
