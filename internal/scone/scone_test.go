@@ -56,7 +56,7 @@ func TestRuntimeNames(t *testing.T) {
 	}
 }
 
-func TestSyscallChargesAsyncNotTransition(t *testing.T) {
+func TestSyscallUsesAsyncQueueNotTransitions(t *testing.T) {
 	rt := launchTestRuntime(t, sgx.ModeHW)
 	base := rt.Enclave().Stats()
 	rt.Syscall()
