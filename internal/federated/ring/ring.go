@@ -6,12 +6,21 @@
 // mask vector is ever materialised — a key stream is pulled through one
 // fixed 4 KiB chunk and folded into the destination in place.
 //
-// At width 2 a 64-bit load carries four ring words ("lanes"); they are
-// added with the carry out of each lane's top bit suppressed (SWAR), so
-// 0xffff + 1 wraps to 0 inside its lane and never reaches the
-// neighbour. At width 8 a load is one lane and the same expression is
-// the machine's own wraparound addition. One loop serves both widths,
-// and addition and subtraction.
+// Every sum goes through fold. On amd64 it is SSE2 (fold_amd64.s), 64
+// bytes an iteration: PADDW/PSUBW add eight 16-bit ring words at once
+// and PADDQ/PSUBQ two 64-bit ones, each wrapping inside its own lane.
+// SSE2 is part of the amd64 baseline, so there is no feature check and
+// no second path. One assembly call cannot be preempted; it is bounded
+// by one vector — a stream chunk, or at most one model for Add, tens of
+// microseconds.
+//
+// Elsewhere, and for the tail under 64 bytes, the kernel is SWAR: a
+// 64-bit load carries four ring words ("lanes") at width 2, added with
+// the carry out of each lane's top bit suppressed, so 0xffff + 1 wraps
+// to 0 inside its lane and never reaches the neighbour. At width 8 a
+// load is one lane and the same expression is the machine's own
+// wraparound addition. One loop serves both widths, and addition and
+// subtraction.
 //
 // The same rings are the share domain of additive-secret-sharing MPC
 // (CrypTen, tf-encrypted); the package is stdlib-only so such a backend
@@ -93,11 +102,13 @@ func laneTops(n, width int) uint64 {
 // this is plain 64-bit addition.
 func addLanes(a, b, top uint64) uint64 { return ((a &^ top) + (b &^ top)) ^ ((a ^ b) & top) }
 
-// fold computes dst ± src lane by lane, 32 bytes a step. neg is zero to
-// add and all ones to subtract: a − b = ^(^a + b) in any power-of-two
-// ring, and NOT acts on every lane at once, so subtraction is the same
-// loop with both ends inverted.
-func fold(dst, src []byte, top, neg uint64) {
+// foldSWAR computes dst ± src lane by lane, 32 bytes a step: the kernel
+// fold runs where there is no assembly, the tail the assembly leaves,
+// and the oracle the assembly is tested against. neg is zero to add and
+// all ones to subtract: a − b = ^(^a + b) in any power-of-two ring, and
+// NOT acts on every lane at once, so subtraction is the same loop with
+// both ends inverted.
+func foldSWAR(dst, src []byte, top, neg uint64) {
 	for len(dst) >= 32 && len(src) >= 32 {
 		d, s := dst[:32:32], src[:32:32]
 		a0, b0 := binary.LittleEndian.Uint64(d[0:]), binary.LittleEndian.Uint64(s[0:])

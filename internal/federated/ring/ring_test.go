@@ -110,6 +110,34 @@ func TestStreamMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestFoldMatchesSWAR holds fold, the assembly on amd64, to foldSWAR,
+// the loop every other architecture runs, bit for bit: every whole-word
+// length through three stream chunks at both widths, adding and
+// subtracting, with dst and src each starting 0 to 15 bytes past a
+// 16-byte boundary, so blocks and tails meet unaligned data.
+func TestFoldMatchesSWAR(t *testing.T) {
+	const most = 3 * chunkSize
+	dstBuf, srcBuf := filled(most, 10), filled(most+16, 11)
+	got, want := make([]byte, most+16), make([]byte, most+16)
+	for _, width := range []int{2, 8} {
+		for n := 0; n <= most; n += width {
+			for _, neg := range []uint64{0, ^uint64(0)} {
+				dOff, sOff := n/width%16, (n/width*7+3)%16
+				src := srcBuf[sOff : sOff+n]
+				g, w := got[dOff:dOff+n], want[dOff:dOff+n]
+				copy(g, dstBuf[:n])
+				copy(w, dstBuf[:n])
+				fold(g, src, laneTops(n, width), neg)
+				foldSWAR(w, src, laneTops(n, width), neg)
+				if !bytes.Equal(g, w) {
+					t.Fatalf("width %d, %d bytes, neg=%x, dst+%d, src+%d: fold differs from foldSWAR",
+						width, n, neg, dOff, sOff)
+				}
+			}
+		}
+	}
+}
+
 // TestStreamIsConsecutive pins the stream definition the protocol
 // depends on: masking variables one after another from one stream
 // consumes exactly the bytes a single pass over their concatenation

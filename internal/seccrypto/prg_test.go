@@ -46,6 +46,33 @@ func TestPRGReadOverwritesInput(t *testing.T) {
 	}
 }
 
+func TestPRGReadSizesDoNotChangeStream(t *testing.T) {
+	// Read pulls the key stream through a fixed zero block; reads
+	// shorter than it, equal to it and spanning two of it must together
+	// give the bytes one long read gives.
+	key := HKDF([]byte("seed"), "prg-test", "sizes")
+	sizes := []int{1, 7, 4096, 5000}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	want := make([]byte, total)
+	NewPRG(key).Read(want)
+	g := NewPRG(key)
+	var got []byte
+	for _, n := range sizes {
+		part := make([]byte, n)
+		for i := range part {
+			part[i] = 0xa5
+		}
+		g.Read(part)
+		got = append(got, part...)
+	}
+	if string(got) != string(want) {
+		t.Fatal("reads of 1, 7, 4096 and 5000 bytes differ from one long read")
+	}
+}
+
 func TestPRGIntnBoundsAndCoverage(t *testing.T) {
 	g := NewPRG(HKDF([]byte("seed"), "prg-test", "intn"))
 	seen := make(map[int]int)

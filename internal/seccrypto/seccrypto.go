@@ -156,12 +156,18 @@ func NewPRG(key Key) *PRG {
 	return &PRG{stream: cipher.NewCTR(block, iv[:])}
 }
 
+// zeros is the all-zero plaintext Read encrypts. It is never written.
+var zeros [4096]byte
+
 // Read fills p with deterministic pseudo-random bytes. It never fails.
+// The key stream is XORed from zeros into p, a block at a time, so
+// whatever p held is overwritten without first being cleared.
 func (g *PRG) Read(p []byte) {
-	for i := range p {
-		p[i] = 0
+	for len(p) > 0 {
+		n := min(len(p), len(zeros))
+		g.stream.XORKeyStream(p[:n], zeros[:n])
+		p = p[n:]
 	}
-	g.stream.XORKeyStream(p, p)
 }
 
 // Uint64 returns the next 64-bit word of the stream.

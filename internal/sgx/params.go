@@ -147,10 +147,9 @@ type Params struct {
 	NetShieldRecordCost time.Duration
 
 	// EnclaveCreateCost is the one-time cost of building an enclave:
-	// EADD/EEXTEND over the binary plus EINIT. Charged per byte of image
-	// plus a constant.
+	// EINIT and the fixed setup around it. The per-page EADD/EEXTEND is
+	// added on top, one perPageAddCost per page of image (platform.go).
 	EnclaveCreateCost    time.Duration
-	EnclaveCreatePerByte time.Duration
 	ReportCost           time.Duration // EREPORT
 	QuoteSignCost        time.Duration // quoting enclave signature
 	QuoteVerifyCostLocal time.Duration // DCAP-style local verification (CAS)
@@ -158,7 +157,6 @@ type Params struct {
 	// together with one WANRTT the "wait confirmation" leg comes to the
 	// ~280 ms the paper reports for IAS.
 	QuoteVerifyCostIntel time.Duration
-	SealCostPerByte      time.Duration
 	// AttestInitCost is the client-side setup cost of an attestation
 	// round: ephemeral key generation, socket setup and the TLS session
 	// to the verifier. Identical for the CAS and IAS flows — the flows
@@ -200,12 +198,10 @@ func DefaultParams() Params {
 		NetShieldRecordCost: 2 * time.Microsecond,
 
 		EnclaveCreateCost:    1200 * time.Microsecond,
-		EnclaveCreatePerByte: time.Duration(0), // folded into per-page add below
 		ReportCost:           25 * time.Microsecond,
 		QuoteSignCost:        160 * time.Microsecond,
 		QuoteVerifyCostLocal: 800 * time.Microsecond,
 		QuoteVerifyCostIntel: 140 * time.Millisecond,
-		SealCostPerByte:      time.Duration(0),
 		AttestInitCost:       15 * time.Millisecond,
 	}
 }
