@@ -264,6 +264,60 @@ func TestUnmarshalGraphBoundsCounts(t *testing.T) {
 	}
 }
 
+// TestHostileGradientGraphErrs: a loaded graph can wire a gradient
+// kernel to operands that disagree — a 2-element gradient for a
+// 5-element input, or a MaxPoolGrad whose forward pool read a larger
+// tensor than its x. Running it is an error, not a panic.
+func TestHostileGradientGraphErrs(t *testing.T) {
+	g := NewGraph()
+	grad := g.Placeholder("grad", Float32, Shape{2})
+	x := g.Placeholder("x", Float32, Shape{5})
+	for _, op := range []string{OpReluGrad, OpSigmoidGrad, OpTanhGrad} {
+		g.addNode(op, op, []*Node{grad, x}, nil, Shape{5}, Float32)
+	}
+	big := g.Placeholder("big", Float32, Shape{1, 4, 4, 1})
+	small := g.Placeholder("small", Float32, Shape{1, 2, 2, 1})
+	pool := g.MaxPool(big, 2, 2)
+	g.addNode(OpMaxPoolGrad, OpMaxPoolGrad, []*Node{pool, small}, Attrs{"forward": pool.Name()}, Shape{1, 2, 2, 1}, Float32)
+
+	raw, err := MarshalGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := UnmarshalGraph(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(loaded)
+	defer s.Close()
+	ramp := make([]float32, 16) // each window's maximum is its last element
+	for i := range ramp {
+		ramp[i] = float32(i)
+	}
+	bigIn, err := FromFloats(Shape{1, 4, 4, 1}, ramp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feeds := Feeds{
+		loaded.Node("grad"):  Fill(Shape{2}, 1),
+		loaded.Node("x"):     Fill(Shape{5}, 1),
+		loaded.Node("big"):   bigIn,
+		loaded.Node("small"): Fill(Shape{1, 2, 2, 1}, 1),
+	}
+	for _, op := range []string{OpReluGrad, OpSigmoidGrad, OpTanhGrad, OpMaxPoolGrad} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: Run panicked: %v", op, p)
+				}
+			}()
+			if _, err := s.Run(feeds, []*Node{loaded.Node(op)}); err == nil {
+				t.Errorf("%s: Run accepted mismatched operands", op)
+			}
+		}()
+	}
+}
+
 // TestRestoreCheckpointIsDecodeVarCheckpoint: the session loader
 // refuses what the one STFC1 decoder refuses — a duplicate name, bytes
 // after the last variable — and leaves the session as it was.

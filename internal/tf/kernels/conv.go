@@ -141,23 +141,32 @@ func (g Geom) next(b, oy, ox int) (int, int, int) {
 	return b, oy, ox
 }
 
-// im2col gathers rows [r0,r1) of the im2col matrix of x into col.
+// im2col gathers rows [r0,r1) of the im2col matrix of x into col. A
+// window wholly inside the input is KH runs of KW·C input values and
+// needs no padding zeros.
 func (g Geom) im2col(col, x []float32, r0, r1 int) {
-	rowC := g.KW * g.C
+	rowC, rowW := g.KW*g.C, g.W*g.C
 	b, oy, ox := g.position(r0)
 	for r := r0; r < r1; r++ {
 		base, iy0, kx0, kx1 := g.window(b, oy, ox)
-		for ky := 0; ky < g.KH; ky++ {
-			seg := col[:rowC]
-			col = col[rowC:]
-			if iy := iy0 + ky; iy < 0 || iy >= g.H {
-				clear(seg)
-				continue
+		row := col[:g.KH*rowC]
+		col = col[len(row):]
+		if kx0 == 0 && kx1 == g.KW && iy0 >= 0 && iy0+g.KH <= g.H {
+			for ky := 0; ky < g.KH; ky++ {
+				copy(row[ky*rowC:(ky+1)*rowC], x[base+ky*rowW:])
 			}
-			src := base + ky*g.W*g.C
-			clear(seg[:kx0*g.C])
-			copy(seg[kx0*g.C:kx1*g.C], x[src+kx0*g.C:src+kx1*g.C])
-			clear(seg[kx1*g.C:])
+		} else {
+			for ky := 0; ky < g.KH; ky++ {
+				seg := row[ky*rowC : (ky+1)*rowC]
+				if iy := iy0 + ky; iy < 0 || iy >= g.H {
+					clear(seg)
+					continue
+				}
+				src := base + ky*rowW
+				clear(seg[:kx0*g.C])
+				copy(seg[kx0*g.C:kx1*g.C], x[src+kx0*g.C:src+kx1*g.C])
+				clear(seg[kx1*g.C:])
+			}
 		}
 		b, oy, ox = g.next(b, oy, ox)
 	}

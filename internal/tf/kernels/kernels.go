@@ -46,10 +46,19 @@
 //     f ascending from +0, a zero gradOut[r,f] skipped, and dx[i] sums
 //     the dcol[r,kk] gathered from it over r ascending from +0; a row r
 //     whose gradOut is all zero is skipped whole.
-//   - MaxPool, AvgPool: each window in (ky, kx) order; SoftmaxRows and
+//   - MaxPool, AvgPool: each window in (ky, kx) order, MaxPool's
+//     candidate replacing the maximum only if strictly greater, so the
+//     first maximum wins and a NaN never does; its 2×2 stride-2 fast
+//     path keeps that order and that comparison. SoftmaxRows and
 //     ArgMaxRows left to right, the first maximum winning.
 //   - ApplySGD: v[i] loses a·g[i], the product rounded before it is
 //     subtracted.
+//
+// Relu, ReluGrad and that MaxPool path do not branch on values: they
+// compare through integer keys of the floats' bits (key, gtMask) and
+// select with the resulting mask, so their time does not depend on the
+// data and a predictor has no coin to flip. The zero skips of the GEMM
+// loops above still branch.
 //
 // Which operand's zeros are skipped is free to change between versions,
 // on finite operands: an accumulator that starts at +0 can never become
@@ -133,15 +142,53 @@ func BiasAdd(dst, src, bias []float32) {
 	}
 }
 
+// key maps the bits of a float32 onto an int64 ordered as the floats
+// are: for x and y not NaN, x > y exactly when key(x) > key(y). Both
+// zeros map to 0; a NaN maps above key(+Inf) or below key(-Inf).
+func key(bits uint32) int64 {
+	s := int64(int32(bits))
+	sign := s >> 63
+	return (s&math.MaxInt32 ^ sign) - sign
+}
+
+const (
+	infKey    = 0x7f800000 // key(+Inf)
+	negInfKey = -infKey    // key(-Inf)
+
+	negInfBits uint32 = 0xff800000 // math.Float32bits(-Inf)
+)
+
+// gtMask is -1 (all ones) when the float of key k is greater than the
+// float of key best, which is not NaN, and 0 otherwise, a NaN k included:
+// the float comparison k > best without a branch on either value.
+func gtMask(k, best int64) int64 {
+	return ((best - k) & (k - infKey - 1)) >> 63
+}
+
+// positive is all ones when the float32 of bits b is greater than 0 and
+// 0 otherwise (±0, negatives, NaN). Compared with 0 a float's sign-extended
+// bits stand in for its key: they have the key's sign.
+func positive(b uint32) uint32 {
+	return uint32(gtMask(int64(int32(b)), 0))
+}
+
 // Relu writes max(src, 0) into dst; NaN and -0 map to +0. dst may alias
 // src.
 func Relu(dst, src []float32) {
+	dst = dst[:len(src)]
 	for i, v := range src {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
+		b := math.Float32bits(v)
+		dst[i] = math.Float32frombits(b & positive(b))
+	}
+}
+
+// ReluGrad writes into dst the gradient g where x > 0, and +0 where x is
+// not (x ±0, negative or NaN). g and dst are at least as long as x, and
+// dst may alias either.
+func ReluGrad(dst, g, x []float32) {
+	dst, g = dst[:len(x)], g[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Float32frombits(math.Float32bits(g[i]) & positive(math.Float32bits(v)))
 	}
 }
 
@@ -232,6 +279,58 @@ func newGeom(x []int, kh, kw, f, stride int, same bool) (Geom, error) {
 // came from (-1 if the window held no value greater than -Inf): the
 // cache the gradient kernel routes through. Inference passes nil.
 func MaxPool(dst, x []float32, g Geom, argmax []int32) {
+	if g.KH == 2 && g.KW == 2 && g.Stride == 2 {
+		maxPool2x2(dst, x, g, argmax)
+		return
+	}
+	maxPoolGeneric(dst, x, g, argmax)
+}
+
+// maxPool2x2 is MaxPool for the 2×2 window at stride 2. An output's
+// window is four C-wide runs of x, and each of its C maxima takes the
+// four candidates in (ky, kx) order through gtMask, so it selects what
+// maxPoolGeneric's strict > does — the first maximum, never a NaN, -1
+// for a window of -Inf — without a branch on a value.
+func maxPool2x2(dst, x []float32, g Geom, argmax []int32) {
+	c, rowC := g.C, g.W*g.C
+	o := 0
+	for b := 0; b < g.N; b++ {
+		for oy := 0; oy < g.OH; oy++ {
+			for ox := 0; ox < g.OW; ox++ {
+				i0 := ((b*g.H+2*oy)*g.W + 2*ox) * c
+				i2 := i0 + rowC
+				out := dst[o : o+c]
+				x0, x1 := x[i0 : i0+c][:len(out)], x[i0+c : i0+2*c][:len(out)]
+				x2, x3 := x[i2 : i2+c][:len(out)], x[i2+c : i2+2*c][:len(out)]
+				for cc := range out {
+					k, bits, idx := int64(negInfKey), negInfBits, int64(-1)
+					k, bits, idx = pick(k, bits, idx, math.Float32bits(x0[cc]), i0+cc)
+					k, bits, idx = pick(k, bits, idx, math.Float32bits(x1[cc]), i0+c+cc)
+					k, bits, idx = pick(k, bits, idx, math.Float32bits(x2[cc]), i2+cc)
+					_, bits, idx = pick(k, bits, idx, math.Float32bits(x3[cc]), i2+c+cc)
+					out[cc] = math.Float32frombits(bits)
+					if argmax != nil {
+						argmax[o+cc] = int32(idx)
+					}
+				}
+				o += c
+			}
+		}
+	}
+}
+
+// pick is one strict-> step of a running maximum held as its key, its
+// bits and its index: the float of bits, at index i, replaces it only if
+// greater.
+func pick(bestKey int64, bestBits uint32, bestIdx int64, bits uint32, i int) (int64, uint32, int64) {
+	k := key(bits)
+	m := gtMask(k, bestKey)
+	return bestKey ^ (bestKey^k)&m, bestBits ^ (bestBits^bits)&uint32(m), bestIdx ^ (bestIdx^int64(i))&m
+}
+
+// maxPoolGeneric is MaxPool for every window, and the oracle its fast
+// path is tested against.
+func maxPoolGeneric(dst, x []float32, g Geom, argmax []int32) {
 	for b := 0; b < g.N; b++ {
 		for oy := 0; oy < g.OH; oy++ {
 			for ox := 0; ox < g.OW; ox++ {

@@ -453,6 +453,120 @@ func TestBiasAddRelu(t *testing.T) {
 	bitEqual(t, "relu", dst, []float32{0, 1.5, 0, 0, 0, float32(math.Inf(1))})
 }
 
+// specialFloats is every class of float32 a comparison can get wrong:
+// NaNs of either sign and with payloads, zeros and infinities of either
+// sign, subnormals, the extremes of the normal range and ordinary values.
+func specialFloats() []float32 {
+	var out []float32
+	for _, b := range []uint32{
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fffffff, 0xffffffff, // NaNs
+		0x00000000, 0x80000000, 0x7f800000, 0xff800000, // ±0, ±Inf
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // subnormals
+		0x00800000, 0x80800000, 0x7f7fffff, 0xff7fffff, // smallest and largest normals
+		0x3f800000, 0xbf800000, 0x3e4ccccd, 0xc2f60000, // ±1, 0.2, -123
+	} {
+		out = append(out, math.Float32frombits(b))
+	}
+	return out
+}
+
+// TestReluMatchesBranch holds Relu and ReluGrad to the branching loops
+// they replaced, bit for bit, on every pair of special values and on
+// random ones, writing to a fresh dst and in place.
+func TestReluMatchesBranch(t *testing.T) {
+	special := specialFloats()
+	var x, g []float32
+	for _, a := range special {
+		for _, b := range special {
+			x, g = append(x, a), append(g, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	x, g = append(x, randFloats(rng, 1000)...), append(g, randFloats(rng, 1000)...)
+
+	wantRelu, wantGrad := make([]float32, len(x)), make([]float32, len(x))
+	for i, v := range x {
+		if v > 0 {
+			wantRelu[i], wantGrad[i] = v, g[i]
+		}
+	}
+
+	got := make([]float32, len(x))
+	Relu(got, x)
+	bitEqual(t, "relu", got, wantRelu)
+	got = append([]float32(nil), x...)
+	Relu(got, got)
+	bitEqual(t, "relu in place", got, wantRelu)
+
+	got = make([]float32, len(x))
+	ReluGrad(got, g, x)
+	bitEqual(t, "relu grad", got, wantGrad)
+	got = append([]float32(nil), g...)
+	ReluGrad(got, got, x)
+	bitEqual(t, "relu grad into g", got, wantGrad)
+	got = append([]float32(nil), x...)
+	ReluGrad(got, g, got)
+	bitEqual(t, "relu grad into x", got, wantGrad)
+}
+
+// TestMaxPoolFastPathMatchesGeneric: the 2×2 stride-2 path returns the
+// generic loop's values and argmax bit for bit — with and without an
+// argmax, at channel counts 1, 8 and 16, odd and even extents, and on
+// inputs made of the special values, where ties (±0 among them), NaNs and
+// windows of -Inf decide which candidate wins.
+func TestMaxPoolFastPathMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	special := specialFloats()
+	negInf := float32(math.Inf(-1))
+	// Each input but the random one draws its values from its set.
+	inputs := []struct {
+		name string
+		set  []float32
+	}{
+		{"random", nil},
+		{"special", special},
+		{"ties", []float32{1, 1, 0, float32(math.Copysign(0, -1)), negInf}},
+		{"nan or -inf", []float32{negInf, float32(math.NaN())}},
+	}
+	for _, c := range []int{1, 8, 16} {
+		for _, hw := range [][2]int{{2, 2}, {4, 6}, {5, 7}, {7, 4}} {
+			g, err := PoolGeom([]int{3, hw[0], hw[1], c}, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range inputs {
+				name, x := in.name, randFloats(rng, g.N*g.H*g.W*g.C)
+				if in.set != nil {
+					for i := range x {
+						x[i] = in.set[rng.Intn(len(in.set))]
+					}
+				}
+				if name == "nan or -inf" {
+					// The first window holds -Inf alone.
+					for i := 0; i < g.C; i++ {
+						x[i], x[g.C+i], x[g.W*g.C+i], x[(g.W+1)*g.C+i] = negInf, negInf, negInf, negInf
+					}
+				}
+				what := fmt.Sprintf("%v, %s", []int{g.N, g.H, g.W, g.C}, name)
+				n := g.N * g.OH * g.OW * g.C
+				want, wantArg := make([]float32, n), make([]int32, n)
+				maxPoolGeneric(want, x, g, wantArg)
+				got, gotArg := make([]float32, n), make([]int32, n)
+				MaxPool(got, x, g, gotArg)
+				bitEqual(t, what, got, want)
+				for i := range wantArg {
+					if gotArg[i] != wantArg[i] {
+						t.Fatalf("%s: argmax[%d] = %d, want %d", what, i, gotArg[i], wantArg[i])
+					}
+				}
+				got = make([]float32, n)
+				MaxPool(got, x, g, nil)
+				bitEqual(t, what+", no argmax", got, want)
+			}
+		}
+	}
+}
+
 // TestApplySGDMatchesWhatItReplaced keeps the four update loops ApplySGD
 // took the place of, as they were written, and requires its bits of
 // each: the session's ApplySGD kernel, the parameter server's async
@@ -649,20 +763,53 @@ func BenchmarkKernels(b *testing.B) {
 		b.Run("conv2d_grad_filter/train-sync/"+l.name, conv(func() { Conv2DGradFilterInto(df, grad, x, g) }))
 		b.Run("conv2d_grad_input/train-sync/"+l.name, conv(func() { clear(dx); Conv2DGradInputInto(dx, grad, f, g) }))
 	}
-	b.Run("maxpool/train-sync/50x14x14x16_k2", func(b *testing.B) {
-		g, err := PoolGeom([]int{50, 14, 14, 16}, 2, 2)
+	// The CNN's two pools, pool1 followed by its twin on the generic loop:
+	// CI gates the ratio of that pair.
+	for _, shape := range [][]int{{50, 28, 28, 8}, {50, 14, 14, 16}} {
+		g, err := PoolGeom(shape, 2, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
 		x := randFloats(rng, g.N*g.H*g.W*g.C)
 		out := make([]float32, g.N*g.OH*g.OW*g.C)
 		argmax := make([]int32, len(out))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MaxPool(out, x, g, argmax)
+		pool := func(run func(dst, x []float32, g Geom, argmax []int32)) func(*testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run(out, x, g, argmax)
+				}
+			}
 		}
-	})
+		name := fmt.Sprintf("maxpool/train-sync/%dx%dx%dx%d_k2", g.N, g.H, g.W, g.C)
+		b.Run(name, pool(MaxPool))
+		if g.H == 28 {
+			b.Run(name+"_generic", pool(maxPoolGeneric))
+		}
+	}
+	// conv1's activations, Gaussian and then four fifths zero: equal times
+	// are what says that Relu's and ReluGrad's do not depend on values.
+	for _, in := range []struct {
+		name  string
+		zeros float64
+	}{{"", 0}, {"_80pct_zero", 0.8}} {
+		x, grad := sparseFloats(rng, 50*28*28*8, in.zeros), sparseFloats(rng, 50*28*28*8, 0.8)
+		out := make([]float32, len(x))
+		b.Run("relu/train-sync/50x28x28x8"+in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Relu(out, x)
+			}
+		})
+		if in.zeros == 0 {
+			b.Run("relu_grad/train-sync/50x28x28x8", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ReluGrad(out, grad, x)
+				}
+			})
+		}
+	}
 	b.Run("softmax/serve-steady/1x1000", func(b *testing.B) {
 		x := randFloats(rng, 1000)
 		out := make([]float32, len(x))

@@ -10,20 +10,32 @@ import (
 // kernel; the forward node's name is carried in the grad node's
 // "forward" attribute and looked up in the run's extras.
 
+// sameSize refuses a gradient and an operand that are not float32
+// tensors of one element count: a graph is untrusted, and nothing before
+// the kernel checks that its inputs agree.
+func sameSize(n *Node, gradOut, y *Tensor) error {
+	if count := y.NumElements(); len(gradOut.f32) != count || len(y.f32) != count {
+		return fmt.Errorf("tf: %s: a gradient of %d floats for an operand of %d, %v", n.op, len(gradOut.f32), len(y.f32), y.Shape())
+	}
+	return nil
+}
+
 func kernelReluGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x := in[0], in[1]
-	out := ctx.zeroed(x.Shape())
-	for i, v := range x.f32 {
-		if v > 0 {
-			out.f32[i] = gradOut.f32[i]
-		}
+	if err := sameSize(n, gradOut, x); err != nil {
+		return nil, err
 	}
+	out := ctx.out(x.Shape())
+	kernels.ReluGrad(out.f32, gradOut.f32, x.f32)
 	ctx.charge(n, int64(len(x.f32)), 3*x.Bytes(), false)
 	return out, nil
 }
 
 func kernelSigmoidGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, y := in[0], in[1]
+	if err := sameSize(n, gradOut, y); err != nil {
+		return nil, err
+	}
 	out := ctx.out(y.Shape())
 	for i, v := range y.f32 {
 		out.f32[i] = gradOut.f32[i] * v * (1 - v)
@@ -34,6 +46,9 @@ func kernelSigmoidGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelTanhGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, y := in[0], in[1]
+	if err := sameSize(n, gradOut, y); err != nil {
+		return nil, err
+	}
 	out := ctx.out(y.Shape())
 	for i, v := range y.f32 {
 		out.f32[i] = gradOut.f32[i] * (1 - float32(v*v))
@@ -62,11 +77,15 @@ func kernelMaxPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if !ok {
 		return nil, fmt.Errorf("tf: MaxPoolGrad: forward cache for %q missing", n.attrString("forward", ""))
 	}
-	if len(argmax) != gradOut.NumElements() {
-		return nil, fmt.Errorf("tf: MaxPoolGrad: cache size %d vs grad %d", len(argmax), gradOut.NumElements())
+	if len(argmax) != len(gradOut.f32) {
+		return nil, fmt.Errorf("tf: MaxPoolGrad: cache size %d vs grad %d", len(argmax), len(gradOut.f32))
 	}
 	out := ctx.zeroed(x.Shape())
 	for i, idx := range argmax {
+		if int(idx) >= len(out.f32) {
+			// The forward pool read a larger tensor than this x.
+			return nil, fmt.Errorf("tf: MaxPoolGrad: argmax %d outside an input of %d elements", idx, len(out.f32))
+		}
 		if idx >= 0 {
 			out.f32[idx] += gradOut.f32[i]
 		}
