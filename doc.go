@@ -81,6 +81,16 @@
 //	cl, _ := securetf.DialModelServer(c, securetf.ModelClientConfig{Addr: gw.Addr()})
 //	classes, _ := cl.Classify("", input)
 //
+// A serving connection — the gateway's and the router's alike — owns
+// its memory: the frame last read, the frame last written and the
+// request tensor, into which every request of the same dtype and shape
+// is decoded. A request's input therefore belongs to the connection
+// until the server has answered it, and a warm round allocates about
+// its response, not its input. A connection keeps its largest frame (at
+// most 1 GiB, the wire's frame limit) until it closes. A client keeps
+// its two frame buffers the same way; the tensors it returns are the
+// caller's.
+//
 // A ModelClient can opt into overload retries with SetRetry: capped
 // exponential backoff whose jitter is a hash of the request identity
 // rather than a random draw, so the retry schedule is deterministic and

@@ -79,6 +79,45 @@ func TestAllowDirectiveCount(t *testing.T) {
 	}
 }
 
+// TestUnsafeInOneFile: the tensor element codec's copy on little-endian
+// targets is the module's one use of unsafe, and every other file,
+// tests included, does without it.
+func TestUnsafeInOneFile(t *testing.T) {
+	const root = "../.."
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (path == filepath.Join(root, "bench") || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"unsafe"` {
+				rel, _ := filepath.Rel(root, path)
+				files = append(files, filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "internal/tf/codec_le.go"; len(files) != 1 || files[0] != want {
+		t.Fatalf("unsafe is imported by %v, want only %s", files, want)
+	}
+}
+
 // TestFacadeOwnsTheTrainingCluster holds the import direction that lets
 // the paper's figures train on the cluster every other client gets, and
 // the places where a decision shared by training and federated lives:

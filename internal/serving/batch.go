@@ -271,22 +271,14 @@ func stackInputs(reqs []*request) (*tf.Tensor, error) {
 		rows += req.rows
 	}
 	shape[0] = rows
-	stacked := tf.NewTensor(first.DType(), shape)
-	switch first.DType() {
-	case tf.Float32:
-		dst := stacked.Floats()
-		off := 0
-		for _, req := range reqs {
-			off += copy(dst[off:], req.input.Floats())
-		}
-	case tf.Int32:
-		dst := stacked.Ints()
-		off := 0
-		for _, req := range reqs {
-			off += copy(dst[off:], req.input.Ints())
-		}
-	default:
+	if first.DType() != tf.Float32 {
 		return nil, fmt.Errorf("serving: cannot batch dtype %v", first.DType())
+	}
+	stacked := tf.NewTensor(tf.Float32, shape)
+	dst := stacked.Floats()
+	off := 0
+	for _, req := range reqs {
+		off += copy(dst[off:], req.input.Floats())
 	}
 	return stacked, nil
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tf/kernels"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // Sentinel errors mapped from wire statuses, so callers can react by
@@ -82,11 +83,15 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // concurrent use: the request/response exchange is serialized with a
 // mutex so goroutines cannot interleave frames on the shared stream.
 type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	clock   *vtime.Clock
-	retry   *RetryPolicy
-	retries atomic.Int64
+	mu   sync.Mutex
+	conn net.Conn
+	// wbuf holds the request frame last sent, rbuf the response frame
+	// last received; both are guarded by mu. A response's tensor is
+	// decoded into storage of its own, the caller's.
+	wbuf, rbuf []byte
+	clock      *vtime.Clock
+	retry      *RetryPolicy
+	retries    atomic.Int64
 }
 
 // Dial connects a container to a gateway, through the container's
@@ -215,10 +220,20 @@ func (cl *Client) Do(req WireRequest) (WireResponse, error) {
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if err := WriteRequest(cl.conn, req); err != nil {
+	frame, err := appendRequest(cl.wbuf[:0], req)
+	if err != nil {
 		return WireResponse{}, err
 	}
-	return ReadResponse(cl.conn)
+	cl.wbuf = frame
+	if err := wire.WriteFrame(cl.conn, frame); err != nil {
+		return WireResponse{}, err
+	}
+	payload, err := wire.ReadFrameInto(cl.conn, cl.rbuf)
+	if err != nil {
+		return WireResponse{}, err
+	}
+	cl.rbuf = payload
+	return parseResponse(payload)
 }
 
 // backoff waits out one capped exponential backoff step before retry

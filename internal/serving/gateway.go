@@ -29,6 +29,33 @@
 //     unpinned traffic to a candidate version and automatically promotes
 //     or rolls back off a rejection-rate and p99 comparison against the
 //     incumbent over a fixed request window.
+//
+// # Who owns what
+//
+// A warm round allocates its response and little else, because every
+// buffer on the serving wire has one owner:
+//
+//   - A server connection (ServeRounds, under both the gateway and the
+//     router) owns the frame last read, the frame last written and its
+//     request tensor. A request of that tensor's dtype and shape is
+//     decoded into it; any other request replaces it. A request's Input
+//     is therefore the connection's until the handler returns: the
+//     handler may read it — the router's Ensemble does, from one
+//     goroutine a branch — but must not write it, keep it, or let
+//     anything read it afterwards. The gateway's submit returns only
+//     once its batch has answered the request, and a batch reads no
+//     member's input after answering it; the router's route is
+//     synchronous.
+//   - The frames grow to the largest the connection has carried (at most
+//     wire.MaxFrame) and go when it closes, as a dist.Link's do. A
+//     per-protocol cap is a separate matter.
+//   - A Client owns its request and response frames, under its mutex.
+//     The tensors it returns are decoded into storage of their own, the
+//     caller's; the tensors it is given need only hold still for the
+//     call.
+//   - WriteRequest, ReadRequest, WriteResponse and ReadResponse are the
+//     buffer-per-call forms: each allocates its frame, and what
+//     ReadRequest and ReadResponse return is the caller's to keep.
 package serving
 
 import (
@@ -39,6 +66,7 @@ import (
 	"time"
 
 	"github.com/securetf/securetf/internal/core"
+	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/vtime"
 	"github.com/securetf/securetf/internal/wire"
 )
@@ -150,32 +178,21 @@ func NewGateway(c *core.Container, addr string, cfg Config) (*Gateway, error) {
 	if cfg.Autoscale != nil {
 		g.scaler = newAutoscaler(*cfg.Autoscale, g.clock.Now())
 	}
-	g.srv = wire.Serve(ln, g.handle)
+	g.srv = wire.Serve(ln, func(conn net.Conn) { ServeRounds(conn, g.submit) })
 	return g, nil
 }
 
 // Addr returns the gateway's listen address.
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
-// handle serves one connection: a sequence of request/response rounds.
-func (g *Gateway) handle(conn net.Conn) {
-	for {
-		req, err := ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		resp := g.submit(req)
-		if err := WriteResponse(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
 // submit runs admission control for one request and waits for its
 // response. Every admitted request is answered: dispatchers outlive the
 // connection handlers that feed them. Unpinned requests may be routed to
 // an active canary candidate; the admission bound is the live resolved
-// QueueCap.
+// QueueCap. It returns only once the batch holding the request has
+// answered it, and a batch reads no member's input after answering it,
+// so the connection's input tensor is free again when submit returns
+// (ServeRounds).
 func (g *Gateway) submit(wr WireRequest) WireResponse {
 	if wr.ListModels {
 		// The placement control round: answer with the registered model
@@ -192,6 +209,11 @@ func (g *Gateway) submit(wr WireRequest) WireResponse {
 	}
 	if len(wr.Input.Shape()) == 0 || wr.Input.Shape()[0] < 1 {
 		return WireResponse{Status: StatusBadRequest, Message: fmt.Sprintf("input shape %v has no batch rows", wr.Input.Shape())}
+	}
+	if wr.Input.DType() != tf.Float32 {
+		// A Lite model's inputs are float32; anything else is the
+		// caller's mistake, not the node's.
+		return WireResponse{Status: StatusBadRequest, Message: fmt.Sprintf("input is %v, models take float32", wr.Input.DType())}
 	}
 	select {
 	case <-g.closed:

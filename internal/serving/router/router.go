@@ -264,20 +264,15 @@ func (r *Router) handle(conn net.Conn) {
 	if err := writeManifestReply(conn, r.key, r.manifest, refusal); err != nil || refusal != "" {
 		return
 	}
-	for {
-		req, err := serving.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		resp := r.route(req)
-		if err := serving.WriteResponse(conn, resp); err != nil {
-			return
-		}
-	}
+	serving.ServeRounds(conn, r.route)
 }
 
 // route answers one request: the model/graph listing, a compiled graph
-// execution, or a weighted-spread forward of a plain model request.
+// execution, or a weighted-spread forward of a plain model request. It
+// is synchronous — every forward, and every Ensemble branch, has
+// finished with the request's input when it returns — which is what
+// lets ServeRounds decode the connection's next request into the same
+// tensor.
 func (r *Router) route(req serving.WireRequest) serving.WireResponse {
 	select {
 	case <-r.closed:

@@ -7,16 +7,19 @@
 // hard failures. Frames remain length-prefixed so the protocol runs
 // unchanged over plain TCP and over the network shield's TLS.
 //
-// The codec is exported because the router tier (internal/serving/router)
-// speaks the same protocol on both sides: it decodes client requests,
-// forwards them to backend gateways and relays the responses. Responses
-// carry the serving node's virtual service time, so a multi-hop caller
-// can attribute per-step enclave cost without sharing a clock.
+// The server loop (ServeRounds) and the Client are exported because the
+// router tier (internal/serving/router) speaks the same protocol on both
+// sides: it serves client requests, forwards them to backend gateways
+// and relays the responses. Responses carry the serving node's virtual
+// service time, so a multi-hop caller can attribute per-step enclave
+// cost without sharing a clock.
 package serving
 
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"github.com/securetf/securetf/internal/tf"
@@ -103,13 +106,33 @@ type WireRequest struct {
 	Input      *tf.Tensor
 }
 
-// WriteRequest encodes and sends a request frame.
-func WriteRequest(w io.Writer, req WireRequest) error {
-	if len(req.Model) > maxModelName || (len(req.Model) == 0 && !req.ListModels) {
-		return fmt.Errorf("serving: model name of %d bytes", len(req.Model))
+// checkVersion refuses a model version the wire's u32 cannot carry as an
+// int on every target: a version of 1<<32 would arrive as 0, the
+// serving version.
+func checkVersion(v int) error {
+	if v < 0 || v > math.MaxInt32 {
+		return fmt.Errorf("serving: model version %d outside [0, %d]", v, math.MaxInt32)
 	}
-	if req.Version < 0 {
-		return fmt.Errorf("serving: negative model version %d", req.Version)
+	return nil
+}
+
+// WriteRequest encodes and sends a request frame from a buffer of its
+// own.
+func WriteRequest(w io.Writer, req WireRequest) error {
+	payload, err := appendRequest(nil, req)
+	if err != nil {
+		return err
+	}
+	return wire.WriteFrame(w, payload)
+}
+
+// appendRequest appends a request's frame payload to dst.
+func appendRequest(dst []byte, req WireRequest) ([]byte, error) {
+	if len(req.Model) > maxModelName || (len(req.Model) == 0 && !req.ListModels) {
+		return nil, fmt.Errorf("serving: model name of %d bytes", len(req.Model))
+	}
+	if err := checkVersion(req.Version); err != nil {
+		return nil, err
 	}
 	var flags byte
 	size := 1 + 1 + 2 + len(req.Model) + 4
@@ -118,10 +141,12 @@ func WriteRequest(w io.Writer, req WireRequest) error {
 	}
 	if req.ListModels {
 		flags |= flagModels
+	} else if req.Input == nil {
+		return nil, fmt.Errorf("serving: request for model %q has no input", req.Model)
 	} else {
 		size += tf.EncodedTensorLen(req.Input)
 	}
-	p := wire.Writer{Buf: make([]byte, 0, size)}
+	p := wire.Writer{Buf: slices.Grow(dst, size)}
 	p.U8(protoVersion)
 	p.U8(flags)
 	p.Str16(req.Model)
@@ -129,17 +154,24 @@ func WriteRequest(w io.Writer, req WireRequest) error {
 	if !req.ListModels {
 		p.Buf = tf.AppendTensor(p.Buf, req.Input)
 	}
-	return wire.WriteFrame(w, p.Buf)
+	return p.Buf, nil
 }
 
-// ReadRequest reads and decodes a request frame. A request that decodes
-// is in the form WriteRequest sends: no unknown flag, and nothing after
-// a ListModels header.
+// ReadRequest reads and decodes a request frame into storage of its own.
+// A request that decodes is in the form WriteRequest sends: no unknown
+// flag, and nothing after a ListModels header.
 func ReadRequest(r io.Reader) (WireRequest, error) {
 	payload, err := wire.ReadFrame(r)
 	if err != nil {
 		return WireRequest{}, err
 	}
+	return parseRequest(payload, nil)
+}
+
+// parseRequest decodes a request payload. Its input tensor is decoded
+// into into when that has the request's dtype and shape, and into a new
+// tensor otherwise; nothing in the result aliases payload.
+func parseRequest(payload []byte, into *tf.Tensor) (WireRequest, error) {
 	p := wire.NewReader(payload)
 	version, flags := p.U8(), p.U8()
 	req := WireRequest{
@@ -149,7 +181,7 @@ func ReadRequest(r io.Reader) (WireRequest, error) {
 		ListModels: flags&flagModels != 0,
 	}
 	if p.Err() != nil || version != protoVersion || flags&^(flagArgmax|flagModels) != 0 ||
-		(req.Model == "" && !req.ListModels) || len(req.Model) > maxModelName {
+		(req.Model == "" && !req.ListModels) || len(req.Model) > maxModelName || checkVersion(req.Version) != nil {
 		return WireRequest{}, fmt.Errorf("serving: bad request header")
 	}
 	if req.ListModels {
@@ -158,7 +190,13 @@ func ReadRequest(r io.Reader) (WireRequest, error) {
 		}
 		return req, nil
 	}
-	if req.Input, err = tf.DecodeTensor(p.Next(p.Remaining())); err != nil {
+	body := p.Next(p.Remaining())
+	if into != nil && tf.DecodeTensorInto(into, body) == nil {
+		req.Input = into
+		return req, nil
+	}
+	var err error
+	if req.Input, err = tf.DecodeTensor(body); err != nil {
 		return WireRequest{}, fmt.Errorf("serving: decode request tensor: %w", err)
 	}
 	return req, nil
@@ -177,13 +215,29 @@ type WireResponse struct {
 	Message      string
 }
 
-// WriteResponse encodes and sends a response frame.
+// WriteResponse encodes and sends a response frame from a buffer of its
+// own.
 func WriteResponse(w io.Writer, resp WireResponse) error {
+	payload, err := appendResponse(nil, resp)
+	if err != nil {
+		return err
+	}
+	return wire.WriteFrame(w, payload)
+}
+
+// appendResponse appends a response's frame payload to dst.
+func appendResponse(dst []byte, resp WireResponse) ([]byte, error) {
+	if err := checkVersion(resp.Version); err != nil {
+		return nil, err
+	}
 	body := len(resp.Message)
 	if resp.Status == StatusOK {
+		if resp.Output == nil {
+			return nil, fmt.Errorf("serving: OK response has no output")
+		}
 		body = tf.EncodedTensorLen(resp.Output)
 	}
-	p := wire.Writer{Buf: make([]byte, 0, 1+1+4+8+body)}
+	p := wire.Writer{Buf: slices.Grow(dst, 1+1+4+8+body)}
 	p.U8(protoVersion)
 	p.U8(uint8(resp.Status))
 	p.U32(uint32(resp.Version))
@@ -193,7 +247,7 @@ func WriteResponse(w io.Writer, resp WireResponse) error {
 	} else {
 		p.Buf = append(p.Buf, resp.Message...)
 	}
-	return wire.WriteFrame(w, p.Buf)
+	return p.Buf, nil
 }
 
 // ReadResponse reads and decodes a response frame.
@@ -202,6 +256,12 @@ func ReadResponse(r io.Reader) (WireResponse, error) {
 	if err != nil {
 		return WireResponse{}, err
 	}
+	return parseResponse(payload)
+}
+
+// parseResponse decodes a response payload into storage of its own:
+// nothing in the result aliases payload.
+func parseResponse(payload []byte) (WireResponse, error) {
 	p := wire.NewReader(payload)
 	version := p.U8()
 	resp := WireResponse{
@@ -209,7 +269,7 @@ func ReadResponse(r io.Reader) (WireResponse, error) {
 		Version:      int(p.U32()),
 		ServiceVtime: time.Duration(p.U64()),
 	}
-	if p.Err() != nil || version != protoVersion {
+	if p.Err() != nil || version != protoVersion || checkVersion(resp.Version) != nil {
 		return WireResponse{}, fmt.Errorf("serving: bad response header")
 	}
 	body := p.Next(p.Remaining())
@@ -217,8 +277,43 @@ func ReadResponse(r io.Reader) (WireResponse, error) {
 		resp.Message = string(body)
 		return resp, nil
 	}
+	var err error
 	if resp.Output, err = tf.DecodeTensor(body); err != nil {
 		return WireResponse{}, fmt.Errorf("serving: decode response tensor: %w", err)
 	}
 	return resp, nil
+}
+
+// ServeRounds serves one connection's request/response rounds until a
+// read, a decode or a write fails: it reads a request, hands it to
+// handle and writes what handle returns. It is the server side of the
+// protocol under both the gateway and the router. The frames it reads
+// and writes and the request tensor it decodes into are the
+// connection's, and a request's Input is the connection's until handle
+// returns (the package comment has the rule).
+func ServeRounds(conn io.ReadWriter, handle func(WireRequest) WireResponse) {
+	var (
+		rbuf, wbuf []byte
+		input      *tf.Tensor
+	)
+	for {
+		payload, err := wire.ReadFrameInto(conn, rbuf)
+		if err != nil {
+			return
+		}
+		rbuf = payload
+		req, err := parseRequest(payload, input)
+		if err != nil {
+			return
+		}
+		if req.Input != nil {
+			input = req.Input
+		}
+		if wbuf, err = appendResponse(wbuf[:0], handle(req)); err != nil {
+			return
+		}
+		if err := wire.WriteFrame(conn, wbuf); err != nil {
+			return
+		}
+	}
 }

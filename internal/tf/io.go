@@ -53,7 +53,7 @@ func tensorLen(t *Tensor) int {
 }
 
 // encodeTensorInto writes a tensor without magic (inner encoding). The
-// elements are converted in one pass over a slice sized from the shape,
+// elements go into a slice sized from the shape in one pass (putWords),
 // not appended word by word.
 func encodeTensorInto(w *wire.Writer, t *Tensor) {
 	w.Buf = slices.Grow(w.Buf, tensorLen(t))
@@ -63,7 +63,18 @@ func encodeTensorInto(w *wire.Writer, t *Tensor) {
 	w.U32(uint32(n))
 	off := len(w.Buf)
 	w.Buf = w.Buf[:off+4*n]
-	words := w.Buf[off:]
+	t.putWords(w.Buf[off:])
+}
+
+// The element codec: four little-endian bytes an element, whatever the
+// target's byte order. On a little-endian target an element's bytes in
+// memory are its encoding, so putWords and setWords are one copy each
+// (codec_le.go); everywhere else they are the loops below, which are
+// also the oracle the copy is tested against.
+
+// putWordsLoop encodes t's elements into words, four bytes each,
+// len(words) being four times the element count.
+func (t *Tensor) putWordsLoop(words []byte) {
 	switch t.dtype {
 	case Int32:
 		for i, v := range t.i32 {
@@ -105,9 +116,9 @@ func tensorHeader(r *wire.Reader) (dtype DType, shape Shape, words []byte, err e
 	return dtype, shape, words, nil
 }
 
-// setWords decodes a tensor's elements from their encoding, four bytes
+// setWordsLoop decodes t's elements from their encoding, four bytes
 // each, len(words) being four times the element count.
-func (t *Tensor) setWords(words []byte) {
+func (t *Tensor) setWordsLoop(words []byte) {
 	for i := range t.i32 {
 		t.i32[i] = int32(binary.LittleEndian.Uint32(words[4*i:]))
 	}

@@ -2,6 +2,9 @@ package tf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -229,8 +232,75 @@ func FuzzTensorDecode(f *testing.F) {
 	})
 }
 
+// TestTensorCodecMatchesLoop holds the element codec (putWords and
+// setWords, one copy each on a little-endian target) to the word-by-word
+// loops, byte for byte and bit for bit: NaNs quiet and signalling with
+// payloads and either sign, ±0, subnormals, ±Inf, the int32 extremes and
+// empty tensors, with the words at an odd offset as they sit in a frame.
+func TestTensorCodecMatchesLoop(t *testing.T) {
+	bits := []uint32{
+		0x7fc00000, 0xffc00000, 0x7fc00001, 0xffd5a5a5, // quiet NaNs
+		0x7f800001, 0xff800001, 0x7fa5a5a5, 0xffbfffff, // signalling NaNs
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, 0x00400000, // subnormals
+		0x7f800000, 0xff800000, // ±Inf
+		0x00800000, 0x7f7fffff, 0xff7fffff, 0x3f800000, 0xbf800000, 0x3eaaaaab,
+	}
+	floats := make([]float32, len(bits))
+	for i, b := range bits {
+		floats[i] = math.Float32frombits(b)
+	}
+	special, err := FromFloats(Shape{len(floats)}, floats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extremes, err := FromInts(Shape{2, 4}, []int32{math.MinInt32, math.MaxInt32, -1, 0, 1, math.MinInt32 + 1, math.MaxInt32 - 1, 0x01020304})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []*Tensor{
+		special, extremes, RandNormal(Shape{3, 5, 7}, 1, 9),
+		NewTensor(Float32, Shape{0, 4}), NewTensor(Int32, Shape{0}), NewTensor(Float32, Shape{}),
+	} {
+		name := fmt.Sprintf("%v%v", src.DType(), src.Shape())
+		n := src.NumElements()
+		loop := make([]byte, 4*n)
+		src.putWordsLoop(loop)
+		if src == special {
+			for i, b := range bits {
+				if got := binary.LittleEndian.Uint32(loop[4*i:]); got != b {
+					t.Fatalf("%s: the loop encodes element %d as %#x, want %#x", name, i, got, b)
+				}
+			}
+		}
+		frame := make([]byte, 1+4*n)
+		words := frame[1:]
+		src.putWords(words)
+		if !bytes.Equal(words, loop) {
+			t.Errorf("%s: putWords wrote % x, the loop % x", name, words, loop)
+		}
+		if enc := EncodeTensor(src); !bytes.HasSuffix(enc, loop) {
+			t.Errorf("%s: EncodeTensor does not end in the loop's words", name)
+		}
+		got, want := NewTensor(src.DType(), src.Shape()), NewTensor(src.DType(), src.Shape())
+		got.setWords(words)
+		want.setWordsLoop(loop)
+		if !bitEqual(want, src) {
+			t.Errorf("%s: the loop does not decode its own encoding to the tensor", name)
+		}
+		if !bitEqual(got, want) {
+			t.Errorf("%s: setWords and the loop decode the same words differently", name)
+		}
+		dec, err := DecodeTensor(EncodeTensor(src))
+		if err != nil || !bitEqual(dec, src) {
+			t.Errorf("%s: DecodeTensor(EncodeTensor) is not the tensor (err %v)", name, err)
+		}
+	}
+}
+
 // BenchmarkTensorCodec times the tensor codec at train-sync's largest
-// variable, fc1/w: 784x512 floats, 1.6 MB on the wire.
+// variable, fc1/w: 784x512 floats, 1.6 MB on the wire. The _loop rows
+// are the word-by-word twins of the element copy, in place.
 func BenchmarkTensorCodec(b *testing.B) {
 	w := RandNormal(Shape{784, 512}, 1, 8)
 	enc := EncodeTensor(w)
@@ -250,6 +320,23 @@ func BenchmarkTensorCodec(b *testing.B) {
 			}
 		}
 	})
+	words := make([]byte, 4*w.NumElements())
+	for _, row := range []struct {
+		name string
+		run  func()
+	}{
+		{"put/784x512", func() { w.putWords(words) }},
+		{"put/784x512_loop", func() { w.putWordsLoop(words) }},
+		{"set/784x512", func() { w.setWords(words) }},
+		{"set/784x512_loop", func() { w.setWordsLoop(words) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(len(words)))
+			for i := 0; i < b.N; i++ {
+				row.run()
+			}
+		})
+	}
 }
 
 func TestSliceRows(t *testing.T) {
