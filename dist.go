@@ -195,8 +195,7 @@ func StartParameterServer(c *Container, addr string, vars map[string]*Tensor, wo
 		Vars:     vars,
 		Workers:  workers,
 		LR:       lr,
-		Clock:    c.Clock(),
-		Params:   c.Params(),
+		Meter:    c.Platform().Meter(),
 		ApplyMeter: func(flops, bytes int64) {
 			dev.Compute(flops)
 			dev.Access(bytes, false)
@@ -295,8 +294,7 @@ func StartTrainingWorker(c *Container, spec WorkerSpec) (*TrainingWorker, error)
 		YS:               spec.YS,
 		BatchSize:        spec.BatchSize,
 		Device:           c.Device(spec.Threads),
-		Clock:            c.Clock(),
-		Params:           c.Params(),
+		Meter:            c.Platform().Meter(),
 		Consistency:      spec.Consistency,
 		ShardConsistency: spec.ShardConsistency,
 		Compression:      spec.Compression,

@@ -376,10 +376,20 @@
 // membership, refusals, the final global model — is bit-reproducible
 // at a fixed seed.
 //
-// All enclave costs (EPC paging, transitions, crypto, WAN round trips)
-// are charged to a per-platform virtual clock, so programs built on this
-// package are deterministic and fast while preserving the performance
-// shape the paper reports; read latencies with Container.Clock.
+// All costs are charged to a per-platform virtual clock, so programs are
+// deterministic and fast while keeping the paper's performance shape;
+// read latencies with Container.Clock. internal/sgx is the one price
+// list: an enclave prices its own paging, MEE traffic, transitions,
+// syscalls, crypto and compute, and everything else — wire frames,
+// shield handshakes and records, CAS/IAS legs, the native baselines —
+// charges an sgx.Meter a quantity and reads no cost field of Params
+// (a tier-1 scan holds this). Configured durations are not prices:
+// round timeouts, back-off, poll intervals, the federated step cost and
+// fault-plan and straggler delays. Kept on purpose, as every pinned
+// number rests on them: CAS/IAS JSON pays no wire serialization while
+// dist frames do; CAS and IAS handshakes are charged to the client only,
+// the network shield's to both ends; and CAS traffic pays no shield
+// record cost, since the CAS speaks its own crypto/tls.
 //
 // Every server in the module — CAS, IAS simulator, parameter server,
 // federated coordinator, gateway, router — runs on internal/wire, which

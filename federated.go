@@ -10,6 +10,7 @@ import (
 
 	"github.com/securetf/securetf/internal/federated"
 	"github.com/securetf/securetf/internal/seccrypto"
+	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -145,8 +146,7 @@ func StartFederatedAggregator(c *Container, addr string, cfg FederatedConfig) (*
 		Codec:          cfg.Compression,
 		Unmasked:       cfg.Unmasked,
 		Seed:           cfg.Seed,
-		Clock:          c.Clock(),
-		Params:         c.Params(),
+		Meter:          c.Platform().Meter(),
 		Tap:            cfg.PayloadTap,
 	})
 	if err != nil {
@@ -199,15 +199,15 @@ func StartFederatedClient(c *Container, spec FederatedPeerSpec) (*FederatedClien
 	}
 	serverName := cmp.Or(spec.ServerName, "aggregator")
 	dial := func(network, addr string) (net.Conn, error) { return c.Dial(network, addr, serverName) }
-	return newFederatedClient(spec, dial, c.Clock(), c.Params(), nil, nil)
+	return newFederatedClient(spec, dial, c.Platform().Meter(), nil, nil)
 }
 
 // newFederatedClient is the one mapping from a peer spec to a client,
-// for a container's (its dial, clock and cost model, free-threaded) and
+// for a container's (its dial and meter, free-threaded) and
 // for one of TrainFederated's simulated population, stragglers delayed
 // and every client taking its turns at ts.
 func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) (net.Conn, error),
-	clock *vtime.Clock, params Params, delay func(round uint64) time.Duration, ts *federated.Turnstile) (*FederatedClient, error) {
+	meter sgx.Meter, delay func(round uint64) time.Duration, ts *federated.Turnstile) (*FederatedClient, error) {
 	cl, err := federated.NewClient(federated.ClientConfig{
 		ID:         spec.ID,
 		Addr:       spec.Addr,
@@ -222,8 +222,7 @@ func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) 
 		Population: spec.Population,
 		Secret:     spec.Secret,
 		Unmasked:   spec.Unmasked,
-		Clock:      clock,
-		Params:     params,
+		Meter:      meter,
 		Delay:      delay,
 		Turnstile:  ts,
 	})
@@ -306,7 +305,7 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 			Population:  cfg.Clients,
 			Secret:      secret,
 			Unmasked:    cfg.Unmasked,
-		}, net.Dial, clocks[id], agg.Params(), delay, ts)
+		}, net.Dial, agg.Platform().Meter().On(clocks[id]), delay, ts)
 		if err != nil {
 			return nil, err
 		}

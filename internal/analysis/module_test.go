@@ -1,17 +1,22 @@
 package analysis_test
 
 import (
+	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/securetf/securetf/internal/analysis"
+	"github.com/securetf/securetf/internal/sgx"
 )
 
 // TestModuleVetClean runs the full suite over the whole module, the
@@ -115,6 +120,79 @@ func TestUnsafeInOneFile(t *testing.T) {
 	}
 	if want := "internal/tf/codec_le.go"; len(files) != 1 || files[0] != want {
 		t.Fatalf("unsafe is imported by %v, want only %s", files, want)
+	}
+}
+
+// TestSgxPricesEveryCharge: internal/sgx is the one price list. Outside
+// it and bench/, no non-test file reads a time, throughput, bandwidth or
+// RTT field of sgx.Params, or converts a quantity into time with the
+// Params helpers: code charges an sgx.Meter (or an enclave) a quantity
+// and lets sgx price it. The fields come off the struct, so a new price
+// is covered the day it is added. Each offending statement is listed once.
+func TestSgxPricesEveryCharge(t *testing.T) {
+	const root = "../.."
+	banned := map[string]bool{"TimeAtThroughput": true, "MemTime": true, "CryptoTime": true, "ComputeTime": true}
+	params := reflect.TypeOf(sgx.Params{})
+	for i := 0; i < params.NumField(); i++ {
+		f := params.Field(i)
+		if f.Type == reflect.TypeOf(time.Duration(0)) || strings.Contains(f.Name, "Throughput") ||
+			strings.Contains(f.Name, "Bandwidth") || strings.Contains(f.Name, "FLOPS") {
+			banned[f.Name] = true
+		}
+	}
+	var sites []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			skip := path == filepath.Join(root, "internal", "sgx") || path == filepath.Join(root, "bench") ||
+				d.Name() == "testdata" || (path != root && strings.HasPrefix(d.Name(), "."))
+			if skip {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		var stmts []ast.Node
+		seen := map[ast.Node]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stmts = stmts[:len(stmts)-1]
+				return true
+			}
+			stmts = append(stmts, n)
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !banned[sel.Sel.Name] {
+				return true
+			}
+			for i := len(stmts) - 1; i >= 0; i-- {
+				if _, ok := stmts[i].(ast.Stmt); ok || i == 0 {
+					if !seen[stmts[i]] {
+						seen[stmts[i]] = true
+						rel, _ := filepath.Rel(root, fset.Position(stmts[i].Pos()).Filename)
+						sites = append(sites, fmt.Sprintf("%s:%d", filepath.ToSlash(rel), fset.Position(stmts[i].Pos()).Line))
+					}
+					break
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) > 0 {
+		t.Fatalf("%d statements outside internal/sgx price a charge from sgx.Params themselves; charge an sgx.Meter the quantity instead:\n%s",
+			len(sites), strings.Join(sites, "\n"))
 	}
 }
 

@@ -23,7 +23,7 @@ type testCluster struct {
 	workerImage   sgx.Image
 }
 
-func newTestCluster(t *testing.T) *testCluster {
+func newTestCluster(t testing.TB) *testCluster {
 	t.Helper()
 	casPlat, err := sgx.NewPlatform("cas-node", sgx.DefaultParams())
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 // "the user needs to establish trust into the CAS instance".
 type Client struct {
 	enclave        *sgx.Enclave
+	meter          sgx.Meter // the enclave's platform's
 	addr           string
 	casMeasurement sgx.Measurement
 	platformKeys   map[string]*ecdsa.PublicKey
@@ -88,6 +89,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	return &Client{
 		enclave:        cfg.Enclave,
+		meter:          cfg.Enclave.Platform().Meter(),
 		addr:           cfg.Addr,
 		casMeasurement: cfg.CASMeasurement,
 		platformKeys:   keys,
@@ -100,7 +102,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // verifies the quote against the pinned CAS measurement and a trusted
 // platform key, and only then pins the CAS CA for future connections.
 func (c *Client) Bootstrap() error {
-	params := c.enclave.Platform().Params()
 	clock := c.enclave.Clock()
 
 	raw, err := c.dial("tcp", c.addr)
@@ -114,7 +115,7 @@ func (c *Client) Bootstrap() error {
 	if err := conn.Handshake(); err != nil {
 		return fmt.Errorf("cas: bootstrap handshake: %w", err)
 	}
-	clock.Advance(params.TLSHandshakeCost + 2*params.LANRTT)
+	c.meter.Handshake()
 	state := conn.ConnectionState()
 	if len(state.PeerCertificates) == 0 {
 		return errors.New("cas: bootstrap: CAS presented no certificate")
@@ -133,7 +134,7 @@ func (c *Client) Bootstrap() error {
 	if err := cdc.readResponse(&resp); err != nil {
 		return err
 	}
-	c.syncClock(resp.SenderVTime)
+	c.meter.Arrive(time.Duration(resp.SenderVTime))
 	if !resp.OK {
 		return fmt.Errorf("cas: bootstrap rejected: %s", resp.Error)
 	}
@@ -147,7 +148,7 @@ func (c *Client) Bootstrap() error {
 	if !ok {
 		return fmt.Errorf("cas: bootstrap: unknown CAS platform %q", resp.Quote.Report.Platform)
 	}
-	clock.Advance(params.QuoteVerifyCostLocal)
+	c.meter.QuoteCheck()
 	if err := sgx.VerifyQuote(*resp.Quote, key); err != nil {
 		return fmt.Errorf("cas: bootstrap: %w", err)
 	}
@@ -193,16 +194,8 @@ func (c *Client) connect() (net.Conn, error) {
 		raw.Close()
 		return nil, fmt.Errorf("cas: handshake: %w", err)
 	}
-	params := c.enclave.Platform().Params()
-	c.enclave.Clock().Advance(params.TLSHandshakeCost + 2*params.LANRTT)
+	c.meter.Handshake()
 	return conn, nil
-}
-
-// syncClock advances the local clock to a causally consistent time after
-// receiving a message stamped with the sender's virtual time.
-func (c *Client) syncClock(senderVTime int64) {
-	params := c.enclave.Platform().Params()
-	c.enclave.Clock().AdvanceTo(time.Duration(senderVTime) + params.LANRTT/2)
 }
 
 // roundTrip sends one request and reads one response over a fresh
@@ -222,7 +215,7 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	if err := cdc.readResponse(&resp); err != nil {
 		return nil, err
 	}
-	c.syncClock(resp.SenderVTime)
+	c.meter.Arrive(time.Duration(resp.SenderVTime))
 	if !resp.OK {
 		return nil, fmt.Errorf("cas: %s", resp.Error)
 	}
@@ -240,12 +233,11 @@ func (c *Client) Register(session *Session) error {
 func (c *Client) Attest(session string) (*Provision, AttestTiming, error) {
 	var timing AttestTiming
 	clock := c.enclave.Clock()
-	params := c.enclave.Platform().Params()
 
 	// Leg 1 — initialization: ephemeral keys, socket, TLS session to the
 	// CAS.
 	span := clock.Start()
-	clock.Advance(params.AttestInitCost)
+	c.meter.AttestInit()
 	conn, err := c.connect()
 	if err != nil {
 		return nil, timing, err
@@ -268,7 +260,7 @@ func (c *Client) Attest(session string) (*Provision, AttestTiming, error) {
 	if err := cdc.writeRequest(req); err != nil {
 		return nil, timing, err
 	}
-	clock.Advance(params.LANRTT / 2)
+	c.meter.Transit()
 	timing.SendQuote = span.Stop()
 
 	// Leg 3 — wait for the CAS verdict.
@@ -277,7 +269,7 @@ func (c *Client) Attest(session string) (*Provision, AttestTiming, error) {
 	if err := cdc.readResponse(&resp); err != nil {
 		return nil, timing, err
 	}
-	c.syncClock(resp.SenderVTime)
+	c.meter.Arrive(time.Duration(resp.SenderVTime))
 	if !resp.OK {
 		return nil, timing, fmt.Errorf("cas: attestation rejected: %s", resp.Error)
 	}
@@ -295,7 +287,6 @@ func (c *Client) Attest(session string) (*Provision, AttestTiming, error) {
 
 func (c *Client) unpack(resp *response) (*Provision, error) {
 	prov := &Provision{Secrets: resp.Secrets, Volumes: resp.Volumes, CAPool: c.caPool}
-	params := c.enclave.Platform().Params()
 	var received int
 	for _, v := range resp.Secrets {
 		received += len(v)
@@ -304,7 +295,7 @@ func (c *Client) unpack(resp *response) (*Provision, error) {
 		received += len(v)
 	}
 	c.enclave.CryptoOp(int64(received))
-	c.enclave.Clock().Advance(params.LANRTT / 2)
+	c.meter.Transit()
 	if len(resp.CertDER) > 0 {
 		key, err := x509.ParseECPrivateKey(resp.KeyDER)
 		if err != nil {

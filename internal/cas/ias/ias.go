@@ -100,13 +100,13 @@ func (s *Server) handle(conn net.Conn) {
 	if err := dec.Decode(&req); err != nil {
 		return
 	}
-	params := s.cfg.Platform.Params()
-	clock := s.cfg.Platform.Clock()
-	clock.AdvanceTo(time.Duration(req.SenderVTime) + params.LANRTT/2)
+	meter := s.cfg.Platform.Meter()
+	clock := meter.Clock()
+	meter.Arrive(time.Duration(req.SenderVTime))
 
 	// Forward the quote to Intel over the WAN and wait for the
 	// verification report. This is the leg the CAS eliminates.
-	clock.Advance(params.WANRTT + params.QuoteVerifyCostIntel)
+	meter.IntelQuoteCheck()
 
 	verdict := s.verify(req.Quote)
 	confirmation := iasMessage{Kind: "confirmation", OK: verdict == nil, SenderVTime: int64(clock.Now())}
@@ -118,7 +118,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	// Keys are released by the tenant key server after confirmation.
-	clock.Advance(params.LANRTT / 2)
+	meter.Transit()
 	keys := iasMessage{Kind: "keys", OK: true, Secrets: s.cfg.Secrets, SenderVTime: int64(clock.Now())}
 	_ = enc.Encode(&keys)
 }
@@ -157,12 +157,13 @@ func (c *Client) Attest() (map[string][]byte, cas.AttestTiming, error) {
 	if dial == nil {
 		dial = net.Dial
 	}
-	params := c.Enclave.Platform().Params()
-	clock := c.Enclave.Clock()
+	meter := c.Enclave.Platform().Meter()
+	clock := meter.Clock()
 
 	// Leg 1 — initialization: same client-side setup as the CAS flow.
 	span := clock.Start()
-	clock.Advance(params.AttestInitCost + params.TLSHandshakeCost + 2*params.LANRTT)
+	meter.AttestInit()
+	meter.Handshake()
 	conn, err := dial("tcp", c.Addr)
 	if err != nil {
 		return nil, timing, fmt.Errorf("ias: dial: %w", err)
@@ -181,7 +182,7 @@ func (c *Client) Attest() (map[string][]byte, cas.AttestTiming, error) {
 	if err := enc.Encode(&iasRequest{Quote: quote, SenderVTime: int64(clock.Now())}); err != nil {
 		return nil, timing, err
 	}
-	clock.Advance(params.LANRTT / 2)
+	meter.Transit()
 	timing.SendQuote = span.Stop()
 
 	// Leg 3 — wait for the verification confirmation (WAN + Intel).
@@ -190,7 +191,7 @@ func (c *Client) Attest() (map[string][]byte, cas.AttestTiming, error) {
 	if err := dec.Decode(&confirmation); err != nil {
 		return nil, timing, err
 	}
-	clock.AdvanceTo(time.Duration(confirmation.SenderVTime) + params.LANRTT/2)
+	meter.Arrive(time.Duration(confirmation.SenderVTime))
 	if !confirmation.OK {
 		return nil, timing, fmt.Errorf("ias: verification failed: %s", confirmation.Error)
 	}
@@ -202,7 +203,7 @@ func (c *Client) Attest() (map[string][]byte, cas.AttestTiming, error) {
 	if err := dec.Decode(&keys); err != nil {
 		return nil, timing, err
 	}
-	clock.AdvanceTo(time.Duration(keys.SenderVTime) + params.LANRTT/2)
+	meter.Arrive(time.Duration(keys.SenderVTime))
 	var received int
 	for _, v := range keys.Secrets {
 		received += len(v)

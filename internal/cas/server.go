@@ -162,11 +162,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		// Conservative virtual-time sync: the request cannot be processed
 		// before it was sent plus one network traversal.
-		clock := s.enclave.Clock()
-		clock.AdvanceTo(time.Duration(req.SenderVTime) + s.cfg.Platform.Params().LANRTT/2)
+		meter := s.cfg.Platform.Meter()
+		meter.Arrive(time.Duration(req.SenderVTime))
 
 		resp := s.dispatch(conn, &req)
-		resp.SenderVTime = int64(clock.Now())
+		resp.SenderVTime = int64(meter.Clock().Now())
 		if err := c.writeResponse(resp); err != nil {
 			return
 		}
@@ -265,7 +265,7 @@ func (s *Server) handleAttest(req *request) *response {
 	if !ok {
 		return errResponse(fmt.Errorf("unknown platform %q", req.Quote.Report.Platform))
 	}
-	s.enclave.Clock().Advance(s.cfg.Platform.Params().QuoteVerifyCostLocal)
+	s.cfg.Platform.Meter().QuoteCheck()
 	if err := sgx.VerifyQuote(*req.Quote, platformKey); err != nil {
 		return errResponse(err)
 	}

@@ -90,7 +90,7 @@ type Config struct {
 	// Kind selects the runtime. Required.
 	Kind RuntimeKind
 	// Platform hosts the enclave (unused for native kinds, where only
-	// its clock and params are borrowed). Required.
+	// its meter is borrowed). Required.
 	Platform *sgx.Platform
 	// Image is the application image loaded into the enclave. Required
 	// for shielded kinds.
@@ -166,8 +166,7 @@ func Launch(cfg Config) (*Container, error) {
 			libc = nativert.Musl
 		}
 		rt, err = nativert.Launch(nativert.Config{
-			Params:  cfg.Platform.Params(),
-			Clock:   cfg.Platform.Clock(),
+			Meter:   cfg.Platform.Meter(),
 			Libc:    libc,
 			HostFS:  cfg.HostFS,
 			Threads: cfg.Threads,
@@ -278,8 +277,7 @@ func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.
 	}
 	if prov.Identity != nil {
 		shield, err := netshield.New(netshield.Config{
-			Params:            c.cfg.Platform.Params(),
-			Clock:             c.Clock(),
+			Meter:             c.cfg.Platform.Meter(),
 			Identity:          *prov.Identity,
 			RootCAs:           prov.CAPool,
 			RequireClientCert: true,
@@ -296,8 +294,7 @@ func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.
 // that do not go through a CAS).
 func (c *Container) UseIdentity(identity tls.Certificate, ca *seccrypto.CA, requireClientCert bool) error {
 	shield, err := netshield.New(netshield.Config{
-		Params:            c.cfg.Platform.Params(),
-		Clock:             c.Clock(),
+		Meter:             c.cfg.Platform.Meter(),
 		Identity:          identity,
 		RootCAs:           ca.CertPool(),
 		RequireClientCert: requireClientCert,

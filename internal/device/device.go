@@ -59,8 +59,7 @@ func (n *Null) Clock() *vtime.Clock         { return &n.clock }
 // most areas").
 type CPU struct {
 	name       string
-	params     sgx.Params
-	clock      *vtime.Clock
+	meter      sgx.Meter
 	threads    int
 	libcFactor float64
 }
@@ -73,32 +72,27 @@ const (
 	LibcMuslFactor  = 1.03
 )
 
-// NewCPU creates a CPU device charging the given clock.
-func NewCPU(name string, params sgx.Params, clock *vtime.Clock, threads int, libcFactor float64) *CPU {
+// NewCPU creates a CPU device charging the meter's clock at its prices.
+func NewCPU(name string, meter sgx.Meter, threads int, libcFactor float64) *CPU {
 	if threads < 1 {
 		threads = 1
 	}
 	if libcFactor <= 0 {
 		libcFactor = 1.0
 	}
-	return &CPU{name: name, params: params, clock: clock, threads: threads, libcFactor: libcFactor}
+	return &CPU{name: name, meter: meter, threads: threads, libcFactor: libcFactor}
 }
 
 func (c *CPU) Name() string                { return c.name }
 func (c *CPU) Threads() int                { return c.threads }
-func (c *CPU) Clock() *vtime.Clock         { return c.clock }
+func (c *CPU) Clock() *vtime.Clock         { return c.meter.Clock() }
 func (c *CPU) Alloc(string, int64)         {}
 func (c *CPU) AllocReadOnly(string, int64) {}
 func (c *CPU) Free(string)                 {}
 
-func (c *CPU) Compute(flops int64) {
-	d := c.params.ComputeTime(float64(flops)*c.libcFactor, c.threads)
-	c.clock.Advance(d)
-}
+func (c *CPU) Compute(flops int64) { c.meter.Compute(float64(flops)*c.libcFactor, c.threads) }
 
-func (c *CPU) Access(bytes int64, _ bool) {
-	c.clock.Advance(c.params.MemTime(float64(bytes) * c.libcFactor))
-}
+func (c *CPU) Access(bytes int64, _ bool) { c.meter.Memory(float64(bytes) * c.libcFactor) }
 
 // Enclave is a Device backed by a simulated SGX enclave: compute is full
 // speed (modulo the runtime's libc factor), memory traffic pays MEE and
@@ -144,6 +138,3 @@ func (d *Enclave) Access(bytes int64, streaming bool) {
 func (d *Enclave) Alloc(name string, bytes int64)         { d.enclave.Alloc(name, bytes) }
 func (d *Enclave) AllocReadOnly(name string, bytes int64) { d.enclave.AllocReadOnly(name, bytes) }
 func (d *Enclave) Free(name string)                       { d.enclave.Free(name) }
-
-// Underlying returns the wrapped enclave.
-func (d *Enclave) Underlying() *sgx.Enclave { return d.enclave }

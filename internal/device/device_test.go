@@ -24,7 +24,7 @@ func TestInterfaceCompliance(t *testing.T) {
 
 func TestCPUComputeChargesClock(t *testing.T) {
 	clock, params := newClockAndParams()
-	dev := NewCPU("host", params, clock, 1, LibcGlibcFactor)
+	dev := NewCPU("host", sgx.NewMeter(clock, params), 1, LibcGlibcFactor)
 	before := clock.Now()
 	dev.Compute(int64(params.CoreFLOPS)) // one core-second of work
 	charged := clock.Now() - before
@@ -35,9 +35,9 @@ func TestCPUComputeChargesClock(t *testing.T) {
 
 func TestCPUThreadsDivideComputeTime(t *testing.T) {
 	clock1, params := newClockAndParams()
-	one := NewCPU("host1", params, clock1, 1, LibcGlibcFactor)
+	one := NewCPU("host1", sgx.NewMeter(clock1, params), 1, LibcGlibcFactor)
 	clock4, _ := newClockAndParams()
-	four := NewCPU("host4", params, clock4, 4, LibcGlibcFactor)
+	four := NewCPU("host4", sgx.NewMeter(clock4, params), 4, LibcGlibcFactor)
 
 	const work = 1 << 30
 	one.Compute(work)
@@ -54,8 +54,8 @@ func TestCPUHyperThreadEfficiency(t *testing.T) {
 	_, params := newClockAndParams()
 	clock4 := new(vtime.Clock)
 	clock8 := new(vtime.Clock)
-	phys := NewCPU("c4", params, clock4, params.PhysicalCores, LibcGlibcFactor)
-	ht := NewCPU("c8", params, clock8, 2*params.PhysicalCores, LibcGlibcFactor)
+	phys := NewCPU("c4", sgx.NewMeter(clock4, params), params.PhysicalCores, LibcGlibcFactor)
+	ht := NewCPU("c8", sgx.NewMeter(clock8, params), 2*params.PhysicalCores, LibcGlibcFactor)
 	const work = 1 << 30
 	phys.Compute(work)
 	ht.Compute(work)
@@ -72,8 +72,8 @@ func TestCPUMuslFactorSlower(t *testing.T) {
 	_, params := newClockAndParams()
 	clockG := new(vtime.Clock)
 	clockM := new(vtime.Clock)
-	glibc := NewCPU("g", params, clockG, 1, LibcGlibcFactor)
-	musl := NewCPU("m", params, clockM, 1, LibcMuslFactor)
+	glibc := NewCPU("g", sgx.NewMeter(clockG, params), 1, LibcGlibcFactor)
+	musl := NewCPU("m", sgx.NewMeter(clockM, params), 1, LibcMuslFactor)
 	const work = 1 << 30
 	glibc.Compute(work)
 	musl.Compute(work)
@@ -84,7 +84,7 @@ func TestCPUMuslFactorSlower(t *testing.T) {
 
 func TestCPUAccessChargesBandwidth(t *testing.T) {
 	clock, params := newClockAndParams()
-	dev := NewCPU("host", params, clock, 1, LibcGlibcFactor)
+	dev := NewCPU("host", sgx.NewMeter(clock, params), 1, LibcGlibcFactor)
 	dev.Access(int64(params.MemBandwidth), false) // one second of traffic
 	if got := clock.Now(); got < 900*time.Millisecond || got > 1100*time.Millisecond {
 		t.Fatalf("one bandwidth-second charged %v", got)
@@ -93,7 +93,7 @@ func TestCPUAccessChargesBandwidth(t *testing.T) {
 
 func TestCPUAllocFreeAreNoops(t *testing.T) {
 	clock, params := newClockAndParams()
-	dev := NewCPU("host", params, clock, 1, LibcGlibcFactor)
+	dev := NewCPU("host", sgx.NewMeter(clock, params), 1, LibcGlibcFactor)
 	dev.Alloc("arena", 1<<30)
 	dev.AllocReadOnly("weights", 1<<30)
 	dev.Free("arena")
@@ -208,7 +208,7 @@ func TestNullDeviceChargesNothing(t *testing.T) {
 func TestComputeMonotonicProperty(t *testing.T) {
 	// Property: compute cost is monotonically non-decreasing in flops.
 	clock, params := newClockAndParams()
-	dev := NewCPU("host", params, clock, 2, LibcGlibcFactor)
+	dev := NewCPU("host", sgx.NewMeter(clock, params), 2, LibcGlibcFactor)
 	f := func(a, b uint32) bool {
 		lo, hi := int64(a), int64(b)
 		if lo > hi {

@@ -52,6 +52,27 @@ func TestFigure4Shape(t *testing.T) {
 	}
 }
 
+// TestFigure4LegsPinned holds both attestation flows to the nanosecond.
+// Each leg is a sum of priced charges on the worker's own clock, so a
+// price that moves or a charge that lands on another leg shows here,
+// where TestFigure4Shape's bands would let it through.
+func TestFigure4LegsPinned(t *testing.T) {
+	rows, err := Figure4(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []Fig4Row{
+		{"IAS", 16600000, 287100, 280100000, 100008},
+		{"secureTF CAS", 16600000, 287100, 900000, 100008},
+	} {
+		if got := findFig4(t, rows, want.System); got != want {
+			t.Errorf("%s legs: init %d, send-quote %d, wait %d, receive-keys %d ns; pinned %d, %d, %d, %d",
+				want.System, got.Initialization, got.SendQuote, got.WaitConfirmation, got.ReceiveKeys,
+				want.Initialization, want.SendQuote, want.WaitConfirmation, want.ReceiveKeys)
+		}
+	}
+}
+
 // fig5For indexes rows by (system, model).
 func fig5For(t *testing.T, rows []Fig5Row, system, model string) Fig5Row {
 	t.Helper()

@@ -48,11 +48,9 @@ type ClientConfig struct {
 	Secret []byte
 	// Unmasked disables pairwise masking; must match the coordinator.
 	Unmasked bool
-	// Clock is the client's virtual clock. Defaults to a fresh clock.
-	Clock *vtime.Clock
-	// Params supplies cost-model constants. The zero value falls back
-	// to sgx.DefaultParams.
-	Params sgx.Params
+	// Meter charges the client's virtual clock for its frames. The zero
+	// value is a fresh clock at sgx.DefaultParams.
+	Meter sgx.Meter
 	// MaxIdlePolls bounds consecutive no-work polls, turning a stuck
 	// job (e.g. a quorum that can never fill) into an error instead of
 	// a hang. Zero means 10000.
@@ -154,11 +152,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Dial == nil {
 		cfg.Dial = net.Dial
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = &vtime.Clock{}
-	}
-	if cfg.Params.WireBandwidth == 0 {
-		cfg.Params = sgx.DefaultParams()
+	if cfg.Meter.Clock() == nil {
+		cfg.Meter = sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 	}
 	if cfg.MaxIdlePolls == 0 {
 		cfg.MaxIdlePolls = 10000
@@ -205,7 +200,7 @@ func (c *Client) connect() error {
 	}
 	l := dist.NewLink(conn, c.replica.Variable)
 	kind, fraction := c.cfg.Codec.Wire()
-	resp, _, err := l.RoundTrip(c.cfg.Clock, c.cfg.Params, &dist.Message{
+	resp, _, err := l.RoundTrip(c.cfg.Meter, &dist.Message{
 		Kind:   dist.MsgHello,
 		Worker: uint32(c.cfg.ID),
 		Shards: uint32(c.cfg.Population),
@@ -236,14 +231,14 @@ func (c *Client) connect() error {
 // configured, so concurrent clients interleave deterministically.
 func (c *Client) Run() error {
 	if c.cfg.Turnstile != nil {
-		c.cfg.Turnstile.Join(c.cfg.ID, c.cfg.Clock)
+		c.cfg.Turnstile.Join(c.cfg.ID, c.cfg.Meter.Clock())
 		defer c.cfg.Turnstile.Leave(c.cfg.ID)
 	}
 	defer c.Close()
 	idle := 0
 	for {
 		release := c.cfg.Turnstile.turn(c.cfg.ID)
-		resp, _, err := c.link.RoundTrip(c.cfg.Clock, c.cfg.Params, &dist.Message{Kind: dist.MsgFedPoll, Worker: uint32(c.cfg.ID)})
+		resp, _, err := c.link.RoundTrip(c.cfg.Meter, &dist.Message{Kind: dist.MsgFedPoll, Worker: uint32(c.cfg.ID)})
 		if err != nil {
 			release()
 			return fmt.Errorf("federated: client %d poll: %w", c.cfg.ID, err)
@@ -267,7 +262,7 @@ func (c *Client) Run() error {
 			// No work: the round is closing, we are not sampled, or we
 			// dropped out of this round and must sit out its re-assignment
 			// so the quorum membership stays the surviving uploaders.
-			c.cfg.Clock.Advance(pollInterval)
+			c.cfg.Meter.Clock().Advance(pollInterval)
 			release()
 			idle++
 			if idle > c.cfg.MaxIdlePolls {
@@ -311,9 +306,9 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		}
 		c.replica.ApplySGD(float32(c.cfg.LocalLR), grads)
 	}
-	c.cfg.Clock.Advance(time.Duration(c.cfg.LocalSteps) * stepCost)
+	c.cfg.Meter.Clock().Advance(time.Duration(c.cfg.LocalSteps) * stepCost)
 	if c.cfg.Delay != nil {
-		c.cfg.Clock.Advance(c.cfg.Delay(round))
+		c.cfg.Meter.Clock().Advance(c.cfg.Delay(round))
 	}
 
 	// Quantize the round delta (with carried residual) straight into each
@@ -359,7 +354,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		req.Grads[name] = c.vars[i].blob
 		c.stats.UplinkBytes += int64(len(c.vars[i].blob))
 	}
-	ack, _, err := c.link.RoundTrip(c.cfg.Clock, c.cfg.Params, req)
+	ack, _, err := c.link.RoundTrip(c.cfg.Meter, req)
 	if err != nil {
 		return fmt.Errorf("federated: client %d push: %w", c.cfg.ID, err)
 	}
@@ -395,7 +390,7 @@ func (c *Client) reveal(req *dist.Message) error {
 		seed := pairSeed(c.cfg.Secret, uint32(c.cfg.ID), deadID)
 		msg.Grads[strconv.FormatUint(uint64(deadID), 10)] = append([]byte(nil), seed[:]...)
 	}
-	ack, _, err := c.link.RoundTrip(c.cfg.Clock, c.cfg.Params, msg)
+	ack, _, err := c.link.RoundTrip(c.cfg.Meter, msg)
 	if err != nil {
 		return fmt.Errorf("federated: client %d reveal: %w", c.cfg.ID, err)
 	}

@@ -45,12 +45,9 @@ type CoordinatorConfig struct {
 	Unmasked bool
 	// Seed drives the per-round client sampling and top-k patterns.
 	Seed int64
-	// Clock is the coordinator's virtual clock. Defaults to a fresh
-	// clock.
-	Clock *vtime.Clock
-	// Params supplies cost-model constants. The zero value falls back
-	// to sgx.DefaultParams.
-	Params sgx.Params
+	// Meter charges the coordinator's virtual clock for its frames. The
+	// zero value is a fresh clock at sgx.DefaultParams.
+	Meter sgx.Meter
 	// Tap, when set, observes every accepted upload payload before it
 	// is accumulated: one call per (client, variable) with the raw wire
 	// blob, which is the connection's read buffer and valid only for
@@ -146,11 +143,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("federated: CoordinatorConfig.Rounds must be ≥ 1, got %d", cfg.Rounds)
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = &vtime.Clock{}
-	}
-	if cfg.Params.WireBandwidth == 0 {
-		cfg.Params = sgx.DefaultParams()
+	if cfg.Meter.Clock() == nil {
+		cfg.Meter = sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 	}
 
 	c := &Coordinator{
@@ -252,7 +246,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 	var id uint32
 	greeted := false
 	for {
-		msg, err := l.Receive(c.cfg.Clock, c.cfg.Params)
+		msg, err := l.Receive(c.cfg.Meter)
 		if err != nil {
 			return
 		}
@@ -276,7 +270,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 		default:
 			resp = c.seeds(msg)
 		}
-		if _, err := l.Send(c.cfg.Clock, c.cfg.Params, resp); err != nil {
+		if _, err := l.Send(c.cfg.Meter, resp); err != nil {
 			return
 		}
 	}

@@ -81,7 +81,6 @@ func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 		Codec:          spec.codec,
 		Unmasked:       spec.unmasked,
 		Seed:           spec.seed,
-		Params:         sgx.DefaultParams(),
 		Tap:            spec.tap,
 	})
 	if err != nil {
@@ -111,8 +110,7 @@ func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 			Population:   spec.population,
 			Secret:       testSecret,
 			Unmasked:     spec.unmasked,
-			Clock:        clocks[id],
-			Params:       sgx.DefaultParams(),
+			Meter:        sgx.NewMeter(clocks[id], sgx.DefaultParams()),
 			Turnstile:    ts,
 			MaxIdlePolls: spec.maxIdle,
 		}

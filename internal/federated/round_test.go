@@ -43,9 +43,9 @@ func scriptedRounds(tb testing.TB, rounds int, onPoll func(r int)) {
 		}
 		l := dist.NewLink(conn, nil)
 		defer l.Close()
-		clock, params := &vtime.Clock{}, sgx.DefaultParams()
+		meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 		for polls := 0; ; {
-			msg, err := l.Receive(clock, params)
+			msg, err := l.Receive(meter)
 			if err != nil {
 				return
 			}
@@ -61,7 +61,7 @@ func scriptedRounds(tb testing.TB, rounds int, onPoll func(r int)) {
 					Clients: cohortOf(4), Vars: snapshot}
 				polls++
 			}
-			if _, err := l.Send(clock, params, resp); err != nil {
+			if _, err := l.Send(meter, resp); err != nil {
 				return
 			}
 		}

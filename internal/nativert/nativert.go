@@ -11,7 +11,6 @@ import (
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/sysio"
-	"github.com/securetf/securetf/internal/vtime"
 )
 
 // Libc selects the C library flavor of the native baseline.
@@ -45,10 +44,9 @@ func (l Libc) factor() float64 {
 
 // Config configures a native runtime.
 type Config struct {
-	// Params supplies machine constants (core count, throughput).
-	Params sgx.Params
-	// Clock is the virtual clock to charge. Required.
-	Clock *vtime.Clock
+	// Meter charges the runtime's clock at its machine's prices.
+	// Required.
+	Meter sgx.Meter
 	// Libc selects glibc or musl. Defaults to Glibc.
 	Libc Libc
 	// HostFS is the host file system. Required.
@@ -65,8 +63,8 @@ type Runtime struct {
 
 // Launch validates the configuration and returns the runtime.
 func Launch(cfg Config) (*Runtime, error) {
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("nativert: Config.Clock is required")
+	if cfg.Meter.Clock() == nil {
+		return nil, fmt.Errorf("nativert: Config.Meter is required")
 	}
 	if cfg.HostFS == nil {
 		return nil, fmt.Errorf("nativert: Config.HostFS is required")
@@ -75,7 +73,7 @@ func Launch(cfg Config) (*Runtime, error) {
 		cfg.Libc = Glibc
 	}
 	if cfg.Threads <= 0 {
-		cfg.Threads = cfg.Params.PhysicalCores
+		cfg.Threads = cfg.Meter.Params().PhysicalCores
 	}
 	return &Runtime{cfg: cfg}, nil
 }
@@ -91,11 +89,11 @@ func (r *Runtime) Device(threads int) device.Device {
 	if threads <= 0 {
 		threads = r.cfg.Threads
 	}
-	return device.NewCPU(r.Name(), r.cfg.Params, r.cfg.Clock, threads, r.cfg.Libc.factor())
+	return device.NewCPU(r.Name(), r.cfg.Meter, threads, r.cfg.Libc.factor())
 }
 
 // Syscall charges an ordinary kernel crossing.
-func (r *Runtime) Syscall() { r.cfg.Clock.Advance(r.cfg.Params.NativeSyscallCost) }
+func (r *Runtime) Syscall() { r.cfg.Meter.NativeSyscall() }
 
 // CopyIn charges nothing: there is no enclave boundary to copy across.
 func (r *Runtime) CopyIn(int) {}

@@ -12,9 +12,9 @@ import (
 
 func TestLaunchValidation(t *testing.T) {
 	if _, err := Launch(Config{}); err == nil {
-		t.Fatal("missing clock accepted")
+		t.Fatal("missing meter accepted")
 	}
-	if _, err := Launch(Config{Clock: &vtime.Clock{}}); err == nil {
+	if _, err := Launch(Config{Meter: sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())}); err == nil {
 		t.Fatal("missing host FS accepted")
 	}
 }
@@ -22,7 +22,7 @@ func TestLaunchValidation(t *testing.T) {
 func TestNames(t *testing.T) {
 	var clock vtime.Clock
 	for libc, want := range map[Libc]string{Glibc: "native-glibc", Musl: "native-musl"} {
-		rt, err := Launch(Config{Params: sgx.DefaultParams(), Clock: &clock, Libc: libc, HostFS: fsapi.NewMem()})
+		rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), Libc: libc, HostFS: fsapi.NewMem()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestMuslSlightlySlowerThanGlibc(t *testing.T) {
 	params := sgx.DefaultParams()
 	run := func(libc Libc) *vtime.Clock {
 		clock := &vtime.Clock{}
-		rt, err := Launch(Config{Params: params, Clock: clock, Libc: libc, HostFS: fsapi.NewMem()})
+		rt, err := Launch(Config{Meter: sgx.NewMeter(clock, params), Libc: libc, HostFS: fsapi.NewMem()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestMuslSlightlySlowerThanGlibc(t *testing.T) {
 
 func TestFSRoundTripChargesSyscalls(t *testing.T) {
 	var clock vtime.Clock
-	rt, err := Launch(Config{Params: sgx.DefaultParams(), Clock: &clock, HostFS: fsapi.NewMem()})
+	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), HostFS: fsapi.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFSRoundTripChargesSyscalls(t *testing.T) {
 
 func TestFSConformance(t *testing.T) {
 	var clock vtime.Clock
-	rt, err := Launch(Config{Params: sgx.DefaultParams(), Clock: &clock, HostFS: fsapi.NewMem()})
+	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), HostFS: fsapi.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFSConformance(t *testing.T) {
 func TestDeviceDefaultsToPhysicalCores(t *testing.T) {
 	var clock vtime.Clock
 	params := sgx.DefaultParams()
-	rt, err := Launch(Config{Params: params, Clock: &clock, HostFS: fsapi.NewMem()})
+	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, params), HostFS: fsapi.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDeviceDefaultsToPhysicalCores(t *testing.T) {
 
 func TestNetworkRoundTripChargesTime(t *testing.T) {
 	var clock vtime.Clock
-	rt, err := Launch(Config{Params: sgx.DefaultParams(), Clock: &clock, HostFS: fsapi.NewMem()})
+	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), HostFS: fsapi.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}

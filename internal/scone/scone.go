@@ -103,31 +103,12 @@ func (r *Runtime) Device(threads int) device.Device {
 // design.
 func (r *Runtime) Syscall() { r.enclave.AsyncSyscall() }
 
-// CopyIn charges the cost of moving n bytes across the enclave boundary
-// into protected memory (syscall results are copied and sanity-checked).
-// The evaluated SCONE version suffered a scheduling pathology on the SIM
-// copy path (paper §5.4, later fixed), modelled as a degraded copy
-// throughput in SIM mode.
-func (r *Runtime) CopyIn(n int) {
-	r.copyBoundary(n)
-}
+// CopyIn charges moving n bytes across the enclave boundary into
+// protected memory (Enclave.CopyBoundary).
+func (r *Runtime) CopyIn(n int) { r.enclave.CopyBoundary(n) }
 
-// CopyOut charges the cost of moving n bytes out of the enclave.
-func (r *Runtime) CopyOut(n int) {
-	r.copyBoundary(n)
-}
-
-func (r *Runtime) copyBoundary(n int) {
-	if n <= 0 {
-		return
-	}
-	if r.enclave.Mode() == sgx.ModeSIM {
-		params := r.cfg.Platform.Params()
-		r.enclave.Clock().Advance(sgx.TimeAtThroughput(float64(n), params.SIMCopyThroughput))
-		return
-	}
-	r.enclave.Access(int64(n), sgx.AccessStreaming)
-}
+// CopyOut charges moving n bytes out of the enclave, as CopyIn.
+func (r *Runtime) CopyOut(n int) { r.enclave.CopyBoundary(n) }
 
 // FS returns the runtime's syscall-interposed view of the host file
 // system. Data crossing the boundary is charged; contents are NOT

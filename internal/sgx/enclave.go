@@ -96,14 +96,12 @@ func (e *Enclave) Destroy() {
 	e.platform.destroyEnclave(e)
 }
 
-func (e *Enclave) residentBytes() int64 {
+// ResidentBytes reports the enclave's current resident footprint.
+func (e *Enclave) ResidentBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.resident
 }
-
-// ResidentBytes reports the enclave's current resident footprint.
-func (e *Enclave) ResidentBytes() int64 { return e.residentBytes() }
 
 // Alloc registers a named writable long-lived allocation (arenas,
 // variables, per-thread state) against the enclave's resident set.
@@ -198,7 +196,7 @@ func (e *Enclave) AsyncSyscall() {
 // resident. A value <= 1 means the enclave fits.
 func (e *Enclave) pressure() float64 {
 	params := e.platform.params
-	own := e.residentBytes()
+	own := e.ResidentBytes()
 	others := e.platform.residentTotal() - own
 	avail := params.EPCSize - others
 	if avail < params.PageSize {
@@ -258,6 +256,21 @@ func (e *Enclave) Access(n int64, pattern AccessPattern) {
 	e.platform.clock.Advance(d)
 }
 
+// CopyBoundary charges copying n bytes of syscall data across the
+// enclave boundary: streaming traffic in HW mode. The SCONE the paper
+// evaluated had a scheduling pathology on the SIM copy path (§5.4, later
+// fixed), so SIM mode pays SIMCopyThroughput and counts no access.
+func (e *Enclave) CopyBoundary(n int) {
+	if n <= 0 {
+		return
+	}
+	if e.mode == ModeSIM {
+		e.platform.clock.Advance(TimeAtThroughput(float64(n), e.platform.params.SIMCopyThroughput))
+		return
+	}
+	e.Access(int64(n), AccessStreaming)
+}
+
 // CryptoOp charges AES-GCM processing of n bytes at AES-NI throughput.
 // Shields use this for their transparent encryption work, which the paper
 // notes "can reach a throughput of up to 4 GB/s".
@@ -265,7 +278,7 @@ func (e *Enclave) CryptoOp(n int64) {
 	if n <= 0 {
 		return
 	}
-	e.platform.clock.Advance(e.platform.params.CryptoTime(float64(n)))
+	e.platform.clock.Advance(TimeAtThroughput(float64(n), e.platform.params.AESThroughput))
 }
 
 // Compute charges analytic compute time for the given FLOPs across the

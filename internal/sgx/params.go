@@ -235,14 +235,6 @@ func (p Params) MemTime(bytes float64) time.Duration {
 	return time.Duration(bytes / p.MemBandwidth * float64(time.Second))
 }
 
-// CryptoTime converts a byte count into AES-GCM processing time.
-func (p Params) CryptoTime(bytes float64) time.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	return time.Duration(bytes / p.AESThroughput * float64(time.Second))
-}
-
 // TimeAtThroughput converts a byte count into time at an arbitrary
 // throughput in bytes/second.
 func TimeAtThroughput(bytes, bytesPerSecond float64) time.Duration {

@@ -19,7 +19,7 @@ import (
 // EPC and virtual clock.
 type Platform struct {
 	name   string
-	params Params
+	params *Params // held apart from mu and resident, which every Access writes
 	clock  *vtime.Clock
 
 	quoteKey   *seccrypto.SigningKey
@@ -58,7 +58,7 @@ func NewPlatform(name string, params Params) (*Platform, error) {
 	}
 	p := &Platform{
 		name:     name,
-		params:   params,
+		params:   &params,
 		clock:    &vtime.Clock{},
 		quoteKey: qk,
 		enclaves: make(map[uint64]*Enclave),
@@ -74,7 +74,7 @@ func NewPlatform(name string, params Params) (*Platform, error) {
 func (p *Platform) Name() string { return p.name }
 
 // Params returns the platform's cost-model parameters.
-func (p *Platform) Params() Params { return p.params }
+func (p *Platform) Params() Params { return *p.params }
 
 // Clock returns the platform's virtual clock.
 func (p *Platform) Clock() *vtime.Clock { return p.clock }
@@ -135,7 +135,7 @@ func (p *Platform) destroyEnclave(e *Enclave) {
 	}
 	delete(p.enclaves, e.id)
 	if e.mode == ModeHW {
-		p.resident -= e.residentBytes()
+		p.resident -= e.ResidentBytes()
 	}
 }
 

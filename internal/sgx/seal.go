@@ -15,7 +15,7 @@ func (e *Enclave) Seal(plaintext, aad []byte) ([]byte, error) {
 		return nil, err
 	}
 	key := e.platform.sealKeyFor(e.measurement)
-	e.platform.clock.Advance(e.platform.params.CryptoTime(float64(len(plaintext))))
+	e.CryptoOp(int64(len(plaintext)))
 	ct, err := seccrypto.Seal(key, plaintext, aad)
 	if err != nil {
 		return nil, fmt.Errorf("sgx: sealing: %w", err)
@@ -30,7 +30,7 @@ func (e *Enclave) Unseal(ciphertext, aad []byte) ([]byte, error) {
 		return nil, err
 	}
 	key := e.platform.sealKeyFor(e.measurement)
-	e.platform.clock.Advance(e.platform.params.CryptoTime(float64(len(ciphertext))))
+	e.CryptoOp(int64(len(ciphertext)))
 	pt, err := seccrypto.Open(key, ciphertext, aad)
 	if err != nil {
 		return nil, fmt.Errorf("sgx: unsealing: %w", err)

@@ -21,16 +21,13 @@ import (
 	"net"
 
 	"github.com/securetf/securetf/internal/sgx"
-	"github.com/securetf/securetf/internal/vtime"
 )
 
 // Config configures a network shield endpoint.
 type Config struct {
-	// Params supplies cost-model constants. Required fields are the
-	// network-shield throughput and record cost.
-	Params sgx.Params
-	// Clock is charged for the shield's CPU costs. Required.
-	Clock *vtime.Clock
+	// Meter is charged for the shield's handshakes and records.
+	// Required.
+	Meter sgx.Meter
 	// Identity is this endpoint's certificate, issued by the CAS.
 	Identity tls.Certificate
 	// RootCAs pins the CAS certificate authority; peers outside it are
@@ -49,8 +46,8 @@ type Shield struct {
 
 // New validates the configuration and creates a shield.
 func New(cfg Config) (*Shield, error) {
-	if cfg.Clock == nil {
-		return nil, fmt.Errorf("netshield: Config.Clock is required")
+	if cfg.Meter.Clock() == nil {
+		return nil, fmt.Errorf("netshield: Config.Meter is required")
 	}
 	if len(cfg.Identity.Certificate) == 0 {
 		return nil, fmt.Errorf("netshield: Config.Identity is required")
@@ -59,12 +56,6 @@ func New(cfg Config) (*Shield, error) {
 		return nil, fmt.Errorf("netshield: Config.RootCAs is required")
 	}
 	return &Shield{cfg: cfg}, nil
-}
-
-// chargeHandshake charges the handshake's CPU cost and its two network
-// round trips to peers (TCP connect + TLS 1.3).
-func (s *Shield) chargeHandshake() {
-	s.cfg.Clock.Advance(s.cfg.Params.TLSHandshakeCost + 2*s.cfg.Params.LANRTT)
 }
 
 // Client performs a TLS client handshake over conn, verifying the server
@@ -80,7 +71,7 @@ func (s *Shield) Client(conn net.Conn, serverName string) (net.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("netshield: client handshake: %w", err)
 	}
-	s.chargeHandshake()
+	s.cfg.Meter.Handshake()
 	return &shieldConn{Conn: tc, shield: s}, nil
 }
 
@@ -100,7 +91,7 @@ func (s *Shield) Server(conn net.Conn) (net.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("netshield: server handshake: %w", err)
 	}
-	s.chargeHandshake()
+	s.cfg.Meter.Handshake()
 	return &shieldConn{Conn: tc, shield: s}, nil
 }
 
@@ -141,25 +132,14 @@ type shieldConn struct {
 
 func (c *shieldConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if n > 0 {
-		params := c.shield.cfg.Params
-		c.shield.cfg.Clock.Advance(params.NetShieldRecordCost +
-			sgx.TimeAtThroughput(float64(n), params.NetShieldThroughput))
-	}
+	c.shield.cfg.Meter.Record(n)
 	return n, err
 }
 
+// Write charges the records' CPU only; serialization and propagation are
+// the protocol layers', so shielded and plain runs do not count them twice.
 func (c *shieldConn) Write(p []byte) (int, error) {
-	if len(p) > 0 {
-		params := c.shield.cfg.Params
-		// CPU cost only (record framing, AES-GCM, double boundary copy).
-		// Wire serialization and propagation latency belong to the
-		// transport model and are charged by protocol layers through
-		// virtual-time message stamps, so they are not double-counted
-		// between shielded and unshielded runs.
-		c.shield.cfg.Clock.Advance(params.NetShieldRecordCost +
-			sgx.TimeAtThroughput(float64(len(p)), params.NetShieldThroughput))
-	}
+	c.shield.cfg.Meter.Record(len(p))
 	return c.Conn.Write(p)
 }
 

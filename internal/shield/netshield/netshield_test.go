@@ -26,12 +26,12 @@ func testPKI(t *testing.T) (server, client *Shield, clock *vtime.Clock) {
 		t.Fatal(err)
 	}
 	clock = &vtime.Clock{}
-	params := sgx.DefaultParams()
-	server, err = New(Config{Params: params, Clock: clock, Identity: serverCert, RootCAs: ca.CertPool(), RequireClientCert: true})
+	meter := sgx.NewMeter(clock, sgx.DefaultParams())
+	server, err = New(Config{Meter: meter, Identity: serverCert, RootCAs: ca.CertPool(), RequireClientCert: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err = New(Config{Params: params, Clock: clock, Identity: clientCert, RootCAs: ca.CertPool()})
+	client, err = New(Config{Meter: meter, Identity: clientCert, RootCAs: ca.CertPool()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRejectsUntrustedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := &vtime.Clock{}
-	rogue, err := New(Config{Params: sgx.DefaultParams(), Clock: clock, Identity: rogueCert, RootCAs: rogueCA.CertPool()})
+	rogue, err := New(Config{Meter: sgx.NewMeter(clock, sgx.DefaultParams()), Identity: rogueCert, RootCAs: rogueCA.CertPool()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTLS13Only(t *testing.T) {
 	// The shield sets MinVersion TLS 1.3; if the handshake succeeded the
 	// negotiated version cannot be lower. This is a structural assertion:
 	// the config must not drift.
-	if server.cfg.Params.NetShieldThroughput <= 0 {
+	if server.cfg.Meter.Params().NetShieldThroughput <= 0 {
 		t.Fatal("params lost")
 	}
 }

@@ -27,8 +27,7 @@ func testListener(t *testing.T) (net.Listener, string) {
 // consistency expectation, surfacing the construction error (for the
 // handshake-mismatch tests).
 func newWorkerPolicyErr(id int, addr string, policy ConsistencyPolicy) (*Worker, error) {
-	params := sgx.DefaultParams()
-	clock := &vtime.Clock{}
+	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 	xs, ys := tinyShard(30, int64(100+id))
 	return NewWorker(WorkerConfig{
 		ID:          id,
@@ -37,9 +36,8 @@ func newWorkerPolicyErr(id int, addr string, policy ConsistencyPolicy) (*Worker,
 		XS:          xs,
 		YS:          ys,
 		BatchSize:   10,
-		Device:      device.NewCPU("w", params, clock, 1, 1.0),
-		Clock:       clock,
-		Params:      params,
+		Device:      device.NewCPU("w", meter, 1, 1.0),
+		Meter:       meter,
 		Consistency: policy,
 	})
 }
@@ -51,7 +49,7 @@ func newTestWorkerPolicy(t *testing.T, id int, addr string, policy ConsistencyPo
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	return w, w.cfg.Clock
+	return w, w.cfg.Meter.Clock()
 }
 
 // asyncPS builds a test parameter server running Async(staleness).

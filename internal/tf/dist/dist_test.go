@@ -50,8 +50,7 @@ func newTestPS(t *testing.T, workers int, opts func(*PSConfig)) (*ParameterServe
 		Vars:     InitialVars(tinyModel(7).Graph),
 		Workers:  workers,
 		LR:       0.5,
-		Clock:    clock,
-		Params:   sgx.DefaultParams(),
+		Meter:    sgx.NewMeter(clock, sgx.DefaultParams()),
 	}
 	if opts != nil {
 		opts(&cfg)
@@ -66,8 +65,8 @@ func newTestPS(t *testing.T, workers int, opts func(*PSConfig)) (*ParameterServe
 
 func newTestWorker(t *testing.T, id int, addr string) (*Worker, *vtime.Clock) {
 	t.Helper()
-	params := sgx.DefaultParams()
 	clock := &vtime.Clock{}
+	meter := sgx.NewMeter(clock, sgx.DefaultParams())
 	xs, ys := tinyShard(30, int64(100+id))
 	w, err := NewWorker(WorkerConfig{
 		ID:        id,
@@ -76,9 +75,8 @@ func newTestWorker(t *testing.T, id int, addr string) (*Worker, *vtime.Clock) {
 		XS:        xs,
 		YS:        ys,
 		BatchSize: 10,
-		Device:    device.NewCPU("w", params, clock, 1, 1.0),
-		Clock:     clock,
-		Params:    params,
+		Device:    device.NewCPU("w", meter, 1, 1.0),
+		Meter:     meter,
 	})
 	if err != nil {
 		t.Fatal(err)

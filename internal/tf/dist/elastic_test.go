@@ -288,7 +288,7 @@ func TestElasticSeatsAWorkerItNeverHeardFrom(t *testing.T) {
 	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
 		cfg.Elastic, cfg.RoundTimeout = true, 300*time.Millisecond
 	})
-	clock, params := &vtime.Clock{}, sgx.DefaultParams()
+	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 	grads := map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1), "b": tf.Fill(tf.Shape{3}, 1)}
 	dial := func(id uint32) *Link {
 		t.Helper()
@@ -298,14 +298,14 @@ func TestElasticSeatsAWorkerItNeverHeardFrom(t *testing.T) {
 		}
 		t.Cleanup(func() { conn.Close() })
 		l := NewLink(conn, nil)
-		if resp, _, err := l.RoundTrip(clock, params, &message{Kind: msgHello, Worker: id, Shards: 1}); err != nil || !resp.OK {
+		if resp, _, err := l.RoundTrip(meter, &message{Kind: msgHello, Worker: id, Shards: 1}); err != nil || !resp.OK {
 			t.Fatalf("worker %d hello: %+v, %v", id, resp, err)
 		}
 		return l
 	}
 	push := func(l *Link, id uint32, round uint64) *message {
 		t.Helper()
-		resp, _, err := l.RoundTrip(clock, params, &message{Kind: msgPush, Worker: id, Round: round, Vars: grads})
+		resp, _, err := l.RoundTrip(meter, &message{Kind: msgPush, Worker: id, Round: round, Vars: grads})
 		if err != nil {
 			t.Fatalf("worker %d push: %v", id, err)
 		}
@@ -327,7 +327,7 @@ func TestElasticSeatsAWorkerItNeverHeardFrom(t *testing.T) {
 	}
 	acked := make(chan *message, 1)
 	go func() {
-		resp, _, _ := first.RoundTrip(&vtime.Clock{}, params, &message{Kind: msgPush, Worker: 0, Round: 1, Vars: grads})
+		resp, _, _ := first.RoundTrip(meter.On(&vtime.Clock{}), &message{Kind: msgPush, Worker: 0, Round: 1, Vars: grads})
 		acked <- resp
 	}()
 	select {

@@ -150,7 +150,7 @@ func TestLinkReadsIntoOneBuffer(t *testing.T) {
 		}
 	}()
 	l := NewLink(server, nil)
-	first, err := l.Receive(clock, params)
+	first, err := l.Receive(sgx.NewMeter(clock, params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLinkReadsIntoOneBuffer(t *testing.T) {
 	if blob[0] != 1 {
 		t.Fatalf("first frame's blob starts with %d", blob[0])
 	}
-	if _, err := l.Receive(clock, params); err != nil {
+	if _, err := l.Receive(sgx.NewMeter(clock, params)); err != nil {
 		t.Fatal(err)
 	}
 	if blob[0] != 2 {

@@ -35,10 +35,9 @@ const (
 
 // message is the decoded form of one protocol frame.
 //
-// Stamp carries the sender's virtual clock (nanoseconds) at send time,
-// after charging wire serialization; the receiver advances to
-// Stamp + LANRTT/2 so virtual time is causally consistent across nodes
-// without a global clock.
+// Stamp is the sender's virtual clock (ns) once the frame's serialization
+// is charged; the receiver arrives at it (sgx.Meter.Arrive), which keeps
+// virtual time causally consistent across nodes without a global clock.
 type message struct {
 	Kind   uint8
 	Stamp  int64
@@ -345,39 +344,31 @@ func NewLink(conn net.Conn, vars func(name string) *tf.Tensor) *Link {
 // Close closes the connection; the buffers go with the link.
 func (l *Link) Close() error { return l.conn.Close() }
 
-// Send serializes m onto the connection as a length-prefixed frame,
-// charging wire serialization to clock and stamping the message with the
-// resulting virtual time. The propagation half-RTT is accounted on the
-// receiving side (AdvanceTo(stamp + LANRTT/2)), matching the CAS
-// convention so latency is never double-counted. It reports the total
-// frame size in bytes (header + payload), so callers can account the
-// wire volume a codec saves independently of the bandwidth cost model.
-func (l *Link) Send(clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {
+// Send writes m as a length-prefixed frame, charging meter its
+// serialization (Meter.Frame) and stamping it with the resulting virtual
+// time. It reports the frame's size with its header, so callers can
+// account the wire volume a codec saves apart from the cost model.
+func (l *Link) Send(meter sgx.Meter, m *Message) (int, error) {
 	l.wbuf = m.encode(l.wbuf[:0])
-	return l.flush(clock, params)
+	return l.flush(meter)
 }
 
 // flush is Send for a message already encoded into wbuf.
-func (l *Link) flush(clock *vtime.Clock, params sgx.Params) (int, error) {
+func (l *Link) flush(meter sgx.Meter) (int, error) {
 	payload := l.wbuf
-	clock.Advance(wireTime(len(payload)+4, params))
+	meter.Frame(len(payload) + 4)
 	// Stamp after charging serialization; the stamp sits at a fixed
 	// offset right after the kind byte.
-	binary.LittleEndian.PutUint64(payload[1:9], uint64(clock.Now()))
+	binary.LittleEndian.PutUint64(payload[1:9], uint64(meter.Clock().Now()))
 	if err := wire.WriteFrame(l.conn, payload); err != nil {
 		return 0, err
 	}
 	return 4 + len(payload), nil
 }
 
-// wireTime is what putting a frame of n bytes on the wire costs.
-func wireTime(n int, params sgx.Params) time.Duration {
-	return sgx.TimeAtThroughput(float64(n), params.WireBandwidth)
-}
-
-// Receive reads one frame from the connection and advances clock to the
-// causally consistent time (sender stamp plus half a LAN round trip).
-func (l *Link) Receive(clock *vtime.Clock, params sgx.Params) (*Message, error) {
+// Receive reads one frame from the connection and advances meter's
+// clock to when it arrived (Meter.Arrive at the sender's stamp).
+func (l *Link) Receive(meter sgx.Meter) (*Message, error) {
 	payload, err := wire.ReadFrameInto(l.conn, l.rbuf)
 	if err != nil {
 		return nil, err
@@ -387,7 +378,7 @@ func (l *Link) Receive(clock *vtime.Clock, params sgx.Params) (*Message, error) 
 	if err != nil {
 		return nil, err
 	}
-	clock.AdvanceTo(time.Duration(m.Stamp) + params.LANRTT/2)
+	meter.Arrive(time.Duration(m.Stamp))
 	return m, nil
 }
 
@@ -395,13 +386,13 @@ func (l *Link) Receive(clock *vtime.Clock, params sgx.Params) (*Message, error) 
 // round trip pass on this node while it travels (the reply's stamp
 // covers the rest), read the reply. It also reports the request's frame
 // size, which stays non-zero when only the reply failed.
-func (l *Link) RoundTrip(clock *vtime.Clock, params sgx.Params, req *Message) (*Message, int, error) {
-	n, err := l.Send(clock, params, req)
+func (l *Link) RoundTrip(meter sgx.Meter, req *Message) (*Message, int, error) {
+	n, err := l.Send(meter, req)
 	if err != nil {
 		return nil, 0, err
 	}
-	clock.Advance(params.LANRTT / 2)
-	resp, err := l.Receive(clock, params)
+	meter.Transit()
+	resp, err := l.Receive(meter)
 	return resp, n, err
 }
 
@@ -427,11 +418,11 @@ const (
 // Send frames and sends m on conn (see Link.Send) from a buffer of its
 // own.
 func Send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {
-	return NewLink(conn, nil).Send(clock, params, m)
+	return NewLink(conn, nil).Send(sgx.NewMeter(clock, params), m)
 }
 
 // Receive reads one frame from conn (see Link.Receive) into a buffer of
 // its own, which the message's Grads alias and the caller may keep.
 func Receive(conn net.Conn, clock *vtime.Clock, params sgx.Params) (*Message, error) {
-	return NewLink(conn, nil).Receive(clock, params)
+	return NewLink(conn, nil).Receive(sgx.NewMeter(clock, params))
 }

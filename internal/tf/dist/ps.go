@@ -60,13 +60,10 @@ type PSConfig struct {
 	Compression Compression
 	// LR is the learning rate applied to averaged gradients.
 	LR float64
-	// Clock is the PS node's virtual clock. Message stamps keep it
-	// causally consistent with every worker, so after training it
-	// carries the end-to-end latency. Defaults to a private clock.
-	Clock *vtime.Clock
-	// Params supplies the cost-model constants (wire bandwidth, LAN
-	// RTT). The zero value falls back to sgx.DefaultParams.
-	Params sgx.Params
+	// Meter charges the PS node's clock, which message stamps keep causal
+	// with every worker's, so it ends at the end-to-end latency. The zero
+	// value is a private clock at sgx.DefaultParams.
+	Meter sgx.Meter
 	// RoundTimeout bounds how long a round may stay incomplete after its
 	// first gradient push. When it expires — a worker died or hung, the
 	// elasticity concern of §3.2 — the round aborts and the blocked
@@ -214,11 +211,8 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 	if cfg.Shards < 1 || cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return nil, fmt.Errorf("dist: PSConfig places shard %d in a cluster of %d", cfg.Shard, cfg.Shards)
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = &vtime.Clock{}
-	}
-	if cfg.Params.WireBandwidth == 0 {
-		cfg.Params = sgx.DefaultParams()
+	if cfg.Meter.Clock() == nil {
+		cfg.Meter = sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 	}
 	cfg.Consistency = cfg.Consistency.normalize()
 	if cfg.Consistency.Kind > ConsistencyAsync {
@@ -394,7 +388,7 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		return grads[name]
 	})
 	for {
-		msg, err := l.Receive(ps.cfg.Clock, ps.cfg.Params)
+		msg, err := l.Receive(ps.cfg.Meter)
 		var resp *message
 		switch {
 		case errors.Is(err, errVars):
@@ -428,7 +422,7 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		} else {
 			l.wbuf = resp.encode(l.wbuf[:0])
 		}
-		if _, err := l.flush(ps.cfg.Clock, ps.cfg.Params); err != nil {
+		if _, err := l.flush(ps.cfg.Meter); err != nil {
 			return
 		}
 	}
@@ -744,7 +738,7 @@ func (ps *ParameterServer) timeout(gen uint64) {
 	// dead; charge it to the shard clock so the job's latency stays
 	// honest (and deterministic — the charge is the configured timeout,
 	// not a measured wall delay).
-	ps.cfg.Clock.Advance(ps.cfg.RoundTimeout)
+	ps.cfg.Meter.Clock().Advance(ps.cfg.RoundTimeout)
 	ps.commitLocked()
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/securetf/securetf/internal/tf"
-	"github.com/securetf/securetf/internal/vtime"
 )
 
 // TestShardForPlacement checks the name-hash placement rule: stable,
@@ -167,7 +166,6 @@ func newShardedCluster(t *testing.T, shards, workers int, opts func(*PSConfig)) 
 			Vars:     InitialVars(tinyModel(7).Graph),
 			Workers:  workers,
 			LR:       0.5,
-			Clock:    &vtime.Clock{},
 			Shard:    s,
 			Shards:   shards,
 		}

@@ -42,12 +42,9 @@ type WorkerConfig struct {
 	// Device is charged for the local forward/backward computation.
 	// Defaults to a no-cost null device.
 	Device device.Device
-	// Clock is the worker node's virtual clock. Defaults to the device's
-	// clock.
-	Clock *vtime.Clock
-	// Params supplies cost-model constants. The zero value falls back to
-	// sgx.DefaultParams.
-	Params sgx.Params
+	// Meter charges the worker node's virtual clock for its frames. The
+	// zero value is the device's clock at sgx.DefaultParams.
+	Meter sgx.Meter
 	// Consistency is the commit policy this worker expects every shard
 	// to run. The zero value is Sync(), today's barrier behavior. The
 	// connection handshake verifies the expectation against each
@@ -176,11 +173,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Device == nil {
 		cfg.Device = device.NewNull()
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = cfg.Device.Clock()
-	}
-	if cfg.Params.WireBandwidth == 0 {
-		cfg.Params = sgx.DefaultParams()
+	if cfg.Meter.Clock() == nil {
+		cfg.Meter = sgx.NewMeter(cfg.Device.Clock(), sgx.DefaultParams())
 	}
 
 	policies := make([]ConsistencyPolicy, len(addrs))
@@ -236,7 +230,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			return nil, fmt.Errorf("dist: worker %d dial shard %d at %s: %w", cfg.ID, s, addr, err)
 		}
 		w.links[s] = w.newLink(s, conn)
-		if err := w.handshake(s, cfg.Clock); err != nil {
+		if err := w.handshake(s, cfg.Meter.Clock()); err != nil {
 			w.Close()
 			return nil, err
 		}
@@ -276,7 +270,7 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 		Codec:     codec,
 		TopK:      topk,
 	}
-	resp, _, err := w.links[s].RoundTrip(clock, w.cfg.Params, req)
+	resp, _, err := w.links[s].RoundTrip(w.cfg.Meter.On(clock), req)
 	if err != nil {
 		return fmt.Errorf("dist: worker %d handshake with shard %d: %w", w.cfg.ID, s, err)
 	}
@@ -394,7 +388,7 @@ func (w *Worker) BeginStep() error {
 	if w.staged {
 		return fmt.Errorf("dist: worker %d BeginStep called with a step already staged", w.cfg.ID)
 	}
-	clock := w.cfg.Clock
+	clock := w.cfg.Meter.Clock()
 
 	// Pull: fetch the authoritative variables from every shard and
 	// install them in the local session, so this round's gradients are
@@ -440,7 +434,7 @@ func (w *Worker) FinishStep() error {
 	// next BeginStep starts clean.
 	grads, loss := w.stagedGrads, w.stagedLoss
 	w.staged, w.stagedGrads = false, nil
-	clock := w.cfg.Clock
+	clock := w.cfg.Meter.Clock()
 
 	span := clock.Start()
 	stale, err := w.pushGrads(grads)
@@ -477,7 +471,7 @@ func (w *Worker) FinishStep() error {
 // push virtual time — and reports each sub-phase's vtime in rb so the
 // caller can extend the matching breakdown columns.
 func (w *Worker) retryStale(stale []int, rb *Breakdown) (float64, []int, error) {
-	clock := w.cfg.Clock
+	clock := w.cfg.Meter.Clock()
 	span := clock.Start()
 	for _, s := range stale {
 		var n int64
@@ -529,7 +523,7 @@ func (w *Worker) retryStale(stale []int, rb *Breakdown) (float64, []int, error) 
 // identical to running the exchange directly on the worker clock, so the
 // single-PS deployment is exactly the 1-shard case.
 func (w *Worker) fanOut(fn func(s int, clock *vtime.Clock) error) error {
-	base := w.cfg.Clock.Now()
+	base := w.cfg.Meter.Clock().Now()
 	errs := make([]error, len(w.links))
 	branches := make([]*vtime.Clock, len(w.links))
 	var wg sync.WaitGroup
@@ -545,7 +539,7 @@ func (w *Worker) fanOut(fn func(s int, clock *vtime.Clock) error) error {
 	}
 	wg.Wait()
 	for _, branch := range branches {
-		w.cfg.Clock.AdvanceTo(branch.Now())
+		w.cfg.Meter.Clock().AdvanceTo(branch.Now())
 	}
 	return errors.Join(errs...)
 }
@@ -631,7 +625,7 @@ func (w *Worker) pullExchange(s int, clock *vtime.Clock) (int64, error) {
 	if l == nil {
 		return 0, fmt.Errorf("shard %d: not connected", s)
 	}
-	resp, _, err := l.RoundTrip(clock, w.cfg.Params, &message{Kind: msgPull, Worker: uint32(w.cfg.ID)})
+	resp, _, err := l.RoundTrip(w.cfg.Meter.On(clock), &message{Kind: msgPull, Worker: uint32(w.cfg.ID)})
 	if err != nil {
 		return 0, err
 	}
@@ -756,10 +750,11 @@ func (w *Worker) pushExchange(s int, clock *vtime.Clock, vars map[string]*tf.Ten
 			pending[name] = newRes
 		}
 	}
-	resp, n, err := l.RoundTrip(clock, w.cfg.Params, req)
+	meter := w.cfg.Meter.On(clock)
+	resp, n, err := l.RoundTrip(meter, req)
 	if n > 0 {
 		// Sent, whatever became of the answer.
-		w.pushWire[s] += wireTime(n, w.cfg.Params)
+		w.pushWire[s] += meter.FrameTime(n)
 		w.pushBytes[s] += int64(n)
 	}
 	if err != nil {
