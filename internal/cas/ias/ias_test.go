@@ -12,7 +12,7 @@ import (
 	"github.com/securetf/securetf/internal/sgx"
 )
 
-func newIAS(t *testing.T) (*Server, *sgx.Enclave) {
+func newIAS(t testing.TB) (*Server, *sgx.Enclave) {
 	t.Helper()
 	serverPlat, err := sgx.NewPlatform("key-server", sgx.DefaultParams())
 	if err != nil {

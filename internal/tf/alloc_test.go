@@ -64,3 +64,34 @@ func TestWarmRunAllocatesWhatItGivesAway(t *testing.T) {
 	}
 	t.Logf("a warm Run allocated %d bytes, %d of them its results", least, fetched)
 }
+
+// BenchmarkTrainStep times the Run above — a training worker's step, the
+// MNIST CNN's loss and every gradient at batch 50 — on a warm session:
+// the wall cost of one train-sync worker step's compute, which
+// -cpuprofile breaks down by kernel without the bench/ harness.
+func BenchmarkTrainStep(b *testing.B) {
+	m := models.MNISTCNN(1)
+	_, grads, err := tf.GradientNodes(m.Graph, m.Loss)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fetches := append([]*tf.Node{m.Loss}, grads...)
+	labels := make([]int, 50)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	feeds := tf.Feeds{m.X: tf.RandNormal(tf.Shape{50, 28, 28, 1}, 1, 2), m.Y: tf.OneHot(labels, 10)}
+	s := tf.NewSession(m.Graph)
+	defer s.Close()
+	run := func() {
+		if _, err := s.Run(feeds, fetches, tf.Training()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warms the session
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		run()
+	}
+}

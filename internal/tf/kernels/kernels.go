@@ -7,23 +7,28 @@
 // (NHWC) layout and know nothing of tensors, devices or clocks. Charging
 // the cost model for the work stays with the engine that called
 // (execCtx.charge, Interpreter.charge), so a kernel change cannot move
-// virtual time. The convolutions draw their working memory — an im2col
-// tile of fixed size and, for the gradients, the transposed filter —
-// from a process-wide sync.Pool, so once it is warm no call allocates
-// anything, and nothing a call does allocate is sized by the batch;
-// every other kernel allocates nothing at all (MatMulInto a few words
-// when it splits).
+// virtual time. The convolutions read their windows where they lie
+// (conv.go) and draw their working memory — one image, padded or
+// banded, the filter and one image's output gradient transposed, and the
+// input gradient's tile of dcol rows — from a process-wide sync.Pool, so
+// once it is warm no call allocates anything, and nothing a call does
+// allocate is sized by the batch; every other kernel allocates nothing
+// at all (MatMulInto a few words when it splits).
 //
 // The arithmetic of every output element is fixed: which products are
 // added to it, in what order, each product rounded to float32 and then
 // each sum rounded to float32. It does not depend on the thread count,
 // tile size, pool state or CPU, because threads and tiles only partition
 // output rows and a vector lane is one output column: MatMulInto's loop
-// (matMulRows, under every convolution too) runs eight columns j to an
-// AVX register where the CPU has AVX and as the scalar matMulRowsGo
+// (gemm, under every convolution too) runs eight columns j to an AVX
+// register where the CPU has AVX and as the scalar matMulRowsGo
 // elsewhere (other architectures, amd64 without AVX), and nothing but
-// the CPU chooses. Within a lane the operations are the scalar loop's,
-// in its order; no value crosses lanes. A fused multiply-add is
+// the CPU chooses. gemm reads its operands at row strides, BLAS's
+// leading dimensions: row i of a starts at a[i·lda], row kk of b at
+// b[kk·ldb] and row i of c at c[i·ldc]. Rows of a and b may overlap,
+// which is how a convolution multiplies its windows in place; ldc ≥ n
+// keeps the rows of c apart. Within a lane the operations are the scalar
+// loop's, in its order; no value crosses lanes. A fused multiply-add is
 // forbidden in both: it rounds once where the contract rounds twice, so
 // the assembly uses VMULPS then VADDPS, never VFMADD, and Go code that
 // feeds a pinned value writes float32(a*b) + c, the explicit conversion
@@ -113,15 +118,44 @@ func MatMulInto(c, a, b []float32, m, k, n, threads int) {
 	wg.Wait()
 }
 
-func matMulRowsGo(c, a, b []float32, lo, hi, k, n int) {
+// matMulRows accumulates rows [lo,hi) of A×B into c, all three dense.
+func matMulRows(c, a, b []float32, lo, hi, k, n int) {
+	gemm(c, a, b, lo, hi, k, n, k, n, n)
+}
+
+// gemm accumulates rows [lo,hi) of A×B into c, where row i of a starts at
+// a[i·lda], row kk of b at b[kk·ldb] and row i of c at c[i·ldc]: BLAS's
+// leading dimensions. Rows of a or b may overlap (lda < k, ldb < n), as a
+// convolution's windows do; ldc ≥ n keeps the rows of c apart. It runs
+// the assembly where the CPU has AVX and matMulRowsGo elsewhere, bit for
+// bit the same (TestMatMulRowsMatchesGo); nothing else selects between
+// them.
+//
+// The assembly indexes what it is told to, so every bound is established
+// here, before anything is written: each operand is sliced to its strided
+// extent, which panics, as the scalar loop's indexing would, unless it
+// holds every element the call reads or writes.
+func gemm(c, a, b []float32, lo, hi, k, n, lda, ldb, ldc int) {
+	if lo >= hi || k <= 0 || n <= 0 {
+		return
+	}
+	if lo < 0 || lda < 0 || ldb < 0 || ldc < n {
+		panic(fmt.Sprintf("kernels: gemm rows [%d,%d) of k %d, n %d at strides %d, %d, %d", lo, hi, k, n, lda, ldb, ldc))
+	}
+	gemmRows(c[lo*ldc:(hi-1)*ldc+n], a[lo*lda:(hi-1)*lda+k], b[:(k-1)*ldb+n], hi-lo, k, n, lda, ldb, ldc)
+}
+
+// matMulRowsGo is the scalar loop under gemm, and the oracle of its
+// assembly.
+func matMulRowsGo(c, a, b []float32, lo, hi, k, n, lda, ldb, ldc int) {
 	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
+		arow := a[i*lda : i*lda+k]
+		crow := c[i*ldc : i*ldc+n]
 		for kk, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b[kk*n : (kk+1)*n]
+			brow := b[kk*ldb : kk*ldb+n]
 			for j, bv := range brow {
 				crow[j] += float32(av * bv)
 			}

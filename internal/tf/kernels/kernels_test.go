@@ -711,10 +711,11 @@ func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	// The GEMMs of gemmShapes (matmul_test.go), each followed by its twin
 	// on the scalar loop: the ratio of a pair is the same-run speed-up of
-	// whichever loop matMulRows chose on this CPU, and CI gates it.
+	// whichever loop gemm chose on this CPU, and CI gates it.
 	for _, s := range gemmShapes {
-		a, w := sparseFloats(rng, s.m*s.k, s.zeros), sparseFloats(rng, s.k*s.n, 0)
-		c := make([]float32, s.m*s.n)
+		ld := s.strides()
+		a, w := sparseFloats(rng, extent(s.m, s.k, ld.a), s.zeros), sparseFloats(rng, extent(s.k, s.n, ld.b), 0)
+		c := make([]float32, extent(s.m, s.n, ld.c))
 		matmul := func(run func()) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
@@ -724,8 +725,8 @@ func BenchmarkKernels(b *testing.B) {
 				}
 			}
 		}
-		b.Run("matmul/"+s.name, matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 1) }))
-		b.Run("matmul/"+s.name+"_scalar", matmul(func() { matMulRowsGo(c, a, w, 0, s.m, s.k, s.n) }))
+		b.Run("matmul/"+s.name, matmul(func() { gemm(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
+		b.Run("matmul/"+s.name+"_scalar", matmul(func() { matMulRowsGo(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
 		if s.m == 50 && s.n == 512 {
 			// fc1 again, split four ways.
 			b.Run("matmul/"+s.name+"_t4", matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 4) }))
@@ -735,7 +736,9 @@ func BenchmarkKernels(b *testing.B) {
 	// train-sync: the CNN's two convolutions and both gradients of each.
 	// The first reads digit images, three quarters background zeros; the
 	// second reads activations a tenth zero; the output gradient is four
-	// fifths zero, which is what MaxPoolGrad and ReluGrad hand back.
+	// fifths zero, which is what MaxPoolGrad and ReluGrad hand back. The
+	// forward and filter-gradient rows are each followed by an _im2col
+	// twin, the path they replaced: CI gates conv1's forward pair.
 	for _, l := range []struct {
 		name      string
 		x, filter []int
@@ -760,7 +763,9 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 		b.Run("conv2d/train-sync/"+l.name, conv(func() { clear(out); Conv2DInto(out, x, f, g) }))
+		b.Run("conv2d/train-sync/"+l.name+"_im2col", conv(func() { clear(out); im2colConv2D(out, x, f, g) }))
 		b.Run("conv2d_grad_filter/train-sync/"+l.name, conv(func() { Conv2DGradFilterInto(df, grad, x, g) }))
+		b.Run("conv2d_grad_filter/train-sync/"+l.name+"_im2col", conv(func() { im2colConv2DGradFilter(df, grad, x, g) }))
 		b.Run("conv2d_grad_input/train-sync/"+l.name, conv(func() { clear(dx); Conv2DGradInputInto(dx, grad, f, g) }))
 	}
 	// The CNN's two pools, pool1 followed by its twin on the generic loop:

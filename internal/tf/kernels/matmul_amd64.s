@@ -1,16 +1,17 @@
 #include "textflag.h"
 
-// The AVX half of matMulRows (matmul_amd64.go has the contract). Both
-// kernels below compute, for every row i and column j,
+// The AVX half of gemm (kernels.go has the contract). Both kernels below
+// compute, for every row i and column j,
 //
 //	for kk := 0; kk < k; kk++ {
 //		if a[i,kk] != 0 { c[i,j] = c[i,j] + float32(a[i,kk]*b[kk,j]) }
 //	}
 //
-// eight columns j to a register. A lane is one output element and no
-// instruction moves a value between lanes, so each element sees exactly
-// the scalar loop's operations in the scalar loop's order. The product
-// is rounded by VMULPS and the sum by VADDPS; there is no fused
+// eight columns j to a register, where a[i,kk] is a[i·lda+kk], b[kk,j]
+// is b[kk·ldb+j] and c[i,j] is c[i·ldc+j]. A lane is one output element
+// and no instruction moves a value between lanes, so each element sees
+// exactly the scalar loop's operations in the scalar loop's order. The
+// product is rounded by VMULPS and the sum by VADDPS; there is no fused
 // multiply-add in this file and there must never be one, because it
 // rounds once where the scalar loop rounds twice.
 //
@@ -57,24 +58,28 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func matMulAxpyAVX(c, a, b []float32, rows, k, n int)
+// func matMulAxpyAVX(c, a, b []float32, rows, k, n, lda, ldb, ldc int)
 //
 // The streaming shape, for any n ≥ 1: row by row, one pass along the c
 // row (which stays in L1) for every two non-zero a[i,kk], adding first
 // a[i,kk]·b[kk,:] and then a[i,kk2]·b[kk2,:], kk < kk2, each along a
 // contiguous row of b. Two products to a pass halve the loads and stores
-// of c; a row's odd last product gets a pass of its own. rows, k, n ≥ 1;
-// the caller has checked that c, a and b hold rows·n, rows·k and k·n
-// elements.
+// of c; a row's odd last product gets a pass of its own. rows, k, n ≥ 1
+// and ldc ≥ n; the caller has checked that c, a and b hold
+// (rows-1)·ldc+n, (rows-1)·lda+k and (k-1)·ldb+n elements.
 //
 //	DI  c row          SI  a row         R9  rows left
-//	R10 k              R12 4n, the row stride of b and c
+//	R10 k              R12 4·ldb, the row stride of b
 //	R13 4n rounded down to 128 (four registers)
 //	R11 4n rounded down to 32 (one register)
 //	CX  kk             BX  b row kk      Y15 a[i,kk] in every lane
 //	R8  kk2            R14 b row kk2     Y13 a[i,kk2] in every lane
 //	DX  byte offset of column j          Y14 mask of the n%8 tail lanes
-TEXT ·matMulAxpyAVX(SB), NOSPLIT, $0-96
+//
+// No register is left for n itself: a pass has a tail when n%8 ≠ 0, and
+// it reads that bit off the argument; the strides of a and c are read
+// off theirs once a row.
+TEXT ·matMulAxpyAVX(SB), NOSPLIT, $0-120
 	MOVQ c_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
 	MOVQ rows+72(FP), R9
@@ -91,6 +96,8 @@ TEXT ·matMulAxpyAVX(SB), NOSPLIT, $0-96
 	ANDQ $-128, R13
 	MOVQ R12, R11
 	ANDQ $-32, R11
+	MOVQ ldb+104(FP), R12
+	SHLQ $2, R12
 
 	PCALIGN $64
 axpyRow:
@@ -159,8 +166,8 @@ axpyPairOnes:
 	JMP     axpyPairOnes
 
 axpyPairTail:
-	CMPQ DX, R12
-	JGE  axpyPairNext
+	TESTQ $7, n+88(FP)
+	JZ    axpyPairNext
 	VMASKMOVPS (BX)(DX*1), Y14, Y0
 	VMASKMOVPS (R14)(DX*1), Y14, Y4
 	VMASKMOVPS (DI)(DX*1), Y14, Y1
@@ -208,8 +215,8 @@ axpyOnes:
 	JMP     axpyOnes
 
 axpyTail:
-	CMPQ DX, R12
-	JGE  axpyNextK
+	TESTQ $7, n+88(FP)
+	JZ    axpyNextK
 	VMASKMOVPS (BX)(DX*1), Y14, Y0
 	VMASKMOVPS (DI)(DX*1), Y14, Y1
 	VMULPS     Y0, Y15, Y0
@@ -222,8 +229,10 @@ axpyNextK:
 	CMPQ CX, R10
 	JLT  axpyK
 
-	ADDQ R12, DI
-	LEAQ (SI)(R10*4), SI
+	MOVQ ldc+112(FP), AX
+	LEAQ (DI)(AX*4), DI
+	MOVQ lda+96(FP), AX
+	LEAQ (SI)(AX*4), SI
 	DECQ R9
 	JNZ  axpyRow
 	VZEROUPPER
@@ -242,7 +251,7 @@ axpyNextK:
 	VADDPS       Y14, acc1, acc1 \
 skip:
 
-// func matMulRows4AVX(c, a, b []float32, rows, k, n int)
+// func matMulRows4AVX(c, a, b []float32, rows, k, n, lda, ldb, ldc int)
 //
 // The narrow shape, 1 ≤ n ≤ 16, rows a positive multiple of 4: four rows
 // of c are held in registers over the whole kk loop and stepped together,
@@ -251,17 +260,16 @@ skip:
 // Each row still tests its own a[i,kk] for zero.
 //
 //	DI  c, four rows   SI  &a[i,kk]      R8  b
-//	R9  rows left      R10 k             R11 4n
-//	R12 4k, R13 12k: a[i+1], a[i+2], a[i+3] are at SI+R12, SI+2·R12, SI+R13
-//	BX  b row kk       CX  kk left
+//	R9  rows left      R10 4·ldb         R11 4·ldc
+//	R12 4·lda, R13 12·lda: a[i+1], a[i+2], a[i+3] are at SI+R12, SI+2·R12, SI+R13
+//	BX  b row kk       CX  kk left       DX  c row i+2
 //	Y0:Y1 … Y6:Y7 the four rows of c     Y8:Y9 b[kk,:]
 //	Y10, Y11 masks of lanes [0,n) and [8,n)
-TEXT ·matMulRows4AVX(SB), NOSPLIT, $0-96
+TEXT ·matMulRows4AVX(SB), NOSPLIT, $0-120
 	MOVQ c_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
 	MOVQ b_base+48(FP), R8
 	MOVQ rows+72(FP), R9
-	MOVQ k+80(FP), R10
 	MOVQ n+88(FP), R11
 
 	// Y10 selects min(n,8) lanes, Y11 max(n-8,0).
@@ -279,9 +287,13 @@ TEXT ·matMulRows4AVX(SB), NOSPLIT, $0-96
 	VMOVUPS (BX), Y10
 	VMOVUPS (CX), Y11
 
-	SHLQ $2, R11
-	LEAQ (R10*4), R12
+	MOVQ lda+96(FP), R12
+	SHLQ $2, R12
 	LEAQ (R12)(R12*2), R13
+	MOVQ ldb+104(FP), R10
+	SHLQ $2, R10
+	MOVQ ldc+112(FP), R11
+	SHLQ $2, R11
 
 	PCALIGN $64
 rows4Group:
@@ -295,7 +307,7 @@ rows4Group:
 	VMASKMOVPS (DX)(R11*1), Y10, Y6
 	VMASKMOVPS 32(DX)(R11*1), Y11, Y7
 	MOVQ R8, BX
-	MOVQ R10, CX
+	MOVQ k+80(FP), CX
 
 	PCALIGN $32
 rows4K:
@@ -306,7 +318,7 @@ rows4K:
 	ROW4((SI)(R12*2), Y4, Y5, rows4Skip2)
 	ROW4((SI)(R13*1), Y6, Y7, rows4Skip3)
 	ADDQ $4, SI
-	ADDQ R11, BX
+	ADDQ R10, BX
 	DECQ CX
 	JNZ  rows4K
 
@@ -318,7 +330,11 @@ rows4K:
 	VMASKMOVPS Y5, Y11, 32(DX)
 	VMASKMOVPS Y6, Y10, (DX)(R11*1)
 	VMASKMOVPS Y7, Y11, 32(DX)(R11*1)
-	ADDQ R13, SI // SI is at the end of row i; three more rows to i+4
+	// SI is at a[i,k]: back to a[i,0], then four rows on.
+	MOVQ k+80(FP), AX
+	SHLQ $2, AX
+	SUBQ AX, SI
+	LEAQ (SI)(R12*4), SI
 	LEAQ (DI)(R11*4), DI
 	SUBQ $4, R9
 	JNZ  rows4Group

@@ -2,6 +2,6 @@
 
 package kernels
 
-func matMulRows(c, a, b []float32, lo, hi, k, n int) {
-	matMulRowsGo(c, a, b, lo, hi, k, n)
+func gemmRows(c, a, b []float32, rows, k, n, lda, ldb, ldc int) {
+	matMulRowsGo(c, a, b, 0, rows, k, n, lda, ldb, ldc)
 }

@@ -10,27 +10,56 @@ import (
 
 // matMulRowsGo, the scalar loop, is the oracle: it is the loop every
 // pinned trajectory in the repo was recorded on, it runs on every
-// architecture, and on a CPU without AVX it is also what matMulRows
-// runs, so these tests then compare it with itself and pass.
+// architecture, and on a CPU without AVX it is also what gemm runs, so
+// these tests then compare it with itself and pass.
 
-// gemmShapes are the GEMMs the benchmark's workloads run, as matMulRows
-// sees them: the fully connected layers whole, the convolutions one
-// im2col tile at a time. zeros is the share of a that is zero.
-var gemmShapes = []struct {
+// strides are the row strides (leading dimensions) of a, b and c.
+type strides struct{ a, b, c int }
+
+func dense(k, n int) strides { return strides{k, n, n} }
+
+// extent is how many elements rows rows of cols, ld apart, span.
+func extent(rows, cols, ld int) int {
+	if rows == 0 || cols == 0 {
+		return 0
+	}
+	return (rows-1)*ld + cols
+}
+
+// gemmShape is one GEMM the benchmark's workloads run, as gemm sees it.
+// zeros is the share of a that is zero; a nil ld means dense.
+type gemmShape struct {
 	name    string
 	m, k, n int
+	ld      *strides
 	zeros   float64
-}{
-	{"serve-steady/m1_k2048_n2048", 1, 2048, 2048, 0.2},
-	{"serve-fleet/m8_k784_n128", 8, 784, 128, 0.2},
-	{"serve-fleet/m16_k784_n128", 16, 784, 128, 0.2},
-	{"train-sync/m50_k784_n512", 50, 784, 512, 0.2},
-	{"train-sync/fc1_grad_w_m784_k50_n512", 784, 50, 512, 0.2},
-	{"train-sync/fc1_grad_x_m50_k512_n784", 50, 512, 784, 0.5},
-	{"train-sync/conv1_tile_m655_k25_n8", 655, 25, 8, 0.75},
-	{"train-sync/conv2_tile_m81_k200_n16", 81, 200, 16, 0.1},
-	{"train-sync/conv2_grad_filter_tile_m16_k81_n200", 16, 81, 200, 0.8},
-	{"train-sync/conv2_grad_input_tile_m81_k16_n200", 81, 16, 200, 0.8},
+}
+
+func (s gemmShape) strides() strides {
+	if s.ld == nil {
+		return dense(s.k, s.n)
+	}
+	return *s.ld
+}
+
+// gemmShapes: the fully connected layers whole; the convolutions as the
+// strided calls they make — a forward line's windows (a, Stride·C apart)
+// against one filter row, a filter gradient's transposed image gradient
+// against that image's windows (b) into one column block of the
+// transposed filter (c, K apart) — and the input gradient one dense dcol
+// tile at a time.
+var gemmShapes = []gemmShape{
+	{"serve-steady/m1_k2048_n2048", 1, 2048, 2048, nil, 0.2},
+	{"serve-fleet/m8_k784_n128", 8, 784, 128, nil, 0.2},
+	{"serve-fleet/m16_k784_n128", 16, 784, 128, nil, 0.2},
+	{"train-sync/m50_k784_n512", 50, 784, 512, nil, 0.2},
+	{"train-sync/fc1_grad_w_m784_k50_n512", 784, 50, 512, nil, 0.2},
+	{"train-sync/fc1_grad_x_m50_k512_n784", 50, 512, 784, nil, 0.5},
+	{"train-sync/conv1_line_m28_k5_n8_lda1", 28, 5, 8, &strides{1, 8, 8}, 0.75},
+	{"train-sync/conv2_line_m14_k40_n16_lda8", 14, 40, 16, &strides{8, 16, 16}, 0.1},
+	{"train-sync/conv1_grad_filter_m8_k892_n5_ldb1_ldc25", 8, 892, 5, &strides{892, 1, 25}, 0.8},
+	{"train-sync/conv2_grad_filter_m16_k248_n40_ldb8_ldc200", 16, 248, 40, &strides{248, 8, 200}, 0.8},
+	{"train-sync/conv2_grad_input_tile_m81_k16_n200", 81, 16, 200, nil, 0.8},
 }
 
 // awkwardFloats draws the values a lane can get wrong: zeros of either
@@ -70,32 +99,26 @@ func framed(want []float32, off int, canary float32) (whole, part []float32) {
 	return whole, part
 }
 
-// checkAgainstGo runs rows [lo,hi) of the product through matMulRows and
-// through the scalar loop, the operands of the former placed off
+// checkAgainstGo runs rows [lo,hi) of the product at strides ld through
+// gemm and through the scalar loop, the operands of the former placed off
 // elements into framed slices: a lane that read outside a or b would
 // poison c with their frames' NaN, one that wrote outside c would break
-// its frame, and rows outside [lo,hi) must come back untouched. Where
-// nanOK, two NaNs agree whatever their payloads: which one an instruction
-// propagates depends on its operand order, and is outside the contract.
-func checkAgainstGo(t *testing.T, what string, c0, a, b []float32, lo, hi, k, n, off int, nanOK bool) {
+// its frame, and rows outside [lo,hi), like the gaps between c's rows,
+// must come back untouched. nanOK is sameBits'.
+func checkAgainstGo(t *testing.T, what string, c0, a, b []float32, lo, hi, k, n int, ld strides, off int, nanOK bool) {
 	t.Helper()
 	nan := float32(math.NaN())
 	want := append([]float32(nil), c0...)
-	matMulRowsGo(want, a, b, lo, hi, k, n)
+	if k > 0 && n > 0 { // an empty product indexes nothing
+		matMulRowsGo(want, a, b, lo, hi, k, n, ld.a, ld.b, ld.c)
+	}
 
 	_, fa := framed(a, off, nan)
 	_, fb := framed(b, off, nan)
 	const canary = 12345.678 // finite, so that a stray lane adding NaN to it shows
 	whole, got := framed(c0, off, canary)
-	matMulRows(got, fa, fb, lo, hi, k, n)
-	if nanOK {
-		for i := range want {
-			if got[i] != got[i] && want[i] != want[i] {
-				got[i] = want[i]
-			}
-		}
-	}
-	bitEqual(t, what, got, want)
+	gemm(got, fa, fb, lo, hi, k, n, ld.a, ld.b, ld.c)
+	sameBits(t, what, got, want, nanOK)
 	for i, v := range whole {
 		if (i < off || i >= off+len(c0)) && v != canary {
 			t.Fatalf("%s: wrote %v at %d, outside c[%d:%d]", what, v, i, off, off+len(c0))
@@ -112,11 +135,14 @@ func TestMatMulRowsMatchesGo(t *testing.T) {
 		for _, k := range []int{0, 1, 3, 4, 5, 200} {
 			for off := 0; off < 8; off++ {
 				zeros := []float64{0, 0.1, 0.8, 1}[(n+k+off)%4]
+				// Dense; gaps between rows; rows of a and b overlapping,
+				// as a convolution's windows do; one row of a and b for all.
+				ld := []strides{dense(k, n), {k + 3, n + 1, n + 9}, {k / 2, n / 3, n + 1}, {0, 0, n}}[off%4]
 				for _, rows := range [][2]int{{lo, hi}, {0, m}} {
-					a, b := awkwardFloats(rng, m*k, zeros), awkwardFloats(rng, k*n, 0.1)
-					c0 := awkwardFloats(rng, m*n, 0.3) // accumulated into: -0 and denormals included
-					what := fmt.Sprintf("rows %v of m%d·k%d·n%d at offset %d, %.0f%% zeros", rows, m, k, n, off, 100*zeros)
-					checkAgainstGo(t, what, c0, a, b, rows[0], rows[1], k, n, off, false)
+					a, b := awkwardFloats(rng, extent(m, k, ld.a), zeros), awkwardFloats(rng, extent(k, n, ld.b), 0.1)
+					c0 := awkwardFloats(rng, extent(m, n, ld.c), 0.3) // accumulated into: -0 and denormals included
+					what := fmt.Sprintf("rows %v of m%d·k%d·n%d at strides %v, offset %d, %.0f%% zeros", rows, m, k, n, ld, off, 100*zeros)
+					checkAgainstGo(t, what, c0, a, b, rows[0], rows[1], k, n, ld, off, false)
 				}
 			}
 		}
@@ -125,8 +151,9 @@ func TestMatMulRowsMatchesGo(t *testing.T) {
 		if testing.Short() && s.m*s.k*s.n > 1<<22 {
 			continue
 		}
-		a, b := sparseFloats(rng, s.m*s.k, s.zeros), sparseFloats(rng, s.k*s.n, 0)
-		checkAgainstGo(t, s.name, make([]float32, s.m*s.n), a, b, 0, s.m, s.k, s.n, 3, false)
+		ld := s.strides()
+		a, b := sparseFloats(rng, extent(s.m, s.k, ld.a), s.zeros), sparseFloats(rng, extent(s.k, s.n, ld.b), 0)
+		checkAgainstGo(t, s.name, make([]float32, extent(s.m, s.n, ld.c)), a, b, 0, s.m, s.k, s.n, ld, 3, false)
 	}
 }
 
@@ -145,18 +172,23 @@ func TestMatMulRowsNonFinite(t *testing.T) {
 					s[i] = special[rng.Intn(len(special))]
 				}
 			}
-			checkAgainstGo(t, fmt.Sprintf("m%d·k%d·n%d", m, k, n), c0, a, b, 0, m, k, n, 1, true)
+			checkAgainstGo(t, fmt.Sprintf("m%d·k%d·n%d", m, k, n), c0, a, b, 0, m, k, n, dense(k, n), 1, true)
 		}
 	}
 }
 
-// FuzzMatMulRows feeds both loops arbitrary bit patterns.
+// FuzzMatMulRows feeds both loops arbitrary bit patterns at arbitrary
+// strides: lda and ldb from 0 (one row for all) past k and n (gaps), ldc
+// from n up.
 func FuzzMatMulRows(f *testing.F) {
-	f.Add(uint8(5), uint8(3), uint8(9), uint8(0), []byte("\x00\x00\x80\x3f\x00\x00\x00\x80\x01\x00\x00\x00\x00\x00\x80\x7f"))
-	f.Add(uint8(4), uint8(200), uint8(16), uint8(3), []byte{0xff, 0xff, 0x7f, 0x7f, 0, 0, 0, 0, 0xcd, 0xcc, 0x4c, 0x3e})
-	f.Add(uint8(9), uint8(17), uint8(67), uint8(7), []byte{1, 2, 3, 4, 5, 6, 7})
-	f.Fuzz(func(t *testing.T, m8, k8, n8, off8 uint8, data []byte) {
+	f.Add(uint8(5), uint8(3), uint8(9), uint8(0), uint8(3), uint8(9), uint8(0), []byte("\x00\x00\x80\x3f\x00\x00\x00\x80\x01\x00\x00\x00\x00\x00\x80\x7f"))
+	f.Add(uint8(4), uint8(200), uint8(16), uint8(3), uint8(200), uint8(16), uint8(0), []byte{0xff, 0xff, 0x7f, 0x7f, 0, 0, 0, 0, 0xcd, 0xcc, 0x4c, 0x3e})
+	f.Add(uint8(9), uint8(17), uint8(67), uint8(7), uint8(17), uint8(67), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(8), uint8(40), uint8(16), uint8(1), uint8(8), uint8(16), uint8(0), []byte{0, 0, 0x80, 0xbf, 9, 8, 7, 6, 0, 0, 0, 0})
+	f.Add(uint8(4), uint8(30), uint8(40), uint8(2), uint8(30), uint8(8), uint8(5), []byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f})
+	f.Fuzz(func(t *testing.T, m8, k8, n8, off8, lda8, ldb8, ldc8 uint8, data []byte) {
 		m, k, n, off := int(m8%10), int(k8), int(n8%70), int(off8%8)
+		ld := strides{int(lda8) % (k + 8), int(ldb8) % (n + 8), n + int(ldc8%8)}
 		if len(data) < 4 {
 			data = append(data, 1, 2, 3, 4)
 		}
@@ -170,8 +202,8 @@ func FuzzMatMulRows(f *testing.F) {
 			}
 			return out
 		}
-		a, b, c0 := pattern(m*k, 0), pattern(k*n, 1), pattern(m*n, 2)
-		checkAgainstGo(t, fmt.Sprintf("m%d·k%d·n%d", m, k, n), c0, a, b, 0, m, k, n, off, true)
+		a, b, c0 := pattern(extent(m, k, ld.a), 0), pattern(extent(k, n, ld.b), 1), pattern(extent(m, n, ld.c), 2)
+		checkAgainstGo(t, fmt.Sprintf("m%d·k%d·n%d at strides %v", m, k, n, ld), c0, a, b, 0, m, k, n, ld, off, true)
 	})
 }
 
@@ -214,6 +246,49 @@ func TestMatMulIntoChecksShapesFirst(t *testing.T) {
 			if !allZero(c) {
 				t.Errorf("%s, %d threads: c was written", tc.name, threads)
 			}
+		}
+	}
+}
+
+// TestGemmChecksStridesFirst: the same at strides. An operand one element
+// short of its strided extent panics before one element of c is written,
+// whether the rows have gaps, overlap or are one row for all, and so do a
+// negative stride and rows of c that overlap.
+func TestGemmChecksStridesFirst(t *testing.T) {
+	const m, k, n = 6, 5, 20
+	rng := rand.New(rand.NewSource(24))
+	type gemmCase struct {
+		name             string
+		lenC, lenA, lenB int
+		ld               strides
+		panics           bool
+	}
+	var cases []gemmCase
+	for _, ld := range []strides{{7, 23, 21}, {2, 3, 20}, {0, 0, 29}} {
+		la, lb, lc := extent(m, k, ld.a), extent(k, n, ld.b), extent(m, n, ld.c)
+		cases = append(cases,
+			gemmCase{fmt.Sprintf("short a at %v", ld), lc, la - 1, lb, ld, true},
+			gemmCase{fmt.Sprintf("short b at %v", ld), lc, la, lb - 1, ld, true},
+			gemmCase{fmt.Sprintf("short c at %v", ld), lc - 1, la, lb, ld, true},
+			gemmCase{fmt.Sprintf("exact at %v", ld), lc, la, lb, ld, false})
+	}
+	cases = append(cases,
+		gemmCase{"ldc < n", m * n, m * k, k * n, strides{k, n, n - 1}, true},
+		gemmCase{"negative lda", m * n, m * k, k * n, strides{-1, n, n}, true},
+		gemmCase{"negative ldb", m * n, m * k, k * n, strides{k, -1, n}, true})
+	for _, tc := range cases {
+		a, b := sparseFloats(rng, tc.lenA, 0), sparseFloats(rng, tc.lenB, 0)
+		c := make([]float32, tc.lenC)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			gemm(c, a, b, 0, m, k, n, tc.ld.a, tc.ld.b, tc.ld.c)
+			return false
+		}()
+		if panicked != tc.panics {
+			t.Errorf("%s: panicked = %v, want %v", tc.name, panicked, tc.panics)
+		}
+		if tc.panics && !allZero(c) {
+			t.Errorf("%s: c was written", tc.name)
 		}
 	}
 }
