@@ -388,8 +388,12 @@
 // fault-plan and straggler delays. Kept on purpose, as every pinned
 // number rests on them: CAS/IAS JSON pays no wire serialization while
 // dist frames do; CAS and IAS handshakes are charged to the client only,
-// the network shield's to both ends; and CAS traffic pays no shield
-// record cost, since the CAS speaks its own crypto/tls.
+// the network shield's to both ends; CAS traffic pays no shield record
+// cost, since the CAS speaks its own crypto/tls; and a frame's sender
+// pays one shield record charge (its header and payload go in one
+// write, so one TLS record per 16 KiB and one syscall) while its
+// receiver pays one per read call, two a frame (the header, then the
+// payload).
 //
 // Every server in the module — CAS, IAS simulator, parameter server,
 // federated coordinator, gateway, router — runs on internal/wire, which

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/securetf/securetf/internal/tf"
@@ -121,32 +122,35 @@ func (g *Gateway) collect(m *servedModel, first *request) (batch []*request, car
 	return batch, nil
 }
 
-// groupKey buckets batch members that can share one interpreter
-// invocation: same resolved version, same dtype, same per-row shape.
-type groupKey struct {
-	version  int
-	dtype    tf.DType
-	rowShape string
+// group is batch members that can share one interpreter invocation:
+// same resolved version, same dtype, same per-row shape.
+type group struct {
+	version int
+	reqs    []*request
+}
+
+// fits reports whether req can join the group.
+func (gr group) fits(req *request) bool {
+	first := gr.reqs[0].input
+	return gr.version == req.version && first.DType() == req.input.DType() &&
+		slices.Equal(first.Shape()[1:], req.input.Shape()[1:])
 }
 
 // runBatch resolves each request's version and executes the batch as one
-// pooled invocation per compatible group.
+// pooled invocation per compatible group, the groups in the order their
+// first members arrived.
 func (g *Gateway) runBatch(m *servedModel, batch []*request) {
-	groups := make(map[groupKey][]*request)
-	order := make([]groupKey, 0, 1)
+	groups := make([]group, 0, 1)
 	for _, req := range batch {
-		key := groupKey{
-			version:  req.version,
-			dtype:    req.input.DType(),
-			rowShape: fmt.Sprint(req.input.Shape()[1:]),
+		i := slices.IndexFunc(groups, func(gr group) bool { return gr.fits(req) })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, group{version: req.version})
 		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], req)
+		groups[i].reqs = append(groups[i].reqs, req)
 	}
-	for _, key := range order {
-		g.runGroup(m, key.version, groups[key])
+	for _, gr := range groups {
+		g.runGroup(m, gr.version, gr.reqs)
 	}
 }
 

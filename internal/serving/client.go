@@ -220,12 +220,12 @@ func (cl *Client) Do(req WireRequest) (WireResponse, error) {
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	frame, err := appendRequest(cl.wbuf[:0], req)
+	frame, err := appendRequest(wire.StartFrame(cl.wbuf), req)
 	if err != nil {
 		return WireResponse{}, err
 	}
 	cl.wbuf = frame
-	if err := wire.WriteFrame(cl.conn, frame); err != nil {
+	if err := wire.SendFrame(cl.conn, frame); err != nil {
 		return WireResponse{}, err
 	}
 	payload, err := wire.ReadFrameInto(cl.conn, cl.rbuf)

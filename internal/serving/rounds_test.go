@@ -3,12 +3,30 @@ package serving
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
+	"sync"
 	"testing"
 
+	"github.com/securetf/securetf/internal/seccrypto"
+	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/shield/netshield"
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/vtime"
 )
+
+// wideVersions are versions the wire's u32 cannot carry as an int on
+// every target, MaxInt32+1 and 1<<32. Only a 64-bit int holds them; on a
+// 32-bit target there is no such version to refuse and the list is
+// empty.
+func wideVersions() []int {
+	if math.MaxInt == math.MaxInt32 {
+		return nil
+	}
+	v := int64(math.MaxInt32) + 1
+	return []int{int(v), int(v << 1)}
+}
 
 // TestWireRefusesWhatItCannotCarry: a version the u32 field cannot carry
 // as an int, or a request or OK response without its tensor, is an
@@ -17,18 +35,34 @@ import (
 // refused on the reading side.
 func TestWireRefusesWhatItCannotCarry(t *testing.T) {
 	in := input(1, 1)
-	requests := []struct {
+	type requestCase struct {
 		name string
 		req  WireRequest
 		ok   bool
-	}{
+	}
+	type responseCase struct {
+		name string
+		resp WireResponse
+		ok   bool
+	}
+	requests := []requestCase{
 		{"version 0", WireRequest{Model: "m", Input: in}, true},
 		{"version MaxInt32", WireRequest{Model: "m", Version: math.MaxInt32, Input: in}, true},
 		{"negative version", WireRequest{Model: "m", Version: -1, Input: in}, false},
-		{"version MaxInt32+1", WireRequest{Model: "m", Version: math.MaxInt32 + 1, Input: in}, false},
-		{"version 1<<32", WireRequest{Model: "m", Version: 1 << 32, Input: in}, false},
 		{"nil input", WireRequest{Model: "m"}, false},
-		{"list with a huge version", WireRequest{ListModels: true, Version: 1 << 32}, false},
+	}
+	responses := []responseCase{
+		{"OK", WireResponse{Status: StatusOK, Version: math.MaxInt32, Output: in}, true},
+		{"OK negative version", WireResponse{Status: StatusOK, Version: -1, Output: in}, false},
+		{"OK nil output", WireResponse{Status: StatusOK, Version: 1}, false},
+	}
+	for _, v := range wideVersions() {
+		requests = append(requests,
+			requestCase{fmt.Sprintf("version %d", v), WireRequest{Model: "m", Version: v, Input: in}, false},
+			requestCase{fmt.Sprintf("list with version %d", v), WireRequest{ListModels: true, Version: v}, false})
+		responses = append(responses,
+			responseCase{fmt.Sprintf("OK version %d", v), WireResponse{Status: StatusOK, Version: v, Output: in}, false},
+			responseCase{fmt.Sprintf("error version %d", v), WireResponse{Status: StatusNotFound, Version: v, Message: "x"}, false})
 	}
 	for _, c := range requests {
 		var buf bytes.Buffer
@@ -47,17 +81,6 @@ func TestWireRefusesWhatItCannotCarry(t *testing.T) {
 		if err != nil || got.Version != c.req.Version {
 			t.Errorf("request, %s: read back version %d, %v", c.name, got.Version, err)
 		}
-	}
-	responses := []struct {
-		name string
-		resp WireResponse
-		ok   bool
-	}{
-		{"OK", WireResponse{Status: StatusOK, Version: math.MaxInt32, Output: in}, true},
-		{"OK version 1<<32", WireResponse{Status: StatusOK, Version: 1 << 32, Output: in}, false},
-		{"OK negative version", WireResponse{Status: StatusOK, Version: -1, Output: in}, false},
-		{"OK nil output", WireResponse{Status: StatusOK, Version: 1}, false},
-		{"error version MaxInt32+1", WireResponse{Status: StatusNotFound, Version: math.MaxInt32 + 1, Message: "x"}, false},
 	}
 	for _, c := range responses {
 		var buf bytes.Buffer
@@ -97,8 +120,10 @@ func TestWireRefusesWhatItCannotCarry(t *testing.T) {
 	if _, _, err := cl.Infer("m", 0, nil); err == nil {
 		t.Error("Infer with a nil input succeeded")
 	}
-	if _, _, err := cl.Infer("m", 1<<32, in); err == nil {
-		t.Error("Infer pinned to version 1<<32 succeeded")
+	for _, v := range wideVersions() {
+		if _, _, err := cl.Infer("m", v, in); err == nil {
+			t.Errorf("Infer pinned to version %d succeeded", v)
+		}
 	}
 	out, _, err := cl.Infer("m", 0, in)
 	if err != nil || !sameTensor(out, in) {
@@ -195,6 +220,129 @@ func TestOneConnectionAlternatesShapes(t *testing.T) {
 		}
 		if !sameTensor(got.Output, runLocal(t, model, in)) {
 			t.Fatalf("round %d: the output differs from the local interpreter's", i)
+		}
+	}
+}
+
+// rawWrites counts the writes made to the socket under a connection.
+type rawWrites struct {
+	net.Conn
+	mu sync.Mutex
+	n  int
+}
+
+func (c *rawWrites) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// take returns the writes counted since the last take.
+func (c *rawWrites) take() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.n
+	c.n = 0
+	return n
+}
+
+// TestOneRecordPerFrame: under the network shield every Write is TLS
+// records of its own, each one write to the socket and one call across
+// the enclave boundary. A served round sends each frame, header and
+// payload, in one Write, so over a real shield pair a frame of up to
+// 16 KiB is one raw write each way, and a larger one ⌈(n+4)/16 KiB⌉.
+func TestOneRecordPerFrame(t *testing.T) {
+	ca, err := seccrypto.NewCA("securetf-cas-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
+	shield := func(name string, hosts ...string) *netshield.Shield {
+		id, err := ca.Issue(name, hosts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := netshield.New(netshield.Config{Meter: meter, Identity: id, RootCAs: ca.CertPool(), RequireClientCert: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	server, client := shield("gateway-0", "localhost"), shield("client-0")
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan *rawWrites, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		raw := &rawWrites{Conn: conn}
+		accepted <- raw
+		sc, err := server.Server(raw)
+		if err != nil {
+			return
+		}
+		defer sc.Close()
+		ServeRounds(sc, func(req WireRequest) WireResponse {
+			return WireResponse{Status: StatusOK, Version: 1, Output: req.Input}
+		})
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientRaw := &rawWrites{Conn: conn}
+	cc, err := client.Client(clientRaw, "localhost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverRaw := <-accepted
+	if serverRaw == nil {
+		t.Fatal("accept failed")
+	}
+	cl := NewClientConn(cc, nil)
+	defer func() { cl.Close(); <-done }()
+
+	round := func(in *tf.Tensor) {
+		t.Helper()
+		if resp, err := cl.Do(WireRequest{Model: "m", Input: in}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("round of %v: %v, %v", in.Shape(), resp.Status, err)
+		}
+	}
+	// Go's TLS sends short records on a fresh connection and full 16 KiB
+	// ones once 128 KiB have gone each way: warm both directions past that.
+	for i := 0; i < 3; i++ {
+		round(input(16, int64(i)))
+	}
+	clientRaw.take()
+	serverRaw.take()
+
+	records := func(frame int) int { return (frame + 16<<10 - 1) / (16 << 10) }
+	for _, rows := range []int{1, 16} {
+		in := input(rows, 9)
+		req, err := appendRequest(nil, WireRequest{Model: "m", Input: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := appendResponse(nil, WireResponse{Status: StatusOK, Version: 1, Output: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		round(in)
+		if got, want := clientRaw.take(), records(4+len(req)); got != want {
+			t.Errorf("a %d-byte request frame made %d raw writes, want %d", 4+len(req), got, want)
+		}
+		if got, want := serverRaw.take(), records(4+len(resp)); got != want {
+			t.Errorf("a %d-byte response frame made %d raw writes, want %d", 4+len(resp), got, want)
 		}
 	}
 }

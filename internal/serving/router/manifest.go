@@ -120,9 +120,10 @@ func decodeNames(r *wire.Reader) ([]string, error) {
 	return names, nil
 }
 
-// handshakeHeader starts a handshake frame.
-func handshakeHeader() wire.Writer {
-	return wire.Writer{Buf: []byte{helloMagic, handshakeVersion}}
+// handshakeHeader starts a handshake payload after dst: a frame begun
+// by wire.StartFrame, or nil for the manifest's signed bytes.
+func handshakeHeader(dst []byte) wire.Writer {
+	return wire.Writer{Buf: append(dst, helloMagic, handshakeVersion)}
 }
 
 // openHandshake starts reading a handshake frame, reporting
@@ -136,7 +137,7 @@ func openHandshake(b []byte) (*wire.Reader, bool) {
 // each node's models sorted, graph names sorted — the byte string the
 // signature covers, identical for identical placements.
 func (m Manifest) encode() []byte {
-	w := handshakeHeader()
+	w := handshakeHeader(nil)
 	w.U16(uint16(len(m.Nodes)))
 	for _, n := range m.Nodes {
 		w.Str16(n.Name)
@@ -203,10 +204,10 @@ func writeHello(w io.Writer, h hello) error {
 		return fmt.Errorf("router: hello names %d models and %d graphs; bound is %d",
 			len(h.Models), len(h.Graphs), maxHandshakeNames)
 	}
-	b := handshakeHeader()
+	b := handshakeHeader(wire.StartFrame(nil))
 	encodeNames(&b, h.Models)
 	encodeNames(&b, h.Graphs)
-	return wire.WriteFrame(w, b.Buf)
+	return wire.SendFrame(w, b.Buf)
 }
 
 // readHello parses the client hello.
@@ -235,11 +236,11 @@ func readHello(r io.Reader) (hello, error) {
 // writeManifestReply answers a hello: on acceptance the signed manifest,
 // on rejection the refusal reason.
 func writeManifestReply(w io.Writer, key *seccrypto.SigningKey, m Manifest, refusal string) error {
-	b := handshakeHeader()
+	b := handshakeHeader(wire.StartFrame(nil))
 	if refusal != "" {
 		b.U8(0)
 		b.Buf = append(b.Buf, refusal...)
-		return wire.WriteFrame(w, b.Buf)
+		return wire.SendFrame(w, b.Buf)
 	}
 	raw := m.encode()
 	sig, err := key.Sign(raw)
@@ -249,7 +250,7 @@ func writeManifestReply(w io.Writer, key *seccrypto.SigningKey, m Manifest, refu
 	b.U8(1)
 	b.U16(uint16(len(sig)))
 	b.Buf = append(append(b.Buf, sig...), raw...)
-	return wire.WriteFrame(w, b.Buf)
+	return wire.SendFrame(w, b.Buf)
 }
 
 // readManifestReply parses the router's handshake answer, returning the

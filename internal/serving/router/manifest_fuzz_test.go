@@ -80,7 +80,7 @@ func FuzzRouterManifest(f *testing.F) {
 
 // signedReply lays an accepted reply out as writeManifestReply does.
 func signedReply(sig, raw []byte) []byte {
-	b := handshakeHeader()
+	b := handshakeHeader(nil)
 	b.U8(1)
 	b.U16(uint16(len(sig)))
 	return append(append(b.Buf, sig...), raw...)

@@ -399,19 +399,25 @@ func TestBatchingMixedRowCountsAndPinnedVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mixed batch: multi-row requests plus one pinned to version 2; the
-	// batcher must split groups by resolved version and keep row order.
+	// Mixed batch: multi-row requests, two pinned to version 2, and two
+	// whose rows are flat [784] rather than [28 28 1] (the MLP flattens
+	// either); the batcher must split groups by resolved version and row
+	// shape and keep row order.
 	type job struct {
 		rows    int
 		version int
+		flat    bool
 	}
-	jobs := []job{{1, 0}, {3, 0}, {2, 2}, {1, 0}}
+	jobs := []job{{1, 0, false}, {3, 0, false}, {2, 2, false}, {2, 0, true}, {1, 0, false}, {1, 2, true}}
 	outputs := make([]*tf.Tensor, len(jobs))
 	versions := make([]int, len(jobs))
 	inputs := make([]*tf.Tensor, len(jobs))
 	errs := make(chan error, len(jobs))
 	for i, j := range jobs {
 		inputs[i] = input(j.rows, int64(10+i))
+		if j.flat {
+			inputs[i] = tf.RandNormal(tf.Shape{j.rows, 784}, 1, int64(10+i))
+		}
 		go func(i int, j job) {
 			cl, err := Dial(c, g.Addr(), "")
 			if err != nil {
@@ -424,7 +430,7 @@ func TestBatchingMixedRowCountsAndPinnedVersions(t *testing.T) {
 			errs <- err
 		}(i, j)
 	}
-	waitFor(t, "4 queued requests", func() bool { return queueDepth(g, "m") == len(jobs) })
+	waitFor(t, "6 queued requests", func() bool { return queueDepth(g, "m") == len(jobs) })
 	close(gate)
 	for range jobs {
 		if err := <-errs; err != nil {
@@ -442,6 +448,13 @@ func TestBatchingMixedRowCountsAndPinnedVersions(t *testing.T) {
 		}
 		if !sameTensor(outputs[i], runLocal(t, wantModel, inputs[i])) {
 			t.Fatalf("request %d: output differs from its version's reference", i)
+		}
+	}
+	// One collected batch, four groups: each version ran its [28 28 1]
+	// rows and its [784] rows as one invocation each.
+	for _, m := range g.Metrics() {
+		if m.Batches != 2 {
+			t.Fatalf("version %d served %d requests in %d invocations, want 2", m.Version, m.Served, m.Batches)
 		}
 	}
 }

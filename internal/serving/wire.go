@@ -119,11 +119,11 @@ func checkVersion(v int) error {
 // WriteRequest encodes and sends a request frame from a buffer of its
 // own.
 func WriteRequest(w io.Writer, req WireRequest) error {
-	payload, err := appendRequest(nil, req)
+	frame, err := appendRequest(wire.StartFrame(nil), req)
 	if err != nil {
 		return err
 	}
-	return wire.WriteFrame(w, payload)
+	return wire.SendFrame(w, frame)
 }
 
 // appendRequest appends a request's frame payload to dst.
@@ -218,11 +218,11 @@ type WireResponse struct {
 // WriteResponse encodes and sends a response frame from a buffer of its
 // own.
 func WriteResponse(w io.Writer, resp WireResponse) error {
-	payload, err := appendResponse(nil, resp)
+	frame, err := appendResponse(wire.StartFrame(nil), resp)
 	if err != nil {
 		return err
 	}
-	return wire.WriteFrame(w, payload)
+	return wire.SendFrame(w, frame)
 }
 
 // appendResponse appends a response's frame payload to dst.
@@ -309,10 +309,10 @@ func ServeRounds(conn io.ReadWriter, handle func(WireRequest) WireResponse) {
 		if req.Input != nil {
 			input = req.Input
 		}
-		if wbuf, err = appendResponse(wbuf[:0], handle(req)); err != nil {
+		if wbuf, err = appendResponse(wire.StartFrame(wbuf), handle(req)); err != nil {
 			return
 		}
-		if err := wire.WriteFrame(conn, wbuf); err != nil {
+		if err := wire.SendFrame(conn, wbuf); err != nil {
 			return
 		}
 	}

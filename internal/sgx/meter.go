@@ -51,7 +51,9 @@ func (m Meter) Arrive(sent time.Duration) { m.clock.AdvanceTo(sent + m.params.LA
 func (m Meter) Handshake() { m.clock.Advance(m.params.TLSHandshakeCost + 2*m.params.LANRTT) }
 
 // Record charges the network shield's processing of one n-byte read or
-// write of TLS records: a cost per call plus a throughput term.
+// write of TLS records: a cost per call plus a throughput term. A frame
+// is sent in one write, so a sender pays one per frame; a receiver reads
+// a frame's header and its payload in two calls and pays two.
 func (m Meter) Record(n int) {
 	if n > 0 {
 		m.clock.Advance(m.params.NetShieldRecordCost + TimeAtThroughput(float64(n), m.params.NetShieldThroughput))

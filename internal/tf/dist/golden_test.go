@@ -27,9 +27,8 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // TestWireBytesGolden pins the dist/federated wire format: every seed
 // frame with at most one map entry (map order is unspecified on the
 // wire), sent from a zero clock, must produce the bytes it produced
-// when the golden was recorded — header, stamp and payload — in two
-// Write calls (4-byte header, then payload), because the network shield
-// charges per call.
+// when the golden was recorded — header, stamp and payload — in one
+// Write call, because the network shield charges per call.
 func TestWireBytesGolden(t *testing.T) {
 	const golden = "9b7af3217e0156a4496dc97e5e6a23b4fb73c798d287309d2c8e5afb94d5d31b"
 	h := sha256.New()
@@ -46,8 +45,8 @@ func TestWireBytesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed frame %d: %v", i, err)
 		}
-		if n != conn.buf.Len() || len(conn.writes) != 2 || conn.writes[0] != 4 || conn.writes[1] != n-4 {
-			t.Fatalf("seed frame %d: %d bytes reported, %d written in calls %v; want header and payload as two writes", i, n, conn.buf.Len(), conn.writes)
+		if n != conn.buf.Len() || len(conn.writes) != 1 || conn.writes[0] != n {
+			t.Fatalf("seed frame %d: %d bytes reported, %d written in calls %v; want header and payload as one write", i, n, conn.buf.Len(), conn.writes)
 		}
 		h.Write(conn.buf.Bytes())
 	}

@@ -131,6 +131,41 @@ func TestWarmStepAllocation(t *testing.T) {
 	t.Logf("a warm worker-step allocated %d bytes", median)
 }
 
+// TestWarmLinkSendAllocation: a Link encodes each frame behind the header
+// it reserved in its write buffer and sends both in one Write, so once
+// the buffer has grown to the frame a Send allocates nothing — no header,
+// no copy of the payload — and the frame is one write of the size Send
+// reports.
+func TestWarmLinkSendAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	conn := &recordConn{}
+	l := NewLink(conn, nil)
+	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
+	m := &message{
+		Kind: msgPush, Worker: 1, Round: 3, Step: 7,
+		Vars:  map[string]*tf.Tensor{"fc1/w": tf.RandNormal(tf.Shape{784, 128}, 1, 3)},
+		Grads: map[string][]byte{"fc1/b": make([]byte, 512)},
+	}
+	n, err := l.Send(meter, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 1 || conn.writes[0] != n || conn.buf.Len() != n {
+		t.Fatalf("a %d-byte frame was written in calls of %v bytes, want one", n, conn.writes)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		conn.buf.Reset()
+		conn.writes = conn.writes[:0]
+		if _, err := l.Send(meter, m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Link.Send made %v allocations, want 0", allocs)
+	}
+}
+
 // TestLinkReadsIntoOneBuffer: the blobs of a received message alias the
 // link's read buffer, so the next receive on the link overwrites them —
 // a frame is valid until the next read, which is the rule every user of

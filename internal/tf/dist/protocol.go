@@ -130,8 +130,8 @@ type message struct {
 }
 
 // encode appends the message payload (everything after the length
-// prefix) to dst, which a connection passes as its emptied write buffer
-// and a one-off sender as nil.
+// prefix) to dst, which a connection passes as its write buffer begun as
+// a frame (wire.StartFrame).
 func (m *message) encode(dst []byte) []byte {
 	// Size the buffer once: a 1.6 MB gradient push or a 400 KB federated
 	// snapshot otherwise grows it by doubling, copying everything written
@@ -349,21 +349,24 @@ func (l *Link) Close() error { return l.conn.Close() }
 // time. It reports the frame's size with its header, so callers can
 // account the wire volume a codec saves apart from the cost model.
 func (l *Link) Send(meter sgx.Meter, m *Message) (int, error) {
-	l.wbuf = m.encode(l.wbuf[:0])
+	l.encode(m)
 	return l.flush(meter)
 }
 
+// encode encodes m into the write buffer as a frame for flush.
+func (l *Link) encode(m *message) { l.wbuf = m.encode(wire.StartFrame(l.wbuf)) }
+
 // flush is Send for a message already encoded into wbuf.
 func (l *Link) flush(meter sgx.Meter) (int, error) {
-	payload := l.wbuf
-	meter.Frame(len(payload) + 4)
+	frame := l.wbuf
+	meter.Frame(len(frame))
 	// Stamp after charging serialization; the stamp sits at a fixed
-	// offset right after the kind byte.
-	binary.LittleEndian.PutUint64(payload[1:9], uint64(meter.Clock().Now()))
-	if err := wire.WriteFrame(l.conn, payload); err != nil {
+	// offset right after the frame header and the kind byte.
+	binary.LittleEndian.PutUint64(frame[5:13], uint64(meter.Clock().Now()))
+	if err := wire.SendFrame(l.conn, frame); err != nil {
 		return 0, err
 	}
-	return 4 + len(payload), nil
+	return len(frame), nil
 }
 
 // Receive reads one frame from the connection and advances meter's

@@ -417,10 +417,10 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 			// under the lock: the one model-sized copy the reply needs.
 			ps.mu.Lock()
 			resp.Vars, resp.Round = ps.vars, ps.gen
-			l.wbuf = resp.encode(l.wbuf[:0])
+			l.encode(resp)
 			ps.mu.Unlock()
 		} else {
-			l.wbuf = resp.encode(l.wbuf[:0])
+			l.encode(resp)
 		}
 		if _, err := l.flush(ps.cfg.Meter); err != nil {
 			return

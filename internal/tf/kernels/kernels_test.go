@@ -731,6 +731,19 @@ func BenchmarkKernels(b *testing.B) {
 			// fc1 again, split four ways.
 			b.Run("matmul/"+s.name+"_t4", matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 4) }))
 		}
+		if s.m == 1 {
+			// serve-steady's GEMV again on a dense and on a half-zero
+			// input: the pair's ratio is how far the zero skip lets an
+			// input's values move the time of a served request.
+			twins := rand.New(rand.NewSource(6))
+			for _, in := range []struct {
+				name  string
+				zeros float64
+			}{{"_dense", 0}, {"_50pct_zero", 0.5}} {
+				a := sparseFloats(twins, s.k, in.zeros)
+				b.Run("matmul/"+s.name+in.name, matmul(func() { gemm(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
+			}
+		}
 	}
 
 	// train-sync: the CNN's two convolutions and both gradients of each.

@@ -152,7 +152,7 @@ func TestDecodeTensorRejectsGarbage(t *testing.T) {
 	if _, err := DecodeTensor(raw); err == nil {
 		t.Fatal("bad dtype accepted")
 	}
-	for _, shape := range [][]int{{1 << 33, 1 << 31}, {-1, 0}, {0, -1}} {
+	for _, shape := range [][]int64{{1 << 33, 1 << 31}, {-1, 0}, {0, -1}} {
 		if _, err := DecodeTensor(emptyTensorOfShape(shape)); err == nil {
 			t.Fatalf("shape %v accepted as a tensor of no elements", shape)
 		}
@@ -161,11 +161,16 @@ func TestDecodeTensorRejectsGarbage(t *testing.T) {
 
 // emptyTensorOfShape encodes a tensor that declares shape and carries no
 // elements: honest for a shape with a zero in it, a lie for one whose
-// product merely wraps to zero.
-func emptyTensorOfShape(shape []int) []byte {
+// product merely wraps to zero. The dimensions are int64, the wire's
+// word, so a shape no 32-bit int holds can still be written (as
+// wire.Writer.Ints would write it) and refused on every target.
+func emptyTensorOfShape(shape []int64) []byte {
 	w := wire.Writer{Buf: []byte(tensorMagic)}
 	w.U8(uint8(Float32))
-	w.Ints(shape)
+	w.U32(uint32(len(shape)))
+	for _, d := range shape {
+		w.U64(uint64(d))
+	}
 	w.U32(0)
 	return w.Buf
 }
@@ -184,7 +189,7 @@ func FuzzTensorDecode(f *testing.F) {
 		f.Add(append(enc, 0xff))
 	}
 	f.Add([]byte("STFT1"))
-	f.Add(emptyTensorOfShape([]int{1 << 33, 1 << 31}))
+	f.Add(emptyTensorOfShape([]int64{1 << 33, 1 << 31}))
 	// For DecodeTensorInto below, whose destination is a Float32 [3,5]:
 	// the same shape in the other dtype, and the same elements in another
 	// shape.

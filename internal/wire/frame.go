@@ -11,21 +11,40 @@ import (
 // any model the zoo builds).
 const MaxFrame = 1 << 30
 
-// WriteFrame writes one length-prefixed payload (4-byte little-endian
-// length, then the bytes), refusing payloads ReadFrame would reject.
-// Header and payload are two Write calls: the network shield charges
-// per call, so the count is part of the cost model.
+// A frame is a 4-byte little-endian payload length, then the payload,
+// and it is sent in one Write: under the network shield every Write is
+// TLS records of its own (one per 16 KiB) and one call across the
+// enclave boundary, so a header sent apart from its payload would cost
+// one of each again. A frame is read in two calls, the header and then
+// the payload, because its length is not known before the header.
+
+// StartFrame empties buf and reserves a frame header at its front. The
+// caller appends the payload to the result and sends it with SendFrame,
+// so a connection that hands each frame back as the next call's buf
+// encodes and sends its frames from one buffer.
+func StartFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// SendFrame fills in the header of a frame begun by StartFrame and sends
+// the frame in one Write. A payload ReadFrame would reject is refused
+// before anything is written.
+func SendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
+	return err
+}
+
+// WriteFrame sends payload as one frame (see SendFrame) from a buffer of
+// its own, into which it copies the payload.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	frame := StartFrame(make([]byte, 0, 4+len(payload)))
+	return SendFrame(w, append(frame, payload...))
 }
 
 // ReadFrame reads one length-prefixed payload into a buffer of its own,

@@ -27,28 +27,35 @@ func (c *callRecorder) Read(p []byte) (int, error) {
 }
 
 // TestFrameGolden pins the frame format and its call pattern: a 4-byte
-// little-endian length then the payload, as two Writes and two Reads —
-// the network shield charges per call, so the count is part of the
-// cost model.
+// little-endian length then the payload, written in one Write and read
+// in two Reads — the network shield charges per call, so the count is
+// part of the cost model. WriteFrame and a frame begun by StartFrame
+// put the same bytes on the wire the same way.
 func TestFrameGolden(t *testing.T) {
 	const golden = "963c97c1c13b5b35a92626c5c6dc96d2cda62779ed6f139f5f88a5277095ce1a"
-	var buf bytes.Buffer
-	w := &callRecorder{rw: &buf}
-	if err := WriteFrame(w, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != golden {
-		t.Fatalf("frame bytes changed: sha256 %s, want %s", got, golden)
-	}
-	r := &callRecorder{rw: &buf}
-	payload, err := ReadFrame(r)
-	if err != nil || string(payload) != "hello" {
-		t.Fatalf("ReadFrame = %q, %v", payload, err)
-	}
-	for _, calls := range [][]int{w.calls, r.calls} {
-		if len(calls) != 2 || calls[0] != 4 || calls[1] != 5 {
-			t.Fatalf("frame moved in calls of %v bytes, want [4 5]", calls)
+	for name, send := range map[string]func(io.Writer) error{
+		"WriteFrame": func(w io.Writer) error { return WriteFrame(w, []byte("hello")) },
+		"SendFrame":  func(w io.Writer) error { return SendFrame(w, append(StartFrame([]byte("stale")), "hello"...)) },
+	} {
+		var buf bytes.Buffer
+		w := &callRecorder{rw: &buf}
+		if err := send(w); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != golden {
+			t.Fatalf("%s: frame bytes changed: sha256 %s, want %s", name, got, golden)
+		}
+		r := &callRecorder{rw: &buf}
+		payload, err := ReadFrame(r)
+		if err != nil || string(payload) != "hello" {
+			t.Fatalf("%s: ReadFrame = %q, %v", name, payload, err)
+		}
+		if len(w.calls) != 1 || w.calls[0] != 9 {
+			t.Fatalf("%s: frame written in calls of %v bytes, want [9]", name, w.calls)
+		}
+		if len(r.calls) != 2 || r.calls[0] != 4 || r.calls[1] != 5 {
+			t.Fatalf("%s: frame read in calls of %v bytes, want [4 5]", name, r.calls)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package wire is the connection substrate every secureTF server sits
 // on: the one accept loop with its connection lifecycle (Serve), the
-// one length-prefixed frame codec (WriteFrame/ReadFrame) and the one
+// one length-prefixed frame codec (SendFrame/ReadFrame) and the one
 // record codec for what is inside a frame or a file (Writer/Reader). It
 // imports only the standard library, so every layer — CAS, parameter
 // server, federated coordinator, serving gateway, router, the tf and
