@@ -13,14 +13,16 @@
 // input gradient's tile of dcol rows — from a process-wide sync.Pool, so
 // once it is warm no call allocates anything, and nothing a call does
 // allocate is sized by the batch; every other kernel allocates nothing
-// at all (MatMulInto a few words when it splits).
+// at all (MatMulInto a few words when it splits rows, and nothing once
+// warm when it splits columns).
 //
 // The arithmetic of every output element is fixed: which products are
 // added to it, in what order, each product rounded to float32 and then
 // each sum rounded to float32. It does not depend on the thread count,
 // tile size, pool state or CPU, because threads and tiles only partition
-// output rows and a vector lane is one output column: MatMulInto's loop
-// (gemm, under every convolution too) runs eight columns j to an AVX
+// the output, into rows or into blocks of whole columns, and a vector
+// lane is one output column: MatMulInto's loop (gemm, under every
+// convolution too) runs eight columns j to an AVX
 // register where the CPU has AVX and as the scalar matMulRowsGo
 // elsewhere (other architectures, amd64 without AVX), and nothing but
 // the CPU chooses. gemm reads its operands at row strides, BLAS's
@@ -77,16 +79,19 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // MatMulInto accumulates A×B into c, where a is [m,k], b is [k,n] and c
-// is a zeroed [m,n]. Rows are split across up to threads goroutines once
-// there are two rows per thread; below that the one chunk runs on the
-// caller's goroutine. The goroutines share one closure and claim their
-// chunk from a counter, so a call allocates the same few words whatever
-// the thread count.
+// is a zeroed [m,n]. The work is divided by splitPlan: by rows across up
+// to threads goroutines once there are two rows per thread, which share
+// one closure and claim their chunk from a counter, so a call allocates
+// the same few words whatever the thread count; by columns, when the
+// rows are too few for that and b is large, between the caller and the
+// long-lived helpers of matMulCols, which allocates nothing once warm;
+// or not at all, on the caller's goroutine.
 //
 // The shape is checked against the slices once, here: one too short for
 // it panics, as indexing past its end would, before any element of c is
@@ -98,24 +103,225 @@ func MatMulInto(c, a, b []float32, m, k, n, threads int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	if threads < 2 || m < 2*threads {
+	procs := 1
+	if threads >= 2 { // GOMAXPROCS takes the scheduler's lock
+		procs = runtime.GOMAXPROCS(0)
+	}
+	rowsPer, cols := splitPlan(m, k, n, threads, procs)
+	switch {
+	case rowsPer < m:
+		chunks := (m + rowsPer - 1) / rowsPer
+		var wg sync.WaitGroup
+		var next atomic.Int32
+		work := func() {
+			defer wg.Done()
+			lo := int(next.Add(1)-1) * rowsPer
+			matMulRows(c, a, b, lo, min(lo+rowsPer, m), k, n)
+		}
+		wg.Add(chunks)
+		for range chunks {
+			go work()
+		}
+		wg.Wait()
+	case cols < n:
+		matMulCols(c, a, b, m, k, n, cols)
+	default:
 		matMulRows(c, a, b, 0, m, k, n)
+	}
+}
+
+const (
+	// lineFloats is the float32s of a 64-byte cache line. Column blocks
+	// are whole lines, so two blocks of an aligned c share none.
+	lineFloats = 16
+	// colSplitMin is the size of b, in elements (4 MiB), from which a
+	// product with too few rows to split by rows is split by columns:
+	// streaming b from memory is then its cost, and one core does not
+	// saturate the bandwidth. A smaller b stays in cache, where the
+	// handoff costs more than the half it saves.
+	colSplitMin = 1 << 20
+)
+
+// splitPlan is how MatMulInto divides an m·k·n product among up to
+// threads goroutines on procs processors: into pieces of rowsPer rows
+// and cols columns of c. Rows are split once there are two per thread.
+// A product with fewer rows and a b of colSplitMin elements or more is
+// split into column blocks of whole cache lines, one per thread and at
+// most one per processor. Anything else is one piece, rowsPer = m and
+// cols = n. Every piece computes its elements of c exactly as one piece
+// would: a vector lane is one output column, and the loop over rows
+// never looks at another row.
+func splitPlan(m, k, n, threads, procs int) (rowsPer, cols int) {
+	switch {
+	case threads < 2:
+	case m >= 2*threads:
+		return (m + threads - 1) / threads, n
+	case procs >= 2 && k*n >= colSplitMin:
+		lines := (n + lineFloats - 1) / lineFloats
+		blocks := min(threads, procs, lines)
+		return m, (lines + blocks - 1) / blocks * lineFloats
+	}
+	return m, n
+}
+
+// ColumnSplitThreads is the thread count to pass MatMulInto for m rows on
+// a device of threads when only its column split is wanted: threads
+// where the rows are too few to be split by rows, 1 where they are not.
+func ColumnSplitThreads(m, threads int) int {
+	if m >= 2*threads {
+		return 1
+	}
+	return threads
+}
+
+// colSplit is one column-split product, shared by the goroutines that
+// run its blocks. Each claims blocks from next until none is left and
+// counts each it finishes off pending; refs counts the goroutines that
+// still hold the split, and the last to let go recycles it.
+type colSplit struct {
+	c, a, b []float32
+	m, k, n int
+	cols    int // per block, a multiple of lineFloats
+	blocks  int
+	next    atomic.Int32
+	pending atomic.Int32
+	refs    atomic.Int32
+}
+
+// runBlocks claims blocks of s until none is left and accumulates each:
+// one strided gemm over every row of a and cols columns of b and c.
+func (s *colSplit) runBlocks() {
+	for {
+		j := int(s.next.Add(1) - 1)
+		if j >= s.blocks {
+			return
+		}
+		j0 := j * s.cols
+		gemm(s.c[j0:], s.a, s.b[j0:], 0, s.m, s.k, min(s.cols, s.n-j0), s.k, s.n, s.n)
+		s.pending.Add(-1)
+	}
+}
+
+// release lets go of s; the last goroutine to do so recycles it.
+func (s *colSplit) release() {
+	if s.refs.Add(-1) > 0 {
 		return
 	}
-	rowsPer := (m + threads - 1) / threads
-	chunks := (m + rowsPer - 1) / rowsPer
-	var wg sync.WaitGroup
-	var next atomic.Int32
-	work := func() {
-		defer wg.Done()
-		lo := int(next.Add(1)-1) * rowsPer
-		matMulRows(c, a, b, lo, min(lo+rowsPer, m), k, n)
+	s.c, s.a, s.b = nil, nil, nil // hold no caller's memory while free
+	splitMu.Lock()
+	freeSplits = append(freeSplits, s)
+	splitMu.Unlock()
+}
+
+// spinYields is how many times an idle helper yields its processor
+// before it parks, about a millisecond: longer than serve-steady leaves
+// between two layers or two requests. A parked helper's thread sleeps,
+// and waking it again took a median 125 µs on a 2-vCPU VM (a runtime
+// trace of serve-steady), a third of the block it was woken for: by
+// then the caller has usually run that block itself.
+const spinYields = 1 << 13
+
+// helper is a long-lived goroutine that runs column blocks of the splits
+// handed to it in slot: nil while it waits for one, spinning; the split
+// while it runs its blocks; parked once it has waited spinYields yields,
+// until a caller hands it a split and signals wake.
+type helper struct {
+	slot atomic.Pointer[colSplit]
+	wake chan struct{} // one signal at most: only the caller that unparks it sends
+}
+
+// parked marks the slot of a parked helper.
+var parked = new(colSplit)
+
+func (h *helper) loop() {
+	for {
+		s := h.await()
+		s.runBlocks()
+		s.release()
+		h.slot.Store(nil)
 	}
-	wg.Add(chunks)
-	for range chunks {
-		go work()
+}
+
+// await returns the next split handed to h.
+func (h *helper) await() *colSplit {
+	for spins := 0; ; spins++ {
+		if s := h.slot.Load(); s != nil {
+			return s
+		}
+		if spins < spinYields {
+			runtime.Gosched()
+		} else if h.slot.CompareAndSwap(nil, parked) {
+			<-h.wake
+			return h.slot.Load()
+		}
 	}
-	wg.Wait()
+}
+
+// offer hands s to h if h is waiting for work, spinning or parked.
+func (h *helper) offer(s *colSplit) bool {
+	if h.slot.CompareAndSwap(nil, s) {
+		return true
+	}
+	if h.slot.CompareAndSwap(parked, s) {
+		h.wake <- struct{}{}
+		return true
+	}
+	return false
+}
+
+var (
+	splitMu sync.Mutex
+	// helpers are started as a split first needs them, one fewer than
+	// its blocks, and live as long as the process, as the runtime's own
+	// workers do.
+	helpers []*helper
+	// freeSplits are finished splits, reused so that a warm split
+	// allocates nothing.
+	freeSplits []*colSplit
+)
+
+// matMulCols accumulates A×B into c in column blocks of cols. It offers
+// the split to helpers until one per block but its own has taken it,
+// and then runs blocks itself until none is left: a helper that is busy,
+// or slow to start, leaves its block to the caller, so concurrent
+// callers never oversubscribe the processors or wait on each other, and
+// the result does not depend on how many helpers there are. The caller
+// yields while the last blocks finish, keeping its processor awake for
+// the next call.
+func matMulCols(c, a, b []float32, m, k, n, cols int) {
+	blocks := (n + cols - 1) / cols
+	splitMu.Lock()
+	for len(helpers) < blocks-1 {
+		h := &helper{wake: make(chan struct{}, 1)}
+		helpers = append(helpers, h)
+		go h.loop()
+	}
+	hs := helpers
+	var s *colSplit
+	if last := len(freeSplits) - 1; last >= 0 {
+		s, freeSplits = freeSplits[last], freeSplits[:last]
+	} else {
+		s = new(colSplit)
+	}
+	splitMu.Unlock()
+
+	s.c, s.a, s.b, s.m, s.k, s.n, s.cols, s.blocks = c, a, b, m, k, n, cols, blocks
+	s.next.Store(0)
+	s.pending.Store(int32(blocks))
+	s.refs.Store(1)
+	for i, handed := 0, 0; i < len(hs) && handed < blocks-1; i++ {
+		s.refs.Add(1)
+		if hs[i].offer(s) {
+			handed++
+		} else {
+			s.refs.Add(-1)
+		}
+	}
+	s.runBlocks()
+	for s.pending.Load() > 0 {
+		runtime.Gosched()
+	}
+	s.release()
 }
 
 // matMulRows accumulates rows [lo,hi) of A×B into c, all three dense.

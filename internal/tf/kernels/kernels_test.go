@@ -732,6 +732,11 @@ func BenchmarkKernels(b *testing.B) {
 			b.Run("matmul/"+s.name+"_t4", matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 4) }))
 		}
 		if s.m == 1 {
+			// The row above cannot show the column split: repeated, its
+			// 16 MiB stay hot in the cache, where a split times no
+			// faster. densenet_b1 below streams the whole model, as
+			// serving does.
+			//
 			// serve-steady's GEMV again on a dense and on a half-zero
 			// input: the pair's ratio is how far the zero skip lets an
 			// input's values move the time of a served request.
@@ -745,6 +750,34 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 	}
+
+	// serve-steady's request as the interpreter runs it: the three
+	// FullyConnected layers, ReLU between them, over all 42 MB of
+	// weights, split by columns on the device's four threads, and its
+	// _t1 twin on one. Cycling the whole model keeps it out of the cache.
+	widths := []int{2048, 2048, 2048, 1000}
+	weights, acts := make([][]float32, len(widths)-1), make([][]float32, len(widths))
+	acts[0] = sparseFloats(rng, widths[0], 0)
+	for l := range weights {
+		weights[l], acts[l+1] = sparseFloats(rng, widths[l]*widths[l+1], 0), make([]float32, widths[l+1])
+	}
+	densenet := func(threads int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for l, w := range weights {
+					out := acts[l+1]
+					clear(out)
+					MatMulInto(out, acts[l], w, 1, widths[l], widths[l+1], threads)
+					if l+1 < len(weights) {
+						Relu(out, out)
+					}
+				}
+			}
+		}
+	}
+	b.Run("matmul/serve-steady/densenet_b1", densenet(4))
+	b.Run("matmul/serve-steady/densenet_b1_t1", densenet(1))
 
 	// train-sync: the CNN's two convolutions and both gradients of each.
 	// The first reads digit images, three quarters background zeros; the

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -291,4 +293,122 @@ func TestGemmChecksStridesFirst(t *testing.T) {
 			t.Errorf("%s: c was written", tc.name)
 		}
 	}
+}
+
+// TestSplitPlan pins the path each workload's GEMM takes through
+// MatMulInto. The interpreter passes ColumnSplitThreads of its device's
+// four threads, so only an unbatched row over a large b is split, and by
+// columns; the session passes the four threads and keeps the row split
+// it always had, its products all having small b.
+func TestSplitPlan(t *testing.T) {
+	const threads, procs = 4, 2
+	lite := func(m int) int { return ColumnSplitThreads(m, threads) }
+	cases := []struct {
+		name                    string
+		m, k, n, threads, procs int
+		rowsPer, cols           int
+	}{
+		// Two column blocks on two processors, whole cache lines each.
+		{"serve-steady/m1_k2048_n2048", 1, 2048, 2048, lite(1), procs, 1, 1024},
+		{"serve-steady/m1_k2048_n1000", 1, 2048, 1000, lite(1), procs, 1, 512},
+		// As many blocks as threads where there are processors for them,
+		// and none where there is one.
+		{"serve-steady/m1_k2048_n2048 on 8 processors", 1, 2048, 2048, lite(1), 8, 1, 512},
+		{"serve-steady/m1_k2048_n2048 on 1 processor", 1, 2048, 2048, lite(1), 1, 1, 2048},
+		// b under colSplitMin, or one cache line wide: one piece.
+		{"m1_k2048_n511", 1, 2048, 511, lite(1), procs, 1, 511},
+		{"m1_k65536_n16", 1, 1 << 16, 16, lite(1), procs, 1, 16},
+		{"serve-fleet/m8_k784_n128", 8, 784, 128, lite(8), procs, 8, 128},
+		{"serve-fleet/m16_k784_n128", 16, 784, 128, lite(16), procs, 16, 128},
+		{"serve-fleet/m1_k784_n128", 1, 784, 128, lite(1), procs, 1, 128},
+		// The session's products: rows split four ways, as before.
+		{"train-sync/m50_k784_n512", 50, 784, 512, threads, procs, 13, 512},
+		{"train-sync/fc1_grad_w_m784_k50_n512", 784, 50, 512, threads, procs, 196, 512},
+		{"train-sync/fc1_grad_x_m50_k512_n784", 50, 512, 784, threads, procs, 13, 784},
+		{"fed-round/m20_k784_n128", 20, 784, 128, threads, procs, 5, 128},
+		{"session/m7_k784_n128", 7, 784, 128, threads, procs, 7, 128},
+		{"one thread", 50, 784, 512, 1, procs, 50, 512},
+	}
+	for _, tc := range cases {
+		rowsPer, cols := splitPlan(tc.m, tc.k, tc.n, tc.threads, tc.procs)
+		if rowsPer != tc.rowsPer || cols != tc.cols {
+			t.Errorf("%s at %d threads on %d processors: pieces of %d rows by %d columns, want %d by %d",
+				tc.name, tc.threads, tc.procs, rowsPer, cols, tc.rowsPer, tc.cols)
+		}
+	}
+}
+
+// TestMatMulIntoSplitsColumns: a product split into column blocks is the
+// one-thread product bit for bit, whatever the blocks, the zeros of a or
+// the number of callers at once. Each b is as small as splits, bar one
+// just under that size, which must stay one piece; n = 2·16+1 makes the
+// last block one column wide.
+func TestMatMulIntoSplitsColumns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rng := rand.New(rand.NewSource(25))
+	over := func(n int) int { return (colSplitMin + n - 1) / n }
+	shapes := []struct{ k, n int }{
+		{over(2048), 2048},
+		{over(1000), 1000},
+		{over(2*lineFloats + 1), 2*lineFloats + 1},
+		{over(2048), 2047},
+	}
+	for _, s := range shapes {
+		b, awkwardB := sparseFloats(rng, s.k*s.n, 0), awkwardFloats(rng, s.k*s.n, 0.1)
+		for _, threads := range []int{2, 4, 8} {
+			for _, m := range []int{1, 2*threads - 1} {
+				_, cols := splitPlan(m, s.k, s.n, threads, runtime.GOMAXPROCS(0))
+				if split := s.k*s.n >= colSplitMin; (cols < s.n) != split {
+					t.Fatalf("m%d·k%d·n%d at %d threads: blocks of %d columns, split = %v", m, s.k, s.n, threads, cols, split)
+				}
+				ops := []struct {
+					name string
+					a, b []float32
+				}{
+					{"dense", sparseFloats(rng, m*s.k, 0), b},
+					{"half zero", sparseFloats(rng, m*s.k, 0.5), b},
+					{"all zero", make([]float32, m*s.k), b},
+				}
+				if m == 1 {
+					// Denormals are slow on x86: one row of them is enough.
+					ops = append(ops, struct {
+						name string
+						a, b []float32
+					}{"awkward", awkwardFloats(rng, m*s.k, 0.3), awkwardB})
+				}
+				for _, op := range ops {
+					want := make([]float32, m*s.n)
+					MatMulInto(want, op.a, op.b, m, s.k, s.n, 1)
+					got := make([]float32, m*s.n)
+					MatMulInto(got, op.a, op.b, m, s.k, s.n, threads)
+					sameBits(t, fmt.Sprintf("%s m%d·k%d·n%d at %d threads", op.name, m, s.k, s.n, threads), got, want, false)
+				}
+			}
+		}
+	}
+
+	// Eight callers at once, each splitting eight ways: more blocks than
+	// there are helpers, so some run on the goroutine that found none free.
+	const m, k, n, callers = 1, 2048, 2048, 8
+	a, b := awkwardFloats(rng, m*k, 0.2), awkwardFloats(rng, k*n, 0.1)
+	want := make([]float32, m*n)
+	MatMulInto(want, a, b, m, k, n, 1)
+	var wg sync.WaitGroup
+	for w := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 3 {
+				got := make([]float32, m*n)
+				MatMulInto(got, a, b, m, k, n, 8)
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Errorf("caller %d, call %d: element %d = %v, want %v", w, i, j, got[j], want[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
