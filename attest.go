@@ -109,9 +109,9 @@ func ParseMeasurement(s string) (Measurement, error) { return sgx.ParseMeasureme
 const platformKeyPEMType = "SECURETF PLATFORM KEY"
 
 // MarshalPlatformKey exports a platform's attestation public key as a
-// named PEM block, so separate processes (e.g. the securetf-cas and
-// securetf-worker binaries) can exchange trust out of band — the role
-// DCAP root certificates play on real hardware.
+// named PEM block, so separate processes (e.g. securetf-worker's cas and
+// serve commands) can exchange trust out of band — the role DCAP root
+// certificates play on real hardware.
 func MarshalPlatformKey(p *Platform) ([]byte, error) {
 	der, err := x509.MarshalPKIXPublicKey(p.AttestationKey())
 	if err != nil {

@@ -2,13 +2,13 @@
 // (internal/analysis): nowallclock, detrand, shieldedfs, rawnet and
 // wirealloc.
 //
-// It drives the analyzers two ways:
+// It is a `go vet` tool: go vet hands it one compilation unit at a time,
+// test files included, through the unitchecker protocol (-V=full,
+// -flags, one *.cfg file per invocation). Given package patterns instead,
+// it runs go vet with itself as the tool, so these two are the same pass:
 //
-//	securetf-vet ./...                 standalone, over package patterns
-//	go vet -vettool=$(which securetf-vet) ./...   as a vet tool (CI)
-//
-// In vettool mode it speaks the `go vet` unitchecker protocol
-// (-V=full, -flags, one *.cfg compilation unit per invocation).
+//	securetf-vet ./...
+//	go vet -vettool=$(which securetf-vet) ./...
 //
 // Analyzers are selected like vet checks: with no selection flags all
 // run; -nowallclock (etc.) runs only the named ones; -nowallclock=false
@@ -17,10 +17,12 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -30,20 +32,19 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], "", os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is main, factored for the usage-table tests: args are the
-// command-line arguments, dir overrides the working directory for
-// standalone package loading ("" = cwd).
-func run(args []string, dir string, stdout, stderr io.Writer) int {
+// run is main, factored for tests: args are the command-line arguments,
+// and the result is the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("securetf-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `securetf-vet checks the secureTF static invariants.
 
 usage:
-	securetf-vet [-<analyzer>[=false]...] [packages]  # standalone
+	securetf-vet [-<analyzer>[=false]...] [packages]  # go vet -vettool=securetf-vet [packages]
 	securetf-vet unit.cfg                             # go vet -vettool protocol
 	securetf-vet -list                                # list analyzers
 
@@ -88,11 +89,8 @@ usage:
 		return 0
 	}
 
-	enabled := selectAnalyzers(all, selection)
-
-	rest := fs.Args()
 	var cfgs, patterns []string
-	for _, arg := range rest {
+	for _, arg := range fs.Args() {
 		if strings.HasSuffix(arg, ".cfg") {
 			cfgs = append(cfgs, arg)
 		} else {
@@ -104,18 +102,41 @@ usage:
 		fmt.Fprintln(stderr, "securetf-vet: a single unit.cfg cannot be mixed with package patterns")
 		return 2
 	case len(cfgs) == 1:
-		return analysis.RunUnit(cfgs[0], enabled, stderr)
-	default:
-		n, err := analysis.RunStandalone(dir, patterns, enabled, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "securetf-vet: %v\n", err)
-			return 2
-		}
-		if n > 0 {
-			return 1
-		}
-		return 0
+		return analysis.RunUnit(cfgs[0], selectAnalyzers(all, selection), stderr)
 	}
+	return goVet(fs, selection, patterns, stdout, stderr)
+}
+
+// goVet runs `go vet -vettool=<this executable>` over patterns (./...
+// when none), passing the analyzer selection on, and returns its exit
+// code.
+func goVet(fs *flag.FlagSet, selection map[string]*triState, patterns []string, stdout, stderr io.Writer) int {
+	exe, err := os.Executable()
+	if err != nil {
+		fmt.Fprintf(stderr, "securetf-vet: %v\n", err)
+		return 2
+	}
+	args := []string{"vet", "-vettool=" + exe}
+	fs.Visit(func(f *flag.Flag) {
+		if selection[f.Name] != nil {
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	cmd := exec.Command("go", append(args, patterns...)...)
+	cmd.Stdout, cmd.Stderr = stdout, stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode()
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "securetf-vet: %v\n", err)
+		return 2
+	}
+	return 0
 }
 
 // selectAnalyzers applies vet-style selection: any flag set true means

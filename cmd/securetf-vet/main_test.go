@@ -2,13 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// writeModule lays out a throwaway module for standalone-mode cases.
+// writeModule lays out a throwaway module for the package-pattern cases.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -67,9 +69,15 @@ const clean = `package dist
 func Add(a, b int) int { return a + b }
 `
 
+// TestRun drives the built tool the way a user and go vet do: by its
+// arguments, in a working directory, read back by exit code and output.
 func TestRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("standalone cases shell out to go list; skipped in -short")
+		t.Skip("builds the tool and runs go vet; skipped in -short")
+	}
+	tool := filepath.Join(t.TempDir(), "securetf-vet")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	violDir := writeModule(t, map[string]string{"go.mod": goMod, "dist/dist.go": violating})
 	supprDir := writeModule(t, map[string]string{"go.mod": goMod, "dist/dist.go": suppressed})
@@ -205,15 +213,24 @@ func TestRun(t *testing.T) {
 			name:    "unknown pattern",
 			args:    []string{"./nonexistent/..."},
 			dir:     cleanDir,
-			exit:    2,
-			wantErr: []string{"go list"},
+			exit:    1,
+			wantErr: []string{"pattern ./nonexistent/..."},
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
-			got := run(tc.args, tc.dir, &stdout, &stderr)
+			cmd := exec.Command(tool, tc.args...)
+			cmd.Dir, cmd.Stdout, cmd.Stderr = tc.dir, &stdout, &stderr
+			got := 0
+			if err := cmd.Run(); err != nil {
+				var exit *exec.ExitError
+				if !errors.As(err, &exit) {
+					t.Fatal(err)
+				}
+				got = exit.ExitCode()
+			}
 			if got != tc.exit {
 				t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", got, tc.exit, stdout.String(), stderr.String())
 			}
@@ -241,7 +258,7 @@ func TestRun(t *testing.T) {
 // not leak the -list convenience flag into the vet protocol.
 func TestFlagsJSONWellFormed(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if got := run([]string{"-flags"}, "", &stdout, &stderr); got != 0 {
+	if got := run([]string{"-flags"}, &stdout, &stderr); got != 0 {
 		t.Fatalf("-flags exit = %d, stderr: %s", got, stderr.String())
 	}
 	var flags []struct {

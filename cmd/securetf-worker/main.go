@@ -1,7 +1,7 @@
 // Command securetf-worker runs one job of a secureTF deployment, named
 // by the command word that must come first:
 //
-//	securetf-worker serve|train|federated|router [flags]
+//	securetf-worker cas|serve|train|federated|router [flags]
 //
 // Each command declares only its own flags (`securetf-worker train -h`
 // lists train's fourteen), so another command's flag, or no command word
@@ -10,24 +10,40 @@
 // codec, a fraction outside (0, 1], a -quorum larger than the sampled
 // cohort — are usage errors, not silently ignored.
 //
+// cas runs the Configuration and Attestation Service every secure
+// container attests to before it receives secrets, volume keys and TLS
+// identities (paper §3.3.2, §4.3):
+//
+//	securetf-worker cas -listen 127.0.0.1:7300 -store /var/lib/securetf-cas \
+//	                    -keyout /run/securetf/trust/cas.pem -trustdir /run/securetf/trust
+//
+// The CAS and the workers of one deployment meet in a trust directory,
+// the simulation's stand-in for DCAP platform registration. On startup
+// the CAS writes its platform attestation key (PEM) to -keyout and its
+// enclave measurement to the .measurement file beside it; a worker
+// verifies the CAS quote against both before trusting it (paper §3.1
+// step 1), and drops its own key into -trustdir as <name>.pem, where the
+// CAS picks it up on its next scan.
+//
 // serve runs a secure inference container that attests to a CAS,
 // receives its volume key and TLS identity, and serves classification
-// requests — one node of the paper's Fig. 2 architecture. After starting
-// securetf-cas with -trustdir /run/securetf/trust:
+// requests — one node of the paper's Fig. 2 architecture. Against the
+// CAS started above:
 //
 //	securetf-worker serve -cas 127.0.0.1:7300 -cas-info /run/securetf/trust/cas.pem \
 //	                      -trustdir /run/securetf/trust -spec densenet -listen 127.0.0.1:7400
 //
-// The worker drops its own platform key into -trustdir (the CAS picks it
-// up), registers a session covering its enclave measurement, attests,
-// and serves. With -selftest it additionally spins up an attested client
-// container in-process and runs one classification over the shielded
-// TLS channel to prove the path end to end. The gateway's control plane
-// is exposed too: -autoscale lets the gateway move replica counts with
-// queue depth (up to -autoscale-max, idle models scaling to zero), and
-// -canary N stages version 2 of every served model and routes N% of
-// unpinned traffic to it, letting the gateway's rejection-rate and p99
-// comparison promote or roll it back.
+// The worker publishes its platform key in -trustdir, registers a
+// session covering its enclave measurement, retries attestation until
+// the CAS has picked the key up, and serves. With -selftest it
+// additionally spins up an attested client container in-process and
+// runs one classification over the shielded TLS channel to prove the
+// path end to end. The gateway's control plane is exposed too:
+// -autoscale lets the gateway move replica counts with queue depth (up
+// to -autoscale-max, idle models scaling to zero), and -canary N stages
+// version 2 of every served model and routes N% of unpinned traffic to
+// it, letting the gateway's rejection-rate and p99 comparison promote or
+// roll it back.
 //
 // train stands up the paper's §5.4 distributed training cluster
 // in-process: -shards parameter-server nodes (one enclave and one
@@ -109,6 +125,7 @@ type command struct {
 // commands is the one table the dispatcher, the usage text and the
 // foreign-flag test read.
 var commands = []command{
+	{"cas", "run the Configuration and Attestation Service the containers attest to (§3.3.2, §4.3)", casCommand},
 	{"serve", "attest to a CAS, receive keys and serve inference over shielded TLS (Fig. 2)", serveCommand},
 	{"train", "run a distributed training cluster in-process (§5.4)", trainCommand},
 	{"federated", "run a federated-learning job with pairwise-masked secure aggregation in-process (§6.2)", federatedCommand},
@@ -304,7 +321,7 @@ func serveCommand(fs *flag.FlagSet) func(io.Writer) error {
 // session, attest, load the models through the shielded volume and serve
 // them until interrupted (or, with -once, until startup is proven).
 func (o *serveOptions) serve(w io.Writer) error {
-	casKeyPEM, casMeasurement, err := readCASInfo(o.casInfo)
+	trust, casMeasurement, err := readCASInfo(o.casInfo)
 	if err != nil {
 		return err
 	}
@@ -313,19 +330,10 @@ func (o *serveOptions) serve(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Publish our platform key where the CAS scans for it.
-	keyPEM, err := securetf.MarshalPlatformKey(platform)
-	if err != nil {
+	if err := publishPlatformKey(filepath.Join(o.trustdir, o.name+".pem"), platform); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(o.trustdir, o.name+".pem"), keyPEM, 0o644); err != nil {
-		return err
-	}
-
-	trust, err := securetf.ParsePlatformKeys(append(append([]byte{}, keyPEM...), casKeyPEM...))
-	if err != nil {
-		return err
-	}
+	trust[o.name] = platform.AttestationKey()
 
 	toServe, err := loadModels(o.models, o.spec, o.model)
 	if err != nil {
@@ -424,12 +432,140 @@ func (o *serveOptions) serve(w io.Writer) error {
 			return fmt.Errorf("selftest: %w", err)
 		}
 	}
-	if o.once {
-		return nil
+	if !o.once {
+		<-interrupted()
 	}
+	return nil
+}
+
+// trustScan is how often the CAS rescans its trust directory for new
+// platform keys.
+const trustScan = time.Second
+
+// interrupted returns a channel that receives when the process is asked
+// to stop (SIGINT or SIGTERM); cas and serve park on it once started. A
+// test replaces it to stop them in-process.
+var interrupted = func() <-chan os.Signal {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
+	return stop
+}
+
+// casCommand starts a CAS on an encrypted, rollback-protected store,
+// publishes its platform key and measurement at -keyout and, until
+// interrupted, trusts every platform key that appears in -trustdir.
+func casCommand(fs *flag.FlagSet) func(io.Writer) error {
+	listen := fs.String("listen", "127.0.0.1:0", "TCP address to serve on")
+	store := fs.String("store", "cas-store", "directory for the encrypted, rollback-protected store")
+	keyout := fs.String("keyout", "cas.pem", "where to write this CAS's platform key (PEM); its measurement goes to the .measurement file beside it")
+	trustdir := fs.String("trustdir", "", "directory scanned for worker platform keys (PEM)")
+	once := fs.Bool("once", false, "exit after startup instead of serving until interrupted")
+	return func(w io.Writer) error {
+		if err := os.MkdirAll(*store, 0o700); err != nil {
+			return err
+		}
+		platform, err := securetf.NewPlatform("cas-platform")
+		if err != nil {
+			return err
+		}
+		server, err := securetf.StartCASWithTrust(platform, securetf.NewDirFS(*store), *listen, nil)
+		if err != nil {
+			return err
+		}
+		defer server.Close()
+		measurement := server.Measurement().Hex()
+		if err := os.MkdirAll(filepath.Dir(*keyout), 0o755); err != nil {
+			return err
+		}
+		if err := publishPlatformKey(*keyout, platform); err != nil {
+			return err
+		}
+		if err := os.WriteFile(*keyout+".measurement", []byte(measurement+"\n"), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "CAS listening on %s\n", server.Addr())
+		fmt.Fprintf(w, "enclave measurement: %s\n", measurement)
+		fmt.Fprintf(w, "platform key: %s\n", *keyout)
+		if *once {
+			return nil
+		}
+		stop := interrupted()
+		if *trustdir == "" {
+			<-stop
+			return nil
+		}
+		seen := make(map[string]bool)
+		ticker := time.NewTicker(trustScan)
+		defer ticker.Stop()
+		for {
+			if err := loadTrustDir(server, *trustdir, seen, w); err != nil {
+				fmt.Fprintln(os.Stderr, "securetf-worker cas: trust scan:", err)
+			}
+			select {
+			case <-ticker.C:
+			case <-stop:
+				return nil
+			}
+		}
+	}
+}
+
+// publishPlatformKey writes p's platform key to path as PEM.
+func publishPlatformKey(path string, p *securetf.Platform) error {
+	keyPEM, err := securetf.MarshalPlatformKey(p)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, keyPEM, 0o644)
+}
+
+// readCASInfo loads what the cas command published at path: the CAS's
+// platform key, as a trust store, and its measurement from the
+// .measurement file beside it.
+func readCASInfo(path string) (map[string]*ecdsa.PublicKey, string, error) {
+	keyPEM, err := os.ReadFile(path)
+	if err != nil {
+		return nil, "", err
+	}
+	trust, err := securetf.ParsePlatformKeys(keyPEM)
+	if err != nil {
+		return nil, "", err
+	}
+	m, err := os.ReadFile(path + ".measurement")
+	if err != nil {
+		return nil, "", err
+	}
+	return trust, strings.TrimSpace(string(m)), nil
+}
+
+// loadTrustDir registers with server every platform key under dir not
+// yet in seen. A file that is not a platform key is skipped.
+func loadTrustDir(server *securetf.CAS, dir string, seen map[string]bool, w io.Writer) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".pem" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return err
+		}
+		keys, err := securetf.ParsePlatformKeys(data)
+		if err != nil {
+			continue
+		}
+		for name, key := range keys {
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
+			server.TrustPlatform(name, key)
+			fmt.Fprintf(w, "trusting platform %q (from %s)\n", name, e.Name())
+		}
+	}
 	return nil
 }
 
@@ -870,19 +1006,6 @@ func modelInput(m *securetf.LiteModel) (*securetf.Tensor, error) {
 		shape = append(shape, d)
 	}
 	return securetf.RandNormal(shape, 1, 42), nil
-}
-
-// readCASInfo loads the CAS platform key PEM and measurement sibling.
-func readCASInfo(path string) ([]byte, string, error) {
-	keyPEM, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	m, err := os.ReadFile(path + ".measurement")
-	if err != nil {
-		return nil, "", err
-	}
-	return keyPEM, strings.TrimSpace(string(m)), nil
 }
 
 // namedModel is one model to serve, keyed by its registry name.

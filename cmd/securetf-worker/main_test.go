@@ -1,23 +1,25 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	securetf "github.com/securetf/securetf"
 )
 
-// TestWorkerAttestsAndServes runs the worker's full startup against an
-// in-process CAS reached over real TCP: publish platform key, register
-// session, retry attestation until the CAS trusts the key, provision,
-// serve, and self-test one classification over the shielded channel.
+// TestWorkerAttestsAndServes runs the worker's full startup against the
+// cas command, in-process and reached over real TCP: publish the
+// platform key, register the session, retry attestation until the CAS's
+// trust scan has picked the key up, provision, serve, and self-test one
+// classification over the shielded channel.
 func TestWorkerAttestsAndServes(t *testing.T) {
 	out := runWorker(t, "worker-platform",
 		"-spec", "densenet",
@@ -167,12 +169,124 @@ func TestWorkerCheckpointResume(t *testing.T) {
 	}
 }
 
-// runWorker drives a full worker startup against an in-process CAS and
-// returns the worker's output.
+// runWorker starts the cas command in-process, drives a full worker
+// startup against it and returns the worker's output.
 func runWorker(t *testing.T, platformName string, extraArgs ...string) string {
 	t.Helper()
 	trustdir := t.TempDir()
+	casInfo := filepath.Join(trustdir, "cas.pem")
+	addr, stopCAS := startCAS(t, "-keyout", casInfo, "-trustdir", trustdir)
+	var buf bytes.Buffer
+	args := []string{
+		"serve",
+		"-cas", addr,
+		"-cas-info", casInfo,
+		"-trustdir", trustdir,
+		"-name", platformName,
+		"-listen", "127.0.0.1:0",
+		"-timeout", "30s",
+	}
+	err := run(append(args, extraArgs...), &buf)
+	casOut := stopCAS()
+	if err != nil {
+		t.Fatalf("worker: %v\noutput:\n%s\nCAS output:\n%s", err, buf.String(), casOut)
+	}
+	if want := fmt.Sprintf("trusting platform %q", platformName); !strings.Contains(casOut, want) {
+		t.Fatalf("CAS output missing %s:\n%s", want, casOut)
+	}
+	return buf.String()
+}
 
+// startCAS runs the cas command in-process on a fresh store, with args
+// added, and returns its address once it listens. stop interrupts it and
+// returns everything it printed.
+func startCAS(t *testing.T, args ...string) (addr string, stop func() string) {
+	t.Helper()
+	interrupt := make(chan os.Signal)
+	saved := interrupted
+	interrupted = func() <-chan os.Signal { return interrupt }
+	args = append([]string{"cas", "-store", filepath.Join(t.TempDir(), "store")}, args...)
+	pr, pw := io.Pipe()
+	exited := make(chan error, 1)
+	go func() {
+		err := run(args, pw)
+		pw.Close()
+		exited <- err
+	}()
+	var out strings.Builder
+	lines := bufio.NewScanner(pr)
+	for addr == "" && lines.Scan() {
+		out.WriteString(lines.Text() + "\n")
+		addr, _ = strings.CutPrefix(lines.Text(), "CAS listening on ")
+	}
+	drained := make(chan struct{})
+	go func() {
+		for lines.Scan() {
+			out.WriteString(lines.Text() + "\n")
+		}
+		close(drained)
+	}()
+	stop = func() string {
+		close(interrupt)
+		err := <-exited
+		<-drained
+		interrupted = saved
+		if err != nil {
+			t.Errorf("cas: %v\noutput:\n%s", err, out.String())
+		}
+		return out.String()
+	}
+	if addr == "" {
+		stop()
+		t.FailNow()
+	}
+	return addr, stop
+}
+
+// TestCASOnceWritesIdentity runs the cas command the way a deployment
+// script smoke-tests it: start, publish the platform key and the
+// measurement beside it, exit.
+func TestCASOnceWritesIdentity(t *testing.T) {
+	dir := t.TempDir()
+	keyout := filepath.Join(dir, "trust", "cas.pem")
+	var buf bytes.Buffer
+	if err := run([]string{"cas", "-store", filepath.Join(dir, "store"), "-keyout", keyout, "-once"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"CAS listening on 127.0.0.1:", "enclave measurement:", "platform key: " + keyout} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, buf.String())
+		}
+	}
+	trust, measurement, err := readCASInfo(keyout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := trust["cas-platform"]; !ok || len(trust) != 1 {
+		t.Fatalf("keyout holds %v, want the cas-platform key alone", trust)
+	}
+	if _, err := securetf.ParseMeasurement(measurement); err != nil {
+		t.Fatalf("bad measurement file: %v", err)
+	}
+}
+
+// TestCASLoadTrustDir: a scan trusts every platform key in the
+// directory once, skips files that are not platform keys, and a rescan
+// announces nothing new.
+func TestCASLoadTrustDir(t *testing.T) {
+	dir := t.TempDir()
+	worker, err := securetf.NewPlatform("some-worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := publishPlatformKey(filepath.Join(dir, "some-worker.pem"), worker); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{"notes.txt": "hi", "junk.pem": "not pem"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	casPlat, err := securetf.NewPlatform("cas-platform")
 	if err != nil {
 		t.Fatal(err)
@@ -182,71 +296,22 @@ func runWorker(t *testing.T, platformName string, extraArgs ...string) string {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	keyPEM, err := securetf.MarshalPlatformKey(casPlat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	casInfo := filepath.Join(trustdir, "cas.pem")
-	if err := os.WriteFile(casInfo, keyPEM, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(casInfo+".measurement", []byte(server.Measurement().Hex()+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Play the CAS daemon's trust-scan loop: pick up the key the worker
-	// drops into the trust directory.
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		seen := make(map[string]bool)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			entries, err := os.ReadDir(trustdir)
-			if err == nil {
-				for _, e := range entries {
-					if filepath.Ext(e.Name()) != ".pem" || seen[e.Name()] {
-						continue
-					}
-					data, err := os.ReadFile(filepath.Join(trustdir, e.Name()))
-					if err != nil {
-						continue
-					}
-					keys, err := securetf.ParsePlatformKeys(data)
-					if err != nil {
-						continue
-					}
-					seen[e.Name()] = true
-					for name, key := range keys {
-						server.TrustPlatform(name, key)
-					}
-				}
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}()
-	defer func() { close(stop); <-done }()
 
 	var buf bytes.Buffer
-	args := []string{
-		"serve",
-		"-cas", server.Addr(),
-		"-cas-info", casInfo,
-		"-trustdir", trustdir,
-		"-name", platformName,
-		"-listen", "127.0.0.1:0",
-		"-timeout", "30s",
+	seen := make(map[string]bool)
+	if err := loadTrustDir(server, dir, seen, &buf); err != nil {
+		t.Fatal(err)
 	}
-	args = append(args, extraArgs...)
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("worker: %v\noutput:\n%s", err, buf.String())
+	if len(seen) != 1 || !seen["some-worker"] {
+		t.Fatalf("scan trusted %v, want some-worker alone", seen)
 	}
-	return buf.String()
+	buf.Reset()
+	if err := loadTrustDir(server, dir, seen, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rescan re-announced: %s", buf.String())
+	}
 }
 
 func TestWorkerRequiresFlags(t *testing.T) {

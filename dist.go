@@ -137,10 +137,6 @@ type PSStats = dist.PSStats
 // needs (via WithResume) to continue a killed one.
 type DistCheckpoint = dist.Checkpoint
 
-// EncodeDistCheckpoint serializes a shard snapshot; the variable
-// payload is tf.SaveCheckpoint-compatible.
-func EncodeDistCheckpoint(c *DistCheckpoint) []byte { return dist.EncodeCheckpoint(c) }
-
 // DecodeDistCheckpoint parses a shard snapshot, validating every length
 // so truncated or bit-flipped files error instead of panicking.
 func DecodeDistCheckpoint(data []byte) (*DistCheckpoint, error) { return dist.DecodeCheckpoint(data) }

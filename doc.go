@@ -427,8 +427,8 @@
 // # Static invariants
 //
 // The properties this documentation promises are compiled into five
-// machine-checked analyzers (internal/analysis), run in CI as a
-// `go vet -vettool` pass and standalone via cmd/securetf-vet:
+// machine-checked analyzers (internal/analysis), run as a
+// `go vet -vettool` pass by cmd/securetf-vet:
 //
 //   - nowallclock: vtime-accounted packages (tf, dist, federated,
 //     serving, core, wire, this facade) never read the ambient wall clock —

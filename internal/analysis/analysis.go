@@ -21,10 +21,10 @@
 // site is safe, and the claim must be stated. Malformed directives
 // (unknown analyzer, missing reason) are themselves diagnostics.
 //
-// Two drivers share the analyzers: cmd/securetf-vet runs standalone
-// over package patterns (loading type information from the build cache
-// via `go list -export`) and speaks the `go vet -vettool=` unitchecker
-// protocol, so CI runs the suite as an ordinary vet pass.
+// One driver runs the analyzers: cmd/securetf-vet speaks the
+// `go vet -vettool=` unitchecker protocol (RunUnit), so the suite is an
+// ordinary vet pass over every compilation unit, test files included.
+// Given package patterns, securetf-vet runs that same go vet pass.
 package analysis
 
 import (

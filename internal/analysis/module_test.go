@@ -15,24 +15,26 @@ import (
 	"testing"
 	"time"
 
-	"github.com/securetf/securetf/internal/analysis"
 	"github.com/securetf/securetf/internal/sgx"
 )
 
-// TestModuleVetClean runs the full suite over the whole module, the
-// same pass CI makes: every invariant violation must be fixed or carry
-// a reviewed //securetf:allow suppression, so the count is zero.
+// TestModuleVetClean builds securetf-vet and runs it over the whole
+// module as `go vet -vettool`, the same pass CI makes, test files
+// included: every invariant violation must be fixed or carry a reviewed
+// //securetf:allow suppression.
 func TestModuleVetClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("whole-module analysis needs a populated build cache; skipped in -short")
+		t.Skip("builds the tool and vets the whole module; skipped in -short")
 	}
-	var buf strings.Builder
-	n, err := analysis.RunStandalone("../..", []string{"./..."}, analysis.All(), &buf)
-	if err != nil {
-		t.Fatalf("standalone run over the module: %v", err)
+	tool := filepath.Join(t.TempDir(), "securetf-vet")
+	build := exec.Command("go", "build", "-o", tool, "../../cmd/securetf-vet")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build securetf-vet: %v\n%s", err, out)
 	}
-	if n != 0 {
-		t.Fatalf("module is not vet-clean: %d unsuppressed diagnostics\n%s", n, buf.String())
+	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+	vet.Dir = "../.."
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Fatalf("module is not vet-clean: %v\n%s", err, out)
 	}
 }
 

@@ -97,7 +97,15 @@ func RunUnit(cfgFile string, analyzers []*Analyzer, out io.Writer) int {
 	})
 
 	conf := &types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	info := newTypesInfo()
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Instances:  make(map[*ast.Ident]types.Instance),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
 	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {

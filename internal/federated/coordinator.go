@@ -104,14 +104,13 @@ type Coordinator struct {
 	dead        []uint32
 	revealed    map[uint32]bool
 
-	stats  Stats
-	done   bool
-	doneCh chan struct{}
+	stats Stats
+	done  bool
 }
 
 // NewCoordinator validates cfg, deep-copies the seed variables and
-// starts accepting client connections. Training ends — Done() closes —
-// after cfg.Rounds committed rounds.
+// starts accepting client connections. Training ends after cfg.Rounds
+// committed rounds.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Listener == nil {
 		return nil, errors.New("federated: CoordinatorConfig.Listener is required")
@@ -152,7 +151,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		codec:   ringCodec{cfg.Codec},
 		sampled: sampled,
 		vars:    make(map[string]*tf.Tensor, len(cfg.Vars)),
-		doneCh:  make(chan struct{}),
 	}
 	for name, t := range cfg.Vars {
 		if t == nil || t.DType() != tf.Float32 {
@@ -229,9 +227,6 @@ func (c *Coordinator) Stats() Stats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// Done is closed once cfg.Rounds rounds have been committed.
-func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
 // Close stops the coordinator: the listener and all client connections
 // are closed.
@@ -512,7 +507,6 @@ func (c *Coordinator) finalizeLocked() {
 	c.round++
 	if c.stats.Rounds >= c.cfg.Rounds {
 		c.done = true
-		close(c.doneCh)
 		return
 	}
 	c.openRoundLocked()

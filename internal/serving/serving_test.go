@@ -3,6 +3,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -1246,6 +1247,50 @@ func TestAutoscalePressureParkWake(t *testing.T) {
 	}
 	if got := g.AutoscaleReplicas("m"); got < 1 {
 		t.Fatalf("model still parked after traffic (replicas %d)", got)
+	}
+}
+
+// TestReplicaSeconds: replica-seconds integrate the live pool size over
+// virtual time, so N replicas held for d accrue N·d, and a model the
+// autoscaler has parked at zero accrues nothing while it idles — the
+// capacity scale-to-zero saves.
+func TestReplicaSeconds(t *testing.T) {
+	c := launchContainer(t)
+	g, err := NewGateway(c, "127.0.0.1:0", Config{
+		Replicas:  3,
+		Autoscale: &AutoscaleConfig{MaxReplicas: 4, IdleTicks: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.Register("m", 1, buildModel(t, 5)); err != nil {
+		t.Fatal(err)
+	}
+	const d = 1500 * time.Millisecond
+	last := g.ReplicaSeconds("m")
+	accrued := func() float64 {
+		now := g.ReplicaSeconds("m")
+		delta := now - last
+		last = now
+		return delta
+	}
+	c.Clock().Advance(d)
+	if got, want := accrued(), 3*d.Seconds(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("3 replicas held for %v accrued %g replica-seconds, want %g", d, got, want)
+	}
+	// The replicas count until the tick that parks them.
+	c.Clock().Advance(d)
+	g.TickAutoscale()
+	if got := g.AutoscaleReplicas("m"); got != 0 {
+		t.Fatalf("idle model kept %d replicas, want it parked at 0", got)
+	}
+	if got, want := accrued(), 3*d.Seconds(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("3 replicas held for %v, then parked, accrued %g replica-seconds, want %g", d, got, want)
+	}
+	c.Clock().Advance(d)
+	if got := accrued(); got != 0 {
+		t.Fatalf("model parked at zero accrued %g replica-seconds over %v", got, d)
 	}
 }
 

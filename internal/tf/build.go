@@ -303,12 +303,6 @@ func (g *Graph) Equal(a, b *Node) *Node {
 	return g.addNode(OpEqual, OpEqual, []*Node{a, b}, nil, binaryShape(OpEqual, a, b), Float32)
 }
 
-// broadcastLike expands scalar src to the shape of like at run time
-// (gradient plumbing for full reductions).
-func (g *Graph) broadcastLike(src, like *Node) *Node {
-	return g.addNode(OpBroadcastLike, OpBroadcastLike, []*Node{src, like}, nil, like.shape, Float32)
-}
-
 // Group ties several target nodes together so they can be run as one
 // step (e.g. all optimizer updates).
 func (g *Graph) Group(name string, deps ...*Node) *Node {

@@ -323,12 +323,6 @@ func (ps *ParameterServer) Rounds() int {
 	return ps.rounds
 }
 
-// Consistency reports the shard's normalized commit policy.
-func (ps *ParameterServer) Consistency() ConsistencyPolicy { return ps.cfg.Consistency }
-
-// Compression reports the shard's normalized gradient codec.
-func (ps *ParameterServer) Compression() Compression { return ps.cfg.Compression }
-
 // WorkerSteps snapshots the latest local step each worker's push has
 // reported — the per-worker progress view the bounded-staleness
 // experiments read. In async mode an entry is recorded only when the

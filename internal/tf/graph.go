@@ -2,7 +2,6 @@ package tf
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Graph is a statically built dataflow graph: named nodes performing
@@ -224,31 +223,4 @@ func topoSort(roots []*Node) ([]*Node, error) {
 		}
 	}
 	return order, nil
-}
-
-// reachable returns the set of nodes reachable from roots.
-func reachable(roots []*Node) map[*Node]bool {
-	seen := make(map[*Node]bool)
-	stack := append([]*Node(nil), roots...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, n.inputs...)
-	}
-	return seen
-}
-
-// sortedNames returns the sorted names of a node set, for deterministic
-// error messages and serialization.
-func sortedNames(nodes map[*Node]bool) []string {
-	names := make([]string, 0, len(nodes))
-	for n := range nodes {
-		names = append(names, n.name)
-	}
-	sort.Strings(names)
-	return names
 }

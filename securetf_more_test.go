@@ -2,6 +2,8 @@ package securetf_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -73,8 +75,8 @@ func TestParseMeasurement(t *testing.T) {
 }
 
 func TestCrossProcessStyleAttestation(t *testing.T) {
-	// The cmd/securetf-cas + cmd/securetf-worker wiring, in-process:
-	// explicit trust store, address-only CAS connection.
+	// The securetf-worker cas + serve wiring, in-process: explicit
+	// trust store, address-only CAS connection.
 	casPlat := newPlatform(t, "cas-platform")
 	workerPlat := newPlatform(t, "worker-platform")
 	trustPEM, err := securetf.MarshalPlatformKey(casPlat)
@@ -406,11 +408,22 @@ func TestEnclaveStats(t *testing.T) {
 	}
 }
 
+// TestDirFSContainer runs containers over a real directory: a plain
+// file round-trips, and a file under an EncryptPrefix rule reaches the
+// disk as ciphertext beside its .sfsmeta, which a later container
+// holding the same volume key reads back.
 func TestDirFSContainer(t *testing.T) {
 	dir := t.TempDir()
-	c := launch(t, securetf.SconeSIM, securetf.TFLiteImage(), func(cfg *securetf.ContainerConfig) {
+	key, err := securetf.NewVolumeKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := func(cfg *securetf.ContainerConfig) {
 		cfg.HostFS = securetf.NewDirFS(dir)
-	})
+		cfg.FSShieldRules = []securetf.Rule{securetf.EncryptPrefix("models/")}
+		cfg.VolumeKey = key
+	}
+	c := launch(t, securetf.SconeSIM, securetf.TFLiteImage(), onDisk)
 	if err := securetf.WriteFile(c.FS(), "sub/file.bin", []byte("real disk")); err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +431,27 @@ func TestDirFSContainer(t *testing.T) {
 	if err != nil || string(got) != "real disk" {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}
+
+	t.Run("encrypt_prefix_on_disk", func(t *testing.T) {
+		secret := []byte("plaintext model weights")
+		if err := securetf.WriteFile(c.FS(), "models/model.stfl", secret); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "models", "model.stfl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, secret) {
+			t.Fatal("model plaintext visible on disk")
+		}
+		if _, err := os.Stat(filepath.Join(dir, "models", "model.stfl.sfsmeta")); err != nil {
+			t.Fatalf("shield metadata missing: %v", err)
+		}
+		again := launch(t, securetf.SconeSIM, securetf.TFLiteImage(), onDisk)
+		if got, err := securetf.ReadFile(again.FS(), "models/model.stfl"); err != nil || !bytes.Equal(got, secret) {
+			t.Fatalf("shielded round trip across containers: %q, %v", got, err)
+		}
+	})
 }
 
 func TestUnmarshalFrozenModelErrors(t *testing.T) {
