@@ -1,7 +1,11 @@
 package securetf_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +116,47 @@ func TestTrainFederatedDeterministic(t *testing.T) {
 				t.Fatalf("variable %q[%d] not bit-reproducible: %v vs %v", name, i, af[i], bf[i])
 			}
 		}
+	}
+}
+
+// TestTrainFederatedSampledInt8 runs the facade at the fed-round
+// benchmark's settings in small: int8 uplink, half the population sampled
+// a round, a quorum below the cohort and stragglers, so rounds close
+// with cohort members still out and survivors reveal their seeds. It
+// pins the job's accounting and the final variables bit for bit. The
+// virtual latency is not pinned: the SGX aggregator charges paging per
+// read call, which the host decides.
+func TestTrainFederatedSampledInt8(t *testing.T) {
+	res := fedTrain(t, securetf.FederatedConfig{
+		Clients:           8,
+		SampleFraction:    0.5,
+		Quorum:            3,
+		Rounds:            3,
+		LocalSteps:        2,
+		BatchSize:         8,
+		LocalLR:           0.05,
+		Compression:       securetf.Int8FedCompression(),
+		Seed:              11,
+		StragglerFraction: 0.25,
+		StragglerDelay:    30 * time.Millisecond,
+	})
+	names := make([]string, 0, len(res.Vars))
+	for name := range res.Vars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		h.Write([]byte(name))
+		for _, f := range res.Vars[name].Floats() {
+			h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(f)))
+		}
+	}
+	got := fmt.Sprintf("rounds %d accepted %d refusals %d reveals %d uplink %d vars %x",
+		res.Rounds, res.Accepted, res.Refusals, res.Reveals, res.UplinkBytes, h.Sum(nil))
+	const want = "rounds 3 accepted 9 refusals 3 reveals 9 uplink 1832076 vars 1f83aa8f74c51292ae7ec3f63f981984a7c67043905b945250ccff68bddb5935"
+	if got != want {
+		t.Fatalf("the job ended at\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -236,7 +236,9 @@ func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) 
 // aggregator in an enclave container, simulates the client population
 // on virtual clocks under a discrete-event scheduler (so runs are
 // bit-reproducible at a fixed seed), and trains for the configured
-// rounds. Clients are plain processes — in this architecture the
+// rounds. The scheduler orders the clients' network exchanges only;
+// their local training and masking run concurrently, on as many
+// processors as GOMAXPROCS allows. Clients are plain processes — in this architecture the
 // enclave protects the aggregator, while clients protect themselves by
 // never uploading an unmasked update.
 func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {

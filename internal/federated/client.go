@@ -237,7 +237,8 @@ func (c *Client) Run() error {
 	defer c.Close()
 	idle := 0
 	for {
-		release := c.cfg.Turnstile.turn(c.cfg.ID)
+		c.cfg.Turnstile.request(c.cfg.ID)
+		release := c.cfg.Turnstile.wait(c.cfg.ID)
 		resp, _, err := c.link.RoundTrip(c.cfg.Meter, &dist.Message{Kind: dist.MsgFedPoll, Worker: uint32(c.cfg.ID)})
 		if err != nil {
 			release()
@@ -283,10 +284,12 @@ func (c *Client) Run() error {
 
 // runRound executes one assignment: install the globals, train
 // locally, quantize + mask the delta, and upload — or drop out if the
-// failure injection says so. The poll turn (release) is held through
-// local training so the upload's virtual send time includes the
-// compute; the upload itself is a fresh turn, which is what lets a
-// straggler's delayed push sort after its peers' punctual ones.
+// failure injection says so. No local work charges the client's clock
+// (the replica's session runs on a device.Null, the codec and masks are
+// free), so under the poll turn (release) the client charges the
+// round's LocalSteps·stepCost plus Delay, asks for its push turn at
+// that clock and releases; it trains and masks while its peers take
+// their turns. A client due to drop works inside the poll turn.
 func (c *Client) runRound(asg *dist.Message, release func()) error {
 	round := asg.Round
 	// The link decoded the assignment into the replica's variables, those
@@ -298,6 +301,15 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		}
 		copy(c.vars[i].delta, c.vars[i].value.Floats())
 	}
+	c.cfg.Meter.Clock().Advance(time.Duration(c.cfg.LocalSteps) * stepCost)
+	if c.cfg.Delay != nil {
+		c.cfg.Meter.Clock().Advance(c.cfg.Delay(round))
+	}
+	drop := c.cfg.DropBeforePush != nil && !(c.hasDropped && c.droppedRound == round) && c.cfg.DropBeforePush(round)
+	if !drop {
+		c.cfg.Turnstile.request(c.cfg.ID)
+		release()
+	}
 	for s := 0; s < c.cfg.LocalSteps; s++ {
 		_, grads, err := c.replica.Step(s)
 		if err != nil {
@@ -305,10 +317,6 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 			return err
 		}
 		c.replica.ApplySGD(float32(c.cfg.LocalLR), grads)
-	}
-	c.cfg.Meter.Clock().Advance(time.Duration(c.cfg.LocalSteps) * stepCost)
-	if c.cfg.Delay != nil {
-		c.cfg.Meter.Clock().Advance(c.cfg.Delay(round))
 	}
 
 	// Quantize the round delta (with carried residual) straight into each
@@ -332,7 +340,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		applyPairMasks(payloads, codec.width(), c.cfg.Secret, uint32(c.cfg.ID), asg.Clients, round)
 	}
 
-	if c.cfg.DropBeforePush != nil && !(c.hasDropped && c.droppedRound == round) && c.cfg.DropBeforePush(round) {
+	if drop {
 		// Injected failure: drop the connection instead of uploading,
 		// then rejoin. Residuals stay uncommitted — nothing was sent.
 		c.Close()
@@ -341,12 +349,11 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		c.stats.Rejoins++
 		return c.connect()
 	}
-	release()
 
-	// The upload is its own turnstile turn at the post-training clock,
-	// so punctual cohort peers upload first and a straggler meets the
+	// The upload is the turn asked for at the post-training clock, so
+	// punctual cohort peers upload first and a straggler meets the
 	// closed round exactly as the virtual timeline says it should.
-	pushRelease := c.cfg.Turnstile.turn(c.cfg.ID)
+	pushRelease := c.cfg.Turnstile.wait(c.cfg.ID)
 	defer pushRelease()
 	req := &dist.Message{Kind: dist.MsgFedPush, Worker: uint32(c.cfg.ID), Round: round,
 		Grads: make(map[string][]byte, len(c.gradNames))}

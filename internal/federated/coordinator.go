@@ -103,6 +103,7 @@ type Coordinator struct {
 	closing     bool
 	dead        []uint32
 	revealed    map[uint32]bool
+	unmask      []maskStream // the revealed streams that cancel the dead's masks
 
 	stats Stats
 	done  bool
@@ -204,6 +205,7 @@ func (c *Coordinator) openRoundLocked() {
 	c.closing = false
 	c.dead = nil
 	c.revealed = nil
+	c.unmask = nil
 }
 
 // Vars returns a snapshot of the current global variables.
@@ -439,9 +441,9 @@ func (c *Coordinator) closeRoundLocked() {
 	c.revealed = make(map[uint32]bool, len(c.received))
 }
 
-// seeds processes one survivor's seed reveal for the round's dead
-// clients, subtracting the masks the dead left uncancelled. The round
-// commits once every accepted uploader has revealed.
+// seeds validates one survivor's seed reveal for the round's dead
+// clients and keeps the streams that cancel their masks (a malformed
+// reveal keeps none). The round commits once every uploader revealed.
 func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -460,7 +462,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 		return fail("federated: client %d revealed %d seeds, round %d has %d dead clients",
 			id, len(msg.Grads), c.round, len(c.dead))
 	}
-	seedOf := make(map[uint32]seccrypto.Key, len(c.dead))
+	streams := make([]maskStream, 0, len(c.dead))
 	for _, deadID := range c.dead {
 		blob, ok := msg.Grads[strconv.FormatUint(uint64(deadID), 10)]
 		if !ok {
@@ -470,13 +472,11 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 			return fail("federated: client %d revealed a %d-byte seed for client %d, want %d",
 				id, len(blob), deadID, seccrypto.KeySize)
 		}
-		var key seccrypto.Key
-		copy(key[:], blob)
-		seedOf[deadID] = key
+		// The survivor added the pair's mask if it is the lower id and
+		// subtracted it otherwise; the commit applies the inverse.
+		streams = append(streams, maskStream{seccrypto.Key(blob), id > deadID})
 	}
-	for _, deadID := range c.dead {
-		subtractDeadMasks(c.acc, c.codec.width(), seedOf[deadID], id, deadID, c.round)
-	}
+	c.unmask = append(c.unmask, streams...)
 	c.revealed[id] = true
 	c.stats.Reveals++
 	if len(c.revealed) == len(c.received) {
@@ -485,13 +485,14 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 	return &dist.Message{Kind: dist.MsgAck, OK: true, Round: msg.Round}
 }
 
-// finalizeLocked commits the round: the accumulated ring sum — masks
-// cancelled — is decoded, averaged over the accepted uploads and
-// applied to the globals, and the next round opens (or training
-// completes).
+// finalizeLocked commits the round: the dead clients' masks are
+// cancelled (all revealed streams at once, over the processors), the
+// ring sum is decoded, averaged and applied to the globals, and the
+// next round opens (or training completes).
 func (c *Coordinator) finalizeLocked() {
 	q := float64(len(c.received))
 	width := c.codec.width()
+	applyMasks(c.acc, width, c.unmask, c.round)
 	for n, name := range c.names {
 		v := c.vars[name].Floats()
 		coords := c.coords[n]

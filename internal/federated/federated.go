@@ -46,13 +46,14 @@
 // AES-CTR key stream — consecutive over the variables in sorted manifest
 // order, fresh per round — pulled through a 4 KiB chunk and added or
 // subtracted in place by internal/federated/ring, four 16-bit lanes per
-// 64-bit operation for int8. Because ring addition commutes, an upload
-// with enough key stream to pay for it deals its peers to a few
+// 64-bit operation for int8. Because ring addition commutes, a list of
+// streams with enough key stream to pay for it is dealt to a few
 // goroutines that sum into private partials (same bytes for any split).
 // The coordinator validates every variable's header against the
 // manifest first, then adds the received payload bytes into a packed
-// accumulator, and subtracts the dead clients' masks from it with the
-// same kernel; only the committed sum is ever decoded back to floats.
+// accumulator; when the round commits it subtracts every survivor×dead
+// stream the reveals named through the same fan-out that masks an
+// upload. Only the committed sum is ever decoded back to floats.
 //
 // # Codec interaction
 //

@@ -50,27 +50,33 @@ type jobSpec struct {
 	unmasked   bool
 	seed       int64
 	turnstile  bool
-	wide       bool // wideModel/wideShard instead of the tiny ones
-	maxIdle    int
-	delay      func(id int, round uint64) time.Duration
-	drop       func(id int, round uint64) bool
-	tap        func(round uint64, client uint32, name string, payload []byte)
+	// model and shard build every replica and client shard; nil means
+	// tinyModel and tinyShard.
+	model   func(seed int64) dist.Model
+	shard   func(n int, seed int64) (*tf.Tensor, *tf.Tensor)
+	maxIdle int
+	delay   func(id int, round uint64) time.Duration
+	drop    func(id int, round uint64) bool
+	tap     func(round uint64, client uint32, name string, payload []byte)
 }
 
 var testSecret = []byte("consortium masking secret")
 
 // runJob runs one complete federated job in-process and returns the
-// final globals, the coordinator stats and the per-client stats.
-func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientStats) {
+// final globals, the coordinator stats, the per-client stats and the
+// final virtual clocks: every client's in id order, then the
+// coordinator's.
+func runJob(t testing.TB, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientStats, []time.Duration) {
 	t.Helper()
 	model, shard := tinyModel, tinyShard
-	if spec.wide {
-		model, shard = wideModel, wideShard
+	if spec.model != nil {
+		model, shard = spec.model, spec.shard
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var coordClock vtime.Clock
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Listener:       ln,
 		Vars:           dist.InitialVars(model(7).Graph),
@@ -81,6 +87,7 @@ func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 		Codec:          spec.codec,
 		Unmasked:       spec.unmasked,
 		Seed:           spec.seed,
+		Meter:          sgx.NewMeter(&coordClock, sgx.DefaultParams()),
 		Tap:            spec.tap,
 	})
 	if err != nil {
@@ -149,10 +156,12 @@ func runJob(t *testing.T, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 		}
 	}
 	stats := make([]ClientStats, spec.population)
+	times := make([]time.Duration, 0, spec.population+1)
 	for id, c := range clients {
 		stats[id] = c.Stats()
+		times = append(times, clocks[id].Now())
 	}
-	return coord.Vars(), coord.Stats(), stats
+	return coord.Vars(), coord.Stats(), stats, append(times, coordClock.Now())
 }
 
 func varBits(t *testing.T, vars map[string]*tf.Tensor) map[string][]uint32 {
@@ -216,14 +225,14 @@ func TestFederatedSumOnlyProperty(t *testing.T) {
 			spec.tap = func(round uint64, client uint32, name string, payload []byte) {
 				maskedPayloads[payloadKey(round, client, name)] = append([]byte(nil), payload...)
 			}
-			maskedVars, maskedStats, _ := runJob(t, spec)
+			maskedVars, maskedStats, _, _ := runJob(t, spec)
 
 			unmaskedPayloads := make(map[string][]byte)
 			spec.unmasked = true
 			spec.tap = func(round uint64, client uint32, name string, payload []byte) {
 				unmaskedPayloads[payloadKey(round, client, name)] = append([]byte(nil), payload...)
 			}
-			unmaskedVars, unmaskedStats, _ := runJob(t, spec)
+			unmaskedVars, unmaskedStats, _, _ := runJob(t, spec)
 
 			if maskedStats.Rounds != spec.rounds || unmaskedStats.Rounds != spec.rounds {
 				t.Fatalf("committed %d masked and %d unmasked rounds, want %d",
@@ -256,7 +265,7 @@ func TestFederatedSumOnlyProperty(t *testing.T) {
 // the committed global equals the client's locally trained variables to
 // within one quantization step per coordinate.
 func TestFederatedNoneMatchesLocalTraining(t *testing.T) {
-	vars, stats, _ := runJob(t, jobSpec{
+	vars, stats, _, _ := runJob(t, jobSpec{
 		population: 1, sampleFrac: 1, quorum: 1, rounds: 1,
 		codec: dist.NoCompression(), seed: 3, turnstile: true,
 	})
@@ -329,7 +338,7 @@ func TestFederatedNoneMatchesLocalTraining(t *testing.T) {
 func TestFederatedQuorumStragglers(t *testing.T) {
 	const population, quorum, rounds = 6, 4, 3
 	straggler := func(id int) bool { return id >= 4 }
-	vars, stats, clientStats := runJob(t, jobSpec{
+	vars, stats, clientStats, _ := runJob(t, jobSpec{
 		population: population, sampleFrac: 1, quorum: quorum, rounds: rounds,
 		codec: dist.NoCompression(), seed: 9, turnstile: true,
 		delay: func(id int, round uint64) time.Duration {
@@ -422,9 +431,9 @@ func churnSpec(turnstile bool) jobSpec {
 // drop schedule forces the quorum membership, so goroutine scheduling
 // must not leak into the result.
 func TestFederatedChurnDeterministic(t *testing.T) {
-	ordered, orderedStats, _ := runJob(t, churnSpec(true))
-	free1, stats1, clientStats := runJob(t, churnSpec(false))
-	free2, stats2, _ := runJob(t, churnSpec(false))
+	ordered, orderedStats, _, _ := runJob(t, churnSpec(true))
+	free1, stats1, clientStats, _ := runJob(t, churnSpec(false))
+	free2, stats2, _, _ := runJob(t, churnSpec(false))
 	assertSameVars(t, "turnstile vs free-threaded", ordered, free1)
 	assertSameVars(t, "free-threaded repeat", free1, free2)
 	for _, stats := range []Stats{orderedStats, stats1, stats2} {
@@ -452,7 +461,7 @@ func TestFederatedSampling(t *testing.T) {
 	const population, rounds = 10, 3
 	accepted := make(map[uint32]bool)
 	var mu sync.Mutex
-	_, stats, clientStats := runJob(t, jobSpec{
+	_, stats, clientStats, _ := runJob(t, jobSpec{
 		population: population, sampleFrac: 0.4, quorum: 4, rounds: rounds,
 		codec: dist.NoCompression(), seed: 5, turnstile: true,
 		tap: func(round uint64, client uint32, name string, payload []byte) {
@@ -776,5 +785,89 @@ func TestMalformedUploadLeavesAccumulatorUntouched(t *testing.T) {
 				t.Fatalf("%v: accepted upload left the accumulator of %q unchanged", codec, coord.names[i])
 			}
 		}
+	}
+}
+
+// TestMalformedRevealKeepsNothing is the hostile peer at the reveal
+// handler. The coordinator only keeps a reveal's streams and subtracts
+// them all when the round commits, so a reveal that is malformed in any
+// way must leave no stream behind, and a well-formed one must not touch
+// the accumulator before the last survivor has revealed.
+func TestMalformedRevealKeepsNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Listener: ln, Vars: dist.InitialVars(tinyModel(7).Graph),
+		Clients: 3, Quorum: 2, Rounds: 1, Codec: dist.Int8Compression(), Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	codec := coord.codec
+	for id := uint32(0); id < 2; id++ {
+		grads := make(map[string][]byte)
+		for i, name := range coord.names {
+			words := make([]uint64, len(coord.acc[i])/codec.width())
+			for w := range words {
+				words[w] = uint64(w + 1)
+			}
+			grads[name] = testBlob(codec, words)
+		}
+		if ack := coord.push(&dist.Message{Kind: dist.MsgFedPush, Worker: id, Grads: grads}); !ack.OK {
+			t.Fatalf("client %d's upload refused: %s", id, ack.Err)
+		}
+	}
+	before := make([][]byte, len(coord.acc))
+	for i, acc := range coord.acc {
+		before[i] = bytes.Clone(acc)
+	}
+	statsBefore := coord.Stats()
+	reveal := func(id uint32, round uint64, grads map[string][]byte) *dist.Message {
+		return coord.seeds(&dist.Message{Kind: dist.MsgFedSeeds, Worker: id, Round: round, Grads: grads})
+	}
+	seed := func(id uint32) []byte { key := pairSeed(testSecret, id, 2); return key[:] }
+	cases := []struct {
+		name  string
+		round uint64
+		grads map[string][]byte
+	}{
+		{"another round", 1, map[string][]byte{"2": seed(0)}},
+		{"no seeds", 0, nil},
+		{"one seed too many", 0, map[string][]byte{"2": seed(0), "1": seed(0)}},
+		{"a live client's seed", 0, map[string][]byte{"1": seed(0)}},
+		{"a short seed", 0, map[string][]byte{"2": seed(0)[1:]}},
+	}
+	check := func(label string) {
+		t.Helper()
+		for i := range before {
+			if !bytes.Equal(coord.acc[i], before[i]) {
+				t.Fatalf("%s: the accumulator of %q changed before the round committed", label, coord.names[i])
+			}
+		}
+	}
+	for _, tc := range cases {
+		if ack := reveal(0, tc.round, tc.grads); ack.OK || ack.Err == "" {
+			t.Errorf("%s: ack %+v, want a refusal", tc.name, ack)
+		}
+		if len(coord.unmask) != 0 || coord.Stats() != statsBefore {
+			t.Fatalf("%s: a refused reveal kept %d streams, counters %+v", tc.name, len(coord.unmask), coord.Stats())
+		}
+		check(tc.name)
+	}
+	if ack := reveal(0, 0, map[string][]byte{"2": seed(0)}); !ack.OK {
+		t.Fatalf("client 0's reveal refused: %s", ack.Err)
+	}
+	if len(coord.unmask) != 1 {
+		t.Fatalf("the coordinator kept %d streams of client 0's reveal, want 1", len(coord.unmask))
+	}
+	check("after the first reveal")
+	if ack := reveal(1, 0, map[string][]byte{"2": seed(1)}); !ack.OK {
+		t.Fatalf("client 1's reveal refused: %s", ack.Err)
+	}
+	if got := coord.Stats(); got.Rounds != 1 || got.Reveals != 2 {
+		t.Fatalf("after both reveals: %+v, want the round committed with 2 reveals", got)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tf/dist"
@@ -72,9 +74,9 @@ func TestFederatedWireGoldens(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const population, rounds = 5, 3
 			blobs := make(map[string][]byte)
-			finals, stats, _ := runJob(t, jobSpec{
+			finals, stats, _, _ := runJob(t, jobSpec{
 				population: population, sampleFrac: 1, quorum: population - 1, rounds: rounds,
-				codec: tc.codec, seed: 29, turnstile: true, wide: true,
+				codec: tc.codec, seed: 29, turnstile: true, model: wideModel, shard: wideShard,
 				maxIdle: 1_000_000,
 				drop:    func(id int, round uint64) bool { return id == int((round+2)%population) },
 				tap: func(round uint64, client uint32, name string, payload []byte) {
@@ -119,5 +121,43 @@ func TestFederatedWireGoldens(t *testing.T) {
 				t.Errorf("final variables hash to %s, golden %s", got, tc.vars)
 			}
 		})
+	}
+}
+
+// TestFederatedTimelineGolden pins the discrete-event timeline of a
+// seeded Turnstile job: the sha256 of the coordinator's Stats, every
+// client's ClientStats, every client's final virtual clock and the
+// coordinator's, to the nanosecond. The job samples 6 of 10 clients a
+// round under int8, delays clients 8 and 9 past every quorum and drops
+// one cohort member a round after it has masked, so polls, pushes,
+// refusals, reveals and rejoins all take turns. A change to who computes
+// when may make a run faster; it may not move one turn.
+func TestFederatedTimelineGolden(t *testing.T) {
+	const population, sampled, seed, rounds = 10, 6, 5, 4
+	const golden = "93dad647a0f1bcde7b1665d6c407ee80ad7bd213e6058f2dde2c2959d3125801"
+	_, stats, clientStats, clocks := runJob(t, jobSpec{
+		population: population, sampleFrac: float64(sampled) / population, quorum: 3, rounds: rounds,
+		codec: dist.Int8Compression(), seed: seed, turnstile: true,
+		delay: func(id int, round uint64) time.Duration {
+			if id >= population-2 {
+				return 15 * time.Millisecond
+			}
+			return 0
+		},
+		drop: func(id int, round uint64) bool {
+			return id == int(roundCohort(seed, round, population, sampled)[0])
+		},
+	})
+	var rejoins int
+	for _, cs := range clientStats {
+		rejoins += cs.Rejoins
+	}
+	if stats.Rounds != rounds || stats.Refusals == 0 || stats.Reveals == 0 || rejoins != rounds {
+		t.Fatalf("the job does not take every kind of turn: %+v, %d rejoins", stats, rejoins)
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v\n%+v\n%v\n", stats, clientStats, clocks))
+	if got := hex.EncodeToString(sum[:]); got != golden {
+		t.Errorf("the timeline hashes to %s, golden %s\ncoordinator %+v\nclients %+v\nclocks %v",
+			got, golden, stats, clientStats, clocks)
 	}
 }

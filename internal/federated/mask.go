@@ -46,42 +46,63 @@ func maskPair(payloads [][]byte, width int, seed seccrypto.Key, round uint64, ad
 	}
 }
 
-// When one upload's pair streams are worth fanning out, from the size of
-// the work alone. fanOutFloor is the key-stream volume (peers × update
+// When a list of mask streams is worth fanning out, from the size of
+// the work alone. fanOutFloor is the key-stream volume (streams × update
 // bytes) below which they are folded in serially: starting and joining
 // goroutines costs microseconds, which 256 KiB of AES-CTR-and-add
 // amortises and less does not: one fresh pair stream over 256 KiB —
 // HKDF, key schedule, AddStream at width 2 — takes ≈60 µs on a 2-vCPU
 // Xeon with the SSE2 fold (≈110 µs with the SWAR one), still tens of
-// times a goroutine's start and join. peersPerWorker is the fewest
-// pair streams a goroutine is started for: its partial sum has to be
+// times a goroutine's start and join. streamsPerWorker is the fewest
+// streams a goroutine is started for: its partial sum has to be
 // cleared first and added in afterwards, about the cost of one more
 // stream, so with only a stream or two of its own it would not pay.
 const (
-	fanOutFloor    = 256 << 10
-	peersPerWorker = 8
+	fanOutFloor      = 256 << 10
+	streamsPerWorker = 8
 )
 
 // partials recycles the fan-out's private partial sums: each is one
-// model's ring bytes, lives for the milliseconds an upload is masked,
-// and only as many exist at once as clients mask concurrently.
+// model's ring bytes, lives for the milliseconds an upload is masked
+// (or a round unmasked), and few exist at once.
 var partials sync.Pool
+
+// maskStream is one pair's round mask and the sign it is applied with:
+// added when add is set, subtracted otherwise.
+type maskStream struct {
+	seed seccrypto.Key
+	add  bool
+}
 
 // applyPairMasks blinds one client's encoded update in place with the
 // pairwise masks against every other cohort member for the round.
 // payloads are the variables' packed ring words in sorted manifest
 // order. Client self adds the pair mask when it is the lower id and
 // subtracts it when it is the higher, so summed over any pair the masks
-// cancel in the ring. Ring addition commutes, so when there is enough key stream to
-// pay for it the peers are dealt to several goroutines, each summing its
-// pairs' masks into a private partial that is then added in — the
-// result is the same bytes for any split.
+// cancel in the ring.
 func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, cohort []uint32, round uint64) {
-	workers, peers := 1, len(cohort)-1
-	if peers*updateSize(payloads) >= fanOutFloor {
-		workers = max(1, min(runtime.GOMAXPROCS(0), peers/peersPerWorker))
+	streams := make([]maskStream, 0, len(cohort))
+	for _, peer := range cohort {
+		if peer != self {
+			streams = append(streams, maskStream{pairSeed(secret, self, peer), self < peer})
+		}
 	}
-	applyPairMasksSplit(payloads, workers, width, secret, self, cohort, round)
+	applyMasks(payloads, width, streams, round)
+}
+
+// applyMasks applies every stream's round mask to payloads in place: a
+// client's pair masks when it uploads, and the coordinator's inverse of
+// the masks the dead left in the accepted sum when it commits a round.
+// Ring addition commutes, so when there is enough key stream to pay for
+// it the streams are dealt to several goroutines, each summing its
+// streams' masks into a private partial that is then added in — the
+// result is the same bytes for any split.
+func applyMasks(payloads [][]byte, width int, streams []maskStream, round uint64) {
+	workers := 1
+	if len(streams)*updateSize(payloads) >= fanOutFloor {
+		workers = max(1, min(runtime.GOMAXPROCS(0), len(streams)/streamsPerWorker))
+	}
+	applyMasksSplit(payloads, workers, width, streams, round)
 }
 
 // updateSize is the ring bytes of one whole update.
@@ -93,16 +114,13 @@ func updateSize(payloads [][]byte) int {
 	return size
 }
 
-// applyPairMasksSplit is applyPairMasks at a given worker count ≥ 1.
-func applyPairMasksSplit(payloads [][]byte, workers, width int,
-	secret []byte, self uint32, cohort []uint32, round uint64) {
-	// Worker w takes every workers-th cohort member starting at w and
-	// masks into dst.
+// applyMasksSplit is applyMasks at a given worker count ≥ 1.
+func applyMasksSplit(payloads [][]byte, workers, width int, streams []maskStream, round uint64) {
+	// Worker w takes every workers-th stream starting at w and masks
+	// into dst.
 	deal := func(w int, dst [][]byte) {
-		for i := w; i < len(cohort); i += workers {
-			if peer := cohort[i]; peer != self {
-				maskPair(dst, width, pairSeed(secret, self, peer), round, self < peer)
-			}
+		for i := w; i < len(streams); i += workers {
+			maskPair(dst, width, streams[i].seed, round, streams[i].add)
 		}
 	}
 	if workers == 1 {
@@ -140,12 +158,4 @@ func applyPairMasksSplit(payloads [][]byte, workers, width int,
 		}
 		partials.Put(sum)
 	}
-}
-
-// subtractDeadMasks removes from the packed accumulator the uncancelled
-// mask a dead client left in survivor's accepted upload, given the pair
-// seed the survivor revealed. The survivor added the mask if it is the
-// lower id and subtracted it otherwise; this applies the inverse.
-func subtractDeadMasks(acc [][]byte, width int, seed seccrypto.Key, survivor, dead uint32, round uint64) {
-	maskPair(acc, width, seed, round, survivor > dead)
 }

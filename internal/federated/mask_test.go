@@ -3,6 +3,7 @@ package federated
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/securetf/securetf/internal/federated/ring"
@@ -83,43 +84,66 @@ func TestMaskCancellation(t *testing.T) {
 
 // TestDropoutRecovery drops cohort members after masking and checks
 // that subtracting the dead clients' masks — re-derived from the seeds
-// the survivors reveal — restores the survivors' exact ring sum.
+// the survivors reveal — restores the survivors' exact ring sum, and
+// that the coordinator's way of doing it, every survivor×dead stream at
+// once dealt over 1, 2 or 7 workers, is byte for byte the same as
+// subtracting reveal by reveal.
 func TestDropoutRecovery(t *testing.T) {
-	secret := []byte("cohort secret")
-	cohort := []uint32{1, 4, 6, 9}
-	dead := []uint32{4, 9}
-	const n = 12
+	cohort := cohortOf(12)
+	dead := []uint32{4, 9, 10}
 	const round = 3
+	clone := func(update [][]byte) [][]byte {
+		out := make([][]byte, len(update))
+		for n, p := range update {
+			out[n] = bytes.Clone(p)
+		}
+		return out
+	}
 	for _, width := range []int{2, 8} {
-		acc := [][]byte{make([]byte, n*width)}
-		want := make([]uint64, n)
-		for ci, id := range cohort {
-			words := make([]uint64, n)
-			for i := range words {
-				words[i] = uint64(int64(ci*100 + i))
+		acc, want := mlpUpdate(width), mlpUpdate(width)
+		for _, id := range cohort {
+			raw := mlpUpdate(width)
+			for n, p := range raw {
+				for i := range p {
+					p[i] = byte(int(id)*31 + i*7 + n)
+				}
 			}
-			masked := [][]byte{packWords(width, words)}
-			applyPairMasks(masked, width, secret, id, cohort, round)
-			if id == dead[0] || id == dead[1] {
+			masked := clone(raw)
+			applyPairMasks(masked, width, testSecret, id, cohort, round)
+			if slices.Contains(dead, id) {
 				continue // dropped before upload
 			}
-			for i := range want {
-				want[i] += words[i]
+			for n := range raw {
+				ring.Add(want[n], raw[n], width)
+				ring.Add(acc[n], masked[n], width)
 			}
-			ring.Add(acc[0], masked[0], width)
 		}
 		// Each survivor reveals its pair seed with each dead client.
+		var streams []maskStream
+		serial := clone(acc)
 		for _, id := range cohort {
-			if id == dead[0] || id == dead[1] {
+			if slices.Contains(dead, id) {
 				continue
 			}
+			var revealed []maskStream
 			for _, d := range dead {
-				subtractDeadMasks(acc, width, pairSeed(secret, id, d), id, d, round)
+				revealed = append(revealed, maskStream{pairSeed(testSecret, id, d), id > d})
+			}
+			applyMasksSplit(serial, 1, width, revealed, round)
+			streams = append(streams, revealed...)
+		}
+		for n := range want {
+			if !bytes.Equal(serial[n], want[n]) {
+				t.Fatalf("width %d: per-reveal recovery of variable %d differs from the survivors' sum", width, n)
 			}
 		}
-		for i := range want {
-			if wordAt(acc[0], width, i) != ringFor(width, want[i]) {
-				t.Fatalf("width %d: recovered sum at [%d] is %#x, want %#x", width, i, wordAt(acc[0], width, i), want[i])
+		for _, workers := range []int{1, 2, 7} {
+			deferred := clone(acc)
+			applyMasksSplit(deferred, workers, width, streams, round)
+			for n := range want {
+				if !bytes.Equal(deferred[n], serial[n]) {
+					t.Fatalf("width %d: deferred recovery over %d workers differs from per-reveal at variable %d", width, workers, n)
+				}
 			}
 		}
 	}
@@ -150,8 +174,14 @@ func TestMaskFanOutInvariant(t *testing.T) {
 			}
 			return payloads
 		}
+		var streams []maskStream
+		for _, peer := range cohort {
+			if peer != self {
+				streams = append(streams, maskStream{pairSeed(testSecret, self, peer), self < peer})
+			}
+		}
 		want := fresh()
-		applyPairMasksSplit(want, 1, width, testSecret, self, cohort, round)
+		applyMasksSplit(want, 1, width, streams, round)
 		check := func(label string, got [][]byte) {
 			t.Helper()
 			for n := range want {
@@ -162,7 +192,7 @@ func TestMaskFanOutInvariant(t *testing.T) {
 		}
 		for _, workers := range []int{2, 7} {
 			got := fresh()
-			applyPairMasksSplit(got, workers, width, testSecret, self, cohort, round)
+			applyMasksSplit(got, workers, width, streams, round)
 			check(fmt.Sprintf("%d workers", workers), got)
 		}
 		got := fresh()

@@ -131,3 +131,35 @@ func BenchmarkClientRound(b *testing.B) {
 		}
 	})
 }
+
+// mlpShard is a client shard for the MNIST MLP: n noise images, labels
+// cycling through the ten classes.
+func mlpShard(n int, seed int64) (*tf.Tensor, *tf.Tensor) {
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	return tf.RandNormal(tf.Shape{n, 28, 28, 1}, 1, seed), tf.OneHot(labels, 10)
+}
+
+// BenchmarkFederatedJob is a whole Turnstile job of the fed-round
+// workload's shape at a quarter of its size: 32 clients of the MNIST MLP,
+// 16 sampled a round, quorum 13, int8 uplink, two rounds, so every round
+// has three dead cohort members to unmask. It times what the scheduler
+// decides: which of the clients' local training, quantizing and masking
+// and the coordinator's unmasking can run at once. Client and
+// coordinator set-up (32 replicas, 32 handshakes) is inside the
+// measured job.
+func BenchmarkFederatedJob(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		_, stats, _, _ := runJob(b, jobSpec{
+			population: 32, sampleFrac: 0.5, quorum: 13, rounds: 2,
+			codec: dist.Int8Compression(), seed: 3, turnstile: true,
+			model: models.MNISTMLP, shard: mlpShard,
+		})
+		if stats.Rounds != 2 || stats.Reveals != 2*13 {
+			b.Fatalf("the job committed %d rounds with %d reveals, want 2 and 26", stats.Rounds, stats.Reveals)
+		}
+	}
+}

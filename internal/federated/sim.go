@@ -1,7 +1,9 @@
 package federated
 
 import (
+	"fmt"
 	"sync"
+	"time"
 
 	"github.com/securetf/securetf/internal/vtime"
 )
@@ -9,20 +11,27 @@ import (
 // Turnstile is a discrete-event scheduler for simulated clients: it
 // serializes the participants' network actions in global
 // (virtual time, id) order. Each client wraps every network exchange in
-// a turn; a turn is granted only when every live participant is asking
-// for one and this client's (clock, id) pair is the minimum — so the
-// interleaving is a pure function of the virtual timeline, and whole
-// federated runs (sampling, quorum membership, refusals, final
-// variables) are bit-reproducible across processes and GOMAXPROCS
-// settings.
+// a turn. A turn is asked for at a clock (request) and granted (wait)
+// only when every live participant has asked for one and this client's
+// (clock it asked at, id) pair is the minimum — so the interleaving is
+// a pure function of the virtual timeline, and whole federated runs
+// (sampling, quorum membership, refusals, final variables) are
+// bit-reproducible across processes and GOMAXPROCS settings.
+//
+// A client may ask for its next turn while it holds the current one,
+// release, and until it waits do work that charges its clock nothing
+// (local training and masking, alongside its peers' turns); a clock
+// that moved between request and grant panics.
 //
 // A nil *Turnstile grants every turn immediately, which is the
 // free-threaded mode the race-detector churn test runs in.
 type Turnstile struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	clocks  map[int]*vtime.Clock
-	waiting map[int]bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	clocks map[int]*vtime.Clock
+	// asked holds each requesting participant's clock at its request:
+	// the ordering key, fixed until the turn is granted.
+	asked   map[int]time.Duration
 	alive   int
 	running bool
 }
@@ -32,8 +41,8 @@ type Turnstile struct {
 // against an incomplete roster.
 func NewTurnstile() *Turnstile {
 	t := &Turnstile{
-		clocks:  make(map[int]*vtime.Clock),
-		waiting: make(map[int]bool),
+		clocks: make(map[int]*vtime.Clock),
+		asked:  make(map[int]time.Duration),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	return t
@@ -59,29 +68,41 @@ func (t *Turnstile) Leave(id int) {
 		return
 	}
 	delete(t.clocks, id)
-	delete(t.waiting, id)
+	delete(t.asked, id)
 	t.alive--
 	t.cond.Broadcast()
 }
 
-// turn blocks until it is the caller's turn and returns the release
-// that ends it. The caller should hold the turn across one network
-// exchange plus the local work that determines its next action time,
-// so the next turn request carries an up-to-date clock.
-func (t *Turnstile) turn(id int) func() {
+// request asks for the caller's next turn at its current clock, which
+// must not move until wait grants the turn.
+func (t *Turnstile) request(id int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.asked[id] = t.clocks[id].Now()
+	// A new request can complete the roster and unblock the minimum
+	// holder — which may be a peer already waiting.
+	t.cond.Broadcast()
+}
+
+// wait blocks until the turn the caller requested is granted and
+// returns the release that ends it. It panics if the caller's clock
+// moved after the request: the order was decided on the old clock.
+func (t *Turnstile) wait(id int) func() {
 	if t == nil {
 		return func() {}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.waiting[id] = true
-	// A new waiter can complete the roster and unblock the minimum
-	// holder — which may be a peer already waiting.
-	t.cond.Broadcast()
 	for !t.myTurnLocked(id) {
 		t.cond.Wait()
 	}
-	delete(t.waiting, id)
+	if at, now := t.asked[id], t.clocks[id].Now(); now != at {
+		panic(fmt.Sprintf("federated: client %d asked for its turn at %v, but its clock moved to %v before the grant", id, at, now))
+	}
+	delete(t.asked, id)
 	t.running = true
 	var once sync.Once
 	return func() {
@@ -95,20 +116,16 @@ func (t *Turnstile) turn(id int) func() {
 }
 
 // myTurnLocked reports whether the caller holds the minimum
-// (virtual time, id) among the full live roster, with no turn in
+// (requested time, id) among the full live roster, with no turn in
 // flight. Waiting for the full roster is what makes the order a pure
 // function of the clocks rather than of goroutine scheduling.
 func (t *Turnstile) myTurnLocked(id int) bool {
-	if t.running || len(t.waiting) < t.alive {
+	if t.running || len(t.asked) < t.alive {
 		return false
 	}
-	myTime := t.clocks[id].Now()
-	for other := range t.waiting {
-		if other == id {
-			continue
-		}
-		otherTime := t.clocks[other].Now()
-		if otherTime < myTime || (otherTime == myTime && other < id) {
+	mine := t.asked[id]
+	for other, at := range t.asked {
+		if other != id && (at < mine || at == mine && other < id) {
 			return false
 		}
 	}
