@@ -343,13 +343,23 @@
 // PayloadTap that keeps them copies them). A connection speaks for the
 // one client id its hello carried.
 //
-// Uploads are protected by pairwise-masked secure aggregation
-// (Bonawitz-style): every client blinds its update with one mask per
-// cohort peer, derived deterministically from a shared consortium
-// secret the aggregator never holds, with pair-symmetric seeds and
-// round-bound PRG expansion — client a adds what client b subtracts,
-// so the masks cancel exactly in the aggregate and the coordinator
-// learns only the quorum sum. Cancellation is exact because updates
+// Uploads are protected by pairwise-masked secure aggregation: every
+// client blinds its update with one mask per neighbour, derived
+// deterministically from a shared consortium secret the aggregator
+// never holds, with pair-symmetric seeds and round-bound PRG expansion
+// — client a adds what client b subtracts, so the masks cancel exactly
+// in the aggregate and the coordinator learns only the quorum sum.
+// Neighbours are those of a per-round pairing graph (Bell et al.'s
+// sparse form of Bonawitz et al.'s protocol): a Harary graph of degree
+// d over the cohort of n in a seed-drawn ring order, where d is the
+// larger of 2⌈log₂ n⌉ and n − Quorum + 1, rounded up to even and capped
+// at n−1 (a cohort of 64 at quorum 51 masks with 14 peers, not 63; a
+// cohort of up to 7 is the complete graph). The graph is d-connected, so
+// the aggregator learns only the survivors' sum while the dead and the
+// clients colluding with it number fewer than d, where the complete
+// graph tolerated n−2; a client refuses an assignment thinner than
+// min(n−1, 2⌈log₂ n⌉). Bonawitz's self-mask and its Shamir shares are
+// not implemented. Cancellation is exact because updates
 // are carried in integer rings, not floats: 64-bit fixed point for the
 // dense and top-k codecs, a 16-bit ring for int8. An update exists in
 // one form only, the packed little-endian ring words of its wire
@@ -367,11 +377,14 @@
 // ~1/f reduction; both keep client-side error-feedback residuals
 // committed only on an accepted upload). When a cohort member drops
 // after masks were applied — exactly the refused stragglers above —
-// the surviving quorum reveals its pairwise seeds to the coordinator,
-// which subtracts the dead client's mask contributions and recovers
-// the survivors' sum; accepting the straggler's own late masked upload
-// instead is what the refusal exists to prevent, since after the
-// reveal the coordinator could unmask it. Ring sums are
+// each survivor that paired with it reveals their pair seed to the
+// coordinator, which subtracts the dead client's mask contributions and
+// recovers the survivors' sum; a client refuses to reveal all of its
+// neighbours' seeds, which would strip its own mask. Accepting the
+// straggler's own late masked upload instead is what the refusal
+// exists to prevent, since after the reveal the coordinator could
+// unmask it: without the self-mask that refusal is still the defence.
+// Ring sums are
 // order-independent, so a whole federated job — sampling, quorum
 // membership, refusals, the final global model — is bit-reproducible
 // at a fixed seed.

@@ -108,7 +108,9 @@ type FederatedResult struct {
 	Accepted int
 	// Refusals counts uploads refused at closed rounds (stragglers).
 	Refusals int
-	// Reveals counts the pair-seed reveals that resolved dropouts.
+	// Reveals counts the seed-reveal messages that resolved dropouts:
+	// one a round from each survivor that paired with a dead cohort
+	// member, however many seeds it carried.
 	Reveals int
 	// UplinkBytes totals the accepted upload payload bytes — the
 	// quantity the uplink codec shrinks.

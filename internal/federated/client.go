@@ -106,6 +106,11 @@ type Client struct {
 	// membership stays exactly the surviving uploaders.
 	droppedRound uint64
 	hasDropped   bool
+
+	// peers are this client's neighbours in peersRound's pairing graph:
+	// the members it masked with, and the only ones it reveals seeds for.
+	peers      []uint32
+	peersRound uint64
 }
 
 // roundVar is one variable's buffers, sized once and reused every round
@@ -283,13 +288,15 @@ func (c *Client) Run() error {
 }
 
 // runRound executes one assignment: install the globals, train
-// locally, quantize + mask the delta, and upload — or drop out if the
-// failure injection says so. No local work charges the client's clock
-// (the replica's session runs on a device.Null, the codec and masks are
-// free), so under the poll turn (release) the client charges the
-// round's LocalSteps·stepCost plus Delay, asks for its push turn at
-// that clock and releases; it trains and masks while its peers take
-// their turns. A client due to drop works inside the poll turn.
+// locally, quantize + mask the delta against the client's neighbours in
+// the round's pairing graph (whose degree the assignment's Step names),
+// and upload — or drop out if the failure injection says so. No local
+// work charges the client's clock (the replica's session runs on a
+// device.Null, the codec and masks are free), so under the poll turn
+// (release) the client charges the round's LocalSteps·stepCost plus
+// Delay, asks for its push turn at that clock and releases; it trains
+// and masks while its peers take their turns. A client due to drop
+// works inside the poll turn.
 func (c *Client) runRound(asg *dist.Message, release func()) error {
 	round := asg.Round
 	// The link decoded the assignment into the replica's variables, those
@@ -300,6 +307,12 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 			return fmt.Errorf("federated: round %d assignment is missing variable %q", round, name)
 		}
 		copy(c.vars[i].delta, c.vars[i].value.Floats())
+	}
+	if !c.cfg.Unmasked {
+		if err := c.pair(asg); err != nil {
+			release()
+			return err
+		}
 	}
 	c.cfg.Meter.Clock().Advance(time.Duration(c.cfg.LocalSteps) * stepCost)
 	if c.cfg.Delay != nil {
@@ -337,7 +350,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		codec.encodeVar(payloads[i], v.delta, v.residual, v.pending, coords)
 	}
 	if !c.cfg.Unmasked {
-		applyPairMasks(payloads, codec.width(), c.cfg.Secret, uint32(c.cfg.ID), asg.Clients, round)
+		applyPairMasks(payloads, codec.width(), c.cfg.Secret, uint32(c.cfg.ID), c.peers, round)
 	}
 
 	if drop {
@@ -387,15 +400,41 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	return nil
 }
 
+// pair finds this client's neighbours in the assignment's pairing
+// graph, refusing a degree below the client's floor.
+func (c *Client) pair(asg *dist.Message) error {
+	self := slices.Index(asg.Clients, uint32(c.cfg.ID))
+	if self < 0 {
+		return fmt.Errorf("federated: client %d is not in round %d's cohort %v", c.cfg.ID, asg.Round, asg.Clients)
+	}
+	n, d := len(asg.Clients), int(min(asg.Step, uint64(len(asg.Clients))))
+	if err := checkDegree(n, d); err != nil {
+		return fmt.Errorf("federated: client %d refuses round %d: %w", c.cfg.ID, asg.Round, err)
+	}
+	c.peers, c.peersRound = newPairingGraph(n, asg.Seed, d).neighbours(asg.Clients, self), asg.Round
+	return nil
+}
+
 // reveal answers an unmask request: upload the pair seeds this client
-// shares with every dead cohort member, so the coordinator can cancel
-// the masks the dead left behind.
+// shares with its dead neighbours, so the coordinator can cancel the
+// masks the dead left behind. A request that names a member this client
+// did not mask with, or every member it did, is refused: the second
+// would strip its whole mask.
 func (c *Client) reveal(req *dist.Message) error {
+	if req.Round != c.peersRound || c.peers == nil {
+		return fmt.Errorf("federated: client %d was asked to unmask round %d, which it did not mask", c.cfg.ID, req.Round)
+	}
 	msg := &dist.Message{Kind: dist.MsgFedSeeds, Worker: uint32(c.cfg.ID), Round: req.Round,
 		Grads: make(map[string][]byte, len(req.Clients))}
 	for _, deadID := range req.Clients {
+		if !slices.Contains(c.peers, deadID) {
+			return fmt.Errorf("federated: client %d was asked for its seed with %d, not its neighbour in round %d", c.cfg.ID, deadID, req.Round)
+		}
 		seed := pairSeed(c.cfg.Secret, uint32(c.cfg.ID), deadID)
 		msg.Grads[strconv.FormatUint(uint64(deadID), 10)] = append([]byte(nil), seed[:]...)
+	}
+	if len(msg.Grads) == len(c.peers) {
+		return fmt.Errorf("federated: client %d was asked for the seeds of all %d of its neighbours in round %d", c.cfg.ID, len(c.peers), req.Round)
 	}
 	ack, _, err := c.link.RoundTrip(c.cfg.Meter, msg)
 	if err != nil {

@@ -90,18 +90,20 @@ type Coordinator struct {
 	mu   sync.Mutex
 	vars map[string]*tf.Tensor // working globals, mutated only in finalize
 
-	// Per-round state, rebuilt by openRound. snapshot, cohort and dead
-	// are immutable once published (replies reference them outside mu).
+	// Per-round state, rebuilt by openRound. snapshot, cohort and the
+	// owed lists are immutable once published (replies reference them
+	// outside mu).
 	round       uint64
 	patternSeed uint64
 	cohort      []uint32
 	cohortSet   map[uint32]bool
+	graph       pairingGraph // over cohort
 	snapshot    map[string]*tf.Tensor
 	coords      [][]int  // per variable, parallel to names; nil = dense
 	acc         [][]byte // per variable: the packed ring sum of the accepted payloads
 	received    map[uint32]bool
 	closing     bool
-	dead        []uint32
+	owed        map[uint32][]uint32 // survivor → its dead neighbours, ascending
 	revealed    map[uint32]bool
 	unmask      []maskStream // the revealed streams that cancel the dead's masks
 
@@ -132,6 +134,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Quorum < 1 || cfg.Quorum > sampled {
 		return nil, fmt.Errorf("federated: quorum %d outside [1, %d] (cohort of %d sampled from %d clients)",
 			cfg.Quorum, sampled, sampled, cfg.Clients)
+	}
+	if cfg.Quorum < 2 && sampled > 1 && !cfg.Unmasked {
+		// A lone survivor's reveal would strip its whole mask, which
+		// its client refuses.
+		return nil, fmt.Errorf("federated: quorum %d under masking needs to be ≥ 2 for a cohort of %d", cfg.Quorum, sampled)
 	}
 	var err error
 	if cfg.Codec, err = cfg.Codec.Canonical(); err != nil {
@@ -193,6 +200,7 @@ func (c *Coordinator) openRoundLocked() {
 		c.cohortSet[id] = true
 	}
 	c.patternSeed = roundPatternSeed(c.cfg.Seed, c.round)
+	c.graph = newPairingGraph(len(c.cohort), c.patternSeed, maskDegree(len(c.cohort), c.cfg.Quorum))
 	c.snapshot = c.cloneVarsLocked()
 	c.coords = make([][]int, len(c.names))
 	c.acc = make([][]byte, len(c.names))
@@ -203,7 +211,7 @@ func (c *Coordinator) openRoundLocked() {
 	}
 	c.received = make(map[uint32]bool, c.cfg.Quorum)
 	c.closing = false
-	c.dead = nil
+	c.owed = nil
 	c.revealed = nil
 	c.unmask = nil
 }
@@ -326,8 +334,9 @@ func (c *Coordinator) handshake(msg *dist.Message) *dist.Message {
 	return resp
 }
 
-// poll answers a client's work request: a round assignment if the
-// client is sampled and has not uploaded yet, an unmask request if the
+// poll answers a client's work request: a round assignment (with the
+// pairing graph's degree in Step) if the client is sampled and has not
+// uploaded yet, an unmask request naming its dead neighbours if the
 // round is closing and the client owes seed reveals, a wait otherwise,
 // and a terminal refusal once training is complete.
 func (c *Coordinator) poll(msg *dist.Message) *dist.Message {
@@ -338,8 +347,8 @@ func (c *Coordinator) poll(msg *dist.Message) *dist.Message {
 	case c.done:
 		return &dist.Message{Kind: dist.MsgAck, Err: trainingCompleteErr}
 	case c.closing:
-		if c.received[id] && !c.revealed[id] {
-			return &dist.Message{Kind: dist.MsgFedUnmask, OK: true, Round: c.round, Clients: c.dead}
+		if dead, ok := c.owed[id]; ok && !c.revealed[id] {
+			return &dist.Message{Kind: dist.MsgFedUnmask, OK: true, Round: c.round, Clients: dead}
 		}
 		return &dist.Message{Kind: dist.MsgFedRound, OK: true, Closed: true}
 	case c.cohortSet[id] && !c.received[id]:
@@ -347,6 +356,7 @@ func (c *Coordinator) poll(msg *dist.Message) *dist.Message {
 			Kind:    dist.MsgFedRound,
 			OK:      true,
 			Round:   c.round,
+			Step:    uint64(c.graph.d),
 			Seed:    c.patternSeed,
 			Clients: c.cohort,
 			Vars:    c.snapshot,
@@ -423,27 +433,30 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 }
 
 // closeRoundLocked transitions a quorum-filled round towards commit:
-// directly if every sampled client made it (or masking is off), via the
-// seed-reveal phase otherwise.
+// via the seed-reveal phase if some survivor paired with a sampled
+// client that did not upload, directly otherwise (or if masking is off).
 func (c *Coordinator) closeRoundLocked() {
-	var dead []uint32
-	for _, id := range c.cohort {
-		if !c.received[id] {
-			dead = append(dead, id)
+	c.owed = make(map[uint32][]uint32)
+	for i, id := range c.cohort {
+		for j, peer := range c.cohort {
+			if !c.cfg.Unmasked && c.received[id] && !c.received[peer] && c.graph.adjacent(i, j) {
+				c.owed[id] = append(c.owed[id], peer)
+			}
 		}
 	}
-	if len(dead) == 0 || c.cfg.Unmasked {
+	if len(c.owed) == 0 {
 		c.finalizeLocked()
 		return
 	}
 	c.closing = true
-	c.dead = dead
-	c.revealed = make(map[uint32]bool, len(c.received))
+	c.revealed = make(map[uint32]bool, len(c.owed))
 }
 
-// seeds validates one survivor's seed reveal for the round's dead
-// clients and keeps the streams that cancel their masks (a malformed
-// reveal keeps none). The round commits once every uploader revealed.
+// seeds validates one survivor's seed reveal for its dead neighbours
+// and keeps the streams that cancel their masks (a malformed reveal —
+// a seed missing, or one for a member it did not pair with — keeps
+// none). The round commits once every survivor with a dead neighbour
+// revealed.
 func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -456,17 +469,19 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 		return fail("federated: round %d is not collecting seed reveals", msg.Round)
 	case !c.received[id]:
 		return fail("federated: client %d did not upload in round %d, nothing to reveal", id, c.round)
+	case c.owed[id] == nil:
+		return fail("federated: client %d has no dead neighbour in round %d, nothing to reveal", id, c.round)
 	case c.revealed[id]:
 		return fail("federated: client %d already revealed for round %d", id, c.round)
-	case len(msg.Grads) != len(c.dead):
-		return fail("federated: client %d revealed %d seeds, round %d has %d dead clients",
-			id, len(msg.Grads), c.round, len(c.dead))
+	case len(msg.Grads) != len(c.owed[id]):
+		return fail("federated: client %d revealed %d seeds, it has %d dead neighbours in round %d",
+			id, len(msg.Grads), len(c.owed[id]), c.round)
 	}
-	streams := make([]maskStream, 0, len(c.dead))
-	for _, deadID := range c.dead {
+	streams := make([]maskStream, 0, len(c.owed[id]))
+	for _, deadID := range c.owed[id] {
 		blob, ok := msg.Grads[strconv.FormatUint(uint64(deadID), 10)]
 		if !ok {
-			return fail("federated: client %d's reveal is missing dead client %d", id, deadID)
+			return fail("federated: client %d's reveal is missing its dead neighbour %d", id, deadID)
 		}
 		if len(blob) != seccrypto.KeySize {
 			return fail("federated: client %d revealed a %d-byte seed for client %d, want %d",
@@ -479,7 +494,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 	c.unmask = append(c.unmask, streams...)
 	c.revealed[id] = true
 	c.stats.Reveals++
-	if len(c.revealed) == len(c.received) {
+	if len(c.revealed) == len(c.owed) {
 		c.finalizeLocked()
 	}
 	return &dist.Message{Kind: dist.MsgAck, OK: true, Round: msg.Round}

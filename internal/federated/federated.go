@@ -29,12 +29,35 @@
 // through the deterministic AES-CTR PRG into per-round mask words over
 // the codec's integer ring; the lower-id client adds the mask to its
 // encoded update, the higher-id one subtracts it, so the masks cancel
-// exactly in the coordinator's ring sum. Clients that were sampled but
-// missed the quorum leave their pairwise masks uncancelled; each
-// surviving uploader reveals its pair seeds for exactly the dead
-// clients, the coordinator re-expands those masks and subtracts them,
-// and the quorum sum is well-defined again. The coordinator learns only
-// masks of updates it never received.
+// exactly in the coordinator's ring sum.
+//
+// A member pairs only with its neighbours in the round's pairing graph
+// (Bell et al., CCS 2020), not with the whole cohort as in Bonawitz et
+// al. (CCS 2017): the Harary graph H_{d,n} over the cohort of n laid on
+// a ring in an order drawn from the round's pattern seed, each member
+// joined to its ⌊d/2⌋ nearest ring neighbours on either side. The degree
+// d is the larger of 2⌈log₂ n⌉ and n − Quorum + 1, rounded up to even
+// and capped at n−1 — a cohort of 64 at quorum 51 pairs at 14, one of up
+// to 7 is the complete graph — and travels in the assignment's Step; a
+// client refuses a degree below min(n−1, 2⌈log₂ n⌉). H_{d,n} is
+// d-connected, and d exceeds n − Quorum, the most members a round can
+// lose. So the coordinator still learns only the sum of the survivors'
+// updates as long as the dead and the clients colluding with it number
+// fewer than d (the complete graph tolerated n−2): without them the
+// honest survivors' masks stay tied together.
+//
+// Clients that were sampled but missed the quorum leave their pairwise
+// masks uncancelled; each survivor with a dead neighbour reveals its
+// pair seeds for exactly its dead neighbours (and refuses a request for
+// all of its neighbours, which would strip its whole mask), the
+// coordinator refuses a reveal that names any other member or misses
+// one, and it re-expands those masks and subtracts them when every
+// survivor it asked has revealed, so the quorum sum is well-defined
+// again. The coordinator learns only masks of updates it never
+// received. Bonawitz's self-mask, and the Shamir shares that let the
+// survivors reconstruct exactly one of a client's two masks, are not
+// implemented: the defence against a late straggler whose pair seeds
+// were revealed is still the coordinator's refusal of its upload.
 //
 // All mask arithmetic happens post-quantization in the codec's integer
 // ring — ℤ/2⁶⁴, or ℤ/2¹⁶ for int8 — so cancellation is bit-exact: the
@@ -51,9 +74,10 @@
 // goroutines that sum into private partials (same bytes for any split).
 // The coordinator validates every variable's header against the
 // manifest first, then adds the received payload bytes into a packed
-// accumulator; when the round commits it subtracts every survivor×dead
-// stream the reveals named through the same fan-out that masks an
-// upload. Only the committed sum is ever decoded back to floats.
+// accumulator; when the round commits it subtracts every
+// survivor×dead-neighbour stream the reveals named through the same
+// fan-out that masks an upload. Only the committed sum is ever decoded
+// back to floats.
 //
 // # Codec interaction
 //
@@ -91,12 +115,14 @@ import (
 
 // Domain-separation salts of every PRG/HKDF derivation in the
 // subsystem. Sampling and patterns derive from the coordinator's job
-// seed; pair seeds and masks derive from the cohort secret.
+// seed, the pairing graph from the round's pattern seed; pair seeds and
+// masks derive from the cohort secret.
 const (
 	saltSample  = "securetf-fed-sample"
 	saltPattern = "securetf-fed-pattern"
 	saltPair    = "securetf-fed-pair"
 	saltMask    = "securetf-fed-mask"
+	saltGraph   = "securetf-fed-graph"
 )
 
 // trainingCompleteErr is the poll refusal that ends a client's run

@@ -216,48 +216,68 @@ func TestFederatedSumOnlyProperty(t *testing.T) {
 		{"topk(f=0.5)", dist.TopKCompression(0.5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			codec := tc.codec
-			spec := jobSpec{
+			checkSumOnly(t, jobSpec{
 				population: 5, sampleFrac: 1, quorum: 5, rounds: 2,
-				codec: codec, seed: 21, turnstile: true,
-			}
-			maskedPayloads := make(map[string][]byte)
-			spec.tap = func(round uint64, client uint32, name string, payload []byte) {
-				maskedPayloads[payloadKey(round, client, name)] = append([]byte(nil), payload...)
-			}
-			maskedVars, maskedStats, _, _ := runJob(t, spec)
-
-			unmaskedPayloads := make(map[string][]byte)
-			spec.unmasked = true
-			spec.tap = func(round uint64, client uint32, name string, payload []byte) {
-				unmaskedPayloads[payloadKey(round, client, name)] = append([]byte(nil), payload...)
-			}
-			unmaskedVars, unmaskedStats, _, _ := runJob(t, spec)
-
-			if maskedStats.Rounds != spec.rounds || unmaskedStats.Rounds != spec.rounds {
-				t.Fatalf("committed %d masked and %d unmasked rounds, want %d",
-					maskedStats.Rounds, unmaskedStats.Rounds, spec.rounds)
-			}
-			// Every client's every payload must be blinded: with a full
-			// quorum both runs train identically, so the unmasked payload
-			// IS the raw quantized update of the masked run.
-			if len(maskedPayloads) != spec.rounds*spec.population*2 ||
-				len(maskedPayloads) != len(unmaskedPayloads) {
-				t.Fatalf("tapped %d masked and %d unmasked payloads", len(maskedPayloads), len(unmaskedPayloads))
-			}
-			for key, raw := range unmaskedPayloads {
-				masked, ok := maskedPayloads[key]
-				if !ok {
-					t.Fatalf("no masked payload for %s", key)
-				}
-				if string(masked) == string(raw) {
-					t.Errorf("%s: masked payload equals the raw quantized update", key)
-				}
-			}
-			// ... and the aggregate the coordinator commits is bit-identical.
-			assertSameVars(t, "masked vs unmasked finals", maskedVars, unmaskedVars)
+				codec: tc.codec, seed: 21, turnstile: true,
+			})
 		})
 	}
+}
+
+// TestFederatedSumOnlyPropertySparse is the sum-only contract on a
+// cohort large enough that its members pair along a sparse graph: 24
+// clients at degree 10, each masking with 10 of its 23 peers.
+func TestFederatedSumOnlyPropertySparse(t *testing.T) {
+	const population = 24
+	if d := maskDegree(population, population); d != 10 {
+		t.Fatalf("a full-quorum cohort of %d pairs at degree %d, want 10", population, d)
+	}
+	checkSumOnly(t, jobSpec{
+		population: population, sampleFrac: 1, quorum: population, rounds: 2,
+		codec: dist.Int8Compression(), seed: 23, turnstile: true,
+	})
+}
+
+// checkSumOnly runs spec's full-quorum job masked and unmasked and
+// requires every masked payload to differ from its bare twin and the
+// finals to be bit-identical.
+func checkSumOnly(t *testing.T, spec jobSpec) {
+	t.Helper()
+	maskedPayloads := make(map[string][]byte)
+	spec.tap = func(round uint64, client uint32, name string, payload []byte) {
+		maskedPayloads[payloadKey(round, client, name)] = append([]byte(nil), payload...)
+	}
+	maskedVars, maskedStats, _, _ := runJob(t, spec)
+
+	unmaskedPayloads := make(map[string][]byte)
+	spec.unmasked = true
+	spec.tap = func(round uint64, client uint32, name string, payload []byte) {
+		unmaskedPayloads[payloadKey(round, client, name)] = append([]byte(nil), payload...)
+	}
+	unmaskedVars, unmaskedStats, _, _ := runJob(t, spec)
+
+	if maskedStats.Rounds != spec.rounds || unmaskedStats.Rounds != spec.rounds {
+		t.Fatalf("committed %d masked and %d unmasked rounds, want %d",
+			maskedStats.Rounds, unmaskedStats.Rounds, spec.rounds)
+	}
+	// Every client's every payload must be blinded: with a full quorum
+	// both runs train identically, so the unmasked payload IS the raw
+	// quantized update of the masked run.
+	if len(maskedPayloads) != spec.rounds*spec.population*2 ||
+		len(maskedPayloads) != len(unmaskedPayloads) {
+		t.Fatalf("tapped %d masked and %d unmasked payloads", len(maskedPayloads), len(unmaskedPayloads))
+	}
+	for key, raw := range unmaskedPayloads {
+		masked, ok := maskedPayloads[key]
+		if !ok {
+			t.Fatalf("no masked payload for %s", key)
+		}
+		if string(masked) == string(raw) {
+			t.Errorf("%s: masked payload equals the raw quantized update", key)
+		}
+	}
+	// ... and the aggregate the coordinator commits is bit-identical.
+	assertSameVars(t, "masked vs unmasked finals", maskedVars, unmaskedVars)
 }
 
 // TestFederatedNoneMatchesLocalTraining checks the FedAvg arithmetic
@@ -517,6 +537,7 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		{"fraction above one", func(c *CoordinatorConfig) { c.SampleFraction = 1.5 }},
 		{"negative fraction", func(c *CoordinatorConfig) { c.SampleFraction = -0.1 }},
 		{"zero quorum", func(c *CoordinatorConfig) { c.Quorum = 0 }},
+		{"masked quorum of one", func(c *CoordinatorConfig) { c.Quorum = 1 }},
 		{"quorum above cohort", func(c *CoordinatorConfig) { c.Quorum = 51 }},
 		{"int8 ring overflow", func(c *CoordinatorConfig) {
 			c.Codec = dist.Int8Compression()

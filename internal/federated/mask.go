@@ -75,14 +75,14 @@ type maskStream struct {
 }
 
 // applyPairMasks blinds one client's encoded update in place with the
-// pairwise masks against every other cohort member for the round.
-// payloads are the variables' packed ring words in sorted manifest
-// order. Client self adds the pair mask when it is the lower id and
-// subtracts it when it is the higher, so summed over any pair the masks
-// cancel in the ring.
-func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, cohort []uint32, round uint64) {
-	streams := make([]maskStream, 0, len(cohort))
-	for _, peer := range cohort {
+// round's pairwise masks against each of peers other than itself — its
+// neighbours in the round's pairing graph. payloads are the variables'
+// packed ring words in sorted manifest order. Client self adds the pair
+// mask when it is the lower id and subtracts it when it is the higher,
+// so summed over any pair the masks cancel in the ring.
+func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, peers []uint32, round uint64) {
+	streams := make([]maskStream, 0, len(peers))
+	for _, peer := range peers {
 		if peer != self {
 			streams = append(streams, maskStream{pairSeed(secret, self, peer), self < peer})
 		}

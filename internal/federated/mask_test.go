@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/securetf/securetf/internal/federated/ring"
+	"github.com/securetf/securetf/internal/seccrypto"
 )
 
 func TestPairSeedSymmetric(t *testing.T) {
@@ -87,18 +88,14 @@ func TestMaskCancellation(t *testing.T) {
 // the survivors reveal — restores the survivors' exact ring sum, and
 // that the coordinator's way of doing it, every survivor×dead stream at
 // once dealt over 1, 2 or 7 workers, is byte for byte the same as
-// subtracting reveal by reveal.
+// subtracting reveal by reveal. On a sparse pairing graph each survivor
+// reveals only its dead neighbours' seeds, and the sum comes out the
+// same.
 func TestDropoutRecovery(t *testing.T) {
+	t.Run("sparse", testSparseDropoutRecovery)
 	cohort := cohortOf(12)
 	dead := []uint32{4, 9, 10}
 	const round = 3
-	clone := func(update [][]byte) [][]byte {
-		out := make([][]byte, len(update))
-		for n, p := range update {
-			out[n] = bytes.Clone(p)
-		}
-		return out
-	}
 	for _, width := range []int{2, 8} {
 		acc, want := mlpUpdate(width), mlpUpdate(width)
 		for _, id := range cohort {
@@ -108,7 +105,7 @@ func TestDropoutRecovery(t *testing.T) {
 					p[i] = byte(int(id)*31 + i*7 + n)
 				}
 			}
-			masked := clone(raw)
+			masked := cloneUpdate(raw)
 			applyPairMasks(masked, width, testSecret, id, cohort, round)
 			if slices.Contains(dead, id) {
 				continue // dropped before upload
@@ -120,7 +117,7 @@ func TestDropoutRecovery(t *testing.T) {
 		}
 		// Each survivor reveals its pair seed with each dead client.
 		var streams []maskStream
-		serial := clone(acc)
+		serial := cloneUpdate(acc)
 		for _, id := range cohort {
 			if slices.Contains(dead, id) {
 				continue
@@ -138,11 +135,83 @@ func TestDropoutRecovery(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 7} {
-			deferred := clone(acc)
+			deferred := cloneUpdate(acc)
 			applyMasksSplit(deferred, workers, width, streams, round)
 			for n := range want {
 				if !bytes.Equal(deferred[n], serial[n]) {
 					t.Fatalf("width %d: deferred recovery over %d workers differs from per-reveal at variable %d", width, workers, n)
+				}
+			}
+		}
+	}
+}
+
+func cloneUpdate(update [][]byte) [][]byte {
+	out := make([][]byte, len(update))
+	for n, p := range update {
+		out[n] = bytes.Clone(p)
+	}
+	return out
+}
+
+// testSparseDropoutRecovery is fed-round's shape: 64 members pairing at
+// degree 14, 13 of them dead — seeded sets, and the 13 nearest ring
+// places of one member, which leaves it a single live neighbour.
+func testSparseDropoutRecovery(t *testing.T) {
+	const n, d, round = 64, 14, 5
+	cohort := cohortOf(n)
+	g := newPairingGraph(n, roundPatternSeed(8, round), d)
+	deadSets := [][]bool{removeNearest(g, 17, d-1)}
+	prg := seccrypto.NewPRG(seccrypto.HKDF([]byte("dead"), "test", "sets"))
+	for range 4 {
+		dead := make([]bool, n)
+		for _, i := range prg.Perm(n)[:d-1] {
+			dead[i] = true
+		}
+		deadSets = append(deadSets, dead)
+	}
+	for _, width := range []int{2, 8} {
+		// wideModel's manifest: no variable is whole 64-bit words of int8.
+		zeros := func() [][]byte {
+			var payloads [][]byte
+			for _, coords := range []int{67, 3, 2680, 201} {
+				payloads = append(payloads, make([]byte, coords*width))
+			}
+			return payloads
+		}
+		raw, masked := make([][][]byte, n), make([][][]byte, n)
+		for i, id := range cohort {
+			raw[i] = zeros()
+			for v, p := range raw[i] {
+				for k := range p {
+					p[k] = byte(int(id)*31 + k*7 + v)
+				}
+			}
+			masked[i] = cloneUpdate(raw[i])
+			applyPairMasks(masked[i], width, testSecret, id, g.neighbours(cohort, i), round)
+		}
+		for set, dead := range deadSets {
+			want, acc := zeros(), zeros()
+			var streams []maskStream
+			for i, id := range cohort {
+				if dead[i] {
+					continue
+				}
+				for v := range raw[i] {
+					ring.Add(want[v], raw[i][v], width)
+					ring.Add(acc[v], masked[i][v], width)
+				}
+				for j, peer := range cohort {
+					if dead[j] && g.adjacent(i, j) {
+						streams = append(streams, maskStream{pairSeed(testSecret, id, peer), id > peer})
+					}
+				}
+			}
+			applyMasks(acc, width, streams, round)
+			for v := range want {
+				if !bytes.Equal(acc[v], want[v]) {
+					t.Fatalf("width %d, dead set %d: variable %d after %d revealed streams differs from the survivors' sum",
+						width, set, v, len(streams))
 				}
 			}
 		}

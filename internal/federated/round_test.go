@@ -58,7 +58,7 @@ func scriptedRounds(tb testing.TB, rounds int, onPoll func(r int)) {
 			case msg.Kind == dist.MsgFedPoll:
 				onPoll(polls)
 				resp = &dist.Message{Kind: dist.MsgFedRound, OK: true, Round: uint64(polls), Seed: 1,
-					Clients: cohortOf(4), Vars: snapshot}
+					Clients: cohortOf(4), Step: 3, Vars: snapshot}
 				polls++
 			}
 			if _, err := l.Send(meter, resp); err != nil {

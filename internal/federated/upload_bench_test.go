@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"github.com/securetf/securetf/internal/tf/dist"
@@ -30,21 +31,28 @@ func cohortOf(n int) []uint32 {
 
 // BenchmarkMaskUpload is the fed-round workload's inner loop in
 // isolation: one client of a 64-member cohort blinding its MNIST-MLP
-// update with 63 pair streams. MB/s is key-stream throughput, so int8
-// and none are comparable and AES-CTR alone (BenchmarkRing/KeyStreamOnly)
-// is the ceiling. This is the reference a sparser pairing graph is
-// measured against.
+// update with 63 pair streams, the complete graph, and (the _d14 rows)
+// with the 14 of its neighbours in fed-round's pairing graph. MB/s is
+// key-stream throughput, so int8 and none and both graphs are
+// comparable and AES-CTR alone (BenchmarkRing/KeyStreamOnly) is the
+// ceiling; ns/op is what one upload's masking costs.
 func BenchmarkMaskUpload(b *testing.B) {
 	cohort := cohortOf(64)
+	sparse := newPairingGraph(len(cohort), 1, maskDegree(len(cohort), 51)).neighbours(cohort, 17)
 	for _, codec := range []ringCodec{{dist.Int8Compression()}, {dist.NoCompression()}} {
-		b.Run(codec.String(), func(b *testing.B) {
-			payloads := mlpUpdate(codec.width())
-			b.SetBytes(int64((len(cohort) - 1) * updateSize(payloads)))
-			b.ReportAllocs()
-			for b.Loop() {
-				applyPairMasks(payloads, codec.width(), testSecret, 17, cohort, 1)
-			}
-		})
+		for _, row := range []struct {
+			suffix string
+			peers  []uint32
+		}{{"", slices.Delete(slices.Clone(cohort), 17, 18)}, {"_d14", sparse}} {
+			b.Run(codec.String()+row.suffix, func(b *testing.B) {
+				payloads := mlpUpdate(codec.width())
+				b.SetBytes(int64(len(row.peers) * updateSize(payloads)))
+				b.ReportAllocs()
+				for b.Loop() {
+					applyPairMasks(payloads, codec.width(), testSecret, 17, row.peers, 1)
+				}
+			})
+		}
 	}
 }
 

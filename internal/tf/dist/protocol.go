@@ -28,9 +28,9 @@ const (
 	// never blocks on a peer.
 	msgFedPoll   // client → coordinator: ask for work (round assignment)
 	msgFedRound  // coordinator → client: round assignment, wait, or done
-	msgFedUnmask // coordinator → client: reveal pair seeds for dead clients
+	msgFedUnmask // coordinator → client: reveal pair seeds for dead neighbours
 	msgFedPush   // client → coordinator: masked model update for a round
-	msgFedSeeds  // client → coordinator: pair-seed reveal for dead clients
+	msgFedSeeds  // client → coordinator: pair-seed reveal for dead neighbours
 )
 
 // message is the decoded form of one protocol frame.
@@ -52,7 +52,11 @@ type message struct {
 	Round uint64
 	// Step is the pushing worker's local step counter, carried on every
 	// push so the parameter server can account per-worker progress (the
-	// bounded-staleness experiments read it back via WorkerSteps).
+	// bounded-staleness experiments read it back via WorkerSteps). On a
+	// federated round assignment (msgFedRound) it is the degree d of the
+	// round's pairing graph: each cohort member masks with its d
+	// neighbours only, and refuses a d below min(n−1, 2⌈log₂ n⌉) or
+	// above n−1 for a cohort of n.
 	Step uint64
 	// Shard and Shards carry the shard-placement handshake: on msgHello
 	// the worker's expectation of the endpoint it dialed, on msgManifest
@@ -114,8 +118,8 @@ type message struct {
 	// same coordinates.
 	Seed uint64
 	// Clients carries a federated client-id set: the round's sampled
-	// cohort on msgFedRound, the dead clients awaiting unmasking on
-	// msgFedUnmask. Always sorted ascending.
+	// cohort on msgFedRound, the recipient's dead neighbours awaiting
+	// unmasking on msgFedUnmask. Always sorted ascending.
 	Clients []uint32
 	// Evicted marks an elasticity event on an elastic synchronous
 	// shard. On msgAck it is the retryable-in-spirit rejection of the
