@@ -377,13 +377,14 @@
 // ~1/f reduction; both keep client-side error-feedback residuals
 // committed only on an accepted upload). When a cohort member drops
 // after masks were applied — exactly the refused stragglers above —
-// each survivor that paired with it reveals their pair seed to the
-// coordinator, which subtracts the dead client's mask contributions and
-// recovers the survivors' sum; a client refuses to reveal all of its
-// neighbours' seeds, which would strip its own mask. Accepting the
-// straggler's own late masked upload instead is what the refusal
-// exists to prevent, since after the reveal the coordinator could
-// unmask it: without the self-mask that refusal is still the defence.
+// each survivor that paired with it reveals their pair's key for that
+// round, not the pair's seed, to the coordinator, which subtracts the
+// dead client's mask and recovers the survivors' sum; a client refuses
+// to reveal all of its neighbours' keys, which would strip its own
+// mask. Accepting the straggler's own late masked upload instead is
+// what the refusal exists to prevent, since after the reveal the
+// coordinator could unmask it: without the self-mask that refusal is
+// still the defence.
 // Ring sums are
 // order-independent, so a whole federated job — sampling, quorum
 // membership, refusals, the final global model — is bit-reproducible
@@ -430,12 +431,16 @@
 // (the tf session's execCtx.charge, the Lite interpreter's charge), so
 // a kernel change moves wall time and never virtual time. Their
 // summation order is fixed and independent of the thread count (threads
-// only partition output rows), which is what keeps the golden-pinned
+// only partition the output, into rows or column blocks, run by
+// internal/par's helpers), which is what keeps the golden-pinned
 // training trajectories and interpreter outputs bit-identical; a faster
-// kernel has to keep that order or re-pin them on purpose. The geometry
-// constructors reject a window that does not fit its input, and the
-// interpreter checks dtype, rank and bias length before it calls a
-// kernel, so a hostile model file or request is an error, not a panic.
+// kernel has to keep that order or re-pin them on purpose. An idle
+// helper spins about a millisecond before it parks: on real SGX that
+// holds an enclave thread, which the virtual clock does not charge. The
+// geometry constructors reject a window that does not fit its input,
+// and the interpreter checks dtype, rank and bias length before it
+// calls a kernel, so a hostile model file or request is an error, not a
+// panic.
 //
 // # Static invariants
 //

@@ -415,11 +415,11 @@ func (c *Client) pair(asg *dist.Message) error {
 	return nil
 }
 
-// reveal answers an unmask request: upload the pair seeds this client
-// shares with its dead neighbours, so the coordinator can cancel the
-// masks the dead left behind. A request that names a member this client
-// did not mask with, or every member it did, is refused: the second
-// would strip its whole mask.
+// reveal answers an unmask request: upload this round's pair keys with
+// the dead neighbours, so the coordinator can cancel the masks the dead
+// left behind. A request that names a member this client did not mask
+// with, or every member it did, is refused: the second would strip its
+// whole mask.
 func (c *Client) reveal(req *dist.Message) error {
 	if req.Round != c.peersRound || c.peers == nil {
 		return fmt.Errorf("federated: client %d was asked to unmask round %d, which it did not mask", c.cfg.ID, req.Round)
@@ -430,8 +430,8 @@ func (c *Client) reveal(req *dist.Message) error {
 		if !slices.Contains(c.peers, deadID) {
 			return fmt.Errorf("federated: client %d was asked for its seed with %d, not its neighbour in round %d", c.cfg.ID, deadID, req.Round)
 		}
-		seed := pairSeed(c.cfg.Secret, uint32(c.cfg.ID), deadID)
-		msg.Grads[strconv.FormatUint(uint64(deadID), 10)] = append([]byte(nil), seed[:]...)
+		key := roundKey(pairSeed(c.cfg.Secret, uint32(c.cfg.ID), deadID), req.Round)
+		msg.Grads[strconv.FormatUint(uint64(deadID), 10)] = append([]byte(nil), key[:]...)
 	}
 	if len(msg.Grads) == len(c.peers) {
 		return fmt.Errorf("federated: client %d was asked for the seeds of all %d of its neighbours in round %d", c.cfg.ID, len(c.peers), req.Round)

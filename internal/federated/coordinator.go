@@ -507,7 +507,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 func (c *Coordinator) finalizeLocked() {
 	q := float64(len(c.received))
 	width := c.codec.width()
-	applyMasks(c.acc, width, c.unmask, c.round)
+	applyMasks(c.acc, width, c.unmask)
 	for n, name := range c.names {
 		v := c.vars[name].Floats()
 		coords := c.coords[n]

@@ -18,18 +18,18 @@
 // not waited for; their late uploads are refused with the retryable
 // Closed wire flag (mirroring the async Stale idiom), and they rejoin
 // at the next round's poll. The refusal is load-bearing for privacy,
-// not just latency: once the dead clients' pair seeds have been
-// revealed, accepting a straggler's masked payload would let the
+// not just latency: once the dead clients' pair keys for the round have
+// been revealed, accepting a straggler's masked payload would let the
 // coordinator unmask it.
 //
 // # Secure aggregation
 //
 // Cohort members i and j share a pair seed derived (HKDF) from a cohort
-// secret the coordinator never holds. Each pair expands the seed
-// through the deterministic AES-CTR PRG into per-round mask words over
-// the codec's integer ring; the lower-id client adds the mask to its
-// encoded update, the higher-id one subtracts it, so the masks cancel
-// exactly in the coordinator's ring sum.
+// secret the coordinator never holds. Each pair expands the seed's
+// round key (HKDF) through the deterministic AES-CTR PRG into mask
+// words over the codec's integer ring; the lower-id client adds the
+// mask to its encoded update, the higher-id one subtracts it, so the
+// masks cancel exactly in the coordinator's ring sum.
 //
 // A member pairs only with its neighbours in the round's pairing graph
 // (Bell et al., CCS 2020), not with the whole cohort as in Bonawitz et
@@ -48,15 +48,15 @@
 //
 // Clients that were sampled but missed the quorum leave their pairwise
 // masks uncancelled; each survivor with a dead neighbour reveals its
-// pair seeds for exactly its dead neighbours (and refuses a request for
-// all of its neighbours, which would strip its whole mask), the
-// coordinator refuses a reveal that names any other member or misses
-// one, and it re-expands those masks and subtracts them when every
-// survivor it asked has revealed, so the quorum sum is well-defined
-// again. The coordinator learns only masks of updates it never
-// received. Bonawitz's self-mask, and the Shamir shares that let the
-// survivors reconstruct exactly one of a client's two masks, are not
-// implemented: the defence against a late straggler whose pair seeds
+// round keys, not seeds, for exactly its dead neighbours (and refuses a
+// request for all of its neighbours, which would strip its whole mask),
+// the coordinator refuses a reveal that names any other member or
+// misses one, and it re-expands those masks and subtracts them when
+// every survivor it asked has revealed, so the quorum sum is
+// well-defined again. The coordinator learns only masks of updates it
+// never received. Bonawitz's self-mask, and the Shamir shares that let
+// the survivors reconstruct exactly one of a client's two masks, are
+// not implemented: the defence against a late straggler whose pair keys
 // were revealed is still the coordinator's refusal of its upload.
 //
 // All mask arithmetic happens post-quantization in the codec's integer
@@ -71,7 +71,8 @@
 // subtracted in place by internal/federated/ring, four 16-bit lanes per
 // 64-bit operation for int8. Because ring addition commutes, a list of
 // streams with enough key stream to pay for it is dealt to a few
-// goroutines that sum into private partials (same bytes for any split).
+// blocks on internal/par, each summing into a private partial (same
+// bytes for any split).
 // The coordinator validates every variable's header against the
 // manifest first, then adds the received payload bytes into a packed
 // accumulator; when the round commits it subtracts every

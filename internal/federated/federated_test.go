@@ -849,7 +849,7 @@ func TestMalformedRevealKeepsNothing(t *testing.T) {
 	reveal := func(id uint32, round uint64, grads map[string][]byte) *dist.Message {
 		return coord.seeds(&dist.Message{Kind: dist.MsgFedSeeds, Worker: id, Round: round, Grads: grads})
 	}
-	seed := func(id uint32) []byte { key := pairSeed(testSecret, id, 2); return key[:] }
+	seed := func(id uint32) []byte { key := roundKey(pairSeed(testSecret, id, 2), 0); return key[:] }
 	cases := []struct {
 		name  string
 		round uint64

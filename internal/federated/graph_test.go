@@ -321,7 +321,10 @@ func TestRevealFollowsTheGraph(t *testing.T) {
 		before[i] = bytes.Clone(acc)
 	}
 	statsBefore := coord.Stats()
-	seed := func(id, peer int) []byte { key := pairSeed(testSecret, uint32(id), uint32(peer)); return key[:] }
+	seed := func(id, peer int) []byte {
+		key := roundKey(pairSeed(testSecret, uint32(id), uint32(peer)), coord.round)
+		return key[:]
+	}
 	key := func(id int) string { return strconv.Itoa(id) }
 	for _, tc := range []struct {
 		name  string

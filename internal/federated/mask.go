@@ -3,9 +3,10 @@ package federated
 import (
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 
 	"github.com/securetf/securetf/internal/federated/ring"
+	"github.com/securetf/securetf/internal/par"
 	"github.com/securetf/securetf/internal/seccrypto"
 )
 
@@ -22,21 +23,21 @@ func pairSeed(secret []byte, a, b uint32) seccrypto.Key {
 	return seccrypto.HKDF(secret, saltPair, fmt.Sprintf("pair %d %d", lo, hi))
 }
 
-// maskPRG expands a pair seed into the pair's mask stream for one
-// round. A fresh round-bound derivation means revealing a pair's seed
-// stream for round r (dropout recovery) discloses nothing about any
-// other round.
-func maskPRG(seed seccrypto.Key, round uint64) *seccrypto.PRG {
-	return seccrypto.NewPRG(seccrypto.HKDF(seed[:], saltMask, fmt.Sprintf("round %d", round)))
+// roundKey derives a pair's key for one round, all its mask is expanded
+// from and what a survivor reveals for a dead neighbour: the derivation
+// is one-way and bound to the round, so the key of round r discloses
+// nothing of the seed or of any other round's mask.
+func roundKey(seed seccrypto.Key, round uint64) seccrypto.Key {
+	return seccrypto.HKDF(seed[:], saltMask, fmt.Sprintf("round %d", round))
 }
 
-// maskPair adds (or subtracts) a pair's round mask to payloads — the
-// packed ring words of every variable in sorted manifest order, which is
-// the order both ends of the pair, and the coordinator during dropout
-// recovery, consume the pair's key stream in: consecutive CTR key
-// stream, variable after variable.
-func maskPair(payloads [][]byte, width int, seed seccrypto.Key, round uint64, add bool) {
-	g := maskPRG(seed, round)
+// maskPair adds (or subtracts) the mask expanded from a pair's round key
+// to payloads — the packed ring words of every variable in sorted
+// manifest order, which is the order both ends of the pair, and the
+// coordinator during dropout recovery, consume the key stream in:
+// consecutive CTR key stream, variable after variable.
+func maskPair(payloads [][]byte, width int, key seccrypto.Key, add bool) {
+	g := seccrypto.NewPRG(key)
 	for _, p := range payloads {
 		if add {
 			ring.AddStream(p, width, g)
@@ -48,30 +49,22 @@ func maskPair(payloads [][]byte, width int, seed seccrypto.Key, round uint64, ad
 
 // When a list of mask streams is worth fanning out, from the size of
 // the work alone. fanOutFloor is the key-stream volume (streams × update
-// bytes) below which they are folded in serially: starting and joining
-// goroutines costs microseconds, which 256 KiB of AES-CTR-and-add
-// amortises and less does not: one fresh pair stream over 256 KiB —
-// HKDF, key schedule, AddStream at width 2 — takes ≈60 µs on a 2-vCPU
-// Xeon with the SSE2 fold (≈110 µs with the SWAR one), still tens of
-// times a goroutine's start and join. streamsPerWorker is the fewest
-// streams a goroutine is started for: its partial sum has to be
-// cleared first and added in afterwards, about the cost of one more
-// stream, so with only a stream or two of its own it would not pay.
+// bytes) below which they are folded in serially: a handoff costs
+// microseconds, and one fresh pair stream over 256 KiB — HKDF, key
+// schedule, AddStream at width 2 — takes ≈60 µs on a 2-vCPU Xeon with
+// the SSE2 fold (≈110 µs with the SWAR one). streamsPerWorker is the
+// fewest streams a block is dealt: its partial sum costs about one more
+// stream to clear and add in.
 const (
 	fanOutFloor      = 256 << 10
 	streamsPerWorker = 8
 )
 
-// partials recycles the fan-out's private partial sums: each is one
-// model's ring bytes, lives for the milliseconds an upload is masked
-// (or a round unmasked), and few exist at once.
-var partials sync.Pool
-
-// maskStream is one pair's round mask and the sign it is applied with:
-// added when add is set, subtracted otherwise.
+// maskStream is one pair's round key and the sign its mask is applied
+// with: added when add is set, subtracted otherwise.
 type maskStream struct {
-	seed seccrypto.Key
-	add  bool
+	key seccrypto.Key
+	add bool
 }
 
 // applyPairMasks blinds one client's encoded update in place with the
@@ -84,25 +77,25 @@ func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, pe
 	streams := make([]maskStream, 0, len(peers))
 	for _, peer := range peers {
 		if peer != self {
-			streams = append(streams, maskStream{pairSeed(secret, self, peer), self < peer})
+			streams = append(streams, maskStream{roundKey(pairSeed(secret, self, peer), round), self < peer})
 		}
 	}
-	applyMasks(payloads, width, streams, round)
+	applyMasks(payloads, width, streams)
 }
 
-// applyMasks applies every stream's round mask to payloads in place: a
+// applyMasks applies every stream's mask to payloads in place: a
 // client's pair masks when it uploads, and the coordinator's inverse of
 // the masks the dead left in the accepted sum when it commits a round.
 // Ring addition commutes, so when there is enough key stream to pay for
-// it the streams are dealt to several goroutines, each summing its
-// streams' masks into a private partial that is then added in — the
-// result is the same bytes for any split.
-func applyMasks(payloads [][]byte, width int, streams []maskStream, round uint64) {
+// it the streams are dealt to several blocks, each summing its streams'
+// masks into a private partial that is then added in — the result is
+// the same bytes for any split.
+func applyMasks(payloads [][]byte, width int, streams []maskStream) {
 	workers := 1
 	if len(streams)*updateSize(payloads) >= fanOutFloor {
 		workers = max(1, min(runtime.GOMAXPROCS(0), len(streams)/streamsPerWorker))
 	}
-	applyMasksSplit(payloads, workers, width, streams, round)
+	applyMasksSplit(payloads, workers, width, streams)
 }
 
 // updateSize is the ring bytes of one whole update.
@@ -114,48 +107,46 @@ func updateSize(payloads [][]byte) int {
 	return size
 }
 
-// applyMasksSplit is applyMasks at a given worker count ≥ 1.
-func applyMasksSplit(payloads [][]byte, workers, width int, streams []maskStream, round uint64) {
-	// Worker w takes every workers-th stream starting at w and masks
-	// into dst.
-	deal := func(w int, dst [][]byte) {
-		for i := w; i < len(streams); i += workers {
-			maskPair(dst, width, streams[i].seed, round, streams[i].add)
-		}
-	}
-	if workers == 1 {
-		deal(0, payloads)
-		return
-	}
-	// A partial is the whole update as one vector: the pair stream runs
-	// on across variable boundaries, so it needs no per-variable split.
-	size := updateSize(payloads)
-	sums := make([]*[]byte, workers-1)
-	var wg sync.WaitGroup
-	for w := range sums {
-		sum, _ := partials.Get().(*[]byte)
-		if sum == nil || cap(*sum) < size {
-			fresh := make([]byte, size)
-			sum = &fresh
-		} else {
-			*sum = (*sum)[:size]
-			clear(*sum)
-		}
-		sums[w] = sum
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			deal(w+1, [][]byte{*sum})
-		}()
-	}
-	deal(0, payloads)
-	wg.Wait()
-	for _, sum := range sums {
+// applyMasksSplit is applyMasks dealt over workers ≥ 1 blocks of
+// par.Run: block w takes every workers-th stream from w, block 0 into
+// payloads and every other into a partial sum of its own, which is then
+// added in.
+func applyMasksSplit(payloads [][]byte, workers, width int, streams []maskStream) {
+	f := folds.Get()
+	f.payloads, f.size, f.width, f.streams = payloads, updateSize(payloads), width, streams
+	f.sums = slices.Grow(f.sums[:0], workers-1)[:workers-1]
+	par.Run(f, workers, workers)
+	for _, sum := range f.sums {
 		off := 0
 		for _, p := range payloads {
-			ring.Add(p, (*sum)[off:off+len(p)], width)
+			ring.Add(p, sum[off:off+len(p)], width)
 			off += len(p)
 		}
-		partials.Put(sum)
+	}
+	f.payloads, f.streams = nil, nil
+	folds.Put(f)
+}
+
+// maskFold is one applyMasksSplit. Block w ≥ 1 folds into sums[w-1],
+// the whole update as one vector (the pair stream runs on across
+// variable boundaries), which folds keeps for the next fan-out.
+type maskFold struct {
+	payloads    [][]byte
+	sums        [][]byte
+	size, width int
+	streams     []maskStream
+}
+
+var folds = make(par.Free[maskFold], 8) // each keeps model-sized partials
+
+func (f *maskFold) Block(w int) {
+	dst := f.payloads
+	if w > 0 {
+		f.sums[w-1] = slices.Grow(f.sums[w-1][:0], f.size)[:f.size]
+		dst = [][]byte{f.sums[w-1]}
+		clear(dst[0])
+	}
+	for i := w; i < len(f.streams); i += len(f.sums) + 1 {
+		maskPair(dst, f.width, f.streams[i].key, f.streams[i].add)
 	}
 }

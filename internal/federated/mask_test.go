@@ -26,10 +26,39 @@ func TestPairSeedSymmetric(t *testing.T) {
 func TestMaskRoundSeparation(t *testing.T) {
 	seed := pairSeed([]byte("secret"), 0, 1)
 	a, b := make([]byte, 64), make([]byte, 64)
-	maskPRG(seed, 4).Read(a)
-	maskPRG(seed, 5).Read(b)
+	seccrypto.NewPRG(roundKey(seed, 4)).Read(a)
+	seccrypto.NewPRG(roundKey(seed, 5)).Read(b)
 	if bytes.Equal(a, b) {
 		t.Fatal("distinct rounds produced identical mask streams")
+	}
+}
+
+// TestRevealedKeyIsRoundBound: the key a survivor reveals for a dead
+// neighbour in round r is not the pair's seed, and it cancels the pair's
+// round r mask and not its round r+1 mask, so a coordinator that kept it
+// cannot strip the pair's mask in a later round.
+func TestRevealedKeyIsRoundBound(t *testing.T) {
+	const self, peer, r = 3, 11, 7
+	seed := pairSeed(testSecret, self, peer)
+	revealed := roundKey(seed, r)
+	if revealed == seed {
+		t.Fatal("the revealed key is the pair's seed")
+	}
+	for _, width := range []int{2, 8} {
+		for _, round := range []uint64{r, r + 1} {
+			update := mlpUpdate(width)
+			applyPairMasks(update, width, testSecret, self, []uint32{peer}, round)
+			// self is the lower id, so it added the mask; the coordinator
+			// subtracts what the revealed key expands to.
+			applyMasks(update, width, []maskStream{{revealed, false}})
+			cancelled := true
+			for _, p := range update {
+				cancelled = cancelled && !slices.ContainsFunc(p, func(b byte) bool { return b != 0 })
+			}
+			if cancelled != (round == r) {
+				t.Errorf("width %d: round %d's key applied to round %d's mask: cancelled = %v", width, r, round, cancelled)
+			}
+		}
 	}
 }
 
@@ -124,9 +153,9 @@ func TestDropoutRecovery(t *testing.T) {
 			}
 			var revealed []maskStream
 			for _, d := range dead {
-				revealed = append(revealed, maskStream{pairSeed(testSecret, id, d), id > d})
+				revealed = append(revealed, maskStream{roundKey(pairSeed(testSecret, id, d), round), id > d})
 			}
-			applyMasksSplit(serial, 1, width, revealed, round)
+			applyMasksSplit(serial, 1, width, revealed)
 			streams = append(streams, revealed...)
 		}
 		for n := range want {
@@ -136,7 +165,7 @@ func TestDropoutRecovery(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 7} {
 			deferred := cloneUpdate(acc)
-			applyMasksSplit(deferred, workers, width, streams, round)
+			applyMasksSplit(deferred, workers, width, streams)
 			for n := range want {
 				if !bytes.Equal(deferred[n], serial[n]) {
 					t.Fatalf("width %d: deferred recovery over %d workers differs from per-reveal at variable %d", width, workers, n)
@@ -203,11 +232,11 @@ func testSparseDropoutRecovery(t *testing.T) {
 				}
 				for j, peer := range cohort {
 					if dead[j] && g.adjacent(i, j) {
-						streams = append(streams, maskStream{pairSeed(testSecret, id, peer), id > peer})
+						streams = append(streams, maskStream{roundKey(pairSeed(testSecret, id, peer), round), id > peer})
 					}
 				}
 			}
-			applyMasks(acc, width, streams, round)
+			applyMasks(acc, width, streams)
 			for v := range want {
 				if !bytes.Equal(acc[v], want[v]) {
 					t.Fatalf("width %d, dead set %d: variable %d after %d revealed streams differs from the survivors' sum",
@@ -246,11 +275,11 @@ func TestMaskFanOutInvariant(t *testing.T) {
 		var streams []maskStream
 		for _, peer := range cohort {
 			if peer != self {
-				streams = append(streams, maskStream{pairSeed(testSecret, self, peer), self < peer})
+				streams = append(streams, maskStream{roundKey(pairSeed(testSecret, self, peer), round), self < peer})
 			}
 		}
 		want := fresh()
-		applyMasksSplit(want, 1, width, streams, round)
+		applyMasksSplit(want, 1, width, streams)
 		check := func(label string, got [][]byte) {
 			t.Helper()
 			for n := range want {
@@ -261,7 +290,7 @@ func TestMaskFanOutInvariant(t *testing.T) {
 		}
 		for _, workers := range []int{2, 7} {
 			got := fresh()
-			applyMasksSplit(got, workers, width, streams, round)
+			applyMasksSplit(got, workers, width, streams)
 			check(fmt.Sprintf("%d workers", workers), got)
 		}
 		got := fresh()

@@ -67,19 +67,19 @@ func TestMaskUploadAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation is not what is measured under the race detector")
 	}
-	// The fan-out's partial sums come from a sync.Pool, which a garbage
-	// collection empties; hold the collector off so that what is counted
-	// is what masking allocates, not when the pool was last drained.
+	// The fan-out's partial sums are recycled with its fold state, which
+	// a garbage collection does not drain; the collector is held off
+	// anyway, so that what is counted is what masking allocates.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	perUpload := func(members, width int) float64 {
 		payloads := mlpUpdate(width)
 		cohort := cohortOf(members)
 		mask := func() { applyPairMasks(payloads, width, testSecret, 3, cohort, 1) }
-		mask() // the fan-out's partial sums are pooled: warm the pool
-		// A fan-out goroutine that lands on a P with no cached partial
-		// sum still makes a fresh one, a whole model of ring words, so
-		// one mask can cost more than another but never less than masking
-		// allocates: take the least of a few.
+		mask() // the fan-out's partial sums are recycled: warm them
+		// A fan-out that finds no recycled fold still makes fresh partial
+		// sums, a whole model of ring words each, so one mask can cost
+		// more than another but never less than masking allocates: take
+		// the least of a few.
 		least := uint64(math.MaxUint64)
 		for range 5 {
 			var before, after runtime.MemStats

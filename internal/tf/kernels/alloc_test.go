@@ -33,24 +33,32 @@ func allocated(run func()) uint64 {
 	return per[len(per)/2]
 }
 
-// TestWarmColumnSplitAllocation: the column split hands its blocks to
-// parked helpers and recycles what it shares with them, so once warm it
-// allocates nothing, and serving a request on a device of two threads
-// allocates no more than on one.
-func TestWarmColumnSplitAllocation(t *testing.T) {
-	const m, k, n = 1, 2048, 2048
+// TestWarmSplitAllocation: a split product hands its pieces to the
+// pool's parked helpers and recycles what it shares with them, so once
+// warm it allocates nothing, split by columns (serve-steady's GEMV) or by
+// rows (train-sync's first layer); and serving a request on a device of
+// two threads allocates no more than on one.
+func TestWarmSplitAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a, b, c := make([]float32, m*k), make([]float32, k*n), make([]float32, m*n)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-	}
-	for i := range b {
-		b[i] = float32(rng.NormFloat64())
-	}
-	split := func() { clear(c); kernels.MatMulInto(c, a, b, m, k, n, 2) }
-	split()
-	if got := allocated(split); got != 0 {
-		t.Errorf("a warm column split of m%d·k%d·n%d allocated %d bytes, want 0", m, k, n, got)
+	for _, tc := range []struct {
+		name             string
+		m, k, n, threads int
+	}{
+		{"column split", 1, 2048, 2048, 2},
+		{"row split", 50, 784, 512, 4},
+	} {
+		a, b, c := make([]float32, tc.m*tc.k), make([]float32, tc.k*tc.n), make([]float32, tc.m*tc.n)
+		for i := range a {
+			a[i] = float32(rng.NormFloat64())
+		}
+		for i := range b {
+			b[i] = float32(rng.NormFloat64())
+		}
+		split := func() { clear(c); kernels.MatMulInto(c, a, b, tc.m, tc.k, tc.n, tc.threads) }
+		split()
+		if got := allocated(split); got != 0 {
+			t.Errorf("a warm %s of m%d·k%d·n%d on %d threads allocated %d bytes, want 0", tc.name, tc.m, tc.k, tc.n, tc.threads, got)
+		}
 	}
 
 	input := models.RandomImageInput(models.Densenet, 1, 3)

@@ -13,8 +13,8 @@
 // input gradient's tile of dcol rows — from a process-wide sync.Pool, so
 // once it is warm no call allocates anything, and nothing a call does
 // allocate is sized by the batch; every other kernel allocates nothing
-// at all (MatMulInto a few words when it splits rows, and nothing once
-// warm when it splits columns).
+// at all (MatMulInto, which splits its work on internal/par, nothing once
+// warm).
 //
 // The arithmetic of every output element is fixed: which products are
 // added to it, in what order, each product rounded to float32 and then
@@ -80,18 +80,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"github.com/securetf/securetf/internal/par"
 )
 
 // MatMulInto accumulates A×B into c, where a is [m,k], b is [k,n] and c
-// is a zeroed [m,n]. The work is divided by splitPlan: by rows across up
-// to threads goroutines once there are two rows per thread, which share
-// one closure and claim their chunk from a counter, so a call allocates
-// the same few words whatever the thread count; by columns, when the
-// rows are too few for that and b is large, between the caller and the
-// long-lived helpers of matMulCols, which allocates nothing once warm;
-// or not at all, on the caller's goroutine.
+// is a zeroed [m,n]. splitPlan divides the work into pieces, which run
+// on par.Run; once warm a split call allocates nothing.
 //
 // The shape is checked against the slices once, here: one too short for
 // it panics, as indexing past its end would, before any element of c is
@@ -108,26 +103,15 @@ func MatMulInto(c, a, b []float32, m, k, n, threads int) {
 		procs = runtime.GOMAXPROCS(0)
 	}
 	rowsPer, cols := splitPlan(m, k, n, threads, procs)
-	switch {
-	case rowsPer < m:
-		chunks := (m + rowsPer - 1) / rowsPer
-		var wg sync.WaitGroup
-		var next atomic.Int32
-		work := func() {
-			defer wg.Done()
-			lo := int(next.Add(1)-1) * rowsPer
-			matMulRows(c, a, b, lo, min(lo+rowsPer, m), k, n)
-		}
-		wg.Add(chunks)
-		for range chunks {
-			go work()
-		}
-		wg.Wait()
-	case cols < n:
-		matMulCols(c, a, b, m, k, n, cols)
-	default:
+	if rowsPer == m && cols >= n { // one piece
 		matMulRows(c, a, b, 0, m, k, n)
+		return
 	}
+	p := matMuls.Get()
+	*p = matMul{c, a, b, m, k, n, rowsPer, cols}
+	par.Run(p, (m+rowsPer-1)/rowsPer*((n+cols-1)/cols), threads)
+	*p = matMul{} // hold no caller's memory while free
+	matMuls.Put(p)
 }
 
 const (
@@ -174,154 +158,21 @@ func ColumnSplitThreads(m, threads int) int {
 	return threads
 }
 
-// colSplit is one column-split product, shared by the goroutines that
-// run its blocks. Each claims blocks from next until none is left and
-// counts each it finishes off pending; refs counts the goroutines that
-// still hold the split, and the last to let go recycles it.
-type colSplit struct {
-	c, a, b []float32
-	m, k, n int
-	cols    int // per block, a multiple of lineFloats
-	blocks  int
-	next    atomic.Int32
-	pending atomic.Int32
-	refs    atomic.Int32
+// matMul is one split product; matMuls recycles them.
+type matMul struct {
+	c, a, b       []float32
+	m, k, n       int
+	rowsPer, cols int
 }
 
-// runBlocks claims blocks of s until none is left and accumulates each:
-// one strided gemm over every row of a and cols columns of b and c.
-func (s *colSplit) runBlocks() {
-	for {
-		j := int(s.next.Add(1) - 1)
-		if j >= s.blocks {
-			return
-		}
-		j0 := j * s.cols
-		gemm(s.c[j0:], s.a, s.b[j0:], 0, s.m, s.k, min(s.cols, s.n-j0), s.k, s.n, s.n)
-		s.pending.Add(-1)
-	}
-}
+var matMuls = make(par.Free[matMul], 64) // as many as par keeps splits
 
-// release lets go of s; the last goroutine to do so recycles it.
-func (s *colSplit) release() {
-	if s.refs.Add(-1) > 0 {
-		return
-	}
-	s.c, s.a, s.b = nil, nil, nil // hold no caller's memory while free
-	splitMu.Lock()
-	freeSplits = append(freeSplits, s)
-	splitMu.Unlock()
-}
-
-// spinYields is how many times an idle helper yields its processor
-// before it parks, about a millisecond: longer than serve-steady leaves
-// between two layers or two requests. A parked helper's thread sleeps,
-// and waking it again took a median 125 µs on a 2-vCPU VM (a runtime
-// trace of serve-steady), a third of the block it was woken for: by
-// then the caller has usually run that block itself.
-const spinYields = 1 << 13
-
-// helper is a long-lived goroutine that runs column blocks of the splits
-// handed to it in slot: nil while it waits for one, spinning; the split
-// while it runs its blocks; parked once it has waited spinYields yields,
-// until a caller hands it a split and signals wake.
-type helper struct {
-	slot atomic.Pointer[colSplit]
-	wake chan struct{} // one signal at most: only the caller that unparks it sends
-}
-
-// parked marks the slot of a parked helper.
-var parked = new(colSplit)
-
-func (h *helper) loop() {
-	for {
-		s := h.await()
-		s.runBlocks()
-		s.release()
-		h.slot.Store(nil)
-	}
-}
-
-// await returns the next split handed to h.
-func (h *helper) await() *colSplit {
-	for spins := 0; ; spins++ {
-		if s := h.slot.Load(); s != nil {
-			return s
-		}
-		if spins < spinYields {
-			runtime.Gosched()
-		} else if h.slot.CompareAndSwap(nil, parked) {
-			<-h.wake
-			return h.slot.Load()
-		}
-	}
-}
-
-// offer hands s to h if h is waiting for work, spinning or parked.
-func (h *helper) offer(s *colSplit) bool {
-	if h.slot.CompareAndSwap(nil, s) {
-		return true
-	}
-	if h.slot.CompareAndSwap(parked, s) {
-		h.wake <- struct{}{}
-		return true
-	}
-	return false
-}
-
-var (
-	splitMu sync.Mutex
-	// helpers are started as a split first needs them, one fewer than
-	// its blocks, and live as long as the process, as the runtime's own
-	// workers do.
-	helpers []*helper
-	// freeSplits are finished splits, reused so that a warm split
-	// allocates nothing.
-	freeSplits []*colSplit
-)
-
-// matMulCols accumulates A×B into c in column blocks of cols. It offers
-// the split to helpers until one per block but its own has taken it,
-// and then runs blocks itself until none is left: a helper that is busy,
-// or slow to start, leaves its block to the caller, so concurrent
-// callers never oversubscribe the processors or wait on each other, and
-// the result does not depend on how many helpers there are. The caller
-// yields while the last blocks finish, keeping its processor awake for
-// the next call.
-func matMulCols(c, a, b []float32, m, k, n, cols int) {
-	blocks := (n + cols - 1) / cols
-	splitMu.Lock()
-	for len(helpers) < blocks-1 {
-		h := &helper{wake: make(chan struct{}, 1)}
-		helpers = append(helpers, h)
-		go h.loop()
-	}
-	hs := helpers
-	var s *colSplit
-	if last := len(freeSplits) - 1; last >= 0 {
-		s, freeSplits = freeSplits[last], freeSplits[:last]
-	} else {
-		s = new(colSplit)
-	}
-	splitMu.Unlock()
-
-	s.c, s.a, s.b, s.m, s.k, s.n, s.cols, s.blocks = c, a, b, m, k, n, cols, blocks
-	s.next.Store(0)
-	s.pending.Store(int32(blocks))
-	s.refs.Store(1)
-	for i, handed := 0, 0; i < len(hs) && handed < blocks-1; i++ {
-		s.refs.Add(1)
-		if hs[i].offer(s) {
-			handed++
-		} else {
-			s.refs.Add(-1)
-		}
-	}
-	s.runBlocks()
-	for s.pending.Load() > 0 {
-		runtime.Gosched()
-	}
-	s.release()
+// Block accumulates piece i, numbered along the rows of pieces: one
+// strided gemm over its rows of a and its columns of b and c.
+func (p *matMul) Block(i int) {
+	across := (p.n + p.cols - 1) / p.cols
+	lo, j0 := i/across*p.rowsPer, i%across*p.cols
+	gemm(p.c[j0:], p.a, p.b[j0:], lo, min(lo+p.rowsPer, p.m), p.k, min(p.cols, p.n-j0), p.k, p.n, p.n)
 }
 
 // matMulRows accumulates rows [lo,hi) of A×B into c, all three dense.
