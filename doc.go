@@ -207,7 +207,10 @@
 // states it, for training and federated alike. In short: a Run's
 // results are the caller's to keep, and everything else a Run computes
 // is the session's until the next Run, which computes into the same
-// storage; each end of a connection owns one read and one write buffer
+// storage; a training replica fetches its gradients into tensors it
+// keeps (RunInto), so they are valid until its next step, and feeds
+// views of its data shard, which no Run writes; each end of a
+// connection owns one read and one write buffer
 // that live and die with it, a frame read from it is valid until the
 // next read, and a received variable is decoded straight into the
 // storage it belongs in. What the enclave is charged for the step's

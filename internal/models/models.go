@@ -103,8 +103,9 @@ func CIFARCNN(seed int64) Handles {
 	return Handles{Graph: g, X: x, Y: y, Logits: logits, Loss: loss, Pred: pred, Accuracy: acc}
 }
 
-// TrainHandles freezes a trained session into an inference graph keeping
-// only the logits path.
+// FreezeForInference freezes a trained session into an inference graph
+// keeping only the logits path, and returns it with its input and logits
+// nodes.
 func FreezeForInference(h Handles, sess *tf.Session) (*tf.Graph, *tf.Node, *tf.Node, error) {
 	frozen, err := tf.Freeze(sess, []*tf.Node{h.Logits})
 	if err != nil {

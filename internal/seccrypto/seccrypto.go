@@ -82,11 +82,18 @@ func Open(key Key, ciphertext, aad []byte) ([]byte, error) {
 // not pay the ciphertext expansion of a stored nonce. The caller is
 // responsible for nonce uniqueness per key.
 func SealDeterministic(key Key, nonce [12]byte, plaintext, aad []byte) ([]byte, error) {
+	return AppendSealDeterministic(nil, key, nonce, plaintext, aad)
+}
+
+// AppendSealDeterministic is SealDeterministic that appends the
+// ciphertext to dst, so a caller sealing many chunks can reuse one
+// buffer. dst must not overlap plaintext.
+func AppendSealDeterministic(dst []byte, key Key, nonce [12]byte, plaintext, aad []byte) ([]byte, error) {
 	aead, err := newGCM(key)
 	if err != nil {
 		return nil, err
 	}
-	return aead.Seal(nil, nonce[:], plaintext, aad), nil
+	return aead.Seal(dst, nonce[:], plaintext, aad), nil
 }
 
 // OpenDeterministic reverses SealDeterministic.

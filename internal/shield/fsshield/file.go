@@ -177,14 +177,8 @@ func (f *shieldFile) WriteAt(p []byte, off int64) (int, error) {
 		if end > f.chunkSize() {
 			end = f.chunkSize()
 		}
-		// Grow the chunk buffer (zero-filled) to cover [0, end).
-		if int64(len(chunk)) < end {
-			grown := make([]byte, end)
-			copy(grown, chunk)
-			chunk = grown
-		}
+		chunk = f.grow(i, chunk, end)
 		n := copy(chunk[rel:end], p[total:])
-		f.cache[i] = chunk
 		f.dirty[i] = true
 		total += n
 		if newEnd := i*f.chunkSize() + int64(len(chunk)); newEnd > f.meta.FileSize {
@@ -192,6 +186,28 @@ func (f *shieldFile) WriteAt(p []byte, off int64) (int, error) {
 		}
 	}
 	return total, nil
+}
+
+// grow extends chunk i's cached plaintext to n ≤ chunkSize bytes and
+// returns it. It grows in place while the buffer has the capacity, and
+// into a buffer of a whole chunk's capacity otherwise. The bytes it adds
+// read zero: past its length a buffer may hold what was there before a
+// Truncate shortened it.
+func (f *shieldFile) grow(i int64, chunk []byte, n int64) []byte {
+	old := int64(len(chunk))
+	switch {
+	case old >= n:
+		return chunk
+	case int64(cap(chunk)) >= n:
+		chunk = chunk[:n]
+		clear(chunk[old:])
+	default:
+		grown := make([]byte, n, f.chunkSize())
+		copy(grown, chunk)
+		chunk = grown
+	}
+	f.cache[i] = chunk
+	return chunk
 }
 
 // Read implements io.Reader at the file's seek offset.
@@ -276,13 +292,7 @@ func (f *shieldFile) Truncate(size int64) error {
 		firstNew := old / f.chunkSize()
 		lastNew := (size - 1) / f.chunkSize()
 		for i := firstNew; i <= lastNew; i++ {
-			chunk := f.cache[i]
-			want := f.plainLen(i)
-			if int64(len(chunk)) < want {
-				grown := make([]byte, want)
-				copy(grown, chunk)
-				f.cache[i] = grown
-			}
+			f.grow(i, f.cache[i], f.plainLen(i))
 			f.dirty[i] = true
 		}
 	}
@@ -308,11 +318,14 @@ func (f *shieldFile) Close() error {
 	return f.data.Close()
 }
 
-// flush writes all dirty chunks and the metadata file.
+// flush writes all dirty chunks and the metadata file. Every dirty
+// chunk is sealed into the same buffer, reused for the whole flush: the
+// data file's WriteAt does not keep what it is given (io.WriterAt).
 func (f *shieldFile) flush() error {
 	n := divCeil(f.meta.FileSize, f.chunkSize())
 	f.meta.ensureChunks(int(n))
 
+	var stored []byte
 	for i := int64(0); i < n; i++ {
 		if !f.dirty[i] {
 			continue
@@ -322,30 +335,23 @@ func (f *shieldFile) flush() error {
 			return err
 		}
 		// Pad the cached buffer to the chunk's full plaintext length.
-		if want := f.plainLen(i); int64(len(chunk)) < want {
-			grown := make([]byte, want)
-			copy(grown, chunk)
-			chunk = grown
-			f.cache[i] = chunk
-		}
+		chunk = f.grow(i, chunk, f.plainLen(i))
 		f.meta.Counters[i]++
 		counter := f.meta.Counters[i]
 		aad := chunkAAD(f.path, i, counter)
 		f.shield.chargeCrypto(int64(len(chunk)))
 
-		var stored []byte
 		switch f.level {
 		case LevelEncrypted:
-			ct, err := seccrypto.SealDeterministic(f.key, chunkNonce(i, counter), chunk, aad)
+			stored, err = seccrypto.AppendSealDeterministic(stored[:0], f.key, chunkNonce(i, counter), chunk, aad)
 			if err != nil {
 				return fmt.Errorf("fsshield: sealing chunk %d of %q: %w", i, f.path, err)
 			}
-			stored = ct
 		case LevelAuthenticated:
 			mac := hmac.New(sha256.New, f.key[:])
 			mac.Write(aad)
 			mac.Write(chunk)
-			stored = append(append([]byte(nil), chunk...), mac.Sum(nil)...)
+			stored = mac.Sum(append(stored[:0], chunk...))
 		}
 		if _, err := f.data.WriteAt(stored, i*f.slotSize()); err != nil {
 			return fmt.Errorf("fsshield: writing chunk %d of %q: %w", i, f.path, err)

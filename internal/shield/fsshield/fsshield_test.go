@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -414,6 +416,72 @@ func TestTruncateShrinkGrow(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("content after shrink+grow mismatch")
 	}
+}
+
+// TestGrowAfterTruncateReadsZero: a Truncate that shortens a cached
+// chunk keeps its old bytes past the new length, and a write past the
+// end that grows the chunk in place must not bring them back. The gap
+// reads zero at every level, after a reopen.
+func TestGrowAfterTruncateReadsZero(t *testing.T) {
+	for _, path := range []string{"secret/f", "signed/f", "plain/f"} {
+		s := newTestShield(t, fsapi.NewMem())
+		f, err := s.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte{0xff}, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{1}, 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fsapi.ReadFile(s, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append(bytes.Repeat([]byte{0xff}, 10), make([]byte, 10)...), 1)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: read back % x, want % x", path, got, want)
+		}
+	}
+}
+
+// TestWarmShieldWriteAllocation is the snapshot write's ceiling: writing
+// a train-sync-sized shard snapshot (0.8 MB) over the last one, at the
+// default chunk size, allocates the chunk cache once and one sealing
+// buffer beside it — at most 1.25× the snapshot, where growing each fresh
+// chunk into a second buffer and sealing each into its own took about 3×.
+func TestWarmShieldWriteAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	s := newTestShield(t, fsapi.NewOS(t.TempDir()), func(c *Config) { c.ChunkSize = DefaultChunkSize })
+	snapshot := make([]byte, 800_000)
+	rand.New(rand.NewSource(1)).Read(snapshot)
+	write := func() {
+		if err := fsapi.WriteFile(s, "secret/shard-0.ckpt", snapshot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		write()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(len(snapshot)) * 5 / 4; least > limit {
+		t.Fatalf("rewriting a %d-byte snapshot allocated %d bytes, want at most %d", len(snapshot), least, limit)
+	}
+	t.Logf("rewriting a %d-byte snapshot allocated %d bytes", len(snapshot), least)
 }
 
 func TestNoNonceReuseAfterShrinkGrow(t *testing.T) {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -37,15 +38,19 @@ type Checkpoint struct {
 
 // EncodeCheckpoint serializes c: the dist header followed by the
 // variables in the tf.SaveCheckpoint format (STFC1), so shard
-// snapshots and session checkpoints share one tensor encoding.
+// snapshots and session checkpoints share one tensor encoding. The
+// variables are encoded in place behind the header, in one buffer.
 func EncodeCheckpoint(c *Checkpoint) []byte {
-	inner := tf.EncodeVarCheckpoint(c.Vars)
-	w := wire.Writer{Buf: []byte(ckptMagic)}
+	// Sized for the header; AppendVarCheckpoint grows it once, to the end.
+	w := wire.Writer{Buf: append(make([]byte, 0, len(ckptMagic)+4+4+8+8+4), ckptMagic...)}
 	w.U32(uint32(c.Shard))
 	w.U32(uint32(c.Shards))
 	w.U64(uint64(c.Rounds))
 	w.U64(c.Gen)
-	w.Bytes(inner)
+	at := len(w.Buf)
+	w.U32(0) // filled in below
+	w.Buf = tf.AppendVarCheckpoint(w.Buf, c.Vars)
+	binary.LittleEndian.PutUint32(w.Buf[at:], uint32(len(w.Buf)-at-4))
 	return w.Buf
 }
 

@@ -3,10 +3,12 @@ package dist
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/tf"
 )
 
@@ -251,4 +253,22 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("round trip changed the checkpoint: %+v vs %+v", back, c)
 		}
 	})
+}
+
+// TestEncodeCheckpointAllocatesOnce: a shard snapshot's variables are
+// encoded behind its header in one buffer, not into a blob that is then
+// copied behind the header, so encoding allocates the snapshot once.
+func TestEncodeCheckpointAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	c := &Checkpoint{Shard: 1, Shards: 2, Rounds: 3, Gen: 4, Vars: InitialVars(models.MNISTCNN(1).Graph)}
+	size := uint64(len(EncodeCheckpoint(c)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	EncodeCheckpoint(c)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > size+size/8 {
+		t.Fatalf("encoding a %d-byte checkpoint allocated %d bytes, want it once", size, got)
+	}
 }

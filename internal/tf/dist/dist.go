@@ -30,8 +30,14 @@
 //     Step: the Link they arrive on (a worker's pull reply, a federated
 //     client's round assignment) decodes a received frame straight into
 //     them — all of the frame or, if any tensor in it does not fit,
-//     none — and Replica.ApplySGD updates them in place. What Step
-//     returns is the caller's: no later Step or decode writes to it.
+//     none — and Replica.ApplySGD updates them in place.
+//   - What Step returns is the Replica's, valid until the next Step:
+//     the session fetches the gradients into tensors NewReplica made,
+//     one per variable, and every Step overwrites them. Each holder
+//     consumes them first — a worker's push and its staleness retry
+//     (which recomputes them before re-pushing), a federated client's
+//     ApplySGD. The minibatch a Step feeds is a view of the shard,
+//     which a Run never writes.
 //   - A Link owns two buffers, the frame being sent and the frame last
 //     received; nothing else refers to them, so closing the connection
 //     and dropping the Link frees them. A received message's blobs

@@ -30,6 +30,10 @@ type Replica struct {
 	// fetch is one step's Run: the loss, then the gradient of every
 	// variable the loss depends on, in graph order, or the train op.
 	fetch []*tf.Node
+	// into is where a NewReplica's step fetches to: nothing for the
+	// loss, then one tensor per gradient, shaped like its variable, that
+	// every Step overwrites. A StepsOn replica has none.
+	into []*tf.Tensor
 	// names and vars are those variables and the session's own tensors
 	// of them (see the package comment on who may write through these).
 	names []string
@@ -54,7 +58,7 @@ func NewReplica(m Model, xs, ys *tf.Tensor, batch int, opts ...tf.SessionOption)
 	}
 	r := &Replica{
 		sess: tf.NewSession(m.Graph, opts...), x: m.X, y: m.Y, xs: xs, ys: ys, batch: batch,
-		fetch: append([]*tf.Node{m.Loss}, grads...),
+		fetch: append([]*tf.Node{m.Loss}, grads...), into: []*tf.Tensor{nil},
 	}
 	for _, v := range vars {
 		t, err := r.sess.VariableStorage(v.Name())
@@ -63,6 +67,7 @@ func NewReplica(m Model, xs, ys *tf.Tensor, batch int, opts ...tf.SessionOption)
 			return nil, err
 		}
 		r.names, r.vars = append(r.names, v.Name()), append(r.vars, t)
+		r.into = append(r.into, tf.NewTensor(t.DType(), t.Shape()))
 	}
 	return r, nil
 }
@@ -93,13 +98,14 @@ func (r *Replica) Variable(name string) *tf.Tensor {
 
 // Step runs the forward and backward pass over step's minibatch and
 // returns the loss and the rest of the fetch plan — of a NewReplica the
-// gradients, aligned with Names, the caller's to keep.
+// gradients, aligned with Names. The gradients are the replica's: valid
+// until the next Step, which computes into the same tensors.
 func (r *Replica) Step(step int) (float64, []*tf.Tensor, error) {
 	bx, by, err := tf.Minibatch(r.xs, r.ys, r.batch, step)
 	if err != nil {
 		return 0, nil, err
 	}
-	out, err := r.sess.Run(tf.Feeds{r.x: bx, r.y: by}, r.fetch, tf.Training())
+	out, err := r.sess.RunInto(tf.Feeds{r.x: bx, r.y: by}, r.fetch, r.into, tf.Training())
 	if err != nil {
 		return 0, nil, err
 	}

@@ -332,7 +332,7 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 
 // SaveCheckpoint serializes the session's variable values.
 func SaveCheckpoint(s *Session) []byte {
-	return encodeCheckpoint(s.VariableNames(), s.vars)
+	return appendCheckpoint(nil, s.VariableNames(), s.vars)
 }
 
 // EncodeVarCheckpoint serializes a variable map in the SaveCheckpoint
@@ -340,22 +340,29 @@ func SaveCheckpoint(s *Session) []byte {
 // snapshots, so shard checkpoints and session checkpoints share one
 // encoding and RestoreCheckpoint loads either.
 func EncodeVarCheckpoint(vars map[string]*Tensor) []byte {
+	return AppendVarCheckpoint(nil, vars)
+}
+
+// AppendVarCheckpoint appends EncodeVarCheckpoint's encoding of vars to
+// dst, growing it at most once, so a record that carries the checkpoint
+// after a header of its own is one buffer.
+func AppendVarCheckpoint(dst []byte, vars map[string]*Tensor) []byte {
 	names := make([]string, 0, len(vars))
 	for name := range vars {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return encodeCheckpoint(names, vars)
+	return appendCheckpoint(dst, names, vars)
 }
 
-// encodeCheckpoint writes the named variables, in the order given, into
-// a buffer sized once.
-func encodeCheckpoint(names []string, vars map[string]*Tensor) []byte {
+// appendCheckpoint appends the named variables, in the order given, to
+// dst, grown once to their exact size.
+func appendCheckpoint(dst []byte, names []string, vars map[string]*Tensor) []byte {
 	size := len(checkpointMagic) + 4
 	for _, name := range names {
 		size += 4 + len(name) + tensorLen(vars[name])
 	}
-	w := wire.Writer{Buf: append(make([]byte, 0, size), checkpointMagic...)}
+	w := wire.Writer{Buf: append(slices.Grow(dst, size), checkpointMagic...)}
 	w.U32(uint32(len(names)))
 	for _, name := range names {
 		w.Str(name)

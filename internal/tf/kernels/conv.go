@@ -1,6 +1,6 @@
 package kernels
 
-import "sync"
+import "github.com/securetf/securetf/internal/par"
 
 // Convolution and its filter gradient are GEMMs over the input as it
 // lies in memory, at row strides (gemm); nothing is gathered into an
@@ -53,7 +53,11 @@ type convScratch struct {
 }
 
 // scratchPool is shared by every session and interpreter in the process.
-var scratchPool = sync.Pool{New: func() any { return new(convScratch) }}
+// It is a par.Free, not a sync.Pool: a sync.Pool keeps what a call put
+// back in that processor's slot, where a call that runs on another
+// processor cannot find it, and empties on a collection, so a warm step
+// would grow a fresh scratch now and then.
+var scratchPool = make(par.Free[convScratch], 16) // above the convolutions in flight at once
 
 func grow(buf []float32, n int) []float32 {
 	if cap(buf) < n {
@@ -110,7 +114,7 @@ func (g Geom) image(pad, x []float32, b int) (view []float32, width int) {
 // kk = (ky, kx, c) ascending, zero col entries skipped. Each output line
 // (b, oy) is KH gemm calls, one per filter row.
 func Conv2DInto(dst, x, filter []float32, g Geom) {
-	s := scratchPool.Get().(*convScratch)
+	s := scratchPool.Get()
 	defer scratchPool.Put(s)
 	pad := s.padding(g)
 	kw, line := g.KW*g.C, g.OW*g.F
@@ -163,7 +167,7 @@ func (g Geom) band(band, x []float32, b int) {
 // over r ascending from zero, zero gradOut entries skipped. Each image is
 // one gemm call over its band.
 func Conv2DGradFilterInto(dFilter, gradOut, x []float32, g Geom) {
-	s := scratchPool.Get().(*convScratch)
+	s := scratchPool.Get()
 	defer scratchPool.Put(s)
 	wb, perLine := g.bandWidth()
 	k, kc := g.KH*g.KW*g.C, g.KH*g.C
@@ -208,7 +212,7 @@ func Conv2DGradFilterInto(dFilter, gradOut, x []float32, g Geom) {
 // contribute nothing and are not scattered.
 func Conv2DGradInputInto(dx, gradOut, filter []float32, g Geom) {
 	rows, k, step := g.tiling()
-	s := scratchPool.Get().(*convScratch)
+	s := scratchPool.Get()
 	defer scratchPool.Put(s)
 	s.tile = grow(s.tile, step*k)
 	s.wt = grow(s.wt, g.F*k)

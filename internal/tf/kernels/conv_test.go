@@ -51,7 +51,7 @@ func (g Geom) im2col(col, x []float32, r0, r1 int) {
 
 func im2colConv2D(dst, x, filter []float32, g Geom) {
 	rows, k, step := g.im2colTiling()
-	s := scratchPool.Get().(*convScratch)
+	s := scratchPool.Get()
 	defer scratchPool.Put(s)
 	s.tile = grow(s.tile, step*k)
 	for r0 := 0; r0 < rows; r0 += step {
@@ -63,7 +63,7 @@ func im2colConv2D(dst, x, filter []float32, g Geom) {
 
 func im2colConv2DGradFilter(dFilter, gradOut, x []float32, g Geom) {
 	rows, k, step := g.im2colTiling()
-	s := scratchPool.Get().(*convScratch)
+	s := scratchPool.Get()
 	defer scratchPool.Put(s)
 	s.tile = grow(s.tile, step*k)
 	s.img = grow(s.img, g.F*step)

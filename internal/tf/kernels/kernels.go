@@ -10,9 +10,9 @@
 // virtual time. The convolutions read their windows where they lie
 // (conv.go) and draw their working memory — one image, padded or
 // banded, the filter and one image's output gradient transposed, and the
-// input gradient's tile of dcol rows — from a process-wide sync.Pool, so
-// once it is warm no call allocates anything, and nothing a call does
-// allocate is sized by the batch; every other kernel allocates nothing
+// input gradient's tile of dcol rows — from a process-wide free list
+// (par.Free), so once it is warm no call allocates anything, and nothing
+// a call does allocate is sized by the batch; every other kernel allocates nothing
 // at all (MatMulInto, which splits its work on internal/par, nothing once
 // warm).
 //

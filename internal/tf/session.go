@@ -31,17 +31,18 @@ type Session struct {
 
 // freeList is the session's memory plan: every kernel output and forward
 // cache of a Run is drawn from it, and when the Run ends it takes back
-// everything the Run drew except the storage behind a fetched result,
-// which is the caller's from then on. Ownership goes by backing array,
-// not by *Tensor: a Reshape is a view of its input and Dropout can hand
-// its input through, so a fetched tensor may share storage with an
+// everything the Run drew except the storage behind a result Run gave
+// away, which is the caller's from then on; a result RunInto copied into
+// the caller's storage gives nothing away. Ownership goes by backing
+// array, not by *Tensor: a Reshape is a view of its input and Dropout can
+// hand its input through, so a fetched tensor may share storage with an
 // intermediate that was not fetched.
 //
 // Buffers are matched by exact element count, so a step that repeats the
-// last one's shapes allocates only what it gives away. What a Run did
-// not draw it drops: the list never holds more than the last Run used,
-// and an evaluation at batch 10 000 is not pinned under a batch-50
-// trainer. The scan is linear in the buffers of one Run, a few dozen.
+// last one's shapes allocates only what it gives away, and nothing when
+// it fetches into its own storage (RunInto). What a Run did not draw it
+// drops: the list never holds more than the last Run used, and an
+// evaluation at batch 10 000 is not pinned under a batch-50 trainer. The scan is linear in the buffers of one Run, a few dozen.
 type freeList[T any] struct {
 	free  [][]T // drawn by the last Run and not given away
 	drawn [][]T // drawn by the current Run so far
@@ -166,8 +167,23 @@ func Training() RunOption {
 // ordinary fetches. The results are the caller's to keep: no later Run
 // or SetVariable writes to them (a fetched variable is a copy).
 // Everything else a Run computes is the session's, and the next Run
-// computes into the same storage.
+// computes into the same storage. A Run never writes its feeds. Run is
+// RunInto with no storage of the caller's.
 func (s *Session) Run(feeds Feeds, fetches []*Node, opts ...RunOption) ([]*Tensor, error) {
+	return s.RunInto(feeds, fetches, nil, opts...)
+}
+
+// RunInto is Run that copies fetch i's value into into[i] wherever that
+// is non-nil and returns into[i] in its place. The storage the value was
+// computed in then stays the session's, for the next Run to compute
+// into, so a step that fetches into tensors it keeps allocates none of
+// its results. into is nil or as long as fetches; each tensor in it
+// needs the fetch's dtype and element count (its own shape is kept),
+// and a mismatch is an error before any of into is written.
+func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...RunOption) ([]*Tensor, error) {
+	if into != nil && len(into) != len(fetches) {
+		return nil, fmt.Errorf("tf: %d fetches into %d tensors", len(fetches), len(into))
+	}
 	var cfg runConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -212,14 +228,25 @@ func (s *Session) Run(feeds Feeds, fetches []*Node, opts ...RunOption) ([]*Tenso
 		s.device.Alloc("tf/arena", arena)
 	}
 
+	for i, dst := range into {
+		if t := ctx.values[fetches[i]]; dst != nil && (dst.dtype != t.dtype || dst.NumElements() != t.NumElements()) {
+			return nil, fmt.Errorf("tf: fetch %q is %v of %d elements, into %v of %d", fetches[i].name, t.dtype, t.NumElements(), dst.dtype, dst.NumElements())
+		}
+	}
 	results := make([]*Tensor, len(fetches))
 	for i, f := range fetches {
 		t := ctx.values[f]
-		if s.isVariable(t) {
+		switch {
+		case into != nil && into[i] != nil:
+			copy(into[i].f32, t.f32)
+			copy(into[i].i32, t.i32)
+			t = into[i]
+		case s.isVariable(t):
 			t = t.Clone()
+		default:
+			s.f32.release(t.f32)
+			s.i32.release(t.i32)
 		}
-		s.f32.release(t.f32)
-		s.i32.release(t.i32)
 		results[i] = t
 	}
 	return results, nil

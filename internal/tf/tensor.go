@@ -11,10 +11,12 @@
 // caller's, and nothing the session does later writes to them.
 // Everything else a Run computes is the session's until the next Run,
 // which computes into the same storage (freeList), so a training step
-// allocates what it hands back and little else. A variable's tensor is
-// the session's for the session's life; SetVariable, RestoreCheckpoint
-// and DecodeTensorInto through VariableStorage write into it, Variable
-// and a fetch copy out of it. What the device is charged for a Run's
+// allocates what it hands back and little else — and nothing, when
+// RunInto copies the results into tensors the caller keeps. No Run
+// writes its feeds, so a feed may be a view of data the caller keeps
+// (Minibatch). A variable's tensor is the session's for the session's
+// life; SetVariable, RestoreCheckpoint and DecodeTensorInto through
+// VariableStorage write into it, Variable and a fetch copy out of it. What the device is charged for a Run's
 // intermediates ("tf/arena") is the cost model's figure and knows
 // nothing of the reuse.
 package tf
@@ -183,6 +185,16 @@ func (t *Tensor) Clone() *Tensor {
 // SliceRows returns rows [lo, hi) of a tensor's leading dimension as a
 // new tensor (minibatching helper).
 func SliceRows(t *Tensor, lo, hi int) (*Tensor, error) {
+	rows, err := rowsView(t, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Clone(), nil
+}
+
+// rowsView returns rows [lo, hi) of a tensor's leading dimension as a
+// view of its storage.
+func rowsView(t *Tensor, lo, hi int) (*Tensor, error) {
 	shape := t.Shape()
 	if len(shape) == 0 {
 		return nil, errors.New("tf: cannot slice a scalar")
@@ -190,26 +202,26 @@ func SliceRows(t *Tensor, lo, hi int) (*Tensor, error) {
 	if lo < 0 || hi > shape[0] || lo >= hi {
 		return nil, fmt.Errorf("tf: slice [%d, %d) out of range for leading dimension %d", lo, hi, shape[0])
 	}
-	rowElems := 1
-	for _, d := range shape[1:] {
-		rowElems *= d
-	}
-	newShape := append(Shape{hi - lo}, shape[1:]...)
-	switch t.DType() {
+	row := t.NumElements() / shape[0]
+	view := &Tensor{dtype: t.dtype, shape: append(Shape{hi - lo}, shape[1:]...)}
+	switch t.dtype {
 	case Float32:
-		return FromFloats(newShape, t.Floats()[lo*rowElems:hi*rowElems])
+		view.f32 = t.f32[lo*row : hi*row : hi*row]
 	case Int32:
-		return FromInts(newShape, t.Ints()[lo*rowElems:hi*rowElems])
+		view.i32 = t.i32[lo*row : hi*row : hi*row]
 	default:
-		return nil, fmt.Errorf("tf: slice of unsupported dtype %v", t.DType())
+		return nil, fmt.Errorf("tf: slice of unsupported dtype %v", t.dtype)
 	}
+	return view, nil
 }
 
 // Minibatch returns step's minibatch of a data shard, by the schedule
 // every trainer walks: the rows from step·batch mod n on, batch of them
-// or as many as are left before the shard's end. A round that restarts
-// the schedule (federated) counts steps within the round, a job that
-// resumes one (StartStep) within the job. What it indexes it checks, so
+// or as many as are left before the shard's end. It never wraps, so the
+// rows are contiguous and bx and by are views of the shard, not copies:
+// a Run never writes its feeds. A round that restarts the schedule
+// (federated) counts steps within the round, a job that resumes one
+// (StartStep) within the job. What it indexes it checks, so
 // a trainer that calls it once when it is built has validated its
 // shard: inputs and labels with a leading dimension each, of the same
 // size n ≥ 1, and a batch of at least one row.
@@ -227,10 +239,10 @@ func Minibatch(xs, ys *Tensor, batch, step int) (bx, by *Tensor, err error) {
 	n := xs.Shape()[0]
 	lo := (step * batch) % n
 	hi := min(lo+batch, n)
-	if bx, err = SliceRows(xs, lo, hi); err != nil {
+	if bx, err = rowsView(xs, lo, hi); err != nil {
 		return nil, nil, err
 	}
-	if by, err = SliceRows(ys, lo, hi); err != nil {
+	if by, err = rowsView(ys, lo, hi); err != nil {
 		return nil, nil, err
 	}
 	return bx, by, nil
