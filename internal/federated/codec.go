@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/securetf/securetf/internal/federated/ring"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/tf/dist"
 )
@@ -104,9 +105,13 @@ func (c ringCodec) blobSize(words int) int { return updateHeader + words*c.width
 // all), and writes the residual an accepted upload leaves behind into
 // next. Unsent coordinates carry their whole effective value into next;
 // sent coordinates carry only the quantization error. residual itself
-// is not touched, so a refused upload loses nothing.
+// is not touched, so a refused upload loses nothing. The int8 codec is
+// dense and is ring.QuantizeInt8 at the step DefaultClip/127.
 func (c ringCodec) encodeVar(payload []byte, delta, residual, next []float32, coords []int) {
-	const scale = DefaultClip / 127
+	if c.Kind == dist.CompressInt8 {
+		ring.QuantizeInt8(payload, delta, residual, next, DefaultClip/127)
+		return
+	}
 	w := 0 // next ring word; under a pattern, coords[w] is its coordinate
 	for i := range delta {
 		v := float64(delta[i]) + float64(residual[i])
@@ -114,22 +119,9 @@ func (c ringCodec) encodeVar(payload []byte, delta, residual, next []float32, co
 			next[i] = float32(v)
 			continue
 		}
-		var delivered float64
-		if c.Kind == dist.CompressInt8 {
-			q := math.Round(v / scale)
-			if q > 127 {
-				q = 127
-			} else if q < -127 {
-				q = -127
-			}
-			binary.LittleEndian.PutUint16(payload[2*w:], uint16(int64(q)))
-			delivered = q * scale
-		} else {
-			q := math.Round(v * fpScale)
-			binary.LittleEndian.PutUint64(payload[8*w:], uint64(int64(q)))
-			delivered = q / fpScale
-		}
-		next[i] = float32(v - delivered)
+		q := math.Round(v * fpScale)
+		binary.LittleEndian.PutUint64(payload[8*w:], uint64(int64(q)))
+		next[i] = float32(v - float64(q/fpScale))
 		w++
 	}
 }

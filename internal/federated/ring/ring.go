@@ -22,9 +22,19 @@
 // wraparound addition. One loop serves both widths, and addition and
 // subtraction.
 //
+// Floats reach ℤ/2¹⁶ through QuantizeInt8, the int8 uplink's fixed-point
+// encoding: a signed count of steps per coordinate, clipped to ±127, and
+// the float32 residual it leaves. On amd64 with AVX it is one vector
+// loop (quantize_amd64.s), eight coordinates an iteration, selected by
+// internal/cpu as the GEMM is; elsewhere, and for the tail, it is
+// quantizeInt8Go, which the vector loop equals bit for bit. (SSE2
+// alone, two float64 lanes, measured 2.4x the scalar loop against AVX's
+// 5.5x on a 2-vCPU Xeon: float64 division bounds both.)
+//
 // The same rings are the share domain of additive-secret-sharing MPC
-// (CrypTen, tf-encrypted); the package is stdlib-only so such a backend
-// can import it without pulling in the federated protocol.
+// (CrypTen, tf-encrypted); the package imports only the standard library
+// and internal/cpu, so such a backend can import it without pulling in
+// the federated protocol.
 package ring
 
 import (

@@ -14,7 +14,7 @@ import (
 // training worker's Run — the MNIST CNN's loss and every gradient at
 // batch 50 — on a session that has run it before allocates the storage
 // of the results the caller keeps and, beside that, only book-keeping:
-// tensor headers, the evaluation maps, the matmul's goroutines.
+// tensor headers and the evaluation maps.
 func TestWarmRunAllocatesWhatItGivesAway(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation is not what is measured under the race detector")
@@ -46,12 +46,11 @@ func TestWarmRunAllocatesWhatItGivesAway(t *testing.T) {
 	}
 	run()
 	run()
-	// The least of single runs, as TestMaskUploadAllocation takes: the
-	// convolutions' scratch is the kernels' sync.Pool, which a collection
-	// empties, and the run after it allocates its 100-odd KiB again. A run
-	// allocates about the live heap, so collections come every other run
-	// and may follow any three of five; a refill only adds bytes, so the
-	// least run is the one that shows what Run itself allocates.
+	// The least of single runs, as TestMaskUploadAllocation takes. The
+	// convolutions' scratch is a par.Free, which keeps its buffers through
+	// a collection, so no warm run regrows it and runs differ by a few
+	// dozen bytes (one a collection lands in reads 64 B more on a 2-vCPU
+	// Xeon); the least is the one that shows what Run itself allocates.
 	least := int64(math.MaxInt64)
 	for range 5 {
 		var before, after runtime.MemStats

@@ -1,7 +1,6 @@
 package kernels
 
-// haveAVX reports whether the CPU has AVX and the OS saves its registers.
-func haveAVX() bool
+import "github.com/securetf/securetf/internal/cpu"
 
 // matMulAxpyAVX and matMulRows4AVX accumulate the first rows rows of A×B
 // into c at the row strides lda, ldb and ldc (matmul_amd64.s). They trust
@@ -15,8 +14,6 @@ func matMulAxpyAVX(c, a, b []float32, rows, k, n, lda, ldb, ldc int)
 //go:noescape
 func matMulRows4AVX(c, a, b []float32, rows, k, n, lda, ldb, ldc int)
 
-var useAVX = haveAVX()
-
 // asmWork bounds the multiply-adds of one assembly call, a row at least:
 // the runtime cannot preempt assembly, so a garbage collection waits for
 // the call in flight, here some tens of microseconds.
@@ -25,7 +22,7 @@ const asmWork = 1 << 20
 // gemmRows is gemm's loop over operands it has sliced to their extents:
 // the assembly where the CPU has AVX, matMulRowsGo elsewhere.
 func gemmRows(c, a, b []float32, rows, k, n, lda, ldb, ldc int) {
-	if !useAVX {
+	if !cpu.AVX {
 		matMulRowsGo(c, a, b, 0, rows, k, n, lda, ldb, ldc)
 		return
 	}
