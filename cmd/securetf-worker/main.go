@@ -664,7 +664,7 @@ func trainCommand(fs *flag.FlagSet) func(io.Writer) error {
 		if dir := *ckptDir; dir != "" || *resumeFrom != "" {
 			if *resumeFrom != "" {
 				dir = *resumeFrom
-				cfg.ResumeFrom = "checkpoints"
+				cfg.Resume = true
 			}
 			// Snapshots persist to a host directory: the shard containers
 			// write through the file-system shield, so the directory only

@@ -87,8 +87,8 @@ func WithShard(shard, shards int) PSOption {
 }
 
 // WithConsistency sets the shard's commit policy. Workers must expect
-// the same policy for this shard (WorkerSpec.Consistency /
-// ShardConsistency) — the connection handshake rejects mismatches.
+// the same policy (WorkerSpec.Consistency) — the connection handshake
+// rejects mismatches.
 func WithConsistency(p ConsistencyPolicy) PSOption {
 	return func(cfg *dist.PSConfig) { cfg.Consistency = p }
 }
@@ -105,12 +105,11 @@ func WithCompression(c GradCompression) PSOption {
 // WithElastic turns the shard's round timeout from an abort into an
 // eviction (the paper's §3.2 elasticity): members that never pushed are
 // declared dead, the barrier shrinks to the survivors and the round
-// commits from the gradients it has, averaged over the contributors.
-// minWorkers floors the shrunk barrier (0 defaults to 1); a timed-out
-// round with fewer pushes still aborts. Requires a synchronous shard
-// and a WithRoundTimeout to detect the dead.
-func WithElastic(minWorkers int) PSOption {
-	return func(cfg *dist.PSConfig) { cfg.Elastic, cfg.MinWorkers = true, minWorkers }
+// commits from the gradients it has, averaged over the contributors; a
+// timed-out round nobody pushed into still aborts. Requires a
+// synchronous shard and a WithRoundTimeout to detect the dead.
+func WithElastic() PSOption {
+	return func(cfg *dist.PSConfig) { cfg.Elastic = true }
 }
 
 // WithCheckpoint snapshots the shard every `every` committed rounds:
@@ -247,12 +246,10 @@ type WorkerSpec struct {
 	// container default).
 	Threads int
 	// Consistency is the commit policy this worker expects every shard
-	// to run (default SyncConsistency); ShardConsistency overrides it
-	// per shard id for clusters that mix policies deliberately. The
-	// handshake verifies each expectation, so a mixed-up cluster fails
-	// at construction instead of stranding a barrier.
-	Consistency      ConsistencyPolicy
-	ShardConsistency map[int]ConsistencyPolicy
+	// to run (default SyncConsistency). The handshake verifies it, so a
+	// mixed-up cluster fails at construction instead of stranding a
+	// barrier.
+	Consistency ConsistencyPolicy
 	// Compression is the gradient codec this worker pushes with
 	// (default NoGradCompression — raw float32). Every shard must run
 	// the same codec (StartParameterServer's WithCompression); the
@@ -285,17 +282,16 @@ func StartTrainingWorker(c *Container, spec WorkerSpec) (*TrainingWorker, error)
 		Dial: func(network, addr string) (net.Conn, error) {
 			return c.Dial(network, addr, serverName)
 		},
-		Model:            spec.Model,
-		XS:               spec.XS,
-		YS:               spec.YS,
-		BatchSize:        spec.BatchSize,
-		Device:           c.Device(spec.Threads),
-		Meter:            c.Platform().Meter(),
-		Consistency:      spec.Consistency,
-		ShardConsistency: spec.ShardConsistency,
-		Compression:      spec.Compression,
-		StartStep:        spec.StartStep,
-		Reconnect:        spec.Reconnect,
+		Model:       spec.Model,
+		XS:          spec.XS,
+		YS:          spec.YS,
+		BatchSize:   spec.BatchSize,
+		Device:      c.Device(spec.Threads),
+		Meter:       c.Platform().Meter(),
+		Consistency: spec.Consistency,
+		Compression: spec.Compression,
+		StartStep:   spec.StartStep,
+		Reconnect:   spec.Reconnect,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("securetf: start training worker %d: %w", spec.ID, err)
@@ -311,7 +307,7 @@ type TrainingBreakdown = dist.Breakdown
 // DistTrainConfig configures TrainDistributed, the one-call form of the
 // paper's §5.4 distributed training job: one enclave node per parameter
 // server shard and per worker, data-parallel SGD — synchronous rounds by
-// default, apply-on-push on the shards Consistency makes asynchronous.
+// default, apply-on-push when Consistency makes the cluster asynchronous.
 type DistTrainConfig struct {
 	// Kind selects the runtime every node runs under. Defaults to
 	// SconeHW, the secureTF production mode.
@@ -345,12 +341,8 @@ type DistTrainConfig struct {
 	RoundTimeout time.Duration
 	// Consistency selects the commit policy of every parameter-server
 	// shard (default SyncConsistency — bit-for-bit today's synchronous
-	// behavior); ShardConsistency overrides it per shard id, so a
-	// cluster can run its hot shard under AsyncConsistency(K) while the
-	// rest stay synchronous. Workers are configured to expect the same
-	// per-shard policies automatically.
-	Consistency      ConsistencyPolicy
-	ShardConsistency map[int]ConsistencyPolicy
+	// behavior). Workers are configured to expect it automatically.
+	Consistency ConsistencyPolicy
 	// Compression selects the gradient codec of the whole cluster's
 	// push path (default NoGradCompression — raw float32, bit-for-bit
 	// the existing behavior). The facade wires the same codec into
@@ -362,23 +354,21 @@ type DistTrainConfig struct {
 	// Elastic turns round timeouts into evictions on every shard: when
 	// a worker dies or stalls past RoundTimeout, the barrier shrinks to
 	// the survivors and the round commits from the gradients it has; a
-	// returning worker is folded back in at the next round boundary.
-	// Requires a fully synchronous cluster and RoundTimeout > 0.
+	// returning worker is folded back in at the next round boundary; a
+	// timed-out round nobody pushed into still aborts. Requires a
+	// synchronous cluster and RoundTimeout > 0.
 	Elastic bool
-	// MinWorkers floors the shrunk barrier (0 defaults to 1): a
-	// timed-out round with fewer pushes still aborts.
-	MinWorkers int
 	// Checkpoint enables periodic shard snapshots through the shielded
 	// file system (see DistCheckpointConfig). Zero disables them.
 	Checkpoint DistCheckpointConfig
-	// ResumeFrom resumes the whole job from the snapshot directory a
-	// previous run's Checkpoint config wrote: every shard restarts from
-	// `<ResumeFrom>/shard-<s>.ckpt` and the workers continue at the
+	// Resume resumes the whole job from the snapshots a previous run's
+	// Checkpoint config wrote: every shard restarts from
+	// `checkpoints/shard-<s>.ckpt` and the workers continue at the
 	// checkpointed round, walking the same minibatch schedule — for a
 	// synchronous cluster the resumed trajectory is bit-identical to an
 	// uninterrupted run. Requires Checkpoint.FS and Checkpoint.Key from
 	// the run that wrote the snapshots.
-	ResumeFrom string
+	Resume bool
 	// Chaos replays a deterministic fault plan against the job: workers
 	// are killed, stalled or delayed and shards restarted from
 	// checkpoint at the scheduled rounds, with hang detection on every
@@ -391,20 +381,19 @@ type DistTrainConfig struct {
 }
 
 // DistCheckpointConfig configures TrainDistributed's periodic shard
-// snapshots. The snapshots are written through the file-system shield —
-// AES-256-GCM encrypted and authenticated on the host volume — so a
-// checkpoint leaks nothing and a tampered one is rejected on resume.
+// snapshots, `checkpoints/shard-<s>.ckpt` on FS. The snapshots are
+// written through the file-system shield — AES-256-GCM encrypted and
+// authenticated on the host volume — so a checkpoint leaks nothing and
+// a tampered one is rejected on resume.
 type DistCheckpointConfig struct {
 	// Every snapshots every shard each Every committed rounds. The
 	// write lands before the round's barrier releases, so a crash after
 	// round r either left the full round-r snapshot set or none.
 	// 0 disables checkpointing.
 	Every int
-	// Dir is the snapshot directory on FS. Defaults to "checkpoints".
-	Dir string
 	// FS is the host volume the encrypted snapshots live on. Defaults
 	// to a fresh in-memory volume; pass the same FS (and Key) to a
-	// later job with ResumeFrom to resume across runs.
+	// later job with Resume to resume across runs.
 	FS FS
 	// Key seals the snapshot volume. Defaults to a freshly drawn key.
 	Key *VolumeKey
@@ -420,13 +409,13 @@ type DistTrainResult struct {
 	// rounds this worker actually ran.
 	Losses [][]float64
 	// Rounds is the number of rounds committed by every shard when the
-	// whole cluster is synchronous. With any async shard, commits are
-	// per-push and per-shard, so Rounds reports the per-worker step
-	// count instead.
+	// cluster is synchronous. On an async cluster commits are per push
+	// and per shard, so Rounds reports the per-worker step count
+	// instead.
 	Rounds int
 	// StalenessRetries is the total number of pushes rejected by an
 	// async shard's staleness bound and retried, summed over workers.
-	// Always 0 for a fully synchronous cluster.
+	// Always 0 for a synchronous cluster.
 	StalenessRetries int
 	// Latency is the end-to-end virtual time: the maximum over every
 	// node clock (shards and workers) when the job finished.
@@ -497,10 +486,10 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 // cluster stood up for it. The free-running rounds and the fault plan's
 // lockstep waves (dist_chaos.go) are two loops over the same job.
 type distJob struct {
-	cfg     DistTrainConfig
-	allSync bool
-	ca      *seccrypto.CA
-	vars    map[string]*Tensor
+	cfg         DistTrainConfig
+	synchronous bool // the cluster runs SyncConsistency
+	ca          *seccrypto.CA
+	vars        map[string]*Tensor
 	// A fault plan's restarts replace a shard and its node in place;
 	// statsBase accumulates the elasticity counters of the replaced
 	// instances, so a restart does not erase its shard's history.
@@ -522,7 +511,7 @@ type distJob struct {
 // newDistJob validates cfg, fills its defaults and sizes the job; no
 // node is launched yet.
 func newDistJob(in DistTrainConfig) (*distJob, error) {
-	j := &distJob{cfg: in, allSync: true}
+	j := &distJob{cfg: in, synchronous: in.Consistency.Kind == dist.ConsistencySync}
 	cfg := &j.cfg
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("securetf: DistTrainConfig.Workers must be ≥ 1, got %d", cfg.Workers)
@@ -542,38 +531,25 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 	if cfg.Kind == 0 {
 		cfg.Kind = SconeHW
 	}
-	for s := range cfg.ShardConsistency {
-		if s < 0 || s >= cfg.PSShards {
-			return nil, fmt.Errorf("securetf: DistTrainConfig.ShardConsistency names shard %d of a %d-shard cluster", s, cfg.PSShards)
-		}
-	}
-	for s := 0; s < cfg.PSShards; s++ {
-		if j.policyFor(s).Kind != dist.ConsistencySync {
-			j.allSync = false
-		}
-	}
-	if cfg.Elastic && !j.allSync {
-		return nil, errors.New("securetf: DistTrainConfig.Elastic requires a fully synchronous cluster")
+	if cfg.Elastic && !j.synchronous {
+		return nil, errors.New("securetf: DistTrainConfig.Elastic requires a synchronous cluster")
 	}
 	if cfg.Elastic && cfg.RoundTimeout <= 0 {
 		return nil, errors.New("securetf: DistTrainConfig.Elastic detects the dead via RoundTimeout; set one")
 	}
-	if cfg.MinWorkers < 0 || cfg.MinWorkers > cfg.Workers {
-		return nil, fmt.Errorf("securetf: DistTrainConfig.MinWorkers must be in [0, %d], got %d", cfg.Workers, cfg.MinWorkers)
-	}
 	if cfg.Checkpoint.Every < 0 {
 		return nil, fmt.Errorf("securetf: DistTrainConfig.Checkpoint.Every must be ≥ 0, got %d", cfg.Checkpoint.Every)
 	}
-	if cfg.ResumeFrom != "" && (cfg.Checkpoint.FS == nil || cfg.Checkpoint.Key == nil) {
-		return nil, errors.New("securetf: DistTrainConfig.ResumeFrom needs the snapshot volume and its key (Checkpoint.FS, Checkpoint.Key)")
+	if cfg.Resume && (cfg.Checkpoint.FS == nil || cfg.Checkpoint.Key == nil) {
+		return nil, errors.New("securetf: DistTrainConfig.Resume needs the snapshot volume and its key (Checkpoint.FS, Checkpoint.Key)")
 	}
 	if cfg.Chaos != nil {
 		if err := cfg.Chaos.Validate(cfg.Workers, cfg.PSShards, cfg.Rounds, cfg.Checkpoint.Every); err != nil {
 			return nil, fmt.Errorf("securetf: DistTrainConfig.Chaos: %w", err)
 		}
 		if cfg.Chaos.HasKind(FaultKillWorker) || cfg.Chaos.HasKind(FaultStallWorker) {
-			if !j.allSync {
-				return nil, errors.New("securetf: chaos kill/stall faults require a fully synchronous cluster")
+			if !j.synchronous {
+				return nil, errors.New("securetf: chaos kill/stall faults require a synchronous cluster")
 			}
 			if cfg.RoundTimeout <= 0 {
 				return nil, errors.New("securetf: chaos kill/stall faults need a RoundTimeout to detect the dead")
@@ -582,9 +558,6 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 		}
 	}
 	if j.checkpointing() {
-		if cfg.Checkpoint.Dir == "" {
-			cfg.Checkpoint.Dir = "checkpoints"
-		}
 		if cfg.Checkpoint.FS == nil {
 			cfg.Checkpoint.FS = NewMemFS()
 		}
@@ -613,15 +586,8 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 	return j, nil
 }
 
-func (j *distJob) policyFor(s int) ConsistencyPolicy {
-	if p, ok := j.cfg.ShardConsistency[s]; ok {
-		return p
-	}
-	return j.cfg.Consistency
-}
-
 func (j *distJob) checkpointing() bool {
-	return j.cfg.Checkpoint.Every > 0 || j.cfg.ResumeFrom != ""
+	return j.cfg.Checkpoint.Every > 0 || j.cfg.Resume
 }
 
 // launchNode launches one cluster node on its own platform, with a TLS
@@ -645,10 +611,7 @@ func (j *distJob) launchNode(name string, server, shielded bool) (*Container, er
 		// authenticated, and a restarted shard (same key, same
 		// volume) reads them back transparently.
 		ccfg.HostFS = cfg.Checkpoint.FS
-		ccfg.FSShieldRules = []Rule{EncryptPrefix(cfg.Checkpoint.Dir + "/")}
-		if cfg.ResumeFrom != "" && cfg.ResumeFrom != cfg.Checkpoint.Dir {
-			ccfg.FSShieldRules = append(ccfg.FSShieldRules, EncryptPrefix(cfg.ResumeFrom+"/"))
-		}
+		ccfg.FSShieldRules = []Rule{EncryptPrefix(ckptDir + "/")}
 		ccfg.VolumeKey = cfg.Checkpoint.Key
 	}
 	c, err := Launch(ccfg)
@@ -669,7 +632,10 @@ func (j *distJob) launchNode(name string, server, shielded bool) (*Container, er
 	return c, nil
 }
 
-func ckptPath(dir string, s int) string { return fmt.Sprintf("%s/shard-%d.ckpt", dir, s) }
+// ckptDir is the snapshot directory on the checkpoint volume.
+const ckptDir = "checkpoints"
+
+func ckptPath(s int) string { return fmt.Sprintf("%s/shard-%d.ckpt", ckptDir, s) }
 
 // psOpts is shard s's option set on container c — also what a fault
 // plan's restart passes, so a resumed shard runs exactly the options the
@@ -678,13 +644,13 @@ func (j *distJob) psOpts(c *Container, s int) []PSOption {
 	cfg := j.cfg
 	opts := []PSOption{
 		WithShard(s, cfg.PSShards), WithRoundTimeout(cfg.RoundTimeout),
-		WithConsistency(j.policyFor(s)), WithCompression(cfg.Compression),
+		WithConsistency(cfg.Consistency), WithCompression(cfg.Compression),
 	}
 	if cfg.Elastic {
-		opts = append(opts, WithElastic(cfg.MinWorkers))
+		opts = append(opts, WithElastic())
 	}
 	if cfg.Checkpoint.Every > 0 {
-		fsys, p := c.FS(), ckptPath(cfg.Checkpoint.Dir, s)
+		fsys, p := c.FS(), ckptPath(s)
 		opts = append(opts, WithCheckpoint(cfg.Checkpoint.Every, func(data []byte) error {
 			return WriteFile(fsys, p, data)
 		}))
@@ -692,8 +658,8 @@ func (j *distJob) psOpts(c *Container, s int) []PSOption {
 	return opts
 }
 
-func (j *distJob) loadCheckpoint(c *Container, dir string, s int) (*DistCheckpoint, error) {
-	data, err := ReadFile(c.FS(), ckptPath(dir, s))
+func (j *distJob) loadCheckpoint(c *Container, s int) (*DistCheckpoint, error) {
+	data, err := ReadFile(c.FS(), ckptPath(s))
 	if err != nil {
 		return nil, fmt.Errorf("securetf: shard %d checkpoint: %w", s, err)
 	}
@@ -718,8 +684,8 @@ func (j *distJob) startShards() error {
 		}
 		j.shardNodes[s] = c
 		opts := j.psOpts(c, s)
-		if cfg.ResumeFrom != "" {
-			ck, err := j.loadCheckpoint(c, cfg.ResumeFrom, s)
+		if cfg.Resume {
+			ck, err := j.loadCheckpoint(c, s)
 			if err != nil {
 				return err
 			}
@@ -754,11 +720,10 @@ func (j *distJob) startWorker(w, startStep int) (*TrainingWorker, error) {
 		ServerName: "parameter-server",
 		Model:      j.cfg.NewModel(),
 		XS:         j.xs[w], YS: j.ys[w],
-		BatchSize:        j.cfg.BatchSize,
-		Consistency:      j.cfg.Consistency,
-		ShardConsistency: j.cfg.ShardConsistency,
-		Compression:      j.cfg.Compression,
-		StartStep:        startStep,
+		BatchSize:   j.cfg.BatchSize,
+		Consistency: j.cfg.Consistency,
+		Compression: j.cfg.Compression,
+		StartStep:   startStep,
 	}
 	if j.cfg.Chaos != nil && j.cfg.Chaos.HasKind(FaultRestartShard) {
 		spec.Reconnect = chaosReconnect
@@ -883,11 +848,11 @@ func (j *distJob) result() (*DistTrainResult, error) {
 			res.FinalVars[name] = t
 		}
 	}
-	// Async shards commit per push (and sync shards per barrier), so
-	// cross-shard commit counts are not comparable; the job-level round
-	// count is then the per-worker step count.
+	// Async shards commit per push, so their commit counts are not
+	// rounds; the job-level round count is then the per-worker step
+	// count.
 	res.Rounds = j.cfg.Rounds
-	if j.allSync {
+	if j.synchronous {
 		res.Rounds = j.shards[0].Rounds()
 		for s, ps := range j.shards {
 			if got := ps.Rounds(); got != res.Rounds {

@@ -48,7 +48,7 @@ func (j *distJob) restartShard(s, round int) error {
 		return fmt.Errorf("securetf: restart shard %d: %w", s, err)
 	}
 	j.shardNodes[s] = c
-	ck, err := j.loadCheckpoint(c, j.cfg.Checkpoint.Dir, s)
+	ck, err := j.loadCheckpoint(c, s)
 	if err != nil {
 		return fmt.Errorf("securetf: restart shard %d: %w", s, err)
 	}

@@ -220,7 +220,7 @@ func TestDistResumeAcrossJobs(t *testing.T) {
 	}
 	cfgB := base(rounds)
 	cfgB.Checkpoint = securetf.DistCheckpointConfig{FS: fs, Key: key}
-	cfgB.ResumeFrom = "checkpoints"
+	cfgB.Resume = true
 	jobB, err := securetf.TrainDistributed(cfgB)
 	if err != nil {
 		t.Fatal(err)

@@ -275,39 +275,6 @@ func TestTrainDistributedAsync(t *testing.T) {
 	}
 }
 
-// TestTrainDistributedPerShardConsistency mixes policies: shard 1 runs
-// async while shard 0 stays synchronous, via the ShardConsistency
-// override. The job must train — the facade wires the same per-shard
-// expectations into every worker, so the handshakes agree.
-func TestTrainDistributedPerShardConsistency(t *testing.T) {
-	const workers, rounds, batch = 2, 3, 20
-	res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
-		Kind:      securetf.SconeSIM,
-		Workers:   workers,
-		PSShards:  2,
-		Rounds:    rounds,
-		BatchSize: batch,
-		LR:        0.05,
-		ShardConsistency: map[int]securetf.ConsistencyPolicy{
-			1: securetf.AsyncConsistency(-1),
-		},
-		NewModel: func() securetf.Model { return securetf.NewMNISTMLP(3) },
-		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
-			return mlpShard(w, rounds, batch)
-		},
-		RoundTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != rounds {
-		t.Fatalf("mixed-policy Rounds = %d, want %d", res.Rounds, rounds)
-	}
-	if res.FinalLoss >= res.Losses[0][0] {
-		t.Fatalf("mixed-policy cluster did not learn: %v", res.Losses[0])
-	}
-}
-
 // TestTrainDistributedSyncTrajectoryUnchangedByAsyncSupport re-pins the
 // backstop acceptance: the synchronous facade path must stay bit-for-bit
 // identical whether or not the async machinery exists — an explicit
@@ -410,8 +377,7 @@ func TestTrainDistributedValidation(t *testing.T) {
 		{Workers: 1, Rounds: 0, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data},
 		{Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, ShardData: data},
 		{Workers: 1, PSShards: -1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data},
-		{Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data,
-			ShardConsistency: map[int]securetf.ConsistencyPolicy{3: securetf.AsyncConsistency(0)}},
+		{Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data, Resume: true},
 	}
 	for i, cfg := range bad {
 		if _, err := securetf.TrainDistributed(cfg); err == nil {

@@ -97,46 +97,36 @@
 // the backoff is charged to the virtual clock.
 //
 // On top of that data plane the gateway runs a three-layer control
-// plane. Configuration resolves through a chain — gateway defaults from
-// ServingConfig, then per-model overrides, then per-version overrides,
-// installed live with ModelServer.UpdateConfig(model, version,
-// overrides) where version 0 targets the model layer — and zero fields
-// inherit from the layer above. Replicas and Threads resolve per
-// version; queue and batching knobs (QueueCap, MaxBatch, BatchWindow)
-// are per-model, because the admission queue and the micro-batch
-// collector sit in front of version resolution. ResolvedConfig reports
-// the effective values, and changes apply to the very next request — a
-// raised QueueCap admits more immediately, a lowered Replicas shrinks
-// the pool as replicas are returned.
+// plane. Every model runs with the gateway's ServingConfig, except for
+// its admission-queue bound: ModelServer.SetQueueCap(model, n) moves it
+// live, before or after the model registers, and applies to the very
+// next request; n = 0 hands the model back to ServingConfig.QueueCap,
+// and QueueCap(model) reports the bound in force.
 //
-// The autoscaler (ServingConfig.Autoscale) turns the per-version
-// replica count into a live quantity driven by the metrics the gateway
-// already keeps: on deterministic virtual-time ticks (AutoscaleConfig.
-// Tick, evaluated lazily from request and batch-completion events, with
-// TickAutoscale forcing a pass for harnesses), a model whose queue
-// depth crosses ScaleUpFrac of its QueueCap or which rejected arrivals
-// since the last tick is under pressure, and SustainTicks consecutive
-// pressured ticks double its replicas up to MaxReplicas; a drained
-// model steps back down toward MinReplicas; and a model with no
-// arrivals for IdleTicks ticks parks at zero replicas with its
-// interpreter pools evicted — the enclave's weight residency for that
-// model drops to nothing, the TensorSCONE-style win — to be recreated
-// lazily when the next request wakes it. Replica-seconds
+// The autoscaler (ServingConfig.Autoscale) turns the per-model replica
+// count into a live quantity driven by the metrics the gateway already
+// keeps: on deterministic 20 ms virtual-time ticks (evaluated lazily
+// from request and batch-completion events, with TickAutoscale forcing
+// a pass for harnesses), a model whose queue depth crosses half its
+// QueueCap or which rejected arrivals since the last tick is under
+// pressure, and two consecutive pressured ticks double its replicas up
+// to MaxReplicas, the one knob; two drained ticks step it back down
+// toward one replica; and a model with no arrivals for three ticks
+// parks at zero replicas with its interpreter pools evicted — the
+// enclave's weight residency for that model drops to nothing, the
+// TensorSCONE-style win — to be recreated lazily when the next request
+// wakes it. Replica-seconds
 // (ModelServer.ReplicaSeconds) integrate the pool size over virtual
 // time, so the capacity saved is measurable.
 //
 // Rollouts are weighted canaries: StartCanary(model, candidate, cfg)
 // routes cfg.Percent of unpinned traffic to the candidate version
 // (pinned requests never participate), evenly spread rather than
-// front-loaded. The observation window is bounded two ways: after
-// cfg.Window candidate responses, or — when cfg.WindowVtime is set —
-// after that much virtual time has elapsed since the canary started,
-// whichever comes first, so a trickle of traffic cannot leave a canary
-// undecided forever. At the boundary the gateway
+// front-loaded. After cfg.Window candidate responses the gateway
 // decides: rollback when the model's admission-rejection fraction
-// exceeds its pre-canary baseline by MaxRejectDelta, when the
-// candidate's error rate exceeds the incumbent's by the same delta, or
-// when the candidate's p99 virtual latency exceeds MaxP99Ratio times
+// exceeds its pre-canary baseline by more than 5 percentage points,
+// when the candidate's error rate exceeds the incumbent's by the same
+// delta, or when the candidate's p99 virtual latency exceeds 1.5 times
 // the incumbent's — promotion (an atomic SetServing to the candidate)
 // otherwise. An operator SetServing away from the incumbent or removing
 // the candidate mid-flight aborts the canary instead, and
@@ -252,12 +242,11 @@
 // upon which the worker re-pulls that shard, recomputes against the
 // fresh parameters and pushes again (TrainingWorker.StalenessRetries
 // counts these; K = 0 demands fresh gradients, negative K is
-// unbounded). The policy is per shard — WithConsistency on the server,
-// WorkerSpec.Consistency/ShardConsistency on the workers,
-// DistTrainConfig.Consistency/ShardConsistency on the facade — and the
-// connection handshake carries it both ways, so a worker whose
-// expectation differs from a shard's actual policy fails at
-// construction instead of stranding on a barrier the other side never
+// unbounded). A cluster runs one policy — WithConsistency on each
+// server, WorkerSpec.Consistency on the workers,
+// DistTrainConfig.Consistency on the facade — and the connection
+// handshake carries it both ways, so a worker whose expectation differs
+// from a shard's actual policy fails at construction instead of stranding on a barrier the other side never
 // fills. The throughput-vs-convergence tradeoff this opens is measured
 // by the Figure8Async experiment: 4 workers with a straggler, swept
 // over K ∈ {0, 2, 8, ∞} on a deterministic virtual-time event
@@ -296,9 +285,8 @@
 // RoundTimeout no longer aborts: the members that never pushed are
 // declared dead and evicted, the barrier shrinks to the survivors, and
 // the round commits from the gradients it has, averaged over the
-// actual contributors so the update magnitude stays an average
-// (MinWorkers floors the shrunk barrier — a lone "cluster" is usually
-// an outage, not elasticity). An evicted worker rejoins by re-running
+// actual contributors so the update magnitude stays an average (a
+// timed-out round nobody pushed into still aborts). An evicted worker rejoins by re-running
 // the same hello/manifest handshake that admitted it, folding back
 // into the barrier at the next round boundary; contributions are
 // summed in worker-id order rather than arrival order, so a run's
@@ -306,12 +294,12 @@
 // The eviction/rejoin/shrunk-round counters surface in
 // ParameterServer.Stats and DistTrainResult. Checkpointing makes the
 // shards themselves expendable: WithCheckpoint (facade:
-// DistCheckpointConfig{Every, Dir, FS, Key}) snapshots each shard's
-// variables, round count and barrier generation into an STFD1
-// container every N committed rounds — written through the file-system
+// DistCheckpointConfig{Every, FS, Key}, under checkpoints/ on FS)
+// snapshots each shard's variables, round count and barrier generation
+// into an STFD1 container every N committed rounds — written through the file-system
 // shield before the round's barrier releases, so a crash leaves either
 // the full round-N snapshot or the previous one, never a torn write —
-// and WithResume (facade: ResumeFrom) restarts a shard, or a whole
+// and WithResume (facade: Resume) restarts a shard, or a whole
 // later job, exactly where the snapshot left off: the resumed
 // trajectory is bit-identical to the uninterrupted one under every
 // gradient codec. All of it is exercised by a deterministic
@@ -352,6 +340,8 @@
 // never holds, with pair-symmetric seeds and round-bound PRG expansion
 // — client a adds what client b subtracts, so the masks cancel exactly
 // in the aggregate and the coordinator learns only the quorum sum.
+// Masking cannot be switched off here: the unmasked run the sum-only
+// property tests compare against is internal to internal/federated.
 // Neighbours are those of a per-round pairing graph (Bell et al.'s
 // sparse form of Bonawitz et al.'s protocol): a Harary graph of degree
 // d over the cohort of n in a seed-drawn ring order, where d is the

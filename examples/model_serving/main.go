@@ -157,14 +157,14 @@ func run() error {
 	if err := gateway.LoadModel("digits", 1, "volumes/models/digits-v1.stfl"); err != nil {
 		return err
 	}
-	// The config chain's model layer: tighten this model's admission
-	// queue below the client count, so a candidate that can't keep up
-	// shows up as rejection pressure the canary verdict reads directly.
-	if err := gateway.UpdateConfig("digits", 0, securetf.ServingOverrides{QueueCap: 4}); err != nil {
+	// Tighten this model's admission queue below the client count, so a
+	// candidate that can't keep up shows up as rejection pressure the
+	// canary verdict reads directly.
+	if err := gateway.SetQueueCap("digits", 4); err != nil {
 		return err
 	}
-	fmt.Printf("gateway on %s serving digits@%d (queue cap %d via model override)\n",
-		gateway.Addr(), gateway.ServingVersion("digits"), gateway.ResolvedConfig("digits", 0).QueueCap)
+	fmt.Printf("gateway on %s serving digits@%d (queue cap %d for this model)\n",
+		gateway.Addr(), gateway.ServingVersion("digits"), gateway.QueueCap("digits"))
 
 	// --- A customer: attest, then keep up sustained traffic. ---
 	customerPlatform, err := securetf.NewPlatform("customer-node")
@@ -298,13 +298,13 @@ func run() error {
 	driveSerial(16) // post-promotion traffic lands on digits@3
 
 	// --- Overload burst: the operator tightens the queue to a single
-	// slot live (the config chain again — no restart, no redeploy), then
+	// slot live (SetQueueCap again — no restart, no redeploy), then
 	// 32 clients hammer it at once — half of them pinned tenants still
 	// sending big batches to the withdrawn heavy version, whose slow
 	// invokes hold the replica slots and back the queue up. Admission
 	// control rejects what it can't hold, the clients' backoff+retry
 	// loops absorb every rejection, and not one request is lost. ---
-	if err := gateway.UpdateConfig("digits", 0, securetf.ServingOverrides{QueueCap: 1}); err != nil {
+	if err := gateway.SetQueueCap("digits", 1); err != nil {
 		return err
 	}
 	heavyProbe, err := securetf.SliceRows(tx, 0, 16)

@@ -47,7 +47,8 @@ func TopKFedCompression(f float64) FedCompression { return TopKGradCompression(f
 // FederatedConfig configures TrainFederated, the one-call form of the
 // paper's §6.2 federated-learning deployment: an aggregator node
 // running FedAvg quorum rounds over a population of simulated clients
-// with pairwise-masked secure aggregation.
+// with pairwise-masked secure aggregation. Masking is always on: no
+// client uploads an update the aggregator could read on its own.
 type FederatedConfig struct {
 	// Kind selects the aggregator's runtime. Defaults to SconeHW.
 	Kind RuntimeKind
@@ -77,8 +78,6 @@ type FederatedConfig struct {
 	// for simulation; real deployments provision it out of band (the
 	// federated_learning example uses CAS session secrets).
 	Secret []byte
-	// Unmasked disables secure aggregation (ablation only).
-	Unmasked bool
 	// NewModel builds one model replica; called once for the
 	// aggregator's seed variables and once per client. Must be
 	// deterministic so all replicas start identical.
@@ -124,7 +123,7 @@ type FederatedResult struct {
 // already-attested container, listening on addr (the manual form of
 // TrainFederated's aggregator, for deployments that stand up their own
 // CAS topology). Only the aggregator-side fields of cfg apply —
-// Clients, SampleFraction, Quorum, Rounds, Compression, Unmasked, Seed,
+// Clients, SampleFraction, Quorum, Rounds, Compression, Seed,
 // PayloadTap, and NewModel for the initial variables.
 // It returns the coordinator and the bound address clients dial.
 func StartFederatedAggregator(c *Container, addr string, cfg FederatedConfig) (*FederatedCoordinator, string, error) {
@@ -146,7 +145,6 @@ func StartFederatedAggregator(c *Container, addr string, cfg FederatedConfig) (*
 		Quorum:         cfg.Quorum,
 		Rounds:         cfg.Rounds,
 		Codec:          cfg.Compression,
-		Unmasked:       cfg.Unmasked,
 		Seed:           cfg.Seed,
 		Meter:          c.Platform().Meter(),
 		Tap:            cfg.PayloadTap,
@@ -183,10 +181,8 @@ type FederatedPeerSpec struct {
 	// Population is the total client count N.
 	Population int
 	// Secret is the cohort masking secret every client shares and the
-	// aggregator never sees. Required unless Unmasked.
+	// aggregator never sees. Required.
 	Secret []byte
-	// Unmasked must match the aggregator's setting.
-	Unmasked bool
 }
 
 // StartFederatedClient connects a federated participant inside a
@@ -223,7 +219,6 @@ func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) 
 		Codec:      spec.Compression,
 		Population: spec.Population,
 		Secret:     spec.Secret,
-		Unmasked:   spec.Unmasked,
 		Meter:      meter,
 		Delay:      delay,
 		Turnstile:  ts,
@@ -257,7 +252,7 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 		cfg.StragglerDelay = time.Second
 	}
 	secret := cfg.Secret
-	if len(secret) == 0 && !cfg.Unmasked {
+	if len(secret) == 0 {
 		key := seccrypto.HKDF([]byte(fmt.Sprintf("seed %d", cfg.Seed)), "securetf-fed-secret", "cohort")
 		secret = key[:]
 	}
@@ -308,7 +303,6 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 			Compression: cfg.Compression,
 			Population:  cfg.Clients,
 			Secret:      secret,
-			Unmasked:    cfg.Unmasked,
 		}, net.Dial, agg.Platform().Meter().On(clocks[id]), delay, ts)
 		if err != nil {
 			return nil, err

@@ -3,14 +3,18 @@ package analysis_test
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -259,4 +263,129 @@ func TestFacadeOwnsTheTrainingCluster(t *testing.T) {
 	if want := "github.com/securetf/securetf/internal/tf/kernels/kernels.go"; len(sgdFiles) != 1 || sgdFiles[0] != want {
 		t.Errorf("the SGD update v -= float32(a*g) is written in %v, want only %s (kernels.ApplySGD)", sgdFiles, want)
 	}
+}
+
+// TestPublicSurface holds the root package's exported surface to the
+// checked-in api.txt, so a new option, field or method shows in review
+// as a line added there. The surface is read off the type-checked
+// package: every exported const, var, func and type, the exported
+// fields and methods of each type — of the internal type behind an
+// alias too, since that is what a caller can set and call. On a
+// mismatch the test prints the lines to add to api.txt (+) and to
+// delete from it (-); the file is those lines, sorted.
+func TestPublicSurface(t *testing.T) {
+	got := publicSurface(t)
+	data, err := os.ReadFile("../../api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if !slices.IsSorted(want) {
+		t.Error("api.txt is not sorted")
+	}
+	var diff []string
+	for _, line := range got {
+		if _, found := slices.BinarySearch(want, line); !found {
+			diff = append(diff, "+ "+line)
+		}
+	}
+	for _, line := range want {
+		if _, found := slices.BinarySearch(got, line); !found {
+			diff = append(diff, "- "+line)
+		}
+	}
+	if len(diff) > 0 {
+		t.Errorf("the root package's exported surface differs from api.txt:\n%s", strings.Join(diff, "\n"))
+	}
+}
+
+// publicSurface type-checks the root package against its dependencies'
+// export data and lists its exported declarations, one a line, sorted.
+func publicSurface(t *testing.T) []string {
+	t.Helper()
+	goList := func(args ...string) string {
+		cmd := exec.Command("go", append([]string{"list"}, args...)...)
+		cmd.Dir = "../.."
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(goList("-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}", "."), "\n") {
+		path, file, _ := strings.Cut(line, " ")
+		exports[path] = file
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range strings.Fields(goList("-f", `{{join .GoFiles " "}}`, ".")) {
+		f, err := parser.ParseFile(fset, filepath.Join("../..", name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	pkg, err := conf.Check("github.com/securetf/securetf", fset, files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qual := func(p *types.Package) string {
+		if p == pkg {
+			return ""
+		}
+		return p.Name()
+	}
+	typ := func(t types.Type) string { return types.TypeString(t, qual) }
+	var lines []string
+	for _, name := range pkg.Scope().Names() {
+		obj := pkg.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		switch obj := obj.(type) {
+		case *types.Const:
+			lines = append(lines, fmt.Sprintf("const %s %s = %s", name, typ(obj.Type()), obj.Val()))
+		case *types.Var:
+			lines = append(lines, fmt.Sprintf("var %s %s", name, typ(obj.Type())))
+		case *types.Func:
+			lines = append(lines, "func "+name+strings.TrimPrefix(typ(obj.Type()), "func"))
+		case *types.TypeName:
+			head := "type " + name
+			under := obj.Type().Underlying()
+			if obj.IsAlias() {
+				lines = append(lines, head+" = "+typ(types.Unalias(obj.Type())))
+			} else {
+				kind := typ(under)
+				switch under.(type) {
+				case *types.Struct:
+					kind = "struct"
+				case *types.Interface:
+					kind = "interface"
+				}
+				lines = append(lines, head+" "+kind)
+			}
+			if st, ok := under.(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() {
+						lines = append(lines, fmt.Sprintf("%s, field %s %s", head, f.Name(), typ(f.Type())))
+					}
+				}
+			}
+			mset := types.NewMethodSet(types.NewPointer(types.Unalias(obj.Type())))
+			if _, ok := under.(*types.Interface); ok {
+				mset = types.NewMethodSet(obj.Type())
+			}
+			for m := range mset.Methods() {
+				if fn := m.Obj(); fn.Exported() {
+					lines = append(lines, head+", method "+fn.Name()+strings.TrimPrefix(typ(fn.Type()), "func"))
+				}
+			}
+		}
+	}
+	slices.Sort(lines)
+	return lines
 }

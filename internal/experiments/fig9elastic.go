@@ -80,7 +80,6 @@ func Figure9Elastic(cfg Config) ([]Fig9Row, error) {
 			NewModel:     fig8Model,
 			ShardData:    fig8Data(cfg.BatchSize*rounds, 900),
 			Elastic:      true,
-			MinWorkers:   1,
 			RoundTimeout: fig9Timeout,
 			Chaos:        sc.chaos,
 		})

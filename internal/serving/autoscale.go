@@ -2,10 +2,10 @@
 // become live quantities driven by the metrics the gateway already
 // exports — queue depth and admission rejections for pressure, arrival
 // deltas for idleness. Everything runs on virtual-time ticks: an
-// evaluation pass fires when the platform clock has advanced one Tick
-// past the previous pass, triggered from the request path itself
-// (admission and batch completion), so for a given workload the scaling
-// trajectory is deterministic — no wall-clock timers, reproducible in
+// evaluation pass fires when the platform clock has advanced one
+// AutoscaleTick past the previous pass, triggered from the request path
+// itself (admission and batch completion), so for a given workload the
+// scaling trajectory is deterministic — no wall-clock timers, reproducible in
 // tests and benches. A fully idle gateway does not tick (virtual time
 // only advances with work); TickAutoscale forces a pass for harnesses
 // that want one.
@@ -18,62 +18,45 @@ import (
 	"time"
 )
 
-// ScaleUpFrac is the queue-depth fraction of the resolved QueueCap that
-// counts as pressure. Any admission rejection in a tick counts as
-// pressure regardless of depth.
-const ScaleUpFrac = 0.5
-
-// AutoscaleConfig tunes the gateway's replica autoscaler.
-type AutoscaleConfig struct {
-	// Tick is the virtual-time cadence between evaluation passes
-	// (default 20ms).
-	Tick time.Duration
-	// MinReplicas is the replica floor while a model has traffic
-	// (default 1, minimum 1 — the zero state is reached only through
-	// idleness, see IdleTicks).
-	MinReplicas int
-	// MaxReplicas caps scale-up (default 8).
-	MaxReplicas int
+// The autoscaler's fixed policy. A model's replica floor while it has
+// traffic is one; it reaches zero only through idleness.
+const (
+	// ScaleUpFrac is the queue-depth fraction of the model's QueueCap
+	// that counts as pressure. Any admission rejection in a tick counts
+	// as pressure regardless of depth.
+	ScaleUpFrac = 0.5
+	// AutoscaleTick is the virtual-time cadence between evaluation
+	// passes.
+	AutoscaleTick = 20 * time.Millisecond
 	// SustainTicks is how many consecutive pressure (or drained) ticks
 	// must accumulate before scaling up (or down) — sustained signal,
-	// not a single spike (default 2).
-	SustainTicks int
+	// not a single spike.
+	SustainTicks = 2
 	// IdleTicks is how many consecutive zero-traffic ticks before a
 	// model scales to zero and its interpreter pools are evicted,
 	// releasing their enclave weight residency; the pools repopulate
-	// lazily on the next request. Default 3; negative disables
-	// scale-to-zero.
-	IdleTicks int
+	// lazily on the next request.
+	IdleTicks = 3
+)
+
+// AutoscaleConfig tunes the gateway's replica autoscaler.
+type AutoscaleConfig struct {
+	// MaxReplicas caps scale-up (default 8).
+	MaxReplicas int
 }
 
 // withDefaults fills unset autoscaler knobs.
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if c.Tick <= 0 {
-		c.Tick = 20 * time.Millisecond
-	}
-	if c.MinReplicas < 1 {
-		c.MinReplicas = 1
-	}
 	if c.MaxReplicas < 1 {
 		c.MaxReplicas = 8
-	}
-	if c.SustainTicks < 1 {
-		c.SustainTicks = 2
-	}
-	if c.IdleTicks == 0 {
-		c.IdleTicks = 3
 	}
 	return c
 }
 
-// validate rejects contradictory autoscaler configs (after defaults).
+// validate rejects autoscaler configs beyond the slot ceiling.
 func (c AutoscaleConfig) validate() error {
-	d := c.withDefaults()
-	if d.MaxReplicas > maxReplicas {
+	if d := c.withDefaults(); d.MaxReplicas > maxReplicas {
 		return fmt.Errorf("serving: autoscale MaxReplicas %d exceeds the %d ceiling", d.MaxReplicas, maxReplicas)
-	}
-	if d.MinReplicas > d.MaxReplicas {
-		return fmt.Errorf("serving: autoscale MinReplicas %d exceeds MaxReplicas %d", d.MinReplicas, d.MaxReplicas)
 	}
 	return nil
 }
@@ -100,10 +83,10 @@ type scaleState struct {
 	lastRejected int64
 }
 
-// maybeTick runs an autoscaler evaluation pass when at least one Tick of
-// virtual time has elapsed since the previous pass. It is called from
-// the request path (admission, batch completion), so ticks advance
-// exactly as fast as the workload charges the clock.
+// maybeTick runs an autoscaler evaluation pass when at least one
+// AutoscaleTick of virtual time has elapsed since the previous pass. It
+// is called from the request path (admission, batch completion), so
+// ticks advance exactly as fast as the workload charges the clock.
 func (g *Gateway) maybeTick() {
 	a := g.scaler
 	if a == nil {
@@ -111,7 +94,7 @@ func (g *Gateway) maybeTick() {
 	}
 	now := g.clock.Now()
 	a.mu.Lock()
-	if now-a.lastTick < a.cfg.Tick {
+	if now-a.lastTick < AutoscaleTick {
 		a.mu.Unlock()
 		return
 	}
@@ -170,41 +153,34 @@ func (g *Gateway) evaluateModel(m *servedModel) {
 	depth := int(m.pending.Load())
 
 	// A parked model that saw traffic anyway (the wake fast path lost a
-	// race, or a pinned request trickled in) is restored to the floor so
+	// race, or a pinned request trickled in) is restored to one replica so
 	// it stops paying per-batch lazy pool churn.
 	if st.replicas == 0 && dArr > 0 {
-		g.setReplicasLocked(m, cfg.MinReplicas)
+		g.setReplicasLocked(m, 1)
 		st.idle = 0
 		return
 	}
 
-	queueCap := g.cfgs.resolve(m.name, 0).QueueCap
+	queueCap := g.caps.of(m.name)
 	switch {
 	case dArr == 0 && depth == 0:
 		st.pressure, st.drained = 0, 0
 		st.idle++
-		if cfg.IdleTicks > 0 && st.idle >= cfg.IdleTicks && st.replicas > 0 {
+		if st.idle >= IdleTicks && st.replicas > 0 {
 			g.setReplicasLocked(m, 0)
 		}
 	case dRej > 0 || float64(depth) >= ScaleUpFrac*float64(queueCap):
 		st.idle, st.drained = 0, 0
 		st.pressure++
-		if st.pressure >= cfg.SustainTicks && st.replicas < cfg.MaxReplicas {
-			n := st.replicas * 2
-			if n < cfg.MinReplicas {
-				n = cfg.MinReplicas
-			}
-			if n > cfg.MaxReplicas {
-				n = cfg.MaxReplicas
-			}
-			g.setReplicasLocked(m, n)
+		if st.pressure >= SustainTicks && st.replicas < cfg.MaxReplicas {
+			g.setReplicasLocked(m, min(max(st.replicas*2, 1), cfg.MaxReplicas))
 			st.pressure = 0
 		}
 	default:
 		st.idle, st.pressure = 0, 0
 		if depth == 0 {
 			st.drained++
-			if st.drained >= cfg.SustainTicks && st.replicas > cfg.MinReplicas {
+			if st.drained >= SustainTicks && st.replicas > 1 {
 				g.setReplicasLocked(m, st.replicas-1)
 				st.drained = 0
 			}
@@ -214,7 +190,8 @@ func (g *Gateway) evaluateModel(m *servedModel) {
 	}
 }
 
-// setReplicasLocked moves a model's live replica target to n: the slot
+// setReplicasLocked moves a model's live replica target to n — the one
+// writer of it, from registration, the autoscaler and wake: the slot
 // semaphore (floored at one so the dispatcher always progresses) and
 // every version's pool. n = 0 parks the model: pools evict as their
 // batches drain and repopulate lazily on the next request. m.mu held.
@@ -231,7 +208,7 @@ func (g *Gateway) setReplicasLocked(m *servedModel, n int) {
 	}
 }
 
-// wake restores a parked (scaled-to-zero) model to the replica floor the
+// wake restores a parked (scaled-to-zero) model to one replica the
 // moment a request is admitted for it — the lazy-repopulation half of
 // scale-to-zero. Cheap no-op for unparked models.
 func (g *Gateway) wake(m *servedModel) {
@@ -240,7 +217,7 @@ func (g *Gateway) wake(m *servedModel) {
 	}
 	m.mu.Lock()
 	if m.scale.replicas == 0 {
-		g.setReplicasLocked(m, g.scaler.cfg.MinReplicas)
+		g.setReplicasLocked(m, 1)
 		m.scale.idle = 0
 	}
 	m.mu.Unlock()

@@ -90,25 +90,23 @@ func (g *Gateway) refuse(m *servedModel, carry *request) {
 // rows or the batching window elapses. A request that would push the
 // batch past MaxBatch is carried into the next batch, so the configured
 // bound on per-invoke rows holds (a single oversized request still runs
-// alone — it cannot be split). Batching knobs come from the live
-// resolved config (model layer), so an UpdateConfig applies to the very
-// next batch. With MaxBatch <= 1 or a zero window the gateway
-// degenerates to the unbatched per-request path.
+// alone — it cannot be split). With MaxBatch <= 1 or a zero window the
+// gateway degenerates to the unbatched per-request path.
 func (g *Gateway) collect(m *servedModel, first *request) (batch []*request, carry *request) {
 	batch = []*request{first}
 	rows := first.rows
-	res := g.cfgs.resolve(m.name, 0)
-	if res.MaxBatch <= 1 || res.BatchWindow <= 0 {
+	maxBatch, window := g.cfg.MaxBatch, g.cfg.BatchWindow
+	if maxBatch <= 1 || window <= 0 {
 		return batch, nil
 	}
 	//securetf:allow nowallclock the batch window paces real request arrival; batch contents stay bitwise identical to per-request runs
-	timer := time.NewTimer(res.BatchWindow)
+	timer := time.NewTimer(window)
 	defer timer.Stop()
-	for rows < res.MaxBatch {
+	for rows < maxBatch {
 		select {
 		case req := <-m.queue:
 			m.pending.Add(-1)
-			if rows+req.rows > res.MaxBatch {
+			if rows+req.rows > maxBatch {
 				return batch, req
 			}
 			batch = append(batch, req)

@@ -18,11 +18,17 @@ import (
 	"time"
 )
 
-// MaxRejectDelta is the absolute delta that rolls a canary back: when
-// the model's admission-rejection fraction during the canary exceeds
-// its pre-canary baseline by more than it, or the candidate's error
-// fraction exceeds the incumbent's by more than it.
-const MaxRejectDelta = 0.05
+// The canary verdict's rollback thresholds.
+const (
+	// MaxRejectDelta is the absolute delta that rolls a canary back:
+	// when the model's admission-rejection fraction during the canary
+	// exceeds its pre-canary baseline by more than it, or the
+	// candidate's error fraction exceeds the incumbent's by more than it.
+	MaxRejectDelta = 0.05
+	// MaxP99Ratio rolls a canary back when the candidate's p99 virtual
+	// latency exceeds this multiple of the incumbent's.
+	MaxP99Ratio = 1.5
+)
 
 // CanaryConfig tunes one canary rollout.
 type CanaryConfig struct {
@@ -31,39 +37,6 @@ type CanaryConfig struct {
 	// Window is how many candidate responses to observe before the
 	// verdict (default 50).
 	Window int
-	// WindowVtime, when set, additionally bounds the rollout in virtual
-	// time: the verdict fires once the model's virtual clock has advanced
-	// this far past the canary start, even if fewer than Window candidate
-	// responses arrived — so a candidate receiving a trickle of traffic
-	// cannot hold the rollout open indefinitely. Zero leaves the window
-	// response-bounded only.
-	WindowVtime time.Duration
-	// MaxP99Ratio rolls back when the candidate's p99 virtual latency
-	// exceeds this multiple of the incumbent's (default 1.5).
-	MaxP99Ratio float64
-}
-
-// withDefaults fills unset canary knobs.
-func (c CanaryConfig) withDefaults() CanaryConfig {
-	if c.Window <= 0 {
-		c.Window = 50
-	}
-	if c.MaxP99Ratio <= 0 {
-		c.MaxP99Ratio = 1.5
-	}
-	return c
-}
-
-// validate rejects out-of-range canary configs.
-func (c CanaryConfig) validate() error {
-	if c.Percent < 1 || c.Percent > 99 {
-		return fmt.Errorf("serving: canary Percent %d outside [1, 99]", c.Percent)
-	}
-	d := c.withDefaults()
-	if d.MaxP99Ratio < 1 {
-		return fmt.Errorf("serving: canary MaxP99Ratio %g below 1", d.MaxP99Ratio)
-	}
-	return nil
 }
 
 // Canary phases reported by CanaryState.Phase.
@@ -77,16 +50,14 @@ const (
 // CanaryState is a snapshot of a model's canary: the active rollout, or
 // the latest verdict once decided.
 type CanaryState struct {
-	Model       string
-	Phase       string // "", active, promoted, rolled-back, aborted
-	Candidate   int
-	Incumbent   int
-	Percent     int
-	Window      int
-	WindowVtime time.Duration
-	// Observed is how many candidate responses have been scored (equals
-	// Window once decided on the normal path; may be lower when a
-	// WindowVtime bound fired first).
+	Model     string
+	Phase     string // "", active, promoted, rolled-back, aborted
+	Candidate int
+	Incumbent int
+	Percent   int
+	Window    int
+	// Observed is how many candidate responses have been scored (at
+	// least Window once promoted or rolled back).
 	Observed int64
 	// Reason explains a rollback or abort; empty for promotions.
 	Reason string
@@ -97,10 +68,9 @@ type CanaryState struct {
 // canaryRun is the live state of one rollout. Counters the verdict
 // diffs against are snapshotted at start.
 type canaryRun struct {
-	cfg        CanaryConfig
-	candidate  int
-	incumbent  int
-	startVtime time.Duration // virtual time at StartCanary
+	cfg       CanaryConfig
+	candidate int
+	incumbent int
 
 	startArrivals                    int64 // model arrivals at start
 	startRejected                    int64
@@ -118,10 +88,12 @@ type canaryRun struct {
 // verdict auto-promotes or rolls back after cfg.Window candidate
 // responses. One canary per model at a time.
 func (g *Gateway) StartCanary(model string, candidate int, cfg CanaryConfig) error {
-	if err := cfg.validate(); err != nil {
-		return err
+	if cfg.Percent < 1 || cfg.Percent > 99 {
+		return fmt.Errorf("serving: canary Percent %d outside [1, 99]", cfg.Percent)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Window <= 0 {
+		cfg.Window = 50
+	}
 	m := g.lookup(model)
 	if m == nil {
 		return fmt.Errorf("serving: unknown model %q", model)
@@ -146,7 +118,6 @@ func (g *Gateway) StartCanary(model string, candidate int, cfg CanaryConfig) err
 		cfg:             cfg,
 		candidate:       candidate,
 		incumbent:       m.serving,
-		startVtime:      g.clock.Now(),
 		startArrivals:   m.arrivals.Load(),
 		startRejected:   m.rejected.Load(),
 		startCandServed: candV.served.Load(),
@@ -179,22 +150,14 @@ func (m *servedModel) routeCanary() (int, bool) {
 }
 
 // canaryObserve scores completed candidate responses and triggers the
-// verdict once the window is full — or, with WindowVtime set, once the
-// virtual clock has run past the time bound, whichever comes first.
-// Called from the batch path with the version the batch actually ran
-// on; the vtime bound is checked on every batch (incumbent traffic
-// included), so a starved candidate still reaches a verdict as long as
-// the model serves anything at all.
+// verdict once the window is full. Called from the batch path with the
+// version the batch actually ran on.
 func (g *Gateway) canaryObserve(m *servedModel, version, n int) {
 	c := m.canary.Load()
 	if c == nil || c.decided.Load() {
 		return
 	}
 	if version == c.candidate && c.observed.Add(int64(n)) >= int64(c.cfg.Window) {
-		g.decideCanary(m, c)
-		return
-	}
-	if c.cfg.WindowVtime > 0 && g.clock.Now()-c.startVtime >= c.cfg.WindowVtime {
 		g.decideCanary(m, c)
 	}
 }
@@ -253,25 +216,24 @@ func (g *Gateway) decideCanary(m *servedModel, c *canaryRun) {
 			phase = CanaryRolledBack
 			reason = fmt.Sprintf("candidate error rate %.1f%% exceeds incumbent %.1f%%",
 				100*candErrFrac, 100*incErrFrac)
-		case incP99 > 0 && float64(candP99) > c.cfg.MaxP99Ratio*float64(incP99):
+		case incP99 > 0 && float64(candP99) > MaxP99Ratio*float64(incP99):
 			phase = CanaryRolledBack
 			reason = fmt.Sprintf("candidate p99 %v exceeds %.2fx incumbent p99 %v",
-				candP99, c.cfg.MaxP99Ratio, incP99)
+				candP99, MaxP99Ratio, incP99)
 		default:
 			m.serving = c.candidate
 		}
 	}
 	m.lastRun = CanaryState{
-		Model:       m.name,
-		Phase:       phase,
-		Candidate:   c.candidate,
-		Incumbent:   c.incumbent,
-		Percent:     c.cfg.Percent,
-		Window:      c.cfg.Window,
-		WindowVtime: c.cfg.WindowVtime,
-		Observed:    c.observed.Load(),
-		Reason:      reason,
-		DecidedAt:   g.clock.Now(),
+		Model:     m.name,
+		Phase:     phase,
+		Candidate: c.candidate,
+		Incumbent: c.incumbent,
+		Percent:   c.cfg.Percent,
+		Window:    c.cfg.Window,
+		Observed:  c.observed.Load(),
+		Reason:    reason,
+		DecidedAt: g.clock.Now(),
 	}
 	m.canary.Store(nil)
 }
@@ -283,15 +245,14 @@ func (m *servedModel) abortCanaryLocked(c *canaryRun, reason string) {
 		return
 	}
 	m.lastRun = CanaryState{
-		Model:       m.name,
-		Phase:       CanaryAborted,
-		Candidate:   c.candidate,
-		Incumbent:   c.incumbent,
-		Percent:     c.cfg.Percent,
-		Window:      c.cfg.Window,
-		WindowVtime: c.cfg.WindowVtime,
-		Observed:    c.observed.Load(),
-		Reason:      reason,
+		Model:     m.name,
+		Phase:     CanaryAborted,
+		Candidate: c.candidate,
+		Incumbent: c.incumbent,
+		Percent:   c.cfg.Percent,
+		Window:    c.cfg.Window,
+		Observed:  c.observed.Load(),
+		Reason:    reason,
 	}
 	m.canary.Store(nil)
 }
@@ -306,14 +267,13 @@ func (g *Gateway) Canary(model string) CanaryState {
 	}
 	if c := m.canary.Load(); c != nil && !c.decided.Load() {
 		return CanaryState{
-			Model:       m.name,
-			Phase:       CanaryActive,
-			Candidate:   c.candidate,
-			Incumbent:   c.incumbent,
-			Percent:     c.cfg.Percent,
-			Window:      c.cfg.Window,
-			WindowVtime: c.cfg.WindowVtime,
-			Observed:    c.observed.Load(),
+			Model:     m.name,
+			Phase:     CanaryActive,
+			Candidate: c.candidate,
+			Incumbent: c.incumbent,
+			Percent:   c.cfg.Percent,
+			Window:    c.cfg.Window,
+			Observed:  c.observed.Load(),
 		}
 	}
 	m.mu.Lock()

@@ -60,24 +60,13 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (default 3).
 	MaxAttempts int
-	// BaseBackoff is the backoff before the first retry (default 1ms);
-	// it doubles per retry up to maxBackoff.
-	BaseBackoff time.Duration
 }
 
-// maxBackoff caps the per-retry backoff.
-const maxBackoff = 16 * time.Millisecond
-
-// withDefaults fills unset retry knobs.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = time.Millisecond
-	}
-	return p
-}
+// The backoff before the first retry doubles per retry up to the cap.
+const (
+	baseBackoff = time.Millisecond
+	maxBackoff  = 16 * time.Millisecond
+)
 
 // Client talks to a Gateway over one connection. It is safe for
 // concurrent use: the request/response exchange is serialized with a
@@ -117,9 +106,11 @@ func NewClientConn(conn net.Conn, clock *vtime.Clock) *Client {
 // Only StatusOverloaded responses are retried — other errors, including
 // ErrShuttingDown, surface immediately.
 func (cl *Client) SetRetry(p RetryPolicy) {
-	d := p.withDefaults()
+	if p.MaxAttempts < 1 {
+		p.MaxAttempts = 3
+	}
 	cl.mu.Lock()
-	cl.retry = &d
+	cl.retry = &p
 	cl.mu.Unlock()
 }
 
@@ -190,7 +181,7 @@ func (cl *Client) do(req WireRequest) (WireResponse, error) {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			cl.backoff(*policy, req.Model, attempt)
+			cl.backoff(req.Model, attempt)
 			cl.retries.Add(1)
 		}
 		resp, err := cl.Do(req)
@@ -242,9 +233,11 @@ func (cl *Client) Do(req WireRequest) (WireResponse, error) {
 // slept in real time so the gateway's dispatcher actually drains. The
 // jitter spreading concurrent clients apart is a hash of the request's
 // identity, not a global RNG, keeping replays bit-identical.
-func (cl *Client) backoff(p RetryPolicy, model string, attempt int) {
-	d := p.BaseBackoff << (attempt - 1)
-	d = min(d, maxBackoff)
+func (cl *Client) backoff(model string, attempt int) {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
+		d *= 2
+	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d/%d", model, attempt, cl.retries.Load())
 	jitter := time.Duration(h.Sum64() % uint64(d/2+1))

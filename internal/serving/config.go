@@ -3,21 +3,12 @@ package serving
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
-// The config layer of the serving control plane: a three-level resolution
-// chain — gateway defaults → per-model overrides → per-version overrides —
-// replacing the old gateway-wide knobs. Every data-plane consumer
-// (admission, batching, interpreter pools) reads its knobs through
-// resolve, so UpdateConfig takes effect live: batching and queue bounds
-// on the next request, replica counts by resizing the pools in place.
-//
-// Layer semantics: queue and batching knobs (QueueCap, MaxBatch,
-// BatchWindow) shape the per-model admission queue and dispatcher, which
-// exist once per model — they may be overridden at the model layer only.
-// Pool knobs (Replicas, Threads) are per interpreter pool and may be
-// overridden at either layer, version-level winning.
+// The config layer of the serving control plane: every model runs with
+// the gateway's Config, except for one knob an operator may move per
+// model while it serves — the admission-queue bound. Admission reads it
+// on every request, so SetQueueCap applies to the next one.
 
 // Hard ceilings for live-tunable quantities. The admission queue channel
 // is allocated once at maxQueueCap so QueueCap can be raised and lowered
@@ -28,215 +19,44 @@ const (
 	maxReplicas = 64
 )
 
-// Overrides is one layer of partial serving config. Zero fields inherit
-// from the layer below; positive fields override. MaxBatch 1 is an
-// explicit override that disables micro-batching for the model.
-type Overrides struct {
-	// Replicas overrides the interpreter-pool size (and the model's
-	// in-flight batch bound when set at the model layer). Valid at the
-	// model and version layers.
-	Replicas int
-	// Threads overrides the device thread count for interpreters created
-	// after the update. Valid at the model and version layers.
-	Threads int
-	// MaxBatch overrides the most input rows coalesced per invocation
-	// (1 disables batching). Model layer only.
-	MaxBatch int
-	// BatchWindow overrides the batching window. Model layer only.
-	BatchWindow time.Duration
-	// QueueCap overrides the admission-queue bound. Model layer only.
-	QueueCap int
+// queueCaps holds the per-model admission bounds SetQueueCap installed
+// over the gateway's Config.QueueCap.
+type queueCaps struct {
+	mu    sync.RWMutex
+	base  int
+	model map[string]int
 }
 
-// zero reports whether the override layer sets nothing.
-func (o Overrides) zero() bool {
-	return o == Overrides{}
+// of returns model's live admission bound.
+func (q *queueCaps) of(model string) int {
+	q.mu.RLock()
+	defer q.mu.RUnlock()
+	if n, ok := q.model[model]; ok {
+		return n
+	}
+	return q.base
 }
 
-// validate rejects out-of-range fields, and model-level-only fields when
-// the override targets a version layer.
-func (o Overrides) validate(versionLayer bool) error {
-	if o.Replicas < 0 || o.Replicas > maxReplicas {
-		return fmt.Errorf("serving: Replicas override %d outside [0, %d]", o.Replicas, maxReplicas)
-	}
-	if o.Threads < 0 {
-		return fmt.Errorf("serving: negative Threads override %d", o.Threads)
-	}
-	if o.MaxBatch < 0 {
-		return fmt.Errorf("serving: negative MaxBatch override %d", o.MaxBatch)
-	}
-	if o.BatchWindow < 0 {
-		return fmt.Errorf("serving: negative BatchWindow override %v", o.BatchWindow)
-	}
-	if o.QueueCap < 0 || o.QueueCap > maxQueueCap {
-		return fmt.Errorf("serving: QueueCap override %d outside [0, %d]", o.QueueCap, maxQueueCap)
-	}
-	if versionLayer && (o.MaxBatch != 0 || o.BatchWindow != 0 || o.QueueCap != 0) {
-		return fmt.Errorf("serving: MaxBatch/BatchWindow/QueueCap are per-model knobs; set them with version 0")
-	}
-	return nil
-}
-
-// Resolved is a fully resolved serving config for one model (version 0)
-// or one model version: every field concrete, defaults applied.
-type Resolved struct {
-	Replicas    int
-	Threads     int
-	MaxBatch    int
-	BatchWindow time.Duration
-	QueueCap    int
-}
-
-// configStore holds the override layers and resolves them against the
-// gateway defaults.
-type configStore struct {
-	mu      sync.RWMutex
-	base    Config // gateway defaults, withDefaults applied
-	model   map[string]Overrides
-	version map[string]map[int]Overrides
-}
-
-func newConfigStore(base Config) *configStore {
-	return &configStore{
-		base:    base,
-		model:   make(map[string]Overrides),
-		version: make(map[string]map[int]Overrides),
-	}
-}
-
-// set records an override layer (version 0 = the model layer). A zero
-// Overrides clears the layer.
-func (s *configStore) set(model string, version int, o Overrides) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if version == 0 {
-		if o.zero() {
-			delete(s.model, model)
-		} else {
-			s.model[model] = o
-		}
-		return
-	}
-	vs := s.version[model]
-	if o.zero() {
-		delete(vs, version)
-		if len(vs) == 0 {
-			delete(s.version, model)
-		}
-		return
-	}
-	if vs == nil {
-		vs = make(map[int]Overrides)
-		s.version[model] = vs
-	}
-	vs[version] = o
-}
-
-// resolve walks the chain for model@version (version 0 stops at the
-// model layer). With no overrides it returns exactly the gateway
-// defaults, so the default data path is byte-for-byte the pre-layered
-// gateway.
-func (s *configStore) resolve(model string, version int) Resolved {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := Resolved{
-		Replicas:    s.base.Replicas,
-		Threads:     s.base.Threads,
-		MaxBatch:    s.base.MaxBatch,
-		BatchWindow: s.base.BatchWindow,
-		QueueCap:    s.base.QueueCap,
-	}
-	apply := func(o Overrides) {
-		if o.Replicas > 0 {
-			r.Replicas = o.Replicas
-		}
-		if o.Threads > 0 {
-			r.Threads = o.Threads
-		}
-		if o.MaxBatch > 0 {
-			r.MaxBatch = o.MaxBatch
-		}
-		if o.BatchWindow > 0 {
-			r.BatchWindow = o.BatchWindow
-		}
-		if o.QueueCap > 0 {
-			r.QueueCap = o.QueueCap
-		}
-	}
-	if o, ok := s.model[model]; ok {
-		apply(o)
-	}
-	if version != 0 {
-		if o, ok := s.version[model][version]; ok {
-			apply(o)
-		}
-	}
-	// An override that enables batching by size alone gets the default
-	// window, mirroring Config.withDefaults.
-	if r.MaxBatch > 1 && r.BatchWindow <= 0 {
-		r.BatchWindow = DefaultBatchWindow
-	}
-	return r
-}
-
-// UpdateConfig installs a config override layer live: version 0 targets
-// the model layer, version > 0 the version layer, and a zero Overrides
-// clears the layer. Queue and batching knobs apply to the next request;
-// Replicas resizes the slot semaphore and interpreter pools in place
-// (when the autoscaler manages the model, it keeps owning the live
-// replica count and the override seeds future scale decisions instead).
-// The model does not need to be registered yet — overrides for future
-// models are resolved when they arrive.
-func (g *Gateway) UpdateConfig(model string, version int, o Overrides) error {
+// SetQueueCap moves model's admission-queue bound live: the next request
+// is admitted against n, and 0 restores the gateway's Config.QueueCap.
+// The model does not need to be registered yet — a bound set first
+// applies when it arrives.
+func (g *Gateway) SetQueueCap(model string, n int) error {
 	if model == "" || len(model) > maxModelName {
 		return fmt.Errorf("serving: invalid model name %q", model)
 	}
-	if version < 0 {
-		return fmt.Errorf("serving: negative version %d", version)
+	if n < 0 || n > maxQueueCap {
+		return fmt.Errorf("serving: QueueCap %d outside [0, %d]", n, maxQueueCap)
 	}
-	if err := o.validate(version != 0); err != nil {
-		return err
-	}
-	g.cfgs.set(model, version, o)
-	if m := g.lookup(model); m != nil && g.scaler == nil {
-		g.applyReplicas(m, g.cfgs.resolve(model, 0).Replicas)
+	g.caps.mu.Lock()
+	defer g.caps.mu.Unlock()
+	if n == 0 {
+		delete(g.caps.model, model)
+	} else {
+		g.caps.model[model] = n
 	}
 	return nil
 }
 
-// ResolvedConfig reports the fully resolved config for model@version
-// (version 0 = the model layer).
-func (g *Gateway) ResolvedConfig(model string, version int) Resolved {
-	return g.cfgs.resolve(model, version)
-}
-
-// applyReplicas resizes a model's slot semaphore and every version's
-// interpreter pool to the resolved replica counts. n is the model-layer
-// replica count; versions with their own Replicas override diverge from
-// it. The slot limit never drops below one so the dispatcher can always
-// make progress (a scaled-to-zero pool recreates an interpreter lazily
-// on the next batch).
-func (g *Gateway) applyReplicas(m *servedModel, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	slots := n
-	if slots < 1 {
-		slots = 1
-	}
-	m.setSlotLimitLocked(slots)
-	for ver, v := range m.versions {
-		target := n
-		if o, ok := g.cfgs.versionOverride(m.name, ver); ok && o.Replicas > 0 {
-			target = o.Replicas
-		}
-		v.pool.resize(target)
-	}
-}
-
-// versionOverride reads the version-layer override for model@version.
-func (s *configStore) versionOverride(model string, version int) (Overrides, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.version[model][version]
-	return o, ok
-}
+// QueueCap reports model's live admission-queue bound.
+func (g *Gateway) QueueCap(model string) int { return g.caps.of(model) }

@@ -18,9 +18,9 @@
 //
 // On top of that data plane sits a control plane in three layers:
 //
-//   - Config (config.go): a resolved-config chain — gateway defaults →
-//     per-model overrides → per-version overrides — consumed live by
-//     admission, batching and the pools, mutated with UpdateConfig.
+//   - Config (config.go): every model runs with the gateway's Config,
+//     except for its admission-queue bound, which SetQueueCap moves
+//     live, per model.
 //   - Autoscaler (autoscale.go): replica counts become live quantities
 //     driven by queue depth and rejections on deterministic virtual-time
 //     ticks; idle models scale to zero and their interpreter pools are
@@ -71,9 +71,8 @@ import (
 	"github.com/securetf/securetf/internal/wire"
 )
 
-// Config tunes a gateway. Its knob fields are the gateway-default layer
-// of the config chain: UpdateConfig installs per-model and per-version
-// overrides on top of them.
+// Config tunes a gateway: every model it serves runs with these knobs,
+// and SetQueueCap moves one model's QueueCap live.
 type Config struct {
 	// Replicas is the interpreter-pool size per model version (default
 	// 1). It also bounds a model's in-flight batches: when every replica
@@ -127,7 +126,7 @@ func (cfg Config) withDefaults() Config {
 type Gateway struct {
 	container *core.Container
 	cfg       Config
-	cfgs      *configStore
+	caps      queueCaps
 	scaler    *autoscaler // nil when autoscaling is off
 	clock     *vtime.Clock
 	ln        net.Listener
@@ -168,7 +167,7 @@ func NewGateway(c *core.Container, addr string, cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		container: c,
 		cfg:       cfg,
-		cfgs:      newConfigStore(cfg),
+		caps:      queueCaps{base: cfg.QueueCap, model: make(map[string]int)},
 		clock:     c.Clock(),
 		ln:        ln,
 		reg:       registry{models: make(map[string]*servedModel)},
@@ -188,10 +187,11 @@ func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 // submit runs admission control for one request and waits for its
 // response. Every admitted request is answered: dispatchers outlive the
 // connection handlers that feed them. Unpinned requests may be routed to
-// an active canary candidate; the admission bound is the live resolved
-// QueueCap. It returns only once the batch holding the request has
-// answered it, and a batch reads no member's input after answering it,
-// so the connection's input tensor is free again when submit returns
+// an active canary candidate; the admission bound is the model's live
+// QueueCap, read once so a rejection names the bound it enforced. It
+// returns only once the batch holding the request has answered it, and
+// a batch reads no member's input after answering it, so the
+// connection's input tensor is free again when submit returns
 // (ServeRounds).
 func (g *Gateway) submit(wr WireRequest) WireResponse {
 	if wr.ListModels {
@@ -234,10 +234,10 @@ func (g *Gateway) submit(wr WireRequest) WireResponse {
 		resp:     make(chan WireResponse, 1),
 	}
 	m.arrivals.Add(1)
-	if !m.admit(req, g.cfgs.resolve(m.name, 0).QueueCap) {
+	if queueCap := g.caps.of(m.name); !m.admit(req, queueCap) {
 		m.rejected.Add(1)
 		g.maybeTick()
-		return WireResponse{Status: StatusOverloaded, Message: fmt.Sprintf("model %q queue full (%d)", m.name, g.cfgs.resolve(m.name, 0).QueueCap)}
+		return WireResponse{Status: StatusOverloaded, Message: fmt.Sprintf("model %q queue full (%d)", m.name, queueCap)}
 	}
 	g.wake(m)
 	g.maybeTick()

@@ -26,8 +26,8 @@ type registry struct {
 // dispatcher state.
 //
 // The admission queue channel is allocated at maxQueueCap once; the live
-// bound is the resolved QueueCap, enforced at admission against the
-// pending counter, so UpdateConfig can move it without swapping channels
+// bound is the model's QueueCap, enforced at admission against the
+// pending counter, so SetQueueCap can move it without swapping channels
 // under concurrent producers. The dispatcher's in-flight batch bound is
 // likewise a resizable semaphore: tokens is pre-filled to the live slot
 // limit, claims receive a token, releases return one — or burn one
@@ -67,9 +67,6 @@ type modelVersion struct {
 // request. It reports false — without enqueueing — when the queue is at
 // capacity.
 func (m *servedModel) admit(req *request, queueCap int) bool {
-	if queueCap > maxQueueCap {
-		queueCap = maxQueueCap
-	}
 	for {
 		n := m.pending.Load()
 		if n >= int64(queueCap) {
@@ -134,9 +131,9 @@ func (m *servedModel) setSlotLimitLocked(n int) {
 // Register loads a model under name@version and makes it available for
 // pinned requests. The first version registered for a name becomes the
 // serving version; later ones go live only through SetServing (atomic
-// hot-swap) or a canary promotion. Pool size and device threads come from
-// the resolved config chain (gateway defaults → model → version
-// overrides). Registering an existing name@version fails.
+// hot-swap) or a canary promotion. Pool size and device threads are the
+// gateway's Config.Replicas and Threads, until the autoscaler moves the
+// replica count. Registering an existing name@version fails.
 func (g *Gateway) Register(name string, version int, model *tflite.Model) error {
 	if name == "" || len(name) > maxModelName {
 		return fmt.Errorf("serving: invalid model name %q", name)
@@ -152,8 +149,7 @@ func (g *Gateway) Register(name string, version int, model *tflite.Model) error 
 		return fmt.Errorf("serving: gateway is closed")
 	default:
 	}
-	res := g.cfgs.resolve(name, version)
-	p, err := newPool(g.container, model, fmt.Sprintf("serving/%s@%d", name, version), res.Replicas, res.Threads)
+	p, err := newPool(g.container, model, fmt.Sprintf("serving/%s@%d", name, version), g.cfg.Replicas, g.cfg.Threads)
 	if err != nil {
 		return err
 	}
@@ -166,10 +162,6 @@ func (g *Gateway) Register(name string, version int, model *tflite.Model) error 
 	}
 	m, ok := g.reg.models[name]
 	if !ok {
-		slots := g.cfgs.resolve(name, 0).Replicas
-		if slots < 1 {
-			slots = 1
-		}
 		m = &servedModel{
 			name:     name,
 			queue:    make(chan *request, maxQueueCap),
@@ -178,8 +170,7 @@ func (g *Gateway) Register(name string, version int, model *tflite.Model) error 
 			versions: make(map[int]*modelVersion),
 		}
 		m.mu.Lock()
-		m.setSlotLimitLocked(slots)
-		m.scale.replicas = slots
+		g.setReplicasLocked(m, g.cfg.Replicas)
 		m.mu.Unlock()
 		g.reg.models[name] = m
 		g.dispatchWG.Add(1)

@@ -7,12 +7,10 @@ package router
 import (
 	"crypto/ecdsa"
 	"fmt"
-	"time"
 
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/serving"
-	"github.com/securetf/securetf/internal/tf"
 )
 
 // ClientConfig tunes a router client.
@@ -30,9 +28,13 @@ type ClientConfig struct {
 	ExpectGraphs []string
 }
 
-// Client is a connection to a router, post-handshake.
+// Client is a connection to a router, post-handshake. It speaks the
+// plain serving protocol, so its requests may name any placed model or
+// compiled graph: a graph answers as version 1, InferTimed reports the
+// per-step sum of the fleet's service time, and Models lists the placed
+// models and the graphs together, sorted.
 type Client struct {
-	cl       *serving.Client
+	*serving.Client
 	manifest Manifest
 }
 
@@ -73,39 +75,8 @@ func DialClient(c *core.Container, addr, serverName string, cfg ClientConfig) (*
 			return nil, fmt.Errorf("%w: manifest has no graph %q", ErrManifestMismatch, graph)
 		}
 	}
-	return &Client{cl: serving.NewClientConn(conn, c.Clock()), manifest: m}, nil
+	return &Client{Client: serving.NewClientConn(conn, c.Clock()), manifest: m}, nil
 }
 
 // Manifest returns the verified placement manifest from the handshake.
 func (rc *Client) Manifest() Manifest { return rc.manifest }
-
-// SetRetry enables overload retries with p.
-func (rc *Client) SetRetry(p serving.RetryPolicy) { rc.cl.SetRetry(p) }
-
-// Infer sends input to a model or graph and returns the output tensor
-// plus the version that served it (1 for graphs).
-func (rc *Client) Infer(name string, version int, input *tf.Tensor) (*tf.Tensor, int, error) {
-	return rc.cl.Infer(name, version, input)
-}
-
-// InferTimed is Infer plus the total virtual service time the fleet
-// charged the request — for graphs, the per-step sum.
-func (rc *Client) InferTimed(name string, version int, input *tf.Tensor) (*tf.Tensor, int, time.Duration, error) {
-	return rc.cl.InferTimed(name, version, input)
-}
-
-// Classify runs a model or graph and returns the argmax class per row;
-// the reduction runs fleet-side.
-func (rc *Client) Classify(name string, input *tf.Tensor) ([]int, error) {
-	return rc.cl.Classify(name, input)
-}
-
-// Models lists everything callable through the router: placed models
-// and compiled graphs, sorted.
-func (rc *Client) Models() ([]string, error) { return rc.cl.Models() }
-
-// Do runs one raw wire round without retries or error mapping.
-func (rc *Client) Do(req serving.WireRequest) (serving.WireResponse, error) { return rc.cl.Do(req) }
-
-// Close closes the connection.
-func (rc *Client) Close() error { return rc.cl.Close() }

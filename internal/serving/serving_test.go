@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"github.com/securetf/securetf/internal/shield/fsshield"
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tflite"
+	"github.com/securetf/securetf/internal/vtime"
 )
 
 // launchContainer starts a SCONE HW container for serving tests.
@@ -839,18 +841,17 @@ func TestGatewayChurnUnderLoad(t *testing.T) {
 func TestGatewayChurnUnderLoadAutoscaled(t *testing.T) {
 	g := runGatewayChurn(t, Config{
 		Replicas: 1, MaxBatch: 4, BatchWindow: time.Millisecond, QueueCap: 64,
-		Autoscale: &AutoscaleConfig{
-			Tick: 5 * time.Millisecond, MaxReplicas: 4, SustainTicks: 1, IdleTicks: 1,
-		},
+		Autoscale: &AutoscaleConfig{MaxReplicas: 4},
 	})
 	// Load is gone: the first tick absorbs the churn's residual arrival
-	// delta, the next one sees a full idle tick and parks the model,
-	// evicting its interpreter pools (their enclave weight residency
-	// with them).
+	// delta, the next IdleTicks are idle and park the model, evicting
+	// its interpreter pools (their enclave weight residency with them).
 	if !g.TickAutoscale() {
 		t.Fatal("autoscaler not enabled")
 	}
-	g.TickAutoscale()
+	for i := 0; i < IdleTicks; i++ {
+		g.TickAutoscale()
+	}
 	if got := g.AutoscaleReplicas("m"); got != 0 {
 		t.Fatalf("idle model at %d replicas, want scaled to zero", got)
 	}
@@ -1035,94 +1036,54 @@ func buildCNN(t testing.TB, seed int64) *tflite.Model {
 	return model
 }
 
+// TestConfigChainResolution: a model's admission bound is the gateway's
+// QueueCap until SetQueueCap gives it its own — before or after the
+// model registers — and 0 hands it back to the gateway's.
 func TestConfigChainResolution(t *testing.T) {
 	c := launchContainer(t)
-	g, err := NewGateway(c, "127.0.0.1:0", Config{Replicas: 2, MaxBatch: 8, QueueCap: 16})
+	g, err := NewGateway(c, "127.0.0.1:0", Config{QueueCap: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-
-	// Base layer: gateway defaults, withDefaults applied.
-	base := g.ResolvedConfig("x", 0)
-	want := Resolved{Replicas: 2, MaxBatch: 8, BatchWindow: DefaultBatchWindow, QueueCap: 16}
-	if base != want {
-		t.Fatalf("base resolve = %+v, want %+v", base, want)
+	if got := g.QueueCap("x"); got != 16 {
+		t.Fatalf("QueueCap = %d, want the gateway's 16", got)
 	}
-
-	// Model layer overrides; other models stay on the defaults.
-	if err := g.UpdateConfig("m", 0, Overrides{Replicas: 3, MaxBatch: 1}); err != nil {
+	if err := g.SetQueueCap("m", 3); err != nil {
 		t.Fatal(err)
 	}
-	r := g.ResolvedConfig("m", 0)
-	if r.Replicas != 3 || r.MaxBatch != 1 {
-		t.Fatalf("model-layer resolve = %+v", r)
+	if got := g.QueueCap("x"); got != 16 {
+		t.Fatalf("the cap set for m leaked into x: %d", got)
 	}
-	if g.ResolvedConfig("x", 0) != want {
-		t.Fatal("override for m leaked into another model")
-	}
-
-	// Version layer wins over the model layer, for its version only.
-	if err := g.UpdateConfig("m", 2, Overrides{Replicas: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.ResolvedConfig("m", 2).Replicas; got != 1 {
-		t.Fatalf("version-layer Replicas = %d, want 1", got)
-	}
-	if got := g.ResolvedConfig("m", 1).Replicas; got != 3 {
-		t.Fatalf("sibling version Replicas = %d, want the model layer's 3", got)
-	}
-
-	// A zero Overrides clears its layer.
-	if err := g.UpdateConfig("m", 2, Overrides{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.ResolvedConfig("m", 2).Replicas; got != 3 {
-		t.Fatalf("cleared version layer still resolves Replicas %d", got)
-	}
-
-	// Validation: per-model knobs are rejected at the version layer, and
-	// out-of-range values everywhere.
-	if err := g.UpdateConfig("m", 2, Overrides{MaxBatch: 4}); err == nil {
-		t.Fatal("version-layer MaxBatch accepted")
-	}
-	if err := g.UpdateConfig("m", 0, Overrides{Replicas: -1}); err == nil {
-		t.Fatal("negative Replicas accepted")
-	}
-	if err := g.UpdateConfig("m", 0, Overrides{Replicas: maxReplicas + 1}); err == nil {
-		t.Fatal("over-ceiling Replicas accepted")
-	}
-	if err := g.UpdateConfig("m", 0, Overrides{QueueCap: maxQueueCap + 1}); err == nil {
-		t.Fatal("over-ceiling QueueCap accepted")
-	}
-	if err := g.UpdateConfig("", 0, Overrides{Replicas: 1}); err == nil {
-		t.Fatal("empty model name accepted")
-	}
-
-	// Replicas apply live: registration uses the resolved count, and a
-	// later override shrinks the pool in place.
 	if err := g.Register("m", 1, buildModel(t, 21)); err != nil {
 		t.Fatal(err)
 	}
-	m := g.lookup("m")
-	if got := m.versions[1].pool.size(); got != 3 {
-		t.Fatalf("registered pool size %d, want the resolved 3", got)
+	if got := g.QueueCap("m"); got != 3 {
+		t.Fatalf("registered m admits against %d, want the 3 set before it arrived", got)
 	}
-	if err := g.UpdateConfig("m", 0, Overrides{Replicas: 1, MaxBatch: 1}); err != nil {
+	if err := g.SetQueueCap("m", 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.versions[1].pool.size(); got != 1 {
-		t.Fatalf("pool size %d after live shrink, want 1", got)
+	if got := g.QueueCap("m"); got != 16 {
+		t.Fatalf("QueueCap after SetQueueCap(m, 0) = %d, want the gateway's 16", got)
+	}
+	for _, bad := range []struct {
+		model string
+		n     int
+	}{{"m", -1}, {"m", maxQueueCap + 1}, {"", 1}} {
+		if err := g.SetQueueCap(bad.model, bad.n); err == nil {
+			t.Errorf("SetQueueCap(%q, %d) accepted", bad.model, bad.n)
+		}
 	}
 }
 
-func TestUpdateConfigLiveQueueCap(t *testing.T) {
+func TestLiveQueueCap(t *testing.T) {
 	c := launchContainer(t)
 	g, gate := gatedGateway(t, c, Config{QueueCap: 4})
 	if err := g.Register("m", 1, buildModel(t, 22)); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.UpdateConfig("m", 0, Overrides{QueueCap: 2}); err != nil {
+	if err := g.SetQueueCap("m", 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -1139,19 +1100,24 @@ func TestUpdateConfigLiveQueueCap(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	waitFor(t, "full overridden queue", func() bool { return queueDepth(g, "m") == 2 })
+	waitFor(t, "full capped queue", func() bool { return queueDepth(g, "m") == 2 })
 
-	// The overridden cap (2, not the gateway's 4) rejects the third...
+	// The model's cap (2, not the gateway's 4) rejects the third, and
+	// the rejection names the cap it enforced...
 	cl, err := Dial(c, g.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Classify("m", input(1, 9)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded at the overridden cap", err)
+	_, err = cl.Classify("m", input(1, 9))
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded at the model's cap of 2", err)
+	}
+	if !strings.Contains(err.Error(), "queue full (2)") {
+		t.Errorf("the rejection %q does not name the cap of 2 it enforced", err)
 	}
 	// ...and raising it live admits the same request.
-	if err := g.UpdateConfig("m", 0, Overrides{QueueCap: 3}); err != nil {
+	if err := g.SetQueueCap("m", 3); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
@@ -1170,15 +1136,22 @@ func TestUpdateConfigLiveQueueCap(t *testing.T) {
 func TestAutoscalePressureParkWake(t *testing.T) {
 	c := launchContainer(t)
 	if _, err := NewGateway(c, "127.0.0.1:0", Config{
-		Autoscale: &AutoscaleConfig{MinReplicas: 9, MaxReplicas: 4},
+		Autoscale: &AutoscaleConfig{MaxReplicas: maxReplicas + 1},
 	}); err == nil {
-		t.Fatal("contradictory autoscale config accepted")
+		t.Fatal("autoscale MaxReplicas above the slot ceiling accepted")
 	}
 
 	g, gate := gatedGateway(t, c, Config{
 		QueueCap:  8,
-		Autoscale: &AutoscaleConfig{SustainTicks: 1, MaxReplicas: 4, IdleTicks: 1},
+		Autoscale: &AutoscaleConfig{MaxReplicas: 4},
 	})
+	// ticks runs n autoscaler passes and returns the replica target.
+	ticks := func(n int) int {
+		for i := 0; i < n; i++ {
+			g.TickAutoscale()
+		}
+		return g.AutoscaleReplicas("m")
+	}
 	if err := g.Register("m", 1, buildModel(t, 23)); err != nil {
 		t.Fatal(err)
 	}
@@ -1200,14 +1173,16 @@ func TestAutoscalePressureParkWake(t *testing.T) {
 	}
 	waitFor(t, "queue pressure", func() bool { return queueDepth(g, "m") == n })
 
-	// Sustained pressure doubles the replica target toward the max.
-	g.TickAutoscale()
-	if got := g.AutoscaleReplicas("m"); got != 2 {
-		t.Fatalf("replicas after pressure tick = %d, want 2", got)
+	// Sustained pressure doubles the replica target toward the max; a
+	// tick short of SustainTicks does not.
+	if got := ticks(SustainTicks - 1); got != 1 {
+		t.Fatalf("replicas after %d pressure ticks = %d, want 1", SustainTicks-1, got)
 	}
-	g.TickAutoscale()
-	if got := g.AutoscaleReplicas("m"); got != 4 {
-		t.Fatalf("replicas after second pressure tick = %d, want 4 (max)", got)
+	if got := ticks(1); got != 2 {
+		t.Fatalf("replicas after sustained pressure = %d, want 2", got)
+	}
+	if got := ticks(SustainTicks); got != 4 {
+		t.Fatalf("replicas after more sustained pressure = %d, want 4 (max)", got)
 	}
 
 	close(gate)
@@ -1223,18 +1198,22 @@ func TestAutoscalePressureParkWake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Classify("m", input(1, 50)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < SustainTicks; i++ {
+		if _, err := cl.Classify("m", input(1, int64(50+i))); err != nil {
+			t.Fatal(err)
+		}
+		ticks(1)
 	}
-	g.TickAutoscale()
 	if got := g.AutoscaleReplicas("m"); got != 3 {
-		t.Fatalf("replicas after drained tick = %d, want 3", got)
+		t.Fatalf("replicas after drained ticks = %d, want 3", got)
 	}
 
 	// ...and sustained idleness parks the model at zero, evicting pools.
-	g.TickAutoscale()
-	if got := g.AutoscaleReplicas("m"); got != 0 {
-		t.Fatalf("replicas after idle tick = %d, want 0", got)
+	if got := ticks(IdleTicks - 1); got != 3 {
+		t.Fatalf("replicas after %d idle ticks = %d, want 3", IdleTicks-1, got)
+	}
+	if got := ticks(1); got != 0 {
+		t.Fatalf("replicas after sustained idleness = %d, want 0", got)
 	}
 	m := g.lookup("m")
 	if got := m.versions[1].pool.size(); got != 0 {
@@ -1242,7 +1221,7 @@ func TestAutoscalePressureParkWake(t *testing.T) {
 	}
 
 	// The next request wakes the model and repopulates lazily.
-	if _, err := cl.Classify("m", input(1, 51)); err != nil {
+	if _, err := cl.Classify("m", input(1, 60)); err != nil {
 		t.Fatalf("request to parked model failed: %v", err)
 	}
 	if got := g.AutoscaleReplicas("m"); got < 1 {
@@ -1258,7 +1237,7 @@ func TestReplicaSeconds(t *testing.T) {
 	c := launchContainer(t)
 	g, err := NewGateway(c, "127.0.0.1:0", Config{
 		Replicas:  3,
-		Autoscale: &AutoscaleConfig{MaxReplicas: 4, IdleTicks: 1},
+		Autoscale: &AutoscaleConfig{MaxReplicas: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1281,7 +1260,9 @@ func TestReplicaSeconds(t *testing.T) {
 	}
 	// The replicas count until the tick that parks them.
 	c.Clock().Advance(d)
-	g.TickAutoscale()
+	for i := 0; i < IdleTicks; i++ {
+		g.TickAutoscale()
+	}
 	if got := g.AutoscaleReplicas("m"); got != 0 {
 		t.Fatalf("idle model kept %d replicas, want it parked at 0", got)
 	}
@@ -1394,7 +1375,7 @@ func TestCanaryRollbackSlowCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.StartCanary("m", 2, CanaryConfig{Percent: 50, Window: 6, MaxP99Ratio: 1.5}); err != nil {
+	if err := g.StartCanary("m", 2, CanaryConfig{Percent: 50, Window: 6}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40 && g.Canary("m").Phase == CanaryActive; i++ {
@@ -1417,58 +1398,6 @@ func TestCanaryRollbackSlowCandidate(t *testing.T) {
 		if _, ver, err := cl.Infer("m", 0, input(1, int64(200+i))); err != nil || ver != 1 {
 			t.Fatalf("post-rollback request: version %d err %v", ver, err)
 		}
-	}
-}
-
-// TestCanaryVtimeWindowVerdict pins the WindowVtime bound: a canary
-// whose response window would never fill still reaches a verdict once
-// the virtual clock runs past the vtime bound.
-func TestCanaryVtimeWindowVerdict(t *testing.T) {
-	c := launchContainer(t)
-	g, err := NewGateway(c, "127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if err := g.Register("m", 1, buildModel(t, 61)); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Register("m", 2, buildModel(t, 62)); err != nil {
-		t.Fatal(err)
-	}
-	// A window far larger than the traffic we will send, bounded in
-	// vtime instead: every invoke advances the shared virtual clock, so
-	// the verdict must fire on the clock, not the count.
-	if err := g.StartCanary("m", 2, CanaryConfig{
-		Percent:     50,
-		Window:      1 << 20,
-		WindowVtime: 200 * time.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(c, g.Addr(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	deadline := 500
-	for i := 0; i < deadline && g.Canary("m").Phase == CanaryActive; i++ {
-		if _, _, err := cl.Infer("m", 0, input(1, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := g.Canary("m")
-	if st.Phase != CanaryPromoted {
-		t.Fatalf("canary phase = %q (%s), want promoted via the vtime bound", st.Phase, st.Reason)
-	}
-	if st.Observed >= int64(st.Window) {
-		t.Fatalf("window filled (%d of %d observed) — the vtime bound never gated", st.Observed, st.Window)
-	}
-	if st.WindowVtime != 200*time.Microsecond {
-		t.Fatalf("verdict lost the vtime bound: %+v", st)
-	}
-	if got := g.ServingVersion("m"); got != 2 {
-		t.Fatalf("serving version %d after vtime-bounded promotion, want 2", got)
 	}
 }
 
@@ -1534,6 +1463,25 @@ func TestCanaryAbortAndFallback(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffDoublesToTheCap: the wait before retry n is 1 ms
+// doubled n−1 times, capped at 16 ms, plus at most half again in
+// jitter — however many attempts a policy allows (a shift by the
+// attempt number overflows from the 45th retry on).
+func TestRetryBackoffDoublesToTheCap(t *testing.T) {
+	clock := &vtime.Clock{}
+	cl := NewClientConn(nil, clock)
+	for _, tc := range []struct {
+		attempt int
+		base    time.Duration
+	}{{1, time.Millisecond}, {3, 4 * time.Millisecond}, {5, maxBackoff}, {6, maxBackoff}, {45, maxBackoff}, {64, maxBackoff}} {
+		before := clock.Now()
+		cl.backoff("m", tc.attempt)
+		if d := clock.Now() - before; d < tc.base || d > tc.base+tc.base/2 {
+			t.Errorf("retry %d waited %v, want %v plus at most half again", tc.attempt, d, tc.base)
+		}
+	}
+}
+
 func TestClientRetryOnOverload(t *testing.T) {
 	c := launchContainer(t)
 	g, gate := gatedGateway(t, c, Config{QueueCap: 1})
@@ -1562,7 +1510,7 @@ func TestClientRetryOnOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer capped.Close()
-	capped.SetRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond})
+	capped.SetRetry(RetryPolicy{MaxAttempts: 3})
 	before := c.Clock().Now()
 	if _, err := capped.Classify("m", input(1, 2)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded after exhausted retries", err)
@@ -1582,7 +1530,7 @@ func TestClientRetryOnOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer patient.Close()
-	patient.SetRetry(RetryPolicy{MaxAttempts: 200, BaseBackoff: time.Millisecond})
+	patient.SetRetry(RetryPolicy{MaxAttempts: 200})
 	patientErr := make(chan error, 1)
 	go func() {
 		_, err := patient.Classify("m", input(1, 3))

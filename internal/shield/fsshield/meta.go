@@ -36,13 +36,6 @@ func newMetadata(level Level, chunkSize int) (*metadata, error) {
 	return m, nil
 }
 
-func (m *metadata) numChunks() int {
-	if m.FileSize == 0 {
-		return 0
-	}
-	return int((m.FileSize + int64(m.ChunkSize) - 1) / int64(m.ChunkSize))
-}
-
 // ensureChunks grows the counter table to n chunks.
 func (m *metadata) ensureChunks(n int) {
 	for len(m.Counters) < n {

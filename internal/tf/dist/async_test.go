@@ -184,55 +184,6 @@ func TestPolicyMismatchFailsFast(t *testing.T) {
 	}
 }
 
-// TestAsyncMixedShardPolicies checks the per-shard override: a 2-shard
-// cluster running sync on shard 0 and async on shard 1, with the worker
-// expecting exactly that mix, trains. The sync shard's barrier is a
-// 1-worker round, so nothing blocks.
-func TestAsyncMixedShardPolicies(t *testing.T) {
-	ln0, addr0 := testListener(t)
-	ln1, addr1 := testListener(t)
-	vars := InitialVars(tinyModel(7).Graph)
-	ps0, err := NewParameterServer(PSConfig{
-		Listener: ln0, Vars: vars, Workers: 1, LR: 0.5, Shard: 0, Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps0.Close() })
-	ps1, err := NewParameterServer(PSConfig{
-		Listener: ln1, Vars: vars, Workers: 1, LR: 0.5, Shard: 1, Shards: 2,
-		Consistency: Async(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps1.Close() })
-
-	xs, ys := tinyShard(30, 100)
-	w, err := NewWorker(WorkerConfig{
-		ID:               0,
-		Addrs:            []string{addr0, addr1},
-		Model:            tinyModel(7),
-		XS:               xs,
-		YS:               ys,
-		BatchSize:        10,
-		ShardConsistency: map[int]ConsistencyPolicy{1: Async(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	if err := w.RunSteps(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := ps0.Rounds(); got != 3 {
-		t.Fatalf("sync shard committed %d rounds, want 3", got)
-	}
-	if got := ps1.Rounds(); got != 3 {
-		t.Fatalf("async shard applied %d pushes, want 3", got)
-	}
-}
-
 // TestAsyncLossDecreases confirms the async path genuinely learns.
 func TestAsyncLossDecreases(t *testing.T) {
 	_, addr := asyncPS(t, 1, -1)

@@ -253,26 +253,18 @@ func TestElasticStallEvictsAndRejoins(t *testing.T) {
 	}
 }
 
-// TestElasticMinWorkersFloorsBarrier checks that MinWorkers turns an
-// over-shrunk round back into an abort: with a quorum of 2, a lone
-// survivor's round must fail rather than commit a near-empty average.
-func TestElasticMinWorkersFloorsBarrier(t *testing.T) {
-	_, addr, _ := newTestPS(t, 3, func(cfg *PSConfig) {
+// TestElasticTimeoutWithNoPushAborts: an elastic shard commits a
+// timed-out round from at least one push. A timeout that finds none —
+// the floor of one contributor — aborts instead: no eviction, no
+// shrunk round, no commit.
+func TestElasticTimeoutWithNoPushAborts(t *testing.T) {
+	ps, _, _ := newTestPS(t, 3, func(cfg *PSConfig) {
 		cfg.Elastic = true
-		cfg.MinWorkers = 2
 		cfg.RoundTimeout = elasticTimeout
 	})
-	w0, _ := newTestWorker(t, 0, addr)
-
-	done := make(chan error, 1)
-	go func() { done <- w0.Step() }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("round with 1 of 3 pushes committed below MinWorkers")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("under-quorum round hung instead of aborting")
+	ps.timeout(0)
+	if st := ps.Stats(); ps.Rounds() != 0 || st != (PSStats{}) {
+		t.Fatalf("a round nobody pushed into: rounds %d, stats %+v; want it aborted", ps.Rounds(), st)
 	}
 }
 

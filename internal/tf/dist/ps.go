@@ -78,14 +78,10 @@ type PSConfig struct {
 	// magnitude stays an average. The survivors' detection wait (the
 	// timeout itself) is charged to the shard clock. An evicted worker
 	// rejoins by re-running the msgHello/msgManifest handshake and is
-	// folded back into the barrier at the next round boundary. Sync
-	// mode only; the default (false) keeps the abort behavior.
+	// folded back into the barrier at the next round boundary. A
+	// timed-out round nobody pushed into still aborts. Sync mode only;
+	// the default (false) keeps the abort behavior.
 	Elastic bool
-	// MinWorkers floors the shrunk barrier: a timed-out round with
-	// fewer than MinWorkers pushes still aborts (a lone survivor
-	// training "distributed" by itself is usually a dead cluster, not
-	// elasticity). Defaults to 1.
-	MinWorkers int
 	// CheckpointEvery, with CheckpointWrite, snapshots the shard every
 	// CheckpointEvery committed rounds: the encoded Checkpoint is
 	// handed to CheckpointWrite before the round's barrier releases, so
@@ -221,12 +217,6 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 	var err error
 	if cfg.Compression, err = cfg.Compression.Canonical(); err != nil {
 		return nil, err
-	}
-	if cfg.MinWorkers == 0 {
-		cfg.MinWorkers = 1
-	}
-	if cfg.MinWorkers < 1 || cfg.MinWorkers > cfg.Workers {
-		return nil, fmt.Errorf("dist: PSConfig.MinWorkers must be in [1, %d], got %d", cfg.Workers, cfg.MinWorkers)
 	}
 	if cfg.Elastic && cfg.Consistency.Kind != ConsistencySync {
 		return nil, errors.New("dist: PSConfig.Elastic requires the synchronous barrier (async shards never block on the dead)")
@@ -705,14 +695,14 @@ func (ps *ParameterServer) maybeCheckpointLocked(gen uint64) error {
 // timer bumps the generation, making this a no-op. A non-elastic shard
 // aborts the round; an elastic one declares the members that never
 // pushed dead, shrinks the barrier to the survivors and commits from
-// the gradients it has.
+// the gradients it has — at least one push, or it aborts too.
 func (ps *ParameterServer) timeout(gen uint64) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if gen != ps.gen || ps.pushes == 0 {
+	if gen != ps.gen {
 		return
 	}
-	if !ps.cfg.Elastic || ps.pushes < ps.cfg.MinWorkers {
+	if !ps.cfg.Elastic || ps.pushes == 0 {
 		ps.abortLocked(errRoundTimeout)
 		return
 	}

@@ -46,16 +46,13 @@ type WorkerConfig struct {
 	// zero value is the device's clock at sgx.DefaultParams.
 	Meter sgx.Meter
 	// Consistency is the commit policy this worker expects every shard
-	// to run. The zero value is Sync(), today's barrier behavior. The
-	// connection handshake verifies the expectation against each
-	// shard's actual policy, so a worker wired into a mixed-policy or
-	// misconfigured cluster fails at construction instead of stranding
-	// on a barrier the shard never fills (or vice versa).
+	// to run: a cluster runs one. The zero value is Sync(), today's
+	// barrier behavior. The connection handshake verifies the
+	// expectation against each shard's actual policy, so a worker wired
+	// into a mixed-policy or misconfigured cluster fails at
+	// construction instead of stranding on a barrier the shard never
+	// fills (or vice versa).
 	Consistency ConsistencyPolicy
-	// ShardConsistency overrides Consistency per shard id, for clusters
-	// that mix policies deliberately (e.g. a hot shard running
-	// Async(K) while the rest stay synchronous).
-	ShardConsistency map[int]ConsistencyPolicy
 	// Compression is the gradient codec this worker pushes with and
 	// expects every shard to decode. The zero value is NoCompression()
 	// — raw float32 pushes, bit-for-bit today's wire format. The lossy
@@ -98,9 +95,6 @@ type Worker struct {
 	router *Router
 	// replica is the local half of a step: session, data shard, gradients.
 	replica *Replica
-	// policies[s] is the normalized commit policy expected of (and
-	// verified against) shard s.
-	policies []ConsistencyPolicy
 
 	step int
 	// rounds[s] is shard s's barrier generation (sync) or variable
@@ -177,20 +171,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Meter = sgx.NewMeter(cfg.Device.Clock(), sgx.DefaultParams())
 	}
 
-	policies := make([]ConsistencyPolicy, len(addrs))
-	for s := range policies {
-		policies[s] = cfg.Consistency.normalize()
-	}
-	for s, p := range cfg.ShardConsistency {
-		if s < 0 || s >= len(addrs) {
-			return nil, fmt.Errorf("dist: WorkerConfig.ShardConsistency names shard %d of a %d-shard cluster", s, len(addrs))
-		}
-		policies[s] = p.normalize()
-	}
-	for s, p := range policies {
-		if p.Kind > ConsistencyAsync {
-			return nil, fmt.Errorf("dist: unknown consistency kind %d expected of shard %d", p.Kind, s)
-		}
+	cfg.Consistency = cfg.Consistency.normalize()
+	if cfg.Consistency.Kind > ConsistencyAsync {
+		return nil, fmt.Errorf("dist: unknown consistency kind %d", cfg.Consistency.Kind)
 	}
 	var err error
 	if cfg.Compression, err = cfg.Compression.Canonical(); err != nil {
@@ -215,7 +198,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		links:     make([]*Link, len(addrs)),
 		router:    router,
 		replica:   replica,
-		policies:  policies,
 		step:      cfg.StartStep,
 		rounds:    make([]uint64, len(addrs)),
 		pushWire:  make([]time.Duration, len(addrs)),
@@ -258,7 +240,7 @@ func (w *Worker) newLink(s int, conn net.Conn) *Link {
 // mid-step rejoin (inside the fan-out) charges its branch, not the
 // worker clock directly.
 func (w *Worker) handshake(s int, clock *vtime.Clock) error {
-	policy, staleness := wirePolicy(w.policies[s])
+	policy, staleness := wirePolicy(w.cfg.Consistency)
 	codec, topk := w.cfg.Compression.Wire()
 	req := &message{
 		Kind:      msgHello,
@@ -284,9 +266,9 @@ func (w *Worker) handshake(s int, clock *vtime.Clock) error {
 		return fmt.Errorf("dist: worker %d dialed shard %d of %d but the endpoint is shard %d of %d (mis-sharded cluster)",
 			w.cfg.ID, s, len(w.links), resp.Shard, resp.Shards)
 	}
-	if got := policyFromWire(resp.Policy, resp.Staleness); got != w.policies[s] {
+	if got := policyFromWire(resp.Policy, resp.Staleness); got != w.cfg.Consistency {
 		return fmt.Errorf("dist: worker %d expects shard %d to run %v, but it runs %v (mixed-policy cluster)",
-			w.cfg.ID, s, w.policies[s], got)
+			w.cfg.ID, s, w.cfg.Consistency, got)
 	}
 	if got := CompressionFromWire(resp.Codec, resp.TopK); got != w.cfg.Compression {
 		return fmt.Errorf("dist: worker %d pushes with codec %v, but shard %d decodes %v (mixed-codec cluster)",

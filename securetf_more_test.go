@@ -270,7 +270,7 @@ func TestDataShardValidation(t *testing.T) {
 		"StartFederatedClient": func(xs, ys *securetf.Tensor, batch int) error {
 			_, err := securetf.StartFederatedClient(c, securetf.FederatedPeerSpec{
 				Addr: nobody, Model: securetf.NewMNISTMLP(1), XS: xs, YS: ys, BatchSize: batch,
-				LocalSteps: 1, LocalLR: 0.1, Population: 1, Unmasked: true})
+				LocalSteps: 1, LocalLR: 0.1, Population: 1, Secret: []byte("cohort")})
 			return err
 		},
 		"TrainMore": func(xs, ys *securetf.Tensor, batch int) error {

@@ -17,30 +17,21 @@ type ModelServer = serving.Gateway
 
 // ServingConfig tunes a ModelServer: replicas per version, device
 // threads per replica, micro-batching window and size, the admission
-// queue bound, and optionally the replica autoscaler. These are the
-// gateway-default layer of the config chain; install per-model and
-// per-version overrides live with ModelServer.UpdateConfig.
+// queue bound, and optionally the replica autoscaler. Every model runs
+// with them; ModelServer.SetQueueCap moves one model's queue bound live.
 type ServingConfig = serving.Config
-
-// ServingOverrides is one override layer of the serving config chain
-// (zero fields inherit). Install with ModelServer.UpdateConfig: version
-// 0 targets the model layer, version > 0 the version layer.
-type ServingOverrides = serving.Overrides
-
-// ServingResolved is a fully resolved serving config for one model or
-// model version, as reported by ModelServer.ResolvedConfig.
-type ServingResolved = serving.Resolved
 
 // ServingAutoscale enables the metric-driven replica autoscaler when set
 // on ServingConfig.Autoscale: replica counts follow queue depth and
-// rejections on deterministic virtual-time ticks, and idle models scale
-// to zero with their interpreter pools evicted.
+// rejections on deterministic 20 ms virtual-time ticks, between one
+// replica and MaxReplicas, and idle models scale to zero with their
+// interpreter pools evicted.
 type ServingAutoscale = serving.AutoscaleConfig
 
 // CanaryConfig tunes a weighted canary rollout started with
 // ModelServer.StartCanary: the unpinned-traffic share routed to the
-// candidate, the response window (bounded in responses and, with
-// WindowVtime, in virtual time), and the rollback thresholds.
+// candidate and the number of candidate responses the verdict waits
+// for. The rollback thresholds are fixed.
 type CanaryConfig = serving.CanaryConfig
 
 // CanaryState is a snapshot of a model's canary rollout — the active one,
@@ -56,7 +47,7 @@ const (
 )
 
 // RetryPolicy makes a ModelClient retry overload rejections with capped
-// exponential backoff and deterministic jitter; enable it with
+// exponential backoff from 1 ms and deterministic jitter; enable it with
 // ModelClient.SetRetry (RouterClient.SetRetry on a router connection).
 type RetryPolicy = serving.RetryPolicy
 
