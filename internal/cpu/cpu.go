@@ -1,5 +1,5 @@
 // Package cpu reports the instruction-set extensions the module's
-// assembly selects on: internal/tf/kernels' GEMM and
-// internal/federated/ring's int8 quantizer. It imports nothing, so any
-// kernel package can use it.
+// assembly selects on: internal/tf/kernels' GEMM and element-wise loops
+// and internal/federated/ring's int8 quantizer. It imports nothing, so
+// any kernel package can use it.
 package cpu

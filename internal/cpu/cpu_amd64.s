@@ -22,3 +22,23 @@ TEXT ·haveAVX(SB), NOSPLIT, $0-1
 noavx:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func haveAVX2() bool
+//
+// CPUID.(EAX=7,ECX=0):EBX bit 5, once CPUID.0 says leaf 7 exists.
+TEXT ·haveAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  noavx2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
+noavx2:
+	MOVB $0, ret+0(FP)
+	RET

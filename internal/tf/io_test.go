@@ -279,6 +279,8 @@ func TestHostileGradientGraphErrs(t *testing.T) {
 	small := g.Placeholder("small", Float32, Shape{1, 2, 2, 1})
 	pool := g.MaxPool(big, 2, 2)
 	g.addNode(OpMaxPoolGrad, OpMaxPoolGrad, []*Node{pool, small}, Attrs{"forward": pool.Name()}, Shape{1, 2, 2, 1}, Float32)
+	scalar := g.Placeholder("scalar", Float32, Shape{}) // a rank-0 gradient has no channels
+	g.addNode(OpBiasAddGrad, OpBiasAddGrad, []*Node{scalar}, nil, Shape{1}, Float32)
 
 	raw, err := MarshalGraph(g)
 	if err != nil {
@@ -299,12 +301,13 @@ func TestHostileGradientGraphErrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	feeds := Feeds{
-		loaded.Node("grad"):  Fill(Shape{2}, 1),
-		loaded.Node("x"):     Fill(Shape{5}, 1),
-		loaded.Node("big"):   bigIn,
-		loaded.Node("small"): Fill(Shape{1, 2, 2, 1}, 1),
+		loaded.Node("grad"):   Fill(Shape{2}, 1),
+		loaded.Node("x"):      Fill(Shape{5}, 1),
+		loaded.Node("big"):    bigIn,
+		loaded.Node("small"):  Fill(Shape{1, 2, 2, 1}, 1),
+		loaded.Node("scalar"): Scalar(1),
 	}
-	for _, op := range []string{OpReluGrad, OpSigmoidGrad, OpTanhGrad, OpMaxPoolGrad} {
+	for _, op := range []string{OpReluGrad, OpSigmoidGrad, OpTanhGrad, OpMaxPoolGrad, OpBiasAddGrad} {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {

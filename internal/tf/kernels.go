@@ -237,6 +237,13 @@ func poolGeom(x *Tensor, n *Node) (kernels.Geom, error) {
 	return kernels.PoolGeom(x.Shape(), int(n.attrInt("k", 2)), int(n.attrInt("stride", 2)))
 }
 
+// poolCache is what a max pool leaves MaxPoolGrad: the flat input index
+// each maximum came from, and the geometry it pooled over.
+type poolCache struct {
+	argmax []int32
+	geo    kernels.Geom
+}
+
 // kernelPool max- or average-pools; the max pool caches its argmax for
 // MaxPoolGrad.
 func kernelPool(maxPool bool) kernelFunc {
@@ -250,7 +257,7 @@ func kernelPool(maxPool bool) kernelFunc {
 		if maxPool {
 			argmax := ctx.sess.i32.get(out.NumElements(), false)
 			kernels.MaxPool(out.f32, x.f32, geo, argmax)
-			ctx.extras[n.name] = argmax
+			ctx.extras[n.name] = poolCache{argmax, geo}
 		} else {
 			kernels.AvgPool(out.f32, x.f32, geo)
 		}

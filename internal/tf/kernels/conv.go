@@ -267,23 +267,18 @@ func (g Geom) next(b, oy, ox int) (int, int, int) {
 
 // col2imAdd adds rows [r0,r1) of dcol onto the input elements under
 // their windows, in r order, skipping the rows whose output gradient
-// grad [r1-r0,F] is all zero.
+// grad [r1-r0,F] is all zero. A row's window is one run per input row
+// it covers, added with addRuns: each element of dx adds its dcol
+// entries in r order.
 func (g Geom) col2imAdd(dx, dcol, grad []float32, r0, r1 int) {
-	k := g.KH * g.KW * g.C
+	k, rowC := g.KH*g.KW*g.C, g.W*g.C
 	b, oy, ox := g.position(r0)
 	for r := r0; r < r1; r++ {
 		if !allZero(grad[(r-r0)*g.F : (r-r0+1)*g.F]) {
 			row := dcol[(r-r0)*k : (r-r0+1)*k]
 			base, iy0, kx0, kx1 := g.window(b, oy, ox)
-			for ky := 0; ky < g.KH; ky++ {
-				if iy := iy0 + ky; iy < 0 || iy >= g.H {
-					continue
-				}
-				at := base + ky*g.W*g.C
-				out := dx[at+kx0*g.C : at+kx1*g.C]
-				for j, v := range row[(ky*g.KW+kx0)*g.C : (ky*g.KW+kx1)*g.C] {
-					out[j] += v
-				}
+			if ky0, ky1 := max(0, -iy0), min(g.KH, g.H-iy0); ky0 < ky1 {
+				addRuns(dx[base+ky0*rowC+kx0*g.C:], row[(ky0*g.KW+kx0)*g.C:], (kx1-kx0)*g.C, ky1-ky0, rowC, g.KW*g.C)
 			}
 		}
 		b, oy, ox = g.next(b, oy, ox)

@@ -1,7 +1,7 @@
 // Package kernels is the one kernel library under both engines: the tf
-// session (internal/tf) runs its forward loops and its convolution
-// gradients, the Lite interpreter (internal/tflite) its forward loops,
-// and neither has others.
+// session (internal/tf) runs its forward loops and its convolution, max
+// pool, bias and ReLU gradients, the Lite interpreter (internal/tflite)
+// its forward loops, and neither has others.
 //
 // The kernels read and write caller-owned float32 slices in row-major
 // (NHWC) layout and know nothing of tensors, devices or clocks. Charging
@@ -52,20 +52,41 @@
 //   - Conv2DGradInputInto: dcol[r,kk] sums gradOut[r,f]·filter[kk,f] over
 //     f ascending from +0, a zero gradOut[r,f] skipped, and dx[i] sums
 //     the dcol[r,kk] gathered from it over r ascending from +0; a row r
-//     whose gradOut is all zero is skipped whole.
+//     whose gradOut is all zero is skipped whole. A dcol row's entries
+//     under one input row of its window are one run, added into dx
+//     element by element (col2imAdd).
 //   - MaxPool, AvgPool: each window in (ky, kx) order, MaxPool's
 //     candidate replacing the maximum only if strictly greater, so the
 //     first maximum wins and a NaN never does; its 2×2 stride-2 fast
 //     path keeps that order and that comparison. SoftmaxRows and
 //     ArgMaxRows left to right, the first maximum winning.
+//   - MaxPoolGrad: dx[i] is +0 + grad[o] for the output o whose argmax
+//     is i, and +0 where there is none. The 2×2 stride-2 windows do not
+//     overlap, so no element has two; any other pool's scatter adds
+//     them in o order from +0.
+//   - BiasAddGrad: each channel sums its rows in ascending order from +0.
 //   - ApplySGD: v[i] loses a·g[i], the product rounded before it is
 //     subtracted.
 //
-// Relu, ReluGrad and that MaxPool path do not branch on values: they
-// compare through integer keys of the floats' bits (key, gtMask) and
-// select with the resulting mask, so their time does not depend on the
-// data and a predictor has no coin to flip. The zero skips of the GEMM
-// loops above still branch.
+// Relu, ReluGrad, BiasAdd, BiasAddGrad, col2imAdd's run adds and the 2×2
+// MaxPool and MaxPoolGrad run eight lanes at a time in AVX assembly
+// (elementwise_amd64.s) where the CPU has it — AVX2 for the two pool
+// loops, whose argmax lanes add and compare integers — and as their Go
+// loops elsewhere, chosen as gemm's are, by the CPU alone. MaxPoolGrad's
+// Go loop is the scatter, which its 2×2 lanes also leave to a channel
+// count that is not a multiple of eight. A lane is one
+// element or one channel, and every output keeps its bits, with one
+// exception outside the contract: where an add meets two NaNs, which
+// payload survives is not pinned, since Go fixes no operand order for +.
+//
+// None of these loops branches on a value. The Go loops compare through
+// integer keys of the floats' bits (key, gtMask) and select with the
+// resulting mask; the vector loops compare with VCMPPS GT_OQ, which is
+// false for a NaN and for ±0 against ±0 as Go's > is, and select with
+// VANDPS or VBLENDVPS. Their time does not depend on the data and a
+// predictor has no coin to flip. The zero skips of the GEMM loops above,
+// and of a zero output gradient's dcol row, still branch; so does
+// MaxPoolGrad's scatter on its argmax of -1.
 //
 // Which operand's zeros are skipped is free to change between versions,
 // on finite operands: an accumulator that starts at +0 can never become
@@ -224,11 +245,43 @@ func matMulRowsGo(c, a, b []float32, lo, hi, k, n, lda, ldb, ldc int) {
 // are the innermost dimension and len(src) is a multiple of a non-empty
 // bias. dst may alias src.
 func BiasAdd(dst, src, bias []float32) {
+	if len(src) > 0 && (len(bias) == 0 || len(src)%len(bias) != 0) {
+		panic(fmt.Sprintf("kernels: bias add of %d channels over %d elements", len(bias), len(src)))
+	}
+	biasAdd(dst, src, bias)
+}
+
+// biasAddGo is BiasAdd's Go loop.
+func biasAddGo(dst, src, bias []float32) {
 	c := len(bias)
 	for base := 0; base < len(src); base += c {
 		drow, srow := dst[base:base+c], src[base:base+c]
 		for j, bv := range bias {
 			drow[j] = srow[j] + bv
+		}
+	}
+}
+
+// BiasAddGrad writes into dst [cols] the sums of grad's cols-wide rows,
+// the gradient of BiasAdd's bias: each channel adds its rows in
+// ascending order from +0. cols comes from RowsCols, whose 0 for a shape
+// with no channels is an error.
+func BiasAddGrad(dst, grad []float32, cols int) error {
+	if cols < 1 || len(grad)%cols != 0 {
+		return fmt.Errorf("kernels: bias gradient of %d elements over %d channels", len(grad), cols)
+	}
+	dst = dst[:cols]
+	clear(dst)
+	addRuns(dst, grad, cols, len(grad)/cols, 0, cols)
+	return nil
+}
+
+// addRunsGo is addRuns' Go loop, and so col2imAdd's and BiasAddGrad's.
+func addRunsGo(dst, src []float32, n, runs, ldd, lds int) {
+	for r := range runs {
+		out := dst[r*ldd:][:n]
+		for j, v := range src[r*lds:][:n] {
+			out[j] += v
 		}
 	}
 }
@@ -266,6 +319,11 @@ func positive(b uint32) uint32 {
 // Relu writes max(src, 0) into dst; NaN and -0 map to +0. dst may alias
 // src.
 func Relu(dst, src []float32) {
+	relu(dst[:len(src)], src)
+}
+
+// reluGo is Relu's Go loop.
+func reluGo(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		b := math.Float32bits(v)
@@ -277,6 +335,11 @@ func Relu(dst, src []float32) {
 // not (x ±0, negative or NaN). g and dst are at least as long as x, and
 // dst may alias either.
 func ReluGrad(dst, g, x []float32) {
+	reluGrad(dst[:len(x)], g[:len(x)], x)
+}
+
+// reluGradGo is ReluGrad's Go loop.
+func reluGradGo(dst, g, x []float32) {
 	dst, g = dst[:len(x)], g[:len(x)]
 	for i, v := range x {
 		dst[i] = math.Float32frombits(math.Float32bits(g[i]) & positive(math.Float32bits(v)))
@@ -377,12 +440,21 @@ func MaxPool(dst, x []float32, g Geom, argmax []int32) {
 	maxPoolGeneric(dst, x, g, argmax)
 }
 
-// maxPool2x2 is MaxPool for the 2×2 window at stride 2. An output's
-// window is four C-wide runs of x, and each of its C maxima takes the
-// four candidates in (ky, kx) order through gtMask, so it selects what
+// maxPool2x2 is MaxPool for the 2×2 window at stride 2: the assembly
+// where the CPU has AVX2, over blocks of eight channels, and
+// maxPool2x2Go over the channels left.
+func maxPool2x2(dst, x []float32, g Geom, argmax []int32) {
+	if c0 := maxPool2x2Vector(dst, x, g, argmax); c0 < g.C {
+		maxPool2x2Go(dst, x, g, argmax, c0)
+	}
+}
+
+// maxPool2x2Go is maxPool2x2 over channels [c0, C). An output's window
+// is four C-wide runs of x, and each of its maxima takes the four
+// candidates in (ky, kx) order through gtMask, so it selects what
 // maxPoolGeneric's strict > does — the first maximum, never a NaN, -1
 // for a window of -Inf — without a branch on a value.
-func maxPool2x2(dst, x []float32, g Geom, argmax []int32) {
+func maxPool2x2Go(dst, x []float32, g Geom, argmax []int32, c0 int) {
 	c, rowC := g.C, g.W*g.C
 	o := 0
 	for b := 0; b < g.N; b++ {
@@ -393,7 +465,7 @@ func maxPool2x2(dst, x []float32, g Geom, argmax []int32) {
 				out := dst[o : o+c]
 				x0, x1 := x[i0 : i0+c][:len(out)], x[i0+c : i0+2*c][:len(out)]
 				x2, x3 := x[i2 : i2+c][:len(out)], x[i2+c : i2+2*c][:len(out)]
-				for cc := range out {
+				for cc := c0; cc < c; cc++ {
 					k, bits, idx := int64(negInfKey), negInfBits, int64(-1)
 					k, bits, idx = pick(k, bits, idx, math.Float32bits(x0[cc]), i0+cc)
 					k, bits, idx = pick(k, bits, idx, math.Float32bits(x1[cc]), i0+c+cc)
@@ -442,6 +514,60 @@ func maxPoolGeneric(dst, x []float32, g Geom, argmax []int32) {
 						argmax[oIdx] = int32(bestIdx)
 					}
 				}
+			}
+		}
+	}
+}
+
+// MaxPoolGrad writes into dx the gradient of a max pool given its
+// output gradient grad and the argmax MaxPool filled, both one element
+// per output: each output's gradient goes to the input element its
+// argmax names, as +0 + grad, and every other element of dx is +0. g is
+// the geometry the pool ran over when that was dx's shape, and the zero
+// Geom when it is unknown. For the 2×2 stride-2 window, whose windows do
+// not overlap, on a CPU with AVX2 and over a multiple of eight channels,
+// every window position is written directly (the argmax lane naming it
+// selects +0 + grad, any other +0) and the edge no window covers is
+// cleared. Anything else clears dx and adds each gradient at its argmax,
+// refusing one outside dx: it may come from a pool over another tensor.
+func MaxPoolGrad(dx, grad []float32, argmax []int32, g Geom) error {
+	if len(argmax) != len(grad) {
+		return fmt.Errorf("kernels: max pool gradient of %d elements for %d argmax entries", len(grad), len(argmax))
+	}
+	if g.KH == 2 && g.KW == 2 && g.Stride == 2 && len(dx) == g.N*g.H*g.W*g.C && len(grad) == g.N*g.OH*g.OW*g.C &&
+		maxPoolGrad2x2Vector(dx, grad, argmax, g) {
+		g.clearUncovered(dx)
+		return nil
+	}
+	return maxPoolGradScatter(dx, grad, argmax)
+}
+
+// maxPoolGradScatter is MaxPoolGrad for any pool: the zero-then-scatter
+// loop, checked, and the oracle of the 2×2 path.
+func maxPoolGradScatter(dx, grad []float32, argmax []int32) error {
+	clear(dx)
+	for i, idx := range argmax {
+		if int(idx) >= len(dx) {
+			return fmt.Errorf("kernels: max pool argmax %d outside an input of %d elements", idx, len(dx))
+		}
+		if idx >= 0 {
+			dx[idx] += grad[i]
+		}
+	}
+	return nil
+}
+
+// clearUncovered zeroes the input elements no 2×2 stride-2 window
+// covers: the last row of an image of odd height, and the last column of
+// one of odd width.
+func (g Geom) clearUncovered(dx []float32) {
+	rowC := g.W * g.C
+	for b := range g.N {
+		img := dx[b*g.H*rowC : (b+1)*g.H*rowC]
+		clear(img[2*g.OH*rowC:])
+		if g.W > 2*g.OW {
+			for y := range 2 * g.OH {
+				clear(img[y*rowC+2*g.OW*g.C : (y+1)*rowC])
 			}
 		}
 	}

@@ -814,8 +814,21 @@ func BenchmarkKernels(b *testing.B) {
 		b.Run("conv2d_grad_filter/train-sync/"+l.name+"_im2col", conv(func() { im2colConv2DGradFilter(df, grad, x, g) }))
 		b.Run("conv2d_grad_input/train-sync/"+l.name, conv(func() { clear(dx); Conv2DGradInputInto(dx, grad, f, g) }))
 	}
-	// The CNN's two pools, pool1 followed by its twin on the generic loop:
-	// CI gates the ratio of that pair.
+	// The element-wise loops at train-sync's shapes, each followed by a
+	// _scalar twin on its Go loop (for MaxPoolGrad the zero-then-scatter
+	// it replaced, for col2imAdd the loop before its runs were vector
+	// adds): the ratio of a pair is the same-run speed-up of the
+	// assembly, and CI gates relu's and pool1's.
+	loop := func(run func()) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		}
+	}
+	// The CNN's two pools, pool1 also followed by its twin on the generic
+	// loop, which CI gates too, and pool1's gradient.
 	for _, shape := range [][]int{{50, 28, 28, 8}, {50, 14, 14, 16}} {
 		g, err := PoolGeom(shape, 2, 2)
 		if err != nil {
@@ -824,18 +837,23 @@ func BenchmarkKernels(b *testing.B) {
 		x := randFloats(rng, g.N*g.H*g.W*g.C)
 		out := make([]float32, g.N*g.OH*g.OW*g.C)
 		argmax := make([]int32, len(out))
-		pool := func(run func(dst, x []float32, g Geom, argmax []int32)) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					run(out, x, g, argmax)
-				}
-			}
-		}
-		name := fmt.Sprintf("maxpool/train-sync/%dx%dx%dx%d_k2", g.N, g.H, g.W, g.C)
-		b.Run(name, pool(MaxPool))
+		name := fmt.Sprintf("train-sync/%dx%dx%dx%d_k2", g.N, g.H, g.W, g.C)
+		b.Run("maxpool/"+name, loop(func() { MaxPool(out, x, g, argmax) }))
+		b.Run("maxpool/"+name+"_scalar", loop(func() { maxPool2x2Go(out, x, g, argmax, 0) }))
 		if g.H == 28 {
-			b.Run(name+"_generic", pool(maxPoolGeneric))
+			b.Run("maxpool/"+name+"_generic", loop(func() { maxPoolGeneric(out, x, g, argmax) }))
+			MaxPool(out, x, g, argmax)
+			grad, dx := sparseFloats(rng, len(out), 0.1), make([]float32, len(x))
+			b.Run("maxpool_grad/"+name, loop(func() {
+				if err := MaxPoolGrad(dx, grad, argmax, g); err != nil {
+					b.Fatal(err)
+				}
+			}))
+			b.Run("maxpool_grad/"+name+"_scalar", loop(func() {
+				if err := maxPoolGradScatter(dx, grad, argmax); err != nil {
+					b.Fatal(err)
+				}
+			}))
 		}
 	}
 	// conv1's activations, Gaussian and then four fifths zero: equal times
@@ -846,20 +864,46 @@ func BenchmarkKernels(b *testing.B) {
 	}{{"", 0}, {"_80pct_zero", 0.8}} {
 		x, grad := sparseFloats(rng, 50*28*28*8, in.zeros), sparseFloats(rng, 50*28*28*8, 0.8)
 		out := make([]float32, len(x))
-		b.Run("relu/train-sync/50x28x28x8"+in.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Relu(out, x)
-			}
-		})
+		b.Run("relu/train-sync/50x28x28x8"+in.name, loop(func() { Relu(out, x) }))
 		if in.zeros == 0 {
-			b.Run("relu_grad/train-sync/50x28x28x8", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ReluGrad(out, grad, x)
-				}
-			})
+			b.Run("relu/train-sync/50x28x28x8_scalar", loop(func() { reluGo(out, x) }))
+			b.Run("relu_grad/train-sync/50x28x28x8", loop(func() { ReluGrad(out, grad, x) }))
+			b.Run("relu_grad/train-sync/50x28x28x8_scalar", loop(func() { reluGradGo(out, grad, x) }))
 		}
+	}
+	// conv1's bias and its gradient.
+	{
+		x, bias := sparseFloats(rng, 50*28*28*8, 0), sparseFloats(rng, 8, 0)
+		out, dBias := make([]float32, len(x)), make([]float32, len(bias))
+		b.Run("bias_add/train-sync/50x28x28x8", loop(func() { BiasAdd(out, x, bias) }))
+		b.Run("bias_add/train-sync/50x28x28x8_scalar", loop(func() { biasAddGo(out, x, bias) }))
+		b.Run("bias_add_grad/train-sync/50x28x28x8", loop(func() {
+			if err := BiasAddGrad(dBias, x, 8); err != nil {
+				b.Fatal(err)
+			}
+		}))
+		b.Run("bias_add_grad/train-sync/50x28x28x8_scalar", loop(func() { clear(dBias); addRunsGo(dBias, x, 8, len(x)/8, 0, 8) }))
+	}
+	// conv2's input gradient scattering its dcol tiles, as
+	// Conv2DGradInputInto does, one tile of values reused for every one.
+	{
+		g, err := ConvGeom([]int{50, 14, 14, 8}, []int{5, 5, 8, 16}, 1, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, k, step := g.tiling()
+		tile, grad := sparseFloats(rng, step*k, 0), sparseFloats(rng, rows*g.F, 0.8)
+		dx := make([]float32, g.N*g.H*g.W*g.C)
+		scatter := func(add func(dx, dcol, grad []float32, r0, r1 int)) func() {
+			return func() {
+				for r0 := 0; r0 < rows; r0 += step {
+					r1 := min(r0+step, rows)
+					add(dx, tile, grad[r0*g.F:r1*g.F], r0, r1)
+				}
+			}
+		}
+		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same", loop(scatter(g.col2imAdd)))
+		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same_scalar", loop(scatter(g.col2imAddGo)))
 	}
 	b.Run("softmax/serve-steady/1x1000", func(b *testing.B) {
 		x := randFloats(rng, 1000)

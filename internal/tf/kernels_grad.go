@@ -59,38 +59,34 @@ func kernelTanhGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelBiasAddGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut := in[0]
-	s := gradOut.Shape()
-	c := s[len(s)-1]
-	out := ctx.zeroed(Shape{c})
-	for base := 0; base < len(gradOut.f32); base += c {
-		for j, v := range gradOut.f32[base : base+c] {
-			out.f32[j] += v
-		}
+	_, cols := kernels.RowsCols(gradOut.Shape())
+	out := ctx.out(Shape{cols})
+	if err := kernels.BiasAddGrad(out.f32, gradOut.f32, cols); err != nil {
+		return nil, fmt.Errorf("tf: BiasAddGrad: %w", err)
 	}
 	ctx.charge(n, int64(len(gradOut.f32)), gradOut.Bytes(), true)
 	return out, nil
 }
 
+// kernelMaxPoolGrad routes the gradient through the forward pool's
+// cached argmax. The pool's geometry goes with it only when the pool
+// read a tensor of x's shape; otherwise the kernel takes its checked
+// scatter, since the argmax may index a larger tensor.
 func kernelMaxPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x := in[0], in[1]
-	argmax, ok := ctx.extras[n.attrString("forward", "")].([]int32)
+	cache, ok := ctx.extras[n.attrString("forward", "")].(poolCache)
 	if !ok {
 		return nil, fmt.Errorf("tf: MaxPoolGrad: forward cache for %q missing", n.attrString("forward", ""))
 	}
-	if len(argmax) != len(gradOut.f32) {
-		return nil, fmt.Errorf("tf: MaxPoolGrad: cache size %d vs grad %d", len(argmax), len(gradOut.f32))
+	geo := cache.geo
+	if s := x.Shape(); len(s) != 4 || s[0] != geo.N || s[1] != geo.H || s[2] != geo.W || s[3] != geo.C {
+		geo = kernels.Geom{}
 	}
-	out := ctx.zeroed(x.Shape())
-	for i, idx := range argmax {
-		if int(idx) >= len(out.f32) {
-			// The forward pool read a larger tensor than this x.
-			return nil, fmt.Errorf("tf: MaxPoolGrad: argmax %d outside an input of %d elements", idx, len(out.f32))
-		}
-		if idx >= 0 {
-			out.f32[idx] += gradOut.f32[i]
-		}
+	out := ctx.out(x.Shape())
+	if err := kernels.MaxPoolGrad(out.f32, gradOut.f32, cache.argmax, geo); err != nil {
+		return nil, fmt.Errorf("tf: MaxPoolGrad: %w", err)
 	}
-	ctx.charge(n, int64(len(argmax)), gradOut.Bytes()+out.Bytes(), false)
+	ctx.charge(n, int64(len(cache.argmax)), gradOut.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
