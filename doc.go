@@ -433,7 +433,10 @@
 // geometry constructors reject a window that does not fit its input,
 // and the interpreter checks dtype, rank and bias length before it
 // calls a kernel, so a hostile model file or request is an error, not a
-// panic.
+// panic. A tf graph keeps it from one place, its ops' table (opRules in
+// internal/tf: arity, dtypes, shape function): the builder,
+// UnmarshalGraph and every Session.Run, feeds included, apply it, and
+// the kernels check nothing but a gradient's forward cache.
 //
 // # Static invariants
 //

@@ -118,50 +118,40 @@ var gradFuncs = map[string]gradFunc{
 		return []*Node{g.Div(gradOut, n.inputs[0])}
 	},
 	OpRelu: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		return []*Node{g.addNode(n.name+"/grad", OpReluGrad, []*Node{gradOut, n.inputs[0]}, nil, n.inputs[0].shape, Float32)}
+		return []*Node{g.addNode(n.name+"/grad", OpReluGrad, []*Node{gradOut, n.inputs[0]}, nil)}
 	},
 	OpSigmoid: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		return []*Node{g.addNode(n.name+"/grad", OpSigmoidGrad, []*Node{gradOut, n}, nil, n.shape, Float32)}
+		return []*Node{g.addNode(n.name+"/grad", OpSigmoidGrad, []*Node{gradOut, n}, nil)}
 	},
 	OpTanh: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		return []*Node{g.addNode(n.name+"/grad", OpTanhGrad, []*Node{gradOut, n}, nil, n.shape, Float32)}
+		return []*Node{g.addNode(n.name+"/grad", OpTanhGrad, []*Node{gradOut, n}, nil)}
 	},
 	OpMatMul: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		a, b := n.inputs[0], n.inputs[1]
 		// dA = dC × Bᵀ ; dB = Aᵀ × dC (non-transposed forward only).
-		da := g.addNode(n.name+"/grad_a", OpMatMul, []*Node{gradOut, b},
-			Attrs{"transpose_b": true}, a.shape, Float32)
-		db := g.addNode(n.name+"/grad_b", OpMatMul, []*Node{a, gradOut},
-			Attrs{"transpose_a": true}, b.shape, Float32)
+		da := g.addNode(n.name+"/grad_a", OpMatMul, []*Node{gradOut, n.inputs[1]}, Attrs{"transpose_b": true})
+		db := g.addNode(n.name+"/grad_b", OpMatMul, []*Node{n.inputs[0], gradOut}, Attrs{"transpose_a": true})
 		return []*Node{da, db}
 	},
 	OpBiasAdd: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		bias := n.inputs[1]
-		dBias := g.addNode(n.name+"/grad_bias", OpBiasAddGrad, []*Node{gradOut}, nil, bias.shape, Float32)
-		return []*Node{gradOut, dBias}
+		return []*Node{gradOut, g.addNode(n.name+"/grad_bias", OpBiasAddGrad, []*Node{gradOut}, nil)}
 	},
 	OpConv2D: func(g *Graph, n *Node, gradOut *Node) []*Node {
 		x, filter := n.inputs[0], n.inputs[1]
-		attrs := Attrs{"stride": n.attrInt("stride", 1), "padding": n.attrString("padding", PaddingValid)}
-		dx := g.addNode(n.name+"/grad_input", OpConv2DGradInput, []*Node{gradOut, x, filter}, attrs, x.shape, Float32)
-		attrs2 := Attrs{"stride": n.attrInt("stride", 1), "padding": n.attrString("padding", PaddingValid)}
-		df := g.addNode(n.name+"/grad_filter", OpConv2DGradFilter, []*Node{gradOut, x, filter}, attrs2, filter.shape, Float32)
+		attrs := Attrs{"stride": attr(n, "stride", int64(1)), "padding": attr(n, "padding", PaddingValid)}
+		dx := g.addNode(n.name+"/grad_input", OpConv2DGradInput, []*Node{gradOut, x, filter}, attrs)
+		attrs2 := Attrs{"stride": attr(n, "stride", int64(1)), "padding": attr(n, "padding", PaddingValid)}
+		df := g.addNode(n.name+"/grad_filter", OpConv2DGradFilter, []*Node{gradOut, x, filter}, attrs2)
 		return []*Node{dx, df}
 	},
 	OpMaxPool: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		x := n.inputs[0]
-		return []*Node{g.addNode(n.name+"/grad", OpMaxPoolGrad, []*Node{gradOut, x},
-			Attrs{"forward": n.name}, x.shape, Float32)}
+		return []*Node{g.addNode(n.name+"/grad", OpMaxPoolGrad, []*Node{gradOut, n.inputs[0]}, Attrs{"forward": n.name})}
 	},
 	OpAvgPool: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		x := n.inputs[0]
-		return []*Node{g.addNode(n.name+"/grad", OpAvgPoolGrad, []*Node{gradOut, x},
-			Attrs{"k": n.attrInt("k", 2), "stride": n.attrInt("stride", 2)}, x.shape, Float32)}
+		return []*Node{g.addNode(n.name+"/grad", OpAvgPoolGrad, []*Node{gradOut, n.inputs[0]},
+			Attrs{"k": attr(n, "k", int64(2)), "stride": attr(n, "stride", int64(2))})}
 	},
 	OpSoftmaxXent: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		logits, labels := n.inputs[0], n.inputs[1]
-		dLogits := g.addNode(n.name+"/grad", OpSoftmaxXentGrad, []*Node{gradOut, logits, labels},
-			Attrs{"forward": n.name}, logits.shape, Float32)
+		dLogits := g.addNode(n.name+"/grad", OpSoftmaxXentGrad, []*Node{gradOut, n.inputs[0], n.inputs[1]}, Attrs{"forward": n.name})
 		// Gradients do not flow into labels.
 		return []*Node{dLogits, nil}
 	},
@@ -169,18 +159,12 @@ var gradFuncs = map[string]gradFunc{
 		return []*Node{g.Reshape(gradOut, n.inputs[0].shape)}
 	},
 	OpDropout: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		return []*Node{g.addNode(n.name+"/grad", OpDropoutGrad, []*Node{gradOut},
-			Attrs{"forward": n.name}, n.inputs[0].shape, Float32)}
+		return []*Node{g.addNode(n.name+"/grad", OpDropoutGrad, []*Node{gradOut}, Attrs{"forward": n.name})}
 	},
 	OpReduceMean: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		x := n.inputs[0]
-		b := g.addNode(n.name+"/grad", OpBroadcastLike, []*Node{gradOut, x},
-			Attrs{"scale": "mean"}, x.shape, Float32)
-		return []*Node{b}
+		return []*Node{g.addNode(n.name+"/grad", OpBroadcastLike, []*Node{gradOut, n.inputs[0]}, Attrs{"scale": "mean"})}
 	},
 	OpReduceSum: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		x := n.inputs[0]
-		b := g.addNode(n.name+"/grad", OpBroadcastLike, []*Node{gradOut, x}, nil, x.shape, Float32)
-		return []*Node{b}
+		return []*Node{g.addNode(n.name+"/grad", OpBroadcastLike, []*Node{gradOut, n.inputs[0]}, nil)}
 	},
 }

@@ -19,7 +19,7 @@ type Node struct {
 	op     string
 	inputs []*Node
 	attrs  Attrs
-	shape  Shape // inferred static shape; -1 dims unknown
+	shape  Shape // static shape, as its op's rule derives it; -1 dims unknown
 	dtype  DType
 }
 
@@ -48,62 +48,22 @@ func (n *Node) DType() DType { return n.dtype }
 // Inputs returns the node's inputs (caller must not mutate).
 func (n *Node) Inputs() []*Node { return n.inputs }
 
-// attrInt fetches an int64 attribute with a default.
-func (n *Node) attrInt(key string, def int64) int64 {
-	if v, ok := n.attrs[key].(int64); ok {
+// attr fetches attribute key of n if it is a T, and def otherwise.
+func attr[T any](n *Node, key string, def T) T {
+	if v, ok := n.attrs[key].(T); ok {
 		return v
 	}
 	return def
-}
-
-// attrFloat fetches a float64 attribute with a default.
-func (n *Node) attrFloat(key string, def float64) float64 {
-	if v, ok := n.attrs[key].(float64); ok {
-		return v
-	}
-	return def
-}
-
-// attrString fetches a string attribute with a default.
-func (n *Node) attrString(key, def string) string {
-	if v, ok := n.attrs[key].(string); ok {
-		return v
-	}
-	return def
-}
-
-// attrBool fetches a bool attribute with a default.
-func (n *Node) attrBool(key string, def bool) bool {
-	if v, ok := n.attrs[key].(bool); ok {
-		return v
-	}
-	return def
-}
-
-// attrInts fetches an []int64 attribute.
-func (n *Node) attrInts(key string) []int64 {
-	if v, ok := n.attrs[key].([]int64); ok {
-		return v
-	}
-	return nil
-}
-
-// attrTensor fetches a *Tensor attribute.
-func (n *Node) attrTensor(key string) *Tensor {
-	if v, ok := n.attrs[key].(*Tensor); ok {
-		return v
-	}
-	return nil
 }
 
 // AttrInt returns an int64 attribute (exported for converters).
-func (n *Node) AttrInt(key string, def int64) int64 { return n.attrInt(key, def) }
+func (n *Node) AttrInt(key string, def int64) int64 { return attr(n, key, def) }
 
 // AttrString returns a string attribute (exported for converters).
-func (n *Node) AttrString(key, def string) string { return n.attrString(key, def) }
+func (n *Node) AttrString(key, def string) string { return attr(n, key, def) }
 
 // AttrInts returns an []int64 attribute (exported for converters).
-func (n *Node) AttrInts(key string) []int64 { return n.attrInts(key) }
+func (n *Node) AttrInts(key string) []int64 { return attr[[]int64](n, key, nil) }
 
 // ConstValue returns a copy of a Const node's tensor (or a Variable's
 // initial value), or nil for other ops.
@@ -111,9 +71,9 @@ func (n *Node) ConstValue() *Tensor {
 	var t *Tensor
 	switch n.op {
 	case OpConst:
-		t = n.attrTensor("value")
+		t = attr[*Tensor](n, "value", nil)
 	case OpVariable:
-		t = n.attrTensor("initial")
+		t = attr[*Tensor](n, "initial", nil)
 	}
 	if t == nil {
 		return nil
@@ -122,7 +82,7 @@ func (n *Node) ConstValue() *Tensor {
 }
 
 // CostScale returns the node's cost multiplier (see SetCostScale).
-func (n *Node) CostScale() float64 { return n.attrFloat("cost_scale", 1) }
+func (n *Node) CostScale() float64 { return attr(n, "cost_scale", 1.0) }
 
 // SetCostScale sets a multiplier applied to the FLOPs and bytes this node
 // reports to the device. The synthetic model zoo uses it to make a
@@ -153,20 +113,23 @@ func (g *Graph) uniqueName(hint string) string {
 	}
 }
 
-// addNode creates and registers a node. Panics on programmer error
-// (duplicate explicit name); graph building is construction-time code,
+// addNode creates and registers a node of the shape and dtype its op's
+// rule derives from its inputs.
+func (g *Graph) addNode(name, op string, inputs []*Node, attrs Attrs) *Node {
+	return g.add(&Node{name: g.uniqueName(name), op: op, inputs: inputs, attrs: attrs})
+}
+
+// add registers n with the shape and dtype its op's rule derives, which
+// for a source (Const, Placeholder, Variable) are the ones it declares.
+// Panics on a rule broken: graph building is construction-time code,
 // matching TF1's behaviour of failing fast while defining the graph.
-func (g *Graph) addNode(name, op string, inputs []*Node, attrs Attrs, shape Shape, dtype DType) *Node {
-	if attrs == nil {
-		attrs = Attrs{}
+func (g *Graph) add(n *Node) *Node {
+	if n.attrs == nil {
+		n.attrs = Attrs{}
 	}
-	n := &Node{
-		name:   g.uniqueName(name),
-		op:     op,
-		inputs: inputs,
-		attrs:  attrs,
-		shape:  shape.Clone(),
-		dtype:  dtype,
+	var err error
+	if n.shape, n.dtype, err = n.derive(); err != nil {
+		buildErrorf("%s %q: %v", n.op, n.name, err)
 	}
 	g.nodes = append(g.nodes, n)
 	g.byName[n.name] = n

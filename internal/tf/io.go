@@ -258,7 +258,9 @@ func MarshalGraph(g *Graph) ([]byte, error) {
 // UnmarshalGraph reverses MarshalGraph. The input is untrusted, and a
 // graph that loads is in the form MarshalGraph writes — attribute keys
 // ascending, booleans 0 or 1, nothing after the last node — so it
-// re-marshals to the bytes it was read from.
+// re-marshals to the bytes it was read from. Every node's op is known,
+// takes its inputs, and declares the dtype and shape its rule derives
+// from theirs, so a loaded graph's declared shapes are true.
 func UnmarshalGraph(data []byte) (*Graph, error) {
 	r := wire.NewReader(data)
 	if string(r.Next(len(graphMagic))) != graphMagic {
@@ -322,7 +324,15 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 		if name == "" || g.Node(name) != nil {
 			return nil, fmt.Errorf("tf: empty or duplicate node name %q", name)
 		}
-		g.addNode(name, op, inputs, attrs, shape, dtype)
+		n := &Node{name: name, op: op, inputs: inputs, attrs: attrs, shape: shape, dtype: dtype}
+		derived, ddtype, err := n.derive()
+		if err == nil && (ddtype != dtype || !derived.Equal(shape)) {
+			err = fmt.Errorf("declared %v %v, its rule derives %v %v", dtype, shape, ddtype, derived)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("tf: node %q (%s): %w", name, op, err)
+		}
+		g.add(n)
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("tf: graph: %w", err)
@@ -433,7 +443,7 @@ func Freeze(s *Session, fetches []*Node) (*Graph, error) {
 			if !ok {
 				return nil, fmt.Errorf("tf: freeze: variable %q has no value", n.name)
 			}
-			newNode = out.addNode(n.name, OpConst, nil, Attrs{"value": val.Clone()}, val.Shape(), val.DType())
+			newNode = out.Const(n.name, val)
 		default:
 			inputs := make([]*Node, len(n.inputs))
 			for i, in := range n.inputs {
@@ -451,7 +461,7 @@ func Freeze(s *Session, fetches []*Node) (*Graph, error) {
 					attrs[k] = v
 				}
 			}
-			newNode = out.addNode(n.name, n.op, inputs, attrs, n.shape, n.dtype)
+			newNode = out.add(&Node{name: out.uniqueName(n.name), op: n.op, inputs: inputs, attrs: attrs, shape: n.shape, dtype: n.dtype})
 		}
 		if newNode.name != n.name {
 			return nil, fmt.Errorf("tf: freeze: name collision for %q", n.name)

@@ -264,60 +264,100 @@ func TestUnmarshalGraphBoundsCounts(t *testing.T) {
 	}
 }
 
-// TestHostileGradientGraphErrs: a loaded graph can wire a gradient
-// kernel to operands that disagree — a 2-element gradient for a
-// 5-element input, or a MaxPoolGrad whose forward pool read a larger
-// tensor than its x. Running it is an error, not a panic.
+// TestHostileGradientGraphErrs: a loaded graph can wire a kernel to
+// operands that disagree — a 2-element gradient for a 5-element input, a
+// rank-0 gradient for BiasAddGrad, an optimizer's 2-element gradient for
+// a 1-element variable. Declared with their dims, such a graph is
+// refused at load; declared with -1 dims, it loads, and running it on
+// tensors that disagree is an error. A gradient wired to another
+// forward node's cache — a pool, a dropout or a softmax over a tensor
+// other than its operand's shape — loads either way and errs at Run.
+// Nothing panics.
 func TestHostileGradientGraphErrs(t *testing.T) {
-	g := NewGraph()
-	grad := g.Placeholder("grad", Float32, Shape{2})
-	x := g.Placeholder("x", Float32, Shape{5})
-	for _, op := range []string{OpReluGrad, OpSigmoidGrad, OpTanhGrad} {
-		g.addNode(op, op, []*Node{grad, x}, nil, Shape{5}, Float32)
+	feeds := map[string]*Tensor{
+		"grad": Fill(Shape{2}, 1), "x": Fill(Shape{5}, 1), "scalar": Scalar(1), "one": Fill(Shape{1}, 1),
+		"big": Fill(Shape{1, 4, 4, 1}, 1), "small": Fill(Shape{1, 2, 2, 1}, 1),
+		"logits": Fill(Shape{2, 3}, 1), "labels": Fill(Shape{2, 3}, 1),
+		"logits4": Fill(Shape{2, 4}, 1), "labels4": Fill(Shape{2, 4}, 1),
 	}
-	big := g.Placeholder("big", Float32, Shape{1, 4, 4, 1})
-	small := g.Placeholder("small", Float32, Shape{1, 2, 2, 1})
-	pool := g.MaxPool(big, 2, 2)
-	g.addNode(OpMaxPoolGrad, OpMaxPoolGrad, []*Node{pool, small}, Attrs{"forward": pool.Name()}, Shape{1, 2, 2, 1}, Float32)
-	scalar := g.Placeholder("scalar", Float32, Shape{}) // a rank-0 gradient has no channels
-	g.addNode(OpBiasAddGrad, OpBiasAddGrad, []*Node{scalar}, nil, Shape{1}, Float32)
-
-	raw, err := MarshalGraph(g)
-	if err != nil {
-		t.Fatal(err)
+	// Each row builds its graph; d(n) is n, or -1 for a graph declared
+	// with unknown dims.
+	type row struct {
+		op    string
+		lies  bool // the graph declared with its dims shows the mismatch
+		build func(g *Graph, d func(int) int)
 	}
-	loaded, err := UnmarshalGraph(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(loaded)
-	defer s.Close()
-	ramp := make([]float32, 16) // each window's maximum is its last element
-	for i := range ramp {
-		ramp[i] = float32(i)
-	}
-	bigIn, err := FromFloats(Shape{1, 4, 4, 1}, ramp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feeds := Feeds{
-		loaded.Node("grad"):   Fill(Shape{2}, 1),
-		loaded.Node("x"):      Fill(Shape{5}, 1),
-		loaded.Node("big"):    bigIn,
-		loaded.Node("small"):  Fill(Shape{1, 2, 2, 1}, 1),
-		loaded.Node("scalar"): Scalar(1),
-	}
-	for _, op := range []string{OpReluGrad, OpSigmoidGrad, OpTanhGrad, OpMaxPoolGrad, OpBiasAddGrad} {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Errorf("%s: Run panicked: %v", op, p)
-				}
-			}()
-			if _, err := s.Run(feeds, []*Node{loaded.Node(op)}); err == nil {
-				t.Errorf("%s: Run accepted mismatched operands", op)
+	rows := []row{
+		{OpReluGrad, true, nil}, {OpSigmoidGrad, true, nil}, {OpTanhGrad, true, nil},
+		{OpBiasAddGrad, true, func(g *Graph, d func(int) int) {
+			// A rank-0 gradient has no channels; declared [-1], the
+			// scalar feed is what errs.
+			scalar := g.Placeholder("scalar", Float32, Shape{})
+			if d(1) < 0 {
+				scalar = g.Placeholder("scalar", Float32, Shape{-1})
 			}
-		}()
+			g.addNode(OpBiasAddGrad, OpBiasAddGrad, []*Node{g.Placeholder("one", Float32, Shape{d(1)})}, nil).inputs[0] = scalar
+		}},
+		{OpMaxPoolGrad, false, func(g *Graph, d func(int) int) {
+			pool := g.MaxPool(g.Placeholder("big", Float32, Shape{1, d(4), d(4), 1}), 2, 2)
+			g.addNode(OpMaxPoolGrad, OpMaxPoolGrad, []*Node{pool, g.Placeholder("small", Float32, Shape{1, d(2), d(2), 1})}, Attrs{"forward": pool.Name()})
+		}},
+		{OpDropoutGrad, false, func(g *Graph, d func(int) int) {
+			drop := g.Dropout(g.Placeholder("x", Float32, Shape{d(5)}), 0.5)
+			g.addNode(OpDropoutGrad, OpDropoutGrad, []*Node{g.Placeholder("grad", Float32, Shape{d(2)})}, Attrs{"forward": drop.Name()})
+		}},
+		{OpSoftmaxXentGrad, false, func(g *Graph, d func(int) int) {
+			xent := g.SoftmaxCrossEntropy(g.Placeholder("logits", Float32, Shape{d(2), d(3)}), g.Placeholder("labels", Float32, Shape{d(2), d(3)}))
+			g.addNode(OpSoftmaxXentGrad, OpSoftmaxXentGrad, []*Node{g.Placeholder("grad", Float32, Shape{d(2)}),
+				g.Placeholder("logits4", Float32, Shape{d(2), d(4)}), g.Placeholder("labels4", Float32, Shape{d(2), d(4)})}, Attrs{"forward": xent.Name()})
+		}},
+	}
+	for _, opt := range []Optimizer{SGD{LR: 0.1}, Momentum{LR: 0.1}, Adam{LR: 0.1}} {
+		rows = append(rows, row{opt.Name(), true, func(g *Graph, d func(int) int) {
+			// The gradient is fed 2 floats for a variable of 1.
+			grad := g.Placeholder("grad", Float32, Shape{d(2)})
+			opt.apply(g, g.Variable("v", Fill(Shape{1}, 1)), g.Placeholder("one", Float32, Shape{1})).inputs[1] = grad
+		}})
+	}
+	for _, row := range rows {
+		if row.build == nil {
+			op := row.op
+			row.build = func(g *Graph, d func(int) int) {
+				grad, x := g.Placeholder("grad", Float32, Shape{d(2)}), g.Placeholder("x", Float32, Shape{d(5)})
+				g.addNode(op, op, []*Node{x, x}, nil).inputs[0] = grad
+			}
+		}
+		for _, unknown := range []bool{false, true} {
+			g := NewGraph()
+			row.build(g, func(n int) int {
+				if unknown {
+					return -1
+				}
+				return n
+			})
+			raw, err := MarshalGraph(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := UnmarshalGraph(raw)
+			if (err == nil) == (row.lies && !unknown) {
+				t.Errorf("%s, unknown dims %v: loading it gave %v", row.op, unknown, err)
+			}
+			if err != nil {
+				continue
+			}
+			runFeeds := Feeds{}
+			for _, n := range loaded.Nodes() {
+				if n.Op() == OpPlaceholder {
+					runFeeds[n] = feeds[n.Name()]
+				}
+			}
+			s := NewSession(loaded)
+			if fault := runOne(s, runFeeds, loaded.Group("all", loaded.Nodes()...)); fault != errored {
+				t.Errorf("%s, unknown dims %v: Run accepted mismatched operands (%s)", row.op, unknown, fault)
+			}
+			s.Close()
+		}
 	}
 }
 
@@ -355,19 +395,7 @@ func TestRestoreCheckpointIsDecodeVarCheckpoint(t *testing.T) {
 func FuzzGraphDecode(f *testing.F) {
 	dense := NewGraph()
 	buildTestModel(dense)
-	// A training graph over a convolution carries every attribute kind:
-	// integers and strings (Conv2D), integer lists (Flatten), floats
-	// (Dropout, the optimizer), booleans (the MatMul gradients) and
-	// tensors (the variables).
-	conv := NewGraph()
-	x := conv.Placeholder("x", Float32, Shape{-1, 6, 6, 1})
-	y := conv.Placeholder("y", Float32, Shape{-1, 3})
-	h := conv.Flatten(conv.MaxPool(conv.Conv2D(x, conv.Variable("k", RandNormal(Shape{3, 3, 1, 2}, 0.5, 1)), 1, PaddingSame), 2, 2))
-	logits := conv.MatMul(conv.Dropout(h, 0.5), conv.Variable("w", RandNormal(Shape{18, 3}, 0.5, 2)))
-	if _, err := Minimize(conv, SGD{LR: 0.1}, conv.ReduceMean(conv.SoftmaxCrossEntropy(logits, y))); err != nil {
-		f.Fatal(err)
-	}
-	for _, g := range []*Graph{NewGraph(), dense, conv} {
+	for _, g := range []*Graph{NewGraph(), dense, convTrainingGraph()} {
 		raw, err := MarshalGraph(g)
 		if err != nil {
 			f.Fatal(err)

@@ -14,7 +14,10 @@ type execCtx struct {
 	sess     *Session
 	training bool
 	values   map[*Node]*Tensor
-	extras   map[string]any
+	extras   map[string]*cache
+	in       []*Tensor // the node evaluated's inputs, reused node to node
+	shapes   []Shape   // and theirs
+	shape    Shape     // and its output's, as its rule derives it
 }
 
 // charge reports work to the session's device. The node's cost scale
@@ -30,77 +33,24 @@ func (ctx *execCtx) charge(n *Node, flops, bytes int64, streaming bool) {
 	}
 }
 
-// out draws a Float32 tensor for a kernel that writes every element of
-// its output: the storage comes from the session's free list and holds
-// whatever the last Run left in it.
-func (ctx *execCtx) out(shape Shape) *Tensor { return ctx.tensor(shape, false) }
+// out draws the node's Float32 output, of the shape its rule derived,
+// for a kernel that writes every element of it: the storage comes from
+// the session's free list and holds whatever the last Run left in it.
+func (ctx *execCtx) out() *Tensor { return ctx.tensor(ctx.shape, false) }
 
 // zeroed is out for a kernel that accumulates into its output, or
 // writes only some of it.
-func (ctx *execCtx) zeroed(shape Shape) *Tensor { return ctx.tensor(shape, true) }
+func (ctx *execCtx) zeroed() *Tensor { return ctx.tensor(ctx.shape, true) }
 
 func (ctx *execCtx) tensor(shape Shape, zero bool) *Tensor {
 	return &Tensor{dtype: Float32, shape: shape.Clone(), f32: ctx.sess.f32.get(shape.NumElements(), zero)}
 }
 
-// scalar is Scalar from the free list.
-func (ctx *execCtx) scalar(v float32) *Tensor {
-	t := ctx.out(Shape{})
-	t.f32[0] = v
-	return t
-}
-
-// kernelFunc computes a node's output from its input tensors. The
-// output and every forward cache come from ctx, never from NewTensor or
-// make: the session takes them back when the Run ends.
+// kernelFunc computes a node's output from its input tensors, which its
+// op's rule has checked. The output and every forward cache come from
+// ctx, never from NewTensor or make: the session takes them back when
+// the Run ends.
 type kernelFunc func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
-
-// opKernels maps op names to implementations. Populated once at package
-// initialization and read-only afterwards.
-var opKernels = map[string]kernelFunc{
-	OpAdd:           kernelBinary(func(a, b float32) float32 { return a + b }),
-	OpSub:           kernelBinary(func(a, b float32) float32 { return a - b }),
-	OpMul:           kernelBinary(func(a, b float32) float32 { return a * b }),
-	OpDiv:           kernelBinary(func(a, b float32) float32 { return a / b }),
-	OpNeg:           kernelUnary(func(x float32) float32 { return -x }),
-	OpSquare:        kernelUnary(func(x float32) float32 { return x * x }),
-	OpSqrt:          kernelUnary(func(x float32) float32 { return float32(math.Sqrt(float64(x))) }),
-	OpExp:           kernelUnary(func(x float32) float32 { return float32(math.Exp(float64(x))) }),
-	OpLog:           kernelUnary(func(x float32) float32 { return float32(math.Log(float64(x))) }),
-	OpRelu:          kernelRelu,
-	OpSigmoid:       kernelUnary(sigmoid32),
-	OpTanh:          kernelUnary(func(x float32) float32 { return float32(math.Tanh(float64(x))) }),
-	OpMatMul:        kernelMatMul,
-	OpBiasAdd:       kernelBiasAdd,
-	OpConv2D:        kernelConv2D,
-	OpMaxPool:       kernelPool(true),
-	OpAvgPool:       kernelPool(false),
-	OpSoftmax:       kernelSoftmax,
-	OpSoftmaxXent:   kernelSoftmaxXent,
-	OpReshape:       kernelReshape,
-	OpDropout:       kernelDropout,
-	OpReduceMean:    kernelReduce(true),
-	OpReduceSum:     kernelReduce(false),
-	OpArgMax:        kernelArgMax,
-	OpEqual:         kernelEqual,
-	OpBroadcastLike: kernelBroadcastLike,
-	OpGroup:         kernelGroup,
-
-	OpReluGrad:         kernelReluGrad,
-	OpSigmoidGrad:      kernelSigmoidGrad,
-	OpTanhGrad:         kernelTanhGrad,
-	OpBiasAddGrad:      kernelBiasAddGrad,
-	OpMaxPoolGrad:      kernelMaxPoolGrad,
-	OpAvgPoolGrad:      kernelAvgPoolGrad,
-	OpConv2DGradInput:  kernelConv2DGradInput,
-	OpConv2DGradFilter: kernelConv2DGradFilter,
-	OpSoftmaxXentGrad:  kernelSoftmaxXentGrad,
-	OpDropoutGrad:      kernelDropoutGrad,
-
-	OpApplySGD:      kernelApplySGD,
-	OpApplyMomentum: kernelApplyMomentum,
-	OpApplyAdam:     kernelApplyAdam,
-}
 
 func sigmoid32(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
@@ -110,7 +60,7 @@ func sigmoid32(x float32) float32 {
 func kernelUnary(f func(float32) float32) kernelFunc {
 	return func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		x := in[0]
-		out := ctx.out(x.Shape())
+		out := ctx.out()
 		for i, v := range x.f32 {
 			out.f32[i] = f(v)
 		}
@@ -121,76 +71,40 @@ func kernelUnary(f func(float32) float32) kernelFunc {
 
 func kernelRelu(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
-	out := ctx.out(x.Shape())
+	out := ctx.out()
 	kernels.Relu(out.f32, x.f32)
 	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 	return out, nil
 }
 
-// kernelBinary lifts an elementwise function with scalar broadcasting on
-// either side.
+// kernelBinary lifts an elementwise function over operands of one
+// shape, or either a single element broadcast (at stride 0) over the
+// other.
 func kernelBinary(f func(a, b float32) float32) kernelFunc {
 	return func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-		a, b := in[0], in[1]
-		switch {
-		case a.NumElements() == 1 && b.NumElements() == 1:
-			// Both single-element (possibly different ranks, e.g. a
-			// scalar gradient seed against a [1,1,1,1] activation): the
-			// result takes the higher-rank shape.
-			shape := a.Shape()
-			if len(b.Shape()) > len(shape) {
-				shape = b.Shape()
-			}
-			out := ctx.out(shape)
-			out.f32[0] = f(a.f32[0], b.f32[0])
-			ctx.charge(n, 1, 12, false)
-			return out, nil
-		case a.NumElements() == 1 && b.NumElements() > 1:
-			out := ctx.out(b.Shape())
-			av := a.f32[0]
-			for i, bv := range b.f32 {
-				out.f32[i] = f(av, bv)
-			}
-			ctx.charge(n, int64(len(b.f32)), 2*b.Bytes(), false)
-			return out, nil
-		case b.NumElements() == 1 && a.NumElements() > 1:
-			out := ctx.out(a.Shape())
-			bv := b.f32[0]
-			for i, av := range a.f32 {
-				out.f32[i] = f(av, bv)
-			}
-			ctx.charge(n, int64(len(a.f32)), 2*a.Bytes(), false)
-			return out, nil
-		default:
-			if !a.Shape().Equal(b.Shape()) {
-				return nil, fmt.Errorf("tf: %s: runtime shape mismatch %v vs %v", n.op, a.Shape(), b.Shape())
-			}
-			out := ctx.out(a.Shape())
-			for i := range a.f32 {
-				out.f32[i] = f(a.f32[i], b.f32[i])
-			}
-			ctx.charge(n, int64(len(a.f32)), 3*a.Bytes(), false)
-			return out, nil
+		a, b, out := in[0].f32, in[1].f32, ctx.out()
+		sa, sb, bytes := min(len(a)-1, 1), min(len(b)-1, 1), 3*out.Bytes()
+		if len(a) != len(b) {
+			bytes = 2 * out.Bytes()
 		}
+		for i := range out.f32 {
+			out.f32[i] = f(a[i*sa], b[i*sb])
+		}
+		ctx.charge(n, int64(len(out.f32)), bytes, false)
+		return out, nil
 	}
 }
 
 func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	a, b := in[0], in[1]
-	if len(a.Shape()) != 2 || len(b.Shape()) != 2 {
-		return nil, fmt.Errorf("tf: MatMul: runtime shapes %v x %v", a.Shape(), b.Shape())
-	}
-	if n.attrBool("transpose_a", false) {
+	if attr(n, "transpose_a", false) {
 		a = ctx.transpose2D(a)
 	}
-	if n.attrBool("transpose_b", false) {
+	if attr(n, "transpose_b", false) {
 		b = ctx.transpose2D(b)
 	}
-	if a.Shape()[1] != b.Shape()[0] {
-		return nil, fmt.Errorf("tf: MatMul: inner dims %v x %v", a.Shape(), b.Shape())
-	}
 	m, k, nn := a.Shape()[0], a.Shape()[1], b.Shape()[1]
-	out := ctx.zeroed(Shape{m, nn})
+	out := ctx.zeroed()
 	kernels.MatMulInto(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
 	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), a.Bytes()+b.Bytes()+out.Bytes(), false)
 	return out, nil
@@ -199,26 +113,22 @@ func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 // transpose2D materializes the transpose of a [m,n] tensor.
 func (ctx *execCtx) transpose2D(t *Tensor) *Tensor {
 	m, n := t.Shape()[0], t.Shape()[1]
-	out := ctx.out(Shape{n, m})
+	out := ctx.tensor(Shape{n, m}, false)
 	kernels.Transpose(out.f32, t.f32, m, n)
 	return out
 }
 
 func kernelBiasAdd(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x, bias := in[0], in[1]
-	c := bias.NumElements()
-	if c == 0 || x.NumElements()%c != 0 {
-		return nil, fmt.Errorf("tf: BiasAdd: %d elements not divisible by %d channels", x.NumElements(), c)
-	}
-	out := ctx.out(x.Shape())
+	out := ctx.out()
 	kernels.BiasAdd(out.f32, x.f32, bias.f32)
 	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 	return out, nil
 }
 
 func conv2DGeom(x, filter *Tensor, n *Node) (kernels.Geom, error) {
-	return kernels.ConvGeom(x.Shape(), filter.Shape(), int(n.attrInt("stride", 1)),
-		n.attrString("padding", PaddingValid) == PaddingSame)
+	return kernels.ConvGeom(x.Shape(), filter.Shape(), int(attr(n, "stride", int64(1))),
+		attr(n, "padding", PaddingValid) == PaddingSame)
 }
 
 func kernelConv2D(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
@@ -227,21 +137,35 @@ func kernelConv2D(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := ctx.zeroed(Shape{geo.N, geo.OH, geo.OW, geo.F})
+	out := ctx.zeroed()
 	kernels.Conv2DInto(out.f32, x.f32, filter.f32, geo)
 	ctx.charge(n, geo.ConvFLOPs(), x.Bytes()+filter.Bytes()+out.Bytes(), false)
 	return out, nil
 }
 
 func poolGeom(x *Tensor, n *Node) (kernels.Geom, error) {
-	return kernels.PoolGeom(x.Shape(), int(n.attrInt("k", 2)), int(n.attrInt("stride", 2)))
+	return kernels.PoolGeom(x.Shape(), int(attr(n, "k", int64(2))), int(attr(n, "stride", int64(2))))
 }
 
-// poolCache is what a max pool leaves MaxPoolGrad: the flat input index
-// each maximum came from, and the geometry it pooled over.
-type poolCache struct {
-	argmax []int32
+// cache is what a forward kernel leaves its gradient kernel: what it
+// computed, the op it was and the shape of the tensor it read.
+type cache struct {
+	op     string
+	shape  Shape
+	f32    []float32 // a dropout mask, or softmax probabilities
+	argmax []int32   // a max pool's, and the window it moved
 	geo    kernels.Geom
+}
+
+// forward returns the cache the forward node named in n's "forward"
+// attribute left this Run, or nil. A loaded graph can name any node: a
+// cache another op left, or one over a tensor not of x's shape, errs.
+func (ctx *execCtx) forward(n *Node, op string, x *Tensor) (*cache, error) {
+	c := ctx.extras[attr(n, "forward", "")]
+	if c != nil && (c.op != op || !c.shape.Equal(x.shape)) {
+		return nil, fmt.Errorf("the forward cache is a %s's over %v, not a %s's over %v", c.op, c.shape, op, x.shape)
+	}
+	return c, nil
 }
 
 // kernelPool max- or average-pools; the max pool caches its argmax for
@@ -253,11 +177,11 @@ func kernelPool(maxPool bool) kernelFunc {
 		if err != nil {
 			return nil, err
 		}
-		out := ctx.out(Shape{geo.N, geo.OH, geo.OW, geo.C})
+		out := ctx.out()
 		if maxPool {
 			argmax := ctx.sess.i32.get(out.NumElements(), false)
 			kernels.MaxPool(out.f32, x.f32, geo, argmax)
-			ctx.extras[n.name] = poolCache{argmax, geo}
+			ctx.extras[n.name] = &cache{op: OpMaxPool, shape: x.shape, argmax: argmax, geo: geo}
 		} else {
 			kernels.AvgPool(out.f32, x.f32, geo)
 		}
@@ -269,7 +193,7 @@ func kernelPool(maxPool bool) kernelFunc {
 func kernelSoftmax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
 	_, cols := kernels.RowsCols(x.Shape())
-	out := ctx.out(x.Shape())
+	out := ctx.out()
 	if err := kernels.SoftmaxRows(out.f32, x.f32, cols); err != nil {
 		return nil, err
 	}
@@ -279,15 +203,12 @@ func kernelSoftmax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	logits, labels := in[0], in[1]
-	if !logits.Shape().Equal(labels.Shape()) {
-		return nil, fmt.Errorf("tf: SoftmaxCrossEntropy: %v vs %v", logits.Shape(), labels.Shape())
-	}
 	rows, cols := kernels.RowsCols(logits.Shape())
 	probs := ctx.sess.f32.get(rows*cols, false)
 	if err := kernels.SoftmaxRows(probs, logits.f32, cols); err != nil {
 		return nil, err
 	}
-	out := ctx.out(Shape{rows})
+	out := ctx.out()
 	for r := 0; r < rows; r++ {
 		var loss float64
 		for c := 0; c < cols; c++ {
@@ -299,24 +220,15 @@ func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		}
 		out.f32[r] = float32(loss)
 	}
-	ctx.extras[n.name] = probs
+	ctx.extras[n.name] = &cache{op: OpSoftmaxXent, shape: logits.shape, f32: probs}
 	ctx.charge(n, 6*int64(rows)*int64(cols), 2*logits.Bytes(), false)
 	return out, nil
 }
 
+// kernelReshape views x's storage in the shape its rule resolved.
 func kernelReshape(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	x := in[0]
-	ints := n.attrInts("shape")
-	shape := make(Shape, len(ints))
-	for i, d := range ints {
-		shape[i] = int(d)
-	}
-	out, err := x.Reshape(shape)
-	if err != nil {
-		return nil, err
-	}
 	ctx.charge(n, 0, 0, false)
-	return out, nil
+	return &Tensor{dtype: in[0].dtype, shape: ctx.shape.Clone(), f32: in[0].f32, i32: in[0].i32}, nil
 }
 
 func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
@@ -324,10 +236,10 @@ func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if !ctx.training {
 		return x, nil
 	}
-	rate := n.attrFloat("rate", 0.5)
+	rate := attr(n, "rate", 0.5)
 	keep := 1 - rate
 	scale := float32(1 / keep)
-	out := ctx.zeroed(x.Shape())
+	out := ctx.zeroed()
 	mask := ctx.sess.f32.get(x.NumElements(), true)
 	for i, v := range x.f32 {
 		if ctx.sess.rng.Float64() < keep {
@@ -335,7 +247,7 @@ func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 			out.f32[i] = v * scale
 		}
 	}
-	ctx.extras[n.name] = mask
+	ctx.extras[n.name] = &cache{op: OpDropout, shape: x.shape, f32: mask}
 	ctx.charge(n, int64(len(x.f32)), 3*x.Bytes(), false)
 	return out, nil
 }
@@ -351,14 +263,16 @@ func kernelReduce(mean bool) kernelFunc {
 			sum /= float64(x.NumElements())
 		}
 		ctx.charge(n, int64(x.NumElements()), x.Bytes(), true)
-		return ctx.scalar(float32(sum)), nil
+		out := ctx.out()
+		out.f32[0] = float32(sum)
+		return out, nil
 	}
 }
 
 func kernelArgMax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
 	rows, cols := kernels.RowsCols(x.Shape())
-	out := &Tensor{dtype: Int32, shape: Shape{rows}, i32: ctx.sess.i32.get(rows, false)}
+	out := &Tensor{dtype: Int32, shape: ctx.shape.Clone(), i32: ctx.sess.i32.get(rows, false)}
 	if err := kernels.ArgMaxRows(out.i32, x.f32, cols); err != nil {
 		return nil, err
 	}
@@ -368,20 +282,9 @@ func kernelArgMax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelEqual(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	a, b := in[0], in[1]
-	if a.NumElements() != b.NumElements() {
-		return nil, fmt.Errorf("tf: Equal: %d vs %d elements", a.NumElements(), b.NumElements())
-	}
-	out := ctx.zeroed(a.Shape())
-	for i := 0; i < a.NumElements(); i++ {
-		var eq bool
-		if a.DType() == Int32 && b.DType() == Int32 {
-			eq = a.i32[i] == b.i32[i]
-		} else if a.DType() == Float32 && b.DType() == Float32 {
-			eq = a.f32[i] == b.f32[i]
-		} else {
-			return nil, fmt.Errorf("tf: Equal: mixed dtypes %v vs %v", a.DType(), b.DType())
-		}
-		if eq {
+	out := ctx.zeroed()
+	for i := range out.f32 {
+		if (a.dtype == Int32 && a.i32[i] == b.i32[i]) || (a.dtype == Float32 && a.f32[i] == b.f32[i]) {
 			out.f32[i] = 1
 		}
 	}
@@ -391,15 +294,12 @@ func kernelEqual(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 
 func kernelBroadcastLike(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	src, like := in[0], in[1]
-	if src.NumElements() != 1 {
-		return nil, fmt.Errorf("tf: BroadcastLike: source must be scalar, got %v", src.Shape())
-	}
 	v := src.f32[0]
-	if n.attrString("scale", "") == "mean" && like.NumElements() > 0 {
+	if attr(n, "scale", "") == "mean" && like.NumElements() > 0 {
 		// Gradient of ReduceMean: each element receives grad/N.
 		v /= float32(like.NumElements())
 	}
-	out := ctx.out(like.Shape())
+	out := ctx.out()
 	for i := range out.f32 {
 		out.f32[i] = v
 	}
@@ -408,5 +308,5 @@ func kernelBroadcastLike(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 }
 
 func kernelGroup(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	return ctx.scalar(0), nil
+	return ctx.zeroed(), nil
 }

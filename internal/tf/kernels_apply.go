@@ -8,13 +8,10 @@ import (
 )
 
 // Optimizer apply kernels mutate session variable state in place and
-// return the updated tensor. The variable node is always input 0 and the
-// gradient input 1.
+// return the updated tensor. The variable node is input 0 and the
+// gradient, of its shape, input 1.
 
 func applyTarget(ctx *execCtx, n *Node) (string, *Tensor, error) {
-	if len(n.inputs) < 2 || n.inputs[0].op != OpVariable {
-		return "", nil, fmt.Errorf("tf: %s: input 0 must be a variable", n.op)
-	}
 	name := n.inputs[0].name
 	v, ok := ctx.sess.vars[name]
 	if !ok {
@@ -28,11 +25,7 @@ func kernelApplySGD(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	grad := in[1]
-	if len(grad.f32) != len(v.f32) {
-		return nil, fmt.Errorf("tf: ApplyGradientDescent: grad size %d vs var %d", len(grad.f32), len(v.f32))
-	}
-	kernels.ApplySGD(v.f32, grad.f32, float32(n.attrFloat("lr", 0.01)))
+	kernels.ApplySGD(v.f32, in[1].f32, float32(attr(n, "lr", 0.01)))
 	ctx.charge(n, 2*int64(len(v.f32)), 3*v.Bytes(), false)
 	return v, nil
 }
@@ -43,8 +36,8 @@ func kernelApplyMomentum(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	grad := in[1]
-	lr := float32(n.attrFloat("lr", 0.01))
-	mom := float32(n.attrFloat("momentum", 0.9))
+	lr := float32(attr(n, "lr", 0.01))
+	mom := float32(attr(n, "momentum", 0.9))
 	velocity := ctx.sess.slot(name+"/momentum", v)
 	for i, g := range grad.f32 {
 		velocity.f32[i] = float32(mom*velocity.f32[i]) + g
@@ -60,10 +53,10 @@ func kernelApplyAdam(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	grad := in[1]
-	lr := n.attrFloat("lr", 0.001)
-	beta1 := n.attrFloat("beta1", 0.9)
-	beta2 := n.attrFloat("beta2", 0.999)
-	eps := n.attrFloat("eps", 1e-8)
+	lr := attr(n, "lr", 0.001)
+	beta1 := attr(n, "beta1", 0.9)
+	beta2 := attr(n, "beta2", 0.999)
+	eps := attr(n, "eps", 1e-8)
 
 	m := ctx.sess.slot(name+"/adam_m", v)
 	vv := ctx.sess.slot(name+"/adam_v", v)

@@ -25,7 +25,7 @@ var _ Optimizer = SGD{}
 func (o SGD) Name() string { return "sgd" }
 
 func (o SGD) apply(g *Graph, v, grad *Node) *Node {
-	return g.addNode(v.name+"/sgd", OpApplySGD, []*Node{v, grad}, Attrs{"lr": o.LR}, v.shape, Float32)
+	return g.addNode(v.name+"/sgd", OpApplySGD, []*Node{v, grad}, Attrs{"lr": o.LR})
 }
 
 // Momentum is SGD with classical momentum.
@@ -44,8 +44,7 @@ func (o Momentum) apply(g *Graph, v, grad *Node) *Node {
 	if m == 0 {
 		m = 0.9
 	}
-	return g.addNode(v.name+"/momentum", OpApplyMomentum, []*Node{v, grad},
-		Attrs{"lr": o.LR, "momentum": m}, v.shape, Float32)
+	return g.addNode(v.name+"/momentum", OpApplyMomentum, []*Node{v, grad}, Attrs{"lr": o.LR, "momentum": m})
 }
 
 // Adam is the Adam optimizer (Kingma & Ba).
@@ -72,7 +71,7 @@ func (o Adam) apply(g *Graph, v, grad *Node) *Node {
 	if o.Eps != 0 {
 		attrs["eps"] = o.Eps
 	}
-	return g.addNode(v.name+"/adam", OpApplyAdam, []*Node{v, grad}, attrs, v.shape, Float32)
+	return g.addNode(v.name+"/adam", OpApplyAdam, []*Node{v, grad}, attrs)
 }
 
 // Minimize builds the gradient subgraph for loss with respect to all

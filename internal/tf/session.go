@@ -123,7 +123,7 @@ func NewSession(g *Graph, opts ...SessionOption) *Session {
 	}
 	var varBytes int64
 	for _, v := range g.Variables() {
-		init := v.attrTensor("initial")
+		init := attr[*Tensor](v, "initial", nil)
 		s.vars[v.name] = init.Clone()
 		varBytes += init.Bytes()
 	}
@@ -196,11 +196,17 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 		sess:     s,
 		training: cfg.training,
 		values:   make(map[*Node]*Tensor, len(order)),
-		extras:   make(map[string]any),
+		extras:   make(map[string]*cache),
+		in:       make([]*Tensor, 0, 3),
+		shapes:   make([]Shape, 0, 3),
+		shape:    make(Shape, 0, maxRank),
 	}
 	for node, t := range feeds {
 		if node == nil || t == nil {
 			return nil, fmt.Errorf("tf: nil feed")
+		}
+		if err := node.fits(t); err != nil {
+			return nil, fmt.Errorf("tf: feeding %q: %w", node.name, err)
 		}
 		ctx.values[node] = t
 	}
@@ -267,32 +273,45 @@ func sameArray[T any](a, b []T) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
+// evalNode applies n's rule to its inputs' shapes and runs its kernel,
+// which computes into the shape the rule derives. Their dtypes are as
+// declared: feeds and variables fit them, and kernels yield their rule's.
 func (s *Session) evalNode(ctx *execCtx, n *Node) (*Tensor, error) {
 	switch n.op {
 	case OpPlaceholder:
 		return nil, fmt.Errorf("placeholder not fed")
 	case OpConst:
-		return n.attrTensor("value"), nil
+		return attr[*Tensor](n, "value", nil), nil
 	case OpVariable:
 		v, ok := s.vars[n.name]
 		if !ok {
 			return nil, fmt.Errorf("variable not initialized")
 		}
-		return v, nil
+		return v, n.fits(v)
 	}
-	kernel, ok := opKernels[n.op]
-	if !ok {
-		return nil, fmt.Errorf("no kernel for op %s", n.op)
-	}
-	in := make([]*Tensor, len(n.inputs))
-	for i, input := range n.inputs {
+	ctx.in, ctx.shapes = ctx.in[:0], ctx.shapes[:0]
+	for _, input := range n.inputs {
 		v, ok := ctx.values[input]
 		if !ok {
 			return nil, fmt.Errorf("input %q not evaluated", input.name)
 		}
-		in[i] = v
+		ctx.in, ctx.shapes = append(ctx.in, v), append(ctx.shapes, v.shape)
 	}
-	return kernel(ctx, n, in)
+	rule := opRules[n.op]
+	var err error
+	if ctx.shape, err = rule.shape(n, ctx.shapes, ctx.shape[:0]); err != nil {
+		return nil, err
+	}
+	return rule.kernel(ctx, n, ctx.in)
+}
+
+// fits checks t against what n declares: its dtype, its rank and every
+// dim it knows.
+func (n *Node) fits(t *Tensor) error {
+	if t.dtype != n.dtype || !alike(t.shape, n.shape) {
+		return fmt.Errorf("%v %v does not fit %q's %v %v", t.dtype, t.shape, n.name, n.dtype, n.shape)
+	}
+	return nil
 }
 
 // Variable returns a copy of the current value of the named variable.

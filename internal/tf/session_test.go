@@ -80,6 +80,13 @@ func TestPlaceholderFeeding(t *testing.T) {
 	if _, err := s.Run(nil, []*Node{y}); err == nil {
 		t.Fatal("unfed placeholder accepted")
 	}
+	// A feed obeys its placeholder's dtype, rank and known dims, even
+	// when nothing else would read it: x itself is fetched.
+	for _, bad := range []*Tensor{NewTensor(Float32, Shape{3, 2, 1}), NewTensor(Float32, Shape{3, 3}), NewTensor(Int32, Shape{3, 2})} {
+		if _, err := s.Run(Feeds{x: bad}, []*Node{x}); err == nil {
+			t.Errorf("a %v %v feed of a %v %v placeholder accepted", bad.DType(), bad.Shape(), x.DType(), x.Shape())
+		}
+	}
 }
 
 func TestMatMul(t *testing.T) {

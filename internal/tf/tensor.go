@@ -251,40 +251,39 @@ func Minibatch(xs, ys *Tensor, batch, step int) (bx, by *Tensor, err error) {
 // Reshape returns a view with a new shape of equal element count. A -1
 // dimension is inferred.
 func (t *Tensor) Reshape(shape Shape) (*Tensor, error) {
-	resolved, err := resolveReshape(t.NumElements(), shape)
-	if err != nil {
+	resolved := shape.Clone()
+	if err := resolveReshape(t.NumElements(), resolved); err != nil {
 		return nil, err
 	}
-	out := &Tensor{dtype: t.dtype, shape: resolved, f32: t.f32, i32: t.i32}
-	return out, nil
+	return &Tensor{dtype: t.dtype, shape: resolved, f32: t.f32, i32: t.i32}, nil
 }
 
-func resolveReshape(numElements int, shape Shape) (Shape, error) {
-	resolved := shape.Clone()
+// resolveReshape checks shape as the target of reshaping count elements
+// (-1: unknown) and, count known, fills in its one -1 dim in place.
+func resolveReshape(count int, shape Shape) error {
 	infer := -1
 	known := 1
-	for i, d := range resolved {
+	for i, d := range shape {
 		switch {
 		case d == -1:
 			if infer >= 0 {
-				return nil, fmt.Errorf("tf: reshape with multiple -1 dims: %v", shape)
+				return fmt.Errorf("tf: reshape with multiple -1 dims: %v", shape)
 			}
 			infer = i
-		case d <= 0:
-			return nil, fmt.Errorf("tf: invalid reshape dim %d", d)
+		case d <= 0 || known > math.MaxInt/d:
+			return fmt.Errorf("tf: invalid reshape dim %d", d)
 		default:
 			known *= d
 		}
 	}
-	if infer >= 0 {
-		if known == 0 || numElements%known != 0 {
-			return nil, fmt.Errorf("tf: cannot infer -1 dim reshaping %d elements to %v", numElements, shape)
-		}
-		resolved[infer] = numElements / known
-	} else if known != numElements {
-		return nil, fmt.Errorf("tf: reshape %d elements to %v", numElements, shape)
+	switch {
+	case count < 0:
+	case infer >= 0 && count%known == 0:
+		shape[infer] = count / known
+	case infer >= 0 || known != count:
+		return fmt.Errorf("tf: cannot reshape %d elements to %v", count, shape)
 	}
-	return resolved, nil
+	return nil
 }
 
 // RandNormal fills a new Float32 tensor with N(0, stddev) values from the
