@@ -43,82 +43,91 @@ func NewRandomKey() (Key, error) {
 	return k, nil
 }
 
+// Overhead is the GCM tag a sealed message carries beyond its
+// plaintext (a Seal ciphertext also carries its nonce before it).
+const Overhead = 16
+
+// AEAD is one key's AES-256-GCM, built once. Building it costs about as
+// much as opening a 64 KiB chunk, so a caller that seals or opens many
+// messages under one key (a shielded file's chunks) keeps one.
+type AEAD struct {
+	gcm cipher.AEAD
+}
+
+// NewAEAD builds the AES-256-GCM of key.
+func NewAEAD(key Key) *AEAD {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		// aes.NewCipher only fails on a bad key size, impossible here.
+		panic(fmt.Sprintf("seccrypto: cipher: %v", err))
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		// NewGCM only fails on a block size other than AES's.
+		panic(fmt.Sprintf("seccrypto: GCM: %v", err))
+	}
+	return &AEAD{gcm: gcm}
+}
+
+// Seal encrypts and authenticates plaintext under the caller-provided
+// nonce, binding aad, and appends the ciphertext and its tag to dst. It
+// seals in place when dst is plaintext[:0] with Overhead bytes of spare
+// capacity; otherwise dst must not overlap plaintext. The caller is
+// responsible for nonce uniqueness per key.
+func (a *AEAD) Seal(dst []byte, nonce [12]byte, plaintext, aad []byte) []byte {
+	return a.gcm.Seal(dst, nonce[:], plaintext, aad)
+}
+
+// Open authenticates a ciphertext sealed under nonce and aad and appends
+// its plaintext to dst, so passing buf[:0] with room for the plaintext
+// opens straight into buf. dst must not overlap ciphertext unless it is
+// ciphertext[:0]. On failure it returns ErrAuthentication, and the bytes
+// it would have written are zero.
+func (a *AEAD) Open(dst []byte, nonce [12]byte, ciphertext, aad []byte) ([]byte, error) {
+	pt, err := a.gcm.Open(dst, nonce[:], ciphertext, aad)
+	if err != nil {
+		return nil, ErrAuthentication
+	}
+	return pt, nil
+}
+
 // Seal encrypts and authenticates plaintext with the key, binding the
 // additional data aad. The returned ciphertext embeds a random nonce as a
 // prefix and can be decrypted with Open.
 func Seal(key Key, plaintext, aad []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, aead.NonceSize(), aead.NonceSize()+len(plaintext)+aead.Overhead())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+	var nonce [12]byte
+	if _, err := io.ReadFull(rand.Reader, nonce[:]); err != nil {
 		return nil, fmt.Errorf("seccrypto: generating nonce: %w", err)
 	}
-	return aead.Seal(nonce, nonce, plaintext, aad), nil
+	out := make([]byte, len(nonce), len(nonce)+len(plaintext)+Overhead)
+	copy(out, nonce[:])
+	return NewAEAD(key).Seal(out, nonce, plaintext, aad), nil
 }
 
 // Open authenticates and decrypts a ciphertext produced by Seal with the
 // same key and additional data. It returns ErrAuthentication if the
 // ciphertext or aad were modified.
 func Open(key Key, ciphertext, aad []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	if len(ciphertext) < aead.NonceSize() {
+	var nonce [12]byte
+	if len(ciphertext) < len(nonce) {
 		return nil, ErrCiphertextTooShort
 	}
-	nonce, ct := ciphertext[:aead.NonceSize()], ciphertext[aead.NonceSize():]
-	pt, err := aead.Open(nil, nonce, ct, aad)
-	if err != nil {
-		return nil, ErrAuthentication
-	}
-	return pt, nil
+	copy(nonce[:], ciphertext)
+	return NewAEAD(key).Open(nil, nonce, ciphertext[len(nonce):], aad)
 }
 
-// SealDeterministic encrypts with a caller-provided nonce. It exists for
-// chunk stores that derive a unique nonce per (file, chunk, epoch) and must
-// not pay the ciphertext expansion of a stored nonce. The caller is
-// responsible for nonce uniqueness per key.
+// SealDeterministic is AEAD.Seal into a new buffer under a key used
+// once. It exists for chunk stores that derive a unique nonce per (file,
+// chunk, epoch) and must not pay the ciphertext expansion of a stored
+// nonce.
 func SealDeterministic(key Key, nonce [12]byte, plaintext, aad []byte) ([]byte, error) {
-	return AppendSealDeterministic(nil, key, nonce, plaintext, aad)
+	return NewAEAD(key).Seal(nil, nonce, plaintext, aad), nil
 }
 
-// AppendSealDeterministic is SealDeterministic that appends the
-// ciphertext to dst, so a caller sealing many chunks can reuse one
-// buffer. dst must not overlap plaintext.
-func AppendSealDeterministic(dst []byte, key Key, nonce [12]byte, plaintext, aad []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	return aead.Seal(dst, nonce[:], plaintext, aad), nil
-}
-
-// OpenDeterministic reverses SealDeterministic.
+// OpenDeterministic reverses SealDeterministic: AEAD.Open into a new
+// buffer.
 func OpenDeterministic(key Key, nonce [12]byte, ciphertext, aad []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := aead.Open(nil, nonce[:], ciphertext, aad)
-	if err != nil {
-		return nil, ErrAuthentication
-	}
-	return pt, nil
-}
-
-func newGCM(key Key) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("seccrypto: creating cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("seccrypto: creating GCM: %w", err)
-	}
-	return aead, nil
+	return NewAEAD(key).Open(nil, nonce, ciphertext, aad)
 }
 
 // HKDF derives a key of KeySize bytes from the input keying material using

@@ -208,3 +208,38 @@ func TestCACertExports(t *testing.T) {
 		t.Fatal("leaf verified against a foreign CA")
 	}
 }
+
+// TestAEADSealsAndOpensInPlace holds the kept handle to the one-shot
+// wrappers: sealing a plaintext in its own buffer gives
+// SealDeterministic's bytes, opening them in place gives the plaintext
+// back, and a failed open leaves the bytes it would have written zero.
+func TestAEADSealsAndOpensInPlace(t *testing.T) {
+	key, _ := NewRandomKey()
+	a := NewAEAD(key)
+	nonce := [12]byte{7}
+	aad := []byte("chunk-3")
+	pt := bytes.Repeat([]byte("weights!"), 100)
+	want, err := SealDeterministic(key, nonce, pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(pt), len(pt)+Overhead)
+	copy(buf, pt)
+	sealed := a.Seal(buf[:0], nonce, buf, aad)
+	if !bytes.Equal(sealed, want) || &sealed[0] != &buf[0] {
+		t.Fatal("in-place Seal differs from SealDeterministic or left its buffer")
+	}
+	opened, err := a.Open(sealed[:0], nonce, sealed, aad)
+	if err != nil || !bytes.Equal(opened, pt) || &opened[0] != &buf[0] {
+		t.Fatalf("in-place Open = %v, want the plaintext in its buffer", err)
+	}
+	sealed = a.Seal(buf[:0], nonce, buf[:len(pt)], aad)
+	sealed[0] ^= 1
+	dst := bytes.Repeat([]byte{0xff}, len(pt))
+	if _, err := a.Open(dst[:0], nonce, sealed, aad); err != ErrAuthentication {
+		t.Fatalf("tampered Open: err = %v, want ErrAuthentication", err)
+	}
+	if !bytes.Equal(dst, make([]byte, len(pt))) {
+		t.Fatal("a failed Open left plaintext in its destination")
+	}
+}

@@ -4,15 +4,19 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"io"
 
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/seccrypto"
 )
 
-// shieldFile is an open protected file. Chunks are decrypted on first
-// access and cached in (enclave) memory; dirty chunks are re-encrypted
-// with bumped write counters and flushed on Close.
+// shieldFile is an open protected file. It builds its chunk cipher (or
+// MAC) once, when it is opened. A read that covers a whole chunk opens
+// it straight into the reader's buffer and leaves it uncached; any other
+// access decrypts the chunk into a cache slot in (enclave) memory. Dirty
+// chunks are re-encrypted with bumped write counters and flushed on
+// Close.
 //
 // Like os.File, a shieldFile must not be used concurrently.
 type shieldFile struct {
@@ -21,7 +25,11 @@ type shieldFile struct {
 	level  Level
 	data   fsapi.File
 	meta   *metadata
-	key    seccrypto.Key
+	aead   *seccrypto.AEAD // LevelEncrypted's chunk cipher
+	mac    hash.Hash       // LevelAuthenticated's chunk MAC
+	// stored holds one chunk as the untrusted file stores it: read into
+	// before it is opened, sealed into before it is written.
+	stored []byte
 
 	cache  map[int64][]byte
 	dirty  map[int64]bool
@@ -32,22 +40,29 @@ type shieldFile struct {
 var _ fsapi.File = (*shieldFile)(nil)
 
 func newShieldFile(s *Shield, path string, level Level, data fsapi.File, meta *metadata) *shieldFile {
-	return &shieldFile{
+	f := &shieldFile{
 		shield: s,
 		path:   path,
 		level:  level,
 		data:   data,
 		meta:   meta,
-		key:    s.chunkKey(path, meta.Generation),
 		cache:  make(map[int64][]byte),
 		dirty:  make(map[int64]bool),
 	}
+	key := s.chunkKey(path, meta.Generation)
+	switch level {
+	case LevelEncrypted:
+		f.aead = seccrypto.NewAEAD(key)
+	case LevelAuthenticated:
+		f.mac = hmac.New(sha256.New, key[:])
+	}
+	return f
 }
 
 // overhead is the per-chunk storage overhead for this file's level.
 func (f *shieldFile) overhead() int64 {
 	if f.level == LevelEncrypted {
-		return 16 // GCM tag
+		return seccrypto.Overhead // GCM tag
 	}
 	return sha256.Size // HMAC tag
 }
@@ -69,8 +84,59 @@ func (f *shieldFile) plainLen(i int64) int64 {
 	return n
 }
 
+// storedBuf returns the file's stored-chunk buffer at length n, which
+// it grows to fit. A file of one short chunk keeps a short buffer.
+func (f *shieldFile) storedBuf(n int64) []byte {
+	if int64(cap(f.stored)) < n {
+		f.stored = make([]byte, n)
+	}
+	return f.stored[:n]
+}
+
+// readChunk reads chunk i from the untrusted file, checks it and opens
+// its plaintext into dst, which has room for plainLen(i) > 0 bytes: the
+// reader's buffer when a read covers the whole chunk, its cache slot
+// otherwise. It is the one place a chunk is read: one host ReadAt, the
+// Iago length check, one crypto charge and the authentication check.
+func (f *shieldFile) readChunk(i int64, dst []byte) error {
+	plain := f.plainLen(i)
+	stored := f.storedBuf(plain + f.overhead())
+	n, err := f.data.ReadAt(stored, i*f.slotSize())
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("fsshield: reading chunk %d of %q: %w", i, f.path, err)
+	}
+	if int64(n) != int64(len(stored)) {
+		// Iago check: the host returned fewer bytes than the
+		// authenticated metadata says must exist.
+		return fmt.Errorf("%w: chunk %d of %q is %d bytes, metadata requires %d", ErrIago, i, f.path, n, len(stored))
+	}
+	f.shield.chargeCrypto(int64(len(stored)))
+
+	counter := f.meta.Counters[i]
+	aad := chunkAAD(f.path, i, counter)
+	switch f.level {
+	case LevelEncrypted:
+		if _, err := f.aead.Open(dst[:0], chunkNonce(i, counter), stored, aad); err != nil {
+			return fmt.Errorf("%w: chunk %d of %q failed authentication", ErrTampered, i, f.path)
+		}
+	case LevelAuthenticated:
+		body := stored[:plain]
+		tag := stored[plain:]
+		f.mac.Reset()
+		f.mac.Write(aad)
+		f.mac.Write(body)
+		if !hmac.Equal(tag, f.mac.Sum(nil)) {
+			return fmt.Errorf("%w: chunk %d of %q failed authentication", ErrTampered, i, f.path)
+		}
+		copy(dst, body)
+	default:
+		return fmt.Errorf("fsshield: invalid level %v", f.level)
+	}
+	return nil
+}
+
 // loadChunk returns the plaintext of chunk i, reading and verifying it
-// from the untrusted file if not cached.
+// into its cache slot if not cached.
 func (f *shieldFile) loadChunk(i int64) ([]byte, error) {
 	if c, ok := f.cache[i]; ok {
 		return c, nil
@@ -81,43 +147,12 @@ func (f *shieldFile) loadChunk(i int64) ([]byte, error) {
 		f.cache[i] = buf
 		return buf, nil
 	}
-	stored := make([]byte, plain+f.overhead())
-	n, err := f.data.ReadAt(stored, i*f.slotSize())
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("fsshield: reading chunk %d of %q: %w", i, f.path, err)
+	buf := make([]byte, plain)
+	if err := f.readChunk(i, buf); err != nil {
+		return nil, err
 	}
-	if int64(n) != int64(len(stored)) {
-		// Iago check: the host returned fewer bytes than the
-		// authenticated metadata says must exist.
-		return nil, fmt.Errorf("%w: chunk %d of %q is %d bytes, metadata requires %d", ErrIago, i, f.path, n, len(stored))
-	}
-	f.shield.chargeCrypto(int64(len(stored)))
-
-	counter := f.meta.Counters[i]
-	aad := chunkAAD(f.path, i, counter)
-	var pt []byte
-	switch f.level {
-	case LevelEncrypted:
-		var err error
-		pt, err = seccrypto.OpenDeterministic(f.key, chunkNonce(i, counter), stored, aad)
-		if err != nil {
-			return nil, fmt.Errorf("%w: chunk %d of %q failed authentication", ErrTampered, i, f.path)
-		}
-	case LevelAuthenticated:
-		body := stored[:plain]
-		tag := stored[plain:]
-		mac := hmac.New(sha256.New, f.key[:])
-		mac.Write(aad)
-		mac.Write(body)
-		if !hmac.Equal(tag, mac.Sum(nil)) {
-			return nil, fmt.Errorf("%w: chunk %d of %q failed authentication", ErrTampered, i, f.path)
-		}
-		pt = append([]byte(nil), body...)
-	default:
-		return nil, fmt.Errorf("fsshield: invalid level %v", f.level)
-	}
-	f.cache[i] = pt
-	return pt, nil
+	f.cache[i] = buf
+	return buf, nil
 }
 
 // ReadAt implements io.ReaderAt over the plaintext view.
@@ -131,11 +166,23 @@ func (f *shieldFile) ReadAt(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) && off < f.meta.FileSize {
 		i := off / f.chunkSize()
-		chunk, err := f.loadChunk(i)
-		if err != nil {
-			return total, err
-		}
 		rel := off - i*f.chunkSize()
+		chunk, cached := f.cache[i]
+		if !cached {
+			if plain := f.plainLen(i); rel == 0 && int64(len(p)-total) >= plain {
+				// The read covers the whole chunk: open it into p.
+				if err := f.readChunk(i, p[total:total+int(plain)]); err != nil {
+					return total, err
+				}
+				total += int(plain)
+				off += plain
+				continue
+			}
+			var err error
+			if chunk, err = f.loadChunk(i); err != nil {
+				return total, err
+			}
+		}
 		if rel >= int64(len(chunk)) {
 			break
 		}
@@ -319,13 +366,12 @@ func (f *shieldFile) Close() error {
 }
 
 // flush writes all dirty chunks and the metadata file. Every dirty
-// chunk is sealed into the same buffer, reused for the whole flush: the
-// data file's WriteAt does not keep what it is given (io.WriterAt).
+// chunk is sealed into the file's stored-chunk buffer: the data file's
+// WriteAt does not keep what it is given (io.WriterAt).
 func (f *shieldFile) flush() error {
 	n := divCeil(f.meta.FileSize, f.chunkSize())
 	f.meta.ensureChunks(int(n))
 
-	var stored []byte
 	for i := int64(0); i < n; i++ {
 		if !f.dirty[i] {
 			continue
@@ -341,17 +387,15 @@ func (f *shieldFile) flush() error {
 		aad := chunkAAD(f.path, i, counter)
 		f.shield.chargeCrypto(int64(len(chunk)))
 
+		stored := f.storedBuf(int64(len(chunk)) + f.overhead())[:0]
 		switch f.level {
 		case LevelEncrypted:
-			stored, err = seccrypto.AppendSealDeterministic(stored[:0], f.key, chunkNonce(i, counter), chunk, aad)
-			if err != nil {
-				return fmt.Errorf("fsshield: sealing chunk %d of %q: %w", i, f.path, err)
-			}
+			stored = f.aead.Seal(stored, chunkNonce(i, counter), chunk, aad)
 		case LevelAuthenticated:
-			mac := hmac.New(sha256.New, f.key[:])
-			mac.Write(aad)
-			mac.Write(chunk)
-			stored = mac.Sum(append(stored[:0], chunk...))
+			f.mac.Reset()
+			f.mac.Write(aad)
+			f.mac.Write(chunk)
+			stored = f.mac.Sum(append(stored, chunk...))
 		}
 		if _, err := f.data.WriteAt(stored, i*f.slotSize()); err != nil {
 			return fmt.Errorf("fsshield: writing chunk %d of %q: %w", i, f.path, err)

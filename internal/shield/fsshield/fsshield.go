@@ -15,6 +15,16 @@
 // The shield also performs the Iago-style sanity checks the paper
 // describes: sizes, chunk lengths and counters returned by the untrusted
 // OS are validated before use.
+//
+// An open file builds its chunk cipher (one AES-256-GCM, or one HMAC for
+// authenticate-only files) once and seals and opens every chunk through
+// it. A read that covers a whole chunk opens it straight into the
+// reader's buffer: the chunk is verified but not cached, so reading a
+// model whole allocates the model once, and a later read of that chunk
+// reads and verifies it again. A read of part of a chunk, and every
+// write, goes through the chunk's plaintext cached in the file. Either
+// way a chunk costs one host read, one crypto charge and one
+// authentication check.
 package fsshield
 
 import (

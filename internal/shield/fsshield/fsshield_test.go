@@ -10,10 +10,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/fsapi/fstest"
 	"github.com/securetf/securetf/internal/seccrypto"
+	"github.com/securetf/securetf/internal/sgx"
 )
 
 func newTestShield(t testing.TB, inner fsapi.FS, opts ...func(*Config)) *Shield {
@@ -119,7 +121,7 @@ func TestAuthenticatedLevelLeavesPlaintextReadable(t *testing.T) {
 }
 
 func TestTamperDetectionData(t *testing.T) {
-	for _, path := range []string{"secret/f", "signed/f"} {
+	forEachReader(t, func(t *testing.T, path string, read readFunc) {
 		inner := fsapi.NewMem()
 		s := newTestShield(t, inner)
 		if err := fsapi.WriteFile(s, path, bytes.Repeat([]byte("x"), 1000)); err != nil {
@@ -131,10 +133,10 @@ func TestTamperDetectionData(t *testing.T) {
 		if err := fsapi.WriteFile(inner, path, raw); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fsapi.ReadFile(s, path); !errors.Is(err, ErrTampered) {
-			t.Fatalf("%s: err = %v, want ErrTampered", path, err)
+		if err := read(s, path); !errors.Is(err, ErrTampered) {
+			t.Fatalf("err = %v, want ErrTampered", err)
 		}
-	}
+	})
 }
 
 func TestTamperDetectionMetadata(t *testing.T) {
@@ -168,46 +170,51 @@ func TestMissingMetadataIsTampering(t *testing.T) {
 }
 
 func TestChunkSwapDetected(t *testing.T) {
-	inner := fsapi.NewMem()
-	s := newTestShield(t, inner)
-	// Two chunks of identical plaintext: swapping their ciphertexts must
-	// still be detected because the chunk index is in the AAD.
-	data := append(bytes.Repeat([]byte("A"), 256), bytes.Repeat([]byte("A"), 256)...)
-	if err := fsapi.WriteFile(s, "secret/f", data); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := fsapi.ReadFile(inner, "secret/f")
-	slot := 256 + 16
-	chunk0 := append([]byte(nil), raw[:slot]...)
-	copy(raw[:slot], raw[slot:2*slot])
-	copy(raw[slot:2*slot], chunk0)
-	if err := fsapi.WriteFile(inner, "secret/f", raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fsapi.ReadFile(s, "secret/f"); !errors.Is(err, ErrTampered) {
-		t.Fatalf("err = %v, want ErrTampered for swapped chunks", err)
-	}
+	forEachReader(t, func(t *testing.T, path string, read readFunc) {
+		inner := fsapi.NewMem()
+		s := newTestShield(t, inner)
+		// Two chunks of identical plaintext: swapping their stored
+		// bytes must still be detected because the chunk index is in
+		// the AAD (or the MAC).
+		data := append(bytes.Repeat([]byte("A"), 256), bytes.Repeat([]byte("A"), 256)...)
+		if err := fsapi.WriteFile(s, path, data); err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := fsapi.ReadFile(inner, path)
+		slot := len(raw) / 2
+		chunk0 := append([]byte(nil), raw[:slot]...)
+		copy(raw[:slot], raw[slot:2*slot])
+		copy(raw[slot:2*slot], chunk0)
+		if err := fsapi.WriteFile(inner, path, raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := read(s, path); !errors.Is(err, ErrTampered) {
+			t.Fatalf("err = %v, want ErrTampered for swapped chunks", err)
+		}
+	})
 }
 
 func TestChunkReplayOldVersionDetected(t *testing.T) {
-	inner := fsapi.NewMem()
-	s := newTestShield(t, inner)
-	if err := fsapi.WriteFile(s, "secret/f", bytes.Repeat([]byte("v1"), 128)); err != nil {
-		t.Fatal(err)
-	}
-	oldData, _ := fsapi.ReadFile(inner, "secret/f")
+	forEachReader(t, func(t *testing.T, path string, read readFunc) {
+		inner := fsapi.NewMem()
+		s := newTestShield(t, inner)
+		if err := fsapi.WriteFile(s, path, bytes.Repeat([]byte("v1"), 128)); err != nil {
+			t.Fatal(err)
+		}
+		oldData, _ := fsapi.ReadFile(inner, path)
 
-	// Rewrite the file (epoch and counters advance).
-	if err := fsapi.WriteFile(s, "secret/f", bytes.Repeat([]byte("v2"), 128)); err != nil {
-		t.Fatal(err)
-	}
-	// Replay only the old data file, keeping the new metadata.
-	if err := fsapi.WriteFile(inner, "secret/f", oldData); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fsapi.ReadFile(s, "secret/f"); !errors.Is(err, ErrTampered) {
-		t.Fatalf("err = %v, want ErrTampered for replayed chunk", err)
-	}
+		// Rewrite the file (epoch and counters advance).
+		if err := fsapi.WriteFile(s, path, bytes.Repeat([]byte("v2"), 128)); err != nil {
+			t.Fatal(err)
+		}
+		// Replay only the old data file, keeping the new metadata.
+		if err := fsapi.WriteFile(inner, path, oldData); err != nil {
+			t.Fatal(err)
+		}
+		if err := read(s, path); !errors.Is(err, ErrTampered) {
+			t.Fatalf("err = %v, want ErrTampered for replayed chunk", err)
+		}
+	})
 }
 
 func TestRollbackDetectedWithAudit(t *testing.T) {
@@ -264,22 +271,67 @@ func TestRollbackUndetectedWithoutAudit(t *testing.T) {
 }
 
 func TestTruncationAttackDetected(t *testing.T) {
-	inner := fsapi.NewMem()
-	s := newTestShield(t, inner)
-	if err := fsapi.WriteFile(s, "secret/f", bytes.Repeat([]byte("z"), 1024)); err != nil {
-		t.Fatal(err)
+	forEachReader(t, func(t *testing.T, path string, read readFunc) {
+		inner := fsapi.NewMem()
+		s := newTestShield(t, inner)
+		if err := fsapi.WriteFile(s, path, bytes.Repeat([]byte("z"), 1024)); err != nil {
+			t.Fatal(err)
+		}
+		// The host silently truncates the data file.
+		f, err := inner.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(100); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if err := read(s, path); !errors.Is(err, ErrIago) {
+			t.Fatalf("err = %v, want ErrIago for truncated data", err)
+		}
+	})
+}
+
+// readFunc reads a whole shielded file one way.
+type readFunc func(s *Shield, path string) error
+
+// forEachReader runs check at both protected levels with both ways a
+// chunk reaches a reader: fsapi.ReadFile covers every chunk whole, so
+// each is opened straight into its buffer and never cached, and ReadAts
+// of 100 bytes cover none whole, so each is opened into its cache slot.
+// A tampered file must fail both with the same error.
+func forEachReader(t *testing.T, check func(t *testing.T, path string, read readFunc)) {
+	readers := []struct {
+		name string
+		read readFunc
+	}{
+		{"ReadFile", func(s *Shield, path string) error {
+			_, err := fsapi.ReadFile(s, path)
+			return err
+		}},
+		{"ReadAt", func(s *Shield, path string) error {
+			f, err := s.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			size, err := f.Size()
+			if err != nil {
+				return err
+			}
+			buf := make([]byte, 100)
+			for off := int64(0); off < size; off += int64(len(buf)) {
+				if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
+					return err
+				}
+			}
+			return nil
+		}},
 	}
-	// The host silently truncates the data file.
-	f, err := inner.Open("secret/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(100); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := fsapi.ReadFile(s, "secret/f"); !errors.Is(err, ErrIago) {
-		t.Fatalf("err = %v, want ErrIago for truncated data", err)
+	for _, path := range []string{"secret/f", "signed/f"} {
+		for _, r := range readers {
+			t.Run(path+"/"+r.name, func(t *testing.T) { check(t, path, r.read) })
+		}
 	}
 }
 
@@ -482,6 +534,80 @@ func TestWarmShieldWriteAllocation(t *testing.T) {
 		t.Fatalf("rewriting a %d-byte snapshot allocated %d bytes, want at most %d", len(snapshot), least, limit)
 	}
 	t.Logf("rewriting a %d-byte snapshot allocated %d bytes", len(snapshot), least)
+}
+
+// TestShieldReadFileAllocation is the model load's ceiling: reading a
+// 4 MiB encrypted file whole through fsapi.ReadFile opens each chunk
+// straight into the returned buffer, so it allocates that buffer and
+// little beside it — at most 1.1× the file, where a ciphertext buffer,
+// a plaintext buffer and a cache entry per chunk took about 3×.
+func TestShieldReadFileAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	s := newTestShield(t, fsapi.NewOS(t.TempDir()), func(c *Config) { c.ChunkSize = DefaultChunkSize })
+	model := make([]byte, 4<<20)
+	rand.New(rand.NewSource(1)).Read(model)
+	if err := fsapi.WriteFile(s, "secret/model.stfl", model); err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := fsapi.ReadFile(s, "secret/model.stfl")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, model) {
+			t.Fatal("read back a different model")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(len(model)) * 11 / 10; least > limit {
+		t.Fatalf("reading a %d-byte file allocated %d bytes, want at most %d", len(model), least, limit)
+	}
+	t.Logf("reading a %d-byte file allocated %d bytes", len(model), least)
+}
+
+// TestShieldChargesPinned pins the shield's virtual cost: writing a
+// 3½-chunk file and reading it back advance an enclave's clock by these
+// nanoseconds at each level, whichever way the chunks are read. A change
+// to how chunks are read, sealed or opened must not move them.
+func TestShieldChargesPinned(t *testing.T) {
+	want := map[string]struct{ write, read time.Duration }{
+		"secret/f": {write: 57390, read: 57414},
+		"signed/f": {write: 57392, read: 57432},
+	}
+	plat, err := sgx.NewPlatform("node", sgx.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enclave, err := plat.CreateEnclave(sgx.SyntheticImage("shield", 1<<20, 1<<20), sgx.ModeHW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestShield(t, fsapi.NewMem(), func(c *Config) {
+		c.ChunkSize = DefaultChunkSize
+		c.Meter = EnclaveMeter{Enclave: enclave}
+	})
+	data := make([]byte, DefaultChunkSize*7/2)
+	rand.New(rand.NewSource(1)).Read(data)
+	charged := func(t *testing.T, do func() error) time.Duration {
+		start := enclave.Clock().Now()
+		if err := do(); err != nil {
+			t.Fatal(err)
+		}
+		return enclave.Clock().Now() - start
+	}
+	forEachReader(t, func(t *testing.T, path string, read readFunc) {
+		write := charged(t, func() error { return fsapi.WriteFile(s, path, data) })
+		readNS := charged(t, func() error { return read(s, path) })
+		if w := want[path]; write != w.write || readNS != w.read {
+			t.Errorf("write charged %d ns, read %d ns; want %d and %d", write, readNS, w.write, w.read)
+		}
+	})
 }
 
 func TestNoNonceReuseAfterShrinkGrow(t *testing.T) {

@@ -203,6 +203,18 @@ func DecodeTensorInto(dst *Tensor, data []byte) error {
 	return nil
 }
 
+// DecodeElementsInto overwrites dst's elements from their encoding alone
+// (four little-endian bytes an element, as EncodeTensor writes them
+// after the header): one copy on a little-endian target. words must hold
+// exactly dst's elements.
+func DecodeElementsInto(dst *Tensor, words []byte) error {
+	if len(words) != 4*dst.NumElements() {
+		return fmt.Errorf("tf: %d bytes do not encode %d elements", len(words), dst.NumElements())
+	}
+	dst.setWords(words)
+	return nil
+}
+
 // MarshalGraph serializes the graph, including constant values and
 // variable initials — a frozen graph is therefore self-contained.
 func MarshalGraph(g *Graph) ([]byte, error) {

@@ -12,7 +12,6 @@
 package tflite
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -156,9 +155,9 @@ const (
 	minOpRecord     = 3 + 4 + 4 + 3*4 + 8
 )
 
-// Marshal serializes the model.
+// Marshal serializes the model into a buffer of exactly its length.
 func (m *Model) Marshal() []byte {
-	w := wire.Writer{Buf: []byte(modelMagic)}
+	w := wire.Writer{Buf: append(make([]byte, 0, m.marshalLen()), modelMagic...)}
 	w.U32(uint32(len(m.Tensors)))
 	for _, t := range m.Tensors {
 		w.Str(t.Name)
@@ -188,8 +187,27 @@ func (m *Model) Marshal() []byte {
 	return w.Buf
 }
 
-// Unmarshal parses a serialized model. The weight buffers are copied
-// out of data.
+// marshalLen is the length of Marshal's result: each record's fixed
+// fields (see the minimum records above) plus its names, bytes and
+// eight bytes an int.
+func (m *Model) marshalLen() int {
+	ints := func(vals []int) int { return 8 * len(vals) }
+	n := len(modelMagic) + 3*4 + 4 + ints(m.Inputs) + 4 + ints(m.Outputs)
+	for _, t := range m.Tensors {
+		n += minTensorRecord + len(t.Name) + ints(t.Shape)
+	}
+	for _, b := range m.Buffers {
+		n += minBufferRecord + len(b)
+	}
+	for _, op := range m.Ops {
+		n += minOpRecord + ints(op.Inputs) + ints(op.Outputs) + ints(op.NewShape)
+	}
+	return n
+}
+
+// Unmarshal parses a serialized model. The weight buffers are not
+// copied: each is a sub-slice of data, which the model keeps, so the
+// caller hands data over and must not modify it afterwards.
 func Unmarshal(data []byte) (*Model, error) {
 	r := wire.NewReader(data)
 	if string(r.Next(len(modelMagic))) != modelMagic {
@@ -207,7 +225,7 @@ func Unmarshal(data []byte) (*Model, error) {
 	}
 	m.Buffers = make([][]byte, r.Count(minBufferRecord))
 	for i := range m.Buffers {
-		m.Buffers[i] = bytes.Clone(r.Bytes())
+		m.Buffers[i] = r.Bytes()
 	}
 	m.Ops = make([]OpSpec, r.Count(minOpRecord))
 	for i := range m.Ops {

@@ -1,7 +1,6 @@
 package tflite
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -88,9 +87,8 @@ func (ip *Interpreter) AllocateTensors() error {
 			if err != nil {
 				return err
 			}
-			vals := t.Floats()
-			for j := range vals {
-				vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[j*4:]))
+			if err := tf.DecodeElementsInto(t, raw); err != nil {
+				return err
 			}
 			ip.weights[i] = t
 		case TypeInt8:

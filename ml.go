@@ -408,7 +408,9 @@ func (f *FrozenModel) ConvertToLite(opts ConvertOptions) (*LiteModel, error) {
 	return m, nil
 }
 
-// UnmarshalLiteModel parses a Lite model from its wire format.
+// UnmarshalLiteModel parses a Lite model from its wire format. The
+// model's weight buffers are sub-slices of data, not copies: the caller
+// hands data over and must not modify it afterwards.
 func UnmarshalLiteModel(data []byte) (*LiteModel, error) { return tflite.Unmarshal(data) }
 
 // Classifier runs Lite-model inference inside a container.
