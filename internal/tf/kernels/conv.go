@@ -1,6 +1,10 @@
 package kernels
 
-import "github.com/securetf/securetf/internal/par"
+import (
+	"fmt"
+
+	"github.com/securetf/securetf/internal/par"
+)
 
 // Convolution and its filter gradient are GEMMs over the input as it
 // lies in memory, at row strides (gemm); nothing is gathered into an
@@ -31,10 +35,14 @@ import "github.com/securetf/securetf/internal/par"
 // The working memory is therefore one image, padded or banded, and for
 // the filter gradient that image's output gradient and the filter's
 // gradient, both transposed so that gemm's skipped scalar is the output
-// gradient, the sparsest operand. The input gradient still gathers its
-// dcol rows a tile at a time and scatters them with col2imAdd: its
-// contract sums each dcol row from +0 before it reaches dx, and adding
-// into dx directly would round differently.
+// gradient, the sparsest operand. None of it is filled a float at a
+// time: the band takes each pixel's C floats as one run (copyRuns), the
+// output gradient goes in one 8×8-tile transpose per output line, and
+// the filter's gradient leaves in one per (kx, ky) block of [F, C]. The
+// input gradient still gathers its dcol rows a tile at a time and
+// scatters them with col2imAdd: its contract sums each dcol row from +0
+// before it reaches dx, and adding into dx directly would round
+// differently.
 
 // tileFloats sizes the input gradient's pooled dcol tile: 32 KiB, so
 // that a tile and the filter stay in L2 whatever the batch. A tile holds
@@ -150,14 +158,16 @@ func (g Geom) band(band, x []float32, b int) {
 			if iy < 0 || iy >= g.H {
 				continue
 			}
-			src := img[iy*g.W*g.C : (iy*g.W+w)*g.C]
-			dst := band[((oy*wb+g.PadLeft)*g.KH+ky)*g.C:]
-			for i, o := 0, 0; i < len(src); i, o = i+g.C, o+kc {
-				for c := range g.C {
-					dst[o+c] = src[i+c]
-				}
-			}
+			// w pixels of C floats to runs KH·C apart.
+			copyRuns(band[((oy*wb+g.PadLeft)*g.KH+ky)*g.C:], img[iy*g.W*g.C:], g.C, w, kc, g.C)
 		}
+	}
+}
+
+// copyRunsGo is copyRuns' Go loop.
+func copyRunsGo(dst, src []float32, n, runs, ldd, lds int) {
+	for r := range runs {
+		copy(dst[r*ldd:][:n], src[r*lds:][:n])
 	}
 }
 
@@ -183,23 +193,16 @@ func Conv2DGradFilterInto(dFilter, gradOut, x []float32, g Geom) {
 		g.band(s.img, x, b)
 		grad := gradOut[b*g.OH*g.OW*g.F : (b+1)*g.OH*g.OW*g.F]
 		for oy := range g.OH {
-			for ox := range g.OW {
-				p := oy*perLine + ox
-				for f, v := range grad[(oy*g.OW+ox)*g.F:][:g.F] {
-					gt[f*q+p] = v
-				}
-			}
+			// Line oy's [OW,F] gradient to columns oy·perLine on of gt.
+			transpose(gt[oy*perLine:], grad[oy*g.OW*g.F:], g.OW, g.F, g.F, q)
 		}
 		gemm(s.wt, gt, s.img, 0, g.F, q, k, q, g.Stride*kc, k)
 	}
-	// wt's columns are (kx, ky, c), dFilter's rows (ky, kx, c).
-	for f := range g.F {
-		for kx := range g.KW {
-			for ky := range g.KH {
-				for c, v := range s.wt[f*k+(kx*g.KH+ky)*g.C:][:g.C] {
-					dFilter[((ky*g.KW+kx)*g.C+c)*g.F+f] = v
-				}
-			}
+	// wt's columns are (kx, ky, c), dFilter's rows (ky, kx, c): each
+	// (kx, ky) is an [F,C] block of wt and a [C,F] block of dFilter.
+	for kx := range g.KW {
+		for ky := range g.KH {
+			transpose(dFilter[(ky*g.KW+kx)*g.C*g.F:], s.wt[(kx*g.KH+ky)*g.C:], g.F, g.C, k, g.F)
 		}
 	}
 }
@@ -226,11 +229,36 @@ func Conv2DGradInputInto(dx, gradOut, filter []float32, g Geom) {
 	}
 }
 
-// Transpose writes the transpose of src [m,n] into dst [n,m].
+// Transpose writes the transpose of src [m,n] into dst [n,m]. A slice
+// too short for the shape panics before anything is written.
 func Transpose(dst, src []float32, m, n int) {
-	for i := 0; i < m; i++ {
-		for j, v := range src[i*n : (i+1)*n] {
-			dst[j*m+i] = v
+	if m < 0 || n < 0 || len(src) < m*n || len(dst) < m*n {
+		panic(fmt.Sprintf("kernels: transpose of [%d,%d] from %d elements into %d", m, n, len(src), len(dst)))
+	}
+	transpose(dst, src, m, n, n, m)
+}
+
+// transpose writes the transpose of the [m,n] matrix at row stride lds
+// in src into the [n,m] matrix at row stride ldd in dst: src[i·lds+j]
+// goes to dst[j·ldd+i]. Each operand is sliced to its strided extent
+// first, so one too short panics before anything is written; ldd ≥ m
+// keeps the rows of dst apart. Nothing is computed, so every float
+// keeps its bits, whichever loop runs.
+func transpose(dst, src []float32, m, n, lds, ldd int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if lds < 0 || ldd < m {
+		panic(fmt.Sprintf("kernels: transpose of [%d,%d] at strides %d, %d", m, n, lds, ldd))
+	}
+	transposeTiles(dst[:(n-1)*ldd+m], src[:(m-1)*lds+n], m, n, lds, ldd)
+}
+
+// transposeGo is transpose's Go loop, and the oracle of its tiles.
+func transposeGo(dst, src []float32, m, n, lds, ldd int) {
+	for i := range m {
+		for j, v := range src[i*lds:][:n] {
+			dst[j*ldd+i] = v
 		}
 	}
 }

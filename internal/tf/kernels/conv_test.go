@@ -80,11 +80,12 @@ func im2colConv2DGradFilter(dFilter, gradOut, x []float32, g Geom) {
 }
 
 // oracleCases: strides 1, 2 and 3, SAME and VALID; OW%4 = 0, 1, 2 and 3
-// (the rows-of-4 kernel's stragglers); C = 1; F ≤ 16 (rows of 4) and
-// F > 16 (streaming); non-square inputs and windows; windows that never
-// reach the last rows or columns, VALID and SAME; an even window, whose
-// SAME padding is one more below and right than above and left; and the
-// CNN's two layers.
+// (the rows-of-4 kernel's one to three leftover rows); C = 1; F ≤ 16
+// (rows in registers) and F > 16 (streaming); non-square inputs and
+// windows; windows that never reach the last rows or columns, VALID and
+// SAME; an even window, whose SAME padding is one more below and right
+// than above and left; the CNN's two layers; and geometries that reach
+// each of the filter gradient's copy and transpose paths.
 var oracleCases = []struct {
 	x, filter []int
 	stride    int
@@ -102,6 +103,16 @@ var oracleCases = []struct {
 	{[]int{1, 5, 7, 2}, []int{5, 7, 2, 3}, 1, false, 1, 1},   // the window is the whole input
 	{[]int{2, 28, 28, 1}, []int{5, 5, 1, 8}, 1, true, 28, 28},
 	{[]int{2, 14, 14, 8}, []int{5, 5, 8, 16}, 1, true, 14, 14},
+	// The band's runs of C = 1, 3, 8 and 16 floats; the gradient's
+	// transposes at F = 5 (the Go loop), 8 and 16 (tiles), over OW lines
+	// that end in a tile overlapping the one before; and the filter's
+	// [F,C] blocks, tiles only where both are eight or more.
+	{[]int{2, 13, 13, 16}, []int{3, 3, 16, 8}, 1, true, 13, 13},
+	{[]int{1, 12, 19, 8}, []int{5, 5, 8, 16}, 2, true, 6, 10},
+	{[]int{2, 15, 23, 3}, []int{3, 5, 3, 5}, 2, false, 7, 10},
+	{[]int{1, 20, 22, 1}, []int{5, 5, 1, 16}, 1, false, 16, 18},
+	{[]int{1, 11, 11, 8}, []int{3, 3, 8, 5}, 1, true, 11, 11},
+	{[]int{1, 17, 15, 16}, []int{3, 3, 16, 16}, 2, false, 8, 7},
 }
 
 // withSpecials replaces about a sixth of v with ±0, NaN or ±Inf.

@@ -23,6 +23,11 @@ func biasAddAVX(dst, src, bias []float32)
 //go:noescape
 func addRunsAVX(dst, src []float32, n, runs, ldd, lds int)
 
+// copyRunsAVX is in transpose_amd64.s.
+//
+//go:noescape
+func copyRunsAVX(dst, src []float32, n, runs, ldd, lds int)
+
 //go:noescape
 func maxPool2x2AVX2(dst, top, bottom []float32, argmax []int32, ow, c, i0, rowC int)
 
@@ -75,6 +80,23 @@ func addRuns(dst, src []float32, n, runs, ldd, lds int) {
 		return
 	}
 	addRunsAVX(dst, src, n, runs, ldd, lds)
+}
+
+// copyRuns copies src[r·lds:][:n] into dst[r·ldd:][:n] for r = 0, 1,
+// …, runs-1, as copyRunsGo does.
+func copyRuns(dst, src []float32, n, runs, ldd, lds int) {
+	if n <= 0 || runs <= 0 {
+		return
+	}
+	if ldd < 0 || lds < 0 {
+		panic("kernels: copyRuns at a negative stride")
+	}
+	dst, src = dst[:(runs-1)*ldd+n], src[:(runs-1)*lds+n]
+	if !cpu.AVX {
+		copyRunsGo(dst, src, n, runs, ldd, lds)
+		return
+	}
+	copyRunsAVX(dst, src, n, runs, ldd, lds)
 }
 
 // maxPool2x2Vector runs the assembly over each output row's windows,

@@ -8,6 +8,12 @@
 // for ±0 against ±0, as Go's > is. An add takes the accumulator, or the
 // source, as its first operand, as the compiled Go loop does; of two
 // NaNs that operand's payload survives, which Go itself does not pin.
+//
+// Each function starts on a 64-byte line (PCALIGN), so its loops sit at
+// the same offsets in their cache lines in every binary: a change to
+// other code in the package, which moves where the linker puts these,
+// no longer moves a short loop across a fetch line (addRunsAVX's tail
+// loop once ran a col2imAdd of five-float runs 1.7× slower that way).
 
 // lanes<> is 0, 1, …, 7: a block's channel offsets, as int32 lanes.
 DATA lanes<>+0(SB)/4, $0
@@ -53,6 +59,7 @@ GLOBL lanes<>(SB), RODATA|NOPTR, $32
 //
 // dst = src & (src > +0), over whole blocks of eight.
 TEXT ·reluAVX(SB), NOSPLIT, $0-48
+	PCALIGN $64
 	MOVQ   dst_base+0(FP), DI
 	MOVQ   src_base+24(FP), SI
 	MOVQ   src_len+32(FP), CX
@@ -78,6 +85,7 @@ reluDone:
 //
 // dst = g & (x > +0), over whole blocks of eight.
 TEXT ·reluGradAVX(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ   dst_base+0(FP), DI
 	MOVQ   g_base+24(FP), DX
 	MOVQ   x_base+48(FP), SI
@@ -106,6 +114,7 @@ reluGradDone:
 // dst = src + bias row by row, len(src) a multiple of len(bias) ≥ 1:
 // blocks of eight channels, then the rest one at a time.
 TEXT ·biasAddAVX(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ src_len+32(FP), AX
@@ -154,6 +163,7 @@ biasDone:
 // For r = 0, 1, …, runs-1 in turn: dst[r·ldd:][:n] += src[r·lds:][:n],
 // blocks of eight elements, then the rest one at a time.
 TEXT ·addRunsAVX(SB), NOSPLIT, $0-80
+	PCALIGN $64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ n+48(FP), R9
@@ -209,6 +219,7 @@ runsDone:
 // taken in (ky, kx) order, each replacing the running maximum (Y3, from
 // -Inf) and its index (Y4, from -1) only where strictly greater.
 TEXT ·maxPool2x2AVX2(SB), NOSPLIT, $0-128
+	PCALIGN $64
 	MOVQ     dst_base+0(FP), DI
 	MOVQ     top_base+24(FP), SI
 	MOVQ     bottom_base+48(FP), DX
@@ -278,6 +289,7 @@ poolDone:
 // and each of a window's four positions receives +0 + grad where the
 // window's argmax lane names it and +0 where it does not.
 TEXT ·maxPoolGrad2x2AVX2(SB), NOSPLIT, $0-128
+	PCALIGN $64
 	MOVQ   top_base+0(FP), SI
 	MOVQ   bottom_base+24(FP), DX
 	MOVQ   grad_base+48(FP), DI

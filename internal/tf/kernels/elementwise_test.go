@@ -83,6 +83,14 @@ func TestElementwiseMatchesScalar(t *testing.T) {
 					addRuns(got, src, n, runs, ldd, lds)
 					sumEqual(t, fmt.Sprintf("add %d runs at strides %d, %d, %s", runs, ldd, lds, what), got, want, free)
 				}
+				// The band's run copies, over the gaps' awkward floats,
+				// which must survive as they are.
+				src := shifted(awkward(rng, (runs-1)*lds+n), off)
+				dst := awkward(rng, (runs-1)*ldd+n)
+				want, got := shifted(dst, 0), shifted(dst, (off+1)%4)
+				copyRunsGo(want, src, n, runs, ldd, lds)
+				copyRuns(got, src, n, runs, ldd, lds)
+				bitEqual(t, fmt.Sprintf("copy %d runs at strides %d, %d, %s", runs, ldd, lds, what), got, want)
 			}
 		}
 	}
@@ -316,6 +324,7 @@ func TestElementwiseDoNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 		addRuns(dx, x, 40, 5, g.W*g.C, 40)
+		copyRuns(dx, x, 40, 5, g.W*g.C, 40)
 	}
 	run()
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {

@@ -9,12 +9,22 @@
 // (execCtx.charge, Interpreter.charge), so a kernel change cannot move
 // virtual time. The convolutions read their windows where they lie
 // (conv.go) and draw their working memory — one image, padded or
-// banded, the filter and one image's output gradient transposed, and the
-// input gradient's tile of dcol rows — from a process-wide free list
-// (par.Free), so once it is warm no call allocates anything, and nothing
-// a call does allocate is sized by the batch; every other kernel allocates nothing
-// at all (MatMulInto, which splits its work on internal/par, nothing once
-// warm).
+// banded, the filter and one image's output gradient transposed, the
+// filter gradient transposed, and the input gradient's tile of dcol
+// rows — from a process-wide free list (par.Free), so once it is warm no
+// call allocates anything, and nothing a call does allocate is sized by
+// the batch; every other kernel allocates nothing at all (MatMulInto,
+// which splits its work on internal/par, nothing once warm).
+//
+// Every transposition is one routine, transpose, at row strides:
+// Transpose (the session's transposed MatMul operands, the input
+// gradient's filter), the filter gradient's output gradient, a line at a
+// time, and its final (kx, ky, c) to (ky, kx, c) reorder. Where the CPU
+// has AVX and both sides are eight or more it runs in 8×8 register tiles
+// (transpose_amd64.s), a side that is not a multiple of eight ending in a
+// tile that overlaps the one before; elsewhere it is its Go loop. The
+// band's C-wide runs are copied whole (copyRuns). Both only move bits,
+// so no float changes on the way, a NaN's payload included.
 //
 // The arithmetic of every output element is fixed: which products are
 // added to it, in what order, each product rounded to float32 and then
@@ -79,14 +89,17 @@
 // exception outside the contract: where an add meets two NaNs, which
 // payload survives is not pinned, since Go fixes no operand order for +.
 //
-// None of these loops branches on a value. The Go loops compare through
-// integer keys of the floats' bits (key, gtMask) and select with the
-// resulting mask; the vector loops compare with VCMPPS GT_OQ, which is
-// false for a NaN and for ±0 against ±0 as Go's > is, and select with
+// None of these loops branches on a value, and nor do the transposes
+// and run copies, whose branches are on shapes. The Go loops compare
+// through integer keys of the floats' bits (key, gtMask) and select with
+// the resulting mask; the vector loops compare with VCMPPS GT_OQ, which
+// is false for a NaN and for ±0 against ±0 as Go's > is, and select with
 // VANDPS or VBLENDVPS. Their time does not depend on the data and a
 // predictor has no coin to flip. The zero skips of the GEMM loops above,
-// and of a zero output gradient's dcol row, still branch; so does
-// MaxPoolGrad's scatter on its argmax of -1.
+// and of a zero output gradient's dcol row, still branch: the streaming
+// kernel on each a[i,kk], and the kernels that hold a narrow product's
+// rows in registers, four or the last one to three at a time, on each
+// row's own a[i,kk]. So does MaxPoolGrad's scatter on its argmax of -1.
 //
 // Which operand's zeros are skipped is free to change between versions,
 // on finite operands: an accumulator that starts at +0 can never become

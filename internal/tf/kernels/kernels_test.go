@@ -184,8 +184,9 @@ func refConv2DGradFilter(gradOut, x []float32, g Geom) []float32 {
 
 // convCases cover SAME and VALID, strides 1 and 2, non-square inputs and
 // windows, one channel, a row count (392) that is not a multiple of the
-// 81-row tile its K=200 gets, and a K (17500) and an F (20000) larger than
-// the whole tile.
+// 81-row tile its K=200 gets, a K (17500) and an F (20000) larger than
+// the whole tile, and the channel, filter and line widths that select
+// between the filter gradient's copy and transpose paths.
 var convCases = []struct {
 	x, filter []int
 	stride    int
@@ -202,6 +203,14 @@ var convCases = []struct {
 	{[]int{1, 6, 5, 700}, []int{5, 5, 700, 2}, 1, true, 6, 5},
 	{[]int{1, 7, 7, 700}, []int{5, 5, 700, 2}, 2, false, 2, 2},
 	{[]int{1, 3, 2, 1}, []int{1, 1, 1, 20000}, 1, true, 3, 2},
+	// C = 1, 3, 8 and 16; F = 5, 8 and 16; OW = 13, 10, 18 and 11, which
+	// leave one to three rows of four and end the gradient's transposes
+	// in an overlapping tile; stride 2, SAME and VALID.
+	{[]int{2, 13, 13, 16}, []int{3, 3, 16, 8}, 1, true, 13, 13},
+	{[]int{1, 12, 19, 8}, []int{5, 5, 8, 16}, 2, true, 6, 10},
+	{[]int{2, 15, 23, 3}, []int{3, 5, 3, 5}, 2, false, 7, 10},
+	{[]int{1, 20, 22, 1}, []int{5, 5, 1, 16}, 1, false, 16, 18},
+	{[]int{1, 11, 11, 8}, []int{3, 3, 8, 5}, 1, true, 11, 11},
 }
 
 // sparseFloats returns n normal values of which the given share are
@@ -292,21 +301,41 @@ func convWorkload(rng *rand.Rand, batch int) (g Geom, x, filter, grad []float32)
 
 // TestConvKernelsDoNotAllocate: tile, transposed filter and transposed
 // gradient all come from the pool, so once it is warm a call allocates
-// nothing, whatever the batch.
+// nothing, whatever the batch; the same holds for the filter gradient at
+// both of train-sync's layers, and a transpose, fc1's 784×512 weights
+// here, allocates nothing at all.
 func TestConvKernelsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	g, x, filter, grad := convWorkload(rand.New(rand.NewSource(6)), 4)
+	rng := rand.New(rand.NewSource(6))
+	g, x, filter, grad := convWorkload(rng, 4)
 	out, dx, dFilter := make([]float32, len(grad)), make([]float32, len(x)), make([]float32, len(filter))
-	run := func() {
+	type warm struct {
+		name string
+		run  func()
+	}
+	runs := []warm{{"a forward, filter-gradient and input-gradient call", func() {
 		Conv2DInto(out, x, filter, g)
 		Conv2DGradFilterInto(dFilter, grad, x, g)
 		Conv2DGradInputInto(dx, grad, filter, g)
+	}}}
+	for _, l := range [][2][]int{{{50, 28, 28, 1}, {5, 5, 1, 8}}, {{50, 14, 14, 8}, {5, 5, 8, 16}}} {
+		g, err := ConvGeom(l[0], l[1], 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, grad := sparseFloats(rng, g.N*g.H*g.W*g.C, 0.1), sparseFloats(rng, g.N*g.OH*g.OW*g.F, 0.8)
+		dFilter := make([]float32, g.KH*g.KW*g.C*g.F)
+		runs = append(runs, warm{fmt.Sprintf("a filter gradient over %v", l[0]), func() { Conv2DGradFilterInto(dFilter, grad, x, g) }})
 	}
-	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("a warmed-up forward, filter-gradient and input-gradient call made %v allocations, want 0", allocs)
+	w, wt := sparseFloats(rng, 784*512, 0), make([]float32, 784*512)
+	runs = append(runs, warm{"a 784x512 transpose", func() { Transpose(wt, w, 784, 512) }})
+	for _, r := range runs {
+		r.run()
+		if allocs := testing.AllocsPerRun(10, r.run); allocs != 0 {
+			t.Errorf("%s, warm, made %v allocations, want 0", r.name, allocs)
+		}
 	}
 }
 
@@ -904,6 +933,15 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same", loop(scatter(g.col2imAdd)))
 		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same_scalar", loop(scatter(g.col2imAddGo)))
+	}
+	// fc1's weights transposed, as the session's MatMul does for both of
+	// its gradients every step, and the _scalar twin on the Go loop,
+	// which CI gates.
+	{
+		const m, n = 784, 512
+		src, dst := randFloats(rng, m*n), randFloats(rng, m*n)
+		b.Run("transpose/train-sync/784x512", loop(func() { Transpose(dst, src, m, n) }))
+		b.Run("transpose/train-sync/784x512_scalar", loop(func() { transposeGo(dst, src, m, n, n, m) }))
 	}
 	b.Run("softmax/serve-steady/1x1000", func(b *testing.B) {
 		x := randFloats(rng, 1000)

@@ -216,6 +216,24 @@ axpyNextK:
 	VZEROUPPER
 	RET
 
+// NARROWMASKS sets Y10 to the mask of lanes [0, min(n,8)) and Y11 to
+// that of lanes [0, max(n-8,0)), for the n ≤ 16 in R11, through AX, BX,
+// CX and DX: the two halves of a narrow row.
+#define NARROWMASKS \
+	MOVQ    $8, AX                \
+	CMPQ    R11, AX               \
+	CMOVQLT R11, AX               \
+	MOVQ    R11, DX               \
+	SUBQ    AX, DX                \
+	SHLQ    $2, AX                \
+	SHLQ    $2, DX                \
+	LEAQ    laneMask<>+32(SB), BX \
+	MOVQ    BX, CX                \
+	SUBQ    AX, BX                \
+	SUBQ    DX, CX                \
+	VMOVUPS (BX), Y10             \
+	VMOVUPS (CX), Y11
+
 // ROW4 is one row's step of matMulRows4AVX: skip a zero a[i,kk], else
 // add its product with the b row in Y8:Y9 to the row's accumulators.
 #define ROW4(aikk, acc0, acc1, skip) \
@@ -249,21 +267,7 @@ TEXT ·matMulRows4AVX(SB), NOSPLIT, $0-120
 	MOVQ b_base+48(FP), R8
 	MOVQ rows+72(FP), R9
 	MOVQ n+88(FP), R11
-
-	// Y10 selects min(n,8) lanes, Y11 max(n-8,0).
-	MOVQ  $8, AX
-	CMPQ  R11, AX
-	CMOVQLT R11, AX
-	MOVQ  R11, DX
-	SUBQ  AX, DX
-	SHLQ  $2, AX
-	SHLQ  $2, DX
-	LEAQ  laneMask<>+32(SB), BX
-	MOVQ  BX, CX
-	SUBQ  AX, BX
-	SUBQ  DX, CX
-	VMOVUPS (BX), Y10
-	VMOVUPS (CX), Y11
+	NARROWMASKS
 
 	MOVQ lda+96(FP), R12
 	SHLQ $2, R12
@@ -316,5 +320,86 @@ rows4K:
 	LEAQ (DI)(R11*4), DI
 	SUBQ $4, R9
 	JNZ  rows4Group
+	VZEROUPPER
+	RET
+
+// func matMulRowsTailAVX(c, a, b []float32, rows, k, n, lda, ldb, ldc int)
+//
+// The narrow shape's last 1, 2 or 3 rows, 1 ≤ n ≤ 16: as matMulRows4AVX,
+// each row held in registers over the whole kk loop and testing its own
+// a[i,kk] for zero, but with one loop per row count, so that the
+// streaming kernel no longer loads and stores these rows of c once per
+// product. Registers as in matMulRows4AVX; DX is c row 2.
+TEXT ·matMulRowsTailAVX(SB), NOSPLIT, $0-120
+	MOVQ c_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ rows+72(FP), R9
+	MOVQ n+88(FP), R11
+	NARROWMASKS
+	MOVQ b_base+48(FP), BX
+
+	MOVQ lda+96(FP), R12
+	SHLQ $2, R12
+	MOVQ ldb+104(FP), R10
+	SHLQ $2, R10
+	MOVQ ldc+112(FP), R11
+	SHLQ $2, R11
+	LEAQ (DI)(R11*2), DX
+	MOVQ k+80(FP), CX
+
+	VMASKMOVPS (DI), Y10, Y0
+	VMASKMOVPS 32(DI), Y11, Y1
+	CMPQ R9, $2
+	JLT  tail1K
+	VMASKMOVPS (DI)(R11*1), Y10, Y2
+	VMASKMOVPS 32(DI)(R11*1), Y11, Y3
+	JEQ  tail2K
+	VMASKMOVPS (DX), Y10, Y4
+	VMASKMOVPS 32(DX), Y11, Y5
+
+	PCALIGN $32
+tail3K:
+	VMASKMOVPS (BX), Y10, Y8
+	VMASKMOVPS 32(BX), Y11, Y9
+	ROW4((SI), Y0, Y1, tail3Skip0)
+	ROW4((SI)(R12*1), Y2, Y3, tail3Skip1)
+	ROW4((SI)(R12*2), Y4, Y5, tail3Skip2)
+	ADDQ $4, SI
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  tail3K
+	VMASKMOVPS Y4, Y10, (DX)
+	VMASKMOVPS Y5, Y11, 32(DX)
+	JMP  tailStore1
+
+	PCALIGN $32
+tail2K:
+	VMASKMOVPS (BX), Y10, Y8
+	VMASKMOVPS 32(BX), Y11, Y9
+	ROW4((SI), Y0, Y1, tail2Skip0)
+	ROW4((SI)(R12*1), Y2, Y3, tail2Skip1)
+	ADDQ $4, SI
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  tail2K
+
+tailStore1:
+	VMASKMOVPS Y2, Y10, (DI)(R11*1)
+	VMASKMOVPS Y3, Y11, 32(DI)(R11*1)
+	JMP  tailStore0
+
+	PCALIGN $32
+tail1K:
+	VMASKMOVPS (BX), Y10, Y8
+	VMASKMOVPS 32(BX), Y11, Y9
+	ROW4((SI), Y0, Y1, tail1Skip0)
+	ADDQ $4, SI
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  tail1K
+
+tailStore0:
+	VMASKMOVPS Y0, Y10, (DI)
+	VMASKMOVPS Y1, Y11, 32(DI)
 	VZEROUPPER
 	RET

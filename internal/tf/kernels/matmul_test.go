@@ -130,8 +130,10 @@ func checkAgainstGo(t *testing.T, what string, c0, a, b []float32, lo, hi, k, n 
 
 func TestMatMulRowsMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	// Seven rows are one group of four and three stragglers; rows 1 to 6
-	// of them, so that neither end of c, a is the end of its slice.
+	// Seven rows are one group of four and three left over; rows 1 to 6
+	// of them, so that neither end of c, a is the end of its slice, leave
+	// one. Where n ≤ 16 keeps the rows in registers, rows 1 to 3 are two
+	// left over alone and rows 0 to 6 two after a group.
 	const m, lo, hi = 7, 1, 6
 	for n := 0; n <= 67; n++ {
 		for _, k := range []int{0, 1, 3, 4, 5, 200} {
@@ -140,7 +142,11 @@ func TestMatMulRowsMatchesGo(t *testing.T) {
 				// Dense; gaps between rows; rows of a and b overlapping,
 				// as a convolution's windows do; one row of a and b for all.
 				ld := []strides{dense(k, n), {k + 3, n + 1, n + 9}, {k / 2, n / 3, n + 1}, {0, 0, n}}[off%4]
-				for _, rows := range [][2]int{{lo, hi}, {0, m}} {
+				ranges := [][2]int{{lo, hi}, {0, m}}
+				if n <= 16 {
+					ranges = append(ranges, [2]int{1, 3}, [2]int{0, 6})
+				}
+				for _, rows := range ranges {
 					a, b := awkwardFloats(rng, extent(m, k, ld.a), zeros), awkwardFloats(rng, extent(k, n, ld.b), 0.1)
 					c0 := awkwardFloats(rng, extent(m, n, ld.c), 0.3) // accumulated into: -0 and denormals included
 					what := fmt.Sprintf("rows %v of m%d·k%d·n%d at strides %v, offset %d, %.0f%% zeros", rows, m, k, n, ld, off, 100*zeros)
