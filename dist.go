@@ -115,7 +115,9 @@ func WithElastic() PSOption {
 // WithCheckpoint snapshots the shard every `every` committed rounds:
 // the encoded DistCheckpoint is handed to write before the round's
 // barrier releases, so a crash after round r either left the full
-// round-r snapshot or none. A write error aborts the round.
+// round-r snapshot or none. A write error aborts the round. write must
+// not keep data after it returns (the io.Writer rule): the shard
+// encodes every snapshot into the one buffer it keeps.
 func WithCheckpoint(every int, write func(data []byte) error) PSOption {
 	return func(cfg *dist.PSConfig) { cfg.CheckpointEvery, cfg.CheckpointWrite = every, write }
 }

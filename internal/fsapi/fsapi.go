@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path"
+	"strings"
 )
 
 // File is an open file handle with random access.
@@ -58,6 +60,23 @@ type FileInfo struct {
 // ErrNotExist reports a missing file. Implementations wrap it so callers
 // can use errors.Is.
 var ErrNotExist = errors.New("fsapi: file does not exist")
+
+// Clean returns the canonical form of a file name: slash-separated,
+// relative to the root, with no empty, "." or ".." element and no
+// leading or trailing slash ("" names the root itself). Two names that
+// clean to one form name one file. A name whose ".." elements climb
+// above the root is refused; one that merely contains dots, such as
+// "a..b", is an ordinary name.
+func Clean(name string) (string, error) {
+	c := path.Clean(strings.TrimLeft(name, "/"))
+	switch {
+	case c == "..", strings.HasPrefix(c, "../"):
+		return "", fmt.Errorf("fsapi: path %q escapes the root", name)
+	case c == ".":
+		return "", nil
+	}
+	return c, nil
+}
 
 // ReadFile reads the entire named file from fs.
 func ReadFile(fsys FS, name string) ([]byte, error) {

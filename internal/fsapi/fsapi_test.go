@@ -230,14 +230,44 @@ func TestTruncate(t *testing.T) {
 
 func TestOSRejectsEscape(t *testing.T) {
 	fsys := NewOS(t.TempDir())
-	// Clean("/" + name) neutralizes "..", so these must never reach the
-	// parent directory; either an error or containment is acceptable, but
-	// escaping is not. Verify resolution stays under the root.
-	if _, err := fsys.Create("../escape"); err != nil {
-		return // rejected outright: fine
+	// A name that climbs out of the root is refused; one with dots
+	// inside an element, or a ".." that stays inside, is a name.
+	for _, name := range []string{"../escape", "a/../../escape", "/.."} {
+		if _, err := fsys.Create(name); err == nil {
+			t.Errorf("Create(%q) succeeded", name)
+		}
 	}
-	if _, err := fsys.Stat("escape"); err != nil {
-		t.Fatal("path with .. was not contained within the root")
+	for _, name := range []string{"a..b", "...", "d/x/../y"} {
+		if err := WriteFile(fsys, name, []byte(name)); err != nil {
+			t.Errorf("writing %q: %v", name, err)
+		}
+	}
+	if got, err := ReadFile(fsys, "d/y"); err != nil || string(got) != "d/x/../y" {
+		t.Errorf("d/y reads %q, %v", got, err)
+	}
+}
+
+func TestClean(t *testing.T) {
+	for name, want := range map[string]string{
+		"a":          "a",
+		"./a":        "a",
+		"/a/":        "a",
+		"a//b":       "a/b",
+		"a/./b/../c": "a/c",
+		"a..b":       "a..b",
+		"":           "",
+		"/":          "",
+		".":          "",
+		"a/..":       "",
+	} {
+		if got, err := Clean(name); err != nil || got != want {
+			t.Errorf("Clean(%q) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"..", "../a", "/../a", "a/../../b", "./.."} {
+		if got, err := Clean(name); err == nil {
+			t.Errorf("Clean(%q) = %q, want a refusal", name, got)
+		}
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // OS is an FS rooted at a host directory. All names are interpreted
-// relative to the root; escaping the root with ".." is rejected.
+// relative to the root, as Clean makes them; a name that climbs out of
+// the root with ".." is rejected.
 type OS struct {
 	root string
 }
@@ -23,11 +23,11 @@ func NewOS(dir string) *OS {
 }
 
 func (o *OS) resolve(name string) (string, error) {
-	clean := filepath.Clean("/" + name)
-	if strings.Contains(clean, "..") {
-		return "", fmt.Errorf("fsapi: path %q escapes root", name)
+	clean, err := Clean(name)
+	if err != nil {
+		return "", err
 	}
-	return filepath.Join(o.root, clean), nil
+	return filepath.Join(o.root, filepath.FromSlash(clean)), nil
 }
 
 // Open implements FS.

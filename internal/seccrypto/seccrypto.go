@@ -47,9 +47,11 @@ func NewRandomKey() (Key, error) {
 // plaintext (a Seal ciphertext also carries its nonce before it).
 const Overhead = 16
 
-// AEAD is one key's AES-256-GCM, built once. Building it costs about as
-// much as opening a 64 KiB chunk, so a caller that seals or opens many
-// messages under one key (a shielded file's chunks) keeps one.
+// AEAD is one key's AES-256-GCM, built once. Building one takes about
+// 0.6–1 µs and 1.3 KB in three allocations, where sealing a 64 KiB chunk
+// under it takes about 20 µs (BenchmarkAEAD on a 2-vCPU Xeon), so a
+// caller that seals or opens many messages under one key (a shielded
+// file's chunks) keeps one rather than pay that per message.
 type AEAD struct {
 	gcm cipher.AEAD
 }

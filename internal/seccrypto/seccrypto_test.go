@@ -243,3 +243,28 @@ func TestAEADSealsAndOpensInPlace(t *testing.T) {
 		t.Fatal("a failed Open left plaintext in its destination")
 	}
 }
+
+// BenchmarkAEAD prices building a key's AES-256-GCM against sealing one
+// 64 KiB shield chunk under it, the comparison AEAD's comment makes.
+func BenchmarkAEAD(b *testing.B) {
+	key, err := NewRandomKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			NewAEAD(key)
+		}
+	})
+	b.Run("seal_64KiB", func(b *testing.B) {
+		a := NewAEAD(key)
+		plain := make([]byte, 64<<10)
+		dst := make([]byte, 0, len(plain)+Overhead)
+		b.SetBytes(int64(len(plain)))
+		b.ReportAllocs()
+		for b.Loop() {
+			a.Seal(dst, [12]byte{}, plain, nil)
+		}
+	})
+}

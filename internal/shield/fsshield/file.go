@@ -13,10 +13,12 @@ import (
 
 // shieldFile is an open protected file. It builds its chunk cipher (or
 // MAC) once, when it is opened. A read that covers a whole chunk opens
-// it straight into the reader's buffer and leaves it uncached; any other
-// access decrypts the chunk into a cache slot in (enclave) memory. Dirty
-// chunks are re-encrypted with bumped write counters and flushed on
-// Close.
+// it straight into the reader's buffer and leaves it uncached. In a
+// file Create made, a write that covers a whole chunk seals it straight
+// from the writer's buffer, with a bumped write counter, and writes it
+// to the host at once. Any other access decrypts the chunk into a cache
+// slot in (enclave) memory; such dirty chunks are sealed with bumped
+// write counters and written on Close.
 //
 // Like os.File, a shieldFile must not be used concurrently.
 type shieldFile struct {
@@ -25,8 +27,12 @@ type shieldFile struct {
 	level  Level
 	data   fsapi.File
 	meta   *metadata
-	aead   *seccrypto.AEAD // LevelEncrypted's chunk cipher
-	mac    hash.Hash       // LevelAuthenticated's chunk MAC
+	// sealAtWrite is set in a file Create made: its generation is on
+	// the host only from Close on, so a whole chunk written to it goes
+	// to the host at once. A file Open found caches every write.
+	sealAtWrite bool
+	aead        *seccrypto.AEAD // LevelEncrypted's chunk cipher
+	mac         hash.Hash       // LevelAuthenticated's chunk MAC
 	// stored holds one chunk as the untrusted file stores it: read into
 	// before it is opened, sealed into before it is written.
 	stored []byte
@@ -49,14 +55,19 @@ func newShieldFile(s *Shield, path string, level Level, data fsapi.File, meta *m
 		cache:  make(map[int64][]byte),
 		dirty:  make(map[int64]bool),
 	}
-	key := s.chunkKey(path, meta.Generation)
-	switch level {
+	f.keyChunks()
+	return f
+}
+
+// keyChunks builds the chunk cipher (or MAC) of the file's generation.
+func (f *shieldFile) keyChunks() {
+	key := f.shield.chunkKey(f.path, f.meta.Generation)
+	switch f.level {
 	case LevelEncrypted:
 		f.aead = seccrypto.NewAEAD(key)
 	case LevelAuthenticated:
 		f.mac = hmac.New(sha256.New, key[:])
 	}
-	return f
 }
 
 // overhead is the per-chunk storage overhead for this file's level.
@@ -214,12 +225,25 @@ func (f *shieldFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	total := 0
 	for total < len(p) {
-		i := (off + int64(total)) / f.chunkSize()
+		at := off + int64(total)
+		i := at / f.chunkSize()
+		rel := at - i*f.chunkSize()
+		if whole := p[total:]; f.sealAtWrite && rel == 0 && int64(len(whole)) >= f.chunkSize() {
+			// A whole chunk of a created file: seal it from p, write it
+			// to the host and cache nothing.
+			if err := f.sealChunk(i, whole[:f.chunkSize()]); err != nil {
+				return total, err
+			}
+			delete(f.cache, i)
+			delete(f.dirty, i)
+			total += int(f.chunkSize())
+			f.meta.FileSize = max(f.meta.FileSize, at+f.chunkSize())
+			continue
+		}
 		chunk, err := f.loadChunk(i)
 		if err != nil {
 			return total, err
 		}
-		rel := off + int64(total) - i*f.chunkSize()
 		end := rel + int64(len(p)-total)
 		if end > f.chunkSize() {
 			end = f.chunkSize()
@@ -332,11 +356,17 @@ func (f *shieldFile) Truncate(size int64) error {
 		// a re-written chunk must never reuse a (nonce, key) pair from a
 		// previous incarnation.
 	case size > f.meta.FileSize:
-		// Zero-fill by touching the last chunk; intermediate chunks of
-		// zeros materialize lazily as all-zero plaintext.
+		// Zero-fill every chunk from the old end to the new one. A
+		// boundary chunk that holds data is loaded first, at its old
+		// length, so growing it keeps that data.
 		old := f.meta.FileSize
-		f.meta.FileSize = size
 		firstNew := old / f.chunkSize()
+		if old > firstNew*f.chunkSize() {
+			if _, err := f.loadChunk(firstNew); err != nil {
+				return err
+			}
+		}
+		f.meta.FileSize = size
 		lastNew := (size - 1) / f.chunkSize()
 		for i := firstNew; i <= lastNew; i++ {
 			f.grow(i, f.cache[i], f.plainLen(i))
@@ -365,9 +395,35 @@ func (f *shieldFile) Close() error {
 	return f.data.Close()
 }
 
-// flush writes all dirty chunks and the metadata file. Every dirty
-// chunk is sealed into the file's stored-chunk buffer: the data file's
-// WriteAt does not keep what it is given (io.WriterAt).
+// sealChunk seals plain as chunk i under a bumped write counter into
+// the file's stored-chunk buffer and writes it to the host: the data
+// file's WriteAt does not keep what it is given (io.WriterAt). It is
+// the one place a chunk is written: one counter bump, one crypto charge
+// and one host WriteAt.
+func (f *shieldFile) sealChunk(i int64, plain []byte) error {
+	f.meta.ensureChunks(int(i + 1))
+	f.meta.Counters[i]++
+	counter := f.meta.Counters[i]
+	aad := chunkAAD(f.path, i, counter)
+	f.shield.chargeCrypto(int64(len(plain)))
+
+	stored := f.storedBuf(int64(len(plain)) + f.overhead())[:0]
+	switch f.level {
+	case LevelEncrypted:
+		stored = f.aead.Seal(stored, chunkNonce(i, counter), plain, aad)
+	case LevelAuthenticated:
+		f.mac.Reset()
+		f.mac.Write(aad)
+		f.mac.Write(plain)
+		stored = f.mac.Sum(append(stored, plain...))
+	}
+	if _, err := f.data.WriteAt(stored, i*f.slotSize()); err != nil {
+		return fmt.Errorf("fsshield: writing chunk %d of %q: %w", i, f.path, err)
+	}
+	return nil
+}
+
+// flush writes all dirty chunks and the metadata file.
 func (f *shieldFile) flush() error {
 	n := divCeil(f.meta.FileSize, f.chunkSize())
 	f.meta.ensureChunks(int(n))
@@ -381,24 +437,8 @@ func (f *shieldFile) flush() error {
 			return err
 		}
 		// Pad the cached buffer to the chunk's full plaintext length.
-		chunk = f.grow(i, chunk, f.plainLen(i))
-		f.meta.Counters[i]++
-		counter := f.meta.Counters[i]
-		aad := chunkAAD(f.path, i, counter)
-		f.shield.chargeCrypto(int64(len(chunk)))
-
-		stored := f.storedBuf(int64(len(chunk)) + f.overhead())[:0]
-		switch f.level {
-		case LevelEncrypted:
-			stored = f.aead.Seal(stored, chunkNonce(i, counter), chunk, aad)
-		case LevelAuthenticated:
-			f.mac.Reset()
-			f.mac.Write(aad)
-			f.mac.Write(chunk)
-			stored = f.mac.Sum(append(stored, chunk...))
-		}
-		if _, err := f.data.WriteAt(stored, i*f.slotSize()); err != nil {
-			return fmt.Errorf("fsshield: writing chunk %d of %q: %w", i, f.path, err)
+		if err := f.sealChunk(i, f.grow(i, chunk, f.plainLen(i))); err != nil {
+			return err
 		}
 		delete(f.dirty, i)
 	}

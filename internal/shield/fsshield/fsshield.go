@@ -21,10 +21,26 @@
 // it. A read that covers a whole chunk opens it straight into the
 // reader's buffer: the chunk is verified but not cached, so reading a
 // model whole allocates the model once, and a later read of that chunk
-// reads and verifies it again. A read of part of a chunk, and every
-// write, goes through the chunk's plaintext cached in the file. Either
-// way a chunk costs one host read, one crypto charge and one
-// authentication check.
+// reads and verifies it again. A read of part of a chunk goes through
+// the chunk's plaintext cached in the file. Either way a chunk costs one
+// host read, one crypto charge and one authentication check.
+//
+// A write that covers a whole chunk of a file Create made is sealed
+// straight from the writer's buffer and reaches the host during the
+// write, so writing a snapshot whole caches only its tail. That handle
+// seals under a new generation (a new key) that only its Close writes
+// into the metadata: dropped before Close, it leaves an empty file and a
+// key nothing can derive again. Every other write — part of a chunk, or
+// any chunk of a file Open found — is cached and sealed on Close, just
+// before the metadata that records its write counter. Sealed earlier,
+// under a key the host's metadata names, it would leave behind a counter
+// the metadata does not record, for the next handle to use again, and a
+// dropped in-place update would lose the previous version. Either way a
+// chunk costs one counter bump, one crypto charge and one host write.
+//
+// Every name, and every rule prefix, is first made canonical
+// (fsapi.Clean): the policy and the keys see a name as the host file
+// system resolves it, and a name that climbs out of the root is refused.
 package fsshield
 
 import (
@@ -65,8 +81,10 @@ func (l Level) String() string {
 	}
 }
 
-// Rule maps a path prefix to a protection level. The longest matching
-// prefix wins.
+// Rule maps a path prefix to a protection level. A prefix covers the
+// names at or under it, element by element ("secret/" covers
+// "secret/a" but not "secretive"), and the longest covering prefix
+// wins.
 type Rule struct {
 	Prefix string
 	Level  Level
@@ -141,28 +159,60 @@ func New(cfg Config) (*Shield, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = DefaultChunkSize
 	}
-	for _, r := range cfg.Rules {
+	rules := make([]Rule, len(cfg.Rules))
+	for i, r := range cfg.Rules {
 		switch r.Level {
 		case LevelPassthrough, LevelAuthenticated, LevelEncrypted:
 		default:
 			return nil, fmt.Errorf("fsshield: rule %q has invalid level %d", r.Prefix, int(r.Level))
 		}
+		prefix, err := canon(r.Prefix)
+		if err != nil {
+			return nil, fmt.Errorf("fsshield: rule %q: %w", r.Prefix, err)
+		}
+		rules[i] = Rule{Prefix: prefix, Level: r.Level}
 	}
+	cfg.Rules = rules
 	return &Shield{cfg: cfg}, nil
 }
 
-// LevelFor returns the protection level for a path: the longest matching
-// rule prefix, or passthrough.
+// canon is the shield's one name rule, applied to every name it is
+// given and to every rule prefix: the name as the inner file system
+// resolves it (fsapi.Clean), or an error for one that climbs out of the
+// root. The policy and the key derivations see only canonical names, so
+// two spellings of one host file ("secret/a", "./secret/a",
+// "secret//a") get one level and one set of keys.
+func canon(name string) (string, error) { return fsapi.Clean(name) }
+
+// LevelFor returns the protection level for a path: that of the longest
+// rule prefix covering its canonical form, or passthrough. A name the
+// shield refuses has no level and reports the zero Level.
 func (s *Shield) LevelFor(path string) Level {
+	name, err := canon(path)
+	if err != nil {
+		return 0
+	}
+	return s.levelFor(name)
+}
+
+// levelFor is LevelFor on a canonical name.
+func (s *Shield) levelFor(name string) Level {
 	best := LevelPassthrough
 	bestLen := -1
 	for _, r := range s.cfg.Rules {
-		if strings.HasPrefix(path, r.Prefix) && len(r.Prefix) > bestLen {
+		if covers(r.Prefix, name) && len(r.Prefix) > bestLen {
 			best = r.Level
 			bestLen = len(r.Prefix)
 		}
 	}
 	return best
+}
+
+// covers reports whether the canonical prefix covers the canonical name
+// on whole path elements. The root ("") covers every name.
+func covers(prefix, name string) bool {
+	return prefix == "" || name == prefix ||
+		len(name) > len(prefix) && name[len(prefix)] == '/' && strings.HasPrefix(name, prefix)
 }
 
 // metaKey derives the per-path metadata key from the volume key. It is
@@ -183,7 +233,11 @@ const metaSuffix = ".sfsmeta"
 
 // Open implements fsapi.FS.
 func (s *Shield) Open(name string) (fsapi.File, error) {
-	level := s.LevelFor(name)
+	name, err := canon(name)
+	if err != nil {
+		return nil, err
+	}
+	level := s.levelFor(name)
 	if level == LevelPassthrough {
 		return s.cfg.Inner.Open(name)
 	}
@@ -200,7 +254,11 @@ func (s *Shield) Open(name string) (fsapi.File, error) {
 
 // Create implements fsapi.FS.
 func (s *Shield) Create(name string) (fsapi.File, error) {
-	level := s.LevelFor(name)
+	name, err := canon(name)
+	if err != nil {
+		return nil, err
+	}
+	level := s.levelFor(name)
 	if level == LevelPassthrough {
 		return s.cfg.Inner.Create(name)
 	}
@@ -228,12 +286,24 @@ func (s *Shield) Create(name string) (fsapi.File, error) {
 	if err := f.flush(); err != nil {
 		return nil, err
 	}
+	// The metadata just written makes the empty file exist. The handle
+	// seals under a new generation that only its Close records, so a
+	// chunk it writes before then uses a key no later handle derives.
+	if err := f.meta.newGeneration(); err != nil {
+		return nil, err
+	}
+	f.keyChunks()
+	f.sealAtWrite = true
 	return f, nil
 }
 
 // Remove implements fsapi.FS.
 func (s *Shield) Remove(name string) error {
-	if s.LevelFor(name) == LevelPassthrough {
+	name, err := canon(name)
+	if err != nil {
+		return err
+	}
+	if s.levelFor(name) == LevelPassthrough {
 		return s.cfg.Inner.Remove(name)
 	}
 	if err := s.cfg.Inner.Remove(name); err != nil {
@@ -250,7 +320,15 @@ func (s *Shield) Remove(name string) error {
 // protected files changes the key derivation path, so the shield
 // re-encrypts by copy.
 func (s *Shield) Rename(oldName, newName string) error {
-	oldLevel, newLevel := s.LevelFor(oldName), s.LevelFor(newName)
+	oldName, err := canon(oldName)
+	if err != nil {
+		return err
+	}
+	newName, err = canon(newName)
+	if err != nil {
+		return err
+	}
+	oldLevel, newLevel := s.levelFor(oldName), s.levelFor(newName)
 	if oldLevel == LevelPassthrough && newLevel == LevelPassthrough {
 		return s.cfg.Inner.Rename(oldName, newName)
 	}
@@ -267,7 +345,11 @@ func (s *Shield) Rename(oldName, newName string) error {
 // Stat implements fsapi.FS, reporting the logical (plaintext) size for
 // protected files.
 func (s *Shield) Stat(name string) (fsapi.FileInfo, error) {
-	level := s.LevelFor(name)
+	name, err := canon(name)
+	if err != nil {
+		return fsapi.FileInfo{}, err
+	}
+	level := s.levelFor(name)
 	if level == LevelPassthrough {
 		return s.cfg.Inner.Stat(name)
 	}
@@ -280,6 +362,10 @@ func (s *Shield) Stat(name string) (fsapi.FileInfo, error) {
 
 // List implements fsapi.FS, hiding shield metadata files.
 func (s *Shield) List(dir string) ([]string, error) {
+	dir, err := canon(dir)
+	if err != nil {
+		return nil, err
+	}
 	names, err := s.cfg.Inner.List(dir)
 	if err != nil {
 		return nil, err
@@ -294,7 +380,13 @@ func (s *Shield) List(dir string) ([]string, error) {
 }
 
 // MkdirAll implements fsapi.FS.
-func (s *Shield) MkdirAll(dir string) error { return s.cfg.Inner.MkdirAll(dir) }
+func (s *Shield) MkdirAll(dir string) error {
+	dir, err := canon(dir)
+	if err != nil {
+		return err
+	}
+	return s.cfg.Inner.MkdirAll(dir)
+}
 
 // loadMeta reads, authenticates and freshness-checks a file's metadata.
 func (s *Shield) loadMeta(name string, level Level) (*metadata, error) {

@@ -30,10 +30,18 @@ type metadata struct {
 
 func newMetadata(level Level, chunkSize int) (*metadata, error) {
 	m := &metadata{Level: level, ChunkSize: uint32(chunkSize)}
-	if _, err := rand.Read(m.Generation[:]); err != nil {
-		return nil, fmt.Errorf("fsshield: generating file generation: %w", err)
+	if err := m.newGeneration(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// newGeneration draws a fresh random generation salt.
+func (m *metadata) newGeneration() error {
+	if _, err := rand.Read(m.Generation[:]); err != nil {
+		return fmt.Errorf("fsshield: generating file generation: %w", err)
+	}
+	return nil
 }
 
 // ensureChunks grows the counter table to n chunks.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/wire"
@@ -38,11 +39,20 @@ type Checkpoint struct {
 
 // EncodeCheckpoint serializes c: the dist header followed by the
 // variables in the tf.SaveCheckpoint format (STFC1), so shard
-// snapshots and session checkpoints share one tensor encoding. The
-// variables are encoded in place behind the header, in one buffer.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	// Sized for the header; AppendVarCheckpoint grows it once, to the end.
-	w := wire.Writer{Buf: append(make([]byte, 0, len(ckptMagic)+4+4+8+8+4), ckptMagic...)}
+// snapshots and session checkpoints share one tensor encoding. It is
+// AppendCheckpoint into a new buffer.
+func EncodeCheckpoint(c *Checkpoint) []byte { return AppendCheckpoint(nil, c) }
+
+// ckptHeader is the dist header's length, up to the variables.
+const ckptHeader = len(ckptMagic) + 4 + 4 + 8 + 8 + 4
+
+// AppendCheckpoint appends EncodeCheckpoint's encoding of c to dst. The
+// variables are encoded in place behind the header: dst grows at most
+// twice, for the header and then to the end, and into a dst with room,
+// such as the last snapshot's buffer, a shard's snapshot allocates
+// nothing.
+func AppendCheckpoint(dst []byte, c *Checkpoint) []byte {
+	w := wire.Writer{Buf: append(slices.Grow(dst, ckptHeader), ckptMagic...)}
 	w.U32(uint32(c.Shard))
 	w.U32(uint32(c.Shards))
 	w.U64(uint64(c.Rounds))

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -270,5 +272,40 @@ func TestEncodeCheckpointAllocatesOnce(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > size+size/8 {
 		t.Fatalf("encoding a %d-byte checkpoint allocated %d bytes, want it once", size, got)
+	}
+}
+
+// TestWarmSnapshotEncodeAllocation is the shard snapshot's ceiling: the
+// parameter server encodes each snapshot over the last one's buffer, so
+// a warm AppendCheckpoint of the CNN's variables allocates nothing.
+func TestWarmSnapshotEncodeAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	c := &Checkpoint{Shard: 1, Shards: 2, Rounds: 3, Gen: 4, Vars: InitialVars(models.MNISTCNN(1).Graph)}
+	buf := AppendCheckpoint(nil, c)
+	want := EncodeCheckpoint(c)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("AppendCheckpoint into a new buffer differs from EncodeCheckpoint")
+	}
+	// The least of a few encodes: a goroutine an earlier test left
+	// behind may allocate during one.
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buf = AppendCheckpoint(buf[:0], c)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least != 0 {
+		t.Fatalf("a warm encode of a %d-byte snapshot allocated %d bytes, want 0", len(buf), least)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("a warm encode differs from EncodeCheckpoint")
+	}
+	header := []byte("prefix")
+	if got := AppendCheckpoint(header, c); !bytes.Equal(got[len(header):], want) || string(got[:len(header)]) != "prefix" {
+		t.Fatal("AppendCheckpoint after a prefix is not the prefix followed by EncodeCheckpoint")
 	}
 }

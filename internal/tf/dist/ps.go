@@ -86,7 +86,9 @@ type PSConfig struct {
 	// CheckpointEvery committed rounds: the encoded Checkpoint is
 	// handed to CheckpointWrite before the round's barrier releases, so
 	// a crash after round r either left the full round-r snapshot or
-	// none. A write error aborts the round.
+	// none. A write error aborts the round. CheckpointWrite must not
+	// keep data after it returns (the io.Writer rule): the shard
+	// encodes every snapshot into the one buffer it keeps.
 	CheckpointEvery int
 	CheckpointWrite func(data []byte) error
 	// Resume seeds the shard from a Checkpoint instead of the fresh
@@ -115,6 +117,9 @@ type ParameterServer struct {
 	vars   map[string]*tf.Tensor
 	rounds int
 	closed bool
+	// ckpt holds the last snapshot's encoding; the next is encoded
+	// over it.
+	ckpt []byte
 
 	// Per-round barrier state, reset on commit or abort (sync mode
 	// only). Contributions are staged per pusher and summed at commit
@@ -677,14 +682,14 @@ func (ps *ParameterServer) maybeCheckpointLocked(gen uint64) error {
 	if ps.cfg.CheckpointEvery <= 0 || ps.rounds%ps.cfg.CheckpointEvery != 0 {
 		return nil
 	}
-	data := EncodeCheckpoint(&Checkpoint{
+	ps.ckpt = AppendCheckpoint(ps.ckpt[:0], &Checkpoint{
 		Shard:  ps.cfg.Shard,
 		Shards: ps.cfg.Shards,
 		Rounds: ps.rounds,
 		Gen:    gen,
 		Vars:   ps.vars, // encoded here, under ps.mu
 	})
-	if err := ps.cfg.CheckpointWrite(data); err != nil {
+	if err := ps.cfg.CheckpointWrite(ps.ckpt); err != nil {
 		return fmt.Errorf("dist: shard %d checkpoint at round %d: %w", ps.cfg.Shard, ps.rounds, err)
 	}
 	return nil

@@ -369,11 +369,14 @@ func EncodeVarCheckpoint(vars map[string]*Tensor) []byte {
 // dst, growing it at most once, so a record that carries the checkpoint
 // after a header of its own is one buffer.
 func AppendVarCheckpoint(dst []byte, vars map[string]*Tensor) []byte {
-	names := make([]string, 0, len(vars))
+	// A shard's few names sort on the stack: into a dst with room, a
+	// snapshot of up to 16 variables allocates nothing.
+	var stack [16]string
+	names := stack[:0]
 	for name := range vars {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return appendCheckpoint(dst, names, vars)
 }
 
