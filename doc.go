@@ -424,7 +424,7 @@
 // (the tf session's execCtx.charge, the Lite interpreter's charge), so
 // a kernel change moves wall time and never virtual time. Their
 // summation order is fixed and independent of the thread count (threads
-// only partition the output, into rows or column blocks, run by
+// only partition the output, into column blocks run by
 // internal/par's helpers), which is what keeps the golden-pinned
 // training trajectories and interpreter outputs bit-identical; a faster
 // kernel has to keep that order or re-pin them on purpose. An idle

@@ -17,11 +17,10 @@ import (
 type Device interface {
 	// Name identifies the device in logs and experiment output.
 	Name() string
-	// Threads is the number of execution contexts kernels may use: the
-	// tf session splits its matrix products' rows across them, and the
-	// Lite interpreter an unbatched FullyConnected's columns over large
-	// weights. It also sets the parallelism assumed when converting
-	// FLOPs to time, for both engines.
+	// Threads is the number of execution contexts kernels may use: both
+	// engines split a matrix product of few rows over large weights into
+	// column blocks across them. It also sets the parallelism assumed
+	// when converting FLOPs to time, for both engines.
 	Threads() int
 	// Compute charges flops of arithmetic across the device's threads.
 	Compute(flops int64)

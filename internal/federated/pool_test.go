@@ -12,9 +12,9 @@ import (
 	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
-// TestSharedPoolBitEqual: callers at once mix the kernels' row splits
-// (train-sync's first layer on four threads), column splits
-// (serve-steady's GEMV on eight) and mask folds dealt two and seven ways
+// TestSharedPoolBitEqual: callers at once mix the kernels' column splits
+// of two shapes (seven rows over 2048×2048 weights on four threads,
+// serve-steady's GEMV on eight) and mask folds dealt two and seven ways
 // on the one pool, and every result is bit-equal to the serial one. The
 // widest call is eight threads, so however they interleave, no more
 // than min(8, GOMAXPROCS)−1 helpers are ever started.
@@ -35,8 +35,8 @@ func TestSharedPoolBitEqual(t *testing.T) {
 		a, b, want       []float32
 	}
 	products := []product{
-		{name: "row split", m: 50, k: 784, n: 512, threads: 4},
-		{name: "column split", m: 1, k: 2048, n: 2048, threads: widest},
+		{name: "seven-row column split", m: 7, k: 2048, n: 2048, threads: 4},
+		{name: "one-row column split", m: 1, k: 2048, n: 2048, threads: widest},
 	}
 	for i := range products {
 		p := &products[i]

@@ -33,11 +33,12 @@ func allocated(run func()) uint64 {
 	return per[len(per)/2]
 }
 
-// TestWarmSplitAllocation: a split product hands its pieces to the
-// pool's parked helpers and recycles what it shares with them, so once
-// warm it allocates nothing, split by columns (serve-steady's GEMV) or by
-// rows (train-sync's first layer); and serving a request on a device of
-// two threads allocates no more than on one.
+// TestWarmSplitAllocation: a split product hands its column blocks to
+// the pool's parked helpers and recycles what it shares with them, so
+// once warm it allocates nothing (serve-steady's GEMV); a session
+// product on four threads (train-sync's first layer) is one piece and
+// allocates nothing either; and serving a request on a device of two
+// threads allocates no more than on one.
 func TestWarmSplitAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, tc := range []struct {
@@ -45,7 +46,7 @@ func TestWarmSplitAllocation(t *testing.T) {
 		m, k, n, threads int
 	}{
 		{"column split", 1, 2048, 2048, 2},
-		{"row split", 50, 784, 512, 4},
+		{"unsplit session product", 50, 784, 512, 4},
 	} {
 		a, b, c := make([]float32, tc.m*tc.k), make([]float32, tc.k*tc.n), make([]float32, tc.m*tc.n)
 		for i := range a {

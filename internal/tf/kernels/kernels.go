@@ -14,7 +14,8 @@
 // rows — from a process-wide free list (par.Free), so once it is warm no
 // call allocates anything, and nothing a call does allocate is sized by
 // the batch; every other kernel allocates nothing at all (MatMulInto,
-// which splits its work on internal/par, nothing once warm).
+// which splits its work on internal/par, nothing once warm but now and
+// then a parked helper's wait record).
 //
 // Every transposition is one routine, transpose, at row strides:
 // Transpose (the session's transposed MatMul operands, the input
@@ -30,9 +31,9 @@
 // added to it, in what order, each product rounded to float32 and then
 // each sum rounded to float32. It does not depend on the thread count,
 // tile size, pool state or CPU, because threads and tiles only partition
-// the output, into rows or into blocks of whole columns, and a vector
-// lane is one output column: MatMulInto's loop (gemm, under every
-// convolution too) runs eight columns j to an AVX
+// the output, threads into blocks of whole columns and tiles into rows,
+// and a vector lane is one output column: MatMulInto's loop (gemm, under
+// every convolution too) runs eight columns j to an AVX
 // register where the CPU has AVX and as the scalar matMulRowsGo
 // elsewhere (other architectures, amd64 without AVX), and nothing but
 // the CPU chooses. gemm reads its operands at row strides, BLAS's
@@ -119,8 +120,10 @@ import (
 )
 
 // MatMulInto accumulates A×B into c, where a is [m,k], b is [k,n] and c
-// is a zeroed [m,n]. splitPlan divides the work into pieces, which run
-// on par.Run; once warm a split call allocates nothing.
+// is a zeroed [m,n]. splitPlan decides whether the work is split into
+// column blocks, which run on par.Run; once warm a split call allocates
+// nothing but, now and then, the runtime's record for a parked helper's
+// wait (96 B).
 //
 // The shape is checked against the slices once, here: one too short for
 // it panics, as indexing past its end would, before any element of c is
@@ -136,14 +139,14 @@ func MatMulInto(c, a, b []float32, m, k, n, threads int) {
 	if threads >= 2 { // GOMAXPROCS takes the scheduler's lock
 		procs = runtime.GOMAXPROCS(0)
 	}
-	rowsPer, cols := splitPlan(m, k, n, threads, procs)
-	if rowsPer == m && cols >= n { // one piece
+	cols := splitPlan(m, k, n, threads, procs)
+	if cols >= n { // one piece
 		matMulRows(c, a, b, 0, m, k, n)
 		return
 	}
 	p := matMuls.Get()
-	*p = matMul{c, a, b, m, k, n, rowsPer, cols}
-	par.Run(p, (m+rowsPer-1)/rowsPer*((n+cols-1)/cols), threads)
+	*p = matMul{c, a, b, m, k, n, cols}
+	par.Run(p, (n+cols-1)/cols, threads)
 	*p = matMul{} // hold no caller's memory while free
 	matMuls.Put(p)
 }
@@ -153,60 +156,51 @@ const (
 	// are whole lines, so two blocks of an aligned c share none.
 	lineFloats = 16
 	// colSplitMin is the size of b, in elements (4 MiB), from which a
-	// product with too few rows to split by rows is split by columns:
-	// streaming b from memory is then its cost, and one core does not
-	// saturate the bandwidth. A smaller b stays in cache, where the
-	// handoff costs more than the half it saves.
+	// product of few rows is split by columns: streaming b from memory
+	// is then its cost, and one core does not saturate the bandwidth. A
+	// smaller b stays in cache, where the handoff costs more than the
+	// half it saves.
 	colSplitMin = 1 << 20
 )
 
-// splitPlan is how MatMulInto divides an m·k·n product among up to
-// threads goroutines on procs processors: into pieces of rowsPer rows
-// and cols columns of c. Rows are split once there are two per thread.
-// A product with fewer rows and a b of colSplitMin elements or more is
-// split into column blocks of whole cache lines, one per thread and at
-// most one per processor. Anything else is one piece, rowsPer = m and
-// cols = n. Every piece computes its elements of c exactly as one piece
-// would: a vector lane is one output column, and the loop over rows
-// never looks at another row.
-func splitPlan(m, k, n, threads, procs int) (rowsPer, cols int) {
-	switch {
-	case threads < 2:
-	case m >= 2*threads:
-		return (m + threads - 1) / threads, n
-	case procs >= 2 && k*n >= colSplitMin:
-		lines := (n + lineFloats - 1) / lineFloats
-		blocks := min(threads, procs, lines)
-		return m, (lines + blocks - 1) / blocks * lineFloats
+// splitPlan is the width of the column blocks, whole cache lines, into
+// which MatMulInto divides an m·k·n product among up to threads
+// goroutines on procs processors. It splits only a product of fewer than
+// 2·threads rows over a b of colSplitMin elements or more, into one block
+// per thread and at most one per processor; anything else is one block,
+// n wide. A block computes its elements of c exactly as one piece would:
+// a vector lane is one output column.
+//
+// Measured on two vCPUs with the AVX kernels: split, serve-steady's
+// unbatched 2048-2048-2048-1000 stack, 42 MB a request, went from 1212
+// to 953 µs a pass (BenchmarkKernels/matmul/serve-steady/densenet_b1 and
+// _t1). Rows do not pay: split in two by rows, m8·k784·n128 went from 33
+// to 44 µs, m16·k784·n128 from 71 to 92 µs and serve-fleet's 16-row
+// batches from 3252 and 3116 op/s to 2898 and 3012, and in train-sync's
+// session the helpers ran under 0.03 s of ≈1.5 s of row blocks while
+// yielding for 0.38–0.56 s.
+func splitPlan(m, k, n, threads, procs int) (cols int) {
+	if threads < 2 || procs < 2 || m >= 2*threads || k*n < colSplitMin {
+		return n
 	}
-	return m, n
-}
-
-// ColumnSplitThreads is the thread count to pass MatMulInto for m rows on
-// a device of threads when only its column split is wanted: threads
-// where the rows are too few to be split by rows, 1 where they are not.
-func ColumnSplitThreads(m, threads int) int {
-	if m >= 2*threads {
-		return 1
-	}
-	return threads
+	lines := (n + lineFloats - 1) / lineFloats
+	blocks := min(threads, procs, lines)
+	return (lines + blocks - 1) / blocks * lineFloats
 }
 
 // matMul is one split product; matMuls recycles them.
 type matMul struct {
 	c, a, b       []float32
-	m, k, n       int
-	rowsPer, cols int
+	m, k, n, cols int
 }
 
 var matMuls = make(par.Free[matMul], 64) // as many as par keeps splits
 
-// Block accumulates piece i, numbered along the rows of pieces: one
-// strided gemm over its rows of a and its columns of b and c.
+// Block accumulates column block i over every row: one strided gemm
+// over a and its columns of b and c.
 func (p *matMul) Block(i int) {
-	across := (p.n + p.cols - 1) / p.cols
-	lo, j0 := i/across*p.rowsPer, i%across*p.cols
-	gemm(p.c[j0:], p.a, p.b[j0:], lo, min(lo+p.rowsPer, p.m), p.k, min(p.cols, p.n-j0), p.k, p.n, p.n)
+	j0 := i * p.cols
+	gemm(p.c[j0:], p.a, p.b[j0:], 0, p.m, p.k, min(p.cols, p.n-j0), p.k, p.n, p.n)
 }
 
 // matMulRows accumulates rows [lo,hi) of A×B into c, all three dense.

@@ -756,10 +756,6 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		b.Run("matmul/"+s.name, matmul(func() { gemm(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
 		b.Run("matmul/"+s.name+"_scalar", matmul(func() { matMulRowsGo(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
-		if s.m == 50 && s.n == 512 {
-			// fc1 again, split four ways.
-			b.Run("matmul/"+s.name+"_t4", matmul(func() { MatMulInto(c, a, w, s.m, s.k, s.n, 4) }))
-		}
 		if s.m == 1 {
 			// The row above cannot show the column split: repeated, its
 			// 16 MiB stay hot in the cache, where a split times no

@@ -302,44 +302,45 @@ func TestGemmChecksStridesFirst(t *testing.T) {
 }
 
 // TestSplitPlan pins the path each workload's GEMM takes through
-// MatMulInto. The interpreter passes ColumnSplitThreads of its device's
-// four threads, so only an unbatched row over a large b is split, and by
-// columns; the session passes the four threads and keeps the row split
-// it always had, its products all having small b.
+// MatMulInto on a device of four threads. Both engines pass the device's
+// threads, and only a product of fewer than eight rows over a large b is
+// split, by columns: the interpreter's unbatched rows on serve-steady.
+// The session's products, their b all small, stay one piece.
 func TestSplitPlan(t *testing.T) {
 	const threads, procs = 4, 2
-	lite := func(m int) int { return ColumnSplitThreads(m, threads) }
 	cases := []struct {
 		name                    string
 		m, k, n, threads, procs int
-		rowsPer, cols           int
+		cols                    int
 	}{
 		// Two column blocks on two processors, whole cache lines each.
-		{"serve-steady/m1_k2048_n2048", 1, 2048, 2048, lite(1), procs, 1, 1024},
-		{"serve-steady/m1_k2048_n1000", 1, 2048, 1000, lite(1), procs, 1, 512},
+		{"serve-steady/m1_k2048_n2048", 1, 2048, 2048, threads, procs, 1024},
+		{"serve-steady/m1_k2048_n1000", 1, 2048, 1000, threads, procs, 512},
 		// As many blocks as threads where there are processors for them,
 		// and none where there is one.
-		{"serve-steady/m1_k2048_n2048 on 8 processors", 1, 2048, 2048, lite(1), 8, 1, 512},
-		{"serve-steady/m1_k2048_n2048 on 1 processor", 1, 2048, 2048, lite(1), 1, 1, 2048},
+		{"serve-steady/m1_k2048_n2048 on 8 processors", 1, 2048, 2048, threads, 8, 512},
+		{"serve-steady/m1_k2048_n2048 on 1 processor", 1, 2048, 2048, threads, 1, 2048},
+		// Either side of the row condition over the same b.
+		{"m7_k2048_n512", 2*threads - 1, 2048, 512, threads, procs, 256},
+		{"m8_k2048_n512", 2 * threads, 2048, 512, threads, procs, 512},
 		// b under colSplitMin, or one cache line wide: one piece.
-		{"m1_k2048_n511", 1, 2048, 511, lite(1), procs, 1, 511},
-		{"m1_k65536_n16", 1, 1 << 16, 16, lite(1), procs, 1, 16},
-		{"serve-fleet/m8_k784_n128", 8, 784, 128, lite(8), procs, 8, 128},
-		{"serve-fleet/m16_k784_n128", 16, 784, 128, lite(16), procs, 16, 128},
-		{"serve-fleet/m1_k784_n128", 1, 784, 128, lite(1), procs, 1, 128},
-		// The session's products: rows split four ways, as before.
-		{"train-sync/m50_k784_n512", 50, 784, 512, threads, procs, 13, 512},
-		{"train-sync/fc1_grad_w_m784_k50_n512", 784, 50, 512, threads, procs, 196, 512},
-		{"train-sync/fc1_grad_x_m50_k512_n784", 50, 512, 784, threads, procs, 13, 784},
-		{"fed-round/m20_k784_n128", 20, 784, 128, threads, procs, 5, 128},
-		{"session/m7_k784_n128", 7, 784, 128, threads, procs, 7, 128},
-		{"one thread", 50, 784, 512, 1, procs, 50, 512},
+		{"m1_k2048_n511", 1, 2048, 511, threads, procs, 511},
+		{"m1_k65536_n16", 1, 1 << 16, 16, threads, procs, 16},
+		{"serve-fleet/m8_k784_n128", 8, 784, 128, threads, procs, 128},
+		{"serve-fleet/m16_k784_n128", 16, 784, 128, threads, procs, 128},
+		{"serve-fleet/m1_k784_n128", 1, 784, 128, threads, procs, 128},
+		// The session's products.
+		{"train-sync/m50_k784_n512", 50, 784, 512, threads, procs, 512},
+		{"train-sync/fc1_grad_w_m784_k50_n512", 784, 50, 512, threads, procs, 512},
+		{"train-sync/fc1_grad_x_m50_k512_n784", 50, 512, 784, threads, procs, 784},
+		{"fed-round/m20_k784_n128", 20, 784, 128, threads, procs, 128},
+		{"session/m7_k784_n128", 7, 784, 128, threads, procs, 128},
+		{"one thread", 1, 2048, 2048, 1, procs, 2048},
 	}
 	for _, tc := range cases {
-		rowsPer, cols := splitPlan(tc.m, tc.k, tc.n, tc.threads, tc.procs)
-		if rowsPer != tc.rowsPer || cols != tc.cols {
-			t.Errorf("%s at %d threads on %d processors: pieces of %d rows by %d columns, want %d by %d",
-				tc.name, tc.threads, tc.procs, rowsPer, cols, tc.rowsPer, tc.cols)
+		if cols := splitPlan(tc.m, tc.k, tc.n, tc.threads, tc.procs); cols != tc.cols {
+			t.Errorf("%s at %d threads on %d processors: blocks of %d columns, want %d",
+				tc.name, tc.threads, tc.procs, cols, tc.cols)
 		}
 	}
 }
@@ -363,7 +364,7 @@ func TestMatMulIntoSplitsColumns(t *testing.T) {
 		b, awkwardB := sparseFloats(rng, s.k*s.n, 0), awkwardFloats(rng, s.k*s.n, 0.1)
 		for _, threads := range []int{2, 4, 8} {
 			for _, m := range []int{1, 2*threads - 1} {
-				_, cols := splitPlan(m, s.k, s.n, threads, runtime.GOMAXPROCS(0))
+				cols := splitPlan(m, s.k, s.n, threads, runtime.GOMAXPROCS(0))
 				if split := s.k*s.n >= colSplitMin; (cols < s.n) != split {
 					t.Fatalf("m%d·k%d·n%d at %d threads: blocks of %d columns, split = %v", m, s.k, s.n, threads, cols, split)
 				}

@@ -282,16 +282,8 @@ func (ip *Interpreter) runLinear(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 		}
 		m, k, n := xs[0], xs[1], ws[1]
 		out, channels, flops = tf.NewTensor(tf.Float32, tf.Shape{m, n}), n, 2*int64(m)*int64(k)*int64(n)
-		// Columns split, rows never. A batch stays on one goroutine, by
-		// measurement on the AVX kernels (2 vCPUs, unsplit → split in
-		// two by rows): m8·k784·n128 33 → 44 µs, m16·k784·n128 71 →
-		// 92 µs, and serve-fleet's 16-row batches 3252 and 3116 op/s →
-		// 2898 and 3012. An unbatched row over weights too large for
-		// the cache streams them on the device's threads instead:
-		// serve-steady's 2048-2048-2048-1000 stack, 42 MB a request,
-		// went from 1212 to 953 µs a pass on two vCPUs
-		// (BenchmarkKernels/matmul/serve-steady/densenet_b1 and _t1).
-		kernels.MatMulInto(out.Floats(), x.Floats(), w.Floats(), m, k, n, kernels.ColumnSplitThreads(m, ip.dev.Threads()))
+		// Few rows over large weights split by columns (kernels' splitPlan).
+		kernels.MatMulInto(out.Floats(), x.Floats(), w.Floats(), m, k, n, ip.dev.Threads())
 	} else {
 		geo, err := kernels.ConvGeom(x.Shape(), w.Shape(), max(op.Stride, 1), op.Padding == PadSame)
 		if err != nil {
