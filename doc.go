@@ -14,12 +14,17 @@
 //     paper's Figure 5 (SCONE HW/SIM, Graphene, native glibc/musl).
 //  2. Optionally attest the container to a CAS with Container.Provision,
 //     receiving volume keys for the file-system shield, a TLS identity
-//     for the network shield and any application secrets.
+//     for the network shield and any application secrets. The shield's
+//     audit channel (its rollback protection) is then one attested
+//     connection per CAS client, kept across calls and closed with the
+//     container; its handshake is charged once, when it is made.
 //  3. Train a model with Train, Freeze it, convert it to the
 //     small-footprint Lite format with FrozenModel.ConvertToLite, and
 //     classify with a Classifier — or serve over the network with
 //     ServeModels (one gateway) and ServeRouter (a fleet of gateways
-//     behind a router).
+//     behind a router). TrainedModel.Accuracy evaluates a labelled set
+//     a block of rows at a time, so an evaluation holds one block's
+//     activations however large the set.
 //
 // A minimal secure classification round trip:
 //
@@ -395,7 +400,9 @@
 // fault-plan and straggler delays. Kept on purpose, as every pinned
 // number rests on them: CAS/IAS JSON pays no wire serialization while
 // dist frames do; CAS and IAS handshakes are charged to the client only,
-// the network shield's to both ends; CAS traffic pays no shield record
+// one for each connection it makes (Bootstrap and Attest make their own,
+// Register and the audit calls share one), the network shield's to both
+// ends; CAS traffic pays no shield record
 // cost, since the CAS speaks its own crypto/tls; and a frame's sender
 // pays one shield record charge (its header and payload go in one
 // write, so one TLS record per 16 KiB and one syscall) while its

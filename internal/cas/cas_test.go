@@ -265,11 +265,21 @@ func TestAuditServiceViaCAS(t *testing.T) {
 	if err := audit.AdvanceRoot("models/m1", 1, root); err != nil {
 		t.Fatal(err)
 	}
-	if err := audit.AdvanceRoot("models/m1", 1, root); err == nil {
-		t.Fatal("repeated epoch accepted")
+	// An exact replay is a retried round trip and succeeds; the same
+	// epoch with another root, or a lower epoch, does not.
+	if err := audit.AdvanceRoot("models/m1", 1, root); err != nil {
+		t.Fatalf("exact replay refused: %v", err)
+	}
+	other := root
+	other[1] = 1
+	if err := audit.AdvanceRoot("models/m1", 1, other); err == nil {
+		t.Fatal("repeated epoch with another root accepted")
 	}
 	if err := audit.AdvanceRoot("models/m1", 9, root); err != nil {
 		t.Fatal(err)
+	}
+	if err := audit.AdvanceRoot("models/m1", 1, root); err == nil {
+		t.Fatal("lower epoch accepted")
 	}
 	epoch, gotRoot, found, err := audit.CheckRoot("models/m1")
 	if err != nil || !found || epoch != 9 || gotRoot != root {

@@ -1,14 +1,17 @@
 package cas
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/securetf/securetf/internal/sgx"
@@ -19,6 +22,10 @@ import (
 // client bootstraps trust into the CAS itself via RA-TLS (it verifies a
 // CAS quote over the CAS TLS certificate), implementing the paper's
 // "the user needs to establish trust into the CAS instance".
+//
+// Register and the audit calls share one kept TLS connection to the CAS,
+// made on first use; Bootstrap and Attest each make their own. Close
+// closes the kept connection.
 type Client struct {
 	enclave        *sgx.Enclave
 	meter          sgx.Meter // the enclave's platform's
@@ -28,6 +35,32 @@ type Client struct {
 	dial           func(network, addr string) (net.Conn, error)
 
 	caPool *x509.CertPool // pinned after Bootstrap
+
+	mu   sync.Mutex // orders round trips on kept
+	kept *keptConn  // nil until the first round trip, and after a failed one
+}
+
+// keptConn is the client's kept connection to the CAS, with what it has
+// sent and what it may still read: the CAS decodes at most MaxConnBytes
+// from one connection, and so does the client.
+type keptConn struct {
+	conn   net.Conn
+	in     *io.LimitedReader
+	out    bytes.Buffer // the request being sent
+	cdc    codec        // encodes into out, decodes from in
+	sent   int64
+	served bool // a round trip completed on it
+}
+
+// replyRoom is what a kept connection must still be able to read to
+// carry another round trip: a register or audit reply is a few hundred
+// bytes.
+const replyRoom = 64 << 10
+
+func newKeptConn(conn net.Conn) *keptConn {
+	k := &keptConn{conn: conn, in: &io.LimitedReader{R: conn, N: MaxConnBytes}}
+	k.cdc = codec{enc: json.NewEncoder(&k.out), dec: json.NewDecoder(k.in)}
+	return k
 }
 
 // ClientConfig configures a Client.
@@ -172,7 +205,8 @@ func (c *Client) Bootstrap() error {
 	return nil
 }
 
-// connect dials the CAS over TLS verified against the pinned CA.
+// connect dials the CAS over TLS verified against the pinned CA. Each
+// connection it makes is one handshake charged.
 func (c *Client) connect() (net.Conn, error) {
 	if c.caPool == nil {
 		return nil, errors.New("cas: client not bootstrapped")
@@ -198,28 +232,91 @@ func (c *Client) connect() (net.Conn, error) {
 	return conn, nil
 }
 
-// roundTrip sends one request and reads one response over a fresh
-// connection.
+// roundTrip sends one request over the kept connection and reads one
+// response. A round trip that fails on a connection that had already
+// served one (the CAS restarted, or dropped it) is tried once more on a
+// fresh connection; every request that goes through here may be sent
+// twice (the CAS takes an exact replay of an audit advance as success).
 func (c *Client) roundTrip(req *request) (*response, error) {
-	conn, err := c.connect()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, retry, err := c.exchange(req)
+	if retry {
+		resp, _, err = c.exchange(req)
+	}
 	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	cdc := newCodec(conn)
-	req.SenderVTime = int64(c.enclave.Clock().Now())
-	if err := cdc.writeRequest(req); err != nil {
-		return nil, err
-	}
-	var resp response
-	if err := cdc.readResponse(&resp); err != nil {
 		return nil, err
 	}
 	c.meter.Arrive(time.Duration(resp.SenderVTime))
 	if !resp.OK {
 		return nil, fmt.Errorf("cas: %s", resp.Error)
 	}
-	return &resp, nil
+	return resp, nil
+}
+
+// exchange is one try of roundTrip. On an error it drops the kept
+// connection and reports whether that connection had served a request.
+func (c *Client) exchange(req *request) (resp *response, retry bool, err error) {
+	k, err := c.stage(req)
+	if err != nil {
+		return nil, false, err
+	}
+	resp = new(response)
+	if _, err = k.conn.Write(k.out.Bytes()); err == nil {
+		k.sent += int64(k.out.Len())
+		err = k.cdc.readResponse(resp)
+	}
+	if err != nil {
+		c.drop()
+		return nil, k.served, err
+	}
+	k.served = true
+	return resp, false, nil
+}
+
+// stage stamps and encodes req for the kept connection, first making
+// one, or replacing one that could not carry it within MaxConnBytes.
+func (c *Client) stage(req *request) (*keptConn, error) {
+	for {
+		if c.kept == nil {
+			conn, err := c.connect()
+			if err != nil {
+				return nil, err
+			}
+			c.kept = newKeptConn(conn)
+		}
+		k := c.kept
+		req.SenderVTime = int64(c.enclave.Clock().Now())
+		k.out.Reset()
+		if err := k.cdc.writeRequest(req); err != nil {
+			return nil, err
+		}
+		if k.sent+int64(k.out.Len()) <= MaxConnBytes && k.in.N >= replyRoom {
+			return k, nil
+		}
+		if k.sent == 0 {
+			return nil, fmt.Errorf("cas: a %d-byte request exceeds a connection's %d bytes", k.out.Len(), MaxConnBytes)
+		}
+		c.drop()
+	}
+}
+
+// drop closes the kept connection; the next round trip makes another.
+func (c *Client) drop() error {
+	if c.kept == nil {
+		return nil
+	}
+	err := c.kept.conn.Close()
+	c.kept = nil
+	return err
+}
+
+// Close closes the kept connection, if there is one. A later Register or
+// audit call makes a new one.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.drop()
 }
 
 // Register uploads a session definition.

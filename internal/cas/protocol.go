@@ -62,7 +62,9 @@ type response struct {
 // read: a session definition with its volume keys, or an attest reply
 // with its certificates, is a few KiB. A JSON decoder buffers a value
 // until it ends, so without the cap one peer could make the CAS enclave
-// buffer without limit before any quote is checked.
+// buffer without limit before any quote is checked. A client's kept
+// connection, which carries many small register and audit round trips,
+// is replaced before it would pass the cap.
 const MaxConnBytes = 1 << 20
 
 // BoundedDecoder decodes the JSON messages of one connection and fails

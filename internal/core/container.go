@@ -331,8 +331,12 @@ func (c *Container) Listen(network, addr string) (net.Listener, error) {
 // NetShielded reports whether the network shield is active.
 func (c *Container) NetShielded() bool { return c.shield != nil }
 
-// Close shuts the container down.
+// Close shuts the container down, closing the connection its CAS client
+// keeps for the shield's audit calls.
 func (c *Container) Close() error {
+	if c.casConn != nil {
+		c.casConn.Close()
+	}
 	return c.rt.Close()
 }
 

@@ -9,7 +9,9 @@ import (
 
 // LocalAudit is an in-process AuditService: a monotonic epoch and root per
 // path. The production deployment uses the CAS audit service instead; the
-// semantics are identical.
+// semantics are the same, except that the CAS also takes an exact replay
+// of the last advance, which its client sends when it retries a round
+// trip whose reply was lost.
 type LocalAudit struct {
 	mu    sync.Mutex
 	roots map[string]auditEntry

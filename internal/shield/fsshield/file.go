@@ -231,7 +231,7 @@ func (f *shieldFile) WriteAt(p []byte, off int64) (int, error) {
 		if whole := p[total:]; f.sealAtWrite && rel == 0 && int64(len(whole)) >= f.chunkSize() {
 			// A whole chunk of a created file: seal it from p, write it
 			// to the host and cache nothing.
-			if err := f.sealChunk(i, whole[:f.chunkSize()]); err != nil {
+			if err := f.sealChunk(i, f.bump(i), whole[:f.chunkSize()]); err != nil {
 				return total, err
 			}
 			delete(f.cache, i)
@@ -395,15 +395,21 @@ func (f *shieldFile) Close() error {
 	return f.data.Close()
 }
 
-// sealChunk seals plain as chunk i under a bumped write counter into
-// the file's stored-chunk buffer and writes it to the host: the data
-// file's WriteAt does not keep what it is given (io.WriterAt). It is
-// the one place a chunk is written: one counter bump, one crypto charge
-// and one host WriteAt.
-func (f *shieldFile) sealChunk(i int64, plain []byte) error {
+// bump advances chunk i's write counter and returns it. A counter is
+// sealed under only once it is recorded where no later handle can miss
+// it: in metadata on the host (flush), or under a generation that only
+// this handle's Close records (a created file's whole chunks).
+func (f *shieldFile) bump(i int64) uint64 {
 	f.meta.ensureChunks(int(i + 1))
 	f.meta.Counters[i]++
-	counter := f.meta.Counters[i]
+	return f.meta.Counters[i]
+}
+
+// sealChunk seals plain as chunk i under counter into the file's
+// stored-chunk buffer and writes it to the host: the data file's WriteAt
+// does not keep what it is given (io.WriterAt). It is the one place a
+// chunk is written: one crypto charge and one host WriteAt.
+func (f *shieldFile) sealChunk(i int64, counter uint64, plain []byte) error {
 	aad := chunkAAD(f.path, i, counter)
 	f.shield.chargeCrypto(int64(len(plain)))
 
@@ -423,33 +429,19 @@ func (f *shieldFile) sealChunk(i int64, plain []byte) error {
 	return nil
 }
 
-// flush writes all dirty chunks and the metadata file.
+// flush bumps the counters of the dirty chunks, writes the metadata that
+// records them and advances the audit root, and only then seals the
+// chunks under those counters and trims the data file. A flush that
+// fails before the metadata is on the host has sealed nothing, so the
+// next handle, which bumps the same counters, reuses no nonce; one that
+// fails after it leaves chunks that fail authentication.
 func (f *shieldFile) flush() error {
 	n := divCeil(f.meta.FileSize, f.chunkSize())
 	f.meta.ensureChunks(int(n))
-
-	for i := int64(0); i < n; i++ {
-		if !f.dirty[i] {
-			continue
+	for i := range n {
+		if f.dirty[i] {
+			f.bump(i)
 		}
-		chunk, err := f.loadChunk(i)
-		if err != nil {
-			return err
-		}
-		// Pad the cached buffer to the chunk's full plaintext length.
-		if err := f.sealChunk(i, f.grow(i, chunk, f.plainLen(i))); err != nil {
-			return err
-		}
-		delete(f.dirty, i)
-	}
-
-	// Trim the data file to the exact stored size.
-	storedSize := int64(0)
-	if n > 0 {
-		storedSize = (n-1)*f.slotSize() + f.plainLen(n-1) + f.overhead()
-	}
-	if err := f.data.Truncate(storedSize); err != nil {
-		return fmt.Errorf("fsshield: truncating %q: %w", f.path, err)
 	}
 
 	f.meta.Epoch++
@@ -465,6 +457,30 @@ func (f *shieldFile) flush() error {
 		if err := f.shield.cfg.Audit.AdvanceRoot(f.path, f.meta.Epoch, sha256.Sum256(raw)); err != nil {
 			return fmt.Errorf("fsshield: advancing audit root for %q: %w", f.path, err)
 		}
+	}
+
+	for i := range n {
+		if !f.dirty[i] {
+			continue
+		}
+		chunk, err := f.loadChunk(i)
+		if err != nil {
+			return err
+		}
+		// Pad the cached buffer to the chunk's full plaintext length.
+		if err := f.sealChunk(i, f.meta.Counters[i], f.grow(i, chunk, f.plainLen(i))); err != nil {
+			return err
+		}
+		delete(f.dirty, i)
+	}
+
+	// Trim the data file to the exact stored size.
+	storedSize := int64(0)
+	if n > 0 {
+		storedSize = (n-1)*f.slotSize() + f.plainLen(n-1) + f.overhead()
+	}
+	if err := f.data.Truncate(storedSize); err != nil {
+		return fmt.Errorf("fsshield: truncating %q: %w", f.path, err)
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package fsshield
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/securetf/securetf/internal/fsapi"
@@ -276,6 +278,83 @@ func TestNoNonceReuseAfterShrinkGrow(t *testing.T) {
 	}
 	if len(used) < 15 {
 		t.Fatalf("only %d chunks sealed; the sequence no longer exercises what it should", len(used))
+	}
+}
+
+// refuseMeta is a host that refuses to create metadata files while
+// refuse is set.
+type refuseMeta struct {
+	fsapi.FS
+	refuse *bool
+}
+
+func (r refuseMeta) Create(name string) (fsapi.File, error) {
+	if *r.refuse && strings.HasSuffix(name, metaSuffix) {
+		return nil, errors.New("host refuses the metadata")
+	}
+	return r.FS.Create(name)
+}
+
+// TestNoNonceReuseAfterRefusedMetadata: an opened handle whose Close
+// cannot write the metadata that records its bumped counters seals
+// nothing under them, so the next handle, which bumps the same counters
+// again, reuses no (key, nonce).
+func TestNoNonceReuseAfterRefusedMetadata(t *testing.T) {
+	const cs = 256
+	var writes []sealedChunk
+	var refuse bool
+	s := newTestShield(t, refuseMeta{FS: sealLog{FS: fsapi.NewMem(), path: "secret/f", writes: &writes}, refuse: &refuse})
+	first := bytes.Repeat([]byte("0"), cs)
+	if err := fsapi.WriteFile(s, "secret/f", first); err != nil {
+		t.Fatal(err)
+	}
+	appendTo := func(data []byte) (*shieldFile, error) {
+		f, err := s.Open("secret/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Seek(0, io.SeekEnd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		return f.(*shieldFile), f.Close()
+	}
+	refuse = true
+	if _, err := appendTo(bytes.Repeat([]byte("A"), 20)); err == nil {
+		t.Fatal("Close succeeded on a host that refuses the metadata")
+	}
+	refuse = false
+	g, err := appendTo(bytes.Repeat([]byte("B"), 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	used := make(map[[2]uint64]bool)
+	for _, w := range writes {
+		i := w.off / (cs + 16)
+		var found []uint64
+		for c := uint64(1); c < 16; c++ {
+			if _, err := g.aead.Open(nil, chunkNonce(i, c), w.stored, chunkAAD(g.path, i, c)); err == nil {
+				found = append(found, c)
+			}
+		}
+		if len(found) != 1 {
+			t.Fatalf("chunk %d opens under %d counters of the file's key, want 1", i, len(found))
+		}
+		u := [2]uint64{uint64(i), found[0]}
+		if used[u] {
+			t.Fatalf("chunk %d sealed twice with counter %d under one key", i, found[0])
+		}
+		used[u] = true
+	}
+	got, err := fsapi.ReadFile(s, "secret/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(first, bytes.Repeat([]byte("B"), 20)...); !bytes.Equal(got, want) {
+		t.Fatalf("the file reads %q, want the first version with the second append", got)
 	}
 }
 

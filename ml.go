@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/tf"
@@ -285,13 +286,32 @@ func (m *TrainedModel) TrainMore(xs, ys *Tensor, batchSize, steps int) error {
 // LastLoss returns the loss of the final training step.
 func (m *TrainedModel) LastLoss() float64 { return m.loss }
 
-// Accuracy evaluates classification accuracy on a labelled set.
+// evalBlock is how many rows Accuracy runs at once, so an evaluation's
+// activations are one block's whatever the size of the set.
+const evalBlock = 64
+
+// Accuracy evaluates classification accuracy on a labelled set. It runs
+// the set in blocks of rows and returns, bit for bit, what one Run over
+// the whole set returns: each block's mean accuracy times its rows is
+// its exact count of hits, and the float32 mean of the total is the
+// Accuracy node's.
 func (m *TrainedModel) Accuracy(xs, ys *Tensor) (float64, error) {
-	out, err := m.sess.Run(tf.Feeds{m.model.X: xs, m.model.Y: ys}, []*tf.Node{m.model.Accuracy})
-	if err != nil {
-		return 0, fmt.Errorf("securetf: evaluate: %w", err)
+	var hits float64
+	for step := 0; ; step++ {
+		bx, by, err := tf.Minibatch(xs, ys, evalBlock, step)
+		if err != nil {
+			return 0, fmt.Errorf("securetf: evaluate: %w", err)
+		}
+		out, err := m.sess.Run(tf.Feeds{m.model.X: bx, m.model.Y: by}, []*tf.Node{m.model.Accuracy})
+		if err != nil {
+			return 0, fmt.Errorf("securetf: evaluate: %w", err)
+		}
+		rows := float64(bx.Shape()[0])
+		hits += math.Round(float64(out[0].Floats()[0]) * rows)
+		if n := xs.Shape()[0]; (step+1)*evalBlock >= n {
+			return float64(float32(hits / float64(n))), nil
+		}
 	}
-	return float64(out[0].Floats()[0]), nil
 }
 
 // Variables snapshots the current variable values by name (federated
