@@ -337,7 +337,13 @@
 // per-connection link — so the §5.4 ownership rule holds here too: an
 // upload's blobs are valid at the coordinator until its next read (a
 // PayloadTap that keeps them copies them). A connection speaks for the
-// one client id its hello carried.
+// one client id its hello carried. TrainFederated builds one model for
+// the whole job: the aggregator's initial variables come from it, its
+// gradient subgraph is built once, and every client opens its own
+// session over the shared graph, which sessions only read. A client
+// keeps two buffers a variable between rounds, the committed residual
+// and a delta that the quantizer overwrites with the residual its
+// upload leaves; an accepted upload swaps the two.
 //
 // Uploads are protected by pairwise-masked secure aggregation: every
 // client blinds its update with one mask per neighbour, derived
@@ -386,7 +392,12 @@
 // Ring sums are
 // order-independent, so a whole federated job — sampling, quorum
 // membership, refusals, the final global model — is bit-reproducible
-// at a fixed seed.
+// at a fixed seed under SconeSIM. Under SconeHW it is not yet at
+// every shape: at 64 sampled and a quorum of 51, which uploads make
+// the quorum differs between runs from the third to fifth round on
+// (TestFederatedQuorumCutReplay logs where), presumably because the
+// aggregator enclave's hardware charges follow how the host splits a
+// frame into read calls; SconeSIM, which makes none of them, agrees.
 //
 // All costs are charged to a per-platform virtual clock, so programs are
 // deterministic and fast while keeping the paper's performance shape;

@@ -11,6 +11,7 @@ import (
 	"github.com/securetf/securetf/internal/federated"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/tf/dist"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -78,9 +79,10 @@ type FederatedConfig struct {
 	// for simulation; real deployments provision it out of band (the
 	// federated_learning example uses CAS session secrets).
 	Secret []byte
-	// NewModel builds one model replica; called once for the
-	// aggregator's seed variables and once per client. Must be
-	// deterministic so all replicas start identical.
+	// NewModel builds the model. TrainFederated calls it once: the
+	// aggregator's initial variables come from its graph, and every
+	// client opens its own session, with its own variables, over that
+	// one graph, which they share read-only.
 	NewModel func() Model
 	// ShardData returns client id's private training shard.
 	ShardData func(client int) (xs, ys *Tensor, err error)
@@ -133,13 +135,19 @@ func StartFederatedAggregator(c *Container, addr string, cfg FederatedConfig) (*
 	if cfg.NewModel == nil {
 		return nil, "", errors.New("securetf: FederatedConfig.NewModel is required")
 	}
+	return startFederatedAggregator(c, addr, cfg, cfg.NewModel())
+}
+
+// startFederatedAggregator is StartFederatedAggregator with the model
+// already built.
+func startFederatedAggregator(c *Container, addr string, cfg FederatedConfig, model Model) (*FederatedCoordinator, string, error) {
 	ln, err := c.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("securetf: aggregator listen: %w", err)
 	}
 	coord, err := federated.NewCoordinator(federated.CoordinatorConfig{
 		Listener:       ln,
-		Vars:           InitialVariables(cfg.NewModel()),
+		Vars:           InitialVariables(model),
 		Clients:        cfg.Clients,
 		SampleFraction: cfg.SampleFraction,
 		Quorum:         cfg.Quorum,
@@ -195,22 +203,27 @@ func StartFederatedClient(c *Container, spec FederatedPeerSpec) (*FederatedClien
 	if c == nil {
 		return nil, errors.New("securetf: StartFederatedClient requires a container")
 	}
+	plan, err := dist.NewPlan(spec.Model)
+	if err != nil {
+		return nil, fmt.Errorf("securetf: start federated client %d: %w", spec.ID, err)
+	}
 	serverName := cmp.Or(spec.ServerName, "aggregator")
 	dial := func(network, addr string) (net.Conn, error) { return c.Dial(network, addr, serverName) }
-	return newFederatedClient(spec, dial, c.Platform().Meter(), nil, nil)
+	return newFederatedClient(spec, plan, dial, c.Platform().Meter(), nil, nil)
 }
 
 // newFederatedClient is the one mapping from a peer spec to a client,
 // for a container's (its dial and meter, free-threaded) and
 // for one of TrainFederated's simulated population, stragglers delayed
-// and every client taking its turns at ts.
-func newFederatedClient(spec FederatedPeerSpec, dial func(network, addr string) (net.Conn, error),
+// and every client taking its turns at ts. The client trains through
+// plan; spec.Model is not read.
+func newFederatedClient(spec FederatedPeerSpec, plan *dist.Plan, dial func(network, addr string) (net.Conn, error),
 	meter sgx.Meter, delay func(round uint64) time.Duration, ts *federated.Turnstile) (*FederatedClient, error) {
 	cl, err := federated.NewClient(federated.ClientConfig{
 		ID:         spec.ID,
 		Addr:       spec.Addr,
 		Dial:       dial,
-		Model:      spec.Model,
+		Plan:       plan,
 		XS:         spec.XS,
 		YS:         spec.YS,
 		BatchSize:  spec.BatchSize,
@@ -271,11 +284,16 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 		return nil, err
 	}
 	defer agg.Close()
-	coord, addr, err := StartFederatedAggregator(agg, "127.0.0.1:0", cfg)
+	model := cfg.NewModel()
+	coord, addr, err := startFederatedAggregator(agg, "127.0.0.1:0", cfg, model)
 	if err != nil {
 		return nil, err
 	}
 	defer coord.Close()
+	plan, err := dist.NewPlan(model)
+	if err != nil {
+		return nil, fmt.Errorf("securetf: federated model: %w", err)
+	}
 
 	stragglers := int(float64(cfg.Clients) * cfg.StragglerFraction)
 	ts := federated.NewTurnstile()
@@ -294,7 +312,6 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 		c, err := newFederatedClient(FederatedPeerSpec{
 			ID:          id,
 			Addr:        addr,
-			Model:       cfg.NewModel(),
 			XS:          xs,
 			YS:          ys,
 			BatchSize:   cfg.BatchSize,
@@ -303,7 +320,7 @@ func TrainFederated(cfg FederatedConfig) (*FederatedResult, error) {
 			Compression: cfg.Compression,
 			Population:  cfg.Clients,
 			Secret:      secret,
-		}, net.Dial, agg.Platform().Meter().On(clocks[id]), delay, ts)
+		}, plan, net.Dial, agg.Platform().Meter().On(clocks[id]), delay, ts)
 		if err != nil {
 			return nil, err
 		}

@@ -25,10 +25,11 @@ type ClientConfig struct {
 	// container so the network shield's TLS applies. Defaults to
 	// net.Dial.
 	Dial func(network, addr string) (net.Conn, error)
-	// Model is the client's local replica; Graph, X, Y and Loss are
-	// required. Build every replica from the same seed as the
-	// coordinator's variables.
-	Model dist.Model
+	// Plan is the training step of the client's model (dist.NewPlan).
+	// Required. Clients may share one plan: each opens its own session,
+	// and so its own variables, over the plan's graph. Build the model
+	// from the same seed as the coordinator's variables.
+	Plan *dist.Plan
 	// XS and YS are the client's private data shard. Required.
 	XS, YS *tf.Tensor
 	// BatchSize is the local minibatch size. Required, ≥ 1.
@@ -119,14 +120,15 @@ type roundVar struct {
 	// value is the replica's own tensor of the variable: the assignment
 	// lands in it and the local steps update it in place.
 	value *tf.Tensor
-	// delta holds the round's assigned global value and then, in place,
-	// the local training delta against it.
+	// delta holds the round's assigned global value, then, in place,
+	// the local training delta against it, and after the encode the
+	// error-feedback residual this round's upload leaves behind.
 	delta []float32
-	// residual is the committed error-feedback residual; pending is the
-	// residual this round's upload leaves behind. The two are swapped
-	// only when the upload is acked as accepted, so a refused or dropped
-	// round leaves residual exactly as it was.
-	residual, pending []float32
+	// residual is the committed error-feedback residual. It is swapped
+	// with delta only when the upload is acked as accepted, so a refused
+	// or dropped round leaves it exactly as it was: delta is scratch
+	// until the next assignment overwrites it.
+	residual []float32
 	// blob is the upload: header, then the packed ring words the delta
 	// is quantized into and masked in.
 	blob []byte
@@ -164,7 +166,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.MaxIdlePolls = 10000
 	}
 
-	replica, err := dist.NewReplica(cfg.Model, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithSeed(int64(cfg.ID)+1))
+	if cfg.Plan == nil {
+		return nil, errors.New("federated: ClientConfig.Plan is required")
+	}
+	replica, err := dist.NewReplica(cfg.Plan, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithSeed(int64(cfg.ID)+1))
 	if err != nil {
 		return nil, fmt.Errorf("federated: client %d: %w", cfg.ID, err)
 	}
@@ -172,7 +177,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	for _, name := range c.gradNames {
 		v := replica.Variable(name)
 		n := len(v.Floats())
-		c.vars = append(c.vars, roundVar{value: v, delta: make([]float32, n), residual: make([]float32, n), pending: make([]float32, n)})
+		c.vars = append(c.vars, roundVar{value: v, delta: make([]float32, n), residual: make([]float32, n)})
 	}
 	if err := c.connect(); err != nil {
 		replica.Close()
@@ -347,7 +352,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		}
 		codec.marshalUpdate(v.blob)
 		payloads[i] = v.blob[updateHeader:]
-		codec.encodeVar(payloads[i], v.delta, v.residual, v.pending, coords)
+		codec.encodeVar(payloads[i], v.delta, v.residual, v.delta, coords)
 	}
 	if !c.cfg.Unmasked {
 		applyPairMasks(payloads, codec.width(), c.cfg.Secret, uint32(c.cfg.ID), c.peers, round)
@@ -383,10 +388,11 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	}
 	switch {
 	case ack.OK:
-		// Applied: commit the error-feedback residuals.
+		// Applied: commit the error-feedback residuals the encode left
+		// in delta.
 		for i := range c.vars {
 			v := &c.vars[i]
-			v.residual, v.pending = v.pending, v.residual
+			v.residual, v.delta = v.delta, v.residual
 		}
 		c.stats.Applied++
 	case ack.Closed:

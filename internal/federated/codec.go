@@ -105,8 +105,10 @@ func (c ringCodec) blobSize(words int) int { return updateHeader + words*c.width
 // all), and writes the residual an accepted upload leaves behind into
 // next. Unsent coordinates carry their whole effective value into next;
 // sent coordinates carry only the quantization error. residual itself
-// is not touched, so a refused upload loses nothing. The int8 codec is
-// dense and is ring.QuantizeInt8 at the step DefaultClip/127.
+// is not touched, so a refused upload loses nothing. next may alias
+// delta, since each coordinate is read before it is written, but never
+// residual. The int8 codec is dense and is ring.QuantizeInt8 at the
+// step DefaultClip/127.
 func (c ringCodec) encodeVar(payload []byte, delta, residual, next []float32, coords []int) {
 	if c.Kind == dist.CompressInt8 {
 		ring.QuantizeInt8(payload, delta, residual, next, DefaultClip/127)

@@ -28,6 +28,16 @@ func tinyModel(seed int64) dist.Model {
 	return dist.Model{Graph: g, X: x, Y: y, Loss: loss, Logits: logits}
 }
 
+// planOf builds m's training step.
+func planOf(t testing.TB, m dist.Model) *dist.Plan {
+	t.Helper()
+	p, err := dist.NewPlan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // tinyShard builds a learnable client shard: class = argmax of the
 // first three input features.
 func tinyShard(n int, seed int64) (*tf.Tensor, *tf.Tensor) {
@@ -99,6 +109,8 @@ func runJob(t testing.TB, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 	if spec.turnstile {
 		ts = NewTurnstile()
 	}
+	// Every client shares one model, as TrainFederated's do.
+	plan := planOf(t, model(7))
 	clients := make([]*Client, spec.population)
 	clocks := make([]*vtime.Clock, spec.population)
 	for id := 0; id < spec.population; id++ {
@@ -107,7 +119,7 @@ func runJob(t testing.TB, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 		cfg := ClientConfig{
 			ID:           id,
 			Addr:         ln.Addr().String(),
-			Model:        model(7),
+			Plan:         plan,
 			XS:           xs,
 			YS:           ys,
 			BatchSize:    10,
@@ -560,14 +572,14 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 func TestClientConfigValidation(t *testing.T) {
 	xs, ys := tinyShard(10, 1)
 	base := ClientConfig{
-		ID: 0, Addr: "127.0.0.1:1", Model: tinyModel(7), XS: xs, YS: ys,
+		ID: 0, Addr: "127.0.0.1:1", Plan: planOf(t, tinyModel(7)), XS: xs, YS: ys,
 		BatchSize: 5, LocalSteps: 1, LocalLR: 0.1, Population: 4, Secret: testSecret,
 	}
 	cases := []struct {
 		name string
 		mod  func(*ClientConfig)
 	}{
-		{"no model", func(c *ClientConfig) { c.Model = dist.Model{} }},
+		{"no plan", func(c *ClientConfig) { c.Plan = nil }},
 		{"no shard", func(c *ClientConfig) { c.XS = nil }},
 		{"no addr", func(c *ClientConfig) { c.Addr = "" }},
 		{"zero batch", func(c *ClientConfig) { c.BatchSize = 0 }},
@@ -605,7 +617,7 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	defer coord.Close()
 	xs, ys := tinyShard(10, 1)
 	base := ClientConfig{
-		ID: 0, Addr: ln.Addr().String(), Model: tinyModel(7), XS: xs, YS: ys,
+		ID: 0, Addr: ln.Addr().String(), Plan: planOf(t, tinyModel(7)), XS: xs, YS: ys,
 		BatchSize: 5, LocalSteps: 1, LocalLR: 0.1, Population: 4,
 		Secret: testSecret, Codec: dist.Int8Compression(),
 	}

@@ -19,7 +19,10 @@ import (
 //
 // step must be finite and positive. QuantizeInt8 panics if dst holds
 // fewer than 2·len(delta) bytes, or residual or next fewer than
-// len(delta) floats.
+// len(delta) floats. next may be delta itself, as the federated client
+// passes it: every path reads a coordinate before it writes it, the
+// vector loop a whole block of eight. It never aliases residual, which
+// the caller keeps until the upload is accepted.
 //
 // On amd64 with AVX whole blocks of eight coordinates go through the
 // vector loop (quantize_amd64.s) and the tail through quantizeInt8Go,

@@ -195,3 +195,33 @@ func BenchmarkQuantizeInt8(b *testing.B) {
 		})
 	}
 }
+
+// TestQuantizeIntoDelta holds the federated client's in-place form,
+// next aliasing delta, to the separate-buffer result, bit for bit, on
+// both paths: QuantizeInt8 (whole blocks in assembly on amd64 with AVX)
+// and quantizeInt8Go, at lengths that leave a tail of every size.
+func TestQuantizeIntoDelta(t *testing.T) {
+	paths := []struct {
+		name     string
+		quantize func(dst []byte, delta, residual, next []float32, step float64)
+	}{{"QuantizeInt8", QuantizeInt8}, {"quantizeInt8Go", quantizeInt8Go}}
+	delta, residual := awkwardInt8(101770, int8Step, 9)
+	for _, p := range paths {
+		for _, n := range []int{1, 7, 9, 15, 17, 23, 67, 101770} {
+			d, r := delta[:n], residual[:n]
+			want, wantNext := make([]byte, 2*n), make([]float32, n)
+			p.quantize(want, d, r, wantNext, int8Step)
+			got, inPlace := make([]byte, 2*n), slices.Clone(d)
+			p.quantize(got, inPlace, r, inPlace, int8Step)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d coordinates: the words differ when next is delta", p.name, n)
+			}
+			for i := range wantNext {
+				if math.Float32bits(inPlace[i]) != math.Float32bits(wantNext[i]) {
+					t.Fatalf("%s, %d coordinates: residual %d is %#x in place, %#x apart",
+						p.name, n, i, math.Float32bits(inPlace[i]), math.Float32bits(wantNext[i]))
+				}
+			}
+		}
+	}
+}

@@ -71,7 +71,7 @@ func scriptedRounds(tb testing.TB, rounds int, onPoll func(r int)) {
 		labels[i] = i % 10
 	}
 	c, err := NewClient(ClientConfig{
-		Addr: ln.Addr().String(), Model: m, Population: 4, Secret: testSecret,
+		Addr: ln.Addr().String(), Plan: planOf(tb, m), Population: 4, Secret: testSecret,
 		XS: tf.RandNormal(tf.Shape{40, 28, 28, 1}, 1, 2), YS: tf.OneHot(labels, 10),
 		BatchSize: 10, LocalSteps: 2, LocalLR: 0.05, Codec: dist.Int8Compression(),
 	})

@@ -356,12 +356,15 @@ func (g *Graph) Placeholder(name string, dtype DType, shape Shape) *Node {
 	return g.add(&Node{name: g.uniqueName(name), op: OpPlaceholder, shape: shape, dtype: dtype})
 }
 
-// Variable adds a trainable variable with the given initial value.
+// Variable adds a trainable variable with the given initial value. The
+// graph keeps initial itself, not a copy: the caller hands it over and
+// must not write to it afterwards. Every session clones it into its own
+// storage, and ConstValue returns a copy.
 func (g *Graph) Variable(name string, initial *Tensor) *Node {
 	if initial == nil {
 		buildErrorf("Variable %q: nil initial value", name)
 	}
-	return g.add(&Node{name: g.uniqueName(name), op: OpVariable, attrs: Attrs{"initial": initial.Clone()}, shape: initial.Shape(), dtype: initial.DType()})
+	return g.add(&Node{name: g.uniqueName(name), op: OpVariable, attrs: Attrs{"initial": initial}, shape: initial.Shape(), dtype: initial.DType()})
 }
 
 func (g *Graph) binary(op string, a, b *Node) *Node { return g.addNode(op, op, []*Node{a, b}, nil) }

@@ -29,8 +29,12 @@ func TestFederatedFrameBuffersGoWithTheConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := dist.NewPlan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := federated.NewClient(federated.ClientConfig{
-		Addr: ln.Addr().String(), Dial: spy.Dial, Model: m, Population: 1, Secret: []byte("cohort"),
+		Addr: ln.Addr().String(), Dial: spy.Dial, Plan: plan, Population: 1, Secret: []byte("cohort"),
 		XS: tf.RandNormal(tf.Shape{20, 28, 28, 1}, 1, 2), YS: tf.OneHot(make([]int, 20), 10),
 		BatchSize: 10, LocalSteps: 1, LocalLR: 0.1,
 	})

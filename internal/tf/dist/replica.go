@@ -14,6 +14,40 @@ import (
 // so its initial variables are the parameter server's or coordinator's.
 type Model = models.Handles
 
+// Plan is a model's training step, built once: the loss and the
+// gradient of every variable the loss depends on. NewPlan adds the
+// gradient subgraph to the model's graph; after it, the graph is only
+// read, so any number of replicas may open sessions over one plan and
+// step them concurrently, each with its own variables.
+type Plan struct {
+	x, y *tf.Node
+	// fetch is one step's Run: the loss, then the gradient of every
+	// variable in names, in graph order.
+	fetch []*tf.Node
+	names []string
+	graph *tf.Graph
+}
+
+// NewPlan checks the model and builds the gradient subgraph of its loss.
+// Call it once per model: every call adds another subgraph.
+func NewPlan(m Model) (*Plan, error) {
+	if m.Graph == nil || m.X == nil || m.Y == nil || m.Loss == nil {
+		return nil, errors.New("dist: a model requires Graph, X, Y and Loss")
+	}
+	vars, grads, err := tf.GradientNodes(m.Graph, m.Loss)
+	if err != nil {
+		return nil, fmt.Errorf("dist: gradient subgraph: %w", err)
+	}
+	if len(grads) == 0 {
+		return nil, errors.New("dist: model loss depends on no variables")
+	}
+	p := &Plan{x: m.X, y: m.Y, fetch: append([]*tf.Node{m.Loss}, grads...), graph: m.Graph}
+	for _, v := range vars {
+		p.names = append(p.names, v.Name())
+	}
+	return p, nil
+}
+
 // Replica is the local half of a training step, the same under every
 // aggregation rule: the next minibatch of a private data shard is fed
 // to one session, which returns the loss and what the step fetches with
@@ -27,46 +61,37 @@ type Replica struct {
 	// xs and ys are the private data shard, batch the minibatch size.
 	xs, ys *tf.Tensor
 	batch  int
-	// fetch is one step's Run: the loss, then the gradient of every
-	// variable the loss depends on, in graph order, or the train op.
+	// fetch is one step's Run: a Plan's, or the loss and the train op.
 	fetch []*tf.Node
 	// into is where a NewReplica's step fetches to: nothing for the
 	// loss, then one tensor per gradient, shaped like its variable, that
 	// every Step overwrites. A StepsOn replica has none.
 	into []*tf.Tensor
-	// names and vars are those variables and the session's own tensors
-	// of them (see the package comment on who may write through these).
+	// names and vars are the plan's variables and the session's own
+	// tensors of them (see the package comment on who may write through
+	// these).
 	names []string
 	vars  []*tf.Tensor
 }
 
-// NewReplica checks the model and the shard, builds the gradient
-// subgraph of the loss and opens a session on it, which Close releases.
-func NewReplica(m Model, xs, ys *tf.Tensor, batch int, opts ...tf.SessionOption) (*Replica, error) {
-	if m.Graph == nil || m.X == nil || m.Y == nil || m.Loss == nil {
-		return nil, errors.New("dist: a model requires Graph, X, Y and Loss")
-	}
+// NewReplica checks the shard and opens a session over the plan's
+// graph, which Close releases. The session's variables start at the
+// graph's initial values and are the replica's alone.
+func NewReplica(p *Plan, xs, ys *tf.Tensor, batch int, opts ...tf.SessionOption) (*Replica, error) {
 	if _, _, err := tf.Minibatch(xs, ys, batch, 0); err != nil {
 		return nil, err
 	}
-	vars, grads, err := tf.GradientNodes(m.Graph, m.Loss)
-	if err != nil {
-		return nil, fmt.Errorf("dist: gradient subgraph: %w", err)
-	}
-	if len(grads) == 0 {
-		return nil, errors.New("dist: model loss depends on no variables")
-	}
 	r := &Replica{
-		sess: tf.NewSession(m.Graph, opts...), x: m.X, y: m.Y, xs: xs, ys: ys, batch: batch,
-		fetch: append([]*tf.Node{m.Loss}, grads...), into: []*tf.Tensor{nil},
+		sess: tf.NewSession(p.graph, opts...), x: p.x, y: p.y, xs: xs, ys: ys, batch: batch,
+		fetch: p.fetch, into: []*tf.Tensor{nil}, names: p.names,
 	}
-	for _, v := range vars {
-		t, err := r.sess.VariableStorage(v.Name())
+	for _, name := range p.names {
+		t, err := r.sess.VariableStorage(name)
 		if err != nil {
 			r.Close()
 			return nil, err
 		}
-		r.names, r.vars = append(r.names, v.Name()), append(r.vars, t)
+		r.vars = append(r.vars, t)
 		r.into = append(r.into, tf.NewTensor(t.DType(), t.Shape()))
 	}
 	return r, nil

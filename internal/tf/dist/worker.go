@@ -183,7 +183,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.StartStep < 0 {
 		return nil, fmt.Errorf("dist: WorkerConfig.StartStep must be ≥ 0, got %d", cfg.StartStep)
 	}
-	replica, err := NewReplica(cfg.Model, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithDevice(cfg.Device), tf.WithSeed(int64(cfg.ID)+1))
+	plan, err := NewPlan(cfg.Model)
+	if err != nil {
+		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
+	}
+	replica, err := NewReplica(plan, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithDevice(cfg.Device), tf.WithSeed(int64(cfg.ID)+1))
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
 	}

@@ -19,7 +19,9 @@ type Tensor = tf.Tensor
 // Shape is a tensor shape (row-major dimensions).
 type Shape = tf.Shape
 
-// Graph is a TensorFlow-style static dataflow graph.
+// Graph is a TensorFlow-style static dataflow graph. Graph.Variable
+// keeps the initial tensor it is given rather than a copy, so pass a
+// tensor nothing else writes to.
 type Graph = tf.Graph
 
 // Node is one operation instance in a Graph.
