@@ -3,11 +3,14 @@ package securetf_test
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -40,7 +43,9 @@ type historyRow struct {
 // format: every row names its PR, tree, side, workload, seed and pair;
 // every metric in it is one BENCHMARK.json declares, in the unit it
 // declares; and every measured pair has one run of each side, so a perf
-// claim is a diff of this file.
+// claim is a diff of this file. Under -v it prints, per workload, seed
+// and end-to-end metric, the product of the PRs' ratios (benchRatios)
+// in PR order: the trajectory, as one ruler computes it.
 func TestBenchHistory(t *testing.T) {
 	var spec struct {
 		Workloads []struct {
@@ -77,7 +82,7 @@ func TestBenchHistory(t *testing.T) {
 	}
 	tree := regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 	sides := map[string]int{} // measured pair → parent runs − change runs
-	rows := 0
+	var rows []historyRow
 	sc := bufio.NewScanner(bytes.NewReader(history))
 	sc.Buffer(nil, 1<<20)
 	for line := 1; sc.Scan(); line++ {
@@ -87,7 +92,7 @@ func TestBenchHistory(t *testing.T) {
 		if err := dec.Decode(&r); err != nil {
 			t.Fatalf("line %d: %v", line, err)
 		}
-		rows++
+		rows = append(rows, r)
 		where := fmt.Sprintf("line %d (PR %d, %s)", line, r.PR, r.Workload)
 		switch {
 		case r.PR < 1:
@@ -130,7 +135,7 @@ func TestBenchHistory(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rows == 0 {
+	if len(rows) == 0 {
 		t.Fatal("BENCH_history.jsonl has no rows")
 	}
 	for key, d := range sides {
@@ -138,4 +143,112 @@ func TestBenchHistory(t *testing.T) {
 			t.Errorf("%s: %+d more parent runs than change runs, want one of each", key, d)
 		}
 	}
+
+	chain := map[string]float64{}
+	prs := map[string]int{}
+	for _, r := range benchRatios(rows) {
+		line := fmt.Sprintf("PR %d %s seed %d, %d pairs:", r.pr, r.workload, r.seed, r.pairs)
+		for _, m := range spec.EndToEnd {
+			if ratio, ok := r.ratio[m.Name]; ok {
+				if line += fmt.Sprintf(" %s %.4f", m.Name, ratio); r.above[m.Name] >= 0 {
+					line += fmt.Sprintf(" (%d above 1)", r.above[m.Name])
+				}
+				key := fmt.Sprintf("%s seed %d %s", r.workload, r.seed, m.Name)
+				if prs[key] == 0 {
+					chain[key] = 1
+				}
+				chain[key] *= ratio
+				prs[key]++
+			}
+		}
+		t.Log(line)
+	}
+	for _, key := range slices.Sorted(maps.Keys(chain)) {
+		t.Logf("%s: ×%.4f over %d PRs", key, chain[key], prs[key])
+	}
+}
+
+// prRatio is one PR's ratio on one workload and seed, per metric: the
+// median over its pairs of change ÷ parent, and how many pairs read
+// above 1 (-1 for a back-filled row, which holds only the medians' ratio).
+type prRatio struct {
+	pr       int
+	workload string
+	seed     int
+	pairs    int
+	ratio    map[string]float64
+	above    map[string]int
+}
+
+// benchRatios computes every PR's ratios, in PR order. A PR that
+// measured more than one tree of its change is judged on the last tree
+// its change rows for the workload and seed name; a back-filled PR's
+// ratio is change ÷ parent of the medians it quoted.
+func benchRatios(rows []historyRow) []prRatio {
+	type series struct {
+		pr       int
+		workload string
+		seed     int
+	}
+	type pairKey struct {
+		series
+		pair int
+	}
+	final := map[series]string{}
+	parents, changes := map[pairKey][]historyRow{}, map[pairKey][]historyRow{}
+	var order []pairKey
+	for _, r := range rows {
+		k := pairKey{series{r.PR, r.Workload, *r.Seed}, *r.Pair}
+		if r.Side == "parent" {
+			parents[k] = append(parents[k], r)
+			continue
+		}
+		if len(changes[k]) == 0 {
+			order = append(order, k)
+		}
+		changes[k] = append(changes[k], r)
+		final[k.series] = r.Tree
+	}
+	ratios := map[series]map[string][]float64{}
+	pairs := map[series]int{}
+	for _, k := range order {
+		for i, c := range changes[k] {
+			if i >= len(parents[k]) || c.Tree != final[k.series] {
+				continue
+			}
+			if ratios[k.series] == nil {
+				ratios[k.series] = map[string][]float64{}
+			}
+			pairs[k.series] += max(1, c.Pairs)
+			p := parents[k][i]
+			for name, m := range c.Metrics {
+				if pm, ok := p.Metrics[name]; ok && *pm.Value != 0 {
+					ratios[k.series][name] = append(ratios[k.series][name], *m.Value / *pm.Value)
+				}
+			}
+		}
+	}
+	var out []prRatio
+	for s, byMetric := range ratios {
+		r := prRatio{pr: s.pr, workload: s.workload, seed: s.seed, pairs: pairs[s],
+			ratio: map[string]float64{}, above: map[string]int{}}
+		for name, xs := range byMetric {
+			slices.Sort(xs)
+			r.ratio[name] = (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+			r.above[name] = 0
+			for _, x := range xs {
+				if x > 1 {
+					r.above[name]++
+				}
+			}
+			if changes[pairKey{s, 0}] != nil {
+				r.above[name] = -1
+			}
+		}
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b prRatio) int {
+		return cmp.Or(cmp.Compare(a.pr, b.pr), cmp.Compare(a.workload, b.workload), cmp.Compare(a.seed, b.seed))
+	})
+	return out
 }

@@ -205,10 +205,11 @@
 // storage; a training replica fetches its gradients into tensors it
 // keeps (RunInto), so they are valid until its next step, and feeds
 // views of its data shard, which no Run writes; each end of a
-// connection owns one read and one write buffer
-// that live and die with it, a frame read from it is valid until the
-// next read, and a received variable is decoded straight into the
-// storage it belongs in. What the enclave is charged for the step's
+// connection borrows a buffer for each frame from its owner's list and
+// gives it back once the frame is written or decoded, so an idle
+// connection holds none, the blobs of a received frame are valid until
+// that end's next send or read, and a received variable is decoded
+// straight into the storage it belongs in. What the enclave is charged for the step's
 // intermediates is the cost model's arena (the sum of every node's
 // output, at its peak), which this reuse does not enter.
 //
@@ -335,8 +336,12 @@
 // secrets). A federated client is the training worker's local step
 // under another aggregation rule — the same replica, SGD update and
 // per-connection link — so the §5.4 ownership rule holds here too: an
-// upload's blobs are valid at the coordinator until its next read (a
-// PayloadTap that keeps them copies them). A connection speaks for the
+// upload's blobs are valid at the coordinator until it answers them (a
+// PayloadTap that keeps them copies them). The coordinator's
+// connections borrow their frames from one list, and the clients of
+// one job, whose exchanges take turns, from another, so neither end
+// keeps a frame a client: what the frames cost follows the exchanges
+// in flight, not the population. A connection speaks for the
 // one client id its hello carried. TrainFederated builds one model for
 // the whole job: the aggregator's initial variables come from it, its
 // gradient subgraph is built once, and every client opens its own

@@ -95,7 +95,8 @@ type FederatedConfig struct {
 	StragglerDelay time.Duration
 	// PayloadTap observes every accepted upload payload (round, client,
 	// variable, raw bytes) — the hook the sum-only property tests use.
-	// The bytes are the connection's read buffer: copy what is kept.
+	// The bytes are the received frame's, which the aggregator reuses:
+	// copy what is kept.
 	PayloadTap func(round uint64, client uint32, name string, payload []byte)
 }
 

@@ -93,9 +93,10 @@ type ClientStats struct {
 // seeds when the coordinator reports dead cohort members.
 type Client struct {
 	cfg ClientConfig
-	// link is the coordinator connection and its frame buffers, nil
-	// between a drop and the rejoin: a round assignment is decoded
-	// straight into the replica's variables.
+	// link is the coordinator connection, nil between a drop and the
+	// rejoin: a round assignment is decoded straight into the replica's
+	// variables. Under a Turnstile it borrows its frame buffers from the
+	// turnstile's list.
 	link      *dist.Link
 	replica   *dist.Replica
 	gradNames []string   // sorted: the wire walk order of every mask stream
@@ -189,8 +190,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // Stats returns the client's event counters.
 func (c *Client) Stats() ClientStats { return c.stats }
 
-// Close drops the coordinator connection, and with it the link's frame
-// buffers.
+// Close drops the coordinator connection.
 func (c *Client) Close() error {
 	if c.link == nil {
 		return nil
@@ -208,7 +208,7 @@ func (c *Client) connect() error {
 	if err != nil {
 		return fmt.Errorf("federated: client %d dial %s: %w", c.cfg.ID, c.cfg.Addr, err)
 	}
-	l := dist.NewLink(conn, c.replica.Variable)
+	l := c.cfg.Turnstile.link(conn, c.replica.Variable)
 	kind, fraction := c.cfg.Codec.Wire()
 	resp, _, err := l.RoundTrip(c.cfg.Meter, &dist.Message{
 		Kind:   dist.MsgHello,

@@ -50,8 +50,8 @@ type CoordinatorConfig struct {
 	Meter sgx.Meter
 	// Tap, when set, observes every accepted upload payload before it
 	// is accumulated: one call per (client, variable) with the raw wire
-	// blob, which is the connection's read buffer and valid only for
-	// the call. The sum-only property test uses it to pin that individual
+	// blob, which is the received frame's (a buffer of the
+	// coordinator's list) and valid only for the call. The sum-only property test uses it to pin that individual
 	// payloads are mask-blinded; the coordinator itself never inspects
 	// payloads beyond accumulation either way.
 	Tap func(round uint64, client uint32, name string, payload []byte)
@@ -86,6 +86,10 @@ type Coordinator struct {
 	sampled int
 
 	srv *wire.Server
+	// frames is the one list of frame buffers every client connection
+	// borrows from: the coordinator keeps what its exchanges in flight
+	// at once need, not two frames a connection.
+	frames wire.Frames
 
 	mu   sync.Mutex
 	vars map[string]*tf.Tensor // working globals, mutated only in finalize
@@ -242,12 +246,12 @@ func (c *Coordinator) Stats() Stats {
 // are closed.
 func (c *Coordinator) Close() error { return c.srv.Close() }
 
-// serve runs one client's connection through a link, whose two frame
-// buffers go with it. The connection speaks for the one client id its
+// serve runs one client's connection through a link that borrows its
+// frame buffers from the coordinator's list. The connection speaks for the one client id its
 // hello carried: a poll, push or reveal before a successful hello, or in
 // another client's name, is refused and changes nothing.
 func (c *Coordinator) serve(conn net.Conn) {
-	l := dist.NewLink(conn, nil)
+	l := dist.NewLinkFrom(&c.frames, conn, nil)
 	var id uint32
 	greeted := false
 	for {

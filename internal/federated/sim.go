@@ -2,11 +2,15 @@ package federated
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"time"
 
+	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/dist"
 	"github.com/securetf/securetf/internal/vtime"
+	"github.com/securetf/securetf/internal/wire"
 )
 
 // Turnstile is a discrete-event scheduler for simulated clients: it
@@ -47,6 +51,10 @@ type Turnstile struct {
 	// next is the member the turn passes to, and was signalled: the
 	// minimum of the complete roster while no turn runs, else -1.
 	next int
+	// frames is the list of frame buffers the members' links borrow
+	// from. Their exchanges take turns, so it holds what one exchange
+	// needs, whatever the roster's size.
+	frames wire.Frames
 }
 
 // member is one participant's place in the roster.
@@ -64,6 +72,16 @@ type member struct {
 // against an incomplete roster.
 func NewTurnstile() *Turnstile {
 	return &Turnstile{members: make(map[int]*member), next: -1}
+}
+
+// link wraps a member's fresh connection to the coordinator: a link
+// that borrows its frame buffers from the turnstile's list, or, free
+// threaded, from a list of its own.
+func (t *Turnstile) link(conn net.Conn, vars func(name string) *tf.Tensor) *dist.Link {
+	if t == nil {
+		return dist.NewLink(conn, vars)
+	}
+	return dist.NewLinkFrom(&t.frames, conn, vars)
 }
 
 // Join registers a participant and its clock.

@@ -38,21 +38,29 @@
 //     (which recomputes them before re-pushing), a federated client's
 //     ApplySGD. The minibatch a Step feeds is a view of the shard,
 //     which a Run never writes.
-//   - A Link owns two buffers, the frame being sent and the frame last
-//     received; nothing else refers to them, so closing the connection
-//     and dropping the Link frees them. A received message's blobs
-//     (Grads) alias the read buffer and are valid until the next
-//     Receive on that Link; its tensors (Vars) are the receiver's own,
-//     the ones the Link was told to decode into. Send copies a message
-//     into the write buffer, so what it points at (a shard's variables
+//   - A Link borrows its frames from its owner's list (a wire.Frames):
+//     a buffer of the frame's size for each Send, given back once the
+//     frame is written, and one for each Receive, given back once the
+//     message is decoded. An idle link holds none. The list is the
+//     link's own (NewLink: a parameter-server connection, a worker's,
+//     a free-threaded federated client's), the coordinator's for all
+//     its connections, or a federated Turnstile's for the clients whose
+//     exchanges it serializes (NewLinkFrom); so the memory a connection
+//     costs between exchanges is none. A received message's blobs
+//     (Grads) alias its frame, which the link keeps until its next
+//     Send, Receive or Close; its tensors (Vars) are the receiver's
+//     own, the ones the Link was told to decode into. A frame that is
+//     cut short or does not decode is dropped, not given back, so a
+//     hostile peer's bytes do not stay in a shared list. Send copies a
+//     message into its frame, so what it points at (a shard's variables
 //     under its lock, a coordinator's round snapshot, a client's upload
 //     blobs) need only hold still for that call.
 //   - A shard keeps, per connection, the gradient tensors its worker's
 //     pushes are decoded into; the round's commit consumes them before
 //     that worker can push again.
-//   - Send and Receive, the functions, are a Link made for one call:
-//     both buffers are allocated every time and the caller may keep
-//     what it gets. Nothing on a hot path wants that.
+//   - Send and Receive, the functions, are a Link made for one call,
+//     with a list of its own: the frame is allocated every time and the
+//     caller may keep what it gets. Nothing on a hot path wants that.
 package dist
 
 import (

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"maps"
 	"net"
 	"runtime"
 	"slices"
@@ -265,8 +266,18 @@ func TestCompressedPushDecodedBeforeNextRead(t *testing.T) {
 // external tests, where a Link's other users (internal/federated, which
 // this package cannot import) are held to the same rule.
 type FrameSpy struct {
-	mu   sync.Mutex
-	bufs []weak.Pointer[byte]
+	mu sync.Mutex
+	// bufs holds a weak pointer to each buffer's last byte, which every
+	// slice of the buffer that reaches a Read or Write shares.
+	bufs map[weak.Pointer[byte]]bool
+}
+
+// Arrays is the number of distinct frame buffers the spied connections
+// used.
+func (s *FrameSpy) Arrays() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.bufs)
 }
 
 // Listen wraps ln: the connections it accepts are spied on.
@@ -287,7 +298,7 @@ func (s *FrameSpy) Dial(network, addr string) (net.Conn, error) {
 func (s *FrameSpy) Released(t *testing.T) {
 	t.Helper()
 	s.mu.Lock()
-	bufs := s.bufs
+	bufs := slices.Collect(maps.Keys(s.bufs))
 	s.mu.Unlock()
 	if len(bufs) == 0 {
 		t.Fatal("the spied connections read and wrote no frame")
@@ -330,9 +341,12 @@ type spyConn struct {
 }
 
 func (c spyConn) note(p []byte) {
-	if len(p) > 64 { // a frame buffer, not the 4-byte header on the stack
+	if len(p) > 64 { // a frame buffer, not a 4-byte header
 		c.spy.mu.Lock()
-		c.spy.bufs = append(c.spy.bufs, weak.Make(&p[0]))
+		if c.spy.bufs == nil {
+			c.spy.bufs = make(map[weak.Pointer[byte]]bool)
+		}
+		c.spy.bufs[weak.Make(&p[:cap(p)][cap(p)-1])] = true
 		c.spy.mu.Unlock()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"time"
@@ -133,29 +134,33 @@ type message struct {
 	Evicted bool
 }
 
-// encode appends the message payload (everything after the length
-// prefix) to dst, which a connection passes as its write buffer begun as
-// a frame (wire.StartFrame).
-func (m *message) encode(dst []byte) []byte {
-	// Size the buffer once: a 1.6 MB gradient push or a 400 KB federated
-	// snapshot otherwise grows it by doubling, copying everything written
-	// so far a dozen times.
-	// fixed: every fixed-width field, flag and count below, both trailing
-	// extensions included.
+// size is the length of the payload encode appends.
+func (m *message) size() int {
+	// fixed: every fixed-width field, flag and count encode writes, both
+	// trailing extensions included.
 	const fixed = 1 + 8 + 4 + 8 + 8 + 4 + 4 + 1 + 8 + 1 + 1 + 4 + 4 + 4 + 1 + 8 + 4 + (1 + 8 + 4) + 1
 	size := fixed + len(m.Err) + 4*len(m.Clients)
 	for _, name := range m.Names {
 		size += 4 + len(name)
 	}
-	// Deterministic iteration is not required on the wire; the decoder
-	// rebuilds the map.
 	for name, t := range m.Vars {
 		size += 4 + len(name) + 4 + tf.EncodedTensorLen(t)
 	}
 	for name, blob := range m.Grads {
 		size += 4 + len(name) + 4 + len(blob)
 	}
-	w := wire.Writer{Buf: slices.Grow(dst, size)}
+	return size
+}
+
+// encode appends the message payload (everything after the length
+// prefix) to dst, which a connection passes as a frame buffer begun with
+// wire.StartFrame.
+func (m *message) encode(dst []byte) []byte {
+	// Size the buffer once: a 1.6 MB gradient push or a 400 KB federated
+	// snapshot otherwise grows it by doubling, copying everything written
+	// so far a dozen times. Deterministic iteration is not required on
+	// the wire; the decoder rebuilds the maps.
+	w := wire.Writer{Buf: slices.Grow(dst, m.size())}
 	w.U8(m.Kind)
 	w.U64(uint64(m.Stamp))
 	w.U32(m.Worker)
@@ -324,45 +329,73 @@ func policyFromWire(kind uint8, staleness int64) ConsistencyPolicy {
 }
 
 // Link is one end of a connection of the framed protocol — worker and
-// shard, federated client and coordinator — together with the memory
-// that lives and dies with it: the frame being sent, the frame last
-// received, and where the tensors of a received frame belong (the
-// package comment has the ownership rule).
+// shard, federated client and coordinator — and where the tensors of a
+// received frame belong. Its frames are buffers it borrows, one frame
+// at a time, from its owner's list (the package comment has the
+// ownership rule).
 type Link struct {
-	conn net.Conn
-	// wbuf holds the frame being sent, rbuf the frame last received.
-	wbuf, rbuf []byte
+	conn   net.Conn
+	frames *wire.Frames
+	// hdr is the header of the frame being read.
+	hdr [4]byte
+	// held is the frame last received while the message decoded from it
+	// points into it (its Grads); it goes back to frames at the link's
+	// next Send, Receive or Close.
+	held []byte
 	// vars is decodeInto's: nil on a link whose frames carry no tensors
 	// worth keeping storage for.
 	vars func(name string) *tf.Tensor
 }
 
-// NewLink wraps a fresh connection. vars names the tensor a received
-// frame's tensor of that name is decoded into, nil for a name the
-// receiver does not hold; a nil vars decodes every tensor into a new
-// one.
+// NewLink wraps a fresh connection, with a list of frame buffers of its
+// own. vars names the tensor a received frame's tensor of that name is
+// decoded into, nil for a name the receiver does not hold; a nil vars
+// decodes every tensor into a new one.
 func NewLink(conn net.Conn, vars func(name string) *tf.Tensor) *Link {
-	return &Link{conn: conn, vars: vars}
+	return NewLinkFrom(new(wire.Frames), conn, vars)
 }
 
-// Close closes the connection; the buffers go with the link.
-func (l *Link) Close() error { return l.conn.Close() }
+// NewLinkFrom is NewLink for a link that borrows its frame buffers from
+// frames, the list of whoever owns the connection and its peers.
+func NewLinkFrom(frames *wire.Frames, conn net.Conn, vars func(name string) *tf.Tensor) *Link {
+	return &Link{conn: conn, frames: frames, vars: vars}
+}
+
+// Close closes the connection and gives back a frame the link holds.
+func (l *Link) Close() error {
+	l.release()
+	return l.conn.Close()
+}
+
+// release gives back the frame a received message pointed into.
+func (l *Link) release() {
+	if l.held != nil {
+		l.frames.Put(l.held)
+		l.held = nil
+	}
+}
 
 // Send writes m as a length-prefixed frame, charging meter its
 // serialization (Meter.Frame) and stamping it with the resulting virtual
 // time. It reports the frame's size with its header, so callers can
 // account the wire volume a codec saves apart from the cost model.
 func (l *Link) Send(meter sgx.Meter, m *Message) (int, error) {
-	l.encode(m)
-	return l.flush(meter)
+	return l.flush(meter, l.encode(m))
 }
 
-// encode encodes m into the write buffer as a frame for flush.
-func (l *Link) encode(m *message) { l.wbuf = m.encode(wire.StartFrame(l.wbuf)) }
+// encode encodes m as a frame for flush, into a buffer of the frame's
+// size borrowed from the link's list. m may point into the frame last
+// received, which goes back only once m is encoded.
+func (l *Link) encode(m *message) []byte {
+	frame := m.encode(wire.StartFrame(l.frames.Get(4 + m.size())))
+	l.release()
+	return frame
+}
 
-// flush is Send for a message already encoded into wbuf.
-func (l *Link) flush(meter sgx.Meter) (int, error) {
-	frame := l.wbuf
+// flush is Send for a message encode made into frame, which it gives
+// back once it is written.
+func (l *Link) flush(meter sgx.Meter, frame []byte) (int, error) {
+	defer l.frames.Put(frame)
 	meter.Frame(len(frame))
 	// Stamp after charging serialization; the stamp sits at a fixed
 	// offset right after the frame header and the kind byte.
@@ -374,16 +407,30 @@ func (l *Link) flush(meter sgx.Meter) (int, error) {
 }
 
 // Receive reads one frame from the connection and advances meter's
-// clock to when it arrived (Meter.Arrive at the sender's stamp).
+// clock to when it arrived (Meter.Arrive at the sender's stamp). The
+// frame is read into a buffer of its exact size from the link's list,
+// which gets it back once the message is decoded, or, when the
+// message's Grads point into it, at the link's next Send, Receive or
+// Close. A frame that is cut short or does not decode is dropped, not
+// given back: its bytes are the peer's to size.
 func (l *Link) Receive(meter sgx.Meter) (*Message, error) {
-	payload, err := wire.ReadFrameInto(l.conn, l.rbuf)
+	l.release()
+	n, err := wire.ReadHeader(l.conn, l.hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	l.rbuf = payload
+	payload := l.frames.Get(n)
+	if _, err := io.ReadFull(l.conn, payload); err != nil {
+		return nil, err
+	}
 	m, err := decodeInto(payload, l.vars)
 	if err != nil {
 		return nil, err
+	}
+	if len(m.Grads) > 0 {
+		l.held = payload
+	} else {
+		l.frames.Put(payload)
 	}
 	meter.Arrive(time.Duration(m.Stamp))
 	return m, nil
@@ -423,7 +470,7 @@ const (
 )
 
 // Send frames and sends m on conn (see Link.Send) from a buffer of its
-// own.
+// own, which it drops.
 func Send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {
 	return NewLink(conn, nil).Send(sgx.NewMeter(clock, params), m)
 }

@@ -363,7 +363,7 @@ func (ps *ParameterServer) Close() error {
 	return ps.srv.Close()
 }
 
-// serve runs one worker's connection. Its link's buffers, and the
+// serve runs one worker's connection. Its link's frame buffers, and the
 // gradient tensors this worker's pushes are decoded into round after
 // round, belong to the connection and go with it.
 func (ps *ParameterServer) serve(conn net.Conn) {
@@ -401,17 +401,18 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		default:
 			resp = &message{Kind: msgAck, Err: fmt.Sprintf("dist: unknown message kind %d", msg.Kind)}
 		}
+		var frame []byte
 		if resp.Kind == msgVars {
 			// A pull is answered from the variables themselves, encoded
 			// under the lock: the one model-sized copy the reply needs.
 			ps.mu.Lock()
 			resp.Vars, resp.Round = ps.vars, ps.gen
-			l.encode(resp)
+			frame = l.encode(resp)
 			ps.mu.Unlock()
 		} else {
-			l.encode(resp)
+			frame = l.encode(resp)
 		}
-		if _, err := l.flush(ps.cfg.Meter); err != nil {
+		if _, err := l.flush(ps.cfg.Meter, frame); err != nil {
 			return
 		}
 	}

@@ -64,14 +64,11 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 4)
 	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+	n, err := ReadHeader(r, buf[:4])
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	if cap(buf) < int(n) {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
@@ -79,4 +76,19 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// ReadHeader reads a frame's header into hdr, which holds 4 bytes, and
+// returns the payload length that follows it, refused past MaxFrame.
+// A reader that owns hdr (a field of a connection's, say) reads it
+// without an allocation.
+func ReadHeader(r io.Reader, hdr []byte) (int, error) {
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n > MaxFrame {
+		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	return int(n), nil
 }

@@ -123,3 +123,33 @@ func TestReadFrameIntoReusesItsBuffer(t *testing.T) {
 		t.Fatalf("refusing a header past MaxFrame allocated %d bytes", grown)
 	}
 }
+
+// TestFramesLendTheSmallestThatHolds: Get takes the smallest free buffer
+// that holds the frame, sliced to its length, and makes one only when
+// none does; Put gives a buffer back whole; a warm Get and Put allocate
+// nothing.
+func TestFramesLendTheSmallestThatHolds(t *testing.T) {
+	var f Frames
+	small, large := f.Get(100), f.Get(1000)
+	if len(small) != 100 || len(large) != 1000 || f.Bytes() != 0 {
+		t.Fatalf("an empty list lent %d and %d bytes and holds %d", len(small), len(large), f.Bytes())
+	}
+	f.Put(large)
+	f.Put(small[:10])
+	if f.Bytes() != 1100 {
+		t.Fatalf("the list holds %d bytes, want both buffers' 1100", f.Bytes())
+	}
+	if b := f.Get(50); len(b) != 50 || &b[0] != &small[0] {
+		t.Fatalf("a 50-byte frame got a buffer of cap %d, want the 100-byte one", cap(b))
+	}
+	if b := f.Get(500); len(b) != 500 || &b[0] != &large[0] {
+		t.Fatalf("a 500-byte frame got a buffer of cap %d, want the 1000-byte one", cap(b))
+	}
+	if b := f.Get(10); cap(b) != 10 || f.Bytes() != 0 {
+		t.Fatalf("a frame with nothing free got cap %d, and the list holds %d", cap(b), f.Bytes())
+	}
+	f.Put(large)
+	if allocs := testing.AllocsPerRun(10, func() { f.Put(f.Get(800)) }); allocs != 0 {
+		t.Fatalf("a warm Get and Put made %v allocations", allocs)
+	}
+}
