@@ -202,9 +202,11 @@
 // states it, for training and federated alike. In short: a Run's
 // results are the caller's to keep, and everything else a Run computes
 // is the session's until the next Run, which computes into the same
-// storage; a training replica fetches its gradients into tensors it
-// keeps (RunInto), so they are valid until its next step, and feeds
-// views of its data shard, which no Run writes; each end of a
+// storage; a training replica steps a session it holds, one of its
+// plan's (a worker's for its life, a federated client's for a round's
+// local steps), fetches its gradients into that session's tensors
+// (RunInto), so they are valid until its next step, and feeds views of
+// its data shard, which no Run writes; each end of a
 // connection borrows a buffer for each frame from its owner's list and
 // gives it back once the frame is written or decoded, so an idle
 // connection holds none, the blobs of a received frame are valid until
@@ -344,11 +346,16 @@
 // in flight, not the population. A connection speaks for the
 // one client id its hello carried. TrainFederated builds one model for
 // the whole job: the aggregator's initial variables come from it, its
-// gradient subgraph is built once, and every client opens its own
-// session over the shared graph, which sessions only read. A client
-// keeps two buffers a variable between rounds, the committed residual
-// and a delta that the quantizer overwrites with the residual its
-// upload leaves; an accepted upload swaps the two.
+// gradient subgraph is built once, and its plan keeps the sessions over
+// the shared graph, which sessions only read. A client holds one only
+// while it trains, so the job opens as many as train at once, not one
+// a client, and it draws its dropout masks from a stream of its own,
+// whichever session it holds. Between rounds a
+// client keeps its committed residual, one buffer a variable; the
+// round's delta, which the assignment is decoded into and the quantizer
+// overwrites with the residual its upload leaves, and its upload blob
+// come from a list the job shares, from the assignment to the round's
+// end for that client; an accepted upload copies the new residual in.
 //
 // Uploads are protected by pairwise-masked secure aggregation: every
 // client blinds its update with one mask per neighbour, derived

@@ -6,6 +6,7 @@ import (
 	"net"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/securetf/securetf/internal/sgx"
@@ -91,17 +92,29 @@ type ClientStats struct {
 // coordinator for round assignments, trains locally on its private
 // shard, masks and uploads its quantized update, and reveals pair
 // seeds when the coordinator reports dead cohort members.
+//
+// Between rounds a client keeps its connection, its error-feedback
+// residuals and the pair seeds of the peers it has met. A round's
+// buffers it holds from the assignment to the round's end for it (the
+// ack, the refusal, the drop or the sit-out), and a session of its plan
+// only while it trains.
 type Client struct {
 	cfg ClientConfig
 	// link is the coordinator connection, nil between a drop and the
-	// rejoin: a round assignment is decoded straight into the replica's
-	// variables. Under a Turnstile it borrows its frame buffers from the
-	// turnstile's list.
+	// rejoin: a round assignment is decoded straight into the round's
+	// delta buffers. Under a Turnstile it borrows its frame buffers from
+	// the turnstile's list.
 	link      *dist.Link
 	replica   *dist.Replica
 	gradNames []string   // sorted: the wire walk order of every mask stream
-	vars      []roundVar // per-variable round buffers, parallel to gradNames
-	stats     ClientStats
+	vars      []roundVar // per-variable state, parallel to gradNames
+	// rounds is where round buffers come from, the turnstile's list or,
+	// free-threaded, one of the client's own; round is the set it holds,
+	// nil between rounds.
+	rounds *roundList
+	round  *roundBufs
+	seeds  pairSeeds
+	stats  ClientStats
 
 	// droppedRound marks the round this client trained but dropped out
 	// of; a re-assignment of the same round is sat out so the quorum
@@ -115,24 +128,61 @@ type Client struct {
 	peersRound uint64
 }
 
-// roundVar is one variable's buffers, sized once and reused every round
-// the client is sampled into.
+// roundVar is what a client keeps of one variable.
 type roundVar struct {
-	// value is the replica's own tensor of the variable: the assignment
-	// lands in it and the local steps update it in place.
+	// value is the held session's tensor of the variable while the
+	// client trains: the assignment is copied into it and the local
+	// steps update it in place. The client does not touch it once the
+	// round's delta is computed and the session given back.
 	value *tf.Tensor
-	// delta holds the round's assigned global value, then, in place,
-	// the local training delta against it, and after the encode the
-	// error-feedback residual this round's upload leaves behind.
-	delta []float32
-	// residual is the committed error-feedback residual. It is swapped
-	// with delta only when the upload is acked as accepted, so a refused
-	// or dropped round leaves it exactly as it was: delta is scratch
-	// until the next assignment overwrites it.
+	// residual is the committed error-feedback residual, made at the
+	// client's first round. It is overwritten with the residual a round
+	// leaves behind only when the upload is acked as accepted, so a
+	// refused or dropped round leaves it exactly as it was.
 	residual []float32
+}
+
+// roundBufs is one held round's buffers, per variable in sorted
+// manifest order.
+type roundBufs struct {
+	// delta holds the round's assigned global value, decoded into it,
+	// then, in place, the local training delta against it, and after the
+	// encode the error-feedback residual this round's upload leaves
+	// behind.
+	delta []*tf.Tensor
 	// blob is the upload: header, then the packed ring words the delta
 	// is quantized into and masked in.
-	blob []byte
+	blob [][]byte
+}
+
+// roundList is a free list of round buffers for the clients of one job
+// (a Turnstile's) or for one free-threaded client: a client takes a set
+// when an assignment arrives and gives it back when the round ends for
+// it, so the list holds as many sets as its clients hold rounds at once.
+// Its clients train one model: a set of other shapes would fail the
+// assignment's decode, not corrupt it.
+type roundList struct {
+	mu   sync.Mutex
+	free []*roundBufs
+}
+
+// get takes a set off the list, nil if there is none.
+func (l *roundList) get() *roundBufs {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	last := len(l.free) - 1
+	if last < 0 {
+		return nil
+	}
+	b := l.free[last]
+	l.free[last], l.free = nil, l.free[:last]
+	return b
+}
+
+func (l *roundList) put(b *roundBufs) {
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
 }
 
 // NewClient validates cfg, dials the coordinator and completes the
@@ -170,18 +220,16 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Plan == nil {
 		return nil, errors.New("federated: ClientConfig.Plan is required")
 	}
-	replica, err := dist.NewReplica(cfg.Plan, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithSeed(int64(cfg.ID)+1))
+	replica, err := dist.NewReplica(cfg.Plan, cfg.XS, cfg.YS, cfg.BatchSize, int64(cfg.ID)+1)
 	if err != nil {
 		return nil, fmt.Errorf("federated: client %d: %w", cfg.ID, err)
 	}
-	c := &Client{cfg: cfg, replica: replica, gradNames: slices.Sorted(slices.Values(replica.Names()))}
-	for _, name := range c.gradNames {
-		v := replica.Variable(name)
-		n := len(v.Floats())
-		c.vars = append(c.vars, roundVar{value: v, delta: make([]float32, n), residual: make([]float32, n)})
+	c := &Client{
+		cfg: cfg, replica: replica, gradNames: slices.Sorted(slices.Values(replica.Names())),
+		rounds: cfg.Turnstile.roundBuffers(), seeds: pairSeeds{secret: cfg.Secret, self: uint32(cfg.ID)},
 	}
+	c.vars = make([]roundVar, len(c.gradNames))
 	if err := c.connect(); err != nil {
-		replica.Close()
 		return nil, err
 	}
 	return c, nil
@@ -208,7 +256,7 @@ func (c *Client) connect() error {
 	if err != nil {
 		return fmt.Errorf("federated: client %d dial %s: %w", c.cfg.ID, c.cfg.Addr, err)
 	}
-	l := c.cfg.Turnstile.link(conn, c.replica.Variable)
+	l := c.cfg.Turnstile.link(conn, c.assigned)
 	kind, fraction := c.cfg.Codec.Wire()
 	resp, _, err := l.RoundTrip(c.cfg.Meter, &dist.Message{
 		Kind:   dist.MsgHello,
@@ -234,6 +282,33 @@ func (c *Client) connect() error {
 	}
 	c.link = l
 	return nil
+}
+
+// assigned is the link's destination of an assignment's variables: the
+// delta buffers of the round it assigns, which the client takes from
+// its list when the first of them arrives.
+func (c *Client) assigned(name string) *tf.Tensor {
+	i, ok := slices.BinarySearch(c.gradNames, name)
+	if !ok {
+		return nil
+	}
+	if c.round == nil {
+		if c.round = c.rounds.get(); c.round == nil {
+			c.round = &roundBufs{delta: make([]*tf.Tensor, len(c.gradNames)), blob: make([][]byte, len(c.gradNames))}
+			for j, name := range c.gradNames {
+				c.round.delta[j] = tf.NewTensor(tf.Float32, c.replica.Shape(name))
+			}
+		}
+	}
+	return c.round.delta[i]
+}
+
+// endRound gives the round buffers the client holds back to its list.
+func (c *Client) endRound() {
+	if c.round != nil {
+		c.rounds.put(c.round)
+		c.round = nil
+	}
 }
 
 // Run participates until the coordinator reports training complete.
@@ -273,6 +348,7 @@ func (c *Client) Run() error {
 			// No work: the round is closing, we are not sampled, or we
 			// dropped out of this round and must sit out its re-assignment
 			// so the quorum membership stays the surviving uploaders.
+			c.endRound()
 			c.cfg.Meter.Clock().Advance(pollInterval)
 			release()
 			idle++
@@ -304,14 +380,14 @@ func (c *Client) Run() error {
 // works inside the poll turn.
 func (c *Client) runRound(asg *dist.Message, release func()) error {
 	round := asg.Round
-	// The link decoded the assignment into the replica's variables, those
-	// it named; a variable of another shape it refused with the frame.
-	for i, name := range c.gradNames {
+	// The link decoded the assignment into the round's delta buffers,
+	// those it named; a variable of another shape it refused with the
+	// frame.
+	for _, name := range c.gradNames {
 		if asg.Vars[name] == nil {
 			release()
 			return fmt.Errorf("federated: round %d assignment is missing variable %q", round, name)
 		}
-		copy(c.vars[i].delta, c.vars[i].value.Floats())
 	}
 	if !c.cfg.Unmasked {
 		if err := c.pair(asg); err != nil {
@@ -328,13 +404,9 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		c.cfg.Turnstile.request(c.cfg.ID)
 		release()
 	}
-	for s := 0; s < c.cfg.LocalSteps; s++ {
-		_, grads, err := c.replica.Step(s)
-		if err != nil {
-			release()
-			return err
-		}
-		c.replica.ApplySGD(float32(c.cfg.LocalLR), grads)
+	if err := c.train(); err != nil {
+		release()
+		return err
 	}
 
 	// Quantize the round delta (with carried residual) straight into each
@@ -342,25 +414,27 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	codec := ringCodec{c.cfg.Codec}
 	payloads := make([][]byte, len(c.gradNames))
 	for i, name := range c.gradNames {
-		v := &c.vars[i]
-		for j, now := range v.value.Floats() {
-			v.delta[j] = now - v.delta[j]
+		v, delta := &c.vars[i], c.round.delta[i].Floats()
+		if v.residual == nil {
+			v.residual = make([]float32, len(delta))
 		}
-		coords := codec.coords(asg.Seed, name, len(v.delta))
-		if size := codec.blobSize(wordCount(coords, len(v.delta))); len(v.blob) != size {
-			v.blob = make([]byte, size)
+		coords := codec.coords(asg.Seed, name, len(delta))
+		blob := &c.round.blob[i]
+		if size := codec.blobSize(wordCount(coords, len(delta))); len(*blob) != size {
+			*blob = make([]byte, size)
 		}
-		codec.marshalUpdate(v.blob)
-		payloads[i] = v.blob[updateHeader:]
-		codec.encodeVar(payloads[i], v.delta, v.residual, v.delta, coords)
+		codec.marshalUpdate(*blob)
+		payloads[i] = (*blob)[updateHeader:]
+		codec.encodeVar(payloads[i], delta, v.residual, delta, coords)
 	}
 	if !c.cfg.Unmasked {
-		applyPairMasks(payloads, codec.width(), c.cfg.Secret, uint32(c.cfg.ID), c.peers, round)
+		c.seeds.mask(payloads, codec.width(), c.peers, round)
 	}
 
 	if drop {
 		// Injected failure: drop the connection instead of uploading,
 		// then rejoin. Residuals stay uncommitted — nothing was sent.
+		c.endRound()
 		c.Close()
 		release()
 		c.hasDropped, c.droppedRound = true, round
@@ -376,8 +450,8 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	req := &dist.Message{Kind: dist.MsgFedPush, Worker: uint32(c.cfg.ID), Round: round,
 		Grads: make(map[string][]byte, len(c.gradNames))}
 	for i, name := range c.gradNames {
-		req.Grads[name] = c.vars[i].blob
-		c.stats.UplinkBytes += int64(len(c.vars[i].blob))
+		req.Grads[name] = c.round.blob[i]
+		c.stats.UplinkBytes += int64(len(c.round.blob[i]))
 	}
 	ack, _, err := c.link.RoundTrip(c.cfg.Meter, req)
 	if err != nil {
@@ -391,8 +465,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		// Applied: commit the error-feedback residuals the encode left
 		// in delta.
 		for i := range c.vars {
-			v := &c.vars[i]
-			v.residual, v.delta = v.delta, v.residual
+			copy(c.vars[i].residual, c.round.delta[i].Floats())
 		}
 		c.stats.Applied++
 	case ack.Closed:
@@ -402,6 +475,35 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		c.stats.Refusals++
 	default:
 		return fmt.Errorf("federated: client %d push rejected: %s", c.cfg.ID, ack.Err)
+	}
+	c.endRound()
+	return nil
+}
+
+// train runs the round's local steps on a session it holds only for
+// them: the assignment is copied in from the delta buffers, and on the
+// way out each is overwritten with the local training delta.
+func (c *Client) train() error {
+	if err := c.replica.Hold(); err != nil {
+		return err
+	}
+	defer c.replica.Release()
+	for i, name := range c.gradNames {
+		c.vars[i].value = c.replica.Variable(name)
+		copy(c.vars[i].value.Floats(), c.round.delta[i].Floats())
+	}
+	for s := 0; s < c.cfg.LocalSteps; s++ {
+		_, grads, err := c.replica.Step(s)
+		if err != nil {
+			return err
+		}
+		c.replica.ApplySGD(float32(c.cfg.LocalLR), grads)
+	}
+	for i := range c.vars {
+		delta := c.round.delta[i].Floats()
+		for j, now := range c.vars[i].value.Floats() {
+			delta[j] = now - delta[j]
+		}
 	}
 	return nil
 }
@@ -436,7 +538,7 @@ func (c *Client) reveal(req *dist.Message) error {
 		if !slices.Contains(c.peers, deadID) {
 			return fmt.Errorf("federated: client %d was asked for its seed with %d, not its neighbour in round %d", c.cfg.ID, deadID, req.Round)
 		}
-		key := roundKey(pairSeed(c.cfg.Secret, uint32(c.cfg.ID), deadID), req.Round)
+		key := roundKey(c.seeds.seed(deadID), req.Round)
 		msg.Grads[strconv.FormatUint(uint64(deadID), 10)] = append([]byte(nil), key[:]...)
 	}
 	if len(msg.Grads) == len(c.peers) {

@@ -88,7 +88,8 @@ type Coordinator struct {
 	srv *wire.Server
 	// frames is the one list of frame buffers every client connection
 	// borrows from: the coordinator keeps what its exchanges in flight
-	// at once need, not two frames a connection.
+	// at once need, not two frames a connection, and none larger than a
+	// well-formed exchange carries (frameCap).
 	frames wire.Frames
 
 	mu   sync.Mutex
@@ -173,8 +174,36 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	sort.Strings(c.names)
 	c.openRoundLocked()
+	c.frames.Max = c.frameCap()
 	c.srv = wire.Serve(cfg.Listener, c.serve)
 	return c, nil
+}
+
+// frameCap is the largest frame a well-formed exchange of this job
+// carries, from the manifest's variable sizes and the codec's blob size:
+// the largest of a round's assignment to a whole cohort, an upload of
+// every variable, and a reveal of a seed for every cohort member; plus
+// a kilobyte for the text of an error.
+func (c *Coordinator) frameCap() int {
+	width, largest := c.codec.width(), 0
+	for _, acc := range c.acc {
+		largest = max(largest, len(acc))
+	}
+	blank := make([]byte, max(c.codec.blobSize(largest/width), seccrypto.KeySize))
+	blobs := make(map[string][]byte, len(c.names))
+	for i, name := range c.names {
+		blobs[name] = blank[:c.codec.blobSize(len(c.acc[i])/width)]
+	}
+	seeds := make(map[string][]byte, c.sampled)
+	digits := len(strconv.Itoa(c.cfg.Clients - 1))
+	for i := range c.sampled {
+		seeds[fmt.Sprintf("%0*d", digits, i)] = blank[:seccrypto.KeySize]
+	}
+	return 1<<10 + max(
+		dist.FrameLen(&dist.Message{Kind: dist.MsgFedRound, Clients: c.cohort, Vars: c.vars}),
+		dist.FrameLen(&dist.Message{Kind: dist.MsgFedPush, Grads: blobs}),
+		dist.FrameLen(&dist.Message{Kind: dist.MsgFedSeeds, Grads: seeds}),
+	)
 }
 
 // sampleSize is the cohort size for a population under a sample

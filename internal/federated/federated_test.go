@@ -65,9 +65,12 @@ type jobSpec struct {
 	model   func(seed int64) dist.Model
 	shard   func(n int, seed int64) (*tf.Tensor, *tf.Tensor)
 	maxIdle int
-	delay   func(id int, round uint64) time.Duration
-	drop    func(id int, round uint64) bool
-	tap     func(round uint64, client uint32, name string, payload []byte)
+	// ownPlans gives every client a plan of its own, whose one session
+	// is opened with tf.WithSeed(ID+1), instead of one plan for all.
+	ownPlans bool
+	delay    func(id int, round uint64) time.Duration
+	drop     func(id int, round uint64) bool
+	tap      func(round uint64, client uint32, name string, payload []byte)
 }
 
 var testSecret = []byte("consortium masking secret")
@@ -132,6 +135,11 @@ func runJob(t testing.TB, spec jobSpec) (map[string]*tf.Tensor, Stats, []ClientS
 			Meter:        sgx.NewMeter(clocks[id], sgx.DefaultParams()),
 			Turnstile:    ts,
 			MaxIdlePolls: spec.maxIdle,
+		}
+		if spec.ownPlans {
+			if cfg.Plan, err = dist.NewPlan(model(7), tf.WithSeed(int64(id)+1)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if spec.delay != nil {
 			cid := id

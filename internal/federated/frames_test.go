@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 
 	"github.com/securetf/securetf/internal/sgx"
@@ -14,10 +15,13 @@ import (
 
 // TestHostileFramesDoNotGrowTheCoordinatorsFrames: the coordinator's
 // connections share one list of frame buffers, and a buffer goes back
-// to it only with a frame that was read whole and decoded. A peer that
-// declares a 64 MiB frame and hangs up, and a peer that sends 1 MiB that
-// does not decode, leave the list holding no more bytes than before; and
-// the coordinator goes on to serve a real client's round.
+// to it only with a frame that was read whole, decoded, and is no larger
+// than a well-formed exchange of the job carries. A peer that declares a
+// 64 MiB frame and hangs up, a peer that sends 1 MiB that does not
+// decode, and a peer whose 32 MiB hello decodes but is refused, as a
+// client id outside the population, leave the list holding no more
+// bytes than before; and the coordinator goes on to serve a real
+// client's round.
 func TestHostileFramesDoNotGrowTheCoordinatorsFrames(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,16 +56,22 @@ func TestHostileFramesDoNotGrowTheCoordinatorsFrames(t *testing.T) {
 		return n
 	}
 
-	// A well-formed exchange leaves its frames in the list.
-	conn := dial()
+	// Well-formed exchanges leave their frames in the list: a hello the
+	// handshake accepts, and one it refuses.
 	clock, params := &vtime.Clock{}, sgx.DefaultParams()
-	if _, err := dist.Send(conn, clock, params, &dist.Message{Kind: dist.MsgHello, Shards: 1, Policy: maskedPolicy(false)}); err != nil {
-		t.Fatal(err)
+	greet := func(hello *dist.Message, ok bool) {
+		t.Helper()
+		conn := dial()
+		if _, err := dist.Send(conn, clock, params, hello); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := dist.Receive(conn, clock, params); err != nil || resp.OK != ok {
+			t.Fatalf("hello from client %d: %+v, %v; want OK %v", hello.Worker, resp, err, ok)
+		}
+		hangUp(conn)
 	}
-	if resp, err := dist.Receive(conn, clock, params); err != nil || !resp.OK {
-		t.Fatalf("hello: %+v, %v", resp, err)
-	}
-	hangUp(conn)
+	greet(&dist.Message{Kind: dist.MsgHello, Shards: 1, Policy: maskedPolicy(false)}, true)
+	greet(&dist.Message{Kind: dist.MsgHello, Worker: 1, Shards: 1, Policy: maskedPolicy(false)}, false)
 	before := coord.frames.Bytes()
 	if before == 0 {
 		t.Fatal("a whole exchange gave no frame back to the coordinator's list")
@@ -81,6 +91,12 @@ func TestHostileFramesDoNotGrowTheCoordinatorsFrames(t *testing.T) {
 		if after := coord.frames.Bytes(); after > before {
 			t.Fatalf("%s: the coordinator's list grew from %d to %d bytes", name, before, after)
 		}
+	}
+
+	// A frame that decodes, from a peer the handshake refuses.
+	greet(&dist.Message{Kind: dist.MsgHello, Worker: 1, Shards: 1, Policy: maskedPolicy(false), Err: strings.Repeat("x", 32<<20)}, false)
+	if after := coord.frames.Bytes(); after > before {
+		t.Fatalf("a refused 32 MiB hello: the coordinator's list grew from %d to %d bytes", before, after)
 	}
 
 	xs, ys := tinyShard(30, 100)

@@ -67,17 +67,39 @@ type maskStream struct {
 	add bool
 }
 
-// applyPairMasks blinds one client's encoded update in place with the
-// round's pairwise masks against each of peers other than itself — its
+// pairSeeds are one client's pair seeds, each derived once, for the
+// peers it has met: a pair's seed does not depend on the round, and the
+// client holds the cohort secret it comes from anyway.
+type pairSeeds struct {
+	secret []byte
+	self   uint32
+	known  map[uint32]seccrypto.Key
+}
+
+// seed is the pair seed of self and peer.
+func (s *pairSeeds) seed(peer uint32) seccrypto.Key {
+	key, ok := s.known[peer]
+	if !ok {
+		if s.known == nil {
+			s.known = make(map[uint32]seccrypto.Key)
+		}
+		key = pairSeed(s.secret, s.self, peer)
+		s.known[peer] = key
+	}
+	return key
+}
+
+// mask blinds one client's encoded update in place with the round's
+// pairwise masks against each of peers other than itself — its
 // neighbours in the round's pairing graph. payloads are the variables'
 // packed ring words in sorted manifest order. Client self adds the pair
 // mask when it is the lower id and subtracts it when it is the higher,
 // so summed over any pair the masks cancel in the ring.
-func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, peers []uint32, round uint64) {
+func (s *pairSeeds) mask(payloads [][]byte, width int, peers []uint32, round uint64) {
 	streams := make([]maskStream, 0, len(peers))
 	for _, peer := range peers {
-		if peer != self {
-			streams = append(streams, maskStream{roundKey(pairSeed(secret, self, peer), round), self < peer})
+		if peer != s.self {
+			streams = append(streams, maskStream{roundKey(s.seed(peer), round), s.self < peer})
 		}
 	}
 	applyMasks(payloads, width, streams)

@@ -298,3 +298,9 @@ func TestMaskFanOutInvariant(t *testing.T) {
 		check("applyPairMasks", got)
 	}
 }
+
+// applyPairMasks is pairSeeds.mask for a client that has met none of
+// peers yet.
+func applyPairMasks(payloads [][]byte, width int, secret []byte, self uint32, peers []uint32, round uint64) {
+	(&pairSeeds{secret: secret, self: self}).mask(payloads, width, peers, round)
+}

@@ -163,3 +163,38 @@ func BenchmarkFederatedJob(b *testing.B) {
 		}
 	}
 }
+
+// dropoutModel is tinyModel with a hidden layer whose activations are
+// dropped at rate one half while training.
+func dropoutModel(seed int64) dist.Model {
+	g := tf.NewGraph()
+	x := g.Placeholder("x", tf.Float32, tf.Shape{-1, 4})
+	y := g.Placeholder("y", tf.Float32, tf.Shape{-1, 3})
+	w1 := g.Variable("w1", tf.GlorotUniform(tf.Shape{4, 16}, 4, 16, seed))
+	w2 := g.Variable("w2", tf.GlorotUniform(tf.Shape{16, 3}, 16, 3, seed+1))
+	b := g.Variable("b", tf.NewTensor(tf.Float32, tf.Shape{3}))
+	logits := g.BiasAdd(g.MatMul(g.Dropout(g.Relu(g.MatMul(x, w1)), 0.5), w2), b)
+	loss := g.ReduceMean(g.SoftmaxCrossEntropy(logits, y))
+	return dist.Model{Graph: g, X: x, Y: y, Loss: loss, Logits: logits}
+}
+
+// TestDropoutStreamSurvivesPooling: a client's dropout masks come from
+// its own stream, seeded with its ID+1, whichever of its plan's sessions
+// it holds in a round. A Turnstile job over a model with dropout ends on
+// the same variables twice, and on those of a reference in which every
+// client trains on a session of its own, opened with tf.WithSeed(ID+1).
+// A stream that stayed with the pooled session would be drawn by
+// whichever clients held that session, in the order the scheduler let
+// them train.
+func TestDropoutStreamSurvivesPooling(t *testing.T) {
+	spec := jobSpec{
+		population: 12, sampleFrac: 0.5, quorum: 5, rounds: 3, codec: dist.Int8Compression(),
+		seed: 4, turnstile: true, model: dropoutModel, shard: tinyShard,
+	}
+	first, _, _, _ := runJob(t, spec)
+	second, _, _, _ := runJob(t, spec)
+	assertSameVars(t, "a second run", first, second)
+	spec.ownPlans = true
+	reference, _, _, _ := runJob(t, spec)
+	assertSameVars(t, "a session per client", first, reference)
+}

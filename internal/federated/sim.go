@@ -55,6 +55,10 @@ type Turnstile struct {
 	// from. Their exchanges take turns, so it holds what one exchange
 	// needs, whatever the roster's size.
 	frames wire.Frames
+	// rounds is the list of round buffers the members take while they
+	// hold a round: as many sets as are held at once, whatever the
+	// roster's size.
+	rounds roundList
 }
 
 // member is one participant's place in the roster.
@@ -82,6 +86,15 @@ func (t *Turnstile) link(conn net.Conn, vars func(name string) *tf.Tensor) *dist
 		return dist.NewLink(conn, vars)
 	}
 	return dist.NewLinkFrom(&t.frames, conn, vars)
+}
+
+// roundBuffers is where a member takes its round buffers from: the
+// turnstile's list, or, free threaded, a list of its own.
+func (t *Turnstile) roundBuffers() *roundList {
+	if t == nil {
+		return new(roundList)
+	}
+	return &t.rounds
 }
 
 // Join registers a participant and its clock.

@@ -25,19 +25,30 @@
 // buffer has one owner. internal/federated trains through the same
 // Replica and talks through the same Link, and keeps the same rule:
 //
-//   - A Replica's variables are its session's tensors for the session's
-//     life. Its holder writes through them in two ways, never during a
-//     Step: the Link they arrive on (a worker's pull reply, a federated
-//     client's round assignment) decodes a received frame straight into
+//   - A Plan owns its sessions, each with its variables, the tensors
+//     its gradients are fetched into and its activations' free list. A
+//     Replica holds one from Hold to Release, and what is the session's
+//     is the Replica's for that span: a worker holds one for its life, a
+//     federated client only for a round's local steps, so a plan opens
+//     as many sessions as its replicas hold at once. A Replica's
+//     dropout stream is its own and goes with it, from session to
+//     session.
+//   - A Replica's variables are its held session's tensors. Its holder
+//     writes through them in two ways, never during a Step: the Link a
+//     worker's pull reply arrives on decodes the frame straight into
 //     them — all of the frame or, if any tensor in it does not fit,
-//     none — and Replica.ApplySGD updates them in place.
-//   - What Step returns is the Replica's, valid until the next Step:
-//     the session fetches the gradients into tensors NewReplica made,
-//     one per variable, and every Step overwrites them. Each holder
-//     consumes them first — a worker's push and its staleness retry
-//     (which recomputes them before re-pushing), a federated client's
-//     ApplySGD. The minibatch a Step feeds is a view of the shard,
-//     which a Run never writes.
+//     none — and Replica.ApplySGD updates them in place. A session's
+//     next holder finds what the last one left: it writes every
+//     variable before its first Step (a federated client copies in its
+//     round's assignment, which its Link decoded into a round buffer of
+//     the client's).
+//   - What Step returns is the Replica's, valid until the next Step or
+//     Release: the session fetches the gradients into tensors its plan
+//     made, one per variable, and every Step overwrites them. Each
+//     holder consumes them first — a worker's push and its staleness
+//     retry (which recomputes them before re-pushing), a federated
+//     client's ApplySGD. The minibatch a Step feeds is a view of the
+//     shard, which a Run never writes.
 //   - A Link borrows its frames from its owner's list (a wire.Frames):
 //     a buffer of the frame's size for each Send, given back once the
 //     frame is written, and one for each Receive, given back once the
@@ -51,10 +62,12 @@
 //     Send, Receive or Close; its tensors (Vars) are the receiver's
 //     own, the ones the Link was told to decode into. A frame that is
 //     cut short or does not decode is dropped, not given back, so a
-//     hostile peer's bytes do not stay in a shared list. Send copies a
-//     message into its frame, so what it points at (a shard's variables
-//     under its lock, a coordinator's round snapshot, a client's upload
-//     blobs) need only hold still for that call.
+//     hostile peer's bytes do not stay in a shared list; so is one
+//     larger than the list's Max, which the coordinator sets to the
+//     largest frame a well-formed exchange of its job carries. Send
+//     copies a message into its frame, so what it points at (a shard's
+//     variables under its lock, a coordinator's round snapshot, a
+//     client's upload blobs) need only hold still for that call.
 //   - A shard keeps, per connection, the gradient tensors its worker's
 //     pushes are decoded into; the round's commit consumes them before
 //     that worker can push again.

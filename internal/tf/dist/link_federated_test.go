@@ -124,3 +124,74 @@ func TestFederatedFramesDoNotGrowWithThePopulation(t *testing.T) {
 	}
 	t.Logf("%d clients' connections moved their frames through %d buffers", clients, spy.Arrays())
 }
+
+// TestFederatedSessionsDoNotGrowWithThePopulation: a federated client
+// holds a session of its plan only while it trains, so the sessions a
+// Turnstile job opens are as many as its clients train at once — at most
+// its cohort, however many clients it has. Each client used to open its
+// own: 64 here.
+func TestFederatedSessionsDoNotGrowWithThePopulation(t *testing.T) {
+	const cohort = 8
+	for _, clients := range []int{16, 64} {
+		n := federatedSessions(t, clients, cohort)
+		if n < 1 || n > cohort {
+			t.Fatalf("a job of %d clients sampling %d a round opened %d sessions, want 1 to %d", clients, cohort, n, cohort)
+		}
+		t.Logf("a job of %d clients sampling %d a round opened %d sessions", clients, cohort, n)
+	}
+}
+
+// federatedSessions runs two rounds of a Turnstile job of clients MNIST
+// MLP clients, cohort sampled a round, and reports how many sessions
+// their one plan opened.
+func federatedSessions(t *testing.T, clients, cohort int) int {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := models.MNISTMLP(1)
+	coord, err := federated.NewCoordinator(federated.CoordinatorConfig{
+		Listener: ln, Vars: dist.InitialVars(m.Graph), Clients: clients, SampleFraction: float64(cohort) / float64(clients),
+		Quorum: cohort - 2, Rounds: 2, Seed: 1, Codec: dist.Int8Compression(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	plan, err := dist.NewPlan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := federated.NewTurnstile()
+	cs := make([]*federated.Client, clients)
+	for id := range cs {
+		clock := &vtime.Clock{}
+		if cs[id], err = federated.NewClient(federated.ClientConfig{
+			ID: id, Addr: ln.Addr().String(), Plan: plan, Population: clients, Secret: []byte("cohort"),
+			XS: tf.RandNormal(tf.Shape{10, 28, 28, 1}, 1, int64(id)), YS: tf.OneHot(make([]int, 10), 10),
+			BatchSize: 10, LocalSteps: 1, LocalLR: 0.1, Codec: dist.Int8Compression(),
+			Meter: sgx.NewMeter(clock, sgx.DefaultParams()), Turnstile: ts,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ts.Join(id, clock)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for id, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[id] = c.Run()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Stats(); got.Rounds != 2 || got.Accepted < 2*(cohort-2) {
+		t.Fatalf("the job committed %d rounds of %d accepted uploads, want 2 of at least %d each", got.Rounds, got.Accepted, cohort-2)
+	}
+	return plan.Sessions()
+}

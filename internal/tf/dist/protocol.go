@@ -469,6 +469,10 @@ const (
 	MsgFedSeeds  = msgFedSeeds
 )
 
+// FrameLen is at least the length of m's frame, header included, and at
+// most the buffer a Link borrows to send it or read it into.
+func FrameLen(m *Message) int { return 4 + m.size() }
+
 // Send frames and sends m on conn (see Link.Send) from a buffer of its
 // own, which it drops.
 func Send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {

@@ -183,11 +183,16 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.StartStep < 0 {
 		return nil, fmt.Errorf("dist: WorkerConfig.StartStep must be ≥ 0, got %d", cfg.StartStep)
 	}
-	plan, err := NewPlan(cfg.Model)
+	plan, err := NewPlan(cfg.Model, tf.WithDevice(cfg.Device))
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
 	}
-	replica, err := NewReplica(plan, cfg.XS, cfg.YS, cfg.BatchSize, tf.WithDevice(cfg.Device), tf.WithSeed(int64(cfg.ID)+1))
+	// The worker holds its replica's session for life: every pull reply
+	// is decoded into its variables.
+	replica, err := NewReplica(plan, cfg.XS, cfg.YS, cfg.BatchSize, int64(cfg.ID)+1)
+	if err == nil {
+		err = replica.Hold()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
 	}

@@ -3,6 +3,7 @@ package tf
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"github.com/securetf/securetf/internal/tf/kernels"
 )
@@ -13,6 +14,7 @@ import (
 type execCtx struct {
 	sess     *Session
 	training bool
+	rng      *rand.Rand // dropout's draws: the Run's RNG option, else the session's
 	values   map[*Node]*Tensor
 	extras   map[string]*cache
 	in       []*Tensor // the node evaluated's inputs, reused node to node
@@ -242,7 +244,7 @@ func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	out := ctx.zeroed()
 	mask := ctx.sess.f32.get(x.NumElements(), true)
 	for i, v := range x.f32 {
-		if ctx.sess.rng.Float64() < keep {
+		if ctx.rng.Float64() < keep {
 			mask[i] = scale
 			out.f32[i] = v * scale
 		}

@@ -155,11 +155,19 @@ type RunOption func(*runConfig)
 
 type runConfig struct {
 	training bool
+	rng      *rand.Rand
 }
 
 // Training enables training behaviour (dropout active) for the run.
 func Training() RunOption {
 	return func(c *runConfig) { c.training = true }
+}
+
+// RNG makes the run draw its dropout masks from rng instead of the
+// session's RNG (WithSeed), so that a stream can belong to whoever
+// runs the session rather than to the session.
+func RNG(rng *rand.Rand) RunOption {
+	return func(c *runConfig) { c.rng = rng }
 }
 
 // Run evaluates fetches under the given feeds and returns their values in
@@ -184,7 +192,7 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 	if into != nil && len(into) != len(fetches) {
 		return nil, fmt.Errorf("tf: %d fetches into %d tensors", len(fetches), len(into))
 	}
-	var cfg runConfig
+	cfg := runConfig{rng: s.rng}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -195,6 +203,7 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 	ctx := &execCtx{
 		sess:     s,
 		training: cfg.training,
+		rng:      cfg.rng,
 		values:   make(map[*Node]*Tensor, len(order)),
 		extras:   make(map[string]*cache),
 		in:       make([]*Tensor, 0, 3),

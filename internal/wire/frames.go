@@ -11,8 +11,15 @@ import "sync"
 //
 // A buffer is given back only with bytes its owner trusts: one whose
 // frame failed — a read cut short, a frame that did not decode — is
-// dropped, so a hostile peer's frame does not stay in the list.
+// dropped, so a hostile peer's frame does not stay in the list. An owner
+// that knows how large a well-formed frame of its protocol can be sets
+// Max, and a frame that decoded but is larger is dropped too.
 type Frames struct {
+	// Max, when positive, is the capacity of the largest buffer the
+	// list keeps: Put drops a larger one. Set it before the list is
+	// shared.
+	Max int
+
 	mu   sync.Mutex
 	free [][]byte
 }
@@ -42,6 +49,9 @@ func (f *Frames) Get(n int) []byte {
 // Put gives back a buffer Get returned (or a slice of one); nothing else
 // may refer to its bytes.
 func (f *Frames) Put(b []byte) {
+	if f.Max > 0 && cap(b) > f.Max {
+		return
+	}
 	f.mu.Lock()
 	f.free = append(f.free, b[:0])
 	f.mu.Unlock()
