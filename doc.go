@@ -211,9 +211,14 @@
 // gives it back once the frame is written or decoded, so an idle
 // connection holds none, the blobs of a received frame are valid until
 // that end's next send or read, and a received variable is decoded
-// straight into the storage it belongs in. What the enclave is charged for the step's
-// intermediates is the cost model's arena (the sum of every node's
-// output, at its peak), which this reuse does not enter.
+// straight into the storage it belongs in. Serving follows the same
+// rule: a Classifier's (and a gateway replica's) Lite interpreter hands
+// back each Invoke's outputs for the caller to keep, and draws its other
+// activations from a free list its plan returns each to once the last op
+// reading it has run, so a warm Invoke allocates only the output it hands
+// back. What the enclave is charged for the step's, or the Invoke's,
+// intermediates is the cost model's arena (the sum of every node's or
+// op's output, at its peak), which this reuse does not enter.
 //
 // The parameter server shards across nodes. The placement rule is a
 // name hash: each variable's 32-bit FNV-1a hash selects a shard by

@@ -10,6 +10,7 @@ import (
 	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/sgx"
+	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tf/kernels"
 	"github.com/securetf/securetf/internal/tflite"
 	"github.com/securetf/securetf/internal/vtime"
@@ -18,6 +19,24 @@ import (
 // densenet is serve-steady's model, built once per test binary: the
 // allocation step runs this file thirty times.
 var densenet = sync.OnceValue(func() *tflite.Model { return models.BuildInferenceModel(models.Densenet) })
+
+// mnistMLP is serve-fleet's OCR stage: the MNIST MLP with a softmax head,
+// frozen and lowered to the Lite format.
+var mnistMLP = sync.OnceValues(func() (*tflite.Model, error) {
+	h := models.MNISTMLP(1)
+	probs := h.Graph.Softmax(h.Logits)
+	sess := tf.NewSession(h.Graph)
+	defer sess.Close()
+	frozen, err := tf.Freeze(sess, []*tf.Node{probs})
+	if err != nil {
+		return nil, err
+	}
+	return tflite.Convert(frozen, []*tf.Node{frozen.Node(h.X.Name())}, []*tf.Node{frozen.Node(probs.Name())}, tflite.ConvertOptions{})
+})
+
+// outputSlack is what a warm Invoke may allocate beside the output it
+// hands back: the output's header and shape, and size-class rounding.
+const outputSlack = 256
 
 // allocated is the median of the bytes five calls of run allocate.
 func allocated(run func()) uint64 {
@@ -37,8 +56,10 @@ func allocated(run func()) uint64 {
 // the pool's parked helpers and recycles what it shares with them, so
 // once warm it allocates nothing (serve-steady's GEMV); a session
 // product on four threads (train-sync's first layer) is one piece and
-// allocates nothing either; and serving a request on a device of two
-// threads allocates no more than on one.
+// allocates nothing either. A warm Invoke of serve-steady's batch-1
+// densenet and of serve-fleet's batch-16 MLP allocates only the output
+// it hands back, its activations coming from the interpreter's arena,
+// and on a device of two threads no more than on one.
 func TestWarmSplitAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, tc := range []struct {
@@ -62,32 +83,53 @@ func TestWarmSplitAllocation(t *testing.T) {
 		}
 	}
 
-	input := models.RandomImageInput(models.Densenet, 1, 3)
-	perInvoke := func(threads int) uint64 {
-		var clock vtime.Clock
-		dev := device.NewCPU("cpu", sgx.NewMeter(&clock, sgx.DefaultParams()), threads, device.LibcGlibcFactor)
-		ip, err := tflite.NewInterpreter(densenet(), tflite.WithDevice(dev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ip.Close()
-		if err := ip.AllocateTensors(); err != nil {
-			t.Fatal(err)
-		}
-		invoke := func() {
-			if err := ip.SetInput(0, input); err != nil {
+	mlp, err := mnistMLP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		model *tflite.Model
+		input *tf.Tensor
+	}{
+		{"batch-1 densenet", densenet(), models.RandomImageInput(models.Densenet, 1, 3)},
+		{"batch-16 MLP", mlp, tf.RandNormal(tf.Shape{16, 28, 28, 1}, 1, 3)},
+	} {
+		var output uint64
+		perInvoke := func(threads int) uint64 {
+			var clock vtime.Clock
+			dev := device.NewCPU("cpu", sgx.NewMeter(&clock, sgx.DefaultParams()), threads, device.LibcGlibcFactor)
+			ip, err := tflite.NewInterpreter(tc.model, tflite.WithDevice(dev))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ip.Invoke(); err != nil {
+			defer ip.Close()
+			if err := ip.AllocateTensors(); err != nil {
 				t.Fatal(err)
 			}
+			invoke := func() {
+				if err := ip.SetInput(0, tc.input); err != nil {
+					t.Fatal(err)
+				}
+				if err := ip.Invoke(); err != nil {
+					t.Fatal(err)
+				}
+				out, err := ip.Output(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				output = uint64(out.Bytes())
+			}
+			invoke()
+			return allocated(invoke)
 		}
-		invoke()
-		return allocated(invoke)
+		one, two := perInvoke(1), perInvoke(2)
+		if one > output+outputSlack {
+			t.Errorf("a warm %s Invoke allocated %d bytes on one thread, want at most its %d-byte output + %d", tc.name, one, output, outputSlack)
+		}
+		if two > one {
+			t.Errorf("a warm %s Invoke allocated %d bytes on two threads, %d on one", tc.name, two, one)
+		}
+		t.Logf("a warm %s Invoke allocated %d bytes on two threads, %d on one (output %d)", tc.name, two, one, output)
 	}
-	one, two := perInvoke(1), perInvoke(2)
-	if two > one {
-		t.Errorf("a warm batch-1 densenet Invoke allocated %d bytes on two threads, %d on one", two, one)
-	}
-	t.Logf("a warm batch-1 densenet Invoke allocated %d bytes on two threads, %d on one", two, one)
 }

@@ -43,25 +43,26 @@ type Session struct {
 // it fetches into its own storage (RunInto). What a Run did not draw it
 // drops: the list never holds more than the last Run used, and an
 // evaluation at batch 10 000 is not pinned under a batch-50 trainer. The scan is linear in the buffers of one Run, a few dozen.
+//
+// A runtime that knows when an intermediate is dead (the Lite
+// interpreter, through Arena) can also hand a buffer back before the Run
+// ends (put): a later draw of the same Run may take it, and the Run's
+// end keeps it as it keeps what was drawn. A Session never does.
 type freeList[T any] struct {
 	free  [][]T // drawn by the last Run and not given away
-	drawn [][]T // drawn by the current Run so far
+	drawn [][]T // drawn by the current Run so far and held
+	back  [][]T // drawn by the current Run and handed back
 }
 
-// get draws a buffer of n elements. A reused buffer holds whatever the
-// last Run left in it unless zero is set.
+// get draws a buffer of n elements. A reused buffer holds whatever its
+// last user left in it unless zero is set.
 func (l *freeList[T]) get(n int, zero bool) []T {
 	if n == 0 {
 		return []T{}
 	}
-	var buf []T
-	for i, b := range l.free {
-		if len(b) == n {
-			last := len(l.free) - 1
-			l.free[i], l.free[last] = l.free[last], nil
-			l.free, buf = l.free[:last], b
-			break
-		}
+	buf := take(&l.back, n)
+	if buf == nil {
+		buf = take(&l.free, n)
 	}
 	if buf == nil {
 		buf = make([]T, n)
@@ -72,23 +73,92 @@ func (l *freeList[T]) get(n int, zero bool) []T {
 	return buf
 }
 
+// take removes a buffer of n elements from bufs and returns it, or nil.
+func take[T any](bufs *[][]T, n int) []T {
+	for i, b := range *bufs {
+		if len(b) == n {
+			last := len(*bufs) - 1
+			(*bufs)[i], (*bufs)[last] = (*bufs)[last], nil
+			*bufs = (*bufs)[:last]
+			return b
+		}
+	}
+	return nil
+}
+
 // release gives the backing array of buf, if this Run drew it, away.
-func (l *freeList[T]) release(buf []T) {
+func (l *freeList[T]) release(buf []T) { l.unlist(buf) }
+
+// put hands the backing array of buf, if this Run drew it, back for a
+// later draw.
+func (l *freeList[T]) put(buf []T) {
+	if b := l.unlist(buf); b != nil {
+		l.back = append(l.back, b)
+	}
+}
+
+// unlist removes the backing array of buf from what this Run holds and
+// returns it, or nil if this Run did not draw it.
+func (l *freeList[T]) unlist(buf []T) []T {
 	for i, b := range l.drawn {
 		if sameArray(b, buf) {
 			last := len(l.drawn) - 1
 			l.drawn[i], l.drawn[last] = l.drawn[last], nil
 			l.drawn = l.drawn[:last]
-			return
+			return b
 		}
 	}
+	return nil
 }
 
-// recycle ends a Run: what it drew and did not release is the next
+// recycle ends a Run: what it drew and did not give away is the next
 // Run's free list, and what it left undrawn is dropped.
 func (l *freeList[T]) recycle() {
 	clear(l.free)
-	l.free, l.drawn = l.drawn, l.free[:0]
+	l.free, l.drawn = append(l.drawn, l.back...), l.free[:0]
+	clear(l.back)
+	l.back = l.back[:0]
+}
+
+// Arena is a Session's pair of free lists for a runtime that is not a
+// Session: the Lite interpreter draws an Invoke's activations from one
+// and hands each back once its last reader has run. What it draws stays
+// the arena's; a tensor the runtime gives away it makes with NewTensor.
+// An Arena is not safe for concurrent use.
+type Arena struct {
+	f32 freeList[float32]
+	i32 freeList[int32]
+}
+
+// Draw re-points t at storage for a tensor of dtype and shape drawn from
+// the arena, reusing t's shape storage. A reused buffer holds whatever
+// its last user left in it unless zero is set.
+func (a *Arena) Draw(t *Tensor, dtype DType, shape Shape, zero bool) {
+	n := shape.NumElements()
+	if n < 0 {
+		panic("tf: cannot draw a tensor of unknown shape")
+	}
+	t.dtype, t.shape, t.f32, t.i32 = dtype, append(t.shape[:0], shape...), nil, nil
+	if dtype == Int32 {
+		t.i32 = a.i32.get(n, zero)
+	} else {
+		t.f32 = a.f32.get(n, zero)
+	}
+}
+
+// Return hands the storage behind t back before the run ends, for a
+// later Draw of the same run. Storage the arena did not draw in this run
+// — an input, a weight, a buffer already returned — it does not take.
+func (a *Arena) Return(t *Tensor) {
+	a.f32.put(t.f32)
+	a.i32.put(t.i32)
+}
+
+// Recycle ends a run: what it drew is the next run's to draw, and what
+// it left undrawn is dropped.
+func (a *Arena) Recycle() {
+	a.f32.recycle()
+	a.i32.recycle()
 }
 
 // SessionOption configures a Session.

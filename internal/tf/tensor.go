@@ -102,7 +102,9 @@ type Tensor struct {
 func NewTensor(dtype DType, shape Shape) *Tensor {
 	n := shape.NumElements()
 	if n < 0 {
-		panic(fmt.Sprintf("tf: cannot allocate tensor with unknown shape %v", shape))
+		// A copy, so that shape does not escape: a caller's literal
+		// stays on its stack.
+		panic(fmt.Sprintf("tf: cannot allocate tensor with unknown shape %v", shape.Clone()))
 	}
 	t := &Tensor{dtype: dtype, shape: shape.Clone()}
 	switch dtype {
@@ -256,6 +258,18 @@ func (t *Tensor) Reshape(shape Shape) (*Tensor, error) {
 		return nil, err
 	}
 	return &Tensor{dtype: t.dtype, shape: resolved, f32: t.f32, i32: t.i32}, nil
+}
+
+// ReshapeInto is Reshape that re-points dst, reusing its shape storage,
+// at src's storage instead of making a view. On error dst holds nothing.
+func ReshapeInto(dst, src *Tensor, shape Shape) error {
+	resolved := append(dst.shape[:0], shape...)
+	if err := resolveReshape(src.NumElements(), resolved); err != nil {
+		*dst = Tensor{shape: resolved[:0]}
+		return err
+	}
+	dst.dtype, dst.shape, dst.f32, dst.i32 = src.dtype, resolved, src.f32, src.i32
+	return nil
 }
 
 // resolveReshape checks shape as the target of reshaping count elements

@@ -76,6 +76,17 @@ func TestReshapeSharesData(t *testing.T) {
 	if x.Floats()[0] != 99 {
 		t.Fatal("reshape copied data; must be a view")
 	}
+	// ReshapeInto re-points a header the caller keeps instead.
+	var into Tensor
+	if err := ReshapeInto(&into, x, Shape{-1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !into.Shape().Equal(Shape{4, 1}) || !sameArray(into.Floats(), x.Floats()) {
+		t.Fatalf("ReshapeInto gave shape %v, sharing storage %v", into.Shape(), sameArray(into.Floats(), x.Floats()))
+	}
+	if err := ReshapeInto(&into, x, Shape{3}); err == nil || into.NumElements() != 0 {
+		t.Fatalf("ReshapeInto to a wrong element count: err %v, left %d elements", err, into.NumElements())
+	}
 }
 
 func TestRandNormalDeterministic(t *testing.T) {

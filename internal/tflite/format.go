@@ -285,5 +285,22 @@ func (m *Model) validate() error {
 	if err := checkIdx("model input", m.Inputs); err != nil {
 		return err
 	}
-	return checkIdx("model output", m.Outputs)
+	if err := checkIdx("model output", m.Outputs); err != nil {
+		return err
+	}
+	// An output is computed by an op or fed as an input; anything else
+	// would hand the caller a weight, or nothing.
+	fed := make([]bool, len(m.Tensors))
+	for _, op := range m.Ops {
+		fed[op.Outputs[0]] = true
+	}
+	for _, ix := range m.Inputs {
+		fed[ix] = true
+	}
+	for i, ix := range m.Outputs {
+		if !fed[ix] {
+			return fmt.Errorf("tflite: model output %d (tensor %d) is written by no op and fed by no input", i, ix)
+		}
+	}
+	return nil
 }

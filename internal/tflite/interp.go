@@ -10,11 +10,13 @@ import (
 )
 
 // Interpreter executes a flat model forward-only, with a preallocated
-// weight set and a transient activation arena, charging its work to a
-// device. Weights are accessed with the streaming pattern: they are
-// read-only and touched sequentially, which is why TensorFlow Lite
-// inference degrades gracefully past the EPC limit where the full
-// TensorFlow runtime thrashes (paper §5.3 #4).
+// weight set and an activation arena planned at AllocateTensors, charging
+// its work to a device. Weights are accessed with the streaming pattern:
+// they are read-only and touched sequentially, which is why TensorFlow
+// Lite inference degrades gracefully past the EPC limit where the full
+// TensorFlow runtime thrashes (paper §5.3 #4). Its outputs are the
+// caller's, its other activations its own until the next Invoke (the
+// package comment says whose memory is whose; plan says how).
 type Interpreter struct {
 	model *Model
 	dev   device.Device
@@ -22,10 +24,75 @@ type Interpreter struct {
 	weights   []*tf.Tensor // dequantized scratch view is built lazily per op
 	rawInt8   [][]byte     // int8 weights kept resident in quantized form
 	scales    []float64
-	values    []*tf.Tensor
+	inputs    []*tf.Tensor // by input slot, as SetInput left them
+	values    []*tf.Tensor // by tensor index, what the current Invoke reads there
+	plan      plan
+	slots     []tf.Tensor // op k's output header, re-pointed every Invoke
+	arena     tf.Arena
 	allocated bool
 	arenaPeak int64
 	id        string
+}
+
+// plan is the activation memory plan AllocateTensors derives from the op
+// list. Op k's output is storage drawn from the arena, or, for a
+// Reshape, a view of the storage it reshapes: root[k] is the op that drew
+// it, or -1 when it is an input's or a weight's, which the arena never
+// takes. Every op reads what the last op before it to write a tensor
+// index wrote there, so a hostile model that writes an index twice, reads
+// one twice or runs dead ops reads the same storage on every Invoke.
+// Storage goes back to the arena as soon as the last op that reads it, or
+// reshapes it, has run. Model outputs, and any storage they view, are
+// given away instead: fresh on every Invoke and never handed back, as
+// Session.Run gives its results away.
+type plan struct {
+	root    []int   // per op: the op whose drawn storage its output is, or -1
+	given   []bool  // per op: its output is a model output, or storage a model output views
+	release [][]int // per op: the ops whose storage it is the last to read
+}
+
+func newPlan(m *Model) plan {
+	p := plan{root: make([]int, len(m.Ops)), given: make([]bool, len(m.Ops)), release: make([][]int, len(m.Ops))}
+	writer := make([]int, len(m.Tensors)) // the op whose output an index holds so far, or -1
+	for i := range writer {
+		writer[i] = -1
+	}
+	root := func(idx int) int {
+		if w := writer[idx]; w >= 0 {
+			return p.root[w]
+		}
+		return -1
+	}
+	last := make([]int, len(m.Ops)) // per root: the last op that reads or reshapes it
+	for k, op := range m.Ops {
+		for _, in := range op.Inputs {
+			if r := root(in); r >= 0 {
+				last[r] = k
+			}
+		}
+		p.root[k] = k
+		if op.Code == OpReshape {
+			p.root[k] = root(op.Inputs[0])
+		}
+		if r := p.root[k]; r >= 0 {
+			last[r] = k
+		}
+		writer[op.Outputs[0]] = k
+	}
+	for _, idx := range m.Outputs {
+		if w := writer[idx]; w >= 0 {
+			p.given[w] = true
+			if r := p.root[w]; r >= 0 {
+				p.given[r] = true
+			}
+		}
+	}
+	for k, r := range p.root {
+		if r == k && !p.given[k] {
+			p.release[last[k]] = append(p.release[last[k]], k)
+		}
+	}
+	return p
 }
 
 // Option configures an interpreter.
@@ -55,6 +122,7 @@ func NewInterpreter(m *Model, opts ...Option) (*Interpreter, error) {
 		weights: make([]*tf.Tensor, len(m.Tensors)),
 		rawInt8: make([][]byte, len(m.Tensors)),
 		scales:  make([]float64, len(m.Tensors)),
+		values:  make([]*tf.Tensor, len(m.Tensors)),
 		id:      "tflite",
 	}
 	for _, o := range opts {
@@ -66,8 +134,8 @@ func NewInterpreter(m *Model, opts ...Option) (*Interpreter, error) {
 	return ip, nil
 }
 
-// AllocateTensors materializes weight tensors and registers the model's
-// residency with the device.
+// AllocateTensors materializes weight tensors, registers the model's
+// residency with the device and plans the activations.
 func (ip *Interpreter) AllocateTensors() error {
 	if ip.allocated {
 		return nil
@@ -102,6 +170,7 @@ func (ip *Interpreter) AllocateTensors() error {
 		residentBytes += int64(len(raw))
 	}
 	ip.dev.AllocReadOnly(ip.id+"/weights", residentBytes)
+	ip.plan, ip.slots = newPlan(ip.model), make([]tf.Tensor, len(ip.model.Ops))
 	ip.allocated = true
 	return nil
 }
@@ -157,14 +226,15 @@ func (ip *Interpreter) SetInput(i int, t *tf.Tensor) error {
 	if i < 0 || i >= len(ip.model.Inputs) {
 		return fmt.Errorf("tflite: input %d of %d", i, len(ip.model.Inputs))
 	}
-	if ip.values == nil {
-		ip.values = make([]*tf.Tensor, len(ip.model.Tensors))
+	if ip.inputs == nil {
+		ip.inputs = make([]*tf.Tensor, len(ip.model.Inputs))
 	}
-	ip.values[ip.model.Inputs[i]] = t
+	ip.inputs[i] = t
 	return nil
 }
 
-// Output returns model output slot i after Invoke.
+// Output returns model output slot i after Invoke. It is the caller's:
+// no later Invoke writes to it.
 func (ip *Interpreter) Output(i int) (*tf.Tensor, error) {
 	if i < 0 || i >= len(ip.model.Outputs) {
 		return nil, fmt.Errorf("tflite: output %d of %d", i, len(ip.model.Outputs))
@@ -183,18 +253,30 @@ func (ip *Interpreter) Invoke() error {
 			return err
 		}
 	}
-	if ip.values == nil {
+	if ip.inputs == nil {
 		return fmt.Errorf("tflite: no inputs set")
 	}
+	clear(ip.values)
+	for i, t := range ip.inputs {
+		if t != nil {
+			ip.values[ip.model.Inputs[i]] = t
+		}
+	}
+	defer ip.arena.Recycle()
+	// The device is charged the sum of every op's output, as a Session
+	// charges tf/arena: the cost model knows nothing of the plan.
 	var arena int64
-	for oi := range ip.model.Ops {
-		op := &ip.model.Ops[oi]
-		out, err := ip.run(op)
+	for k := range ip.model.Ops {
+		op := &ip.model.Ops[k]
+		out, err := ip.run(k, op)
 		if err != nil {
-			return fmt.Errorf("tflite: op %d (%s): %w", oi, op.Code, err)
+			return fmt.Errorf("tflite: op %d (%s): %w", k, op.Code, err)
 		}
 		ip.values[op.Outputs[0]] = out
 		arena += out.Bytes()
+		for _, r := range ip.plan.release[k] {
+			ip.arena.Return(&ip.slots[r])
+		}
 	}
 	if arena > ip.arenaPeak {
 		ip.arenaPeak = arena
@@ -227,33 +309,47 @@ func (ip *Interpreter) charge(op *OpSpec, flops int64, activationBytes, weightBy
 	}
 }
 
-// run executes one op on its first input x. Every kernel but Reshape
-// reads Float32 data, and a request tensor's dtype is the caller's
-// choice, not the model's, so it is checked here.
-func (ip *Interpreter) run(op *OpSpec) (*tf.Tensor, error) {
+// output is the output of dtype and shape of the op at slot: a fresh
+// tensor if the plan gives it away, else the slot's header re-pointed at
+// storage from the arena, cleared if zero.
+func (ip *Interpreter) output(slot int, dtype tf.DType, shape tf.Shape, zero bool) *tf.Tensor {
+	if ip.plan.given[slot] {
+		return tf.NewTensor(dtype, shape)
+	}
+	ip.arena.Draw(&ip.slots[slot], dtype, shape, zero)
+	return &ip.slots[slot]
+}
+
+// run executes op, at slot in the op list, on its first input x. Every
+// kernel but Reshape reads Float32 data, and a request tensor's dtype is
+// the caller's choice, not the model's, so it is checked here.
+func (ip *Interpreter) run(slot int, op *OpSpec) (*tf.Tensor, error) {
 	x, err := ip.value(op.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
 	if op.Code == OpReshape {
-		return x.Reshape(tf.Shape(op.NewShape))
+		if ip.plan.given[slot] {
+			return x.Reshape(tf.Shape(op.NewShape))
+		}
+		return &ip.slots[slot], tf.ReshapeInto(&ip.slots[slot], x, tf.Shape(op.NewShape))
 	}
 	if x.DType() != tf.Float32 {
 		return nil, fmt.Errorf("input is %v, want float32", x.DType())
 	}
 	switch op.Code {
 	case OpFullyConnected, OpConv2D:
-		return ip.runLinear(op, x)
+		return ip.runLinear(slot, op, x)
 	case OpMaxPool, OpAvgPool:
-		return ip.runPool(op, x)
+		return ip.runPool(slot, op, x)
 	case OpSoftmax:
-		return ip.runSoftmax(op, x)
+		return ip.runSoftmax(slot, op, x)
 	case OpRelu:
-		return ip.runRelu(op, x)
+		return ip.runRelu(slot, op, x)
 	case OpAdd:
-		return ip.runAdd(op, x)
+		return ip.runAdd(slot, op, x)
 	case OpArgMax:
-		return ip.runArgMax(op, x)
+		return ip.runArgMax(slot, op, x)
 	default:
 		return nil, fmt.Errorf("unknown opcode %d", op.Code)
 	}
@@ -261,7 +357,7 @@ func (ip *Interpreter) run(op *OpSpec) (*tf.Tensor, error) {
 
 // runLinear executes a FullyConnected or Conv2D with its optional bias
 // (input 2) and fused activation.
-func (ip *Interpreter) runLinear(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+func (ip *Interpreter) runLinear(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	w, err := ip.weight(op.Inputs[1])
 	if err != nil {
 		return nil, err
@@ -281,7 +377,7 @@ func (ip *Interpreter) runLinear(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 			return nil, fmt.Errorf("shapes %v x %v", xs, ws)
 		}
 		m, k, n := xs[0], xs[1], ws[1]
-		out, channels, flops = tf.NewTensor(tf.Float32, tf.Shape{m, n}), n, 2*int64(m)*int64(k)*int64(n)
+		out, channels, flops = ip.output(slot, tf.Float32, tf.Shape{m, n}, true), n, 2*int64(m)*int64(k)*int64(n)
 		// Few rows over large weights split by columns (kernels' splitPlan).
 		kernels.MatMulInto(out.Floats(), x.Floats(), w.Floats(), m, k, n, ip.dev.Threads())
 	} else {
@@ -289,7 +385,7 @@ func (ip *Interpreter) runLinear(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, channels, flops = tf.NewTensor(tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.F}), geo.F, geo.ConvFLOPs()
+		out, channels, flops = ip.output(slot, tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.F}, true), geo.F, geo.ConvFLOPs()
 		kernels.Conv2DInto(out.Floats(), x.Floats(), w.Floats(), geo)
 	}
 	if bias != nil {
@@ -305,7 +401,7 @@ func (ip *Interpreter) runLinear(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	return out, nil
 }
 
-func (ip *Interpreter) runPool(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+func (ip *Interpreter) runPool(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	k, stride := op.K, op.Stride
 	if k < 1 {
 		k = 2
@@ -317,7 +413,7 @@ func (ip *Interpreter) runPool(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := tf.NewTensor(tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.C})
+	out := ip.output(slot, tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.C}, false)
 	if op.Code == OpMaxPool {
 		kernels.MaxPool(out.Floats(), x.Floats(), geo, nil)
 	} else {
@@ -327,9 +423,9 @@ func (ip *Interpreter) runPool(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	return out, nil
 }
 
-func (ip *Interpreter) runSoftmax(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+func (ip *Interpreter) runSoftmax(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	_, cols := kernels.RowsCols(x.Shape())
-	out := tf.NewTensor(tf.Float32, x.Shape())
+	out := ip.output(slot, tf.Float32, x.Shape(), false)
 	if err := kernels.SoftmaxRows(out.Floats(), x.Floats(), cols); err != nil {
 		return nil, err
 	}
@@ -337,14 +433,14 @@ func (ip *Interpreter) runSoftmax(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) 
 	return out, nil
 }
 
-func (ip *Interpreter) runRelu(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
-	out := tf.NewTensor(tf.Float32, x.Shape())
+func (ip *Interpreter) runRelu(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+	out := ip.output(slot, tf.Float32, x.Shape(), false)
 	kernels.Relu(out.Floats(), x.Floats())
 	ip.charge(op, int64(x.NumElements()), 2*x.Bytes(), 0)
 	return out, nil
 }
 
-func (ip *Interpreter) runAdd(op *OpSpec, a *tf.Tensor) (*tf.Tensor, error) {
+func (ip *Interpreter) runAdd(slot int, op *OpSpec, a *tf.Tensor) (*tf.Tensor, error) {
 	b, err := ip.value(op.Inputs[1])
 	if err != nil {
 		return nil, err
@@ -352,7 +448,7 @@ func (ip *Interpreter) runAdd(op *OpSpec, a *tf.Tensor) (*tf.Tensor, error) {
 	if b.DType() != tf.Float32 || a.NumElements() != b.NumElements() {
 		return nil, fmt.Errorf("Add: %d float32 elements vs %d %v", a.NumElements(), b.NumElements(), b.DType())
 	}
-	out := tf.NewTensor(tf.Float32, a.Shape())
+	out := ip.output(slot, tf.Float32, a.Shape(), false)
 	ad, bd, od := a.Floats(), b.Floats(), out.Floats()
 	for i := range od {
 		od[i] = ad[i] + bd[i]
@@ -361,9 +457,9 @@ func (ip *Interpreter) runAdd(op *OpSpec, a *tf.Tensor) (*tf.Tensor, error) {
 	return out, nil
 }
 
-func (ip *Interpreter) runArgMax(op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
+func (ip *Interpreter) runArgMax(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
 	rows, cols := kernels.RowsCols(x.Shape())
-	out := tf.NewTensor(tf.Int32, tf.Shape{rows})
+	out := ip.output(slot, tf.Int32, tf.Shape{rows}, false)
 	if err := kernels.ArgMaxRows(out.Ints(), x.Floats(), cols); err != nil {
 		return nil, err
 	}

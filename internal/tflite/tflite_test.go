@@ -313,6 +313,25 @@ func TestInterpreterChargesDevice(t *testing.T) {
 	if p.Clock().Now() == before {
 		t.Fatal("Invoke charged no virtual time")
 	}
+
+	// The arena the device holds is the cost model's: the sum of every
+	// op's output at the largest batch run, whatever storage the
+	// interpreter reuses. At batch 8 the three ops write [8,10], [8,4]
+	// and [8,4] floats.
+	if len(model.Ops) != 3 {
+		t.Fatalf("the converted MLP has %d ops, want FullyConnected, FullyConnected, Softmax", len(model.Ops))
+	}
+	for _, batch := range []int{1, 8} {
+		if err := ip.SetInput(0, tf.RandNormal(tf.Shape{batch, 6}, 1, 208)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ip.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := enclave.ResidentBytes()-resident, int64(8*(10+4+4)*4); got != want {
+		t.Fatalf("Invokes at batch 1 and 8 registered %d arena bytes, want %d", got, want)
+	}
 }
 
 func TestCostScalePropagates(t *testing.T) {
@@ -459,6 +478,16 @@ func TestMalformedModelsAndInputsError(t *testing.T) {
 			tf.Scalar(1),
 		},
 		{
+			"output that no op writes",
+			&Model{
+				Tensors: []TensorSpec{act("in", -1, 2), weight("w", 0, 2)},
+				Buffers: [][]byte{floatBuffer(1, 2)},
+				Inputs:  []int{0},
+				Outputs: []int{1},
+			},
+			floatIn(1, 2),
+		},
+		{
 			"Int32 request into a float op",
 			oneOp(OpSpec{Code: OpFullyConnected, Inputs: []int{0, 2}, Outputs: []int{1}},
 				[][]byte{floatBuffer(ones(6)...)},
@@ -481,6 +510,118 @@ func TestMalformedModelsAndInputsError(t *testing.T) {
 			}
 			if err := ip.Invoke(); err == nil {
 				t.Fatal("Invoke succeeded")
+			}
+		})
+	}
+}
+
+// TestHostilePlansRepeat runs models a hostile file can describe — a
+// tensor index written twice, an op that reads one value twice, dead
+// ops, a Reshape whose storage is read after it and handed out as an
+// output, a weight's index overwritten by an activation — on one
+// interpreter with input A, then B, then A. Every Invoke must compute
+// what the op list says, which an activation plan that hands storage
+// back too early, or to two live tensors, breaks.
+func TestHostilePlansRepeat(t *testing.T) {
+	act := func(shape ...int) TensorSpec { return TensorSpec{Type: TypeFloat32, Shape: shape, Buffer: -1} }
+	op := func(code OpCode, out int, in ...int) OpSpec {
+		return OpSpec{Code: code, Inputs: in, Outputs: []int{out}}
+	}
+	reshape := func(out, in int, shape ...int) OpSpec {
+		o := op(OpReshape, out, in)
+		o.NewShape = shape
+		return o
+	}
+	a, b := []float32{-1, 2, -3, 4}, []float32{5, -6, 7, -8}
+	cases := []struct {
+		name  string
+		model *Model
+		want  [][]float32 // each output for input a; r is relu(a) = {0, 2, 0, 4}
+	}{
+		{
+			"index written twice, a value read twice, a dead op",
+			&Model{
+				Tensors: []TensorSpec{act(-1, 4), act(-1, 4), act(-1, 4), act(-1, 4), act(-1, 4), act(-1, 4)},
+				Ops: []OpSpec{
+					op(OpRelu, 2, 0),    // t2 = r
+					op(OpRelu, 3, 2),    // t3 = r
+					op(OpAdd, 2, 2, 3),  // t2 = 2r, over the first t2
+					op(OpAdd, 4, 2, 2),  // t4 = 4r
+					op(OpRelu, 5, 0),    // dead
+					op(OpAdd, 1, 4, 3)}, // 5r, t3 read last
+				Inputs: []int{0}, Outputs: []int{1},
+			},
+			[][]float32{{0, 10, 0, 20}},
+		},
+		{
+			"a Reshape's storage read after it and handed out",
+			&Model{
+				Tensors: []TensorSpec{act(-1, 4), act(4), act(-1, 4), act(2, 2), act(-1, 4), act(-1, 4), act(-1, 4)},
+				Ops: []OpSpec{
+					op(OpRelu, 2, 0),    // t2 = r
+					reshape(3, 2, 2, 2), // t3 views t2, whose last direct reader this is
+					op(OpAdd, 4, 0, 0),  // t4 = 2a, drawn while t3 is live
+					op(OpRelu, 5, 4),    // t5 = 2r
+					op(OpAdd, 6, 5, 3),  // t6 = 3r, through the view
+					reshape(1, 6, 4)},   // the output views t6
+				Inputs: []int{0}, Outputs: []int{1, 3},
+			},
+			[][]float32{{0, 6, 0, 12}, {0, 2, 0, 4}},
+		},
+		{
+			"a weight's index overwritten by an activation",
+			&Model{
+				Tensors: []TensorSpec{act(-1, 4), act(-1, 4), {Type: TypeFloat32, Shape: []int{1, 4}, Buffer: 0}, act(1, 4)},
+				Buffers: [][]byte{floatBuffer(1, 1, 1, 1)},
+				Ops: []OpSpec{
+					op(OpRelu, 3, 2),    // t3 = the weight
+					op(OpRelu, 2, 0),    // t2 = r, over the weight's index
+					op(OpAdd, 1, 3, 2)}, // 1 + r
+				Inputs: []int{0}, Outputs: []int{1},
+			},
+			[][]float32{{1, 3, 1, 5}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Unmarshal(tc.model.Marshal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ip, err := NewInterpreter(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ip.Close()
+			var kept []*tf.Tensor // input A's outputs, the caller's to keep
+			for i, in := range [][]float32{a, b, a} {
+				x, err := tf.FromFloats(tf.Shape{1, 4}, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ip.SetInput(0, x); err != nil {
+					t.Fatal(err)
+				}
+				if err := ip.Invoke(); err != nil {
+					t.Fatalf("Invoke %d: %v", i+1, err)
+				}
+				if !slices.Equal(x.Floats(), in) {
+					t.Fatalf("Invoke %d wrote its input", i+1)
+				}
+				for j := range m.Outputs {
+					out, err := ip.Output(j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i != 1 {
+						kept = append(kept, out)
+					}
+				}
+				for k, out := range kept {
+					if want := tc.want[k%len(tc.want)]; !slices.Equal(out.Floats(), want) {
+						t.Fatalf("after Invoke %d, output %d of Invoke %d on input A is %v, want %v", i+1, k%len(tc.want), 1+2*(k/len(tc.want)), out.Floats(), want)
+					}
+				}
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/securetf/securetf/internal/models"
@@ -67,7 +68,9 @@ func floatsSHA(vals []float32) string {
 // the interpreter's own loop nests were replaced by internal/tf/kernels:
 // they are the proof that the move changed no output bit. A kernel change
 // that keeps the summation order keeps them; one that does not must
-// re-pin them deliberately.
+// re-pin them deliberately. Each is checked on a fresh interpreter and on
+// a warm one that runs b1, b8, b1, b8, each twice: the second of a pair
+// computes into the storage the first left, and a batch change drops it.
 func TestZooOutputGoldens(t *testing.T) {
 	golden := map[string]string{
 		"mlp/float/b1": "9f3d12a721ae1bc6d2e6672facf742f6542a80082e7ea7137821cf1de5c68353",
@@ -86,26 +89,51 @@ func TestZooOutputGoldens(t *testing.T) {
 	for _, z := range zoo {
 		for _, quant := range []bool{false, true} {
 			m := zooLite(t, z.build(41), quant)
+			kind := "float"
+			if quant {
+				kind = "int8"
+			}
 			for _, batch := range []int{1, 8} {
-				kind := "float"
-				if quant {
-					kind = "int8"
-				}
 				key := fmt.Sprintf("%s/%s/b%d", z.name, kind, batch)
 				out := invoke(t, m, tf.RandNormal(tf.Shape{batch, 28, 28, 1}, 1, int64(100+batch)))
 				if got := floatsSHA(out.Floats()); got != golden[key] {
 					t.Errorf("%s: output sha256 %s, want %s", key, got, golden[key])
 				}
 			}
+			warm, err := tflite.NewInterpreter(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, batch := range []int{1, 1, 8, 8, 1, 1, 8, 8} {
+				key := fmt.Sprintf("%s/%s/b%d", z.name, kind, batch)
+				if err := warm.SetInput(0, tf.RandNormal(tf.Shape{batch, 28, 28, 1}, 1, int64(100+batch))); err != nil {
+					t.Fatal(err)
+				}
+				if err := warm.Invoke(); err != nil {
+					t.Fatal(err)
+				}
+				out, err := warm.Output(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := floatsSHA(out.Floats()); got != golden[key] {
+					t.Errorf("%s, Invoke %d of a warm interpreter: output sha256 %s, want %s", key, i+1, got, golden[key])
+				}
+			}
+			warm.Close()
 		}
 	}
 }
 
 // FuzzLiteModel drives a model file the way a serving replica does —
-// Unmarshal, AllocateTensors, one Invoke on a small input — over
-// arbitrary bytes. Nothing may panic or size an allocation from an
-// unchecked count, and a file that loads is in canonical form: it
-// re-marshals to the same bytes.
+// Unmarshal, AllocateTensors, Invokes on small inputs — over arbitrary
+// bytes. Nothing may panic or size an allocation from an unchecked count,
+// and a file that loads is in canonical form: it re-marshals to the same
+// bytes. Invoke is repeatable: input A, then a different input B, then A
+// again on the same interpreter gives A's outputs bit for bit, which is
+// what an activation plan that leaks state between Invokes breaks (an
+// accumulator not cleared, one buffer under two live tensors, a
+// Reshape's storage handed back while it is still read).
 func FuzzLiteModel(f *testing.F) {
 	for _, build := range []func(int64) models.Handles{models.MNISTMLP, models.MNISTCNN} {
 		for _, quant := range []bool{false, true} {
@@ -131,9 +159,10 @@ func FuzzLiteModel(f *testing.F) {
 		if err := ip.AllocateTensors(); err != nil {
 			return
 		}
+		shapes := make([]tf.Shape, len(m.Inputs))
 		for i, idx := range m.Inputs {
 			// The declared input shape with a batch of one, if it is small.
-			shape, elems := tf.Shape{}, 1
+			elems := 1
 			for _, d := range m.Tensors[idx].Shape {
 				if d == -1 {
 					d = 1
@@ -141,19 +170,52 @@ func FuzzLiteModel(f *testing.F) {
 				if d < 0 || d > 1<<12 || elems*d > 1<<12 {
 					return
 				}
-				shape, elems = append(shape, d), elems*d
-			}
-			if err := ip.SetInput(i, tf.RandNormal(shape, 1, 7)); err != nil {
-				t.Fatal(err)
+				shapes[i], elems = append(shapes[i], d), elems*d
 			}
 		}
-		if err := ip.Invoke(); err != nil {
+		// invoke feeds every input from seed and returns the outputs, or
+		// nil if Invoke fails.
+		invoke := func(seed int64) []*tf.Tensor {
+			for i, shape := range shapes {
+				if err := ip.SetInput(i, tf.RandNormal(shape, 1, seed+int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ip.Invoke(); err != nil {
+				return nil
+			}
+			outs := make([]*tf.Tensor, len(m.Outputs))
+			for i := range m.Outputs {
+				if outs[i], err = ip.Output(i); err != nil {
+					t.Fatalf("output %d after a clean Invoke: %v", i, err)
+				}
+			}
+			return outs
+		}
+		a := invoke(7)
+		if a == nil {
 			return
 		}
-		for i := range m.Outputs {
-			if _, err := ip.Output(i); err != nil {
-				t.Fatalf("output %d after a clean Invoke: %v", i, err)
+		invoke(70)
+		again := invoke(7)
+		if again == nil {
+			t.Fatal("input A failed after input B, and succeeded before it")
+		}
+		for i := range a {
+			if !sameBits(a[i], again[i]) {
+				t.Fatalf("output %d of input A changed after input B ran on the same interpreter", i)
 			}
 		}
 	})
+}
+
+// sameBits reports whether a and b have one dtype, shape and bit pattern.
+func sameBits(a, b *tf.Tensor) bool {
+	if a.DType() != b.DType() || !a.Shape().Equal(b.Shape()) {
+		return false
+	}
+	if a.DType() == tf.Int32 {
+		return slices.Equal(a.Ints(), b.Ints())
+	}
+	return slices.EqualFunc(a.Floats(), b.Floats(), func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
