@@ -84,10 +84,17 @@ func NewCASClientAt(c *Container, addr, measurement string, trusted map[string]*
 	if err != nil {
 		return nil, err
 	}
+	return bootstrapCAS(enclave, addr, m, trusted)
+}
+
+// bootstrapCAS makes enclave a client of the CAS at addr and establishes
+// its trust in that CAS: measurement is the CAS enclave's, and trusted
+// must cover the CAS's platform and enclave's own.
+func bootstrapCAS(enclave *sgx.Enclave, addr string, measurement Measurement, trusted map[string]*ecdsa.PublicKey) (*CASClient, error) {
 	client, err := cas.NewClient(cas.ClientConfig{
 		Enclave:        enclave,
 		Addr:           addr,
-		CASMeasurement: m,
+		CASMeasurement: measurement,
 		PlatformKeys:   trusted,
 	})
 	if err != nil {
@@ -168,17 +175,5 @@ func NewCASClient(c *Container, server *CAS, platforms ...*Platform) (*CASClient
 	if enclave == nil {
 		return nil, fmt.Errorf("securetf: container kind %v has no enclave to attest", c.Kind())
 	}
-	client, err := cas.NewClient(cas.ClientConfig{
-		Enclave:        enclave,
-		Addr:           server.Addr(),
-		CASMeasurement: server.Measurement(),
-		PlatformKeys:   core.TrustedKeys(platforms...),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("securetf: new CAS client: %w", err)
-	}
-	if err := client.Bootstrap(); err != nil {
-		return nil, fmt.Errorf("securetf: CAS bootstrap: %w", err)
-	}
-	return client, nil
+	return bootstrapCAS(enclave, server.Addr(), server.Measurement(), core.TrustedKeys(platforms...))
 }

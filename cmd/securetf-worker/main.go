@@ -62,13 +62,21 @@
 // ~4× fewer wire bytes) or "topk" (the top -topk fraction of entries by
 // magnitude, sent sparse); both lossy codecs keep a worker-side
 // error-feedback residual, so convergence is preserved.
+// With -tls (the default) or snapshots, every node attests to a CAS
+// the job starts in-process, which issues its TLS identity and hands
+// the shards the snapshot volume key.
 // Training survives failures: -checkpoint-every N snapshots every
 // parameter-server shard each N committed rounds through the
-// file-system shield (encrypted and authenticated on the host volume);
-// -checkpoint-dir persists the snapshots and the volume key to a host
+// file-system shield (encrypted and authenticated on the host volume,
+// and audited by the job's CAS, so a shard restarted by -chaos-plan
+// refuses a snapshot the host rolled back); -checkpoint-dir persists
+// the snapshots, and the volume key the CAS provisions, to a host
 // directory, and -resume-from points a later invocation at that
 // directory to continue the job exactly where it stopped — the resumed
-// trajectory is bit-identical to an uninterrupted one. -chaos-plan
+// trajectory is bit-identical to an uninterrupted one. The resuming
+// invocation's CAS is new and has no record of the earlier one's
+// snapshots, so it cannot tell a rolled-back directory from a current
+// one. -chaos-plan
 // replays a deterministic fault schedule against the cluster
 // (kill:w1@r2+rejoin1, stall:w0@r3, delay:w2@r1+40ms, restart:ps0@r2,
 // semicolon-separated); kill and stall faults switch the cluster

@@ -2,13 +2,13 @@ package securetf
 
 import (
 	"cmp"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/tf/dist"
 )
 
@@ -314,8 +314,10 @@ type DistTrainConfig struct {
 	// Kind selects the runtime every node runs under. Defaults to
 	// SconeHW, the secureTF production mode.
 	Kind RuntimeKind
-	// TLS provisions a private CA and routes all parameter traffic
-	// through the network shield (the paper's Figure 8 "w/ TLS" series).
+	// TLS routes all parameter traffic through the network shield (the
+	// paper's Figure 8 "w/ TLS" series). Every node attests to the job's
+	// CAS and receives its TLS identity from it, so TLS needs a Kind
+	// that runs in an enclave.
 	TLS bool
 	// Workers is the number of training workers. Required, ≥ 1.
 	Workers int
@@ -361,7 +363,8 @@ type DistTrainConfig struct {
 	// synchronous cluster and RoundTimeout > 0.
 	Elastic bool
 	// Checkpoint enables periodic shard snapshots through the shielded
-	// file system (see DistCheckpointConfig). Zero disables them.
+	// file system (see DistCheckpointConfig). Zero disables them. Like
+	// TLS, snapshots need a Kind that runs in an enclave.
 	Checkpoint DistCheckpointConfig
 	// Resume resumes the whole job from the snapshots a previous run's
 	// Checkpoint config wrote: every shard restarts from
@@ -386,7 +389,10 @@ type DistTrainConfig struct {
 // snapshots, `checkpoints/shard-<s>.ckpt` on FS. The snapshots are
 // written through the file-system shield — AES-256-GCM encrypted and
 // authenticated on the host volume — so a checkpoint leaks nothing and
-// a tampered one is rejected on resume.
+// a tampered one is rejected on resume. A shard receives the volume key
+// from the job's CAS after attesting, and the CAS records every
+// snapshot it writes, so within one job a snapshot the host rolls back
+// is refused; a later job's CAS starts with no record.
 type DistCheckpointConfig struct {
 	// Every snapshots every shard each Every committed rounds. The
 	// write lands before the round's barrier releases, so a crash after
@@ -397,7 +403,8 @@ type DistCheckpointConfig struct {
 	// to a fresh in-memory volume; pass the same FS (and Key) to a
 	// later job with Resume to resume across runs.
 	FS FS
-	// Key seals the snapshot volume. Defaults to a freshly drawn key.
+	// Key seals the snapshot volume: the job's CAS provisions it to
+	// every shard. Defaults to a freshly drawn key.
 	Key *VolumeKey
 }
 
@@ -455,7 +462,9 @@ type DistTrainResult struct {
 // container per parameter-server shard and per worker (each on its own
 // platform, as in the paper's cluster), wires the workers to every
 // shard, trains for the configured rounds and reports losses, the
-// end-to-end virtual latency and the per-phase breakdown. With
+// end-to-end virtual latency and the per-phase breakdown. A job with
+// TLS or snapshots starts a CAS of its own, and every node attests to
+// it before it receives its TLS identity or the volume key. With
 // PSShards: 1 it is exactly the classic single parameter-server
 // deployment. The paper's Figures 8 and 9 (internal/experiments) are
 // calls to this function.
@@ -469,7 +478,7 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 		return nil, err
 	}
 	for w := range j.workerNodes {
-		if j.workerNodes[w], err = j.launchNode(fmt.Sprintf("train-worker-%d", w), false, false); err != nil {
+		if j.workerNodes[w], err = j.launchNode(fmt.Sprintf("train-worker-%d", w), false); err != nil {
 			return nil, err
 		}
 	}
@@ -490,8 +499,10 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 type distJob struct {
 	cfg         DistTrainConfig
 	synchronous bool // the cluster runs SyncConsistency
-	ca          *seccrypto.CA
-	vars        map[string]*Tensor
+	// cas attests every node and provisions the TLS identities and the
+	// snapshot volume key; nil when the job has neither to hand out.
+	cas  *CAS
+	vars map[string]*Tensor
 	// A fault plan's restarts replace a shard and its node in place;
 	// statsBase accumulates the elasticity counters of the replaced
 	// instances, so a restart does not erase its shard's history.
@@ -570,12 +581,6 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 			}
 		}
 	}
-	if cfg.TLS {
-		var err error
-		if j.ca, err = seccrypto.NewCA("train-distributed-ca"); err != nil {
-			return nil, err
-		}
-	}
 	j.vars = InitialVariables(cfg.NewModel())
 	j.shardNodes = make([]*Container, cfg.PSShards)
 	j.shards = make([]*ParameterServer, cfg.PSShards)
@@ -585,17 +590,70 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 	j.workers = make([]*TrainingWorker, cfg.Workers)
 	j.xs, j.ys = make([]*Tensor, cfg.Workers), make([]*Tensor, cfg.Workers)
 	j.losses = make([][]float64, cfg.Workers)
+	if cfg.TLS || j.checkpointing() {
+		if err := j.startCAS(); err != nil {
+			j.close()
+			return nil, err
+		}
+	}
 	return j, nil
+}
+
+// casSession names the one session a job's nodes attest to.
+const casSession = "train-distributed"
+
+// startCAS starts the job's CAS on a platform of its own and registers
+// the session every node attests to: the TensorFlow image's
+// measurement, simulation-mode quotes only under SconeSIM, the TLS
+// service names when the job runs shielded traffic and the snapshot
+// volume key when it checkpoints. A native node has no enclave to
+// attest, so such a job is refused. The job's owner registers the
+// session from the CAS's platform, since no node has launched yet.
+func (j *distJob) startCAS() error {
+	cfg := j.cfg
+	if !cfg.Kind.Shielded() {
+		return fmt.Errorf("securetf: DistTrainConfig.TLS and Checkpoint need nodes a CAS can attest, and a %v node runs no enclave", cfg.Kind)
+	}
+	platform, err := NewPlatform("train-cas")
+	if err != nil {
+		return err
+	}
+	if j.cas, err = StartCAS(platform, NewMemFS()); err != nil {
+		return err
+	}
+	session := &Session{
+		Name:         casSession,
+		OwnerToken:   rand.Text(), // no one but this job can rewrite the session
+		Measurements: []string{TensorFlowImage().Measure().Hex()},
+		AllowSIM:     cfg.Kind == SconeSIM,
+	}
+	if cfg.TLS {
+		session.Services = []string{"parameter-server", "localhost", "127.0.0.1"}
+	}
+	if j.checkpointing() {
+		session.Volumes = map[string][]byte{ckptDir: cfg.Checkpoint.Key[:]}
+	}
+	owner, err := bootstrapCAS(j.cas.Enclave(), j.cas.Addr(), j.cas.Measurement(), TrustedKeys(platform))
+	if err != nil {
+		return err
+	}
+	defer owner.Close()
+	if err := owner.Register(session); err != nil {
+		return fmt.Errorf("securetf: register the training session: %w", err)
+	}
+	return nil
 }
 
 func (j *distJob) checkpointing() bool {
 	return j.cfg.Checkpoint.Every > 0 || j.cfg.Resume
 }
 
-// launchNode launches one cluster node on its own platform, with a TLS
-// identity when the job runs shielded traffic. A shielded node mounts
-// the snapshot volume.
-func (j *distJob) launchNode(name string, server, shielded bool) (*Container, error) {
+// launchNode launches one cluster node on its own platform. A shielded
+// node mounts the snapshot volume. When the job has a CAS the node
+// attests to it and installs what the session provisions: its TLS
+// identity, and on a shielded node the volume key and the CAS's audit
+// of every snapshot.
+func (j *distJob) launchNode(name string, shielded bool) (*Container, error) {
 	cfg := j.cfg
 	platform, err := NewPlatform(name)
 	if err != nil {
@@ -614,21 +672,20 @@ func (j *distJob) launchNode(name string, server, shielded bool) (*Container, er
 		// volume) reads them back transparently.
 		ccfg.HostFS = cfg.Checkpoint.FS
 		ccfg.FSShieldRules = []Rule{EncryptPrefix(ckptDir + "/")}
-		ccfg.VolumeKey = cfg.Checkpoint.Key
 	}
 	c, err := Launch(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	if j.ca != nil {
-		cert, err := j.ca.Issue(name, "parameter-server", "localhost", "127.0.0.1")
+	if j.cas != nil {
+		j.cas.TrustPlatform(platform.Name(), platform.AttestationKey())
+		client, err := NewCASClient(c, j.cas, j.cas.Enclave().Platform(), platform)
+		if err == nil {
+			_, _, err = c.Provision(client, casSession, ckptDir)
+		}
 		if err != nil {
 			c.Close()
-			return nil, err
-		}
-		if err := c.UseIdentity(cert, j.ca, server); err != nil {
-			c.Close()
-			return nil, err
+			return nil, fmt.Errorf("securetf: provision %s: %w", name, err)
 		}
 	}
 	return c, nil
@@ -680,7 +737,7 @@ func (j *distJob) loadCheckpoint(c *Container, s int) (*DistCheckpoint, error) {
 func (j *distJob) startShards() error {
 	cfg := j.cfg
 	for s := range j.shards {
-		c, err := j.launchNode(fmt.Sprintf("ps-shard-%d", s), true, j.checkpointing())
+		c, err := j.launchNode(fmt.Sprintf("ps-shard-%d", s), j.checkpointing())
 		if err != nil {
 			return err
 		}
@@ -762,6 +819,9 @@ func (j *distJob) close() {
 		if c != nil {
 			c.Close()
 		}
+	}
+	if j.cas != nil {
+		j.cas.Close()
 	}
 }
 

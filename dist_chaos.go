@@ -32,10 +32,12 @@ func (j *distJob) retire(w int) {
 
 // restartShard kills PS shard s and brings it back from its latest
 // checkpoint on a fresh container: same address, same options, same
-// snapshot volume and key. The cluster sits at `round` committed
-// rounds, which must be exactly what the checkpoint recorded — restarts
-// land only on checkpoint boundaries, so the resumed trajectory is
-// bit-identical. Workers redial lazily through their Reconnect window.
+// snapshot volume and key. The new node attests to the job's CAS for
+// the key, and the CAS refuses a snapshot older than the last one it
+// recorded. The cluster sits at `round` committed rounds, which must
+// be exactly what the checkpoint recorded — restarts land only on
+// checkpoint boundaries, so the resumed trajectory is bit-identical.
+// Workers redial lazily through their Reconnect window.
 func (j *distJob) restartShard(s, round int) error {
 	j.shards[s].Close()
 	base := j.shards[s].Stats()
@@ -43,7 +45,7 @@ func (j *distJob) restartShard(s, round int) error {
 	j.statsBase[s].Rejoins += base.Rejoins
 	j.statsBase[s].ShrunkRounds += base.ShrunkRounds
 	j.shardNodes[s].Close()
-	c, err := j.launchNode(fmt.Sprintf("ps-shard-%d-r%d", s, round), true, true)
+	c, err := j.launchNode(fmt.Sprintf("ps-shard-%d-r%d", s, round), true)
 	if err != nil {
 		return fmt.Errorf("securetf: restart shard %d: %w", s, err)
 	}

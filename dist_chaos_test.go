@@ -1,10 +1,14 @@
 package securetf_test
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	securetf "github.com/securetf/securetf"
+	"github.com/securetf/securetf/internal/fsapi"
+	"github.com/securetf/securetf/internal/shield/fsshield"
 )
 
 // tensorsEqual compares two tensors bit-exactly.
@@ -247,5 +251,85 @@ func TestDistResumeAcrossJobs(t *testing.T) {
 	}
 	if jobB.Rounds != rounds {
 		t.Fatalf("resumed job reports %d rounds, want %d", jobB.Rounds, rounds)
+	}
+}
+
+// rollbackFS is a host volume that rolls one shielded file back: each
+// time the file is created anew it keeps the file and its metadata as
+// they stood, one snapshot earlier, and the first time either is opened
+// it writes those back — what a host that kept an old snapshot set can
+// do to a restarting shard.
+type rollbackFS struct {
+	securetf.FS
+	names  [2]string // the data file and its metadata
+	mu     sync.Mutex
+	prev   map[string][]byte
+	rolled bool
+}
+
+func newRollbackFS(name string) *rollbackFS {
+	return &rollbackFS{FS: securetf.NewMemFS(), names: [2]string{name, name + ".sfsmeta"}}
+}
+
+func (r *rollbackFS) Create(name string) (fsapi.File, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if name == r.names[0] {
+		r.prev = make(map[string][]byte)
+		for _, n := range r.names {
+			if data, err := securetf.ReadFile(r.FS, n); err == nil {
+				r.prev[n] = data
+			}
+		}
+	}
+	return r.FS.Create(name)
+}
+
+func (r *rollbackFS) Open(name string) (fsapi.File, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if (name == r.names[0] || name == r.names[1]) && !r.rolled && len(r.prev) == len(r.names) {
+		r.rolled = true
+		for n, data := range r.prev {
+			if err := securetf.WriteFile(r.FS, n, data); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return r.FS.Open(name)
+}
+
+// TestDistRestartRefusesRolledBackSnapshot restarts shard 1 after round
+// 4 while its host volume hands back the round-2 snapshot, data and
+// metadata alike, which the volume key alone authenticates. The job's
+// CAS recorded the round-4 snapshot, so the restart fails as a rollback
+// rather than resuming from the stale state.
+func TestDistRestartRefusesRolledBackSnapshot(t *testing.T) {
+	const workers, shards, rounds, batch = 1, 2, 5, 10
+	plan, err := securetf.ParseFaultPlan("restart:ps1@r4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := newRollbackFS("checkpoints/shard-1.ckpt")
+	_, err = securetf.TrainDistributed(securetf.DistTrainConfig{
+		Kind:      securetf.SconeSIM,
+		Workers:   workers,
+		PSShards:  shards,
+		Rounds:    rounds,
+		BatchSize: batch,
+		LR:        0.05,
+		NewModel:  func() securetf.Model { return securetf.NewMNISTMLP(3) },
+		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+			return mlpShard(w, rounds, batch)
+		},
+		RoundTimeout: 30 * time.Second,
+		Checkpoint:   securetf.DistCheckpointConfig{Every: 2, FS: host},
+		Chaos:        plan,
+	})
+	if !host.rolled {
+		t.Fatal("the restart never opened shard 1's snapshot")
+	}
+	if !errors.Is(err, fsshield.ErrRolledBack) {
+		t.Fatalf("restart from a rolled-back snapshot: got %v, want %v", err, fsshield.ErrRolledBack)
 	}
 }

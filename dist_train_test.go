@@ -180,24 +180,28 @@ func TestTrainDistributedShardingInvariance(t *testing.T) {
 // through the facade: a sharded cluster with every connection through
 // the network shield still trains.
 func TestTrainDistributedTLS(t *testing.T) {
-	res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
-		Kind:      securetf.SconeSIM,
-		TLS:       true,
-		Workers:   1,
-		PSShards:  2,
-		Rounds:    2,
-		BatchSize: 10,
-		LR:        0.05,
-		NewModel:  func() securetf.Model { return securetf.NewMNISTMLP(3) },
-		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
-			return mlpShard(w, 2, 10)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency <= 0 {
-		t.Fatal("virtual latency did not advance")
+	// SconeSIM's session admits simulation-mode quotes and SconeHW's
+	// does not; both attest every node for its TLS identity.
+	for _, kind := range []securetf.RuntimeKind{securetf.SconeSIM, securetf.SconeHW} {
+		res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
+			Kind:      kind,
+			TLS:       true,
+			Workers:   1,
+			PSShards:  2,
+			Rounds:    2,
+			BatchSize: 10,
+			LR:        0.05,
+			NewModel:  func() securetf.Model { return securetf.NewMNISTMLP(3) },
+			ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+				return mlpShard(w, 2, 10)
+			},
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if res.Latency <= 0 {
+			t.Fatalf("%v: virtual latency did not advance", kind)
+		}
 	}
 }
 
@@ -378,10 +382,17 @@ func TestTrainDistributedValidation(t *testing.T) {
 		{Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, ShardData: data},
 		{Workers: 1, PSShards: -1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data},
 		{Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data, Resume: true},
+		// A native node has no enclave to attest, so the CAS provisions it
+		// neither a TLS identity nor the snapshot volume key.
+		{Kind: securetf.NativeGlibc, TLS: true, Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data},
+		{Kind: securetf.NativeGlibc, Checkpoint: securetf.DistCheckpointConfig{Every: 2}, Workers: 1, Rounds: 1, BatchSize: 1, LR: 0.1, NewModel: model, ShardData: data},
 	}
 	for i, cfg := range bad {
-		if _, err := securetf.TrainDistributed(cfg); err == nil {
+		_, err := securetf.TrainDistributed(cfg)
+		if err == nil {
 			t.Errorf("case %d: invalid DistTrainConfig accepted", i)
+		} else if cfg.Kind == securetf.NativeGlibc && !strings.Contains(err.Error(), securetf.NativeGlibc.String()) {
+			t.Errorf("case %d: error %q does not name the %v kind", i, err, cfg.Kind)
 		}
 	}
 }

@@ -240,7 +240,13 @@
 // TrainDistributed packages the whole cluster — one enclave node per
 // shard and per worker, optional TLS — behind one call with a PSShards
 // option (default 1, the classic deployment, which reproduces the
-// single-PS trainer exactly).
+// single-PS trainer exactly). A job with TLS or snapshots starts a CAS
+// of its own and registers one session for the job. Every node attests
+// to that CAS before it receives anything (Container.Provision): its
+// TLS identity and, on a shard, the snapshot volume key, as in the
+// paper's §3. The attestations are charged to the nodes' clocks at
+// set-up. A native node has no enclave to attest, so a native job can
+// have neither TLS nor snapshots. A job with neither starts no CAS.
 //
 // Each shard commits gradients under a ConsistencyPolicy.
 // SyncConsistency (the zero value) is the barrier above: a round
@@ -315,7 +321,14 @@
 // and WithResume (facade: Resume) restarts a shard, or a whole
 // later job, exactly where the snapshot left off: the resumed
 // trajectory is bit-identical to the uninterrupted one under every
-// gradient codec. All of it is exercised by a deterministic
+// gradient codec. On the facade, Key reaches a shard only from the
+// job's CAS after the shard attests, and that CAS audits every
+// snapshot, so a shard restarted within the job refuses a snapshot the
+// host rolled back (fsshield.ErrRolledBack). The audit record lives as
+// long as the job's CAS: a later job, in this process or another,
+// starts a CAS with no record and accepts the snapshots it finds, so a
+// rollback across jobs goes unseen until the CAS's store outlives its
+// process. All of it is exercised by a deterministic
 // fault-injection harness: a FaultPlan (ParseFaultPlan's
 // "kill:w2@r1+rejoin2;restart:ps0@r2" grammar, or RandomFaultPlan's
 // seeded churn schedules) handed to DistTrainConfig.Chaos — or

@@ -9,14 +9,16 @@
 // pulls and pushes out to both shards concurrently, so no single PS
 // link carries the whole ~1.8 MB gradient push per worker per round.
 //
-// The example trains MNIST across three worker enclaves and reports the
-// per-phase virtual time (pull / compute / push), the per-shard push
-// wire time and the end-to-end latency the paper's Figure 8 measures —
-// then repeats the job under the bounded-staleness async policy
-// (apply-on-push, staleness ≤ 2) through the TrainDistributed facade,
-// and finally survives a scripted fault plan: a worker killed and
-// rejoining, a parameter-server shard restarted from its encrypted
-// checkpoint, every round still committed (§3.2 elasticity).
+// The example trains MNIST across three worker enclaves with one
+// TrainDistributed call, which starts the job's CAS and attests every
+// node to it, and reports the per-phase virtual time (pull / compute /
+// push), the per-shard push wire time and the end-to-end latency the
+// paper's Figure 8 measures — then repeats the job under the
+// bounded-staleness async policy (apply-on-push, staleness ≤ 2) and
+// with a top-k gradient codec, and finally survives a scripted fault
+// plan: a worker killed and rejoining, a parameter-server shard
+// restarted from its encrypted checkpoint, every round still committed
+// (§3.2 elasticity).
 //
 // Run with:
 //
@@ -26,7 +28,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	securetf "github.com/securetf/securetf"
@@ -46,164 +47,41 @@ func main() {
 	}
 }
 
-// node is one attested machine of the training cluster.
-type node struct {
-	platform  *securetf.Platform
-	container *securetf.Container
-}
-
 func run() error {
-	// --- CAS and cluster of five nodes (2 PS shards + 3 workers). ---
-	casPlatform, err := securetf.NewPlatform("cas-node")
+	// --- The attested cluster: 2 PS shards + 3 workers, one enclave
+	// each. TrainDistributed starts a CAS for the job; every node
+	// attests to it and receives its TLS identity, so every parameter
+	// connection runs through the network shield. RoundTimeout bounds
+	// how long a synchronous round may wait on a straggler (§3.2 fault
+	// tolerance): if a worker dies mid-round the survivors get an error
+	// instead of hanging forever.
+	res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
+		Kind:      securetf.SconeHW,
+		TLS:       true,
+		Workers:   workers,
+		PSShards:  psShards,
+		Rounds:    rounds,
+		BatchSize: batchSize,
+		LR:        lr,
+		NewModel:  func() securetf.Model { return securetf.NewMNISTCNN(1) },
+		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+			return shard(w)
+		},
+		RoundTimeout: 30 * time.Second,
+	})
 	if err != nil {
 		return err
 	}
-	cas, err := securetf.StartCAS(casPlatform, securetf.NewMemFS())
-	if err != nil {
-		return err
+	fmt.Printf("attested %d nodes to the job's CAS; %d parameter-server shards, TLS with CAS-issued identities\n",
+		workers+psShards, psShards)
+	for w, ls := range res.Losses {
+		fmt.Printf("worker %d: loss %.3f\n", w, ls[len(ls)-1])
 	}
-	defer cas.Close()
-
-	nodes := make([]*node, workers+psShards)
-	platforms := []*securetf.Platform{casPlatform}
-	for i := range nodes {
-		platform, err := securetf.NewPlatform(fmt.Sprintf("train-node-%d", i))
-		if err != nil {
-			return err
-		}
-		cas.TrustPlatform(platform.Name(), platform.AttestationKey())
-		platforms = append(platforms, platform)
-		container, err := securetf.Launch(securetf.ContainerConfig{
-			Kind:     securetf.SconeHW,
-			Platform: platform,
-			Image:    securetf.TensorFlowImage(),
-			HostFS:   securetf.NewMemFS(),
-		})
-		if err != nil {
-			return err
-		}
-		defer container.Close()
-		nodes[i] = &node{platform: platform, container: container}
-	}
-
-	// --- Register the training session and attest every node. ---
-	registrar, err := securetf.NewCASClient(nodes[0].container, cas, platforms...)
-	if err != nil {
-		return err
-	}
-	session := &securetf.Session{
-		Name:         "mnist-training",
-		OwnerToken:   "trainer-token",
-		Measurements: []string{nodes[0].container.Enclave().Measurement().Hex()},
-		Services:     []string{"parameter-server", "localhost", "127.0.0.1"},
-	}
-	if err := registrar.Register(session); err != nil {
-		return err
-	}
-	for i, n := range nodes {
-		client := registrar
-		if i > 0 {
-			client, err = securetf.NewCASClient(n.container, cas, platforms...)
-			if err != nil {
-				return err
-			}
-		}
-		if _, timing, err := n.container.Provision(client, "mnist-training", ""); err != nil {
-			return err
-		} else if i == 0 {
-			fmt.Printf("attested %d nodes (%v per attestation via CAS)\n", workers+psShards, timing.Total())
-		}
-	}
-
-	// --- Sharded parameter server: one node and one listener per shard,
-	// the model variables partitioned between them by name hash.
-	// WithRoundTimeout bounds how long a synchronous round may wait on a
-	// straggler (§3.2 fault tolerance): if a worker dies mid-round the
-	// survivors get an error instead of hanging forever.
-	ref := securetf.NewMNISTCNN(1)
-	vars := securetf.InitialVariables(ref)
-	shards := make([]*securetf.ParameterServer, psShards)
-	addrs := make([]string, psShards)
-	for s := 0; s < psShards; s++ {
-		ps, addr, err := securetf.StartParameterServer(
-			nodes[s].container, "127.0.0.1:0", vars, workers, lr,
-			securetf.WithShard(s, psShards),
-			securetf.WithRoundTimeout(30*time.Second))
-		if err != nil {
-			return err
-		}
-		defer ps.Close()
-		shards[s] = ps
-		addrs[s] = addr.String()
-		fmt.Printf("parameter-server shard %d/%d on %s (TLS, CAS-issued identity, %d variables)\n",
-			s+1, psShards, addr, len(ps.Vars()))
-	}
-
-	// --- Workers: each trains on its own shard. ---
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	stats := make([]string, workers)
-	losses := make([]float64, workers)
-	pushBytes := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := nodes[w+psShards].container
-			xs, ys, err := shard(w)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			worker, err := securetf.StartTrainingWorker(c, securetf.WorkerSpec{
-				ID:         w,
-				Addrs:      addrs, // fan pulls/pushes out to every shard
-				ServerName: "parameter-server",
-				Model:      securetf.NewMNISTCNN(1), // same seed as the PS vars
-				XS:         xs, YS: ys,
-				BatchSize: batchSize,
-			})
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer worker.Close()
-			if err := worker.RunSteps(rounds); err != nil {
-				errs[w] = err
-				return
-			}
-			b := worker.LastBreakdown
-			var wire time.Duration
-			for _, d := range worker.PushWire() {
-				wire += d
-			}
-			losses[w] = worker.LastLoss
-			for _, n := range worker.PushBytes() {
-				pushBytes[w] += n
-			}
-			stats[w] = fmt.Sprintf("worker %d: loss %.3f (pull %v, compute %v, push %v; push wire %v/shard/round)",
-				w, worker.LastLoss, b.Pull, b.Compute, b.Push, wire/time.Duration(psShards*rounds))
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, s := range stats {
-		fmt.Println(s)
-	}
-	for s, ps := range shards {
-		fmt.Printf("shard %d synchronous rounds committed: %d\n", s, ps.Rounds())
-	}
-	var latency time.Duration
-	for _, n := range nodes {
-		if t := n.container.Clock().Now(); t > latency {
-			latency = t
-		}
-	}
-	fmt.Printf("end-to-end training latency (virtual): %v\n", latency)
+	b := res.Breakdown
+	fmt.Printf("last round (slowest worker): pull %v, compute %v, push %v; push wire into each shard %v/round\n",
+		b.Pull, b.Compute, b.Push, res.PushWirePerShard)
+	fmt.Printf("synchronous rounds committed on every shard: %d\n", res.Rounds)
+	fmt.Printf("end-to-end training latency (virtual): %v\n", res.Latency)
 
 	// --- Bounded-staleness async mode, via the one-call facade. ---
 	// The same cluster shape, but each shard applies every gradient the
@@ -239,12 +117,6 @@ func run() error {
 	// The uncompressed baseline — push bytes and final loss — is the
 	// synchronous cluster above: same workers, shards, rounds, batch,
 	// learning rate and data, so no extra job is needed to compare.
-	var rawBytes int64
-	var rawLoss float64
-	for w := 0; w < workers; w++ {
-		rawBytes += pushBytes[w]
-		rawLoss += losses[w] / float64(workers)
-	}
 	compressed, err := securetf.TrainDistributed(securetf.DistTrainConfig{
 		Workers:     workers,
 		PSShards:    psShards,
@@ -262,9 +134,9 @@ func run() error {
 		return err
 	}
 	fmt.Printf("compressed (top-k f=0.05): push bytes %d → %d (%.1fx less wire), final loss %.3f vs %.3f uncompressed\n",
-		rawBytes, compressed.PushBytes,
-		float64(rawBytes)/float64(compressed.PushBytes),
-		compressed.FinalLoss, rawLoss)
+		res.PushBytes, compressed.PushBytes,
+		float64(res.PushBytes)/float64(compressed.PushBytes),
+		compressed.FinalLoss, res.FinalLoss)
 
 	// --- Surviving churn: elasticity + checkpoint/restore. ---
 	// A deterministic fault plan kills worker 2 before round 1 (it

@@ -265,6 +265,32 @@ func TestFacadeOwnsTheTrainingCluster(t *testing.T) {
 	}
 }
 
+// TestOnlyTheCASIssuesIdentities holds the provisioning rule of the
+// paper's §3: TLS identities come from the CAS, to attested enclaves.
+// So outside internal/cas no non-test file mints a certificate
+// authority of its own.
+func TestOnlyTheCASIssuesIdentities(t *testing.T) {
+	cmd := exec.Command("go", "list", "-f", `{{range .GoFiles}}{{$.ImportPath}}/{{.}} {{$.Dir}}/{{.}}{{"\n"}}{{end}}`, "./...")
+	cmd.Dir = "../.."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		name, path, _ := strings.Cut(line, " ")
+		if strings.Contains(name, "/internal/cas/") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), "seccrypto.NewCA(") {
+			t.Errorf("%s calls seccrypto.NewCA(…): a node's TLS identity comes from a CAS session after it attests (Container.Provision)", name)
+		}
+	}
+}
+
 // TestPublicSurface holds the root package's exported surface to the
 // checked-in api.txt, so a new option, field or method shows in review
 // as a line added there. The surface is read off the type-checked

@@ -290,22 +290,6 @@ func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.
 	return prov, timing, nil
 }
 
-// UseIdentity installs a TLS identity directly (tests and local setups
-// that do not go through a CAS).
-func (c *Container) UseIdentity(identity tls.Certificate, ca *seccrypto.CA, requireClientCert bool) error {
-	shield, err := netshield.New(netshield.Config{
-		Meter:             c.cfg.Platform.Meter(),
-		Identity:          identity,
-		RootCAs:           ca.CertPool(),
-		RequireClientCert: requireClientCert,
-	})
-	if err != nil {
-		return err
-	}
-	c.shield = shield
-	return nil
-}
-
 // Dial opens a connection through the runtime, wrapped by the network
 // shield when provisioned.
 func (c *Container) Dial(network, addr, serverName string) (net.Conn, error) {

@@ -8,8 +8,12 @@
 // 9) are clients of the public securetf package: every parameter-server
 // shard and worker is put on its container by securetf.TrainDistributed
 // or StartParameterServer/StartTrainingWorker, the same code the
-// examples, securetf-worker and bench/ run, so a cost-model change in
-// the facade moves the figures and their CI gates with it.
+// examples and securetf-worker run, so a cost-model change in the
+// facade moves the figures and their CI gates with it. The TLS rows of
+// Figures 8, 8-shards and 8-compress therefore attest every node to the
+// job's CAS at set-up, which issues its TLS identity, and their Latency
+// includes those attestations; the rows without TLS, and Figure 9,
+// start no CAS.
 //
 // Absolute numbers come from the calibrated virtual-time cost model and
 // are not expected to match the paper's testbed; the shape checks in
