@@ -2,6 +2,8 @@ package securetf_test
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -395,4 +397,64 @@ func TestTrainDistributedValidation(t *testing.T) {
 			t.Errorf("case %d: error %q does not name the %v kind", i, err, cfg.Kind)
 		}
 	}
+}
+
+// TestTrainDistributedReplay runs one synchronous job — 3 workers, 1
+// shard, 4 rounds, the MNIST MLP at batch 50 — twice in one process on
+// each shielded kind, and wants the losses and the final variables bit
+// for bit the same. Its Latency is not yet a function of the seed (open:
+// item 32), so the two are only logged: under -v the test shows the
+// spread that Figure 8's multi-worker rows are single draws from.
+func TestTrainDistributedReplay(t *testing.T) {
+	const workers, rounds, batch = 3, 4, 50
+	for _, kind := range []securetf.RuntimeKind{securetf.SconeHW, securetf.SconeSIM} {
+		var runs [2]*securetf.DistTrainResult
+		for i := range runs {
+			res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
+				Kind:      kind,
+				Workers:   workers,
+				PSShards:  1,
+				Rounds:    rounds,
+				BatchSize: batch,
+				LR:        0.05,
+				NewModel:  func() securetf.Model { return securetf.NewMNISTMLP(3) },
+				ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+					return mlpShard(w, rounds, batch)
+				},
+				RoundTimeout: 30 * time.Second,
+			})
+			if err != nil {
+				t.Fatalf("%v run %d: %v", kind, i, err)
+			}
+			runs[i] = res
+		}
+		a, b := runs[0], runs[1]
+		if len(a.Losses) != workers || len(b.Losses) != workers {
+			t.Fatalf("%v: losses for %d and %d workers, want %d", kind, len(a.Losses), len(b.Losses), workers)
+		}
+		for w := range a.Losses {
+			if !slices.EqualFunc(a.Losses[w], b.Losses[w], func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Errorf("%v: worker %d's losses %v, then %v", kind, w, a.Losses[w], b.Losses[w])
+			}
+		}
+		if len(a.FinalVars) == 0 || len(a.FinalVars) != len(b.FinalVars) {
+			t.Fatalf("%v: %d and %d final variables", kind, len(a.FinalVars), len(b.FinalVars))
+		}
+		for name, v := range a.FinalVars {
+			got, ok := b.FinalVars[name]
+			if !ok || !slices.Equal(floatBits(got), floatBits(v)) {
+				t.Errorf("%v: final variable %q differs between the runs", kind, name)
+			}
+		}
+		t.Logf("%v: Latency %v, then %v (open: item 32)", kind, a.Latency, b.Latency)
+	}
+}
+
+// floatBits is a tensor's elements as bits, so that -0 and NaN compare.
+func floatBits(t *securetf.Tensor) []uint32 {
+	out := make([]uint32, 0, len(t.Floats()))
+	for _, v := range t.Floats() {
+		out = append(out, math.Float32bits(v))
+	}
+	return out
 }

@@ -202,7 +202,8 @@
 // states it, for training and federated alike. In short: a Run's
 // results are the caller's to keep, and everything else a Run computes
 // is the session's until the next Run, which computes into the same
-// storage; a training replica steps a session it holds, one of its
+// storage, each intermediate going back to the session's free list
+// once its last reader has run; a training replica steps a session it holds, one of its
 // plan's (a worker's for its life, a federated client's for a round's
 // local steps), fetches its gradients into that session's tensors
 // (RunInto), so they are valid until its next step, and feeds views of
@@ -217,8 +218,8 @@
 // activations from a free list its plan returns each to once the last op
 // reading it has run, so a warm Invoke allocates only the output it hands
 // back. What the enclave is charged for the step's, or the Invoke's,
-// intermediates is the cost model's arena (the sum of every node's or
-// op's output, at its peak), which this reuse does not enter.
+// intermediates is what that free list holds when the Run or Invoke
+// ends, at its peak, plus a Run's Const values.
 //
 // The parameter server shards across nodes. The placement rule is a
 // name hash: each variable's 32-bit FNV-1a hash selects a shard by

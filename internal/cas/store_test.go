@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/securetf/securetf/internal/fsapi"
@@ -181,6 +182,48 @@ func TestStoreDetectsRollback(t *testing.T) {
 	}
 	if _, err := OpenStore(e2, fs, ""); !errors.Is(err, ErrStoreRolledBack) {
 		t.Fatalf("err = %v, want ErrStoreRolledBack", err)
+	}
+}
+
+// TestStoreTornTailLocksOut: a crash in the middle of a Put's write
+// leaves the log ending partway through its last record. Reopening then
+// fails as tampering, and the three records before it, which were
+// acknowledged, are lost with it. This is today's outcome, pinned so
+// that the fix flips it (open: item 24).
+func TestStoreTornTailLocksOut(t *testing.T) {
+	p, e := newStoreEnclave(t)
+	fs := fsapi.NewMem()
+	s, err := OpenStore(e, fs, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before []byte // the log before the last Put
+	for i := range 4 {
+		if i == 3 {
+			if before, err = fsapi.ReadFile(fs, ".cas/store.log"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := fsapi.ReadFile(fs, ".cas/store.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the last record's 4-byte header and half its body.
+	torn := raw[:len(before)+4+(len(raw)-len(before)-4)/2]
+	if err := fsapi.WriteFile(fs, ".cas/store.log", torn); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := p.CreateEnclave(Image(), sgx.ModeHW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenStore(e2, fs, "")
+	if !errors.Is(err, ErrStoreTampered) || !strings.Contains(err.Error(), "truncated record body") {
+		t.Fatalf("reopening a torn log: err = %v, want ErrStoreTampered (truncated record body)", err)
 	}
 }
 

@@ -9,7 +9,6 @@ package core
 
 import (
 	"crypto/ecdsa"
-	"crypto/tls"
 	"fmt"
 	"net"
 
@@ -110,11 +109,6 @@ type Config struct {
 	// Audit is the freshness service for the file-system shield
 	// (optional; a CAS provisioning step can also install one).
 	Audit fsshield.AuditService
-
-	// Identity and CAPool enable the network shield when set directly
-	// (otherwise provisioned from the CAS).
-	Identity *tls.Certificate
-	CAPool   *seccrypto.CA
 }
 
 // Container is a running secure ML container.

@@ -114,6 +114,41 @@ func TestWarmRunIntoAllocation(t *testing.T) {
 	t.Logf("a warm RunInto allocated %d bytes", least)
 }
 
+// TestWarmPlanAllocation: once a fetch list has run, a Run of it
+// allocates nothing for its plan — no evaluation order, value table,
+// tensor header or forward cache — so a warm training step of the
+// MNIST MLP fetched into tensors the caller keeps allocates only the
+// slice of results it returns and the Run's options.
+func TestWarmPlanAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	m := models.MNISTMLP(1)
+	vars, grads, err := tf.GradientNodes(m.Graph, m.Loss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := append([]*tf.Node{m.Loss, m.Accuracy}, grads...)
+	into := []*tf.Tensor{tf.NewTensor(tf.Float32, tf.Shape{}), tf.NewTensor(tf.Float32, tf.Shape{})}
+	for _, v := range vars {
+		into = append(into, tf.NewTensor(tf.Float32, v.Shape()))
+	}
+	feeds, _ := mnistFeeds(m)
+	s := tf.NewSession(m.Graph)
+	defer s.Close()
+	run := func() {
+		if _, err := s.RunInto(feeds, fetches, into, tf.Training()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	if allocs > 2 {
+		t.Fatalf("a warm RunInto made %v allocations, want at most 2: its results and its options", allocs)
+	}
+	t.Logf("a warm RunInto made %v allocations", allocs)
+}
+
 // TestRunIntoMatchesRun: what RunInto copies into the caller's tensors
 // is bit for bit what Run gives away, Run after Run, on two sessions
 // that started alike.

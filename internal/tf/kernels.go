@@ -8,18 +8,20 @@ import (
 	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
-// execCtx is the per-Run evaluation context: computed values, forward
-// caches used by gradient kernels (dropout masks, pooling argmaxes,
-// softmax probabilities), the RNG, and the device charged for the work.
+// execCtx is the evaluation context a session's Runs share: the plan
+// being run (its values, output headers and the forward caches gradient
+// kernels read — dropout masks, pooling argmaxes, softmax
+// probabilities), the node at work, the RNG, and the session, whose
+// device is charged for the work.
 type execCtx struct {
 	sess     *Session
+	plan     *runPlan
+	at       int // the position in plan of the node evaluated
 	training bool
 	rng      *rand.Rand // dropout's draws: the Run's RNG option, else the session's
-	values   map[*Node]*Tensor
-	extras   map[string]*cache
-	in       []*Tensor // the node evaluated's inputs, reused node to node
-	shapes   []Shape   // and theirs
-	shape    Shape     // and its output's, as its rule derives it
+	in       []*Tensor  // the node evaluated's inputs, reused node to node
+	shapes   []Shape    // and theirs
+	shape    Shape      // and its output's, as its rule derives it
 }
 
 // charge reports work to the session's device. The node's cost scale
@@ -37,21 +39,27 @@ func (ctx *execCtx) charge(n *Node, flops, bytes int64, streaming bool) {
 
 // out draws the node's Float32 output, of the shape its rule derived,
 // for a kernel that writes every element of it: the storage comes from
-// the session's free list and holds whatever the last Run left in it.
-func (ctx *execCtx) out() *Tensor { return ctx.tensor(ctx.shape, false) }
+// the session's free list and holds whatever its last user left in it.
+func (ctx *execCtx) out() *Tensor { return ctx.draw(Float32, false) }
 
 // zeroed is out for a kernel that accumulates into its output, or
 // writes only some of it.
-func (ctx *execCtx) zeroed() *Tensor { return ctx.tensor(ctx.shape, true) }
+func (ctx *execCtx) zeroed() *Tensor { return ctx.draw(Float32, true) }
 
-func (ctx *execCtx) tensor(shape Shape, zero bool) *Tensor {
-	return &Tensor{dtype: Float32, shape: shape.Clone(), f32: ctx.sess.f32.get(shape.NumElements(), zero)}
+// draw re-points the node's output header, which the plan keeps from
+// Run to Run, at storage for its dtype and shape.
+func (ctx *execCtx) draw(dtype DType, zero bool) *Tensor {
+	t := &ctx.plan.slots[ctx.at]
+	draw(t, &ctx.sess.f32, &ctx.sess.i32, dtype, ctx.shape, zero)
+	return t
 }
+
+// keep leaves the node's forward cache for its gradient kernel.
+func (ctx *execCtx) keep(c cache) { ctx.plan.caches[ctx.at] = c }
 
 // kernelFunc computes a node's output from its input tensors, which its
 // op's rule has checked. The output and every forward cache come from
-// ctx, never from NewTensor or make: the session takes them back when
-// the Run ends.
+// ctx, never from NewTensor or make: the session takes them back.
 type kernelFunc func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 
 func sigmoid32(x float32) float32 {
@@ -97,26 +105,35 @@ func kernelBinary(f func(a, b float32) float32) kernelFunc {
 	}
 }
 
+// kernelMatMul multiplies its operands, transposing either into scratch
+// that goes back as soon as the product is done.
 func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	a, b := in[0], in[1]
-	if attr(n, "transpose_a", false) {
-		a = ctx.transpose2D(a)
+	a, b := in[0].f32, in[1].f32
+	m, k, nn := in[0].shape[0], in[0].shape[1], in[1].shape[1]
+	ta, tb := attr(n, "transpose_a", false), attr(n, "transpose_b", false)
+	if ta {
+		a, m, k = ctx.transpose(a, m, k), k, m
 	}
-	if attr(n, "transpose_b", false) {
-		b = ctx.transpose2D(b)
+	if tb {
+		b, nn = ctx.transpose(b, in[1].shape[0], nn), in[1].shape[0]
 	}
-	m, k, nn := a.Shape()[0], a.Shape()[1], b.Shape()[1]
 	out := ctx.zeroed()
-	kernels.MatMulInto(out.f32, a.f32, b.f32, m, k, nn, ctx.sess.device.Threads())
-	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), a.Bytes()+b.Bytes()+out.Bytes(), false)
+	kernels.MatMulInto(out.f32, a, b, m, k, nn, ctx.sess.device.Threads())
+	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), 4*int64(len(a)+len(b))+out.Bytes(), false)
+	if ta {
+		ctx.sess.f32.put(a)
+	}
+	if tb {
+		ctx.sess.f32.put(b)
+	}
 	return out, nil
 }
 
-// transpose2D materializes the transpose of a [m,n] tensor.
-func (ctx *execCtx) transpose2D(t *Tensor) *Tensor {
-	m, n := t.Shape()[0], t.Shape()[1]
-	out := ctx.tensor(Shape{n, m}, false)
-	kernels.Transpose(out.f32, t.f32, m, n)
+// transpose writes the transpose of the [m,n] matrix t to scratch drawn
+// from the session's free list.
+func (ctx *execCtx) transpose(t []float32, m, n int) []float32 {
+	out := ctx.sess.f32.get(m*n, false)
+	kernels.Transpose(out, t, m, n)
 	return out
 }
 
@@ -159,12 +176,17 @@ type cache struct {
 	geo    kernels.Geom
 }
 
-// forward returns the cache the forward node named in n's "forward"
-// attribute left this Run, or nil. A loaded graph can name any node: a
-// cache another op left, or one over a tensor not of x's shape, errs.
-func (ctx *execCtx) forward(n *Node, op string, x *Tensor) (*cache, error) {
-	c := ctx.extras[attr(n, "forward", "")]
-	if c != nil && (c.op != op || !c.shape.Equal(x.shape)) {
+// forward returns the cache the forward node named in the evaluated
+// node's "forward" attribute left this Run, or nil. A loaded graph can
+// name any node: a cache another op left, or one over a tensor not of
+// x's shape, errs.
+func (ctx *execCtx) forward(op string, x *Tensor) (*cache, error) {
+	j := ctx.plan.forward[ctx.at]
+	if j < 0 || ctx.plan.caches[j].op == "" {
+		return nil, nil
+	}
+	c := &ctx.plan.caches[j]
+	if c.op != op || !c.shape.Equal(x.shape) {
 		return nil, fmt.Errorf("the forward cache is a %s's over %v, not a %s's over %v", c.op, c.shape, op, x.shape)
 	}
 	return c, nil
@@ -183,7 +205,7 @@ func kernelPool(maxPool bool) kernelFunc {
 		if maxPool {
 			argmax := ctx.sess.i32.get(out.NumElements(), false)
 			kernels.MaxPool(out.f32, x.f32, geo, argmax)
-			ctx.extras[n.name] = &cache{op: OpMaxPool, shape: x.shape, argmax: argmax, geo: geo}
+			ctx.keep(cache{op: OpMaxPool, shape: x.shape, argmax: argmax, geo: geo})
 		} else {
 			kernels.AvgPool(out.f32, x.f32, geo)
 		}
@@ -222,7 +244,7 @@ func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 		}
 		out.f32[r] = float32(loss)
 	}
-	ctx.extras[n.name] = &cache{op: OpSoftmaxXent, shape: logits.shape, f32: probs}
+	ctx.keep(cache{op: OpSoftmaxXent, shape: logits.shape, f32: probs})
 	ctx.charge(n, 6*int64(rows)*int64(cols), 2*logits.Bytes(), false)
 	return out, nil
 }
@@ -230,7 +252,9 @@ func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 // kernelReshape views x's storage in the shape its rule resolved.
 func kernelReshape(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	ctx.charge(n, 0, 0, false)
-	return &Tensor{dtype: in[0].dtype, shape: ctx.shape.Clone(), f32: in[0].f32, i32: in[0].i32}, nil
+	t := &ctx.plan.slots[ctx.at]
+	t.dtype, t.shape, t.f32, t.i32 = in[0].dtype, append(t.shape[:0], ctx.shape...), in[0].f32, in[0].i32
+	return t, nil
 }
 
 func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
@@ -249,7 +273,7 @@ func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 			out.f32[i] = v * scale
 		}
 	}
-	ctx.extras[n.name] = &cache{op: OpDropout, shape: x.shape, f32: mask}
+	ctx.keep(cache{op: OpDropout, shape: x.shape, f32: mask})
 	ctx.charge(n, int64(len(x.f32)), 3*x.Bytes(), false)
 	return out, nil
 }
@@ -273,8 +297,8 @@ func kernelReduce(mean bool) kernelFunc {
 
 func kernelArgMax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x := in[0]
-	rows, cols := kernels.RowsCols(x.Shape())
-	out := &Tensor{dtype: Int32, shape: ctx.shape.Clone(), i32: ctx.sess.i32.get(rows, false)}
+	_, cols := kernels.RowsCols(x.Shape())
+	out := ctx.draw(Int32, false)
 	if err := kernels.ArgMaxRows(out.i32, x.f32, cols); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 
 // Gradient kernels. Several need values cached by the matching forward
 // kernel; the forward node's name is carried in the grad node's
-// "forward" attribute and looked up in the run's extras (forward).
+// "forward" attribute, which the Run's plan resolves (forward).
 
 func kernelReluGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x := in[0], in[1]
@@ -48,7 +48,7 @@ func kernelBiasAddGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 // pool cached over a tensor of x's shape.
 func kernelMaxPoolGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, x := in[0], in[1]
-	c, err := ctx.forward(n, OpMaxPool, x)
+	c, err := ctx.forward(OpMaxPool, x)
 	if c == nil {
 		return nil, cmp.Or(err, fmt.Errorf("tf: MaxPoolGrad: forward cache for %q missing", attr(n, "forward", "")))
 	}
@@ -113,7 +113,7 @@ func kernelConv2DGradFilter(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error
 func kernelSoftmaxXentGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut, logits, labels := in[0], in[1], in[2]
 	rows, cols := kernels.RowsCols(logits.Shape())
-	c, err := ctx.forward(n, OpSoftmaxXent, logits)
+	c, err := ctx.forward(OpSoftmaxXent, logits)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func kernelSoftmaxXentGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 
 func kernelDropoutGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	gradOut := in[0]
-	c, err := ctx.forward(n, OpDropout, gradOut)
+	c, err := ctx.forward(OpDropout, gradOut)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,10 @@ package tf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"github.com/securetf/securetf/internal/device"
 )
 
 // The session's memory plan (freeList) can fail in three ways, and each
@@ -397,5 +400,180 @@ func TestArenaTakesBackOnlyWhatItDrew(t *testing.T) {
 	a.Recycle()
 	if len(a.f32.free) != 0 || len(a.i32.free) != 1 {
 		t.Fatalf("a run that drew only an int32 buffer kept %d float32 and %d int32", len(a.f32.free), len(a.i32.free))
+	}
+}
+
+// TestPlannedStepBitEqual: a training step — a small CNN's loss, every
+// gradient and an SGD apply, through a Reshape view and Dropout — run
+// three times on one session, each time on buffers left used (dirty),
+// gives the bits the same step gives on a fresh session holding the
+// same variables, and every Run after the first reuses the first's plan.
+func TestPlannedStepBitEqual(t *testing.T) {
+	g := NewGraph()
+	x := g.Placeholder("x", Float32, Shape{-1, 8, 8, 1})
+	f := g.Variable("filter", RandNormal(Shape{3, 3, 1, 4}, 0.5, 40))
+	pooled := g.MaxPool(g.Relu(g.Conv2D(x, f, 1, PaddingSame)), 2, 2)
+	w := g.Variable("w", RandNormal(Shape{64, 6}, 0.3, 41))
+	b := g.Variable("b", RandNormal(Shape{6}, 0.3, 42))
+	logits := g.BiasAdd(g.Dropout(g.MatMul(g.Flatten(pooled), w), 0.3), b)
+	labels := g.Placeholder("y", Float32, Shape{-1, 6})
+	loss := g.ReduceMean(g.SoftmaxCrossEntropy(logits, labels))
+	_, grads, err := GradientNodes(g, loss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, err := Minimize(g, SGD{LR: 0.1}, loss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := append([]*Node{loss, g.ArgMax(logits), train}, grads...)
+	feeds := Feeds{x: RandNormal(Shape{5, 8, 8, 1}, 1, 43), labels: OneHot([]int{0, 1, 2, 3, 5}, 6)}
+
+	warm := NewSession(g)
+	defer warm.Close()
+	var plan *runPlan
+	for k := range 3 {
+		fresh := freshLike(t, warm)
+		f := otherFeeds(feeds, k)
+		got, err := warm.Run(f, fetches, Training(), RNG(rand.New(rand.NewSource(int64(k)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty(warm, got)
+		want, err := fresh.Run(f, fetches, Training(), RNG(rand.New(rand.NewSource(int64(k)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !bitEqual(got[i], want[i]) {
+				t.Errorf("step %d: %q differs from a fresh session's", k, fetches[i].name)
+			}
+		}
+		for name, v := range fresh.vars {
+			if !bitEqual(warm.vars[name], v) {
+				t.Errorf("step %d: variable %q differs from a fresh session's after the apply", k, name)
+			}
+		}
+		fresh.Close()
+		if k == 0 {
+			plan = warm.plans[0]
+		} else if len(warm.plans) != 1 || warm.plans[0] != plan {
+			t.Fatalf("step %d made a plan of its own", k)
+		}
+	}
+}
+
+// TestViewOutlivesItsSource: a Reshape view taken early and read late
+// keeps its source's storage although the source's last direct reader
+// has long run, and a buffer of the source's size is drawn between the
+// two. Were the source's storage handed back at its last direct
+// reader, that draw would take it and the late read would see Exp's
+// output.
+func TestViewOutlivesItsSource(t *testing.T) {
+	g := NewGraph()
+	x := g.Placeholder("x", Float32, Shape{-1, 4})
+	w := g.Variable("w", RandNormal(Shape{4, 4}, 0.5, 50))
+	h := g.Relu(g.MatMul(x, w))
+	view := g.Reshape(h, Shape{-1})                   // read by sum now, by back at the end
+	late := g.Exp(g.Sub(h, g.ReduceSum(view)))        // h's last direct reader, then a draw of h's size
+	out := g.Add(late, g.Reshape(view, Shape{-1, 4})) // the view read again
+	feeds := Feeds{x: RandNormal(Shape{3, 4}, 1, 51)}
+
+	s := NewSession(g)
+	defer s.Close()
+	got, err := s.Run(feeds, []*Node{out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fetching h too keeps its storage to the end of the Run.
+	ref := NewSession(g)
+	defer ref.Close()
+	want, err := ref.Run(feeds, []*Node{out, h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(got[0], want[0]) {
+		t.Fatalf("the late read of a view saw %v, want %v", got[0].f32, want[0].f32)
+	}
+}
+
+// TestFetchedIntermediateLivesToTheEnd: an intermediate that is both
+// fetched and read by later nodes, after which buffers of its size are
+// drawn, comes back as it was computed, and so do the nodes reading it.
+func TestFetchedIntermediateLivesToTheEnd(t *testing.T) {
+	g := NewGraph()
+	x := g.Placeholder("x", Float32, Shape{-1, 4})
+	w := g.Variable("w", RandNormal(Shape{4, 4}, 0.5, 52))
+	h := g.Relu(g.MatMul(x, w))
+	out := g.Square(g.Exp(g.Neg(h))) // h's last reader, then two draws of its size
+	feeds := Feeds{x: RandNormal(Shape{3, 4}, 1, 53)}
+
+	s := NewSession(g)
+	defer s.Close()
+	got, err := s.Run(feeds, []*Node{h, out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fetch := range []*Node{h, out} {
+		ref := NewSession(g)
+		want, err := ref.Run(feeds, []*Node{fetch})
+		ref.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitEqual(got[i], want[0]) {
+			t.Errorf("%q fetched beside the other reads %v, alone %v", fetch.name, got[i].f32, want[0].f32)
+		}
+	}
+}
+
+// allocDevice is a null device that remembers what was registered.
+type allocDevice struct {
+	*device.Null
+	allocs map[string]int64
+}
+
+func (d *allocDevice) Alloc(name string, bytes int64) { d.allocs[name] = bytes }
+
+// TestArenaIsHeldPlusConsts: what a Session registers as tf/arena is
+// what its free lists hold when a Run ends plus the Run's Const values,
+// at its peak over Runs; the variables are registered once, as
+// tf/variables, and neither a variable nor a Reshape view enters the
+// arena.
+func TestArenaIsHeldPlusConsts(t *testing.T) {
+	g := NewGraph()
+	x := g.Placeholder("x", Float32, Shape{-1, 6})
+	w := g.Variable("w", RandNormal(Shape{6, 4}, 0.5, 54))
+	mix := g.Const("mix", RandNormal(Shape{4, 4}, 0.5, 57))
+	h := g.Relu(g.MatMul(g.MatMul(x, w), mix))
+	labels := g.Placeholder("y", Float32, Shape{-1, 4})
+	loss := g.ReduceMean(g.SoftmaxCrossEntropy(g.Reshape(h, Shape{-1, 4}), labels))
+	_, grads, err := GradientNodes(g, loss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &allocDevice{Null: device.NewNull(), allocs: map[string]int64{}}
+	s := NewSession(g, WithDevice(dev))
+	defer s.Close()
+	if got, want := dev.allocs["tf/variables"], w.ConstValue().Bytes(); got != want {
+		t.Fatalf("tf/variables is %d bytes, want %d", got, want)
+	}
+	var consts int64 // mix, and the gradient's seed
+	for _, n := range g.nodes {
+		if n.op == OpConst {
+			consts += n.ConstValue().Bytes()
+		}
+	}
+	var peak int64
+	for _, batch := range []int{8, 3} {
+		feeds := Feeds{x: RandNormal(Shape{batch, 6}, 1, 55), labels: RandNormal(Shape{batch, 4}, 1, 56)}
+		if _, err := s.Run(feeds, append([]*Node{loss}, grads...)); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, 4*int64(held(s))+consts)
+		if got := dev.allocs["tf/arena"]; got != peak {
+			t.Fatalf("batch %d: tf/arena is %d bytes, want the %d held plus the %d of the Consts, at peak %d",
+				batch, got, 4*held(s), consts, peak)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package tf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/securetf/securetf/internal/device"
 )
@@ -21,15 +22,24 @@ type Session struct {
 	steps  map[string]int64
 	rng    *rand.Rand
 
-	// f32 and i32 hold the storage of a Run's intermediates between
-	// Runs (see freeList). What is charged for it is arenaPeak, the
-	// cost model's arena, which does not know the lists exist.
+	// f32 and i32 hold the storage of a Run's intermediates (see
+	// freeList); plans keeps the plan of each fetch list run lately (see
+	// runPlan), most recent first, and ctx the evaluation state Runs
+	// share. What is charged for the storage is arenaPeak: the most the
+	// lists held at the end of a Run, plus the Run's Const values.
 	f32       freeList[float32]
 	i32       freeList[int32]
+	plans     []*runPlan
+	ctx       execCtx
 	arenaPeak int64
 }
 
-// freeList is the session's memory plan: every kernel output and forward
+// maxPlans bounds the plans a Session keeps: a trainer runs a step, an
+// evaluation and perhaps a checkpoint's fetches, and a caller that builds
+// a new fetch node for every Run must not grow the session without end.
+const maxPlans = 8
+
+// freeList is the session's memory: every kernel output and forward
 // cache of a Run is drawn from it, and when the Run ends it takes back
 // everything the Run drew except the storage behind a result Run gave
 // away, which is the caller's from then on; a result RunInto copied into
@@ -42,12 +52,14 @@ type Session struct {
 // last one's shapes allocates only what it gives away, and nothing when
 // it fetches into its own storage (RunInto). What a Run did not draw it
 // drops: the list never holds more than the last Run used, and an
-// evaluation at batch 10 000 is not pinned under a batch-50 trainer. The scan is linear in the buffers of one Run, a few dozen.
+// evaluation at batch 10 000 is not pinned under a batch-50 trainer. The
+// scan is linear in the buffers of one Run, a few dozen.
 //
-// A runtime that knows when an intermediate is dead (the Lite
-// interpreter, through Arena) can also hand a buffer back before the Run
-// ends (put): a later draw of the same Run may take it, and the Run's
-// end keeps it as it keeps what was drawn. A Session never does.
+// A runtime that knows when an intermediate is dead hands its buffer back
+// before the Run ends (put): a later draw of the same Run may take it,
+// and the Run's end keeps it as it keeps what was drawn. A Session does
+// so at each intermediate's last reader (runPlan), and the Lite
+// interpreter through Arena.
 type freeList[T any] struct {
 	free  [][]T // drawn by the last Run and not given away
 	drawn [][]T // drawn by the current Run so far and held
@@ -112,12 +124,17 @@ func (l *freeList[T]) unlist(buf []T) []T {
 }
 
 // recycle ends a Run: what it drew and did not give away is the next
-// Run's free list, and what it left undrawn is dropped.
-func (l *freeList[T]) recycle() {
+// Run's free list, and what it left undrawn is dropped. It returns the
+// elements the list now holds.
+func (l *freeList[T]) recycle() (held int) {
 	clear(l.free)
 	l.free, l.drawn = append(l.drawn, l.back...), l.free[:0]
 	clear(l.back)
 	l.back = l.back[:0]
+	for _, b := range l.free {
+		held += len(b)
+	}
+	return held
 }
 
 // Arena is a Session's pair of free lists for a runtime that is not a
@@ -134,15 +151,21 @@ type Arena struct {
 // the arena, reusing t's shape storage. A reused buffer holds whatever
 // its last user left in it unless zero is set.
 func (a *Arena) Draw(t *Tensor, dtype DType, shape Shape, zero bool) {
+	draw(t, &a.f32, &a.i32, dtype, shape, zero)
+}
+
+// draw re-points t at storage for a tensor of dtype and shape drawn from
+// f32 or i32, reusing t's shape storage.
+func draw(t *Tensor, f32 *freeList[float32], i32 *freeList[int32], dtype DType, shape Shape, zero bool) {
 	n := shape.NumElements()
 	if n < 0 {
 		panic("tf: cannot draw a tensor of unknown shape")
 	}
 	t.dtype, t.shape, t.f32, t.i32 = dtype, append(t.shape[:0], shape...), nil, nil
 	if dtype == Int32 {
-		t.i32 = a.i32.get(n, zero)
+		t.i32 = i32.get(n, zero)
 	} else {
-		t.f32 = a.f32.get(n, zero)
+		t.f32 = f32.get(n, zero)
 	}
 }
 
@@ -155,10 +178,9 @@ func (a *Arena) Return(t *Tensor) {
 }
 
 // Recycle ends a run: what it drew is the next run's to draw, and what
-// it left undrawn is dropped.
-func (a *Arena) Recycle() {
-	a.f32.recycle()
-	a.i32.recycle()
+// it left undrawn is dropped. It returns the bytes the arena now holds.
+func (a *Arena) Recycle() int64 {
+	return 4 * int64(a.f32.recycle()+a.i32.recycle())
 }
 
 // SessionOption configures a Session.
@@ -185,6 +207,7 @@ func NewSession(g *Graph, opts ...SessionOption) *Session {
 		steps: make(map[string]int64),
 		rng:   rand.New(rand.NewSource(1)),
 	}
+	s.ctx = execCtx{sess: s, in: make([]*Tensor, 0, 3), shapes: make([]Shape, 0, 3), shape: make(Shape, 0, maxRank)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -214,7 +237,7 @@ func (s *Session) Device() device.Device { return s.device }
 func (s *Session) Close() {
 	s.device.Free("tf/variables")
 	s.device.Free("tf/arena")
-	s.f32, s.i32 = freeList[float32]{}, freeList[int32]{}
+	s.f32, s.i32, s.plans = freeList[float32]{}, freeList[int32]{}, nil
 }
 
 // Feeds maps placeholder nodes to their input tensors for one Run.
@@ -258,7 +281,7 @@ func (s *Session) Run(feeds Feeds, fetches []*Node, opts ...RunOption) ([]*Tenso
 // its results. into is nil or as long as fetches; each tensor in it
 // needs the fetch's dtype and element count (its own shape is kept),
 // and a mismatch is an error before any of into is written.
-func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...RunOption) ([]*Tensor, error) {
+func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...RunOption) (results []*Tensor, err error) {
 	if into != nil && len(into) != len(fetches) {
 		return nil, fmt.Errorf("tf: %d fetches into %d tensors", len(fetches), len(into))
 	}
@@ -266,20 +289,30 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 	for _, o := range opts {
 		o(&cfg)
 	}
-	order, err := topoSort(fetches)
+	p, err := s.plan(fetches)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &execCtx{
-		sess:     s,
-		training: cfg.training,
-		rng:      cfg.rng,
-		values:   make(map[*Node]*Tensor, len(order)),
-		extras:   make(map[string]*cache),
-		in:       make([]*Tensor, 0, 3),
-		shapes:   make([]Shape, 0, 3),
-		shape:    make(Shape, 0, maxRank),
-	}
+	defer func() {
+		held := 4 * int64(s.f32.recycle()+s.i32.recycle())
+		p.reset()
+		// The activation arena registered against the device is what
+		// the session holds for the next Run, plus the Const values the
+		// Run read, which the full runtime materializes there:
+		// training's large intermediate state is what pressures the EPC
+		// (§7.1). Variables are registered once, as tf/variables.
+		if arena := held + p.consts; err == nil && arena > s.arenaPeak {
+			s.arenaPeak = arena
+			s.device.Alloc("tf/arena", arena)
+		}
+	}()
+	return s.run(p, feeds, into, cfg)
+}
+
+// run evaluates p's nodes under feeds, handing each intermediate's
+// storage back at its last reader, and returns the fetches' values as
+// RunInto hands them out.
+func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([]*Tensor, error) {
 	for node, t := range feeds {
 		if node == nil || t == nil {
 			return nil, fmt.Errorf("tf: nil feed")
@@ -287,40 +320,39 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 		if err := node.fits(t); err != nil {
 			return nil, fmt.Errorf("tf: feeding %q: %w", node.name, err)
 		}
-		ctx.values[node] = t
-	}
-	defer func() {
-		s.f32.recycle()
-		s.i32.recycle()
-	}()
-
-	var arena int64
-	for _, n := range order {
-		if _, done := ctx.values[n]; done {
-			continue
+		if k, ok := p.index[node]; ok {
+			p.values[k] = t
 		}
-		out, err := s.evalNode(ctx, n)
-		if err != nil {
-			return nil, fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
-		}
-		ctx.values[n] = out
-		arena += out.Bytes()
 	}
-	if arena > s.arenaPeak {
-		s.arenaPeak = arena
-		// Activation arena registered against the device: training's
-		// large intermediate state is what pressures the EPC (§7.1).
-		s.device.Alloc("tf/arena", arena)
+	ctx := &s.ctx
+	ctx.plan, ctx.training, ctx.rng = p, cfg.training, cfg.rng
+	for k, n := range p.order {
+		if p.values[k] == nil {
+			ctx.at = k
+			out, err := s.evalNode(ctx, n)
+			if err != nil {
+				return nil, fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
+			}
+			p.values[k] = out
+		}
+		for _, r := range p.release[k] {
+			v := p.values[r]
+			if aliases(p.order[r].op) && sharesStorage(v, p.values[p.inputs[r][0]]) {
+				continue // its input's storage, which goes back with its input
+			}
+			s.f32.put(v.f32)
+			s.i32.put(v.i32)
+		}
 	}
 
 	for i, dst := range into {
-		if t := ctx.values[fetches[i]]; dst != nil && (dst.dtype != t.dtype || dst.NumElements() != t.NumElements()) {
-			return nil, fmt.Errorf("tf: fetch %q is %v of %d elements, into %v of %d", fetches[i].name, t.dtype, t.NumElements(), dst.dtype, dst.NumElements())
+		if t := p.values[p.fetchAt[i]]; dst != nil && (dst.dtype != t.dtype || dst.NumElements() != t.NumElements()) {
+			return nil, fmt.Errorf("tf: fetch %q is %v of %d elements, into %v of %d", p.fetches[i].name, t.dtype, t.NumElements(), dst.dtype, dst.NumElements())
 		}
 	}
-	results := make([]*Tensor, len(fetches))
-	for i, f := range fetches {
-		t := ctx.values[f]
+	results := make([]*Tensor, len(p.fetchAt))
+	for i, k := range p.fetchAt {
+		t := p.values[k]
 		switch {
 		case into != nil && into[i] != nil:
 			copy(into[i].f32, t.f32)
@@ -331,17 +363,134 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 		default:
 			s.f32.release(t.f32)
 			s.i32.release(t.i32)
+			// The value's header is the plan's, re-pointed next Run.
+			t = &Tensor{dtype: t.dtype, shape: t.shape.Clone(), f32: t.f32, i32: t.i32}
 		}
 		results[i] = t
 	}
 	return results, nil
 }
 
+// runPlan is how a Run of one fetch list goes, worked out at its first
+// Run and kept for the next ones: the nodes in the order they run, where
+// each one's inputs are, and after which node each intermediate's
+// storage goes back to the free list. That is after its last reader,
+// where a Reshape view or a pass-through (Dropout at inference,
+// DropoutGrad without its mask) of it is a reader for as long as the
+// view is read, since ownership goes by backing array. Fetches, and
+// whatever they view, stay until the Run ends, as do forward caches.
+// The plan also holds what a Run fills in as it goes, per node, which
+// reset clears when the Run ends.
+type runPlan struct {
+	fetches []*Node
+	order   []*Node
+	index   map[*Node]int // position in order
+	inputs  [][]int       // per position: its inputs' positions
+	forward []int         // per position: the forward node whose cache it reads, or -1
+	release [][]int       // per position: the positions whose storage goes back once it has run
+	fetchAt []int         // per fetch: its position
+	consts  int64         // bytes of the Const values the Run reads
+
+	values []*Tensor // per position: its value this Run
+	slots  []Tensor  // per position: the header its kernel's output is drawn into
+	caches []cache   // per position: the forward cache its kernel left this Run
+}
+
+// plan returns the plan for fetches, making it at their first Run, and
+// keeps the session's plans most recently run first.
+func (s *Session) plan(fetches []*Node) (*runPlan, error) {
+	for i, p := range s.plans {
+		if slices.Equal(p.fetches, fetches) {
+			copy(s.plans[1:i+1], s.plans[:i])
+			s.plans[0] = p
+			return p, nil
+		}
+	}
+	p, err := newPlan(fetches)
+	if err != nil {
+		return nil, err
+	}
+	s.plans = slices.Insert(s.plans[:min(len(s.plans), maxPlans-1)], 0, p)
+	return p, nil
+}
+
+func newPlan(fetches []*Node) (*runPlan, error) {
+	order, err := topoSort(fetches)
+	if err != nil {
+		return nil, err
+	}
+	n := len(order)
+	p := &runPlan{
+		fetches: slices.Clone(fetches),
+		order:   order,
+		index:   make(map[*Node]int, n),
+		inputs:  make([][]int, n),
+		forward: make([]int, n),
+		release: make([][]int, n),
+		fetchAt: make([]int, len(fetches)),
+		values:  make([]*Tensor, n),
+		slots:   make([]Tensor, n),
+		caches:  make([]cache, n),
+	}
+	byName := make(map[string]int, n)
+	for k, node := range order {
+		p.index[node], byName[node.name] = k, k
+	}
+	last := make([]int, n) // per position: the last position reading its storage, n for none
+	for k, node := range order {
+		last[k], p.forward[k] = k, -1
+		p.inputs[k] = make([]int, len(node.inputs))
+		for i, in := range node.inputs {
+			j := p.index[in]
+			p.inputs[k][i], last[j] = j, k
+		}
+		if j, ok := byName[attr(node, "forward", "")]; ok {
+			p.forward[k] = j
+		}
+		if node.op == OpConst {
+			p.consts += attr[*Tensor](node, "value", nil).Bytes()
+		}
+	}
+	for i, f := range fetches {
+		p.fetchAt[i] = p.index[f]
+		last[p.fetchAt[i]] = n
+	}
+	for k := n - 1; k >= 0; k-- { // a view's readers come after it
+		if aliases(order[k].op) {
+			j := p.inputs[k][0]
+			last[j] = max(last[j], last[k])
+		}
+	}
+	for k, node := range order {
+		if last[k] < n && opRules[node.op].kernel != nil {
+			p.release[last[k]] = append(p.release[last[k]], k)
+		}
+	}
+	return p, nil
+}
+
+// aliases reports whether an op's output may be its input's storage.
+func aliases(op string) bool { return op == OpReshape || op == OpDropout || op == OpDropoutGrad }
+
+// sharesStorage reports whether a and b are views of one backing array.
+func sharesStorage(a, b *Tensor) bool { return sameArray(a.f32, b.f32) || sameArray(a.i32, b.i32) }
+
+// reset forgets what a Run left in p — values, the storage its headers
+// point at, forward caches — so that a plan the session may not run
+// again pins nothing the Run drew.
+func (p *runPlan) reset() {
+	clear(p.values)
+	for i := range p.slots {
+		p.slots[i].f32, p.slots[i].i32 = nil, nil
+	}
+	clear(p.caches)
+}
+
 // isVariable reports whether t is, or is a view of, a variable's
 // storage, which optimizer applies and SetVariable write in place.
 func (s *Session) isVariable(t *Tensor) bool {
 	for _, v := range s.vars {
-		if sameArray(t.f32, v.f32) || sameArray(t.i32, v.i32) {
+		if sharesStorage(t, v) {
 			return true
 		}
 	}
@@ -369,11 +518,8 @@ func (s *Session) evalNode(ctx *execCtx, n *Node) (*Tensor, error) {
 		return v, n.fits(v)
 	}
 	ctx.in, ctx.shapes = ctx.in[:0], ctx.shapes[:0]
-	for _, input := range n.inputs {
-		v, ok := ctx.values[input]
-		if !ok {
-			return nil, fmt.Errorf("input %q not evaluated", input.name)
-		}
+	for _, j := range ctx.plan.inputs[ctx.at] {
+		v := ctx.plan.values[j]
 		ctx.in, ctx.shapes = append(ctx.in, v), append(ctx.shapes, v.shape)
 	}
 	rule := opRules[n.op]

@@ -247,7 +247,7 @@ func (ip *Interpreter) Output(i int) (*tf.Tensor, error) {
 }
 
 // Invoke runs the model over the current inputs.
-func (ip *Interpreter) Invoke() error {
+func (ip *Interpreter) Invoke() (err error) {
 	if !ip.allocated {
 		if err := ip.AllocateTensors(); err != nil {
 			return err
@@ -262,10 +262,16 @@ func (ip *Interpreter) Invoke() error {
 			ip.values[ip.model.Inputs[i]] = t
 		}
 	}
-	defer ip.arena.Recycle()
-	// The device is charged the sum of every op's output, as a Session
-	// charges tf/arena: the cost model knows nothing of the plan.
-	var arena int64
+	defer func() {
+		// The device is charged, as a Session charges tf/arena, the most
+		// the arena has held for the next Invoke: the outputs handed
+		// back are the caller's, and the weights are registered on their
+		// own.
+		if arena := ip.arena.Recycle(); err == nil && arena > ip.arenaPeak {
+			ip.arenaPeak = arena
+			ip.dev.Alloc(ip.id+"/arena", arena)
+		}
+	}()
 	for k := range ip.model.Ops {
 		op := &ip.model.Ops[k]
 		out, err := ip.run(k, op)
@@ -273,14 +279,9 @@ func (ip *Interpreter) Invoke() error {
 			return fmt.Errorf("tflite: op %d (%s): %w", k, op.Code, err)
 		}
 		ip.values[op.Outputs[0]] = out
-		arena += out.Bytes()
 		for _, r := range ip.plan.release[k] {
 			ip.arena.Return(&ip.slots[r])
 		}
-	}
-	if arena > ip.arenaPeak {
-		ip.arenaPeak = arena
-		ip.dev.Alloc(ip.id+"/arena", arena)
 	}
 	return nil
 }

@@ -314,10 +314,10 @@ func TestInterpreterChargesDevice(t *testing.T) {
 		t.Fatal("Invoke charged no virtual time")
 	}
 
-	// The arena the device holds is the cost model's: the sum of every
-	// op's output at the largest batch run, whatever storage the
-	// interpreter reuses. At batch 8 the three ops write [8,10], [8,4]
-	// and [8,4] floats.
+	// The arena the device holds is the most the interpreter's arena has
+	// held at the end of an Invoke. At batch 8 the three ops write
+	// [8,10], [8,4] and [8,4] floats; the last is the output, handed
+	// back to the caller, so the arena keeps the first two.
 	if len(model.Ops) != 3 {
 		t.Fatalf("the converted MLP has %d ops, want FullyConnected, FullyConnected, Softmax", len(model.Ops))
 	}
@@ -329,7 +329,7 @@ func TestInterpreterChargesDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := enclave.ResidentBytes()-resident, int64(8*(10+4+4)*4); got != want {
+	if got, want := enclave.ResidentBytes()-resident, int64(8*(10+4)*4); got != want {
 		t.Fatalf("Invokes at batch 1 and 8 registered %d arena bytes, want %d", got, want)
 	}
 }
