@@ -169,13 +169,19 @@ func TestWorkerCheckpointResume(t *testing.T) {
 	}
 }
 
-// runWorker starts the cas command in-process, drives a full worker
-// startup against it and returns the worker's output.
+// runWorker starts the cas command in-process on a fresh store, drives
+// a full worker startup against it and returns the worker's output.
 func runWorker(t *testing.T, platformName string, extraArgs ...string) string {
+	t.Helper()
+	return runWorkerOn(t, filepath.Join(t.TempDir(), "store"), platformName, extraArgs...)
+}
+
+// runWorkerOn is runWorker with the CAS on the given store.
+func runWorkerOn(t *testing.T, store, platformName string, extraArgs ...string) string {
 	t.Helper()
 	trustdir := t.TempDir()
 	casInfo := filepath.Join(trustdir, "cas.pem")
-	addr, stopCAS := startCAS(t, "-keyout", casInfo, "-trustdir", trustdir)
+	addr, stopCAS := startCAS(t, store, "-keyout", casInfo, "-trustdir", trustdir)
 	var buf bytes.Buffer
 	args := []string{
 		"serve",
@@ -197,15 +203,15 @@ func runWorker(t *testing.T, platformName string, extraArgs ...string) string {
 	return buf.String()
 }
 
-// startCAS runs the cas command in-process on a fresh store, with args
-// added, and returns its address once it listens. stop interrupts it and
+// startCAS runs the cas command in-process on store, with args added,
+// and returns its address once it listens. stop interrupts it and
 // returns everything it printed.
-func startCAS(t *testing.T, args ...string) (addr string, stop func() string) {
+func startCAS(t *testing.T, store string, args ...string) (addr string, stop func() string) {
 	t.Helper()
 	interrupt := make(chan os.Signal)
 	saved := interrupted
 	interrupted = func() <-chan os.Signal { return interrupt }
-	args = append([]string{"cas", "-store", filepath.Join(t.TempDir(), "store")}, args...)
+	args = append([]string{"cas", "-store", store}, args...)
 	pr, pw := io.Pipe()
 	exited := make(chan error, 1)
 	go func() {

@@ -12,9 +12,12 @@
 //  1. Create a Platform (one per physical node) and Launch a secure
 //     Container on it, choosing a RuntimeKind — the five systems of the
 //     paper's Figure 5 (SCONE HW/SIM, Graphene, native glibc/musl).
-//  2. Optionally attest the container to a CAS with Container.Provision,
-//     receiving volume keys for the file-system shield, a TLS identity
-//     for the network shield and any application secrets. The shield's
+//  2. Attest the container to a CAS with Container.Provision, receiving
+//     the volume key for the file-system shield, a TLS identity for the
+//     network shield and any application secrets. Provision is the only
+//     way a shield is keyed: a container launched with FSShieldRules
+//     (a shielded kind only) refuses every file-system call until then,
+//     so nothing it writes reaches the host in the clear. The shield's
 //     audit channel (its rollback protection) is then one attested
 //     connection per CAS client, kept across calls and closed with the
 //     container; its handshake is charged once, when it is made.
@@ -329,7 +332,17 @@
 // long as the job's CAS: a later job, in this process or another,
 // starts a CAS with no record and accepts the snapshots it finds, so a
 // rollback across jobs goes unseen until the CAS's store outlives its
-// process. All of it is exercised by a deterministic
+// process.
+//
+// What the host can do to a snapshot volume, then: without the volume
+// key it reads nothing of a snapshot and changes no byte of one
+// unnoticed, and within a job a rolled-back snapshot is refused. Across
+// jobs a rollback is accepted,
+// and securetf-worker train -checkpoint-dir keeps the volume key in
+// plaintext beside the snapshots (volume.key), so the host's files alone
+// open them (ROADMAP item 14).
+//
+// Churn and checkpointing are exercised by a deterministic
 // fault-injection harness: a FaultPlan (ParseFaultPlan's
 // "kill:w2@r1+rejoin2;restart:ps0@r2" grammar, or RandomFaultPlan's
 // seeded churn schedules) handed to DistTrainConfig.Chaos — or

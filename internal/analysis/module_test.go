@@ -266,9 +266,12 @@ func TestFacadeOwnsTheTrainingCluster(t *testing.T) {
 }
 
 // TestOnlyTheCASIssuesIdentities holds the provisioning rule of the
-// paper's §3: TLS identities come from the CAS, to attested enclaves.
-// So outside internal/cas no non-test file mints a certificate
-// authority of its own.
+// paper's §3: secrets come from the CAS, to attested enclaves. So
+// outside internal/cas no non-test file mints a certificate authority
+// of its own, and outside internal/core (whose Provision keys a
+// container's shield with what the CAS released), internal/cas and the
+// shield itself no non-test file builds a file-system shield or hands
+// one a volume key.
 func TestOnlyTheCASIssuesIdentities(t *testing.T) {
 	cmd := exec.Command("go", "list", "-f", `{{range .GoFiles}}{{$.ImportPath}}/{{.}} {{$.Dir}}/{{.}}{{"\n"}}{{end}}`, "./...")
 	cmd.Dir = "../.."
@@ -276,6 +279,7 @@ func TestOnlyTheCASIssuesIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
+	setsVolumeKey := regexp.MustCompile(`VolumeKey\s*:|\.VolumeKey\s*=[^=]`)
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		name, path, _ := strings.Cut(line, " ")
 		if strings.Contains(name, "/internal/cas/") {
@@ -285,8 +289,15 @@ func TestOnlyTheCASIssuesIdentities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(data), "seccrypto.NewCA(") {
+		src := string(data)
+		if strings.Contains(src, "seccrypto.NewCA(") {
 			t.Errorf("%s calls seccrypto.NewCA(…): a node's TLS identity comes from a CAS session after it attests (Container.Provision)", name)
+		}
+		if strings.Contains(name, "/internal/core/") || strings.Contains(name, "/internal/shield/fsshield/") {
+			continue
+		}
+		if strings.Contains(src, "fsshield.New(") || setsVolumeKey.MatchString(src) {
+			t.Errorf("%s builds a file-system shield or sets its VolumeKey: a container's shield is keyed by Container.Provision, from a CAS session", name)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package core
 
 import (
 	"crypto/ecdsa"
+	"errors"
 	"fmt"
 	"net"
 
@@ -100,16 +101,17 @@ type Config struct {
 	// platform's physical cores.
 	Threads int
 
-	// FSShieldRules enables the file-system shield over the runtime FS
-	// when non-empty. The volume key comes from VolumeKey or from CAS
-	// provisioning.
+	// FSShieldRules puts the file-system shield over the runtime FS
+	// when non-empty (shielded kinds only). Its volume key and freshness
+	// audit come from the CAS, at Provision; until then the container's
+	// FS refuses every call with ErrNotProvisioned.
 	FSShieldRules []fsshield.Rule
-	// VolumeKey is the file-system shield volume key when not using CAS.
-	VolumeKey *seccrypto.Key
-	// Audit is the freshness service for the file-system shield
-	// (optional; a CAS provisioning step can also install one).
-	Audit fsshield.AuditService
 }
+
+// ErrNotProvisioned is what a shielded container's file system returns
+// until Provision has keyed it, so no file reaches the host in the
+// clear before the CAS has released the volume key.
+var ErrNotProvisioned = errors.New("core: file-system shield has no volume key until the container is provisioned")
 
 // Container is a running secure ML container.
 type Container struct {
@@ -130,6 +132,9 @@ func Launch(cfg Config) (*Container, error) {
 	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = cfg.Platform.Params().PhysicalCores
+	}
+	if len(cfg.FSShieldRules) > 0 && !cfg.Kind.Shielded() {
+		return nil, fmt.Errorf("core: a %v container cannot attest, so it cannot key a file-system shield", cfg.Kind)
 	}
 
 	var rt runtime
@@ -173,34 +178,22 @@ func Launch(cfg Config) (*Container, error) {
 	}
 
 	c := &Container{cfg: cfg, rt: rt, fs: rt.FS()}
-	if len(cfg.FSShieldRules) > 0 && cfg.VolumeKey != nil {
-		if err := c.enableFSShield(*cfg.VolumeKey); err != nil {
-			rt.Close()
-			return nil, err
-		}
+	if len(cfg.FSShieldRules) > 0 {
+		c.fs = unprovisioned{}
 	}
 	return c, nil
 }
 
-// enableFSShield layers the file-system shield over the runtime FS.
-func (c *Container) enableFSShield(key seccrypto.Key) error {
-	var meter fsshield.Meter
-	if e := c.rt.Enclave(); e != nil {
-		meter = fsshield.EnclaveMeter{Enclave: e}
-	}
-	s, err := fsshield.New(fsshield.Config{
-		Inner:     c.rt.FS(),
-		VolumeKey: key,
-		Rules:     c.cfg.FSShieldRules,
-		Meter:     meter,
-		Audit:     c.cfg.Audit,
-	})
-	if err != nil {
-		return fmt.Errorf("core: enabling file-system shield: %w", err)
-	}
-	c.fs = s
-	return nil
-}
+// unprovisioned is a shielded container's file system before Provision.
+type unprovisioned struct{}
+
+func (unprovisioned) Open(string) (fsapi.File, error)     { return nil, ErrNotProvisioned }
+func (unprovisioned) Create(string) (fsapi.File, error)   { return nil, ErrNotProvisioned }
+func (unprovisioned) Remove(string) error                 { return ErrNotProvisioned }
+func (unprovisioned) Rename(string, string) error         { return ErrNotProvisioned }
+func (unprovisioned) Stat(string) (fsapi.FileInfo, error) { return fsapi.FileInfo{}, ErrNotProvisioned }
+func (unprovisioned) List(string) ([]string, error)       { return nil, ErrNotProvisioned }
+func (unprovisioned) MkdirAll(string) error               { return ErrNotProvisioned }
 
 // Kind returns the container's runtime kind.
 func (c *Container) Kind() RuntimeKind { return c.cfg.Kind }
@@ -242,10 +235,10 @@ func (c *Container) Device(threads int) device.Device {
 }
 
 // Provision attests the container to a CAS session and installs the
-// provisioned material: the named volume key for the file-system shield
-// and the TLS identity for the network shield. It returns the full
-// provision for application secrets, plus the attestation timing
-// (Figure 4's subject).
+// provisioned material: the named volume key for the file-system shield,
+// audited by the CAS for freshness, and the TLS identity for the network
+// shield. It returns the full provision for application secrets, plus
+// the attestation timing (Figure 4's subject).
 func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.Provision, cas.AttestTiming, error) {
 	prov, timing, err := client.Attest(session)
 	if err != nil {
@@ -262,12 +255,17 @@ func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.
 		}
 		var key seccrypto.Key
 		copy(key[:], raw)
-		if c.cfg.Audit == nil {
-			c.cfg.Audit = client.AuditClient()
+		s, err := fsshield.New(fsshield.Config{
+			Inner:     c.rt.FS(),
+			VolumeKey: key,
+			Rules:     c.cfg.FSShieldRules,
+			Meter:     fsshield.EnclaveMeter{Enclave: c.rt.Enclave()},
+			Audit:     client.AuditClient(),
+		})
+		if err != nil {
+			return nil, timing, fmt.Errorf("core: enabling file-system shield: %w", err)
 		}
-		if err := c.enableFSShield(key); err != nil {
-			return nil, timing, err
-		}
+		c.fs = s
 	}
 	if prov.Identity != nil {
 		shield, err := netshield.New(netshield.Config{

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/securetf/securetf/internal/cas"
@@ -67,56 +69,126 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestFSShieldIntegration: the volume key a CAS provisions keeps a
+// model ciphertext on the host, the container reads it back through the
+// shield, and so does a second container the CAS provisions from the
+// same session.
 func TestFSShieldIntegration(t *testing.T) {
-	key, err := seccrypto.NewRandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newCASCluster(t)
 	host := fsapi.NewMem()
-	c := launchContainer(t, RuntimeSconeHW, func(cfg *Config) {
-		cfg.HostFS = host
-		cfg.FSShieldRules = []fsshield.Rule{{Prefix: "models/", Level: fsshield.LevelEncrypted}}
-		cfg.VolumeKey = &key
-	})
+	c := cl.provisioned(t, host)
 	secret := []byte("proprietary model weights")
-	if err := fsapi.WriteFile(c.FS(), "models/m.tflite", secret); err != nil {
+	if err := fsapi.WriteFile(c.FS(), "volumes/data/m.tflite", secret); err != nil {
 		t.Fatal(err)
 	}
 	// Host sees ciphertext only.
-	raw, err := fsapi.ReadFile(host, "models/m.tflite")
+	raw, err := fsapi.ReadFile(host, "volumes/data/m.tflite")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(raw) == string(secret) {
+	if bytes.Contains(raw, secret) {
 		t.Fatal("model stored in plaintext on the host")
 	}
-	got, err := fsapi.ReadFile(c.FS(), "models/m.tflite")
+	got, err := fsapi.ReadFile(c.FS(), "volumes/data/m.tflite")
 	if err != nil || string(got) != string(secret) {
 		t.Fatalf("shielded read failed: %v", err)
 	}
+	again := cl.provisioned(t, host)
+	if got, err := fsapi.ReadFile(again.FS(), "volumes/data/m.tflite"); err != nil || string(got) != string(secret) {
+		t.Fatalf("second container's shielded read: %q, %v", got, err)
+	}
 }
 
-// clusterWithCAS builds a CAS and a worker container wired for
-// attestation.
-func clusterWithCAS(t *testing.T) (*cas.Server, *Container, *cas.Client) {
+// TestShieldRefusesUntilProvisioned: a container launched with shield
+// rules has no volume key until the CAS provisions one, and until then
+// its file system refuses every call, so nothing it writes reaches the
+// host in the clear. Provisioning the same container opens it.
+func TestShieldRefusesUntilProvisioned(t *testing.T) {
+	cl := newCASCluster(t)
+	host := fsapi.NewMem()
+	c, client := cl.node(t, host)
+	secret := []byte("proprietary model weights")
+	if err := fsapi.WriteFile(c.FS(), "volumes/data/m.tflite", secret); !errors.Is(err, ErrNotProvisioned) {
+		t.Fatalf("write before Provision: err = %v, want ErrNotProvisioned", err)
+	}
+	if raw, err := fsapi.ReadFile(host, "volumes/data/m.tflite"); err == nil {
+		t.Fatalf("the host holds %q written before Provision", raw)
+	}
+	fsys := c.FS()
+	for name, err := range map[string]error{
+		"Create":   func() error { _, err := fsys.Create("plain.txt"); return err }(),
+		"Open":     func() error { _, err := fsys.Open("plain.txt"); return err }(),
+		"Stat":     func() error { _, err := fsys.Stat("plain.txt"); return err }(),
+		"List":     func() error { _, err := fsys.List(""); return err }(),
+		"Remove":   fsys.Remove("plain.txt"),
+		"Rename":   fsys.Rename("plain.txt", "other.txt"),
+		"MkdirAll": fsys.MkdirAll("volumes/data"),
+	} {
+		if !errors.Is(err, ErrNotProvisioned) {
+			t.Errorf("%s before Provision: err = %v, want ErrNotProvisioned", name, err)
+		}
+	}
+	if names, _ := host.List(""); len(names) != 0 {
+		t.Fatalf("the host holds %v before Provision", names)
+	}
+	if _, _, err := c.Provision(client, "inference", "data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsapi.WriteFile(c.FS(), "volumes/data/m.tflite", secret); err != nil {
+		t.Fatalf("write after Provision: %v", err)
+	}
+}
+
+// TestLaunchRefusesShieldOnNative: a native container has no enclave
+// to attest, so no CAS will key its shield.
+func TestLaunchRefusesShieldOnNative(t *testing.T) {
+	for _, kind := range []RuntimeKind{RuntimeNativeGlibc, RuntimeNativeMusl} {
+		_, err := Launch(Config{
+			Kind:          kind,
+			Platform:      newPlatform(t, "native"),
+			HostFS:        fsapi.NewMem(),
+			FSShieldRules: []fsshield.Rule{{Prefix: "models/", Level: fsshield.LevelEncrypted}},
+		})
+		if err == nil {
+			t.Fatalf("%v container with shield rules launched", kind)
+		}
+	}
+}
+
+// casCluster is a CAS whose "inference" session provisions the volume
+// "data", and the worker platforms it trusts.
+type casCluster struct {
+	server     *cas.Server
+	casPlat    *sgx.Platform
+	workers    int
+	registered bool
+}
+
+func newCASCluster(t *testing.T) *casCluster {
 	t.Helper()
 	casPlat := newPlatform(t, "cas-node")
-	workerPlat := newPlatform(t, "worker-node")
-	server, err := cas.NewServer(cas.ServerConfig{
-		Platform:         casPlat,
-		StoreFS:          fsapi.NewMem(),
-		TrustedPlatforms: TrustedKeys(workerPlat),
-	})
+	server, err := cas.NewServer(cas.ServerConfig{Platform: casPlat, StoreFS: fsapi.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { server.Close() })
+	return &casCluster{server: server, casPlat: casPlat}
+}
 
+// node launches a SconeHW worker over host, with "volumes/data/"
+// encrypted, on a platform of its own the CAS trusts, and a client
+// bootstrapped to the CAS. The first node registers the session. The
+// container is not provisioned.
+func (cl *casCluster) node(t *testing.T, host fsapi.FS) (*Container, *cas.Client) {
+	t.Helper()
+	cl.workers++
+	workerPlat := newPlatform(t, fmt.Sprintf("worker-node-%d", cl.workers))
+	cl.server.TrustPlatform(workerPlat.Name(), workerPlat.AttestationKey())
 	c, err := Launch(Config{
 		Kind:     RuntimeSconeHW,
 		Platform: workerPlat,
 		Image:    sgx.SyntheticImage("worker-app", tflite.BinarySize, 4<<20),
-		HostFS:   fsapi.NewMem(),
+		HostFS:   host,
 		FSShieldRules: []fsshield.Rule{
 			{Prefix: "volumes/data/", Level: fsshield.LevelEncrypted},
 		},
@@ -126,21 +198,24 @@ func clusterWithCAS(t *testing.T) (*cas.Server, *Container, *cas.Client) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	volKey := make([]byte, seccrypto.KeySize)
-	for i := range volKey {
-		volKey[i] = byte(i)
-	}
 	client, err := cas.NewClient(cas.ClientConfig{
 		Enclave:        c.Enclave(),
-		Addr:           server.Addr(),
-		CASMeasurement: server.Measurement(),
-		PlatformKeys:   TrustedKeys(casPlat, workerPlat),
+		Addr:           cl.server.Addr(),
+		CASMeasurement: cl.server.Measurement(),
+		PlatformKeys:   TrustedKeys(cl.casPlat, workerPlat),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Bootstrap(); err != nil {
 		t.Fatal(err)
+	}
+	if cl.registered {
+		return c, client
+	}
+	volKey := make([]byte, seccrypto.KeySize)
+	for i := range volKey {
+		volKey[i] = byte(i)
 	}
 	session := &cas.Session{
 		Name:         "inference",
@@ -153,11 +228,22 @@ func clusterWithCAS(t *testing.T) (*cas.Server, *Container, *cas.Client) {
 	if err := client.Register(session); err != nil {
 		t.Fatal(err)
 	}
-	return server, c, client
+	cl.registered = true
+	return c, client
+}
+
+// provisioned is node, provisioned from the session.
+func (cl *casCluster) provisioned(t *testing.T, host fsapi.FS) *Container {
+	t.Helper()
+	c, client := cl.node(t, host)
+	if _, _, err := c.Provision(client, "inference", "data"); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestProvisionFromCAS(t *testing.T) {
-	_, c, client := clusterWithCAS(t)
+	c, client := newCASCluster(t).node(t, fsapi.NewMem())
 	prov, timing, err := c.Provision(client, "inference", "data")
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +270,7 @@ func TestProvisionFromCAS(t *testing.T) {
 func TestProvisionRollbackDetection(t *testing.T) {
 	// Files written under a CAS-audited volume must detect rollback
 	// across container restarts (the §3.3.2 freshness mechanism).
-	_, c, client := clusterWithCAS(t)
-	if _, _, err := c.Provision(client, "inference", "data"); err != nil {
-		t.Fatal(err)
-	}
+	c := newCASCluster(t).provisioned(t, fsapi.NewMem())
 	host := c.cfg.HostFS
 
 	if err := fsapi.WriteFile(c.FS(), "volumes/data/state.bin", []byte("v1")); err != nil {

@@ -8,7 +8,6 @@ import (
 	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/cas/ias"
 	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/sgx"
 )
 
@@ -22,70 +21,41 @@ func ElasticScaling(n int) (casTotal, iasTotal time.Duration, err error) {
 	if n <= 0 {
 		return 0, 0, fmt.Errorf("experiments: elastic scaling needs n > 0, got %d", n)
 	}
+	casWave, iasWave, err := attestWaves(n)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := range casWave {
+		casTotal += casWave[i].Total()
+		iasTotal += iasWave[i].Total()
+	}
+	return casTotal, iasTotal, nil
+}
+
+// attestWaves attests a wave of n fresh containers, each through the CAS
+// and through the traditional IAS flow, and returns the legs of every
+// attestation, in order. One worker platform hosts the wave (the paper
+// scales containers, not machines).
+func attestWaves(n int) (casWave, iasWave []cas.AttestTiming, err error) {
 	appImage := sgx.SyntheticImage("securetf-worker", 4<<20, 8<<20)
 	secrets := map[string][]byte{"model-key": make([]byte, 32)}
-
-	// One worker platform hosts the whole wave (the paper scales
-	// containers, not machines).
 	workerPlat, err := newPlatform("autoscale-node")
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-
-	// --- CAS wave. ---
-	casPlat, err := newPlatform("cas-node")
+	casServer, connect, err := startCAS(&cas.Session{
+		Name:         "autoscale",
+		OwnerToken:   "tok",
+		Measurements: []string{appImage.Measure().Hex()},
+		Secrets:      secrets,
+	}, workerPlat)
 	if err != nil {
-		return 0, 0, err
-	}
-	casServer, err := cas.NewServer(cas.ServerConfig{
-		Platform:         casPlat,
-		StoreFS:          fsapi.NewMem(),
-		TrustedPlatforms: core.TrustedKeys(workerPlat),
-	})
-	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
 	defer casServer.Close()
-
-	for i := 0; i < n; i++ {
-		enclave, err := workerPlat.CreateEnclave(appImage, sgx.ModeHW)
-		if err != nil {
-			return 0, 0, err
-		}
-		client, err := cas.NewClient(cas.ClientConfig{
-			Enclave:        enclave,
-			Addr:           casServer.Addr(),
-			CASMeasurement: casServer.Measurement(),
-			PlatformKeys:   core.TrustedKeys(casPlat, workerPlat),
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := client.Bootstrap(); err != nil {
-			return 0, 0, err
-		}
-		if i == 0 {
-			if err := client.Register(&cas.Session{
-				Name:         "autoscale",
-				OwnerToken:   "tok",
-				Measurements: []string{enclave.Measurement().Hex()},
-				Secrets:      secrets,
-			}); err != nil {
-				return 0, 0, err
-			}
-		}
-		_, timing, err := client.Attest("autoscale")
-		if err != nil {
-			return 0, 0, fmt.Errorf("experiments: CAS attest container %d: %w", i, err)
-		}
-		casTotal += timing.Total()
-		enclave.Destroy()
-	}
-
-	// --- IAS wave. ---
 	iasPlat, err := newPlatform("key-server")
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
 	iasServer, err := ias.NewServer(ias.ServerConfig{
 		Platform:         iasPlat,
@@ -93,23 +63,31 @@ func ElasticScaling(n int) (casTotal, iasTotal time.Duration, err error) {
 		Secrets:          secrets,
 	})
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
 	defer iasServer.Close()
 	for i := 0; i < n; i++ {
 		enclave, err := workerPlat.CreateEnclave(appImage, sgx.ModeHW)
 		if err != nil {
-			return 0, 0, err
+			return nil, nil, err
 		}
-		client := &ias.Client{Enclave: enclave, Addr: iasServer.Addr()}
-		_, timing, err := client.Attest()
+		client, err := connect(enclave)
 		if err != nil {
-			return 0, 0, fmt.Errorf("experiments: IAS attest container %d: %w", i, err)
+			return nil, nil, err
 		}
-		iasTotal += timing.Total()
+		_, casTiming, err := client.Attest("autoscale")
+		client.Close()
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: CAS attest container %d: %w", i, err)
+		}
+		_, iasTiming, err := (&ias.Client{Enclave: enclave, Addr: iasServer.Addr()}).Attest()
 		enclave.Destroy()
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: IAS attest container %d: %w", i, err)
+		}
+		casWave, iasWave = append(casWave, casTiming), append(iasWave, iasTiming)
 	}
-	return casTotal, iasTotal, nil
+	return casWave, iasWave, nil
 }
 
 // PrintElasticScaling renders the elastic-scaling comparison.

@@ -26,7 +26,9 @@ import (
 	"io"
 	"time"
 
+	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/core"
+	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/sgx"
 )
@@ -79,6 +81,47 @@ func (c Config) logf(format string, args ...any) {
 // newPlatform builds a fresh platform with default calibration.
 func newPlatform(name string) (*sgx.Platform, error) {
 	return sgx.NewPlatform(name, sgx.DefaultParams())
+}
+
+// startCAS starts a CAS on a platform of its own that trusts the
+// workers' platforms, with session registered by its owner. connect
+// returns a client of it, bootstrapped, for an enclave on one of them.
+func startCAS(session *cas.Session, workers ...*sgx.Platform) (server *cas.Server, connect func(*sgx.Enclave) (*cas.Client, error), err error) {
+	casPlat, err := newPlatform("cas-node")
+	if err != nil {
+		return nil, nil, err
+	}
+	server, err = cas.NewServer(cas.ServerConfig{
+		Platform:         casPlat,
+		StoreFS:          fsapi.NewMem(),
+		TrustedPlatforms: core.TrustedKeys(workers...),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	trust := core.TrustedKeys(append(workers, casPlat)...)
+	connect = func(e *sgx.Enclave) (*cas.Client, error) {
+		client, err := cas.NewClient(cas.ClientConfig{
+			Enclave:        e,
+			Addr:           server.Addr(),
+			CASMeasurement: server.Measurement(),
+			PlatformKeys:   trust,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return client, client.Bootstrap()
+	}
+	owner, err := connect(server.Enclave())
+	if err == nil {
+		err = owner.Register(session)
+		owner.Close()
+	}
+	if err != nil {
+		server.Close()
+		return nil, nil, err
+	}
+	return server, connect, nil
 }
 
 // fig5Kinds are the five systems of Figure 5, in the paper's order.

@@ -6,10 +6,6 @@ import (
 	"time"
 
 	"github.com/securetf/securetf/internal/cas"
-	"github.com/securetf/securetf/internal/cas/ias"
-	"github.com/securetf/securetf/internal/core"
-	"github.com/securetf/securetf/internal/fsapi"
-	"github.com/securetf/securetf/internal/sgx"
 )
 
 // Fig4Row is one bar group of Figure 4: the four legs of an attestation
@@ -29,106 +25,19 @@ func (r Fig4Row) Total() time.Duration {
 
 // Figure4 reproduces the attestation and key-transfer latency comparison
 // between the traditional IAS flow and the secureTF CAS (paper Fig. 4:
-// CAS ≈ 17 ms vs IAS ≈ 325 ms, quote verification < 1 ms vs ≈ 280 ms).
+// CAS ≈ 17 ms vs IAS ≈ 325 ms, quote verification < 1 ms vs ≈ 280 ms):
+// the legs of a one-container wave.
 func Figure4(cfg Config) ([]Fig4Row, error) {
 	cfg = cfg.withDefaults()
-	secrets := map[string][]byte{"model-key": make([]byte, 32)}
-	appImage := sgx.SyntheticImage("securetf-worker", 4<<20, 8<<20)
-
-	// --- Traditional flow: enclave quote -> key server -> Intel IAS. ---
-	cfg.logf("fig4: running traditional IAS flow")
-	iasServerPlat, err := newPlatform("key-server")
+	cfg.logf("fig4: attesting one container through the CAS and through IAS")
+	casWave, iasWave, err := attestWaves(1)
 	if err != nil {
 		return nil, err
 	}
-	workerPlat, err := newPlatform("worker-node")
-	if err != nil {
-		return nil, err
+	row := func(system string, t cas.AttestTiming) Fig4Row {
+		return Fig4Row{system, t.Initialization, t.SendQuote, t.WaitConfirmation, t.ReceiveKeys}
 	}
-	enclave, err := workerPlat.CreateEnclave(appImage, sgx.ModeHW)
-	if err != nil {
-		return nil, err
-	}
-	iasServer, err := ias.NewServer(ias.ServerConfig{
-		Platform:         iasServerPlat,
-		TrustedPlatforms: core.TrustedKeys(workerPlat),
-		Secrets:          secrets,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer iasServer.Close()
-	iasClient := &ias.Client{Enclave: enclave, Addr: iasServer.Addr()}
-	_, iasTiming, err := iasClient.Attest()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: IAS flow: %w", err)
-	}
-
-	// --- secureTF CAS flow: local DCAP verification. ---
-	cfg.logf("fig4: running secureTF CAS flow")
-	casPlat, err := newPlatform("cas-node")
-	if err != nil {
-		return nil, err
-	}
-	workerPlat2, err := newPlatform("worker-node-2")
-	if err != nil {
-		return nil, err
-	}
-	enclave2, err := workerPlat2.CreateEnclave(appImage, sgx.ModeHW)
-	if err != nil {
-		return nil, err
-	}
-	casServer, err := cas.NewServer(cas.ServerConfig{
-		Platform:         casPlat,
-		StoreFS:          fsapi.NewMem(),
-		TrustedPlatforms: core.TrustedKeys(workerPlat2),
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer casServer.Close()
-	casClient, err := cas.NewClient(cas.ClientConfig{
-		Enclave:        enclave2,
-		Addr:           casServer.Addr(),
-		CASMeasurement: casServer.Measurement(),
-		PlatformKeys:   core.TrustedKeys(casPlat, workerPlat2),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := casClient.Bootstrap(); err != nil {
-		return nil, err
-	}
-	session := &cas.Session{
-		Name:         "fig4",
-		OwnerToken:   "tok",
-		Measurements: []string{enclave2.Measurement().Hex()},
-		Secrets:      secrets,
-	}
-	if err := casClient.Register(session); err != nil {
-		return nil, err
-	}
-	_, casTiming, err := casClient.Attest("fig4")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: CAS flow: %w", err)
-	}
-
-	return []Fig4Row{
-		{
-			System:           "IAS",
-			Initialization:   iasTiming.Initialization,
-			SendQuote:        iasTiming.SendQuote,
-			WaitConfirmation: iasTiming.WaitConfirmation,
-			ReceiveKeys:      iasTiming.ReceiveKeys,
-		},
-		{
-			System:           "secureTF CAS",
-			Initialization:   casTiming.Initialization,
-			SendQuote:        casTiming.SendQuote,
-			WaitConfirmation: casTiming.WaitConfirmation,
-			ReceiveKeys:      casTiming.ReceiveKeys,
-		},
-	}, nil
+	return []Fig4Row{row("IAS", iasWave[0]), row("secureTF CAS", casWave[0])}, nil
 }
 
 // PrintFigure4 renders the rows as a table.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/models"
@@ -714,15 +715,57 @@ func TestBatchedThroughputBeatsUnbatched(t *testing.T) {
 		requests, unbatched, batched, float64(unbatched)/float64(batched))
 }
 
-func TestRegistryLifecycleAndShieldedLoad(t *testing.T) {
+// provisionVolume attests c to a CAS of its own and provisions the
+// volume "models" from it: a fresh key, and no TLS identity.
+func provisionVolume(t testing.TB, c *core.Container) {
+	t.Helper()
+	casPlat, err := sgx.NewPlatform("cas-node", sgx.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := cas.NewServer(cas.ServerConfig{
+		Platform:         casPlat,
+		StoreFS:          fsapi.NewMem(),
+		TrustedPlatforms: core.TrustedKeys(c.Platform()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	client, err := cas.NewClient(cas.ClientConfig{
+		Enclave:        c.Enclave(),
+		Addr:           server.Addr(),
+		CASMeasurement: server.Measurement(),
+		PlatformKeys:   core.TrustedKeys(casPlat, c.Platform()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 	key, err := seccrypto.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := client.Register(&cas.Session{
+		Name:         "serving",
+		OwnerToken:   "tok",
+		Measurements: []string{c.Enclave().Measurement().Hex()},
+		Volumes:      map[string][]byte{"models": key[:]},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Provision(client, "serving", "models"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRegistryLifecycleAndShieldedLoad(t *testing.T) {
 	c := launchContainer(t, func(cfg *core.Config) {
 		cfg.FSShieldRules = []fsshield.Rule{{Prefix: "volumes/models/", Level: fsshield.LevelEncrypted}}
-		cfg.VolumeKey = &key
 	})
+	provisionVolume(t, c)
 	g, err := NewGateway(c, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -243,8 +243,9 @@ func (s *Session) Close() {
 // Feeds maps placeholder nodes to their input tensors for one Run.
 type Feeds map[*Node]*Tensor
 
-// RunOption configures one Run call.
-type RunOption func(*runConfig)
+// RunOption configures one Run call. It takes and returns the options
+// by value, so applying one moves nothing to the heap.
+type RunOption func(runConfig) runConfig
 
 type runConfig struct {
 	training bool
@@ -253,14 +254,14 @@ type runConfig struct {
 
 // Training enables training behaviour (dropout active) for the run.
 func Training() RunOption {
-	return func(c *runConfig) { c.training = true }
+	return func(c runConfig) runConfig { c.training = true; return c }
 }
 
 // RNG makes the run draw its dropout masks from rng instead of the
 // session's RNG (WithSeed), so that a stream can belong to whoever
 // runs the session rather than to the session.
 func RNG(rng *rand.Rand) RunOption {
-	return func(c *runConfig) { c.rng = rng }
+	return func(c runConfig) runConfig { c.rng = rng; return c }
 }
 
 // Run evaluates fetches under the given feeds and returns their values in
@@ -287,7 +288,7 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 	}
 	cfg := runConfig{rng: s.rng}
 	for _, o := range opts {
-		o(&cfg)
+		cfg = o(cfg)
 	}
 	p, err := s.plan(fetches)
 	if err != nil {

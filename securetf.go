@@ -117,9 +117,9 @@ func PassthroughPrefix(prefix string) Rule {
 	return Rule{Prefix: prefix, Level: fsshield.LevelPassthrough}
 }
 
-// VolumeKey is a 32-byte file-system shield master key. Production
-// deployments receive volume keys from the CAS after attestation;
-// Launch also accepts one directly via ContainerConfig.VolumeKey.
+// VolumeKey is a 32-byte file-system shield master key. A container's
+// shield gets one only from the CAS, when Container.Provision attests it
+// to a session that holds the key for the volume.
 type VolumeKey = seccrypto.Key
 
 // NewVolumeKey draws a random volume key.
@@ -142,7 +142,9 @@ func VolumeKeyFromBytes(b []byte) (*VolumeKey, error) {
 }
 
 // ContainerConfig configures a secure container. Kind, Platform and
-// HostFS are required; Image is required for shielded kinds.
+// HostFS are required; Image is required for shielded kinds. Shield
+// rules need a shielded kind, and the container's FS refuses every call
+// until Container.Provision has keyed the shield from the CAS.
 type ContainerConfig = core.Config
 
 // Container is a running secure ML container: a runtime (with enclave,

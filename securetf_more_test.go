@@ -410,20 +410,49 @@ func TestEnclaveStats(t *testing.T) {
 
 // TestDirFSContainer runs containers over a real directory: a plain
 // file round-trips, and a file under an EncryptPrefix rule reaches the
-// disk as ciphertext beside its .sfsmeta, which a later container
-// holding the same volume key reads back.
+// disk as ciphertext beside its .sfsmeta, which a later container the
+// CAS provisions with the same volume key reads back.
 func TestDirFSContainer(t *testing.T) {
 	dir := t.TempDir()
 	key, err := securetf.NewVolumeKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDisk := func(cfg *securetf.ContainerConfig) {
-		cfg.HostFS = securetf.NewDirFS(dir)
-		cfg.FSShieldRules = []securetf.Rule{securetf.EncryptPrefix("models/")}
-		cfg.VolumeKey = key
+	casPlat := newPlatform(t, "cas-node")
+	server, err := securetf.StartCAS(casPlat, securetf.NewMemFS())
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := launch(t, securetf.SconeSIM, securetf.TFLiteImage(), onDisk)
+	defer server.Close()
+	registered := false
+	onDisk := func() *securetf.Container {
+		c := launch(t, securetf.SconeSIM, securetf.TFLiteImage(), func(cfg *securetf.ContainerConfig) {
+			cfg.HostFS = securetf.NewDirFS(dir)
+			cfg.FSShieldRules = []securetf.Rule{securetf.EncryptPrefix("models/")}
+		})
+		server.TrustPlatform(c.Platform().Name(), c.Platform().AttestationKey())
+		client, err := securetf.NewCASClient(c, server, casPlat, c.Platform())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !registered {
+			if err := client.Register(&securetf.Session{
+				Name:         "dirfs",
+				OwnerToken:   "tok",
+				Measurements: []string{c.Enclave().Measurement().Hex()},
+				AllowSIM:     true,
+				Volumes:      map[string][]byte{"models": key[:]},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			registered = true
+		}
+		if _, _, err := c.Provision(client, "dirfs", "models"); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := onDisk()
 	if err := securetf.WriteFile(c.FS(), "sub/file.bin", []byte("real disk")); err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +476,7 @@ func TestDirFSContainer(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "models", "model.stfl.sfsmeta")); err != nil {
 			t.Fatalf("shield metadata missing: %v", err)
 		}
-		again := launch(t, securetf.SconeSIM, securetf.TFLiteImage(), onDisk)
+		again := onDisk()
 		if got, err := securetf.ReadFile(again.FS(), "models/model.stfl"); err != nil || !bytes.Equal(got, secret) {
 			t.Fatalf("shielded round trip across containers: %q, %v", got, err)
 		}
