@@ -67,8 +67,8 @@ func TestWarmRunAllocatesWhatItGivesAway(t *testing.T) {
 
 // TestWarmRunIntoAllocation is RunInto's ceiling: the Run above, with
 // every gradient fetched into a tensor the caller keeps, allocates no
-// result at all on a warm session — the gradients' storage stays on the
-// session's free list — and only book-keeping beside the 4-byte loss.
+// result at all on a warm session — the gradients' storage stays in the
+// session's slabs — and only book-keeping beside the 4-byte loss.
 func TestWarmRunIntoAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation is not what is measured under the race detector")
@@ -147,6 +147,48 @@ func TestWarmPlanAllocation(t *testing.T) {
 		t.Fatalf("a warm RunInto made %v allocations, want at most 1: its results", allocs)
 	}
 	t.Logf("a warm RunInto made %v allocations", allocs)
+}
+
+// shortSessionParent is what TestShortSessionAllocation's four Runs
+// allocated when a session matched its storage by exact size: each
+// buffer at its first draw, and each result.
+const shortSessionParent = 6_313_712
+
+// TestShortSessionAllocation: a short-lived session — the bench's
+// closing evaluation, a fresh MNIST-CNN session running its accuracy in
+// four batch-64 Runs — allocates its layout's slabs once and its
+// results, and no more than when each buffer was allocated at its first
+// draw: a layout made before the first Run costs a short session
+// nothing extra.
+func TestShortSessionAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
+	}
+	m := models.MNISTCNN(1)
+	labels := make([]int, 64)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	feeds := tf.Feeds{m.X: tf.RandNormal(tf.Shape{64, 28, 28, 1}, 1, 2), m.Y: tf.OneHot(labels, 10)}
+	// The least of five sessions, for the reason TestWarmRunAllocatesWhatItGivesAway gives.
+	least, slab := int64(math.MaxInt64), int64(0)
+	for range 5 {
+		s := tf.NewSession(m.Graph)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 4 {
+			if _, err := s.Run(feeds, []*tf.Node{m.Accuracy}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least, slab = min(least, int64(after.TotalAlloc-before.TotalAlloc)), tf.SlabBytes(s)
+		s.Close()
+	}
+	if least > shortSessionParent {
+		t.Fatalf("four Runs of a fresh session allocated %d bytes, want at most the %d of exact-size matching", least, shortSessionParent)
+	}
+	t.Logf("four Runs of a fresh session allocated %d bytes, %d of them its slabs", least, slab)
 }
 
 // TestRunIntoMatchesRun: what RunInto copies into the caller's tensors

@@ -77,7 +77,10 @@ const (
 // shape it derives from theirs, and the kernel that computes it. The
 // builder and UnmarshalGraph apply the rule to declared shapes, in which
 // a dim of -1 is unknown and matches any (Node.derive); every Run applies
-// it again to the shapes its tensors have (Session.evalNode).
+// it again, before any kernel runs, to the shapes its feeds and sources
+// have (Session.shape), and lays out the storage the shapes call for,
+// which is the output's and, where its kernel draws more, what opMemory
+// declares.
 type opRule struct {
 	arity  int   // -1: any number
 	in     DType // every input's; 0: any, the same for all

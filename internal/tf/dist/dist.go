@@ -26,7 +26,7 @@
 // Replica and talks through the same Link, and keeps the same rule:
 //
 //   - A Plan owns its sessions, each with its variables, the tensors
-//     its gradients are fetched into and its activations' free list. A
+//     its gradients are fetched into and its activations' slabs. A
 //     Replica holds one from Hold to Release, and what is the session's
 //     is the Replica's for that span: a worker holds one for its life, a
 //     federated client only for a round's local steps, so a plan opens

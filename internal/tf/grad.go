@@ -118,7 +118,7 @@ var gradFuncs = map[string]gradFunc{
 		return []*Node{g.Div(gradOut, n.inputs[0])}
 	},
 	OpRelu: func(g *Graph, n *Node, gradOut *Node) []*Node {
-		return []*Node{g.addNode(n.name+"/grad", OpReluGrad, []*Node{gradOut, n.inputs[0]}, nil)}
+		return []*Node{g.addNode(n.name+"/grad", OpReluGrad, []*Node{gradOut, n}, nil)}
 	},
 	OpSigmoid: func(g *Graph, n *Node, gradOut *Node) []*Node {
 		return []*Node{g.addNode(n.name+"/grad", OpSigmoidGrad, []*Node{gradOut, n}, nil)}

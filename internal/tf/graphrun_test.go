@@ -2,6 +2,7 @@ package tf
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -114,7 +115,9 @@ func runEvery(data []byte) (loaded bool, erred int, fault string) {
 const errored = "error"
 
 // runOne runs n alone and reports a fault as runEvery does, errored, or
-// nothing.
+// nothing. A Run that succeeds must also have laid its buffers out
+// soundly (layoutFault), and fail once its plan declares scratch of
+// another size than its kernels draw (misdeclared).
 func runOne(s *Session, feeds Feeds, n *Node) (fault string) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -132,6 +135,168 @@ func runOne(s *Session, feeds Feeds, n *Node) (fault string) {
 	}
 	if !ok {
 		return fmt.Sprintf("%q gave %v %v, declares %v %v", n.name, r.dtype, r.shape, n.dtype, n.shape)
+	}
+	if f := layoutFault(s); f != "" {
+		return fmt.Sprintf("%q: %s", n.name, f)
+	}
+	return misdeclared(s, feeds, n)
+}
+
+// buffer is one output or scratch buffer a Run may draw, with its
+// liveness as derived here from the graph.
+type buffer struct {
+	pos, i32, off, n, first, last int  // pos: -1 for scratch
+	taken                         bool // by an op in place, at last
+}
+
+// buffers lists the buffers of the Run s made last: each value's but a
+// view's, live from its node to the last node reading its storage (a
+// view or pass-through of it reads for as long as that is read; a fetch
+// to the end), and each scratch draw's, for its node alone or, a forward
+// cache, to the last node reading it.
+func buffers(s *Session) []buffer {
+	p := s.plans[0]
+	n := len(p.order)
+	last := make([]int, n)
+	for k := range p.order {
+		last[k] = k
+		for _, j := range p.inputs[k] {
+			last[j] = k
+		}
+	}
+	for _, k := range p.fetchAt {
+		last[k] = n
+	}
+	for k := n - 1; k >= 0; k-- {
+		if op := p.order[k].op; op == OpReshape || op == OpDropout || op == OpDropoutGrad {
+			j := p.inputs[k][0]
+			last[j] = max(last[j], last[k])
+		}
+	}
+	var bufs []buffer
+	for k, node := range p.order {
+		if sp := p.outSpan[k]; sp >= 0 && node.op != OpReshape {
+			bufs = append(bufs, buffer{k, b2i(node.dtype == Int32), p.spans[sp].off, p.shapes[k].NumElements(), k, last[k], false})
+		}
+		for _, u := range p.scratch[k] {
+			end := k
+			for g := range p.order {
+				if u.cache && p.forward[g] == k {
+					end = max(end, g)
+				}
+			}
+			bufs = append(bufs, buffer{-1, b2i(u.i32), p.spans[u.span].off, p.spans[u.span].n, k, end, false})
+		}
+	}
+	for i := range bufs {
+		for _, b := range bufs {
+			bufs[i].taken = bufs[i].taken || took(p, bufs[i], b)
+		}
+	}
+	return bufs
+}
+
+// took reports whether b is the output of an op computed in place over
+// a, which it reads last, or over a view of a.
+func took(p *runPlan, a, b buffer) bool {
+	if a.pos < 0 || b.pos < 0 || a.last != b.first {
+		return false
+	}
+	if op := p.order[b.pos].op; op != OpBiasAdd && op != OpRelu && op != OpReluGrad {
+		return false
+	}
+	j := p.shares[b.pos]
+	for j >= 0 && p.order[j].op == OpReshape {
+		j = p.shares[j]
+	}
+	return j == a.pos
+}
+
+// sweep walks the nodes 0 to nodes and returns, per slab (float32,
+// int32), the highest end of a buffer live at one of them and the most
+// elements live at one, storage an op in place takes counted once. A
+// buffer takes whole 64-byte lines.
+func sweep(bufs []buffer, nodes int) (high, most [2]int) {
+	for at := 0; at <= nodes; at++ {
+		var live [2]int
+		for _, b := range bufs {
+			if room := (b.n + 15) &^ 15; b.first <= at && at <= b.last && b.n > 0 {
+				high[b.i32] = max(high[b.i32], b.off+room)
+				if !b.taken || at < b.last {
+					live[b.i32] += room
+				}
+			}
+		}
+		most[0], most[1] = max(most[0], live[0]), max(most[1], live[1])
+	}
+	return high, most
+}
+
+// layoutFault checks the layout of the Run s made last against the
+// liveness buffers derives, and describes the first fault: every buffer
+// lies in its slab, from the start of a 64-byte line; no two that are
+// live at one node overlap, unless one took the other's storage in
+// place; and a sweep over the nodes finds each slab as long as the
+// highest end of a buffer live at one of them, and at least the most
+// that is live at any.
+func layoutFault(s *Session) string {
+	p := s.plans[0]
+	bufs := buffers(s)
+	slabs := [2]int{len(s.f32), len(s.i32)}
+	for i, a := range bufs {
+		if a.off+a.n > slabs[a.i32] || a.off%16 != 0 {
+			return fmt.Sprintf("a buffer of %d elements at %d in a slab of %d", a.n, a.off, slabs[a.i32])
+		}
+		for _, b := range bufs[i+1:] {
+			if a.i32 == b.i32 && a.n > 0 && b.n > 0 && a.first <= b.last && b.first <= a.last &&
+				a.off < b.off+b.n && b.off < a.off+a.n && !took(p, a, b) && !took(p, b, a) {
+				return fmt.Sprintf("buffers of positions %d and %d, live over [%d,%d] and [%d,%d], overlap at %d and %d",
+					a.pos, b.pos, a.first, a.last, b.first, b.last, a.off, b.off)
+			}
+		}
+	}
+	high, most := sweep(bufs, len(p.order))
+	for d, slab := range slabs {
+		if slab != high[d] || slab < most[d] {
+			return fmt.Sprintf("a slab of %d elements where the highest live buffer ends at %d and at most %d are live", slab, high[d], most[d])
+		}
+	}
+	return ""
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// misdeclared runs n again with every scratch draw the plan declares
+// one element larger than its op's rule says, as a rule and its kernel
+// that disagree would, and reports a fault unless the Run fails on the
+// draw where a kernel of the plan draws scratch for sure: a MaxPool, a
+// softmax cross-entropy, a Dropout in training or a transposing MatMul.
+// The plan's rules are restored after.
+func misdeclared(s *Session, feeds Feeds, n *Node) (fault string) {
+	p := s.plans[0]
+	draws := false
+	for k, node := range p.order {
+		for i := range p.scratch[k] {
+			u := &p.scratch[k][i]
+			if p.spans[u.span].n > 0 && node.op != OpSoftmaxXentGrad {
+				draws = true
+			}
+			size := u.size
+			defer func() { u.size = size }()
+			u.size = func(n *Node, in []Shape, out Shape) int { return size(n, in, out) + 1 }
+		}
+	}
+	if !draws {
+		return ""
+	}
+	_, err := s.Run(feeds, []*Node{n}, Training())
+	if err == nil || !strings.Contains(err.Error(), "planned") {
+		return fmt.Sprintf("%q with its scratch misdeclared: Run error %v, want a draw of another size than planned", n.name, err)
 	}
 	return ""
 }
@@ -199,6 +364,14 @@ func FuzzGraphRun(f *testing.F) {
 	for _, raw := range hostileGraphs() {
 		f.Add(raw)
 	}
+	// A BiasAdd and a Relu whose inputs are read after them, which may
+	// not compute in place.
+	res, _, _, _, _ := residual()
+	raw, err := MarshalGraph(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, _, fault := runEvery(data); fault != "" {
 			t.Fatal(fault)

@@ -21,7 +21,7 @@ type execCtx struct {
 	rng      *rand.Rand // dropout's draws: the Run's RNG option, else the session's
 	in       []*Tensor  // the node evaluated's inputs, reused node to node
 	shapes   []Shape    // and theirs
-	shape    Shape      // and its output's, as its rule derives it
+	shape    Shape      // and its output's, as its rule derived it before the Run
 }
 
 // charge reports work to the session's device. The node's cost scale
@@ -38,8 +38,9 @@ func (ctx *execCtx) charge(n *Node, flops, bytes int64, streaming bool) {
 }
 
 // out draws the node's Float32 output, of the shape its rule derived,
-// for a kernel that writes every element of it: the storage comes from
-// the session's free list and holds whatever its last user left in it.
+// for a kernel that writes every element of it: the storage is the
+// node's span of the session's slab and holds whatever its last user
+// left in it.
 func (ctx *execCtx) out() *Tensor { return ctx.draw(Float32, false) }
 
 // zeroed is out for a kernel that accumulates into its output, or
@@ -47,19 +48,65 @@ func (ctx *execCtx) out() *Tensor { return ctx.draw(Float32, false) }
 func (ctx *execCtx) zeroed() *Tensor { return ctx.draw(Float32, true) }
 
 // draw re-points the node's output header, which the plan keeps from
-// Run to Run, at storage for its dtype and shape.
+// Run to Run, at its span for its dtype and shape. The plan sized the
+// span from that shape, so the draw fits it.
 func (ctx *execCtx) draw(dtype DType, zero bool) *Tensor {
-	t := &ctx.plan.slots[ctx.at]
-	draw(t, &ctx.sess.f32, &ctx.sess.i32, dtype, ctx.shape, zero)
+	p := ctx.plan
+	t, s := &p.slots[ctx.at], &p.spans[p.outSpan[ctx.at]]
+	if s.i32 != (dtype == Int32) {
+		panic(fmt.Sprintf("tf: %s drew a %v output into a span of the other dtype", p.order[ctx.at].op, dtype))
+	}
+	n := ctx.shape.NumElements()
+	t.dtype, t.shape, t.f32, t.i32 = dtype, append(t.shape[:0], ctx.shape...), nil, nil
+	if s.i32 {
+		t.i32 = slice(ctx.sess.i32, s, n, zero)
+	} else {
+		t.f32 = slice(ctx.sess.f32, s, n, zero)
+	}
 	return t
+}
+
+// floats draws the node's scratch draw i, n float32s: a size other than
+// the one its op declared (opMemory) is an error.
+func (ctx *execCtx) floats(i, n int, zero bool) ([]float32, error) {
+	s, err := ctx.scratch(i, n, false)
+	if err != nil {
+		return nil, err
+	}
+	return slice(ctx.sess.f32, s, n, zero), nil
+}
+
+// ints is floats for int32s.
+func (ctx *execCtx) ints(i, n int) ([]int32, error) {
+	s, err := ctx.scratch(i, n, true)
+	if err != nil {
+		return nil, err
+	}
+	return slice(ctx.sess.i32, s, n, false), nil
+}
+
+// scratch returns the span of the node's scratch draw i, if the plan
+// laid it out for n elements of the dtype.
+func (ctx *execCtx) scratch(i, n int, i32 bool) (*span, error) {
+	uses := ctx.plan.scratch[ctx.at]
+	if i >= len(uses) || uses[i].i32 != i32 {
+		return nil, fmt.Errorf("scratch draw %d is not declared", i)
+	}
+	s := &ctx.plan.spans[uses[i].span]
+	if s.n != n {
+		return nil, fmt.Errorf("scratch draw %d of %d elements, %d planned", i, n, s.n)
+	}
+	return s, nil
 }
 
 // keep leaves the node's forward cache for its gradient kernel.
 func (ctx *execCtx) keep(c cache) { ctx.plan.caches[ctx.at] = c }
 
 // kernelFunc computes a node's output from its input tensors, which its
-// op's rule has checked. The output and every forward cache come from
-// ctx, never from NewTensor or make: the session takes them back.
+// op's rule has checked. The output and all scratch, forward caches
+// included, come from ctx, never from NewTensor or make: the Run's plan
+// lays them out, and a scratch draw its op does not declare (opMemory)
+// fails.
 type kernelFunc func(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 
 func sigmoid32(x float32) float32 {
@@ -106,35 +153,38 @@ func kernelBinary(f func(a, b float32) float32) kernelFunc {
 }
 
 // kernelMatMul multiplies its operands, transposing either into scratch
-// that goes back as soon as the product is done.
+// for the product alone.
 func kernelMatMul(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	a, b := in[0].f32, in[1].f32
 	m, k, nn := in[0].shape[0], in[0].shape[1], in[1].shape[1]
-	ta, tb := attr(n, "transpose_a", false), attr(n, "transpose_b", false)
-	if ta {
-		a, m, k = ctx.transpose(a, m, k), k, m
+	var err error
+	if attr(n, "transpose_a", false) {
+		if a, err = ctx.transpose(0, a, m, k); err != nil {
+			return nil, err
+		}
+		m, k = k, m
 	}
-	if tb {
-		b, nn = ctx.transpose(b, in[1].shape[0], nn), in[1].shape[0]
+	if attr(n, "transpose_b", false) {
+		if b, err = ctx.transpose(1, b, in[1].shape[0], nn); err != nil {
+			return nil, err
+		}
+		nn = in[1].shape[0]
 	}
 	out := ctx.zeroed()
 	kernels.MatMulInto(out.f32, a, b, m, k, nn, ctx.sess.device.Threads())
 	ctx.charge(n, 2*int64(m)*int64(k)*int64(nn), 4*int64(len(a)+len(b))+out.Bytes(), false)
-	if ta {
-		ctx.sess.f32.put(a)
-	}
-	if tb {
-		ctx.sess.f32.put(b)
-	}
 	return out, nil
 }
 
-// transpose writes the transpose of the [m,n] matrix t to scratch drawn
-// from the session's free list.
-func (ctx *execCtx) transpose(t []float32, m, n int) []float32 {
-	out := ctx.sess.f32.get(m*n, false)
+// transpose writes the transpose of the [m,n] matrix t to the node's
+// scratch draw i.
+func (ctx *execCtx) transpose(i int, t []float32, m, n int) ([]float32, error) {
+	out, err := ctx.floats(i, m*n, false)
+	if err != nil {
+		return nil, err
+	}
 	kernels.Transpose(out, t, m, n)
-	return out
+	return out, nil
 }
 
 func kernelBiasAdd(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
@@ -203,7 +253,10 @@ func kernelPool(maxPool bool) kernelFunc {
 		}
 		out := ctx.out()
 		if maxPool {
-			argmax := ctx.sess.i32.get(out.NumElements(), false)
+			argmax, err := ctx.ints(0, out.NumElements())
+			if err != nil {
+				return nil, err
+			}
 			kernels.MaxPool(out.f32, x.f32, geo, argmax)
 			ctx.keep(cache{op: OpMaxPool, shape: x.shape, argmax: argmax, geo: geo})
 		} else {
@@ -228,7 +281,10 @@ func kernelSoftmax(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 func kernelSoftmaxXent(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	logits, labels := in[0], in[1]
 	rows, cols := kernels.RowsCols(logits.Shape())
-	probs := ctx.sess.f32.get(rows*cols, false)
+	probs, err := ctx.floats(0, rows*cols, false)
+	if err != nil {
+		return nil, err
+	}
 	if err := kernels.SoftmaxRows(probs, logits.f32, cols); err != nil {
 		return nil, err
 	}
@@ -265,8 +321,11 @@ func kernelDropout(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	rate := attr(n, "rate", 0.5)
 	keep := 1 - rate
 	scale := float32(1 / keep)
+	mask, err := ctx.floats(0, x.NumElements(), true)
+	if err != nil {
+		return nil, err
+	}
 	out := ctx.zeroed()
-	mask := ctx.sess.f32.get(x.NumElements(), true)
 	for i, v := range x.f32 {
 		if ctx.rng.Float64() < keep {
 			mask[i] = scale

@@ -200,6 +200,42 @@ func argEqual(t *testing.T, what string, got, want []int32) {
 	}
 }
 
+// TestReluGradReadsReluOutput: ReluGrad(g, Relu(x)) is ReluGrad(g, x)
+// bit for bit, which lets a Relu's gradient read the Relu's output and
+// its input die at the Relu: Relu maps NaN and -0 to +0, so the output
+// is positive exactly where the input is. Every pair of special values
+// (NaN payloads of both signs, ±0, ±Inf, subnormals, negatives), then
+// lengths 0 to 67 of awkward floats, so that the vector loops' whole
+// blocks and the Go tail both see each kind; the dispatching kernels and
+// the Go loops alike. On a CPU without AVX both are the Go loop.
+func TestReluGradReadsReluOutput(t *testing.T) {
+	special := specialFloats()
+	var x, g []float32
+	for _, a := range special {
+		for _, b := range special {
+			x, g = append(x, a), append(g, b)
+		}
+	}
+	check := func(what string, x, g []float32) {
+		t.Helper()
+		n := len(x)
+		y, want, got := make([]float32, n), make([]float32, n), make([]float32, n)
+		Relu(y, x)
+		ReluGrad(want, g, x)
+		ReluGrad(got, g, y)
+		bitEqual(t, what, got, want)
+		reluGo(y, x)
+		reluGradGo(want, g, x)
+		reluGradGo(got, g, y)
+		bitEqual(t, what+", Go loops", got, want)
+	}
+	check("every special pair", x, g)
+	rng := rand.New(rand.NewSource(41))
+	for n := 0; n <= 67; n++ {
+		check(fmt.Sprintf("%d awkward floats", n), awkward(rng, n), awkward(rng, n))
+	}
+}
+
 // TestMaxPoolGradEdges: the 2×2 gradient writes every element of dx,
 // whatever it held. The edge of an odd extent no window covers reads +0,
 // a gradient of -0 reads +0 (+0 + -0), and a window of -Inf alone, whose

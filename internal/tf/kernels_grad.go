@@ -11,11 +11,15 @@ import (
 // kernel; the forward node's name is carried in the grad node's
 // "forward" attribute, which the Run's plan resolves (forward).
 
+// kernelReluGrad passes the gradient where the Relu's output y is
+// positive, as TensorFlow's _ReluGrad reads the output: y > 0 exactly
+// where the Relu's input is, since Relu maps NaN and -0 to +0, so a
+// graph that wires the input instead computes the same bits.
 func kernelReluGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
-	gradOut, x := in[0], in[1]
+	gradOut, y := in[0], in[1]
 	out := ctx.out()
-	kernels.ReluGrad(out.f32, gradOut.f32, x.f32)
-	ctx.charge(n, int64(len(x.f32)), 3*x.Bytes(), false)
+	kernels.ReluGrad(out.f32, gradOut.f32, y.f32)
+	ctx.charge(n, int64(len(y.f32)), 3*y.Bytes(), false)
 	return out, nil
 }
 
@@ -120,7 +124,11 @@ func kernelSoftmaxXentGrad(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error)
 	if c == nil {
 		// Recompute: the forward node may not have been cached (e.g. a
 		// restored gradient graph).
-		c = &cache{f32: ctx.sess.f32.get(rows*cols, false)}
+		probs, err := ctx.floats(0, rows*cols, false)
+		if err != nil {
+			return nil, err
+		}
+		c = &cache{f32: probs}
 		if err := kernels.SoftmaxRows(c.f32, logits.f32, cols); err != nil {
 			return nil, err
 		}

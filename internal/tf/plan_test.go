@@ -8,11 +8,12 @@ import (
 	"github.com/securetf/securetf/internal/device"
 )
 
-// The session's memory plan (freeList) can fail in three ways, and each
-// test here fails on a naive pool: a kernel that accumulates is handed a
-// buffer that was not cleared (stale zero), a buffer that left with a
-// result is handed out again (escaped storage), and a large Run's
-// buffers outlive it (retention).
+// The session's memory plan (runPlan) can fail in four ways, and each
+// test here fails on a naive one: a kernel that accumulates is handed a
+// buffer that was not cleared (stale zero), two values live at once are
+// laid over each other (overlap), a result shares storage the next Run
+// writes (escaped storage), and a large Run's layout outlives it
+// (retention).
 
 // bitEqual reports whether two tensors agree in dtype, shape and every
 // bit of every element.
@@ -68,37 +69,16 @@ func freshLike(t *testing.T, s *Session) *Session {
 }
 
 // dirty makes every buffer the next Run draws a used one, the worst a
-// real run of Runs can do. What the session holds is what the last Run
-// left in it; this adds a twin of each of those buffers and one of the
-// size of each result the last Run gave away, so that the draw which
-// came last, or came up fresh because its buffer had left with the
-// caller, finds a used buffer too — and fills the lot with NaN (-1 for
+// real run of Runs can do: it fills the session's slabs with NaN (-1 for
 // the integers), which a kernel that overwrites its output covers and a
-// sum into it does not.
-func dirty(s *Session, results []*Tensor) {
-	for _, b := range s.f32.free {
-		s.f32.free = append(s.f32.free, make([]float32, len(b)))
+// sum into it does not. The Run's results are the caller's copies, and
+// it leaves them be.
+func dirty(s *Session, _ []*Tensor) {
+	for i := range s.f32 {
+		s.f32[i] = float32(math.NaN())
 	}
-	for _, b := range s.i32.free {
-		s.i32.free = append(s.i32.free, make([]int32, len(b)))
-	}
-	for _, r := range results {
-		if len(r.f32) > 0 {
-			s.f32.free = append(s.f32.free, make([]float32, len(r.f32)))
-		}
-		if len(r.i32) > 0 {
-			s.i32.free = append(s.i32.free, make([]int32, len(r.i32)))
-		}
-	}
-	for _, b := range s.f32.free {
-		for i := range b {
-			b[i] = float32(math.NaN())
-		}
-	}
-	for _, b := range s.i32.free {
-		for i := range b {
-			b[i] = -1
-		}
+	for i := range s.i32 {
+		s.i32[i] = -1
 	}
 }
 
@@ -262,19 +242,11 @@ func TestResultsSurviveTheNextRun(t *testing.T) {
 }
 
 // held is the number of elements the session keeps for its next Run.
-func held(s *Session) (n int) {
-	for _, b := range s.f32.free {
-		n += len(b)
-	}
-	for _, b := range s.i32.free {
-		n += len(b)
-	}
-	return n
-}
+func held(s *Session) int { return len(s.f32) + len(s.i32) }
 
 // TestRetentionIsTheLastRun: after a batch-1000 Run and then a batch-50
 // Run the session holds what a session that only ever ran batch 50
-// holds, no batch-1000 buffer among it, and Close empties the list.
+// holds, no batch-1000 slab, and Close empties it.
 func TestRetentionIsTheLastRun(t *testing.T) {
 	g := NewGraph()
 	x := g.Placeholder("x", Float32, Shape{-1, 8, 8, 1})
@@ -311,18 +283,14 @@ func TestRetentionIsTheLastRun(t *testing.T) {
 	if got := held(s); got != want {
 		t.Fatalf("after batch 1000 then batch 50 the session holds %d elements, a batch-50 session %d", got, want)
 	}
-	for _, b := range s.f32.free {
-		// Batch 50's largest buffer is the convolution's 50·8·8·2.
-		if len(b) > 50*8*8*2 {
-			t.Fatalf("a buffer of %d elements outlived the batch-1000 Run", len(b))
-		}
-	}
-	if len(s.f32.drawn)+len(s.i32.drawn) != 0 {
-		t.Fatal("a finished Run still counts buffers as drawn")
+	// The float32 slab is batch 50's own, not a batch-1000 one's prefix.
+	if cap(s.f32) != len(small.f32) || cap(s.i32) != len(small.i32) {
+		t.Fatalf("the slabs' capacities are %d and %d, a batch-50 session's lengths %d and %d",
+			cap(s.f32), cap(s.i32), len(small.f32), len(small.i32))
 	}
 	s.Close()
-	if held(s) != 0 || s.f32.free != nil || s.i32.free != nil {
-		t.Fatal("Close left buffers on the free list")
+	if held(s) != 0 || s.f32 != nil || s.i32 != nil {
+		t.Fatal("Close left the slabs behind")
 	}
 }
 
@@ -497,6 +465,45 @@ func TestViewOutlivesItsSource(t *testing.T) {
 	}
 }
 
+// residual builds out = (Relu(b) + b) + h over b = BiasAdd(h, bias) and
+// h = MatMul(x, w): a BiasAdd and a Relu whose inputs are read again
+// after them, as a residual connection's are, so neither may compute in
+// place.
+func residual() (g *Graph, x, h, b, out *Node) {
+	g = NewGraph()
+	x = g.Placeholder("x", Float32, Shape{-1, 4})
+	h = g.MatMul(x, g.Variable("w", RandNormal(Shape{4, 4}, 0.5, 58)))
+	b = g.BiasAdd(h, g.Variable("bias", RandNormal(Shape{4}, 0.5, 59)))
+	out = g.Add(g.Add(g.Relu(b), b), h)
+	return g, x, h, b, out
+}
+
+// TestInPlaceWaitsForTheLastReader: a BiasAdd and a Relu whose inputs
+// are read after them leave those inputs as they were: out is what h
+// and b, each fetched alone, add up to. Were either computed in place,
+// the later reads would see its output.
+func TestInPlaceWaitsForTheLastReader(t *testing.T) {
+	g, x, h, b, out := residual()
+	feeds := Feeds{x: RandNormal(Shape{3, 4}, 1, 60)}
+	s := NewSession(g)
+	defer s.Close()
+	var got [3]*Tensor
+	for i, n := range []*Node{out, h, b} {
+		r, err := s.Run(feeds, []*Node{n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = r[0]
+	}
+	want := got[1].Clone()
+	for i, bv := range got[2].f32 {
+		want.f32[i] = (max(bv, 0) + bv) + got[1].f32[i]
+	}
+	if !bitEqual(got[0], want) {
+		t.Fatalf("out is %v, h and b add up to %v", got[0].f32, want.f32)
+	}
+}
+
 // TestFetchedIntermediateLivesToTheEnd: an intermediate that is both
 // fetched and read by later nodes, after which buffers of its size are
 // drawn, comes back as it was computed, and so do the nodes reading it.
@@ -536,10 +543,9 @@ type allocDevice struct {
 func (d *allocDevice) Alloc(name string, bytes int64) { d.allocs[name] = bytes }
 
 // TestArenaIsHeldPlusConsts: what a Session registers as tf/arena is
-// what its free lists hold when a Run ends plus the Run's Const values,
-// at its peak over Runs; the variables are registered once, as
-// tf/variables, and neither a variable nor a Reshape view enters the
-// arena.
+// the slabs its Run's layout needs plus the Run's Const values, at its
+// peak over Runs; the variables are registered once, as tf/variables,
+// and neither a variable nor a Reshape view enters the arena.
 func TestArenaIsHeldPlusConsts(t *testing.T) {
 	g := NewGraph()
 	x := g.Placeholder("x", Float32, Shape{-1, 6})

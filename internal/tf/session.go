@@ -22,13 +22,14 @@ type Session struct {
 	steps  map[string]int64
 	rng    *rand.Rand
 
-	// f32 and i32 hold the storage of a Run's intermediates (see
-	// freeList); plans keeps the plan of each fetch list run lately (see
-	// runPlan), most recent first, and ctx the evaluation state Runs
-	// share. What is charged for the storage is arenaPeak: the most the
-	// lists held at the end of a Run, plus the Run's Const values.
-	f32       freeList[float32]
-	i32       freeList[int32]
+	// f32 and i32 are the slabs a Run's kernels draw every output and
+	// scratch buffer from, at the offsets its plan lays out (runPlan), as
+	// long as the last Run's layout needs; plans keeps the plan of each
+	// fetch list run lately, most recent first, and ctx the evaluation
+	// state Runs share. What is charged for the storage is arenaPeak: the
+	// most the slabs and the Run's Const values have held.
+	f32       []float32
+	i32       []int32
 	plans     []*runPlan
 	ctx       execCtx
 	arenaPeak int64
@@ -38,150 +39,6 @@ type Session struct {
 // evaluation and perhaps a checkpoint's fetches, and a caller that builds
 // a new fetch node for every Run must not grow the session without end.
 const maxPlans = 8
-
-// freeList is the session's memory: every kernel output and forward
-// cache of a Run is drawn from it, and when the Run ends it takes back
-// everything the Run drew except the storage behind a result Run gave
-// away, which is the caller's from then on; a result RunInto copied into
-// the caller's storage gives nothing away. Ownership goes by backing
-// array, not by *Tensor: a Reshape is a view of its input and Dropout can
-// hand its input through, so a fetched tensor may share storage with an
-// intermediate that was not fetched.
-//
-// Buffers are matched by exact element count, so a step that repeats the
-// last one's shapes allocates only what it gives away, and nothing when
-// it fetches into its own storage (RunInto). What a Run did not draw it
-// drops: the list never holds more than the last Run used, and an
-// evaluation at batch 10 000 is not pinned under a batch-50 trainer. The
-// scan is linear in the buffers of one Run, a few dozen.
-//
-// A runtime that knows when an intermediate is dead hands its buffer back
-// before the Run ends (put): a later draw of the same Run may take it,
-// and the Run's end keeps it as it keeps what was drawn. A Session does
-// so at each intermediate's last reader (runPlan), and the Lite
-// interpreter through Arena.
-type freeList[T any] struct {
-	free  [][]T // drawn by the last Run and not given away
-	drawn [][]T // drawn by the current Run so far and held
-	back  [][]T // drawn by the current Run and handed back
-}
-
-// get draws a buffer of n elements. A reused buffer holds whatever its
-// last user left in it unless zero is set.
-func (l *freeList[T]) get(n int, zero bool) []T {
-	if n == 0 {
-		return []T{}
-	}
-	buf := take(&l.back, n)
-	if buf == nil {
-		buf = take(&l.free, n)
-	}
-	if buf == nil {
-		buf = make([]T, n)
-	} else if zero {
-		clear(buf)
-	}
-	l.drawn = append(l.drawn, buf)
-	return buf
-}
-
-// take removes a buffer of n elements from bufs and returns it, or nil.
-func take[T any](bufs *[][]T, n int) []T {
-	for i, b := range *bufs {
-		if len(b) == n {
-			last := len(*bufs) - 1
-			(*bufs)[i], (*bufs)[last] = (*bufs)[last], nil
-			*bufs = (*bufs)[:last]
-			return b
-		}
-	}
-	return nil
-}
-
-// release gives the backing array of buf, if this Run drew it, away.
-func (l *freeList[T]) release(buf []T) { l.unlist(buf) }
-
-// put hands the backing array of buf, if this Run drew it, back for a
-// later draw.
-func (l *freeList[T]) put(buf []T) {
-	if b := l.unlist(buf); b != nil {
-		l.back = append(l.back, b)
-	}
-}
-
-// unlist removes the backing array of buf from what this Run holds and
-// returns it, or nil if this Run did not draw it.
-func (l *freeList[T]) unlist(buf []T) []T {
-	for i, b := range l.drawn {
-		if sameArray(b, buf) {
-			last := len(l.drawn) - 1
-			l.drawn[i], l.drawn[last] = l.drawn[last], nil
-			l.drawn = l.drawn[:last]
-			return b
-		}
-	}
-	return nil
-}
-
-// recycle ends a Run: what it drew and did not give away is the next
-// Run's free list, and what it left undrawn is dropped. It returns the
-// elements the list now holds.
-func (l *freeList[T]) recycle() (held int) {
-	clear(l.free)
-	l.free, l.drawn = append(l.drawn, l.back...), l.free[:0]
-	clear(l.back)
-	l.back = l.back[:0]
-	for _, b := range l.free {
-		held += len(b)
-	}
-	return held
-}
-
-// Arena is a Session's pair of free lists for a runtime that is not a
-// Session: the Lite interpreter draws an Invoke's activations from one
-// and hands each back once its last reader has run. What it draws stays
-// the arena's; a tensor the runtime gives away it makes with NewTensor.
-// An Arena is not safe for concurrent use.
-type Arena struct {
-	f32 freeList[float32]
-	i32 freeList[int32]
-}
-
-// Draw re-points t at storage for a tensor of dtype and shape drawn from
-// the arena, reusing t's shape storage. A reused buffer holds whatever
-// its last user left in it unless zero is set.
-func (a *Arena) Draw(t *Tensor, dtype DType, shape Shape, zero bool) {
-	draw(t, &a.f32, &a.i32, dtype, shape, zero)
-}
-
-// draw re-points t at storage for a tensor of dtype and shape drawn from
-// f32 or i32, reusing t's shape storage.
-func draw(t *Tensor, f32 *freeList[float32], i32 *freeList[int32], dtype DType, shape Shape, zero bool) {
-	n := shape.NumElements()
-	if n < 0 {
-		panic("tf: cannot draw a tensor of unknown shape")
-	}
-	t.dtype, t.shape, t.f32, t.i32 = dtype, append(t.shape[:0], shape...), nil, nil
-	if dtype == Int32 {
-		t.i32 = i32.get(n, zero)
-	} else {
-		t.f32 = f32.get(n, zero)
-	}
-}
-
-// Return hands the storage behind t back before the run ends, for a
-// later Draw of the same run. Storage the arena did not draw in this run
-// — an input, a weight, a buffer already returned — it does not take.
-func (a *Arena) Return(t *Tensor) {
-	a.f32.put(t.f32)
-	a.i32.put(t.i32)
-}
-
-// Recycle ends a run: what it drew is the next run's to draw, and what
-// it left undrawn is dropped. It returns the bytes the arena now holds.
-func (a *Arena) Recycle() int64 {
-	return 4 * int64(a.f32.recycle()+a.i32.recycle())
-}
 
 // SessionOption configures a Session.
 type SessionOption func(*Session)
@@ -207,7 +64,7 @@ func NewSession(g *Graph, opts ...SessionOption) *Session {
 		steps: make(map[string]int64),
 		rng:   rand.New(rand.NewSource(1)),
 	}
-	s.ctx = execCtx{sess: s, in: make([]*Tensor, 0, 3), shapes: make([]Shape, 0, 3), shape: make(Shape, 0, maxRank)}
+	s.ctx = execCtx{sess: s, in: make([]*Tensor, 0, 3), shapes: make([]Shape, 0, 3)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -237,7 +94,7 @@ func (s *Session) Device() device.Device { return s.device }
 func (s *Session) Close() {
 	s.device.Free("tf/variables")
 	s.device.Free("tf/arena")
-	s.f32, s.i32, s.plans = freeList[float32]{}, freeList[int32]{}, nil
+	s.f32, s.i32, s.plans = nil, nil, nil
 }
 
 // Feeds maps placeholder nodes to their input tensors for one Run.
@@ -295,14 +152,13 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 		return nil, err
 	}
 	defer func() {
-		held := 4 * int64(s.f32.recycle()+s.i32.recycle())
 		p.reset()
-		// The activation arena registered against the device is what
-		// the session holds for the next Run, plus the Const values the
-		// Run read, which the full runtime materializes there:
-		// training's large intermediate state is what pressures the EPC
-		// (§7.1). Variables are registered once, as tf/variables.
-		if arena := held + p.consts; err == nil && arena > s.arenaPeak {
+		// The activation arena registered against the device is the
+		// slabs the Run's layout needs — its planned peak — plus the
+		// Const values the Run read, which the full runtime materializes
+		// there: training's large intermediate state is what pressures
+		// the EPC (§7.1). Variables are registered once, as tf/variables.
+		if arena := 4*int64(len(s.f32)+len(s.i32)) + p.consts; err == nil && arena > s.arenaPeak {
 			s.arenaPeak = arena
 			s.device.Alloc("tf/arena", arena)
 		}
@@ -310,9 +166,8 @@ func (s *Session) RunInto(feeds Feeds, fetches []*Node, into []*Tensor, opts ...
 	return s.run(p, feeds, into, cfg)
 }
 
-// run evaluates p's nodes under feeds, handing each intermediate's
-// storage back at its last reader, and returns the fetches' values as
-// RunInto hands them out.
+// run evaluates p's nodes under feeds into the storage p lays out, and
+// returns the fetches' values as RunInto hands them out.
 func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([]*Tensor, error) {
 	for node, t := range feeds {
 		if node == nil || t == nil {
@@ -326,24 +181,27 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 		}
 	}
 	ctx := &s.ctx
+	if err := s.shape(ctx, p); err != nil {
+		return nil, err
+	}
+	if err := p.size(ctx.shapes); err != nil {
+		return nil, err
+	}
+	s.f32, s.i32 = fit(s.f32, p.f32Len), fit(s.i32, p.i32Len)
 	ctx.plan, ctx.training, ctx.rng = p, cfg.training, cfg.rng
 	for k, n := range p.order {
-		if p.values[k] == nil {
-			ctx.at = k
-			out, err := s.evalNode(ctx, n)
-			if err != nil {
-				return nil, fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
-			}
-			p.values[k] = out
+		if p.values[k] != nil {
+			continue
 		}
-		for _, r := range p.release[k] {
-			v := p.values[r]
-			if aliases(p.order[r].op) && sharesStorage(v, p.values[p.inputs[r][0]]) {
-				continue // its input's storage, which goes back with its input
-			}
-			s.f32.put(v.f32)
-			s.i32.put(v.i32)
+		ctx.at, ctx.shape, ctx.in = k, p.shapes[k], ctx.in[:0]
+		for _, j := range p.inputs[k] {
+			ctx.in = append(ctx.in, p.values[j])
 		}
+		out, err := opRules[n.op].kernel(ctx, n, ctx.in)
+		if err != nil {
+			return nil, fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
+		}
+		p.values[k] = out
 	}
 
 	for i, dst := range into {
@@ -359,12 +217,9 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 			copy(into[i].f32, t.f32)
 			copy(into[i].i32, t.i32)
 			t = into[i]
-		case s.isVariable(t):
+		case s.isVariable(t) || within(t.f32, s.f32) || within(t.i32, s.i32):
 			t = t.Clone()
-		default:
-			s.f32.release(t.f32)
-			s.i32.release(t.i32)
-			// The value's header is the plan's, re-pointed next Run.
+		default: // a feed, or a Const's value
 			t = &Tensor{dtype: t.dtype, shape: t.shape.Clone(), f32: t.f32, i32: t.i32}
 		}
 		results[i] = t
@@ -372,29 +227,54 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 	return results, nil
 }
 
-// runPlan is how a Run of one fetch list goes, worked out at its first
-// Run and kept for the next ones: the nodes in the order they run, where
-// each one's inputs are, and after which node each intermediate's
-// storage goes back to the free list. That is after its last reader,
-// where a Reshape view or a pass-through (Dropout at inference,
-// DropoutGrad without its mask) of it is a reader for as long as the
-// view is read, since ownership goes by backing array. Fetches, and
-// whatever they view, stay until the Run ends, as do forward caches.
-// The plan also holds what a Run fills in as it goes, per node, which
-// reset clears when the Run ends.
-type runPlan struct {
-	fetches []*Node
-	order   []*Node
-	index   map[*Node]int // position in order
-	inputs  [][]int       // per position: its inputs' positions
-	forward []int         // per position: the forward node whose cache it reads, or -1
-	release [][]int       // per position: the positions whose storage goes back once it has run
-	fetchAt []int         // per fetch: its position
-	consts  int64         // bytes of the Const values the Run reads
+// fit returns slab if it holds n elements, else a slab that does: the
+// session keeps only what the last Run's layout needs, so an evaluation
+// at batch 10 000 is not pinned under a batch-50 trainer.
+func fit[T any](slab []T, n int) []T {
+	if len(slab) != n {
+		return make([]T, n)
+	}
+	return slab
+}
 
-	values []*Tensor // per position: its value this Run
-	slots  []Tensor  // per position: the header its kernel's output is drawn into
-	caches []cache   // per position: the forward cache its kernel left this Run
+// shape fills in the value of every source p reads — a Const's, a
+// variable's — and the shape of every node: a fed or source node's
+// value's, and the one its rule derives from its inputs' for the rest.
+// Their dtypes are as declared: feeds and variables fit them, and
+// kernels yield their rule's.
+func (s *Session) shape(ctx *execCtx, p *runPlan) error {
+	for k, n := range p.order {
+		if p.values[k] == nil {
+			switch n.op {
+			case OpPlaceholder:
+				return fmt.Errorf("tf: evaluating %q (%s): placeholder not fed", n.name, n.op)
+			case OpConst:
+				p.values[k] = attr[*Tensor](n, "value", nil)
+			case OpVariable:
+				v, ok := s.vars[n.name]
+				if !ok {
+					return fmt.Errorf("tf: evaluating %q (%s): variable not initialized", n.name, n.op)
+				}
+				if err := n.fits(v); err != nil {
+					return fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
+				}
+				p.values[k] = v
+			}
+		}
+		if v := p.values[k]; v != nil {
+			p.shapes[k] = append(p.shapes[k][:0], v.shape...)
+			continue
+		}
+		ctx.shapes = ctx.shapes[:0]
+		for _, j := range p.inputs[k] {
+			ctx.shapes = append(ctx.shapes, p.shapes[j])
+		}
+		var err error
+		if p.shapes[k], err = opRules[n.op].shape(n, ctx.shapes, p.shapes[k][:0]); err != nil {
+			return fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
+		}
+	}
+	return nil
 }
 
 // plan returns the plan for fetches, making it at their first Run, and
@@ -415,77 +295,8 @@ func (s *Session) plan(fetches []*Node) (*runPlan, error) {
 	return p, nil
 }
 
-func newPlan(fetches []*Node) (*runPlan, error) {
-	order, err := topoSort(fetches)
-	if err != nil {
-		return nil, err
-	}
-	n := len(order)
-	p := &runPlan{
-		fetches: slices.Clone(fetches),
-		order:   order,
-		index:   make(map[*Node]int, n),
-		inputs:  make([][]int, n),
-		forward: make([]int, n),
-		release: make([][]int, n),
-		fetchAt: make([]int, len(fetches)),
-		values:  make([]*Tensor, n),
-		slots:   make([]Tensor, n),
-		caches:  make([]cache, n),
-	}
-	byName := make(map[string]int, n)
-	for k, node := range order {
-		p.index[node], byName[node.name] = k, k
-	}
-	last := make([]int, n) // per position: the last position reading its storage, n for none
-	for k, node := range order {
-		last[k], p.forward[k] = k, -1
-		p.inputs[k] = make([]int, len(node.inputs))
-		for i, in := range node.inputs {
-			j := p.index[in]
-			p.inputs[k][i], last[j] = j, k
-		}
-		if j, ok := byName[attr(node, "forward", "")]; ok {
-			p.forward[k] = j
-		}
-		if node.op == OpConst {
-			p.consts += attr[*Tensor](node, "value", nil).Bytes()
-		}
-	}
-	for i, f := range fetches {
-		p.fetchAt[i] = p.index[f]
-		last[p.fetchAt[i]] = n
-	}
-	for k := n - 1; k >= 0; k-- { // a view's readers come after it
-		if aliases(order[k].op) {
-			j := p.inputs[k][0]
-			last[j] = max(last[j], last[k])
-		}
-	}
-	for k, node := range order {
-		if last[k] < n && opRules[node.op].kernel != nil {
-			p.release[last[k]] = append(p.release[last[k]], k)
-		}
-	}
-	return p, nil
-}
-
-// aliases reports whether an op's output may be its input's storage.
-func aliases(op string) bool { return op == OpReshape || op == OpDropout || op == OpDropoutGrad }
-
 // sharesStorage reports whether a and b are views of one backing array.
 func sharesStorage(a, b *Tensor) bool { return sameArray(a.f32, b.f32) || sameArray(a.i32, b.i32) }
-
-// reset forgets what a Run left in p — values, the storage its headers
-// point at, forward caches — so that a plan the session may not run
-// again pins nothing the Run drew.
-func (p *runPlan) reset() {
-	clear(p.values)
-	for i := range p.slots {
-		p.slots[i].f32, p.slots[i].i32 = nil, nil
-	}
-	clear(p.caches)
-}
 
 // isVariable reports whether t is, or is a view of, a variable's
 // storage, which optimizer applies and SetVariable write in place.
@@ -500,35 +311,6 @@ func (s *Session) isVariable(t *Tensor) bool {
 
 func sameArray[T any](a, b []T) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
-
-// evalNode applies n's rule to its inputs' shapes and runs its kernel,
-// which computes into the shape the rule derives. Their dtypes are as
-// declared: feeds and variables fit them, and kernels yield their rule's.
-func (s *Session) evalNode(ctx *execCtx, n *Node) (*Tensor, error) {
-	switch n.op {
-	case OpPlaceholder:
-		return nil, fmt.Errorf("placeholder not fed")
-	case OpConst:
-		return attr[*Tensor](n, "value", nil), nil
-	case OpVariable:
-		v, ok := s.vars[n.name]
-		if !ok {
-			return nil, fmt.Errorf("variable not initialized")
-		}
-		return v, n.fits(v)
-	}
-	ctx.in, ctx.shapes = ctx.in[:0], ctx.shapes[:0]
-	for _, j := range ctx.plan.inputs[ctx.at] {
-		v := ctx.plan.values[j]
-		ctx.in, ctx.shapes = append(ctx.in, v), append(ctx.shapes, v.shape)
-	}
-	rule := opRules[n.op]
-	var err error
-	if ctx.shape, err = rule.shape(n, ctx.shapes, ctx.shape[:0]); err != nil {
-		return nil, err
-	}
-	return rule.kernel(ctx, n, ctx.in)
 }
 
 // fits checks t against what n declares: its dtype, its rank and every

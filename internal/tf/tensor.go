@@ -10,18 +10,19 @@
 // Whose memory is whose: the tensors Session.Run returns are the
 // caller's, and nothing the session does later writes to them.
 // Everything else a Run computes is the session's until the next Run,
-// which computes into the same storage (freeList), handing each
-// intermediate back once its last reader has run (runPlan), so a
-// training step allocates what it hands back and little else — and
-// nothing, when RunInto copies the results into tensors the caller
-// keeps. No Run writes its feeds, so a feed may be a view of data the
-// caller keeps (Minibatch). A variable's tensor is the session's for the
-// session's life; SetVariable, RestoreCheckpoint and DecodeTensorInto
-// through VariableStorage write into it, Variable and a fetch copy out
-// of it. What the device is charged for a Run's intermediates
-// ("tf/arena") is what the free list holds when a Run ends, at its
-// peak, plus the Run's Const values; the variables are charged once, as
-// "tf/variables".
+// which computes into the same storage: before a Run the session lays
+// every intermediate, scratch buffer and forward cache out in one
+// float32 and one int32 slab, each where nothing live beside it lies
+// (runPlan), so a training step allocates the results it hands back and
+// little else — and nothing, when RunInto copies the results into
+// tensors the caller keeps. No Run writes its feeds, so a feed may be a
+// view of data the caller keeps (Minibatch). A variable's tensor is the
+// session's for the session's life; SetVariable, RestoreCheckpoint and
+// DecodeTensorInto through VariableStorage write into it, Variable and a
+// fetch copy out of it. What the device is charged for a Run's
+// intermediates ("tf/arena") is the slabs, which is what the Run's plan
+// holds live at its peak, plus the Run's Const values, at its most over
+// Runs; the variables are charged once, as "tf/variables".
 package tf
 
 import (

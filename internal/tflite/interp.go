@@ -263,10 +263,9 @@ func (ip *Interpreter) Invoke() (err error) {
 		}
 	}
 	defer func() {
-		// The device is charged, as a Session charges tf/arena, the most
-		// the arena has held for the next Invoke: the outputs handed
-		// back are the caller's, and the weights are registered on their
-		// own.
+		// The device is charged the most the arena has held for the next
+		// Invoke: the outputs handed back are the caller's, and the
+		// weights are registered on their own.
 		if arena := ip.arena.Recycle(); err == nil && arena > ip.arenaPeak {
 			ip.arenaPeak = arena
 			ip.dev.Alloc(ip.id+"/arena", arena)
