@@ -217,10 +217,9 @@
 // that end's next send or read, and a received variable is decoded
 // straight into the storage it belongs in. Serving follows the same
 // rule: a Classifier's (and a gateway replica's) Lite interpreter hands
-// back each Invoke's outputs for the caller to keep, and draws its other
-// activations from a free list its plan returns each to once the last op
-// reading it has run, so a warm Invoke allocates only the output it hands
-// back.
+// back each Invoke's outputs for the caller to keep, and computes its
+// other activations into slabs laid out before the Invoke, as a Run's
+// are, so a warm Invoke allocates only the output it hands back.
 //
 // Training's intermediate state is what pressures the EPC (§7.1), so the
 // enclave is charged for a step's intermediates ("tf/arena") what the
@@ -231,10 +230,10 @@
 // beside it lies; a kernel draws its planned slice, and a draw of another
 // size fails the Run. A Relu's gradient reads the Relu's output, as
 // TensorFlow's does, so the Relu may overwrite its input, and a bias add
-// its product, in place: a batch-50 MNIST-CNN step holds 4.79 MB. An
-// Invoke is charged what its interpreter's free list holds when it ends,
-// at its peak: a Lite op has no shape rule to plan from, so the list
-// matches buffers by exact size, which holds at least the peak.
+// its product, in place: a batch-50 MNIST-CNN step holds 4.79 MB. The
+// Lite interpreter derives every op's shape before an Invoke and lays
+// its activations out by the same code ("tflite/arena" is the slabs, its
+// peak: 16 KB for a batch-1 densenet), again when the batch changes.
 //
 // The parameter server shards across nodes. The placement rule is a
 // name hash: each variable's 32-bit FNV-1a hash selects a shard by

@@ -52,18 +52,8 @@ func (ctx *execCtx) zeroed() *Tensor { return ctx.draw(Float32, true) }
 // span from that shape, so the draw fits it.
 func (ctx *execCtx) draw(dtype DType, zero bool) *Tensor {
 	p := ctx.plan
-	t, s := &p.slots[ctx.at], &p.spans[p.outSpan[ctx.at]]
-	if s.i32 != (dtype == Int32) {
-		panic(fmt.Sprintf("tf: %s drew a %v output into a span of the other dtype", p.order[ctx.at].op, dtype))
-	}
-	n := ctx.shape.NumElements()
-	t.dtype, t.shape, t.f32, t.i32 = dtype, append(t.shape[:0], ctx.shape...), nil, nil
-	if s.i32 {
-		t.i32 = slice(ctx.sess.i32, s, n, zero)
-	} else {
-		t.f32 = slice(ctx.sess.f32, s, n, zero)
-	}
-	return t
+	p.Draw(&ctx.sess.slabs, &p.slots[ctx.at], p.outSpan[ctx.at], dtype, ctx.shape, zero)
+	return &p.slots[ctx.at]
 }
 
 // floats draws the node's scratch draw i, n float32s: a size other than

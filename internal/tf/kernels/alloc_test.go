@@ -58,7 +58,8 @@ func allocated(run func()) uint64 {
 // product on four threads (train-sync's first layer) is one piece and
 // allocates nothing either. A warm Invoke of serve-steady's batch-1
 // densenet and of serve-fleet's batch-16 MLP allocates only the output
-// it hands back, its activations coming from the interpreter's arena,
+// it hands back: its other activations lie in the slabs the interpreter
+// laid out at its first Invoke, which an Invoke at the same batch keeps,
 // and on a device of two threads no more than on one.
 func TestWarmSplitAllocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

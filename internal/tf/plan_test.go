@@ -336,41 +336,6 @@ func TestSetVariableRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestArenaTakesBackOnlyWhatItDrew: a buffer handed back is drawn again
-// within the run and kept past its end, cleared when asked; what the
-// arena did not draw (a caller's tensor, a buffer handed back twice) it
-// never hands out; and a run that does not draw a buffer drops it.
-func TestArenaTakesBackOnlyWhatItDrew(t *testing.T) {
-	var a Arena
-	var x, y, z Tensor
-	caller := Fill(Shape{2, 2}, 7)
-	a.Draw(&x, Float32, Shape{2, 2}, false)
-	x.f32[0] = 1
-	a.Return(&x)
-	a.Return(&x)
-	a.Return(caller)
-	a.Draw(&y, Float32, Shape{4}, true)
-	a.Draw(&z, Float32, Shape{1, 4}, false)
-	switch {
-	case !sameArray(y.f32, x.f32) || y.f32[0] != 0:
-		t.Fatal("a buffer handed back was not drawn again, cleared")
-	case sameArray(z.f32, x.f32) || sameArray(z.f32, caller.f32):
-		t.Fatal("one buffer was drawn twice, or a caller's was drawn")
-	case !y.shape.Equal(Shape{4}) || !z.shape.Equal(Shape{1, 4}):
-		t.Fatalf("drawn shapes %v and %v", y.shape, z.shape)
-	}
-	a.Return(&y)
-	a.Recycle()
-	if len(a.f32.free) != 2 {
-		t.Fatalf("the run's end kept %d buffers, want both it drew", len(a.f32.free))
-	}
-	a.Draw(&x, Int32, Shape{3}, false)
-	a.Recycle()
-	if len(a.f32.free) != 0 || len(a.i32.free) != 1 {
-		t.Fatalf("a run that drew only an int32 buffer kept %d float32 and %d int32", len(a.f32.free), len(a.i32.free))
-	}
-}
-
 // TestPlannedStepBitEqual: a training step — a small CNN's loss, every
 // gradient and an SGD apply, through a Reshape view and Dropout — run
 // three times on one session, each time on buffers left used (dirty),

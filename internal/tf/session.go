@@ -22,18 +22,21 @@ type Session struct {
 	steps  map[string]int64
 	rng    *rand.Rand
 
-	// f32 and i32 are the slabs a Run's kernels draw every output and
-	// scratch buffer from, at the offsets its plan lays out (runPlan), as
-	// long as the last Run's layout needs; plans keeps the plan of each
-	// fetch list run lately, most recent first, and ctx the evaluation
-	// state Runs share. What is charged for the storage is arenaPeak: the
-	// most the slabs and the Run's Const values have held.
-	f32       []float32
-	i32       []int32
+	// slabs are what a Run's kernels draw every output and scratch buffer
+	// from, at the offsets its plan lays out (runPlan), as long as the
+	// last Run's layout needs; plans keeps the plan of each fetch list run
+	// lately, most recent first, and ctx the evaluation state Runs share.
+	// What is charged for the storage is arenaPeak: the most the slabs and
+	// the Run's Const values have held.
+	slabs
 	plans     []*runPlan
 	ctx       execCtx
 	arenaPeak int64
 }
+
+// slabs is Slabs under a name that keeps a Session's embedded slabs its
+// own: their f32 and i32 are its fields, and no one else's.
+type slabs = Slabs
 
 // maxPlans bounds the plans a Session keeps: a trainer runs a step, an
 // evaluation and perhaps a checkpoint's fetches, and a caller that builds
@@ -187,7 +190,7 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 	if err := p.size(ctx.shapes); err != nil {
 		return nil, err
 	}
-	s.f32, s.i32 = fit(s.f32, p.f32Len), fit(s.i32, p.i32Len)
+	p.Fit(&s.slabs)
 	ctx.plan, ctx.training, ctx.rng = p, cfg.training, cfg.rng
 	for k, n := range p.order {
 		if p.values[k] != nil {
@@ -225,16 +228,6 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 		results[i] = t
 	}
 	return results, nil
-}
-
-// fit returns slab if it holds n elements, else a slab that does: the
-// session keeps only what the last Run's layout needs, so an evaluation
-// at batch 10 000 is not pinned under a batch-50 trainer.
-func fit[T any](slab []T, n int) []T {
-	if len(slab) != n {
-		return make([]T, n)
-	}
-	return slab
 }
 
 // shape fills in the value of every source p reads — a Const's, a

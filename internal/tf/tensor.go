@@ -267,13 +267,21 @@ func (t *Tensor) Reshape(shape Shape) (*Tensor, error) {
 // ReshapeInto is Reshape that re-points dst, reusing its shape storage,
 // at src's storage instead of making a view. On error dst holds nothing.
 func ReshapeInto(dst, src *Tensor, shape Shape) error {
-	resolved := append(dst.shape[:0], shape...)
-	if err := resolveReshape(src.NumElements(), resolved); err != nil {
+	resolved, err := Reshaped(dst.shape, src.NumElements(), shape)
+	if err != nil {
 		*dst = Tensor{shape: resolved[:0]}
 		return err
 	}
 	dst.dtype, dst.shape, dst.f32, dst.i32 = src.dtype, resolved, src.f32, src.i32
 	return nil
+}
+
+// Reshaped is the shape count elements take reshaped to shape, its one
+// -1 dim filled in, built in dst's storage: what Reshape checks and
+// derives, for a runtime that knows shapes before it has tensors.
+func Reshaped(dst Shape, count int, shape Shape) (Shape, error) {
+	dst = append(dst[:0], shape...)
+	return dst, resolveReshape(count, dst)
 }
 
 // resolveReshape checks shape as the target of reshaping count elements

@@ -10,13 +10,14 @@ import (
 )
 
 // Interpreter executes a flat model forward-only, with a preallocated
-// weight set and an activation arena planned at AllocateTensors, charging
-// its work to a device. Weights are accessed with the streaming pattern:
-// they are read-only and touched sequentially, which is why TensorFlow
-// Lite inference degrades gracefully past the EPC limit where the full
-// TensorFlow runtime thrashes (paper §5.3 #4). Its outputs are the
-// caller's, its other activations its own until the next Invoke (the
-// package comment says whose memory is whose; plan says how).
+// weight set and an activation plan made at AllocateTensors and laid out
+// before each Invoke, charging its work to a device. Weights are
+// accessed with the streaming pattern: they are read-only and touched
+// sequentially, which is why TensorFlow Lite inference degrades
+// gracefully past the EPC limit where the full TensorFlow runtime
+// thrashes (paper §5.3 #4). Its outputs are the caller's, its other
+// activations its own until the next Invoke (the package comment says
+// whose memory is whose; plan says how).
 type Interpreter struct {
 	model *Model
 	dev   device.Device
@@ -28,68 +29,81 @@ type Interpreter struct {
 	values    []*tf.Tensor // by tensor index, what the current Invoke reads there
 	plan      plan
 	slots     []tf.Tensor // op k's output header, re-pointed every Invoke
-	arena     tf.Arena
+	slabs     tf.Slabs    // the storage the plan's spans lie in
 	allocated bool
 	arenaPeak int64
 	id        string
 }
 
 // plan is the activation memory plan AllocateTensors derives from the op
-// list. Op k's output is storage drawn from the arena, or, for a
-// Reshape, a view of the storage it reshapes: root[k] is the op that drew
-// it, or -1 when it is an input's or a weight's, which the arena never
-// takes. Every op reads what the last op before it to write a tensor
-// index wrote there, so a hostile model that writes an index twice, reads
-// one twice or runs dead ops reads the same storage on every Invoke.
-// Storage goes back to the arena as soon as the last op that reads it, or
-// reshapes it, has run. Model outputs, and any storage they view, are
-// given away instead: fresh on every Invoke and never handed back, as
-// Session.Run gives its results away.
+// list, laid out as a Session lays out a Run (tf.Layout). Op k's output
+// is a span of its own, or, for a Reshape, a view of the storage it
+// reshapes: its root is the op whose output that storage is, and it has
+// none when that is an input's or a weight's, which no span holds. Every
+// op reads what the last op before it to write a tensor index wrote
+// there, so a hostile model that writes an index twice, reads one twice
+// or runs dead ops reads the same storage on every Invoke. A span is
+// live from its op to the last op that reads it or reshapes it. Model
+// outputs, and any storage they view, are given away instead: fresh on
+// every Invoke and in no span, as Session.Run gives its results away.
+//
+// Only the spans' sizes follow the inputs' shapes. Before each Invoke,
+// shape derives every op's output shape and sizes the spans, and the
+// spans are laid out again when a size moved: a batch that changes
+// between Invokes replaces the slabs.
 type plan struct {
-	root    []int   // per op: the op whose drawn storage its output is, or -1
-	given   []bool  // per op: its output is a model output, or storage a model output views
-	release [][]int // per op: the ops whose storage it is the last to read
+	tf.Layout
+	given []bool // per op: its output is a model output, or storage a model output views
+	span  []int  // per op: the span its output is drawn from, or -1
+
+	at     []int          // per tensor index: the op whose output it holds so far this Invoke, or -1
+	dtypes []tf.DType     // per op: its output's dtype this Invoke
+	shapes []tf.Shape     // per op: its output's shape this Invoke
+	geoms  []kernels.Geom // per op: a convolution's or pool's geometry this Invoke
 }
 
 func newPlan(m *Model) plan {
-	p := plan{root: make([]int, len(m.Ops)), given: make([]bool, len(m.Ops)), release: make([][]int, len(m.Ops))}
-	writer := make([]int, len(m.Tensors)) // the op whose output an index holds so far, or -1
+	n := len(m.Ops)
+	p := plan{
+		given: make([]bool, n), span: make([]int, n), at: make([]int, len(m.Tensors)),
+		dtypes: make([]tf.DType, n), shapes: make([]tf.Shape, n), geoms: make([]kernels.Geom, n),
+	}
+	writer := p.at // per tensor index: the op whose output it holds so far, or -1
 	for i := range writer {
 		writer[i] = -1
 	}
-	root := func(idx int) int {
+	root := make([]int, n) // per op
+	rootOf := func(idx int) int {
 		if w := writer[idx]; w >= 0 {
-			return p.root[w]
+			return root[w]
 		}
 		return -1
 	}
-	last := make([]int, len(m.Ops)) // per root: the last op that reads or reshapes it
+	last := make([]int, n) // per root: the last op that reads or reshapes it
 	for k, op := range m.Ops {
 		for _, in := range op.Inputs {
-			if r := root(in); r >= 0 {
+			if r := rootOf(in); r >= 0 {
 				last[r] = k
 			}
 		}
-		p.root[k] = k
+		root[k], last[k] = k, k
 		if op.Code == OpReshape {
-			p.root[k] = root(op.Inputs[0])
-		}
-		if r := p.root[k]; r >= 0 {
-			last[r] = k
+			root[k] = rootOf(op.Inputs[0])
 		}
 		writer[op.Outputs[0]] = k
 	}
 	for _, idx := range m.Outputs {
 		if w := writer[idx]; w >= 0 {
 			p.given[w] = true
-			if r := p.root[w]; r >= 0 {
+			if r := root[w]; r >= 0 {
 				p.given[r] = true
 			}
 		}
 	}
-	for k, r := range p.root {
+	for k, r := range root {
+		p.span[k] = -1
 		if r == k && !p.given[k] {
-			p.release[last[k]] = append(p.release[last[k]], k)
+			p.span[k] = p.Span(m.Ops[k].Code == OpArgMax, k, last[k])
 		}
 	}
 	return p
@@ -146,26 +160,26 @@ func (ip *Interpreter) AllocateTensors() error {
 			continue
 		}
 		raw := ip.model.Buffers[spec.Buffer]
-		switch spec.Type {
-		case TypeFloat32:
-			if len(raw)%4 != 0 {
+		elems := len(raw)
+		if spec.Type == TypeFloat32 {
+			if elems%4 != 0 {
 				return fmt.Errorf("tflite: buffer for %q not float32-aligned", spec.Name)
 			}
-			t, err := newWeight(spec, len(raw)/4)
-			if err != nil {
-				return err
-			}
+			elems /= 4
+		}
+		if err := checkWeight(spec, elems); err != nil {
+			return err
+		}
+		if spec.Type == TypeFloat32 {
+			t := tf.NewTensor(tf.Float32, tf.Shape(spec.Shape))
 			if err := tf.DecodeElementsInto(t, raw); err != nil {
 				return err
 			}
 			ip.weights[i] = t
-		case TypeInt8:
+		} else {
 			// Quantized weights stay resident in int8 form; they are
 			// dequantized per use into transient scratch.
-			ip.rawInt8[i] = raw
-			ip.scales[i] = spec.Scale
-		default:
-			return fmt.Errorf("tflite: weight %q has bad type", spec.Name)
+			ip.rawInt8[i], ip.scales[i] = raw, spec.Scale
 		}
 		residentBytes += int64(len(raw))
 	}
@@ -181,32 +195,27 @@ func (ip *Interpreter) Close() {
 	ip.dev.Free(ip.id + "/arena")
 }
 
-// weight returns the float32 view of weight tensor i, dequantizing int8
-// weights into scratch (charged as compute).
-func (ip *Interpreter) weight(i int) (*tf.Tensor, error) {
+// weight returns the float32 view of weight tensor i, which shape has
+// checked is one, dequantizing int8 weights into scratch (charged as
+// compute).
+func (ip *Interpreter) weight(i int) *tf.Tensor {
 	if w := ip.weights[i]; w != nil {
-		return w, nil
+		return w
 	}
 	raw := ip.rawInt8[i]
-	if raw == nil {
-		return nil, fmt.Errorf("tflite: tensor %d is not a weight", i)
-	}
-	t, err := newWeight(ip.model.Tensors[i], len(raw))
-	if err != nil {
-		return nil, err
-	}
+	t := tf.NewTensor(tf.Float32, tf.Shape(ip.model.Tensors[i].Shape))
 	vals, scale := t.Floats(), float32(ip.scales[i])
 	for j, b := range raw {
 		vals[j] = float32(int8(b)) * scale
 	}
 	ip.dev.Compute(int64(len(raw)))
-	return t, nil
+	return t
 }
 
-// newWeight allocates the Float32 tensor a weight buffer of n elements
-// decodes into, once the file's declared shape is known to hold exactly
-// n: a negative dimension or an overflowing product matches no buffer.
-func newWeight(spec TensorSpec, n int) (*tf.Tensor, error) {
+// checkWeight checks that the file's declared shape for a weight holds
+// exactly the n elements of its buffer: a negative dimension or an
+// overflowing product matches no buffer.
+func checkWeight(spec TensorSpec, n int) error {
 	elems := 1
 	for _, d := range spec.Shape {
 		if d < 0 || (d > 0 && elems > math.MaxInt/d) {
@@ -216,9 +225,9 @@ func newWeight(spec TensorSpec, n int) (*tf.Tensor, error) {
 		elems *= d
 	}
 	if elems != n {
-		return nil, fmt.Errorf("tflite: weight %q: shape %v does not hold %d elements", spec.Name, spec.Shape, n)
+		return fmt.Errorf("tflite: weight %q: shape %v does not hold %d elements", spec.Name, spec.Shape, n)
 	}
-	return tf.NewTensor(tf.Float32, tf.Shape(spec.Shape)), nil
+	return nil
 }
 
 // SetInput feeds model input slot i.
@@ -247,7 +256,7 @@ func (ip *Interpreter) Output(i int) (*tf.Tensor, error) {
 }
 
 // Invoke runs the model over the current inputs.
-func (ip *Interpreter) Invoke() (err error) {
+func (ip *Interpreter) Invoke() error {
 	if !ip.allocated {
 		if err := ip.AllocateTensors(); err != nil {
 			return err
@@ -262,15 +271,11 @@ func (ip *Interpreter) Invoke() (err error) {
 			ip.values[ip.model.Inputs[i]] = t
 		}
 	}
-	defer func() {
-		// The device is charged the most the arena has held for the next
-		// Invoke: the outputs handed back are the caller's, and the
-		// weights are registered on their own.
-		if arena := ip.arena.Recycle(); err == nil && arena > ip.arenaPeak {
-			ip.arenaPeak = arena
-			ip.dev.Alloc(ip.id+"/arena", arena)
-		}
-	}()
+	if err := ip.shape(); err != nil {
+		return err
+	}
+	ip.plan.Lay()
+	ip.plan.Fit(&ip.slabs)
 	for k := range ip.model.Ops {
 		op := &ip.model.Ops[k]
 		out, err := ip.run(k, op)
@@ -278,17 +283,140 @@ func (ip *Interpreter) Invoke() (err error) {
 			return fmt.Errorf("tflite: op %d (%s): %w", k, op.Code, err)
 		}
 		ip.values[op.Outputs[0]] = out
-		for _, r := range ip.plan.release[k] {
-			ip.arena.Return(&ip.slots[r])
+	}
+	// The device is charged the most the slabs have held: the outputs
+	// handed back are the caller's, and the weights are registered on
+	// their own.
+	if f32, i32 := ip.plan.Lens(); 4*int64(f32+i32) > ip.arenaPeak {
+		ip.arenaPeak = 4 * int64(f32+i32)
+		ip.dev.Alloc(ip.id+"/arena", ip.arenaPeak)
+	}
+	return nil
+}
+
+// shape derives the dtype and shape of every op's output for this
+// Invoke's inputs, from the shapes its inputs hold and its weights
+// declare, and sizes the spans for them. It makes every check an op's
+// kernel needs of those shapes, so a kernel checks nothing.
+func (ip *Interpreter) shape() error {
+	p := &ip.plan
+	for i := range p.at {
+		p.at[i] = -1
+	}
+	for k := range ip.model.Ops {
+		op := &ip.model.Ops[k]
+		dtype, shape, err := ip.shapeOf(k, op)
+		if err != nil {
+			return fmt.Errorf("tflite: op %d (%s): %w", k, op.Code, err)
+		}
+		p.dtypes[k], p.shapes[k], p.at[op.Outputs[0]] = dtype, shape, k
+		if s := p.span[k]; s >= 0 {
+			p.Size(s, shape.NumElements())
 		}
 	}
 	return nil
 }
 
+// shapeOf derives op k's output dtype and shape, building the shape in
+// the storage of the one it had last Invoke, and keeps a convolution's
+// or pool's geometry for its kernel.
+func (ip *Interpreter) shapeOf(k int, op *OpSpec) (tf.DType, tf.Shape, error) {
+	p, out := &ip.plan, ip.plan.shapes[k][:0]
+	dtype, x, err := ip.holds(op.Inputs[0], false)
+	switch {
+	case err != nil:
+		return 0, nil, err
+	case op.Code == OpReshape:
+		out, err = tf.Reshaped(out, x.NumElements(), tf.Shape(op.NewShape))
+		return dtype, out, err
+	case dtype != tf.Float32:
+		// A request tensor's dtype is the caller's choice, not the model's.
+		return 0, nil, fmt.Errorf("input is %v, want float32", dtype)
+	}
+	switch op.Code {
+	case OpFullyConnected, OpConv2D:
+		_, w, err := ip.holds(op.Inputs[1], true)
+		switch {
+		case err != nil:
+			return 0, nil, err
+		case op.Code == OpConv2D:
+			if p.geoms[k], err = kernels.ConvGeom(x, w, max(op.Stride, 1), op.Padding == PadSame); err != nil {
+				return 0, nil, err
+			}
+			out = append(out, p.geoms[k].N, p.geoms[k].OH, p.geoms[k].OW, p.geoms[k].F)
+		case len(x) != 2 || len(w) != 2 || x[1] != w[0]:
+			return 0, nil, fmt.Errorf("shapes %v x %v", x, w)
+		default:
+			out = append(out, x[0], w[1])
+		}
+		if len(op.Inputs) > 2 {
+			_, bias, err := ip.holds(op.Inputs[2], true)
+			if channels := out[len(out)-1]; err == nil && bias.NumElements() != channels {
+				err = fmt.Errorf("bias has %d elements for %d output channels", bias.NumElements(), channels)
+			}
+			if err != nil {
+				return 0, nil, err
+			}
+		}
+	case OpMaxPool, OpAvgPool:
+		size, stride := op.K, op.Stride
+		if size < 1 {
+			size = 2
+		}
+		if stride < 1 {
+			stride = size
+		}
+		if p.geoms[k], err = kernels.PoolGeom(x, size, stride); err != nil {
+			return 0, nil, err
+		}
+		out = append(out, p.geoms[k].N, p.geoms[k].OH, p.geoms[k].OW, p.geoms[k].C)
+	case OpSoftmax, OpRelu, OpAdd:
+		if _, cols := kernels.RowsCols(x); op.Code == OpSoftmax && cols < 1 {
+			return 0, nil, fmt.Errorf("softmax over %d columns", cols)
+		}
+		if op.Code == OpAdd {
+			btype, b, err := ip.holds(op.Inputs[1], false)
+			if err == nil && (btype != tf.Float32 || x.NumElements() != b.NumElements()) {
+				err = fmt.Errorf("Add: %d float32 elements vs %d %v", x.NumElements(), b.NumElements(), btype)
+			}
+			if err != nil {
+				return 0, nil, err
+			}
+		}
+		out = append(out, x...)
+	case OpArgMax:
+		rows, cols := kernels.RowsCols(x)
+		if cols < 1 {
+			return 0, nil, fmt.Errorf("argmax over %d columns", cols)
+		}
+		return tf.Int32, append(out, rows), nil
+	default:
+		return 0, nil, fmt.Errorf("unknown opcode %d", op.Code)
+	}
+	return tf.Float32, out, nil
+}
+
+// holds is the dtype and shape tensor index idx holds at this point of
+// the Invoke: an earlier op's output, a model input or a weight, the
+// last alone if weight is set. A weight's is the shape it declares,
+// which AllocateTensors checked it holds.
+func (ip *Interpreter) holds(idx int, weight bool) (tf.DType, tf.Shape, error) {
+	if k := ip.plan.at[idx]; k >= 0 && !weight {
+		return ip.plan.dtypes[k], ip.plan.shapes[k], nil
+	}
+	if v := ip.values[idx]; v != nil && !weight {
+		return v.DType(), v.Shape(), nil
+	}
+	if ip.weights[idx] == nil && ip.rawInt8[idx] == nil {
+		return 0, nil, fmt.Errorf("tflite: tensor %d is not a weight", idx)
+	}
+	return tf.Float32, tf.Shape(ip.model.Tensors[idx].Shape), nil
+}
+
 // value fetches an activation or weight as float32.
-func (ip *Interpreter) value(i int) (*tf.Tensor, error) {
+func (ip *Interpreter) value(i int) *tf.Tensor {
 	if v := ip.values[i]; v != nil {
-		return v, nil
+		return v
 	}
 	return ip.weight(i)
 }
@@ -309,160 +437,84 @@ func (ip *Interpreter) charge(op *OpSpec, flops int64, activationBytes, weightBy
 	}
 }
 
-// output is the output of dtype and shape of the op at slot: a fresh
-// tensor if the plan gives it away, else the slot's header re-pointed at
-// storage from the arena, cleared if zero.
-func (ip *Interpreter) output(slot int, dtype tf.DType, shape tf.Shape, zero bool) *tf.Tensor {
-	if ip.plan.given[slot] {
-		return tf.NewTensor(dtype, shape)
+// output is the output of the op at slot, of the dtype and shape shape
+// derived: a fresh tensor if the plan gives it away, else the slot's
+// header re-pointed at its span, cleared if zero is set.
+func (ip *Interpreter) output(slot int, zero bool) *tf.Tensor {
+	p := &ip.plan
+	if p.span[slot] < 0 {
+		return tf.NewTensor(p.dtypes[slot], p.shapes[slot])
 	}
-	ip.arena.Draw(&ip.slots[slot], dtype, shape, zero)
+	p.Draw(&ip.slabs, &ip.slots[slot], p.span[slot], p.dtypes[slot], p.shapes[slot], zero)
 	return &ip.slots[slot]
 }
 
-// run executes op, at slot in the op list, on its first input x. Every
-// kernel but Reshape reads Float32 data, and a request tensor's dtype is
-// the caller's choice, not the model's, so it is checked here.
-func (ip *Interpreter) run(slot int, op *OpSpec) (*tf.Tensor, error) {
-	x, err := ip.value(op.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	if op.Code == OpReshape {
-		if ip.plan.given[slot] {
-			return x.Reshape(tf.Shape(op.NewShape))
-		}
-		return &ip.slots[slot], tf.ReshapeInto(&ip.slots[slot], x, tf.Shape(op.NewShape))
-	}
-	if x.DType() != tf.Float32 {
-		return nil, fmt.Errorf("input is %v, want float32", x.DType())
-	}
+// run executes op, at slot in the op list, whose shapes shape has
+// checked: its kernel checks nothing.
+func (ip *Interpreter) run(slot int, op *OpSpec) (out *tf.Tensor, err error) {
+	x, geo := ip.value(op.Inputs[0]), ip.plan.geoms[slot]
 	switch op.Code {
+	case OpReshape:
+		if ip.plan.given[slot] {
+			return x.Reshape(ip.plan.shapes[slot])
+		}
+		return &ip.slots[slot], tf.ReshapeInto(&ip.slots[slot], x, ip.plan.shapes[slot])
 	case OpFullyConnected, OpConv2D:
-		return ip.runLinear(slot, op, x)
-	case OpMaxPool, OpAvgPool:
-		return ip.runPool(slot, op, x)
-	case OpSoftmax:
-		return ip.runSoftmax(slot, op, x)
-	case OpRelu:
-		return ip.runRelu(slot, op, x)
-	case OpAdd:
-		return ip.runAdd(slot, op, x)
-	case OpArgMax:
-		return ip.runArgMax(slot, op, x)
-	default:
-		return nil, fmt.Errorf("unknown opcode %d", op.Code)
+		return ip.runLinear(slot, op, x), nil
 	}
+	out = ip.output(slot, false)
+	_, cols := kernels.RowsCols(x.Shape())
+	switch op.Code {
+	case OpMaxPool, OpAvgPool:
+		if op.Code == OpMaxPool {
+			kernels.MaxPool(out.Floats(), x.Floats(), geo, nil)
+		} else {
+			kernels.AvgPool(out.Floats(), x.Floats(), geo)
+		}
+		ip.charge(op, int64(out.NumElements())*int64(geo.KH*geo.KW), x.Bytes()+out.Bytes(), 0)
+	case OpSoftmax:
+		err = kernels.SoftmaxRows(out.Floats(), x.Floats(), cols)
+		ip.charge(op, 4*int64(x.NumElements()), 2*x.Bytes(), 0)
+	case OpRelu:
+		kernels.Relu(out.Floats(), x.Floats())
+		ip.charge(op, int64(x.NumElements()), 2*x.Bytes(), 0)
+	case OpAdd:
+		ad, bd, od := x.Floats(), ip.value(op.Inputs[1]).Floats(), out.Floats()
+		for i := range od {
+			od[i] = ad[i] + bd[i]
+		}
+		ip.charge(op, int64(x.NumElements()), 3*x.Bytes(), 0)
+	case OpArgMax:
+		err = kernels.ArgMaxRows(out.Ints(), x.Floats(), cols)
+		ip.charge(op, int64(x.NumElements()), x.Bytes(), 0)
+	}
+	return out, err
 }
 
 // runLinear executes a FullyConnected or Conv2D with its optional bias
 // (input 2) and fused activation.
-func (ip *Interpreter) runLinear(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
-	w, err := ip.weight(op.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
+func (ip *Interpreter) runLinear(slot int, op *OpSpec, x *tf.Tensor) *tf.Tensor {
+	w := ip.weight(op.Inputs[1])
 	var bias *tf.Tensor
 	if len(op.Inputs) > 2 {
-		if bias, err = ip.weight(op.Inputs[2]); err != nil {
-			return nil, err
-		}
+		bias = ip.weight(op.Inputs[2])
 	}
-	var out *tf.Tensor
-	var channels int
-	var flops int64
+	out := ip.output(slot, true)
+	flops := ip.plan.geoms[slot].ConvFLOPs()
 	if op.Code == OpFullyConnected {
-		xs, ws := x.Shape(), w.Shape()
-		if len(xs) != 2 || len(ws) != 2 || xs[1] != ws[0] {
-			return nil, fmt.Errorf("shapes %v x %v", xs, ws)
-		}
-		m, k, n := xs[0], xs[1], ws[1]
-		out, channels, flops = ip.output(slot, tf.Float32, tf.Shape{m, n}, true), n, 2*int64(m)*int64(k)*int64(n)
+		m, k, n := x.Shape()[0], x.Shape()[1], w.Shape()[1]
+		flops = 2 * int64(m) * int64(k) * int64(n)
 		// Few rows over large weights split by columns (kernels' splitPlan).
 		kernels.MatMulInto(out.Floats(), x.Floats(), w.Floats(), m, k, n, ip.dev.Threads())
 	} else {
-		geo, err := kernels.ConvGeom(x.Shape(), w.Shape(), max(op.Stride, 1), op.Padding == PadSame)
-		if err != nil {
-			return nil, err
-		}
-		out, channels, flops = ip.output(slot, tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.F}, true), geo.F, geo.ConvFLOPs()
-		kernels.Conv2DInto(out.Floats(), x.Floats(), w.Floats(), geo)
+		kernels.Conv2DInto(out.Floats(), x.Floats(), w.Floats(), ip.plan.geoms[slot])
 	}
 	if bias != nil {
-		if bias.NumElements() != channels {
-			return nil, fmt.Errorf("bias has %d elements for %d output channels", bias.NumElements(), channels)
-		}
 		kernels.BiasAdd(out.Floats(), out.Floats(), bias.Floats())
 	}
 	if op.Activation == ActRelu {
 		kernels.Relu(out.Floats(), out.Floats())
 	}
 	ip.charge(op, flops, x.Bytes()+out.Bytes(), w.Bytes())
-	return out, nil
-}
-
-func (ip *Interpreter) runPool(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
-	k, stride := op.K, op.Stride
-	if k < 1 {
-		k = 2
-	}
-	if stride < 1 {
-		stride = k
-	}
-	geo, err := kernels.PoolGeom(x.Shape(), k, stride)
-	if err != nil {
-		return nil, err
-	}
-	out := ip.output(slot, tf.Float32, tf.Shape{geo.N, geo.OH, geo.OW, geo.C}, false)
-	if op.Code == OpMaxPool {
-		kernels.MaxPool(out.Floats(), x.Floats(), geo, nil)
-	} else {
-		kernels.AvgPool(out.Floats(), x.Floats(), geo)
-	}
-	ip.charge(op, int64(out.NumElements())*int64(k*k), x.Bytes()+out.Bytes(), 0)
-	return out, nil
-}
-
-func (ip *Interpreter) runSoftmax(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
-	_, cols := kernels.RowsCols(x.Shape())
-	out := ip.output(slot, tf.Float32, x.Shape(), false)
-	if err := kernels.SoftmaxRows(out.Floats(), x.Floats(), cols); err != nil {
-		return nil, err
-	}
-	ip.charge(op, 4*int64(x.NumElements()), 2*x.Bytes(), 0)
-	return out, nil
-}
-
-func (ip *Interpreter) runRelu(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
-	out := ip.output(slot, tf.Float32, x.Shape(), false)
-	kernels.Relu(out.Floats(), x.Floats())
-	ip.charge(op, int64(x.NumElements()), 2*x.Bytes(), 0)
-	return out, nil
-}
-
-func (ip *Interpreter) runAdd(slot int, op *OpSpec, a *tf.Tensor) (*tf.Tensor, error) {
-	b, err := ip.value(op.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	if b.DType() != tf.Float32 || a.NumElements() != b.NumElements() {
-		return nil, fmt.Errorf("Add: %d float32 elements vs %d %v", a.NumElements(), b.NumElements(), b.DType())
-	}
-	out := ip.output(slot, tf.Float32, a.Shape(), false)
-	ad, bd, od := a.Floats(), b.Floats(), out.Floats()
-	for i := range od {
-		od[i] = ad[i] + bd[i]
-	}
-	ip.charge(op, int64(a.NumElements()), 3*a.Bytes(), 0)
-	return out, nil
-}
-
-func (ip *Interpreter) runArgMax(slot int, op *OpSpec, x *tf.Tensor) (*tf.Tensor, error) {
-	rows, cols := kernels.RowsCols(x.Shape())
-	out := ip.output(slot, tf.Int32, tf.Shape{rows}, false)
-	if err := kernels.ArgMaxRows(out.Ints(), x.Floats(), cols); err != nil {
-		return nil, err
-	}
-	ip.charge(op, int64(x.NumElements()), x.Bytes(), 0)
-	return out, nil
+	return out
 }

@@ -10,9 +10,19 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/models"
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tflite"
+)
+
+// densenetB1Slab and mlpB16Slab are the bytes of the slabs a batch-1
+// densenet Invoke (serve-steady's) and a batch-16 MNIST MLP Invoke
+// (serve-fleet's OCR stage) lay out: the most their activations hold
+// live at one op.
+const (
+	densenetB1Slab = 16_384
+	mlpB16Slab     = 8_832
 )
 
 // zooLite freezes a zoo classifier with a softmax head and lowers it to
@@ -125,6 +135,88 @@ func TestZooOutputGoldens(t *testing.T) {
 	}
 }
 
+// TestRelaidBatchesBitEqual runs the MNIST MLP and CNN, float32 and
+// int8, at batch 16, 3 and 16 again, each twice, on one interpreter
+// whose slabs are filled with NaN before every Invoke (Dirty). Each
+// batch change lays the Invoke out again, and each repeat computes into
+// the storage the last left; every output must be a fresh
+// interpreter's, bit for bit.
+func TestRelaidBatchesBitEqual(t *testing.T) {
+	for _, z := range []struct {
+		name  string
+		build func(int64) models.Handles
+	}{{"mlp", models.MNISTMLP}, {"cnn", models.MNISTCNN}} {
+		for _, quant := range []bool{false, true} {
+			m := zooLite(t, z.build(41), quant)
+			warm, err := tflite.NewInterpreter(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, batch := range []int{16, 16, 3, 3, 16, 16} {
+				in := tf.RandNormal(tf.Shape{batch, 28, 28, 1}, 1, int64(200+i))
+				tflite.Dirty(warm)
+				if err := warm.SetInput(0, in); err != nil {
+					t.Fatal(err)
+				}
+				if err := warm.Invoke(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := warm.Output(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, invoke(t, m, in)) {
+					t.Errorf("%s (int8 %v), Invoke %d at batch %d: output differs from a fresh interpreter's", z.name, quant, i+1, batch)
+				}
+			}
+			warm.Close()
+		}
+	}
+}
+
+// recordingDevice is a null device that remembers what was registered.
+type recordingDevice struct {
+	*device.Null
+	allocs map[string]int64
+}
+
+func (d *recordingDevice) Alloc(name string, bytes int64) { d.allocs[name] = bytes }
+
+// TestServingArenaIsThePlannedPeak: the arena an interpreter registers
+// for serve-steady's batch-1 densenet and serve-fleet's batch-16 MNIST
+// MLP stage is its slabs, and the slabs are the most its activations
+// hold live at one op, to the byte.
+func TestServingArenaIsThePlannedPeak(t *testing.T) {
+	mlp := zooLite(t, models.MNISTMLP(1), false)
+	for _, tc := range []struct {
+		name  string
+		model *tflite.Model
+		input *tf.Tensor
+		want  int64
+	}{
+		{"batch-1 densenet", models.BuildInferenceModel(models.Densenet), models.RandomImageInput(models.Densenet, 1, 3), densenetB1Slab},
+		{"batch-16 MLP", mlp, tf.RandNormal(tf.Shape{16, 28, 28, 1}, 1, 3), mlpB16Slab},
+	} {
+		dev := &recordingDevice{Null: device.NewNull(), allocs: map[string]int64{}}
+		ip, err := tflite.NewInterpreter(tc.model, tflite.WithDevice(dev))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ip.SetInput(0, tc.input); err != nil {
+			t.Fatal(err)
+		}
+		if err := ip.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+		slab, peak, arena := tflite.SlabBytes(ip), tflite.PeakLiveBytes(ip), dev.allocs["tflite/arena"]
+		t.Logf("%s: tflite/arena %d B: slabs %d B, at most %d B live at once", tc.name, arena, slab, peak)
+		if slab != peak || slab != tc.want || arena != slab {
+			t.Errorf("%s: tflite/arena %d B, slabs %d B, at most %d B live at once; want all %d", tc.name, arena, slab, peak, tc.want)
+		}
+		ip.Close()
+	}
+}
+
 // FuzzLiteModel drives a model file the way a serving replica does —
 // Unmarshal, AllocateTensors, Invokes on small inputs — over arbitrary
 // bytes. Nothing may panic or size an allocation from an unchecked count,
@@ -133,7 +225,9 @@ func TestZooOutputGoldens(t *testing.T) {
 // again on the same interpreter gives A's outputs bit for bit, which is
 // what an activation plan that leaks state between Invokes breaks (an
 // accumulator not cleared, one buffer under two live tensors, a
-// Reshape's storage handed back while it is still read).
+// Reshape's storage handed back while it is still read). Every clean
+// Invoke's layout must also be sound against the liveness the test
+// derives itself (LayoutFault), as FuzzGraphRun holds a Session's.
 func FuzzLiteModel(f *testing.F) {
 	for _, build := range []func(int64) models.Handles{models.MNISTMLP, models.MNISTCNN} {
 		for _, quant := range []bool{false, true} {
@@ -183,6 +277,9 @@ func FuzzLiteModel(f *testing.F) {
 			}
 			if err := ip.Invoke(); err != nil {
 				return nil
+			}
+			if fault := tflite.LayoutFault(ip); fault != "" {
+				t.Fatal(fault)
 			}
 			outs := make([]*tf.Tensor, len(m.Outputs))
 			for i := range m.Outputs {
