@@ -826,15 +826,34 @@ func (j *distJob) close() {
 }
 
 // runFree trains every worker concurrently, each stepping through its
-// rounds as fast as the shards' barriers let it.
+// rounds as fast as the shards' barriers let it. The workers connect
+// one after another, in id order, as runWaves connects them, so each
+// shard has seated all of them before the first pull, and serves their
+// rounds in the order their frames were sent (dist's order.go).
 func (j *distJob) runFree() error {
+	defer func() {
+		for _, worker := range j.workers {
+			if worker != nil {
+				worker.Close()
+			}
+		}
+	}()
+	for w := range j.workers {
+		var err error
+		if j.xs[w], j.ys[w], err = j.cfg.ShardData(w); err != nil {
+			return err
+		}
+		if j.workers[w], err = j.startWorker(w, j.startRounds); err != nil {
+			return err
+		}
+	}
 	errs := make([]error, j.cfg.Workers)
 	var wg sync.WaitGroup
-	for w := range j.workers {
+	for w, worker := range j.workers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if errs[w] = j.runWorker(w); errs[w] != nil {
+			if errs[w] = j.runWorker(w, worker); errs[w] != nil {
 				j.abort()
 			}
 		}(w)
@@ -845,16 +864,7 @@ func (j *distJob) runFree() error {
 	return errors.Join(errs...)
 }
 
-func (j *distJob) runWorker(w int) (err error) {
-	if j.xs[w], j.ys[w], err = j.cfg.ShardData(w); err != nil {
-		return err
-	}
-	worker, err := j.startWorker(w, j.startRounds)
-	if err != nil {
-		return err
-	}
-	defer worker.Close()
-	j.workers[w] = worker
+func (j *distJob) runWorker(w int, worker *TrainingWorker) error {
 	for r := j.startRounds; r < j.cfg.Rounds; r++ {
 		if err := worker.Step(); err != nil {
 			return err

@@ -402,9 +402,10 @@ func TestTrainDistributedValidation(t *testing.T) {
 // TestTrainDistributedReplay runs one synchronous job — 3 workers, 1
 // shard, 4 rounds, the MNIST MLP at batch 50 — twice in one process on
 // each shielded kind, and wants the losses and the final variables bit
-// for bit the same. Its Latency is not yet a function of the seed (open:
-// item 32), so the two are only logged: under -v the test shows the
-// spread that Figure 8's multi-worker rows are single draws from.
+// for bit the same. Its shards have a round timeout, so they serve
+// frames as the host delivers them and its Latency is not a function of
+// the seed (open: item 32); the two are only logged under -v. Figure 8's
+// rows, on shards without one, serve frames in the order they were sent.
 func TestTrainDistributedReplay(t *testing.T) {
 	const workers, rounds, batch = 3, 4, 50
 	for _, kind := range []securetf.RuntimeKind{securetf.SconeHW, securetf.SconeSIM} {

@@ -194,7 +194,14 @@
 // their per-phase virtual time (pull / compute / push) in
 // TrainingWorker.LastBreakdown; the push stamp is taken only after the
 // last parameter-server ack has been read, so the breakdown carries the
-// full wire + barrier cost. The paper's own §5.4 numbers come off this
+// full wire + barrier cost. A synchronous shard without a round timeout
+// serves its workers' frames in the order they were sent in virtual
+// time, not in the order the host delivers them (internal/tf/dist's
+// order.go), and TrainDistributed connects its workers one after
+// another before any round, so a job's virtual times repeat from run to
+// run, up to the receive-side charges of each frame's first bytes. A
+// shard with a round timeout, or an elastic or asynchronous one, serves
+// frames as they come. The paper's own §5.4 numbers come off this
 // API: internal/experiments regenerates Figures 8 and 9 (and the
 // shard, codec and consistency sweeps) as TrainDistributed jobs and
 // StartParameterServer/StartTrainingWorker nodes, so the CI ratio gates
@@ -230,7 +237,13 @@
 // beside it lies; a kernel draws its planned slice, and a draw of another
 // size fails the Run. A Relu's gradient reads the Relu's output, as
 // TensorFlow's does, so the Relu may overwrite its input, and a bias add
-// its product, in place: a batch-50 MNIST-CNN step holds 4.79 MB. The
+// its product, in place: a batch-50 MNIST-CNN step holds 4.79 MB. Two
+// element-wise passes a layer are not made at all, bit for bit: a bias
+// add that only a Relu reads runs inside it, one pass of relu(x+bias)
+// over the product, and where a max pool alone reads a Relu, the Relu's
+// gradient is masked by the pool's output before MaxPoolGrad scatters it
+// rather than after, over a quarter of the elements. The batch-50 step
+// charges the enclave some 8 MB less memory traffic for it. The
 // Lite interpreter derives every op's shape before an Invoke and lays
 // its activations out by the same code ("tflite/arena" is the slabs, its
 // peak: 16 KB for a batch-1 densenet), again when the batch changes.

@@ -265,6 +265,10 @@ func TestFigure8Shape(t *testing.T) {
 // point to what the private fig8Run harness produced at 8c109a3, before
 // the figures moved onto securetf.TrainDistributed. One worker is
 // deterministic to the nanosecond, so any cost charged differently shows.
+// The latencies were re-recorded, 4 127 250 ns lower each, when the
+// session folded BiasAdd into the Relu reading it and masked a pooled
+// Relu's gradient in the pool's space: two element-wise passes a layer
+// fewer to charge. The push bytes and loss bits did not move.
 func TestFigure8PointPinned(t *testing.T) {
 	cfg := Config{Steps: 6, BatchSize: 50}
 	for _, want := range []struct {
@@ -273,8 +277,8 @@ func TestFigure8PointPinned(t *testing.T) {
 		pushBytes int64
 		lossBits  uint64
 	}{
-		{securetf.NoGradCompression(), 205855366, 9854046, 0x4002712380000000},
-		{securetf.Int8GradCompression(), 146740966, 2464746, 0x40027123a0000000},
+		{securetf.NoGradCompression(), 201728116, 9854046, 0x4002712380000000},
+		{securetf.Int8GradCompression(), 142613716, 2464746, 0x40027123a0000000},
 	} {
 		res, err := fig8Train(cfg, fig8System{"Native", securetf.NativeGlibc, false}, 1, 1, want.comp)
 		if err != nil {
@@ -288,8 +292,11 @@ func TestFigure8PointPinned(t *testing.T) {
 }
 
 // speedup2WorkersFloor is the least two workers may speed one worker's
-// job up by: 1.84 today (1.64–1.86 over forty runs: the two pushes'
-// arrival order moves it), and 1.5 is above that less 20 %.
+// job up by. It was set at 1.84 less 20 %, when the two pushes' arrival
+// order moved the speedup (1.64–1.86 over forty runs). The shard now
+// serves them in the order they were sent, and a cheaper worker step
+// leaves more of the round to the single shard: it reads 1.646 in every
+// run.
 const speedup2WorkersFloor = 1.5
 
 func TestFigure8ShardSweepShape(t *testing.T) {

@@ -43,8 +43,12 @@ func (m Meter) Frame(n int) { m.clock.Advance(m.FrameTime(n)) }
 func (m Meter) Transit() { m.clock.Advance(m.params.LANRTT / 2) }
 
 // Arrive moves the clock to when a message stamped sent reaches this
-// node, half a LAN round trip later, unless it is already past that.
-func (m Meter) Arrive(sent time.Duration) { m.clock.AdvanceTo(sent + m.params.LANRTT/2) }
+// node, unless it is already past that.
+func (m Meter) Arrive(sent time.Duration) { m.clock.AdvanceTo(m.Arrival(sent)) }
+
+// Arrival is when a message stamped sent reaches its peer: half a LAN
+// round trip later.
+func (m Meter) Arrival(sent time.Duration) time.Duration { return sent + m.params.LANRTT/2 }
 
 // Handshake charges a TLS 1.3 handshake's CPU and its two round trips
 // (TCP connect, TLS).

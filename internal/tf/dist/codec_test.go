@@ -295,7 +295,7 @@ func TestCodecMismatchFailsFast(t *testing.T) {
 func TestCompressedPushFramingEnforced(t *testing.T) {
 	ps, _ := compressedCluster(t, 1, Int8Compression())
 	raw := &message{Kind: msgPush, Worker: 9, Vars: map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1)}}
-	if err := ps.push(raw); err == nil || !strings.Contains(err.Error(), "raw gradients") {
+	if err := ps.push(raw, nil); err == nil || !strings.Contains(err.Error(), "raw gradients") {
 		t.Fatalf("raw push to a compressed shard: err = %v, want a framing rejection", err)
 	}
 	// And the inverse: a compressed push to an uncompressed shard.
@@ -306,7 +306,7 @@ func TestCompressedPushFramingEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := &message{Kind: msgPush, Worker: 9, Grads: map[string][]byte{"w": blob}}
-	if err := ps2.push(enc); err == nil || !strings.Contains(err.Error(), "compressed gradients") {
+	if err := ps2.push(enc, nil); err == nil || !strings.Contains(err.Error(), "compressed gradients") {
 		t.Fatalf("compressed push to an uncompressed shard: err = %v, want a framing rejection", err)
 	}
 }

@@ -336,8 +336,11 @@ func policyFromWire(kind uint8, staleness int64) ConsistencyPolicy {
 type Link struct {
 	conn   net.Conn
 	frames *wire.Frames
-	// hdr is the header of the frame being read.
-	hdr [4]byte
+	// hdr is the start of the frame being read: its header, then its
+	// kind and stamp, the first stampEnd bytes of every frame.
+	hdr [stampEnd]byte
+	// sent is the stamp of the frame last sent.
+	sent time.Duration
 	// held is the frame last received while the message decoded from it
 	// points into it (its Grads); it goes back to frames at the link's
 	// next Send, Receive or Close.
@@ -399,7 +402,8 @@ func (l *Link) flush(meter sgx.Meter, frame []byte) (int, error) {
 	meter.Frame(len(frame))
 	// Stamp after charging serialization; the stamp sits at a fixed
 	// offset right after the frame header and the kind byte.
-	binary.LittleEndian.PutUint64(frame[5:13], uint64(meter.Clock().Now()))
+	l.sent = meter.Clock().Now()
+	binary.LittleEndian.PutUint64(frame[5:stampEnd], uint64(l.sent))
 	if err := wire.SendFrame(l.conn, frame); err != nil {
 		return 0, err
 	}
@@ -414,13 +418,49 @@ func (l *Link) flush(meter sgx.Meter, frame []byte) (int, error) {
 // Close. A frame that is cut short or does not decode is dropped, not
 // given back: its bytes are the peer's to size.
 func (l *Link) Receive(meter sgx.Meter) (*Message, error) {
-	l.release()
-	n, err := wire.ReadHeader(l.conn, l.hdr[:])
-	if err != nil {
+	if _, err := l.next(); err != nil {
 		return nil, err
 	}
+	return l.rest(meter)
+}
+
+// stampEnd is where a frame's stamp ends: after the 4-byte header, the
+// kind byte and the 8-byte stamp.
+const stampEnd = 13
+
+// next reads the start of the next frame, up to its stamp, and returns
+// the stamp: what a receiver that serves its peers' frames in the order
+// they were sent (ParameterServer.await) needs before it reads the rest
+// with rest. The start is read in one call where the transport has it,
+// so next and rest together read in as many calls as a frame read whole
+// would take. A frame too short to hold a stamp is refused unread.
+func (l *Link) next() (time.Duration, error) {
+	l.release()
+	for got := 0; got < stampEnd; {
+		k, err := l.conn.Read(l.hdr[got:])
+		got += k
+		if got >= 4 {
+			if n := binary.LittleEndian.Uint32(l.hdr[:4]); n > wire.MaxFrame || n < stampEnd-4 {
+				return 0, fmt.Errorf("dist: frame of %d bytes", n)
+			}
+		}
+		if err != nil && got < stampEnd {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+	}
+	return time.Duration(binary.LittleEndian.Uint64(l.hdr[5:stampEnd])), nil
+}
+
+// rest reads the rest of the frame next began, decodes it and advances
+// meter's clock to when it arrived, as Receive does.
+func (l *Link) rest(meter sgx.Meter) (*Message, error) {
+	n := int(binary.LittleEndian.Uint32(l.hdr[:4]))
 	payload := l.frames.Get(n)
-	if _, err := io.ReadFull(l.conn, payload); err != nil {
+	copy(payload, l.hdr[4:])
+	if _, err := io.ReadFull(l.conn, payload[stampEnd-4:]); err != nil {
 		return nil, err
 	}
 	m, err := decodeInto(payload, l.vars)

@@ -157,6 +157,9 @@ type ParameterServer struct {
 	stats    PSStats
 
 	srv *wire.Server
+	// order serves the frames in the order they were sent (order.go);
+	// nil on a shard that serves them as they come.
+	order *order
 }
 
 // contribution is one worker's staged gradient partition of the
@@ -240,6 +243,9 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 		members:  make(map[uint32]bool),
 		evicted:  make(map[uint32]bool),
 		pending:  make(map[uint32]bool),
+	}
+	if cfg.Consistency.Kind == ConsistencySync && !cfg.Elastic && cfg.RoundTimeout == 0 {
+		ps.order = &order{turn: sync.NewCond(&ps.mu)}
 	}
 	for name, t := range ShardVars(cfg.Vars, cfg.Shard, cfg.Shards) {
 		if t == nil || t.DType() != tf.Float32 {
@@ -365,7 +371,9 @@ func (ps *ParameterServer) Close() error {
 
 // serve runs one worker's connection. Its link's frame buffers, and the
 // gradient tensors this worker's pushes are decoded into round after
-// round, belong to the connection and go with it.
+// round, belong to the connection and go with it. On a shard that keeps
+// the order (order.go), each frame is read up to its stamp, waits its
+// turn, and is read on, served and answered in it.
 func (ps *ParameterServer) serve(conn net.Conn) {
 	grads := make(map[string]*tf.Tensor)
 	l := NewLink(conn, func(name string) *tf.Tensor {
@@ -376,8 +384,23 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		}
 		return grads[name]
 	})
+	var s *seat      // this connection's seat, once its hello is answered
+	serving := false // a frame of this connection is being served in order
+	if ps.order != nil {
+		defer func() { ps.leave(s, serving) }()
+	}
 	for {
-		msg, err := l.Receive(ps.cfg.Meter)
+		var msg *message
+		var err error
+		if ps.order == nil {
+			msg, err = l.Receive(ps.cfg.Meter)
+		} else if stamp, nerr := l.next(); nerr != nil {
+			err = nerr
+		} else {
+			ps.await(s, stamp)
+			serving = true
+			msg, err = l.rest(ps.cfg.Meter)
+		}
 		var resp *message
 		switch {
 		case errors.Is(err, errVars):
@@ -392,7 +415,7 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 			resp = &message{Kind: msgVars, OK: true}
 		case msg.Kind == msgPush:
 			resp = &message{Kind: msgAck, OK: true}
-			if err := ps.push(msg); err != nil {
+			if err := ps.push(msg, s); err != nil {
 				resp.OK = false
 				resp.Stale = errors.Is(err, errStalePush)
 				resp.Evicted = errors.Is(err, errEvicted)
@@ -414,6 +437,13 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		}
 		if _, err := l.flush(ps.cfg.Meter, frame); err != nil {
 			return
+		}
+		if serving {
+			if s == nil && msg != nil && msg.Kind == msgHello && resp.OK {
+				s = ps.sit(msg.Worker)
+			}
+			ps.served(s, l.sent)
+			serving = false
 		}
 	}
 }
@@ -529,8 +559,10 @@ func (ps *ParameterServer) decodePush(msg *message) error {
 // check here, so one malformed push cannot poison the round for
 // everyone: a raw push was decoded into tensors shaped like the shard's
 // variables or refused (serve, decodeInto), a compressed one is decoded
-// against the variables' shapes by decodePush.
-func (ps *ParameterServer) push(msg *message) error {
+// against the variables' shapes by decodePush. s is the seat of the
+// pushing connection on a shard that keeps the order, whose turn a push
+// gives up at the barrier.
+func (ps *ParameterServer) push(msg *message, s *seat) error {
 	if err := ps.decodePush(msg); err != nil {
 		return err
 	}
@@ -581,11 +613,20 @@ func (ps *ParameterServer) push(msg *message) error {
 		//securetf:allow nowallclock RoundTimeout is a genuinely-wall watchdog: it evicts workers that stopped making real progress
 		ps.timer = time.AfterFunc(ps.cfg.RoundTimeout, func() { ps.timeout(gen) })
 	}
-	if ps.pushes >= ps.expected {
+	parked := ps.pushes < ps.expected
+	if !parked {
 		ps.commitLocked()
+	} else if ps.order != nil {
+		ps.parkLocked(s)
 	}
 	ps.mu.Unlock()
-	return <-ch
+	err := <-ch
+	if ps.order != nil && (parked || s != nil) { // the barrier's answer takes its turn
+		ps.mu.Lock()
+		ps.awaitLocked(s)
+		ps.mu.Unlock()
+	}
+	return err
 }
 
 // pushAsyncLocked is the bounded-staleness commit path: the push is
@@ -748,6 +789,9 @@ func (ps *ParameterServer) finishRoundLocked(err error) {
 	ps.waiters = nil
 	ps.contribs = nil
 	ps.pushes = 0
+	if ps.order != nil {
+		ps.answerLocked()
+	}
 	if ps.timer != nil {
 		ps.timer.Stop()
 		ps.timer = nil

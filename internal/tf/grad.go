@@ -2,6 +2,7 @@ package tf
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Gradients builds the reverse-mode gradient subgraph of a scalar loss
@@ -19,6 +20,15 @@ func Gradients(g *Graph, loss *Node, wrt []*Node) ([]*Node, error) {
 
 	grads := make(map[*Node]*Node)
 	grads[loss] = g.Const(loss.name+"/grad_seed", Scalar(1))
+	readers := make(map[*Node]int)
+	for _, n := range order {
+		for _, in := range n.inputs {
+			readers[in]++
+		}
+	}
+	// masked holds the Relus whose gradient the max pool reading them
+	// has masked already (poolMasked): it is their input's as it is.
+	masked := make(map[*Node]bool)
 
 	// accumulate adds a contribution to a node's gradient.
 	accumulate := func(n, contribution *Node) {
@@ -38,8 +48,15 @@ func Gradients(g *Graph, loss *Node, wrt []*Node) ([]*Node, error) {
 		if !ok {
 			continue // loss does not depend on this node
 		}
-		switch n.op {
-		case OpConst, OpPlaceholder, OpVariable:
+		switch {
+		case n.op == OpConst || n.op == OpPlaceholder || n.op == OpVariable:
+			continue
+		case masked[n]:
+			accumulate(n.inputs[0], gradOut)
+			continue
+		case n.op == OpMaxPool && readers[n.inputs[0]] == 1 && n.inputs[0].op == OpRelu && !slices.Contains(wrt, n.inputs[0]):
+			masked[n.inputs[0]] = true
+			accumulate(n.inputs[0], poolMasked(g, n, gradOut))
 			continue
 		}
 		fn, ok := gradFuncs[n.op]
@@ -60,6 +77,20 @@ func Gradients(g *Graph, loss *Node, wrt []*Node) ([]*Node, error) {
 		out[i] = grads[v]
 	}
 	return out, nil
+}
+
+// poolMasked is the gradient of a Relu's output y that max pool p
+// alone reads, masked by the Relu: MaxPoolGrad(ReluGrad(gradOut, p), y),
+// which is ReluGrad(MaxPoolGrad(gradOut, y), y) bit for bit with the mask
+// run over the pool's output, a quarter of y's elements at 2×2. The
+// argmax that routes gradOut[o] to y[i] picked p[o] == y[i] bit for
+// bit, so p[o] > 0 exactly where y[i] > 0; an element of y no window
+// picked, or picked only where the mask cleared the gradient, is +0 + +0
+// or +0 on both sides.
+func poolMasked(g *Graph, p, gradOut *Node) *Node {
+	y := p.inputs[0]
+	relu := g.addNode(y.name+"/grad", OpReluGrad, []*Node{gradOut, p}, nil)
+	return g.addNode(p.name+"/grad", OpMaxPoolGrad, []*Node{relu, y}, Attrs{"forward": p.name})
 }
 
 // gradFunc produces the gradients flowing into each input of n, given the

@@ -150,32 +150,16 @@ type buffer struct {
 }
 
 // buffers lists the buffers of the Run s made last: each value's but a
-// view's, live from its node to the last node reading its storage (a
-// view or pass-through of it reads for as long as that is read; a fetch
-// to the end), and each scratch draw's, for its node alone or, a forward
-// cache, to the last node reading it.
+// view's and a folded BiasAdd's, live from its node to the last node
+// reading its storage (a view or pass-through of it reads for as long as
+// that is read; a fetch to the end), and each scratch draw's, for its
+// node alone or, a forward cache, to the last node reading it.
 func buffers(s *Session) []buffer {
 	p := s.plans[0]
-	n := len(p.order)
-	last := make([]int, n)
-	for k := range p.order {
-		last[k] = k
-		for _, j := range p.inputs[k] {
-			last[j] = k
-		}
-	}
-	for _, k := range p.fetchAt {
-		last[k] = n
-	}
-	for k := n - 1; k >= 0; k-- {
-		if op := p.order[k].op; op == OpReshape || op == OpDropout || op == OpDropoutGrad {
-			j := p.inputs[k][0]
-			last[j] = max(last[j], last[k])
-		}
-	}
+	last, folded := liveness(p)
 	var bufs []buffer
 	for k, node := range p.order {
-		if sp := p.outSpan[k]; sp >= 0 && node.op != OpReshape {
+		if sp := p.outSpan[k]; sp >= 0 && node.op != OpReshape && !folded[k] {
 			bufs = append(bufs, buffer{k, b2i(node.dtype == Int32), p.spans[sp].off, p.shapes[k].NumElements(), k, last[k], false})
 		}
 		for _, u := range p.scratch[k] {
@@ -194,6 +178,41 @@ func buffers(s *Session) []buffer {
 		}
 	}
 	return bufs
+}
+
+// liveness derives, per position of p, the last position reading its
+// storage and whether it is a BiasAdd folded into the Relu that reads
+// it: one no fetch names and that Relu alone reads, whose inputs the
+// Relu reads in its place.
+func liveness(p *runPlan) (last []int, folded []bool) {
+	n := len(p.order)
+	last, folded = make([]int, n), make([]bool, n)
+	readers := make([]int, n)
+	for k := range p.order {
+		last[k] = k
+		for _, j := range p.inputs[k] {
+			last[j] = k
+			readers[j]++
+		}
+	}
+	for _, k := range p.fetchAt {
+		last[k] = n
+	}
+	for k, node := range p.order {
+		if j := p.inputs[k]; node.op == OpRelu && p.order[j[0]].op == OpBiasAdd && readers[j[0]] == 1 && last[j[0]] == k {
+			folded[j[0]] = true
+			for _, i := range p.inputs[j[0]] {
+				last[i] = max(last[i], k)
+			}
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		if op := p.order[k].op; op == OpReshape || op == OpDropout || op == OpDropoutGrad {
+			j := p.inputs[k][0]
+			last[j] = max(last[j], last[k])
+		}
+	}
+	return last, folded
 }
 
 // took reports whether b is the output of an op computed in place over
@@ -233,14 +252,21 @@ func sweep(bufs []buffer, nodes int) (high, most [2]int) {
 }
 
 // layoutFault checks the layout of the Run s made last against the
-// liveness buffers derives, and describes the first fault: every buffer
-// lies in its slab, from the start of a 64-byte line; no two that are
-// live at one node overlap, unless one took the other's storage in
-// place; and a sweep over the nodes finds each slab as long as the
-// highest end of a buffer live at one of them, and at least the most
-// that is live at any.
+// liveness buffers derives, and describes the first fault: a BiasAdd
+// has a span exactly when it is not folded; every buffer lies in its
+// slab, from the start of a 64-byte line; no two that are live at one
+// node overlap, unless one took the other's storage in place; and a
+// sweep over the nodes finds each slab as long as the highest end of a
+// buffer live at one of them, and at least the most that is live at
+// any.
 func layoutFault(s *Session) string {
 	p := s.plans[0]
+	_, folded := liveness(p)
+	for k, node := range p.order {
+		if node.op == OpBiasAdd && (p.outSpan[k] >= 0) == folded[k] {
+			return fmt.Sprintf("BiasAdd %q folded %v, span %d", node.name, folded[k], p.outSpan[k])
+		}
+	}
 	bufs := buffers(s)
 	slabs := [2]int{len(s.f32), len(s.i32)}
 	for i, a := range bufs {
@@ -372,6 +398,22 @@ func FuzzGraphRun(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
+	// Training graphs whose BiasAdds fold into the Relus reading them,
+	// but for the logits', which the loss reads, and for any a Run
+	// fetches; each pooled Relu's gradient is masked in its pool's space,
+	// over 2×2 pools, and over a 3×3 stride-2 pool where the Relu is read
+	// twice and its gradient is not.
+	for _, c := range [][2]int{{2, 2}, {3, 2}} {
+		g, _, _, loss, _ := pooledNet(c[0], c[1], c[0] == 3)
+		if _, err := Minimize(g, SGD{LR: 0.1}, loss); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := MarshalGraph(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, _, fault := runEvery(data); fault != "" {
 			t.Fatal(fault)

@@ -236,6 +236,55 @@ func TestReluGradReadsReluOutput(t *testing.T) {
 	}
 }
 
+// TestBiasReluIsBiasAddThenRelu: BiasRelu, the session's BiasAdd folded
+// into the Relu that reads it, is BiasAdd then Relu bit for bit, into a
+// fresh dst and in place. Every pair of special values as an element and
+// a bias (NaN payloads of both signs, ±0, ±Inf, subnormals); then every
+// length 0 to 67 of awkward floats that 1 to 17 channels divide, at
+// offsets 0 to 3 into the buffer; then rows that cross BiasRelu's
+// blocks, and one row wider than a block. The dispatching kernels and
+// the Go loops alike; on a CPU without AVX both are the Go loop.
+func TestBiasReluIsBiasAddThenRelu(t *testing.T) {
+	check := func(what string, x, bias []float32, off int) {
+		t.Helper()
+		want, got := make([]float32, len(x)), shifted(make([]float32, len(x)), (off+2)%4)
+		BiasAdd(want, x, bias)
+		Relu(want, want)
+		BiasRelu(got, x, bias)
+		bitEqual(t, what, got, want)
+		got = shifted(x, off)
+		BiasRelu(got, got, bias)
+		bitEqual(t, what+", in place", got, want)
+
+		biasAddGo(want, x, bias)
+		reluGo(want, want)
+		biasReluGo(got, x, bias)
+		bitEqual(t, what+", Go loops", got, want)
+	}
+	special := specialFloats()
+	var x []float32
+	for _, a := range special {
+		x = append(x, special...)
+		for j := len(x) - len(special); j < len(x); j++ {
+			x[j] = a
+		}
+	}
+	check("every special pair", x, special, 0)
+	rng := rand.New(rand.NewSource(42))
+	for c := 1; c <= 17; c++ {
+		for n := 0; n <= 67; n += c {
+			for off := 0; off < 4; off++ {
+				check(fmt.Sprintf("%d awkward floats over %d channels at offset %d", n, c, off),
+					shifted(awkward(rng, n), off), shifted(awkward(rng, c), (off+1)%4), off)
+			}
+		}
+	}
+	for _, c := range []int{8, 10, 512, biasReluBlock + 3} {
+		n := c * (2*biasReluBlock/c + 3)
+		check(fmt.Sprintf("%d awkward floats over %d channels", n, c), awkward(rng, n), awkward(rng, c), 1)
+	}
+}
+
 // TestMaxPoolGradEdges: the 2×2 gradient writes every element of dx,
 // whatever it held. The edge of an odd extent no window covers reads +0,
 // a gradient of -0 reads +0 (+0 + -0), and a window of -Inf alone, whose

@@ -89,6 +89,10 @@
 // element or one channel, and every output keeps its bits, with one
 // exception outside the contract: where an add meets two NaNs, which
 // payload survives is not pinned, since Go fixes no operand order for +.
+// BiasRelu, the session's BiasAdd and Relu folded into one pass, has no
+// loop of its own: it runs BiasAdd's and then Relu's over blocks that
+// stay in L1, so its bits are theirs, and Relu maps every NaN a sum
+// leaves to +0.
 //
 // None of these loops branches on a value, and nor do the transposes
 // and run copies, whose branches are on shapes. The Go loops compare
@@ -252,10 +256,45 @@ func matMulRowsGo(c, a, b []float32, lo, hi, k, n, lda, ldb, ldc int) {
 // are the innermost dimension and len(src) is a multiple of a non-empty
 // bias. dst may alias src.
 func BiasAdd(dst, src, bias []float32) {
+	checkBias(src, bias)
+	biasAdd(dst, src, bias)
+}
+
+// checkBias panics unless len(src) is a multiple of a non-empty bias.
+func checkBias(src, bias []float32) {
 	if len(src) > 0 && (len(bias) == 0 || len(src)%len(bias) != 0) {
 		panic(fmt.Sprintf("kernels: bias add of %d channels over %d elements", len(bias), len(src)))
 	}
-	biasAdd(dst, src, bias)
+}
+
+// BiasRelu writes Relu(BiasAdd(src, bias)) into dst, bit for bit, in
+// one pass over memory: it runs the two loops in turn over blocks of
+// whole rows that fit in L1 (biasReluBlock), so Relu reads what BiasAdd
+// wrote while it is still in cache. Its operands are BiasAdd's, and dst
+// may alias src.
+func BiasRelu(dst, src, bias []float32) {
+	checkBias(src, bias)
+	biasRelu(dst[:len(src)], src, bias, biasAdd, relu)
+}
+
+// biasReluGo is BiasRelu on the Go loops.
+func biasReluGo(dst, src, bias []float32) { biasRelu(dst[:len(src)], src, bias, biasAddGo, reluGo) }
+
+// biasReluBlock is the floats a block of BiasRelu spans at most, but
+// for a row wider than it: 16 KiB, half a 32 KiB L1 data cache.
+const biasReluBlock = 4096
+
+// biasRelu runs add and then rect over dst block by block.
+func biasRelu(dst, src, bias []float32, add func(dst, src, bias []float32), rect func(dst, src []float32)) {
+	if len(src) == 0 {
+		return
+	}
+	block := max(1, biasReluBlock/len(bias)) * len(bias)
+	for lo := 0; lo < len(src); lo += block {
+		hi := min(lo+block, len(src))
+		add(dst[lo:hi], src[lo:hi], bias)
+		rect(dst[lo:hi], dst[lo:hi])
+	}
 }
 
 // biasAddGo is BiasAdd's Go loop.

@@ -902,6 +902,11 @@ func BenchmarkKernels(b *testing.B) {
 		out, dBias := make([]float32, len(x)), make([]float32, len(bias))
 		b.Run("bias_add/train-sync/50x28x28x8", loop(func() { BiasAdd(out, x, bias) }))
 		b.Run("bias_add/train-sync/50x28x28x8_scalar", loop(func() { biasAddGo(out, x, bias) }))
+		// The fused pass the session runs in place of BiasAdd then Relu,
+		// and those two passes, in place as the session runs them.
+		b.Run("bias_relu/train-sync/50x28x28x8", loop(func() { BiasRelu(out, x, bias) }))
+		b.Run("bias_relu/train-sync/50x28x28x8_scalar", loop(func() { biasReluGo(out, x, bias) }))
+		b.Run("bias_relu/train-sync/50x28x28x8_two_passes", loop(func() { BiasAdd(out, x, bias); Relu(out, out) }))
 		b.Run("bias_add_grad/train-sync/50x28x28x8", loop(func() {
 			if err := BiasAddGrad(dBias, x, 8); err != nil {
 				b.Fatal(err)

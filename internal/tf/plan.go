@@ -15,7 +15,11 @@ import (
 // Reshape is a view of it, and BiasAdd, Relu and ReluGrad compute in
 // place over an input whose last reader they are. A kernel's scratch
 // (opMemory) is a span for that node alone, or, for a forward cache, up
-// to the last gradient node that reads it. A span is live from the node
+// to the last gradient node that reads it. A BiasAdd that is not
+// fetched and that a Relu alone reads is folded into that Relu (fuse):
+// it has no span and no kernel call, and the Relu reads the BiasAdd's
+// inputs and computes relu(x+bias) in one pass, in place over x where it
+// is x's last reader. A span is live from the node
 // that first draws it to its last reader, where a view or a pass-through
 // (Dropout at inference, DropoutGrad without its mask) of it reads for
 // as long as it is read, since it may be the same storage; fetches stay
@@ -34,6 +38,7 @@ type runPlan struct {
 	index   map[*Node]int // position in order
 	inputs  [][]int       // per position: its inputs' positions
 	forward []int         // per position: the forward node whose cache it reads, or -1
+	fuse    []int         // per position: a Relu's BiasAdd folded into it, that BiasAdd's Relu, or -1
 	fetchAt []int         // per fetch: its position
 	consts  int64         // bytes of the Const values the Run reads
 
@@ -80,7 +85,8 @@ type scratchDraw struct {
 // cross-entropy gradient's recompute) and the ops whose output is not a
 // span of their own. BiasAdd, Relu and ReluGrad write each element after
 // reading that element alone (their kernels' dst may alias), so they may
-// compute in place.
+// compute in place; so may a Relu with its BiasAdd folded in, over the
+// BiasAdd's x.
 var opMemory = map[string]memRule{
 	OpReshape:       {view: true},
 	OpDropout:       {passes: true, scratch: []scratchDraw{{cache: true, size: elementsOf(0)}}},
@@ -127,6 +133,7 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 		index:   make(map[*Node]int, n),
 		inputs:  make([][]int, n),
 		forward: make([]int, n),
+		fuse:    make([]int, n),
 		fetchAt: make([]int, len(fetches)),
 		outSpan: make([]int, n),
 		shares:  make([]int, n),
@@ -142,12 +149,14 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 	}
 	last := make([]int, n)      // per position: the last position reading its storage
 	cacheLast := make([]int, n) // per position: the last position reading its forward cache
+	readers := make([]int, n)   // per position: the inputs wired to it
 	for k, node := range order {
-		last[k], cacheLast[k], p.forward[k] = k, k, -1
+		last[k], cacheLast[k], p.forward[k], p.fuse[k] = k, k, -1, -1
 		p.inputs[k] = make([]int, len(node.inputs))
 		for i, in := range node.inputs {
 			j := p.index[in]
 			p.inputs[k][i], last[j] = j, k
+			readers[j]++
 		}
 		if j, ok := byName[attr(node, "forward", "")]; ok {
 			p.forward[k], cacheLast[j] = j, max(cacheLast[j], k)
@@ -160,6 +169,17 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 		p.fetchAt[i] = p.index[f]
 		last[p.fetchAt[i]] = n
 	}
+	for k, node := range order { // a BiasAdd that only a Relu reads, and no fetch, folds into it
+		if node.op != OpRelu {
+			continue
+		}
+		if b := p.inputs[k][0]; order[b].op == OpBiasAdd && readers[b] == 1 && last[b] == k {
+			p.fuse[k], p.fuse[b] = b, k
+			for _, i := range p.inputs[b] {
+				last[i] = max(last[i], k)
+			}
+		}
+	}
 	for k := n - 1; k >= 0; k-- { // a view's readers come after it
 		if m := opMemory[order[k].op]; m.view || m.passes {
 			j := p.inputs[k][0]
@@ -169,17 +189,17 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 	for k, node := range order {
 		p.outSpan[k], p.shares[k] = -1, -1
 		m := opMemory[node.op]
-		if opRules[node.op].kernel == nil || m.variable {
+		if opRules[node.op].kernel == nil || m.variable || p.fuse[k] > k {
 			continue
 		}
 		if m.view {
 			if s := p.outSpan[p.inputs[k][0]]; s >= 0 {
-				p.take(k, 0, last[k])
+				p.take(k, p.inputs[k][0], last[k])
 			}
 			continue
 		}
-		if i, ok := p.inPlace(k, m.inPlace); ok {
-			p.take(k, i, last[k])
+		if j, ok := p.inPlace(k, m.inPlace); ok {
+			p.take(k, j, last[k])
 		} else {
 			p.outSpan[k] = p.Span(node.dtype == Int32, k, last[k])
 		}
@@ -194,33 +214,63 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 	return p, nil
 }
 
-// take makes the output of position k its input i's span, live now to
-// last at least.
-func (p *runPlan) take(k, i, last int) {
-	j := p.inputs[k][i]
+// take makes the output of position k the span of position j, which
+// it reads, live now to last at least.
+func (p *runPlan) take(k, j, last int) {
 	s := p.outSpan[j]
 	p.outSpan[k], p.shares[k] = s, j
 	p.spans[s].last = max(p.spans[s].last, last)
 }
 
-// inPlace returns the first of the inputs of position k that it may
-// compute in place over: a float32 span no node reads after k, which no
-// other input of k reads from.
+// inPlace returns the position of the first of the inputs of position k
+// that it may compute in place over: a float32 span no node reads after
+// k, which no other input of k reads from.
 func (p *runPlan) inPlace(k int, inputs []int) (int, bool) {
+	reads := p.reads(k)
 	for _, i := range inputs {
-		s := p.outSpan[p.inputs[k][i]]
+		s := p.outSpan[reads[i]]
 		if s < 0 || p.spans[s].i32 || p.spans[s].last != k {
 			continue
 		}
 		alone := true
-		for o, j := range p.inputs[k] {
+		for o, j := range reads {
 			alone = alone && (o == i || p.outSpan[j] != s)
 		}
 		if alone {
-			return i, true
+			return reads[i], true
 		}
 	}
 	return 0, false
+}
+
+// folded is the position of the BiasAdd folded into the Relu at
+// position k, or -1.
+func (p *runPlan) folded(k int) int {
+	if j := p.fuse[k]; j < k {
+		return j
+	}
+	return -1
+}
+
+// reads is the positions whose values the kernel of position k reads:
+// its inputs, but for a Relu with a BiasAdd folded into it, the
+// BiasAdd's.
+func (p *runPlan) reads(k int) []int {
+	if j := p.folded(k); j >= 0 {
+		return p.inputs[j]
+	}
+	return p.inputs[k]
+}
+
+// kernel is the kernel that computes position k in this Run, and the
+// positions whose values it reads. A Relu with its BiasAdd folded in
+// runs kernelBiasRelu over the BiasAdd's inputs, unless this Run was fed
+// the BiasAdd, when it is a Relu of the feed.
+func (p *runPlan) kernel(k int) (kernelFunc, []int) {
+	if j := p.folded(k); j >= 0 && p.values[j] == nil {
+		return kernelBiasRelu, p.reads(k)
+	}
+	return opRules[p.order[k].op].kernel, p.inputs[k]
 }
 
 // size sizes every span for this Run's shapes and lays the spans out

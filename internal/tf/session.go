@@ -193,14 +193,15 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 	p.Fit(&s.slabs)
 	ctx.plan, ctx.training, ctx.rng = p, cfg.training, cfg.rng
 	for k, n := range p.order {
-		if p.values[k] != nil {
+		if p.values[k] != nil || p.fuse[k] > k { // fed, a source, or folded into its Relu
 			continue
 		}
+		kernel, reads := p.kernel(k)
 		ctx.at, ctx.shape, ctx.in = k, p.shapes[k], ctx.in[:0]
-		for _, j := range p.inputs[k] {
+		for _, j := range reads {
 			ctx.in = append(ctx.in, p.values[j])
 		}
-		out, err := opRules[n.op].kernel(ctx, n, ctx.in)
+		out, err := kernel(ctx, n, ctx.in)
 		if err != nil {
 			return nil, fmt.Errorf("tf: evaluating %q (%s): %w", n.name, n.op, err)
 		}
