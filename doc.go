@@ -196,8 +196,9 @@
 // last parameter-server ack has been read, so the breakdown carries the
 // full wire + barrier cost. A synchronous shard without a round timeout
 // serves its workers' frames in the order they were sent in virtual
-// time, not in the order the host delivers them (internal/tf/dist's
-// order.go), and TrainDistributed connects its workers one after
+// time, not in the order the host delivers them (its connections take
+// turns on internal/vtime's Scheduler, which orders the federated
+// clients too), and TrainDistributed connects its workers one after
 // another before any round, so a job's virtual times repeat from run to
 // run, up to the receive-side charges of each frame's first bytes. A
 // shard with a round timeout, or an elastic or asynchronous one, serves

@@ -240,19 +240,25 @@ func TestFigure8Shape(t *testing.T) {
 		t.Errorf("ordering broken: native %v, sim-notls %v, sim %v, hw %v",
 			native.Latency, simNoTLS.Latency, simTLS.Latency, hwTLS.Latency)
 	}
+	// band logs a ratio and its margin to the nearer edge of [lo, hi].
+	band := func(name string, r, lo, hi float64) float64 {
+		t.Helper()
+		t.Logf("%s = %.3f, band [%g, %g]: %.1f %% inside", name, r, lo, hi, 100*min(r/lo-1, hi/r-1))
+		return r
+	}
 	// Paper factors: HW ≈14x, SIM ≈6x, SIM w/o TLS ≈2.3x native.
-	if r := float64(hwTLS.Latency) / float64(native.Latency); r < 6 || r > 40 {
+	if r := band("HW/native", float64(hwTLS.Latency)/float64(native.Latency), 6, 40); r < 6 || r > 40 {
 		t.Errorf("HW/native = %.1f, paper ≈14", r)
 	}
-	if r := float64(simTLS.Latency) / float64(native.Latency); r < 2.5 || r > 12 {
+	if r := band("SIM/native", float64(simTLS.Latency)/float64(native.Latency), 2.5, 12); r < 2.5 || r > 12 {
 		t.Errorf("SIM/native = %.1f, paper ≈6", r)
 	}
-	if r := float64(simNoTLS.Latency) / float64(native.Latency); r < 1.3 || r > 5 {
+	if r := band("SIM-w/o-TLS/native", float64(simNoTLS.Latency)/float64(native.Latency), 1.3, 5); r < 1.3 || r > 5 {
 		t.Errorf("SIM-w/o-TLS/native = %.1f, paper ≈2.3", r)
 	}
 	// Scaling: HW speedup with 3 workers ≈ 2.57x in the paper.
 	hw3 := fig8For(t, rows, "secureTF HW", 3)
-	if s := float64(hwTLS.Latency) / float64(hw3.Latency); s < 1.6 {
+	if s := band("HW 3-worker speedup", float64(hwTLS.Latency)/float64(hw3.Latency), 1.6, math.Inf(1)); s < 1.6 {
 		t.Errorf("HW 3-worker speedup = %.2f, paper ≈2.57", s)
 	}
 	// Training must actually learn.

@@ -116,6 +116,9 @@ type Client struct {
 	seeds  pairSeeds
 	stats  ClientStats
 
+	// turn is the client's place at its Turnstile while it runs.
+	turn turn
+
 	// droppedRound marks the round this client trained but dropped out
 	// of; a re-assignment of the same round is sat out so the quorum
 	// membership stays exactly the surviving uploaders.
@@ -315,30 +318,28 @@ func (c *Client) endRound() {
 // Every network action is taken under a turnstile turn when one is
 // configured, so concurrent clients interleave deterministically.
 func (c *Client) Run() error {
-	if c.cfg.Turnstile != nil {
-		c.cfg.Turnstile.Join(c.cfg.ID, c.cfg.Meter.Clock())
-		defer c.cfg.Turnstile.Leave(c.cfg.ID)
-	}
+	c.turn = c.cfg.Turnstile.join(c.cfg.ID, c.cfg.Meter.Clock())
+	defer c.turn.leave()
 	defer c.Close()
 	idle := 0
 	for {
-		c.cfg.Turnstile.request(c.cfg.ID)
-		release := c.cfg.Turnstile.wait(c.cfg.ID)
+		c.turn.request()
+		c.turn.wait()
 		resp, _, err := c.link.RoundTrip(c.cfg.Meter, &dist.Message{Kind: dist.MsgFedPoll, Worker: uint32(c.cfg.ID)})
 		if err != nil {
-			release()
+			c.turn.release()
 			return fmt.Errorf("federated: client %d poll: %w", c.cfg.ID, err)
 		}
 		switch {
 		case resp.Kind == dist.MsgAck && resp.Err == trainingCompleteErr:
-			release()
+			c.turn.release()
 			return nil
 		case resp.Kind == dist.MsgAck:
-			release()
+			c.turn.release()
 			return fmt.Errorf("federated: client %d poll refused: %s", c.cfg.ID, resp.Err)
 		case resp.Kind == dist.MsgFedUnmask:
 			err := c.reveal(resp)
-			release()
+			c.turn.release()
 			if err != nil {
 				return err
 			}
@@ -350,19 +351,19 @@ func (c *Client) Run() error {
 			// so the quorum membership stays the surviving uploaders.
 			c.endRound()
 			c.cfg.Meter.Clock().Advance(pollInterval)
-			release()
+			c.turn.release()
 			idle++
 			if idle > c.cfg.MaxIdlePolls {
 				return fmt.Errorf("federated: client %d made no progress in %d polls", c.cfg.ID, idle)
 			}
 		case resp.Kind == dist.MsgFedRound:
 			idle = 0
-			err := c.runRound(resp, release)
+			err := c.runRound(resp)
 			if err != nil {
 				return err
 			}
 		default:
-			release()
+			c.turn.release()
 			return fmt.Errorf("federated: client %d poll got message kind %d", c.cfg.ID, resp.Kind)
 		}
 	}
@@ -374,24 +375,24 @@ func (c *Client) Run() error {
 // and upload — or drop out if the failure injection says so. No local
 // work charges the client's clock (the replica's session runs on a
 // device.Null, the codec and masks are free), so under the poll turn
-// (release) the client charges the round's LocalSteps·stepCost plus
+// the client charges the round's LocalSteps·stepCost plus
 // Delay, asks for its push turn at that clock and releases; it trains
 // and masks while its peers take their turns. A client due to drop
 // works inside the poll turn.
-func (c *Client) runRound(asg *dist.Message, release func()) error {
+func (c *Client) runRound(asg *dist.Message) error {
 	round := asg.Round
 	// The link decoded the assignment into the round's delta buffers,
 	// those it named; a variable of another shape it refused with the
 	// frame.
 	for _, name := range c.gradNames {
 		if asg.Vars[name] == nil {
-			release()
+			c.turn.release()
 			return fmt.Errorf("federated: round %d assignment is missing variable %q", round, name)
 		}
 	}
 	if !c.cfg.Unmasked {
 		if err := c.pair(asg); err != nil {
-			release()
+			c.turn.release()
 			return err
 		}
 	}
@@ -401,11 +402,11 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	}
 	drop := c.cfg.DropBeforePush != nil && !(c.hasDropped && c.droppedRound == round) && c.cfg.DropBeforePush(round)
 	if !drop {
-		c.cfg.Turnstile.request(c.cfg.ID)
-		release()
+		c.turn.request()
+		c.turn.release()
 	}
 	if err := c.train(); err != nil {
-		release()
+		c.turn.release()
 		return err
 	}
 
@@ -436,7 +437,7 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 		// then rejoin. Residuals stay uncommitted — nothing was sent.
 		c.endRound()
 		c.Close()
-		release()
+		c.turn.release()
 		c.hasDropped, c.droppedRound = true, round
 		c.stats.Rejoins++
 		return c.connect()
@@ -445,8 +446,8 @@ func (c *Client) runRound(asg *dist.Message, release func()) error {
 	// The upload is the turn asked for at the post-training clock, so
 	// punctual cohort peers upload first and a straggler meets the
 	// closed round exactly as the virtual timeline says it should.
-	pushRelease := c.cfg.Turnstile.wait(c.cfg.ID)
-	defer pushRelease()
+	c.turn.wait()
+	defer c.turn.release()
 	req := &dist.Message{Kind: dist.MsgFedPush, Worker: uint32(c.cfg.ID), Round: round,
 		Grads: make(map[string][]byte, len(c.gradNames))}
 	for i, name := range c.gradNames {

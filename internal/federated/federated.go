@@ -102,8 +102,9 @@
 // every round — updated in place by Replica.ApplySGD, and both ends of
 // every connection are a dist.Link. The worker holds its replica's
 // session for life; a client holds one of its plan's sessions only for
-// a round's local steps, and its round buffers, from a Turnstile's list,
-// only from the assignment to the round's end for it. Who owns which buffer, and until
+// a round's local steps, and its round buffers, from the list of the
+// Turnstile it takes turns at, only from the assignment to the round's
+// end for it. Who owns which buffer, and until
 // when, is internal/tf/dist's rule ("Who owns what" in its package
 // comment) and is not restated here.
 package federated

@@ -56,7 +56,7 @@
 //     link's own (NewLink: a parameter-server connection, a worker's,
 //     a free-threaded federated client's), the coordinator's for all
 //     its connections, or a federated Turnstile's for the clients whose
-//     exchanges it serializes (NewLinkFrom); so the memory a connection
+//     exchanges take turns on it (NewLinkFrom); so the memory a connection
 //     costs between exchanges is none. A received message's blobs
 //     (Grads) alias its frame, which the link keeps until its next
 //     Send, Receive or Close; its tensors (Vars) are the receiver's

@@ -430,7 +430,7 @@ const stampEnd = 13
 
 // next reads the start of the next frame, up to its stamp, and returns
 // the stamp: what a receiver that serves its peers' frames in the order
-// they were sent (ParameterServer.await) needs before it reads the rest
+// they were sent (ParameterServer.serve) needs before it reads the rest
 // with rest. The start is read in one call where the transport has it,
 // so next and rest together read in as many calls as a frame read whole
 // would take. A frame too short to hold a stamp is refused unread.

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/securetf/securetf/internal/sgx"
@@ -132,7 +133,7 @@ type ParameterServer struct {
 	// bound is measured against it.
 	contribs []contribution
 	pushes   int
-	waiters  []chan error
+	waiters  []*seat
 	timer    *time.Timer
 	gen      uint64
 
@@ -157,9 +158,70 @@ type ParameterServer struct {
 	stats    PSStats
 
 	srv *wire.Server
-	// order serves the frames in the order they were sent (order.go);
-	// nil on a shard that serves them as they come.
-	order *order
+	// turns serves the frames in the order they were sent (see seat); nil
+	// on a shard that serves them as they come. seats numbers the
+	// connections it orders, and the seats they take.
+	turns *vtime.Scheduler
+	seats atomic.Uint64
+}
+
+// A seat is one connection's place at the shard: at its barrier, and in
+// the order of a synchronous shard without a round timeout, which serves
+// its workers' frames in the order they were sent, not in the order the
+// host delivers them: by (virtual arrival, worker, seat). One frame is
+// served at a time, and its answer is sent, before the next is started,
+// so the charges one frame makes on the shard's clock never interleave
+// with another's.
+//
+// A connection takes a seat once its hello is answered. A seated frame
+// is served once no seat can still send an earlier one: every other
+// seat has its next frame read up to its stamp, is parked at the
+// barrier, or cannot send before this frame's arrival, since a worker
+// sends its next frame only after it has read the shard's answer to its
+// last, a round trip after that answer's stamp (served). The barrier's
+// commit answers every pusher at the commit's time, in worker order. A
+// frame from a connection without a seat — a hello, or a peer that never
+// said one — is served alone but out of order, at vtime.Anytime: the
+// shard cannot know who else may come. So the job's workers say hello
+// one after another before any of them pulls (TrainDistributed,
+// train-sync's set-up), and from then on the shard's clock, every stamp
+// it sends and every commit are a function of the frames' stamps alone.
+//
+// A shard with a round timeout waits for stragglers on the wall clock,
+// and an elastic or asynchronous one admits frames no order can wait
+// for; they serve frames as the host delivers them, and their seats
+// have no actor.
+type seat struct {
+	turn   *vtime.Actor
+	seated bool
+	answer chan error // the barrier's answer to the connection's push
+}
+
+// ask asks for the turn of a frame, or of the barrier's answer, that
+// arrives at at.
+func (s *seat) ask(at time.Duration) {
+	if !s.seated {
+		at = vtime.Anytime
+	}
+	s.turn.Ask(at)
+}
+
+// served ends the turn of a frame whose answer was stamped sent.
+func (ps *ParameterServer) served(s *seat, sent time.Duration) {
+	if !s.seated {
+		s.turn.Park()
+		return
+	}
+	s.turn.Idle(ps.cfg.Meter.Arrival(ps.cfg.Meter.Arrival(sent)))
+}
+
+// sit seats the connection of s, whose hello from worker is answered in
+// its turn. The seat joins before the stranger leaves, so no waiter can
+// go before the seat's first frame may.
+func (ps *ParameterServer) sit(s *seat, worker uint32) {
+	turn := ps.turns.Join(uint64(worker)<<32 | ps.seats.Add(1))
+	s.turn.Leave()
+	s.turn, s.seated = turn, true
 }
 
 // contribution is one worker's staged gradient partition of the
@@ -245,7 +307,7 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 		pending:  make(map[uint32]bool),
 	}
 	if cfg.Consistency.Kind == ConsistencySync && !cfg.Elastic && cfg.RoundTimeout == 0 {
-		ps.order = &order{turn: sync.NewCond(&ps.mu)}
+		ps.turns = new(vtime.Scheduler)
 	}
 	for name, t := range ShardVars(cfg.Vars, cfg.Shard, cfg.Shards) {
 		if t == nil || t.DType() != tf.Float32 {
@@ -365,6 +427,7 @@ func (ps *ParameterServer) Close() error {
 	}
 	ps.closed = true
 	ps.abortLocked(errors.New("dist: parameter server closed"))
+	ps.turns.Close()
 	ps.mu.Unlock()
 	return ps.srv.Close()
 }
@@ -372,8 +435,8 @@ func (ps *ParameterServer) Close() error {
 // serve runs one worker's connection. Its link's frame buffers, and the
 // gradient tensors this worker's pushes are decoded into round after
 // round, belong to the connection and go with it. On a shard that keeps
-// the order (order.go), each frame is read up to its stamp, waits its
-// turn, and is read on, served and answered in it.
+// the order (seat), each frame is read up to its stamp, waits its turn,
+// and is read on, served and answered in it.
 func (ps *ParameterServer) serve(conn net.Conn) {
 	grads := make(map[string]*tf.Tensor)
 	l := NewLink(conn, func(name string) *tf.Tensor {
@@ -384,21 +447,16 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		}
 		return grads[name]
 	})
-	var s *seat      // this connection's seat, once its hello is answered
-	serving := false // a frame of this connection is being served in order
-	if ps.order != nil {
-		defer func() { ps.leave(s, serving) }()
-	}
+	// A stranger until its hello is answered, parked between frames.
+	s := &seat{turn: ps.turns.Join(ps.seats.Add(1)), answer: make(chan error, 1)}
+	s.turn.Park()
+	defer func() { s.turn.Leave() }()
 	for {
+		stamp, err := l.next()
 		var msg *message
-		var err error
-		if ps.order == nil {
-			msg, err = l.Receive(ps.cfg.Meter)
-		} else if stamp, nerr := l.next(); nerr != nil {
-			err = nerr
-		} else {
-			ps.await(s, stamp)
-			serving = true
+		if err == nil {
+			s.ask(ps.cfg.Meter.Arrival(stamp))
+			s.turn.Wait()
 			msg, err = l.rest(ps.cfg.Meter)
 		}
 		var resp *message
@@ -438,13 +496,10 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		if _, err := l.flush(ps.cfg.Meter, frame); err != nil {
 			return
 		}
-		if serving {
-			if s == nil && msg != nil && msg.Kind == msgHello && resp.OK {
-				s = ps.sit(msg.Worker)
-			}
-			ps.served(s, l.sent)
-			serving = false
+		if !s.seated && msg != nil && msg.Kind == msgHello && resp.OK {
+			ps.sit(s, msg.Worker)
 		}
+		ps.served(s, l.sent)
 	}
 }
 
@@ -559,9 +614,9 @@ func (ps *ParameterServer) decodePush(msg *message) error {
 // check here, so one malformed push cannot poison the round for
 // everyone: a raw push was decoded into tensors shaped like the shard's
 // variables or refused (serve, decodeInto), a compressed one is decoded
-// against the variables' shapes by decodePush. s is the seat of the
-// pushing connection on a shard that keeps the order, whose turn a push
-// gives up at the barrier.
+// against the variables' shapes by decodePush. s is the pushing
+// connection's seat: a push gives its turn up at the barrier, and its
+// answer takes one.
 func (ps *ParameterServer) push(msg *message, s *seat) error {
 	if err := ps.decodePush(msg); err != nil {
 		return err
@@ -606,26 +661,21 @@ func (ps *ParameterServer) push(msg *message, s *seat) error {
 	}
 	ps.contribs = append(ps.contribs, contribution{worker: msg.Worker, vars: msg.Vars})
 	ps.pushes++
-	ch := make(chan error, 1)
-	ps.waiters = append(ps.waiters, ch)
+	ps.waiters = append(ps.waiters, s)
 	if ps.pushes == 1 && ps.cfg.RoundTimeout > 0 {
 		gen := ps.gen
 		//securetf:allow nowallclock RoundTimeout is a genuinely-wall watchdog: it evicts workers that stopped making real progress
 		ps.timer = time.AfterFunc(ps.cfg.RoundTimeout, func() { ps.timeout(gen) })
 	}
-	parked := ps.pushes < ps.expected
-	if !parked {
+	if ps.pushes < ps.expected {
+		s.turn.Park()
+	} else {
 		ps.commitLocked()
-	} else if ps.order != nil {
-		ps.parkLocked(s)
 	}
 	ps.mu.Unlock()
-	err := <-ch
-	if ps.order != nil && (parked || s != nil) { // the barrier's answer takes its turn
-		ps.mu.Lock()
-		ps.awaitLocked(s)
-		ps.mu.Unlock()
-	}
+	err := <-s.answer
+	s.turn.Done() // the commit's, which asked for every answer's turn
+	s.turn.Wait()
 	return err
 }
 
@@ -780,18 +830,18 @@ func (ps *ParameterServer) abortLocked(err error) {
 	ps.finishRoundLocked(err)
 }
 
-// finishRoundLocked releases every waiter with err and resets the
-// barrier for the next round.
+// finishRoundLocked answers every push of the round with err, each in
+// a turn asked for at the shard's time now, and resets the barrier for
+// the next round.
 func (ps *ParameterServer) finishRoundLocked(err error) {
-	for _, ch := range ps.waiters {
-		ch <- err
+	now := ps.cfg.Meter.Clock().Now()
+	for _, s := range ps.waiters {
+		s.ask(now)
+		s.answer <- err
 	}
 	ps.waiters = nil
 	ps.contribs = nil
 	ps.pushes = 0
-	if ps.order != nil {
-		ps.answerLocked()
-	}
 	if ps.timer != nil {
 		ps.timer.Stop()
 		ps.timer = nil

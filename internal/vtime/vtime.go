@@ -1,5 +1,5 @@
 // Package vtime provides the virtual clock used by the secureTF simulation
-// substrate.
+// substrate, and the Scheduler that gives actors turns in its order.
 //
 // All enclave-related costs (EPC paging, enclave transitions, WAN round
 // trips, crypto throughput) are charged to a virtual clock rather than
