@@ -370,7 +370,7 @@ func BenchmarkFederated(b *testing.B) {
 	)
 	var none, int8r, topk *securetf.FederatedResult
 	for i := 0; i < b.N; i++ {
-		none = federatedUplink(b, clients, quorum, securetf.NoFedCompression())
+		none = federatedUplink(b, clients, quorum, securetf.FedCompression{})
 		int8r = federatedUplink(b, clients, quorum, securetf.Int8FedCompression())
 		topk = federatedUplink(b, clients, quorum, securetf.TopKFedCompression(0.1))
 	}
@@ -396,7 +396,7 @@ func TestFederatedUplinkFloor(t *testing.T) {
 		clients = 32 // 8 sampled per round
 		quorum  = 6
 	)
-	none := federatedUplink(t, clients, quorum, securetf.NoFedCompression())
+	none := federatedUplink(t, clients, quorum, securetf.FedCompression{})
 	topk := federatedUplink(t, clients, quorum, securetf.TopKFedCompression(0.1))
 	ratio := float64(none.UplinkBytes) / float64(topk.UplinkBytes)
 	t.Logf("fed-topk-uplink-reduction-x %.3f (dense %d B, top-k %d B)", ratio, none.UplinkBytes, topk.UplinkBytes)

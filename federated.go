@@ -29,10 +29,6 @@ type FederatedClient = federated.Client
 // bit-exactly in the coordinator's sum.
 type FedCompression = GradCompression
 
-// NoFedCompression uploads exact 64-bit fixed-point words (the
-// default).
-func NoFedCompression() FedCompression { return NoGradCompression() }
-
 // Int8FedCompression quantizes updates to signed 8-bit steps of a
 // public clip bound, carried in a 16-bit ring (~4× fewer uplink
 // bytes).
@@ -70,7 +66,8 @@ type FederatedConfig struct {
 	BatchSize int
 	// LocalLR is the client-side SGD learning rate. Required, > 0.
 	LocalLR float64
-	// Compression is the uplink codec (default NoFedCompression).
+	// Compression is the uplink codec. The zero value uploads exact
+	// 64-bit fixed-point words.
 	Compression FedCompression
 	// Seed drives client sampling and the top-k coordinate patterns.
 	Seed int64

@@ -15,3 +15,6 @@ func PeakLiveBytes(s *Session) int64 {
 	_, most := sweep(buffers(s), len(s.plans[0].order))
 	return 4 * int64(most[0]+most[1])
 }
+
+// Orphans is orphans: the nodes among added that no node of outs reads.
+var Orphans = orphans

@@ -2,6 +2,7 @@ package tf
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/securetf/securetf/internal/device"
@@ -83,9 +84,7 @@ func TestPoolMaskedGradientBitEqual(t *testing.T) {
 			}
 		}
 		for _, n := range orphans(added, got) {
-			if n.op == OpReluGrad || n.op == OpMaxPoolGrad {
-				t.Errorf("%s: %s %q is read by no gradient", c.name, n.op, n.name)
-			}
+			t.Errorf("%s: %s %q is read by no gradient", c.name, n.op, n.name)
 		}
 		feeds := Feeds{x: RandNormal(Shape{5, 9, 9, 1}, 1, 78), y: OneHot([]int{0, 1, 2, 1, 0}, 3)}
 		s := NewSession(g)
@@ -149,9 +148,10 @@ func foldedBiasAdds(s *Session) map[string]bool {
 	p := s.plans[0]
 	out := map[string]bool{}
 	for k, node := range p.order {
-		if j := p.fuse[k]; j > k {
-			if node.op != OpBiasAdd || p.order[j].op != OpRelu || p.fuse[j] != k || p.outSpan[k] >= 0 {
-				panic(fmt.Sprintf("%s %q fused with %s %q", node.op, node.name, p.order[j].op, p.order[j].name))
+		if p.kernels[k] == nil && opRules[node.op].kernel != nil {
+			j := slices.IndexFunc(p.order, func(r *Node) bool { return len(r.inputs) > 0 && r.inputs[0] == node })
+			if node.op != OpBiasAdd || p.order[j].op != OpRelu || !slices.Equal(p.reads[j], p.inputs[k]) || p.outSpan[k] >= 0 {
+				panic(fmt.Sprintf("%s %q folded, read by %s %q", node.op, node.name, p.order[j].op, p.order[j].name))
 			}
 			out[node.name] = true
 		}

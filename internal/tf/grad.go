@@ -8,7 +8,9 @@ import (
 // Gradients builds the reverse-mode gradient subgraph of a scalar loss
 // with respect to wrt, returning one gradient node per entry (nil when
 // the loss does not depend on it). This mirrors TF1's static autodiff:
-// gradients are ordinary nodes added to the same graph.
+// gradients are ordinary nodes added to the same graph. It adds no node
+// that a returned gradient does not read, such as a rule's gradient of a
+// placeholder.
 func Gradients(g *Graph, loss *Node, wrt []*Node) ([]*Node, error) {
 	if len(loss.shape) != 0 {
 		return nil, fmt.Errorf("tf: Gradients: loss %q must be scalar, has shape %v", loss.name, loss.shape)
@@ -17,6 +19,7 @@ func Gradients(g *Graph, loss *Node, wrt []*Node) ([]*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := len(g.nodes)
 
 	grads := make(map[*Node]*Node)
 	grads[loss] = g.Const(loss.name+"/grad_seed", Scalar(1))
@@ -73,8 +76,28 @@ func Gradients(g *Graph, loss *Node, wrt []*Node) ([]*Node, error) {
 	}
 
 	out := make([]*Node, len(wrt))
+	var returned []*Node
 	for i, v := range wrt {
-		out[i] = grads[v]
+		if out[i] = grads[v]; out[i] != nil {
+			returned = append(returned, out[i])
+		}
+	}
+	read, err := topoSort(returned)
+	if err != nil {
+		return nil, err
+	}
+	keep := make(map[*Node]bool, len(read))
+	for _, n := range read {
+		keep[n] = true
+	}
+	added := g.nodes[start:]
+	g.nodes = g.nodes[:start]
+	for _, n := range added {
+		if keep[n] {
+			g.nodes = append(g.nodes, n)
+		} else {
+			delete(g.byName, n.name)
+		}
 	}
 	return out, nil
 }

@@ -124,15 +124,15 @@ func kernelRelu(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// kernelBiasRelu is a Relu with the BiasAdd it reads folded into it
-// (runPlan.kernel): in is the BiasAdd's x and bias, and one pass over x
-// writes relu(x+bias). It charges both ops' arithmetic, each at its
-// node's cost scale, and x's bytes read and written once.
+// kernelBiasRelu is Relu n with the BiasAdd it reads folded into it
+// (newPlan): in is the BiasAdd's x and bias, and one pass over x writes
+// relu(x+bias). It charges both ops' arithmetic, each at its node's cost
+// scale, and x's bytes read and written once.
 func kernelBiasRelu(ctx *execCtx, n *Node, in []*Tensor) (*Tensor, error) {
 	x, bias := in[0], in[1]
 	out := ctx.out()
 	kernels.BiasRelu(out.f32, x.f32, bias.f32)
-	ctx.charge(ctx.plan.order[ctx.plan.folded(ctx.at)], int64(len(x.f32)), 0, false)
+	ctx.charge(n.inputs[0], int64(len(x.f32)), 0, false)
 	ctx.charge(n, int64(len(x.f32)), 2*x.Bytes(), false)
 	return out, nil
 }

@@ -16,8 +16,8 @@ import (
 // place over an input whose last reader they are. A kernel's scratch
 // (opMemory) is a span for that node alone, or, for a forward cache, up
 // to the last gradient node that reads it. A BiasAdd that is not
-// fetched and that a Relu alone reads is folded into that Relu (fuse):
-// it has no span and no kernel call, and the Relu reads the BiasAdd's
+// fetched and that a Relu alone reads is folded into that Relu: it has
+// no span and no kernel, and the Relu's kernel reads the BiasAdd's
 // inputs and computes relu(x+bias) in one pass, in place over x where it
 // is x's last reader. A span is live from the node
 // that first draws it to its last reader, where a view or a pass-through
@@ -38,7 +38,8 @@ type runPlan struct {
 	index   map[*Node]int // position in order
 	inputs  [][]int       // per position: its inputs' positions
 	forward []int         // per position: the forward node whose cache it reads, or -1
-	fuse    []int         // per position: a Relu's BiasAdd folded into it, that BiasAdd's Relu, or -1
+	kernels []kernelFunc  // per position: its kernel; nil for a source and a folded BiasAdd
+	reads   [][]int       // per position: the positions its kernel reads, a folded BiasAdd's inputs for its Relu
 	fetchAt []int         // per fetch: its position
 	consts  int64         // bytes of the Const values the Run reads
 
@@ -85,8 +86,8 @@ type scratchDraw struct {
 // cross-entropy gradient's recompute) and the ops whose output is not a
 // span of their own. BiasAdd, Relu and ReluGrad write each element after
 // reading that element alone (their kernels' dst may alias), so they may
-// compute in place; so may a Relu with its BiasAdd folded in, over the
-// BiasAdd's x.
+// compute in place; so may a Relu with its BiasAdd folded in, over its
+// first read, the BiasAdd's x.
 var opMemory = map[string]memRule{
 	OpReshape:       {view: true},
 	OpDropout:       {passes: true, scratch: []scratchDraw{{cache: true, size: elementsOf(0)}}},
@@ -133,7 +134,8 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 		index:   make(map[*Node]int, n),
 		inputs:  make([][]int, n),
 		forward: make([]int, n),
-		fuse:    make([]int, n),
+		kernels: make([]kernelFunc, n),
+		reads:   make([][]int, n),
 		fetchAt: make([]int, len(fetches)),
 		outSpan: make([]int, n),
 		shares:  make([]int, n),
@@ -151,8 +153,9 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 	cacheLast := make([]int, n) // per position: the last position reading its forward cache
 	readers := make([]int, n)   // per position: the inputs wired to it
 	for k, node := range order {
-		last[k], cacheLast[k], p.forward[k], p.fuse[k] = k, k, -1, -1
+		last[k], cacheLast[k], p.forward[k] = k, k, -1
 		p.inputs[k] = make([]int, len(node.inputs))
+		p.kernels[k], p.reads[k] = opRules[node.op].kernel, p.inputs[k]
 		for i, in := range node.inputs {
 			j := p.index[in]
 			p.inputs[k][i], last[j] = j, k
@@ -174,7 +177,7 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 			continue
 		}
 		if b := p.inputs[k][0]; order[b].op == OpBiasAdd && readers[b] == 1 && last[b] == k {
-			p.fuse[k], p.fuse[b] = b, k
+			p.kernels[k], p.kernels[b], p.reads[k] = kernelBiasRelu, nil, p.inputs[b]
 			for _, i := range p.inputs[b] {
 				last[i] = max(last[i], k)
 			}
@@ -189,7 +192,7 @@ func newPlan(fetches []*Node) (*runPlan, error) {
 	for k, node := range order {
 		p.outSpan[k], p.shares[k] = -1, -1
 		m := opMemory[node.op]
-		if opRules[node.op].kernel == nil || m.variable || p.fuse[k] > k {
+		if p.kernels[k] == nil || m.variable {
 			continue
 		}
 		if m.view {
@@ -222,11 +225,11 @@ func (p *runPlan) take(k, j, last int) {
 	p.spans[s].last = max(p.spans[s].last, last)
 }
 
-// inPlace returns the position of the first of the inputs of position k
-// that it may compute in place over: a float32 span no node reads after
-// k, which no other input of k reads from.
+// inPlace returns the position of the first of the reads of position k
+// indexed by inputs that it may compute in place over: a float32 span no
+// node reads after k, which no other read of k reads from.
 func (p *runPlan) inPlace(k int, inputs []int) (int, bool) {
-	reads := p.reads(k)
+	reads := p.reads[k]
 	for _, i := range inputs {
 		s := p.outSpan[reads[i]]
 		if s < 0 || p.spans[s].i32 || p.spans[s].last != k {
@@ -241,36 +244,6 @@ func (p *runPlan) inPlace(k int, inputs []int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// folded is the position of the BiasAdd folded into the Relu at
-// position k, or -1.
-func (p *runPlan) folded(k int) int {
-	if j := p.fuse[k]; j < k {
-		return j
-	}
-	return -1
-}
-
-// reads is the positions whose values the kernel of position k reads:
-// its inputs, but for a Relu with a BiasAdd folded into it, the
-// BiasAdd's.
-func (p *runPlan) reads(k int) []int {
-	if j := p.folded(k); j >= 0 {
-		return p.inputs[j]
-	}
-	return p.inputs[k]
-}
-
-// kernel is the kernel that computes position k in this Run, and the
-// positions whose values it reads. A Relu with its BiasAdd folded in
-// runs kernelBiasRelu over the BiasAdd's inputs, unless this Run was fed
-// the BiasAdd, when it is a Relu of the feed.
-func (p *runPlan) kernel(k int) (kernelFunc, []int) {
-	if j := p.folded(k); j >= 0 && p.values[j] == nil {
-		return kernelBiasRelu, p.reads(k)
-	}
-	return opRules[p.order[k].op].kernel, p.inputs[k]
 }
 
 // size sizes every span for this Run's shapes and lays the spans out

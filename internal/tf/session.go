@@ -193,10 +193,13 @@ func (s *Session) run(p *runPlan, feeds Feeds, into []*Tensor, cfg runConfig) ([
 	p.Fit(&s.slabs)
 	ctx.plan, ctx.training, ctx.rng = p, cfg.training, cfg.rng
 	for k, n := range p.order {
-		if p.values[k] != nil || p.fuse[k] > k { // fed, a source, or folded into its Relu
+		kernel, reads := p.kernels[k], p.reads[k]
+		switch {
+		case p.values[k] != nil || kernel == nil: // fed, a source, or a BiasAdd folded into its Relu
 			continue
+		case n.op == OpRelu && p.values[p.inputs[k][0]] != nil: // a Relu of its input, or of a folded BiasAdd's feed
+			kernel, reads = kernelRelu, p.inputs[k]
 		}
-		kernel, reads := p.kernel(k)
 		ctx.at, ctx.shape, ctx.in = k, p.shapes[k], ctx.in[:0]
 		for _, j := range reads {
 			ctx.in = append(ctx.in, p.values[j])
