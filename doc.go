@@ -223,11 +223,18 @@
 // gives it back once the frame is written or decoded, so an idle
 // connection holds none, the blobs of a received frame are valid until
 // that end's next send or read, and a received variable is decoded
-// straight into the storage it belongs in. Serving follows the same
-// rule: a Classifier's (and a gateway replica's) Lite interpreter hands
-// back each Invoke's outputs for the caller to keep, and computes its
-// other activations into slabs laid out before the Invoke, as a Run's
-// are, so a warm Invoke allocates only the output it hands back.
+// straight into the storage it belongs in. Serving keeps its memory
+// too, but hands nothing away: a Classifier's (and a gateway
+// replica's) Lite interpreter keeps each output, as TFLite does, in one
+// tensor per output that the next Invoke of the same shape computes into
+// again, so an output is valid until the next Invoke (or Run) and a
+// caller that keeps one copies it; its other activations lie in slabs
+// laid out before the Invoke, as a Run's do, so a warm Invoke allocates
+// nothing. A gateway copies each caller's rows out of the batch's output
+// into a reply tensor the caller's connection reuses, before the replica
+// goes back to its pool, and a router decodes each stage's reply into a
+// tensor its customer's connection reuses, so a served document leaves
+// the client's decode of its answer and little else on the heap.
 //
 // Training's intermediate state is what pressures the EPC (§7.1), so the
 // enclave is charged for a step's intermediates ("tf/arena") what the

@@ -6,9 +6,14 @@ import (
 	"time"
 
 	"github.com/securetf/securetf/internal/tf"
+	"github.com/securetf/securetf/internal/tf/kernels"
 )
 
-// request is one admitted inference request waiting for dispatch.
+// request is one admitted inference request waiting for dispatch. It
+// is its connection's record, reused every round: the batch that holds
+// it writes its reply tensor and then answers it on resp, once, and
+// touches it no more, and the connection fills it in again only after
+// that answer.
 type request struct {
 	version  int  // 0 = serving version
 	fallback bool // canary-routed: degrade to serving if version vanishes
@@ -17,6 +22,8 @@ type request struct {
 	rows     int
 	start    time.Duration // virtual enqueue time
 	resp     chan WireResponse
+	reply    *tf.Tensor // the rows (or classes) of the last OK answer
+	shape    tf.Shape   // the reply's shape as the batch derives it
 }
 
 // dispatch is the per-model dispatcher loop: it pulls admitted requests
@@ -91,12 +98,13 @@ func (g *Gateway) refuse(m *servedModel, carry *request) {
 // batch past MaxBatch is carried into the next batch, so the configured
 // bound on per-invoke rows holds (a single oversized request still runs
 // alone — it cannot be split). With MaxBatch <= 1 or a zero window the
-// gateway degenerates to the unbatched per-request path.
+// gateway degenerates to the unbatched per-request path. The window is
+// armed only when first leaves room in the batch.
 func (g *Gateway) collect(m *servedModel, first *request) (batch []*request, carry *request) {
 	batch = []*request{first}
 	rows := first.rows
 	maxBatch, window := g.cfg.MaxBatch, g.cfg.BatchWindow
-	if maxBatch <= 1 || window <= 0 {
+	if maxBatch <= 1 || window <= 0 || rows >= maxBatch {
 		return batch, nil
 	}
 	//securetf:allow nowallclock the batch window paces real request arrival; batch contents stay bitwise identical to per-request runs
@@ -153,9 +161,11 @@ func (g *Gateway) runBatch(m *servedModel, batch []*request) {
 }
 
 // runGroup stacks a group's inputs into one tensor, invokes a pooled
-// replica once and splits the output rows back per caller. Canary-routed
-// requests whose candidate version vanished mid-flight fall back to the
-// serving version; pinned requests to a missing version get NOT_FOUND.
+// replica once and copies each caller's output rows into its reply
+// tensor before the replica, whose output they are, goes back to the
+// pool. Canary-routed requests whose candidate version vanished
+// mid-flight fall back to the serving version; pinned requests to a
+// missing version get NOT_FOUND.
 func (g *Gateway) runGroup(m *servedModel, version int, reqs []*request) {
 	v, resolved := m.acquire(version)
 	if v == nil {
@@ -200,10 +210,15 @@ func (g *Gateway) runGroup(m *servedModel, version int, reqs []*request) {
 		fail(reqs, WireResponse{Status: StatusInternal, Message: err.Error()})
 		return
 	}
-	var out *tf.Tensor
+	var (
+		out       *tf.Tensor
+		argmaxErr error
+	)
 	if err = ip.SetInput(0, input); err == nil {
 		if err = ip.Invoke(); err == nil {
-			out, err = ip.Output(0)
+			if out, err = ip.Output(0); err == nil {
+				argmaxErr, err = copyReplies(out, reqs)
+			}
 		}
 	}
 	v.pool.release(ip)
@@ -212,45 +227,18 @@ func (g *Gateway) runGroup(m *servedModel, version int, reqs []*request) {
 		fail(reqs, WireResponse{Status: StatusInternal, Message: err.Error()})
 		return
 	}
-	outputs, err := splitRows(out, reqs)
-	if err != nil {
-		v.errors.Add(int64(len(reqs)))
-		fail(reqs, WireResponse{Status: StatusInternal, Message: err.Error()})
-		return
-	}
 	v.batches.Add(1)
 	now := g.clock.Now()
-	for i, req := range reqs {
-		out := outputs[i]
-		if req.argmax {
-			// Reduce in the enclave: only the class labels leave on the
-			// wire (4 bytes/row), matching the classic §4.2 contract.
-			reduced, err := argmaxTensor(out)
-			if err != nil {
-				v.errors.Add(1)
-				req.resp <- WireResponse{Status: StatusInternal, Message: err.Error()}
-				continue
-			}
-			out = reduced
+	for _, req := range reqs {
+		if req.argmax && argmaxErr != nil {
+			v.errors.Add(1)
+			req.resp <- WireResponse{Status: StatusInternal, Message: argmaxErr.Error()}
+			continue
 		}
 		v.served.Add(1)
 		v.lat.record(now - req.start)
-		req.resp <- WireResponse{Status: StatusOK, Version: resolved, Output: out, ServiceVtime: now - req.start}
+		req.resp <- WireResponse{Status: StatusOK, Version: resolved, Output: req.reply, ServiceVtime: now - req.start}
 	}
-}
-
-// argmaxTensor reduces a [rows, classes] output to an Int32 [rows]
-// tensor of argmax classes.
-func argmaxTensor(out *tf.Tensor) (*tf.Tensor, error) {
-	classes, err := ArgmaxRows(out)
-	if err != nil {
-		return nil, err
-	}
-	t := tf.NewTensor(tf.Int32, tf.Shape{len(classes)})
-	for i, c := range classes {
-		t.Ints()[i] = int32(c)
-	}
-	return t, nil
 }
 
 // fail answers every request in reqs with the same error response.
@@ -285,49 +273,62 @@ func stackInputs(reqs []*request) (*tf.Tensor, error) {
 	return stacked, nil
 }
 
-// splitRows slices the batched output back into one tensor per request,
-// by each request's input row count.
-func splitRows(out *tf.Tensor, reqs []*request) ([]*tf.Tensor, error) {
-	if len(reqs) == 1 {
-		return []*tf.Tensor{out}, nil
+// copyReplies copies each member's rows of the group's output out (all
+// of it for a group of one, whose output need not have batch rows) into
+// the member's reply tensor, reduced to their argmax class per row for a
+// member that asked: the classic §4.2 contract, where only the labels
+// leave the enclave, 4 bytes a row. err fails the whole group.
+// argmaxErr, set when out has no classes to reduce, fails only the
+// members that asked for a reduction, whose reply tensors it leaves as
+// they were.
+func copyReplies(out *tf.Tensor, reqs []*request) (argmaxErr, err error) {
+	shape, dtype := out.Shape(), out.DType()
+	if dtype != tf.Float32 && dtype != tf.Int32 {
+		return nil, fmt.Errorf("serving: cannot split dtype %v", dtype)
 	}
-	shape := out.Shape()
-	if len(shape) == 0 {
-		return nil, fmt.Errorf("serving: batched output is a scalar")
+	if len(reqs) > 1 {
+		total := 0
+		for _, req := range reqs {
+			total += req.rows
+		}
+		if len(shape) == 0 {
+			return nil, fmt.Errorf("serving: batched output is a scalar")
+		}
+		if shape[0] != total {
+			return nil, fmt.Errorf("serving: batched output has %d rows for %d input rows", shape[0], total)
+		}
 	}
-	rowElems := 1
-	for _, d := range shape[1:] {
-		rowElems *= d
+	_, cols := kernels.RowsCols(shape)
+	if dtype == tf.Float32 && (len(shape) < 2 || cols < 1) {
+		argmaxErr = fmt.Errorf("serving: output shape %v is not [rows, classes]", shape)
 	}
-	total := 0
-	for _, req := range reqs {
-		total += req.rows
-	}
-	if shape[0] != total {
-		return nil, fmt.Errorf("serving: batched output has %d rows for %d input rows", shape[0], total)
-	}
-	outputs := make([]*tf.Tensor, len(reqs))
 	off := 0
-	for i, req := range reqs {
-		rowShape := shape.Clone()
-		rowShape[0] = req.rows
-		var (
-			t   *tf.Tensor
-			err error
-		)
-		switch out.DType() {
-		case tf.Float32:
-			t, err = tf.FromFloats(rowShape, out.Floats()[off*rowElems:(off+req.rows)*rowElems])
-		case tf.Int32:
-			t, err = tf.FromInts(rowShape, out.Ints()[off*rowElems:(off+req.rows)*rowElems])
-		default:
-			err = fmt.Errorf("serving: cannot split dtype %v", out.DType())
+	for _, req := range reqs {
+		n := out.NumElements()
+		req.shape = append(req.shape[:0], shape...)
+		if len(reqs) > 1 {
+			n = req.rows * n / shape[0]
+			req.shape[0] = req.rows
 		}
-		if err != nil {
-			return nil, err
+		switch {
+		case !req.argmax && dtype == tf.Int32:
+			req.reply = tf.Reuse(req.reply, dtype, req.shape)
+			copy(req.reply.Ints(), out.Ints()[off:])
+		case !req.argmax:
+			req.reply = tf.Reuse(req.reply, dtype, req.shape)
+			copy(req.reply.Floats(), out.Floats()[off:])
+		case dtype == tf.Int32: // a model with an ArgMax head
+			req.shape = append(req.shape[:0], n)
+			req.reply = tf.Reuse(req.reply, tf.Int32, req.shape)
+			copy(req.reply.Ints(), out.Ints()[off:])
+		case argmaxErr == nil:
+			req.shape = append(req.shape[:0], n/cols)
+			req.reply = tf.Reuse(req.reply, tf.Int32, req.shape)
+			if err := kernels.ArgMaxRows(req.reply.Ints(), out.Floats()[off:off+n], cols); err != nil {
+				return nil, err
+			}
 		}
-		outputs[i] = t
-		off += req.rows
+		off += n
 	}
-	return outputs, nil
+	return argmaxErr, nil
 }

@@ -205,7 +205,14 @@ func (cl *Client) do(req WireRequest) (WireResponse, error) {
 // router's forwarding path uses, where a non-OK status must pass through
 // to the caller rather than become a local error. An empty model name on
 // an inference request resolves to DefaultModelName.
-func (cl *Client) Do(req WireRequest) (WireResponse, error) {
+func (cl *Client) Do(req WireRequest) (WireResponse, error) { return DoInto(cl, req, nil) }
+
+// DoInto is cl.Do that decodes an OK response's tensor into into when
+// that has the tensor's dtype and shape, and into a new tensor
+// otherwise, as a server connection decodes its requests: the router
+// decodes each stage's reply into a tensor its customer's connection
+// reuses. into must not be read or written by anyone else for the call.
+func DoInto(cl *Client, req WireRequest, into *tf.Tensor) (WireResponse, error) {
 	if req.Model == "" && !req.ListModels {
 		req.Model = DefaultModelName
 	}
@@ -224,7 +231,7 @@ func (cl *Client) Do(req WireRequest) (WireResponse, error) {
 		return WireResponse{}, err
 	}
 	cl.rbuf = payload
-	return parseResponse(payload)
+	return parseResponse(payload, into)
 }
 
 // backoff waits out one capped exponential backoff step before retry

@@ -32,8 +32,8 @@
 //
 // # Who owns what
 //
-// A warm round allocates its response and little else, because every
-// buffer on the serving wire has one owner:
+// A warm round allocates next to nothing on the server side, because
+// every buffer on the serving wire has one owner:
 //
 //   - A server connection (ServeRounds, under both the gateway and the
 //     router) owns the frame last read, the frame last written and its
@@ -46,13 +46,23 @@
 //     once its batch has answered the request, and a batch reads no
 //     member's input after answering it; the router's route is
 //     synchronous.
+//   - A response's Output need hold still only until ServeRounds has
+//     written it, which is before it reads the next request, so it is
+//     the connection's too. A gateway connection owns one request record,
+//     with its reply channel, and one reply tensor: the batch that holds
+//     the request copies the caller's rows (or their argmax classes) out
+//     of the interpreter's output, which is the replica's until its next
+//     Invoke, into the reply tensor before the replica goes back to its
+//     pool, answers once, and touches the record no more. A router
+//     connection owns its graph run: the step records and the stage
+//     tensors each stage's reply is decoded into (DoInto).
 //   - The frames grow to the largest the connection has carried (at most
 //     wire.MaxFrame) and go when it closes, as a dist.Link's do. A
 //     per-protocol cap is a separate matter.
 //   - A Client owns its request and response frames, under its mutex.
 //     The tensors it returns are decoded into storage of their own, the
-//     caller's; the tensors it is given need only hold still for the
-//     call.
+//     caller's, or, through DoInto, into a tensor the caller owns; the
+//     tensors it is given need only hold still for the call.
 //   - WriteRequest, ReadRequest, WriteResponse and ReadResponse are the
 //     buffer-per-call forms: each allocates its frame, and what
 //     ReadRequest and ReadResponse return is the caller's to keep.
@@ -177,23 +187,27 @@ func NewGateway(c *core.Container, addr string, cfg Config) (*Gateway, error) {
 	if cfg.Autoscale != nil {
 		g.scaler = newAutoscaler(*cfg.Autoscale, g.clock.Now())
 	}
-	g.srv = wire.Serve(ln, func(conn net.Conn) { ServeRounds(conn, g.submit) })
+	g.srv = wire.Serve(ln, func(conn net.Conn) {
+		req := &request{resp: make(chan WireResponse, 1)}
+		ServeRounds(conn, func(wr WireRequest) WireResponse { return g.submit(req, wr) })
+	})
 	return g, nil
 }
 
 // Addr returns the gateway's listen address.
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
-// submit runs admission control for one request and waits for its
-// response. Every admitted request is answered: dispatchers outlive the
-// connection handlers that feed them. Unpinned requests may be routed to
-// an active canary candidate; the admission bound is the model's live
-// QueueCap, read once so a rejection names the bound it enforced. It
-// returns only once the batch holding the request has answered it, and
-// a batch reads no member's input after answering it, so the
-// connection's input tensor is free again when submit returns
-// (ServeRounds).
-func (g *Gateway) submit(wr WireRequest) WireResponse {
+// submit runs admission control for one request, filled into its
+// connection's record req, and waits for its response. Every admitted
+// request is answered: dispatchers outlive the connection handlers that
+// feed them. Unpinned requests may be routed to an active canary
+// candidate; the admission bound is the model's live QueueCap, read once
+// so a rejection names the bound it enforced. It returns only once the
+// batch holding the request has answered it, and a batch touches no
+// member's record after answering it, so the connection's input tensor,
+// record and reply tensor are the connection's again when submit
+// returns (ServeRounds).
+func (g *Gateway) submit(req *request, wr WireRequest) WireResponse {
 	if wr.ListModels {
 		// The placement control round: answer with the registered model
 		// names so a router can verify its manifest against what this
@@ -224,15 +238,8 @@ func (g *Gateway) submit(wr WireRequest) WireResponse {
 	if version == 0 {
 		version, canaryRouted = m.routeCanary()
 	}
-	req := &request{
-		version:  version,
-		fallback: canaryRouted,
-		argmax:   wr.Argmax,
-		input:    wr.Input,
-		rows:     wr.Input.Shape()[0],
-		start:    g.clock.Now(),
-		resp:     make(chan WireResponse, 1),
-	}
+	req.version, req.fallback, req.argmax = version, canaryRouted, wr.Argmax
+	req.input, req.rows, req.start = wr.Input, wr.Input.Shape()[0], g.clock.Now()
 	m.arrivals.Add(1)
 	if queueCap := g.caps.of(m.name); !m.admit(req, queueCap) {
 		m.rejected.Add(1)

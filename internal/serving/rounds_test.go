@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
@@ -344,5 +346,121 @@ func TestOneRecordPerFrame(t *testing.T) {
 		if got, want := serverRaw.take(), records(4+len(resp)); got != want {
 			t.Errorf("a %d-byte response frame made %d raw writes, want %d", 4+len(resp), got, want)
 		}
+	}
+}
+
+// gatedRound sends one request on each connection at once, to a
+// gateway whose dispatcher waits on gate, lets the dispatcher pull once
+// when both are queued, so that the two share one micro-batch, and
+// returns the two responses.
+func gatedRound(t *testing.T, g *Gateway, gate chan struct{}, conns []*Client, reqs []WireRequest) []WireResponse {
+	t.Helper()
+	resps := make([]WireResponse, len(conns))
+	errs := make([]error, len(conns))
+	var wg sync.WaitGroup
+	for i, cl := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = cl.Do(reqs[i])
+		}()
+	}
+	waitFor(t, "both requests queued", func() bool { return queueDepth(g, reqs[0].Model) == len(conns) })
+	gate <- struct{}{}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resps
+}
+
+// TestFailedBatchAnswersEachMemberOnce runs the batch's fail path: two
+// connections' requests whose rows the model cannot reshape share one
+// micro-batch, whose Invoke fails. Each member is answered once, with
+// StatusInternal and no tensor. The round after it, on the same
+// connections, gets its own rows: a second answer to the failed round
+// would be read as its answer, and the reply tensor each connection
+// reuses must hold its rows, not those of the round before the failure.
+func TestFailedBatchAnswersEachMemberOnce(t *testing.T) {
+	c := launchContainer(t)
+	g, gate := gatedGateway(t, c, Config{MaxBatch: 8, BatchWindow: 5 * time.Millisecond})
+	model := buildModel(t, 6)
+	if err := g.Register("m", 1, model); err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]*Client, 2)
+	for i := range conns {
+		cl, err := Dial(c, g.Addr(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		conns[i] = cl
+	}
+	good := func(seed int64) {
+		t.Helper()
+		ins := []*tf.Tensor{input(2, seed), input(3, seed+1)}
+		resps := gatedRound(t, g, gate, conns, []WireRequest{{Model: "m", Input: ins[0]}, {Model: "m", Input: ins[1]}})
+		for i, resp := range resps {
+			if resp.Status != StatusOK || !sameTensor(resp.Output, runLocal(t, model, ins[i])) {
+				t.Fatalf("connection %d, input seed %d: %v, or rows other than an unbatched Invoke's", i, seed, resp.Status)
+			}
+		}
+	}
+	good(10)
+	bad := tf.RandNormal(tf.Shape{3, 5}, 1, 7) // 15 values, which no [-1, 784] holds
+	for i, resp := range gatedRound(t, g, gate, conns, []WireRequest{{Model: "m", Input: bad}, {Model: "m", Input: bad}}) {
+		if resp.Status != StatusInternal || resp.Output != nil {
+			t.Fatalf("connection %d, the failed batch: %v with output %v, want INTERNAL and none", i, resp.Status, resp.Output)
+		}
+	}
+	good(20)
+	if m := g.Metrics()[0]; m.Served != 4 || m.Batches != 2 || m.Errors != 2 {
+		t.Fatalf("served %d in %d batches with %d errors, want 4 in 2 with 2", m.Served, m.Batches, m.Errors)
+	}
+}
+
+// TestTwoConnectionsShareABatch: round after round, two connections'
+// requests of changing row counts share one micro-batch, which they
+// fill, one asking for rows and the other for their argmax classes, and
+// each gets its own, bit for bit an unbatched Invoke's. Under -race this is the check that
+// a connection's reply tensor and request record pass between it and
+// the batch without a race.
+func TestTwoConnectionsShareABatch(t *testing.T) {
+	c := launchContainer(t)
+	g, gate := gatedGateway(t, c, Config{MaxBatch: 16, BatchWindow: 50 * time.Millisecond})
+	model := buildModel(t, 8)
+	if err := g.Register("m", 1, model); err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]*Client, 2)
+	for i := range conns {
+		cl, err := Dial(c, g.Addr(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		conns[i] = cl
+	}
+	const rounds = 8
+	for round := 0; round < rounds; round++ {
+		rows, labels := input(1+round%3, int64(100+round)), input(15-round%3, int64(200+round))
+		resps := gatedRound(t, g, gate, conns, []WireRequest{{Model: "m", Input: rows}, {Model: "m", Argmax: true, Input: labels}})
+		if resps[0].Status != StatusOK || !sameTensor(resps[0].Output, runLocal(t, model, rows)) {
+			t.Fatalf("round %d: %v, or rows other than an unbatched Invoke's", round, resps[0].Status)
+		}
+		want, err := ArgmaxRows(runLocal(t, model, labels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ArgmaxRows(resps[1].Output)
+		if resps[1].Status != StatusOK || err != nil || !slices.Equal(got, want) {
+			t.Fatalf("round %d: %v, classes %v, want %v (%v)", round, resps[1].Status, got, want, err)
+		}
+	}
+	if m := g.Metrics()[0]; m.Served != 2*rounds || m.Batches != rounds {
+		t.Fatalf("served %d in %d batches, want %d in %d", m.Served, m.Batches, 2*rounds, rounds)
 	}
 }

@@ -215,13 +215,23 @@ type stepError struct {
 	msg    string
 }
 
-// graphRun is one graph execution: the router, the accumulating trace
-// (appended under mu — Ensemble steps run concurrently).
+// graphRun is one customer connection's execution state, which each of
+// its requests reuses in turn: the step records of the current graph
+// execution, and the stage tensors its routed steps' replies are decoded
+// into, the i-th step to start into the i-th. Both are appended to under
+// mu, because Ensemble steps run concurrently. A response's tensor is a
+// stage tensor, which holds still until ServeRounds has written it: the
+// next request starts after that.
 type graphRun struct {
-	r  *Router
-	mu sync.Mutex
-	st []StepTrace
+	r      *Router
+	mu     sync.Mutex
+	st     []StepTrace
+	stages []*tf.Tensor
+	next   int // the stage the next step to start decodes into
 }
+
+// reset readies run for a new request.
+func (run *graphRun) reset() { run.st, run.next = run.st[:0], 0 }
 
 // record appends one step trace.
 func (run *graphRun) record(t StepTrace) {
@@ -230,14 +240,33 @@ func (run *graphRun) record(t StepTrace) {
 	run.mu.Unlock()
 }
 
-// routeGraph executes cg for one request and answers with the final
-// output, the summed per-step virtual service time, and the trace
+// forward is Router.forwardModel into the next stage tensor, which an
+// OK reply's tensor replaces if it did not fit.
+func (run *graphRun) forward(model string, version int, argmax bool, req serving.WireRequest) (serving.WireResponse, string) {
+	run.mu.Lock()
+	if run.next == len(run.stages) {
+		run.stages = append(run.stages, nil)
+	}
+	stage := run.next
+	into := run.stages[stage]
+	run.next++
+	run.mu.Unlock()
+	resp, nodeName := run.r.forwardModel(model, version, argmax, req, into)
+	if resp.Status == serving.StatusOK {
+		run.mu.Lock()
+		run.stages[stage] = resp.Output
+		run.mu.Unlock()
+	}
+	return resp, nodeName
+}
+
+// routeGraph executes cg for one request with run and answers with the
+// final output, the summed per-step virtual service time, and the trace
 // retained in the router's metrics.
-func (r *Router) routeGraph(cg *compiledGraph, req serving.WireRequest) serving.WireResponse {
+func (r *Router) routeGraph(run *graphRun, cg *compiledGraph, req serving.WireRequest) serving.WireResponse {
 	if req.Input == nil {
 		return serving.WireResponse{Status: serving.StatusBadRequest, Message: "graph request without input"}
 	}
-	run := &graphRun{r: r}
 	out, total, serr := run.execNode(cg, cg.root, req.Input)
 	failed := ""
 	if serr != nil {
@@ -282,7 +311,7 @@ func (run *graphRun) execStep(cg *compiledGraph, step GraphStep, input *tf.Tenso
 	if step.NodeRef != "" {
 		return run.execNode(cg, step.NodeRef, input)
 	}
-	resp, nodeName := run.r.forwardModel(step.Model, step.Version, step.Argmax, serving.WireRequest{Input: input})
+	resp, nodeName := run.forward(step.Model, step.Version, step.Argmax, serving.WireRequest{Input: input})
 	t := StepTrace{Step: step.label(), Model: step.Model, Node: nodeName, Vtime: resp.ServiceVtime}
 	if resp.Status != serving.StatusOK {
 		t.Err = resp.Message

@@ -3,6 +3,7 @@
 package router
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -41,10 +42,13 @@ type stepAgg struct {
 }
 
 // graphStats is the per-graph slot of the trace store: a bounded ring
-// of recent traces plus cumulative per-step aggregates.
+// of recent traces plus cumulative per-step aggregates. The ring's
+// slots, and room for the first trace's steps in each, are allocated at
+// the first record; a trace is copied in, so the executions that record
+// them reuse their own step records.
 type graphStats struct {
-	ring     []GraphTrace // oldest → newest, at most traceRingCap
-	requests int64
+	ring     []GraphTrace // traceRingCap slots; record i is in slot i % traceRingCap
+	requests int64        // records so far
 	errors   int64
 	steps    map[string]*stepAgg
 	order    []string // step first-seen order
@@ -68,13 +72,19 @@ func (ts *traceStore) record(t GraphTrace) {
 		gs = &graphStats{steps: make(map[string]*stepAgg)}
 		ts.graphs[t.Graph] = gs
 	}
+	if gs.ring == nil {
+		gs.ring = make([]GraphTrace, traceRingCap)
+		steps := make([]StepTrace, traceRingCap*len(t.Steps))
+		for i := range gs.ring {
+			gs.ring[i].Steps = steps[i*len(t.Steps) : i*len(t.Steps) : (i+1)*len(t.Steps)]
+		}
+	}
+	slot := &gs.ring[gs.requests%traceRingCap]
+	slot.Graph, slot.Total, slot.Err = t.Graph, t.Total, t.Err
+	slot.Steps = append(slot.Steps[:0], t.Steps...)
 	gs.requests++
 	if t.Err != "" {
 		gs.errors++
-	}
-	gs.ring = append(gs.ring, t)
-	if len(gs.ring) > traceRingCap {
-		gs.ring = gs.ring[1:]
 	}
 	for _, st := range t.Steps {
 		agg := gs.steps[st.Step]
@@ -99,8 +109,12 @@ func (ts *traceStore) traces(graph string) []GraphTrace {
 	if gs == nil {
 		return nil
 	}
-	out := make([]GraphTrace, len(gs.ring))
-	copy(out, gs.ring)
+	n := min(gs.requests, traceRingCap)
+	out := make([]GraphTrace, n)
+	for i := range out {
+		out[i] = gs.ring[(gs.requests-n+int64(i))%traceRingCap]
+		out[i].Steps = slices.Clone(out[i].Steps)
+	}
 	return out
 }
 

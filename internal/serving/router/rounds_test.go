@@ -5,7 +5,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/securetf/securetf/internal/serving"
 	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/tflite"
 )
@@ -79,10 +81,36 @@ func TestEnsembleReadsTheReusedInput(t *testing.T) {
 	}
 }
 
+// warmRoundBytes is the median of what seven warm rounds allocate end
+// to end, after three to warm up.
+func warmRoundBytes(t *testing.T, round func() error) uint64 {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRound := make([]uint64, 7)
+	for i := range perRound {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perRound[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perRound)
+	return perRound[len(perRound)/2]
+}
+
 // TestWarmServingRoundAllocation bounds what one warm round allocates
 // end to end — client, router and gateway all in this process — for a
-// 16×784 request to a placed model: the response tensors and small
-// change, not a 50 KB frame or input tensor at either hop.
+// 16×784 request to a placed model: the client's decode of the 16×10
+// reply (704 bytes) and small change. The gateway's interpreter keeps
+// its output, the gateway copies the rows into the connection's reply
+// tensor, and the router decodes the reply into its connection's stage
+// tensor, so no hop allocates a tensor, a frame or a request record.
 func TestWarmServingRoundAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation is not what is measured under the race detector")
@@ -101,25 +129,72 @@ func TestWarmServingRoundAllocation(t *testing.T) {
 	}
 	defer cl.Close()
 	in := tf.RandNormal(tf.Shape{16, 784}, 1, 3)
-	for i := 0; i < 3; i++ {
-		if _, _, err := cl.Infer("ocr", 0, in); err != nil {
-			t.Fatal(err)
-		}
+	bytes := warmRoundBytes(t, func() error { _, _, err := cl.Infer("ocr", 0, in); return err })
+	if bytes > 1<<10 {
+		t.Fatalf("a warm router → gateway round allocated %d bytes, want at most 1 KiB (the input is %d)", bytes, 4*in.NumElements())
 	}
-	perRound := make([]uint64, 7)
-	for i := range perRound {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, _, err := cl.Infer("ocr", 0, in); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		perRound[i] = after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm router → gateway round allocated %d bytes", bytes)
+}
+
+// stageModel hand-builds serve-fleet's classify stage: a softmax over
+// k columns, then fcModel's FullyConnected to n.
+func stageModel(k, n int, w func(i, j int) float32) *tflite.Model {
+	m := fcModel(k, n, w)
+	m.Tensors = append(m.Tensors, tflite.TensorSpec{Name: "probs", Type: tflite.TypeFloat32, Shape: []int{-1, k}, Buffer: -1})
+	m.Ops = []tflite.OpSpec{
+		{Code: tflite.OpSoftmax, Inputs: []int{0}, Outputs: []int{3}},
+		{Code: tflite.OpFullyConnected, Inputs: []int{3, 1}, Outputs: []int{2}},
 	}
-	slices.Sort(perRound)
-	median := perRound[len(perRound)/2]
-	if median > 8<<10 {
-		t.Fatalf("a warm router → gateway round allocated %d bytes, want at most 8 KiB (the input is %d)", median, 4*in.NumElements())
+	return m
+}
+
+// TestWarmServingGraphAllocation is the round above in serve-fleet's
+// shape: a three-stage Sequence graph (784→10, 10→11 with a softmax,
+// 11→11), each stage on a gateway of its own that micro-batches up to
+// 16 rows, fed 16-row documents, which fill a batch and so arm no batch
+// window. The client's decode of the 16×11 reply is 752 bytes; the
+// router's stage replies, step records and trace slots are its
+// connection's and its own.
+func TestWarmServingGraphAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not what is measured under the race detector")
 	}
-	t.Logf("a warm router → gateway round allocated %d bytes", median)
+	platform := newPlatform(t)
+	cfg := serving.Config{MaxBatch: 16, BatchWindow: 2 * time.Millisecond}
+	stages := []struct {
+		name  string
+		model *tflite.Model
+	}{
+		{"ocr", fcModel(784, 10, scaled(1))},
+		{"classify", stageModel(10, 11, scaled(1))},
+		{"redact", fcModel(11, 11, scaled(2))},
+	}
+	var (
+		nodes []NodeSpec
+		steps []GraphStep
+	)
+	for _, s := range stages {
+		g := startNodeWith(t, platform, cfg, map[string]*tflite.Model{s.name: s.model})
+		nodes = append(nodes, NodeSpec{Name: s.name + "-node", Addr: g.Addr(), Models: []string{s.name}})
+		steps = append(steps, GraphStep{Model: s.name})
+	}
+	r, err := New(launchOn(t, platform), "127.0.0.1:0", Config{
+		Nodes:  nodes,
+		Graphs: []GraphSpec{{Name: "digitize", Nodes: map[string]GraphNode{"root": {Kind: Sequence, Steps: steps}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cl, err := DialClient(launchOn(t, platform), r.Addr(), "", ClientConfig{ExpectGraphs: []string{"digitize"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	in := tf.RandNormal(tf.Shape{16, 784}, 1, 3)
+	bytes := warmRoundBytes(t, func() error { _, _, err := cl.Infer("digitize", 0, in); return err })
+	if bytes > 1536 {
+		t.Fatalf("a warm three-stage graph round allocated %d bytes, want at most 1.5 KiB", bytes)
+	}
+	t.Logf("a warm three-stage graph round allocated %d bytes", bytes)
 }

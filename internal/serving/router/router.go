@@ -31,6 +31,7 @@ import (
 	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/serving"
+	"github.com/securetf/securetf/internal/tf"
 	"github.com/securetf/securetf/internal/vtime"
 	"github.com/securetf/securetf/internal/wire"
 )
@@ -264,16 +265,17 @@ func (r *Router) handle(conn net.Conn) {
 	if err := writeManifestReply(conn, r.key, r.manifest, refusal); err != nil || refusal != "" {
 		return
 	}
-	serving.ServeRounds(conn, r.route)
+	run := &graphRun{r: r}
+	serving.ServeRounds(conn, func(req serving.WireRequest) serving.WireResponse { return r.route(run, req) })
 }
 
-// route answers one request: the model/graph listing, a compiled graph
-// execution, or a weighted-spread forward of a plain model request. It
-// is synchronous — every forward, and every Ensemble branch, has
-// finished with the request's input when it returns — which is what
-// lets ServeRounds decode the connection's next request into the same
-// tensor.
-func (r *Router) route(req serving.WireRequest) serving.WireResponse {
+// route answers one request of the connection whose run is run: the
+// model/graph listing, a compiled graph execution, or a weighted-spread
+// forward of a plain model request. It is synchronous — every forward,
+// and every Ensemble branch, has finished with the request's input when
+// it returns — which is what lets ServeRounds decode the connection's
+// next request into the same tensor, and the next request reuse run.
+func (r *Router) route(run *graphRun, req serving.WireRequest) serving.WireResponse {
 	select {
 	case <-r.closed:
 		return serving.WireResponse{Status: serving.StatusShuttingDown, Message: "router draining"}
@@ -289,19 +291,21 @@ func (r *Router) route(req serving.WireRequest) serving.WireResponse {
 	if req.Model == "" {
 		req.Model = serving.DefaultModelName
 	}
+	run.reset()
 	if cg, ok := r.graphs[req.Model]; ok {
-		return r.routeGraph(cg, req)
+		return r.routeGraph(run, cg, req)
 	}
-	resp, _ := r.forwardModel(req.Model, req.Version, req.Argmax, req)
+	resp, _ := run.forward(req.Model, req.Version, req.Argmax, req)
 	return resp
 }
 
 // forwardModel routes one model request across the nodes hosting it:
 // smooth weighted round-robin over the live nodes, failing over — and
 // marking the node dead — on transport errors and draining nodes. It
-// returns the backend response plus the name of the node that served
-// it (empty when no node could).
-func (r *Router) forwardModel(model string, version int, argmax bool, req serving.WireRequest) (serving.WireResponse, string) {
+// returns the backend response, its tensor decoded into into if that
+// fits (serving.DoInto), plus the name of the node that served it
+// (empty when no node could).
+func (r *Router) forwardModel(model string, version int, argmax bool, req serving.WireRequest, into *tf.Tensor) (serving.WireResponse, string) {
 	hosts := r.placement[model]
 	if len(hosts) == 0 {
 		return serving.WireResponse{
@@ -310,14 +314,18 @@ func (r *Router) forwardModel(model string, version int, argmax bool, req servin
 		}, ""
 	}
 	req.Model, req.Version, req.Argmax, req.ListModels = model, version, argmax, false
-	tried := make([]bool, len(hosts))
+	var few [8]bool
+	tried := few[:]
+	if len(hosts) > len(few) {
+		tried = make([]bool, len(hosts))
+	}
 	for attempt := 0; attempt < len(hosts); attempt++ {
 		n, slot := r.pick(hosts, tried)
 		if n == nil {
 			break
 		}
 		tried[slot] = true
-		resp, err := r.forwardOnce(n, req)
+		resp, err := r.forwardOnce(n, req, into)
 		if err != nil || resp.Status == serving.StatusShuttingDown {
 			// The node is gone or draining: take it out of the spread and
 			// let the next hosting node absorb the request. A health tick
@@ -333,13 +341,14 @@ func (r *Router) forwardModel(model string, version int, argmax bool, req servin
 	}, ""
 }
 
-// forwardOnce runs one request round against one node.
-func (r *Router) forwardOnce(n *node, req serving.WireRequest) (serving.WireResponse, error) {
+// forwardOnce runs one request round against one node, decoding its
+// tensor into into if that fits.
+func (r *Router) forwardOnce(n *node, req serving.WireRequest, into *tf.Tensor) (serving.WireResponse, error) {
 	cl, err := r.conn(n)
 	if err != nil {
 		return serving.WireResponse{}, err
 	}
-	resp, err := cl.Do(req)
+	resp, err := serving.DoInto(cl, req, into)
 	if err != nil {
 		cl.Close()
 		return serving.WireResponse{}, err

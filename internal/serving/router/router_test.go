@@ -85,8 +85,14 @@ func scaled(scale float32) func(i, j int) float32 {
 // given models at version 1.
 func startNode(t testing.TB, platform *sgx.Platform, models map[string]*tflite.Model) *serving.Gateway {
 	t.Helper()
+	return startNodeWith(t, platform, serving.Config{}, models)
+}
+
+// startNodeWith is startNode for a gateway of config cfg.
+func startNodeWith(t testing.TB, platform *sgx.Platform, cfg serving.Config, models map[string]*tflite.Model) *serving.Gateway {
+	t.Helper()
 	c := launchOn(t, platform)
-	g, err := serving.NewGateway(c, "127.0.0.1:0", serving.Config{})
+	g, err := serving.NewGateway(c, "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,12 +256,13 @@ func ReadResponse(r io.Reader) (WireResponse, error) {
 	if err != nil {
 		return WireResponse{}, err
 	}
-	return parseResponse(payload)
+	return parseResponse(payload, nil)
 }
 
-// parseResponse decodes a response payload into storage of its own:
-// nothing in the result aliases payload.
-func parseResponse(payload []byte) (WireResponse, error) {
+// parseResponse decodes a response payload. An OK response's tensor is
+// decoded into into when that has the tensor's dtype and shape, and
+// into a new tensor otherwise; nothing in the result aliases payload.
+func parseResponse(payload []byte, into *tf.Tensor) (WireResponse, error) {
 	p := wire.NewReader(payload)
 	version := p.U8()
 	resp := WireResponse{
@@ -277,6 +278,10 @@ func parseResponse(payload []byte) (WireResponse, error) {
 		resp.Message = string(body)
 		return resp, nil
 	}
+	if into != nil && tf.DecodeTensorInto(into, body) == nil {
+		resp.Output = into
+		return resp, nil
+	}
 	var err error
 	if resp.Output, err = tf.DecodeTensor(body); err != nil {
 		return WireResponse{}, fmt.Errorf("serving: decode response tensor: %w", err)
@@ -284,13 +289,17 @@ func parseResponse(payload []byte) (WireResponse, error) {
 	return resp, nil
 }
 
-// ServeRounds serves one connection's request/response rounds until a
-// read, a decode or a write fails: it reads a request, hands it to
-// handle and writes what handle returns. It is the server side of the
-// protocol under both the gateway and the router. The frames it reads
-// and writes and the request tensor it decodes into are the
-// connection's, and a request's Input is the connection's until handle
-// returns (the package comment has the rule).
+// ServeRounds serves one connection's request/response rounds, one at a
+// time, until a read, a decode or a write fails: it reads a request,
+// hands it to handle and writes what handle returns before it reads the
+// next. It is the server side of the protocol under both the gateway
+// and the router. The frames it reads and writes and the request tensor
+// it decodes into are the connection's, and a request's Input is the
+// connection's until handle returns. A response's Output need hold
+// still only until it is written, so a handler answers from tensors it
+// reuses every round: the gateway from its connection's reply tensor,
+// the router from its connection's stage tensors (the package comment
+// has the rule).
 func ServeRounds(conn io.ReadWriter, handle func(WireRequest) WireResponse) {
 	var (
 		rbuf, wbuf []byte

@@ -120,6 +120,16 @@ func NewTensor(dtype DType, shape Shape) *Tensor {
 	return t
 }
 
+// Reuse returns t if it is a tensor of dtype and shape, and a new
+// zero-filled one if it is not: the storage an owner computes or decodes
+// into again and again, made anew only when what it must hold moves.
+func Reuse(t *Tensor, dtype DType, shape Shape) *Tensor {
+	if t != nil && t.dtype == dtype && t.shape.Equal(shape) {
+		return t
+	}
+	return NewTensor(dtype, shape)
+}
+
 // FromFloats builds a Float32 tensor from data (copied).
 func FromFloats(shape Shape, data []float32) (*Tensor, error) {
 	if shape.NumElements() != len(data) {

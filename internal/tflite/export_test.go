@@ -10,12 +10,26 @@ import (
 // For the external tests, which run the repo's models: a package that
 // imports this one.
 
-// Dirty fills ip's slabs with NaN (-1 for the integers), the Lite twin
-// of tf's Dirty: a kernel that overwrites its output covers it, and a
-// sum into a buffer nobody cleared does not. Every span's header from
-// the last Invoke reaches to its slab's end, and the first span laid
-// out starts at the slab's start, so the headers reach all of it.
+// Dirty fills ip's slabs and the outputs it keeps with NaN (-1 for the
+// integers), the Lite twin of tf's Dirty: a kernel that overwrites its
+// output covers it, and a sum into a buffer nobody cleared does not.
+// Every span's header from the last Invoke reaches to its slab's end,
+// and the first span laid out starts at the slab's start, so the
+// headers reach all of it.
 func Dirty(ip *Interpreter) {
+	for _, t := range ip.outs {
+		switch {
+		case t == nil:
+		case t.DType() == tf.Int32:
+			for i := range t.Ints() {
+				t.Ints()[i] = -1
+			}
+		default:
+			for i := range t.Floats() {
+				t.Floats()[i] = float32(math.NaN())
+			}
+		}
+	}
 	for k, s := range ip.plan.span {
 		if s < 0 {
 			continue
@@ -48,7 +62,7 @@ type buffer struct {
 
 // buffers lists the activations ip's last Invoke drew: each op's output
 // but a Reshape's (a view) and a model output's or the storage one
-// views (given away), live from its op to the last op that reads it or
+// views (kept out of the slabs), live from its op to the last op that reads it or
 // a view of it.
 func buffers(ip *Interpreter) []buffer {
 	m := ip.model

@@ -15,9 +15,11 @@ import (
 // accessed with the streaming pattern: they are read-only and touched
 // sequentially, which is why TensorFlow Lite inference degrades
 // gracefully past the EPC limit where the full TensorFlow runtime
-// thrashes (paper §5.3 #4). Its outputs are the caller's, its other
-// activations its own until the next Invoke (the package comment says
-// whose memory is whose; plan says how).
+// thrashes (paper §5.3 #4). All its memory is its own, as in TFLite: a
+// model output is one tensor per output, kept outside the slabs and
+// reused while its shape holds, so it is valid until the next Invoke;
+// a caller that keeps one copies it. Its other activations lie in the
+// slabs (plan says how).
 type Interpreter struct {
 	model *Model
 	dev   device.Device
@@ -28,8 +30,9 @@ type Interpreter struct {
 	inputs    []*tf.Tensor // by input slot, as SetInput left them
 	values    []*tf.Tensor // by tensor index, what the current Invoke reads there
 	plan      plan
-	slots     []tf.Tensor // op k's output header, re-pointed every Invoke
-	slabs     tf.Slabs    // the storage the plan's spans lie in
+	slots     []tf.Tensor  // op k's output header, re-pointed every Invoke
+	outs      []*tf.Tensor // per op the plan keeps out of the slabs: the output it computes into
+	slabs     tf.Slabs     // the storage the plan's spans lie in
 	allocated bool
 	arenaPeak int64
 	id        string
@@ -44,8 +47,10 @@ type Interpreter struct {
 // there, so a hostile model that writes an index twice, reads one twice
 // or runs dead ops reads the same storage on every Invoke. A span is
 // live from its op to the last op that reads it or reshapes it. Model
-// outputs, and any storage they view, are given away instead: fresh on
-// every Invoke and in no span, as Session.Run gives its results away.
+// outputs, and any storage they view, are kept instead: in no span, in
+// a tensor of the op's own that the next Invoke of the same shape
+// computes into again. They take no room in the slabs, nor in the arena
+// the device is charged.
 //
 // Only the spans' sizes follow the inputs' shapes. Before each Invoke,
 // shape derives every op's output shape and sizes the spans, and the
@@ -53,8 +58,8 @@ type Interpreter struct {
 // between Invokes replaces the slabs.
 type plan struct {
 	tf.Layout
-	given []bool // per op: its output is a model output, or storage a model output views
-	span  []int  // per op: the span its output is drawn from, or -1
+	kept []bool // per op: its output is a model output, or storage a model output views
+	span []int  // per op: the span its output is drawn from, or -1
 
 	at     []int          // per tensor index: the op whose output it holds so far this Invoke, or -1
 	dtypes []tf.DType     // per op: its output's dtype this Invoke
@@ -65,7 +70,7 @@ type plan struct {
 func newPlan(m *Model) plan {
 	n := len(m.Ops)
 	p := plan{
-		given: make([]bool, n), span: make([]int, n), at: make([]int, len(m.Tensors)),
+		kept: make([]bool, n), span: make([]int, n), at: make([]int, len(m.Tensors)),
 		dtypes: make([]tf.DType, n), shapes: make([]tf.Shape, n), geoms: make([]kernels.Geom, n),
 	}
 	writer := p.at // per tensor index: the op whose output it holds so far, or -1
@@ -94,15 +99,15 @@ func newPlan(m *Model) plan {
 	}
 	for _, idx := range m.Outputs {
 		if w := writer[idx]; w >= 0 {
-			p.given[w] = true
+			p.kept[w] = true
 			if r := root[w]; r >= 0 {
-				p.given[r] = true
+				p.kept[r] = true
 			}
 		}
 	}
 	for k, r := range root {
 		p.span[k] = -1
-		if r == k && !p.given[k] {
+		if r == k && !p.kept[k] {
 			p.span[k] = p.Span(m.Ops[k].Code == OpArgMax, k, last[k])
 		}
 	}
@@ -184,7 +189,7 @@ func (ip *Interpreter) AllocateTensors() error {
 		residentBytes += int64(len(raw))
 	}
 	ip.dev.AllocReadOnly(ip.id+"/weights", residentBytes)
-	ip.plan, ip.slots = newPlan(ip.model), make([]tf.Tensor, len(ip.model.Ops))
+	ip.plan, ip.slots, ip.outs = newPlan(ip.model), make([]tf.Tensor, len(ip.model.Ops)), make([]*tf.Tensor, len(ip.model.Ops))
 	ip.allocated = true
 	return nil
 }
@@ -242,8 +247,9 @@ func (ip *Interpreter) SetInput(i int, t *tf.Tensor) error {
 	return nil
 }
 
-// Output returns model output slot i after Invoke. It is the caller's:
-// no later Invoke writes to it.
+// Output returns model output slot i after Invoke. It is the
+// interpreter's, valid until the next Invoke, which may compute into it
+// again: copy to keep it, or to feed it back in.
 func (ip *Interpreter) Output(i int) (*tf.Tensor, error) {
 	if i < 0 || i >= len(ip.model.Outputs) {
 		return nil, fmt.Errorf("tflite: output %d of %d", i, len(ip.model.Outputs))
@@ -284,9 +290,9 @@ func (ip *Interpreter) Invoke() error {
 		}
 		ip.values[op.Outputs[0]] = out
 	}
-	// The device is charged the most the slabs have held: the outputs
-	// handed back are the caller's, and the weights are registered on
-	// their own.
+	// The device is charged the most the slabs have held. The kept
+	// outputs are left out, as a Session's results are, and the weights
+	// are registered on their own.
 	if f32, i32 := ip.plan.Lens(); 4*int64(f32+i32) > ip.arenaPeak {
 		ip.arenaPeak = 4 * int64(f32+i32)
 		ip.dev.Alloc(ip.id+"/arena", ip.arenaPeak)
@@ -438,12 +444,18 @@ func (ip *Interpreter) charge(op *OpSpec, flops int64, activationBytes, weightBy
 }
 
 // output is the output of the op at slot, of the dtype and shape shape
-// derived: a fresh tensor if the plan gives it away, else the slot's
-// header re-pointed at its span, cleared if zero is set.
+// derived, cleared if zero is set: the tensor the op keeps if the plan
+// keeps it out of the slabs, made again when its dtype or shape moved,
+// else the slot's header re-pointed at its span.
 func (ip *Interpreter) output(slot int, zero bool) *tf.Tensor {
 	p := &ip.plan
 	if p.span[slot] < 0 {
-		return tf.NewTensor(p.dtypes[slot], p.shapes[slot])
+		t := tf.Reuse(ip.outs[slot], p.dtypes[slot], p.shapes[slot])
+		if zero && t == ip.outs[slot] {
+			clear(t.Floats()) // only a FullyConnected or Conv2D asks, whose outputs are float32
+		}
+		ip.outs[slot] = t
+		return t
 	}
 	p.Draw(&ip.slabs, &ip.slots[slot], p.span[slot], p.dtypes[slot], p.shapes[slot], zero)
 	return &ip.slots[slot]
@@ -455,9 +467,6 @@ func (ip *Interpreter) run(slot int, op *OpSpec) (out *tf.Tensor, err error) {
 	x, geo := ip.value(op.Inputs[0]), ip.plan.geoms[slot]
 	switch op.Code {
 	case OpReshape:
-		if ip.plan.given[slot] {
-			return x.Reshape(ip.plan.shapes[slot])
-		}
 		return &ip.slots[slot], tf.ReshapeInto(&ip.slots[slot], x, ip.plan.shapes[slot])
 	case OpFullyConnected, OpConv2D:
 		return ip.runLinear(slot, op, x), nil

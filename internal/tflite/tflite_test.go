@@ -593,7 +593,7 @@ func TestHostilePlansRepeat(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ip.Close()
-			var kept []*tf.Tensor // input A's outputs, the caller's to keep
+			var kept []*tf.Tensor // copies of input A's outputs
 			for i, in := range [][]float32{a, b, a} {
 				x, err := tf.FromFloats(tf.Shape{1, 4}, in)
 				if err != nil {
@@ -614,7 +614,7 @@ func TestHostilePlansRepeat(t *testing.T) {
 						t.Fatal(err)
 					}
 					if i != 1 {
-						kept = append(kept, out)
+						kept = append(kept, out.Clone())
 					}
 				}
 				for k, out := range kept {

@@ -174,6 +174,55 @@ func TestRelaidBatchesBitEqual(t *testing.T) {
 	}
 }
 
+// TestOutputIsTheInterpreters: a model output is the interpreter's, one
+// tensor per output, kept while its shape holds. On one interpreter
+// whose slabs and outputs are filled with NaN before every Invoke
+// (Dirty), the MNIST MLP's logits, a FullyConnected that accumulates
+// into its cleared output, come back in the tensor the last Invoke
+// returned when the batch holds and in a new one when it moves, and
+// every Invoke's are a fresh interpreter's, bit for bit.
+func TestOutputIsTheInterpreters(t *testing.T) {
+	h := models.MNISTMLP(41)
+	sess := tf.NewSession(h.Graph)
+	defer sess.Close()
+	frozen, x, logits, err := models.FreezeForInference(h, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tflite.Convert(frozen, []*tf.Node{x}, []*tf.Node{logits}, tflite.ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := tflite.NewInterpreter(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	var last *tf.Tensor
+	batches := []int{4, 4, 2, 2, 4}
+	for i, batch := range batches {
+		in := tf.RandNormal(tf.Shape{batch, 28, 28, 1}, 1, int64(300+i))
+		tflite.Dirty(warm)
+		if err := warm.SetInput(0, in); err != nil {
+			t.Fatal(err)
+		}
+		if err := warm.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := warm.Output(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := i > 0 && batches[i-1] == batch; (got == last) != kept {
+			t.Errorf("Invoke %d at batch %d: output in the last Invoke's tensor %v, want %v", i+1, batch, got == last, kept)
+		}
+		if !sameBits(got, invoke(t, m, in)) {
+			t.Errorf("Invoke %d at batch %d: output differs from a fresh interpreter's", i+1, batch)
+		}
+		last = got
+	}
+}
+
 // recordingDevice is a null device that remembers what was registered.
 type recordingDevice struct {
 	*device.Null
@@ -267,8 +316,8 @@ func FuzzLiteModel(f *testing.F) {
 				shapes[i], elems = append(shapes[i], d), elems*d
 			}
 		}
-		// invoke feeds every input from seed and returns the outputs, or
-		// nil if Invoke fails.
+		// invoke feeds every input from seed and returns copies of the
+		// outputs, or nil if Invoke fails.
 		invoke := func(seed int64) []*tf.Tensor {
 			for i, shape := range shapes {
 				if err := ip.SetInput(i, tf.RandNormal(shape, 1, seed+int64(i))); err != nil {
@@ -283,9 +332,11 @@ func FuzzLiteModel(f *testing.F) {
 			}
 			outs := make([]*tf.Tensor, len(m.Outputs))
 			for i := range m.Outputs {
-				if outs[i], err = ip.Output(i); err != nil {
+				out, err := ip.Output(i)
+				if err != nil {
 					t.Fatalf("output %d after a clean Invoke: %v", i, err)
 				}
+				outs[i] = out.Clone()
 			}
 			return outs
 		}

@@ -455,7 +455,9 @@ func NewClassifier(c *Container, model *LiteModel, threads int) (*Classifier, er
 }
 
 // Run feeds a batch and returns the raw output tensor (class
-// probabilities for the zoo models).
+// probabilities for the zoo models). The tensor is the interpreter's,
+// valid until the next Run, which may compute into it again: copy to
+// keep it, or to feed it back in.
 func (cl *Classifier) Run(batch *Tensor) (*Tensor, error) {
 	if err := cl.ip.SetInput(0, batch); err != nil {
 		return nil, err
