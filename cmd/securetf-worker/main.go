@@ -79,9 +79,9 @@
 // one. -chaos-plan
 // replays a deterministic fault schedule against the cluster
 // (kill:w1@r2+rejoin1, stall:w0@r3, delay:w2@r1+40ms, restart:ps0@r2,
-// semicolon-separated); kill and stall faults switch the cluster
-// elastic, so the round barrier shrinks to the survivors instead of
-// aborting.
+// semicolon-separated); kill and stall faults give every shard a 2 s
+// round timeout, which evicts the dead, so the round barrier shrinks to
+// the survivors.
 //
 // federated runs the paper's §6.2 federated-learning deployment
 // in-process: an aggregator enclave running FedAvg quorum rounds over
@@ -604,8 +604,7 @@ func volumeKeyAt(dir string, mustExist bool) (*securetf.VolumeKey, error) {
 // and the per-shard push wire time the sharding exists to shrink.
 func trainCommand(fs *flag.FlagSet) func(io.Writer) error {
 	cfg := securetf.DistTrainConfig{
-		NewModel:     func() securetf.Model { return securetf.NewMNISTCNN(1) },
-		RoundTimeout: 60 * time.Second,
+		NewModel: func() securetf.Model { return securetf.NewMNISTCNN(1) },
 	}
 	cfg.ShardData = func(worker int) (*securetf.Tensor, *securetf.Tensor, error) {
 		return mnistShard(cfg.Rounds*cfg.BatchSize, int64(31+worker))

@@ -70,9 +70,13 @@ func TopKGradCompression(f float64) GradCompression { return dist.TopKCompressio
 type PSOption func(*dist.PSConfig)
 
 // WithRoundTimeout bounds how long a synchronous round may stay
-// incomplete after its first gradient push. When it expires — a worker
-// died or hung, the elasticity/fault-tolerance concern of §3.2 — the
-// round aborts and blocked workers receive an error instead of hanging.
+// incomplete after its first gradient push (the elasticity of §3.2).
+// When it expires, the workers that never pushed are evicted as dead,
+// the barrier shrinks to the survivors and the round commits from the
+// gradients it has, averaged over the contributors; an evicted worker
+// is folded back in at the next round boundary after it says hello
+// again. Without one a shard waits for every worker and serves their
+// frames in the order they were sent. An asynchronous shard refuses one.
 func WithRoundTimeout(d time.Duration) PSOption {
 	return func(cfg *dist.PSConfig) { cfg.RoundTimeout = d }
 }
@@ -100,16 +104,6 @@ func WithConsistency(p ConsistencyPolicy) PSOption {
 // silently.
 func WithCompression(c GradCompression) PSOption {
 	return func(cfg *dist.PSConfig) { cfg.Compression = c }
-}
-
-// WithElastic turns the shard's round timeout from an abort into an
-// eviction (the paper's §3.2 elasticity): members that never pushed are
-// declared dead, the barrier shrinks to the survivors and the round
-// commits from the gradients it has, averaged over the contributors; a
-// timed-out round nobody pushed into still aborts. Requires a
-// synchronous shard and a WithRoundTimeout to detect the dead.
-func WithElastic() PSOption {
-	return func(cfg *dist.PSConfig) { cfg.Elastic = true }
 }
 
 // WithCheckpoint snapshots the shard every `every` committed rounds:
@@ -339,9 +333,12 @@ type DistTrainConfig struct {
 	NewModel func() Model
 	// ShardData returns worker w's private training shard.
 	ShardData func(worker int) (xs, ys *Tensor, err error)
-	// RoundTimeout bounds how long a round may wait on a straggler
-	// before aborting. Zero disables the timeout. Only meaningful for
-	// synchronous shards — async shards never block.
+	// RoundTimeout, when positive, is how long every shard's round may
+	// wait on a straggler: when it expires the stragglers are evicted
+	// and the round commits from the survivors (see WithRoundTimeout).
+	// Zero waits for every worker, and the job's virtual times repeat
+	// from run to run. A worker that fails aborts the job either way.
+	// Requires a synchronous cluster.
 	RoundTimeout time.Duration
 	// Consistency selects the commit policy of every parameter-server
 	// shard (default SyncConsistency — bit-for-bit today's synchronous
@@ -355,13 +352,6 @@ type DistTrainConfig struct {
 	// the trained variables converge to within quantization tolerance
 	// of the uncompressed run.
 	Compression GradCompression
-	// Elastic turns round timeouts into evictions on every shard: when
-	// a worker dies or stalls past RoundTimeout, the barrier shrinks to
-	// the survivors and the round commits from the gradients it has; a
-	// returning worker is folded back in at the next round boundary; a
-	// timed-out round nobody pushed into still aborts. Requires a
-	// synchronous cluster and RoundTimeout > 0.
-	Elastic bool
 	// Checkpoint enables periodic shard snapshots through the shielded
 	// file system (see DistCheckpointConfig). Zero disables them. Like
 	// TLS, snapshots need a Kind that runs in an enclave.
@@ -377,11 +367,10 @@ type DistTrainConfig struct {
 	// Chaos replays a deterministic fault plan against the job: workers
 	// are killed, stalled or delayed and shards restarted from
 	// checkpoint at the scheduled rounds, with hang detection on every
-	// wait. Kill and stall faults require a synchronous cluster and
-	// RoundTimeout > 0 (Elastic is switched on automatically); restart
-	// faults require Checkpoint.Every > 0. Training runs the rounds in
-	// lockstep waves so the schedule — and therefore the trajectory —
-	// is reproducible.
+	// wait. Kill and stall faults require RoundTimeout > 0, which
+	// detects the dead; restart faults require Checkpoint.Every > 0.
+	// Training runs the rounds in lockstep waves so the schedule — and
+	// therefore the trajectory — is reproducible.
 	Chaos *FaultPlan
 }
 
@@ -544,11 +533,8 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 	if cfg.Kind == 0 {
 		cfg.Kind = SconeHW
 	}
-	if cfg.Elastic && !j.synchronous {
-		return nil, errors.New("securetf: DistTrainConfig.Elastic requires a synchronous cluster")
-	}
-	if cfg.Elastic && cfg.RoundTimeout <= 0 {
-		return nil, errors.New("securetf: DistTrainConfig.Elastic detects the dead via RoundTimeout; set one")
+	if cfg.RoundTimeout > 0 && !j.synchronous {
+		return nil, errors.New("securetf: DistTrainConfig.RoundTimeout requires a synchronous cluster")
 	}
 	if cfg.Checkpoint.Every < 0 {
 		return nil, fmt.Errorf("securetf: DistTrainConfig.Checkpoint.Every must be ≥ 0, got %d", cfg.Checkpoint.Every)
@@ -560,14 +546,8 @@ func newDistJob(in DistTrainConfig) (*distJob, error) {
 		if err := cfg.Chaos.Validate(cfg.Workers, cfg.PSShards, cfg.Rounds, cfg.Checkpoint.Every); err != nil {
 			return nil, fmt.Errorf("securetf: DistTrainConfig.Chaos: %w", err)
 		}
-		if cfg.Chaos.HasKind(FaultKillWorker) || cfg.Chaos.HasKind(FaultStallWorker) {
-			if !j.synchronous {
-				return nil, errors.New("securetf: chaos kill/stall faults require a synchronous cluster")
-			}
-			if cfg.RoundTimeout <= 0 {
-				return nil, errors.New("securetf: chaos kill/stall faults need a RoundTimeout to detect the dead")
-			}
-			cfg.Elastic = true
+		if (cfg.Chaos.HasKind(FaultKillWorker) || cfg.Chaos.HasKind(FaultStallWorker)) && cfg.RoundTimeout <= 0 {
+			return nil, errors.New("securetf: chaos kill/stall faults need a RoundTimeout to detect the dead")
 		}
 	}
 	if j.checkpointing() {
@@ -705,9 +685,6 @@ func (j *distJob) psOpts(c *Container, s int) []PSOption {
 		WithShard(s, cfg.PSShards), WithRoundTimeout(cfg.RoundTimeout),
 		WithConsistency(cfg.Consistency), WithCompression(cfg.Compression),
 	}
-	if cfg.Elastic {
-		opts = append(opts, WithElastic())
-	}
 	if cfg.Checkpoint.Every > 0 {
 		fsys, p := c.FS(), ckptPath(s)
 		opts = append(opts, WithCheckpoint(cfg.Checkpoint.Every, func(data []byte) error {
@@ -829,7 +806,8 @@ func (j *distJob) close() {
 // rounds as fast as the shards' barriers let it. The workers connect
 // one after another, in id order, as runWaves connects them, so each
 // shard has seated all of them before the first pull, and serves their
-// rounds in the order their frames were sent (dist's order.go).
+// rounds in the order their frames were sent (the seats of dist's
+// ps.go, which take turns on a vtime.Scheduler).
 func (j *distJob) runFree() error {
 	defer func() {
 		for _, worker := range j.workers {

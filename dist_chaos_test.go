@@ -322,9 +322,8 @@ func TestDistRestartRefusesRolledBackSnapshot(t *testing.T) {
 		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
 			return mlpShard(w, rounds, batch)
 		},
-		RoundTimeout: 30 * time.Second,
-		Checkpoint:   securetf.DistCheckpointConfig{Every: 2, FS: host},
-		Chaos:        plan,
+		Checkpoint: securetf.DistCheckpointConfig{Every: 2, FS: host},
+		Chaos:      plan,
 	})
 	if !host.rolled {
 		t.Fatal("the restart never opened shard 1's snapshot")

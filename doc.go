@@ -189,9 +189,8 @@
 // dial through the container, so the network shield's TLS wraps the
 // parameter traffic exactly as in the paper's Figure 8 "w/ TLS" series;
 // WithRoundTimeout bounds how long a round may wait on a straggler
-// before aborting — or, with WithElastic, before evicting it and
-// carrying on (the elasticity story below). Workers report
-// their per-phase virtual time (pull / compute / push) in
+// before evicting it and carrying on (the elasticity story below).
+// Workers report their per-phase virtual time (pull / compute / push) in
 // TrainingWorker.LastBreakdown; the push stamp is taken only after the
 // last parameter-server ack has been read, so the breakdown carries the
 // full wire + barrier cost. A synchronous shard without a round timeout
@@ -201,8 +200,10 @@
 // clients too), and TrainDistributed connects its workers one after
 // another before any round, so a job's virtual times repeat from run to
 // run, up to the receive-side charges of each frame's first bytes. A
-// shard with a round timeout, or an elastic or asynchronous one, serves
-// frames as they come. The paper's own §5.4 numbers come off this
+// shard with a round timeout waits on the wall clock, and it and an
+// asynchronous one serve frames as they come. A job needs no timeout
+// to survive a failed worker: TrainDistributed aborts the whole job on
+// any worker's error. The paper's own §5.4 numbers come off this
 // API: internal/experiments regenerates Figures 8 and 9 (and the
 // shard, codec and consistency sweeps) as TrainDistributed jobs and
 // StartParameterServer/StartTrainingWorker nodes, so the CI ratio gates
@@ -335,13 +336,15 @@
 // latency gap — a wire-bytes story in §5.4 — shrinks with the codec.
 //
 // The synchronous barrier survives churn (§3.2's elasticity, the
-// public-cloud half of the paper's deployment story). With WithElastic
-// on a shard — DistTrainConfig.Elastic on the facade — an expired
-// RoundTimeout no longer aborts: the members that never pushed are
-// declared dead and evicted, the barrier shrinks to the survivors, and
-// the round commits from the gradients it has, averaged over the
-// actual contributors so the update magnitude stays an average (a
-// timed-out round nobody pushed into still aborts). An evicted worker rejoins by re-running
+// public-cloud half of the paper's deployment story). When a shard's
+// RoundTimeout expires — WithRoundTimeout, or DistTrainConfig.RoundTimeout
+// on the facade — the workers that never pushed are declared dead and
+// evicted, the barrier shrinks to the survivors, and the round commits
+// from the gradients it has, averaged over the actual contributors so
+// the update magnitude stays an average (a timed-out round nobody
+// pushed into has nothing to commit). Every synchronous shard seats
+// each worker once and takes one push from it a round, with or without
+// a timeout. An evicted worker rejoins by re-running
 // the same hello/manifest handshake that admitted it, folding back
 // into the barrier at the next round boundary; contributions are
 // summed in worker-id order rather than arrival order, so a run's

@@ -51,10 +51,11 @@ func run() error {
 	// --- The attested cluster: 2 PS shards + 3 workers, one enclave
 	// each. TrainDistributed starts a CAS for the job; every node
 	// attests to it and receives its TLS identity, so every parameter
-	// connection runs through the network shield. RoundTimeout bounds
-	// how long a synchronous round may wait on a straggler (§3.2 fault
-	// tolerance): if a worker dies mid-round the survivors get an error
-	// instead of hanging forever.
+	// connection runs through the network shield. The job sets no
+	// RoundTimeout: if a worker fails, TrainDistributed aborts the whole
+	// job with its error, so the survivors never hang on its barrier, and
+	// without one each shard serves frames in the order they were sent,
+	// so the latency below repeats from run to run.
 	res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
 		Kind:      securetf.SconeHW,
 		TLS:       true,
@@ -67,7 +68,6 @@ func run() error {
 		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
 			return shard(w)
 		},
-		RoundTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		return err
@@ -128,7 +128,6 @@ func run() error {
 		ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
 			return shard(w)
 		},
-		RoundTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		return err
@@ -142,9 +141,9 @@ func run() error {
 	// A deterministic fault plan kills worker 2 before round 1 (it
 	// rejoins a round later via the same manifest handshake that
 	// admitted it) and restarts PS shard 0 from its round-2 checkpoint.
-	// The elastic barrier evicts the dead worker after RoundTimeout,
-	// shrinks to the survivors and commits the round from the gradients
-	// it has; the restarted shard resumes from the STFD1 snapshot the
+	// The 2 s round timeout evicts the dead worker: the barrier shrinks
+	// to the survivors and commits the round from the gradients it has;
+	// the restarted shard resumes from the STFD1 snapshot the
 	// file-system shield encrypted two rounds earlier. Every round still
 	// commits.
 	plan, err := securetf.ParseFaultPlan("kill:w2@r1+rejoin1;restart:ps0@r2")

@@ -37,8 +37,8 @@ type Fig9Row struct {
 	ShrunkRounds int
 	// RoundsPerSec is committed rounds per virtual second — the
 	// throughput the elastic barrier preserves when workers die. A
-	// non-elastic barrier scores zero here: the first dead worker
-	// wedges the round forever.
+	// barrier without a round timeout scores zero here: the first dead
+	// worker wedges the round forever.
 	RoundsPerSec float64
 }
 
@@ -79,7 +79,6 @@ func Figure9Elastic(cfg Config) ([]Fig9Row, error) {
 			LR:           fig8LR,
 			NewModel:     fig8Model,
 			ShardData:    fig8Data(cfg.BatchSize*rounds, 900),
-			Elastic:      true,
 			RoundTimeout: fig9Timeout,
 			Chaos:        sc.chaos,
 		})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -309,5 +310,32 @@ func TestCreateTruncatesExisting(t *testing.T) {
 				t.Fatalf("content = %q, want short", got)
 			}
 		})
+	}
+}
+
+// TestMemWriteGrowsGeometrically: writing a file in pieces to Mem
+// copies it a logarithmic number of times, not once a write, so 4 MiB
+// written 16 KiB at a time allocates less than four times the file.
+func TestMemWriteGrowsGeometrically(t *testing.T) {
+	const size, piece = 4 << 20, 16 << 10
+	fsys := NewMem()
+	f, err := fsys.Create("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := bytes.Repeat([]byte{7}, piece)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for written := 0; written < size; written += piece {
+		if _, err := f.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*size {
+		t.Errorf("writing %d B in %d B pieces allocated %d B, want < %d", size, piece, got, 4*size)
+	}
+	if n, _ := f.Size(); n != size {
+		t.Fatalf("Size = %d, want %d", n, size)
 	}
 }

@@ -166,14 +166,27 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 
 func (f *memFile) writeAtLocked(p []byte, off int64) {
 	data := f.data()
-	need := off + int64(len(p))
-	if need > int64(len(data)) {
-		grown := make([]byte, need)
-		copy(grown, data)
-		data = grown
+	if need := off + int64(len(p)); need > int64(len(data)) {
+		data = extend(data, need)
 	}
 	copy(data[off:], p)
 	f.fs.files[f.name] = data
+}
+
+// extend lengthens data to size zero bytes, in its spare capacity or
+// in a backing array at least twice as large, so that writing a file in
+// pieces copies it a logarithmic number of times and not once a write.
+// Reads copy out, so no caller holds the old array.
+func extend(data []byte, size int64) []byte {
+	n := len(data)
+	if size > int64(cap(data)) {
+		grown := make([]byte, n, max(size, 2*int64(cap(data))))
+		copy(grown, data)
+		data = grown
+	}
+	data = data[:size]
+	clear(data[n:]) // a truncated tail may linger in the capacity
+	return data
 }
 
 func (f *memFile) Seek(off int64, whence int) (int64, error) {
@@ -205,9 +218,7 @@ func (f *memFile) Truncate(size int64) error {
 	case size < int64(len(data)):
 		f.fs.files[f.name] = data[:size]
 	case size > int64(len(data)):
-		grown := make([]byte, size)
-		copy(grown, data)
-		f.fs.files[f.name] = grown
+		f.fs.files[f.name] = extend(data, size)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,38 +208,45 @@ func TestStragglerBlocks(t *testing.T) {
 	}
 }
 
-// TestRoundTimeoutAborts checks §3.2 fault tolerance: when a worker of
-// the round never pushes, the blocked worker receives an error once
-// RoundTimeout elapses instead of hanging, and the partial round leaves
-// no trace on the variables.
-func TestRoundTimeoutAborts(t *testing.T) {
-	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
-		cfg.RoundTimeout = 150 * time.Millisecond
+// TestRoundTimeoutEvictsAnIdleWorker checks §3.2 elasticity: when a
+// worker of the round never pushes, RoundTimeout evicts it and the
+// round commits from the push it has, so the blocked worker's step
+// succeeds instead of hanging, and the survivor's wait is charged to the
+// shard's clock.
+func TestRoundTimeoutEvictsAnIdleWorker(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	ps, addr, clock := newTestPS(t, 2, func(cfg *PSConfig) {
+		cfg.RoundTimeout = timeout
 	})
 	before := ps.Vars()
 	w, _ := newTestWorker(t, 0, addr)
+	_, _ = newTestWorker(t, 1, addr) // says hello, never steps
 
 	done := make(chan error, 1)
 	go func() { done <- w.Step() }()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("incomplete round committed")
+		if err != nil {
+			t.Fatalf("the survivor's step: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker hung past RoundTimeout")
 	}
-	if ps.Rounds() != 0 {
-		t.Fatalf("aborted round was counted: Rounds() = %d", ps.Rounds())
+	if st := ps.Stats(); ps.Rounds() != 1 || st != (PSStats{Evictions: 1, ShrunkRounds: 1}) {
+		t.Fatalf("rounds %d, stats %+v: want one round shrunk by one eviction", ps.Rounds(), st)
 	}
-	if !tf.AllClose(before["w"], ps.Vars()["w"], 0) {
-		t.Fatal("aborted round mutated the variables")
+	if tf.AllClose(before["w"], ps.Vars()["w"], 0) {
+		t.Fatal("the shrunk round left the variables as they were")
+	}
+	if now := clock.Now(); now < timeout {
+		t.Fatalf("shard clock at %v, want the %v wait charged", now, timeout)
 	}
 }
 
-// TestLateStragglerRejected checks that a push for a round that already
-// aborted gets an immediate error instead of silently seeding the next
-// round with a gradient computed against stale parameters.
+// TestLateStragglerRejected checks that a push for a round the barrier
+// committed without it is answered Evicted — dropped, and its worker
+// rejoined — instead of silently seeding the next round with a gradient
+// computed against stale parameters.
 func TestLateStragglerRejected(t *testing.T) {
 	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
 		cfg.RoundTimeout = 100 * time.Millisecond
@@ -247,30 +255,67 @@ func TestLateStragglerRejected(t *testing.T) {
 	w1, _ := newTestWorker(t, 1, addr)
 
 	// w1 pulls (learning the current round generation) but stalls
-	// before pushing; w0 runs a full step and gets the timeout abort.
+	// before pushing; w0 runs a full step, and the timeout commits it.
 	if err := w1.pull(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w0.Step(); err == nil {
-		t.Fatal("w0 step committed with an absent straggler")
+	if err := w0.Step(); err != nil {
+		t.Fatalf("w0 step with an absent straggler: %v", err)
 	}
+	committed := ps.Vars()
 
 	// w1 finally computes and pushes its stale-round gradient: it must
-	// be rejected immediately, not block as the seed of a fresh round.
+	// be dropped, not applied and not held as the seed of a fresh round.
 	_, grads, err := w1.compute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	_, err = w1.pushGrads(grads)
-	if err == nil {
-		t.Fatal("stale push accepted")
+	if _, err := w1.pushGrads(grads); err != nil {
+		t.Fatalf("stale push: %v, want it answered Evicted", err)
 	}
-	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Fatalf("stale push blocked for %v instead of failing fast", elapsed)
+	if got := w1.DroppedPushes(); got != 1 {
+		t.Fatalf("DroppedPushes = %d, want 1", got)
 	}
-	if ps.Rounds() != 0 {
-		t.Fatalf("Rounds() = %d after only aborted rounds", ps.Rounds())
+	if ps.Rounds() != 1 {
+		t.Fatalf("Rounds() = %d after one committed round and a dropped push", ps.Rounds())
+	}
+	for name, v := range ps.Vars() {
+		if !tf.AllClose(committed[name], v, 0) {
+			t.Fatalf("the dropped push moved variable %q", name)
+		}
+	}
+}
+
+// TestSyncShardRefusesASecondPushFromOneWorker: a seat at the barrier
+// takes one push a round. Two connections say hello as worker 0 to a
+// two-worker shard without a round timeout and step once each; the
+// second push is refused, so one worker cannot fill a barrier of two.
+func TestSyncShardRefusesASecondPushFromOneWorker(t *testing.T) {
+	ps, addr, _ := newTestPS(t, 2, nil)
+	a, _ := newTestWorker(t, 0, addr)
+	b, _ := newTestWorker(t, 0, addr)
+	done := make(chan error, 2)
+	go func() { done <- a.Step() }()
+	go func() { done <- b.Step() }()
+	answer := func() error {
+		t.Helper()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("a step hung")
+			return nil
+		}
+	}
+	if err := answer(); err == nil || !strings.Contains(err.Error(), "pushed twice") {
+		t.Fatalf("first answer: %v, want the second push refused", err)
+	}
+	if n := ps.Rounds(); n != 0 {
+		t.Fatalf("Rounds() = %d: one worker filled a barrier of two", n)
+	}
+	ps.Close()
+	if err := answer(); err == nil {
+		t.Fatal("the first push committed after the shard closed")
 	}
 }
 
@@ -361,6 +406,10 @@ func TestWorkerConfigValidation(t *testing.T) {
 	}
 	if _, err := NewParameterServer(PSConfig{Listener: ln, Vars: InitialVars(tinyModel(1).Graph), Workers: 0}); err == nil {
 		t.Error("PSConfig with zero workers accepted")
+	}
+	if _, err := NewParameterServer(PSConfig{Listener: ln, Vars: InitialVars(tinyModel(1).Graph), Workers: 1,
+		Consistency: Async(2), RoundTimeout: time.Second}); err == nil {
+		t.Error("asynchronous PSConfig with a round timeout accepted")
 	}
 }
 

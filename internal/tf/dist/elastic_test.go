@@ -24,7 +24,6 @@ const elasticTimeout = 100 * time.Millisecond
 func runElasticScenario(t *testing.T, shards, workers, rounds int, killAt map[int][]int) ([][]float64, map[string]*tf.Tensor, []PSStats) {
 	t.Helper()
 	pss, addrs := newShardedCluster(t, shards, workers, func(cfg *PSConfig) {
-		cfg.Elastic = true
 		cfg.RoundTimeout = elasticTimeout
 	})
 	ws := make([]*Worker, workers)
@@ -176,7 +175,6 @@ func TestElasticEvictionTable(t *testing.T) {
 // back in, and the next round counts it again.
 func TestElasticStallEvictsAndRejoins(t *testing.T) {
 	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
-		cfg.Elastic = true
 		cfg.RoundTimeout = elasticTimeout
 	})
 	w0, _ := newTestWorker(t, 0, addr)
@@ -259,7 +257,6 @@ func TestElasticStallEvictsAndRejoins(t *testing.T) {
 // shrunk round, no commit.
 func TestElasticTimeoutWithNoPushAborts(t *testing.T) {
 	ps, _, _ := newTestPS(t, 3, func(cfg *PSConfig) {
-		cfg.Elastic = true
 		cfg.RoundTimeout = elasticTimeout
 	})
 	ps.timeout(0)
@@ -278,7 +275,7 @@ func TestElasticTimeoutWithNoPushAborts(t *testing.T) {
 // twenty).
 func TestElasticSeatsAWorkerItNeverHeardFrom(t *testing.T) {
 	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
-		cfg.Elastic, cfg.RoundTimeout = true, 300*time.Millisecond
+		cfg.RoundTimeout = 300 * time.Millisecond
 	})
 	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
 	grads := map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1), "b": tf.Fill(tf.Shape{3}, 1)}

@@ -14,7 +14,7 @@ type FaultKind uint8
 
 const (
 	// FaultKillWorker kills worker Worker before it begins global round
-	// Step: its connections close, the elastic barrier evicts it on the
+	// Step: its connections close, the barrier evicts it on the
 	// round timeout and commits from the survivors. When Rejoin > 0 a
 	// fresh worker with the same identity (and the same session seed, so
 	// trajectories stay reproducible) rejoins Rejoin rounds later.

@@ -122,8 +122,8 @@ type message struct {
 	// cohort on msgFedRound, the recipient's dead neighbours awaiting
 	// unmasking on msgFedUnmask. Always sorted ascending.
 	Clients []uint32
-	// Evicted marks an elasticity event on an elastic synchronous
-	// shard. On msgAck it is the retryable-in-spirit rejection of the
+	// Evicted marks an elasticity event on a synchronous shard. On
+	// msgAck it is the retryable-in-spirit rejection of the
 	// barrier-shrink protocol: the pushing worker was declared dead
 	// when a round timed out (or is awaiting fold-in after rejoining),
 	// so its gradient was dropped — the worker re-runs the manifest

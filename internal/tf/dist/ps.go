@@ -47,7 +47,7 @@ type PSConfig struct {
 	// worker-side retry) any push whose pulled variable version lags
 	// the shard's current version by more than K. Workers keeps its
 	// meaning as the cluster's worker count; in async mode it is the
-	// averaging scale, not a barrier size, and RoundTimeout is unused
+	// averaging scale, not a barrier size, and a RoundTimeout is refused
 	// because nothing ever blocks.
 	Consistency ConsistencyPolicy
 	// Compression selects the gradient codec this shard decodes on the
@@ -65,24 +65,18 @@ type PSConfig struct {
 	// with every worker's, so it ends at the end-to-end latency. The zero
 	// value is a private clock at sgx.DefaultParams.
 	Meter sgx.Meter
-	// RoundTimeout bounds how long a round may stay incomplete after its
-	// first gradient push. When it expires — a worker died or hung, the
-	// elasticity concern of §3.2 — the round aborts and the blocked
-	// workers receive an error instead of hanging forever. Zero disables
-	// the timeout.
+	// RoundTimeout, when positive, is how long a synchronous round may
+	// stay incomplete after its first gradient push (the paper's §3.2
+	// elasticity). When it expires, the seats that never pushed are
+	// evicted as dead, the barrier shrinks to the survivors, and the
+	// round commits from the gradients it has, averaged over the
+	// contributors. The survivors' wait, the timeout itself, is charged
+	// to the shard clock. An evicted worker rejoins by re-running the
+	// msgHello/msgManifest handshake and is folded back into the barrier
+	// at the next round boundary. Zero waits for every seat, and the
+	// shard serves its frames in the order they were sent (see seat).
+	// An asynchronous shard never blocks and refuses one.
 	RoundTimeout time.Duration
-	// Elastic turns the RoundTimeout from an abort into an eviction
-	// (the paper's §3.2 elasticity): when a synchronous round times
-	// out, the members that never pushed are declared dead, the barrier
-	// shrinks to the survivors, and the round commits from the
-	// gradients it has — averaged over the contributors, so the update
-	// magnitude stays an average. The survivors' detection wait (the
-	// timeout itself) is charged to the shard clock. An evicted worker
-	// rejoins by re-running the msgHello/msgManifest handshake and is
-	// folded back into the barrier at the next round boundary. A
-	// timed-out round nobody pushed into still aborts. Sync mode only;
-	// the default (false) keeps the abort behavior.
-	Elastic bool
 	// CheckpointEvery, with CheckpointWrite, snapshots the shard every
 	// CheckpointEvery committed rounds: the encoded Checkpoint is
 	// handed to CheckpointWrite before the round's barrier releases, so
@@ -142,14 +136,13 @@ type ParameterServer struct {
 	// anything there).
 	steps map[uint32]uint64
 
-	// Elastic membership (sync + Elastic only). members holds the
-	// workers currently seated at the barrier; evicted the ones
-	// declared dead on a round timeout; pending the evicted workers
-	// that re-ran the handshake and wait for the next round boundary to
-	// be folded back in. expected is the current barrier size (==
-	// cfg.Workers while nobody is evicted — non-elastic servers never
-	// change it); pushedBy guards against double pushes within one
-	// round.
+	// Barrier membership (sync mode only). members holds the workers
+	// currently seated at the barrier; evicted the ones declared dead on
+	// a round timeout; pending the evicted workers that re-ran the
+	// handshake and wait for the next round boundary to be folded back
+	// in. expected is the current barrier size (== cfg.Workers while
+	// nobody is evicted); pushedBy refuses a second push from one worker
+	// within one round.
 	expected int
 	members  map[uint32]bool
 	evicted  map[uint32]bool
@@ -188,9 +181,9 @@ type ParameterServer struct {
 // it sends and every commit are a function of the frames' stamps alone.
 //
 // A shard with a round timeout waits for stragglers on the wall clock,
-// and an elastic or asynchronous one admits frames no order can wait
-// for; they serve frames as the host delivers them, and their seats
-// have no actor.
+// and an asynchronous one admits frames no order can wait for; they
+// serve frames as the host delivers them, and their seats have no
+// actor.
 type seat struct {
 	turn   *vtime.Actor
 	seated bool
@@ -244,19 +237,16 @@ type PSStats struct {
 	ShrunkRounds int
 }
 
-// errRoundTimeout is what blocked workers receive when a round aborts.
-var errRoundTimeout = errors.New("dist: synchronous round aborted: timeout waiting for all workers")
-
 // errStalePush rejects an async push whose gradients were computed
 // against variables more than Staleness versions behind. It travels as
 // the Stale wire flag, so workers retry (re-pull, recompute, re-push)
 // instead of aborting.
 var errStalePush = errors.New("dist: push exceeds the staleness bound")
 
-// errEvicted rejects a push from a worker an elastic shard declared
-// dead (or whose round the shrunk barrier already committed). It
-// travels as the Evicted wire flag: the worker drops the contribution,
-// re-runs the handshake to rejoin, and its next step counts again.
+// errEvicted rejects a push from a worker the barrier declared dead,
+// or whose round it already committed. It travels as the Evicted wire
+// flag: the worker drops the contribution, re-runs the handshake to
+// rejoin, and its next step counts again.
 var errEvicted = errors.New("dist: worker evicted from the round barrier")
 
 // NewParameterServer validates cfg, deep-copies the seed variables and
@@ -288,8 +278,8 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 	if cfg.Compression, err = cfg.Compression.Canonical(); err != nil {
 		return nil, err
 	}
-	if cfg.Elastic && cfg.Consistency.Kind != ConsistencySync {
-		return nil, errors.New("dist: PSConfig.Elastic requires the synchronous barrier (async shards never block on the dead)")
+	if cfg.RoundTimeout > 0 && cfg.Consistency.Kind != ConsistencySync {
+		return nil, errors.New("dist: PSConfig.RoundTimeout requires the synchronous barrier (async shards never block on the dead)")
 	}
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("dist: PSConfig.CheckpointEvery must be ≥ 0, got %d", cfg.CheckpointEvery)
@@ -305,8 +295,9 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 		members:  make(map[uint32]bool),
 		evicted:  make(map[uint32]bool),
 		pending:  make(map[uint32]bool),
+		pushedBy: make(map[uint32]bool, cfg.Workers),
 	}
-	if cfg.Consistency.Kind == ConsistencySync && !cfg.Elastic && cfg.RoundTimeout == 0 {
+	if cfg.Consistency.Kind == ConsistencySync && cfg.RoundTimeout == 0 {
 		ps.turns = new(vtime.Scheduler)
 	}
 	for name, t := range ShardVars(cfg.Vars, cfg.Shard, cfg.Shards) {
@@ -426,7 +417,9 @@ func (ps *ParameterServer) Close() error {
 		return nil
 	}
 	ps.closed = true
-	ps.abortLocked(errors.New("dist: parameter server closed"))
+	if ps.pushes > 0 {
+		ps.finishRoundLocked(errors.New("dist: parameter server closed"))
+	}
 	ps.turns.Close()
 	ps.mu.Unlock()
 	return ps.srv.Close()
@@ -540,7 +533,7 @@ func (ps *ParameterServer) handshake(msg *message) *message {
 		resp.Err = fmt.Sprintf("dist: worker %d pushes with codec %v, but shard %d decodes %v (mixed-codec cluster)",
 			msg.Worker, want, ps.cfg.Shard, ps.cfg.Compression)
 	}
-	if resp.OK && ps.cfg.Elastic {
+	if resp.OK && ps.cfg.Consistency.Kind == ConsistencySync {
 		ps.mu.Lock()
 		seated := ps.members[msg.Worker] || ps.pending[msg.Worker]
 		if ps.evicted[msg.Worker] || !seated && len(ps.members) >= ps.expected {
@@ -631,34 +624,24 @@ func (ps *ParameterServer) push(msg *message, s *seat) error {
 		ps.mu.Unlock()
 		return err
 	}
-	// A push must belong to the barrier generation its parameters were
-	// pulled from. A mismatch means the worker's round has already
-	// committed or aborted while it was computing — its gradient is
-	// against stale parameters and must not seed the next round.
-	if ps.cfg.Elastic {
-		// An elastic shard turns those rejections into the retryable
-		// eviction signal: the worker drops the contribution, re-runs
-		// the handshake and counts again from its next step.
-		if ps.evicted[msg.Worker] || ps.pending[msg.Worker] || msg.Round != ps.gen {
-			ps.mu.Unlock()
-			return fmt.Errorf("%w: worker %d pushed for round generation %d, current is %d",
-				errEvicted, msg.Worker, msg.Round, ps.gen)
-		}
-		if ps.pushedBy[msg.Worker] {
-			ps.mu.Unlock()
-			return fmt.Errorf("dist: worker %d pushed twice into round generation %d", msg.Worker, msg.Round)
-		}
-	} else if msg.Round != ps.gen {
+	// A push must come from a seated worker and belong to the barrier
+	// generation its parameters were pulled from. A mismatch means the
+	// worker's round went on without it while it was computing: its
+	// gradient is against stale parameters and must not seed the next
+	// round. It is answered with the retryable eviction signal: the
+	// worker drops the contribution, re-runs the handshake and counts
+	// again from its next step.
+	if ps.evicted[msg.Worker] || ps.pending[msg.Worker] || msg.Round != ps.gen {
 		ps.mu.Unlock()
-		return fmt.Errorf("dist: worker %d pushed for round generation %d, current is %d (round committed or aborted)", msg.Worker, msg.Round, ps.gen)
+		return fmt.Errorf("%w: worker %d pushed for round generation %d, current is %d",
+			errEvicted, msg.Worker, msg.Round, ps.gen)
+	}
+	if ps.pushedBy[msg.Worker] {
+		ps.mu.Unlock()
+		return fmt.Errorf("dist: worker %d pushed twice into round generation %d", msg.Worker, msg.Round)
 	}
 	ps.steps[msg.Worker] = msg.Step
-	if ps.cfg.Elastic {
-		if ps.pushedBy == nil {
-			ps.pushedBy = make(map[uint32]bool, ps.expected)
-		}
-		ps.pushedBy[msg.Worker] = true
-	}
+	ps.pushedBy[msg.Worker] = true
 	ps.contribs = append(ps.contribs, contribution{worker: msg.Worker, vars: msg.Vars})
 	ps.pushes++
 	ps.waiters = append(ps.waiters, s)
@@ -715,13 +698,10 @@ func (ps *ParameterServer) pushAsyncLocked(msg *message) error {
 // commitLocked averages the round's gradients, applies them at the
 // learning rate, charges the apply meter and releases the barrier. The
 // averaging divisor is the number of contributors — cfg.Workers on a
-// full barrier, the survivor count on a shrunk elastic round — so the
-// update magnitude always stays an average.
+// full barrier, the survivor count on a shrunk one — so the update
+// magnitude always stays an average.
 func (ps *ParameterServer) commitLocked() {
-	contributors := ps.cfg.Workers
-	if ps.cfg.Elastic {
-		contributors = ps.pushes
-	}
+	contributors := ps.pushes
 	// lr/contributors as the pinned trajectories have it: the reciprocal
 	// rounded to float32, then its product with the rate.
 	scale := float32(ps.cfg.LR) * (float32(1) / float32(contributors))
@@ -789,18 +769,14 @@ func (ps *ParameterServer) maybeCheckpointLocked(gen uint64) error {
 
 // timeout fires when a round stays incomplete past RoundTimeout. gen
 // identifies the round the timer was armed for; a commit that raced the
-// timer bumps the generation, making this a no-op. A non-elastic shard
-// aborts the round; an elastic one declares the members that never
-// pushed dead, shrinks the barrier to the survivors and commits from
-// the gradients it has — at least one push, or it aborts too.
+// timer bumps the generation, making this a no-op. It declares the
+// members that never pushed dead, shrinks the barrier to the survivors
+// and commits from the gradients it has. A round nobody pushed into has
+// nothing to commit and no one to answer, so it is left as it is.
 func (ps *ParameterServer) timeout(gen uint64) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if gen != ps.gen {
-		return
-	}
-	if !ps.cfg.Elastic || ps.pushes == 0 {
-		ps.abortLocked(errRoundTimeout)
+	if gen != ps.gen || ps.pushes == 0 {
 		return
 	}
 	for w := range ps.members {
@@ -823,13 +799,6 @@ func (ps *ParameterServer) timeout(gen uint64) {
 	ps.commitLocked()
 }
 
-func (ps *ParameterServer) abortLocked(err error) {
-	if ps.pushes == 0 && len(ps.waiters) == 0 {
-		return
-	}
-	ps.finishRoundLocked(err)
-}
-
 // finishRoundLocked answers every push of the round with err, each in
 // a turn asked for at the shard's time now, and resets the barrier for
 // the next round.
@@ -847,14 +816,12 @@ func (ps *ParameterServer) finishRoundLocked(err error) {
 		ps.timer = nil
 	}
 	ps.gen++
-	if ps.cfg.Elastic {
-		// Round boundary: fold rejoined workers back into the barrier.
-		for w := range ps.pending {
-			delete(ps.pending, w)
-			ps.members[w] = true
-			ps.expected++
-			ps.stats.Rejoins++
-		}
-		ps.pushedBy = nil
+	// Round boundary: fold rejoined workers back into the barrier.
+	for w := range ps.pending {
+		delete(ps.pending, w)
+		ps.members[w] = true
+		ps.expected++
+		ps.stats.Rejoins++
 	}
+	clear(ps.pushedBy)
 }

@@ -362,12 +362,10 @@ func TestManifestHandshakeRejectsMisconfiguration(t *testing.T) {
 
 // TestDeadShardAbortsAllWorkers checks §3.2 fault tolerance in the
 // sharded cluster: when one shard dies mid-job, every worker's step
-// fails promptly — the healthy shards abort their incomplete rounds via
-// RoundTimeout instead of blocking the fan-out barrier forever.
+// fails promptly — its exchange with the dead shard fails — instead of
+// blocking the fan-out forever.
 func TestDeadShardAbortsAllWorkers(t *testing.T) {
-	pss, addrs := newShardedCluster(t, 2, 2, func(cfg *PSConfig) {
-		cfg.RoundTimeout = 200 * time.Millisecond
-	})
+	pss, addrs := newShardedCluster(t, 2, 2, nil)
 	w0 := newShardedWorker(t, 0, addrs)
 	w1 := newShardedWorker(t, 1, addrs)
 
@@ -390,14 +388,13 @@ func TestDeadShardAbortsAllWorkers(t *testing.T) {
 }
 
 // TestStragglerTimesOutShardedRound checks that RoundTimeout fires
-// independently on every healthy shard: with one worker absent, the
-// present worker's fan-out receives the abort from each shard it pushed
-// to, and no partial state leaks into the variables.
+// independently on every healthy shard: with one worker absent, each
+// shard the present worker pushed to evicts the absent one and commits
+// the round from the push it has.
 func TestStragglerTimesOutShardedRound(t *testing.T) {
 	pss, addrs := newShardedCluster(t, 2, 2, func(cfg *PSConfig) {
 		cfg.RoundTimeout = 150 * time.Millisecond
 	})
-	before := pss[0].Vars()
 	w0 := newShardedWorker(t, 0, addrs)
 	_ = newShardedWorker(t, 1, addrs) // connects, never steps
 
@@ -405,23 +402,15 @@ func TestStragglerTimesOutShardedRound(t *testing.T) {
 	go func() { done <- w0.Step() }()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("incomplete sharded round committed")
-		}
-		if !strings.Contains(err.Error(), "timeout") {
-			t.Fatalf("abort error does not mention the timeout: %v", err)
+		if err != nil {
+			t.Fatalf("the present worker's sharded step: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker hung past RoundTimeout")
 	}
 	for s, ps := range pss {
-		if ps.Rounds() != 0 {
-			t.Fatalf("shard %d counted an aborted round", s)
-		}
-	}
-	for name, v := range pss[0].Vars() {
-		if !tf.AllClose(before[name], v, 0) {
-			t.Fatalf("aborted round mutated shard 0 variable %q", name)
+		if st := ps.Stats(); ps.Rounds() != 1 || st != (PSStats{Evictions: 1, ShrunkRounds: 1}) {
+			t.Fatalf("shard %d: rounds %d, stats %+v; want one round shrunk by one eviction", s, ps.Rounds(), st)
 		}
 	}
 }

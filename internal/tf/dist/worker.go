@@ -127,7 +127,7 @@ type Worker struct {
 	// shard's staleness bound and retried after a re-pull + recompute.
 	staleRetries int
 	// dropped[s] counts pushes shard s rejected with the eviction flag —
-	// contributions an elastic barrier committed without; rejoined[s]
+	// contributions a shrunk barrier committed without; rejoined[s]
 	// counts the handshake re-runs that folded this worker back in.
 	// Indexed writes from the per-shard fan-out goroutines, so no lock.
 	dropped  []int
@@ -336,8 +336,8 @@ func (w *Worker) RunSteps(n int) error {
 // over the worker's lifetime.
 func (w *Worker) StalenessRetries() int { return w.staleRetries }
 
-// Rejoins reports how many times this worker was folded back into an
-// elastic shard's barrier after an eviction — one handshake re-run per
+// Rejoins reports how many times this worker was folded back into a
+// shard's barrier after an eviction — one handshake re-run per
 // Evicted push rejection.
 func (w *Worker) Rejoins() int {
 	var n int
@@ -348,7 +348,7 @@ func (w *Worker) Rejoins() int {
 }
 
 // DroppedPushes reports how many shard contributions were dropped
-// because an elastic barrier evicted this worker (or committed its
+// because a shard's barrier evicted this worker (or committed its
 // round without it). Each drop costs the step nothing beyond its own
 // wasted work — the next step pulls fresh variables and counts again.
 func (w *Worker) DroppedPushes() int {
@@ -698,7 +698,7 @@ const (
 	// pushStale: an async shard rejected the push for staleness; the
 	// caller re-pulls, recomputes and re-pushes.
 	pushStale
-	// pushDropped: an elastic shard evicted this worker or committed
+	// pushDropped: a synchronous shard evicted this worker or committed
 	// its round without it. The contribution is gone — not retried; the
 	// worker has already re-run the handshake to rejoin, and its next
 	// step pulls fresh variables and counts again.
