@@ -220,11 +220,9 @@ func StartParameterServer(c *Container, addr string, vars map[string]*Tensor, wo
 type WorkerSpec struct {
 	// ID distinguishes workers.
 	ID int
-	// Addr is the parameter server address of a single-shard cluster.
-	// Exactly one of Addr and Addrs is required.
-	Addr string
 	// Addrs lists the parameter-server shard addresses in shard order
-	// (Addrs[s] is shard s of len(Addrs)). The connection handshake
+	// (Addrs[s] is shard s of len(Addrs); one address for a single
+	// parameter server). Required. The connection handshake
 	// verifies each endpoint's shard identity and variable manifest, so
 	// a mis-sharded or partially started cluster fails fast.
 	Addrs []string
@@ -273,7 +271,6 @@ func StartTrainingWorker(c *Container, spec WorkerSpec) (*TrainingWorker, error)
 	serverName := cmp.Or(spec.ServerName, "parameter-server")
 	worker, err := dist.NewWorker(dist.WorkerConfig{
 		ID:    spec.ID,
-		Addr:  spec.Addr,
 		Addrs: spec.Addrs,
 		Dial: func(network, addr string) (net.Conn, error) {
 			return c.Dial(network, addr, serverName)
@@ -463,7 +460,12 @@ func TrainDistributed(cfg DistTrainConfig) (*DistTrainResult, error) {
 		return nil, err
 	}
 	defer j.close()
-	if err := j.startShards(); err != nil {
+	return j.run()
+}
+
+// run stands the job's cluster up and trains it to its result.
+func (j *distJob) run() (_ *DistTrainResult, err error) {
+	if err = j.startShards(); err != nil {
 		return nil, err
 	}
 	for w := range j.workerNodes {

@@ -104,7 +104,7 @@ func TestTrainDistributedMatchesManualSinglePS(t *testing.T) {
 				return
 			}
 			worker, err := securetf.StartTrainingWorker(c, securetf.WorkerSpec{
-				ID: w, Addr: addr.String(),
+				ID: w, Addrs: []string{addr.String()},
 				Model: securetf.NewMNISTMLP(3),
 				XS:    xs, YS: ys, BatchSize: batch,
 			})

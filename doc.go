@@ -4,10 +4,12 @@
 // "secureTF: A Secure TensorFlow Framework" (Middleware 2020).
 //
 // The package is a facade over the substrates in internal/: the SGX
-// enclave simulator, the SCONE-style shielded runtime, the file-system
-// and network shields, the Configuration and Attestation Service (CAS),
-// and the from-scratch TensorFlow / TensorFlow Lite engines. It exposes
-// the workflow the paper describes end to end:
+// enclave simulator (internal/sgx), the runtimes (SCONE-style shielded
+// execution and the Graphene and native baselines, one type in
+// internal/core, which price the one syscall boundary in internal/sysio),
+// the file-system and network shields, the Configuration and Attestation
+// Service (CAS), and the from-scratch TensorFlow / TensorFlow Lite
+// engines. It exposes the workflow the paper describes end to end:
 //
 //  1. Create a Platform (one per physical node) and Launch a secure
 //     Container on it, choosing a RuntimeKind — the five systems of the
@@ -554,7 +556,7 @@
 //   - rawnet: SCONE-hosted packages never mint raw net/tls conns or
 //     listeners; they come from the container's Listen/Dial, because a
 //     raw conn skips the runtime's syscall charges and the network
-//     shield.
+//     shield. Every runtime opens its host sockets in internal/sysio.
 //   - wirealloc: an integer decoded from wire bytes is bounds-checked
 //     before it sizes a make() or bounds an append loop.
 //

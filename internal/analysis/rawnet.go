@@ -30,8 +30,8 @@ SCONE-hosted packages (tf, dist, federated, serving, core, wire) must obtain
 conns and listeners from Container.Listen/Dial. A raw conn skips the
 runtime's syscall charges and the network shield, so direct
 net.Listen/net.Dial/tls.Dial calls and their siblings are flagged. The
-wrapper homes (internal/sysio, nativert, shield) and the host-side CAS
-are out of scope.`,
+wrapper homes (internal/sysio, where every runtime opens its host
+sockets, and shield) and the host-side CAS are out of scope.`,
 	Run: runRawNet,
 }
 

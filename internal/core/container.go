@@ -5,6 +5,11 @@
 // secrets around the TensorFlow/TensorFlow Lite engines, so that
 // unmodified model code runs with end-to-end protection of input data,
 // models and code.
+//
+// The five runtimes are one type, runtime (runtime.go): a container's
+// RuntimeKind decides what its enclave holds, its device's libc and
+// what one crossing to the host costs, and internal/sysio spends those
+// prices on every file and socket call.
 package core
 
 import (
@@ -16,13 +21,11 @@ import (
 	"github.com/securetf/securetf/internal/cas"
 	"github.com/securetf/securetf/internal/device"
 	"github.com/securetf/securetf/internal/fsapi"
-	"github.com/securetf/securetf/internal/graphene"
-	"github.com/securetf/securetf/internal/nativert"
-	"github.com/securetf/securetf/internal/scone"
 	"github.com/securetf/securetf/internal/seccrypto"
 	"github.com/securetf/securetf/internal/sgx"
 	"github.com/securetf/securetf/internal/shield/fsshield"
 	"github.com/securetf/securetf/internal/shield/netshield"
+	"github.com/securetf/securetf/internal/sysio"
 	"github.com/securetf/securetf/internal/vtime"
 )
 
@@ -41,49 +44,17 @@ const (
 
 // String names the runtime kind as in the paper's figures.
 func (k RuntimeKind) String() string {
-	switch k {
-	case RuntimeSconeHW:
-		return "HW"
-	case RuntimeSconeSIM:
-		return "Sim"
-	case RuntimeGraphene:
-		return "Graphene"
-	case RuntimeNativeGlibc:
-		return "Native glibc"
-	case RuntimeNativeMusl:
-		return "Native musl"
-	default:
+	if !k.valid() {
 		return "invalid"
 	}
+	return runtimeRows[k].label
 }
+
+// valid reports whether k is one of the five kinds.
+func (k RuntimeKind) valid() bool { return k >= RuntimeSconeHW && int(k) < len(runtimeRows) }
 
 // Shielded reports whether the kind runs inside an enclave.
-func (k RuntimeKind) Shielded() bool {
-	switch k {
-	case RuntimeSconeHW, RuntimeSconeSIM, RuntimeGraphene:
-		return true
-	default:
-		return false
-	}
-}
-
-// runtime is the common surface of the scone, graphene and native
-// runtimes (satisfied structurally).
-type runtime interface {
-	Name() string
-	Enclave() *sgx.Enclave
-	Device(threads int) device.Device
-	FS() fsapi.FS
-	Dial(network, addr string) (net.Conn, error)
-	Listen(network, addr string) (net.Listener, error)
-	Close() error
-}
-
-var (
-	_ runtime = (*scone.Runtime)(nil)
-	_ runtime = (*graphene.Runtime)(nil)
-	_ runtime = (*nativert.Runtime)(nil)
-)
+func (k RuntimeKind) Shielded() bool { return k.valid() && runtimeRows[k].mode != 0 }
 
 // Config configures a secure container.
 type Config struct {
@@ -130,6 +101,9 @@ func Launch(cfg Config) (*Container, error) {
 	if cfg.HostFS == nil {
 		return nil, fmt.Errorf("core: Config.HostFS is required")
 	}
+	if !cfg.Kind.valid() {
+		return nil, fmt.Errorf("core: invalid runtime kind %d", int(cfg.Kind))
+	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = cfg.Platform.Params().PhysicalCores
 	}
@@ -137,49 +111,13 @@ func Launch(cfg Config) (*Container, error) {
 		return nil, fmt.Errorf("core: a %v container cannot attest, so it cannot key a file-system shield", cfg.Kind)
 	}
 
-	var rt runtime
-	var err error
-	switch cfg.Kind {
-	case RuntimeSconeHW, RuntimeSconeSIM:
-		mode := sgx.ModeHW
-		if cfg.Kind == RuntimeSconeSIM {
-			mode = sgx.ModeSIM
-		}
-		rt, err = scone.Launch(scone.Config{
-			Platform:       cfg.Platform,
-			Mode:           mode,
-			Image:          cfg.Image,
-			HostFS:         cfg.HostFS,
-			EnclaveThreads: cfg.Threads,
-		})
-	case RuntimeGraphene:
-		rt, err = graphene.Launch(graphene.Config{
-			Platform: cfg.Platform,
-			Image:    cfg.Image,
-			HostFS:   cfg.HostFS,
-			Threads:  cfg.Threads,
-		})
-	case RuntimeNativeGlibc, RuntimeNativeMusl:
-		libc := nativert.Glibc
-		if cfg.Kind == RuntimeNativeMusl {
-			libc = nativert.Musl
-		}
-		rt, err = nativert.Launch(nativert.Config{
-			Meter:   cfg.Platform.Meter(),
-			Libc:    libc,
-			HostFS:  cfg.HostFS,
-			Threads: cfg.Threads,
-		})
-	default:
-		return nil, fmt.Errorf("core: invalid runtime kind %d", int(cfg.Kind))
-	}
+	rt, err := launchRuntime(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: launching %v runtime: %w", cfg.Kind, err)
+		return nil, err
 	}
-
-	c := &Container{cfg: cfg, rt: rt, fs: rt.FS()}
-	if len(cfg.FSShieldRules) > 0 {
-		c.fs = unprovisioned{}
+	c := &Container{cfg: cfg, rt: rt, fs: unprovisioned{}}
+	if len(cfg.FSShieldRules) == 0 {
+		c.fs = sysio.NewFS(&c.rt, cfg.HostFS)
 	}
 	return c, nil
 }
@@ -199,10 +137,10 @@ func (unprovisioned) MkdirAll(string) error               { return ErrNotProvisi
 func (c *Container) Kind() RuntimeKind { return c.cfg.Kind }
 
 // Name returns the underlying runtime name.
-func (c *Container) Name() string { return c.rt.Name() }
+func (c *Container) Name() string { return runtimeRows[c.cfg.Kind].name }
 
 // Enclave returns the container's enclave (nil for native kinds).
-func (c *Container) Enclave() *sgx.Enclave { return c.rt.Enclave() }
+func (c *Container) Enclave() *sgx.Enclave { return c.rt.enclave }
 
 // Clock returns the container's virtual clock.
 func (c *Container) Clock() *vtime.Clock { return c.cfg.Platform.Clock() }
@@ -216,8 +154,8 @@ func (c *Container) Params() sgx.Params { return c.cfg.Platform.Params() }
 // EnclaveStats snapshots the enclave's hardware counters (transitions,
 // page faults, traffic); the zero value is returned for native kinds.
 func (c *Container) EnclaveStats() sgx.StatsSnapshot {
-	if e := c.rt.Enclave(); e != nil {
-		return e.Stats()
+	if c.rt.enclave != nil {
+		return c.rt.enclave.Stats()
 	}
 	return sgx.StatsSnapshot{}
 }
@@ -226,12 +164,17 @@ func (c *Container) EnclaveStats() sgx.StatsSnapshot {
 func (c *Container) FS() fsapi.FS { return c.fs }
 
 // Device returns a compute device with the given thread count (0 uses
-// the container default).
+// the container default) at the kind's libc factor: bound to the
+// enclave, or a host CPU for the native kinds.
 func (c *Container) Device(threads int) device.Device {
 	if threads <= 0 {
 		threads = c.cfg.Threads
 	}
-	return c.rt.Device(threads)
+	row := runtimeRows[c.cfg.Kind]
+	if c.rt.enclave == nil {
+		return device.NewCPU(row.name, c.rt.meter, threads, row.libc)
+	}
+	return device.NewEnclave(row.name, c.rt.enclave, threads, row.libc)
 }
 
 // Provision attests the container to a CAS session and installs the
@@ -256,10 +199,10 @@ func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.
 		var key seccrypto.Key
 		copy(key[:], raw)
 		s, err := fsshield.New(fsshield.Config{
-			Inner:     c.rt.FS(),
+			Inner:     sysio.NewFS(&c.rt, c.cfg.HostFS),
 			VolumeKey: key,
 			Rules:     c.cfg.FSShieldRules,
-			Meter:     fsshield.EnclaveMeter{Enclave: c.rt.Enclave()},
+			Meter:     fsshield.EnclaveMeter{Enclave: c.rt.enclave},
 			Audit:     client.AuditClient(),
 		})
 		if err != nil {
@@ -286,15 +229,15 @@ func (c *Container) Provision(client *cas.Client, session, volume string) (*cas.
 // shield when provisioned.
 func (c *Container) Dial(network, addr, serverName string) (net.Conn, error) {
 	if c.shield != nil {
-		return c.shield.Dial(c.rt.Dial, network, addr, serverName)
+		return c.shield.Dial(c.rt.dial, network, addr, serverName)
 	}
-	return c.rt.Dial(network, addr)
+	return c.rt.dial(network, addr)
 }
 
 // Listen opens a listener through the runtime, wrapped by the network
 // shield when provisioned.
 func (c *Container) Listen(network, addr string) (net.Listener, error) {
-	ln, err := c.rt.Listen(network, addr)
+	ln, err := c.rt.listen(network, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +256,10 @@ func (c *Container) Close() error {
 	if c.casConn != nil {
 		c.casConn.Close()
 	}
-	return c.rt.Close()
+	if c.rt.enclave != nil {
+		c.rt.enclave.Destroy()
+	}
+	return nil
 }
 
 // TrustedKeys builds the platform trust store a cas.Client needs from a

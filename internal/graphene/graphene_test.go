@@ -1,21 +1,30 @@
+// Package graphene holds the tests of the Graphene-SGX kind of
+// internal/core's runtime, RuntimeGraphene, run through core.Launch.
+// The runtime itself, and why Graphene is priced as it is, is in core.
 package graphene
 
 import (
 	"io"
 	"testing"
 
+	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/fsapi/fstest"
 	"github.com/securetf/securetf/internal/sgx"
 )
 
-func launchTest(t *testing.T) *Runtime {
+// libOSSize is the in-enclave image of Graphene's library OS, which
+// launch allocates as the "graphene-libos" segment.
+const libOSSize = 48 << 20
+
+func launchTest(t *testing.T) *core.Container {
 	t.Helper()
 	p, err := sgx.NewPlatform("node", sgx.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Launch(Config{
+	c, err := core.Launch(core.Config{
+		Kind:     core.RuntimeGraphene,
 		Platform: p,
 		Image:    sgx.SyntheticImage("app", 2<<20, 1<<20),
 		HostFS:   fsapi.NewMem(),
@@ -23,28 +32,30 @@ func launchTest(t *testing.T) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rt.Close() })
-	return rt
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func TestLaunchValidation(t *testing.T) {
-	if _, err := Launch(Config{}); err == nil {
+	if _, err := core.Launch(core.Config{Kind: core.RuntimeGraphene}); err == nil {
 		t.Fatal("missing platform accepted")
 	}
 }
 
 func TestLibOSInflatesFootprint(t *testing.T) {
-	rt := launchTest(t)
-	if got := rt.Enclave().ResidentBytes(); got < DefaultLibOSSize {
-		t.Fatalf("resident = %d, want >= libOS size %d", got, DefaultLibOSSize)
+	c := launchTest(t)
+	if got := c.Enclave().ResidentBytes(); got < libOSSize {
+		t.Fatalf("resident = %d, want >= libOS size %d", got, libOSSize)
 	}
 }
 
+// TestSyscallChargesTransition makes one system call, a Stat through
+// the container's file system.
 func TestSyscallChargesTransition(t *testing.T) {
-	rt := launchTest(t)
-	base := rt.Enclave().Stats()
-	rt.Syscall()
-	after := rt.Enclave().Stats()
+	c := launchTest(t)
+	base := c.EnclaveStats()
+	c.FS().Stat("absent") // one system call, found or not
+	after := c.EnclaveStats()
 	if got := after.Transitions - base.Transitions; got != 1 {
 		t.Fatalf("transitions per syscall = %d, want 1 (synchronous design)", got)
 	}
@@ -54,8 +65,8 @@ func TestSyscallChargesTransition(t *testing.T) {
 }
 
 func TestFSRoundTrip(t *testing.T) {
-	rt := launchTest(t)
-	fsys := rt.FS()
+	c := launchTest(t)
+	fsys := c.FS()
 	if err := fsapi.WriteFile(fsys, "model.tflite", []byte("weights")); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func TestFSRoundTrip(t *testing.T) {
 	if string(got) != "weights" {
 		t.Fatalf("got %q", got)
 	}
-	if rt.Enclave().Stats().Transitions == 0 {
+	if c.EnclaveStats().Transitions == 0 {
 		t.Fatal("file I/O did not transition")
 	}
 }
@@ -74,12 +85,12 @@ func TestFSRoundTrip(t *testing.T) {
 func TestSyscallsCostMoreThanScone(t *testing.T) {
 	// The asynchronous interface is SCONE's headline optimization; per
 	// equal syscall count, Graphene must charge more virtual time.
-	rt := launchTest(t)
-	start := rt.Enclave().Clock().Now()
+	c := launchTest(t)
+	start := c.Clock().Now()
 	for i := 0; i < 1000; i++ {
-		rt.Syscall()
+		c.FS().Stat("absent") // one system call each
 	}
-	grapheneCost := rt.Enclave().Clock().Now() - start
+	grapheneCost := c.Clock().Now() - start
 
 	params := sgx.DefaultParams()
 	sconeCost := 1000 * params.AsyncSyscallCost
@@ -89,16 +100,15 @@ func TestSyscallsCostMoreThanScone(t *testing.T) {
 }
 
 func TestFSConformance(t *testing.T) {
-	rt := launchTest(t)
-	fstest.Conformance(t, rt.FS())
+	fstest.Conformance(t, launchTest(t).FS())
 }
 
 func TestNameAndDevice(t *testing.T) {
-	rt := launchTest(t)
-	if rt.Name() != "graphene" {
-		t.Fatalf("name = %q", rt.Name())
+	c := launchTest(t)
+	if c.Name() != "graphene" {
+		t.Fatalf("name = %q", c.Name())
 	}
-	dev := rt.Device(2)
+	dev := c.Device(2)
 	if dev.Threads() != 2 {
 		t.Fatalf("threads = %d", dev.Threads())
 	}
@@ -110,8 +120,8 @@ func TestNameAndDevice(t *testing.T) {
 }
 
 func TestNetworkRoundTrip(t *testing.T) {
-	rt := launchTest(t)
-	ln, err := rt.Listen("tcp", "127.0.0.1:0")
+	c := launchTest(t)
+	ln, err := c.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +143,8 @@ func TestNetworkRoundTrip(t *testing.T) {
 		done <- err
 	}()
 
-	base := rt.Enclave().Stats()
-	conn, err := rt.Dial("tcp", ln.Addr().String())
+	base := c.EnclaveStats()
+	conn, err := c.Dial("tcp", ln.Addr().String(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestNetworkRoundTrip(t *testing.T) {
 		t.Fatalf("echo %q", buf)
 	}
 	// Synchronous design: network I/O transitions the enclave.
-	if after := rt.Enclave().Stats(); after.Transitions <= base.Transitions {
+	if after := c.EnclaveStats(); after.Transitions <= base.Transitions {
 		t.Fatal("network I/O did not transition the enclave")
 	}
 }

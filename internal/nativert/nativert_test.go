@@ -1,114 +1,108 @@
+// Package nativert holds the tests of the native kinds of
+// internal/core's runtime, RuntimeNativeGlibc and RuntimeNativeMusl, run
+// through core.Launch. The runtime itself is in core, and its bare
+// sockets in internal/sysio.
 package nativert
 
 import (
 	"io"
 	"testing"
+	"time"
 
+	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/fsapi/fstest"
 	"github.com/securetf/securetf/internal/sgx"
-	"github.com/securetf/securetf/internal/vtime"
 )
 
-func TestLaunchValidation(t *testing.T) {
-	if _, err := Launch(Config{}); err == nil {
-		t.Fatal("missing meter accepted")
+// launchTest launches a native container of kind on a fresh platform,
+// whose meter it borrows, with an in-memory host.
+func launchTest(t *testing.T, kind core.RuntimeKind) *core.Container {
+	t.Helper()
+	p, err := sgx.NewPlatform("node", sgx.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Launch(Config{Meter: sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())}); err == nil {
+	c, err := core.Launch(core.Config{Kind: kind, Platform: p, HostFS: fsapi.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+func TestLaunchValidation(t *testing.T) {
+	if _, err := core.Launch(core.Config{Kind: core.RuntimeNativeGlibc, HostFS: fsapi.NewMem()}); err == nil {
+		t.Fatal("missing platform accepted")
+	}
+	p, _ := sgx.NewPlatform("n", sgx.DefaultParams())
+	if _, err := core.Launch(core.Config{Kind: core.RuntimeNativeGlibc, Platform: p}); err == nil {
 		t.Fatal("missing host FS accepted")
 	}
 }
 
 func TestNames(t *testing.T) {
-	var clock vtime.Clock
-	for libc, want := range map[Libc]string{Glibc: "native-glibc", Musl: "native-musl"} {
-		rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), Libc: libc, HostFS: fsapi.NewMem()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rt.Name(); got != want {
+	for kind, want := range map[core.RuntimeKind]string{core.RuntimeNativeGlibc: "native-glibc", core.RuntimeNativeMusl: "native-musl"} {
+		c := launchTest(t, kind)
+		if got := c.Name(); got != want {
 			t.Fatalf("Name = %q, want %q", got, want)
 		}
-		if rt.Enclave() != nil {
+		if c.Enclave() != nil {
 			t.Fatal("native runtime claims an enclave")
 		}
 	}
 }
 
 func TestMuslSlightlySlowerThanGlibc(t *testing.T) {
-	params := sgx.DefaultParams()
-	run := func(libc Libc) *vtime.Clock {
-		clock := &vtime.Clock{}
-		rt, err := Launch(Config{Meter: sgx.NewMeter(clock, params), Libc: libc, HostFS: fsapi.NewMem()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.Device(1).Compute(1e9)
-		return clock
+	run := func(kind core.RuntimeKind) time.Duration {
+		dev := launchTest(t, kind).Device(1)
+		start := dev.Clock().Now()
+		dev.Compute(1e9)
+		return dev.Clock().Now() - start
 	}
-	glibc := run(Glibc)
-	musl := run(Musl)
-	if musl.Now() <= glibc.Now() {
-		t.Fatalf("musl (%v) should be slightly slower than glibc (%v)", musl.Now(), glibc.Now())
+	glibc := run(core.RuntimeNativeGlibc)
+	musl := run(core.RuntimeNativeMusl)
+	if musl <= glibc {
+		t.Fatalf("musl (%v) should be slightly slower than glibc (%v)", musl, glibc)
 	}
-	ratio := float64(musl.Now()) / float64(glibc.Now())
+	ratio := float64(musl) / float64(glibc)
 	if ratio > 1.10 {
 		t.Fatalf("musl/glibc ratio %.3f too large; paper reports near-parity", ratio)
 	}
 }
 
 func TestFSRoundTripChargesSyscalls(t *testing.T) {
-	var clock vtime.Clock
-	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), HostFS: fsapi.NewMem()})
-	if err != nil {
+	c := launchTest(t, core.RuntimeNativeGlibc)
+	start := c.Clock().Now()
+	if err := fsapi.WriteFile(c.FS(), "f", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsapi.WriteFile(rt.FS(), "f", []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fsapi.ReadFile(rt.FS(), "f")
+	got, err := fsapi.ReadFile(c.FS(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "abc" {
 		t.Fatalf("got %q", got)
 	}
-	if clock.Now() == 0 {
+	if c.Clock().Now() == start {
 		t.Fatal("native syscalls charged nothing")
 	}
 }
 
 func TestFSConformance(t *testing.T) {
-	var clock vtime.Clock
-	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), HostFS: fsapi.NewMem()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	fstest.Conformance(t, rt.FS())
+	fstest.Conformance(t, launchTest(t, core.RuntimeNativeGlibc).FS())
 }
 
 func TestDeviceDefaultsToPhysicalCores(t *testing.T) {
-	var clock vtime.Clock
 	params := sgx.DefaultParams()
-	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, params), HostFS: fsapi.NewMem()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if got := rt.Device(0).Threads(); got != params.PhysicalCores {
+	if got := launchTest(t, core.RuntimeNativeGlibc).Device(0).Threads(); got != params.PhysicalCores {
 		t.Fatalf("default threads = %d, want %d", got, params.PhysicalCores)
 	}
 }
 
 func TestNetworkRoundTripChargesTime(t *testing.T) {
-	var clock vtime.Clock
-	rt, err := Launch(Config{Meter: sgx.NewMeter(&clock, sgx.DefaultParams()), HostFS: fsapi.NewMem()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	ln, err := rt.Listen("tcp", "127.0.0.1:0")
+	c := launchTest(t, core.RuntimeNativeGlibc)
+	ln, err := c.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +123,8 @@ func TestNetworkRoundTripChargesTime(t *testing.T) {
 		_, err = conn.Write(buf)
 		done <- err
 	}()
-	before := clock.Now()
-	conn, err := rt.Dial("tcp", ln.Addr().String())
+	before := c.Clock().Now()
+	conn, err := c.Dial("tcp", ln.Addr().String(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +142,7 @@ func TestNetworkRoundTripChargesTime(t *testing.T) {
 	if string(buf) != "ping" {
 		t.Fatalf("echo %q", buf)
 	}
-	if clock.Now() == before {
+	if c.Clock().Now() == before {
 		t.Fatal("network round trip charged no virtual time")
 	}
 }

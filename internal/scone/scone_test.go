@@ -1,3 +1,6 @@
+// Package scone holds the tests of the SCONE kinds of internal/core's
+// runtime, RuntimeSconeHW and RuntimeSconeSIM, run through core.Launch.
+// The runtime itself, and why SCONE is priced as it is, is in core.
 package scone
 
 import (
@@ -8,59 +11,60 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securetf/securetf/internal/core"
 	"github.com/securetf/securetf/internal/fsapi"
 	"github.com/securetf/securetf/internal/fsapi/fstest"
 	"github.com/securetf/securetf/internal/sgx"
 )
 
-func launchTestRuntime(t *testing.T, mode sgx.Mode) *Runtime {
-	t.Helper()
-	return launchTestConfig(t, Config{Mode: mode})
-}
-
-// launchTestConfig launches cfg on a fresh platform with a synthetic
-// image and an in-memory host.
-func launchTestConfig(t *testing.T, cfg Config) *Runtime {
+// launchTest launches a container of kind on a fresh platform with a
+// synthetic image and an in-memory host; threads 0 is the default.
+func launchTest(t *testing.T, kind core.RuntimeKind, threads int) *core.Container {
 	t.Helper()
 	p, err := sgx.NewPlatform("node", sgx.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Platform = p
-	cfg.Image = sgx.SyntheticImage("app", 2<<20, 1<<20)
-	cfg.HostFS = fsapi.NewMem()
-	rt, err := Launch(cfg)
+	c, err := core.Launch(core.Config{
+		Kind:     kind,
+		Platform: p,
+		Image:    sgx.SyntheticImage("app", 2<<20, 1<<20),
+		HostFS:   fsapi.NewMem(),
+		Threads:  threads,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rt.Close() })
-	return rt
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func TestLaunchValidation(t *testing.T) {
-	if _, err := Launch(Config{}); err == nil {
+	if _, err := core.Launch(core.Config{Kind: core.RuntimeSconeHW}); err == nil {
 		t.Fatal("missing platform accepted")
 	}
 	p, _ := sgx.NewPlatform("n", sgx.DefaultParams())
-	if _, err := Launch(Config{Platform: p, Mode: sgx.ModeHW, Image: sgx.Image{Name: "a"}}); err == nil {
+	if _, err := core.Launch(core.Config{Kind: core.RuntimeSconeHW, Platform: p, Image: sgx.Image{Name: "a"}}); err == nil {
 		t.Fatal("missing host FS accepted")
 	}
 }
 
 func TestRuntimeNames(t *testing.T) {
-	if got := launchTestRuntime(t, sgx.ModeHW).Name(); got != "scone-hw" {
+	if got := launchTest(t, core.RuntimeSconeHW, 0).Name(); got != "scone-hw" {
 		t.Fatalf("Name = %q", got)
 	}
-	if got := launchTestRuntime(t, sgx.ModeSIM).Name(); got != "scone-sim" {
+	if got := launchTest(t, core.RuntimeSconeSIM, 0).Name(); got != "scone-sim" {
 		t.Fatalf("Name = %q", got)
 	}
 }
 
+// TestSyscallUsesAsyncQueueNotTransitions makes one system call, a
+// Stat through the container's file system.
 func TestSyscallUsesAsyncQueueNotTransitions(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeHW)
-	base := rt.Enclave().Stats()
-	rt.Syscall()
-	after := rt.Enclave().Stats()
+	c := launchTest(t, core.RuntimeSconeHW, 0)
+	base := c.EnclaveStats()
+	c.FS().Stat("absent") // one system call, found or not
+	after := c.EnclaveStats()
 	if got := after.AsyncSyscalls - base.AsyncSyscalls; got != 1 {
 		t.Fatalf("async syscalls = %d, want 1", got)
 	}
@@ -70,8 +74,8 @@ func TestSyscallUsesAsyncQueueNotTransitions(t *testing.T) {
 }
 
 func TestFSRoundTripChargesSyscalls(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeHW)
-	fsys := rt.FS()
+	c := launchTest(t, core.RuntimeSconeHW, 0)
+	fsys := c.FS()
 	if err := fsapi.WriteFile(fsys, "data/input.bin", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +86,7 @@ func TestFSRoundTripChargesSyscalls(t *testing.T) {
 	if string(got) != "payload" {
 		t.Fatalf("got %q", got)
 	}
-	if rt.Enclave().Stats().AsyncSyscalls == 0 {
+	if c.EnclaveStats().AsyncSyscalls == 0 {
 		t.Fatal("file I/O charged no syscalls")
 	}
 }
@@ -95,8 +99,8 @@ func TestFSRoundTripChargesSyscalls(t *testing.T) {
 // shared service thread would let two hostile peers stop every other
 // call of the container.
 func TestDialListenThroughRuntime(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeHW)
-	ln, err := rt.Listen("tcp", "127.0.0.1:0")
+	c := launchTest(t, core.RuntimeSconeHW, 0)
+	ln, err := c.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestDialListenThroughRuntime(t *testing.T) {
 		released.Wait()
 	}()
 	for i := 0; i < idle; i++ {
-		conn, err := rt.Dial("tcp", ln.Addr().String())
+		conn, err := c.Dial("tcp", ln.Addr().String(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +194,8 @@ func TestDialListenThroughRuntime(t *testing.T) {
 	}
 
 	echoed, wrote := make(chan error, 1), make(chan error, 1)
-	go func() { echoed <- echo(rt, ln.Addr().String(), msg) }()
-	go func() { wrote <- fsapi.WriteFile(rt.FS(), "data/after-stall.bin", msg) }()
+	go func() { echoed <- echo(c, ln.Addr().String(), msg) }()
+	go func() { wrote <- fsapi.WriteFile(c.FS(), "data/after-stall.bin", msg) }()
 	deadline := time.After(3 * time.Second)
 	for _, call := range []struct {
 		name string
@@ -211,9 +215,9 @@ func TestDialListenThroughRuntime(t *testing.T) {
 	}
 }
 
-// echo dials addr through rt and checks that msg comes back.
-func echo(rt *Runtime, addr string, msg []byte) error {
-	conn, err := rt.Dial("tcp", addr)
+// echo dials addr through c and checks that msg comes back.
+func echo(c *core.Container, addr string, msg []byte) error {
+	conn, err := c.Dial("tcp", addr, "")
 	if err != nil {
 		return err
 	}
@@ -232,8 +236,7 @@ func echo(rt *Runtime, addr string, msg []byte) error {
 }
 
 func TestDeviceAppliesMuslFactor(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeSIM)
-	dev := rt.Device(1)
+	dev := launchTest(t, core.RuntimeSconeSIM, 0).Device(1)
 	before := dev.Clock().Now()
 	dev.Compute(1e9)
 	elapsed := dev.Clock().Now() - before
@@ -244,14 +247,19 @@ func TestDeviceAppliesMuslFactor(t *testing.T) {
 	}
 }
 
+// TestDeviceDefaultsToEnclaveThreads: SCONE's scheduler runs one
+// enclave execution context per container thread, and the default
+// device has that many threads.
 func TestDeviceDefaultsToEnclaveThreads(t *testing.T) {
-	rt := launchTestConfig(t, Config{Mode: sgx.ModeHW, EnclaveThreads: 3})
-	if got := rt.Device(0).Threads(); got != 3 {
+	c := launchTest(t, core.RuntimeSconeHW, 3)
+	if got := c.Device(0).Threads(); got != 3 {
 		t.Fatalf("default threads = %d, want the 3 enclave threads", got)
+	}
+	if got := c.EnclaveStats().Transitions; got != 3 {
+		t.Fatalf("launch made %d transitions, want one per execution context", got)
 	}
 }
 
 func TestFSConformance(t *testing.T) {
-	rt := launchTestRuntime(t, sgx.ModeHW)
-	fstest.Conformance(t, rt.FS())
+	fstest.Conformance(t, launchTest(t, core.RuntimeSconeHW, 0).FS())
 }

@@ -1,5 +1,6 @@
-// Package sysio is the one syscall boundary under the three runtimes.
-// SCONE, Graphene and the native baseline differ in what one system
+// Package sysio is the one syscall boundary under every runtime, and the
+// one place a runtime reaches the host network. SCONE, Graphene and the
+// native baselines (internal/core's runtime) differ in what one system
 // call costs — a request on an exit-less ring, an enclave exit and
 // re-entry, a kernel crossing — not in which calls a file or a socket
 // makes. A runtime states its prices as a Boundary; the file-system and
@@ -17,9 +18,11 @@
 //
 // # Sockets
 //
-// A socket's charge is a function of the bytes it carried, never of how
-// the host kernel segmented them or how the Go scheduler interleaved the
-// goroutines around it. Each clause has a reason:
+// Every socket is opened on HostDial or HostListen. A charged socket
+// (Dial, Listen) is an enclave's. Its charge is a function of the bytes
+// it carried, never of how the host kernel segmented them or how the Go
+// scheduler interleaved the goroutines around it. Each clause has a
+// reason:
 //
 //   - Read and Accept charge on completion — nothing while parked,
 //     nothing for a zero-byte or failed return. They park for as long
@@ -39,6 +42,11 @@
 //     the connection's own first frame.
 //   - Write copies out and makes one call per Write: the application
 //     chose that slicing, so it is already a function of the bytes.
+//
+// A bare socket (DialBare, ListenBare) is a native baseline's. It
+// charges one Syscall when it is opened and nothing after: no accept,
+// read, write or close, and no byte. So it too is a function of the
+// bytes, trivially.
 package sysio
 
 import (
@@ -166,10 +174,17 @@ func (f *sysFile) Close() error {
 
 func (f *sysFile) Name() string { return f.inner.Name() }
 
+// HostDial and HostListen are the host network. Only a test swaps them
+// (sysiotest), to slice the host's reads.
+var (
+	HostDial   = net.Dial
+	HostListen = net.Listen
+)
+
 // Dial opens a connection across b.
 func Dial(b Boundary, network, addr string) (net.Conn, error) {
 	b.Syscall()
-	conn, err := net.Dial(network, addr)
+	conn, err := HostDial(network, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +195,23 @@ func Dial(b Boundary, network, addr string) (net.Conn, error) {
 // Listen opens a listener across b.
 func Listen(b Boundary, network, addr string) (net.Listener, error) {
 	b.Syscall()
-	ln, err := net.Listen(network, addr)
+	ln, err := HostListen(network, addr)
 	if err != nil {
 		return nil, err
 	}
 	return &sysListener{b: b, Listener: ln}, nil
+}
+
+// DialBare opens a bare connection: one Syscall, and nothing after.
+func DialBare(b Boundary, network, addr string) (net.Conn, error) {
+	b.Syscall()
+	return HostDial(network, addr)
+}
+
+// ListenBare opens a bare listener: one Syscall, and nothing after.
+func ListenBare(b Boundary, network, addr string) (net.Listener, error) {
+	b.Syscall()
+	return HostListen(network, addr)
 }
 
 // readQuantum is the stream length one read call covers: one TLS

@@ -31,7 +31,7 @@ func newWorkerPolicyErr(id int, addr string, policy ConsistencyPolicy) (*Worker,
 	xs, ys := tinyShard(30, int64(100+id))
 	return NewWorker(WorkerConfig{
 		ID:          id,
-		Addr:        addr,
+		Addrs:       []string{addr},
 		Model:       tinyModel(7),
 		XS:          xs,
 		YS:          ys,

@@ -148,7 +148,7 @@ func TestCheckpointCadenceAndResume(t *testing.T) {
 	for id := 0; id < 2; id++ {
 		xs, ys := tinyShard(30, int64(100+id))
 		w, err := NewWorker(WorkerConfig{
-			ID: id, Addr: addr2, Model: tinyModel(7),
+			ID: id, Addrs: []string{addr2}, Model: tinyModel(7),
 			XS: xs, YS: ys, BatchSize: 10, StartStep: 2,
 		})
 		if err != nil {

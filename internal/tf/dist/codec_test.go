@@ -253,7 +253,7 @@ func newCompressedWorkerErr(id int, addr string, c Compression) (*Worker, error)
 	xs, ys := tinyShard(30, int64(100+id))
 	return NewWorker(WorkerConfig{
 		ID:          id,
-		Addr:        addr,
+		Addrs:       []string{addr},
 		Model:       tinyModel(7),
 		XS:          xs,
 		YS:          ys,

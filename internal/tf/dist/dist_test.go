@@ -71,7 +71,7 @@ func newTestWorker(t *testing.T, id int, addr string) (*Worker, *vtime.Clock) {
 	xs, ys := tinyShard(30, int64(100+id))
 	w, err := NewWorker(WorkerConfig{
 		ID:        id,
-		Addr:      addr,
+		Addrs:     []string{addr},
 		Model:     tinyModel(7),
 		XS:        xs,
 		YS:        ys,
@@ -382,11 +382,11 @@ func TestCloseReleasesBlockedWorkers(t *testing.T) {
 func TestWorkerConfigValidation(t *testing.T) {
 	xs, ys := tinyShard(10, 1)
 	bad := []WorkerConfig{
-		{Addr: "x", XS: xs, YS: ys, BatchSize: 5},                                          // no model
-		{Addr: "x", Model: tinyModel(1), BatchSize: 5},                                     // no shard
-		{Addr: "x", Model: tinyModel(1), XS: xs, YS: ys},                                   // no batch size
-		{Model: tinyModel(1), XS: xs, YS: ys, BatchSize: 5},                                // no addr
-		{Addr: "x", Model: tinyModel(1), XS: xs, YS: tf.OneHot([]int{0}, 3), BatchSize: 5}, // shard mismatch
+		{Addrs: []string{"x"}, XS: xs, YS: ys, BatchSize: 5},                                          // no model
+		{Addrs: []string{"x"}, Model: tinyModel(1), BatchSize: 5},                                     // no shard
+		{Addrs: []string{"x"}, Model: tinyModel(1), XS: xs, YS: ys},                                   // no batch size
+		{Model: tinyModel(1), XS: xs, YS: ys, BatchSize: 5},                                           // no addr
+		{Addrs: []string{"x"}, Model: tinyModel(1), XS: xs, YS: tf.OneHot([]int{0}, 3), BatchSize: 5}, // shard mismatch
 	}
 	for i, cfg := range bad {
 		if _, err := NewWorker(cfg); err == nil {

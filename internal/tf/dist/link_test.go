@@ -105,7 +105,7 @@ func TestWarmStepAllocation(t *testing.T) {
 		labels[i] = i % 10
 	}
 	w, err := NewWorker(WorkerConfig{
-		Addr: ln.Addr().String(), Model: model, BatchSize: 50,
+		Addrs: []string{ln.Addr().String()}, Model: model, BatchSize: 50,
 		XS: tf.RandNormal(tf.Shape{200, 28, 28, 1}, 1, 2), YS: tf.OneHot(labels, 10),
 	})
 	if err != nil {
@@ -362,7 +362,7 @@ func TestFrameBuffersGoWithTheConnection(t *testing.T) {
 	var spy FrameSpy
 	_, addr, _ := newTestPS(t, 1, func(cfg *PSConfig) { cfg.Listener = spy.Listen(cfg.Listener) })
 	xs, ys := tinyShard(30, 100)
-	w, err := NewWorker(WorkerConfig{Addr: addr, Dial: spy.Dial, Model: tinyModel(7), XS: xs, YS: ys, BatchSize: 10})
+	w, err := NewWorker(WorkerConfig{Addrs: []string{addr}, Dial: spy.Dial, Model: tinyModel(7), XS: xs, YS: ys, BatchSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,46 +271,6 @@ func TestShardCountPreservesTrajectory(t *testing.T) {
 	}
 }
 
-// TestSingleShardAddrEquivalence checks that the legacy Addr field and a
-// one-element Addrs list drive the identical code path and trajectory —
-// the single-PS deployment is exactly the 1-shard case.
-func TestSingleShardAddrEquivalence(t *testing.T) {
-	const steps = 4
-	run := func(useAddrs bool) []float64 {
-		_, addrs := newShardedCluster(t, 1, 1, nil)
-		cfg := WorkerConfig{
-			ID:        0,
-			Model:     tinyModel(7),
-			BatchSize: 10,
-		}
-		cfg.XS, cfg.YS = tinyShard(30, 100)
-		if useAddrs {
-			cfg.Addrs = addrs
-		} else {
-			cfg.Addr = addrs[0]
-		}
-		w, err := NewWorker(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		var losses []float64
-		for i := 0; i < steps; i++ {
-			if err := w.Step(); err != nil {
-				t.Fatal(err)
-			}
-			losses = append(losses, w.LastLoss)
-		}
-		return losses
-	}
-	viaAddr, viaAddrs := run(false), run(true)
-	for i := range viaAddr {
-		if viaAddr[i] != viaAddrs[i] {
-			t.Fatalf("step %d: Addr path loss %v, Addrs path loss %v", i, viaAddr[i], viaAddrs[i])
-		}
-	}
-}
-
 // TestManifestHandshakeRejectsMisconfiguration checks that a worker
 // configured against the wrong cluster shape fails construction with an
 // explicit error instead of hanging mid-round.
@@ -321,7 +281,7 @@ func TestManifestHandshakeRejectsMisconfiguration(t *testing.T) {
 
 	// Wrong shard count: the worker thinks the cluster has one shard.
 	cfg := base
-	cfg.Addr = addrs[0]
+	cfg.Addrs = addrs[:1]
 	if _, err := NewWorker(cfg); err == nil {
 		t.Fatal("worker with 1 configured shard connected to a 2-shard cluster")
 	} else if !strings.Contains(err.Error(), "shard") {
@@ -333,13 +293,6 @@ func TestManifestHandshakeRejectsMisconfiguration(t *testing.T) {
 	cfg.Addrs = []string{addrs[1], addrs[0]}
 	if _, err := NewWorker(cfg); err == nil {
 		t.Fatal("worker with swapped shard addresses connected")
-	}
-
-	// Both Addr and Addrs set is ambiguous.
-	cfg = base
-	cfg.Addr, cfg.Addrs = addrs[0], addrs
-	if _, err := NewWorker(cfg); err == nil {
-		t.Fatal("worker with both Addr and Addrs accepted")
 	}
 
 	// A model whose variables differ from the cluster's must be caught

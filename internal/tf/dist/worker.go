@@ -18,14 +18,12 @@ import (
 type WorkerConfig struct {
 	// ID distinguishes workers in errors and PS accounting.
 	ID int
-	// Addr is the parameter server address of a single-shard cluster.
-	// Exactly one of Addr and Addrs is required.
-	Addr string
-	// Addrs lists the parameter-server shard addresses of a sharded
-	// cluster, indexed by shard id: Addrs[s] must be the endpoint of
-	// shard s of len(Addrs). The connection handshake verifies this —
-	// a worker pointed at a mis-sharded or partially started cluster
-	// fails construction instead of hanging mid-round.
+	// Addrs lists the parameter-server shard addresses, indexed by shard
+	// id: Addrs[s] must be the endpoint of shard s of len(Addrs), so a
+	// single-shard cluster is a one-element list. Required. The
+	// connection handshake verifies this — a worker pointed at a
+	// mis-sharded or partially started cluster fails construction
+	// instead of hanging mid-round.
 	Addrs []string
 	// Dial opens the connections to the parameter-server shards. Route
 	// it through the container so the network shield's TLS applies (the
@@ -90,8 +88,7 @@ type WorkerConfig struct {
 // worker waits for its slowest parameter server.
 type Worker struct {
 	cfg    WorkerConfig
-	addrs  []string // shard endpoints, indexed by shard id (for redial)
-	links  []*Link  // one per shard, indexed by shard id; nil while down
+	links  []*Link // one per shard, indexed by shard id; nil while down
 	router *Router
 	// replica is the local half of a step: session, data shard, gradients.
 	replica *Replica
@@ -152,14 +149,8 @@ const maxStaleRetries = 16
 // connects to every parameter-server shard and verifies the shard
 // manifests against the locally computed name-hash placement.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	addrs := cfg.Addrs
-	switch {
-	case cfg.Addr == "" && len(addrs) == 0:
-		return nil, errors.New("dist: one of WorkerConfig.Addr and WorkerConfig.Addrs is required")
-	case cfg.Addr != "" && len(addrs) > 0:
-		return nil, errors.New("dist: WorkerConfig.Addr and WorkerConfig.Addrs are mutually exclusive")
-	case cfg.Addr != "":
-		addrs = []string{cfg.Addr}
+	if len(cfg.Addrs) == 0 {
+		return nil, errors.New("dist: WorkerConfig.Addrs is required")
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = net.Dial
@@ -196,25 +187,24 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %d: %w", cfg.ID, err)
 	}
-	router, err := NewRouter(replica.Names(), len(addrs))
+	router, err := NewRouter(replica.Names(), len(cfg.Addrs))
 	if err != nil {
 		replica.Close()
 		return nil, fmt.Errorf("dist: worker %d shard placement: %w", cfg.ID, err)
 	}
 	w := &Worker{
 		cfg:       cfg,
-		addrs:     addrs,
-		links:     make([]*Link, len(addrs)),
+		links:     make([]*Link, len(cfg.Addrs)),
 		router:    router,
 		replica:   replica,
 		step:      cfg.StartStep,
-		rounds:    make([]uint64, len(addrs)),
-		pushWire:  make([]time.Duration, len(addrs)),
-		pushBytes: make([]int64, len(addrs)),
-		dropped:   make([]int, len(addrs)),
-		rejoined:  make([]int, len(addrs)),
+		rounds:    make([]uint64, len(cfg.Addrs)),
+		pushWire:  make([]time.Duration, len(cfg.Addrs)),
+		pushBytes: make([]int64, len(cfg.Addrs)),
+		dropped:   make([]int, len(cfg.Addrs)),
+		rejoined:  make([]int, len(cfg.Addrs)),
 	}
-	for s, addr := range addrs {
+	for s, addr := range cfg.Addrs {
 		conn, err := cfg.Dial("tcp", addr)
 		if err != nil {
 			w.Close()
@@ -562,7 +552,7 @@ func (w *Worker) redial(s int, clock *vtime.Clock) error {
 	deadline := time.Now().Add(w.cfg.Reconnect)
 	var last error
 	for {
-		conn, err := w.cfg.Dial("tcp", w.addrs[s])
+		conn, err := w.cfg.Dial("tcp", w.cfg.Addrs[s])
 		if err == nil {
 			w.links[s] = w.newLink(s, conn)
 			if err = w.handshake(s, clock); err == nil {

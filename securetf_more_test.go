@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,7 +265,7 @@ func TestDataShardValidation(t *testing.T) {
 	entries := map[string]func(xs, ys *securetf.Tensor, batch int) error{
 		"StartTrainingWorker": func(xs, ys *securetf.Tensor, batch int) error {
 			_, err := securetf.StartTrainingWorker(c, securetf.WorkerSpec{
-				Addr: nobody, Model: securetf.NewMNISTMLP(1), XS: xs, YS: ys, BatchSize: batch})
+				Addrs: []string{nobody}, Model: securetf.NewMNISTMLP(1), XS: xs, YS: ys, BatchSize: batch})
 			return err
 		},
 		"StartFederatedClient": func(xs, ys *securetf.Tensor, batch int) error {
@@ -502,5 +503,52 @@ func TestClassifierRejectsBadOutputShapeUse(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Classify(securetf.RandNormal(securetf.Shape{1, 63}, 1, 1)); err == nil {
 		t.Fatal("wrong input width accepted")
+	}
+}
+
+// TestFilterClasses: the rows of the requested classes are kept, in
+// their order, with their labels; asking for no class, or rows and
+// labels of different lengths, is an error.
+func TestFilterClasses(t *testing.T) {
+	// Row i holds the pixels 10i and 10i+1 and is labelled labels[i].
+	labels := []int{2, 0, 1, 2, 1, 0}
+	pixels := make([]float32, 0, 2*len(labels))
+	for i := range labels {
+		pixels = append(pixels, float32(10*i), float32(10*i+1))
+	}
+	xs, err := securetf.TensorFromFloats(securetf.Shape{len(labels), 2}, pixels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys := securetf.OneHot(labels, 3)
+	for _, tc := range []struct {
+		name    string
+		xs, ys  *securetf.Tensor
+		classes []int
+		rows    []int // the rows kept; nil wants an error
+	}{
+		{"one class", xs, ys, []int{2}, []int{0, 3}},
+		{"two classes, in row order", xs, ys, []int{1, 0}, []int{1, 2, 4, 5}},
+		{"no classes", xs, ys, nil, nil},
+		{"mismatched shapes", xs, securetf.OneHot(labels[:4], 3), []int{0}, nil},
+	} {
+		fx, fy, err := securetf.FilterClasses(tc.xs, tc.ys, tc.classes...)
+		if tc.rows == nil {
+			if err == nil {
+				t.Errorf("%s: no error", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var wantX, wantY []float32
+		for _, r := range tc.rows {
+			wantX = append(wantX, pixels[2*r:2*r+2]...)
+			wantY = append(wantY, ys.Floats()[3*r:3*r+3]...)
+		}
+		if !slices.Equal(fx.Floats(), wantX) || !slices.Equal(fy.Floats(), wantY) {
+			t.Errorf("%s: kept xs %v ys %v, want rows %v", tc.name, fx.Floats(), fy.Floats(), tc.rows)
+		}
 	}
 }

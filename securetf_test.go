@@ -393,7 +393,7 @@ func TestDistributedTrainingFacade(t *testing.T) {
 			c := launch(t, securetf.SconeSIM, securetf.TensorFlowImage())
 			xs, ys := learnableDigits(80, int64(100+w))
 			worker, err := securetf.StartTrainingWorker(c, securetf.WorkerSpec{
-				ID: w, Addr: addr.String(),
+				ID: w, Addrs: []string{addr.String()},
 				Model: securetf.NewMNISTCNN(1),
 				XS:    xs, YS: ys, BatchSize: 40,
 			})
