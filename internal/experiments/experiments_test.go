@@ -14,6 +14,18 @@ import (
 // latencies come from the calibrated virtual-time model and are not
 // asserted here.
 
+// band logs a ratio and its margin to the nearer edge of the band
+// [lo, hi] (lo 0 or hi +Inf for a one-sided band), fails the test when
+// the ratio is outside it, naming what the paper reports, and returns it.
+func band(t *testing.T, name string, r, lo, hi float64, paper string) float64 {
+	t.Helper()
+	t.Logf("%s = %.3f, band [%g, %g]: %.1f %% inside", name, r, lo, hi, 100*min(r/lo-1, hi/r-1))
+	if r < lo || r > hi {
+		t.Errorf("%s = %.3f, outside [%g, %g]; paper %s", name, r, lo, hi, paper)
+	}
+	return r
+}
+
 func findFig4(t *testing.T, rows []Fig4Row, system string) Fig4Row {
 	t.Helper()
 	for _, r := range rows {
@@ -41,15 +53,9 @@ func TestFigure4Shape(t *testing.T) {
 	if cas.WaitConfirmation > 5*time.Millisecond {
 		t.Errorf("CAS wait-confirmation = %v, want local scale (<1-5 ms)", cas.WaitConfirmation)
 	}
-	ratio := float64(ias.Total()) / float64(cas.Total())
-	if ratio < 8 || ratio > 40 {
-		t.Errorf("IAS/CAS total ratio = %.1f, paper reports ≈19x", ratio)
-	}
+	band(t, "IAS/CAS total", float64(ias.Total())/float64(cas.Total()), 8, 40, "≈19x")
 	// Initialization is flow-independent (same client-side setup).
-	initRatio := float64(ias.Initialization) / float64(cas.Initialization)
-	if initRatio < 0.5 || initRatio > 2 {
-		t.Errorf("initialization legs diverge: %v vs %v", ias.Initialization, cas.Initialization)
-	}
+	band(t, "IAS/CAS initialization", float64(ias.Initialization)/float64(cas.Initialization), 0.5, 2, "the same client-side setup")
 }
 
 // TestFigure4LegsPinned holds both attestation flows to the nanosecond.
@@ -101,39 +107,22 @@ func TestFigure5Shape(t *testing.T) {
 		graphene := fig5For(t, rows, "Graphene", spec.Name)
 
 		// Paper: Sim within ~5% of native; musl and glibc near parity.
-		simOver := float64(sim.Latency) / float64(native.Latency)
-		if simOver < 0.97 || simOver > 1.12 {
-			t.Errorf("%s: Sim/native = %.3f, paper ~1.05", spec.Name, simOver)
-		}
-		muslOver := float64(musl.Latency) / float64(native.Latency)
-		if muslOver < 0.98 || muslOver > 1.10 {
-			t.Errorf("%s: musl/glibc = %.3f, paper near parity", spec.Name, muslOver)
-		}
+		band(t, spec.Name+" Sim/native", float64(sim.Latency)/float64(native.Latency), 0.97, 1.12, "~1.05")
+		band(t, spec.Name+" musl/glibc", float64(musl.Latency)/float64(native.Latency), 0.98, 1.10, "near parity")
 		// HW slower than Sim but bounded (paper 1.12–1.39x).
-		hwOver := float64(hw.Latency) / float64(sim.Latency)
-		if hwOver < 1.05 || hwOver > 1.6 {
-			t.Errorf("%s: HW/Sim = %.3f, paper 1.12–1.39", spec.Name, hwOver)
-		}
+		band(t, spec.Name+" HW/Sim", float64(hw.Latency)/float64(sim.Latency), 1.05, 1.6, "1.12–1.39")
 		// Graphene never meaningfully beats secureTF HW.
-		if float64(graphene.Latency) < 0.95*float64(hw.Latency) {
-			t.Errorf("%s: Graphene (%v) beat HW (%v)", spec.Name, graphene.Latency, hw.Latency)
-		}
+		band(t, spec.Name+" Graphene/HW", float64(graphene.Latency)/float64(hw.Latency), 0.95, math.Inf(1), "never faster")
 	}
 
 	// Crossover: comparable at 42 MB, HW clearly ahead at 163 MB (paper
 	// 1.03x → ~1.4x).
 	g42 := fig5For(t, rows, "Graphene", "densenet")
 	h42 := fig5For(t, rows, "HW", "densenet")
-	small := float64(g42.Latency) / float64(h42.Latency)
-	if small > 1.2 {
-		t.Errorf("densenet: Graphene/HW = %.2f, paper ~1.03 (comparable under EPC)", small)
-	}
+	small := band(t, "densenet Graphene/HW", float64(g42.Latency)/float64(h42.Latency), 0, 1.2, "~1.03 (comparable under EPC)")
 	g163 := fig5For(t, rows, "Graphene", "inception_v4")
 	h163 := fig5For(t, rows, "HW", "inception_v4")
-	big := float64(g163.Latency) / float64(h163.Latency)
-	if big < 1.15 || big > 2.2 {
-		t.Errorf("inception_v4: Graphene/HW = %.2f, paper ~1.4", big)
-	}
+	big := band(t, "inception_v4 Graphene/HW", float64(g163.Latency)/float64(h163.Latency), 1.15, 2.2, "~1.4")
 	if big <= small {
 		t.Errorf("Graphene/HW gap must grow with model size: %.2f -> %.2f", small, big)
 	}
@@ -155,12 +144,9 @@ func TestFigure6Shape(t *testing.T) {
 	for _, mode := range []string{"Sim", "HW"} {
 		plain := byLabel[mode]
 		shielded := byLabel[mode+" w/ FSPF"]
-		overhead := float64(shielded.Latency)/float64(plain.Latency) - 1
 		// Paper: 0.12% (Sim) and 0.9% (HW). Anything under ~3% counts as
 		// the "negligible" shape; negative would mean mismeasurement.
-		if overhead < -0.005 || overhead > 0.03 {
-			t.Errorf("%s: FSPF overhead = %.2f%%, paper reports <1%%", mode, overhead*100)
-		}
+		band(t, mode+" w/ FSPF / "+mode, float64(shielded.Latency)/float64(plain.Latency), 0.995, 1.03, "<1% overhead")
 	}
 }
 
@@ -187,9 +173,7 @@ func TestFigure7Shape(t *testing.T) {
 	for _, sys := range []string{"Native glibc", "Sim", "HW"} {
 		one := fig7For(t, rows, sys, "scale-up", 1, 0)
 		four := fig7For(t, rows, sys, "scale-up", 4, 0)
-		if float64(one.Latency)/float64(four.Latency) < 2.5 {
-			t.Errorf("%s: 1->4 cores speedup %.2f, want near-linear", sys, float64(one.Latency)/float64(four.Latency))
-		}
+		band(t, sys+" 1->4 cores speedup", float64(one.Latency)/float64(four.Latency), 2.5, math.Inf(1), "near-linear")
 	}
 	// 4 -> 8: Sim keeps improving (hyper-threads), HW regresses (EPC).
 	sim4 := fig7For(t, rows, "Sim", "scale-up", 4, 0)
@@ -205,10 +189,7 @@ func TestFigure7Shape(t *testing.T) {
 	// Scale-out: HW scales with nodes (paper: 1180 s -> 403 s at 3 nodes).
 	hw1 := fig7For(t, rows, "HW", "scale-out", 4, 1)
 	hw3 := fig7For(t, rows, "HW", "scale-out", 4, 3)
-	speedup := float64(hw1.Latency) / float64(hw3.Latency)
-	if speedup < 2.0 {
-		t.Errorf("HW scale-out 1->3 nodes speedup = %.2f, paper ≈2.9", speedup)
-	}
+	band(t, "HW scale-out 1->3 nodes speedup", float64(hw1.Latency)/float64(hw3.Latency), 2.0, math.Inf(1), "≈2.9")
 }
 
 func fig8For(t *testing.T, rows []Fig8Row, system string, workers int) Fig8Row {
@@ -240,27 +221,13 @@ func TestFigure8Shape(t *testing.T) {
 		t.Errorf("ordering broken: native %v, sim-notls %v, sim %v, hw %v",
 			native.Latency, simNoTLS.Latency, simTLS.Latency, hwTLS.Latency)
 	}
-	// band logs a ratio and its margin to the nearer edge of [lo, hi].
-	band := func(name string, r, lo, hi float64) float64 {
-		t.Helper()
-		t.Logf("%s = %.3f, band [%g, %g]: %.1f %% inside", name, r, lo, hi, 100*min(r/lo-1, hi/r-1))
-		return r
-	}
 	// Paper factors: HW ≈14x, SIM ≈6x, SIM w/o TLS ≈2.3x native.
-	if r := band("HW/native", float64(hwTLS.Latency)/float64(native.Latency), 6, 40); r < 6 || r > 40 {
-		t.Errorf("HW/native = %.1f, paper ≈14", r)
-	}
-	if r := band("SIM/native", float64(simTLS.Latency)/float64(native.Latency), 2.5, 12); r < 2.5 || r > 12 {
-		t.Errorf("SIM/native = %.1f, paper ≈6", r)
-	}
-	if r := band("SIM-w/o-TLS/native", float64(simNoTLS.Latency)/float64(native.Latency), 1.3, 5); r < 1.3 || r > 5 {
-		t.Errorf("SIM-w/o-TLS/native = %.1f, paper ≈2.3", r)
-	}
+	band(t, "HW/native", float64(hwTLS.Latency)/float64(native.Latency), 6, 40, "≈14")
+	band(t, "SIM/native", float64(simTLS.Latency)/float64(native.Latency), 2.5, 12, "≈6")
+	band(t, "SIM-w/o-TLS/native", float64(simNoTLS.Latency)/float64(native.Latency), 1.3, 5, "≈2.3")
 	// Scaling: HW speedup with 3 workers ≈ 2.57x in the paper.
 	hw3 := fig8For(t, rows, "secureTF HW", 3)
-	if s := band("HW 3-worker speedup", float64(hwTLS.Latency)/float64(hw3.Latency), 1.6, math.Inf(1)); s < 1.6 {
-		t.Errorf("HW 3-worker speedup = %.2f, paper ≈2.57", s)
-	}
+	band(t, "HW 3-worker speedup", float64(hwTLS.Latency)/float64(hw3.Latency), 1.6, math.Inf(1), "≈2.57")
 	// Training must actually learn.
 	if hwTLS.FinalLoss >= 2.4 {
 		t.Errorf("final loss %.3f did not move below initial ~2.3+", hwTLS.FinalLoss)

@@ -170,32 +170,6 @@ func FuzzQuantizeInt8(f *testing.F) {
 	})
 }
 
-// BenchmarkQuantizeInt8 prices the int8 uplink's quantizer on one
-// fed-round update, the MNIST MLP's 101 770 coordinates, against its
-// _scalar twin, the portable loop. A warm call allocates nothing.
-func BenchmarkQuantizeInt8(b *testing.B) {
-	const coords = 101770
-	delta, residual := awkwardInt8(coords, int8Step, 7)
-	for i := range delta { // the in-range mix a trained update has
-		if i%5 != 2 {
-			delta[i], residual[i] = float32(i%255-127)*int8Step*0.9, float32(i%7)*int8Step*0.1
-		}
-	}
-	dst, next := make([]byte, 2*coords), make([]float32, coords)
-	for _, kernel := range []struct {
-		name string
-		run  func(dst []byte, delta, residual, next []float32, step float64)
-	}{{"fed-round/mlp_101770", QuantizeInt8}, {"fed-round/mlp_101770_scalar", quantizeInt8Go}} {
-		b.Run(kernel.name, func(b *testing.B) {
-			b.SetBytes(4 * coords)
-			b.ReportAllocs()
-			for b.Loop() {
-				kernel.run(dst, delta, residual, next, int8Step)
-			}
-		})
-	}
-}
-
 // TestQuantizeIntoDelta holds the federated client's in-place form,
 // next aliasing delta, to the separate-buffer result, bit for bit, on
 // both paths: QuantizeInt8 (whole blocks in assembly on amd64 with AVX)

@@ -8,9 +8,9 @@ import (
 )
 
 // The im2col path Conv2DInto and Conv2DGradFilterInto ran before they
-// read their windows in place, kept as their oracle and as the _im2col
-// twins of their benchmark rows: one tile of gathered window rows at a
-// time, through the dense GEMM, on the pooled scratch.
+// read their windows in place, kept as their oracle and as the twin of
+// conv1's forward row in BenchmarkTwins: one tile of gathered window rows
+// at a time, through the dense GEMM, on the pooled scratch.
 
 // im2colTiling is tiling as it was for these: tiles of 64 KiB.
 func (g Geom) im2colTiling() (rows, k, step int) {
@@ -190,30 +190,5 @@ func TestConvMatchesIm2col(t *testing.T) {
 			im2colConv2DGradFilter(want, grad, x, g)
 			sameBits(t, what+": filter gradient", got, want, in.special)
 		}
-	}
-}
-
-// col2imAddGo is col2imAdd as it was before its runs were added by
-// addRuns: one input row of a window at a time, one element at a time.
-// It is the _scalar twin of BenchmarkKernels' col2im_add row.
-func (g Geom) col2imAddGo(dx, dcol, grad []float32, r0, r1 int) {
-	k := g.KH * g.KW * g.C
-	b, oy, ox := g.position(r0)
-	for r := r0; r < r1; r++ {
-		if !allZero(grad[(r-r0)*g.F : (r-r0+1)*g.F]) {
-			row := dcol[(r-r0)*k : (r-r0+1)*k]
-			base, iy0, kx0, kx1 := g.window(b, oy, ox)
-			for ky := 0; ky < g.KH; ky++ {
-				if iy := iy0 + ky; iy < 0 || iy >= g.H {
-					continue
-				}
-				at := base + ky*g.W*g.C
-				out := dx[at+kx0*g.C : at+kx1*g.C]
-				for j, v := range row[(ky*g.KW+kx0)*g.C : (ky*g.KW+kx1)*g.C] {
-					out[j] += v
-				}
-			}
-		}
-		b, oy, ox = g.next(b, oy, ox)
 	}
 }

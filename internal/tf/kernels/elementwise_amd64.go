@@ -5,14 +5,12 @@ import "github.com/securetf/securetf/internal/cpu"
 // The element-wise loops' assembly (elementwise_amd64.s). Each trusts
 // its arguments: the functions below slice every operand to the extent
 // the loop reads or writes, so one too short panics here, as the Go
-// loop's indexing would, before anything is written. Relu, ReluGrad and
-// the row adds need AVX; the 2×2 max pool and its gradient also add and
-// compare argmax indices in integer lanes, which takes AVX2. The runtime
-// cannot preempt a call; the largest, train-sync's 313 600-float Relu,
-// runs some tens of microseconds.
-
-//go:noescape
-func reluAVX(dst, src []float32)
+// loop's indexing would, before anything is written. ReluGrad (Relu's
+// loop too), BiasAdd and the run adds and copies need AVX; the 2×2 max
+// pool and its gradient also add and compare argmax indices in integer
+// lanes, which takes AVX2. The runtime cannot preempt a call; the
+// largest, train-sync's 313 600-float Relu, runs some tens of
+// microseconds.
 
 //go:noescape
 func reluGradAVX(dst, g, x []float32)
@@ -34,18 +32,8 @@ func maxPool2x2AVX2(dst, top, bottom []float32, argmax []int32, ow, c, i0, rowC 
 //go:noescape
 func maxPoolGrad2x2AVX2(top, bottom, grad []float32, argmax []int32, ow, c, i0, rowC int)
 
-// relu is Relu over dst and src of one length: whole blocks of eight in
-// the assembly, the rest in reluGo.
-func relu(dst, src []float32) {
-	n := 0
-	if cpu.AVX {
-		n = len(src) &^ 7
-		reluAVX(dst[:n], src[:n])
-	}
-	reluGo(dst[n:], src[n:])
-}
-
-// reluGrad is ReluGrad over dst, g and x of one length.
+// reluGrad is ReluGrad over dst, g and x of one length: whole blocks of
+// eight in the assembly, the rest in reluGradGo.
 func reluGrad(dst, g, x []float32) {
 	n := 0
 	if cpu.AVX {

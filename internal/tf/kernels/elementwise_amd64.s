@@ -55,35 +55,10 @@ GLOBL lanes<>(SB), RODATA|NOPTR, $32
 	VPBROADCASTD X0, Y0;          \
 	VPADDD       Y15, Y0, Y0
 
-// func reluAVX(dst, src []float32)
-//
-// dst = src & (src > +0), over whole blocks of eight.
-TEXT ·reluAVX(SB), NOSPLIT, $0-48
-	PCALIGN $64
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   src_base+24(FP), SI
-	MOVQ   src_len+32(FP), CX
-	VXORPS Y15, Y15, Y15
-	SHRQ   $3, CX
-	JZ     reluDone
-
-reluLoop:
-	VMOVUPS (SI), Y0
-	VCMPPS  $0x1e, Y15, Y0, Y1
-	VANDPS  Y0, Y1, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     reluLoop
-
-reluDone:
-	VZEROUPPER
-	RET
-
 // func reluGradAVX(dst, g, x []float32)
 //
-// dst = g & (x > +0), over whole blocks of eight.
+// dst = g & (x > +0), over whole blocks of eight. Relu is this loop with
+// g = x.
 TEXT ·reluGradAVX(SB), NOSPLIT, $0-72
 	PCALIGN $64
 	MOVQ   dst_base+0(FP), DI

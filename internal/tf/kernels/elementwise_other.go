@@ -2,8 +2,6 @@
 
 package kernels
 
-func relu(dst, src []float32) { reluGo(dst, src) }
-
 func reluGrad(dst, g, x []float32) { reluGradGo(dst, g, x) }
 
 func biasAdd(dst, src, bias []float32) { biasAddGo(dst, src, bias) }

@@ -36,6 +36,19 @@ func shifted(v []float32, off int) []float32 {
 	return buf[off : off+len(v)]
 }
 
+// reluGo is Relu's reference loop, written apart from ReluGrad's, whose
+// loop Relu runs: the value's bits where it is greater than +0, else +0.
+func reluGo(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := math.Float32bits(v)
+		dst[i] = math.Float32frombits(b & positive(b))
+	}
+}
+
+// biasReluGo is BiasRelu on the reference loops.
+func biasReluGo(dst, src, bias []float32) { biasRelu(dst[:len(src)], src, bias, biasAddGo, reluGo) }
+
 // TestElementwiseMatchesScalar holds every element-wise loop that has an
 // assembly twin to its Go loop, bit for bit: lengths 0 to 67 (whole
 // blocks of eight, tails, and both), offsets 0 to 3 into the buffer,

@@ -43,7 +43,8 @@
 // keeps the rows of c apart. Within a lane the operations are the scalar
 // loop's, in its order; no value crosses lanes. A fused multiply-add is
 // forbidden in both: it rounds once where the contract rounds twice, so
-// the assembly uses VMULPS then VADDPS, never VFMADD, and Go code that
+// the assembly uses VMULPS then VADDPS, never VFMADD
+// (TestAssemblyContract fails on one), and Go code that
 // feeds a pinned value writes float32(a*b) + c, the explicit conversion
 // being what stops the compiler fusing on arm64, ppc64 and s390x (CI
 // greps an arm64 build for fused instructions). The golden-pinned
@@ -79,13 +80,15 @@
 //   - ApplySGD: v[i] loses a·g[i], the product rounded before it is
 //     subtracted.
 //
-// Relu, ReluGrad, BiasAdd, BiasAddGrad, col2imAdd's run adds and the 2×2
+// ReluGrad, BiasAdd, BiasAddGrad, col2imAdd's run adds and the 2×2
 // MaxPool and MaxPoolGrad run eight lanes at a time in AVX assembly
 // (elementwise_amd64.s) where the CPU has it — AVX2 for the two pool
 // loops, whose argmax lanes add and compare integers — and as their Go
-// loops elsewhere, chosen as gemm's are, by the CPU alone. MaxPoolGrad's
-// Go loop is the scatter, which its 2×2 lanes also leave to a channel
-// count that is not a multiple of eight. A lane is one
+// loops elsewhere, chosen as gemm's are, by the CPU alone. Relu has no
+// loop of its own: it is ReluGrad with the input as its own gradient,
+// x & (x > +0) either way. MaxPoolGrad's Go loop is the scatter, which
+// its 2×2 lanes also leave to a channel count that is not a multiple of
+// eight. A lane is one
 // element or one channel, and every output keeps its bits, with one
 // exception outside the contract: where an add meets two NaNs, which
 // payload survives is not pinned, since Go fixes no operand order for +.
@@ -113,6 +116,17 @@
 // differ only where the other factor is infinite or NaN — 0·Inf is NaN —
 // so a model with non-finite weights or activations is outside the
 // bit-identity contract, though not outside the kernels' domain.
+//
+// Every assembly routine is one row of the package's twins table
+// (twins_amd64_test.go), beside its twin, the path the dispatch takes
+// without it: matMulRows4AVX and matMulRowsTailAVX fall back to
+// matMulAxpyAVX, maxPoolGrad2x2AVX2 to the scatter, and every other
+// routine to its Go loop. A row also holds the CPU flag the routine
+// needs and the floor CI holds its BenchmarkTwins ratio to, and
+// TestAssemblyContract fails on a TEXT routine without exactly one row,
+// a row without a routine, and a fused multiply-add. A routine stays
+// while it saves a workload 1 % of its CPU time, or holds a property its
+// twin lacks.
 package kernels
 
 import (
@@ -274,11 +288,8 @@ func checkBias(src, bias []float32) {
 // may alias src.
 func BiasRelu(dst, src, bias []float32) {
 	checkBias(src, bias)
-	biasRelu(dst[:len(src)], src, bias, biasAdd, relu)
+	biasRelu(dst[:len(src)], src, bias, biasAdd, Relu)
 }
-
-// biasReluGo is BiasRelu on the Go loops.
-func biasReluGo(dst, src, bias []float32) { biasRelu(dst[:len(src)], src, bias, biasAddGo, reluGo) }
 
 // biasReluBlock is the floats a block of BiasRelu spans at most, but
 // for a row wider than it: 16 KiB, half a 32 KiB L1 data cache.
@@ -363,18 +374,10 @@ func positive(b uint32) uint32 {
 }
 
 // Relu writes max(src, 0) into dst; NaN and -0 map to +0. dst may alias
-// src.
+// src. It is ReluGrad with src as its own gradient: both keep a value's
+// bits where x > +0 and write +0 elsewhere.
 func Relu(dst, src []float32) {
-	relu(dst[:len(src)], src)
-}
-
-// reluGo is Relu's Go loop.
-func reluGo(dst, src []float32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		b := math.Float32bits(v)
-		dst[i] = math.Float32frombits(b & positive(b))
-	}
+	reluGrad(dst[:len(src)], src, src)
 }
 
 // ReluGrad writes into dst the gradient g where x > 0, and +0 where x is

@@ -735,12 +735,10 @@ func TestRowsCols(t *testing.T) {
 
 // BenchmarkKernels times the kernels at the shapes the benchmark's
 // workloads run them at. These rows are the reference the next kernel
-// change has to beat.
+// change has to beat; a fast path against its twin is BenchmarkTwins'.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	// The GEMMs of gemmShapes (matmul_test.go), each followed by its twin
-	// on the scalar loop: the ratio of a pair is the same-run speed-up of
-	// whichever loop gemm chose on this CPU, and CI gates it.
+	// The GEMMs of gemmShapes (matmul_test.go).
 	for _, s := range gemmShapes {
 		ld := s.strides()
 		a, w := sparseFloats(rng, extent(s.m, s.k, ld.a), s.zeros), sparseFloats(rng, extent(s.k, s.n, ld.b), 0)
@@ -755,7 +753,6 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 		b.Run("matmul/"+s.name, matmul(func() { gemm(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
-		b.Run("matmul/"+s.name+"_scalar", matmul(func() { matMulRowsGo(c, a, w, 0, s.m, s.k, s.n, ld.a, ld.b, ld.c) }))
 		if s.m == 1 {
 			// The row above cannot show the column split: repeated, its
 			// 16 MiB stay hot in the cache, where a split times no
@@ -807,9 +804,7 @@ func BenchmarkKernels(b *testing.B) {
 	// train-sync: the CNN's two convolutions and both gradients of each.
 	// The first reads digit images, three quarters background zeros; the
 	// second reads activations a tenth zero; the output gradient is four
-	// fifths zero, which is what MaxPoolGrad and ReluGrad hand back. The
-	// forward and filter-gradient rows are each followed by an _im2col
-	// twin, the path they replaced: CI gates conv1's forward pair.
+	// fifths zero, which is what MaxPoolGrad and ReluGrad hand back.
 	for _, l := range []struct {
 		name      string
 		x, filter []int
@@ -834,16 +829,10 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 		b.Run("conv2d/train-sync/"+l.name, conv(func() { clear(out); Conv2DInto(out, x, f, g) }))
-		b.Run("conv2d/train-sync/"+l.name+"_im2col", conv(func() { clear(out); im2colConv2D(out, x, f, g) }))
 		b.Run("conv2d_grad_filter/train-sync/"+l.name, conv(func() { Conv2DGradFilterInto(df, grad, x, g) }))
-		b.Run("conv2d_grad_filter/train-sync/"+l.name+"_im2col", conv(func() { im2colConv2DGradFilter(df, grad, x, g) }))
 		b.Run("conv2d_grad_input/train-sync/"+l.name, conv(func() { clear(dx); Conv2DGradInputInto(dx, grad, f, g) }))
 	}
-	// The element-wise loops at train-sync's shapes, each followed by a
-	// _scalar twin on its Go loop (for MaxPoolGrad the zero-then-scatter
-	// it replaced, for col2imAdd the loop before its runs were vector
-	// adds): the ratio of a pair is the same-run speed-up of the
-	// assembly, and CI gates relu's and pool1's.
+	// The element-wise loops at train-sync's shapes.
 	loop := func(run func()) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -852,8 +841,7 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 	}
-	// The CNN's two pools, pool1 also followed by its twin on the generic
-	// loop, which CI gates too, and pool1's gradient.
+	// The CNN's two pools, and pool1's gradient.
 	for _, shape := range [][]int{{50, 28, 28, 8}, {50, 14, 14, 16}} {
 		g, err := PoolGeom(shape, 2, 2)
 		if err != nil {
@@ -864,18 +852,11 @@ func BenchmarkKernels(b *testing.B) {
 		argmax := make([]int32, len(out))
 		name := fmt.Sprintf("train-sync/%dx%dx%dx%d_k2", g.N, g.H, g.W, g.C)
 		b.Run("maxpool/"+name, loop(func() { MaxPool(out, x, g, argmax) }))
-		b.Run("maxpool/"+name+"_scalar", loop(func() { maxPool2x2Go(out, x, g, argmax, 0) }))
 		if g.H == 28 {
-			b.Run("maxpool/"+name+"_generic", loop(func() { maxPoolGeneric(out, x, g, argmax) }))
 			MaxPool(out, x, g, argmax)
 			grad, dx := sparseFloats(rng, len(out), 0.1), make([]float32, len(x))
 			b.Run("maxpool_grad/"+name, loop(func() {
 				if err := MaxPoolGrad(dx, grad, argmax, g); err != nil {
-					b.Fatal(err)
-				}
-			}))
-			b.Run("maxpool_grad/"+name+"_scalar", loop(func() {
-				if err := maxPoolGradScatter(dx, grad, argmax); err != nil {
 					b.Fatal(err)
 				}
 			}))
@@ -891,9 +872,7 @@ func BenchmarkKernels(b *testing.B) {
 		out := make([]float32, len(x))
 		b.Run("relu/train-sync/50x28x28x8"+in.name, loop(func() { Relu(out, x) }))
 		if in.zeros == 0 {
-			b.Run("relu/train-sync/50x28x28x8_scalar", loop(func() { reluGo(out, x) }))
 			b.Run("relu_grad/train-sync/50x28x28x8", loop(func() { ReluGrad(out, grad, x) }))
-			b.Run("relu_grad/train-sync/50x28x28x8_scalar", loop(func() { reluGradGo(out, grad, x) }))
 		}
 	}
 	// conv1's bias and its gradient.
@@ -901,18 +880,15 @@ func BenchmarkKernels(b *testing.B) {
 		x, bias := sparseFloats(rng, 50*28*28*8, 0), sparseFloats(rng, 8, 0)
 		out, dBias := make([]float32, len(x)), make([]float32, len(bias))
 		b.Run("bias_add/train-sync/50x28x28x8", loop(func() { BiasAdd(out, x, bias) }))
-		b.Run("bias_add/train-sync/50x28x28x8_scalar", loop(func() { biasAddGo(out, x, bias) }))
 		// The fused pass the session runs in place of BiasAdd then Relu,
 		// and those two passes, in place as the session runs them.
 		b.Run("bias_relu/train-sync/50x28x28x8", loop(func() { BiasRelu(out, x, bias) }))
-		b.Run("bias_relu/train-sync/50x28x28x8_scalar", loop(func() { biasReluGo(out, x, bias) }))
 		b.Run("bias_relu/train-sync/50x28x28x8_two_passes", loop(func() { BiasAdd(out, x, bias); Relu(out, out) }))
 		b.Run("bias_add_grad/train-sync/50x28x28x8", loop(func() {
 			if err := BiasAddGrad(dBias, x, 8); err != nil {
 				b.Fatal(err)
 			}
 		}))
-		b.Run("bias_add_grad/train-sync/50x28x28x8_scalar", loop(func() { clear(dBias); addRunsGo(dBias, x, 8, len(x)/8, 0, 8) }))
 	}
 	// conv2's input gradient scattering its dcol tiles, as
 	// Conv2DGradInputInto does, one tile of values reused for every one.
@@ -924,25 +900,19 @@ func BenchmarkKernels(b *testing.B) {
 		rows, k, step := g.tiling()
 		tile, grad := sparseFloats(rng, step*k, 0), sparseFloats(rng, rows*g.F, 0.8)
 		dx := make([]float32, g.N*g.H*g.W*g.C)
-		scatter := func(add func(dx, dcol, grad []float32, r0, r1 int)) func() {
-			return func() {
-				for r0 := 0; r0 < rows; r0 += step {
-					r1 := min(r0+step, rows)
-					add(dx, tile, grad[r0*g.F:r1*g.F], r0, r1)
-				}
+		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same", loop(func() {
+			for r0 := 0; r0 < rows; r0 += step {
+				r1 := min(r0+step, rows)
+				g.col2imAdd(dx, tile, grad[r0*g.F:r1*g.F], r0, r1)
 			}
-		}
-		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same", loop(scatter(g.col2imAdd)))
-		b.Run("col2im_add/train-sync/50x14x14x8_k5_f16_same_scalar", loop(scatter(g.col2imAddGo)))
+		}))
 	}
 	// fc1's weights transposed, as the session's MatMul does for both of
-	// its gradients every step, and the _scalar twin on the Go loop,
-	// which CI gates.
+	// its gradients every step.
 	{
 		const m, n = 784, 512
 		src, dst := randFloats(rng, m*n), randFloats(rng, m*n)
 		b.Run("transpose/train-sync/784x512", loop(func() { Transpose(dst, src, m, n) }))
-		b.Run("transpose/train-sync/784x512_scalar", loop(func() { transposeGo(dst, src, m, n, n, m) }))
 	}
 	b.Run("softmax/serve-steady/1x1000", func(b *testing.B) {
 		x := randFloats(rng, 1000)

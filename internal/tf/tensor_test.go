@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/securetf/securetf/internal/twintest"
 	"github.com/securetf/securetf/internal/wire"
 )
 
@@ -315,8 +317,7 @@ func TestTensorCodecMatchesLoop(t *testing.T) {
 }
 
 // BenchmarkTensorCodec times the tensor codec at train-sync's largest
-// variable, fc1/w: 784x512 floats, 1.6 MB on the wire. The _loop rows
-// are the word-by-word twins of the element copy, in place.
+// variable, fc1/w: 784x512 floats, 1.6 MB on the wire.
 func BenchmarkTensorCodec(b *testing.B) {
 	w := RandNormal(Shape{784, 512}, 1, 8)
 	enc := EncodeTensor(w)
@@ -336,24 +337,32 @@ func BenchmarkTensorCodec(b *testing.B) {
 			}
 		}
 	})
-	words := make([]byte, 4*w.NumElements())
-	for _, row := range []struct {
-		name string
-		run  func()
-	}{
-		{"put/784x512", func() { w.putWords(words) }},
-		{"put/784x512_loop", func() { w.putWordsLoop(words) }},
-		{"set/784x512", func() { w.setWords(words) }},
-		{"set/784x512_loop", func() { w.setWordsLoop(words) }},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			b.SetBytes(int64(len(words)))
-			for i := 0; i < b.N; i++ {
-				row.run()
-			}
-		})
-	}
 }
+
+// twins are the package's fast paths: the element codec's copy, built
+// on little-endian targets, against its word-by-word loop, in place at
+// fc1/w's 784x512 floats. On a big-endian target the loop is the codec.
+var twins = []twintest.Row{
+	{Name: "codec_put/train-sync/784x512", Needs: littleEndian, Floor: 2, Setup: func(*rand.Rand) (func(), func()) {
+		w, words := codecOperands()
+		return func() { w.putWords(words) }, func() { w.putWordsLoop(words) }
+	}},
+	{Name: "codec_set/train-sync/784x512", Needs: littleEndian, Floor: 0, Setup: func(*rand.Rand) (func(), func()) {
+		w, words := codecOperands()
+		return func() { w.setWords(words) }, func() { w.setWordsLoop(words) }
+	}},
+}
+
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// codecOperands is fc1/w and room for its words.
+func codecOperands() (*Tensor, []byte) {
+	w := RandNormal(Shape{784, 512}, 1, 8)
+	return w, make([]byte, 4*w.NumElements())
+}
+
+// BenchmarkTwins times each row's fast path against its twin.
+func BenchmarkTwins(b *testing.B) { twintest.Bench(b, twins) }
 
 func TestSliceRows(t *testing.T) {
 	floats, _ := FromFloats(Shape{4, 2}, []float32{0, 1, 2, 3, 4, 5, 6, 7})
