@@ -346,9 +346,13 @@
 // the update magnitude stays an average (a timed-out round nobody
 // pushed into has nothing to commit). Every synchronous shard seats
 // each worker once and takes one push from it a round, with or without
-// a timeout. An evicted worker rejoins by re-running
-// the same hello/manifest handshake that admitted it, folding back
-// into the barrier at the next round boundary; contributions are
+// a timeout, and a connection speaks only for the worker its hello
+// named: a push before a hello, or in another worker's name, is
+// refused. The shard's barrier and the federated coordinator's quorum
+// admit pushes by one set of rules (internal/tf/dist's Round); they
+// differ only in when a round closes. An evicted worker rejoins by
+// re-running the same hello/manifest handshake that admitted it,
+// folding back into the barrier at the next round boundary; contributions are
 // summed in worker-id order rather than arrival order, so a run's
 // whole trajectory is bit-reproducible regardless of who died when.
 // The eviction/rejoin/shrunk-round counters surface in

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -290,11 +291,7 @@ func TestFigure8ShardSweepShape(t *testing.T) {
 		return Fig8ShardRow{}
 	}
 	// The classic worker-scaling speedup survives the sharded refactor.
-	s := get(2, 1).Speedup1W
-	t.Logf("speedup-2workers-x %.3f", s)
-	if s < speedup2WorkersFloor {
-		t.Errorf("2-worker speedup = %.2f, floor %.2f, paper ≈1.96", s, speedup2WorkersFloor)
-	}
+	band(t, "2-worker speedup", get(2, 1).Speedup1W, speedup2WorkersFloor, math.Inf(1), "≈1.96")
 	// The sharding headline: per-shard push wire time drops monotonically
 	// as the same 4-worker job fans its gradients over 1 → 2 → 4 shards.
 	w1, w2, w4 := get(4, 1).PushWirePerShard, get(4, 2).PushWirePerShard, get(4, 4).PushWirePerShard
@@ -306,9 +303,7 @@ func TestFigure8ShardSweepShape(t *testing.T) {
 	// summation order across concurrent pushes).
 	base := get(4, 1).FinalLoss
 	for _, shards := range []int{2, 4} {
-		if loss := get(4, shards).FinalLoss; loss < base*0.99 || loss > base*1.01 {
-			t.Errorf("4-worker loss at %d shards = %.4f, want ≈ %.4f", shards, loss, base)
-		}
+		band(t, fmt.Sprintf("4-worker loss, %d shards / 1", shards), get(4, shards).FinalLoss/base, 0.99, 1.01, "the same model")
 	}
 }
 
@@ -343,24 +338,18 @@ func TestFigure8CompressShape(t *testing.T) {
 	for _, tls := range []bool{false, true} {
 		none, int8r, topk := get("none", tls), get("int8", tls), get("topk f=0.05", tls)
 		// The wire headline: the push-frame bytes each codec saves.
-		int8x := float64(none.PushBytesPerRound) / float64(int8r.PushBytesPerRound)
-		topkx := float64(none.PushBytesPerRound) / float64(topk.PushBytesPerRound)
-		t.Logf("tls=%v: int8-wire-reduction-x %.3f, topk-wire-reduction-x %.3f", tls, int8x, topkx)
-		if int8x < int8WireFloor {
-			t.Errorf("tls=%v: int8 push-byte reduction %.2fx, floor %.2fx", tls, int8x, int8WireFloor)
-		}
-		if topkx < topkWireFloor {
-			t.Errorf("tls=%v: top-k push-byte reduction %.2fx, floor %.2fx", tls, topkx, topkWireFloor)
-		}
+		band(t, fmt.Sprintf("tls=%v none/int8 push bytes", tls),
+			float64(none.PushBytesPerRound)/float64(int8r.PushBytesPerRound), int8WireFloor, math.Inf(1), "≈4x")
+		band(t, fmt.Sprintf("tls=%v none/top-k push bytes", tls),
+			float64(none.PushBytesPerRound)/float64(topk.PushBytesPerRound), topkWireFloor, math.Inf(1), "≈10x at f = 0.05")
 		// Smaller frames must show up as less per-shard push wire vtime
 		// by at least the same ≥3× factor: send() charges serialization
 		// for the bytes actually framed, so this pins the "honest vtime"
 		// half of the story. (End-to-end latency also drops, but it
 		// carries run-to-run jitter from concurrent push arrival order,
 		// so the assertions stick to the deterministic wire quantities.)
-		if r := float64(none.PushWirePerShard) / float64(int8r.PushWirePerShard); r < 3 {
-			t.Errorf("tls=%v: int8 push wire vtime reduction %.2fx, want ≥3x", tls, r)
-		}
+		band(t, fmt.Sprintf("tls=%v none/int8 push wire vtime", tls),
+			float64(none.PushWirePerShard)/float64(int8r.PushWirePerShard), 3, math.Inf(1), "the byte reduction")
 		if !(none.PushWirePerShard > int8r.PushWirePerShard && int8r.PushWirePerShard > topk.PushWirePerShard) {
 			t.Errorf("tls=%v: push wire not monotone over codecs: none %v, int8 %v, topk %v",
 				tls, none.PushWirePerShard, int8r.PushWirePerShard, topk.PushWirePerShard)
@@ -368,10 +357,7 @@ func TestFigure8CompressShape(t *testing.T) {
 		// The convergence guarantee: error feedback keeps the lossy
 		// codecs' final loss within 10% of the uncompressed run.
 		for _, r := range []Fig8CompressRow{int8r, topk} {
-			if ratio := r.FinalLoss / none.FinalLoss; ratio < 0.9 || ratio > 1.1 {
-				t.Errorf("tls=%v codec=%s: final loss %.4f vs uncompressed %.4f (ratio %.3f outside ±10%%)",
-					tls, r.Codec, r.FinalLoss, none.FinalLoss, ratio)
-			}
+			band(t, fmt.Sprintf("tls=%v %s/none final loss", tls, r.Codec), r.FinalLoss/none.FinalLoss, 0.9, 1.1, "within 10 %")
 		}
 	}
 }
@@ -388,13 +374,8 @@ func TestTFvsTFLiteShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	tfRow, liteRow := rows[0], rows[1]
-	ratio := float64(tfRow.Latency) / float64(liteRow.Latency)
 	// Paper: 71x. The shape requirement is an order-of-magnitude-plus gap
 	// caused by EPC behaviour.
-	if ratio < 15 {
-		t.Errorf("TF/TFLite ratio = %.1f, paper ≈71 (want >> 10)", ratio)
-	}
-	if tfRow.BinaryBytes < 40*liteRow.BinaryBytes {
-		t.Errorf("binary size gap lost: %d vs %d", tfRow.BinaryBytes, liteRow.BinaryBytes)
-	}
+	band(t, "TF/TFLite latency", float64(tfRow.Latency)/float64(liteRow.Latency), 15, math.Inf(1), "≈71 (want >> 10)")
+	band(t, "TF/TFLite binary size", float64(tfRow.BinaryBytes)/float64(liteRow.BinaryBytes), 40, math.Inf(1), "a far larger binary")
 }

@@ -95,19 +95,19 @@ type Coordinator struct {
 	mu   sync.Mutex
 	vars map[string]*tf.Tensor // working globals, mutated only in finalize
 
-	// Per-round state, rebuilt by openRound. snapshot, cohort and the
-	// owed lists are immutable once published (replies reference them
-	// outside mu).
+	// Per-round state, rebuilt by openRound. uploads admits the round's
+	// uploads: its members are the cohort, its Need the quorum, and once
+	// closed the round collects seed reveals (or training is done).
+	// snapshot, cohort and the owed lists are immutable once published
+	// (replies reference them outside mu).
 	round       uint64
+	uploads     dist.Round
 	patternSeed uint64
 	cohort      []uint32
-	cohortSet   map[uint32]bool
 	graph       pairingGraph // over cohort
 	snapshot    map[string]*tf.Tensor
-	coords      [][]int  // per variable, parallel to names; nil = dense
-	acc         [][]byte // per variable: the packed ring sum of the accepted payloads
-	received    map[uint32]bool
-	closing     bool
+	coords      [][]int             // per variable, parallel to names; nil = dense
+	acc         [][]byte            // per variable: the packed ring sum of the accepted payloads
 	owed        map[uint32][]uint32 // survivor → its dead neighbours, ascending
 	revealed    map[uint32]bool
 	unmask      []maskStream // the revealed streams that cancel the dead's masks
@@ -164,6 +164,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		codec:   ringCodec{cfg.Codec},
 		sampled: sampled,
 		vars:    make(map[string]*tf.Tensor, len(cfg.Vars)),
+		uploads: dist.NewRound(cfg.Quorum),
 	}
 	for name, t := range cfg.Vars {
 		if t == nil || t.DType() != tf.Float32 {
@@ -228,13 +229,14 @@ func sampleSize(population int, fraction float64) int {
 // after mu is released.
 func (c *Coordinator) openRoundLocked() {
 	c.cohort = roundCohort(c.cfg.Seed, c.round, c.cfg.Clients, c.sampled)
-	c.cohortSet = make(map[uint32]bool, len(c.cohort))
+	clear(c.uploads.Members)
+	clear(c.uploads.Pushed)
 	for _, id := range c.cohort {
-		c.cohortSet[id] = true
+		c.uploads.Members[id] = true
 	}
 	c.patternSeed = roundPatternSeed(c.cfg.Seed, c.round)
 	c.graph = newPairingGraph(len(c.cohort), c.patternSeed, maskDegree(len(c.cohort), c.cfg.Quorum))
-	c.snapshot = c.cloneVarsLocked()
+	c.snapshot = dist.CloneVars(c.vars)
 	c.coords = make([][]int, len(c.names))
 	c.acc = make([][]byte, len(c.names))
 	for i, name := range c.names {
@@ -242,8 +244,6 @@ func (c *Coordinator) openRoundLocked() {
 		c.coords[i] = c.codec.coords(c.patternSeed, name, n)
 		c.acc[i] = make([]byte, wordCount(c.coords[i], n)*c.codec.width())
 	}
-	c.received = make(map[uint32]bool, c.cfg.Quorum)
-	c.closing = false
 	c.owed = nil
 	c.revealed = nil
 	c.unmask = nil
@@ -253,15 +253,7 @@ func (c *Coordinator) openRoundLocked() {
 func (c *Coordinator) Vars() map[string]*tf.Tensor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cloneVarsLocked()
-}
-
-func (c *Coordinator) cloneVarsLocked() map[string]*tf.Tensor {
-	out := make(map[string]*tf.Tensor, len(c.vars))
-	for name, t := range c.vars {
-		out[name] = t.Clone()
-	}
-	return out
+	return dist.CloneVars(c.vars)
 }
 
 // Stats returns a snapshot of the coordinator counters.
@@ -288,19 +280,14 @@ func (c *Coordinator) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		var resp *dist.Message
+		resp := dist.Refusal("federated", "client", greeted, id, msg)
 		switch kind := msg.Kind; {
-		case kind == dist.MsgHello && greeted && msg.Worker != id:
-			resp = &dist.Message{Kind: dist.MsgManifest,
-				Err: fmt.Sprintf("federated: this connection speaks for client %d, not %d", id, msg.Worker)}
+		case kind != dist.MsgHello && kind != dist.MsgFedPoll && kind != dist.MsgFedPush && kind != dist.MsgFedSeeds:
+			resp = &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf("federated: unknown message kind %d", kind)}
+		case resp != nil:
 		case kind == dist.MsgHello:
 			resp = c.handshake(msg)
 			id, greeted = msg.Worker, resp.OK
-		case kind != dist.MsgFedPoll && kind != dist.MsgFedPush && kind != dist.MsgFedSeeds:
-			resp = &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf("federated: unknown message kind %d", kind)}
-		case !greeted || msg.Worker != id:
-			resp = &dist.Message{Kind: dist.MsgAck,
-				Err: fmt.Sprintf("federated: message kind %d for client %d on a connection that has not said hello as it", kind, msg.Worker)}
 		case kind == dist.MsgFedPoll:
 			resp = c.poll(msg)
 		case kind == dist.MsgFedPush:
@@ -379,12 +366,12 @@ func (c *Coordinator) poll(msg *dist.Message) *dist.Message {
 	switch {
 	case c.done:
 		return &dist.Message{Kind: dist.MsgAck, Err: trainingCompleteErr}
-	case c.closing:
+	case c.uploads.Closed():
 		if dead, ok := c.owed[id]; ok && !c.revealed[id] {
 			return &dist.Message{Kind: dist.MsgFedUnmask, OK: true, Round: c.round, Clients: dead}
 		}
 		return &dist.Message{Kind: dist.MsgFedRound, OK: true, Closed: true}
-	case c.cohortSet[id] && !c.received[id]:
+	case c.uploads.Members[id] && !c.uploads.Pushed[id]:
 		return &dist.Message{
 			Kind:    dist.MsgFedRound,
 			OK:      true,
@@ -409,18 +396,17 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := msg.Worker
-	if c.done || c.closing || msg.Round != c.round {
+	switch err := c.uploads.Admit(id, msg.Round, c.round); {
+	case errors.Is(err, dist.ErrLate):
 		c.stats.Refusals++
 		return &dist.Message{
 			Kind: dist.MsgAck, Closed: true,
 			Err: fmt.Sprintf("federated: round %d closed at quorum", msg.Round),
 		}
-	}
-	if !c.cohortSet[id] {
+	case errors.Is(err, dist.ErrNotMember):
 		return &dist.Message{Kind: dist.MsgAck,
 			Err: fmt.Sprintf("federated: client %d is not in round %d's cohort", id, c.round)}
-	}
-	if c.received[id] {
+	case err != nil:
 		return &dist.Message{Kind: dist.MsgAck,
 			Err: fmt.Sprintf("federated: client %d already uploaded in round %d", id, c.round)}
 	}
@@ -456,23 +442,23 @@ func (c *Coordinator) push(msg *dist.Message) *dist.Message {
 	for i, payload := range payloads {
 		ring.Add(c.acc[i], payload, width)
 	}
-	c.received[id] = true
 	c.stats.Accepted++
 	c.stats.UplinkBytes += bytes
-	if len(c.received) >= c.cfg.Quorum {
+	if c.uploads.Push(id) {
 		c.closeRoundLocked()
 	}
 	return &dist.Message{Kind: dist.MsgAck, OK: true, Round: msg.Round}
 }
 
-// closeRoundLocked transitions a quorum-filled round towards commit:
-// via the seed-reveal phase if some survivor paired with a sampled
-// client that did not upload, directly otherwise (or if masking is off).
+// closeRoundLocked takes a quorum-filled round, which admits no more
+// uploads, towards commit: via the seed-reveal phase if some survivor
+// paired with a sampled client that did not upload, directly otherwise
+// (or if masking is off).
 func (c *Coordinator) closeRoundLocked() {
 	c.owed = make(map[uint32][]uint32)
 	for i, id := range c.cohort {
 		for j, peer := range c.cohort {
-			if !c.cfg.Unmasked && c.received[id] && !c.received[peer] && c.graph.adjacent(i, j) {
+			if !c.cfg.Unmasked && c.uploads.Pushed[id] && !c.uploads.Pushed[peer] && c.graph.adjacent(i, j) {
 				c.owed[id] = append(c.owed[id], peer)
 			}
 		}
@@ -481,7 +467,6 @@ func (c *Coordinator) closeRoundLocked() {
 		c.finalizeLocked()
 		return
 	}
-	c.closing = true
 	c.revealed = make(map[uint32]bool, len(c.owed))
 }
 
@@ -498,9 +483,9 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 		return &dist.Message{Kind: dist.MsgAck, Err: fmt.Sprintf(format, args...)}
 	}
 	switch {
-	case !c.closing || msg.Round != c.round:
+	case !c.uploads.Closed() || msg.Round != c.round:
 		return fail("federated: round %d is not collecting seed reveals", msg.Round)
-	case !c.received[id]:
+	case !c.uploads.Pushed[id]:
 		return fail("federated: client %d did not upload in round %d, nothing to reveal", id, c.round)
 	case c.owed[id] == nil:
 		return fail("federated: client %d has no dead neighbour in round %d, nothing to reveal", id, c.round)
@@ -538,7 +523,7 @@ func (c *Coordinator) seeds(msg *dist.Message) *dist.Message {
 // ring sum is decoded, averaged and applied to the globals, and the
 // next round opens (or training completes).
 func (c *Coordinator) finalizeLocked() {
-	q := float64(len(c.received))
+	q := float64(len(c.uploads.Pushed))
 	width := c.codec.width()
 	applyMasks(c.acc, width, c.unmask)
 	for n, name := range c.names {

@@ -99,6 +99,15 @@ func InitialVars(g *tf.Graph) map[string]*tf.Tensor {
 	return out
 }
 
+// CloneVars deep-copies a variable set.
+func CloneVars(vars map[string]*tf.Tensor) map[string]*tf.Tensor {
+	out := make(map[string]*tf.Tensor, len(vars))
+	for name, t := range vars {
+		out[name] = t.Clone()
+	}
+	return out
+}
+
 // ConsistencyKind selects how a parameter-server shard commits gradient
 // pushes.
 type ConsistencyKind uint8

@@ -319,6 +319,84 @@ func TestSyncShardRefusesASecondPushFromOneWorker(t *testing.T) {
 	}
 }
 
+// rawLink dials the shard at addr and, unless hello is nil, says hello
+// on the connection as worker *hello of a one-shard cluster.
+func rawLink(t *testing.T, addr string, hello *uint32) *Link {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	l := NewLink(conn, nil)
+	if hello != nil {
+		meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
+		if resp, _, err := l.RoundTrip(meter, &message{Kind: msgHello, Worker: *hello, Shards: 1}); err != nil || !resp.OK {
+			t.Fatalf("worker %d hello: %+v, %v", *hello, resp, err)
+		}
+	}
+	return l
+}
+
+// rawPush pushes a gradient of ones as worker id on l and returns the
+// shard's answer.
+func rawPush(l *Link, id uint32) (*message, error) {
+	grads := map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1), "b": tf.Fill(tf.Shape{3}, 1)}
+	resp, _, err := l.RoundTrip(sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams()), &message{Kind: msgPush, Worker: id, Vars: grads})
+	return resp, err
+}
+
+// refusedPlainly fails t unless a push's answer refuses it with a plain
+// error: not applied, and not one of the retryable refusals.
+func refusedPlainly(t *testing.T, what string, resp *message, err error) {
+	t.Helper()
+	if err != nil || resp.OK || resp.Evicted || resp.Stale || !strings.Contains(resp.Err, "said hello") {
+		t.Fatalf("%s was answered %+v, %v; want it refused", what, resp, err)
+	}
+}
+
+// TestShardRefusesAPushBeforeHello: a connection speaks only for the
+// worker its hello named, so a push on one that never said hello is
+// refused and commits no round, not even a one-worker shard's.
+func TestShardRefusesAPushBeforeHello(t *testing.T) {
+	ps, addr, _ := newTestPS(t, 1, nil)
+	resp, err := rawPush(rawLink(t, addr, nil), 0)
+	refusedPlainly(t, "a push before a hello", resp, err)
+	if n := ps.Rounds(); n != 0 {
+		t.Fatalf("Rounds() = %d after a push from a connection that never said hello", n)
+	}
+}
+
+// TestShardRefusesAPushInAnotherWorkersName: one peer with two
+// connections, both saying hello as worker 0, cannot fill a two-worker
+// barrier by pushing on the second in worker 1's name, nor by saying
+// hello again there as worker 1.
+func TestShardRefusesAPushInAnotherWorkersName(t *testing.T) {
+	ps, addr, _ := newTestPS(t, 2, nil)
+	zero := uint32(0)
+	first, second := rawLink(t, addr, &zero), rawLink(t, addr, &zero)
+	acked := make(chan *message, 1)
+	go func() { resp, _ := rawPush(first, 0); acked <- resp }()
+	resp, err := rawPush(second, 1)
+	refusedPlainly(t, "a push in another worker's name", resp, err)
+	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
+	if resp, _, err := second.RoundTrip(meter, &message{Kind: msgHello, Worker: 1, Shards: 1}); err != nil || resp.OK {
+		t.Fatalf("a second hello, as worker 1, on worker 0's connection: %+v, %v; want it refused", resp, err)
+	}
+	if n := ps.Rounds(); n != 0 {
+		t.Fatalf("Rounds() = %d: one peer filled a barrier of two", n)
+	}
+	ps.Close()
+	select {
+	case ack := <-acked:
+		if ack != nil && ack.OK {
+			t.Fatal("worker 0's push committed after the shard closed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker 0's push hung after the shard closed")
+	}
+}
+
 // TestCorruptFrameRejected checks that a frame with an absurd variable
 // count is rejected during decode instead of driving a huge allocation.
 func TestCorruptFrameRejected(t *testing.T) {

@@ -236,6 +236,13 @@ func TestCompressedPushDecodedBeforeNextRead(t *testing.T) {
 	}
 	defer conn.Close()
 	clock, params := &vtime.Clock{}, sgx.DefaultParams()
+	codec, topk := Int8Compression().Wire()
+	if _, err := Send(conn, clock, params, &message{Kind: msgHello, Shards: 1, Codec: codec, TopK: topk}); err != nil {
+		t.Fatal(err)
+	}
+	if hello, err := Receive(conn, clock, params); err != nil || !hello.OK {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
 	// Both frames are written before either answer is read.
 	for _, m := range []*message{
 		{Kind: msgPush, Grads: map[string][]byte{"w": blob}},
@@ -394,6 +401,9 @@ func TestPushThatDoesNotFitIsAnswered(t *testing.T) {
 			t.Fatal(err)
 		}
 		return resp
+	}
+	if hello := exchange(&message{Kind: msgHello, Shards: 1}); !hello.OK {
+		t.Fatalf("hello: %+v", hello)
 	}
 	bad := exchange(&message{Kind: msgPush, Vars: map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{3, 4}, 1)}})
 	if bad.OK || !strings.Contains(bad.Err, `"w"`) {

@@ -513,6 +513,21 @@ const (
 // most the buffer a Link borrows to send it or read it into.
 func FrameLen(m *Message) int { return 4 + m.size() }
 
+// Refusal is both tiers' plain answer (no retryable flag) to a frame
+// that a connection whose answered hello named id (greeted false: none
+// is) may not send, or nil: the connection speaks only for id, so a
+// hello in another name, or any other frame before a hello or in another
+// name, is refused. tier and who word the refusal.
+func Refusal(tier, who string, greeted bool, id uint32, msg *Message) *Message {
+	switch {
+	case msg.Kind == MsgHello && greeted && msg.Worker != id:
+		return &Message{Kind: MsgManifest, Err: fmt.Sprintf("%s: this connection speaks for %s %d, not %d", tier, who, id, msg.Worker)}
+	case msg.Kind != MsgHello && (!greeted || msg.Worker != id):
+		return &Message{Kind: MsgAck, Err: fmt.Sprintf("%s: message kind %d for %s %d on a connection that has not said hello as it", tier, msg.Kind, who, msg.Worker)}
+	}
+	return nil
+}
+
 // Send frames and sends m on conn (see Link.Send) from a buffer of its
 // own, which it drops.
 func Send(conn net.Conn, clock *vtime.Clock, params sgx.Params, m *Message) (int, error) {

@@ -116,17 +116,21 @@ type ParameterServer struct {
 	// over it.
 	ckpt []byte
 
-	// Per-round barrier state, reset on commit or abort (sync mode
-	// only). Contributions are staged per pusher and summed at commit
-	// in ascending worker-id order, so the float accumulation — and
+	// The barrier (sync mode): round admits the pushes, whose
+	// contributions are staged per pusher and summed at commit in
+	// ascending worker-id order, so the float accumulation — and
 	// therefore the whole trajectory — is independent of push arrival
 	// order (bit-reproducible runs, which the elasticity and
-	// checkpoint/resume tests pin). gen guards the timeout callback
+	// checkpoint/resume tests pin). round's Need is the barrier's seats
+	// (cfg.Workers, less the evicted, plus the rejoined); pending holds
+	// the evicted workers that re-ran the handshake mid-round, seated
+	// again at the round's boundary. gen guards the timeout callback
 	// against firing into a later round; in async mode it is the
 	// variable version, bumped on every applied push, and the staleness
 	// bound is measured against it.
+	round    Round
+	pending  map[uint32]bool
 	contribs []contribution
-	pushes   int
 	waiters  []*seat
 	timer    *time.Timer
 	gen      uint64
@@ -135,20 +139,7 @@ type ParameterServer struct {
 	// accounting; sync pushes record it too, it just never gates
 	// anything there).
 	steps map[uint32]uint64
-
-	// Barrier membership (sync mode only). members holds the workers
-	// currently seated at the barrier; evicted the ones declared dead on
-	// a round timeout; pending the evicted workers that re-ran the
-	// handshake and wait for the next round boundary to be folded back
-	// in. expected is the current barrier size (== cfg.Workers while
-	// nobody is evicted); pushedBy refuses a second push from one worker
-	// within one round.
-	expected int
-	members  map[uint32]bool
-	evicted  map[uint32]bool
-	pending  map[uint32]bool
-	pushedBy map[uint32]bool
-	stats    PSStats
+	stats PSStats
 
 	srv *wire.Server
 	// turns serves the frames in the order they were sent (see seat); nil
@@ -166,17 +157,19 @@ type ParameterServer struct {
 // so the charges one frame makes on the shard's clock never interleave
 // with another's.
 //
-// A connection takes a seat once its hello is answered. A seated frame
-// is served once no seat can still send an earlier one: every other
-// seat has its next frame read up to its stamp, is parked at the
+// A connection takes a seat once its hello is answered, and from then on
+// speaks only for the worker its hello named: a push before a hello, or
+// in another worker's name, is refused and counts for nothing. A seated
+// frame is served once no seat can still send an earlier one: every
+// other seat has its next frame read up to its stamp, is parked at the
 // barrier, or cannot send before this frame's arrival, since a worker
 // sends its next frame only after it has read the shard's answer to its
 // last, a round trip after that answer's stamp (served). The barrier's
 // commit answers every pusher at the commit's time, in worker order. A
-// frame from a connection without a seat — a hello, or a peer that never
-// said one — is served alone but out of order, at vtime.Anytime: the
-// shard cannot know who else may come. So the job's workers say hello
-// one after another before any of them pulls (TrainDistributed,
+// frame from a connection without a seat — a hello, or a peer's that
+// never said one — is served alone but out of order, at vtime.Anytime:
+// the shard cannot know who else may come. So the job's workers say
+// hello one after another before any of them pulls (TrainDistributed,
 // train-sync's set-up), and from then on the shard's clock, every stamp
 // it sends and every commit are a function of the frames' stamps alone.
 //
@@ -187,6 +180,7 @@ type ParameterServer struct {
 type seat struct {
 	turn   *vtime.Actor
 	seated bool
+	worker uint32     // the worker its hello named, once seated
 	answer chan error // the barrier's answer to the connection's push
 }
 
@@ -214,7 +208,7 @@ func (ps *ParameterServer) served(s *seat, sent time.Duration) {
 func (ps *ParameterServer) sit(s *seat, worker uint32) {
 	turn := ps.turns.Join(uint64(worker)<<32 | ps.seats.Add(1))
 	s.turn.Leave()
-	s.turn, s.seated = turn, true
+	s.turn, s.seated, s.worker = turn, true, worker
 }
 
 // contribution is one worker's staged gradient partition of the
@@ -242,12 +236,6 @@ type PSStats struct {
 // the Stale wire flag, so workers retry (re-pull, recompute, re-push)
 // instead of aborting.
 var errStalePush = errors.New("dist: push exceeds the staleness bound")
-
-// errEvicted rejects a push from a worker the barrier declared dead,
-// or whose round it already committed. It travels as the Evicted wire
-// flag: the worker drops the contribution, re-runs the handshake to
-// rejoin, and its next step counts again.
-var errEvicted = errors.New("dist: worker evicted from the round barrier")
 
 // NewParameterServer validates cfg, deep-copies the seed variables and
 // starts accepting worker connections.
@@ -288,14 +276,11 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 		return nil, errors.New("dist: PSConfig.CheckpointEvery requires CheckpointWrite")
 	}
 	ps := &ParameterServer{
-		cfg:      cfg,
-		vars:     make(map[string]*tf.Tensor, len(cfg.Vars)),
-		steps:    make(map[uint32]uint64),
-		expected: cfg.Workers,
-		members:  make(map[uint32]bool),
-		evicted:  make(map[uint32]bool),
-		pending:  make(map[uint32]bool),
-		pushedBy: make(map[uint32]bool, cfg.Workers),
+		cfg:     cfg,
+		vars:    make(map[string]*tf.Tensor, len(cfg.Vars)),
+		steps:   make(map[uint32]uint64),
+		round:   NewRound(cfg.Workers),
+		pending: make(map[uint32]bool),
 	}
 	if cfg.Consistency.Kind == ConsistencySync && cfg.RoundTimeout == 0 {
 		ps.turns = new(vtime.Scheduler)
@@ -337,9 +322,7 @@ func (ps *ParameterServer) resume(c *Checkpoint) error {
 			return fmt.Errorf("dist: checkpoint variable %q has shape %v, shard owns %v", name, t.Shape(), v.Shape())
 		}
 	}
-	for name, t := range c.Vars {
-		ps.vars[name] = t.Clone()
-	}
+	ps.vars = CloneVars(c.Vars)
 	ps.rounds = c.Rounds
 	ps.gen = c.Gen
 	return nil
@@ -364,7 +347,7 @@ func (ps *ParameterServer) Checkpoint() *Checkpoint {
 		Shards: ps.cfg.Shards,
 		Rounds: ps.rounds,
 		Gen:    ps.gen,
-		Vars:   ps.snapshotLocked(),
+		Vars:   CloneVars(ps.vars),
 	}
 }
 
@@ -396,15 +379,7 @@ func (ps *ParameterServer) WorkerSteps() map[int]uint64 {
 func (ps *ParameterServer) Vars() map[string]*tf.Tensor {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	return ps.snapshotLocked()
-}
-
-func (ps *ParameterServer) snapshotLocked() map[string]*tf.Tensor {
-	out := make(map[string]*tf.Tensor, len(ps.vars))
-	for name, t := range ps.vars {
-		out[name] = t.Clone()
-	}
-	return out
+	return CloneVars(ps.vars)
 }
 
 // Close stops the server: the listener and all worker connections are
@@ -417,7 +392,7 @@ func (ps *ParameterServer) Close() error {
 		return nil
 	}
 	ps.closed = true
-	if ps.pushes > 0 {
+	if len(ps.contribs) > 0 {
 		ps.finishRoundLocked(errors.New("dist: parameter server closed"))
 	}
 	ps.turns.Close()
@@ -453,6 +428,9 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 			msg, err = l.rest(ps.cfg.Meter)
 		}
 		var resp *message
+		if err == nil && (msg.Kind == msgHello || msg.Kind == msgPush) {
+			resp = Refusal("dist", "worker", s.seated, s.worker, msg)
+		}
 		switch {
 		case errors.Is(err, errVars):
 			// A push of an unknown variable or of a wrong shape is
@@ -460,6 +438,7 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 			resp = &message{Kind: msgAck, Err: err.Error()}
 		case err != nil:
 			return
+		case resp != nil:
 		case msg.Kind == msgHello:
 			resp = ps.handshake(msg)
 		case msg.Kind == msgPull:
@@ -469,7 +448,7 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 			if err := ps.push(msg, s); err != nil {
 				resp.OK = false
 				resp.Stale = errors.Is(err, errStalePush)
-				resp.Evicted = errors.Is(err, errEvicted)
+				resp.Evicted = errors.Is(err, ErrLate)
 				resp.Err = err.Error()
 			}
 		default:
@@ -535,27 +514,26 @@ func (ps *ParameterServer) handshake(msg *message) *message {
 	}
 	if resp.OK && ps.cfg.Consistency.Kind == ConsistencySync {
 		ps.mu.Lock()
-		seated := ps.members[msg.Worker] || ps.pending[msg.Worker]
-		if ps.evicted[msg.Worker] || !seated && len(ps.members) >= ps.expected {
-			// An evicted worker re-ran the handshake: this is the rejoin.
-			// So is the hello of a worker unknown to a shard whose seats
-			// are all taken: its own went in a timeout before it said
-			// hello (a shard restarted from checkpoint forgets who sat
-			// where), and it must not race the others for one of theirs.
-			// A quiescent barrier (no pushes in flight) folds it back
-			// immediately; mid-round it waits for the boundary, so the
-			// round in progress keeps the size its timeout math assumed.
-			delete(ps.evicted, msg.Worker)
-			if ps.pushes == 0 {
-				ps.members[msg.Worker] = true
-				ps.expected++
+		r := &ps.round
+		if !r.Members[msg.Worker] && !ps.pending[msg.Worker] && len(r.Members) >= r.Need {
+			// The hello of a worker without a seat, when every seat is
+			// taken, is a rejoin: an evicted worker's, or one whose seat
+			// went in a timeout before it said hello (a shard restarted
+			// from checkpoint forgets who sat where), which must not race
+			// the others for one of theirs. A quiescent barrier (no
+			// pushes in flight) folds it back immediately; mid-round it
+			// waits for the boundary, so the round in progress keeps the
+			// size its timeout math assumed.
+			if len(ps.contribs) == 0 {
+				r.Members[msg.Worker] = true
+				r.Need++
 				ps.stats.Rejoins++
 			} else {
 				ps.pending[msg.Worker] = true
 			}
 			resp.Evicted = true // acknowledge the rejoin explicitly
-		} else if !seated {
-			ps.members[msg.Worker] = true
+		} else if !ps.pending[msg.Worker] {
+			r.Members[msg.Worker] = true
 		}
 		ps.mu.Unlock()
 	}
@@ -624,36 +602,32 @@ func (ps *ParameterServer) push(msg *message, s *seat) error {
 		ps.mu.Unlock()
 		return err
 	}
-	// A push must come from a seated worker and belong to the barrier
-	// generation its parameters were pulled from. A mismatch means the
-	// worker's round went on without it while it was computing: its
-	// gradient is against stale parameters and must not seed the next
-	// round. It is answered with the retryable eviction signal: the
-	// worker drops the contribution, re-runs the handshake and counts
-	// again from its next step.
-	if ps.evicted[msg.Worker] || ps.pending[msg.Worker] || msg.Round != ps.gen {
+	// A push must come from a member of the barrier and belong to the
+	// generation its parameters were pulled from. A worker the barrier
+	// evicted, or whose round went on without it while it was computing,
+	// pushed a gradient against stale parameters that must not seed the
+	// next round: it is answered ErrLate, the retryable eviction signal,
+	// and re-runs the handshake to count again from its next step.
+	if err := ps.round.Admit(msg.Worker, msg.Round, ps.gen); err != nil {
 		ps.mu.Unlock()
+		if errors.Is(err, ErrTwice) {
+			return fmt.Errorf("dist: worker %d pushed twice into round generation %d", msg.Worker, msg.Round)
+		}
 		return fmt.Errorf("%w: worker %d pushed for round generation %d, current is %d",
-			errEvicted, msg.Worker, msg.Round, ps.gen)
-	}
-	if ps.pushedBy[msg.Worker] {
-		ps.mu.Unlock()
-		return fmt.Errorf("dist: worker %d pushed twice into round generation %d", msg.Worker, msg.Round)
+			ErrLate, msg.Worker, msg.Round, ps.gen)
 	}
 	ps.steps[msg.Worker] = msg.Step
-	ps.pushedBy[msg.Worker] = true
 	ps.contribs = append(ps.contribs, contribution{worker: msg.Worker, vars: msg.Vars})
-	ps.pushes++
 	ps.waiters = append(ps.waiters, s)
-	if ps.pushes == 1 && ps.cfg.RoundTimeout > 0 {
+	if len(ps.contribs) == 1 && ps.cfg.RoundTimeout > 0 {
 		gen := ps.gen
 		//securetf:allow nowallclock RoundTimeout is a genuinely-wall watchdog: it evicts workers that stopped making real progress
 		ps.timer = time.AfterFunc(ps.cfg.RoundTimeout, func() { ps.timeout(gen) })
 	}
-	if ps.pushes < ps.expected {
-		s.turn.Park()
-	} else {
+	if ps.round.Push(msg.Worker) {
 		ps.commitLocked()
+	} else {
+		s.turn.Park()
 	}
 	ps.mu.Unlock()
 	err := <-s.answer
@@ -701,7 +675,7 @@ func (ps *ParameterServer) pushAsyncLocked(msg *message) error {
 // full barrier, the survivor count on a shrunk one — so the update
 // magnitude always stays an average.
 func (ps *ParameterServer) commitLocked() {
-	contributors := ps.pushes
+	contributors := len(ps.contribs)
 	// lr/contributors as the pinned trajectories have it: the reciprocal
 	// rounded to float32, then its product with the rate.
 	scale := float32(ps.cfg.LR) * (float32(1) / float32(contributors))
@@ -776,21 +750,21 @@ func (ps *ParameterServer) maybeCheckpointLocked(gen uint64) error {
 func (ps *ParameterServer) timeout(gen uint64) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if gen != ps.gen || ps.pushes == 0 {
+	if gen != ps.gen || len(ps.contribs) == 0 {
 		return
 	}
-	for w := range ps.members {
-		if !ps.pushedBy[w] {
-			delete(ps.members, w)
-			ps.evicted[w] = true
+	r := &ps.round
+	for w := range r.Members {
+		if !r.Pushed[w] {
+			delete(r.Members, w)
 		}
 	}
-	// Count seats, not membership entries: a worker that died before it
-	// ever said hello holds a seat without a members entry, and its
-	// eviction must still show up in the ledger.
-	ps.stats.Evictions += ps.expected - ps.pushes
+	// Count seats, not members: a worker that died before it ever said
+	// hello holds a seat without being a member, and its eviction must
+	// still show up in the ledger.
+	ps.stats.Evictions += r.Need - len(r.Pushed)
 	ps.stats.ShrunkRounds++
-	ps.expected = ps.pushes
+	r.Need = len(r.Pushed)
 	// The survivors spent the whole detection window blocked on the
 	// dead; charge it to the shard clock so the job's latency stays
 	// honest (and deterministic — the charge is the configured timeout,
@@ -810,18 +784,17 @@ func (ps *ParameterServer) finishRoundLocked(err error) {
 	}
 	ps.waiters = nil
 	ps.contribs = nil
-	ps.pushes = 0
 	if ps.timer != nil {
 		ps.timer.Stop()
 		ps.timer = nil
 	}
 	ps.gen++
+	clear(ps.round.Pushed)
 	// Round boundary: fold rejoined workers back into the barrier.
 	for w := range ps.pending {
 		delete(ps.pending, w)
-		ps.members[w] = true
-		ps.expected++
+		ps.round.Members[w] = true
+		ps.round.Need++
 		ps.stats.Rejoins++
 	}
-	clear(ps.pushedBy)
 }

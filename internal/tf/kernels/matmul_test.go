@@ -47,9 +47,9 @@ func (s gemmShape) strides() strides {
 // gemmShapes: the fully connected layers whole; the convolutions as the
 // strided calls they make — a forward line's windows (a, Stride·C apart)
 // against one filter row, a filter gradient's transposed image gradient
-// against that image's windows (b) into one column block of the
-// transposed filter (c, K apart) — and the input gradient one dense dcol
-// tile at a time.
+// against that image's windows (b, Stride·KH·C apart, overlapping) into
+// the whole transposed filter (c, K apart) — and the input gradient one
+// dense dcol tile at a time.
 var gemmShapes = []gemmShape{
 	{"serve-steady/m1_k2048_n2048", 1, 2048, 2048, nil, 0.2},
 	{"serve-fleet/m8_k784_n128", 8, 784, 128, nil, 0.2},
@@ -59,8 +59,8 @@ var gemmShapes = []gemmShape{
 	{"train-sync/fc1_grad_x_m50_k512_n784", 50, 512, 784, nil, 0.5},
 	{"train-sync/conv1_line_m28_k5_n8_lda1", 28, 5, 8, &strides{1, 8, 8}, 0.75},
 	{"train-sync/conv2_line_m14_k40_n16_lda8", 14, 40, 16, &strides{8, 16, 16}, 0.1},
-	{"train-sync/conv1_grad_filter_m8_k892_n5_ldb1_ldc25", 8, 892, 5, &strides{892, 1, 25}, 0.8},
-	{"train-sync/conv2_grad_filter_m16_k248_n40_ldb8_ldc200", 16, 248, 40, &strides{248, 8, 200}, 0.8},
+	{"train-sync/conv1_grad_filter_m8_k892_n25_ldb5", 8, 892, 25, &strides{892, 5, 25}, 0.8},
+	{"train-sync/conv2_grad_filter_m16_k248_n200_ldb40", 16, 248, 200, &strides{248, 40, 200}, 0.8},
 	{"train-sync/conv2_grad_input_tile_m81_k16_n200", 81, 16, 200, nil, 0.8},
 }
 

@@ -25,6 +25,10 @@ func TestSlicedHostReads(t *testing.T) {
 	}{
 		{securetf.SconeHW, true, "item 0"},
 		{securetf.SconeSIM, false, ""},
+		// No page is counted in SIM, yet with TLS the shard's system
+		// calls and the split of a step between Pull and Push still move:
+		// a cause of TLS's own, beside item 0's two.
+		{securetf.SconeSIM, true, "the TLS cause of item 38(a)"},
 	} {
 		var whole []counter
 		for seed := range uint64(3) {
