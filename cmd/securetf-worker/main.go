@@ -80,8 +80,8 @@
 // replays a deterministic fault schedule against the cluster
 // (kill:w1@r2+rejoin1, stall:w0@r3, delay:w2@r1+40ms, restart:ps0@r2,
 // semicolon-separated); kill and stall faults give every shard a 2 s
-// round timeout, which evicts the dead, so the round barrier shrinks to
-// the survivors.
+// round timeout, in virtual time, whose deadline evicts the dead, so the
+// round barrier shrinks to the survivors, and the run repeats.
 //
 // federated runs the paper's §6.2 federated-learning deployment
 // in-process: an aggregator enclave running FedAvg quorum rounds over
@@ -661,8 +661,9 @@ func trainCommand(fs *flag.FlagSet) func(io.Writer) error {
 				return fmt.Errorf("-chaos-plan: %w", err)
 			}
 			if cfg.Chaos.HasKind(securetf.FaultKillWorker) || cfg.Chaos.HasKind(securetf.FaultStallWorker) {
-				// Dead and stalled workers are detected by the round timeout, so
-				// the wall-clock wait per shrunk round is exactly this budget.
+				// Dead and stalled workers are evicted at the round's deadline,
+				// so each shrunk round costs this much virtual time and no
+				// wall time.
 				cfg.RoundTimeout = 2 * time.Second
 			}
 		}

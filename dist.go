@@ -69,14 +69,19 @@ func TopKGradCompression(f float64) GradCompression { return dist.TopKCompressio
 // PSOption tunes a parameter server.
 type PSOption func(*dist.PSConfig)
 
-// WithRoundTimeout bounds how long a synchronous round may stay
-// incomplete after its first gradient push (the elasticity of §3.2).
-// When it expires, the workers that never pushed are evicted as dead,
-// the barrier shrinks to the survivors and the round commits from the
-// gradients it has, averaged over the contributors; an evicted worker
-// is folded back in at the next round boundary after it says hello
-// again. Without one a shard waits for every worker and serves their
-// frames in the order they were sent. An asynchronous shard refuses one.
+// WithRoundTimeout bounds how long, in virtual time, a synchronous round
+// may stay incomplete after its first gradient push arrives (the
+// elasticity of §3.2). At that deadline the workers that never pushed
+// are evicted as dead, the barrier shrinks to the survivors and the
+// round commits from the gradients it has, averaged over the
+// contributors; an evicted worker is folded back in at the next round
+// boundary after it says hello again. Either way a shard serves its
+// workers' frames in the order they were sent, so who is evicted, and
+// every virtual time, repeat from run to run. A worker that stays
+// connected and sends nothing holds every later turn back, the
+// deadline's too; once a turn has waited a minute of wall time behind
+// it, the shard closes its connection. An asynchronous shard refuses
+// one.
 func WithRoundTimeout(d time.Duration) PSOption {
 	return func(cfg *dist.PSConfig) { cfg.RoundTimeout = d }
 }
@@ -254,10 +259,6 @@ type WorkerSpec struct {
 	// started against a resumed cluster walks the same minibatch
 	// schedule an uninterrupted run would.
 	StartStep int
-	// Reconnect, when positive, lets a failed shard exchange redial and
-	// retry once within this wall-clock window — the client half of a
-	// parameter-server shard restarting from checkpoint.
-	Reconnect time.Duration
 }
 
 // StartTrainingWorker connects a worker inside a container to a
@@ -284,7 +285,6 @@ func StartTrainingWorker(c *Container, spec WorkerSpec) (*TrainingWorker, error)
 		Consistency: spec.Consistency,
 		Compression: spec.Compression,
 		StartStep:   spec.StartStep,
-		Reconnect:   spec.Reconnect,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("securetf: start training worker %d: %w", spec.ID, err)
@@ -330,12 +330,12 @@ type DistTrainConfig struct {
 	NewModel func() Model
 	// ShardData returns worker w's private training shard.
 	ShardData func(worker int) (xs, ys *Tensor, err error)
-	// RoundTimeout, when positive, is how long every shard's round may
-	// wait on a straggler: when it expires the stragglers are evicted
-	// and the round commits from the survivors (see WithRoundTimeout).
-	// Zero waits for every worker, and the job's virtual times repeat
-	// from run to run. A worker that fails aborts the job either way.
-	// Requires a synchronous cluster.
+	// RoundTimeout, when positive, is how long, in virtual time, every
+	// shard's round may wait on a straggler: at the deadline the
+	// stragglers are evicted and the round commits from the survivors
+	// (see WithRoundTimeout). Zero waits for every worker. The job's
+	// virtual times repeat from run to run either way, and a worker that
+	// fails aborts the job. Requires a synchronous cluster.
 	RoundTimeout time.Duration
 	// Consistency selects the commit policy of every parameter-server
 	// shard (default SyncConsistency — bit-for-bit today's synchronous
@@ -363,11 +363,11 @@ type DistTrainConfig struct {
 	Resume bool
 	// Chaos replays a deterministic fault plan against the job: workers
 	// are killed, stalled or delayed and shards restarted from
-	// checkpoint at the scheduled rounds, with hang detection on every
-	// wait. Kill and stall faults require RoundTimeout > 0, which
-	// detects the dead; restart faults require Checkpoint.Every > 0.
-	// Training runs the rounds in lockstep waves so the schedule — and
-	// therefore the trajectory — is reproducible.
+	// checkpoint at the scheduled rounds. Kill and stall faults require
+	// RoundTimeout > 0, whose deadline evicts the dead; restart faults
+	// require Checkpoint.Every > 0. Training runs the rounds in lockstep
+	// waves, so the schedule, the trajectory and every virtual time
+	// repeat from run to run.
 	Chaos *FaultPlan
 }
 
@@ -473,15 +473,35 @@ func (j *distJob) run() (_ *DistTrainResult, err error) {
 			return nil, err
 		}
 	}
-	if j.cfg.Chaos != nil {
+	if err = j.startWorkers(); err == nil && j.cfg.Chaos != nil {
 		err = j.runWaves()
-	} else {
+	} else if err == nil {
 		err = j.runFree()
+	}
+	for _, worker := range j.workers {
+		if worker != nil {
+			worker.Close()
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	return j.result()
+}
+
+// startWorkers connects the workers one after another, in id order, so
+// each shard has seated all of them before the first pull.
+func (j *distJob) startWorkers() error {
+	for w := range j.workers {
+		var err error
+		if j.xs[w], j.ys[w], err = j.cfg.ShardData(w); err != nil {
+			return err
+		}
+		if j.workers[w], err = j.startWorker(w, j.startRounds); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // distJob is one TrainDistributed run: the validated config and the
@@ -763,9 +783,6 @@ func (j *distJob) startWorker(w, startStep int) (*TrainingWorker, error) {
 		Compression: j.cfg.Compression,
 		StartStep:   startStep,
 	}
-	if j.cfg.Chaos != nil && j.cfg.Chaos.HasKind(FaultRestartShard) {
-		spec.Reconnect = chaosReconnect
-	}
 	return StartTrainingWorker(j.workerNodes[w], spec)
 }
 
@@ -805,28 +822,10 @@ func (j *distJob) close() {
 }
 
 // runFree trains every worker concurrently, each stepping through its
-// rounds as fast as the shards' barriers let it. The workers connect
-// one after another, in id order, as runWaves connects them, so each
-// shard has seated all of them before the first pull, and serves their
-// rounds in the order their frames were sent (the seats of dist's
+// rounds as fast as the shards' barriers let it; each shard serves
+// their rounds in the order their frames were sent (the seats of dist's
 // ps.go, which take turns on a vtime.Scheduler).
 func (j *distJob) runFree() error {
-	defer func() {
-		for _, worker := range j.workers {
-			if worker != nil {
-				worker.Close()
-			}
-		}
-	}()
-	for w := range j.workers {
-		var err error
-		if j.xs[w], j.ys[w], err = j.cfg.ShardData(w); err != nil {
-			return err
-		}
-		if j.workers[w], err = j.startWorker(w, j.startRounds); err != nil {
-			return err
-		}
-	}
 	errs := make([]error, j.cfg.Workers)
 	var wg sync.WaitGroup
 	for w, worker := range j.workers {

@@ -9,18 +9,9 @@ import (
 	"github.com/securetf/securetf/internal/tf/dist"
 )
 
-// chaosWaveTimeout is the wall-clock hang guard on every chaos wait: a
-// wave that never finishes or a round the shards never commit fails the
-// run explicitly instead of hanging the test suite.
-const chaosWaveTimeout = 60 * time.Second
-
-// chaosReconnect is the redial window workers get when the fault plan
-// restarts parameter-server shards mid-job.
-const chaosReconnect = 5 * time.Second
-
-// retire kills worker w: its connections close (the elastic barrier
-// evicts it on the next round timeout) and the instance moves to the
-// retired list for final accounting.
+// retire kills worker w: its connections close (the next round's
+// deadline evicts it) and the instance moves to the retired list for
+// final accounting.
 func (j *distJob) retire(w int) {
 	if j.workers[w] == nil {
 		return
@@ -37,7 +28,9 @@ func (j *distJob) retire(w int) {
 // recorded. The cluster sits at `round` committed rounds, which must
 // be exactly what the checkpoint recorded — restarts land only on
 // checkpoint boundaries, so the resumed trajectory is bit-identical.
-// Workers redial lazily through their Reconnect window.
+// Every live worker then takes its seat again, in id order, before the
+// next wave: a hello that came lazily, inside a wave, would arrive after
+// the others' pushes, perhaps after their round's deadline.
 func (j *distJob) restartShard(s, round int) error {
 	j.shards[s].Close()
 	base := j.shards[s].Stats()
@@ -63,60 +56,25 @@ func (j *distJob) restartShard(s, round int) error {
 		return fmt.Errorf("securetf: restart shard %d: %w", s, err)
 	}
 	j.shards[s] = ps
-	return nil
-}
-
-// waitCommitted polls until every shard has committed n rounds, with
-// the wall-clock hang guard — the "zero hangs" assertion every chaos
-// wait runs under.
-func (j *distJob) waitCommitted(n int) error {
-	//securetf:allow nowallclock the chaos hang guard is wall by definition: a hang is a real bug, nothing virtual advances
-	deadline := time.Now().Add(chaosWaveTimeout)
-	for {
-		ok := true
-		for _, ps := range j.shards {
-			if ps.Rounds() < n {
-				ok = false
-				break
-			}
+	for w, worker := range j.workers {
+		if worker == nil {
+			continue
 		}
-		if ok {
-			return nil
+		if err := worker.Redial(s); err != nil {
+			return fmt.Errorf("securetf: restart shard %d: worker %d: %w", s, w, err)
 		}
-		//securetf:allow nowallclock wall deadline check for the hang guard above
-		if time.Now().After(deadline) {
-			return fmt.Errorf("securetf: chaos run stuck: shards never committed round %d", n)
-		}
-		//securetf:allow nowallclock real poll interval while waiting on real goroutines
-		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
 // runWaves trains under the job's fault plan: the rounds run in lockstep
 // waves, and kills, rejoins and shard restarts land between waves — on a
 // quiescent cluster — so the same plan against the same seed always
-// produces the same trajectory.
+// produces the same trajectory. A wave ends when its steps return, and
+// a synchronous step returns only once every shard has committed its
+// round.
 func (j *distJob) runWaves() error {
 	cfg, plan := j.cfg, j.cfg.Chaos
-	defer func() {
-		for _, worker := range j.workers {
-			if worker != nil {
-				worker.Close()
-			}
-		}
-	}()
-	alive := make([]bool, cfg.Workers)
-	for w := range j.workers {
-		var err error
-		if j.xs[w], j.ys[w], err = cfg.ShardData(w); err != nil {
-			return err
-		}
-		if j.workers[w], err = j.startWorker(w, j.startRounds); err != nil {
-			return err
-		}
-		alive[w] = true
-	}
-
 	type rejoin struct{ worker, at int }
 	var rejoins []rejoin
 	for round := j.startRounds; round < cfg.Rounds; round++ {
@@ -142,26 +100,23 @@ func (j *distJob) runWaves() error {
 				return fmt.Errorf("securetf: rejoin worker %d at round %d: %w", rj.worker, round, err)
 			}
 			j.workers[rj.worker] = worker
-			alive[rj.worker] = true
 		}
 		rejoins = kept
 		// Kills land before the round's step: the worker simply never
-		// pushes, and the elastic barrier evicts it on the timeout.
-		stall := make(map[int]bool)
+		// pushes, and the round's deadline evicts it. A stalled worker's
+		// clock moves past the deadline between its compute and its push,
+		// a delayed one's before its step (Validate aims both at the live).
+		stall := make(map[int]time.Duration)
 		delay := make(map[int]time.Duration)
 		for _, f := range plan.FaultsAt(round) {
 			switch f.Kind {
 			case dist.FaultKillWorker:
-				if !alive[f.Worker] {
-					continue
-				}
 				j.retire(f.Worker)
-				alive[f.Worker] = false
 				if f.Rejoin > 0 {
 					rejoins = append(rejoins, rejoin{f.Worker, round + f.Rejoin})
 				}
 			case dist.FaultStallWorker:
-				stall[f.Worker] = true
+				stall[f.Worker] = 2 * cfg.RoundTimeout
 			case dist.FaultDelayPush:
 				delay[f.Worker] += f.Delay
 			}
@@ -171,54 +126,35 @@ func (j *distJob) runWaves() error {
 		errs := make([]error, cfg.Workers)
 		var wg sync.WaitGroup
 		for w := range j.workers {
-			if !alive[w] {
+			if j.workers[w] == nil {
 				continue
 			}
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// A slow worker: the extra virtual time stretches the
-				// round for everyone blocked on the barrier.
-				j.workerNodes[w].Clock().Advance(delay[w])
-				if errs[w] = j.waveStep(j.workers[w], round, stall[w]); errs[w] == nil {
-					j.losses[w] = append(j.losses[w], j.workers[w].LastLoss)
+				if errs[w] = j.waveStep(w, delay[w], stall[w]); errs[w] != nil {
+					j.abort()
+					return
 				}
+				j.losses[w] = append(j.losses[w], j.workers[w].LastLoss)
 			}(w)
 		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		//securetf:allow nowallclock wall watchdog on a real goroutine wave; all virtual clocks are parked if this fires
-		case <-time.After(chaosWaveTimeout):
-			j.abort()
-			<-done
-			return fmt.Errorf("securetf: chaos run stuck: round %d wave never finished", round)
-		}
+		wg.Wait()
 		if err := errors.Join(errs...); err != nil {
-			j.abort()
-			return err
-		}
-		if err := j.waitCommitted(round + 1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// waveStep is one worker's share of a wave. A stalled worker is the
-// classic straggler: it computes, then holds the push until the shards
-// have committed the round without it. The late push bounces off the
-// moved-on barrier (eviction) and the worker rejoins in place.
-func (j *distJob) waveStep(worker *TrainingWorker, round int, stall bool) error {
-	if !stall {
-		return worker.Step()
-	}
+// waveStep is worker w's share of a wave: its clock moves on by delay
+// before the step and by stall between its compute and its push.
+func (j *distJob) waveStep(w int, delay, stall time.Duration) error {
+	clock, worker := j.workerNodes[w].Clock(), j.workers[w]
+	clock.Advance(delay)
 	if err := worker.BeginStep(); err != nil {
 		return err
 	}
-	if err := j.waitCommitted(round + 1); err != nil {
-		return err
-	}
+	clock.Advance(stall)
 	return worker.FinishStep()
 }

@@ -2,6 +2,8 @@ package securetf_test
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -330,5 +332,78 @@ func TestDistRestartRefusesRolledBackSnapshot(t *testing.T) {
 	}
 	if !errors.Is(err, fsshield.ErrRolledBack) {
 		t.Fatalf("restart from a rolled-back snapshot: got %v, want %v", err, fsshield.ErrRolledBack)
+	}
+}
+
+// TestDistChaosReplays: a fault plan is replayed on virtual time, so a
+// chaos run repeats. TestDistChurnElastic's kills, with a stall (its
+// push lands past the round's deadline) and a delay past the deadline
+// added, run twice: the elastic counters agree, the losses and final
+// variables are the same to the bit, and the Latencies lie within
+// replayTolerance. With the plan's shard restart, which needs
+// checkpoints, the Latencies are only logged: the checkpointing shards'
+// snapshot audits at the job's one CAS are served in the order the host
+// delivers them (ROADMAP item 0).
+func TestDistChaosReplays(t *testing.T) {
+	const workers, shards, rounds, batch = 4, 2, 6, 20
+	plan := securetf.RandomFaultPlan(1, workers, rounds)
+	kills := len(plan.Faults)
+	plan.Faults = append(plan.Faults,
+		securetf.Fault{Kind: securetf.FaultStallWorker, Worker: 1, Step: 2},
+		securetf.Fault{Kind: securetf.FaultDelayPush, Worker: 2, Step: 5, Delay: 3 * time.Second},
+	)
+	restart := &securetf.FaultPlan{Faults: append(slices.Clone(plan.Faults),
+		securetf.Fault{Kind: securetf.FaultRestartShard, Shard: 1, Step: 4})}
+	run := func(plan *securetf.FaultPlan, every int) *securetf.DistTrainResult {
+		t.Helper()
+		res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
+			Kind:      securetf.SconeSIM,
+			Workers:   workers,
+			PSShards:  shards,
+			Rounds:    rounds,
+			BatchSize: batch,
+			LR:        0.05,
+			NewModel:  func() securetf.Model { return securetf.NewMNISTMLP(3) },
+			ShardData: func(w int) (*securetf.Tensor, *securetf.Tensor, error) {
+				return mlpShard(w, rounds, batch)
+			},
+			RoundTimeout: time.Second,
+			Checkpoint:   securetf.DistCheckpointConfig{Every: every},
+			Chaos:        plan,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", plan, err)
+		}
+		return res
+	}
+	counters := func(r *securetf.DistTrainResult) [5]int {
+		return [5]int{r.Rounds, r.Evictions, r.Rejoins, r.ShrunkRounds, r.DroppedPushes}
+	}
+	for _, c := range []struct {
+		plan  *securetf.FaultPlan
+		every int
+	}{{plan, 0}, {restart, 2}} {
+		a, b := run(c.plan, c.every), run(c.plan, c.every)
+		if a.Rounds != rounds || a.Evictions < kills+2 || a.DroppedPushes == 0 {
+			t.Fatalf("%v: rounds %d, evictions %d, dropped pushes %d: want %d rounds, and the %d kills, the stall and the delay evicted",
+				c.plan, a.Rounds, a.Evictions, a.DroppedPushes, rounds, kills)
+		}
+		if counters(a) != counters(b) {
+			t.Errorf("%v: rounds, evictions, rejoins, shrunk rounds, dropped pushes %v, then %v", c.plan, counters(a), counters(b))
+		}
+		for w := range a.Losses {
+			if !slices.EqualFunc(a.Losses[w], b.Losses[w], func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Errorf("%v: worker %d's losses %v, then %v", c.plan, w, a.Losses[w], b.Losses[w])
+			}
+		}
+		for name, v := range a.FinalVars {
+			if got, ok := b.FinalVars[name]; !ok || !tensorsEqual(got, v) {
+				t.Errorf("%v: final variable %q differs between the runs", c.plan, name)
+			}
+		}
+		if d := a.Latency - b.Latency; c.every == 0 && (d > replayTolerance || d < -replayTolerance) {
+			t.Errorf("%v: Latency %v, then %v: more than %v apart", c.plan, a.Latency, b.Latency, replayTolerance)
+		}
+		t.Logf("%v: counters %v, Latency %v, then %v", c.plan, counters(a), a.Latency, b.Latency)
 	}
 }

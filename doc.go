@@ -195,15 +195,15 @@
 // Workers report their per-phase virtual time (pull / compute / push) in
 // TrainingWorker.LastBreakdown; the push stamp is taken only after the
 // last parameter-server ack has been read, so the breakdown carries the
-// full wire + barrier cost. A synchronous shard without a round timeout
-// serves its workers' frames in the order they were sent in virtual
-// time, not in the order the host delivers them (its connections take
-// turns on internal/vtime's Scheduler, which orders the federated
-// clients too), and TrainDistributed connects its workers one after
-// another before any round, so a job's virtual times repeat from run to
-// run, up to the receive-side charges of each frame's first bytes. A
-// shard with a round timeout waits on the wall clock, and it and an
-// asynchronous one serve frames as they come. A job needs no timeout
+// full wire + barrier cost. A synchronous shard serves its workers'
+// frames in the order they were sent in virtual time, not in the order
+// the host delivers them (its connections take turns on internal/vtime's
+// Scheduler, which orders the federated clients too), and
+// TrainDistributed connects its workers one after another before any
+// round, so a job's virtual times repeat from run to run, up to the
+// receive-side charges of each frame's first bytes. A round timeout is
+// virtual too: the round's deadline is one more turn on that Scheduler.
+// An asynchronous shard serves frames as they come. A job needs no timeout
 // to survive a failed worker: TrainDistributed aborts the whole job on
 // any worker's error. The paper's own §5.4 numbers come off this
 // API: internal/experiments regenerates Figures 8 and 9 (and the
@@ -338,17 +338,24 @@
 // latency gap — a wire-bytes story in §5.4 — shrinks with the codec.
 //
 // The synchronous barrier survives churn (§3.2's elasticity, the
-// public-cloud half of the paper's deployment story). When a shard's
-// RoundTimeout expires — WithRoundTimeout, or DistTrainConfig.RoundTimeout
-// on the facade — the workers that never pushed are declared dead and
+// public-cloud half of the paper's deployment story). At a round's
+// deadline, its first push's arrival plus the shard's RoundTimeout in
+// virtual time (WithRoundTimeout, or DistTrainConfig.RoundTimeout on the
+// facade), the workers that never pushed are declared dead and
 // evicted, the barrier shrinks to the survivors, and the round commits
 // from the gradients it has, averaged over the actual contributors so
 // the update magnitude stays an average (a timed-out round nobody
-// pushed into has nothing to commit). Every synchronous shard seats
+// pushed into has nothing to commit). The deadline takes its turn once
+// every frame stamped as early has been served, so who is evicted
+// repeats from run to run; a worker that stays connected and sends
+// nothing holds it back, and once a turn has waited a minute of wall
+// time behind such a worker, the hang guard, the shard closes its
+// connection. Every synchronous shard seats
 // each worker once and takes one push from it a round, with or without
 // a timeout, and a connection speaks only for the worker its hello
-// named: a push before a hello, or in another worker's name, is
-// refused. The shard's barrier and the federated coordinator's quorum
+// named: a push before a hello, in another worker's name, or a hello
+// naming a worker id at or past the shard's worker count, is refused.
+// The shard's barrier and the federated coordinator's quorum
 // admit pushes by one set of rules (internal/tf/dist's Round); they
 // differ only in when a round closes. An evicted worker rejoins by
 // re-running the same hello/manifest handshake that admitted it,
@@ -388,7 +395,10 @@
 // "kill:w2@r1+rejoin2;restart:ps0@r2" grammar, or RandomFaultPlan's
 // seeded churn schedules) handed to DistTrainConfig.Chaos — or
 // securetf-worker train -chaos-plan — kills, stalls, delays and
-// restarts at the scheduled rounds, and the Figure9Elastic experiment
+// restarts at the scheduled rounds, on virtual time: a stall moves the
+// worker's clock past the round's deadline, a restarted shard seats
+// every live worker again (TrainingWorker.Redial) before the next
+// round, and a run repeats from its seed. The Figure9Elastic experiment
 // gates the payoff in CI: killing 1 of 4 workers mid-job costs less than
 // that worker's share of round throughput (BenchmarkDistElastic's
 // survivor-throughput floor).

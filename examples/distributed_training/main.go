@@ -53,9 +53,9 @@ func run() error {
 	// attests to it and receives its TLS identity, so every parameter
 	// connection runs through the network shield. The job sets no
 	// RoundTimeout: if a worker fails, TrainDistributed aborts the whole
-	// job with its error, so the survivors never hang on its barrier, and
-	// without one each shard serves frames in the order they were sent,
-	// so the latency below repeats from run to run.
+	// job with its error, so the survivors never hang on its barrier. Each
+	// shard serves frames in the order they were sent, so the latency
+	// below repeats from run to run.
 	res, err := securetf.TrainDistributed(securetf.DistTrainConfig{
 		Kind:      securetf.SconeHW,
 		TLS:       true,
@@ -141,8 +141,10 @@ func run() error {
 	// A deterministic fault plan kills worker 2 before round 1 (it
 	// rejoins a round later via the same manifest handshake that
 	// admitted it) and restarts PS shard 0 from its round-2 checkpoint.
-	// The 2 s round timeout evicts the dead worker: the barrier shrinks
-	// to the survivors and commits the round from the gradients it has;
+	// The 2 s round timeout, in virtual time, evicts the dead worker at
+	// the round's deadline, with no wall wait and the same result on
+	// every run: the barrier shrinks to the survivors and commits the
+	// round from the gradients it has;
 	// the restarted shard resumes from the STFD1 snapshot the
 	// file-system shield encrypted two rounds earlier. Every round still
 	// commits.

@@ -8,12 +8,10 @@ import (
 	"github.com/securetf/securetf"
 )
 
-// fig9Timeout is the elastic barrier's detection window: how long a
-// round may stay incomplete before the missing workers are declared
-// dead. It is charged to the shard clock when it fires, so it is also
-// the virtual-time price of each eviction. It must comfortably exceed
-// the wall-clock push skew of live workers (tens of milliseconds) so
-// no one is evicted by scheduling jitter.
+// fig9Timeout is the elastic barrier's detection window: how long, in
+// virtual time, a round may stay incomplete after its first push before
+// the missing workers are declared dead. The round commits at that
+// deadline, so it is also the virtual-time price of each eviction.
 const fig9Timeout = time.Second
 
 // Fig9Row is one scenario of the elasticity experiment (§3.2): the
@@ -28,7 +26,8 @@ type Fig9Row struct {
 	Rounds   int // rounds committed by every shard
 	// Latency is the end-to-end virtual time, the maximum over every
 	// node clock; in the kill scenario it includes the detection
-	// timeout the survivors wait out.
+	// timeout the survivors wait out. Both scenarios repeat it from run
+	// to run.
 	Latency time.Duration
 	// Evictions/Rejoins/ShrunkRounds are the elastic counters, the
 	// maximum over shards (every shard observes the same dead workers).

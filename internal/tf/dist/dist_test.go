@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,13 +210,23 @@ func TestStragglerBlocks(t *testing.T) {
 	}
 }
 
+// shortHangGuard shortens the hang guard for the shards the test starts
+// after it, and puts it back once they have closed.
+func shortHangGuard(t *testing.T) {
+	old := hangGuard
+	hangGuard = 50 * time.Millisecond
+	t.Cleanup(func() { hangGuard = old })
+}
+
 // TestRoundTimeoutEvictsAnIdleWorker checks §3.2 elasticity: when a
-// worker of the round never pushes, RoundTimeout evicts it and the
-// round commits from the push it has, so the blocked worker's step
-// succeeds instead of hanging, and the survivor's wait is charged to the
-// shard's clock.
+// worker of the round says hello and then sends nothing, staying
+// connected, the hang guard closes its connection and the round's
+// deadline evicts it; the round commits from the push it has, so the
+// blocked worker's step succeeds instead of hanging, and the survivor's
+// wait is charged to the shard's clock.
 func TestRoundTimeoutEvictsAnIdleWorker(t *testing.T) {
 	const timeout = 150 * time.Millisecond
+	shortHangGuard(t)
 	ps, addr, clock := newTestPS(t, 2, func(cfg *PSConfig) {
 		cfg.RoundTimeout = timeout
 	})
@@ -255,14 +267,14 @@ func TestLateStragglerRejected(t *testing.T) {
 	w1, _ := newTestWorker(t, 1, addr)
 
 	// w1 pulls (learning the current round generation) but stalls
-	// before pushing; w0 runs a full step, and the timeout commits it.
+	// before pushing, past the round's deadline; w0 runs a full step, and
+	// the deadline commits it.
+	stepped := make(chan error, 1)
+	go func() { stepped <- w0.Step() }()
 	if err := w1.pull(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w0.Step(); err != nil {
-		t.Fatalf("w0 step with an absent straggler: %v", err)
-	}
-	committed := ps.Vars()
+	w1.cfg.Meter.Clock().Advance(time.Second)
 
 	// w1 finally computes and pushes its stale-round gradient: it must
 	// be dropped, not applied and not held as the seed of a fresh round.
@@ -273,6 +285,10 @@ func TestLateStragglerRejected(t *testing.T) {
 	if _, err := w1.pushGrads(grads); err != nil {
 		t.Fatalf("stale push: %v, want it answered Evicted", err)
 	}
+	if err := <-stepped; err != nil {
+		t.Fatalf("w0 step with a late straggler: %v", err)
+	}
+	committed := ps.Vars()
 	if got := w1.DroppedPushes(); got != 1 {
 		t.Fatalf("DroppedPushes = %d, want 1", got)
 	}
@@ -505,5 +521,139 @@ func TestLossDecreases(t *testing.T) {
 	}
 	if w.LastLoss >= first {
 		t.Fatalf("loss did not decrease: first %v, last %v", first, w.LastLoss)
+	}
+}
+
+// TestRoundDeadlineIsVirtual: a round's deadline is a turn at the first
+// push's arrival plus the round timeout, not a wall wait. With an hour's
+// timeout, one push and the other worker's connection closing, the
+// round commits at once, evicting one seat, with the shard clock at
+// exactly that push's arrival plus the hour.
+func TestRoundDeadlineIsVirtual(t *testing.T) {
+	var committedAt atomic.Int64
+	ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) {
+		cfg.RoundTimeout = time.Hour
+		clock := cfg.Meter.Clock()
+		cfg.CheckpointEvery = 1
+		cfg.CheckpointWrite = func([]byte) error { committedAt.Store(int64(clock.Now())); return nil }
+	})
+	zero, one := uint32(0), uint32(1)
+	pusher, dead := rawLink(t, addr, &zero), rawLink(t, addr, &one)
+	pushClock := &vtime.Clock{}
+	pushClock.Advance(time.Second) // past every stamp the hellos left
+	grads := map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1), "b": tf.Fill(tf.Shape{3}, 1)}
+	acked := make(chan *message, 1)
+	go func() {
+		resp, _, _ := pusher.RoundTrip(sgx.NewMeter(pushClock, sgx.DefaultParams()), &message{Kind: msgPush, Worker: 0, Vars: grads})
+		acked <- resp
+	}()
+	dead.Close()
+	select {
+	case ack := <-acked:
+		if ack == nil || !ack.OK {
+			t.Fatalf("the survivor's push: %+v", ack)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round waited on the wall clock")
+	}
+	if st := ps.Stats(); ps.Rounds() != 1 || st != (PSStats{Evictions: 1, ShrunkRounds: 1}) {
+		t.Fatalf("rounds %d, stats %+v: want one round shrunk by one eviction", ps.Rounds(), st)
+	}
+	if want := sgx.NewMeter(pushClock, sgx.DefaultParams()).Arrival(pusher.sent) + time.Hour; time.Duration(committedAt.Load()) != want {
+		t.Fatalf("committed at %v, want the push's arrival plus the timeout, %v", time.Duration(committedAt.Load()), want)
+	}
+}
+
+// TestEvictedSilentWorkerCannotHoldTheShard: a straggler evicted by the
+// deadline takes the place just after it until its hello, whether its
+// push landed past the deadline or it pulled just before the deadline
+// and went idle past it. If it then stays connected and sends nothing,
+// it holds every later turn back; the hang guard closes its connection,
+// and the survivor's next pull and push go on.
+func TestEvictedSilentWorkerCannotHoldTheShard(t *testing.T) {
+	grads := func() map[string]*tf.Tensor {
+		return map[string]*tf.Tensor{"w": tf.Fill(tf.Shape{4, 3}, 1), "b": tf.Fill(tf.Shape{3}, 1)}
+	}
+	meter := func(at time.Duration) sgx.Meter {
+		c := &vtime.Clock{}
+		c.Advance(at)
+		return sgx.NewMeter(c, sgx.DefaultParams())
+	}
+	for _, latePush := range []bool{true, false} {
+		t.Run(map[bool]string{true: "late push", false: "late pull"}[latePush], func(t *testing.T) {
+			shortHangGuard(t)
+			ps, addr, _ := newTestPS(t, 2, func(cfg *PSConfig) { cfg.RoundTimeout = time.Hour })
+			zero, one := uint32(0), uint32(1)
+			survivor, straggler := rawLink(t, addr, &zero), rawLink(t, addr, &one)
+			m := meter(time.Second)
+			if _, err := survivor.Send(m, &message{Kind: msgPush, Worker: 0, Vars: grads()}); err != nil {
+				t.Fatal(err)
+			}
+			if latePush {
+				resp, _, err := straggler.RoundTrip(meter(3*time.Hour), &message{Kind: msgPush, Worker: 1, Vars: grads()})
+				if err != nil || !resp.Evicted {
+					t.Fatalf("the straggler's push past the deadline: %+v, %v; want it answered Evicted", resp, err)
+				}
+			} else {
+				// Served a round trip before the deadline: the straggler is
+				// idle past it when the deadline evicts it.
+				due := m.Arrival(survivor.sent) + time.Hour
+				resp, _, err := straggler.RoundTrip(meter(due-sgx.DefaultParams().LANRTT), &message{Kind: msgPull})
+				if err != nil || !resp.OK || resp.Round != 0 {
+					t.Fatalf("the straggler's pull before the deadline: %+v, %v", resp, err)
+				}
+			}
+			if resp, err := survivor.Receive(m); err != nil || !resp.OK {
+				t.Fatalf("the survivor's push: %+v, %v", resp, err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				resp, _, err := survivor.RoundTrip(m, &message{Kind: msgPull})
+				if err == nil && resp.Round == 1 {
+					resp, _, err = survivor.RoundTrip(m, &message{Kind: msgPush, Worker: 0, Round: 1, Vars: grads()})
+				}
+				if err == nil && !resp.OK {
+					err = errors.New(resp.Err)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("the survivor's next step: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the evicted worker's silent seat held the shard")
+			}
+			if st := ps.Stats(); ps.Rounds() != 2 || st != (PSStats{Evictions: 1, ShrunkRounds: 1}) {
+				t.Fatalf("rounds %d, stats %+v: want a shrunk round and then the survivor's own", ps.Rounds(), st)
+			}
+		})
+	}
+}
+
+// TestShardRefusesAHelloOutsideItsWorkers: a hello naming a worker id
+// the shard has no seat for is refused like any handshake mismatch, so a
+// stranger cannot grow a seated barrier by rejoining under it: the two
+// workers' pushes still commit their round.
+func TestShardRefusesAHelloOutsideItsWorkers(t *testing.T) {
+	ps, addr, _ := newTestPS(t, 2, nil)
+	zero, one := uint32(0), uint32(1)
+	first, second := rawLink(t, addr, &zero), rawLink(t, addr, &one)
+	meter := sgx.NewMeter(&vtime.Clock{}, sgx.DefaultParams())
+	resp, _, err := rawLink(t, addr, nil).RoundTrip(meter, &message{Kind: msgHello, Worker: 7, Shards: 1})
+	if err != nil || resp.OK || resp.Evicted || !strings.Contains(resp.Err, "2 workers") {
+		t.Fatalf("a hello as worker 7 to a two-worker shard: %+v, %v; want it refused", resp, err)
+	}
+	acked := make(chan *message, 1)
+	go func() { resp, _ := rawPush(first, 0); acked <- resp }()
+	if resp, err := rawPush(second, 1); err != nil || !resp.OK {
+		t.Fatalf("worker 1's push: %+v, %v", resp, err)
+	}
+	if ack := <-acked; ack == nil || !ack.OK {
+		t.Fatalf("worker 0's push: %+v", ack)
+	}
+	if st := ps.Stats(); ps.Rounds() != 1 || st != (PSStats{}) {
+		t.Fatalf("rounds %d, stats %+v: want one full round", ps.Rounds(), st)
 	}
 }

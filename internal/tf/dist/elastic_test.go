@@ -215,22 +215,25 @@ func TestElasticStallEvictsAndRejoins(t *testing.T) {
 		t.Fatalf("Rounds() = %d after round 1", ps.Rounds())
 	}
 
-	// Round 2: w1 computes but holds its push past the timeout.
-	if err := w1.BeginStep(); err != nil {
-		t.Fatal(err)
-	}
-	step(w0) // commits the shrunk round without w1
-	deadline := time.Now().Add(10 * time.Second)
-	for ps.Rounds() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("shrunk round never committed")
+	// Round 2: w1 computes but holds its push past the deadline, while
+	// w0 steps.
+	stalled := make(chan error, 1)
+	go func() {
+		err := w1.BeginStep()
+		if err == nil {
+			w1.cfg.Meter.Clock().Advance(2 * elasticTimeout)
+			// The late push is dropped (not applied, not an error) and
+			// the worker rejoins in the same exchange.
+			err = w1.FinishStep()
 		}
-		time.Sleep(time.Millisecond)
+		stalled <- err
+	}()
+	step(w0) // commits the shrunk round without w1
+	if ps.Rounds() != 2 {
+		t.Fatalf("Rounds() = %d after the shrunk round", ps.Rounds())
 	}
-	// The late push is dropped (not applied, not an error) and the
-	// worker rejoins in the same exchange.
-	if err := w1.FinishStep(); err != nil {
-		t.Fatalf("stalled FinishStep: %v", err)
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalled step: %v", err)
 	}
 	if got := w1.DroppedPushes(); got != 1 {
 		t.Errorf("DroppedPushes = %d, want 1", got)

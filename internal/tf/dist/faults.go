@@ -14,18 +14,20 @@ type FaultKind uint8
 
 const (
 	// FaultKillWorker kills worker Worker before it begins global round
-	// Step: its connections close, the barrier evicts it on the
-	// round timeout and commits from the survivors. When Rejoin > 0 a
+	// Step: its connections close, the round's deadline evicts it and
+	// the barrier commits from the survivors. When Rejoin > 0 a
 	// fresh worker with the same identity (and the same session seed, so
 	// trajectories stay reproducible) rejoins Rejoin rounds later.
 	FaultKillWorker FaultKind = iota + 1
-	// FaultStallWorker holds worker Worker's push of round Step until
-	// the shards have committed the round without it — an eviction and
+	// FaultStallWorker advances worker Worker's virtual clock by twice
+	// the round timeout between its compute and its push of round Step,
+	// so the push lands after the round's deadline: an eviction and
 	// rejoin without the worker ever dying, the classic straggler.
 	FaultStallWorker
 	// FaultDelayPush advances worker Worker's virtual clock by Delay
-	// before round Step — a slow worker that still makes the barrier,
-	// stretching the round instead of shrinking it.
+	// before round Step: a slow worker. One that still makes the
+	// round's deadline stretches the round; one that lands past it is
+	// evicted, as a stalled one is, and rejoins.
 	FaultDelayPush
 	// FaultRestartShard kills PS shard Shard after it has committed Step
 	// rounds and restarts it from its latest checkpoint; Step must land
@@ -74,7 +76,7 @@ type FaultPlan struct {
 // ParseFaultPlan parses the textual plan grammar, semicolon-separated:
 //
 //	kill:w<W>@r<R>[+rejoin<N>]   kill worker W before round R, rejoin N rounds later
-//	stall:w<W>@r<R>              stall worker W's push of round R past the timeout
+//	stall:w<W>@r<R>              stall worker W's push of round R past the deadline
 //	delay:w<W>@r<R>+<duration>   advance worker W's clock by duration before round R
 //	restart:ps<K>@r<R>           restart shard K from checkpoint after R committed rounds
 func ParseFaultPlan(s string) (*FaultPlan, error) {
@@ -212,16 +214,16 @@ func (p *FaultPlan) String() string {
 
 // Validate checks the plan against a cluster shape: every target must
 // exist, every round must land inside the job, restarts must land on
-// checkpoint boundaries, and at least one worker must survive every
-// round (an all-dead round can never commit).
+// checkpoint boundaries, a stall or delay must aim at a worker alive at
+// its round, and at least one worker must survive every round (an
+// all-dead round can never commit).
 func (p *FaultPlan) Validate(workers, shards, rounds, checkpointEvery int) error {
 	alive := make([]bool, workers)
 	for i := range alive {
 		alive[i] = true
 	}
 	rejoinAt := make(map[int][]int) // round -> worker ids rejoining before it
-	type event struct{ f Fault }
-	byRound := make(map[int][]event)
+	byRound := make(map[int][]Fault)
 	for _, f := range p.Faults {
 		switch f.Kind {
 		case FaultKillWorker, FaultStallWorker, FaultDelayPush:
@@ -247,14 +249,13 @@ func (p *FaultPlan) Validate(workers, shards, rounds, checkpointEvery int) error
 		if f.Step < 0 || f.Step >= rounds {
 			return fmt.Errorf("dist: fault at round %d of a %d-round job", f.Step, rounds)
 		}
-		byRound[f.Step] = append(byRound[f.Step], event{f})
+		byRound[f.Step] = append(byRound[f.Step], f)
 	}
 	for r := 0; r < rounds; r++ {
 		for _, w := range rejoinAt[r] {
 			alive[w] = true
 		}
-		for _, ev := range byRound[r] {
-			f := ev.f
+		for _, f := range byRound[r] {
 			if f.Kind != FaultKillWorker {
 				continue
 			}
@@ -264,6 +265,12 @@ func (p *FaultPlan) Validate(workers, shards, rounds, checkpointEvery int) error
 			alive[f.Worker] = false
 			if f.Rejoin > 0 {
 				rejoinAt[r+f.Rejoin] = append(rejoinAt[r+f.Rejoin], f.Worker)
+			}
+		}
+		// A round's kills land before its step, so they count here.
+		for _, f := range byRound[r] {
+			if (f.Kind == FaultStallWorker || f.Kind == FaultDelayPush) && !alive[f.Worker] {
+				return fmt.Errorf("dist: %v at round %d targets worker %d, dead at that round", f.Kind, f.Step, f.Worker)
 			}
 		}
 		n := 0

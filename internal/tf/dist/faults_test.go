@@ -65,8 +65,9 @@ func TestFaultPlanParseRejects(t *testing.T) {
 }
 
 // TestFaultPlanValidate checks the cluster-shape checks: out-of-range
-// targets, off-boundary restarts and all-dead rounds are rejected, and
-// a rejoin revives its worker for later kills.
+// targets, off-boundary restarts, all-dead rounds and stalls or delays
+// of a dead worker are rejected, and a rejoin revives its worker for
+// later faults.
 func TestFaultPlanValidate(t *testing.T) {
 	valid := func(s string) *FaultPlan {
 		t.Helper()
@@ -93,6 +94,11 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"all dead", valid("kill:w0@r1;kill:w1@r1;kill:w2@r1;kill:w3@r1"), false},
 		{"delay without duration", &FaultPlan{Faults: []Fault{{Kind: FaultDelayPush, Worker: 0, Step: 1}}}, false},
 		{"unknown kind", &FaultPlan{Faults: []Fault{{Kind: FaultKind(42), Step: 1}}}, false},
+		{"stall of a dead worker", valid("kill:w0@r1;stall:w0@r2"), false},
+		{"delay of a dead worker", valid("kill:w0@r1+rejoin2;delay:w0@r2+5ms"), false},
+		{"stall at its kill round", valid("stall:w0@r1;kill:w0@r1"), false},
+		{"stall of a rejoined worker", valid("kill:w0@r1+rejoin1;stall:w0@r2;delay:w0@r3+5ms"), true},
+		{"delay before the kill", valid("delay:w0@r1+5ms;kill:w0@r2"), true},
 	}
 	for _, c := range cases {
 		err := c.plan.Validate(4, 2, 6, 2)

@@ -3,7 +3,9 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,17 +67,18 @@ type PSConfig struct {
 	// with every worker's, so it ends at the end-to-end latency. The zero
 	// value is a private clock at sgx.DefaultParams.
 	Meter sgx.Meter
-	// RoundTimeout, when positive, is how long a synchronous round may
-	// stay incomplete after its first gradient push (the paper's §3.2
-	// elasticity). When it expires, the seats that never pushed are
-	// evicted as dead, the barrier shrinks to the survivors, and the
-	// round commits from the gradients it has, averaged over the
-	// contributors. The survivors' wait, the timeout itself, is charged
-	// to the shard clock. An evicted worker rejoins by re-running the
+	// RoundTimeout, when positive, is how long, in virtual time, a
+	// synchronous round may stay incomplete after its first gradient push
+	// arrives (the paper's §3.2 elasticity). At that deadline (see seat)
+	// the seats that never pushed are evicted as dead, the barrier
+	// shrinks to the survivors, the shard clock moves to the deadline and
+	// the round commits from the gradients it has, averaged over the
+	// contributors. An evicted worker rejoins by re-running the
 	// msgHello/msgManifest handshake and is folded back into the barrier
-	// at the next round boundary. Zero waits for every seat, and the
-	// shard serves its frames in the order they were sent (see seat).
-	// An asynchronous shard never blocks and refuses one.
+	// at the next round boundary. A member that stays connected and sends
+	// nothing holds the deadline back until the hang guard (hangGuard)
+	// closes its connection. Zero waits for every seat. An asynchronous
+	// shard never blocks and refuses one.
 	RoundTimeout time.Duration
 	// CheckpointEvery, with CheckpointWrite, snapshots the shard every
 	// CheckpointEvery committed rounds: the encoded Checkpoint is
@@ -124,16 +127,19 @@ type ParameterServer struct {
 	// checkpoint/resume tests pin). round's Need is the barrier's seats
 	// (cfg.Workers, less the evicted, plus the rejoined); pending holds
 	// the evicted workers that re-ran the handshake mid-round, seated
-	// again at the round's boundary. gen guards the timeout callback
-	// against firing into a later round; in async mode it is the
-	// variable version, bumped on every applied push, and the staleness
-	// bound is measured against it.
+	// again at the round's boundary. gen numbers the rounds; in async
+	// mode it is the variable version, bumped on every applied push, and
+	// the staleness bound is measured against it. due is the open round's
+	// deadline (see RoundTimeout).
 	round    Round
 	pending  map[uint32]bool
 	contribs []contribution
 	waiters  []*seat
-	timer    *time.Timer
 	gen      uint64
+	due      time.Duration
+	// seated holds the connections that said hello, which an eviction
+	// and the hang guard reach.
+	seated map[*seat]bool
 
 	// steps tracks each worker's latest pushed local step (async
 	// accounting; sync pushes record it too, it just never gates
@@ -142,17 +148,28 @@ type ParameterServer struct {
 	stats PSStats
 
 	srv *wire.Server
-	// turns serves the frames in the order they were sent (see seat); nil
-	// on a shard that serves them as they come. seats numbers the
+	// turns serves a synchronous shard's frames in the order they were
+	// sent (see seat); nil on an asynchronous one. deadline is its round
+	// deadline's actor, given a round timeout. seats numbers the
 	// connections it orders, and the seats they take.
-	turns *vtime.Scheduler
-	seats atomic.Uint64
+	turns    *vtime.Scheduler
+	deadline *vtime.Actor
+	seats    atomic.Uint64
 }
 
+// hangGuard is how long, on the wall clock, a shard with a round timeout
+// lets a frame, or a push's answer, wait for its turn before it closes
+// the connections of the seats that hold the turn back (guard). A worker
+// that stays connected and sends nothing holds the order, and with it
+// the deadline, on no virtual clock; once its seat has gone, the
+// deadline evicts it. The guard itself evicts no one. A variable, so
+// that a test can shorten it.
+var hangGuard = time.Minute
+
 // A seat is one connection's place at the shard: at its barrier, and in
-// the order of a synchronous shard without a round timeout, which serves
-// its workers' frames in the order they were sent, not in the order the
-// host delivers them: by (virtual arrival, worker, seat). One frame is
+// the order of a synchronous shard, which serves its workers' frames in
+// the order they were sent, not in the order the host delivers them: by
+// (virtual arrival, worker, seat). One frame is
 // served at a time, and its answer is sent, before the next is started,
 // so the charges one frame makes on the shard's clock never interleave
 // with another's.
@@ -173,33 +190,50 @@ type ParameterServer struct {
 // train-sync's set-up), and from then on the shard's clock, every stamp
 // it sends and every commit are a function of the frames' stamps alone.
 //
-// A shard with a round timeout waits for stragglers on the wall clock,
-// and an asynchronous one admits frames no order can wait for; they
-// serve frames as the host delivers them, and their seats have no
-// actor.
+// A round timeout is one more actor, the round's deadline, whose turn
+// is at the first push's arrival plus the timeout, after every frame
+// stamped as early (timeout): by then every other seat is parked, gone,
+// or holds a later frame. An evicted worker's frames then take the place
+// just after the deadline's until its hello seats it again, so neither
+// its late frame nor its rejoin waits on the survivors' next frames. A
+// seat that sends nothing holds every later turn back; on a shard with a
+// round timeout, the hang guard closes it. An asynchronous shard serves
+// frames as the host delivers them.
 type seat struct {
 	turn   *vtime.Actor
+	conn   net.Conn
 	seated bool
 	worker uint32     // the worker its hello named, once seated
 	answer chan error // the barrier's answer to the connection's push
+	// late is the place of the seat's frames while its worker is
+	// evicted: just after the deadline that evicted it. Zero otherwise.
+	late atomic.Int64
 }
 
 // ask asks for the turn of a frame, or of the barrier's answer, that
-// arrives at at.
+// arrives at at. It asks again if an eviction moved the seat meanwhile.
 func (s *seat) ask(at time.Duration) {
 	if !s.seated {
 		at = vtime.Anytime
 	}
-	s.turn.Ask(at)
+	for late := int64(-1); late != s.late.Load(); {
+		if late = s.late.Load(); late != 0 {
+			at = time.Duration(late)
+		}
+		s.turn.Ask(at)
+	}
 }
 
 // served ends the turn of a frame whose answer was stamped sent.
 func (ps *ParameterServer) served(s *seat, sent time.Duration) {
-	if !s.seated {
+	switch late := s.late.Load(); {
+	case !s.seated:
 		s.turn.Park()
-		return
+	case late != 0:
+		s.turn.Idle(time.Duration(late))
+	default:
+		s.turn.Idle(ps.cfg.Meter.Arrival(ps.cfg.Meter.Arrival(sent)))
 	}
-	s.turn.Idle(ps.cfg.Meter.Arrival(ps.cfg.Meter.Arrival(sent)))
 }
 
 // sit seats the connection of s, whose hello from worker is answered in
@@ -209,6 +243,9 @@ func (ps *ParameterServer) sit(s *seat, worker uint32) {
 	turn := ps.turns.Join(uint64(worker)<<32 | ps.seats.Add(1))
 	s.turn.Leave()
 	s.turn, s.seated, s.worker = turn, true, worker
+	ps.mu.Lock()
+	ps.seated[s] = true
+	ps.mu.Unlock()
 }
 
 // contribution is one worker's staged gradient partition of the
@@ -220,8 +257,8 @@ type contribution struct {
 
 // PSStats counts a shard's elasticity events.
 type PSStats struct {
-	// Evictions is the number of barrier seats removed on round
-	// timeouts — one per worker declared dead.
+	// Evictions is the number of barrier seats removed by round
+	// deadlines — one per worker declared dead.
 	Evictions int
 	// Rejoins is the number of evicted workers folded back into the
 	// barrier after re-running the handshake.
@@ -281,9 +318,15 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 		steps:   make(map[uint32]uint64),
 		round:   NewRound(cfg.Workers),
 		pending: make(map[uint32]bool),
+		seated:  make(map[*seat]bool),
 	}
-	if cfg.Consistency.Kind == ConsistencySync && cfg.RoundTimeout == 0 {
+	if cfg.Consistency.Kind == ConsistencySync {
 		ps.turns = new(vtime.Scheduler)
+	}
+	if cfg.RoundTimeout > 0 {
+		// Last at its time: every frame stamped as early goes first.
+		ps.deadline = ps.turns.Join(math.MaxUint64)
+		ps.deadline.Park()
 	}
 	for name, t := range ShardVars(cfg.Vars, cfg.Shard, cfg.Shards) {
 		if t == nil || t.DType() != tf.Float32 {
@@ -297,6 +340,9 @@ func NewParameterServer(cfg PSConfig) (*ParameterServer, error) {
 		if err := ps.resume(cfg.Resume); err != nil {
 			return nil, err
 		}
+	}
+	if ps.deadline != nil {
+		go ps.deadlines()
 	}
 	ps.srv = wire.Serve(cfg.Listener, ps.serve)
 	return ps, nil
@@ -416,15 +462,22 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		return grads[name]
 	})
 	// A stranger until its hello is answered, parked between frames.
-	s := &seat{turn: ps.turns.Join(ps.seats.Add(1)), answer: make(chan error, 1)}
+	s := &seat{turn: ps.turns.Join(ps.seats.Add(1)), conn: conn, answer: make(chan error, 1)}
 	s.turn.Park()
-	defer func() { s.turn.Leave() }()
+	defer func() {
+		ps.mu.Lock()
+		delete(ps.seated, s)
+		ps.mu.Unlock()
+		s.turn.Leave()
+	}()
 	for {
 		stamp, err := l.next()
 		var msg *message
 		if err == nil {
 			s.ask(ps.cfg.Meter.Arrival(stamp))
+			stop := ps.guard()
 			s.turn.Wait()
+			stop()
 			msg, err = l.rest(ps.cfg.Meter)
 		}
 		var resp *message
@@ -468,8 +521,11 @@ func (ps *ParameterServer) serve(conn net.Conn) {
 		if _, err := l.flush(ps.cfg.Meter, frame); err != nil {
 			return
 		}
-		if !s.seated && msg != nil && msg.Kind == msgHello && resp.OK {
-			ps.sit(s, msg.Worker)
+		if msg != nil && msg.Kind == msgHello && resp.OK {
+			if !s.seated {
+				ps.sit(s, msg.Worker)
+			}
+			s.late.Store(0)
 		}
 		ps.served(s, l.sent)
 	}
@@ -511,6 +567,9 @@ func (ps *ParameterServer) handshake(msg *message) *message {
 		resp.OK = false
 		resp.Err = fmt.Sprintf("dist: worker %d pushes with codec %v, but shard %d decodes %v (mixed-codec cluster)",
 			msg.Worker, want, ps.cfg.Shard, ps.cfg.Compression)
+	} else if int64(msg.Worker) >= int64(ps.cfg.Workers) {
+		resp.OK = false
+		resp.Err = fmt.Sprintf("dist: worker %d says hello to a shard of %d workers", msg.Worker, ps.cfg.Workers)
 	}
 	if resp.OK && ps.cfg.Consistency.Kind == ConsistencySync {
 		ps.mu.Lock()
@@ -619,10 +678,9 @@ func (ps *ParameterServer) push(msg *message, s *seat) error {
 	ps.steps[msg.Worker] = msg.Step
 	ps.contribs = append(ps.contribs, contribution{worker: msg.Worker, vars: msg.Vars})
 	ps.waiters = append(ps.waiters, s)
-	if len(ps.contribs) == 1 && ps.cfg.RoundTimeout > 0 {
-		gen := ps.gen
-		//securetf:allow nowallclock RoundTimeout is a genuinely-wall watchdog: it evicts workers that stopped making real progress
-		ps.timer = time.AfterFunc(ps.cfg.RoundTimeout, func() { ps.timeout(gen) })
+	if len(ps.contribs) == 1 && ps.deadline != nil {
+		ps.due = ps.cfg.Meter.Clock().Now() + ps.cfg.RoundTimeout
+		ps.deadline.Ask(ps.due)
 	}
 	if ps.round.Push(msg.Worker) {
 		ps.commitLocked()
@@ -630,11 +688,36 @@ func (ps *ParameterServer) push(msg *message, s *seat) error {
 		s.turn.Park()
 	}
 	ps.mu.Unlock()
+	stop := ps.guard()
 	err := <-s.answer
 	s.turn.Done() // the commit's, which asked for every answer's turn
 	s.turn.Wait()
+	stop()
 	return err
 }
+
+// guard arms the hang guard (hangGuard) over a wait for a turn, on a
+// shard with a round timeout, and returns what disarms it. When it fires
+// it closes the connections of the seats that hold the next turn back,
+// so they leave.
+func (ps *ParameterServer) guard() (stop func() bool) {
+	if ps.deadline == nil {
+		return noGuard
+	}
+	//securetf:allow nowallclock the hang guard: a seat that sends nothing holds the order back on no virtual clock
+	return time.AfterFunc(hangGuard, func() {
+		holders := ps.turns.Holders()
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		for s := range ps.seated {
+			if slices.Contains(holders, s.turn) {
+				s.conn.Close()
+			}
+		}
+	}).Stop
+}
+
+func noGuard() bool { return false }
 
 // pushAsyncLocked is the bounded-staleness commit path: the push is
 // applied the moment it arrives — no barrier, nothing blocks — unless
@@ -741,19 +824,40 @@ func (ps *ParameterServer) maybeCheckpointLocked(gen uint64) error {
 	return nil
 }
 
-// timeout fires when a round stays incomplete past RoundTimeout. gen
-// identifies the round the timer was armed for; a commit that raced the
-// timer bumps the generation, making this a no-op. It declares the
-// members that never pushed dead, shrinks the barrier to the survivors
-// and commits from the gradients it has. A round nobody pushed into has
-// nothing to commit and no one to answer, so it is left as it is.
+// deadlines runs the deadline actor: its turn comes at the open round's
+// due time, and a commit parks it.
+func (ps *ParameterServer) deadlines() {
+	for {
+		ps.deadline.Wait()
+		ps.mu.Lock()
+		closed, gen := ps.closed, ps.gen
+		ps.mu.Unlock()
+		if closed {
+			return
+		}
+		ps.timeout(gen)
+	}
+}
+
+// timeout is the deadline's turn for round gen. It declares the members
+// that never pushed dead, shrinks the barrier to the survivors, moves
+// the shard clock to the deadline (the survivors' wait) and commits from
+// the gradients it has. A round nobody pushed into, or one that has
+// committed, is left as it is.
 func (ps *ParameterServer) timeout(gen uint64) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if gen != ps.gen || len(ps.contribs) == 0 {
+		ps.deadline.Park()
 		return
 	}
 	r := &ps.round
+	for s := range ps.seated {
+		if r.Members[s.worker] && !r.Pushed[s.worker] {
+			s.late.Store(int64(ps.due + 1))
+			s.turn.Move(ps.due + 1)
+		}
+	}
 	for w := range r.Members {
 		if !r.Pushed[w] {
 			delete(r.Members, w)
@@ -765,11 +869,7 @@ func (ps *ParameterServer) timeout(gen uint64) {
 	ps.stats.Evictions += r.Need - len(r.Pushed)
 	ps.stats.ShrunkRounds++
 	r.Need = len(r.Pushed)
-	// The survivors spent the whole detection window blocked on the
-	// dead; charge it to the shard clock so the job's latency stays
-	// honest (and deterministic — the charge is the configured timeout,
-	// not a measured wall delay).
-	ps.cfg.Meter.Clock().Advance(ps.cfg.RoundTimeout)
+	ps.cfg.Meter.Clock().AdvanceTo(ps.due)
 	ps.commitLocked()
 }
 
@@ -784,10 +884,7 @@ func (ps *ParameterServer) finishRoundLocked(err error) {
 	}
 	ps.waiters = nil
 	ps.contribs = nil
-	if ps.timer != nil {
-		ps.timer.Stop()
-		ps.timer = nil
-	}
+	ps.deadline.Park()
 	ps.gen++
 	clear(ps.round.Pushed)
 	// Round boundary: fold rejoined workers back into the barrier.

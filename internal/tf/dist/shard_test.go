@@ -341,10 +341,12 @@ func TestDeadShardAbortsAllWorkers(t *testing.T) {
 }
 
 // TestStragglerTimesOutShardedRound checks that RoundTimeout fires
-// independently on every healthy shard: with one worker absent, each
-// shard the present worker pushed to evicts the absent one and commits
-// the round from the push it has.
+// independently on every healthy shard: with one worker connected but
+// silent, each shard's hang guard closes its connection, and each shard
+// the present worker pushed to evicts it and commits the round from the
+// push it has.
 func TestStragglerTimesOutShardedRound(t *testing.T) {
+	shortHangGuard(t)
 	pss, addrs := newShardedCluster(t, 2, 2, func(cfg *PSConfig) {
 		cfg.RoundTimeout = 150 * time.Millisecond
 	})

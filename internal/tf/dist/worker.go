@@ -66,12 +66,6 @@ type WorkerConfig struct {
 	// minibatch schedule an uninterrupted run would (the batch window is
 	// step*BatchSize mod the shard size). Defaults to 0 — a fresh job.
 	StartStep int
-	// Reconnect, when positive, is how long a failed shard exchange may
-	// spend redialing before the step fails: the connection is reopened,
-	// the handshake re-run and the exchange retried once — the client
-	// half of a PS shard restarting from checkpoint. Zero (the default)
-	// keeps connection errors fatal.
-	Reconnect time.Duration
 }
 
 // Worker runs SGD steps against a (possibly sharded) parameter-server
@@ -204,19 +198,32 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		dropped:   make([]int, len(cfg.Addrs)),
 		rejoined:  make([]int, len(cfg.Addrs)),
 	}
-	for s, addr := range cfg.Addrs {
-		conn, err := cfg.Dial("tcp", addr)
-		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("dist: worker %d dial shard %d at %s: %w", cfg.ID, s, addr, err)
-		}
-		w.links[s] = w.newLink(s, conn)
-		if err := w.handshake(s, cfg.Meter.Clock()); err != nil {
+	for s := range cfg.Addrs {
+		if err := w.Redial(s); err != nil {
 			w.Close()
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// Redial opens a new connection to shard s, in place of any it had, and
+// says hello on it, on the worker's clock: how a worker takes its seat
+// at a shard restarted from its checkpoint.
+func (w *Worker) Redial(s int) error {
+	if s < 0 || s >= len(w.links) {
+		return fmt.Errorf("dist: worker %d has no shard %d", w.cfg.ID, s)
+	}
+	if w.links[s] != nil {
+		w.links[s].Close()
+		w.links[s] = nil
+	}
+	conn, err := w.cfg.Dial("tcp", w.cfg.Addrs[s])
+	if err != nil {
+		return fmt.Errorf("dist: worker %d dial shard %d at %s: %w", w.cfg.ID, s, w.cfg.Addrs[s], err)
+	}
+	w.links[s] = w.newLink(s, conn)
+	return w.handshake(s, w.cfg.Meter.Clock())
 }
 
 // newLink wraps a fresh connection to shard s: its frames' tensors are
@@ -455,12 +462,7 @@ func (w *Worker) retryStale(stale []int, rb *Breakdown) (float64, []int, error) 
 	clock := w.cfg.Meter.Clock()
 	span := clock.Start()
 	for _, s := range stale {
-		var n int64
-		err := w.withReconnect(s, clock, func() error {
-			var err error
-			n, err = w.pullExchange(s, clock)
-			return err
-		})
+		n, err := w.pullExchange(s, clock)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -480,12 +482,7 @@ func (w *Worker) retryStale(stale []int, rb *Breakdown) (float64, []int, error) 
 	}
 	var still []int
 	for _, s := range stale {
-		var o pushOutcome
-		err := w.withReconnect(s, clock, func() error {
-			var err error
-			o, err = w.pushExchange(s, clock, parts[s])
-			return err
-		})
+		o, err := w.pushExchange(s, clock, parts[s])
 		if err != nil {
 			return 0, nil, err
 		}
@@ -525,62 +522,11 @@ func (w *Worker) fanOut(fn func(s int, clock *vtime.Clock) error) error {
 	return errors.Join(errs...)
 }
 
-// withReconnect runs one shard exchange; when Reconnect is enabled and
-// the exchange fails, the shard is redialed (a PS restarting from
-// checkpoint needs a moment to come back) and the exchange retried
-// once. The restarted shard applied nothing from the broken connection,
-// so the retry cannot double-contribute.
-func (w *Worker) withReconnect(s int, clock *vtime.Clock, fn func() error) error {
-	err := fn()
-	if err == nil || w.cfg.Reconnect <= 0 {
-		return err
-	}
-	if rerr := w.redial(s, clock); rerr != nil {
-		return errors.Join(err, rerr)
-	}
-	return fn()
-}
-
-// redial reopens the connection to shard s and re-runs the handshake,
-// retrying until the Reconnect wall-clock window closes.
-func (w *Worker) redial(s int, clock *vtime.Clock) error {
-	if w.links[s] != nil {
-		w.links[s].Close()
-		w.links[s] = nil
-	}
-	//securetf:allow nowallclock the reconnect budget bounds real redial attempts against a possibly-dead peer
-	deadline := time.Now().Add(w.cfg.Reconnect)
-	var last error
-	for {
-		conn, err := w.cfg.Dial("tcp", w.cfg.Addrs[s])
-		if err == nil {
-			w.links[s] = w.newLink(s, conn)
-			if err = w.handshake(s, clock); err == nil {
-				return nil
-			}
-			conn.Close()
-			w.links[s] = nil
-		}
-		last = err
-		//securetf:allow nowallclock wall deadline check for the real redial loop above
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: worker %d redial shard %d: %w", w.cfg.ID, s, last)
-		}
-		//securetf:allow nowallclock real backoff between redials of a peer that may still be restarting
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func (w *Worker) pull() error {
 	var mu sync.Mutex
 	var bytes int64
 	err := w.fanOut(func(s int, clock *vtime.Clock) error {
-		var n int64
-		err := w.withReconnect(s, clock, func() error {
-			var err error
-			n, err = w.pullExchange(s, clock)
-			return err
-		})
+		n, err := w.pullExchange(s, clock)
 		if err != nil {
 			return err
 		}
@@ -660,11 +606,8 @@ func (w *Worker) pushGrads(grads map[string]*tf.Tensor) ([]int, error) {
 	}
 	outcomes := make([]pushOutcome, len(w.links))
 	err = w.fanOut(func(s int, clock *vtime.Clock) error {
-		err := w.withReconnect(s, clock, func() error {
-			o, err := w.pushExchange(s, clock, parts[s])
-			outcomes[s] = o
-			return err
-		})
+		var err error
+		outcomes[s], err = w.pushExchange(s, clock, parts[s])
 		return err
 	})
 	if err != nil {

@@ -107,6 +107,20 @@ func (a *Actor) Idle(at time.Duration) { a.set(idle, at) }
 // again.
 func (a *Actor) Park() { a.set(parked, 0) }
 
+// Move moves a waiting or idle actor to at, in the state it is in.
+func (a *Actor) Move(at time.Duration) {
+	if a == nil {
+		return
+	}
+	s := a.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a.state == waiting || a.state == idle {
+		a.at = at
+		s.handOnLocked()
+	}
+}
+
 // Done ends the actor's turn, if it runs. One that asked during the turn
 // waits; one that did not is idle, with no declared time.
 func (a *Actor) Done() {
@@ -160,6 +174,33 @@ func (a *Actor) Leave() {
 		s.turn = nil
 	}
 	s.handOnLocked()
+}
+
+// Holders reports the actors the next turn waits on: the one that runs
+// or, when none runs and no waiter was granted its turn, the idle actors
+// before the earliest waiter.
+func (s *Scheduler) Holders() []*Actor {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.turn != nil {
+		return []*Actor{s.turn}
+	}
+	var next *Actor
+	for _, a := range s.actors {
+		if a.state == waiting && (next == nil || a.before(next)) {
+			next = a
+		}
+	}
+	var holders []*Actor
+	for _, a := range s.actors {
+		if s.next == nil && next != nil && a.state == idle && a.before(next) {
+			holders = append(holders, a)
+		}
+	}
+	return holders
 }
 
 // set moves the actor to st at at, ending its turn unless it asks.

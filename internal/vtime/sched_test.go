@@ -208,6 +208,47 @@ func TestAnytimeWaitsOnlyForTheRunningTurn(t *testing.T) {
 	woken(t, s, "an ask after the idle seat's time", nil)
 }
 
+// TestHoldersAreWhatTheTurnWaitsOn: the running actor holds the next
+// turn; with none running, the idle actors before the earliest waiter
+// do, and Move moves an idle or waiting actor without waking it.
+func TestHoldersAreWhatTheTurnWaitsOn(t *testing.T) {
+	s := new(Scheduler)
+	runner, early, late, waiter := s.Join(0), s.Join(1), s.Join(2), s.Join(3)
+	early.Idle(time.Millisecond)
+	late.Idle(time.Hour)
+	waiter.Park()
+	runner.Ask(0)
+	runner.Wait()
+	if got := s.Holders(); len(got) != 1 || got[0] != runner {
+		t.Fatalf("under a running turn, holders %v, want the runner", got)
+	}
+	runner.Park()
+	if got := s.Holders(); len(got) != 0 {
+		t.Fatalf("with no waiter, holders %v, want none", got)
+	}
+	waiter.Ask(time.Second)
+	if got := s.Holders(); len(got) != 1 || got[0] != early {
+		t.Fatalf("holders %v, want the idle actor before the waiter", got)
+	}
+	late.Move(time.Millisecond / 2)
+	early.Move(2 * time.Hour)
+	woken(t, s, "moving idle actors", nil)
+	if got := s.Holders(); len(got) != 1 || got[0] != late {
+		t.Fatalf("after the moves, holders %v, want the one moved before the waiter", got)
+	}
+	waiter.Move(time.Millisecond / 4)
+	woken(t, s, "moving the waiter before every idle actor", waiter)
+	if got := s.Holders(); len(got) != 0 {
+		t.Fatalf("with the turn granted, holders %v, want none", got)
+	}
+	runner.Move(0) // parked: stays parked
+	waiter.Wait()
+	waiter.Park()
+	if got := s.Holders(); len(got) != 0 {
+		t.Fatalf("with no waiter and a parked runner, holders %v, want none", got)
+	}
+}
+
 // TestCloseGrantsEveryWaiter: Close wakes every actor and grants every
 // turn asked for at once, whether a turn runs, an idle actor holds it
 // back or it waits behind another, and every turn asked for after it.
